@@ -17,7 +17,9 @@
 //! `JoinBuilder::prepare` build followed by [`PREPARED_QUERIES`] repeated
 //! `PreparedJoin::query` calls, reporting the per-query counters (which must
 //! show zero `index_builds` / `pivot_selections`) and the amortized query
-//! wall time next to the cold run it replaces.  The JSON is written to
+//! wall time next to the cold run it replaces; a fourth
+//! (`"<name> (prepared, fast)"`) repeats the serving rows with
+//! `kernel_mode = Fast`, pinning the resident-S tiled scans.  The JSON is written to
 //! `BENCH_baseline.json` (see the README) so the repository always carries a
 //! reference trajectory: computation, shuffle and quality numbers are
 //! deterministic for the fixed seed and must not regress silently; wall
@@ -166,10 +168,14 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
         .collect();
     rows.extend(fast_rows);
 
-    // ---- Prepared serving rows: one build, PREPARED_QUERIES queries -------
-    let prepared_rows: Vec<BaselineRow> = algorithms
+    // ---- Prepared serving rows: one build, PREPARED_QUERIES queries, once
+    // per kernel mode (Exact first, so the committed row order is stable).
+    // The `(prepared, fast)` rows pin the resident-S tiled scans' counters,
+    // which no cold row exercises.
+    let prepared_rows: Vec<BaselineRow> = [KernelMode::Exact, KernelMode::Fast]
         .iter()
-        .map(|&algorithm| {
+        .flat_map(|&mode| algorithms.iter().map(move |&algorithm| (mode, algorithm)))
+        .map(|(mode, algorithm)| {
             let start = Instant::now();
             let prepared = JoinBuilder::new(&data, &data)
                 .k(k)
@@ -179,6 +185,7 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
                 .reducers(reducers)
                 .shift_copies(workloads.default_shift_copies())
                 .z_window(workloads.default_z_window())
+                .kernel_mode(mode)
                 .prepare(workloads.context())
                 .expect("baseline prepare must succeed");
             let build_time_s = start.elapsed().as_secs_f64();
@@ -191,8 +198,13 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
             let result = last.expect("at least one query ran");
             let quality = result.quality_against(&oracle);
             let m = &result.metrics;
+            let suffix = if mode.is_exact() {
+                "(prepared)"
+            } else {
+                "(prepared, fast)"
+            };
             BaselineRow {
-                algorithm: format!("{} (prepared)", algorithm.name()),
+                algorithm: format!("{} {suffix}", algorithm.name()),
                 wall_time_s: avg_query_s,
                 distance_computations: m.distance_computations,
                 pivot_assignment_computations: m.pivot_assignment_computations,
@@ -240,7 +252,7 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
         ],
     );
     for row in &rows {
-        if row.algorithm.ends_with("(prepared)") {
+        if row.algorithm.contains("(prepared") {
             serving.add_row(vec![
                 row.algorithm.clone(),
                 fmt_f64(row.cold_wall_time_s),
@@ -309,8 +321,9 @@ mod tests {
         let out = perf_baseline(ExperimentScale::Quick);
         assert_eq!(out.id, "perf_baseline");
         let rows = out.json.as_array().expect("array of rows");
-        // Six exact cold rows, six fast-mode cold rows, six prepared rows.
-        assert_eq!(rows.len(), 18);
+        // Six exact cold rows, six fast-mode cold rows, six prepared rows
+        // and six prepared fast-mode rows.
+        assert_eq!(rows.len(), 24);
         let names: Vec<&str> = rows
             .iter()
             .map(|r| r["algorithm"].as_str().expect("name"))
@@ -320,7 +333,8 @@ mod tests {
             &["H-BRJ", "PBJ", "PGBJ", "H-zkNNJ", "Broadcast", "NestedLoop"]
         );
         assert!(names[6..12].iter().all(|n| n.ends_with("(fast)")));
-        assert!(names[12..].iter().all(|n| n.ends_with("(prepared)")));
+        assert!(names[12..18].iter().all(|n| n.ends_with("(prepared)")));
+        assert!(names[18..].iter().all(|n| n.ends_with("(prepared, fast)")));
         for row in rows {
             assert!(row["wall_time_s"].as_f64().expect("time") >= 0.0);
             assert!(row["distance_computations"].as_u64().expect("comps") > 0);

@@ -4,11 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::{forest_like, ForestConfig};
-use geom::DistanceMetric;
-use knnjoin::algorithms::{
-    Hbrj, HbrjConfig, KnnJoinAlgorithm, Pbj, PbjConfig, Pgbj, PgbjConfig, Zknn, ZknnConfig,
-};
-use knnjoin::NestedLoopJoin;
+use knnjoin::{Algorithm, ExecutionContext, JoinBuilder};
 
 fn bench_join_algorithms(c: &mut Criterion) {
     let data = forest_like(
@@ -19,50 +15,30 @@ fn bench_join_algorithms(c: &mut Criterion) {
         },
         1,
     );
-    let k = 10;
-    let metric = DistanceMetric::Euclidean;
+    let ctx = ExecutionContext::default();
+    let join = |algorithm| {
+        JoinBuilder::new(&data, &data)
+            .k(10)
+            .algorithm(algorithm)
+            .pivot_count(32)
+            .reducers(9)
+            .map_tasks(8)
+            // The approximate join: constant candidates per object, so it
+            // should sit well below every exact algorithm here.
+            .z_window(8)
+    };
 
     let mut group = c.benchmark_group("join_algorithms");
     group.sample_size(10);
-    let algorithms: Vec<(&str, Box<dyn KnnJoinAlgorithm>)> = vec![
-        ("NestedLoop", Box::new(NestedLoopJoin)),
-        (
-            "H-BRJ",
-            Box::new(Hbrj::new(HbrjConfig {
-                reducers: 9,
-                ..Default::default()
-            })),
-        ),
-        (
-            "PBJ",
-            Box::new(Pbj::new(PbjConfig {
-                pivot_count: 32,
-                reducers: 9,
-                ..Default::default()
-            })),
-        ),
-        (
-            "PGBJ",
-            Box::new(Pgbj::new(PgbjConfig {
-                pivot_count: 32,
-                reducers: 9,
-                ..Default::default()
-            })),
-        ),
-        (
-            // The approximate join: constant candidates per object, so it
-            // should sit well below every exact algorithm here.
-            "H-zkNNJ",
-            Box::new(Zknn::new(ZknnConfig {
-                reducers: 9,
-                z_window: 8,
-                ..Default::default()
-            })),
-        ),
-    ];
-    for (name, alg) in &algorithms {
-        group.bench_function(*name, |b| {
-            b.iter(|| alg.join(&data, &data, k, metric).unwrap());
+    for algorithm in [
+        Algorithm::NestedLoopJoin,
+        Algorithm::Hbrj,
+        Algorithm::Pbj,
+        Algorithm::Pgbj,
+        Algorithm::Zknn,
+    ] {
+        group.bench_function(algorithm.name(), |b| {
+            b.iter(|| join(algorithm).run(&ctx).unwrap());
         });
     }
     group.finish();

@@ -10,8 +10,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::{forest_like, ForestConfig};
+use geom::KernelMode;
 use geom::{kernels, CoordMatrix, DistanceMetric, Point};
-use knnjoin::algorithms::common::{bounded_knn_scan, order_s_partitions, FlatPartition};
+use knnjoin::algorithms::voronoi::{order_s_partitions, FlatPartition, VoronoiScan};
 use knnjoin::bounds::PartitionBounds;
 use knnjoin::partition::VoronoiPartitioner;
 use knnjoin::pivots::{select_pivots, PivotSelectionStrategy};
@@ -353,22 +354,20 @@ fn bench_bounded_scan(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("algorithm3_scan_400r_2000s", |b| {
         b.iter(|| {
+            let mut scan = VoronoiScan::new(&tables, k, metric, KernelMode::Exact);
             let mut total = 0u64;
             for (i, r_bucket) in pr.partitions.iter().enumerate() {
                 let s_order = order_s_partitions(&s_parts, i, &tables);
                 for (r_obj, r_pivot_dist) in r_bucket {
-                    let (neighbors, computations) = bounded_knn_scan(
-                        r_obj,
+                    let (neighbors, counts) = scan.scan(
+                        &r_obj.coords,
                         *r_pivot_dist,
                         i,
                         &s_parts,
                         &s_order,
-                        &tables,
                         bounds.theta[i],
-                        k,
-                        metric,
                     );
-                    total += computations + neighbors.len() as u64;
+                    total += counts.frozen + neighbors.len() as u64;
                 }
             }
             total

@@ -7,12 +7,13 @@
 //! the global `k` best — exactly the extra job the paper charges to these
 //! baselines in its shuffling-cost analysis.
 
-use crate::algorithms::common::{counters, EncodedRecord, NeighborListValue};
+use crate::algorithms::common::{counters, rows_from_output, EncodedRecord, NeighborListValue};
 use crate::metrics::{phases, JoinMetrics};
+use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
 use geom::{Neighbor, RecordKind};
 use mapreduce::{
-    ByteSize, Combiner, IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer,
+    Combiner, IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer,
 };
 use std::time::Instant;
 
@@ -123,22 +124,20 @@ impl Reducer for MergeReducer {
 /// Runs the two MapReduce jobs of the block framework with the supplied
 /// per-cell join reducer, filling in phase timings, shuffle volume and
 /// counters for *both* jobs.  `workers` is the physical pool size from the
-/// caller's execution context; when `combiner` is set, the merge job runs the
-/// [`MergeCombiner`] map-side so only `k`-bounded lists cross its shuffle.
-#[allow(clippy::too_many_arguments)]
+/// caller's execution context; when the plan's `combiner` is set, the merge
+/// job runs the [`MergeCombiner`] map-side so only `k`-bounded lists cross
+/// its shuffle.
 pub(crate) fn run_block_framework<Red>(
     input: Vec<(u64, EncodedRecord)>,
-    k: usize,
-    reducers: usize,
-    map_tasks: usize,
+    plan: &JoinPlan,
     workers: usize,
-    combiner: bool,
     join_reducer: &Red,
     metrics: &mut JoinMetrics,
 ) -> Result<Vec<JoinRow>, JoinError>
 where
     Red: Reducer<KIn = u32, VIn = EncodedRecord, KOut = u64, VOut = NeighborListValue>,
 {
+    let (k, reducers, map_tasks) = (plan.k, plan.reducers, plan.map_tasks);
     let blocks = block_count(reducers);
 
     // ---- Join job: one reducer per (R block, S block) cell -----------------
@@ -168,26 +167,14 @@ where
         .run_with_optional_combiner(
             merge_input,
             &MergeMapper,
-            combiner.then_some(&merge_combiner),
+            plan.combiner.then_some(&merge_combiner),
             &MergeReducer { k },
         )
         .map_err(|e| JoinError::substrate("block-merge", e))?;
     metrics.record_phase(phases::RESULT_MERGING, start.elapsed());
     metrics.absorb_job(&merge_job.metrics);
 
-    Ok(merge_job
-        .output
-        .into_iter()
-        .map(|(r_id, neighbors)| JoinRow { r_id, neighbors })
-        .collect())
-}
-
-/// Sanity helper: the value types shuffled by the block jobs implement
-/// [`ByteSize`], so adding fields without updating the size accounting will
-/// show up in tests.
-#[allow(dead_code)]
-fn assert_value_types_are_sized(v: &EncodedRecord, n: &NeighborListValue) -> usize {
-    v.byte_size() + n.byte_size()
+    Ok(rows_from_output(merge_job.output))
 }
 
 #[cfg(test)]

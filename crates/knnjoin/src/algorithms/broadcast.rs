@@ -9,129 +9,60 @@
 //! since every reducer sees all of `S`.
 
 use crate::algorithms::common::{
-    counters, flat_block_scan, DeltaBlock, EncodedRecord, TileScratch,
+    counters, encode_probe_batch, encode_raw_inputs, rows_from_output, run_serve_job, DeltaBlock,
+    EncodedRecord, HashRouteMapper, TileScratch,
 };
-use crate::algorithms::KnnJoinAlgorithm;
 use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
-use crate::exact::{shadow_coords, validate_inputs};
+use crate::exact::FlatBlock;
 use crate::metrics::{phases, JoinMetrics};
+use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinResult, JoinRow};
-use geom::{
-    CoordMatrix, DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointSet, RecordKind,
-};
+use geom::{DistanceMetric, KernelMode, Neighbor, Point, PointSet, RecordKind};
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
-use std::sync::Arc;
 use std::time::Instant;
 
-/// Configuration of [`BroadcastJoin`].
-#[derive(Debug, Clone)]
-pub struct BroadcastJoinConfig {
-    /// Number of reducers; `R` is split into this many subsets.
-    pub reducers: usize,
-    /// Number of map tasks.
-    pub map_tasks: usize,
-    /// How the reducers evaluate distances (see [`KernelMode`]).
-    pub kernel_mode: KernelMode,
-}
+/// Runs the cold broadcast join for a validated `plan` over validated inputs.
+pub(crate) fn join(
+    plan: &JoinPlan,
+    r: &PointSet,
+    s: &PointSet,
+    ctx: &ExecutionContext,
+) -> Result<JoinResult, JoinError> {
+    let mut metrics = JoinMetrics {
+        r_size: r.len(),
+        s_size: s.len(),
+        ..Default::default()
+    };
+    let input = encode_raw_inputs(r, s);
 
-impl Default for BroadcastJoinConfig {
-    fn default() -> Self {
-        Self {
-            reducers: 4,
-            map_tasks: 8,
-            kernel_mode: KernelMode::default(),
-        }
-    }
-}
+    let start = Instant::now();
+    let job = JobBuilder::new("broadcast-join")
+        .reducers(plan.reducers)
+        .map_tasks(plan.map_tasks)
+        .workers(ctx.workers())
+        .run_with_partitioner(
+            input,
+            &BroadcastMapper {
+                reducers: plan.reducers,
+            },
+            &BroadcastReducer {
+                k: plan.k,
+                metric: plan.metric,
+                mode: plan.kernel_mode,
+            },
+            &IdentityPartitioner,
+        )
+        .map_err(|e| JoinError::substrate("broadcast-join", e))?;
+    metrics.record_phase(phases::KNN_JOIN, start.elapsed());
+    metrics.absorb_job(&job.metrics);
 
-/// The naive broadcast kNN join (the paper's "basic strategy").
-#[derive(Debug, Clone, Default)]
-pub struct BroadcastJoin {
-    config: BroadcastJoinConfig,
-}
-
-impl BroadcastJoin {
-    /// Creates the algorithm with the given configuration.
-    pub fn new(config: BroadcastJoinConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &BroadcastJoinConfig {
-        &self.config
-    }
-
-    fn validate(&self) -> Result<(), JoinError> {
-        if self.config.reducers == 0 {
-            return Err(JoinError::ZeroReducers);
-        }
-        if self.config.map_tasks == 0 {
-            return Err(JoinError::ZeroMapTasks);
-        }
-        Ok(())
-    }
-}
-
-impl KnnJoinAlgorithm for BroadcastJoin {
-    fn name(&self) -> &'static str {
-        "Broadcast"
-    }
-
-    fn join_with(
-        &self,
-        r: &PointSet,
-        s: &PointSet,
-        k: usize,
-        metric: DistanceMetric,
-        ctx: &ExecutionContext,
-    ) -> Result<JoinResult, JoinError> {
-        self.validate()?;
-        validate_inputs(r, s, k)?;
-        let mut metrics = JoinMetrics {
-            r_size: r.len(),
-            s_size: s.len(),
-            ..Default::default()
-        };
-
-        let mut input = Vec::with_capacity(r.len() + s.len());
-        for p in r {
-            input.push((p.id, EncodedRecord::from_parts(RecordKind::R, 0, 0.0, p)));
-        }
-        for p in s {
-            input.push((p.id, EncodedRecord::from_parts(RecordKind::S, 0, 0.0, p)));
-        }
-
-        let start = Instant::now();
-        let job = JobBuilder::new("broadcast-join")
-            .reducers(self.config.reducers)
-            .map_tasks(self.config.map_tasks)
-            .workers(ctx.workers())
-            .run_with_partitioner(
-                input,
-                &BroadcastMapper {
-                    reducers: self.config.reducers,
-                },
-                &BroadcastReducer {
-                    k,
-                    metric,
-                    mode: self.config.kernel_mode,
-                },
-                &IdentityPartitioner,
-            )
-            .map_err(|e| JoinError::substrate("broadcast-join", e))?;
-        metrics.record_phase(phases::KNN_JOIN, start.elapsed());
-        metrics.absorb_job(&job.metrics);
-
-        let rows = job
-            .output
-            .into_iter()
-            .map(|(r_id, neighbors)| JoinRow { r_id, neighbors })
-            .collect();
-        let mut result = JoinResult { rows, metrics };
-        result.normalize();
-        Ok(result)
-    }
+    let mut result = JoinResult {
+        rows: rows_from_output(job.output),
+        metrics,
+    };
+    result.normalize();
+    Ok(result)
 }
 
 /// Mapper: `R` objects go to one reducer (hash of their id); `S` objects are
@@ -162,8 +93,8 @@ impl Mapper for BroadcastMapper {
     }
 }
 
-/// Reducer: exhaustive scan of the full `S` for every local `r` — the scalar
-/// loop in `Exact` mode, the tiled batch-kernel scan otherwise.
+/// Reducer: exhaustive [`FlatBlock::scan`] of the full `S` for every local
+/// `r`.
 struct BroadcastReducer {
     k: usize,
     metric: DistanceMetric,
@@ -193,134 +124,58 @@ impl Reducer for BroadcastReducer {
         }
         // Flatten S once: the block is scanned |R_block| times, so the
         // columnar layout and hoisted kernel pay for themselves immediately.
-        let s_coords = CoordMatrix::from_points(&s_block);
-        if !self.mode.is_exact() {
-            let s_ids: Vec<u64> = s_block.iter().map(|p| p.id).collect();
-            let s_coords32 = shadow_coords(&s_coords, self.mode);
-            let mut scratch = TileScratch::new();
-            for r_obj in &r_block {
-                let (neighbors, counts) = flat_block_scan(
-                    &r_obj.coords,
-                    &s_ids,
-                    &s_coords,
-                    s_coords32.as_deref(),
-                    self.k,
-                    self.metric,
-                    None,
-                    None,
-                    &mut scratch,
-                );
-                ctx.counters()
-                    .add(counters::DISTANCE_COMPUTATIONS, counts.frozen);
-                ctx.emit(r_obj.id, neighbors);
-            }
-            return;
-        }
-        let kernel = self.metric.kernel();
+        let block = FlatBlock::new(&s_block, self.mode);
+        let mut scratch = TileScratch::new();
         for r_obj in &r_block {
-            let mut list = NeighborList::new(self.k);
-            for (i, row) in s_coords.rows().enumerate() {
-                list.offer(s_block[i].id, kernel(&r_obj.coords, row));
-            }
+            let (neighbors, counts) =
+                block.scan(&r_obj.coords, self.k, self.metric, None, None, &mut scratch);
             ctx.counters()
-                .add(counters::DISTANCE_COMPUTATIONS, s_block.len() as u64);
-            ctx.emit(r_obj.id, list.into_sorted());
+                .add(counters::DISTANCE_COMPUTATIONS, counts.frozen);
+            ctx.emit(r_obj.id, neighbors);
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Prepared (build/probe) serving path
-// ---------------------------------------------------------------------------
-
-/// The prepared broadcast state: `S` flattened once into columnar storage.
-/// In Hadoop terms the build is the broadcast itself — `S` is staged at
-/// every node once — so probe batches ship only `R` and scan the resident
-/// copy.
-#[derive(Debug)]
-pub(crate) struct BroadcastPrepared {
-    ids: Vec<geom::PointId>,
-    coords: CoordMatrix,
-    /// `f32` shadow of `coords`, present only in `RankF32` mode.
-    coords32: Option<Vec<f32>>,
-    mode: KernelMode,
-}
-
-impl BroadcastPrepared {
-    /// Flattens `S` (and downcasts the `f32` shadow when `mode` wants one).
-    pub(crate) fn build(s: &PointSet, mode: KernelMode, metrics: &mut JoinMetrics) -> Self {
-        let start = Instant::now();
-        let coords = CoordMatrix::from_point_set(s);
-        let coords32 = shadow_coords(&coords, mode);
-        let prepared = Self {
-            ids: s.iter().map(|p| p.id).collect(),
-            coords,
-            coords32,
-            mode,
-        };
-        metrics.record_phase(phases::PREPARE_BUILD, start.elapsed());
-        prepared
-    }
-
-    /// Answers one probe batch: exhaustive scan of the resident flat `S`
-    /// (minus tombstones, plus the memtable's adds) per object, one serve
-    /// job.
-    pub(crate) fn probe(
-        &self,
-        r: &PointSet,
-        plan: &crate::plan::JoinPlan,
-        ctx: &ExecutionContext,
-        delta: Option<&Arc<DeltaOverlay>>,
-        metrics: &mut JoinMetrics,
-    ) -> Result<Vec<JoinRow>, JoinError> {
-        use crate::algorithms::common::{encode_probe_batch, run_serve_job, HashRouteMapper};
-
-        run_serve_job(
-            "broadcast-serve",
-            encode_probe_batch(r),
-            plan.reducers,
-            plan.map_tasks,
-            ctx.workers(),
-            &HashRouteMapper {
-                reducers: plan.reducers,
-            },
-            &BroadcastServeReducer {
-                prepared: self,
-                k: plan.k,
-                metric: plan.metric,
-                delta: delta.map(Arc::clone),
-                delta_block: if self.mode.is_exact() {
-                    None
-                } else {
-                    delta
-                        .and_then(|d| DeltaBlock::from_overlay(d, self.coords.dims()).map(Arc::new))
-                },
-            },
-            metrics,
-        )
-    }
-
-    /// Re-flattens the materialized corpus (frozen survivors in arrival
-    /// order, then adds in ascending id order — the canonical
-    /// materialization order, so the compacted scan is bit-identical to a
-    /// cold build over the same corpus), keeping this epoch's kernel mode.
-    pub(crate) fn compact(&self, materialized: &PointSet, metrics: &mut JoinMetrics) -> Self {
-        metrics.compacted_points += materialized.len() as u64;
-        Self::build(materialized, self.mode, metrics)
-    }
+/// Answers one probe batch of the prepared broadcast join: one serve job,
+/// every reducer scanning the resident `block` (minus tombstones, plus the
+/// memtable's adds) for its slice of `R`.
+pub(crate) fn probe(
+    block: &FlatBlock,
+    r: &PointSet,
+    plan: &JoinPlan,
+    ctx: &ExecutionContext,
+    delta: Option<&DeltaOverlay>,
+    metrics: &mut JoinMetrics,
+) -> Result<Vec<JoinRow>, JoinError> {
+    run_serve_job(
+        "broadcast-serve",
+        encode_probe_batch(r),
+        plan.reducers,
+        plan.map_tasks,
+        ctx.workers(),
+        &HashRouteMapper {
+            reducers: plan.reducers,
+        },
+        &BroadcastServeReducer {
+            block,
+            k: plan.k,
+            metric: plan.metric,
+            delta,
+            delta_block: DeltaBlock::gather(delta, block.dims()),
+        },
+        metrics,
+    )
 }
 
 /// Serve reducer: the cold [`BroadcastReducer`] scan against the resident
-/// flat `S`, with tombstoned rows masked and the memtable's adds appended
-/// when a delta overlay is present.
+/// flat `S`, merged with the delta overlay when one is present.
 struct BroadcastServeReducer<'a> {
-    prepared: &'a BroadcastPrepared,
+    block: &'a FlatBlock,
     k: usize,
     metric: DistanceMetric,
-    delta: Option<Arc<DeltaOverlay>>,
-    /// The overlay's adds in flat layout, gathered once per probe so the
-    /// non-exact scan streams them through the batch kernels.
-    delta_block: Option<Arc<DeltaBlock>>,
+    delta: Option<&'a DeltaOverlay>,
+    /// The overlay's adds in flat layout, gathered once per probe.
+    delta_block: Option<DeltaBlock>,
 }
 
 impl Reducer for BroadcastServeReducer<'_> {
@@ -335,69 +190,26 @@ impl Reducer for BroadcastServeReducer<'_> {
         values: &[EncodedRecord],
         ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
     ) {
-        if !self.prepared.mode.is_exact() {
-            let mut scratch = TileScratch::new();
-            for value in values {
-                let r_obj = value.decode().point;
-                let (neighbors, counts) = flat_block_scan(
-                    &r_obj.coords,
-                    &self.prepared.ids,
-                    &self.prepared.coords,
-                    self.prepared.coords32.as_deref(),
-                    self.k,
-                    self.metric,
-                    self.delta.as_deref(),
-                    self.delta_block.as_deref(),
-                    &mut scratch,
-                );
-                ctx.counters()
-                    .add(counters::DISTANCE_COMPUTATIONS, counts.frozen);
+        let mut scratch = TileScratch::new();
+        for value in values {
+            let r_obj = value.decode().point;
+            let (neighbors, counts) = self.block.scan(
+                &r_obj.coords,
+                self.k,
+                self.metric,
+                self.delta,
+                self.delta_block.as_ref(),
+                &mut scratch,
+            );
+            ctx.counters()
+                .add(counters::DISTANCE_COMPUTATIONS, counts.frozen);
+            if self.delta.is_some() {
                 ctx.counters()
                     .add(counters::DELTA_PROBE_COMPUTATIONS, counts.delta);
                 ctx.counters()
                     .add(counters::TOMBSTONE_MASKED, counts.masked);
-                ctx.emit(r_obj.id, neighbors);
             }
-            return;
-        }
-        let kernel = self.metric.kernel();
-        for value in values {
-            let r_obj = value.decode().point;
-            let mut list = NeighborList::new(self.k);
-            match self.delta.as_deref() {
-                None => {
-                    for (i, row) in self.prepared.coords.rows().enumerate() {
-                        list.offer(self.prepared.ids[i], kernel(&r_obj.coords, row));
-                    }
-                    ctx.counters().add(
-                        counters::DISTANCE_COMPUTATIONS,
-                        self.prepared.ids.len() as u64,
-                    );
-                }
-                Some(overlay) => {
-                    let mut masked = 0u64;
-                    for (i, row) in self.prepared.coords.rows().enumerate() {
-                        if overlay.is_tombstoned(self.prepared.ids[i]) {
-                            masked += 1;
-                            continue;
-                        }
-                        list.offer(self.prepared.ids[i], kernel(&r_obj.coords, row));
-                    }
-                    let mut delta_computations = 0u64;
-                    for (id, coords) in overlay.adds() {
-                        list.offer(id, kernel(&r_obj.coords, coords));
-                        delta_computations += 1;
-                    }
-                    ctx.counters().add(
-                        counters::DISTANCE_COMPUTATIONS,
-                        self.prepared.ids.len() as u64 - masked,
-                    );
-                    ctx.counters()
-                        .add(counters::DELTA_PROBE_COMPUTATIONS, delta_computations);
-                    ctx.counters().add(counters::TOMBSTONE_MASKED, masked);
-                }
-            }
-            ctx.emit(r_obj.id, list.into_sorted());
+            ctx.emit(r_obj.id, neighbors);
         }
     }
 }
@@ -405,27 +217,18 @@ impl Reducer for BroadcastServeReducer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::NestedLoopJoin;
+    use crate::algorithms::testing::{assert_matches_oracle, run};
+    use crate::Algorithm::{BroadcastJoin, Pgbj};
     use datagen::uniform;
     use proptest::prelude::*;
+
+    const EUCLIDEAN: DistanceMetric = DistanceMetric::Euclidean;
 
     #[test]
     fn matches_exact_join() {
         let r = uniform(150, 3, 50.0, 1);
         let s = uniform(200, 3, 50.0, 2);
-        let metric = DistanceMetric::Euclidean;
-        let exact = NestedLoopJoin.join(&r, &s, 7, metric).unwrap();
-        let got = BroadcastJoin::new(BroadcastJoinConfig {
-            reducers: 5,
-            ..Default::default()
-        })
-        .join(&r, &s, 7, metric)
-        .unwrap();
-        assert!(
-            got.matches(&exact, 1e-9),
-            "{:?}",
-            got.mismatch_against(&exact, 1e-9)
-        );
+        assert_matches_oracle(BroadcastJoin, &r, &s, 7, EUCLIDEAN, |b| b.reducers(5));
     }
 
     #[test]
@@ -437,14 +240,9 @@ mod tests {
             DistanceMetric::Manhattan,
             DistanceMetric::Chebyshev,
         ] {
-            let exact = BroadcastJoin::default().join(&r, &s, 5, metric).unwrap();
+            let exact = run(BroadcastJoin, &r, &s, 5, metric, |b| b);
             for mode in [KernelMode::Fast, KernelMode::RankF32] {
-                let got = BroadcastJoin::new(BroadcastJoinConfig {
-                    kernel_mode: mode,
-                    ..Default::default()
-                })
-                .join(&r, &s, 5, metric)
-                .unwrap();
+                let got = run(BroadcastJoin, &r, &s, 5, metric, |b| b.kernel_mode(mode));
                 assert!(
                     got.matches(&exact, 1e-9),
                     "{metric:?}/{mode:?}: {:?}",
@@ -460,12 +258,9 @@ mod tests {
         let r = uniform(100, 2, 50.0, 3);
         let s = uniform(80, 2, 50.0, 4);
         let reducers = 6;
-        let result = BroadcastJoin::new(BroadcastJoinConfig {
-            reducers,
-            ..Default::default()
-        })
-        .join(&r, &s, 3, DistanceMetric::Euclidean)
-        .unwrap();
+        let result = run(BroadcastJoin, &r, &s, 3, EUCLIDEAN, |b| {
+            b.reducers(reducers)
+        });
         assert_eq!(result.metrics.r_records_shuffled, 100);
         assert_eq!(result.metrics.s_records_shuffled, 80 * reducers as u64);
         // Every (r, s) pair is computed exactly once: selectivity is 1.
@@ -486,50 +281,15 @@ mod tests {
             },
             9,
         );
-        let metric = DistanceMetric::Euclidean;
-        let broadcast = BroadcastJoin::new(BroadcastJoinConfig {
-            reducers: 8,
-            ..Default::default()
-        })
-        .join(&data, &data, 10, metric)
-        .unwrap();
-        let pgbj = crate::algorithms::Pgbj::new(crate::algorithms::PgbjConfig {
-            pivot_count: 24,
-            reducers: 8,
-            ..Default::default()
-        })
-        .join(&data, &data, 10, metric)
-        .unwrap();
+        let broadcast = run(BroadcastJoin, &data, &data, 10, EUCLIDEAN, |b| {
+            b.reducers(8)
+        });
+        let pgbj = run(Pgbj, &data, &data, 10, EUCLIDEAN, |b| {
+            b.pivot_count(24).reducers(8)
+        });
         assert!(broadcast.metrics.shuffle_bytes > pgbj.metrics.shuffle_bytes);
         assert!(broadcast.metrics.distance_computations > pgbj.metrics.distance_computations);
         assert!(broadcast.matches(&pgbj, 1e-9));
-    }
-
-    #[test]
-    fn invalid_configurations_are_rejected() {
-        let r = uniform(10, 2, 1.0, 0);
-        let s = uniform(10, 2, 1.0, 1);
-        assert!(matches!(
-            BroadcastJoin::new(BroadcastJoinConfig {
-                reducers: 0,
-                ..Default::default()
-            })
-            .join(&r, &s, 2, DistanceMetric::Euclidean)
-            .unwrap_err(),
-            JoinError::ZeroReducers
-        ));
-        assert!(matches!(
-            BroadcastJoin::new(BroadcastJoinConfig {
-                reducers: 1,
-                map_tasks: 0,
-                ..Default::default()
-            })
-            .join(&r, &s, 2, DistanceMetric::Euclidean)
-            .unwrap_err(),
-            JoinError::ZeroMapTasks
-        ));
-        assert_eq!(BroadcastJoin::default().name(), "Broadcast");
-        assert_eq!(BroadcastJoin::default().config().reducers, 4);
     }
 
     proptest! {
@@ -544,16 +304,9 @@ mod tests {
         ) {
             let r = uniform(n_r, 2, 40.0, seed);
             let s = uniform(n_s, 2, 40.0, seed ^ 0x31);
-            let metric = DistanceMetric::Euclidean;
-            let exact = NestedLoopJoin.join(&r, &s, k, metric).unwrap();
-            let got = BroadcastJoin::new(BroadcastJoinConfig {
-                reducers,
-                map_tasks: 2,
-                ..Default::default()
-            })
-                .join(&r, &s, k, metric)
-                .unwrap();
-            prop_assert!(got.matches(&exact, 1e-9));
+            assert_matches_oracle(BroadcastJoin, &r, &s, k, EUCLIDEAN, |b| {
+                b.reducers(reducers).map_tasks(2)
+            });
         }
     }
 }

@@ -1,26 +1,16 @@
-//! Pieces shared by the MapReduce join algorithms: the serialised record
+//! Pieces shared by every MapReduce join algorithm: the serialised record
 //! value type used across shuffles, the neighbour-list value type used by the
-//! merge jobs, and counter names.
+//! merge jobs, the kernel / delta / tile plumbing of the candidate scans, and
+//! the prepared probe job.
 
-use crate::bounds::{hyperplane_bound, theorem2_window};
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
-use crate::partition::VoronoiPartitioner;
 use crate::result::{JoinError, JoinRow};
-use crate::summary::{
-    build_s_summaries, pivot_distance_matrix, RPartitionSummary, SPartitionSummary, SummaryTables,
-};
-use geom::kernels::PROBE_TILE;
+use geom::kernels::{BatchKernel, Kernel, PROBE_TILE};
 use geom::{
-    CoordMatrix, DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointId, PointSet,
-    Record, RecordKind,
+    CoordMatrix, DistanceMetric, KernelMode, Neighbor, Point, PointId, PointSet, Record, RecordKind,
 };
-use mapreduce::{
-    ByteSize, IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer,
-};
-use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use mapreduce::{ByteSize, IdentityPartitioner, JobBuilder, MapContext, Mapper, Reducer};
 use std::time::Instant;
 
 /// Counter names used by the join jobs (defined next to [`crate::JoinMetrics`],
@@ -107,133 +97,9 @@ pub fn merge_neighbor_lists(lists: &[NeighborListValue], k: usize) -> Vec<Neighb
     acc.into_sorted()
 }
 
-/// The key type of the merge job: the id of the `R` object.
-#[allow(dead_code)]
-pub type RKey = PointId;
-
-/// One partition's objects in flat structure-of-data layout: coordinate rows
-/// in a contiguous [`CoordMatrix`] with ids and pivot distances in parallel
-/// vectors.  This is what the Algorithm 3 reducers scan: the candidate loop
-/// walks three dense arrays instead of chasing a `Point` heap allocation per
-/// candidate.
-#[derive(Debug, Clone, Default)]
-pub struct FlatPartition {
-    /// Object ids, parallel to the coordinate rows.
-    pub ids: Vec<PointId>,
-    /// Object-to-pivot distances, parallel to the coordinate rows.
-    pub pivot_dists: Vec<f64>,
-    /// Coordinates, one row per object.
-    pub coords: CoordMatrix,
-}
-
-impl FlatPartition {
-    /// Creates an empty partition for the given dimensionality.
-    pub fn new(dims: usize) -> Self {
-        Self {
-            ids: Vec::new(),
-            pivot_dists: Vec::new(),
-            coords: CoordMatrix::new(dims),
-        }
-    }
-
-    /// Appends one object.
-    pub fn push(&mut self, point: &Point, pivot_dist: f64) {
-        self.ids.push(point.id);
-        self.pivot_dists.push(pivot_dist);
-        self.coords.push_row(&point.coords);
-    }
-
-    /// Number of objects held.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the partition holds no objects.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-}
-
-/// The per-partition views an Algorithm 3 reducer works from: `R` objects
-/// grouped by partition, and the received `S` subset in flat
-/// [`FlatPartition`] storage.
-pub(crate) type ReducerPartitions = (
-    BTreeMap<usize, Vec<(Point, f64)>>,
-    BTreeMap<usize, FlatPartition>,
-);
-
-/// Decodes a reducer's received records and splits them by kind and
-/// partition (Algorithm 3 line 13), preserving arrival order: `R` objects
-/// stay as owned points (each is a query, visited once), while `S` objects
-/// are flattened straight into the columnar layout the candidate scan reads.
-/// Shared by the PGBJ group reducer and the PBJ cell reducer.
-pub(crate) fn split_reducer_records(values: &[EncodedRecord], dims: usize) -> ReducerPartitions {
-    let mut r_parts: BTreeMap<usize, Vec<(Point, f64)>> = BTreeMap::new();
-    let mut s_parts: BTreeMap<usize, FlatPartition> = BTreeMap::new();
-    for value in values {
-        let record = value.decode();
-        match record.kind {
-            RecordKind::R => r_parts
-                .entry(record.partition as usize)
-                .or_default()
-                .push((record.point, record.pivot_distance)),
-            RecordKind::S => s_parts
-                .entry(record.partition as usize)
-                .or_insert_with(|| FlatPartition::new(dims))
-                .push(&record.point, record.pivot_distance),
-        }
-    }
-    (r_parts, s_parts)
-}
-
-/// The pruned candidate scan at the heart of Algorithm 3 (lines 16–25),
-/// shared by the PGBJ reducer and the PBJ cell reducer.
-///
-/// For one `R` object `r` (belonging to partition `r_partition`, at distance
-/// `r_pivot_dist` from its pivot), scans the received `S` objects — grouped by
-/// their partition in flat [`FlatPartition`] layout and visited in the order
-/// `s_order` (ascending pivot distance from `p_i`) — pruning with Corollary 1,
-/// Theorem 2 and the running threshold `θ = min(θ_i, current kth distance)`.
-///
-/// The metric's kernel is hoisted out of the loops (no enum dispatch per
-/// candidate).  All threshold comparisons stay in true-distance space: θ and
-/// the Theorem 2 window are derived from triangle-inequality bounds over true
-/// distances, and mixing them with squared ranks could flip a comparison at
-/// the last ulp (see ARCHITECTURE.md).
-///
-/// Returns the `k` best neighbours found and the number of distance
-/// computations spent (object-to-object plus object-to-pivot, per the paper's
-/// selectivity definition).
-#[allow(clippy::too_many_arguments)]
-pub fn bounded_knn_scan<P: Borrow<FlatPartition>>(
-    r_obj: &Point,
-    r_pivot_dist: f64,
-    r_partition: usize,
-    s_parts: &BTreeMap<usize, P>,
-    s_order: &[usize],
-    tables: &SummaryTables,
-    theta_i: f64,
-    k: usize,
-    metric: DistanceMetric,
-) -> (Vec<Neighbor>, u64) {
-    let (neighbors, counts) = bounded_knn_scan_delta(
-        r_obj,
-        r_pivot_dist,
-        r_partition,
-        s_parts,
-        s_order,
-        tables,
-        theta_i,
-        k,
-        metric,
-        None,
-    );
-    (neighbors, counts.frozen)
-}
-
-/// Distance-computation breakdown of one delta-aware candidate scan.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ScanCounts {
+/// Distance-computation breakdown of one candidate scan.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanCounts {
     /// Kernel evaluations against frozen structures (objects or pivots).
     pub frozen: u64,
     /// Kernel evaluations against the delta memtable's added points.
@@ -242,96 +108,59 @@ pub(crate) struct ScanCounts {
     pub masked: u64,
 }
 
-/// [`bounded_knn_scan`] extended with the S-delta memtable of a mutated
-/// [`crate::PreparedJoin`]: the overlay's added points are offered into the
-/// accumulator *first* (tightening the running θ before any frozen candidate
-/// is scanned), and tombstoned frozen candidates are masked just before their
-/// kernel evaluation.  With `delta == None` the scan is bit-for-bit the
-/// frozen-only Algorithm 3 loop.
-///
-/// Correctness note for callers: the per-partition `θ_i` bound is derived
-/// from the frozen `T_S` table, whose guarantee ("partition `i` alone holds
-/// `k` objects within `θ_i`") deletions can break — pass `θ_i = ∞` whenever
-/// the overlay carries tombstones.  Added points never invalidate `θ_i`;
-/// they only shrink the true kth distance.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn bounded_knn_scan_delta<P: Borrow<FlatPartition>>(
-    r_obj: &Point,
-    r_pivot_dist: f64,
-    r_partition: usize,
-    s_parts: &BTreeMap<usize, P>,
-    s_order: &[usize],
-    tables: &SummaryTables,
-    theta_i: f64,
-    k: usize,
+/// The kernels one scan evaluates candidates with, chosen once from the
+/// plan's [`KernelMode`] — the only place the Voronoi and z-window scans look
+/// at the mode.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScanKernels {
     metric: DistanceMetric,
-    delta: Option<&DeltaOverlay>,
-) -> (Vec<Neighbor>, ScanCounts) {
-    let kernel = metric.kernel();
-    let mut neighbors = NeighborList::new(k);
-    let mut counts = ScanCounts::default();
-    if let Some(overlay) = delta {
-        for (id, coords) in overlay.adds() {
-            let d = kernel(&r_obj.coords, coords);
-            counts.delta += 1;
-            neighbors.offer(id, d);
+    /// Pairwise true-distance kernel for isolated evaluations (pivots,
+    /// per-candidate rechecks, interleaved delta windows): the bit-identical
+    /// scalar kernel in `Exact` mode, its reassociated twin otherwise.
+    pub pair: Kernel,
+    /// Batch rank kernel for contiguous row runs; `None` in `Exact` mode,
+    /// which evaluates every row through `pair`.
+    pub batch: Option<BatchKernel>,
+}
+
+impl ScanKernels {
+    pub(crate) fn new(metric: DistanceMetric, mode: KernelMode) -> Self {
+        match mode {
+            KernelMode::Exact => Self {
+                metric,
+                pair: metric.kernel(),
+                batch: None,
+            },
+            KernelMode::Fast | KernelMode::RankF32 => Self {
+                metric,
+                pair: metric.fast_kernel(),
+                batch: Some(metric.batch_rank_kernel()),
+            },
         }
     }
-    for &j in s_order {
-        let theta = theta_i.min(neighbors.threshold());
-        let pivot_dist = tables.pivot_distance(r_partition, j);
-        // Distance from r to the pivot of partition j; pivots count as
-        // objects in the paper's selectivity metric.
-        let d_r_pj = kernel(&r_obj.coords, &tables.pivots[j].coords);
-        counts.frozen += 1;
-        // Corollary 1: skip the whole partition if the hyperplane between
-        // p_i and p_j is already farther away than θ.
-        if j != r_partition
-            && theta.is_finite()
-            && hyperplane_bound(r_pivot_dist, d_r_pj, pivot_dist, metric) > theta
-        {
-            continue;
-        }
-        // Theorem 2: only objects whose own pivot distance falls inside this
-        // window can possibly be within θ of r.
-        let summary = &tables.s_summaries[j];
-        let (lo, hi) = theorem2_window(summary.lower, summary.upper, d_r_pj, theta);
-        if lo > hi {
-            continue;
-        }
-        if let Some(s_bucket) = s_parts.get(&j) {
-            let s_bucket = s_bucket.borrow();
-            for idx in 0..s_bucket.len() {
-                let s_pivot_dist = s_bucket.pivot_dists[idx];
-                if s_pivot_dist < lo || s_pivot_dist > hi {
-                    continue;
+
+    /// True distances from `query` to `out.len()` contiguous `rows`, in row
+    /// order: one `pair` call per row in `Exact` mode, one batch call plus
+    /// the monotone rank→distance sweep otherwise.
+    pub(crate) fn distances(&self, query: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
+        match self.batch {
+            None => {
+                for (i, d) in out.iter_mut().enumerate() {
+                    *d = (self.pair)(query, &rows[i * dim..(i + 1) * dim]);
                 }
-                // Re-check against the current (shrinking) θ using the
-                // triangle inequality |r, s| ≥ ||p_j, s| − |p_j, r||.
-                let theta_now = theta_i.min(neighbors.threshold());
-                if (s_pivot_dist - d_r_pj).abs() > theta_now {
-                    continue;
-                }
-                if let Some(overlay) = delta {
-                    if overlay.is_tombstoned(s_bucket.ids[idx]) {
-                        counts.masked += 1;
-                        continue;
-                    }
-                }
-                let d = kernel(&r_obj.coords, s_bucket.coords.row(idx));
-                counts.frozen += 1;
-                neighbors.offer(s_bucket.ids[idx], d);
+            }
+            Some(batch) => {
+                batch(query, rows, dim, out);
+                self.metric.ranks_to_distances(out);
             }
         }
     }
-    (neighbors.into_sorted(), counts)
 }
 
-/// The delta overlay's added points gathered into flat columnar layout so the
-/// `Fast`-mode scans can stream them through the batch kernels instead of
-/// chasing one `BTreeMap` node per add.  Built once per probe (the overlay is
-/// immutable between mutations), iterating `adds()` in its deterministic
-/// ascending-id order.
+/// The delta overlay's added points gathered into flat columnar layout, so
+/// scans stream them like any other block instead of chasing one `BTreeMap`
+/// node per add.  Built once per probe (the overlay is immutable between
+/// mutations), iterating `adds()` in its deterministic ascending-id order.
 #[derive(Debug, Clone)]
 pub(crate) struct DeltaBlock {
     /// Added ids, parallel to the coordinate rows.
@@ -342,12 +171,10 @@ pub(crate) struct DeltaBlock {
 
 impl DeltaBlock {
     /// Gathers the overlay's adds; `None` when there is nothing to gather.
-    pub(crate) fn from_overlay(overlay: &DeltaOverlay, dims: usize) -> Option<Self> {
-        if overlay.adds_len() == 0 {
-            return None;
-        }
+    pub(crate) fn gather(delta: Option<&DeltaOverlay>, dims: usize) -> Option<Self> {
+        let overlay = delta.filter(|d| d.adds_len() > 0)?;
         let mut ids = Vec::with_capacity(overlay.adds_len());
-        let mut coords = CoordMatrix::new(dims);
+        let mut coords = CoordMatrix::with_capacity(dims, overlay.adds_len());
         for (id, row) in overlay.adds() {
             ids.push(id);
             coords.push_row(row);
@@ -356,134 +183,14 @@ impl DeltaBlock {
     }
 }
 
-/// The `Fast`-mode twin of [`bounded_knn_scan_delta`]: identical bucket-level
-/// pruning (Corollary 1, Theorem 2 window, `θ_i`), but candidates inside a
-/// visited bucket are evaluated through the multi-accumulator *batch* rank
-/// kernels in [`PROBE_TILE`]-row tiles over the contiguous `CoordMatrix`
-/// slice, then converted to true distances in one sweep.
-///
-/// Differences from the exact scan, all answer-preserving:
-/// * tile rows outside the Theorem 2 pivot-distance window may still be
-///   evaluated (the tile is only narrowed to its first/last in-window row) —
-///   extra candidates are *offered* less often but never change the top-k;
-/// * the per-candidate θ-shrink recheck is dropped — it only skips kernels,
-///   never changes which distances reach the accumulator.
-///
-/// Both mean `Fast` counters differ from `Exact` counters (that is the point:
-/// fewer branches, wider loops); results agree within accumulation-order
-/// round-off (≤ 1e-9 relative, pinned by the cross-mode integration tests).
-/// The threshold arithmetic stays in true-distance space throughout — only
-/// the kernel evaluation itself runs in rank space.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn bounded_knn_scan_tiled<P: Borrow<FlatPartition>>(
-    r_obj: &Point,
-    r_pivot_dist: f64,
-    r_partition: usize,
-    s_parts: &BTreeMap<usize, P>,
-    s_order: &[usize],
-    tables: &SummaryTables,
-    theta_i: f64,
-    k: usize,
-    metric: DistanceMetric,
-    delta: Option<&DeltaOverlay>,
-    delta_block: Option<&DeltaBlock>,
-) -> (Vec<Neighbor>, ScanCounts) {
-    let kernel = metric.fast_kernel();
-    let batch = metric.batch_rank_kernel();
-    let dim = r_obj.coords.len();
-    let mut neighbors = NeighborList::new(k);
-    let mut counts = ScanCounts::default();
-    let mut scratch = vec![0.0f64; PROBE_TILE];
-    if let Some(block) = delta_block {
-        let rows = block.coords.as_slice();
-        let mut t0 = 0;
-        while t0 < block.ids.len() {
-            let t1 = (t0 + PROBE_TILE).min(block.ids.len());
-            let m = t1 - t0;
-            batch(
-                &r_obj.coords,
-                &rows[t0 * dim..t1 * dim],
-                dim,
-                &mut scratch[..m],
-            );
-            metric.ranks_to_distances(&mut scratch[..m]);
-            counts.delta += m as u64;
-            for (off, &d) in scratch[..m].iter().enumerate() {
-                neighbors.offer(block.ids[t0 + off], d);
-            }
-            t0 = t1;
-        }
-    }
-    for &j in s_order {
-        let theta = theta_i.min(neighbors.threshold());
-        let pivot_dist = tables.pivot_distance(r_partition, j);
-        let d_r_pj = kernel(&r_obj.coords, &tables.pivots[j].coords);
-        counts.frozen += 1;
-        if j != r_partition
-            && theta.is_finite()
-            && hyperplane_bound(r_pivot_dist, d_r_pj, pivot_dist, metric) > theta
-        {
-            continue;
-        }
-        let summary = &tables.s_summaries[j];
-        let (lo, hi) = theorem2_window(summary.lower, summary.upper, d_r_pj, theta);
-        if lo > hi {
-            continue;
-        }
-        if let Some(s_bucket) = s_parts.get(&j) {
-            let s_bucket = s_bucket.borrow();
-            let rows = s_bucket.coords.as_slice();
-            let in_window = |idx: usize| -> bool {
-                let d = s_bucket.pivot_dists[idx];
-                (lo..=hi).contains(&d)
-            };
-            let mut t0 = 0;
-            while t0 < s_bucket.len() {
-                let t1 = (t0 + PROBE_TILE).min(s_bucket.len());
-                // Narrow the tile to its in-window span; skip it entirely
-                // when no row qualifies.
-                let Some(first) = (t0..t1).find(|&i| in_window(i)) else {
-                    t0 = t1;
-                    continue;
-                };
-                let last = (first..t1).rev().find(|&i| in_window(i)).unwrap_or(first);
-                let m = last + 1 - first;
-                batch(
-                    &r_obj.coords,
-                    &rows[first * dim..(last + 1) * dim],
-                    dim,
-                    &mut scratch[..m],
-                );
-                metric.ranks_to_distances(&mut scratch[..m]);
-                counts.frozen += m as u64;
-                for (off, &d) in scratch[..m].iter().enumerate() {
-                    let idx = first + off;
-                    if !in_window(idx) {
-                        continue;
-                    }
-                    if let Some(overlay) = delta {
-                        if overlay.is_tombstoned(s_bucket.ids[idx]) {
-                            counts.masked += 1;
-                            continue;
-                        }
-                    }
-                    neighbors.offer(s_bucket.ids[idx], d);
-                }
-                t0 = t1;
-            }
-        }
-    }
-    (neighbors.into_sorted(), counts)
-}
-
-/// Reusable per-reducer scratch for the tiled flat-block scans: one rank tile
-/// (`f64`), one filter tile (`f32`) and the downcast query, allocated once
-/// and reused across every probe object the reducer serves.
+/// Reusable per-reducer scratch for the tiled scans: one rank tile (`f64`),
+/// one filter tile (`f32`) and the downcast query, allocated once and reused
+/// across every probe object the reducer serves.
 #[derive(Debug)]
 pub(crate) struct TileScratch {
-    ranks: Vec<f64>,
-    ranks32: Vec<f32>,
-    q32: Vec<f32>,
+    pub ranks: Vec<f64>,
+    pub ranks32: Vec<f32>,
+    pub q32: Vec<f32>,
 }
 
 impl TileScratch {
@@ -497,427 +204,33 @@ impl TileScratch {
     }
 }
 
-/// Multiplicative guard applied to the `f32` candidate filter's threshold in
-/// `RankF32` mode: a candidate survives when its `f32` rank is below the
-/// current kth rank inflated by this factor, absorbing the downcast's
-/// round-off so near-threshold neighbours still reach the `f64` refinement.
-/// The mode is approximate by contract (recall is *measured*, not
-/// guaranteed); the guard just keeps misses to genuine f32 resolution loss.
-const RANK_F32_GUARD: f32 = 1.0 + 1e-3;
-
-/// One probe object against a flat `(ids, coords)` block — the `Fast` /
-/// `RankF32` engine behind the exhaustive scanners (NestedLoop, Broadcast and
-/// their prepared twins).  The block is streamed in [`PROBE_TILE`]-row tiles
-/// through the batch rank kernels; the accumulator runs in rank space (rank
-/// order equals distance order for every metric) and the final top-`k` list
-/// is converted to true distances in one monotone sweep at the end.
-///
-/// With `coords32` present the scan runs the `RankF32` filter-then-refine
-/// loop: each tile is ranked in `f32` against the downcast query, and only
-/// candidates whose `f32` rank beats the current kth rank (inflated by
-/// [`RANK_F32_GUARD`]) are re-ranked in `f64`.  Counters then count the `f64`
-/// refinements — the `f32` filter sweep is the thing being saved and is
-/// deliberately not billed as a distance computation.
-///
-/// Delta adds are offered *first* (tightening the threshold before the frozen
-/// block is scanned, mirroring [`bounded_knn_scan_delta`]) and always in
-/// `f64`; tombstoned frozen rows are masked before they can be offered.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn flat_block_scan(
-    query: &[f64],
-    ids: &[PointId],
-    coords: &CoordMatrix,
-    coords32: Option<&[f32]>,
-    k: usize,
-    metric: DistanceMetric,
-    delta: Option<&DeltaOverlay>,
-    delta_block: Option<&DeltaBlock>,
-    scratch: &mut TileScratch,
-) -> (Vec<Neighbor>, ScanCounts) {
-    let dim = coords.dims();
-    let batch = metric.batch_rank_kernel();
-    let mut neighbors = NeighborList::new(k);
-    let mut counts = ScanCounts::default();
-    if let Some(block) = delta_block {
-        let rows = block.coords.as_slice();
-        let mut t0 = 0;
-        while t0 < block.ids.len() {
-            let t1 = (t0 + PROBE_TILE).min(block.ids.len());
-            let m = t1 - t0;
-            batch(
-                query,
-                &rows[t0 * dim..t1 * dim],
-                dim,
-                &mut scratch.ranks[..m],
-            );
-            counts.delta += m as u64;
-            for (off, &rank) in scratch.ranks[..m].iter().enumerate() {
-                neighbors.offer(block.ids[t0 + off], rank);
-            }
-            t0 = t1;
-        }
+/// Walks `n` rows in [`PROBE_TILE`]-row tiles, calling `each(first, last)`
+/// with every tile's half-open row range.
+#[inline]
+pub(crate) fn for_each_tile(n: usize, mut each: impl FnMut(usize, usize)) {
+    let mut t0 = 0;
+    while t0 < n {
+        let t1 = (t0 + PROBE_TILE).min(n);
+        each(t0, t1);
+        t0 = t1;
     }
-    let rows = coords.as_slice();
-    match coords32 {
-        None => {
-            // `Fast`: rank every row of every tile, mask tombstones on offer.
-            let mut t0 = 0;
-            while t0 < ids.len() {
-                let t1 = (t0 + PROBE_TILE).min(ids.len());
-                let m = t1 - t0;
-                batch(
-                    query,
-                    &rows[t0 * dim..t1 * dim],
-                    dim,
-                    &mut scratch.ranks[..m],
-                );
-                counts.frozen += m as u64;
-                for (off, &rank) in scratch.ranks[..m].iter().enumerate() {
-                    let id = ids[t0 + off];
-                    if let Some(overlay) = delta {
-                        if overlay.is_tombstoned(id) {
-                            counts.masked += 1;
-                            continue;
-                        }
-                    }
-                    neighbors.offer(id, rank);
-                }
-                t0 = t1;
-            }
-        }
-        Some(rows32) => {
-            // `RankF32`: f32 filter sweep, f64 refinement of survivors.
-            let batch32 = metric.batch_rank_kernel_f32();
-            let refine = metric.fast_rank_kernel();
-            scratch.q32.clear();
-            geom::kernels::downcast_coords(query, &mut scratch.q32);
-            let mut t0 = 0;
-            while t0 < ids.len() {
-                let t1 = (t0 + PROBE_TILE).min(ids.len());
-                let m = t1 - t0;
-                batch32(
-                    &scratch.q32,
-                    &rows32[t0 * dim..t1 * dim],
-                    dim,
-                    &mut scratch.ranks32[..m],
-                );
-                let threshold = neighbors.threshold();
-                let cutoff = if threshold.is_finite() {
-                    threshold as f32 * RANK_F32_GUARD
-                } else {
-                    f32::INFINITY
-                };
-                for (off, &rank32) in scratch.ranks32[..m].iter().enumerate() {
-                    if rank32 > cutoff {
-                        continue;
-                    }
-                    let idx = t0 + off;
-                    if let Some(overlay) = delta {
-                        if overlay.is_tombstoned(ids[idx]) {
-                            counts.masked += 1;
-                            continue;
-                        }
-                    }
-                    counts.frozen += 1;
-                    neighbors.offer(ids[idx], refine(query, coords.row(idx)));
-                }
-                t0 = t1;
-            }
-        }
-    }
-    // The accumulator ran in rank space; the monotone rank→distance map
-    // preserves the sorted order, so convert each entry in place.
-    let mut out = neighbors.into_sorted();
-    for n in &mut out {
-        n.distance = metric.rank_to_distance(n.distance);
-    }
-    (out, counts)
 }
 
 // ---------------------------------------------------------------------------
-// Prepared (build/probe) serving support
+// Job inputs and the prepared probe job
 // ---------------------------------------------------------------------------
 
-/// The long-lived S-side state shared by the prepared PGBJ and PBJ paths: the
-/// pivot machinery, the Voronoi-partitioned `S` in flat columnar layout, the
-/// `T_S` summary table and the per-partition scan orders.  Everything here
-/// depends only on `S`, the pivot set and the plan — probe batches of `R`
-/// reuse it unchanged, which is what keeps `pivot_selections` flat across
-/// queries.
-#[derive(Debug)]
-pub(crate) struct VoronoiServeState {
-    /// Pivot assignment machinery (flat pivot matrix + pruned search);
-    /// `Arc`-shared so compaction epochs reuse it untouched.
-    pub partitioner: Arc<VoronoiPartitioner>,
-    /// The pivot set, shared into every per-query [`SummaryTables`].
-    pub pivots: Arc<Vec<Point>>,
-    /// Voronoi-partitioned `S` in flat layout; only non-empty partitions.
-    /// Each cell sits behind its own `Arc` so a compaction rebuilds only the
-    /// cells the delta touched and shares the rest.
-    pub s_parts: Arc<BTreeMap<usize, Arc<FlatPartition>>>,
-    /// `T_S`, built once with the plan's `k`; shared into every per-query
-    /// [`SummaryTables`].
-    pub s_summaries: Arc<Vec<SPartitionSummary>>,
-    /// Pairwise pivot distances, shared likewise.
-    pub pivot_distances: Arc<Vec<Vec<f64>>>,
-    /// For every `R` partition `i`: the non-empty `S` partitions sorted by
-    /// pivot distance from `p_i` (Algorithm 3 line 14, hoisted out of the
-    /// per-query path since it depends only on the pivots).
-    pub s_orders: Arc<Vec<Vec<usize>>>,
-    /// How probe scans evaluate distances (`Exact` = the bit-identical
-    /// Algorithm 3 loop; `Fast` / `RankF32` = the tiled batch-kernel scan).
-    pub mode: KernelMode,
-}
-
-impl VoronoiServeState {
-    /// Builds the serving state from the pivot set and `S`.
-    pub(crate) fn build(
-        pivots: Vec<Point>,
-        metric: DistanceMetric,
-        s: &PointSet,
-        k: usize,
-        mode: KernelMode,
-    ) -> Self {
-        let partitioner = Arc::new(VoronoiPartitioner::new_with_mode(pivots, metric, mode));
-        let pivots = Arc::new(partitioner.pivots().to_vec());
-        let partitioned_s = partitioner.partition(s);
-        let s_summaries = Arc::new(build_s_summaries(&partitioned_s, k));
-        let pivot_distances = Arc::new(pivot_distance_matrix(&pivots, metric));
-        let dims = partitioner.pivot_matrix().dims();
-        let mut s_parts: BTreeMap<usize, Arc<FlatPartition>> = BTreeMap::new();
-        for (j, bucket) in partitioned_s.partitions.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let mut flat = FlatPartition::new(dims);
-            for (point, dist) in bucket {
-                flat.push(point, *dist);
-            }
-            s_parts.insert(j, Arc::new(flat));
-        }
-        let non_empty: Vec<usize> = s_parts.keys().copied().collect();
-        let s_orders = Arc::new(compute_s_orders(
-            &non_empty,
-            &pivot_distances,
-            partitioner.partition_count(),
-        ));
-        Self {
-            partitioner,
-            pivots,
-            s_parts: Arc::new(s_parts),
-            s_summaries,
-            pivot_distances,
-            s_orders,
-            mode,
+/// Encodes raw `R ∪ S` as job input for the algorithms without a
+/// preprocessing step (partition 0, pivot distance 0), straight from the
+/// borrowed points.
+pub(crate) fn encode_raw_inputs(r: &PointSet, s: &PointSet) -> Vec<(u64, EncodedRecord)> {
+    let mut input = Vec::with_capacity(r.len() + s.len());
+    for (kind, set) in [(RecordKind::R, r), (RecordKind::S, s)] {
+        for p in set {
+            input.push((p.id, EncodedRecord::from_parts(kind, 0, 0.0, p)));
         }
     }
-
-    /// Folds a delta overlay into the serving state, rebuilding *only* the
-    /// Voronoi cells the delta touches: cells holding a tombstoned object
-    /// and cells an added point is assigned to.  Untouched cells (and the
-    /// pivot machinery, distance matrix and — when the non-empty cell set is
-    /// unchanged — the scan orders) are `Arc`-shared into the new state.
-    ///
-    /// The rebuilt cells keep frozen arrival order followed by adds in
-    /// ascending id order, and their `T_S` rows are recomputed with the same
-    /// (order-insensitive) formulas as the full build, so the compacted
-    /// state is distance-identical to a cold build over the materialized
-    /// corpus.
-    pub(crate) fn compact(
-        &self,
-        delta: &DeltaOverlay,
-        k: usize,
-        metrics: &mut JoinMetrics,
-    ) -> Self {
-        let dims = self.partitioner.pivot_matrix().dims();
-        let mut affected: BTreeSet<usize> = BTreeSet::new();
-        if delta.tombstones_len() > 0 {
-            for (&j, part) in self.s_parts.iter() {
-                if part.ids.iter().any(|id| delta.is_tombstoned(*id)) {
-                    affected.insert(j);
-                }
-            }
-        }
-        let mut add_cells: BTreeMap<usize, Vec<(Point, f64)>> = BTreeMap::new();
-        for (id, coords) in delta.adds() {
-            let a = self.partitioner.nearest_pivot(coords);
-            metrics.pivot_assignment_computations += a.computations;
-            affected.insert(a.partition);
-            add_cells
-                .entry(a.partition)
-                .or_default()
-                .push((Point::new(id, coords.to_vec()), a.distance));
-        }
-
-        let mut s_parts: BTreeMap<usize, Arc<FlatPartition>> = BTreeMap::new();
-        for (&j, part) in self.s_parts.iter() {
-            if !affected.contains(&j) {
-                s_parts.insert(j, Arc::clone(part));
-            }
-        }
-        let mut s_summaries = (*self.s_summaries).clone();
-        for &j in &affected {
-            let mut flat = FlatPartition::new(dims);
-            if let Some(old) = self.s_parts.get(&j) {
-                for idx in 0..old.len() {
-                    if delta.is_tombstoned(old.ids[idx]) {
-                        continue;
-                    }
-                    flat.ids.push(old.ids[idx]);
-                    flat.pivot_dists.push(old.pivot_dists[idx]);
-                    flat.coords.push_row(old.coords.row(idx));
-                }
-            }
-            if let Some(adds) = add_cells.get(&j) {
-                for (point, dist) in adds {
-                    flat.push(point, *dist);
-                }
-            }
-            metrics.compacted_points += flat.len() as u64;
-            s_summaries[j] = summarize_flat_partition(j, &flat, k);
-            if !flat.is_empty() {
-                s_parts.insert(j, Arc::new(flat));
-            }
-        }
-
-        let old_non_empty: Vec<usize> = self.s_parts.keys().copied().collect();
-        let new_non_empty: Vec<usize> = s_parts.keys().copied().collect();
-        let s_orders = if new_non_empty == old_non_empty {
-            Arc::clone(&self.s_orders)
-        } else {
-            Arc::new(compute_s_orders(
-                &new_non_empty,
-                &self.pivot_distances,
-                self.partitioner.partition_count(),
-            ))
-        };
-        Self {
-            partitioner: Arc::clone(&self.partitioner),
-            pivots: Arc::clone(&self.pivots),
-            s_parts: Arc::new(s_parts),
-            s_summaries: Arc::new(s_summaries),
-            pivot_distances: Arc::clone(&self.pivot_distances),
-            s_orders,
-            mode: self.mode,
-        }
-    }
-
-    /// Assigns a probe batch to Voronoi cells, returning one `(partition,
-    /// pivot distance)` per object plus the pruned assignment computations
-    /// actually spent.
-    pub(crate) fn assign_batch(&self, r: &PointSet) -> (Vec<(u32, f64)>, u64) {
-        let mut assignments = Vec::with_capacity(r.len());
-        let mut computations = 0u64;
-        for p in r {
-            let a = self.partitioner.nearest_pivot(&p.coords);
-            computations += a.computations;
-            assignments.push((a.partition as u32, a.distance));
-        }
-        (assignments, computations)
-    }
-
-    /// Assembles the full [`SummaryTables`] for one probe batch: `T_R` is
-    /// computed from the batch's assignments; the pivot set, `T_S` and the
-    /// pivot-distance matrix are `Arc`-shared from the prebuilt state, so
-    /// assembly costs O(t) for the fresh `R` summaries and nothing else.
-    pub(crate) fn query_tables(&self, assignments: &[(u32, f64)]) -> SummaryTables {
-        let t = self.partitioner.partition_count();
-        let mut counts = vec![0usize; t];
-        let mut lowers = vec![f64::INFINITY; t];
-        let mut uppers = vec![f64::NEG_INFINITY; t];
-        for (partition, dist) in assignments {
-            let i = *partition as usize;
-            counts[i] += 1;
-            lowers[i] = lowers[i].min(*dist);
-            uppers[i] = uppers[i].max(*dist);
-        }
-        let r_summaries = (0..t)
-            .map(|i| RPartitionSummary {
-                partition: i,
-                count: counts[i],
-                lower: if counts[i] == 0 { 0.0 } else { lowers[i] },
-                upper: if counts[i] == 0 { 0.0 } else { uppers[i] },
-            })
-            .collect();
-        SummaryTables {
-            pivots: Arc::clone(&self.pivots),
-            metric: self.partitioner.metric(),
-            r_summaries,
-            s_summaries: Arc::clone(&self.s_summaries),
-            pivot_distances: Arc::clone(&self.pivot_distances),
-        }
-    }
-}
-
-/// The per-`R`-partition scan orders over the non-empty `S` cells (ascending
-/// pivot distance, Algorithm 3 line 14), shared by the full build and the
-/// partial compaction.
-fn compute_s_orders(
-    non_empty: &[usize],
-    pivot_distances: &[Vec<f64>],
-    partition_count: usize,
-) -> Vec<Vec<usize>> {
-    (0..partition_count)
-        .map(|i| {
-            let mut order = non_empty.to_vec();
-            order.sort_by(|&a, &b| {
-                pivot_distances[i][a]
-                    .partial_cmp(&pivot_distances[i][b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            order
-        })
-        .collect()
-}
-
-/// `T_S` row of one flat cell, with exactly the semantics of
-/// [`build_s_summaries`]: `(0, 0)` bounds for empty cells, the `k` smallest
-/// pivot distances ascending otherwise.  Both are order-insensitive in the
-/// cell contents, which is what lets compaction recompute only the affected
-/// rows.
-fn summarize_flat_partition(partition: usize, flat: &FlatPartition, k: usize) -> SPartitionSummary {
-    if flat.is_empty() {
-        return SPartitionSummary {
-            partition,
-            count: 0,
-            lower: 0.0,
-            upper: 0.0,
-            knn_distances: Vec::new(),
-        };
-    }
-    let mut lower = f64::INFINITY;
-    let mut upper = f64::NEG_INFINITY;
-    for &d in &flat.pivot_dists {
-        lower = lower.min(d);
-        upper = upper.max(d);
-    }
-    let mut dists = flat.pivot_dists.clone();
-    dists.sort_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
-    dists.truncate(k);
-    SPartitionSummary {
-        partition,
-        count: flat.len(),
-        lower,
-        upper,
-        knn_distances: dists,
-    }
-}
-
-/// Encodes a probe batch as job input, embedding each object's partition and
-/// pivot distance from the batch assignment.
-pub(crate) fn encode_assigned_batch(
-    r: &PointSet,
-    assignments: &[(u32, f64)],
-) -> Vec<(u64, EncodedRecord)> {
-    r.iter()
-        .zip(assignments)
-        .map(|(p, (partition, dist))| {
-            (
-                p.id,
-                EncodedRecord::from_parts(RecordKind::R, *partition, *dist, p),
-            )
-        })
-        .collect()
+    input
 }
 
 /// Encodes a probe batch as job input without partition information (the
@@ -929,8 +242,16 @@ pub(crate) fn encode_probe_batch(r: &PointSet) -> Vec<(u64, EncodedRecord)> {
         .collect()
 }
 
+/// Turns a job's `(r id, neighbours)` output into join rows.
+pub(crate) fn rows_from_output(output: Vec<(u64, Vec<Neighbor>)>) -> Vec<JoinRow> {
+    output
+        .into_iter()
+        .map(|(r_id, neighbors)| JoinRow { r_id, neighbors })
+        .collect()
+}
+
 /// Runs one prepared probe job end to end: the single MapReduce job every
-/// `*Prepared::probe` shares (only the mapper, the reducer and the reducer
+/// prepared probe shares (only the mapper, the reducer and the reducer
 /// count differ per algorithm), including the `knn join` phase timing, the
 /// substrate error mapping and the row collection.
 #[allow(clippy::too_many_arguments)]
@@ -957,11 +278,7 @@ where
         .map_err(|e| JoinError::substrate(name, e))?;
     metrics.record_phase(phases::KNN_JOIN, start.elapsed());
     metrics.absorb_job(&job.metrics);
-    Ok(job
-        .output
-        .into_iter()
-        .map(|(r_id, neighbors)| JoinRow { r_id, neighbors })
-        .collect())
+    Ok(rows_from_output(job.output))
 }
 
 /// Mapper of the prepared probe jobs: route each `R` record to the reducer
@@ -983,109 +300,6 @@ impl Mapper for HashRouteMapper {
         ctx.counters().increment(counters::R_RECORDS);
         ctx.emit((key % self.reducers as u64) as u32, value.clone());
     }
-}
-
-/// Reducer of the prepared PGBJ / PBJ probe jobs: the bounded Algorithm 3
-/// scan of one batch slice against the resident flat `S` partitions.  The
-/// Theorem 6 routing of the cold path is unnecessary here — no `S` record
-/// crosses the shuffle — so pruning is carried entirely by Corollary 1,
-/// Theorem 2 and the per-partition `θ_i` bound.
-pub(crate) struct VoronoiServeReducer {
-    /// Resident flat `S` partitions.
-    pub s_parts: Arc<BTreeMap<usize, Arc<FlatPartition>>>,
-    /// Prebuilt per-partition scan orders.
-    pub s_orders: Arc<Vec<Vec<usize>>>,
-    /// Per-batch summary tables (fresh `T_R`, prebuilt `T_S`).
-    pub tables: Arc<SummaryTables>,
-    /// Per-batch `θ_i` bounds (Algorithm 1); all `∞` when the delta overlay
-    /// carries tombstones (deletions can break the `T_S`-derived bound).
-    pub theta: Arc<Vec<f64>>,
-    /// Neighbours per object.
-    pub k: usize,
-    /// Distance metric.
-    pub metric: DistanceMetric,
-    /// The S-delta memtable of a mutated prepared join; `None` keeps the
-    /// scan (and its counters) bit-identical to the frozen-only path.
-    pub delta: Option<Arc<DeltaOverlay>>,
-    /// Kernel mode of the scan; `Exact` runs [`bounded_knn_scan_delta`]
-    /// untouched, anything else the tiled batch-kernel twin.
-    pub mode: KernelMode,
-    /// The overlay's adds pre-gathered into flat layout for the tiled scan
-    /// (built once per probe; `None` in `Exact` mode or with no adds).
-    pub delta_block: Option<Arc<DeltaBlock>>,
-}
-
-impl Reducer for VoronoiServeReducer {
-    type KIn = u32;
-    type VIn = EncodedRecord;
-    type KOut = u64;
-    type VOut = Vec<Neighbor>;
-
-    fn reduce(
-        &self,
-        _key: &u32,
-        values: &[EncodedRecord],
-        ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
-    ) {
-        for value in values {
-            let record = value.decode();
-            let i = record.partition as usize;
-            let (neighbors, counts) = if self.mode.is_exact() {
-                bounded_knn_scan_delta(
-                    &record.point,
-                    record.pivot_distance,
-                    i,
-                    &self.s_parts,
-                    &self.s_orders[i],
-                    &self.tables,
-                    self.theta[i],
-                    self.k,
-                    self.metric,
-                    self.delta.as_deref(),
-                )
-            } else {
-                bounded_knn_scan_tiled(
-                    &record.point,
-                    record.pivot_distance,
-                    i,
-                    &self.s_parts,
-                    &self.s_orders[i],
-                    &self.tables,
-                    self.theta[i],
-                    self.k,
-                    self.metric,
-                    self.delta.as_deref(),
-                    self.delta_block.as_deref(),
-                )
-            };
-            ctx.counters()
-                .add(counters::DISTANCE_COMPUTATIONS, counts.frozen);
-            if self.delta.is_some() {
-                ctx.counters()
-                    .add(counters::DELTA_PROBE_COMPUTATIONS, counts.delta);
-                ctx.counters()
-                    .add(counters::TOMBSTONE_MASKED, counts.masked);
-            }
-            ctx.emit(record.point.id, neighbors);
-        }
-    }
-}
-
-/// Sorts the partition ids in `s_parts` by ascending pivot distance from the
-/// pivot of `r_partition` (Algorithm 3 line 14).
-pub fn order_s_partitions(
-    s_parts: &BTreeMap<usize, FlatPartition>,
-    r_partition: usize,
-    tables: &SummaryTables,
-) -> Vec<usize> {
-    let mut order: Vec<usize> = s_parts.keys().copied().collect();
-    order.sort_by(|&a, &b| {
-        tables
-            .pivot_distance(r_partition, a)
-            .partial_cmp(&tables.pivot_distance(r_partition, b))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    order
 }
 
 #[cfg(test)]

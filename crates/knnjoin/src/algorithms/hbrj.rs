@@ -17,136 +17,53 @@
 //! `B` (the `index_builds` metric).
 
 use crate::algorithms::blocks::{block_count, run_block_framework};
-use crate::algorithms::common::{counters, EncodedRecord, NeighborListValue};
-use crate::algorithms::KnnJoinAlgorithm;
+use crate::algorithms::common::{
+    counters, encode_probe_batch, encode_raw_inputs, run_serve_job, EncodedRecord, HashRouteMapper,
+    NeighborListValue,
+};
 use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
-use crate::exact::validate_inputs;
-use crate::metrics::JoinMetrics;
-use crate::result::{JoinError, JoinResult};
-use geom::{DistanceMetric, KernelMode, Point, PointSet, RecordKind};
+use crate::metrics::{phases, JoinMetrics};
+use crate::plan::JoinPlan;
+use crate::result::{JoinError, JoinResult, JoinRow};
+use geom::{DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointSet, RecordKind};
 use mapreduce::{ReduceContext, Reducer};
 use spatial::RTree;
+use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
-/// Configuration of [`Hbrj`].
-#[derive(Debug, Clone)]
-pub struct HbrjConfig {
-    /// Number of reducers ("computing nodes").  The framework uses
-    /// `⌊√reducers⌋²` of them for the join job.
-    pub reducers: usize,
-    /// Number of map tasks.
-    pub map_tasks: usize,
-    /// R-tree fanout used by the per-reducer index.
-    pub rtree_fanout: usize,
-    /// Whether the merge job pre-merges each map task's partial kNN lists
-    /// map-side (a top-`k` combiner) before they cross the shuffle.  Enabled
-    /// by default.
-    pub combiner: bool,
-    /// How the R-tree leaf scans evaluate distances (see [`KernelMode`]).
-    pub kernel_mode: KernelMode,
-}
-
-impl Default for HbrjConfig {
-    fn default() -> Self {
-        Self {
-            reducers: 4,
-            map_tasks: 8,
-            rtree_fanout: RTree::DEFAULT_FANOUT,
-            combiner: true,
-            kernel_mode: KernelMode::default(),
-        }
-    }
-}
-
-/// The H-BRJ baseline algorithm.
-#[derive(Debug, Clone, Default)]
-pub struct Hbrj {
-    config: HbrjConfig,
-}
-
-impl Hbrj {
-    /// Creates the algorithm with the given configuration.
-    pub fn new(config: HbrjConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &HbrjConfig {
-        &self.config
-    }
-
-    fn validate(&self) -> Result<(), JoinError> {
-        if self.config.reducers == 0 {
-            return Err(JoinError::ZeroReducers);
-        }
-        if self.config.map_tasks == 0 {
-            return Err(JoinError::ZeroMapTasks);
-        }
-        if self.config.rtree_fanout < 2 {
-            return Err(JoinError::InvalidConfig(
-                "rtree_fanout must be at least 2".into(),
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl KnnJoinAlgorithm for Hbrj {
-    fn name(&self) -> &'static str {
-        "H-BRJ"
-    }
-
-    fn join_with(
-        &self,
-        r: &PointSet,
-        s: &PointSet,
-        k: usize,
-        metric: DistanceMetric,
-        ctx: &ExecutionContext,
-    ) -> Result<JoinResult, JoinError> {
-        self.validate()?;
-        validate_inputs(r, s, k)?;
-        let mut metrics = JoinMetrics {
-            r_size: r.len(),
-            s_size: s.len(),
-            ..Default::default()
-        };
-
-        // H-BRJ has no preprocessing: the map job replicates raw records,
-        // encoded straight from the borrowed points (no dataset-sized clone).
-        let mut input = Vec::with_capacity(r.len() + s.len());
-        for p in r {
-            input.push((p.id, EncodedRecord::from_parts(RecordKind::R, 0, 0.0, p)));
-        }
-        for p in s {
-            input.push((p.id, EncodedRecord::from_parts(RecordKind::S, 0, 0.0, p)));
-        }
-
-        let blocks = block_count(self.config.reducers);
-        let reducer = HbrjCellReducer {
-            k,
-            metric,
-            fanout: self.config.rtree_fanout,
-            mode: self.config.kernel_mode,
+/// Runs cold H-BRJ for a validated `plan` over validated inputs.  There is
+/// no preprocessing: the map job replicates raw records.
+pub(crate) fn join(
+    plan: &JoinPlan,
+    r: &PointSet,
+    s: &PointSet,
+    ctx: &ExecutionContext,
+) -> Result<JoinResult, JoinError> {
+    let mut metrics = JoinMetrics {
+        r_size: r.len(),
+        s_size: s.len(),
+        ..Default::default()
+    };
+    let blocks = block_count(plan.reducers);
+    let rows = run_block_framework(
+        encode_raw_inputs(r, s),
+        plan,
+        ctx.workers(),
+        &HbrjCellReducer {
+            k: plan.k,
+            metric: plan.metric,
+            fanout: plan.rtree_fanout,
+            mode: plan.kernel_mode,
             blocks,
             s_trees: (0..blocks).map(|_| OnceLock::new()).collect(),
-        };
-        let rows = run_block_framework(
-            input,
-            k,
-            self.config.reducers,
-            self.config.map_tasks,
-            ctx.workers(),
-            self.config.combiner,
-            &reducer,
-            &mut metrics,
-        )?;
-
-        let mut result = JoinResult { rows, metrics };
-        result.normalize();
-        Ok(result)
-    }
+        },
+        &mut metrics,
+    )?;
+    let mut result = JoinResult { rows, metrics };
+    result.normalize();
+    Ok(result)
 }
 
 /// Reducer for one `(R_i, S_j)` cell: a shared R-tree over `S_j` (built by
@@ -230,13 +147,8 @@ pub(crate) struct HbrjPrepared {
 impl HbrjPrepared {
     /// Splits `S` into the same `id mod B` blocks as the cold path and
     /// bulk-loads one tree per block.
-    pub(crate) fn build(
-        s: &PointSet,
-        plan: &crate::plan::JoinPlan,
-        metrics: &mut JoinMetrics,
-    ) -> Self {
-        use crate::metrics::phases;
-        let start = std::time::Instant::now();
+    pub(crate) fn build(s: &PointSet, plan: &JoinPlan, metrics: &mut JoinMetrics) -> Self {
+        let start = Instant::now();
         let blocks = block_count(plan.reducers);
         let mut block_points: Vec<Vec<Point>> = vec![Vec::new(); blocks];
         for p in s {
@@ -263,13 +175,11 @@ impl HbrjPrepared {
     pub(crate) fn probe(
         &self,
         r: &PointSet,
-        plan: &crate::plan::JoinPlan,
+        plan: &JoinPlan,
         ctx: &ExecutionContext,
         delta: Option<&Arc<DeltaOverlay>>,
         metrics: &mut JoinMetrics,
-    ) -> Result<Vec<crate::result::JoinRow>, JoinError> {
-        use crate::algorithms::common::{encode_probe_batch, run_serve_job, HashRouteMapper};
-
+    ) -> Result<Vec<JoinRow>, JoinError> {
         run_serve_job(
             "hbrj-serve",
             encode_probe_batch(r),
@@ -280,10 +190,10 @@ impl HbrjPrepared {
                 reducers: plan.reducers,
             },
             &HbrjServeReducer {
-                trees: self.trees.clone(),
+                trees: &self.trees,
                 k: plan.k,
                 metric: plan.metric,
-                delta: delta.map(Arc::clone),
+                delta: delta.map(|d| &**d),
             },
             metrics,
         )
@@ -299,11 +209,11 @@ impl HbrjPrepared {
         &self,
         materialized: &PointSet,
         delta: &DeltaOverlay,
-        plan: &crate::plan::JoinPlan,
+        plan: &JoinPlan,
         metrics: &mut JoinMetrics,
     ) -> Self {
         let blocks = self.trees.len();
-        let affected: std::collections::BTreeSet<usize> = delta
+        let affected: BTreeSet<usize> = delta
             .adds()
             .map(|(id, _)| id)
             .chain(delta.tombstones())
@@ -331,77 +241,68 @@ impl HbrjPrepared {
 
 /// Serve reducer: best-first kNN against every resident block tree, merged
 /// into the global top-`k` per object.
-struct HbrjServeReducer {
-    trees: Vec<Arc<RTree>>,
+struct HbrjServeReducer<'a> {
+    trees: &'a [Arc<RTree>],
     k: usize,
     metric: DistanceMetric,
-    delta: Option<Arc<DeltaOverlay>>,
+    delta: Option<&'a DeltaOverlay>,
 }
 
-impl Reducer for HbrjServeReducer {
+impl Reducer for HbrjServeReducer<'_> {
     type KIn = u32;
     type VIn = EncodedRecord;
     type KOut = u64;
-    type VOut = Vec<geom::Neighbor>;
+    type VOut = Vec<Neighbor>;
 
     fn reduce(
         &self,
         _key: &u32,
         values: &[EncodedRecord],
-        ctx: &mut ReduceContext<u64, Vec<geom::Neighbor>>,
+        ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
     ) {
+        let kernel = self.metric.kernel();
+        // The trees still index tombstoned objects, so up to
+        // t = |tombstones| of the best frozen hits may be dead.
+        // Oversampling to k + t guarantees the top-(k + t) frozen candidates
+        // contain the top-k *live* frozen candidates; tombstones are masked
+        // afterwards and the survivors are re-ranked together with the
+        // memtable's adds.  Without an overlay t = 0 and the re-rank keeps
+        // the frozen top-k as is.
+        let t = self.delta.map_or(0, DeltaOverlay::tombstones_len);
         for value in values {
             let r_obj = value.decode().point;
-            match self.delta.as_deref() {
-                None => {
-                    let mut list = geom::NeighborList::new(self.k);
-                    let mut computations = 0u64;
-                    // One shared accumulator across the block trees: the k-th
-                    // distance found in earlier trees prunes later ones, which
-                    // the cold path's independent per-cell searches cannot do.
-                    for tree in &self.trees {
-                        computations += tree.knn_into(&r_obj, &mut list);
-                    }
-                    ctx.counters()
-                        .add(counters::DISTANCE_COMPUTATIONS, computations);
-                    ctx.emit(r_obj.id, list.into_sorted());
-                }
-                Some(overlay) => {
-                    // The trees still index tombstoned objects, so up to
-                    // t = |tombstones| of the best frozen hits may be dead.
-                    // Oversampling to k + t guarantees the top-(k + t) frozen
-                    // candidates contain the top-k *live* frozen candidates;
-                    // tombstones are masked afterwards and the survivors are
-                    // re-ranked together with the memtable's adds.
-                    let t = overlay.tombstones_len();
-                    let mut frozen = geom::NeighborList::new(self.k + t);
-                    let mut computations = 0u64;
-                    for tree in &self.trees {
-                        computations += tree.knn_into(&r_obj, &mut frozen);
-                    }
-                    let kernel = self.metric.kernel();
-                    let mut list = geom::NeighborList::new(self.k);
-                    let mut delta_computations = 0u64;
-                    for (id, coords) in overlay.adds() {
-                        list.offer(id, kernel(&r_obj.coords, coords));
-                        delta_computations += 1;
-                    }
-                    let mut masked = 0u64;
-                    for n in frozen.into_sorted() {
-                        if overlay.is_tombstoned(n.id) {
-                            masked += 1;
-                            continue;
-                        }
-                        list.offer(n.id, n.distance);
-                    }
-                    ctx.counters()
-                        .add(counters::DISTANCE_COMPUTATIONS, computations);
-                    ctx.counters()
-                        .add(counters::DELTA_PROBE_COMPUTATIONS, delta_computations);
-                    ctx.counters().add(counters::TOMBSTONE_MASKED, masked);
-                    ctx.emit(r_obj.id, list.into_sorted());
-                }
+            // One shared accumulator across the block trees: the k-th
+            // distance found in earlier trees prunes later ones, which the
+            // cold path's independent per-cell searches cannot do.
+            let mut frozen = NeighborList::new(self.k + t);
+            let mut computations = 0u64;
+            for tree in self.trees {
+                computations += tree.knn_into(&r_obj, &mut frozen);
             }
+            ctx.counters()
+                .add(counters::DISTANCE_COMPUTATIONS, computations);
+            let Some(overlay) = self.delta else {
+                ctx.emit(r_obj.id, frozen.into_sorted());
+                continue;
+            };
+            let mut list = NeighborList::new(self.k);
+            let mut delta_computations = 0u64;
+            for (id, coords) in overlay.adds() {
+                list.offer(id, kernel(&r_obj.coords, coords));
+                delta_computations += 1;
+            }
+            let mut masked = 0u64;
+            for n in frozen.into_sorted() {
+                if overlay.is_tombstoned(n.id) {
+                    masked += 1;
+                    continue;
+                }
+                list.offer(n.id, n.distance);
+            }
+            ctx.counters()
+                .add(counters::DELTA_PROBE_COMPUTATIONS, delta_computations);
+            ctx.counters().add(counters::TOMBSTONE_MASKED, masked);
+            ctx.emit(r_obj.id, list.into_sorted());
         }
     }
 }
@@ -409,9 +310,13 @@ impl Reducer for HbrjServeReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::testing::{assert_matches_oracle, run};
     use crate::exact::NestedLoopJoin;
+    use crate::Algorithm::Hbrj;
     use datagen::{gaussian_clusters, uniform, ClusterConfig};
     use proptest::prelude::*;
+
+    const EUCLIDEAN: DistanceMetric = DistanceMetric::Euclidean;
 
     fn clustered(n: usize, seed: u64) -> PointSet {
         gaussian_clusters(
@@ -427,72 +332,31 @@ mod tests {
         )
     }
 
-    fn check_matches_exact(r: &PointSet, s: &PointSet, k: usize, config: HbrjConfig) {
-        let metric = DistanceMetric::Euclidean;
-        let expected = NestedLoopJoin.join(r, s, k, metric).unwrap();
-        let got = Hbrj::new(config).join(r, s, k, metric).unwrap();
-        if let Some(msg) = got.mismatch_against(&expected, 1e-9) {
-            panic!("H-BRJ result differs from exact join: {msg}");
-        }
-    }
-
     #[test]
     fn matches_exact_on_clustered_data() {
         let r = clustered(300, 1);
         let s = clustered(350, 2);
-        check_matches_exact(
-            &r,
-            &s,
-            10,
-            HbrjConfig {
-                reducers: 9,
-                ..Default::default()
-            },
-        );
+        assert_matches_oracle(Hbrj, &r, &s, 10, EUCLIDEAN, |b| b.reducers(9));
     }
 
     #[test]
     fn matches_exact_with_non_square_reducer_count() {
         let r = uniform(150, 3, 50.0, 3);
         let s = uniform(200, 3, 50.0, 4);
-        check_matches_exact(
-            &r,
-            &s,
-            5,
-            HbrjConfig {
-                reducers: 7,
-                ..Default::default()
-            },
-        );
+        assert_matches_oracle(Hbrj, &r, &s, 5, EUCLIDEAN, |b| b.reducers(7));
     }
 
     #[test]
     fn matches_exact_for_self_join_and_small_k() {
         let data = clustered(250, 5);
-        check_matches_exact(
-            &data,
-            &data,
-            1,
-            HbrjConfig {
-                reducers: 4,
-                ..Default::default()
-            },
-        );
+        assert_matches_oracle(Hbrj, &data, &data, 1, EUCLIDEAN, |b| b.reducers(4));
     }
 
     #[test]
     fn matches_exact_when_k_exceeds_s() {
         let r = uniform(30, 2, 20.0, 6);
         let s = uniform(5, 2, 20.0, 7);
-        check_matches_exact(
-            &r,
-            &s,
-            9,
-            HbrjConfig {
-                reducers: 4,
-                ..Default::default()
-            },
-        );
+        assert_matches_oracle(Hbrj, &r, &s, 9, EUCLIDEAN, |b| b.reducers(4));
     }
 
     #[test]
@@ -504,14 +368,9 @@ mod tests {
             DistanceMetric::Manhattan,
             DistanceMetric::Chebyshev,
         ] {
-            let exact = Hbrj::default().join(&r, &s, 8, metric).unwrap();
+            let exact = run(Hbrj, &r, &s, 8, metric, |b| b);
             for mode in [KernelMode::Fast, KernelMode::RankF32] {
-                let got = Hbrj::new(HbrjConfig {
-                    kernel_mode: mode,
-                    ..Default::default()
-                })
-                .join(&r, &s, 8, metric)
-                .unwrap();
+                let got = run(Hbrj, &r, &s, 8, metric, |b| b.kernel_mode(mode));
                 assert!(
                     got.matches(&exact, 1e-9),
                     "{metric:?}/{mode:?}: {:?}",
@@ -525,12 +384,7 @@ mod tests {
     fn replication_is_sqrt_n_per_object() {
         let r = clustered(200, 8);
         let s = clustered(200, 9);
-        let res = Hbrj::new(HbrjConfig {
-            reducers: 9,
-            ..Default::default()
-        })
-        .join(&r, &s, 5, DistanceMetric::Euclidean)
-        .unwrap();
+        let res = run(Hbrj, &r, &s, 5, EUCLIDEAN, |b| b.reducers(9));
         // B = 3: every R and S object is sent to exactly 3 reducer cells.
         assert_eq!(res.metrics.r_records_shuffled, 600);
         assert_eq!(res.metrics.s_records_shuffled, 600);
@@ -544,25 +398,19 @@ mod tests {
         let r = clustered(240, 12);
         let s = clustered(260, 13);
         let k = 6;
-        let metric = DistanceMetric::Euclidean;
         let reducers = 16; // B = 4 blocks, 16 cells
-        let res = Hbrj::new(HbrjConfig {
-            reducers,
-            ..Default::default()
-        })
-        .join(&r, &s, k, metric)
-        .unwrap();
+        let res = run(Hbrj, &r, &s, k, EUCLIDEAN, |b| b.reducers(reducers));
 
         // √n tree builds: one per distinct S block, not one per (R_i, S_j)
         // cell.
-        let blocks = crate::algorithms::blocks::block_count(reducers) as u64;
+        let blocks = block_count(reducers) as u64;
         assert_eq!(res.metrics.index_builds, blocks);
 
         // The shared trees change nothing observable: the output still
         // matches the exact oracle, and the distance counters equal what
         // independently built per-block trees produce (each r probes every
         // S block exactly once).
-        let expected = NestedLoopJoin.join(&r, &s, k, metric).unwrap();
+        let expected = NestedLoopJoin.join(&r, &s, k, EUCLIDEAN).unwrap();
         assert!(
             res.matches(&expected, 1e-9),
             "{:?}",
@@ -571,47 +419,12 @@ mod tests {
         let mut reference_computations = 0u64;
         for j in 0..blocks {
             let s_block: Vec<Point> = s.iter().filter(|p| p.id % blocks == j).cloned().collect();
-            let tree = RTree::bulk_load_with_fanout(s_block, metric, RTree::DEFAULT_FANOUT);
+            let tree = RTree::bulk_load_with_fanout(s_block, EUCLIDEAN, RTree::DEFAULT_FANOUT);
             for r_obj in &r {
                 reference_computations += tree.knn_counted(r_obj, k).1;
             }
         }
         assert_eq!(res.metrics.distance_computations, reference_computations);
-    }
-
-    #[test]
-    fn invalid_configurations_are_rejected() {
-        let r = uniform(10, 2, 1.0, 0);
-        let s = uniform(10, 2, 1.0, 1);
-        assert!(matches!(
-            Hbrj::new(HbrjConfig {
-                reducers: 0,
-                ..Default::default()
-            })
-            .join(&r, &s, 2, DistanceMetric::Euclidean)
-            .unwrap_err(),
-            JoinError::ZeroReducers
-        ));
-        assert!(matches!(
-            Hbrj::new(HbrjConfig {
-                map_tasks: 0,
-                ..Default::default()
-            })
-            .join(&r, &s, 2, DistanceMetric::Euclidean)
-            .unwrap_err(),
-            JoinError::ZeroMapTasks
-        ));
-        assert!(matches!(
-            Hbrj::new(HbrjConfig {
-                rtree_fanout: 1,
-                ..Default::default()
-            })
-            .join(&r, &s, 2, DistanceMetric::Euclidean)
-            .unwrap_err(),
-            JoinError::InvalidConfig(_)
-        ));
-        assert_eq!(Hbrj::default().name(), "H-BRJ");
-        assert_eq!(Hbrj::default().config().reducers, 4);
     }
 
     proptest! {
@@ -626,12 +439,9 @@ mod tests {
         ) {
             let r = uniform(n_r, 2, 80.0, seed);
             let s = uniform(n_s, 2, 80.0, seed ^ 0x77);
-            let metric = DistanceMetric::Euclidean;
-            let expected = NestedLoopJoin.join(&r, &s, k, metric).unwrap();
-            let got = Hbrj::new(HbrjConfig { reducers, map_tasks: 3, ..Default::default() })
-                .join(&r, &s, k, metric)
-                .unwrap();
-            prop_assert!(got.matches(&expected, 1e-9), "{:?}", got.mismatch_against(&expected, 1e-9));
+            assert_matches_oracle(Hbrj, &r, &s, k, EUCLIDEAN, |b| {
+                b.reducers(reducers).map_tasks(3)
+            });
         }
     }
 }

@@ -1,113 +1,72 @@
-//! The three distributed kNN-join algorithms evaluated in the paper.
+//! The distributed kNN-join algorithms evaluated in the paper.
 //!
 //! | Algorithm | Section | Framework | Pruning |
 //! |-----------|---------|-----------|---------|
-//! | [`Pgbj`]  | §4–5    | partition + group, single join job | Voronoi bounds (Theorems 1–6) |
-//! | [`Pbj`]   | §6      | √N × √N blocks + merge job | Voronoi bounds within each block pair |
-//! | [`Hbrj`]  | §3 (baseline, Zhang et al.) | √N × √N blocks + merge job | R-tree per S block |
-//! | [`BroadcastJoin`] | §3 ("basic strategy") | R split N ways, S broadcast | none |
-//! | [`Zknn`]  | §6 competitor (Zhang, Li, Jestes) | per-copy z-order slabs + merge job | approximate: 2k z-neighbours per shifted copy |
+//! | PGBJ ([`crate::Algorithm::Pgbj`], `pgbj.rs`) | §4–5 | partition + group, single join job | Voronoi bounds (Theorems 1–6) |
+//! | PBJ ([`crate::Algorithm::Pbj`], `pbj.rs`) | §6 | √N × √N blocks + merge job | Voronoi bounds within each block pair |
+//! | H-BRJ ([`crate::Algorithm::Hbrj`], `hbrj.rs`) | §3 (baseline, Zhang et al.) | √N × √N blocks + merge job | R-tree per S block |
+//! | Broadcast ([`crate::Algorithm::BroadcastJoin`], `broadcast.rs`) | §3 ("basic strategy") | R split N ways, S broadcast | none |
+//! | H-zkNNJ ([`crate::Algorithm::Zknn`], `zknn.rs`) | §6 competitor (Zhang, Li, Jestes) | per-copy z-order slabs + merge job | approximate: 2k z-neighbours per shifted copy |
 //!
-//! All of them implement [`KnnJoinAlgorithm`] and produce a [`JoinResult`]
-//! carrying the evaluation metrics of the paper.  H-zkNNJ is the one
-//! *approximate* algorithm: its reported distances are true distances, but
-//! its candidate sets are z-order neighbourhoods, so recall can fall below 1
-//! (measured by [`crate::result::QualityReport`]).
+//! Each module exposes a cold driver `join(&JoinPlan, r, s, ctx)` (what
+//! [`crate::JoinPlan::execute`] dispatches to) and the state a
+//! [`crate::PreparedJoin`] keeps resident for it.  One scan implementation
+//! serves each family, cold and prepared alike: [`voronoi::VoronoiScan`]
+//! (Algorithm 3) for PGBJ and PBJ, `FlatBlock::scan` in [`crate::exact`] for
+//! the broadcast and nested-loop joins, the R-tree search for H-BRJ and the
+//! z-window scan for H-zkNNJ.  H-zkNNJ is the one *approximate* algorithm:
+//! its reported distances are true distances, but its candidate sets are
+//! z-order neighbourhoods, so recall can fall below 1 (measured by
+//! [`crate::result::QualityReport`]).
 
 mod blocks;
-mod broadcast;
+pub(crate) mod broadcast;
 pub mod common;
-mod hbrj;
-mod pbj;
-mod pgbj;
-mod zknn;
+pub(crate) mod hbrj;
+pub(crate) mod pbj;
+pub(crate) mod pgbj;
+pub mod voronoi;
+pub(crate) mod zknn;
 
-pub use broadcast::{BroadcastJoin, BroadcastJoinConfig};
-pub use hbrj::{Hbrj, HbrjConfig};
-pub use pbj::{Pbj, PbjConfig};
-pub use pgbj::{Pgbj, PgbjConfig};
-pub use zknn::{Zknn, ZknnConfig};
-
-pub(crate) use broadcast::BroadcastPrepared;
-pub(crate) use hbrj::HbrjPrepared;
-pub(crate) use pbj::PbjPrepared;
-pub(crate) use pgbj::PgbjPrepared;
-pub(crate) use zknn::ZknnPrepared;
-
-use crate::context::ExecutionContext;
-use crate::result::{JoinError, JoinResult};
-use geom::{DistanceMetric, PointSet};
-
-/// A distributed (MapReduce-based) or centralized kNN-join algorithm.
-///
-/// New code should prefer driving algorithms through the
-/// [`crate::JoinBuilder`], which validates parameters and picks the
-/// implementation at runtime; this trait remains the common execution
-/// interface underneath (and keeps pre-builder call sites compiling).
-pub trait KnnJoinAlgorithm {
-    /// Short name used in experiment tables ("PGBJ", "PBJ", "H-BRJ", ...).
-    fn name(&self) -> &'static str;
-
-    /// Computes `R ⋉ S` for the given `k` and metric inside `ctx`, which
-    /// supplies the MapReduce worker-pool size and shared substrate handles.
-    ///
-    /// # Errors
-    /// Returns [`JoinError`] on invalid inputs or configuration.
-    fn join_with(
-        &self,
-        r: &PointSet,
-        s: &PointSet,
-        k: usize,
-        metric: DistanceMetric,
-        ctx: &ExecutionContext,
-    ) -> Result<JoinResult, JoinError>;
-
-    /// Convenience wrapper running inside a default [`ExecutionContext`].
-    ///
-    /// # Errors
-    /// Returns [`JoinError`] on invalid inputs or configuration.
-    fn join(
-        &self,
-        r: &PointSet,
-        s: &PointSet,
-        k: usize,
-        metric: DistanceMetric,
-    ) -> Result<JoinResult, JoinError> {
-        self.join_with(r, s, k, metric, &ExecutionContext::default())
-    }
-}
-
-impl KnnJoinAlgorithm for crate::exact::NestedLoopJoin {
-    fn name(&self) -> &'static str {
-        "NestedLoop"
-    }
-
-    fn join_with(
-        &self,
-        r: &PointSet,
-        s: &PointSet,
-        k: usize,
-        metric: DistanceMetric,
-        _ctx: &ExecutionContext,
-    ) -> Result<JoinResult, JoinError> {
-        NestedLoopJoin::join(self, r, s, k, metric)
-    }
-}
-
-use crate::exact::NestedLoopJoin;
-
+/// Shared by the in-file unit tests of the algorithm modules: every join is
+/// driven through [`crate::JoinBuilder`], the crate's one configuration API.
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use datagen::uniform;
+pub(crate) mod testing {
+    use crate::{Algorithm, ExecutionContext, JoinBuilder, JoinResult, NestedLoopJoin};
+    use geom::{DistanceMetric, PointSet};
 
-    #[test]
-    fn nested_loop_implements_the_trait() {
-        let alg: &dyn KnnJoinAlgorithm = &NestedLoopJoin;
-        assert_eq!(alg.name(), "NestedLoop");
-        let r = uniform(20, 2, 10.0, 1);
-        let s = uniform(20, 2, 10.0, 2);
-        let res = alg.join(&r, &s, 3, DistanceMetric::Euclidean).unwrap();
-        assert_eq!(res.rows.len(), 20);
+    /// Runs `algorithm` over `(r, s)` with `tune` applied to the builder.
+    pub(crate) fn run(
+        algorithm: Algorithm,
+        r: &PointSet,
+        s: &PointSet,
+        k: usize,
+        metric: DistanceMetric,
+        tune: impl FnOnce(JoinBuilder<'_>) -> JoinBuilder<'_>,
+    ) -> JoinResult {
+        tune(
+            JoinBuilder::new(r, s)
+                .algorithm(algorithm)
+                .k(k)
+                .metric(metric),
+        )
+        .run(&ExecutionContext::default())
+        .expect("join must succeed")
+    }
+
+    /// [`run`], asserting the result equals the exact oracle within 1e-9.
+    pub(crate) fn assert_matches_oracle(
+        algorithm: Algorithm,
+        r: &PointSet,
+        s: &PointSet,
+        k: usize,
+        metric: DistanceMetric,
+        tune: impl FnOnce(JoinBuilder<'_>) -> JoinBuilder<'_>,
+    ) {
+        let expected = NestedLoopJoin.join(r, s, k, metric).unwrap();
+        let got = run(algorithm, r, s, k, metric, tune);
+        if let Some(msg) = got.mismatch_against(&expected, 1e-9) {
+            panic!("{algorithm} result differs from exact join: {msg}");
+        }
     }
 }

@@ -10,193 +10,75 @@
 //! how much of PGBJ's win comes from the grouping versus the bounds.
 
 use crate::algorithms::blocks::run_block_framework;
-use crate::algorithms::common::{
-    bounded_knn_scan, bounded_knn_scan_tiled, counters, order_s_partitions, split_reducer_records,
-    DeltaBlock, EncodedRecord, FlatPartition, NeighborListValue,
+use crate::algorithms::common::{counters, EncodedRecord, NeighborListValue};
+use crate::algorithms::voronoi::{
+    encode_partitioned, select_plan_pivots, FlatPartition, VoronoiScan,
 };
-use crate::algorithms::KnnJoinAlgorithm;
 use crate::bounds::upper_bound;
 use crate::context::ExecutionContext;
-use crate::delta::DeltaOverlay;
-use crate::exact::validate_inputs;
 use crate::metrics::{phases, JoinMetrics};
 use crate::partition::VoronoiPartitioner;
-use crate::pivots::{select_pivots_with_mode, PivotSelectionStrategy};
+use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinResult};
 use crate::summary::SummaryTables;
-use geom::{DistanceMetric, KernelMode, PointSet, RecordKind};
+use geom::{DistanceMetric, KernelMode, PointSet};
 use mapreduce::{ReduceContext, Reducer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Configuration of [`Pbj`].
-#[derive(Debug, Clone)]
-pub struct PbjConfig {
-    /// Number of pivots (Voronoi cells).
-    pub pivot_count: usize,
-    /// How pivots are chosen from `R`.
-    pub pivot_strategy: PivotSelectionStrategy,
-    /// How many objects of `R` pivot selection may look at.
-    pub pivot_sample_size: usize,
-    /// Number of reducers ("computing nodes").
-    pub reducers: usize,
-    /// Number of map tasks.
-    pub map_tasks: usize,
-    /// Whether the merge job pre-merges each map task's partial kNN lists
-    /// map-side (a top-`k` combiner) before they cross the shuffle.  Enabled
-    /// by default.
-    pub combiner: bool,
-    /// Seed for pivot selection.
-    pub seed: u64,
-    /// How distance kernels run (see [`KernelMode`]); `Exact` is the
-    /// bit-identical default.
-    pub kernel_mode: KernelMode,
-}
+/// Runs cold PBJ for a validated `plan` over validated inputs.
+pub(crate) fn join(
+    plan: &JoinPlan,
+    r: &PointSet,
+    s: &PointSet,
+    ctx: &ExecutionContext,
+) -> Result<JoinResult, JoinError> {
+    let (k, metric) = (plan.k, plan.metric);
+    let mut metrics = JoinMetrics {
+        r_size: r.len(),
+        s_size: s.len(),
+        ..Default::default()
+    };
 
-impl Default for PbjConfig {
-    fn default() -> Self {
-        Self {
-            pivot_count: 32,
-            pivot_strategy: PivotSelectionStrategy::default(),
-            pivot_sample_size: 10_000,
-            reducers: 4,
-            map_tasks: 8,
-            combiner: true,
-            seed: 0xC0FFEE,
-            kernel_mode: KernelMode::default(),
-        }
-    }
-}
+    // ---- Preprocessing: pivot selection ------------------------------------
+    let pivots = select_plan_pivots(r, plan, &mut metrics);
 
-/// The PBJ algorithm.
-#[derive(Debug, Clone, Default)]
-pub struct Pbj {
-    config: PbjConfig,
-}
+    // ---- Partitioning (first job of the paper, run as a driver-side scan) --
+    let start = Instant::now();
+    let partitioner = VoronoiPartitioner::new_with_mode(pivots.clone(), metric, plan.kernel_mode);
+    let partitioned_r = partitioner.partition(r);
+    let partitioned_s = partitioner.partition(s);
+    metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
 
-impl Pbj {
-    /// Creates the algorithm with the given configuration.
-    pub fn new(config: PbjConfig) -> Self {
-        Self { config }
-    }
+    // ---- Summary tables -----------------------------------------------------
+    let start = Instant::now();
+    let tables = Arc::new(SummaryTables::build(
+        pivots,
+        metric,
+        &partitioned_r,
+        &partitioned_s,
+        k,
+    ));
+    metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
 
-    /// The configuration in use.
-    pub fn config(&self) -> &PbjConfig {
-        &self.config
-    }
-
-    fn validate(&self) -> Result<(), JoinError> {
-        if self.config.pivot_count == 0 {
-            return Err(JoinError::InvalidConfig(
-                "pivot_count must be positive".into(),
-            ));
-        }
-        if self.config.reducers == 0 {
-            return Err(JoinError::ZeroReducers);
-        }
-        if self.config.map_tasks == 0 {
-            return Err(JoinError::ZeroMapTasks);
-        }
-        Ok(())
-    }
-}
-
-impl KnnJoinAlgorithm for Pbj {
-    fn name(&self) -> &'static str {
-        "PBJ"
-    }
-
-    fn join_with(
-        &self,
-        r: &PointSet,
-        s: &PointSet,
-        k: usize,
-        metric: DistanceMetric,
-        ctx: &ExecutionContext,
-    ) -> Result<JoinResult, JoinError> {
-        self.validate()?;
-        validate_inputs(r, s, k)?;
-        let cfg = &self.config;
-        let mut metrics = JoinMetrics {
-            r_size: r.len(),
-            s_size: s.len(),
-            ..Default::default()
-        };
-
-        // ---- Preprocessing: pivot selection --------------------------------
-        let start = Instant::now();
-        let pivots = select_pivots_with_mode(
-            r,
-            cfg.pivot_count,
-            cfg.pivot_strategy,
-            cfg.pivot_sample_size,
-            metric,
-            cfg.seed,
-            cfg.kernel_mode,
-        );
-        metrics.record_phase(phases::PIVOT_SELECTION, start.elapsed());
-        metrics.pivot_selections = 1;
-
-        // ---- Partitioning (first job of the paper, run as a driver-side scan)
-        let start = Instant::now();
-        let partitioner =
-            VoronoiPartitioner::new_with_mode(pivots.clone(), metric, cfg.kernel_mode);
-        let partitioned_r = partitioner.partition(r);
-        let partitioned_s = partitioner.partition(s);
-        metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
-
-        // ---- Summary tables -------------------------------------------------
-        let start = Instant::now();
-        let tables = Arc::new(SummaryTables::build(
-            pivots,
-            metric,
-            &partitioned_r,
-            &partitioned_s,
-            k,
-        ));
-        metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
-
-        // ---- Block join + merge (no grouping phase) -------------------------
-        let mut input = Vec::with_capacity(r.len() + s.len());
-        for (partition, bucket) in partitioned_r.partitions.iter().enumerate() {
-            for (point, dist) in bucket {
-                input.push((
-                    point.id,
-                    EncodedRecord::from_parts(RecordKind::R, partition as u32, *dist, point),
-                ));
-            }
-        }
-        for (partition, bucket) in partitioned_s.partitions.iter().enumerate() {
-            for (point, dist) in bucket {
-                input.push((
-                    point.id,
-                    EncodedRecord::from_parts(RecordKind::S, partition as u32, *dist, point),
-                ));
-            }
-        }
-
-        let reducer = PbjCellReducer {
-            tables: Arc::clone(&tables),
+    // ---- Block join + merge (no grouping phase) -----------------------------
+    let rows = run_block_framework(
+        encode_partitioned(&partitioned_r, &partitioned_s, |_, point| point.id),
+        plan,
+        ctx.workers(),
+        &PbjCellReducer {
+            tables,
             k,
             metric,
-            mode: cfg.kernel_mode,
-        };
-        let rows = run_block_framework(
-            input,
-            k,
-            cfg.reducers,
-            cfg.map_tasks,
-            ctx.workers(),
-            cfg.combiner,
-            &reducer,
-            &mut metrics,
-        )?;
+            mode: plan.kernel_mode,
+        },
+        &mut metrics,
+    )?;
 
-        let mut result = JoinResult { rows, metrics };
-        result.normalize();
-        Ok(result)
-    }
+    let mut result = JoinResult { rows, metrics };
+    result.normalize();
+    Ok(result)
 }
 
 /// Reducer for one `(R_i, S_j)` cell: bounded, pruned nested-loop join using
@@ -242,179 +124,27 @@ impl Reducer for PbjCellReducer {
         values: &[EncodedRecord],
         ctx: &mut ReduceContext<u64, NeighborListValue>,
     ) {
-        let dims = self.tables.pivots.first().map_or(0, |p| p.dims());
-        let (r_parts, s_parts) = split_reducer_records(values, dims);
-
-        for (&i, r_bucket) in &r_parts {
-            let s_order = order_s_partitions(&s_parts, i, &self.tables);
-            let theta_i = self.local_theta(i, &s_parts);
-            for (r_obj, r_pivot_dist) in r_bucket {
-                let (neighbors, computations) = if self.mode.is_exact() {
-                    bounded_knn_scan(
-                        r_obj,
-                        *r_pivot_dist,
-                        i,
-                        &s_parts,
-                        &s_order,
-                        &self.tables,
-                        theta_i,
-                        self.k,
-                        self.metric,
-                    )
-                } else {
-                    let (neighbors, counts) = bounded_knn_scan_tiled(
-                        r_obj,
-                        *r_pivot_dist,
-                        i,
-                        &s_parts,
-                        &s_order,
-                        &self.tables,
-                        theta_i,
-                        self.k,
-                        self.metric,
-                        None,
-                        None,
-                    );
-                    (neighbors, counts.frozen)
-                };
+        VoronoiScan::new(&self.tables, self.k, self.metric, self.mode).scan_shuffled(
+            values,
+            |i, s_parts| self.local_theta(i, s_parts),
+            |r_id, neighbors, computations| {
                 ctx.counters()
                     .add(counters::DISTANCE_COMPUTATIONS, computations);
-                ctx.emit(r_obj.id, NeighborListValue::new(neighbors));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Prepared (build/probe) serving path
-// ---------------------------------------------------------------------------
-
-/// The prepared PBJ state — the same Voronoi serving core as PGBJ, probed
-/// without the grouping step (batches are hash-routed to reducers), exactly
-/// mirroring how cold PBJ is "PGBJ's bounds without the grouping".
-#[derive(Debug)]
-pub(crate) struct PbjPrepared {
-    core: crate::algorithms::common::VoronoiServeState,
-}
-
-impl PbjPrepared {
-    /// Builds the S-side state (pivots from the calibration `R`, resident
-    /// partitioned `S`, `T_S`).
-    pub(crate) fn build(
-        calibration_r: &PointSet,
-        s: &PointSet,
-        plan: &crate::plan::JoinPlan,
-        metrics: &mut JoinMetrics,
-    ) -> Self {
-        let start = Instant::now();
-        let pivots = select_pivots_with_mode(
-            calibration_r,
-            plan.pivot_count,
-            plan.pivot_strategy,
-            plan.pivot_sample_size,
-            plan.metric,
-            plan.seed,
-            plan.kernel_mode,
-        );
-        metrics.record_phase(phases::PIVOT_SELECTION, start.elapsed());
-        metrics.pivot_selections = 1;
-        let start = Instant::now();
-        let core = crate::algorithms::common::VoronoiServeState::build(
-            pivots,
-            plan.metric,
-            s,
-            plan.k,
-            plan.kernel_mode,
-        );
-        metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
-        Self { core }
-    }
-
-    /// Answers one probe batch with the bounded Algorithm 3 scan, `θ_i`
-    /// taken from the global Algorithm 1 bound (the resident `S` is the full
-    /// dataset, so the tight bound applies — cold PBJ only had the local
-    /// block's looser bound).
-    pub(crate) fn probe(
-        &self,
-        r: &PointSet,
-        plan: &crate::plan::JoinPlan,
-        ctx: &ExecutionContext,
-        delta: Option<&Arc<DeltaOverlay>>,
-        metrics: &mut JoinMetrics,
-    ) -> Result<Vec<crate::result::JoinRow>, JoinError> {
-        use crate::algorithms::common::{
-            encode_assigned_batch, run_serve_job, HashRouteMapper, VoronoiServeReducer,
-        };
-
-        let start = Instant::now();
-        let (assignments, computations) = self.core.assign_batch(r);
-        metrics.pivot_assignment_computations += computations;
-        metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
-
-        let start = Instant::now();
-        let tables = Arc::new(self.core.query_tables(&assignments));
-        let bounds = crate::bounds::PartitionBounds::compute(&tables, plan.k);
-        // Deletions can break the T_S-derived θ_i promise (see the PGBJ
-        // probe); tombstones demote θ to the running kth distance alone.
-        let theta = if delta.is_some_and(|d| d.tombstones_len() > 0) {
-            Arc::new(vec![f64::INFINITY; tables.partition_count()])
-        } else {
-            Arc::new(bounds.theta)
-        };
-        metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
-
-        run_serve_job(
-            "pbj-serve",
-            encode_assigned_batch(r, &assignments),
-            plan.reducers,
-            plan.map_tasks,
-            ctx.workers(),
-            &HashRouteMapper {
-                reducers: plan.reducers,
+                ctx.emit(r_id, NeighborListValue::new(neighbors));
             },
-            &VoronoiServeReducer {
-                s_parts: Arc::clone(&self.core.s_parts),
-                s_orders: Arc::clone(&self.core.s_orders),
-                tables,
-                theta,
-                k: plan.k,
-                metric: plan.metric,
-                delta: delta.map(Arc::clone),
-                mode: self.core.mode,
-                delta_block: if self.core.mode.is_exact() {
-                    None
-                } else {
-                    delta.and_then(|d| {
-                        DeltaBlock::from_overlay(d, self.core.partitioner.pivot_matrix().dims())
-                            .map(Arc::new)
-                    })
-                },
-            },
-            metrics,
-        )
-    }
-
-    /// Folds a delta overlay into the resident Voronoi state, sharing
-    /// everything the delta does not touch (see
-    /// [`crate::algorithms::common::VoronoiServeState::compact`]).
-    pub(crate) fn compact(
-        &self,
-        delta: &DeltaOverlay,
-        plan: &crate::plan::JoinPlan,
-        metrics: &mut JoinMetrics,
-    ) -> Self {
-        Self {
-            core: self.core.compact(delta, plan.k, metrics),
-        }
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::NestedLoopJoin;
+    use crate::algorithms::testing::{assert_matches_oracle, run};
+    use crate::Algorithm::Pbj;
     use datagen::{gaussian_clusters, uniform, ClusterConfig};
     use proptest::prelude::*;
+
+    const EUCLIDEAN: DistanceMetric = DistanceMetric::Euclidean;
 
     fn clustered(n: usize, seed: u64) -> PointSet {
         gaussian_clusters(
@@ -430,89 +160,42 @@ mod tests {
         )
     }
 
-    fn check_matches_exact(r: &PointSet, s: &PointSet, k: usize, config: PbjConfig) {
-        let metric = DistanceMetric::Euclidean;
-        let expected = NestedLoopJoin.join(r, s, k, metric).unwrap();
-        let got = Pbj::new(config).join(r, s, k, metric).unwrap();
-        if let Some(msg) = got.mismatch_against(&expected, 1e-9) {
-            panic!("PBJ result differs from exact join: {msg}");
-        }
-    }
-
     #[test]
     fn matches_exact_on_clustered_data() {
         let r = clustered(300, 1);
         let s = clustered(350, 2);
-        check_matches_exact(
-            &r,
-            &s,
-            10,
-            PbjConfig {
-                pivot_count: 24,
-                reducers: 9,
-                ..Default::default()
-            },
-        );
+        assert_matches_oracle(Pbj, &r, &s, 10, EUCLIDEAN, |b| {
+            b.pivot_count(24).reducers(9)
+        });
     }
 
     #[test]
     fn matches_exact_on_high_dimensional_uniform_data() {
         let r = uniform(200, 5, 80.0, 3);
         let s = uniform(220, 5, 80.0, 4);
-        check_matches_exact(
-            &r,
-            &s,
-            6,
-            PbjConfig {
-                pivot_count: 12,
-                reducers: 4,
-                ..Default::default()
-            },
-        );
+        assert_matches_oracle(Pbj, &r, &s, 6, EUCLIDEAN, |b| b.pivot_count(12).reducers(4));
     }
 
     #[test]
     fn matches_exact_for_self_join() {
         let data = clustered(250, 5);
-        check_matches_exact(
-            &data,
-            &data,
-            8,
-            PbjConfig {
-                pivot_count: 16,
-                reducers: 6,
-                ..Default::default()
-            },
-        );
+        assert_matches_oracle(Pbj, &data, &data, 8, EUCLIDEAN, |b| {
+            b.pivot_count(16).reducers(6)
+        });
     }
 
     #[test]
     fn matches_exact_when_k_exceeds_s() {
         let r = uniform(40, 2, 30.0, 6);
         let s = uniform(7, 2, 30.0, 7);
-        check_matches_exact(
-            &r,
-            &s,
-            12,
-            PbjConfig {
-                pivot_count: 3,
-                reducers: 4,
-                ..Default::default()
-            },
-        );
+        assert_matches_oracle(Pbj, &r, &s, 12, EUCLIDEAN, |b| b.pivot_count(3).reducers(4));
     }
 
     #[test]
     fn phases_and_metrics_are_populated() {
         let r = clustered(200, 8);
         let s = clustered(200, 9);
-        let res = Pbj::new(PbjConfig {
-            pivot_count: 16,
-            reducers: 9,
-            ..Default::default()
-        })
-        .join(&r, &s, 5, DistanceMetric::Euclidean)
-        .unwrap();
+        let res = run(Pbj, &r, &s, 5, EUCLIDEAN, |b| b.pivot_count(16).reducers(9));
         let m = &res.metrics;
         // √9 = 3 blocks: every object is replicated 3 times.
         assert_eq!(m.r_records_shuffled, 600);
@@ -542,13 +225,9 @@ mod tests {
     fn pruning_beats_exhaustive_scanning_within_cells() {
         let r = clustered(400, 10);
         let s = clustered(400, 11);
-        let res = Pbj::new(PbjConfig {
-            pivot_count: 32,
-            reducers: 4,
-            ..Default::default()
-        })
-        .join(&r, &s, 10, DistanceMetric::Euclidean)
-        .unwrap();
+        let res = run(Pbj, &r, &s, 10, EUCLIDEAN, |b| {
+            b.pivot_count(32).reducers(4)
+        });
         // Exhaustive block join would compute |R|·|S| = 160000 pairs (every
         // pair meets in exactly one cell); the bounds must cut that down.
         assert!(
@@ -556,41 +235,6 @@ mod tests {
             "no pruning: {} computations",
             res.metrics.distance_computations
         );
-    }
-
-    #[test]
-    fn invalid_configurations_are_rejected() {
-        let r = uniform(10, 2, 1.0, 0);
-        let s = uniform(10, 2, 1.0, 1);
-        assert!(matches!(
-            Pbj::new(PbjConfig {
-                pivot_count: 0,
-                ..Default::default()
-            })
-            .join(&r, &s, 2, DistanceMetric::Euclidean)
-            .unwrap_err(),
-            JoinError::InvalidConfig(_)
-        ));
-        assert!(matches!(
-            Pbj::new(PbjConfig {
-                reducers: 0,
-                ..Default::default()
-            })
-            .join(&r, &s, 2, DistanceMetric::Euclidean)
-            .unwrap_err(),
-            JoinError::ZeroReducers
-        ));
-        assert!(matches!(
-            Pbj::new(PbjConfig {
-                map_tasks: 0,
-                ..Default::default()
-            })
-            .join(&r, &s, 2, DistanceMetric::Euclidean)
-            .unwrap_err(),
-            JoinError::ZeroMapTasks
-        ));
-        assert_eq!(Pbj::default().name(), "PBJ");
-        assert_eq!(Pbj::default().config().pivot_count, 32);
     }
 
     proptest! {
@@ -612,11 +256,11 @@ mod tests {
                 DistanceMetric::Manhattan,
                 DistanceMetric::Chebyshev,
             ][which_metric];
-            let expected = NestedLoopJoin.join(&r, &s, k, metric).unwrap();
-            let got = Pbj::new(PbjConfig { pivot_count, reducers, map_tasks: 3, ..Default::default() })
-                .join(&r, &s, k, metric)
-                .unwrap();
-            prop_assert!(got.matches(&expected, 1e-9), "{:?}", got.mismatch_against(&expected, 1e-9));
+            assert_matches_oracle(Pbj, &r, &s, k, metric, |b| {
+                b.pivot_count(pivot_count.min(n_r).min(n_s))
+                    .reducers(reducers)
+                    .map_tasks(3)
+            });
         }
     }
 }

@@ -14,20 +14,15 @@
 //!    to all groups whose bound cannot exclude it (Theorem 6); each reducer
 //!    runs the bounded nested-loop join of Algorithm 3 over its group.
 
-use crate::algorithms::common::{
-    bounded_knn_scan, bounded_knn_scan_tiled, counters, order_s_partitions, split_reducer_records,
-    DeltaBlock, EncodedRecord,
-};
-use crate::algorithms::KnnJoinAlgorithm;
+use crate::algorithms::common::{counters, rows_from_output, EncodedRecord};
+use crate::algorithms::voronoi::{encode_partitioned, select_plan_pivots, VoronoiScan};
 use crate::bounds::PartitionBounds;
 use crate::context::ExecutionContext;
-use crate::delta::DeltaOverlay;
-use crate::exact::validate_inputs;
-use crate::grouping::{build_grouping, GroupingStrategy};
+use crate::grouping::build_grouping;
 use crate::metrics::{phases, JoinMetrics};
 use crate::partition::{PartitionedDataset, VoronoiPartitioner};
-use crate::pivots::{select_pivots_with_mode, PivotSelectionStrategy};
-use crate::result::{JoinError, JoinResult, JoinRow};
+use crate::plan::JoinPlan;
+use crate::result::{JoinError, JoinResult};
 use crate::summary::SummaryTables;
 use geom::{DistanceMetric, KernelMode, Neighbor, Point, PointSet, RecordKind};
 use mapreduce::{
@@ -36,221 +31,102 @@ use mapreduce::{
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Configuration of [`Pgbj`].
-#[derive(Debug, Clone)]
-pub struct PgbjConfig {
-    /// Number of pivots (Voronoi cells).  The paper uses 2000–8000 for
-    /// multi-million-object datasets; scale proportionally to the data.
-    pub pivot_count: usize,
-    /// How pivots are chosen from `R`.
-    pub pivot_strategy: PivotSelectionStrategy,
-    /// How many objects of `R` the pivot-selection step may look at.
-    pub pivot_sample_size: usize,
-    /// How Voronoi cells are merged into reducer groups.
-    pub grouping_strategy: GroupingStrategy,
-    /// Number of reducers ("computing nodes"); also the number of groups.
-    pub reducers: usize,
-    /// Number of map tasks for both jobs.
-    pub map_tasks: usize,
-    /// Whether job 1 runs its map-side combiner, batching each map task's
-    /// records per Voronoi partition before they cross the shuffle (the
-    /// paper's summary-statistics job pre-aggregates the same way).  Enabled
-    /// by default; disable to measure the uncombined shuffle volume.
-    pub combiner: bool,
-    /// Seed for pivot selection (experiments fix it for reproducibility).
-    pub seed: u64,
-    /// How distance kernels run (see [`KernelMode`]); `Exact` is the
-    /// bit-identical default.
-    pub kernel_mode: KernelMode,
-}
+/// Runs cold PGBJ for a validated `plan` over validated inputs.
+pub(crate) fn join(
+    plan: &JoinPlan,
+    r: &PointSet,
+    s: &PointSet,
+    ctx: &ExecutionContext,
+) -> Result<JoinResult, JoinError> {
+    let (k, metric) = (plan.k, plan.metric);
+    let mut metrics = JoinMetrics {
+        r_size: r.len(),
+        s_size: s.len(),
+        ..Default::default()
+    };
 
-impl Default for PgbjConfig {
-    fn default() -> Self {
-        Self {
-            pivot_count: 32,
-            pivot_strategy: PivotSelectionStrategy::default(),
-            pivot_sample_size: 10_000,
-            grouping_strategy: GroupingStrategy::Geometric,
-            reducers: 4,
-            map_tasks: 8,
-            combiner: true,
-            seed: 0xC0FFEE,
-            kernel_mode: KernelMode::default(),
-        }
-    }
-}
+    // ---- Preprocessing: pivot selection -----------------------------------
+    let pivots = select_plan_pivots(r, plan, &mut metrics);
 
-/// The PGBJ algorithm.
-#[derive(Debug, Clone, Default)]
-pub struct Pgbj {
-    config: PgbjConfig,
-}
+    // ---- Job 1: Voronoi partitioning of R ∪ S -----------------------------
+    let start = Instant::now();
+    let partitioner = Arc::new(VoronoiPartitioner::new_with_mode(
+        pivots.clone(),
+        metric,
+        plan.kernel_mode,
+    ));
+    let job1 = JobBuilder::new("pgbj-partition")
+        .reducers(plan.reducers)
+        .map_tasks(plan.map_tasks)
+        .workers(ctx.workers())
+        .run_with_optional_combiner(
+            crate::algorithms::common::encode_raw_inputs(r, s),
+            &PartitionMapper {
+                partitioner: Arc::clone(&partitioner),
+            },
+            plan.combiner.then_some(&BatchCombiner),
+            &CollectPartitionReducer,
+        )
+        .map_err(|e| JoinError::substrate("pgbj-partition", e))?;
+    let (partitioned_r, partitioned_s) = assemble_partitions(job1.output, pivots.len());
+    metrics.absorb_job(&job1.metrics);
+    metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
 
-impl Pgbj {
-    /// Creates the algorithm with the given configuration.
-    pub fn new(config: PgbjConfig) -> Self {
-        Self { config }
-    }
+    // ---- Index merging: summary tables ------------------------------------
+    let start = Instant::now();
+    let tables = Arc::new(SummaryTables::build(
+        pivots,
+        metric,
+        &partitioned_r,
+        &partitioned_s,
+        k,
+    ));
+    metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
 
-    /// The configuration in use.
-    pub fn config(&self) -> &PgbjConfig {
-        &self.config
-    }
+    // ---- Grouping and replica bounds (Algorithm 2) -------------------------
+    let start = Instant::now();
+    let bounds = PartitionBounds::compute(&tables, k);
+    let grouping = build_grouping(plan.grouping_strategy, &tables, &bounds, plan.reducers);
+    let group_lb = Arc::new(bounds.group_lower_bounds(&grouping));
+    let group_of = Arc::new(grouping.group_of(tables.partition_count()));
+    metrics.record_phase(phases::PARTITION_GROUPING, start.elapsed());
 
-    fn validate(&self) -> Result<(), JoinError> {
-        if self.config.pivot_count == 0 {
-            return Err(JoinError::InvalidConfig(
-                "pivot_count must be positive".into(),
-            ));
-        }
-        if self.config.reducers == 0 {
-            return Err(JoinError::ZeroReducers);
-        }
-        if self.config.map_tasks == 0 {
-            return Err(JoinError::ZeroMapTasks);
-        }
-        Ok(())
-    }
-}
+    // ---- Job 2: the kNN join (Algorithm 3) ----------------------------------
+    let start = Instant::now();
+    let job2 = JobBuilder::new("pgbj-join")
+        .reducers(grouping.group_count())
+        .map_tasks(plan.map_tasks)
+        .workers(ctx.workers())
+        .run_with_partitioner(
+            encode_partitioned(&partitioned_r, &partitioned_s, |partition, _| partition),
+            &RouteMapper { group_of, group_lb },
+            &PgbjJoinReducer {
+                tables: Arc::clone(&tables),
+                theta: bounds.theta,
+                k,
+                metric,
+                mode: plan.kernel_mode,
+            },
+            &IdentityPartitioner,
+        )
+        .map_err(|e| JoinError::substrate("pgbj-join", e))?;
+    metrics.record_phase(phases::KNN_JOIN, start.elapsed());
 
-impl KnnJoinAlgorithm for Pgbj {
-    fn name(&self) -> &'static str {
-        "PGBJ"
-    }
+    // Both jobs contribute: job 1's partitioning shuffle is part of the
+    // paper's shuffling-cost metric.
+    metrics.absorb_job(&job2.metrics);
 
-    fn join_with(
-        &self,
-        r: &PointSet,
-        s: &PointSet,
-        k: usize,
-        metric: DistanceMetric,
-        ctx: &ExecutionContext,
-    ) -> Result<JoinResult, JoinError> {
-        self.validate()?;
-        validate_inputs(r, s, k)?;
-        let cfg = &self.config;
-        let mut metrics = JoinMetrics {
-            r_size: r.len(),
-            s_size: s.len(),
-            ..Default::default()
-        };
-
-        // ---- Preprocessing: pivot selection -------------------------------
-        let start = Instant::now();
-        let pivots = select_pivots_with_mode(
-            r,
-            cfg.pivot_count,
-            cfg.pivot_strategy,
-            cfg.pivot_sample_size,
-            metric,
-            cfg.seed,
-            cfg.kernel_mode,
-        );
-        metrics.record_phase(phases::PIVOT_SELECTION, start.elapsed());
-        metrics.pivot_selections = 1;
-
-        // ---- Job 1: Voronoi partitioning of R ∪ S -------------------------
-        let start = Instant::now();
-        let partitioner = Arc::new(VoronoiPartitioner::new_with_mode(
-            pivots.clone(),
-            metric,
-            cfg.kernel_mode,
-        ));
-        let job1_input = build_job1_input(r, s);
-        let job1_builder = JobBuilder::new("pgbj-partition")
-            .reducers(cfg.reducers)
-            .map_tasks(cfg.map_tasks)
-            .workers(ctx.workers());
-        let job1_mapper = PartitionMapper {
-            partitioner: Arc::clone(&partitioner),
-        };
-        let job1 = job1_builder
-            .run_with_optional_combiner(
-                job1_input,
-                &job1_mapper,
-                cfg.combiner.then_some(&BatchCombiner),
-                &CollectPartitionReducer,
-            )
-            .map_err(|e| JoinError::substrate("pgbj-partition", e))?;
-        let (partitioned_r, partitioned_s) = assemble_partitions(job1.output, pivots.len());
-        metrics.absorb_job(&job1.metrics);
-        metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
-
-        // ---- Index merging: summary tables --------------------------------
-        let start = Instant::now();
-        let tables = Arc::new(SummaryTables::build(
-            pivots,
-            metric,
-            &partitioned_r,
-            &partitioned_s,
-            k,
-        ));
-        metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
-
-        // ---- Grouping and replica bounds (Algorithm 2) ---------------------
-        let start = Instant::now();
-        let bounds = PartitionBounds::compute(&tables, k);
-        let grouping = build_grouping(cfg.grouping_strategy, &tables, &bounds, cfg.reducers);
-        let group_lb = Arc::new(bounds.group_lower_bounds(&grouping));
-        let group_of = Arc::new(grouping.group_of(tables.partition_count()));
-        metrics.record_phase(phases::PARTITION_GROUPING, start.elapsed());
-
-        // ---- Job 2: the kNN join (Algorithm 3) ------------------------------
-        let start = Instant::now();
-        let job2_input = build_job2_input(&partitioned_r, &partitioned_s);
-        let join_reducer = PgbjJoinReducer {
-            tables: Arc::clone(&tables),
-            theta: Arc::new(bounds.theta.clone()),
-            k,
-            metric,
-            mode: cfg.kernel_mode,
-        };
-        let job2 = JobBuilder::new("pgbj-join")
-            .reducers(grouping.group_count())
-            .map_tasks(cfg.map_tasks)
-            .workers(ctx.workers())
-            .run_with_partitioner(
-                job2_input,
-                &RouteMapper {
-                    group_of: Arc::clone(&group_of),
-                    group_lb: Arc::clone(&group_lb),
-                },
-                &join_reducer,
-                &IdentityPartitioner,
-            )
-            .map_err(|e| JoinError::substrate("pgbj-join", e))?;
-        metrics.record_phase(phases::KNN_JOIN, start.elapsed());
-
-        // ---- Collect output and metrics ------------------------------------
-        // Both jobs contribute: job 1's partitioning shuffle used to be
-        // invisible here, understating the paper's shuffling-cost metric.
-        metrics.absorb_job(&job2.metrics);
-
-        let rows = job2
-            .output
-            .into_iter()
-            .map(|(r_id, neighbors)| JoinRow { r_id, neighbors })
-            .collect();
-        let mut result = JoinResult { rows, metrics };
-        result.normalize();
-        Ok(result)
-    }
+    let mut result = JoinResult {
+        rows: rows_from_output(job2.output),
+        metrics,
+    };
+    result.normalize();
+    Ok(result)
 }
 
 // ---------------------------------------------------------------------------
 // Job 1: partitioning
 // ---------------------------------------------------------------------------
-
-fn build_job1_input(r: &PointSet, s: &PointSet) -> Vec<(u64, EncodedRecord)> {
-    let mut input = Vec::with_capacity(r.len() + s.len());
-    for p in r {
-        input.push((p.id, EncodedRecord::from_parts(RecordKind::R, 0, 0.0, p)));
-    }
-    for p in s {
-        input.push((p.id, EncodedRecord::from_parts(RecordKind::S, 0, 0.0, p)));
-    }
-    input
-}
 
 /// The intermediate value of job 1: a batch of serialised records bound for
 /// one Voronoi partition.  Mappers emit singleton batches; the map-side
@@ -377,30 +253,6 @@ fn assemble_partitions(
 // Job 2: routing and the join
 // ---------------------------------------------------------------------------
 
-fn build_job2_input(
-    partitioned_r: &PartitionedDataset,
-    partitioned_s: &PartitionedDataset,
-) -> Vec<(u32, EncodedRecord)> {
-    let mut input = Vec::with_capacity(partitioned_r.len() + partitioned_s.len());
-    for (partition, bucket) in partitioned_r.partitions.iter().enumerate() {
-        for (point, dist) in bucket {
-            input.push((
-                partition as u32,
-                EncodedRecord::from_parts(RecordKind::R, partition as u32, *dist, point),
-            ));
-        }
-    }
-    for (partition, bucket) in partitioned_s.partitions.iter().enumerate() {
-        for (point, dist) in bucket {
-            input.push((
-                partition as u32,
-                EncodedRecord::from_parts(RecordKind::S, partition as u32, *dist, point),
-            ));
-        }
-    }
-    input
-}
-
 /// Mapper of job 2 (Algorithm 3, lines 3–11): `R` objects go to the reducer of
 /// their group; `S` objects go to every group whose lower bound admits them.
 struct RouteMapper {
@@ -435,10 +287,11 @@ impl Mapper for RouteMapper {
 }
 
 /// Reducer of job 2 (Algorithm 3, lines 12–25): the bounded, pruned
-/// nested-loop kNN join for one group.
+/// nested-loop kNN join for one group, over the `S` subset Theorem 6 routed
+/// here, with the global Algorithm 1 bound as `θ_i`.
 struct PgbjJoinReducer {
     tables: Arc<SummaryTables>,
-    theta: Arc<Vec<f64>>,
+    theta: Vec<f64>,
     k: usize,
     metric: DistanceMetric,
     mode: KernelMode,
@@ -456,213 +309,29 @@ impl Reducer for PgbjJoinReducer {
         values: &[EncodedRecord],
         ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
     ) {
-        // Parse the group's R objects by partition and the received S subset
-        // by partition (line 13); S lands in flat structure-of-data storage,
-        // which the Algorithm 3 candidate loop scans once per R object.
-        let dims = self.tables.pivots.first().map_or(0, |p| p.dims());
-        let (r_parts, s_parts) = split_reducer_records(values, dims);
-
-        for (&i, r_bucket) in &r_parts {
-            // Sort the S partitions by pivot distance to p_i (line 14): close
-            // partitions are likelier to contain near neighbours, which
-            // tightens θ early.
-            let s_order = order_s_partitions(&s_parts, i, &self.tables);
-            let theta_i = self.theta[i];
-
-            for (r_obj, r_pivot_dist) in r_bucket {
-                let (neighbors, computations) = if self.mode.is_exact() {
-                    bounded_knn_scan(
-                        r_obj,
-                        *r_pivot_dist,
-                        i,
-                        &s_parts,
-                        &s_order,
-                        &self.tables,
-                        theta_i,
-                        self.k,
-                        self.metric,
-                    )
-                } else {
-                    let (neighbors, counts) = bounded_knn_scan_tiled(
-                        r_obj,
-                        *r_pivot_dist,
-                        i,
-                        &s_parts,
-                        &s_order,
-                        &self.tables,
-                        theta_i,
-                        self.k,
-                        self.metric,
-                        None,
-                        None,
-                    );
-                    (neighbors, counts.frozen)
-                };
+        VoronoiScan::new(&self.tables, self.k, self.metric, self.mode).scan_shuffled(
+            values,
+            |i, _| self.theta[i],
+            |r_id, neighbors, computations| {
                 ctx.counters()
                     .add(counters::DISTANCE_COMPUTATIONS, computations);
-                ctx.emit(r_obj.id, neighbors);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Prepared (build/probe) serving path
-// ---------------------------------------------------------------------------
-
-/// The prepared PGBJ state: pivots are selected once (from the calibration
-/// `R` the join was prepared with, exactly as the cold path would), `S` is
-/// Voronoi-partitioned into resident flat blocks and summarized once, and
-/// every probe batch only pays its own assignment, grouping and bounded join.
-#[derive(Debug)]
-pub(crate) struct PgbjPrepared {
-    core: crate::algorithms::common::VoronoiServeState,
-}
-
-impl PgbjPrepared {
-    /// Builds the S-side state: pivot selection + `S` partitioning +
-    /// summaries.  `calibration_r` seeds pivot selection (the paper draws
-    /// pivots from `R`); the resulting state serves arbitrary probe batches
-    /// because the correctness of every bound holds for any pivot set.
-    pub(crate) fn build(
-        calibration_r: &PointSet,
-        s: &PointSet,
-        plan: &crate::plan::JoinPlan,
-        metrics: &mut JoinMetrics,
-    ) -> Self {
-        let start = Instant::now();
-        let pivots = select_pivots_with_mode(
-            calibration_r,
-            plan.pivot_count,
-            plan.pivot_strategy,
-            plan.pivot_sample_size,
-            plan.metric,
-            plan.seed,
-            plan.kernel_mode,
-        );
-        metrics.record_phase(phases::PIVOT_SELECTION, start.elapsed());
-        metrics.pivot_selections = 1;
-        let start = Instant::now();
-        let core = crate::algorithms::common::VoronoiServeState::build(
-            pivots,
-            plan.metric,
-            s,
-            plan.k,
-            plan.kernel_mode,
-        );
-        metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
-        Self { core }
-    }
-
-    /// Answers one probe batch: assign `R` to cells, derive the per-batch
-    /// `T_R` / bounds / grouping, then run the serve job (Algorithm 3's
-    /// bounded scan against the resident `S`, merged with the delta overlay
-    /// when one is present).
-    pub(crate) fn probe(
-        &self,
-        r: &PointSet,
-        plan: &crate::plan::JoinPlan,
-        ctx: &ExecutionContext,
-        delta: Option<&Arc<DeltaOverlay>>,
-        metrics: &mut JoinMetrics,
-    ) -> Result<Vec<JoinRow>, JoinError> {
-        use crate::algorithms::common::{
-            encode_assigned_batch, run_serve_job, VoronoiServeReducer,
-        };
-
-        let start = Instant::now();
-        let (assignments, computations) = self.core.assign_batch(r);
-        metrics.pivot_assignment_computations += computations;
-        metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
-
-        let start = Instant::now();
-        let tables = Arc::new(self.core.query_tables(&assignments));
-        let bounds = PartitionBounds::compute(&tables, plan.k);
-        let grouping = build_grouping(plan.grouping_strategy, &tables, &bounds, plan.reducers);
-        let group_of = Arc::new(grouping.group_of(tables.partition_count()));
-        // θ_i promises that partition i alone holds k objects within θ_i of
-        // any r assigned there — a promise the frozen T_S cannot keep once
-        // objects are deleted, so tombstones demote θ to the running kth
-        // distance alone.  Grouping keeps the frozen bounds: it only routes
-        // work, never prunes candidates.
-        let theta = if delta.is_some_and(|d| d.tombstones_len() > 0) {
-            Arc::new(vec![f64::INFINITY; tables.partition_count()])
-        } else {
-            Arc::new(bounds.theta)
-        };
-        metrics.record_phase(phases::PARTITION_GROUPING, start.elapsed());
-
-        run_serve_job(
-            "pgbj-serve",
-            encode_assigned_batch(r, &assignments),
-            grouping.group_count(),
-            plan.map_tasks,
-            ctx.workers(),
-            &ServeGroupMapper { group_of },
-            &VoronoiServeReducer {
-                s_parts: Arc::clone(&self.core.s_parts),
-                s_orders: Arc::clone(&self.core.s_orders),
-                tables,
-                theta,
-                k: plan.k,
-                metric: plan.metric,
-                delta: delta.map(Arc::clone),
-                mode: self.core.mode,
-                delta_block: if self.core.mode.is_exact() {
-                    None
-                } else {
-                    delta.and_then(|d| {
-                        DeltaBlock::from_overlay(d, self.core.partitioner.pivot_matrix().dims())
-                            .map(Arc::new)
-                    })
-                },
+                ctx.emit(r_id, neighbors);
             },
-            metrics,
-        )
-    }
-
-    /// Folds a delta overlay into the resident Voronoi state (see
-    /// [`crate::algorithms::common::VoronoiServeState::compact`]); pivots and
-    /// the pivot machinery are shared unchanged, so the compacted state
-    /// serves exactly what a cold prepare over the materialized corpus
-    /// would.
-    pub(crate) fn compact(
-        &self,
-        delta: &DeltaOverlay,
-        plan: &crate::plan::JoinPlan,
-        metrics: &mut JoinMetrics,
-    ) -> Self {
-        Self {
-            core: self.core.compact(delta, plan.k, metrics),
-        }
-    }
-}
-
-/// Mapper of the PGBJ serve job: route each assigned `R` record to the
-/// reducer of its partition's group.
-struct ServeGroupMapper {
-    group_of: Arc<Vec<usize>>,
-}
-
-impl Mapper for ServeGroupMapper {
-    type KIn = u64;
-    type VIn = EncodedRecord;
-    type KOut = u32;
-    type VOut = EncodedRecord;
-
-    fn map(&self, _key: &u64, value: &EncodedRecord, ctx: &mut MapContext<u32, EncodedRecord>) {
-        let partition = value.decode().partition as usize;
-        ctx.counters().increment(counters::R_RECORDS);
-        ctx.emit(self.group_of[partition] as u32, value.clone());
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::NestedLoopJoin;
+    use crate::algorithms::testing::{assert_matches_oracle, run};
+    use crate::grouping::GroupingStrategy;
+    use crate::pivots::PivotSelectionStrategy;
+    use crate::Algorithm::Pgbj;
     use datagen::{gaussian_clusters, uniform, ClusterConfig};
     use proptest::prelude::*;
+
+    const EUCLIDEAN: DistanceMetric = DistanceMetric::Euclidean;
 
     fn clustered(n: usize, dims: usize, seed: u64) -> PointSet {
         gaussian_clusters(
@@ -678,60 +347,30 @@ mod tests {
         )
     }
 
-    fn check_matches_exact(r: &PointSet, s: &PointSet, k: usize, config: PgbjConfig) {
-        let metric = DistanceMetric::Euclidean;
-        let expected = NestedLoopJoin.join(r, s, k, metric).unwrap();
-        let got = Pgbj::new(config).join(r, s, k, metric).unwrap();
-        if let Some(msg) = got.mismatch_against(&expected, 1e-9) {
-            panic!("PGBJ result differs from exact join: {msg}");
-        }
-    }
-
     #[test]
     fn matches_exact_on_clustered_data() {
         let r = clustered(400, 2, 1);
         let s = clustered(500, 2, 2);
-        check_matches_exact(
-            &r,
-            &s,
-            10,
-            PgbjConfig {
-                pivot_count: 24,
-                reducers: 4,
-                ..Default::default()
-            },
-        );
+        assert_matches_oracle(Pgbj, &r, &s, 10, EUCLIDEAN, |b| {
+            b.pivot_count(24).reducers(4)
+        });
     }
 
     #[test]
     fn matches_exact_on_uniform_high_dim() {
         let r = uniform(250, 6, 100.0, 3);
         let s = uniform(300, 6, 100.0, 4);
-        check_matches_exact(
-            &r,
-            &s,
-            5,
-            PgbjConfig {
-                pivot_count: 16,
-                reducers: 3,
-                ..Default::default()
-            },
-        );
+        assert_matches_oracle(Pgbj, &r, &s, 5, EUCLIDEAN, |b| {
+            b.pivot_count(16).reducers(3)
+        });
     }
 
     #[test]
     fn matches_exact_for_self_join() {
         let data = clustered(350, 3, 5);
-        check_matches_exact(
-            &data,
-            &data,
-            8,
-            PgbjConfig {
-                pivot_count: 20,
-                reducers: 5,
-                ..Default::default()
-            },
-        );
+        assert_matches_oracle(Pgbj, &data, &data, 8, EUCLIDEAN, |b| {
+            b.pivot_count(20).reducers(5)
+        });
     }
 
     #[test]
@@ -742,18 +381,12 @@ mod tests {
             PivotSelectionStrategy::Farthest,
             PivotSelectionStrategy::KMeans { iterations: 4 },
         ] {
-            check_matches_exact(
-                &r,
-                &s,
-                6,
-                PgbjConfig {
-                    pivot_count: 12,
-                    reducers: 3,
-                    pivot_strategy: strategy,
-                    grouping_strategy: GroupingStrategy::Greedy,
-                    ..Default::default()
-                },
-            );
+            assert_matches_oracle(Pgbj, &r, &s, 6, EUCLIDEAN, |b| {
+                b.pivot_count(12)
+                    .reducers(3)
+                    .pivot_strategy(strategy)
+                    .grouping_strategy(GroupingStrategy::Greedy)
+            });
         }
     }
 
@@ -761,81 +394,38 @@ mod tests {
     fn matches_exact_when_k_exceeds_s() {
         let r = uniform(40, 2, 50.0, 9);
         let s = uniform(6, 2, 50.0, 10);
-        check_matches_exact(
-            &r,
-            &s,
-            10,
-            PgbjConfig {
-                pivot_count: 4,
-                reducers: 2,
-                ..Default::default()
-            },
-        );
+        assert_matches_oracle(Pgbj, &r, &s, 10, EUCLIDEAN, |b| {
+            b.pivot_count(4).reducers(2)
+        });
     }
 
     #[test]
     fn matches_exact_with_manhattan_metric() {
         let r = clustered(200, 2, 11);
         let s = clustered(220, 2, 12);
-        let metric = DistanceMetric::Manhattan;
-        let expected = NestedLoopJoin.join(&r, &s, 7, metric).unwrap();
-        let got = Pgbj::new(PgbjConfig {
-            pivot_count: 16,
-            reducers: 4,
-            ..Default::default()
-        })
-        .join(&r, &s, 7, metric)
-        .unwrap();
-        assert!(got.matches(&expected, 1e-9));
+        assert_matches_oracle(Pgbj, &r, &s, 7, DistanceMetric::Manhattan, |b| {
+            b.pivot_count(16).reducers(4)
+        });
     }
 
     #[test]
     fn single_reducer_and_single_pivot_edge_cases() {
         let r = uniform(80, 2, 30.0, 13);
         let s = uniform(90, 2, 30.0, 14);
-        check_matches_exact(
-            &r,
-            &s,
-            4,
-            PgbjConfig {
-                pivot_count: 1,
-                reducers: 1,
-                ..Default::default()
-            },
-        );
-        check_matches_exact(
-            &r,
-            &s,
-            4,
-            PgbjConfig {
-                pivot_count: 40,
-                reducers: 1,
-                ..Default::default()
-            },
-        );
-        check_matches_exact(
-            &r,
-            &s,
-            4,
-            PgbjConfig {
-                pivot_count: 1,
-                reducers: 8,
-                ..Default::default()
-            },
-        );
+        for (pivots, reducers) in [(1, 1), (40, 1), (1, 8)] {
+            assert_matches_oracle(Pgbj, &r, &s, 4, EUCLIDEAN, |b| {
+                b.pivot_count(pivots).reducers(reducers)
+            });
+        }
     }
 
     #[test]
     fn metrics_are_populated() {
         let r = clustered(300, 2, 15);
         let s = clustered(300, 2, 16);
-        let res = Pgbj::new(PgbjConfig {
-            pivot_count: 20,
-            reducers: 4,
-            ..Default::default()
-        })
-        .join(&r, &s, 10, DistanceMetric::Euclidean)
-        .unwrap();
+        let res = run(Pgbj, &r, &s, 10, EUCLIDEAN, |b| {
+            b.pivot_count(20).reducers(4)
+        });
         let m = &res.metrics;
         assert_eq!(m.r_size, 300);
         assert_eq!(m.s_size, 300);
@@ -872,14 +462,9 @@ mod tests {
         let r = clustered(300, 2, 19);
         let s = clustered(300, 2, 20);
         let with_combiner = |combiner: bool| {
-            Pgbj::new(PgbjConfig {
-                pivot_count: 20,
-                reducers: 4,
-                combiner,
-                ..Default::default()
+            run(Pgbj, &r, &s, 5, EUCLIDEAN, |b| {
+                b.pivot_count(20).reducers(4).combiner(combiner)
             })
-            .join(&r, &s, 5, DistanceMetric::Euclidean)
-            .unwrap()
         };
         let combined = with_combiner(true);
         let plain = with_combiner(false);
@@ -912,14 +497,10 @@ mod tests {
         // silently dropped).
         let r = clustered(200, 2, 21);
         let s = clustered(250, 2, 22);
-        let res = Pgbj::new(PgbjConfig {
-            pivot_count: 16,
-            reducers: 4,
-            combiner: false, // one record per shuffled batch, easy to count
-            ..Default::default()
-        })
-        .join(&r, &s, 5, DistanceMetric::Euclidean)
-        .unwrap();
+        // No combiner: one record per shuffled batch, easy to count.
+        let res = run(Pgbj, &r, &s, 5, EUCLIDEAN, |b| {
+            b.pivot_count(16).reducers(4).combiner(false)
+        });
         let m = &res.metrics;
         // Job 1 ships |R| + |S| batches; job 2 ships the routed records.
         let job1_records = (r.len() + s.len()) as u64;
@@ -931,13 +512,9 @@ mod tests {
     fn pruning_reduces_selectivity_versus_exhaustive() {
         let r = clustered(400, 2, 17);
         let s = clustered(400, 2, 18);
-        let res = Pgbj::new(PgbjConfig {
-            pivot_count: 32,
-            reducers: 8,
-            ..Default::default()
-        })
-        .join(&r, &s, 10, DistanceMetric::Euclidean)
-        .unwrap();
+        let res = run(Pgbj, &r, &s, 10, EUCLIDEAN, |b| {
+            b.pivot_count(32).reducers(8)
+        });
         // The whole point of PGBJ: far fewer than |R|·|S| distance
         // computations on clustered data.
         assert!(
@@ -945,49 +522,6 @@ mod tests {
             "selectivity {} shows no pruning",
             res.metrics.computation_selectivity()
         );
-    }
-
-    #[test]
-    fn invalid_configurations_are_rejected() {
-        let r = uniform(10, 2, 1.0, 0);
-        let s = uniform(10, 2, 1.0, 1);
-        let bad = Pgbj::new(PgbjConfig {
-            pivot_count: 0,
-            ..Default::default()
-        });
-        assert!(matches!(
-            bad.join(&r, &s, 2, DistanceMetric::Euclidean).unwrap_err(),
-            JoinError::InvalidConfig(_)
-        ));
-        let bad = Pgbj::new(PgbjConfig {
-            reducers: 0,
-            ..Default::default()
-        });
-        assert!(matches!(
-            bad.join(&r, &s, 2, DistanceMetric::Euclidean).unwrap_err(),
-            JoinError::ZeroReducers
-        ));
-        let bad = Pgbj::new(PgbjConfig {
-            map_tasks: 0,
-            ..Default::default()
-        });
-        assert!(matches!(
-            bad.join(&r, &s, 2, DistanceMetric::Euclidean).unwrap_err(),
-            JoinError::ZeroMapTasks
-        ));
-        assert!(matches!(
-            Pgbj::default()
-                .join(&r, &s, 0, DistanceMetric::Euclidean)
-                .unwrap_err(),
-            JoinError::InvalidK
-        ));
-    }
-
-    #[test]
-    fn name_and_config_accessors() {
-        let alg = Pgbj::default();
-        assert_eq!(alg.name(), "PGBJ");
-        assert_eq!(alg.config().reducers, 4);
     }
 
     proptest! {
@@ -1012,16 +546,11 @@ mod tests {
                 DistanceMetric::Manhattan,
                 DistanceMetric::Chebyshev,
             ][which_metric];
-            let expected = NestedLoopJoin.join(&r, &s, k, metric).unwrap();
-            let got = Pgbj::new(PgbjConfig {
-                pivot_count,
-                reducers,
-                map_tasks: 3,
-                ..Default::default()
-            })
-            .join(&r, &s, k, metric)
-            .unwrap();
-            prop_assert!(got.matches(&expected, 1e-9), "{:?}", got.mismatch_against(&expected, 1e-9));
+            assert_matches_oracle(Pgbj, &r, &s, k, metric, |b| {
+                b.pivot_count(pivot_count.min(n_r).min(n_s))
+                    .reducers(reducers)
+                    .map_tasks(3)
+            });
         }
     }
 }

@@ -34,210 +34,104 @@
 //! [`crate::result::QualityReport`] measures exactly that trade.
 
 use crate::algorithms::blocks::MergeMapper;
-use crate::algorithms::common::{counters, EncodedRecord, NeighborListValue};
-use crate::algorithms::KnnJoinAlgorithm;
+use crate::algorithms::common::{
+    counters, encode_probe_batch, encode_raw_inputs, rows_from_output, run_serve_job,
+    EncodedRecord, HashRouteMapper, NeighborListValue, ScanKernels,
+};
 use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
-use crate::exact::validate_inputs;
 use crate::metrics::{phases, JoinMetrics};
+use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinResult, JoinRow};
 use geom::zorder::{random_shifts, ZQuantizer, ZValue, MAX_Z_BITS};
-use geom::{
-    CoordMatrix, DistanceMetric, KernelMode, NeighborList, Point, PointId, PointSet, RecordKind,
-};
+use geom::{CoordMatrix, Neighbor, NeighborList, PointId, PointSet, RecordKind};
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Configuration of [`Zknn`].
-#[derive(Debug, Clone)]
-pub struct ZknnConfig {
-    /// `α`, the number of randomly shifted copies of the data (the first copy
-    /// is always unshifted).  More copies cost proportionally more shuffle
-    /// and candidates but heal more z-curve seams; the EDBT paper uses 2–4.
-    pub shift_copies: usize,
-    /// Grid bits per dimension for the z-value quantization (1..=32, and
-    /// `dims · bits` must fit the 256-bit z-value).  More bits resolve finer
-    /// spatial detail; 16 is plenty for the paper's workloads.
-    pub quantization_bits: u32,
-    /// Candidate-window multiplier: each `R` object considers
-    /// `z_window · k` z-neighbours *per side* (the EDBT paper's window is
-    /// `z_window = 1`, i.e. 2k candidates per copy).  One z-order scan covers
-    /// a single curve locality; widening the window compensates for the
-    /// curve's distortion at higher dimensionality, where true neighbours
-    /// spread further along the curve.  The default 4 holds recall ≈ 0.9 at
-    /// `shift_copies = 2` on the paper's 10-d Forest workload while staying
-    /// far below the exact algorithms' distance work.
-    pub z_window: usize,
-    /// Number of reducers ("computing nodes").  Job 1 uses about this many
-    /// slab reducers in total, spread over the shifted copies.
-    pub reducers: usize,
-    /// Number of map tasks.
-    pub map_tasks: usize,
-    /// Whether the merge job pre-merges each map task's partial candidate
-    /// lists map-side before they cross the shuffle.  Enabled by default.
-    pub combiner: bool,
-    /// Seed for the random shift vectors.
-    pub seed: u64,
-    /// How the candidate windows evaluate distances.  `Exact` keeps the
-    /// scalar kernel loop; any other mode streams each contiguous z-window
-    /// through the multi-accumulator batch rank kernels (`RankF32` behaves
-    /// like `Fast` here — the windows hold at most `2·z_window·k` rows, too
-    /// few for a separate `f32` filtering pass to pay off).  The candidate
-    /// *sets* are identical in every mode; only the floating-point
-    /// accumulation order differs.
-    pub kernel_mode: KernelMode,
+/// Rejects a dimensionality whose interleaved z-value would not fit: the one
+/// H-zkNNJ rule that depends on the data, checked at planning time and again
+/// by the cold driver (a hand-built plan never went through planning).
+pub(crate) fn check_z_bits(dims: usize, quantization_bits: u32) -> Result<(), JoinError> {
+    if dims as u32 * quantization_bits > MAX_Z_BITS {
+        return Err(JoinError::InvalidConfig(format!(
+            "{dims} dims × {quantization_bits} quantization bits exceeds the {MAX_Z_BITS}-bit z-value"
+        )));
+    }
+    Ok(())
 }
 
-impl Default for ZknnConfig {
-    fn default() -> Self {
-        Self {
-            shift_copies: 2,
-            quantization_bits: 16,
-            z_window: 4,
-            reducers: 4,
-            map_tasks: 8,
-            combiner: true,
-            seed: 0x5EED,
-            kernel_mode: KernelMode::default(),
-        }
-    }
-}
+/// Runs cold H-zkNNJ for a validated `plan` over validated inputs.
+///
+/// `RankF32` behaves like `Fast` here — the windows hold at most
+/// `2·z_window·k` rows, too few for a separate `f32` filtering pass to pay
+/// off.  The candidate *sets* are identical in every kernel mode; only the
+/// floating-point accumulation order differs.
+pub(crate) fn join(
+    plan: &JoinPlan,
+    r: &PointSet,
+    s: &PointSet,
+    ctx: &ExecutionContext,
+) -> Result<JoinResult, JoinError> {
+    check_z_bits(r.dims(), plan.quantization_bits)?;
+    let k = plan.k;
+    let mut metrics = JoinMetrics {
+        r_size: r.len(),
+        s_size: s.len(),
+        ..Default::default()
+    };
 
-/// The H-zkNNJ approximate algorithm.
-#[derive(Debug, Clone, Default)]
-pub struct Zknn {
-    config: ZknnConfig,
-}
+    // ---- Driver: quantizer, shifts and slab boundaries ---------------------
+    let start = Instant::now();
+    let shared = Arc::new(ZknnShared::build(r, s, plan));
+    metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
 
-impl Zknn {
-    /// Creates the algorithm with the given configuration.
-    pub fn new(config: ZknnConfig) -> Self {
-        Self { config }
-    }
+    // ---- Job 1: per-copy z-order slabs, 2k z-neighbour candidates ----------
+    let input = encode_raw_inputs(r, s);
+    let start = Instant::now();
+    let join_job = JobBuilder::new("zknn-join")
+        .reducers(shared.copies.len() * shared.slabs)
+        .map_tasks(plan.map_tasks)
+        .workers(ctx.workers())
+        .run_with_partitioner(
+            input,
+            &ZRouteMapper {
+                shared: Arc::clone(&shared),
+            },
+            &ZSlabReducer {
+                shared: Arc::clone(&shared),
+                k,
+                kernels: ScanKernels::new(plan.metric, plan.kernel_mode),
+            },
+            &IdentityPartitioner,
+        )
+        .map_err(|e| JoinError::substrate("zknn-join", e))?;
+    metrics.record_phase(phases::KNN_JOIN, start.elapsed());
+    metrics.absorb_job(&join_job.metrics);
 
-    /// The configuration in use.
-    pub fn config(&self) -> &ZknnConfig {
-        &self.config
-    }
+    // ---- Job 2: merge the per-copy candidate lists -------------------------
+    let start = Instant::now();
+    let merge_combiner = ZMergeCombiner { k };
+    let merge_job = JobBuilder::new("zknn-merge")
+        .reducers(plan.reducers)
+        .map_tasks(plan.map_tasks)
+        .workers(ctx.workers())
+        .run_with_optional_combiner(
+            join_job.output,
+            &MergeMapper,
+            plan.combiner.then_some(&merge_combiner),
+            &ZMergeReducer { k },
+        )
+        .map_err(|e| JoinError::substrate("zknn-merge", e))?;
+    metrics.record_phase(phases::RESULT_MERGING, start.elapsed());
+    metrics.absorb_job(&merge_job.metrics);
 
-    fn validate(&self) -> Result<(), JoinError> {
-        if self.config.shift_copies == 0 {
-            return Err(JoinError::InvalidConfig(
-                "shift_copies must be at least 1".into(),
-            ));
-        }
-        if self.config.quantization_bits == 0 || self.config.quantization_bits > 32 {
-            return Err(JoinError::InvalidConfig(format!(
-                "quantization_bits must be in 1..=32 (got {})",
-                self.config.quantization_bits
-            )));
-        }
-        if self.config.z_window == 0 {
-            return Err(JoinError::InvalidConfig(
-                "z_window must be at least 1".into(),
-            ));
-        }
-        if self.config.reducers == 0 {
-            return Err(JoinError::ZeroReducers);
-        }
-        if self.config.map_tasks == 0 {
-            return Err(JoinError::ZeroMapTasks);
-        }
-        Ok(())
-    }
-}
-
-impl KnnJoinAlgorithm for Zknn {
-    fn name(&self) -> &'static str {
-        "H-zkNNJ"
-    }
-
-    fn join_with(
-        &self,
-        r: &PointSet,
-        s: &PointSet,
-        k: usize,
-        metric: DistanceMetric,
-        ctx: &ExecutionContext,
-    ) -> Result<JoinResult, JoinError> {
-        self.validate()?;
-        validate_inputs(r, s, k)?;
-        let cfg = &self.config;
-        let dims = r.dims();
-        if dims as u32 * cfg.quantization_bits > MAX_Z_BITS {
-            return Err(JoinError::InvalidConfig(format!(
-                "{dims} dims × {} quantization bits exceeds the {MAX_Z_BITS}-bit z-value",
-                cfg.quantization_bits
-            )));
-        }
-        let mut metrics = JoinMetrics {
-            r_size: r.len(),
-            s_size: s.len(),
-            ..Default::default()
-        };
-
-        // ---- Driver: quantizer, shifts and slab boundaries -----------------
-        let start = Instant::now();
-        let shared = Arc::new(ZknnShared::build(r, s, k, cfg));
-        metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
-
-        // ---- Job 1: per-copy z-order slabs, 2k z-neighbour candidates ------
-        let mut input = Vec::with_capacity(r.len() + s.len());
-        for p in r {
-            input.push((p.id, EncodedRecord::from_parts(RecordKind::R, 0, 0.0, p)));
-        }
-        for p in s {
-            input.push((p.id, EncodedRecord::from_parts(RecordKind::S, 0, 0.0, p)));
-        }
-        let start = Instant::now();
-        let join_job = JobBuilder::new("zknn-join")
-            .reducers(shared.copies.len() * shared.slabs)
-            .map_tasks(cfg.map_tasks)
-            .workers(ctx.workers())
-            .run_with_partitioner(
-                input,
-                &ZRouteMapper {
-                    shared: Arc::clone(&shared),
-                },
-                &ZSlabReducer {
-                    shared: Arc::clone(&shared),
-                    k,
-                    metric,
-                    mode: cfg.kernel_mode,
-                },
-                &IdentityPartitioner,
-            )
-            .map_err(|e| JoinError::substrate("zknn-join", e))?;
-        metrics.record_phase(phases::KNN_JOIN, start.elapsed());
-        metrics.absorb_job(&join_job.metrics);
-
-        // ---- Job 2: merge the per-copy candidate lists ---------------------
-        let start = Instant::now();
-        let merge_combiner = ZMergeCombiner { k };
-        let merge_job = JobBuilder::new("zknn-merge")
-            .reducers(cfg.reducers)
-            .map_tasks(cfg.map_tasks)
-            .workers(ctx.workers())
-            .run_with_optional_combiner(
-                join_job.output,
-                &MergeMapper,
-                cfg.combiner.then_some(&merge_combiner),
-                &ZMergeReducer { k },
-            )
-            .map_err(|e| JoinError::substrate("zknn-merge", e))?;
-        metrics.record_phase(phases::RESULT_MERGING, start.elapsed());
-        metrics.absorb_job(&merge_job.metrics);
-
-        let rows = merge_job
-            .output
-            .into_iter()
-            .map(|(r_id, neighbors)| JoinRow { r_id, neighbors })
-            .collect();
-        let mut result = JoinResult { rows, metrics };
-        result.normalize();
-        Ok(result)
-    }
+    let mut result = JoinResult {
+        rows: rows_from_output(merge_job.output),
+        metrics,
+    };
+    result.normalize();
+    Ok(result)
 }
 
 /// The driver-side calibration shared by the cold and prepared paths: the
@@ -296,12 +190,12 @@ impl ZknnShared {
     /// Computes the quantization domain, shift vectors and per-copy balanced
     /// slab boundaries from the data (driver-side preprocessing; the shuffled
     /// work stays in the MapReduce jobs).
-    fn build(r: &PointSet, s: &PointSet, k: usize, cfg: &ZknnConfig) -> ZknnShared {
+    fn build(r: &PointSet, s: &PointSet, plan: &JoinPlan) -> ZknnShared {
         let (quantizer, shifts) =
-            z_calibration(r, s, cfg.quantization_bits, cfg.shift_copies, cfg.seed);
+            z_calibration(r, s, plan.quantization_bits, plan.shift_copies, plan.seed);
         // Spread the reducer budget over the copies, at least one slab each.
-        let slabs = (cfg.reducers / cfg.shift_copies).max(1);
-        let window = cfg.z_window.saturating_mul(k);
+        let slabs = (plan.reducers / plan.shift_copies).max(1);
+        let window = plan.z_window.saturating_mul(plan.k);
 
         let copies = shifts
             .iter()
@@ -412,15 +306,14 @@ impl Mapper for ZRouteMapper {
     }
 }
 
-/// Reducer of job 1, one per (copy, slab): sort the received `S` subset by
-/// z-value and answer every local `r` from the candidate window around its
-/// z-position — `z_window · k` preceding and following — with true
-/// distances.
+/// Reducer of job 1, one per (copy, slab): sort the received `S` subset into
+/// a [`SortedCopy`] and answer every local `r` from the candidate window
+/// around its z-position — `z_window · k` preceding and following — with
+/// true distances, exactly as the serve reducer does against a resident copy.
 struct ZSlabReducer {
     shared: Arc<ZknnShared>,
     k: usize,
-    metric: DistanceMetric,
-    mode: KernelMode,
+    kernels: ScanKernels,
 }
 
 impl Reducer for ZSlabReducer {
@@ -436,68 +329,31 @@ impl Reducer for ZSlabReducer {
         ctx: &mut ReduceContext<u64, NeighborListValue>,
     ) {
         let copy = *key as usize / self.shared.slabs;
-        let mut r_block: Vec<(ZValue, Point)> = Vec::new();
-        let mut s_block: Vec<(ZValue, Point)> = Vec::new();
-        for value in values {
-            let record = value.decode();
-            let z = self.shared.z(copy, &record.point.coords);
-            match record.kind {
-                RecordKind::R => r_block.push((z, record.point)),
-                RecordKind::S => s_block.push((z, record.point)),
-            }
-        }
-        if r_block.is_empty() {
+        let records: Vec<_> = values.iter().map(EncodedRecord::decode).collect();
+        let of_kind = |kind| records.iter().filter(move |rec| rec.kind == kind);
+        if of_kind(RecordKind::R).next().is_none() {
             return;
         }
-        // Sort S by (z, id): the id tiebreak makes the candidate windows
-        // deterministic when z-values collide (duplicate or grid-coincident
-        // points).
-        s_block.sort_unstable_by_key(|(z, p)| (*z, p.id));
-        let s_z: Vec<ZValue> = s_block.iter().map(|(z, _)| *z).collect();
-        let s_ids: Vec<PointId> = s_block.iter().map(|(_, p)| p.id).collect();
-        let mut s_coords = CoordMatrix::new(self.shared.quantizer.dims());
-        for (_, p) in &s_block {
-            s_coords.push_row(&p.coords);
-        }
-        let kernel = self.metric.kernel();
-        let batch = self.metric.batch_rank_kernel();
-        let dims = self.shared.quantizer.dims();
-        // Scratch for the batched window evaluation: at most 2·window rows.
-        let mut ranks: Vec<f64> = Vec::new();
-
-        let window = self.shared.window;
-        for (z_r, r_obj) in &r_block {
-            // The candidate z-window around r's insertion position.
-            let pos = s_z.partition_point(|z| z < z_r);
-            let lo = pos.saturating_sub(window);
-            let hi = (pos + window).min(s_z.len());
+        let slab = SortedCopy::sorted(
+            of_kind(RecordKind::S).map(|rec| (rec.point.id, rec.point.coords.as_slice())),
+            |coords| self.shared.z(copy, coords),
+            self.shared.quantizer.dims(),
+        );
+        let mut scratch = Vec::new();
+        for rec in of_kind(RecordKind::R) {
+            let z_r = self.shared.z(copy, &rec.point.coords);
             let mut list = NeighborList::new(self.k);
-            if self.mode.is_exact() {
-                for (idx, id) in s_ids.iter().enumerate().take(hi).skip(lo) {
-                    list.offer(*id, kernel(&r_obj.coords, s_coords.row(idx)));
-                }
-            } else {
-                // The window is one contiguous run of sorted-S rows: a single
-                // batch call covers it, and the monotone rank→distance map
-                // restores true distances before the bounded offer.
-                let m = hi - lo;
-                if ranks.len() < m {
-                    ranks.resize(m, 0.0);
-                }
-                batch(
-                    &r_obj.coords,
-                    &s_coords.as_slice()[lo * dims..hi * dims],
-                    dims,
-                    &mut ranks[..m],
-                );
-                self.metric.ranks_to_distances(&mut ranks[..m]);
-                for (off, id) in s_ids[lo..hi].iter().enumerate() {
-                    list.offer(*id, ranks[off]);
-                }
-            }
+            let computations = slab.scan_window(
+                &rec.point.coords,
+                z_r,
+                self.shared.window,
+                &self.kernels,
+                &mut scratch,
+                &mut list,
+            );
             ctx.counters()
-                .add(counters::DISTANCE_COMPUTATIONS, (hi - lo) as u64);
-            ctx.emit(r_obj.id, NeighborListValue::new(list.into_sorted()));
+                .add(counters::DISTANCE_COMPUTATIONS, computations);
+            ctx.emit(rec.point.id, NeighborListValue::new(list.into_sorted()));
         }
     }
 }
@@ -574,13 +430,70 @@ impl Reducer for ZMergeReducer {
 // Prepared (build/probe) serving path
 // ---------------------------------------------------------------------------
 
-/// One shifted copy of `S`, fully sorted by `(z-value, id)` with the
-/// coordinates in matching flat rows — the windows any probe object scans.
+/// `S` objects (a slab, a full shifted copy, or a delta's adds) sorted by
+/// `(z-value, id)` with the coordinates in matching flat rows — the windows
+/// any probe object scans.
 #[derive(Debug)]
 struct SortedCopy {
     z: Vec<ZValue>,
     ids: Vec<PointId>,
     coords: CoordMatrix,
+}
+
+impl SortedCopy {
+    /// Sorts `(id, coords)` entries by `(z_of(coords), id)`: the id tiebreak
+    /// makes the candidate windows deterministic when z-values collide
+    /// (duplicate or grid-coincident points).
+    fn sorted<'p>(
+        entries: impl Iterator<Item = (PointId, &'p [f64])>,
+        z_of: impl Fn(&[f64]) -> ZValue,
+        dims: usize,
+    ) -> Self {
+        let mut entries: Vec<(ZValue, PointId, &[f64])> = entries
+            .map(|(id, coords)| (z_of(coords), id, coords))
+            .collect();
+        entries.sort_unstable_by_key(|(z, id, _)| (*z, *id));
+        let mut z = Vec::with_capacity(entries.len());
+        let mut ids = Vec::with_capacity(entries.len());
+        let mut coords = CoordMatrix::with_capacity(dims, entries.len());
+        for (zv, id, row) in entries {
+            z.push(zv);
+            ids.push(id);
+            coords.push_row(row);
+        }
+        Self { z, ids, coords }
+    }
+
+    /// Offers the candidate z-window around `z_r`'s insertion position —
+    /// `window` predecessors and `window` successors, one contiguous run of
+    /// sorted rows — into `list` with true distances, returning the number
+    /// of rows evaluated.
+    fn scan_window(
+        &self,
+        query: &[f64],
+        z_r: ZValue,
+        window: usize,
+        kernels: &ScanKernels,
+        scratch: &mut Vec<f64>,
+        list: &mut NeighborList,
+    ) -> u64 {
+        let dims = self.coords.dims();
+        let pos = self.z.partition_point(|z| *z < z_r);
+        let lo = pos.saturating_sub(window);
+        let hi = (pos + window).min(self.z.len());
+        scratch.resize((hi - lo).max(scratch.len()), 0.0);
+        let dists = &mut scratch[..hi - lo];
+        kernels.distances(
+            query,
+            &self.coords.as_slice()[lo * dims..hi * dims],
+            dims,
+            dists,
+        );
+        for (id, d) in self.ids[lo..hi].iter().zip(dists.iter()) {
+            list.offer(*id, *d);
+        }
+        (hi - lo) as u64
+    }
 }
 
 /// The prepared H-zkNNJ state: the quantizer and shift vectors (calibrated
@@ -597,10 +510,6 @@ pub(crate) struct ZknnPrepared {
     /// Candidate z-neighbours per side: `z_window · k`.
     window: usize,
     copies: Vec<SortedCopy>,
-    /// The plan's [`KernelMode`], fixed at prepare time (see
-    /// [`ZknnConfig::kernel_mode`] for the `RankF32`-behaves-as-`Fast`
-    /// caveat).
-    mode: KernelMode,
 }
 
 impl ZknnPrepared {
@@ -611,11 +520,10 @@ impl ZknnPrepared {
     pub(crate) fn build(
         calibration_r: &PointSet,
         s: &PointSet,
-        plan: &crate::plan::JoinPlan,
+        plan: &JoinPlan,
         metrics: &mut JoinMetrics,
     ) -> Self {
         let start = Instant::now();
-        let dims = s.dims();
         let (quantizer, shifts) = z_calibration(
             calibration_r,
             s,
@@ -626,20 +534,11 @@ impl ZknnPrepared {
         let copies = shifts
             .iter()
             .map(|shift| {
-                let mut entries: Vec<(ZValue, &Point)> = s
-                    .iter()
-                    .map(|p| (quantizer.z_value(&p.coords, Some(shift)), p))
-                    .collect();
-                entries.sort_unstable_by_key(|(z, p)| (*z, p.id));
-                let mut coords = CoordMatrix::new(dims);
-                let mut z = Vec::with_capacity(entries.len());
-                let mut ids = Vec::with_capacity(entries.len());
-                for (zv, p) in entries {
-                    z.push(zv);
-                    ids.push(p.id);
-                    coords.push_row(&p.coords);
-                }
-                SortedCopy { z, ids, coords }
+                SortedCopy::sorted(
+                    s.iter().map(|p| (p.id, p.coords.as_slice())),
+                    |coords| quantizer.z_value(coords, Some(shift)),
+                    s.dims(),
+                )
             })
             .collect();
         metrics.record_phase(phases::PREPARE_BUILD, start.elapsed());
@@ -648,7 +547,6 @@ impl ZknnPrepared {
             shifts,
             window: plan.z_window.saturating_mul(plan.k),
             copies,
-            mode: plan.kernel_mode,
         }
     }
 
@@ -665,19 +563,11 @@ impl ZknnPrepared {
     pub(crate) fn probe(
         &self,
         r: &PointSet,
-        plan: &crate::plan::JoinPlan,
+        plan: &JoinPlan,
         ctx: &ExecutionContext,
         delta: Option<&Arc<DeltaOverlay>>,
         metrics: &mut JoinMetrics,
     ) -> Result<Vec<JoinRow>, JoinError> {
-        use crate::algorithms::common::{encode_probe_batch, run_serve_job, HashRouteMapper};
-
-        let delta = delta.map(|overlay| {
-            (
-                Arc::clone(overlay),
-                Arc::new(delta_sorted_copies(&self.quantizer, &self.shifts, overlay)),
-            )
-        });
         run_serve_job(
             "zknn-serve",
             encode_probe_batch(r),
@@ -690,8 +580,13 @@ impl ZknnPrepared {
             &ZknnServeReducer {
                 prepared: self,
                 k: plan.k,
-                metric: plan.metric,
-                delta,
+                kernels: ScanKernels::new(plan.metric, plan.kernel_mode),
+                delta: delta.map(|overlay| {
+                    (
+                        &**overlay,
+                        delta_sorted_copies(&self.quantizer, &self.shifts, overlay),
+                    )
+                }),
             },
             metrics,
         )
@@ -745,7 +640,6 @@ impl ZknnPrepared {
             shifts: self.shifts.clone(),
             window: self.window,
             copies,
-            mode: self.mode,
         }
     }
 }
@@ -758,24 +652,14 @@ fn delta_sorted_copies(
     shifts: &[Vec<f64>],
     delta: &DeltaOverlay,
 ) -> Vec<SortedCopy> {
-    let dims = quantizer.dims();
     shifts
         .iter()
         .map(|shift| {
-            let mut entries: Vec<(ZValue, PointId, &[f64])> = delta
-                .adds()
-                .map(|(id, coords)| (quantizer.z_value(coords, Some(shift)), id, coords))
-                .collect();
-            entries.sort_unstable_by_key(|(z, id, _)| (*z, *id));
-            let mut z = Vec::with_capacity(entries.len());
-            let mut ids = Vec::with_capacity(entries.len());
-            let mut coords = CoordMatrix::with_capacity(dims, entries.len());
-            for (zv, id, row) in entries {
-                z.push(zv);
-                ids.push(id);
-                coords.push_row(row);
-            }
-            SortedCopy { z, ids, coords }
+            SortedCopy::sorted(
+                delta.adds(),
+                |coords| quantizer.z_value(coords, Some(shift)),
+                quantizer.dims(),
+            )
         })
         .collect()
 }
@@ -786,10 +670,10 @@ fn delta_sorted_copies(
 struct ZknnServeReducer<'a> {
     prepared: &'a ZknnPrepared,
     k: usize,
-    metric: DistanceMetric,
+    kernels: ScanKernels,
     /// The overlay plus its per-copy `(z, id)`-sorted add index, quantized
     /// with the prepared quantizer (see [`delta_sorted_copies`]).
-    delta: Option<(Arc<DeltaOverlay>, Arc<Vec<SortedCopy>>)>,
+    delta: Option<(&'a DeltaOverlay, Vec<SortedCopy>)>,
 }
 
 impl ZknnServeReducer<'_> {
@@ -800,7 +684,6 @@ impl ZknnServeReducer<'_> {
     /// materialized corpus scans.  Tombstoned frozen entries are skipped
     /// *without* consuming a window slot.  Returns
     /// `(frozen_kernels, delta_kernels, masked)`.
-    #[allow(clippy::too_many_arguments)]
     fn merged_window(
         &self,
         r_coords: &[f64],
@@ -808,9 +691,11 @@ impl ZknnServeReducer<'_> {
         frozen: &SortedCopy,
         adds: &SortedCopy,
         overlay: &DeltaOverlay,
-        kernel: fn(&[f64], &[f64]) -> f64,
         list: &mut NeighborList,
     ) -> (u64, u64, u64) {
+        // The merged windows interleave frozen and add rows, so they stay
+        // pairwise.
+        let kernel = self.kernels.pair;
         let window = self.prepared.window;
         let (mut frozen_kernels, mut delta_kernels, mut masked) = (0u64, 0u64, 0u64);
         let pos_f = frozen.z.partition_point(|z| *z < z_r);
@@ -874,27 +759,15 @@ impl Reducer for ZknnServeReducer<'_> {
     type KIn = u32;
     type VIn = EncodedRecord;
     type KOut = u64;
-    type VOut = Vec<geom::Neighbor>;
+    type VOut = Vec<Neighbor>;
 
     fn reduce(
         &self,
         _key: &u32,
         values: &[EncodedRecord],
-        ctx: &mut ReduceContext<u64, Vec<geom::Neighbor>>,
+        ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
     ) {
-        let mode = self.prepared.mode;
-        // The delta-merged windows interleave frozen and add rows, so they
-        // stay pairwise; in a non-exact mode they use the fast (reassociated)
-        // scalar kernel to match the batch kernels' accumulation style.
-        let kernel = if mode.is_exact() {
-            self.metric.kernel()
-        } else {
-            self.metric.fast_kernel()
-        };
-        let batch = self.metric.batch_rank_kernel();
-        let dims = self.prepared.quantizer.dims();
-        let mut ranks: Vec<f64> = Vec::new();
-        let window = self.prepared.window;
+        let mut scratch = Vec::new();
         for value in values {
             let r_obj = value.decode().point;
             let mut lists = Vec::with_capacity(self.prepared.copies.len());
@@ -912,35 +785,14 @@ impl Reducer for ZknnServeReducer<'_> {
                 let mut list = NeighborList::new(self.k);
                 match &self.delta {
                     None => {
-                        let pos = copy.z.partition_point(|z| *z < z_r);
-                        let lo = pos.saturating_sub(window);
-                        let hi = (pos + window).min(copy.z.len());
-                        if mode.is_exact() {
-                            for idx in lo..hi {
-                                list.offer(
-                                    copy.ids[idx],
-                                    kernel(&r_obj.coords, copy.coords.row(idx)),
-                                );
-                            }
-                        } else {
-                            // One contiguous run of sorted-S rows: a single
-                            // batch call plus the monotone rank→distance map.
-                            let m = hi - lo;
-                            if ranks.len() < m {
-                                ranks.resize(m, 0.0);
-                            }
-                            batch(
-                                &r_obj.coords,
-                                &copy.coords.as_slice()[lo * dims..hi * dims],
-                                dims,
-                                &mut ranks[..m],
-                            );
-                            self.metric.ranks_to_distances(&mut ranks[..m]);
-                            for (off, rank) in ranks[..m].iter().enumerate() {
-                                list.offer(copy.ids[lo + off], *rank);
-                            }
-                        }
-                        computations += (hi - lo) as u64;
+                        computations += copy.scan_window(
+                            &r_obj.coords,
+                            z_r,
+                            self.prepared.window,
+                            &self.kernels,
+                            &mut scratch,
+                            &mut list,
+                        );
                     }
                     Some((overlay, add_copies)) => {
                         let (fk, dk, m) = self.merged_window(
@@ -949,7 +801,6 @@ impl Reducer for ZknnServeReducer<'_> {
                             copy,
                             &add_copies[i],
                             overlay,
-                            kernel,
                             &mut list,
                         );
                         computations += fk;
@@ -974,9 +825,15 @@ impl Reducer for ZknnServeReducer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::testing::run;
     use crate::exact::NestedLoopJoin;
+    use crate::Algorithm::Zknn;
+    use crate::JoinBuilder;
     use datagen::{gaussian_clusters, uniform, ClusterConfig};
+    use geom::{DistanceMetric, KernelMode};
     use proptest::prelude::*;
+
+    const EUCLIDEAN: DistanceMetric = DistanceMetric::Euclidean;
 
     fn clustered(n: usize, dims: usize, seed: u64) -> PointSet {
         gaussian_clusters(
@@ -992,10 +849,15 @@ mod tests {
         )
     }
 
-    fn quality(r: &PointSet, s: &PointSet, k: usize, config: ZknnConfig) -> (f64, f64) {
-        let metric = DistanceMetric::Euclidean;
-        let exact = NestedLoopJoin.join(r, s, k, metric).unwrap();
-        let got = Zknn::new(config).join(r, s, k, metric).unwrap();
+    fn quality(
+        r: &PointSet,
+        s: &PointSet,
+        k: usize,
+        tune: impl FnOnce(JoinBuilder<'_>) -> JoinBuilder<'_>,
+    ) -> (f64, f64) {
+        let exact = NestedLoopJoin.join(r, s, k, EUCLIDEAN).unwrap();
+        // 0x5EED is the shift seed the recall thresholds below were set at.
+        let got = run(Zknn, r, s, k, EUCLIDEAN, |b| tune(b.seed(0x5EED)));
         assert_eq!(got.rows.len(), r.len(), "every r must receive a row");
         for row in &got.rows {
             assert!(row.neighbors.len() <= k);
@@ -1012,7 +874,7 @@ mod tests {
     fn high_recall_on_clustered_2d_data() {
         let r = clustered(300, 2, 1);
         let s = clustered(350, 2, 2);
-        let (recall, ratio) = quality(&r, &s, 10, ZknnConfig::default());
+        let (recall, ratio) = quality(&r, &s, 10, |b| b);
         assert!(recall >= 0.9, "recall {recall}");
         assert!((1.0..1.25).contains(&ratio), "ratio {ratio}");
     }
@@ -1021,24 +883,8 @@ mod tests {
     fn more_shift_copies_do_not_hurt_recall() {
         let r = uniform(250, 3, 100.0, 3);
         let s = uniform(250, 3, 100.0, 4);
-        let (r1, _) = quality(
-            &r,
-            &s,
-            5,
-            ZknnConfig {
-                shift_copies: 1,
-                ..Default::default()
-            },
-        );
-        let (r4, _) = quality(
-            &r,
-            &s,
-            5,
-            ZknnConfig {
-                shift_copies: 4,
-                ..Default::default()
-            },
-        );
+        let (r1, _) = quality(&r, &s, 5, |b| b.shift_copies(1));
+        let (r4, _) = quality(&r, &s, 5, |b| b.shift_copies(4));
         assert!(
             r4 >= r1 - 1e-9,
             "recall must not degrade with more copies: {r1} -> {r4}"
@@ -1052,12 +898,8 @@ mod tests {
         // exact by construction.
         let r = uniform(40, 2, 30.0, 6);
         let s = uniform(7, 2, 30.0, 7);
-        let exact = NestedLoopJoin
-            .join(&r, &s, 12, DistanceMetric::Euclidean)
-            .unwrap();
-        let got = Zknn::default()
-            .join(&r, &s, 12, DistanceMetric::Euclidean)
-            .unwrap();
+        let exact = NestedLoopJoin.join(&r, &s, 12, EUCLIDEAN).unwrap();
+        let got = run(Zknn, &r, &s, 12, EUCLIDEAN, |b| b);
         assert!(
             got.matches(&exact, 1e-9),
             "{:?}",
@@ -1070,12 +912,8 @@ mod tests {
         // All-identical coordinates collapse to one z-value; the id tiebreak
         // still yields k candidates at distance 0.
         let data = PointSet::from_coords(vec![vec![3.0, 3.0]; 25]);
-        let exact = NestedLoopJoin
-            .join(&data, &data, 4, DistanceMetric::Euclidean)
-            .unwrap();
-        let got = Zknn::default()
-            .join(&data, &data, 4, DistanceMetric::Euclidean)
-            .unwrap();
+        let exact = NestedLoopJoin.join(&data, &data, 4, EUCLIDEAN).unwrap();
+        let got = run(Zknn, &data, &data, 4, EUCLIDEAN, |b| b);
         assert!(got.matches(&exact, 1e-9));
     }
 
@@ -1084,13 +922,11 @@ mod tests {
         let r = clustered(400, 2, 8);
         let s = clustered(400, 2, 9);
         let k = 10;
-        let res = Zknn::default()
-            .join(&r, &s, k, DistanceMetric::Euclidean)
-            .unwrap();
+        let res = run(Zknn, &r, &s, k, EUCLIDEAN, |b| b);
         let m = &res.metrics;
         // Each R object costs at most α·2·window·k distance computations —
         // a constant per object, unlike the exact algorithms.
-        let defaults = ZknnConfig::default();
+        let defaults = JoinPlan::default();
         let per_object = (defaults.shift_copies * 2 * defaults.z_window * k) as u64;
         assert!(m.distance_computations <= r.len() as u64 * per_object);
         assert!(m.distance_computations < (r.len() * s.len()) as u64 / 2);
@@ -1119,14 +955,9 @@ mod tests {
             DistanceMetric::Manhattan,
             DistanceMetric::Chebyshev,
         ] {
-            let exact = Zknn::default().join(&r, &s, 6, metric).unwrap();
+            let exact = run(Zknn, &r, &s, 6, metric, |b| b);
             for mode in [KernelMode::Fast, KernelMode::RankF32] {
-                let got = Zknn::new(ZknnConfig {
-                    kernel_mode: mode,
-                    ..Default::default()
-                })
-                .join(&r, &s, 6, metric)
-                .unwrap();
+                let got = run(Zknn, &r, &s, 6, metric, |b| b.kernel_mode(mode));
                 assert!(
                     got.matches(&exact, 1e-9),
                     "{metric:?}/{mode:?}: {:?}",
@@ -1164,12 +995,8 @@ mod tests {
     fn deterministic_for_a_fixed_seed() {
         let r = clustered(200, 3, 10);
         let s = clustered(220, 3, 11);
-        let a = Zknn::default()
-            .join(&r, &s, 5, DistanceMetric::Euclidean)
-            .unwrap();
-        let b = Zknn::default()
-            .join(&r, &s, 5, DistanceMetric::Euclidean)
-            .unwrap();
+        let a = run(Zknn, &r, &s, 5, EUCLIDEAN, |b| b);
+        let b = run(Zknn, &r, &s, 5, EUCLIDEAN, |b| b);
         assert!(a.matches(&b, 0.0));
         assert_eq!(
             a.metrics.distance_computations,
@@ -1178,70 +1005,25 @@ mod tests {
         assert_eq!(a.metrics.shuffle_bytes, b.metrics.shuffle_bytes);
         // A different shift seed may legitimately produce different
         // candidates (still high recall, checked elsewhere).
-        let c = Zknn::new(ZknnConfig {
-            seed: 999,
-            ..Default::default()
-        })
-        .join(&r, &s, 5, DistanceMetric::Euclidean)
-        .unwrap();
+        let c = run(Zknn, &r, &s, 5, EUCLIDEAN, |b| b.seed(999));
         assert_eq!(c.rows.len(), r.len());
     }
 
     #[test]
-    fn invalid_configurations_are_rejected() {
-        let r = uniform(10, 2, 1.0, 0);
-        let s = uniform(10, 2, 1.0, 1);
-        let run = |config: ZknnConfig| {
-            Zknn::new(config)
-                .join(&r, &s, 2, DistanceMetric::Euclidean)
-                .unwrap_err()
-        };
-        assert!(matches!(
-            run(ZknnConfig {
-                shift_copies: 0,
-                ..Default::default()
-            }),
-            JoinError::InvalidConfig(_)
-        ));
-        assert!(matches!(
-            run(ZknnConfig {
-                quantization_bits: 0,
-                ..Default::default()
-            }),
-            JoinError::InvalidConfig(_)
-        ));
-        assert!(matches!(
-            run(ZknnConfig {
-                quantization_bits: 33,
-                ..Default::default()
-            }),
-            JoinError::InvalidConfig(_)
-        ));
-        assert!(matches!(
-            run(ZknnConfig {
-                reducers: 0,
-                ..Default::default()
-            }),
-            JoinError::ZeroReducers
-        ));
-        assert!(matches!(
-            run(ZknnConfig {
-                map_tasks: 0,
-                ..Default::default()
-            }),
-            JoinError::ZeroMapTasks
-        ));
+    fn z_value_overflow_is_rejected_for_hand_built_plans_too() {
         // 12 dims × 32 bits = 384 > 256 interleaved bits.
         let wide = uniform(10, 12, 1.0, 2);
-        let err = Zknn::new(ZknnConfig {
+        let plan = JoinPlan {
+            algorithm: Zknn,
+            k: 2,
+            pivot_count: 3,
             quantization_bits: 32,
             ..Default::default()
-        })
-        .join(&wide, &wide, 2, DistanceMetric::Euclidean)
-        .unwrap_err();
+        };
+        let err = plan
+            .execute(&wide, &wide, &ExecutionContext::default())
+            .unwrap_err();
         assert!(matches!(err, JoinError::InvalidConfig(_)), "{err}");
-        assert_eq!(Zknn::default().name(), "H-zkNNJ");
-        assert_eq!(Zknn::default().config().shift_copies, 2);
     }
 
     proptest! {
@@ -1259,11 +1041,8 @@ mod tests {
         ) {
             let r = uniform(n_r, 2, 80.0, seed);
             let s = uniform(n_s, 2, 80.0, seed ^ 0x5A);
-            let metric = DistanceMetric::Euclidean;
-            let exact = NestedLoopJoin.join(&r, &s, k, metric).unwrap();
-            let got = Zknn::new(ZknnConfig { reducers, map_tasks: 3, ..Default::default() })
-                .join(&r, &s, k, metric)
-                .unwrap();
+            let exact = NestedLoopJoin.join(&r, &s, k, EUCLIDEAN).unwrap();
+            let got = run(Zknn, &r, &s, k, EUCLIDEAN, |b| b.reducers(reducers).map_tasks(3));
             prop_assert_eq!(got.rows.len(), r.len());
             let q = got.quality_against(&exact);
             prop_assert!(q.recall >= 0.8, "recall {} below threshold", q.recall);

@@ -25,7 +25,9 @@
 //! following the paper's parameter study, which found pivot counts growing
 //! with the dataset (2000–8000 pivots for multi-million-object inputs).
 
+use crate::algorithms::zknn::check_z_bits;
 use crate::context::ExecutionContext;
+use crate::exact::validate_inputs;
 use crate::grouping::GroupingStrategy;
 use crate::pivots::PivotSelectionStrategy;
 use crate::plan::{Algorithm, JoinPlan, DEFAULT_DELTA_THRESHOLD};
@@ -222,47 +224,16 @@ impl<'a> JoinBuilder<'a> {
     /// concrete [`JoinPlan`] that [`JoinBuilder::run`] would execute.
     ///
     /// # Errors
-    /// Returns a typed [`JoinError`] describing the first problem found:
-    /// [`JoinError::InvalidK`], [`JoinError::EmptyInput`],
-    /// [`JoinError::DimensionalityMismatch`],
-    /// [`JoinError::PivotCountOutOfRange`], [`JoinError::ZeroReducers`],
-    /// [`JoinError::ZeroMapTasks`] or [`JoinError::InvalidConfig`].
+    /// Returns a typed [`JoinError`] describing the first problem found, in
+    /// this order: the inputs ([`JoinError::InvalidK`],
+    /// [`JoinError::EmptyInput`], [`JoinError::RaggedInput`],
+    /// [`JoinError::NonFiniteInput`], [`JoinError::DimensionalityMismatch`]),
+    /// an explicit pivot count against them
+    /// ([`JoinError::PivotCountOutOfRange`]), then the resolved plan's own
+    /// rules ([`JoinPlan::validate`]: [`JoinError::ZeroReducers`],
+    /// [`JoinError::ZeroMapTasks`], [`JoinError::InvalidConfig`]).
     pub fn plan(&self) -> Result<JoinPlan, JoinError> {
-        if self.k == 0 {
-            return Err(JoinError::InvalidK);
-        }
-        if self.r.is_empty() {
-            return Err(JoinError::EmptyInput("R"));
-        }
-        if self.s.is_empty() {
-            return Err(JoinError::EmptyInput("S"));
-        }
-        // Intra-set raggedness is caught before the cross-set comparison: the
-        // distance kernels only `debug_assert` slice lengths, so a ragged set
-        // slipping past planning would index-panic (or silently truncate
-        // coordinates) in release builds.
-        for (name, set) in [("R", self.r), ("S", self.s)] {
-            if let Some((index, dims)) = set.first_dim_mismatch() {
-                return Err(JoinError::RaggedInput {
-                    dataset: name,
-                    index,
-                    dims,
-                    expected: set.dims(),
-                });
-            }
-        }
-        if self.r.dims() != self.s.dims() {
-            return Err(JoinError::DimensionalityMismatch {
-                r_dims: self.r.dims(),
-                s_dims: self.s.dims(),
-            });
-        }
-
-        if self.pivot_sample_size == 0 {
-            return Err(JoinError::InvalidConfig(
-                "pivot_sample_size must be positive".into(),
-            ));
-        }
+        validate_inputs(self.r, self.s, self.k)?;
 
         let pivot_ceiling = self.r.len().min(self.s.len());
         let (pivot_count, pivots_auto_tuned) = match self.pivot_count {
@@ -274,15 +245,6 @@ impl<'a> JoinBuilder<'a> {
                         s_len: self.s.len(),
                     });
                 }
-                // Pivot selection only examines `pivot_sample_size` objects,
-                // so a larger explicit pivot count would be silently clamped
-                // at runtime; reject it instead so the plan stays truthful.
-                if requested > self.pivot_sample_size {
-                    return Err(JoinError::InvalidConfig(format!(
-                        "pivot_count {requested} exceeds pivot_sample_size {}",
-                        self.pivot_sample_size
-                    )));
-                }
                 (requested, false)
             }
             // §7 of the paper: pivot counts grow with |R|; √|R| keeps the
@@ -290,59 +252,14 @@ impl<'a> JoinBuilder<'a> {
             // partitioning job against the join job.
             None => (
                 ((self.r.len() as f64).sqrt().ceil() as usize)
-                    .clamp(1, pivot_ceiling.min(self.pivot_sample_size)),
+                    .min(pivot_ceiling)
+                    .min(self.pivot_sample_size)
+                    .max(1),
                 true,
             ),
         };
-
-        if self.reducers == Some(0) {
-            return Err(JoinError::ZeroReducers);
-        }
-        if self.map_tasks == Some(0) {
-            return Err(JoinError::ZeroMapTasks);
-        }
-        if self.rtree_fanout < 2 {
-            return Err(JoinError::InvalidConfig(format!(
-                "rtree_fanout must be at least 2 (got {})",
-                self.rtree_fanout
-            )));
-        }
-        if self.shift_copies == 0 {
-            return Err(JoinError::InvalidConfig(
-                "shift_copies must be at least 1".into(),
-            ));
-        }
-        if self.quantization_bits == 0 || self.quantization_bits > 32 {
-            return Err(JoinError::InvalidConfig(format!(
-                "quantization_bits must be in 1..=32 (got {})",
-                self.quantization_bits
-            )));
-        }
-        if self.z_window == 0 {
-            return Err(JoinError::InvalidConfig(
-                "z_window must be at least 1".into(),
-            ));
-        }
-        if self.delta_threshold == 0 {
-            return Err(JoinError::InvalidConfig(
-                "delta_threshold must be at least 1".into(),
-            ));
-        }
-        if self.algorithm == Algorithm::Zknn
-            && self.r.dims() as u32 * self.quantization_bits > geom::zorder::MAX_Z_BITS
-        {
-            return Err(JoinError::InvalidConfig(format!(
-                "{} dims × {} quantization bits exceeds the {}-bit z-value",
-                self.r.dims(),
-                self.quantization_bits,
-                geom::zorder::MAX_Z_BITS
-            )));
-        }
-
         let reducers = self.reducers.unwrap_or(DEFAULT_REDUCERS);
-        let map_tasks = self.map_tasks.unwrap_or(reducers * 2);
-
-        Ok(JoinPlan {
+        let plan = JoinPlan {
             algorithm: self.algorithm,
             k: self.k,
             metric: self.metric,
@@ -352,7 +269,7 @@ impl<'a> JoinBuilder<'a> {
             pivot_sample_size: self.pivot_sample_size,
             grouping_strategy: self.grouping_strategy,
             reducers,
-            map_tasks,
+            map_tasks: self.map_tasks.unwrap_or(reducers * 2),
             rtree_fanout: self.rtree_fanout,
             shift_copies: self.shift_copies,
             quantization_bits: self.quantization_bits,
@@ -361,7 +278,12 @@ impl<'a> JoinBuilder<'a> {
             seed: self.seed,
             delta_threshold: self.delta_threshold,
             kernel_mode: self.kernel_mode,
-        })
+        };
+        plan.validate()?;
+        if self.algorithm == Algorithm::Zknn {
+            check_z_bits(self.r.dims(), self.quantization_bits)?;
+        }
+        Ok(plan)
     }
 
     /// Plans and executes the join inside `ctx`, reporting metrics to the
@@ -538,7 +460,7 @@ mod tests {
             .unwrap();
         assert_eq!(plan.shift_copies, 4);
         assert_eq!(plan.quantization_bits, 12);
-        assert_eq!(plan.instantiate().name(), "H-zkNNJ");
+        assert_eq!(plan.algorithm.name(), "H-zkNNJ");
 
         let err = JoinBuilder::new(&r, &r)
             .k(3)

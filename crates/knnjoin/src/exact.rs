@@ -1,15 +1,21 @@
-//! Exact single-machine kNN join (the correctness oracle).
+//! Exact single-machine kNN join (the correctness oracle) and the flat
+//! exhaustive scan behind every prune-free path.
 //!
 //! The "naive implementation" the paper's introduction describes: for every
 //! `r ∈ R`, scan all of `S` and keep the `k` closest objects — `O(|R|·|S|)`
-//! distance computations.  It is used by tests and benchmarks as ground truth
-//! and as the centralized baseline that motivates distributing the join.
+//! distance computations.  [`NestedLoopJoin::join`] is used by tests and
+//! benchmarks as ground truth and as the centralized baseline that motivates
+//! distributing the join; `FlatBlock` is the same scan as a reusable
+//! resident block (kernel modes, delta overlay) for the broadcast join of §3
+//! and the prepared nested-loop / broadcast serving paths.
 
-use crate::algorithms::common::{flat_block_scan, DeltaBlock, TileScratch};
+use crate::algorithms::common::{for_each_tile, DeltaBlock, ScanCounts, TileScratch};
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
 use crate::result::{JoinError, JoinResult, JoinRow};
-use geom::{CoordMatrix, DistanceMetric, KernelMode, NeighborList, PointSet};
+use geom::{
+    CoordMatrix, DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointId, PointSet,
+};
 use std::time::Instant;
 
 /// The exact nested-loop kNN join.
@@ -60,11 +66,12 @@ impl NestedLoopJoin {
         Ok(result)
     }
 
-    /// [`Self::join`] with an explicit [`KernelMode`].  `Exact` is the
-    /// untouched scalar loop above; `Fast` streams `S` through the tiled
-    /// batch rank kernels; `RankF32` additionally filters each tile in `f32`
-    /// and refines only the survivors in `f64` (so its
-    /// `distance_computations` counter reflects the refinements alone).
+    /// [`Self::join`] with an explicit [`KernelMode`], through
+    /// `FlatBlock::scan`: `Exact` reproduces the scalar loop above; `Fast`
+    /// streams `S` through the tiled batch rank kernels; `RankF32`
+    /// additionally filters each tile in `f32` and refines only the
+    /// survivors in `f64` (so its `distance_computations` counter reflects
+    /// the refinements alone).
     ///
     /// # Errors
     /// Same contract as [`Self::join`].
@@ -76,93 +83,204 @@ impl NestedLoopJoin {
         metric: DistanceMetric,
         mode: KernelMode,
     ) -> Result<JoinResult, JoinError> {
-        if mode.is_exact() {
-            return self.join(r, s, k, metric);
-        }
         validate_inputs(r, s, k)?;
-        let start = Instant::now();
-        let s_coords = CoordMatrix::from_point_set(s);
-        let s_ids: Vec<u64> = s.iter().map(|p| p.id).collect();
-        let s_coords32 = shadow_coords(&s_coords, mode);
-        let mut scratch = TileScratch::new();
-        let mut rows = Vec::with_capacity(r.len());
-        let mut computations = 0u64;
-        for r_obj in r {
-            let (neighbors, counts) = flat_block_scan(
-                &r_obj.coords,
-                &s_ids,
-                &s_coords,
-                s_coords32.as_deref(),
-                k,
-                metric,
-                None,
-                None,
-                &mut scratch,
-            );
-            computations += counts.frozen;
-            rows.push(JoinRow {
-                r_id: r_obj.id,
-                neighbors,
-            });
-        }
         let mut metrics = JoinMetrics {
-            distance_computations: computations,
             r_size: r.len(),
             s_size: s.len(),
             ..Default::default()
         };
-        metrics.record_phase(phases::KNN_JOIN, start.elapsed());
+        let block = FlatBlock::new(s.points(), mode);
+        let rows = block.scan_all(r, k, metric, None, &mut metrics);
         let mut result = JoinResult { rows, metrics };
         result.normalize();
         Ok(result)
     }
 }
 
-/// The `f32` shadow copy of a flat block, built only when `mode` is
-/// [`KernelMode::RankF32`] (the other modes never read it).
-pub(crate) fn shadow_coords(coords: &CoordMatrix, mode: KernelMode) -> Option<Vec<f32>> {
-    match mode {
-        KernelMode::RankF32 => {
-            let mut shadow = Vec::with_capacity(coords.as_slice().len());
-            geom::kernels::downcast_coords(coords.as_slice(), &mut shadow);
-            Some(shadow)
-        }
-        KernelMode::Exact | KernelMode::Fast => None,
-    }
-}
+/// Multiplicative guard applied to the `f32` candidate filter's threshold in
+/// `RankF32` mode: a candidate survives when its `f32` rank is below the
+/// current kth rank inflated by this factor, absorbing the downcast's
+/// round-off so near-threshold neighbours still reach the `f64` refinement.
+/// The mode is approximate by contract (recall is *measured*, not
+/// guaranteed); the guard just keeps misses to genuine f32 resolution loss.
+const RANK_F32_GUARD: f32 = 1.0 + 1e-3;
 
-/// The prepared nested-loop state: `S` flattened once; every probe batch is
-/// a driver-side scan (the cold path runs on no substrate either).
+/// A block of `S` flattened into columnar storage for exhaustive scanning:
+/// what a cold broadcast reducer builds from its shuffled records, and what
+/// the prepared broadcast and nested-loop joins keep resident (in Hadoop
+/// terms the build is the broadcast itself — `S` is staged at every node
+/// once — so probe batches ship only `R`).
 #[derive(Debug)]
-pub(crate) struct NestedLoopPrepared {
-    ids: Vec<u64>,
+pub(crate) struct FlatBlock {
+    ids: Vec<PointId>,
     coords: CoordMatrix,
     /// `f32` shadow of `coords`, present only in `RankF32` mode.
     coords32: Option<Vec<f32>>,
     mode: KernelMode,
 }
 
-impl NestedLoopPrepared {
-    /// Flattens `S` (and downcasts the `f32` shadow when `mode` wants one).
-    pub(crate) fn build(s: &PointSet, mode: KernelMode, metrics: &mut JoinMetrics) -> Self {
-        let start = Instant::now();
-        let coords = CoordMatrix::from_point_set(s);
-        let coords32 = shadow_coords(&coords, mode);
-        let prepared = Self {
-            ids: s.iter().map(|p| p.id).collect(),
+impl FlatBlock {
+    /// Flattens `points` (and downcasts the `f32` shadow when `mode` is
+    /// `RankF32`; the other modes never read it).
+    pub(crate) fn new(points: &[Point], mode: KernelMode) -> Self {
+        let coords = CoordMatrix::from_points(points);
+        let coords32 = (mode == KernelMode::RankF32).then(|| {
+            let mut shadow = Vec::with_capacity(coords.as_slice().len());
+            geom::kernels::downcast_coords(coords.as_slice(), &mut shadow);
+            shadow
+        });
+        Self {
+            ids: points.iter().map(|p| p.id).collect(),
             coords,
             coords32,
             mode,
-        };
-        metrics.record_phase(phases::PREPARE_BUILD, start.elapsed());
-        prepared
+        }
     }
 
-    /// Scans the resident flat `S` (minus tombstones, plus the memtable's
-    /// adds when a delta overlay is present) for every probe object.  This
-    /// path is driver-side, so the delta counters land directly in
-    /// `metrics` instead of travelling through job counters.
-    pub(crate) fn probe(
+    /// [`Self::new`] as the build phase of a prepared join.
+    pub(crate) fn build(s: &PointSet, mode: KernelMode, metrics: &mut JoinMetrics) -> Self {
+        let start = Instant::now();
+        let block = Self::new(s.points(), mode);
+        metrics.record_phase(phases::PREPARE_BUILD, start.elapsed());
+        block
+    }
+
+    /// Re-flattens the materialized corpus (frozen survivors in arrival
+    /// order, then adds in ascending id order — the canonical
+    /// materialization order, so the compacted scan is bit-identical to a
+    /// cold build over the same corpus), keeping this epoch's kernel mode.
+    pub(crate) fn compact(&self, materialized: &PointSet, metrics: &mut JoinMetrics) -> Self {
+        metrics.compacted_points += materialized.len() as u64;
+        Self::build(materialized, self.mode, metrics)
+    }
+
+    /// Dimensionality of the block's rows.
+    pub(crate) fn dims(&self) -> usize {
+        self.coords.dims()
+    }
+
+    /// The `k` nearest block rows of one probe object — minus tombstoned
+    /// rows, plus the delta overlay's adds when one is attached.
+    ///
+    /// * `Exact`: the oracle's scalar loop in scalar order — frozen rows in
+    ///   storage order, then the adds in ascending id order, i.e. exactly the
+    ///   offers a cold scan over the materialized corpus makes.  Masked rows
+    ///   cost no kernel.
+    /// * `Fast`: the block is streamed in [`geom::kernels::PROBE_TILE`]-row
+    ///   tiles through the batch rank kernels; the accumulator runs in rank
+    ///   space (rank order equals distance order for every metric) and the
+    ///   final top-`k` list is converted to true distances in one monotone
+    ///   sweep.  Every tile row is billed, masked or not.
+    /// * `RankF32`: each tile is ranked in `f32` against the downcast query,
+    ///   and only candidates whose `f32` rank beats the current kth rank
+    ///   (inflated by [`RANK_F32_GUARD`]) are re-ranked in `f64`.  Counters
+    ///   count the `f64` refinements — the `f32` filter sweep is the thing
+    ///   being saved and is deliberately not billed.
+    ///
+    /// Outside `Exact` the adds are offered *first* (tightening the
+    /// threshold before the frozen block is scanned) and always in `f64`.
+    pub(crate) fn scan(
+        &self,
+        query: &[f64],
+        k: usize,
+        metric: DistanceMetric,
+        delta: Option<&DeltaOverlay>,
+        delta_block: Option<&DeltaBlock>,
+        scratch: &mut TileScratch,
+    ) -> (Vec<Neighbor>, ScanCounts) {
+        let dim = self.coords.dims();
+        let ids = &self.ids;
+        let mut neighbors = NeighborList::new(k);
+        let mut counts = ScanCounts::default();
+        let tombstoned = |id: PointId| delta.is_some_and(|overlay| overlay.is_tombstoned(id));
+        if self.mode.is_exact() {
+            let kernel = metric.kernel();
+            for (i, row) in self.coords.rows().enumerate() {
+                if tombstoned(ids[i]) {
+                    counts.masked += 1;
+                    continue;
+                }
+                neighbors.offer(ids[i], kernel(query, row));
+                counts.frozen += 1;
+            }
+            if let Some(block) = delta_block {
+                for (i, row) in block.coords.rows().enumerate() {
+                    neighbors.offer(block.ids[i], kernel(query, row));
+                    counts.delta += 1;
+                }
+            }
+            return (neighbors.into_sorted(), counts);
+        }
+        let batch = metric.batch_rank_kernel();
+        if let Some(block) = delta_block {
+            let rows = block.coords.as_slice();
+            for_each_tile(block.ids.len(), |t0, t1| {
+                let ranks = &mut scratch.ranks[..t1 - t0];
+                batch(query, &rows[t0 * dim..t1 * dim], dim, ranks);
+                counts.delta += ranks.len() as u64;
+                for (id, &rank) in block.ids[t0..t1].iter().zip(ranks.iter()) {
+                    neighbors.offer(*id, rank);
+                }
+            });
+        }
+        let rows = self.coords.as_slice();
+        match &self.coords32 {
+            // `Fast`: rank every row of every tile, mask tombstones on offer.
+            None => for_each_tile(ids.len(), |t0, t1| {
+                let ranks = &mut scratch.ranks[..t1 - t0];
+                batch(query, &rows[t0 * dim..t1 * dim], dim, ranks);
+                counts.frozen += ranks.len() as u64;
+                for (&id, &rank) in ids[t0..t1].iter().zip(ranks.iter()) {
+                    if tombstoned(id) {
+                        counts.masked += 1;
+                        continue;
+                    }
+                    neighbors.offer(id, rank);
+                }
+            }),
+            // `RankF32`: f32 filter sweep, f64 refinement of survivors.
+            Some(rows32) => {
+                let batch32 = metric.batch_rank_kernel_f32();
+                let refine = metric.fast_rank_kernel();
+                scratch.q32.clear();
+                geom::kernels::downcast_coords(query, &mut scratch.q32);
+                for_each_tile(ids.len(), |t0, t1| {
+                    let ranks32 = &mut scratch.ranks32[..t1 - t0];
+                    batch32(&scratch.q32, &rows32[t0 * dim..t1 * dim], dim, ranks32);
+                    let threshold = neighbors.threshold();
+                    let cutoff = if threshold.is_finite() {
+                        threshold as f32 * RANK_F32_GUARD
+                    } else {
+                        f32::INFINITY
+                    };
+                    for (off, &rank32) in ranks32.iter().enumerate() {
+                        if rank32 > cutoff {
+                            continue;
+                        }
+                        let idx = t0 + off;
+                        if tombstoned(ids[idx]) {
+                            counts.masked += 1;
+                            continue;
+                        }
+                        counts.frozen += 1;
+                        neighbors.offer(ids[idx], refine(query, self.coords.row(idx)));
+                    }
+                });
+            }
+        }
+        // The accumulator ran in rank space; the monotone rank→distance map
+        // preserves the sorted order, so convert each entry in place.
+        let mut out = neighbors.into_sorted();
+        for n in &mut out {
+            n.distance = metric.rank_to_distance(n.distance);
+        }
+        (out, counts)
+    }
+
+    /// Scans the block for every object of `r` on the calling thread (the
+    /// nested-loop join runs on no substrate), folding the counters straight
+    /// into `metrics` and recording the `knn join` phase.
+    pub(crate) fn scan_all(
         &self,
         r: &PointSet,
         k: usize,
@@ -171,85 +289,43 @@ impl NestedLoopPrepared {
         metrics: &mut JoinMetrics,
     ) -> Vec<JoinRow> {
         let start = Instant::now();
-        if !self.mode.is_exact() {
-            let delta_block = delta.and_then(|d| DeltaBlock::from_overlay(d, self.coords.dims()));
-            let mut scratch = TileScratch::new();
-            let mut rows = Vec::with_capacity(r.len());
-            let mut computations = 0u64;
-            let mut delta_computations = 0u64;
-            let mut masked = 0u64;
-            for r_obj in r {
-                let (neighbors, counts) = flat_block_scan(
-                    &r_obj.coords,
-                    &self.ids,
-                    &self.coords,
-                    self.coords32.as_deref(),
-                    k,
-                    metric,
-                    delta,
-                    delta_block.as_ref(),
-                    &mut scratch,
-                );
-                computations += counts.frozen;
-                delta_computations += counts.delta;
-                masked += counts.masked;
-                rows.push(JoinRow {
-                    r_id: r_obj.id,
-                    neighbors,
-                });
-            }
-            metrics.distance_computations += computations;
-            metrics.delta_probe_computations += delta_computations;
-            metrics.tombstone_masked += masked;
-            metrics.record_phase(phases::KNN_JOIN, start.elapsed());
-            return rows;
-        }
-        let kernel = metric.kernel();
+        let delta_block = DeltaBlock::gather(delta, self.dims());
+        let mut scratch = TileScratch::new();
         let mut rows = Vec::with_capacity(r.len());
-        let mut computations = 0u64;
-        let mut delta_computations = 0u64;
-        let mut masked = 0u64;
         for r_obj in r {
-            let mut list = NeighborList::new(k);
-            match delta {
-                None => {
-                    for (i, row) in self.coords.rows().enumerate() {
-                        list.offer(self.ids[i], kernel(&r_obj.coords, row));
-                        computations += 1;
-                    }
-                }
-                Some(overlay) => {
-                    for (i, row) in self.coords.rows().enumerate() {
-                        if overlay.is_tombstoned(self.ids[i]) {
-                            masked += 1;
-                            continue;
-                        }
-                        list.offer(self.ids[i], kernel(&r_obj.coords, row));
-                        computations += 1;
-                    }
-                    for (id, coords) in overlay.adds() {
-                        list.offer(id, kernel(&r_obj.coords, coords));
-                        delta_computations += 1;
-                    }
-                }
-            }
+            let (neighbors, counts) = self.scan(
+                &r_obj.coords,
+                k,
+                metric,
+                delta,
+                delta_block.as_ref(),
+                &mut scratch,
+            );
+            metrics.distance_computations += counts.frozen;
+            metrics.delta_probe_computations += counts.delta;
+            metrics.tombstone_masked += counts.masked;
             rows.push(JoinRow {
                 r_id: r_obj.id,
-                neighbors: list.into_sorted(),
+                neighbors,
             });
         }
-        metrics.distance_computations += computations;
-        metrics.delta_probe_computations += delta_computations;
-        metrics.tombstone_masked += masked;
         metrics.record_phase(phases::KNN_JOIN, start.elapsed());
         rows
     }
+}
 
-    /// Re-flattens the materialized corpus (same layout a cold build over it
-    /// would produce), keeping this epoch's kernel mode.
-    pub(crate) fn compact(&self, materialized: &PointSet, metrics: &mut JoinMetrics) -> Self {
-        metrics.compacted_points += materialized.len() as u64;
-        Self::build(materialized, self.mode, metrics)
+/// The first non-finite coordinate of one point, as the typed error every
+/// entry point refuses it with: `NaN` breaks the total order the summary
+/// tables sort by, and `±∞` turns distance arithmetic into `NaN`.
+pub(crate) fn check_finite(
+    dataset: &'static str,
+    index: usize,
+    coords: &[f64],
+) -> Result<(), JoinError> {
+    if coords.iter().all(|c| c.is_finite()) {
+        Ok(())
+    } else {
+        Err(JoinError::NonFiniteInput { dataset, index })
     }
 }
 
@@ -276,6 +352,9 @@ pub(crate) fn validate_inputs(r: &PointSet, s: &PointSet, k: usize) -> Result<()
                 dims,
                 expected: set.dims(),
             });
+        }
+        for (index, p) in set.iter().enumerate() {
+            check_finite(name, index, &p.coords)?;
         }
     }
     if r.dims() != s.dims() {
@@ -445,6 +524,78 @@ mod tests {
             .join(&r, &s, 6, DistanceMetric::Euclidean)
             .unwrap();
         assert!(exact_via_mode.matches(&exact, 0.0));
+    }
+
+    /// `FlatBlock::scan` is the oracle's scan made resident: over any block,
+    /// with or without a delta overlay, it answers what `NestedLoopJoin::join`
+    /// answers over the materialized corpus — exactly in `Exact` / `Fast`
+    /// (1e-9), to measured recall in `RankF32`.
+    #[test]
+    fn flat_block_scan_equals_the_oracle_over_the_materialized_corpus() {
+        use crate::algorithms::common::{DeltaBlock, TileScratch};
+        let frozen = uniform(600, 4, 30.0, 41);
+        let r = uniform(50, 4, 30.0, 42);
+        let k = 5;
+        let mut overlay = DeltaOverlay::default();
+        for p in uniform(40, 4, 30.0, 43).iter() {
+            overlay.insert_add(10_000 + p.id, p.coords.clone());
+        }
+        for id in (0..600).step_by(7) {
+            overlay.tombstone(id);
+        }
+        let mut live: Vec<Point> = frozen
+            .iter()
+            .filter(|p| !overlay.is_tombstoned(p.id))
+            .cloned()
+            .collect();
+        live.extend(overlay.adds().map(|(id, c)| Point::new(id, c.to_vec())));
+        let materialized = PointSet::from_points(live);
+
+        for metric in [
+            DistanceMetric::Euclidean,
+            DistanceMetric::Manhattan,
+            DistanceMetric::Chebyshev,
+        ] {
+            for (delta, corpus) in [(None, &frozen), (Some(&overlay), &materialized)] {
+                let oracle = NestedLoopJoin.join(&r, corpus, k, metric).unwrap();
+                for mode in [KernelMode::Exact, KernelMode::Fast, KernelMode::RankF32] {
+                    let block = FlatBlock::new(frozen.points(), mode);
+                    let delta_block = DeltaBlock::gather(delta, 4);
+                    let mut scratch = TileScratch::new();
+                    let rows = r
+                        .iter()
+                        .map(|q| JoinRow {
+                            r_id: q.id,
+                            neighbors: block
+                                .scan(
+                                    &q.coords,
+                                    k,
+                                    metric,
+                                    delta,
+                                    delta_block.as_ref(),
+                                    &mut scratch,
+                                )
+                                .0,
+                        })
+                        .collect();
+                    let got = JoinResult {
+                        rows,
+                        metrics: JoinMetrics::default(),
+                    };
+                    let label = format!("{metric:?}/{mode:?}/delta={}", delta.is_some());
+                    if mode == KernelMode::RankF32 {
+                        let recall = got.quality_against(&oracle).recall;
+                        assert!(recall >= 0.999, "{label}: recall {recall}");
+                    } else {
+                        assert!(
+                            got.matches(&oracle, 1e-9),
+                            "{label}: {:?}",
+                            got.mismatch_against(&oracle, 1e-9)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -82,11 +82,10 @@
 //!   strategy (§3).
 //! * [`Algorithm::NestedLoopJoin`] — the single-machine exact oracle.
 //!
-//! The lower-level [`algorithms::KnnJoinAlgorithm`] trait and per-algorithm
-//! config structs remain public for call sites that construct algorithms
-//! directly; [`metrics::JoinMetrics`] captures the quantities the paper's
-//! evaluation reports (per-phase running time, computation selectivity,
-//! replication of `S`, shuffling cost).
+//! [`JoinPlan`] is the only configuration: every algorithm's cold driver and
+//! prepared state read their knobs from it.  [`metrics::JoinMetrics`]
+//! captures the quantities the paper's evaluation reports (per-phase running
+//! time, computation selectivity, replication of `S`, shuffling cost).
 
 pub mod algorithms;
 pub mod bounds;
@@ -104,10 +103,6 @@ pub mod result;
 pub mod serving;
 pub mod summary;
 
-pub use algorithms::{
-    BroadcastJoin, BroadcastJoinConfig, Hbrj, HbrjConfig, KnnJoinAlgorithm, Pbj, PbjConfig, Pgbj,
-    PgbjConfig, Zknn, ZknnConfig,
-};
 pub use builder::JoinBuilder;
 pub use context::{
     ExecutionContext, ExecutionContextBuilder, MemoryMetricsSink, MetricsSink, NullMetricsSink,

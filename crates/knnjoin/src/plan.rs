@@ -7,12 +7,9 @@
 //! [`crate::ExecutionContext`]; they can also be inspected, logged or reused
 //! across datasets of similar shape.
 
-use crate::algorithms::{
-    BroadcastJoin, BroadcastJoinConfig, Hbrj, HbrjConfig, KnnJoinAlgorithm, Pbj, PbjConfig, Pgbj,
-    PgbjConfig, Zknn, ZknnConfig,
-};
+use crate::algorithms::{broadcast, hbrj, pbj, pgbj, zknn};
 use crate::context::ExecutionContext;
-use crate::exact::NestedLoopJoin;
+use crate::exact::{validate_inputs, NestedLoopJoin};
 use crate::grouping::GroupingStrategy;
 use crate::pivots::PivotSelectionStrategy;
 use crate::result::{JoinError, JoinResult};
@@ -22,7 +19,7 @@ use spatial::RTree;
 /// The join algorithms selectable at runtime.
 ///
 /// The exact algorithms all produce identical results and differ only in cost
-/// structure — exactly what the paper's evaluation compares.  [`Zknn`] is the
+/// structure — exactly what the paper's evaluation compares.  [`Algorithm::Zknn`] is the
 /// one approximate algorithm (the z-value competitor of §6): its reported
 /// distances are true distances, but its candidate sets are z-order
 /// neighbourhoods, so recall can fall below 1 (see
@@ -106,7 +103,9 @@ pub struct JoinPlan {
     pub k: usize,
     /// The distance metric.
     pub metric: DistanceMetric,
-    /// Number of Voronoi pivots (meaningful for PGBJ/PBJ).
+    /// Number of Voronoi pivots (meaningful for PGBJ/PBJ).  The paper uses
+    /// 2000–8000 for multi-million-object datasets; scale proportionally to
+    /// the data.
     pub pivot_count: usize,
     /// Whether `pivot_count` was auto-tuned (≈ √|R|) rather than requested.
     pub pivots_auto_tuned: bool,
@@ -122,14 +121,22 @@ pub struct JoinPlan {
     pub map_tasks: usize,
     /// R-tree fanout (H-BRJ).
     pub rtree_fanout: usize,
-    /// `α`, the number of randomly shifted copies (H-zkNNJ).  More copies
-    /// heal more z-curve seams (higher recall) at proportionally more shuffle
-    /// and candidate work.
+    /// `α`, the number of randomly shifted copies (H-zkNNJ; the first copy is
+    /// always unshifted).  More copies heal more z-curve seams (higher
+    /// recall) at proportionally more shuffle and candidate work; the EDBT
+    /// paper uses 2–4.
     pub shift_copies: usize,
-    /// Grid bits per dimension of the z-value quantization (H-zkNNJ).
+    /// Grid bits per dimension of the z-value quantization (H-zkNNJ):
+    /// 1..=32, and `dims · bits` must fit the 256-bit z-value.  16 is plenty
+    /// for the paper's workloads.
     pub quantization_bits: u32,
     /// Candidate-window multiplier (H-zkNNJ): `z_window · k` z-neighbours per
-    /// side per shifted copy.
+    /// side per shifted copy (the EDBT paper's window is `z_window = 1`).
+    /// Widening the window compensates for the curve's distortion at higher
+    /// dimensionality, where true neighbours spread further along the curve;
+    /// the default 4 holds recall ≈ 0.9 at `shift_copies = 2` on the paper's
+    /// 10-d Forest workload while staying far below the exact algorithms'
+    /// distance work.
     pub z_window: usize,
     /// Whether map-side combiners run (PGBJ's partitioning job, the block
     /// algorithms' merge job) to cut shuffle volume.
@@ -153,73 +160,90 @@ pub struct JoinPlan {
 pub const DEFAULT_DELTA_THRESHOLD: usize = 1024;
 
 impl JoinPlan {
-    /// Instantiates the planned algorithm as a trait object, so callers can
-    /// also drive it through the legacy [`KnnJoinAlgorithm`] interface.
-    pub fn instantiate(&self) -> Box<dyn KnnJoinAlgorithm> {
-        match self.algorithm {
-            Algorithm::Pgbj => Box::new(Pgbj::new(PgbjConfig {
-                pivot_count: self.pivot_count,
-                pivot_strategy: self.pivot_strategy,
-                pivot_sample_size: self.pivot_sample_size,
-                grouping_strategy: self.grouping_strategy,
-                reducers: self.reducers,
-                map_tasks: self.map_tasks,
-                combiner: self.combiner,
-                seed: self.seed,
-                kernel_mode: self.kernel_mode,
-            })),
-            Algorithm::Pbj => Box::new(Pbj::new(PbjConfig {
-                pivot_count: self.pivot_count,
-                pivot_strategy: self.pivot_strategy,
-                pivot_sample_size: self.pivot_sample_size,
-                reducers: self.reducers,
-                map_tasks: self.map_tasks,
-                combiner: self.combiner,
-                seed: self.seed,
-                kernel_mode: self.kernel_mode,
-            })),
-            Algorithm::Hbrj => Box::new(Hbrj::new(HbrjConfig {
-                reducers: self.reducers,
-                map_tasks: self.map_tasks,
-                rtree_fanout: self.rtree_fanout,
-                combiner: self.combiner,
-                kernel_mode: self.kernel_mode,
-            })),
-            Algorithm::Zknn => Box::new(Zknn::new(ZknnConfig {
-                shift_copies: self.shift_copies,
-                quantization_bits: self.quantization_bits,
-                z_window: self.z_window,
-                reducers: self.reducers,
-                map_tasks: self.map_tasks,
-                combiner: self.combiner,
-                seed: self.seed,
-                kernel_mode: self.kernel_mode,
-            })),
-            Algorithm::BroadcastJoin => Box::new(BroadcastJoin::new(BroadcastJoinConfig {
-                reducers: self.reducers,
-                map_tasks: self.map_tasks,
-                kernel_mode: self.kernel_mode,
-            })),
-            Algorithm::NestedLoopJoin => Box::new(NestedLoopJoin),
+    /// Checks every data-independent rule a plan must satisfy — the single
+    /// place these live, called by [`crate::JoinBuilder::plan`] and again by
+    /// [`JoinPlan::execute`] (the fields are public, so a plan need not have
+    /// come from the builder).
+    ///
+    /// # Errors
+    /// [`JoinError::InvalidK`], [`JoinError::ZeroReducers`],
+    /// [`JoinError::ZeroMapTasks`] or [`JoinError::InvalidConfig`] naming the
+    /// offending knob.
+    pub fn validate(&self) -> Result<(), JoinError> {
+        let invalid = |msg: String| Err(JoinError::InvalidConfig(msg));
+        if self.k == 0 {
+            return Err(JoinError::InvalidK);
         }
+        if self.pivot_count == 0 {
+            return invalid("pivot_count must be positive".into());
+        }
+        if self.pivot_sample_size == 0 {
+            return invalid("pivot_sample_size must be positive".into());
+        }
+        // Pivot selection only examines `pivot_sample_size` objects, so a
+        // larger pivot count would be silently clamped at runtime; reject it
+        // instead so the plan stays truthful.
+        if self.pivot_count > self.pivot_sample_size {
+            return invalid(format!(
+                "pivot_count {} exceeds pivot_sample_size {}",
+                self.pivot_count, self.pivot_sample_size
+            ));
+        }
+        if self.reducers == 0 {
+            return Err(JoinError::ZeroReducers);
+        }
+        if self.map_tasks == 0 {
+            return Err(JoinError::ZeroMapTasks);
+        }
+        if self.rtree_fanout < 2 {
+            return invalid(format!(
+                "rtree_fanout must be at least 2 (got {})",
+                self.rtree_fanout
+            ));
+        }
+        if self.shift_copies == 0 {
+            return invalid("shift_copies must be at least 1".into());
+        }
+        if self.quantization_bits == 0 || self.quantization_bits > 32 {
+            return invalid(format!(
+                "quantization_bits must be in 1..=32 (got {})",
+                self.quantization_bits
+            ));
+        }
+        if self.z_window == 0 {
+            return invalid("z_window must be at least 1".into());
+        }
+        if self.delta_threshold == 0 {
+            return invalid("delta_threshold must be at least 1".into());
+        }
+        Ok(())
     }
 
     /// Executes the plan against `r` and `s` inside `ctx`, reporting the
     /// resulting metrics to the context's sink.
+    ///
+    /// # Errors
+    /// Returns the plan's [`JoinPlan::validate`] error, the input validation
+    /// error (`k`, empty / ragged / non-finite / mismatched datasets) or any
+    /// runtime / substrate [`JoinError`].
     pub fn execute(
         &self,
         r: &PointSet,
         s: &PointSet,
         ctx: &ExecutionContext,
     ) -> Result<JoinResult, JoinError> {
-        // The nested-loop oracle is a unit struct (no config to carry the
-        // knob through `instantiate`), so its mode dispatch lives here.
-        let result = if self.algorithm == Algorithm::NestedLoopJoin {
-            NestedLoopJoin.join_with_mode(r, s, self.k, self.metric, self.kernel_mode)?
-        } else {
-            self.instantiate()
-                .join_with(r, s, self.k, self.metric, ctx)?
-        };
+        self.validate()?;
+        validate_inputs(r, s, self.k)?;
+        let result = match self.algorithm {
+            Algorithm::Pgbj => pgbj::join(self, r, s, ctx),
+            Algorithm::Pbj => pbj::join(self, r, s, ctx),
+            Algorithm::Hbrj => hbrj::join(self, r, s, ctx),
+            Algorithm::Zknn => zknn::join(self, r, s, ctx),
+            Algorithm::BroadcastJoin => broadcast::join(self, r, s, ctx),
+            Algorithm::NestedLoopJoin => {
+                NestedLoopJoin.join_with_mode(r, s, self.k, self.metric, self.kernel_mode)
+            }
+        }?;
         ctx.record_join(self.algorithm.name(), &result.metrics);
         Ok(result)
     }
@@ -227,25 +251,23 @@ impl JoinPlan {
 
 impl Default for JoinPlan {
     fn default() -> Self {
-        let pgbj = PgbjConfig::default();
-        let zknn = ZknnConfig::default();
         Self {
             algorithm: Algorithm::default(),
             k: 1,
             metric: DistanceMetric::default(),
-            pivot_count: pgbj.pivot_count,
+            pivot_count: 32,
             pivots_auto_tuned: false,
-            pivot_strategy: pgbj.pivot_strategy,
-            pivot_sample_size: pgbj.pivot_sample_size,
-            grouping_strategy: pgbj.grouping_strategy,
-            reducers: pgbj.reducers,
-            map_tasks: pgbj.map_tasks,
+            pivot_strategy: PivotSelectionStrategy::default(),
+            pivot_sample_size: 10_000,
+            grouping_strategy: GroupingStrategy::Geometric,
+            reducers: 4,
+            map_tasks: 8,
             rtree_fanout: RTree::DEFAULT_FANOUT,
-            shift_copies: zknn.shift_copies,
-            quantization_bits: zknn.quantization_bits,
-            z_window: zknn.z_window,
-            combiner: pgbj.combiner,
-            seed: pgbj.seed,
+            shift_copies: 2,
+            quantization_bits: 16,
+            z_window: 4,
+            combiner: true,
+            seed: 0xC0FFEE,
             delta_threshold: DEFAULT_DELTA_THRESHOLD,
             kernel_mode: KernelMode::default(),
         }
@@ -282,13 +304,53 @@ mod tests {
     }
 
     #[test]
-    fn every_algorithm_instantiates_with_its_own_name() {
-        for algorithm in Algorithm::ALL {
-            let plan = JoinPlan {
-                algorithm,
-                ..Default::default()
-            };
-            assert_eq!(plan.instantiate().name(), algorithm.name());
+    fn validate_rejects_each_broken_rule_and_execute_never_panics_on_one() {
+        use crate::result::JoinErrorKind;
+        type Rule = (&'static str, fn(&mut JoinPlan));
+        let rows: [Rule; 10] = [
+            ("k", |p| p.k = 0),
+            ("pivot_count", |p| p.pivot_count = 0),
+            ("pivot_sample_size", |p| p.pivot_sample_size = 0),
+            ("reducers", |p| p.reducers = 0),
+            ("map_tasks", |p| p.map_tasks = 0),
+            ("rtree_fanout", |p| p.rtree_fanout = 1),
+            ("shift_copies", |p| p.shift_copies = 0),
+            ("quantization_bits", |p| p.quantization_bits = 33),
+            ("z_window", |p| p.z_window = 0),
+            ("delta_threshold", |p| p.delta_threshold = 0),
+        ];
+        let data = datagen::uniform(20, 2, 10.0, 1);
+        let ctx = ExecutionContext::default();
+        assert_eq!(JoinPlan::default().validate(), Ok(()));
+        for (rule, break_it) in rows {
+            for algorithm in Algorithm::ALL {
+                let mut plan = JoinPlan {
+                    algorithm,
+                    pivot_count: 4,
+                    ..Default::default()
+                };
+                break_it(&mut plan);
+                let err = plan.validate().expect_err(rule);
+                match rule {
+                    "k" => assert_eq!(err, JoinError::InvalidK),
+                    "reducers" => assert_eq!(err, JoinError::ZeroReducers),
+                    "map_tasks" => assert_eq!(err, JoinError::ZeroMapTasks),
+                    _ => {
+                        assert_eq!(err.kind(), JoinErrorKind::Configuration, "{rule}: {err}");
+                        assert!(err.to_string().contains(rule), "{rule}: {err}");
+                    }
+                }
+                // A hand-built plan reaches `execute` without the builder:
+                // the same typed error, never a panic deeper in.
+                assert_eq!(plan.execute(&data, &data, &ctx).unwrap_err(), err, "{rule}");
+            }
         }
+        // A pivot count the sampler would silently clamp is refused too.
+        let plan = JoinPlan {
+            pivot_count: 9,
+            pivot_sample_size: 8,
+            ..Default::default()
+        };
+        assert!(matches!(plan.validate(), Err(JoinError::InvalidConfig(_))));
     }
 }

@@ -42,10 +42,13 @@
 //! assert_eq!(result.metrics.pivot_selections, 0);
 //! ```
 
-use crate::algorithms::{BroadcastPrepared, HbrjPrepared, PbjPrepared, PgbjPrepared, ZknnPrepared};
+use crate::algorithms::broadcast;
+use crate::algorithms::hbrj::HbrjPrepared;
+use crate::algorithms::voronoi::VoronoiPrepared;
+use crate::algorithms::zknn::ZknnPrepared;
 use crate::context::{ExecutionContext, ServingStats};
 use crate::delta::{DeltaOverlay, DeltaStats};
-use crate::exact::NestedLoopPrepared;
+use crate::exact::{check_finite, FlatBlock};
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::{Algorithm, JoinPlan};
 use crate::result::{JoinError, JoinResult, JoinRow, ResultSink};
@@ -58,16 +61,15 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The per-algorithm S-side state (see each algorithm module's `*Prepared`
-/// type for what exactly is captured).
+/// The S-side state, one variant per scan family (see each type for what
+/// exactly is captured): PGBJ and PBJ share the Voronoi state, the broadcast
+/// and nested-loop joins the flat block.
 #[derive(Debug)]
 enum PreparedState {
-    Pgbj(PgbjPrepared),
-    Pbj(PbjPrepared),
+    Voronoi(VoronoiPrepared),
     Hbrj(HbrjPrepared),
     Zknn(ZknnPrepared),
-    Broadcast(BroadcastPrepared),
-    NestedLoop(NestedLoopPrepared),
+    Flat(FlatBlock),
 }
 
 impl PreparedState {
@@ -84,18 +86,12 @@ impl PreparedState {
         metrics: &mut JoinMetrics,
     ) -> Self {
         match self {
-            PreparedState::Pgbj(p) => PreparedState::Pgbj(p.compact(delta, plan, metrics)),
-            PreparedState::Pbj(p) => PreparedState::Pbj(p.compact(delta, plan, metrics)),
+            PreparedState::Voronoi(p) => PreparedState::Voronoi(p.compact(delta, plan, metrics)),
             PreparedState::Hbrj(p) => {
                 PreparedState::Hbrj(p.compact(materialized, delta, plan, metrics))
             }
             PreparedState::Zknn(p) => PreparedState::Zknn(p.compact(delta, metrics)),
-            PreparedState::Broadcast(p) => {
-                PreparedState::Broadcast(p.compact(materialized, metrics))
-            }
-            PreparedState::NestedLoop(p) => {
-                PreparedState::NestedLoop(p.compact(materialized, metrics))
-            }
+            PreparedState::Flat(p) => PreparedState::Flat(p.compact(materialized, metrics)),
         }
     }
 }
@@ -217,13 +213,7 @@ impl PreparedJoin {
         };
         let start = Instant::now();
         let state = match plan.algorithm {
-            Algorithm::Pgbj => PreparedState::Pgbj(PgbjPrepared::build(
-                calibration_r,
-                s,
-                &plan,
-                &mut build_metrics,
-            )),
-            Algorithm::Pbj => PreparedState::Pbj(PbjPrepared::build(
+            Algorithm::Pgbj | Algorithm::Pbj => PreparedState::Voronoi(VoronoiPrepared::build(
                 calibration_r,
                 s,
                 &plan,
@@ -238,16 +228,9 @@ impl PreparedJoin {
                 &plan,
                 &mut build_metrics,
             )),
-            Algorithm::BroadcastJoin => PreparedState::Broadcast(BroadcastPrepared::build(
-                s,
-                plan.kernel_mode,
-                &mut build_metrics,
-            )),
-            Algorithm::NestedLoopJoin => PreparedState::NestedLoop(NestedLoopPrepared::build(
-                s,
-                plan.kernel_mode,
-                &mut build_metrics,
-            )),
+            Algorithm::BroadcastJoin | Algorithm::NestedLoopJoin => {
+                PreparedState::Flat(FlatBlock::build(s, plan.kernel_mode, &mut build_metrics))
+            }
         };
         let build_time = start.elapsed();
         let epoch = Epoch {
@@ -356,7 +339,8 @@ impl PreparedJoin {
     ///
     /// # Errors
     /// Returns [`JoinError::DimensionalityMismatch`] when the point's
-    /// dimensionality differs from the corpus.
+    /// dimensionality differs from the corpus and
+    /// [`JoinError::NonFiniteInput`] when a coordinate is `NaN` or infinite.
     pub fn insert(&self, point: Point) -> Result<(), JoinError> {
         if point.coords.len() != self.inner.s_dims {
             return Err(JoinError::DimensionalityMismatch {
@@ -364,6 +348,7 @@ impl PreparedJoin {
                 s_dims: self.inner.s_dims,
             });
         }
+        check_finite("S", 0, &point.coords)?;
         let _guard = self.inner.mutate.lock();
         let epoch = self.inner.snapshot();
         let mut delta = (*epoch.delta).clone();
@@ -514,6 +499,9 @@ impl PreparedJoin {
                 s_dims: self.inner.s_dims,
             });
         }
+        for (index, p) in r.iter().enumerate() {
+            check_finite("R", index, &p.coords)?;
+        }
         let inner = &*self.inner;
         let epoch = inner.snapshot();
         // An empty overlay probes the frozen structures through exactly the
@@ -526,21 +514,21 @@ impl PreparedJoin {
             ..Default::default()
         };
         let start = Instant::now();
+        let (plan, ctx) = (&inner.plan, &inner.ctx);
         let mut rows = match &*epoch.state {
-            PreparedState::Pgbj(p) => p.probe(r, &inner.plan, &inner.ctx, delta, &mut metrics)?,
-            PreparedState::Pbj(p) => p.probe(r, &inner.plan, &inner.ctx, delta, &mut metrics)?,
-            PreparedState::Hbrj(p) => p.probe(r, &inner.plan, &inner.ctx, delta, &mut metrics)?,
-            PreparedState::Zknn(p) => p.probe(r, &inner.plan, &inner.ctx, delta, &mut metrics)?,
-            PreparedState::Broadcast(p) => {
-                p.probe(r, &inner.plan, &inner.ctx, delta, &mut metrics)?
+            PreparedState::Voronoi(p) => p.probe(r, plan, ctx, delta, &mut metrics)?,
+            PreparedState::Hbrj(p) => p.probe(r, plan, ctx, delta, &mut metrics)?,
+            PreparedState::Zknn(p) => p.probe(r, plan, ctx, delta, &mut metrics)?,
+            // Broadcast scans the block on the substrate; the nested-loop
+            // join (cold or prepared) runs on the calling thread.
+            PreparedState::Flat(block) => {
+                let delta = delta.map(|d| &**d);
+                if plan.algorithm == Algorithm::BroadcastJoin {
+                    broadcast::probe(block, r, plan, ctx, delta, &mut metrics)?
+                } else {
+                    block.scan_all(r, plan.k, plan.metric, delta, &mut metrics)
+                }
             }
-            PreparedState::NestedLoop(p) => p.probe(
-                r,
-                inner.plan.k,
-                inner.plan.metric,
-                delta.map(|d| &**d),
-                &mut metrics,
-            ),
         };
         let elapsed = start.elapsed();
         rows.sort_by_key(|row| row.r_id);
@@ -563,8 +551,8 @@ impl PreparedJoin {
     /// object of `r`.
     ///
     /// # Errors
-    /// Returns [`JoinError`] when the batch is empty, ragged, of the wrong
-    /// dimensionality, or the substrate fails.
+    /// Returns [`JoinError`] when the batch is empty, ragged, non-finite, of
+    /// the wrong dimensionality, or the substrate fails.
     pub fn query(&self, r: &PointSet) -> Result<JoinResult, JoinError> {
         let (rows, metrics) = self.run_probe(r)?;
         Ok(JoinResult { rows, metrics })

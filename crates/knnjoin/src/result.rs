@@ -50,6 +50,16 @@ pub enum JoinError {
         /// The dataset's dimensionality (from its first point).
         expected: usize,
     },
+    /// A coordinate is `NaN` or infinite.  Rejected up front at every entry
+    /// point (`run`, `prepare`, `query*`, `insert`): `NaN` breaks the total
+    /// order the summary tables and bounds sort by, and `±∞` turns distance
+    /// arithmetic into `NaN`.
+    NonFiniteInput {
+        /// Which dataset (`"R"` or `"S"`).
+        dataset: &'static str,
+        /// Index of the first offending point.
+        index: usize,
+    },
     /// An explicitly requested pivot count was zero or exceeded the datasets.
     PivotCountOutOfRange {
         /// The requested number of pivots.
@@ -124,6 +134,7 @@ impl JoinError {
             | JoinError::EmptyInput(_)
             | JoinError::DimensionalityMismatch { .. }
             | JoinError::RaggedInput { .. }
+            | JoinError::NonFiniteInput { .. }
             | JoinError::PivotCountOutOfRange { .. }
             | JoinError::ZeroReducers
             | JoinError::ZeroMapTasks => JoinErrorKind::PlanValidation,
@@ -152,6 +163,10 @@ impl std::fmt::Display for JoinError {
                 f,
                 "dataset {dataset} is ragged: point at index {index} has {dims} \
                  dimensions, expected {expected}"
+            ),
+            JoinError::NonFiniteInput { dataset, index } => write!(
+                f,
+                "dataset {dataset} has a non-finite coordinate in the point at index {index}"
             ),
             JoinError::PivotCountOutOfRange {
                 pivot_count,

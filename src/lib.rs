@@ -70,10 +70,6 @@ pub mod prelude {
         ForestConfig, OsmConfig,
     };
     pub use geom::{DistanceMetric, KernelMode, Neighbor, Point, PointSet};
-    pub use knnjoin::algorithms::{
-        BroadcastJoin, BroadcastJoinConfig, Hbrj, HbrjConfig, KnnJoinAlgorithm, Pbj, PbjConfig,
-        Pgbj, PgbjConfig, Zknn, ZknnConfig,
-    };
     pub use knnjoin::{
         Algorithm, DeltaOverlay, DeltaStats, ExecutionContext, GroupingStrategy, JoinBuilder,
         JoinError, JoinErrorKind, JoinPlan, JoinResult, JoinRow, JoinSession, LatencyHistogram,

@@ -197,3 +197,71 @@ fn plans_are_inspectable_and_reusable() {
     let b = plan.execute(&r, &r, &ctx).unwrap();
     assert!(a.matches(&b, 0.0));
 }
+
+/// A `NaN` or infinite coordinate is refused with the same typed error at
+/// every entry point of every algorithm — it used to panic PGBJ / PBJ inside
+/// the summary-table sort and slip through H-BRJ and the nested loop.
+#[test]
+fn non_finite_coordinates_are_rejected_at_every_entry_point() {
+    let ctx = ExecutionContext::default();
+    let good = uniform(30, 2, 10.0, 81);
+    let poisoned = |bad: f64| {
+        let mut set = uniform(30, 2, 10.0, 82);
+        set.points_mut()[7].coords[1] = bad;
+        set
+    };
+    for algorithm in Algorithm::ALL {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let join = |r, s| Join::new(r, s).k(3).algorithm(algorithm).reducers(3);
+            let in_s = JoinError::NonFiniteInput {
+                dataset: "S",
+                index: 7,
+            };
+            let in_r = JoinError::NonFiniteInput {
+                dataset: "R",
+                index: 7,
+            };
+            let bad_set = poisoned(bad);
+            assert_eq!(join(&good, &bad_set).run(&ctx).unwrap_err(), in_s);
+            assert_eq!(join(&bad_set, &good).run(&ctx).unwrap_err(), in_r);
+            assert_eq!(join(&good, &bad_set).prepare(&ctx).unwrap_err(), in_s);
+
+            let prepared = join(&good, &good).prepare(&ctx).expect("prepare");
+            assert_eq!(prepared.query(&bad_set).unwrap_err(), in_r);
+            let bad_point = Point::new(900, vec![1.0, bad]);
+            assert_eq!(
+                prepared.query_one(&bad_point).unwrap_err(),
+                JoinError::NonFiniteInput {
+                    dataset: "R",
+                    index: 0
+                }
+            );
+            assert_eq!(
+                prepared.insert(bad_point).unwrap_err(),
+                JoinError::NonFiniteInput {
+                    dataset: "S",
+                    index: 0
+                }
+            );
+            // The refused insert left the corpus untouched and queryable.
+            assert_eq!(prepared.epoch(), 0);
+            assert_eq!(prepared.query(&good).expect("query").len(), good.len());
+        }
+    }
+}
+
+/// `JoinPlan` has public fields and a public `execute`: a hand-built plan
+/// must meet the same validation as one from the builder instead of
+/// panicking deep inside pivot selection.
+#[test]
+fn hand_built_plans_are_validated_on_execute() {
+    let (r, s) = uniform_pair(20, 20, 2, 83);
+    let ctx = ExecutionContext::default();
+    let plan = Join::new(&r, &s).k(2).plan().expect("valid plan");
+    let broken = JoinPlan {
+        pivot_sample_size: 0,
+        ..plan
+    };
+    let err = broken.execute(&r, &s, &ctx).unwrap_err();
+    assert_eq!(err.kind(), JoinErrorKind::Configuration, "{err}");
+}

@@ -9,7 +9,7 @@
 //! since every reducer sees all of `S`.
 
 use crate::algorithms::common::{
-    counters, encode_probe_batch, encode_raw_inputs, rows_from_output, run_serve_job, DeltaBlock,
+    counters, encode_probe_batch, encode_raw_inputs, rows_from_output, run_serve_job, DeltaView,
     EncodedRecord, HashRouteMapper, TileScratch,
 };
 use crate::context::ExecutionContext;
@@ -128,7 +128,7 @@ impl Reducer for BroadcastReducer {
         let mut scratch = TileScratch::new();
         for r_obj in &r_block {
             let (neighbors, counts) =
-                block.scan(&r_obj.coords, self.k, self.metric, None, None, &mut scratch);
+                block.scan(&r_obj.coords, self.k, self.metric, None, &mut scratch);
             ctx.counters()
                 .add(counters::DISTANCE_COMPUTATIONS, counts.frozen);
             ctx.emit(r_obj.id, neighbors);
@@ -160,8 +160,7 @@ pub(crate) fn probe(
             block,
             k: plan.k,
             metric: plan.metric,
-            delta,
-            delta_block: DeltaBlock::gather(delta, block.dims()),
+            delta: delta.map(|overlay| DeltaView::gather(overlay, block.dims())),
         },
         metrics,
     )
@@ -173,9 +172,8 @@ struct BroadcastServeReducer<'a> {
     block: &'a FlatBlock,
     k: usize,
     metric: DistanceMetric,
-    delta: Option<&'a DeltaOverlay>,
-    /// The overlay's adds in flat layout, gathered once per probe.
-    delta_block: Option<DeltaBlock>,
+    /// The delta overlay, gathered once per probe.
+    delta: Option<DeltaView<'a>>,
 }
 
 impl Reducer for BroadcastServeReducer<'_> {
@@ -197,8 +195,7 @@ impl Reducer for BroadcastServeReducer<'_> {
                 &r_obj.coords,
                 self.k,
                 self.metric,
-                self.delta,
-                self.delta_block.as_ref(),
+                self.delta.as_ref(),
                 &mut scratch,
             );
             ctx.counters()

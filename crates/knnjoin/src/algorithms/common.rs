@@ -157,29 +157,39 @@ impl ScanKernels {
     }
 }
 
-/// The delta overlay's added points gathered into flat columnar layout, so
-/// scans stream them like any other block instead of chasing one `BTreeMap`
-/// node per add.  Built once per probe (the overlay is immutable between
-/// mutations), iterating `adds()` in its deterministic ascending-id order.
-#[derive(Debug, Clone)]
-pub(crate) struct DeltaBlock {
+/// What one probe sees of a mutated corpus's S-delta memtable: the overlay
+/// (for tombstone tests) plus its added points gathered into flat columnar
+/// layout, so scans stream them like any other block instead of chasing one
+/// `BTreeMap` node per add.  Built once per probe (the overlay is immutable
+/// between mutations), iterating `adds()` in its deterministic ascending-id
+/// order.
+#[derive(Debug)]
+pub(crate) struct DeltaView<'a> {
+    overlay: &'a DeltaOverlay,
     /// Added ids, parallel to the coordinate rows.
     pub ids: Vec<PointId>,
     /// Added coordinates, one row per add.
     pub coords: CoordMatrix,
 }
 
-impl DeltaBlock {
-    /// Gathers the overlay's adds; `None` when there is nothing to gather.
-    pub(crate) fn gather(delta: Option<&DeltaOverlay>, dims: usize) -> Option<Self> {
-        let overlay = delta.filter(|d| d.adds_len() > 0)?;
+impl<'a> DeltaView<'a> {
+    pub(crate) fn gather(overlay: &'a DeltaOverlay, dims: usize) -> Self {
         let mut ids = Vec::with_capacity(overlay.adds_len());
         let mut coords = CoordMatrix::with_capacity(dims, overlay.adds_len());
         for (id, row) in overlay.adds() {
             ids.push(id);
             coords.push_row(row);
         }
-        Some(Self { ids, coords })
+        Self {
+            overlay,
+            ids,
+            coords,
+        }
+    }
+
+    /// Whether `id`'s frozen copy is masked.
+    pub(crate) fn is_tombstoned(&self, id: PointId) -> bool {
+        self.overlay.is_tombstoned(id)
     }
 }
 
@@ -205,8 +215,9 @@ impl TileScratch {
 }
 
 /// Walks `n` rows in [`PROBE_TILE`]-row tiles, calling `each(first, last)`
-/// with every tile's half-open row range.
-#[inline]
+/// with every tile's half-open row range.  `each` is a scan's hot tile loop,
+/// so the walk is always folded into the caller.
+#[inline(always)]
 pub(crate) fn for_each_tile(n: usize, mut each: impl FnMut(usize, usize)) {
     let mut t0 = 0;
     while t0 < n {

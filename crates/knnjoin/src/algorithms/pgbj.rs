@@ -14,7 +14,7 @@
 //!    to all groups whose bound cannot exclude it (Theorem 6); each reducer
 //!    runs the bounded nested-loop join of Algorithm 3 over its group.
 
-use crate::algorithms::common::{counters, rows_from_output, EncodedRecord};
+use crate::algorithms::common::{counters, encode_raw_inputs, rows_from_output, EncodedRecord};
 use crate::algorithms::voronoi::{encode_partitioned, select_plan_pivots, VoronoiScan};
 use crate::bounds::PartitionBounds;
 use crate::context::ExecutionContext;
@@ -60,7 +60,7 @@ pub(crate) fn join(
         .map_tasks(plan.map_tasks)
         .workers(ctx.workers())
         .run_with_optional_combiner(
-            crate::algorithms::common::encode_raw_inputs(r, s),
+            encode_raw_inputs(r, s),
             &PartitionMapper {
                 partitioner: Arc::clone(&partitioner),
             },

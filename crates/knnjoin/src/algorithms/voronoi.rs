@@ -9,7 +9,7 @@
 //! partitions, the scan order and `θ_i` come from.
 
 use crate::algorithms::common::{
-    counters, for_each_tile, run_serve_job, DeltaBlock, EncodedRecord, HashRouteMapper, ScanCounts,
+    counters, for_each_tile, run_serve_job, DeltaView, EncodedRecord, HashRouteMapper, ScanCounts,
     ScanKernels, TileScratch,
 };
 use crate::bounds::{hyperplane_bound, theorem2_window, PartitionBounds};
@@ -17,7 +17,7 @@ use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
 use crate::grouping::build_grouping;
 use crate::metrics::{phases, JoinMetrics};
-use crate::partition::VoronoiPartitioner;
+use crate::partition::{PartitionedDataset, VoronoiPartitioner};
 use crate::pivots::select_pivots_with_mode;
 use crate::plan::{Algorithm, JoinPlan};
 use crate::result::{JoinError, JoinRow};
@@ -158,8 +158,7 @@ pub struct VoronoiScan<'a> {
     k: usize,
     metric: DistanceMetric,
     kernels: ScanKernels,
-    delta: Option<&'a DeltaOverlay>,
-    delta_block: Option<&'a DeltaBlock>,
+    delta: Option<&'a DeltaView<'a>>,
     scratch: TileScratch,
 }
 
@@ -177,20 +176,13 @@ impl<'a> VoronoiScan<'a> {
             metric,
             kernels: ScanKernels::new(metric, mode),
             delta: None,
-            delta_block: None,
             scratch: TileScratch::new(),
         }
     }
 
-    /// Attaches the S-delta memtable of a mutated [`crate::PreparedJoin`]:
-    /// the overlay (for tombstone tests) and its gathered adds.
-    pub(crate) fn with_delta(
-        mut self,
-        delta: Option<&'a DeltaOverlay>,
-        delta_block: Option<&'a DeltaBlock>,
-    ) -> Self {
+    /// Attaches the S-delta memtable of a mutated [`crate::PreparedJoin`].
+    pub(crate) fn with_delta(mut self, delta: Option<&'a DeltaView<'a>>) -> Self {
         self.delta = delta;
-        self.delta_block = delta_block;
         self
     }
 
@@ -210,7 +202,7 @@ impl<'a> VoronoiScan<'a> {
         let dim = r_coords.len();
         let mut neighbors = NeighborList::new(self.k);
         let mut counts = ScanCounts::default();
-        if let Some(block) = self.delta_block {
+        if let Some(block) = self.delta {
             let rows = block.coords.as_slice();
             for_each_tile(block.ids.len(), |t0, t1| {
                 let dists = &mut self.scratch.ranks[..t1 - t0];
@@ -300,7 +292,7 @@ impl<'a> VoronoiScan<'a> {
             }
             if self
                 .delta
-                .is_some_and(|overlay| overlay.is_tombstoned(bucket.ids[idx]))
+                .is_some_and(|delta| delta.is_tombstoned(bucket.ids[idx]))
             {
                 counts.masked += 1;
                 continue;
@@ -357,7 +349,7 @@ impl<'a> VoronoiScan<'a> {
                 }
                 if self
                     .delta
-                    .is_some_and(|overlay| overlay.is_tombstoned(bucket.ids[idx]))
+                    .is_some_and(|delta| delta.is_tombstoned(bucket.ids[idx]))
                 {
                     counts.masked += 1;
                     continue;
@@ -419,8 +411,8 @@ pub(crate) fn select_plan_pivots(
 /// its partition and pivot distance; `key_of` picks the map key (the
 /// partition for PGBJ's routing job, the object id for the block framework).
 pub(crate) fn encode_partitioned<K>(
-    partitioned_r: &crate::partition::PartitionedDataset,
-    partitioned_s: &crate::partition::PartitionedDataset,
+    partitioned_r: &PartitionedDataset,
+    partitioned_s: &PartitionedDataset,
     key_of: impl Fn(u32, &Point) -> K,
 ) -> Vec<(K, EncodedRecord)> {
     let mut input = Vec::with_capacity(partitioned_r.len() + partitioned_s.len());
@@ -714,11 +706,7 @@ impl VoronoiPrepared {
             k: plan.k,
             metric: plan.metric,
             mode: plan.kernel_mode,
-            delta: delta.map(|d| &**d),
-            delta_block: DeltaBlock::gather(
-                delta.map(|d| &**d),
-                self.partitioner.pivot_matrix().dims(),
-            ),
+            delta: delta.map(|d| DeltaView::gather(d, self.partitioner.pivot_matrix().dims())),
         };
         match grouping {
             Some(grouping) => run_serve_job(
@@ -852,11 +840,10 @@ struct VoronoiServeReducer<'a> {
     k: usize,
     metric: DistanceMetric,
     mode: KernelMode,
-    /// The S-delta memtable of a mutated prepared join; `None` keeps the
-    /// scan (and its counters) bit-identical to the frozen-only path.
-    delta: Option<&'a DeltaOverlay>,
-    /// The overlay's adds in flat layout, gathered once per probe.
-    delta_block: Option<DeltaBlock>,
+    /// The S-delta memtable of a mutated prepared join, gathered once per
+    /// probe; `None` keeps the scan (and its counters) bit-identical to the
+    /// frozen-only path.
+    delta: Option<DeltaView<'a>>,
 }
 
 impl Reducer for VoronoiServeReducer<'_> {
@@ -872,7 +859,7 @@ impl Reducer for VoronoiServeReducer<'_> {
         ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
     ) {
         let mut scan = VoronoiScan::new(self.tables, self.k, self.metric, self.mode)
-            .with_delta(self.delta, self.delta_block.as_ref());
+            .with_delta(self.delta.as_ref());
         for value in values {
             let record = value.decode();
             let i = record.partition as usize;
@@ -946,11 +933,11 @@ mod tests {
                 }
             }
             let empty = DeltaOverlay::default();
-            let no_adds = DeltaBlock::gather(Some(&empty), dims);
+            let no_adds = DeltaView::gather(&empty, dims);
             for mode in [KernelMode::Exact, KernelMode::Fast] {
                 let mut frozen = VoronoiScan::new(&tables, k, metric, mode);
                 let mut overlaid = VoronoiScan::new(&tables, k, metric, mode)
-                    .with_delta(Some(&empty), no_adds.as_ref());
+                    .with_delta(Some(&no_adds));
                 for (i, bucket) in pr.partitions.iter().enumerate() {
                     let s_order = order_s_partitions(&s_parts, i, &tables);
                     for (r_obj, r_pivot_dist) in bucket {

@@ -9,7 +9,7 @@
 //! resident block (kernel modes, delta overlay) for the broadcast join of §3
 //! and the prepared nested-loop / broadcast serving paths.
 
-use crate::algorithms::common::{for_each_tile, DeltaBlock, ScanCounts, TileScratch};
+use crate::algorithms::common::{for_each_tile, DeltaView, ScanCounts, TileScratch};
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
 use crate::result::{JoinError, JoinResult, JoinRow};
@@ -184,15 +184,14 @@ impl FlatBlock {
         query: &[f64],
         k: usize,
         metric: DistanceMetric,
-        delta: Option<&DeltaOverlay>,
-        delta_block: Option<&DeltaBlock>,
+        delta: Option<&DeltaView<'_>>,
         scratch: &mut TileScratch,
     ) -> (Vec<Neighbor>, ScanCounts) {
         let dim = self.coords.dims();
         let ids = &self.ids;
         let mut neighbors = NeighborList::new(k);
         let mut counts = ScanCounts::default();
-        let tombstoned = |id: PointId| delta.is_some_and(|overlay| overlay.is_tombstoned(id));
+        let tombstoned = |id: PointId| delta.is_some_and(|delta| delta.is_tombstoned(id));
         if self.mode.is_exact() {
             let kernel = metric.kernel();
             for (i, row) in self.coords.rows().enumerate() {
@@ -203,7 +202,7 @@ impl FlatBlock {
                 neighbors.offer(ids[i], kernel(query, row));
                 counts.frozen += 1;
             }
-            if let Some(block) = delta_block {
+            if let Some(block) = delta {
                 for (i, row) in block.coords.rows().enumerate() {
                     neighbors.offer(block.ids[i], kernel(query, row));
                     counts.delta += 1;
@@ -212,7 +211,7 @@ impl FlatBlock {
             return (neighbors.into_sorted(), counts);
         }
         let batch = metric.batch_rank_kernel();
-        if let Some(block) = delta_block {
+        if let Some(block) = delta {
             let rows = block.coords.as_slice();
             for_each_tile(block.ids.len(), |t0, t1| {
                 let ranks = &mut scratch.ranks[..t1 - t0];
@@ -289,18 +288,12 @@ impl FlatBlock {
         metrics: &mut JoinMetrics,
     ) -> Vec<JoinRow> {
         let start = Instant::now();
-        let delta_block = DeltaBlock::gather(delta, self.dims());
+        let delta = delta.map(|overlay| DeltaView::gather(overlay, self.dims()));
         let mut scratch = TileScratch::new();
         let mut rows = Vec::with_capacity(r.len());
         for r_obj in r {
-            let (neighbors, counts) = self.scan(
-                &r_obj.coords,
-                k,
-                metric,
-                delta,
-                delta_block.as_ref(),
-                &mut scratch,
-            );
+            let (neighbors, counts) =
+                self.scan(&r_obj.coords, k, metric, delta.as_ref(), &mut scratch);
             metrics.distance_computations += counts.frozen;
             metrics.delta_probe_computations += counts.delta;
             metrics.tombstone_masked += counts.masked;
@@ -314,18 +307,16 @@ impl FlatBlock {
     }
 }
 
-/// The first non-finite coordinate of one point, as the typed error every
-/// entry point refuses it with: `NaN` breaks the total order the summary
+/// Refuses the first point with a non-finite coordinate, with the typed
+/// error every entry point shares: `NaN` breaks the total order the summary
 /// tables sort by, and `±∞` turns distance arithmetic into `NaN`.
-pub(crate) fn check_finite(
-    dataset: &'static str,
-    index: usize,
-    coords: &[f64],
-) -> Result<(), JoinError> {
-    if coords.iter().all(|c| c.is_finite()) {
-        Ok(())
-    } else {
-        Err(JoinError::NonFiniteInput { dataset, index })
+pub(crate) fn check_finite(dataset: &'static str, points: &[Point]) -> Result<(), JoinError> {
+    match points
+        .iter()
+        .position(|p| p.coords.iter().any(|c| !c.is_finite()))
+    {
+        Some(index) => Err(JoinError::NonFiniteInput { dataset, index }),
+        None => Ok(()),
     }
 }
 
@@ -353,9 +344,7 @@ pub(crate) fn validate_inputs(r: &PointSet, s: &PointSet, k: usize) -> Result<()
                 expected: set.dims(),
             });
         }
-        for (index, p) in set.iter().enumerate() {
-            check_finite(name, index, &p.coords)?;
-        }
+        check_finite(name, set.points())?;
     }
     if r.dims() != s.dims() {
         return Err(JoinError::DimensionalityMismatch {
@@ -532,7 +521,7 @@ mod tests {
     /// (1e-9), to measured recall in `RankF32`.
     #[test]
     fn flat_block_scan_equals_the_oracle_over_the_materialized_corpus() {
-        use crate::algorithms::common::{DeltaBlock, TileScratch};
+        use crate::algorithms::common::{DeltaView, TileScratch};
         let frozen = uniform(600, 4, 30.0, 41);
         let r = uniform(50, 4, 30.0, 42);
         let k = 5;
@@ -560,21 +549,14 @@ mod tests {
                 let oracle = NestedLoopJoin.join(&r, corpus, k, metric).unwrap();
                 for mode in [KernelMode::Exact, KernelMode::Fast, KernelMode::RankF32] {
                     let block = FlatBlock::new(frozen.points(), mode);
-                    let delta_block = DeltaBlock::gather(delta, 4);
+                    let view = delta.map(|overlay| DeltaView::gather(overlay, 4));
                     let mut scratch = TileScratch::new();
                     let rows = r
                         .iter()
                         .map(|q| JoinRow {
                             r_id: q.id,
                             neighbors: block
-                                .scan(
-                                    &q.coords,
-                                    k,
-                                    metric,
-                                    delta,
-                                    delta_block.as_ref(),
-                                    &mut scratch,
-                                )
+                                .scan(&q.coords, k, metric, view.as_ref(), &mut scratch)
                                 .0,
                         })
                         .collect();

@@ -348,7 +348,7 @@ impl PreparedJoin {
                 s_dims: self.inner.s_dims,
             });
         }
-        check_finite("S", 0, &point.coords)?;
+        check_finite("S", std::slice::from_ref(&point))?;
         let _guard = self.inner.mutate.lock();
         let epoch = self.inner.snapshot();
         let mut delta = (*epoch.delta).clone();
@@ -499,9 +499,7 @@ impl PreparedJoin {
                 s_dims: self.inner.s_dims,
             });
         }
-        for (index, p) in r.iter().enumerate() {
-            check_finite("R", index, &p.coords)?;
-        }
+        check_finite("R", r.points())?;
         let inner = &*self.inner;
         let epoch = inner.snapshot();
         // An empty overlay probes the frozen structures through exactly the

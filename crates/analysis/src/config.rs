@@ -193,5 +193,6 @@ fn default_probe_calls() -> Vec<&'static str> {
         ".query_into(",
         ".prepare(",
         "run_job(",
+        "probe_rows(",
     ]
 }

@@ -1010,6 +1010,14 @@ mod tests {
         let f = check_one("src/l.rs", src, &cfg);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].lint, "guard-across-probe");
+        // The direct probe routine is a free function, not a method.
+        let src = "fn f() {\n    let g = m.lock();\n    probe_rows(n, 1, metrics, new, scan);\n}\n";
+        let f = check_one("src/l.rs", src, &cfg);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].lint, "guard-across-probe");
+        // Its definition is not a call.
+        let def = "fn f() {\n    let g = m.lock();\n}\nfn probe_rows(n: usize) {}\n";
+        assert!(check_one("src/l.rs", def, &cfg).is_empty());
     }
 
     #[test]

@@ -34,7 +34,6 @@ use crate::workloads::{ExperimentScale, Workloads};
 use geom::{DistanceMetric, Point, PointSet};
 use knnjoin::{Algorithm, JoinBuilder, JoinError, PreparedJoin, Server, ServerConfig, ServerStats};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Points per batch submit on the mixed row.
 const BATCH_POINTS: usize = 4;
@@ -235,10 +234,9 @@ fn overload_row(prepared: &PreparedJoin, queries: &PointSet) -> ServingRow {
         ServerConfig::default()
             .workers(1)
             .queue_depth(OVERLOAD_CAP)
-            // Paused workers cannot flush, so the queue fills to the cap;
-            // on resume the size trigger drains it in one batch.
+            // Paused workers take nothing, so the queue fills to the cap; on
+            // resume the one worker drains it in one batch.
             .max_batch(OVERLOAD_CAP)
-            .max_wait(Duration::from_secs(3600))
             .start_paused(true),
     );
     let points = queries.points();

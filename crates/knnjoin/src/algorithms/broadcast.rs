@@ -9,15 +9,13 @@
 //! since every reducer sees all of `S`.
 
 use crate::algorithms::common::{
-    counters, encode_probe_batch, encode_raw_inputs, rows_from_output, run_serve_job, DeltaView,
-    EncodedRecord, HashRouteMapper, TileScratch,
+    counters, encode_raw_inputs, rows_from_output, EncodedRecord, TileScratch,
 };
 use crate::context::ExecutionContext;
-use crate::delta::DeltaOverlay;
 use crate::exact::FlatBlock;
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
-use crate::result::{JoinError, JoinResult, JoinRow};
+use crate::result::{JoinError, JoinResult};
 use geom::{DistanceMetric, KernelMode, Neighbor, Point, PointSet, RecordKind};
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::time::Instant;
@@ -131,81 +129,6 @@ impl Reducer for BroadcastReducer {
                 block.scan(&r_obj.coords, self.k, self.metric, None, &mut scratch);
             ctx.counters()
                 .add(counters::DISTANCE_COMPUTATIONS, counts.frozen);
-            ctx.emit(r_obj.id, neighbors);
-        }
-    }
-}
-
-/// Answers one probe batch of the prepared broadcast join: one serve job,
-/// every reducer scanning the resident `block` (minus tombstones, plus the
-/// memtable's adds) for its slice of `R`.
-pub(crate) fn probe(
-    block: &FlatBlock,
-    r: &PointSet,
-    plan: &JoinPlan,
-    ctx: &ExecutionContext,
-    delta: Option<&DeltaOverlay>,
-    metrics: &mut JoinMetrics,
-) -> Result<Vec<JoinRow>, JoinError> {
-    run_serve_job(
-        "broadcast-serve",
-        encode_probe_batch(r),
-        plan.reducers,
-        plan.map_tasks,
-        ctx.workers(),
-        &HashRouteMapper {
-            reducers: plan.reducers,
-        },
-        &BroadcastServeReducer {
-            block,
-            k: plan.k,
-            metric: plan.metric,
-            delta: delta.map(|overlay| DeltaView::gather(overlay, block.dims())),
-        },
-        metrics,
-    )
-}
-
-/// Serve reducer: the cold [`BroadcastReducer`] scan against the resident
-/// flat `S`, merged with the delta overlay when one is present.
-struct BroadcastServeReducer<'a> {
-    block: &'a FlatBlock,
-    k: usize,
-    metric: DistanceMetric,
-    /// The delta overlay, gathered once per probe.
-    delta: Option<DeltaView<'a>>,
-}
-
-impl Reducer for BroadcastServeReducer<'_> {
-    type KIn = u32;
-    type VIn = EncodedRecord;
-    type KOut = u64;
-    type VOut = Vec<Neighbor>;
-
-    fn reduce(
-        &self,
-        _key: &u32,
-        values: &[EncodedRecord],
-        ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
-    ) {
-        let mut scratch = TileScratch::new();
-        for value in values {
-            let r_obj = value.decode().point;
-            let (neighbors, counts) = self.block.scan(
-                &r_obj.coords,
-                self.k,
-                self.metric,
-                self.delta.as_ref(),
-                &mut scratch,
-            );
-            ctx.counters()
-                .add(counters::DISTANCE_COMPUTATIONS, counts.frozen);
-            if self.delta.is_some() {
-                ctx.counters()
-                    .add(counters::DELTA_PROBE_COMPUTATIONS, counts.delta);
-                ctx.counters()
-                    .add(counters::TOMBSTONE_MASKED, counts.masked);
-            }
             ctx.emit(r_obj.id, neighbors);
         }
     }

@@ -1,16 +1,17 @@
 //! Pieces shared by every MapReduce join algorithm: the serialised record
 //! value type used across shuffles, the neighbour-list value type used by the
 //! merge jobs, the kernel / delta / tile plumbing of the candidate scans, and
-//! the prepared probe job.
+//! the direct probe routine of the prepared families.
 
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
-use crate::result::{JoinError, JoinRow};
+use crate::result::JoinRow;
 use geom::kernels::{BatchKernel, Kernel, PROBE_TILE};
 use geom::{
     CoordMatrix, DistanceMetric, KernelMode, Neighbor, Point, PointId, PointSet, Record, RecordKind,
 };
-use mapreduce::{ByteSize, IdentityPartitioner, JobBuilder, MapContext, Mapper, Reducer};
+use mapreduce::{parallel_map, ByteSize};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Counter names used by the join jobs (defined next to [`crate::JoinMetrics`],
@@ -228,7 +229,7 @@ pub(crate) fn for_each_tile(n: usize, mut each: impl FnMut(usize, usize)) {
 }
 
 // ---------------------------------------------------------------------------
-// Job inputs and the prepared probe job
+// Cold job inputs/outputs and the prepared probe routine
 // ---------------------------------------------------------------------------
 
 /// Encodes raw `R ∪ S` as job input for the algorithms without a
@@ -244,15 +245,6 @@ pub(crate) fn encode_raw_inputs(r: &PointSet, s: &PointSet) -> Vec<(u64, Encoded
     input
 }
 
-/// Encodes a probe batch as job input without partition information (the
-/// prepared paths that need no Voronoi assignment: H-BRJ, H-zkNNJ,
-/// broadcast).
-pub(crate) fn encode_probe_batch(r: &PointSet) -> Vec<(u64, EncodedRecord)> {
-    r.iter()
-        .map(|p| (p.id, EncodedRecord::from_parts(RecordKind::R, 0, 0.0, p)))
-        .collect()
-}
-
 /// Turns a job's `(r id, neighbours)` output into join rows.
 pub(crate) fn rows_from_output(output: Vec<(u64, Vec<Neighbor>)>) -> Vec<JoinRow> {
     output
@@ -261,56 +253,84 @@ pub(crate) fn rows_from_output(output: Vec<(u64, Vec<Neighbor>)>) -> Vec<JoinRow
         .collect()
 }
 
-/// Runs one prepared probe job end to end: the single MapReduce job every
-/// prepared probe shares (only the mapper, the reducer and the reducer
-/// count differ per algorithm), including the `knn join` phase timing, the
-/// substrate error mapping and the row collection.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_serve_job<M, R>(
-    name: &'static str,
-    input: Vec<(u64, EncodedRecord)>,
-    reducers: usize,
-    map_tasks: usize,
+/// Labels a probe's positional neighbour lists with the ids of the points
+/// whose coordinate rows it was given.
+pub(crate) fn label_rows(r: &PointSet, neighbors: Vec<Vec<Neighbor>>) -> Vec<JoinRow> {
+    r.iter()
+        .zip(neighbors)
+        .map(|(p, neighbors)| JoinRow {
+            r_id: p.id,
+            neighbors,
+        })
+        .collect()
+}
+
+/// Rows below which a prepared probe scans its batch inline on the calling
+/// thread; from this many rows up the batch is cut into one contiguous row
+/// range per worker and scanned on the engine's scoped threads.
+///
+/// Measured with PGBJ on the benchmark's two shapes (`forest10d` 12 000 ×
+/// 10-d and `osm2d` 48 000 × 2-d, 110 pivots, 2 workers on 2 cores), where a
+/// row costs ~11.5 µs to scan on either: handing two ranges to
+/// [`parallel_map`] costs ~130 µs of spawn + join, so the split breaks even
+/// at 16 rows (188 µs inline vs 180 µs split on `forest10d`), wins 14–23%
+/// at 32 and ~30% at 64.  The hand-off grows with the worker count while
+/// the per-range work shrinks, so the cut sits at four times the 2-worker
+/// break-even — and above the server's default `max_batch` of 16, so a
+/// coalesced batch, which only forms while every server worker is busy,
+/// never spawns threads of its own.
+pub const PARALLEL_PROBE_CUT: usize = 64;
+
+/// The one probe routine of every prepared family: runs `scan_row` for rows
+/// `0..n` and returns their neighbour lists positionally, folding the scan
+/// counters into `metrics` and recording the `knn join` phase.  Nothing is
+/// encoded, shuffled or grouped — `S` is resident, so a probe costs what its
+/// scans cost.  Batches of [`PARALLEL_PROBE_CUT`] rows or more are split into
+/// one contiguous range per worker on the engine's [`parallel_map`]; each
+/// range builds its own scan state (kernels, tile scratch) with `new_scan`.
+/// Rows are scanned independently, so the split changes neither a row nor a
+/// counter.
+pub(crate) fn probe_rows<S>(
+    n: usize,
     workers: usize,
-    mapper: &M,
-    reducer: &R,
     metrics: &mut JoinMetrics,
-) -> Result<Vec<JoinRow>, JoinError>
-where
-    M: Mapper<KIn = u64, VIn = EncodedRecord, KOut = u32, VOut = EncodedRecord>,
-    R: Reducer<KIn = u32, VIn = EncodedRecord, KOut = u64, VOut = Vec<Neighbor>>,
-{
+    new_scan: impl Fn() -> S + Sync,
+    scan_row: impl Fn(&mut S, usize) -> (Vec<Neighbor>, ScanCounts) + Sync,
+) -> Vec<Vec<Neighbor>> {
     let start = Instant::now();
-    let job = JobBuilder::new(name)
-        .reducers(reducers)
-        .map_tasks(map_tasks)
-        .workers(workers)
-        .run_with_partitioner(input, mapper, reducer, &IdentityPartitioner)
-        .map_err(|e| JoinError::substrate(name, e))?;
-    metrics.record_phase(phases::KNN_JOIN, start.elapsed());
-    metrics.absorb_job(&job.metrics);
-    Ok(rows_from_output(job.output))
-}
-
-/// Mapper of the prepared probe jobs: route each `R` record to the reducer
-/// `id mod reducers` (the same modulo placement the cold broadcast join
-/// uses).  Only `R` crosses the shuffle — the `S` side is resident in the
-/// prepared state.
-pub(crate) struct HashRouteMapper {
-    /// Number of reducers of the probe job.
-    pub reducers: usize,
-}
-
-impl Mapper for HashRouteMapper {
-    type KIn = u64;
-    type VIn = EncodedRecord;
-    type KOut = u32;
-    type VOut = EncodedRecord;
-
-    fn map(&self, key: &u64, value: &EncodedRecord, ctx: &mut MapContext<u32, EncodedRecord>) {
-        ctx.counters().increment(counters::R_RECORDS);
-        ctx.emit((key % self.reducers as u64) as u32, value.clone());
+    let scan_range = |range: Range<usize>| {
+        let mut scan = new_scan();
+        let mut totals = ScanCounts::default();
+        let rows: Vec<Vec<Neighbor>> = range
+            .map(|i| {
+                let (neighbors, counts) = scan_row(&mut scan, i);
+                totals.frozen += counts.frozen;
+                totals.delta += counts.delta;
+                totals.masked += counts.masked;
+                neighbors
+            })
+            .collect();
+        (rows, totals)
+    };
+    let ranges = if n < PARALLEL_PROBE_CUT || workers <= 1 {
+        vec![scan_range(0..n)]
+    } else {
+        let per_range = n.div_ceil(workers);
+        let bounds: Vec<Range<usize>> = (0..n)
+            .step_by(per_range)
+            .map(|lo| lo..(lo + per_range).min(n))
+            .collect();
+        parallel_map(bounds, workers, |_, range| scan_range(range))
+    };
+    let mut rows = Vec::with_capacity(n);
+    for (range_rows, counts) in ranges {
+        rows.extend(range_rows);
+        metrics.distance_computations += counts.frozen;
+        metrics.delta_probe_computations += counts.delta;
+        metrics.tombstone_masked += counts.masked;
     }
+    metrics.record_phase(phases::KNN_JOIN, start.elapsed());
+    rows
 }
 
 #[cfg(test)]

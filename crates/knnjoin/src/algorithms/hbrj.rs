@@ -18,14 +18,13 @@
 
 use crate::algorithms::blocks::{block_count, run_block_framework};
 use crate::algorithms::common::{
-    counters, encode_probe_batch, encode_raw_inputs, run_serve_job, EncodedRecord, HashRouteMapper,
-    NeighborListValue,
+    counters, encode_raw_inputs, probe_rows, EncodedRecord, NeighborListValue, ScanCounts,
 };
 use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
-use crate::result::{JoinError, JoinResult, JoinRow};
+use crate::result::{JoinError, JoinResult};
 use geom::{DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointSet, RecordKind};
 use mapreduce::{ReduceContext, Reducer};
 use spatial::RTree;
@@ -135,10 +134,9 @@ impl Reducer for HbrjCellReducer {
 // ---------------------------------------------------------------------------
 
 /// The prepared H-BRJ state: the `B = ⌊√N⌋` per-block R-trees, bulk-loaded
-/// once at build time.  A probe batch ships only `R` records; each serve
-/// reducer probes all `B` resident trees per object and keeps the global
-/// top-`k` — no per-query tree builds (`index_builds` stays flat) and no
-/// merge job (every reducer sees the full `S` index set).
+/// once at build time.  A probe searches all `B` resident trees per row and
+/// keeps the global top-`k` — no per-query tree builds (`index_builds` stays
+/// flat), no shuffle and no merge job.
 #[derive(Debug)]
 pub(crate) struct HbrjPrepared {
     trees: Vec<Arc<RTree>>,
@@ -170,32 +168,58 @@ impl HbrjPrepared {
         Self { trees }
     }
 
-    /// Answers one probe batch with a single serve job over the resident
-    /// trees (merged with the delta overlay when one is present).
+    /// Answers one probe batch, positionally: best-first kNN against every
+    /// resident block tree, merged into the global top-`k` per row (and with
+    /// the delta overlay when one is present), through [`probe_rows`].
     pub(crate) fn probe(
         &self,
-        r: &PointSet,
+        rows: &[&[f64]],
         plan: &JoinPlan,
-        ctx: &ExecutionContext,
-        delta: Option<&Arc<DeltaOverlay>>,
+        workers: usize,
+        delta: Option<&DeltaOverlay>,
         metrics: &mut JoinMetrics,
-    ) -> Result<Vec<JoinRow>, JoinError> {
-        run_serve_job(
-            "hbrj-serve",
-            encode_probe_batch(r),
-            plan.reducers,
-            plan.map_tasks,
-            ctx.workers(),
-            &HashRouteMapper {
-                reducers: plan.reducers,
-            },
-            &HbrjServeReducer {
-                trees: &self.trees,
-                k: plan.k,
-                metric: plan.metric,
-                delta: delta.map(|d| &**d),
-            },
+    ) -> Vec<Vec<Neighbor>> {
+        let kernel = plan.metric.kernel();
+        // The trees still index tombstoned objects, so up to
+        // t = |tombstones| of the best frozen hits may be dead.
+        // Oversampling to k + t guarantees the top-(k + t) frozen candidates
+        // contain the top-k *live* frozen candidates; tombstones are masked
+        // afterwards and the survivors are re-ranked together with the
+        // memtable's adds.  Without an overlay t = 0 and the re-rank keeps
+        // the frozen top-k as is.
+        let t = delta.map_or(0, DeltaOverlay::tombstones_len);
+        probe_rows(
+            rows.len(),
+            workers,
             metrics,
+            || (),
+            |(), row| {
+                let query = rows[row];
+                let mut counts = ScanCounts::default();
+                // One shared accumulator across the block trees: the k-th
+                // distance found in earlier trees prunes later ones, which
+                // the cold path's independent per-cell searches cannot do.
+                let mut frozen = NeighborList::new(plan.k + t);
+                for tree in &self.trees {
+                    counts.frozen += tree.knn_into(query, &mut frozen);
+                }
+                let Some(overlay) = delta else {
+                    return (frozen.into_sorted(), counts);
+                };
+                let mut list = NeighborList::new(plan.k);
+                for (id, coords) in overlay.adds() {
+                    list.offer(id, kernel(query, coords));
+                    counts.delta += 1;
+                }
+                for n in frozen.into_sorted() {
+                    if overlay.is_tombstoned(n.id) {
+                        counts.masked += 1;
+                        continue;
+                    }
+                    list.offer(n.id, n.distance);
+                }
+                (list.into_sorted(), counts)
+            },
         )
     }
 
@@ -236,74 +260,6 @@ impl HbrjPrepared {
             ));
         }
         Self { trees }
-    }
-}
-
-/// Serve reducer: best-first kNN against every resident block tree, merged
-/// into the global top-`k` per object.
-struct HbrjServeReducer<'a> {
-    trees: &'a [Arc<RTree>],
-    k: usize,
-    metric: DistanceMetric,
-    delta: Option<&'a DeltaOverlay>,
-}
-
-impl Reducer for HbrjServeReducer<'_> {
-    type KIn = u32;
-    type VIn = EncodedRecord;
-    type KOut = u64;
-    type VOut = Vec<Neighbor>;
-
-    fn reduce(
-        &self,
-        _key: &u32,
-        values: &[EncodedRecord],
-        ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
-    ) {
-        let kernel = self.metric.kernel();
-        // The trees still index tombstoned objects, so up to
-        // t = |tombstones| of the best frozen hits may be dead.
-        // Oversampling to k + t guarantees the top-(k + t) frozen candidates
-        // contain the top-k *live* frozen candidates; tombstones are masked
-        // afterwards and the survivors are re-ranked together with the
-        // memtable's adds.  Without an overlay t = 0 and the re-rank keeps
-        // the frozen top-k as is.
-        let t = self.delta.map_or(0, DeltaOverlay::tombstones_len);
-        for value in values {
-            let r_obj = value.decode().point;
-            // One shared accumulator across the block trees: the k-th
-            // distance found in earlier trees prunes later ones, which the
-            // cold path's independent per-cell searches cannot do.
-            let mut frozen = NeighborList::new(self.k + t);
-            let mut computations = 0u64;
-            for tree in self.trees {
-                computations += tree.knn_into(&r_obj, &mut frozen);
-            }
-            ctx.counters()
-                .add(counters::DISTANCE_COMPUTATIONS, computations);
-            let Some(overlay) = self.delta else {
-                ctx.emit(r_obj.id, frozen.into_sorted());
-                continue;
-            };
-            let mut list = NeighborList::new(self.k);
-            let mut delta_computations = 0u64;
-            for (id, coords) in overlay.adds() {
-                list.offer(id, kernel(&r_obj.coords, coords));
-                delta_computations += 1;
-            }
-            let mut masked = 0u64;
-            for n in frozen.into_sorted() {
-                if overlay.is_tombstoned(n.id) {
-                    masked += 1;
-                    continue;
-                }
-                list.offer(n.id, n.distance);
-            }
-            ctx.counters()
-                .add(counters::DELTA_PROBE_COMPUTATIONS, delta_computations);
-            ctx.counters().add(counters::TOMBSTONE_MASKED, masked);
-            ctx.emit(r_obj.id, list.into_sorted());
-        }
     }
 }
 

@@ -9,18 +9,14 @@
 //! partitions, the scan order and `θ_i` come from.
 
 use crate::algorithms::common::{
-    counters, for_each_tile, run_serve_job, DeltaView, EncodedRecord, HashRouteMapper, ScanCounts,
-    ScanKernels, TileScratch,
+    for_each_tile, probe_rows, DeltaView, EncodedRecord, ScanCounts, ScanKernels, TileScratch,
 };
-use crate::bounds::{hyperplane_bound, theorem2_window, PartitionBounds};
-use crate::context::ExecutionContext;
+use crate::bounds::{bounding_knn_theta, hyperplane_bound, theorem2_window};
 use crate::delta::DeltaOverlay;
-use crate::grouping::build_grouping;
 use crate::metrics::{phases, JoinMetrics};
 use crate::partition::{PartitionedDataset, VoronoiPartitioner};
 use crate::pivots::select_pivots_with_mode;
-use crate::plan::{Algorithm, JoinPlan};
-use crate::result::{JoinError, JoinRow};
+use crate::plan::JoinPlan;
 use crate::summary::{
     build_s_summaries, pivot_distance_matrix, RPartitionSummary, SPartitionSummary, SummaryTables,
 };
@@ -29,7 +25,6 @@ use geom::{
     CoordMatrix, DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointId, PointSet,
     RecordKind,
 };
-use mapreduce::{MapContext, Mapper, ReduceContext, Reducer};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -609,13 +604,13 @@ impl VoronoiPrepared {
     /// Assigns a probe batch to Voronoi cells, returning one `(partition,
     /// pivot distance)` per object plus the pruned assignment computations
     /// actually spent.
-    fn assign_batch(&self, r: &PointSet) -> (Vec<(u32, f64)>, u64) {
-        let mut assignments = Vec::with_capacity(r.len());
+    fn assign_batch(&self, rows: &[&[f64]]) -> (Vec<(usize, f64)>, u64) {
+        let mut assignments = Vec::with_capacity(rows.len());
         let mut computations = 0u64;
-        for p in r {
-            let a = self.partitioner.nearest_pivot(&p.coords);
+        for row in rows {
+            let a = self.partitioner.nearest_pivot(row);
             computations += a.computations;
-            assignments.push((a.partition as u32, a.distance));
+            assignments.push((a.partition, a.distance));
         }
         (assignments, computations)
     }
@@ -624,16 +619,15 @@ impl VoronoiPrepared {
     /// computed from the batch's assignments; the pivot set, `T_S` and the
     /// pivot-distance matrix are `Arc`-shared from the prebuilt state, so
     /// assembly costs O(t) for the fresh `R` summaries and nothing else.
-    fn query_tables(&self, assignments: &[(u32, f64)]) -> SummaryTables {
+    fn query_tables(&self, assignments: &[(usize, f64)]) -> SummaryTables {
         let t = self.partitioner.partition_count();
         let mut counts = vec![0usize; t];
         let mut lowers = vec![f64::INFINITY; t];
         let mut uppers = vec![f64::NEG_INFINITY; t];
-        for (partition, dist) in assignments {
-            let i = *partition as usize;
+        for &(i, dist) in assignments {
             counts[i] += 1;
-            lowers[i] = lowers[i].min(*dist);
-            uppers[i] = uppers[i].max(*dist);
+            lowers[i] = lowers[i].min(dist);
+            uppers[i] = uppers[i].max(dist);
         }
         let r_summaries = (0..t)
             .map(|i| RPartitionSummary {
@@ -652,88 +646,69 @@ impl VoronoiPrepared {
         }
     }
 
-    /// Answers one probe batch: assign `R` to cells, derive the per-batch
-    /// `T_R` / bounds (and, for PGBJ, the grouping), then run the serve job —
-    /// Algorithm 3's bounded scan against the resident `S`, merged with the
-    /// delta overlay when one is present.  `θ_i` comes from the global
-    /// Algorithm 1 bound: the resident `S` is the full dataset, so the tight
-    /// bound applies even to PBJ, whose cold cells only have their local
-    /// block's looser one.
+    /// Answers one probe batch, positionally: assign the rows to cells,
+    /// derive the batch's `T_R` and `θ_i` for the cells it touches, then run
+    /// Algorithm 3's bounded scan against the resident `S` (merged with the
+    /// delta overlay when one is present) through [`probe_rows`].  `θ_i`
+    /// comes from the global Algorithm 1 bound: the resident `S` is the full
+    /// dataset, so the tight bound applies even to PBJ, whose cold cells only
+    /// have their local block's looser one.  Algorithm 2's `LB` matrix and
+    /// Algorithm 4's grouping decide which `S` replica is shipped to which
+    /// reducer; nothing is shipped here, so neither is computed and PGBJ and
+    /// PBJ probe identically.
     pub(crate) fn probe(
         &self,
-        r: &PointSet,
+        rows: &[&[f64]],
         plan: &JoinPlan,
-        ctx: &ExecutionContext,
-        delta: Option<&Arc<DeltaOverlay>>,
+        workers: usize,
+        delta: Option<&DeltaOverlay>,
         metrics: &mut JoinMetrics,
-    ) -> Result<Vec<JoinRow>, JoinError> {
+    ) -> Vec<Vec<Neighbor>> {
         let start = Instant::now();
-        let (assignments, computations) = self.assign_batch(r);
+        let (assignments, computations) = self.assign_batch(rows);
         metrics.pivot_assignment_computations += computations;
         metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
 
         let start = Instant::now();
         let tables = self.query_tables(&assignments);
-        let bounds = PartitionBounds::compute(&tables, plan.k);
-        // Grouping is the one step PBJ lacks (§6); it only routes work,
-        // never prunes candidates, so it keeps the frozen bounds.
-        let grouping = (plan.algorithm == Algorithm::Pgbj)
-            .then(|| build_grouping(plan.grouping_strategy, &tables, &bounds, plan.reducers));
         // θ_i promises that partition i alone holds k objects within θ_i of
         // any r assigned there — a promise the frozen T_S cannot keep once
         // objects are deleted, so tombstones demote θ to the running kth
-        // distance alone.
-        let theta = if delta.is_some_and(|d| d.tombstones_len() > 0) {
-            vec![f64::INFINITY; tables.partition_count()]
-        } else {
-            bounds.theta
-        };
-        metrics.record_phase(
-            if grouping.is_some() {
-                phases::PARTITION_GROUPING
-            } else {
-                phases::INDEX_MERGING
-            },
-            start.elapsed(),
-        );
+        // distance alone.  Algorithm 1 returns ∞ at once for a cell the
+        // batch left empty, so only touched cells pay for their bound.
+        let frozen_bounds_hold = delta.is_none_or(|d| d.tombstones_len() == 0);
+        let theta: Vec<f64> = (0..tables.partition_count())
+            .map(|i| {
+                if frozen_bounds_hold {
+                    bounding_knn_theta(&tables, i, plan.k)
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .collect();
+        metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
 
-        let input = encode_assigned_batch(r, &assignments);
-        let reducer = VoronoiServeReducer {
-            s_parts: &self.s_parts,
-            s_orders: &self.s_orders,
-            tables: &tables,
-            theta,
-            k: plan.k,
-            metric: plan.metric,
-            mode: plan.kernel_mode,
-            delta: delta.map(|d| DeltaView::gather(d, self.partitioner.pivot_matrix().dims())),
-        };
-        match grouping {
-            Some(grouping) => run_serve_job(
-                "pgbj-serve",
-                input,
-                grouping.group_count(),
-                plan.map_tasks,
-                ctx.workers(),
-                &ServeGroupMapper {
-                    group_of: grouping.group_of(tables.partition_count()),
-                },
-                &reducer,
-                metrics,
-            ),
-            None => run_serve_job(
-                "pbj-serve",
-                input,
-                plan.reducers,
-                plan.map_tasks,
-                ctx.workers(),
-                &HashRouteMapper {
-                    reducers: plan.reducers,
-                },
-                &reducer,
-                metrics,
-            ),
-        }
+        let delta = delta.map(|d| DeltaView::gather(d, self.partitioner.pivot_matrix().dims()));
+        probe_rows(
+            rows.len(),
+            workers,
+            metrics,
+            || {
+                VoronoiScan::new(&tables, plan.k, plan.metric, plan.kernel_mode)
+                    .with_delta(delta.as_ref())
+            },
+            |scan, row| {
+                let (i, pivot_dist) = assignments[row];
+                scan.scan(
+                    rows[row],
+                    pivot_dist,
+                    i,
+                    &self.s_parts,
+                    &self.s_orders[i],
+                    theta[i],
+                )
+            },
+        )
     }
 }
 
@@ -791,102 +766,10 @@ fn summarize_flat_partition(partition: usize, flat: &FlatPartition, k: usize) ->
     }
 }
 
-/// Encodes a probe batch as job input, embedding each object's partition and
-/// pivot distance from the batch assignment.
-fn encode_assigned_batch(r: &PointSet, assignments: &[(u32, f64)]) -> Vec<(u64, EncodedRecord)> {
-    r.iter()
-        .zip(assignments)
-        .map(|(p, (partition, dist))| {
-            (
-                p.id,
-                EncodedRecord::from_parts(RecordKind::R, *partition, *dist, p),
-            )
-        })
-        .collect()
-}
-
-/// Mapper of the PGBJ serve job: route each assigned `R` record to the
-/// reducer of its partition's group.
-struct ServeGroupMapper {
-    group_of: Vec<usize>,
-}
-
-impl Mapper for ServeGroupMapper {
-    type KIn = u64;
-    type VIn = EncodedRecord;
-    type KOut = u32;
-    type VOut = EncodedRecord;
-
-    fn map(&self, _key: &u64, value: &EncodedRecord, ctx: &mut MapContext<u32, EncodedRecord>) {
-        let partition = value.decode().partition as usize;
-        ctx.counters().increment(counters::R_RECORDS);
-        ctx.emit(self.group_of[partition] as u32, value.clone());
-    }
-}
-
-/// Reducer of the prepared PGBJ / PBJ probe jobs: [`VoronoiScan`] over one
-/// batch slice against the resident flat `S` partitions.  The Theorem 6
-/// routing of the cold path is unnecessary here — no `S` record crosses the
-/// shuffle — so pruning is carried entirely by Corollary 1, Theorem 2 and
-/// the per-partition `θ_i` bound.
-struct VoronoiServeReducer<'a> {
-    s_parts: &'a BTreeMap<usize, Arc<FlatPartition>>,
-    s_orders: &'a [Vec<usize>],
-    /// Per-batch summary tables (fresh `T_R`, prebuilt `T_S`).
-    tables: &'a SummaryTables,
-    /// Per-batch `θ_i` bounds (Algorithm 1); all `∞` when the delta overlay
-    /// carries tombstones.
-    theta: Vec<f64>,
-    k: usize,
-    metric: DistanceMetric,
-    mode: KernelMode,
-    /// The S-delta memtable of a mutated prepared join, gathered once per
-    /// probe; `None` keeps the scan (and its counters) bit-identical to the
-    /// frozen-only path.
-    delta: Option<DeltaView<'a>>,
-}
-
-impl Reducer for VoronoiServeReducer<'_> {
-    type KIn = u32;
-    type VIn = EncodedRecord;
-    type KOut = u64;
-    type VOut = Vec<Neighbor>;
-
-    fn reduce(
-        &self,
-        _key: &u32,
-        values: &[EncodedRecord],
-        ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
-    ) {
-        let mut scan = VoronoiScan::new(self.tables, self.k, self.metric, self.mode)
-            .with_delta(self.delta.as_ref());
-        for value in values {
-            let record = value.decode();
-            let i = record.partition as usize;
-            let (neighbors, counts) = scan.scan(
-                &record.point.coords,
-                record.pivot_distance,
-                i,
-                self.s_parts,
-                &self.s_orders[i],
-                self.theta[i],
-            );
-            ctx.counters()
-                .add(counters::DISTANCE_COMPUTATIONS, counts.frozen);
-            if self.delta.is_some() {
-                ctx.counters()
-                    .add(counters::DELTA_PROBE_COMPUTATIONS, counts.delta);
-                ctx.counters()
-                    .add(counters::TOMBSTONE_MASKED, counts.masked);
-            }
-            ctx.emit(record.point.id, neighbors);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::PartitionBounds;
     use crate::pivots::{select_pivots, PivotSelectionStrategy};
     use datagen::uniform;
     use proptest::prelude::*;

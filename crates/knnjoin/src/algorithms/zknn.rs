@@ -35,14 +35,15 @@
 
 use crate::algorithms::blocks::MergeMapper;
 use crate::algorithms::common::{
-    counters, encode_probe_batch, encode_raw_inputs, rows_from_output, run_serve_job,
-    EncodedRecord, HashRouteMapper, NeighborListValue, ScanKernels,
+    counters, encode_raw_inputs, probe_rows, rows_from_output, EncodedRecord, NeighborListValue,
+    ScanCounts, ScanKernels,
 };
 use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
-use crate::result::{JoinError, JoinResult, JoinRow};
+use crate::result::{JoinError, JoinResult};
+use geom::kernels::Kernel;
 use geom::zorder::{random_shifts, ZQuantizer, ZValue, MAX_Z_BITS};
 use geom::{CoordMatrix, Neighbor, NeighborList, PointId, PointSet, RecordKind};
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
@@ -550,9 +551,10 @@ impl ZknnPrepared {
         }
     }
 
-    /// Answers one probe batch with a single serve job: per object and per
-    /// copy, scan the `z_window · k` z-neighbours on each side, then merge
-    /// the per-copy candidates into the `k` best distinct `S` objects.
+    /// Answers one probe batch, positionally, through [`probe_rows`]: per
+    /// row and per copy, scan the `z_window · k` z-neighbours on each side,
+    /// then merge the per-copy candidates into the `k` best distinct `S`
+    /// objects.
     ///
     /// When a delta overlay is present, its adds are quantized with the
     /// *prepared* quantizer and shifts into a `(z, id)`-sorted index per
@@ -562,34 +564,122 @@ impl ZknnPrepared {
     /// Tombstoned frozen entries are skipped without consuming window slots.
     pub(crate) fn probe(
         &self,
-        r: &PointSet,
+        rows: &[&[f64]],
         plan: &JoinPlan,
-        ctx: &ExecutionContext,
-        delta: Option<&Arc<DeltaOverlay>>,
+        workers: usize,
+        delta: Option<&DeltaOverlay>,
         metrics: &mut JoinMetrics,
-    ) -> Result<Vec<JoinRow>, JoinError> {
-        run_serve_job(
-            "zknn-serve",
-            encode_probe_batch(r),
-            plan.reducers,
-            plan.map_tasks,
-            ctx.workers(),
-            &HashRouteMapper {
-                reducers: plan.reducers,
-            },
-            &ZknnServeReducer {
-                prepared: self,
-                k: plan.k,
-                kernels: ScanKernels::new(plan.metric, plan.kernel_mode),
-                delta: delta.map(|overlay| {
-                    (
-                        &**overlay,
-                        delta_sorted_copies(&self.quantizer, &self.shifts, overlay),
-                    )
-                }),
-            },
-            metrics,
-        )
+    ) -> Vec<Vec<Neighbor>> {
+        let kernels = ScanKernels::new(plan.metric, plan.kernel_mode);
+        // The overlay plus its per-copy `(z, id)`-sorted add index.
+        let delta = delta.map(|overlay| {
+            (
+                overlay,
+                delta_sorted_copies(&self.quantizer, &self.shifts, overlay),
+            )
+        });
+        probe_rows(rows.len(), workers, metrics, Vec::new, |scratch, row| {
+            let query = rows[row];
+            let mut lists = Vec::with_capacity(self.copies.len());
+            let mut counts = ScanCounts::default();
+            for (i, (copy, shift)) in self.copies.iter().zip(&self.shifts).enumerate() {
+                let z_r = self.quantizer.z_value(query, Some(shift));
+                let mut list = NeighborList::new(plan.k);
+                match &delta {
+                    None => {
+                        counts.frozen +=
+                            copy.scan_window(query, z_r, self.window, &kernels, scratch, &mut list);
+                    }
+                    Some((overlay, add_copies)) => self.merged_window(
+                        query,
+                        z_r,
+                        copy,
+                        &add_copies[i],
+                        overlay,
+                        kernels.pair,
+                        &mut list,
+                        &mut counts,
+                    ),
+                }
+                lists.push(NeighborListValue::new(list.into_sorted()));
+            }
+            (merge_distinct_candidates(&lists, plan.k), counts)
+        })
+    }
+
+    /// The delta-merged candidate window for one probe object and one copy:
+    /// the `window` live `(z, id)`-predecessors and `window` live successors
+    /// of `z_r` in the virtual merge of the frozen copy (minus tombstones)
+    /// and the delta adds — exactly the window a cold build over the
+    /// materialized corpus scans.  Tombstoned frozen entries are skipped
+    /// *without* consuming a window slot.  The merged windows interleave
+    /// frozen and add rows, so they are evaluated pairwise with `kernel`.
+    #[allow(clippy::too_many_arguments)]
+    fn merged_window(
+        &self,
+        r_coords: &[f64],
+        z_r: ZValue,
+        frozen: &SortedCopy,
+        adds: &SortedCopy,
+        overlay: &DeltaOverlay,
+        kernel: Kernel,
+        list: &mut NeighborList,
+        counts: &mut ScanCounts,
+    ) {
+        let window = self.window;
+        let pos_f = frozen.z.partition_point(|z| *z < z_r);
+        let pos_a = adds.z.partition_point(|z| *z < z_r);
+
+        // Backward merge over the strict predecessors: largest (z, id) first.
+        let (mut f, mut a) = (pos_f, pos_a);
+        let mut taken = 0usize;
+        while taken < window && (f > 0 || a > 0) {
+            let take_frozen = match (f > 0, a > 0) {
+                (true, true) => {
+                    (frozen.z[f - 1], frozen.ids[f - 1]) >= (adds.z[a - 1], adds.ids[a - 1])
+                }
+                (have_frozen, _) => have_frozen,
+            };
+            if take_frozen {
+                f -= 1;
+                if overlay.is_tombstoned(frozen.ids[f]) {
+                    counts.masked += 1;
+                    continue;
+                }
+                list.offer(frozen.ids[f], kernel(r_coords, frozen.coords.row(f)));
+                counts.frozen += 1;
+            } else {
+                a -= 1;
+                list.offer(adds.ids[a], kernel(r_coords, adds.coords.row(a)));
+                counts.delta += 1;
+            }
+            taken += 1;
+        }
+
+        // Forward merge over the successors (z ≥ z_r): smallest (z, id) first.
+        let (mut f, mut a) = (pos_f, pos_a);
+        let mut taken = 0usize;
+        while taken < window && (f < frozen.z.len() || a < adds.z.len()) {
+            let take_frozen = match (f < frozen.z.len(), a < adds.z.len()) {
+                (true, true) => (frozen.z[f], frozen.ids[f]) <= (adds.z[a], adds.ids[a]),
+                (have_frozen, _) => have_frozen,
+            };
+            if take_frozen {
+                if overlay.is_tombstoned(frozen.ids[f]) {
+                    counts.masked += 1;
+                    f += 1;
+                    continue;
+                }
+                list.offer(frozen.ids[f], kernel(r_coords, frozen.coords.row(f)));
+                counts.frozen += 1;
+                f += 1;
+            } else {
+                list.offer(adds.ids[a], kernel(r_coords, adds.coords.row(a)));
+                counts.delta += 1;
+                a += 1;
+            }
+            taken += 1;
+        }
     }
 
     /// Folds the overlay into the sorted copies: per copy, a linear merge of
@@ -662,164 +752,6 @@ fn delta_sorted_copies(
             )
         })
         .collect()
-}
-
-/// Serve reducer: the per-copy candidate windows and the distinct merge, all
-/// against the resident sorted copies (merged on the fly with the delta's
-/// sorted adds when an overlay is present).
-struct ZknnServeReducer<'a> {
-    prepared: &'a ZknnPrepared,
-    k: usize,
-    kernels: ScanKernels,
-    /// The overlay plus its per-copy `(z, id)`-sorted add index, quantized
-    /// with the prepared quantizer (see [`delta_sorted_copies`]).
-    delta: Option<(&'a DeltaOverlay, Vec<SortedCopy>)>,
-}
-
-impl ZknnServeReducer<'_> {
-    /// The delta-merged candidate window for one probe object and one copy:
-    /// the `window` live `(z, id)`-predecessors and `window` live successors
-    /// of `z_r` in the virtual merge of the frozen copy (minus tombstones)
-    /// and the delta adds — exactly the window a cold build over the
-    /// materialized corpus scans.  Tombstoned frozen entries are skipped
-    /// *without* consuming a window slot.  Returns
-    /// `(frozen_kernels, delta_kernels, masked)`.
-    fn merged_window(
-        &self,
-        r_coords: &[f64],
-        z_r: ZValue,
-        frozen: &SortedCopy,
-        adds: &SortedCopy,
-        overlay: &DeltaOverlay,
-        list: &mut NeighborList,
-    ) -> (u64, u64, u64) {
-        // The merged windows interleave frozen and add rows, so they stay
-        // pairwise.
-        let kernel = self.kernels.pair;
-        let window = self.prepared.window;
-        let (mut frozen_kernels, mut delta_kernels, mut masked) = (0u64, 0u64, 0u64);
-        let pos_f = frozen.z.partition_point(|z| *z < z_r);
-        let pos_a = adds.z.partition_point(|z| *z < z_r);
-
-        // Backward merge over the strict predecessors: largest (z, id) first.
-        let (mut f, mut a) = (pos_f, pos_a);
-        let mut taken = 0usize;
-        while taken < window && (f > 0 || a > 0) {
-            let take_frozen = match (f > 0, a > 0) {
-                (true, true) => {
-                    (frozen.z[f - 1], frozen.ids[f - 1]) >= (adds.z[a - 1], adds.ids[a - 1])
-                }
-                (have_frozen, _) => have_frozen,
-            };
-            if take_frozen {
-                f -= 1;
-                if overlay.is_tombstoned(frozen.ids[f]) {
-                    masked += 1;
-                    continue;
-                }
-                list.offer(frozen.ids[f], kernel(r_coords, frozen.coords.row(f)));
-                frozen_kernels += 1;
-            } else {
-                a -= 1;
-                list.offer(adds.ids[a], kernel(r_coords, adds.coords.row(a)));
-                delta_kernels += 1;
-            }
-            taken += 1;
-        }
-
-        // Forward merge over the successors (z ≥ z_r): smallest (z, id) first.
-        let (mut f, mut a) = (pos_f, pos_a);
-        let mut taken = 0usize;
-        while taken < window && (f < frozen.z.len() || a < adds.z.len()) {
-            let take_frozen = match (f < frozen.z.len(), a < adds.z.len()) {
-                (true, true) => (frozen.z[f], frozen.ids[f]) <= (adds.z[a], adds.ids[a]),
-                (have_frozen, _) => have_frozen,
-            };
-            if take_frozen {
-                if overlay.is_tombstoned(frozen.ids[f]) {
-                    masked += 1;
-                    f += 1;
-                    continue;
-                }
-                list.offer(frozen.ids[f], kernel(r_coords, frozen.coords.row(f)));
-                frozen_kernels += 1;
-                f += 1;
-            } else {
-                list.offer(adds.ids[a], kernel(r_coords, adds.coords.row(a)));
-                delta_kernels += 1;
-                a += 1;
-            }
-            taken += 1;
-        }
-        (frozen_kernels, delta_kernels, masked)
-    }
-}
-
-impl Reducer for ZknnServeReducer<'_> {
-    type KIn = u32;
-    type VIn = EncodedRecord;
-    type KOut = u64;
-    type VOut = Vec<Neighbor>;
-
-    fn reduce(
-        &self,
-        _key: &u32,
-        values: &[EncodedRecord],
-        ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
-    ) {
-        let mut scratch = Vec::new();
-        for value in values {
-            let r_obj = value.decode().point;
-            let mut lists = Vec::with_capacity(self.prepared.copies.len());
-            let mut computations = 0u64;
-            let mut delta_computations = 0u64;
-            let mut masked = 0u64;
-            for (i, (copy, shift)) in self
-                .prepared
-                .copies
-                .iter()
-                .zip(&self.prepared.shifts)
-                .enumerate()
-            {
-                let z_r = self.prepared.quantizer.z_value(&r_obj.coords, Some(shift));
-                let mut list = NeighborList::new(self.k);
-                match &self.delta {
-                    None => {
-                        computations += copy.scan_window(
-                            &r_obj.coords,
-                            z_r,
-                            self.prepared.window,
-                            &self.kernels,
-                            &mut scratch,
-                            &mut list,
-                        );
-                    }
-                    Some((overlay, add_copies)) => {
-                        let (fk, dk, m) = self.merged_window(
-                            &r_obj.coords,
-                            z_r,
-                            copy,
-                            &add_copies[i],
-                            overlay,
-                            &mut list,
-                        );
-                        computations += fk;
-                        delta_computations += dk;
-                        masked += m;
-                    }
-                }
-                lists.push(NeighborListValue::new(list.into_sorted()));
-            }
-            ctx.counters()
-                .add(counters::DISTANCE_COMPUTATIONS, computations);
-            if self.delta.is_some() {
-                ctx.counters()
-                    .add(counters::DELTA_PROBE_COMPUTATIONS, delta_computations);
-                ctx.counters().add(counters::TOMBSTONE_MASKED, masked);
-            }
-            ctx.emit(r_obj.id, merge_distinct_candidates(&lists, self.k));
-        }
-    }
 }
 
 #[cfg(test)]

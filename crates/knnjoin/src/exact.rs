@@ -9,7 +9,9 @@
 //! resident block (kernel modes, delta overlay) for the broadcast join of §3
 //! and the prepared nested-loop / broadcast serving paths.
 
-use crate::algorithms::common::{for_each_tile, DeltaView, ScanCounts, TileScratch};
+use crate::algorithms::common::{
+    for_each_tile, label_rows, probe_rows, DeltaView, ScanCounts, TileScratch,
+};
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
 use crate::result::{JoinError, JoinResult, JoinRow};
@@ -90,7 +92,8 @@ impl NestedLoopJoin {
             ..Default::default()
         };
         let block = FlatBlock::new(s.points(), mode);
-        let rows = block.scan_all(r, k, metric, None, &mut metrics);
+        let queries: Vec<&[f64]> = r.iter().map(|p| p.coords.as_slice()).collect();
+        let rows = label_rows(r, block.probe(&queries, k, metric, 1, None, &mut metrics));
         let mut result = JoinResult { rows, metrics };
         result.normalize();
         Ok(result)
@@ -276,44 +279,40 @@ impl FlatBlock {
         (out, counts)
     }
 
-    /// Scans the block for every object of `r` on the calling thread (the
-    /// nested-loop join runs on no substrate), folding the counters straight
-    /// into `metrics` and recording the `knn join` phase.
-    pub(crate) fn scan_all(
+    /// Answers one probe batch, positionally, through [`probe_rows`]: the
+    /// exhaustive [`FlatBlock::scan`] per row, on `workers` threads (the
+    /// nested-loop join, cold or prepared, passes 1 and stays on the calling
+    /// thread).
+    pub(crate) fn probe(
         &self,
-        r: &PointSet,
+        rows: &[&[f64]],
         k: usize,
         metric: DistanceMetric,
+        workers: usize,
         delta: Option<&DeltaOverlay>,
         metrics: &mut JoinMetrics,
-    ) -> Vec<JoinRow> {
-        let start = Instant::now();
+    ) -> Vec<Vec<Neighbor>> {
         let delta = delta.map(|overlay| DeltaView::gather(overlay, self.dims()));
-        let mut scratch = TileScratch::new();
-        let mut rows = Vec::with_capacity(r.len());
-        for r_obj in r {
-            let (neighbors, counts) =
-                self.scan(&r_obj.coords, k, metric, delta.as_ref(), &mut scratch);
-            metrics.distance_computations += counts.frozen;
-            metrics.delta_probe_computations += counts.delta;
-            metrics.tombstone_masked += counts.masked;
-            rows.push(JoinRow {
-                r_id: r_obj.id,
-                neighbors,
-            });
-        }
-        metrics.record_phase(phases::KNN_JOIN, start.elapsed());
-        rows
+        probe_rows(
+            rows.len(),
+            workers,
+            metrics,
+            TileScratch::new,
+            |scratch, row| self.scan(rows[row], k, metric, delta.as_ref(), scratch),
+        )
     }
 }
 
-/// Refuses the first point with a non-finite coordinate, with the typed
-/// error every entry point shares: `NaN` breaks the total order the summary
-/// tables sort by, and `±∞` turns distance arithmetic into `NaN`.
-pub(crate) fn check_finite(dataset: &'static str, points: &[Point]) -> Result<(), JoinError> {
-    match points
-        .iter()
-        .position(|p| p.coords.iter().any(|c| !c.is_finite()))
+/// Refuses the first row with a non-finite coordinate, with the typed error
+/// every entry point shares: `NaN` breaks the total order the summary tables
+/// sort by, and `±∞` turns distance arithmetic into `NaN`.
+pub(crate) fn check_finite<'a>(
+    dataset: &'static str,
+    rows: impl IntoIterator<Item = &'a [f64]>,
+) -> Result<(), JoinError> {
+    match rows
+        .into_iter()
+        .position(|row| row.iter().any(|c| !c.is_finite()))
     {
         Some(index) => Err(JoinError::NonFiniteInput { dataset, index }),
         None => Ok(()),
@@ -344,7 +343,7 @@ pub(crate) fn validate_inputs(r: &PointSet, s: &PointSet, k: usize) -> Result<()
                 expected: set.dims(),
             });
         }
-        check_finite(name, set.points())?;
+        check_finite(name, set.iter().map(|p| p.coords.as_slice()))?;
     }
     if r.dims() != s.dims() {
         return Err(JoinError::DimensionalityMismatch {

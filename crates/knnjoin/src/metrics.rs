@@ -86,7 +86,9 @@ pub struct JoinMetrics {
     /// [`JoinMetrics::distance_computations`] so the selectivity of
     /// Equation 13 stays comparable with the paper.
     pub pivot_assignment_computations: u64,
-    /// Number of `R` records shuffled to reducers in the join job.
+    /// Number of `R` records shuffled to reducers in the join job.  Zero for
+    /// a [`crate::PreparedJoin`] query, like every `shuffle_*` field: `S` is
+    /// resident and the probe reads `R` in place, so nothing is shuffled.
     pub r_records_shuffled: u64,
     /// Number of `S` records (replicas included) shuffled to reducers in the
     /// join job.
@@ -99,7 +101,8 @@ pub struct JoinMetrics {
     /// query).  Together with [`JoinMetrics::index_builds`] this is the
     /// counter pair that must stay flat across repeated prepared queries.
     pub pivot_selections: u64,
-    /// Total bytes crossing the shuffle, across all MapReduce jobs involved.
+    /// Total bytes crossing the shuffle, across all MapReduce jobs involved
+    /// (zero for a prepared query, which runs no job).
     pub shuffle_bytes: u64,
     /// Total records crossing the shuffle (post-combine), across all jobs.
     pub shuffle_records: u64,
@@ -153,12 +156,17 @@ impl JoinMetrics {
     }
 
     /// Folds another join's metrics into this one: counters and shuffle
-    /// volume add up, phase times append in order, and the dataset sizes are
-    /// taken from `other` when unset.  [`crate::PreparedJoin`] uses this to
-    /// accumulate per-query metrics into a session-wide total.
+    /// volume add up, phase times merge by name (a phase already present
+    /// grows in place, a new one is appended, so first-seen order is kept
+    /// and the list never outgrows the set of phase names), and the dataset
+    /// sizes are taken from `other` when unset.  [`crate::PreparedJoin`] uses
+    /// this to accumulate per-query metrics into a session-wide total.
     pub fn absorb(&mut self, other: &JoinMetrics) {
         for (name, d) in &other.phase_times {
-            self.record_phase(name, *d);
+            match self.phase_times.iter_mut().find(|(n, _)| n == name) {
+                Some((_, total)) => *total += *d,
+                None => self.record_phase(name, *d),
+            }
         }
         self.distance_computations += other.distance_computations;
         self.pivot_assignment_computations += other.pivot_assignment_computations;
@@ -327,6 +335,38 @@ mod tests {
         assert_eq!(total.compacted_points, 24);
         assert_eq!(total.phase(phases::KNN_JOIN), Duration::from_millis(4));
         assert_eq!((total.r_size, total.s_size), (30, 40));
+    }
+
+    #[test]
+    fn absorb_merges_phases_by_name_instead_of_growing_per_call() {
+        let mut per_query = JoinMetrics::default();
+        per_query.record_phase(phases::DATA_PARTITIONING, Duration::from_micros(1));
+        per_query.record_phase(phases::INDEX_MERGING, Duration::from_micros(2));
+        per_query.record_phase(phases::KNN_JOIN, Duration::from_micros(3));
+        let mut compaction = JoinMetrics::default();
+        compaction.record_phase(phases::COMPACTION, Duration::from_micros(10));
+
+        let mut total = JoinMetrics::default();
+        for i in 0..2_000 {
+            total.absorb(&per_query);
+            if i == 0 {
+                total.absorb(&compaction);
+            }
+        }
+        // One entry per distinct phase, in first-seen order, however many
+        // queries were absorbed.
+        let names: Vec<&str> = total.phase_times.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                phases::DATA_PARTITIONING,
+                phases::INDEX_MERGING,
+                phases::KNN_JOIN,
+                phases::COMPACTION
+            ]
+        );
+        assert_eq!(total.phase(phases::KNN_JOIN), Duration::from_micros(6_000));
+        assert_eq!(total.total_time(), Duration::from_micros(12_010));
     }
 
     #[test]

@@ -21,6 +21,32 @@
 //! the exact algorithms by the theorems' exactness, H-zkNNJ because the
 //! resident sorted copies reproduce the cold candidate windows verbatim.
 //!
+//! # The probe path
+//!
+//! The paper's MapReduce jobs exist to ship `S` replicas to the reducers that
+//! need them; with `S` resident nothing has to cross a shuffle, so a probe
+//! runs no job.  `query`, `query_one`, `query_into` and the
+//! [`crate::Server`]'s coalesced batches all enter one routine over
+//! *borrowed* coordinate rows, which validates them, snapshots one epoch and
+//! answers positionally:
+//!
+//! 1. **assign** (PGBJ/PBJ) — each row to its Voronoi cell, pruned;
+//! 2. **θ for touched cells** (PGBJ/PBJ) — the batch's `T_R` and Algorithm
+//!    1's `θ_i`, only for cells the batch landed in (Algorithm 2's `LB`
+//!    matrix and Algorithm 4's grouping route shuffled records, of which
+//!    there are none);
+//! 3. **row ranges** — below
+//!    [`crate::algorithms::common::PARALLEL_PROBE_CUT`] rows the batch is
+//!    scanned inline on the calling thread, from there up as one contiguous
+//!    range per context worker on the engine's scoped threads;
+//! 4. **scan** — the family's one per-row scan (Algorithm 3's bounded scan,
+//!    the R-tree search, the z-window, the flat block), with the delta
+//!    overlay merged in when one is pending.
+//!
+//! A served query therefore costs what its scan costs, and reports
+//! `shuffle_bytes = shuffle_records = r_records_shuffled = 0`; every other
+//! counter is what the job-based probe reported, row for row.
+//!
 //! ```
 //! use datagen::uniform;
 //! use knnjoin::{Algorithm, ExecutionContext, JoinBuilder};
@@ -42,7 +68,7 @@
 //! assert_eq!(result.metrics.pivot_selections, 0);
 //! ```
 
-use crate::algorithms::broadcast;
+use crate::algorithms::common::label_rows;
 use crate::algorithms::hbrj::HbrjPrepared;
 use crate::algorithms::voronoi::VoronoiPrepared;
 use crate::algorithms::zknn::ZknnPrepared;
@@ -52,7 +78,7 @@ use crate::exact::{check_finite, FlatBlock};
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::{Algorithm, JoinPlan};
 use crate::result::{JoinError, JoinResult, JoinRow, ResultSink};
-use geom::{DistanceMetric, Point, PointId, PointSet};
+use geom::{DistanceMetric, Neighbor, Point, PointId, PointSet};
 use mapreduce::sync::{ranks, RankedMutex, RankedRwLock};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
@@ -348,7 +374,7 @@ impl PreparedJoin {
                 s_dims: self.inner.s_dims,
             });
         }
-        check_finite("S", std::slice::from_ref(&point))?;
+        check_finite("S", [point.coords.as_slice()])?;
         let _guard = self.inner.mutate.lock();
         let epoch = self.inner.snapshot();
         let mut delta = (*epoch.delta).clone();
@@ -476,62 +502,77 @@ impl PreparedJoin {
         self.inner.cumulative.lock().clone()
     }
 
-    /// Validates a probe batch against the prepared corpus, then runs the
-    /// algorithm's probe against one epoch snapshot.  The `Arc<Epoch>` is
-    /// cloned once up front, so `query`, `query_one` and `query_into` all
-    /// observe a single consistent corpus version even while concurrent
-    /// mutations publish new epochs mid-probe.
-    fn run_probe(&self, r: &PointSet) -> Result<(Vec<JoinRow>, JoinMetrics), JoinError> {
-        if r.is_empty() {
+    /// The one rule set for probe input, shared with the server's admission
+    /// control: non-empty, rectangular, of the corpus's dimensionality, and
+    /// finite.
+    pub(crate) fn validate_rows(&self, rows: &[&[f64]]) -> Result<(), JoinError> {
+        let s_dims = self.inner.s_dims;
+        let Some(first) = rows.first() else {
             return Err(JoinError::EmptyInput("R"));
-        }
-        if let Some((index, dims)) = r.first_dim_mismatch() {
+        };
+        if let Some((index, row)) = rows
+            .iter()
+            .enumerate()
+            .find(|(_, row)| row.len() != first.len())
+        {
             return Err(JoinError::RaggedInput {
                 dataset: "R",
                 index,
-                dims,
-                expected: r.dims(),
+                dims: row.len(),
+                expected: first.len(),
             });
         }
-        if r.dims() != self.inner.s_dims {
+        if first.len() != s_dims {
             return Err(JoinError::DimensionalityMismatch {
-                r_dims: r.dims(),
-                s_dims: self.inner.s_dims,
+                r_dims: first.len(),
+                s_dims,
             });
         }
-        check_finite("R", r.points())?;
+        check_finite("R", rows.iter().copied())
+    }
+
+    /// Validates borrowed probe rows against the prepared corpus, then runs
+    /// the algorithm's direct probe against one epoch snapshot, returning one
+    /// neighbour list per row, positionally.  The `Arc<Epoch>` is cloned once
+    /// up front, so `query`, `query_one`, `query_into` and the server's
+    /// coalesced batches all observe a single consistent corpus version even
+    /// while concurrent mutations publish new epochs mid-probe.
+    pub(crate) fn probe(
+        &self,
+        rows: &[&[f64]],
+    ) -> Result<(Vec<Vec<Neighbor>>, JoinMetrics), JoinError> {
+        self.validate_rows(rows)?;
         let inner = &*self.inner;
         let epoch = inner.snapshot();
         // An empty overlay probes the frozen structures through exactly the
         // pre-delta code path (`None`, not `Some(empty)`), keeping counters
         // and candidate traversal bit-identical to an immutable corpus.
-        let delta = (!epoch.delta.is_empty()).then_some(&epoch.delta);
+        let delta = (!epoch.delta.is_empty()).then_some(&*epoch.delta);
         let mut metrics = JoinMetrics {
-            r_size: r.len(),
+            r_size: rows.len(),
             s_size: epoch.live_len(),
             ..Default::default()
         };
         let start = Instant::now();
-        let (plan, ctx) = (&inner.plan, &inner.ctx);
-        let mut rows = match &*epoch.state {
-            PreparedState::Voronoi(p) => p.probe(r, plan, ctx, delta, &mut metrics)?,
-            PreparedState::Hbrj(p) => p.probe(r, plan, ctx, delta, &mut metrics)?,
-            PreparedState::Zknn(p) => p.probe(r, plan, ctx, delta, &mut metrics)?,
-            // Broadcast scans the block on the substrate; the nested-loop
-            // join (cold or prepared) runs on the calling thread.
+        let (plan, workers) = (&inner.plan, inner.ctx.workers());
+        let mut neighbors = match &*epoch.state {
+            PreparedState::Voronoi(p) => p.probe(rows, plan, workers, delta, &mut metrics),
+            PreparedState::Hbrj(p) => p.probe(rows, plan, workers, delta, &mut metrics),
+            PreparedState::Zknn(p) => p.probe(rows, plan, workers, delta, &mut metrics),
+            // Broadcast scans the block on the context's workers; the
+            // nested-loop join (cold or prepared) stays on the calling thread.
             PreparedState::Flat(block) => {
-                let delta = delta.map(|d| &**d);
-                if plan.algorithm == Algorithm::BroadcastJoin {
-                    broadcast::probe(block, r, plan, ctx, delta, &mut metrics)?
+                let workers = if plan.algorithm == Algorithm::BroadcastJoin {
+                    workers
                 } else {
-                    block.scan_all(r, plan.k, plan.metric, delta, &mut metrics)
-                }
+                    1
+                };
+                block.probe(rows, plan.k, plan.metric, workers, delta, &mut metrics)
             }
         };
         let elapsed = start.elapsed();
-        rows.sort_by_key(|row| row.r_id);
-        for row in &mut rows {
-            row.neighbors.sort();
+        for list in &mut neighbors {
+            list.sort();
         }
         // ORDERING: Relaxed — independent monotonic serving counters; the
         // query result itself was produced from the epoch snapshot above and
@@ -542,6 +583,16 @@ impl PreparedJoin {
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
         inner.cumulative.lock().absorb(&metrics);
         inner.ctx.record_join(inner.plan.algorithm.name(), &metrics);
+        Ok((neighbors, metrics))
+    }
+
+    /// [`Self::probe`] over a point set, as rows labelled with their points'
+    /// ids in `r_id` order.
+    fn probe_set(&self, r: &PointSet) -> Result<(Vec<JoinRow>, JoinMetrics), JoinError> {
+        let coords: Vec<&[f64]> = r.iter().map(|p| p.coords.as_slice()).collect();
+        let (neighbors, metrics) = self.probe(&coords)?;
+        let mut rows = label_rows(r, neighbors);
+        rows.sort_by_key(|row| row.r_id);
         Ok((rows, metrics))
     }
 
@@ -549,24 +600,28 @@ impl PreparedJoin {
     /// object of `r`.
     ///
     /// # Errors
-    /// Returns [`JoinError`] when the batch is empty, ragged, non-finite, of
-    /// the wrong dimensionality, or the substrate fails.
+    /// Returns [`JoinError`] when the batch is empty, ragged, non-finite or
+    /// of the wrong dimensionality.
     pub fn query(&self, r: &PointSet) -> Result<JoinResult, JoinError> {
-        let (rows, metrics) = self.run_probe(r)?;
+        let (rows, metrics) = self.probe_set(r)?;
         Ok(JoinResult { rows, metrics })
     }
 
     /// Answers a single-point query: the `k` nearest resident `S` objects of
-    /// `point`.
+    /// `point`, probed straight from the borrowed coordinates.
     ///
     /// # Errors
-    /// Returns [`JoinError`] on a dimensionality mismatch or substrate
-    /// failure.
+    /// Returns [`JoinError`] on a dimensionality mismatch or a non-finite
+    /// coordinate.
     pub fn query_one(&self, point: &Point) -> Result<JoinRow, JoinError> {
-        let singleton = PointSet::from_points(vec![point.clone()]);
-        let (mut rows, _) = self.run_probe(&singleton)?;
-        rows.pop()
-            .ok_or(JoinError::Internal("probe returned no row for its object"))
+        let (mut neighbors, _) = self.probe(&[point.coords.as_slice()])?;
+        let neighbors = neighbors
+            .pop()
+            .ok_or(JoinError::Internal("probe returned no row for its object"))?;
+        Ok(JoinRow {
+            r_id: point.id,
+            neighbors,
+        })
     }
 
     /// Streams one probe batch's rows (in `r_id` order) into `sink` instead
@@ -581,7 +636,7 @@ impl PreparedJoin {
         r: &PointSet,
         sink: &mut dyn ResultSink,
     ) -> Result<JoinMetrics, JoinError> {
-        let (rows, metrics) = self.run_probe(r)?;
+        let (rows, metrics) = self.probe_set(r)?;
         for row in rows {
             sink.accept(row);
         }

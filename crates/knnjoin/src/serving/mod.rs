@@ -1,24 +1,29 @@
 //! A concurrent in-process serving front-end over a [`PreparedJoin`].
 //!
-//! The prepared (build/probe) split makes one corpus cheap to query, but a
-//! serving system answers *many clients at once* — and single-point queries
-//! issued one at a time waste the probe machinery, which amortizes its
-//! per-batch work (θ bounds, grouping, job setup) over every point in the
-//! batch.  The [`Server`] closes that gap with three classic serving-layer
-//! mechanisms:
+//! A prepared probe holds `S` resident, so answering a point costs what its
+//! scan costs (assign → θ for the touched cell → scan; see
+//! [`crate::prepared`]) — there is no per-probe job to set up and nothing for
+//! a batch to amortise.  What a serving system still needs is *many clients
+//! at once*; the [`Server`] adds the three mechanisms that takes:
 //!
-//! * **Coalescing** — waiting single-point queries are batched into one probe
-//!   (flush at [`ServerConfig::max_batch`] points or when the oldest waiter
-//!   has aged past [`ServerConfig::max_wait`]), and the batch's per-request
-//!   rows are handed back to each caller with its original point id restored.
-//!   Coalesced answers are bit-identical (in the repo's distance-exact sense,
-//!   see [`crate::JoinResult::mismatch_against`]) to uncoalesced
+//! * **Work-conserving dispatch, coalescing under load** — an idle worker
+//!   takes whatever single-point queries are queued (up to
+//!   [`ServerConfig::max_batch`]) the moment it sees them; nobody waits on a
+//!   timer.  Batches therefore form only while every worker is busy, which
+//!   is exactly when they pay: one queue hand-off, one epoch snapshot and
+//!   one metrics record cover the whole batch.  Each row is handed back to
+//!   its own caller under its own point id.  Coalesced answers are
+//!   bit-identical (in the repo's distance-exact sense, see
+//!   [`crate::JoinResult::mismatch_against`]) to uncoalesced
 //!   [`PreparedJoin::query_one`] calls because every probe algorithm ranks
 //!   each `R` point independently by its coordinates alone.
-//! * **Admission control** — the queue is depth-capped; a submit over the cap
-//!   returns [`JoinError::Overloaded`] *immediately* instead of queueing
-//!   unboundedly, so overload surfaces as typed back-pressure rather than
-//!   latency collapse.
+//! * **Admission control** — requests are validated (dimensionality, finite
+//!   coordinates) before they are queued, so one client's bad point fails
+//!   synchronously with its own index and can never fail a batch it would
+//!   have shared with others; the queue is depth-capped, and a submit over
+//!   the cap returns [`JoinError::Overloaded`] *immediately* instead of
+//!   queueing unboundedly, so overload surfaces as typed back-pressure
+//!   rather than latency collapse.
 //! * **Bounded workers + mergeable latency histograms** — a fixed pool of
 //!   worker threads drains the queue; each records per-request latency into
 //!   its own [`LatencyHistogram`], merged on demand by [`Server::stats`]
@@ -82,35 +87,17 @@ fn wait_tolerant<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGua
     condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
-/// [`Condvar::wait_timeout`] with the same poison tolerance (the timeout
-/// flag is dropped — callers re-check their predicate either way).
-fn wait_timeout_tolerant<'a, T>(
-    condvar: &Condvar,
-    guard: MutexGuard<'a, T>,
-    timeout: Duration,
-) -> MutexGuard<'a, T> {
-    match condvar.wait_timeout(guard, timeout) {
-        Ok((guard, _)) => guard,
-        Err(poisoned) => poisoned.into_inner().0,
-    }
-}
-
 /// Tuning knobs of a [`Server`].
 ///
-/// The defaults suit the repo's test corpora; production values depend on the
-/// probe cost of the prepared algorithm (coalescing pays off exactly when a
-/// probe batch is cheaper than `max_batch` independent probes, which holds
-/// for every algorithm in this crate).
+/// The defaults suit the repo's test corpora.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads draining the queue (clamped to ≥ 1).
     pub workers: usize,
-    /// Coalescer size trigger: flush waiting single-point queries once this
-    /// many are queued (clamped to ≥ 1; `1` disables coalescing).
+    /// Most queued single-point queries one worker takes at once (clamped
+    /// to ≥ 1; `1` disables coalescing).  A worker never waits for a batch
+    /// to fill: it takes what is queued, so batches only form under load.
     pub max_batch: usize,
-    /// Coalescer time trigger: flush once the oldest waiting single-point
-    /// query has waited this long, even if the batch is not full.
-    pub max_wait: Duration,
     /// Admission cap: maximum queued (not yet executing) requests; a submit
     /// beyond this returns [`JoinError::Overloaded`].
     pub queue_depth: usize,
@@ -125,7 +112,6 @@ impl Default for ServerConfig {
         Self {
             workers: 4,
             max_batch: 16,
-            max_wait: Duration::from_micros(500),
             queue_depth: 1024,
             start_paused: false,
         }
@@ -139,15 +125,9 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the coalescer's size trigger.
+    /// Sets the coalescer's batch-size cap.
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch;
-        self
-    }
-
-    /// Sets the coalescer's time trigger.
-    pub fn max_wait(mut self, max_wait: Duration) -> Self {
-        self.max_wait = max_wait;
         self
     }
 
@@ -250,7 +230,6 @@ struct Shared {
     queue: Mutex<Queue>,
     work: Condvar,
     max_batch: usize,
-    max_wait: Duration,
     queue_cap: usize,
     submitted: AtomicU64,
     completed: AtomicU64,
@@ -299,7 +278,6 @@ impl Server {
             }),
             work: Condvar::new(),
             max_batch: config.max_batch.max(1),
-            max_wait: config.max_wait,
             queue_cap: config.queue_depth.max(1),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -356,16 +334,12 @@ impl Server {
     ///
     /// # Errors
     /// [`JoinError::DimensionalityMismatch`] when the point doesn't match the
-    /// corpus, [`JoinError::Overloaded`] when the queue is at capacity,
+    /// corpus, [`JoinError::NonFiniteInput`] (index 0 — the caller's own
+    /// point) when a coordinate is `NaN` or infinite,
+    /// [`JoinError::Overloaded`] when the queue is at capacity,
     /// [`JoinError::ServerShutdown`] after [`Server::shutdown`] began.
     pub fn submit_one(&self, point: Point) -> Result<Ticket<JoinRow>, JoinError> {
-        let s_dims = self.prepared.dims();
-        if point.coords.len() != s_dims {
-            return Err(JoinError::DimensionalityMismatch {
-                r_dims: point.coords.len(),
-                s_dims,
-            });
-        }
+        self.prepared.validate_rows(&[point.coords.as_slice()])?;
         let slot = Arc::new(Slot::new());
         {
             let mut queue = lock_tolerant(&self.shared.queue);
@@ -387,27 +361,12 @@ impl Server {
     ///
     /// # Errors
     /// The [`PreparedJoin::query`] validation errors (empty, ragged, wrong
-    /// dimensionality) surface here synchronously; [`JoinError::Overloaded`] /
-    /// [`JoinError::ServerShutdown`] as for [`Server::submit_one`].
+    /// dimensionality, non-finite) surface here synchronously;
+    /// [`JoinError::Overloaded`] / [`JoinError::ServerShutdown`] as for
+    /// [`Server::submit_one`].
     pub fn submit(&self, points: PointSet) -> Result<Ticket<JoinResult>, JoinError> {
-        if points.is_empty() {
-            return Err(JoinError::EmptyInput("R"));
-        }
-        if let Some((index, dims)) = points.first_dim_mismatch() {
-            return Err(JoinError::RaggedInput {
-                dataset: "R",
-                index,
-                dims,
-                expected: points.dims(),
-            });
-        }
-        let s_dims = self.prepared.dims();
-        if points.dims() != s_dims {
-            return Err(JoinError::DimensionalityMismatch {
-                r_dims: points.dims(),
-                s_dims,
-            });
-        }
+        let rows: Vec<&[f64]> = points.iter().map(|p| p.coords.as_slice()).collect();
+        self.prepared.validate_rows(&rows)?;
         let slot = Arc::new(Slot::new());
         {
             let mut queue = lock_tolerant(&self.shared.queue);
@@ -512,11 +471,11 @@ impl Drop for Server {
     }
 }
 
-/// Pulls one unit of work, applying the coalescing policy: client batches
-/// pass through as-is; waiting singles flush when the batch is full
-/// (`max_batch`), the oldest waiter aged past `max_wait`, or the server is
-/// draining.  Blocks (with a deadline at the oldest waiter's flush time)
-/// otherwise.
+/// Pulls one unit of work, work-conservingly: a client batch passes through
+/// as-is, otherwise whatever singles are queued (up to `max_batch`) leave
+/// together at once.  A worker only blocks when there is nothing to do, so a
+/// lone single on an idle server is probed alone and batches form exactly
+/// while all workers are busy.
 fn next_work(shared: &Shared) -> Work {
     let mut queue = lock_tolerant(&shared.queue);
     loop {
@@ -524,33 +483,22 @@ fn next_work(shared: &Shared) -> Work {
             queue = wait_tolerant(&shared.work, queue);
             continue;
         }
-        if let Some(batch) = queue.batches.pop_front() {
-            // More work may remain; wake a peer before running this batch.
-            if queue.depth() > 0 {
-                shared.work.notify_one();
-            }
-            return Work::Batch(batch);
-        }
-        if let Some(oldest) = queue.singles.front() {
-            let age = oldest.submitted.elapsed();
-            if queue.singles.len() >= shared.max_batch || age >= shared.max_wait || queue.draining {
-                let take = queue.singles.len().min(shared.max_batch);
-                let requests: Vec<SingleRequest> = queue.singles.drain(..take).collect();
-                if queue.depth() > 0 {
-                    shared.work.notify_one();
-                }
-                return Work::Coalesced(requests);
-            }
-            // Sleep exactly until the oldest waiter's flush deadline (or an
-            // earlier submit/drain notification).
-            let deadline = shared.max_wait - age;
-            queue = wait_timeout_tolerant(&shared.work, queue, deadline);
-            continue;
-        }
-        if queue.draining {
+        let work = if let Some(batch) = queue.batches.pop_front() {
+            Work::Batch(batch)
+        } else if !queue.singles.is_empty() {
+            let take = queue.singles.len().min(shared.max_batch);
+            Work::Coalesced(queue.singles.drain(..take).collect())
+        } else if queue.draining {
             return Work::Exit;
+        } else {
+            queue = wait_tolerant(&shared.work, queue);
+            continue;
+        };
+        // More work may remain; wake a peer before running this unit.
+        if queue.depth() > 0 {
+            shared.work.notify_one();
         }
-        queue = wait_tolerant(&shared.work, queue);
+        return work;
     }
 }
 
@@ -564,39 +512,35 @@ fn worker_loop(shared: &Shared, prepared: &PreparedJoin, index: usize) {
     }
 }
 
-/// Probes a coalesced batch of single-point queries as one `R` set.
-///
-/// The clients' points are re-labelled with dense temporary ids `0..n` (in
-/// submission order) so two clients querying the same id can share a batch;
-/// every probe algorithm ranks each `R` point by its coordinates alone, so
-/// the relabelling cannot change any row's neighbours.  Rows come back sorted
-/// by the temporary id — i.e. in submission order — and each client's row is
-/// returned with its original point id restored.
+/// Probes a coalesced batch of single-point queries as one set of borrowed
+/// rows, in submission order.  The probe answers positionally and every
+/// algorithm ranks a row by its coordinates alone, so ids never enter it:
+/// two clients querying the same id can share a batch, and each client's row
+/// comes back under its own point id.
 fn run_coalesced(
     shared: &Shared,
     prepared: &PreparedJoin,
     index: usize,
     requests: Vec<SingleRequest>,
 ) {
-    let probe = PointSet::from_points(
-        requests
-            .iter()
-            .enumerate()
-            .map(|(i, request)| Point::new(i as u64, request.point.coords.clone()))
-            .collect(),
-    );
     // ORDERING: Relaxed — monotonic statistics counters only.
     shared.coalesced_batches.fetch_add(1, Ordering::Relaxed);
     shared
         .coalesced_points
         .fetch_add(requests.len() as u64, Ordering::Relaxed);
-    match prepared.query(&probe) {
-        Ok(result) => {
-            debug_assert_eq!(result.len(), requests.len());
-            for (mut row, request) in result.rows.into_iter().zip(requests) {
-                row.r_id = request.point.id;
+    let rows: Vec<&[f64]> = requests
+        .iter()
+        .map(|request| request.point.coords.as_slice())
+        .collect();
+    match prepared.probe(&rows) {
+        Ok((neighbors, _)) => {
+            debug_assert_eq!(neighbors.len(), requests.len());
+            for (request, neighbors) in requests.into_iter().zip(neighbors) {
                 finish(shared, index, request.submitted, Ok(()));
-                request.slot.deliver(Ok(row));
+                request.slot.deliver(Ok(JoinRow {
+                    r_id: request.point.id,
+                    neighbors,
+                }));
             }
         }
         Err(error) => {
@@ -813,14 +757,11 @@ mod tests {
     #[test]
     fn drain_answers_every_admitted_request() {
         let (prepared, queries) = serve_fixture(200, 2);
-        // Paused server with a long max_wait: nothing flushes on its own;
+        // Paused server: nothing is taken off the queue on its own;
         // shutdown's drain must still answer every ticket.
         let server = Server::start(
             prepared,
-            ServerConfig::default()
-                .workers(2)
-                .max_wait(Duration::from_secs(3600))
-                .start_paused(true),
+            ServerConfig::default().workers(2).start_paused(true),
         );
         let tickets: Vec<_> = queries
             .iter()
@@ -853,9 +794,10 @@ mod tests {
         }
         let stats = server.shutdown();
         assert_eq!(stats.coalesced_points, queries.len() as u64);
-        // 32 queued singles, size trigger 8 ⇒ at least 4 probe batches.
-        assert!(stats.coalesced_batches >= 4);
-        assert!(stats.mean_coalesced_batch() > 1.0);
+        // 32 singles queued behind one paused worker, batch cap 8 ⇒ exactly
+        // 4 full probe batches on resume.
+        assert_eq!(stats.coalesced_batches, 4);
+        assert_eq!(stats.mean_coalesced_batch(), 8.0);
         assert!(stats.qps() > 0.0);
         assert!(stats.latency.p50() <= stats.latency.p99());
     }

@@ -42,9 +42,11 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Applies `f` to every item on up to `workers` threads, preserving the input
-/// order of the results (task index is passed through to `f`).
-fn parallel_map<T, U, F>(items: Vec<T>, workers: usize, f: F) -> Vec<U>
+/// Applies `f` to every item on up to `workers` scoped threads, preserving
+/// the input order of the results (task index is passed through to `f`).
+/// This is the engine's one worker pool: map and reduce tasks run on it, and
+/// so do the row ranges of a prepared probe, which has no shuffle to run.
+pub fn parallel_map<T, U, F>(items: Vec<T>, workers: usize, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,

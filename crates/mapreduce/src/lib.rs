@@ -76,7 +76,7 @@ pub use bytesize::ByteSize;
 pub use counters::Counters;
 pub use dfs::{DfsConfig, DfsError, InMemoryDfs};
 pub use engine::{
-    default_workers, run_job, run_job_with_combiner, JobBuilder, JobError, JobOutput,
+    default_workers, parallel_map, run_job, run_job_with_combiner, JobBuilder, JobError, JobOutput,
 };
 pub use job::{
     Combiner, HashPartitioner, IdentityCombiner, IdentityPartitioner, MapContext, Mapper,

@@ -82,14 +82,13 @@ impl Rect {
     /// Minimum distance from a query point to any point of this rectangle
     /// (zero if the query is inside).  This is the classic `MINDIST` bound
     /// driving best-first R-tree traversal.
-    pub fn min_distance(&self, q: &Point, metric: DistanceMetric) -> f64 {
+    pub fn min_distance(&self, q: &[f64], metric: DistanceMetric) -> f64 {
         let nearest: Vec<f64> = q
-            .coords
             .iter()
             .enumerate()
             .map(|(d, c)| c.clamp(self.min[d], self.max[d]))
             .collect();
-        metric.distance_coords(&q.coords, &nearest)
+        metric.distance_coords(q, &nearest)
     }
 }
 
@@ -127,10 +126,10 @@ mod tests {
     fn min_distance_zero_inside_positive_outside() {
         let r = Rect::new(vec![0.0, 0.0], vec![2.0, 2.0]);
         let m = DistanceMetric::Euclidean;
-        assert_eq!(r.min_distance(&p(&[1.0, 1.0]), m), 0.0);
-        assert!((r.min_distance(&p(&[5.0, 2.0]), m) - 3.0).abs() < 1e-12);
+        assert_eq!(r.min_distance(&[1.0, 1.0], m), 0.0);
+        assert!((r.min_distance(&[5.0, 2.0], m) - 3.0).abs() < 1e-12);
         // corner case: diagonal distance
-        assert!((r.min_distance(&p(&[5.0, 6.0]), m) - 5.0).abs() < 1e-12);
+        assert!((r.min_distance(&[5.0, 6.0], m) - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -230,7 +230,7 @@ impl RTree {
             return (Vec::new(), 0);
         }
         let mut result = NeighborList::new(k);
-        let computations = self.knn_into(query, &mut result);
+        let computations = self.knn_into(&query.coords, &mut result);
         (result.into_sorted(), computations)
     }
 
@@ -247,13 +247,13 @@ impl RTree {
     /// accumulator anyway.
     ///
     /// Returns the number of point-to-point distance computations spent.
-    pub fn knn_into(&self, query: &Point, result: &mut NeighborList) -> u64 {
+    pub fn knn_into(&self, query: &[f64], result: &mut NeighborList) -> u64 {
         if result.k() == 0 || self.root.is_none() {
             return 0;
         }
         let kernel = self.metric.kernel();
         let batch = self.metric.batch_rank_kernel();
-        let dims = query.coords.len();
+        let dims = query.len();
         // Reused across every leaf this query visits; leaves hold at most
         // `fanout` rows, so the non-exact path sizes it once up front.
         let mut ranks = if self.mode.is_exact() {
@@ -290,7 +290,7 @@ impl RTree {
                         // distance, and the threshold only shrinks toward
                         // the same kth distance.
                         let m = ids.len();
-                        batch(&query.coords, coords.as_slice(), dims, &mut ranks[..m]);
+                        batch(query, coords.as_slice(), dims, &mut ranks[..m]);
                         self.metric.ranks_to_distances(&mut ranks[..m]);
                         distance_computations += m as u64;
                         for (i, &d) in ranks[..m].iter().enumerate() {
@@ -299,7 +299,7 @@ impl RTree {
                         continue;
                     }
                     for (i, row) in coords.rows().enumerate() {
-                        let d = kernel(&query.coords, row);
+                        let d = kernel(query, row);
                         distance_computations += 1;
                         if d <= result.threshold() {
                             heap.push(Prioritized {
@@ -337,7 +337,7 @@ impl RTree {
     }
 
     fn range_recurse(&self, node: &Node, query: &Point, radius: f64, out: &mut Vec<Neighbor>) {
-        if node.mbr().min_distance(query, self.metric) > radius {
+        if node.mbr().min_distance(&query.coords, self.metric) > radius {
             return;
         }
         match node {

@@ -2,11 +2,11 @@
 //! prepared PGBJ handle, with latency SLOs read off the built-in histogram.
 //!
 //! Scenario: the POI corpus from the `mutable_corpus` example goes online.
-//! Requests arrive one point at a time from independent client threads; the
-//! server coalesces waiting singles into probe batches (bounded by
-//! `max_batch` and `max_wait`), runs them on a small worker pool, and
-//! answers every request with exactly what [`PreparedJoin::query_one`]
-//! would have returned.  Admission control caps the queue: past
+//! Requests arrive one point at a time from independent client threads; an
+//! idle worker probes a request the moment it arrives, and while all workers
+//! are busy the waiting singles coalesce into probe batches (of at most
+//! `max_batch`).  Every request is answered with exactly what
+//! [`PreparedJoin::query_one`] would have returned.  Admission control caps the queue: past
 //! `queue_depth` pending requests, `submit_one` fails fast with the typed
 //! [`JoinError::Overloaded`] instead of letting latency collapse.
 //!
@@ -16,7 +16,6 @@
 
 use pgbj::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 fn main() {
     // The corpus and a pool of query points.
@@ -52,15 +51,14 @@ fn main() {
         prepared.s_len(),
     );
 
-    // A server with 4 workers: singles coalesce into batches of up to 16,
-    // a waiting request is flushed after at most 2 ms, and at most 1024
-    // requests may be pending before admission control pushes back.
+    // A server with 4 workers: singles that queue up while all four are
+    // busy leave in batches of up to 16, and at most 1024 requests may be
+    // pending before admission control pushes back.
     let server = Server::start(
         prepared,
         ServerConfig::default()
             .workers(4)
             .max_batch(16)
-            .max_wait(Duration::from_millis(2))
             .queue_depth(1024),
     );
 

@@ -1,9 +1,9 @@
 //! Concurrency harness for the serving front-end and the prepared/delta
 //! stack: a multi-client stress test with oracle-verified responses, a
 //! mutate-under-load soak test (every answer consistent with *some* published
-//! epoch), coalescer flush/ordering/bit-identity coverage for every
-//! algorithm, backpressure and drain behaviour, and histogram merge
-//! associativity.
+//! epoch), coalescer batching/ordering/bit-identity coverage for every
+//! algorithm, admission (validation, backpressure) and drain behaviour, and
+//! histogram merge associativity.
 //!
 //! Everything is seeded and bounded so the harness is deterministic enough
 //! for CI: thread interleavings vary, but every assertion is
@@ -14,7 +14,6 @@ use pgbj::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 fn clustered(n: usize, dims: usize, seed: u64) -> PointSet {
     gaussian_clusters(
@@ -270,14 +269,14 @@ fn coalesced_rows_bit_identical_to_query_one_for_every_algorithm() {
             .iter()
             .map(|p| prepared.query_one(p).expect("uncoalesced query_one"))
             .collect();
-        // Paused server + size trigger 4: the 12 singles flush as exactly
-        // three coalesced probe batches once resumed.
+        // Paused server + batch cap 4: the 12 queued singles leave as
+        // exactly ⌈12 / 4⌉ = 3 coalesced probe batches once resumed,
+        // whichever of the two workers takes them.
         let server = Server::start(
             prepared,
             ServerConfig::default()
-                .workers(1)
+                .workers(2)
                 .max_batch(4)
-                .max_wait(Duration::from_secs(3600))
                 .start_paused(true),
         );
         let tickets: Vec<_> = queries
@@ -323,7 +322,6 @@ fn coalescing_never_reorders_or_merges_same_id_requests() {
         ServerConfig::default()
             .workers(1)
             .max_batch(3)
-            .max_wait(Duration::from_secs(3600))
             .start_paused(true),
     );
     let t1 = server.submit_one(a.clone()).unwrap();
@@ -352,11 +350,11 @@ fn coalescing_never_reorders_or_merges_same_id_requests() {
     assert_eq!(stats.coalesced_points, 3);
 }
 
-/// The wait trigger: with an oversized `max_batch`, waiting singles still
-/// flush once the oldest has aged past `max_wait` (the answers arrive
-/// without the batch ever filling).
+/// Work-conserving dispatch: an idle server answers a lone single at once —
+/// alone, whatever `max_batch` says, with no second submit and no timer to
+/// release it — so closed-loop singles never coalesce.
 #[test]
-fn coalescer_wait_trigger_flushes_partial_batches() {
+fn idle_server_answers_a_lone_single_alone() {
     let corpus = clustered(200, 2, 74);
     let queries = clustered(6, 2, 75);
     let ctx = ExecutionContext::default();
@@ -365,25 +363,80 @@ fn coalescer_wait_trigger_flushes_partial_batches() {
         .expect("prepare");
     let server = Server::start(
         prepared.clone(),
-        ServerConfig::default()
-            .workers(1)
-            .max_batch(1000) // size trigger unreachable
-            .max_wait(Duration::from_millis(5)),
+        ServerConfig::default().workers(1).max_batch(1000),
     );
-    for point in queries.iter() {
-        let row = server
-            .query_one(point.clone())
-            .expect("wait-triggered answer");
+    for (answered, point) in queries.iter().enumerate() {
+        let row = server.query_one(point.clone()).expect("lone answer");
         assert!(rows_identical(&row, &prepared.query_one(point).unwrap()));
+        let stats = server.stats();
+        assert_eq!(stats.coalesced_batches, answered as u64 + 1);
+        assert_eq!(stats.mean_coalesced_batch(), 1.0);
     }
     let stats = server.shutdown();
     assert_eq!(stats.completed, queries.len() as u64);
-    // Every single went through the coalescer (even as partial batches).
     assert_eq!(stats.coalesced_points, queries.len() as u64);
 }
 
-/// The drain trigger: a paused server with unreachable size/wait triggers
-/// still answers everything on shutdown.
+/// Admission validates finiteness: a NaN point fails its own submit
+/// synchronously, with its own index, and never reaches the queue — so the
+/// other clients' singles it would have shared a coalesced batch with all
+/// succeed.
+#[test]
+fn non_finite_points_are_refused_at_admission_not_in_the_batch() {
+    let corpus = clustered(200, 2, 78);
+    let queries = clustered(5, 2, 79);
+    let ctx = ExecutionContext::default();
+    let prepared = builder_for(&queries, &corpus, Algorithm::Pgbj, 3)
+        .prepare(&ctx)
+        .expect("prepare");
+    let server = Server::start(
+        prepared.clone(),
+        ServerConfig::default()
+            .workers(1)
+            .max_batch(8)
+            .start_paused(true),
+    );
+    let mut tickets = Vec::new();
+    for (i, point) in queries.iter().enumerate() {
+        if i == 2 {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let poisoned = Point::new(777, vec![bad, 1.0]);
+                assert_eq!(
+                    server.submit_one(poisoned).unwrap_err(),
+                    JoinError::NonFiniteInput {
+                        dataset: "R",
+                        index: 0
+                    }
+                );
+            }
+            let mut batch = queries.clone();
+            batch.points_mut()[3].coords[1] = f64::NEG_INFINITY;
+            assert_eq!(
+                server.submit(batch).unwrap_err(),
+                JoinError::NonFiniteInput {
+                    dataset: "R",
+                    index: 3
+                }
+            );
+        }
+        tickets.push((point, server.submit_one(point.clone()).expect("submit")));
+    }
+    assert_eq!(server.queue_depth(), queries.len());
+    server.resume();
+    for (point, ticket) in tickets {
+        let row = ticket.wait().expect("innocent ticket succeeds");
+        assert!(rows_identical(&row, &prepared.query_one(point).unwrap()));
+    }
+    let stats = server.shutdown();
+    // All five innocents rode one batch; the refused submits were never
+    // admitted, so they count as neither submitted nor failed.
+    assert_eq!(stats.coalesced_batches, 1);
+    assert_eq!(stats.submitted, queries.len() as u64);
+    assert_eq!(stats.completed, queries.len() as u64);
+    assert_eq!(stats.failed, 0);
+}
+
+/// The drain trigger: a paused server still answers everything on shutdown.
 #[test]
 fn coalescer_drain_trigger_answers_all_pending_on_shutdown() {
     let corpus = clustered(200, 2, 76);
@@ -401,7 +454,6 @@ fn coalescer_drain_trigger_answers_all_pending_on_shutdown() {
         ServerConfig::default()
             .workers(2)
             .max_batch(1000)
-            .max_wait(Duration::from_secs(3600))
             .start_paused(true),
     );
     let tickets: Vec<_> = queries
@@ -437,10 +489,8 @@ fn concurrent_overload_rejects_typed_and_never_hangs() {
         ServerConfig::default()
             .workers(1)
             .queue_depth(CAP)
-            .max_wait(Duration::from_secs(3600))
-            // Paused workers cannot flush, so the queue fills to `CAP` even
-            // though `max_batch == CAP`; on resume the size trigger fires
-            // immediately and deterministically.
+            // Paused workers take nothing, so the queue fills to `CAP`; on
+            // resume the one worker takes all `CAP` as one batch.
             .max_batch(CAP)
             .start_paused(true),
     );

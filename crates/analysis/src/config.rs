@@ -146,11 +146,6 @@ impl Config {
                     receiver: "inner",
                     rank: 90,
                 },
-                LockSite {
-                    file: "crates/mapreduce/src/dfs.rs",
-                    receiver: "name_node",
-                    rank: 100,
-                },
             ],
             probe_calls: default_probe_calls(),
             drift_fields_file: Some("crates/bench/src/bin/experiments.rs".into()),

@@ -1,6 +1,5 @@
 //! Microbenchmarks for the distance hot path rebuilt around flat coordinate
-//! storage: raw kernel throughput, pruned vs brute-force pivot assignment,
-//! and the bounded candidate scan of Algorithm 3.
+//! storage: raw kernel throughput and pruned vs brute-force pivot assignment.
 //!
 //! The `seed_pointwise` variants replicate the layout the repository started
 //! from — one heap-allocated `Vec<f64>` per point, an enum dispatch and a
@@ -10,14 +9,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::{forest_like, ForestConfig};
-use geom::KernelMode;
 use geom::{kernels, CoordMatrix, DistanceMetric, Point};
-use knnjoin::algorithms::voronoi::{order_s_partitions, FlatPartition, VoronoiScan};
-use knnjoin::bounds::PartitionBounds;
 use knnjoin::partition::VoronoiPartitioner;
 use knnjoin::pivots::{select_pivots, PivotSelectionStrategy};
-use knnjoin::summary::SummaryTables;
-use std::collections::BTreeMap;
 
 fn dataset(n: usize, dims: usize, seed: u64) -> geom::PointSet {
     forest_like(
@@ -192,62 +186,6 @@ fn bench_batch_kernel_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Satellite of the batch-kernel PR: the early-exit check cadence is chosen
-/// from the dimensionality (`bounded_check_cadence`), because at d ≤ 8 the
-/// bound branch costs more than the arithmetic it can skip.  Compares the
-/// historical fixed-cadence-8 kernel against the dimension-aware choice on a
-/// realistic pruning workload (bound = the k-th smallest distance, so most
-/// rows can exit early when a check runs at all).
-fn bench_bounded_cadence(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bounded_cadence");
-    group.sample_size(100);
-    for dims in [4usize, 10, 48, 192] {
-        let candidates = CoordMatrix::from_point_set(&datagen::uniform(2048, dims, 100.0, 41));
-        let query: Vec<f64> = datagen::uniform(1, dims, 100.0, 42).points()[0]
-            .coords
-            .clone();
-        // A tight-but-realistic bound: the 10th smallest squared distance.
-        let mut dists: Vec<f64> = candidates
-            .rows()
-            .map(|row| kernels::squared_euclidean(&query, row))
-            .collect();
-        dists.sort_unstable_by(f64::total_cmp);
-        let bound = dists[10];
-        // Both sides go through a hoisted function pointer — exactly how the
-        // bounded scans consume these kernels — so the comparison isolates
-        // the cadence choice rather than call-site inlining.
-        let fixed: fn(&[f64], &[f64], f64) -> f64 = kernels::squared_euclidean_bounded;
-        group.bench_with_input(
-            BenchmarkId::new("fixed_cadence_8", dims),
-            &candidates,
-            |b, m| {
-                b.iter(|| {
-                    let mut acc = 0.0;
-                    for row in m.rows() {
-                        acc += fixed(black_box(&query), row, black_box(bound));
-                    }
-                    acc
-                });
-            },
-        );
-        let dim_aware = DistanceMetric::Euclidean.rank_kernel_bounded_for_dim(dims);
-        group.bench_with_input(
-            BenchmarkId::new("dim_aware_cadence", dims),
-            &candidates,
-            |b, m| {
-                b.iter(|| {
-                    let mut acc = 0.0;
-                    for row in m.rows() {
-                        acc += dim_aware(black_box(&query), row, black_box(bound));
-                    }
-                    acc
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_pivot_assignment(c: &mut Criterion) {
     // Both of the paper's dataset shapes: Forest-like (10-d, clustered) and
     // OSM-like (2-d, skewed geographic).
@@ -321,67 +259,10 @@ fn bench_pivot_assignment(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_bounded_scan(c: &mut Criterion) {
-    // One PGBJ-reducer-sized workload: partitioned S, summary tables, θ
-    // bounds — then the Algorithm 3 scan for every R object.
-    let r = dataset(400, 10, 21);
-    let s = dataset(2000, 10, 22);
-    let k = 10;
-    let metric = DistanceMetric::Euclidean;
-    let pivots = select_pivots(
-        &r,
-        32,
-        PivotSelectionStrategy::Random { candidate_sets: 3 },
-        1000,
-        metric,
-        7,
-    );
-    let partitioner = VoronoiPartitioner::new(pivots.clone(), metric);
-    let pr = partitioner.partition(&r);
-    let ps = partitioner.partition(&s);
-    let tables = SummaryTables::build(pivots, metric, &pr, &ps, k);
-    let bounds = PartitionBounds::compute(&tables, k);
-    let mut s_parts: BTreeMap<usize, FlatPartition> = BTreeMap::new();
-    for (j, bucket) in ps.partitions.iter().enumerate() {
-        let mut flat = FlatPartition::new(s.dims());
-        for (point, dist) in bucket {
-            flat.push(point, *dist);
-        }
-        s_parts.insert(j, flat);
-    }
-
-    let mut group = c.benchmark_group("bounded_scan");
-    group.sample_size(10);
-    group.bench_function("algorithm3_scan_400r_2000s", |b| {
-        b.iter(|| {
-            let mut scan = VoronoiScan::new(&tables, k, metric, KernelMode::Exact);
-            let mut total = 0u64;
-            for (i, r_bucket) in pr.partitions.iter().enumerate() {
-                let s_order = order_s_partitions(&s_parts, i, &tables);
-                for (r_obj, r_pivot_dist) in r_bucket {
-                    let (neighbors, counts) = scan.scan(
-                        &r_obj.coords,
-                        *r_pivot_dist,
-                        i,
-                        &s_parts,
-                        &s_order,
-                        bounds.theta[i],
-                    );
-                    total += counts.frozen + neighbors.len() as u64;
-                }
-            }
-            total
-        });
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_kernel_throughput,
     bench_batch_kernel_throughput,
-    bench_bounded_cadence,
-    bench_pivot_assignment,
-    bench_bounded_scan
+    bench_pivot_assignment
 );
 criterion_main!(benches);

@@ -417,6 +417,20 @@ mod tests {
                 exact["wall_time_s"].as_f64(),
                 "{algorithm}"
             );
+            // Pivot assignment runs the one pruned search in every mode.
+            for (exact_row, fast_row) in [
+                (algorithm.to_string(), format!("{algorithm} (fast)")),
+                (
+                    format!("{algorithm} (prepared)"),
+                    format!("{algorithm} (prepared, fast)"),
+                ),
+            ] {
+                assert_eq!(
+                    by_name(&fast_row)["pivot_assignment_computations"].as_u64(),
+                    by_name(&exact_row)["pivot_assignment_computations"].as_u64(),
+                    "{fast_row}: pivot assignment must not depend on the kernel mode"
+                );
+            }
         }
     }
 

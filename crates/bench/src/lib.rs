@@ -4,7 +4,7 @@
 //! The paper's cluster experiments use 0.58M–14.5M-object datasets, 2000–8000
 //! pivots and 9–36 Hadoop nodes.  The harness keeps every *sweep* and every
 //! *reported column* identical but scales sizes down by roughly three orders
-//! of magnitude so the full suite completes in minutes; `DESIGN.md` §4 lists
+//! of magnitude so the full suite completes in minutes; [`workloads`] holds
 //! the mapping.  Absolute numbers therefore differ from the paper; the shapes
 //! (which algorithm wins, how metrics move with each parameter) are the
 //! reproduction target and are recorded in `EXPERIMENTS.md`.

@@ -3,18 +3,22 @@
 //! [`crate::DistanceMetric::distance_coords`] is convenient but pays an enum
 //! dispatch per call, and the Euclidean variant a `sqrt` per call.  The hot
 //! loops (pivot assignment, Algorithm 3 scans, k-means) instead hoist one of
-//! these kernels out of the loop and call it directly:
+//! these kernels out of the loop and call it directly.  There are three
+//! families, and a [`KernelMode`] picks between the first and the other two:
 //!
-//! * the plain kernels ([`euclidean`], [`manhattan`], [`chebyshev`]) compute
+//! * the scalar kernels ([`euclidean`], [`manhattan`], [`chebyshev`]) compute
 //!   exactly the same value as `distance_coords` — same left-to-right
-//!   accumulation order, so results are bit-identical;
-//! * [`squared_euclidean`] skips the `sqrt`, for argmin loops that only need
+//!   accumulation order, so results are bit-identical — and
+//!   [`squared_euclidean`] skips the `sqrt`, for argmin loops that only need
 //!   the *ordering* of distances (`sqrt` is monotone);
-//! * the `*_bounded` variants take an early exit as soon as the running
-//!   partial sum proves the result can only be **≥ `bound`**: they return a
-//!   value `≥ bound` in that case and the exact kernel value otherwise.  The
-//!   partial sums accumulate in the same order as the plain kernels, so a
-//!   bounded call that runs to completion returns a bit-identical value.
+//! * the `*_fast` pairwise kernels run four independent accumulators;
+//! * the `*_batch` kernels rank one query against a contiguous block of rows
+//!   per call, through AVX2 intrinsics where the CPU has them.
+//!
+//! The fast and batch kernels reorder floating-point addition, so they agree
+//! with the scalar kernels to ~1e-9 relative, not bit for bit.  Pivot
+//! selection and pivot assignment always use the scalar kernels, whatever
+//! the mode: the stored pivot distances feed every pruning bound.
 //!
 //! Squared distances are safe wherever only comparisons *within* the squared
 //! domain happen (argmin against a running best kept in the same domain).
@@ -26,10 +30,6 @@
 /// A plain distance kernel: `f(a, b)` over equal-length coordinate slices.
 pub type Kernel = fn(&[f64], &[f64]) -> f64;
 
-/// An early-exit kernel: `f(a, b, bound)` returns a value `>= bound` as soon
-/// as the result is proven to be at least `bound`, the exact value otherwise.
-pub type BoundedKernel = fn(&[f64], &[f64], f64) -> f64;
-
 /// A one-query-vs-many-rows kernel: `f(q, rows, dim, out)` where `rows` is a
 /// flat row-major block of `out.len()` rows of `dim` coordinates (a
 /// [`crate::CoordMatrix`] sub-slice) and `out[i]` receives the *rank* of
@@ -39,43 +39,27 @@ pub type BoundedKernel = fn(&[f64], &[f64], f64) -> f64;
 /// not bit for bit.
 pub type BatchKernel = fn(&[f64], &[f64], usize, &mut [f64]);
 
-/// The `f32` counterpart of [`BatchKernel`], used by the
-/// [`KernelMode::RankF32`] candidate-filtering path.
-pub type BatchKernelF32 = fn(&[f32], &[f32], usize, &mut [f32]);
-
 /// How many rows of a flat coordinate block the tiled probe loops evaluate
 /// per batch-kernel call.  256 rows × 16 dims × 8 bytes = 32 KiB, so a tile
 /// plus its rank scratch stays L1/L2-resident while the batch kernel streams
 /// it; consumers re-slice larger S blocks into `PROBE_TILE`-row tiles.
 pub const PROBE_TILE: usize = 256;
 
-/// How many accumulation steps run between early-exit bound checks.  Checking
-/// every element costs more than it saves at low dimensionality; a small
-/// block keeps the check amortised while still cutting high-dimensional scans
-/// short.
-const CHECK_EVERY: usize = 8;
-
-/// Which kernel family the distance hot loops use.  The default preserves
-/// the repo's bit-identical baseline; the other two trade bit-stability (not
-/// correctness of the *neighbour sets*) for throughput.
+/// Which kernel family the candidate scans call.  The mode selects a kernel
+/// and nothing else: pivot selection, pivot assignment, the shuffle and every
+/// pruning bound are the same in both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelMode {
-    /// Today's scalar left-to-right kernels: results and deterministic
-    /// counters are bit-identical to the committed baselines.
+    /// The scalar left-to-right kernels: results and deterministic counters
+    /// are bit-identical to the committed baselines.
     #[default]
     Exact,
     /// Multi-accumulator SIMD-friendly kernels and tiled batch probes.
     /// Floating-point addition is reordered, so distances agree with
     /// [`KernelMode::Exact`] to ~1e-9 relative rather than bit for bit, and
-    /// pruning counters may differ (the tiled scans re-evaluate bounds per
-    /// tile instead of per candidate).
+    /// scan counters may differ (the tiled scans re-evaluate bounds per tile
+    /// instead of per candidate).
     Fast,
-    /// `f32` ranks filter candidates; every distance that survives into a
-    /// result row is refined in `f64`.  Approximate: a candidate whose `f32`
-    /// rank rounds past the running threshold can be missed, so recall is
-    /// reported through the QualityReport machinery.  Consumers without an
-    /// `f32` shadow path fall back to [`KernelMode::Fast`].
-    RankF32,
 }
 
 impl KernelMode {
@@ -84,7 +68,6 @@ impl KernelMode {
         match self {
             KernelMode::Exact => "exact",
             KernelMode::Fast => "fast",
-            KernelMode::RankF32 => "rank-f32",
         }
     }
 
@@ -532,286 +515,6 @@ pub fn chebyshev_batch(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
     });
 }
 
-/// Rank argmin of `q` over every row of a flat block without materialising
-/// the ranks: returns `(row_index, rank)` of the first row attaining the
-/// minimum (first-index-wins, matching the scalar argmin loops).  `rank_fn`
-/// is one of the fast pairwise rank kernels.
-///
-/// # Panics
-/// Panics if the block is empty or ragged.
-#[inline]
-pub fn batch_rank_argmin(q: &[f64], rows: &[f64], dim: usize, rank_fn: Kernel) -> (usize, f64) {
-    assert!(dim > 0 && !rows.is_empty(), "empty batch block");
-    assert_eq!(rows.len() % dim, 0, "ragged batch block");
-    let mut best = 0usize;
-    let mut best_rank = f64::INFINITY;
-    for (i, row) in rows.chunks_exact(dim).enumerate() {
-        let rank = rank_fn(q, row);
-        if rank < best_rank {
-            best_rank = rank;
-            best = i;
-        }
-    }
-    (best, best_rank)
-}
-
-// ---------------------------------------------------------------------------
-// f32 batch kernels (the RankF32 candidate filter)
-// ---------------------------------------------------------------------------
-
-/// Converts an `f64` coordinate slice to `f32`, appending to `dst`.
-#[inline]
-pub fn downcast_coords(src: &[f64], dst: &mut Vec<f32>) {
-    dst.extend(src.iter().map(|&v| v as f32));
-}
-
-/// `f32` squared-Euclidean ranks of `q` against every row of a flat `f32`
-/// block — eight independent accumulators (f32 lanes are twice as wide).
-/// Filter-only: callers refine surviving candidates in `f64`.
-///
-/// # Panics
-/// Panics if `q.len() != dim` or `rows.len() != dim * out.len()`.
-#[inline]
-pub fn squared_euclidean_batch_f32(q: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
-    assert_eq!(q.len(), dim, "query dimensionality mismatch");
-    assert_eq!(rows.len(), dim * out.len(), "ragged batch block");
-    for (row, slot) in rows.chunks_exact(dim).zip(out.iter_mut()) {
-        let head = dim & !7;
-        let mut acc = [0.0f32; 8];
-        for (cq, cr) in q[..head].chunks_exact(8).zip(row[..head].chunks_exact(8)) {
-            for l in 0..8 {
-                let d = cq[l] - cr[l];
-                acc[l] += d * d;
-            }
-        }
-        let mut tail = 0.0f32;
-        for (x, y) in q[head..].iter().zip(&row[head..]) {
-            let d = x - y;
-            tail += d * d;
-        }
-        *slot = ((acc[0] + acc[1]) + (acc[2] + acc[3]))
-            + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-            + tail;
-    }
-}
-
-/// `f32` Manhattan ranks of `q` against every row of a flat `f32` block.
-#[inline]
-pub fn manhattan_batch_f32(q: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
-    assert_eq!(q.len(), dim, "query dimensionality mismatch");
-    assert_eq!(rows.len(), dim * out.len(), "ragged batch block");
-    for (row, slot) in rows.chunks_exact(dim).zip(out.iter_mut()) {
-        let head = dim & !7;
-        let mut acc = [0.0f32; 8];
-        for (cq, cr) in q[..head].chunks_exact(8).zip(row[..head].chunks_exact(8)) {
-            for l in 0..8 {
-                acc[l] += (cq[l] - cr[l]).abs();
-            }
-        }
-        let mut tail = 0.0f32;
-        for (x, y) in q[head..].iter().zip(&row[head..]) {
-            tail += (x - y).abs();
-        }
-        *slot = ((acc[0] + acc[1]) + (acc[2] + acc[3]))
-            + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-            + tail;
-    }
-}
-
-/// `f32` Chebyshev ranks of `q` against every row of a flat `f32` block.
-#[inline]
-pub fn chebyshev_batch_f32(q: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
-    assert_eq!(q.len(), dim, "query dimensionality mismatch");
-    assert_eq!(rows.len(), dim * out.len(), "ragged batch block");
-    for (row, slot) in rows.chunks_exact(dim).zip(out.iter_mut()) {
-        let head = dim & !7;
-        let mut acc = [0.0f32; 8];
-        for (cq, cr) in q[..head].chunks_exact(8).zip(row[..head].chunks_exact(8)) {
-            for l in 0..8 {
-                acc[l] = acc[l].max((cq[l] - cr[l]).abs());
-            }
-        }
-        let mut m = acc[0]
-            .max(acc[1])
-            .max(acc[2].max(acc[3]))
-            .max(acc[4].max(acc[5]).max(acc[6].max(acc[7])));
-        for (x, y) in q[head..].iter().zip(&row[head..]) {
-            m = m.max((x - y).abs());
-        }
-        *slot = m;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dimension-aware early-exit cadence
-// ---------------------------------------------------------------------------
-
-/// The `*_bounded` check cadence suited to `dim`, picked once at kernel-hoist
-/// time: `0` means "never check" below 96 dims, 16 beyond.  Measured (see the
-/// `bounded_cadence` bench group): up to ~48 dims completing the row through
-/// the branchless plain kernel beats any early exit — the exit branch
-/// mispredicts whenever the bound is neither trivially tight nor trivially
-/// loose, costing more than the arithmetic it saves — break-even sits near
-/// 96 dims, and very wide rows gain a few percent from a rare cadence-16
-/// check.  Completed results are bit-identical across cadences — the cadence
-/// only decides *where* the partial sum is compared against the bound, never
-/// the accumulation order.
-pub fn bounded_check_cadence(dim: usize) -> usize {
-    match dim {
-        0..=95 => 0,
-        _ => 16,
-    }
-}
-
-macro_rules! bounded_cadence_kernels {
-    ($plain:ident, $cadence16:ident, $unchecked:ident, |$x:ident, $y:ident, $acc:ident| $step:expr) => {
-        /// Cadence-16 variant of the bounded kernel, for wide rows (see
-        /// [`bounded_check_cadence`]).  Same contract: exact (bit-identical
-        /// to the plain kernel) when not cut short, `≥ bound` otherwise.
-        #[inline]
-        pub fn $cadence16(a: &[f64], b: &[f64], bound: f64) -> f64 {
-            debug_assert_eq!(a.len(), b.len(), "dimensionality mismatch");
-            let n = a.len();
-            const CADENCE: usize = 16;
-            if n <= CADENCE {
-                return $plain(a, b);
-            }
-            let mut $acc = 0.0f64;
-            let mut i = 0;
-            while n - i > CADENCE {
-                for k in 0..CADENCE {
-                    let $x = a[i + k];
-                    let $y = b[i + k];
-                    $step;
-                }
-                i += CADENCE;
-                if $acc >= bound {
-                    return $acc;
-                }
-            }
-            while i < n {
-                let $x = a[i];
-                let $y = b[i];
-                $step;
-                i += 1;
-            }
-            $acc
-        }
-
-        /// Bound-ignoring adapter with the [`BoundedKernel`] signature, for
-        /// dimensionalities where checking is never worth the branch.
-        #[inline]
-        pub fn $unchecked(a: &[f64], b: &[f64], _bound: f64) -> f64 {
-            $plain(a, b)
-        }
-    };
-}
-
-bounded_cadence_kernels!(
-    squared_euclidean,
-    squared_euclidean_bounded_wide,
-    squared_euclidean_unchecked,
-    |x, y, acc| {
-        let d = x - y;
-        acc += d * d;
-    }
-);
-bounded_cadence_kernels!(
-    manhattan,
-    manhattan_bounded_wide,
-    manhattan_unchecked,
-    |x, y, acc| acc += (x - y).abs()
-);
-bounded_cadence_kernels!(
-    chebyshev,
-    chebyshev_bounded_wide,
-    chebyshev_unchecked,
-    |x, y, acc| acc = acc.max((x - y).abs())
-);
-
-/// [`squared_euclidean`] with an early exit once the partial sum reaches
-/// `bound` (partial sums of squares only grow).  Short rows skip the bound
-/// checks entirely — at low dimensionality a check per element costs more
-/// than the arithmetic it might save.
-#[inline]
-pub fn squared_euclidean_bounded(a: &[f64], b: &[f64], bound: f64) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dimensionality mismatch");
-    let n = a.len();
-    if n <= CHECK_EVERY {
-        return squared_euclidean(a, b);
-    }
-    let mut acc = 0.0;
-    let mut i = 0;
-    while n - i > CHECK_EVERY {
-        for k in 0..CHECK_EVERY {
-            let d = a[i + k] - b[i + k];
-            acc += d * d;
-        }
-        i += CHECK_EVERY;
-        if acc >= bound {
-            return acc;
-        }
-    }
-    while i < n {
-        let d = a[i] - b[i];
-        acc += d * d;
-        i += 1;
-    }
-    acc
-}
-
-/// [`manhattan`] with an early exit once the partial sum reaches `bound`.
-#[inline]
-pub fn manhattan_bounded(a: &[f64], b: &[f64], bound: f64) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dimensionality mismatch");
-    let n = a.len();
-    if n <= CHECK_EVERY {
-        return manhattan(a, b);
-    }
-    let mut acc = 0.0;
-    let mut i = 0;
-    while n - i > CHECK_EVERY {
-        for k in 0..CHECK_EVERY {
-            acc += (a[i + k] - b[i + k]).abs();
-        }
-        i += CHECK_EVERY;
-        if acc >= bound {
-            return acc;
-        }
-    }
-    while i < n {
-        acc += (a[i] - b[i]).abs();
-        i += 1;
-    }
-    acc
-}
-
-/// [`chebyshev`] with an early exit once the running maximum reaches `bound`.
-#[inline]
-pub fn chebyshev_bounded(a: &[f64], b: &[f64], bound: f64) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dimensionality mismatch");
-    let n = a.len();
-    if n <= CHECK_EVERY {
-        return chebyshev(a, b);
-    }
-    let mut acc = 0.0f64;
-    let mut i = 0;
-    while n - i > CHECK_EVERY {
-        for k in 0..CHECK_EVERY {
-            acc = acc.max((a[i + k] - b[i + k]).abs());
-        }
-        i += CHECK_EVERY;
-        if acc >= bound {
-            return acc;
-        }
-    }
-    while i < n {
-        acc = acc.max((a[i] - b[i]).abs());
-        i += 1;
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -833,40 +536,8 @@ mod tests {
         assert_eq!(KernelMode::default(), KernelMode::Exact);
         assert!(KernelMode::Exact.is_exact());
         assert!(!KernelMode::Fast.is_exact());
-        assert!(!KernelMode::RankF32.is_exact());
         assert_eq!(KernelMode::Exact.name(), "exact");
         assert_eq!(KernelMode::Fast.name(), "fast");
-        assert_eq!(KernelMode::RankF32.name(), "rank-f32");
-    }
-
-    #[test]
-    fn cadence_tracks_dimensionality() {
-        assert_eq!(bounded_check_cadence(2), 0);
-        assert_eq!(bounded_check_cadence(10), 0);
-        assert_eq!(bounded_check_cadence(48), 0);
-        assert_eq!(bounded_check_cadence(95), 0);
-        assert_eq!(bounded_check_cadence(96), 16);
-        assert_eq!(bounded_check_cadence(384), 16);
-    }
-
-    #[test]
-    fn bounded_variants_report_at_least_bound_when_exceeding() {
-        // 16 dims so the early exit actually triggers mid-scan.
-        let a: Vec<f64> = (0..16).map(|i| i as f64).collect();
-        let b = vec![100.0; 16];
-        for (full, bounded) in [
-            (
-                squared_euclidean as Kernel,
-                squared_euclidean_bounded as BoundedKernel,
-            ),
-            (manhattan as Kernel, manhattan_bounded as BoundedKernel),
-            (chebyshev as Kernel, chebyshev_bounded as BoundedKernel),
-        ] {
-            let exact = full(&a, &b);
-            for bound in [exact / 16.0, exact / 2.0, exact] {
-                assert!(bounded(&a, &b, bound) >= bound);
-            }
-        }
     }
 
     proptest! {
@@ -961,112 +632,6 @@ mod tests {
                         close(out[i], scalar(&q, row)),
                         "batch row {i}: {} vs scalar {}", out[i], scalar(&q, row)
                     );
-                }
-            }
-
-            // Argmin agrees with a scalar first-index-wins argmin.
-            let (got_idx, got_rank) =
-                batch_rank_argmin(&q, &block, dim, squared_euclidean_fast);
-            let mut want_idx = 0;
-            let mut want = f64::INFINITY;
-            for (i, row) in block.chunks_exact(dim).enumerate() {
-                let rank = squared_euclidean_fast(&q, row);
-                if rank < want {
-                    want = rank;
-                    want_idx = i;
-                }
-            }
-            prop_assert_eq!(got_idx, want_idx);
-            prop_assert_eq!(got_rank.to_bits(), want.to_bits());
-        }
-
-        /// The f32 filter kernels track the f64 scalar twin within f32
-        /// round-off on moderate magnitudes (their only job is candidate
-        /// filtering; final distances are refined in f64).
-        #[test]
-        fn f32_batch_kernels_track_the_f64_twins(
-            dim_idx in 0usize..8,
-            rows in 1usize..9,
-            seed in proptest::collection::vec(-1e3f64..1e3, 300),
-        ) {
-            let dim = [1usize, 2, 3, 4, 7, 8, 16, 33][dim_idx];
-            let take = |offset: usize, n: usize| -> Vec<f64> {
-                (0..n).map(|i| seed[(offset + i) % seed.len()]).collect()
-            };
-            let q = take(0, dim);
-            let block = take(dim, dim * rows);
-            let mut q32 = Vec::new();
-            let mut block32 = Vec::new();
-            downcast_coords(&q, &mut q32);
-            downcast_coords(&block, &mut block32);
-            let mut out32 = vec![0.0f32; rows];
-            for (batch32, scalar) in [
-                (squared_euclidean_batch_f32 as BatchKernelF32, squared_euclidean as Kernel),
-                (manhattan_batch_f32 as BatchKernelF32, manhattan as Kernel),
-                (chebyshev_batch_f32 as BatchKernelF32, chebyshev as Kernel),
-            ] {
-                batch32(&q32, &block32, dim, &mut out32);
-                for (i, row) in block.chunks_exact(dim).enumerate() {
-                    let want = scalar(&q, row);
-                    prop_assert!(
-                        (out32[i] as f64 - want).abs() <= 1e-3 * want.abs().max(1.0),
-                        "f32 row {i}: {} vs f64 {}", out32[i], want
-                    );
-                }
-            }
-        }
-
-        /// The cadence-16 and unchecked bounded variants keep the bounded
-        /// contract: bit-identical to the plain kernel when not cut short,
-        /// `≥ bound` otherwise — for every cadence the dimension-aware
-        /// selection can pick.
-        #[test]
-        fn cadence_variants_keep_the_bounded_contract(
-            a in proptest::collection::vec(-1e3f64..1e3, 1..40),
-            b in proptest::collection::vec(-1e3f64..1e3, 1..40),
-            frac in 0.0f64..2.0,
-        ) {
-            let n = a.len().min(b.len());
-            let (a, b) = (&a[..n], &b[..n]);
-            for (full, bounded) in [
-                (squared_euclidean as Kernel, squared_euclidean_bounded_wide as BoundedKernel),
-                (squared_euclidean as Kernel, squared_euclidean_unchecked as BoundedKernel),
-                (manhattan as Kernel, manhattan_bounded_wide as BoundedKernel),
-                (manhattan as Kernel, manhattan_unchecked as BoundedKernel),
-                (chebyshev as Kernel, chebyshev_bounded_wide as BoundedKernel),
-                (chebyshev as Kernel, chebyshev_unchecked as BoundedKernel),
-            ] {
-                let exact = full(a, b);
-                let loose = bounded(a, b, exact * 2.0 + 1.0);
-                prop_assert_eq!(loose.to_bits(), exact.to_bits());
-                let got = bounded(a, b, exact * frac);
-                if got < exact * frac {
-                    prop_assert_eq!(got.to_bits(), exact.to_bits());
-                }
-            }
-        }
-
-        /// A bounded kernel that is not cut short returns the exact value,
-        /// bit for bit; one with a lower bound never under-reports it.
-        #[test]
-        fn bounded_kernels_are_exact_or_prove_the_bound(
-            a in proptest::collection::vec(-1e3f64..1e3, 1..24),
-            b in proptest::collection::vec(-1e3f64..1e3, 1..24),
-            frac in 0.0f64..2.0,
-        ) {
-            let n = a.len().min(b.len());
-            let (a, b) = (&a[..n], &b[..n]);
-            for (full, bounded) in [
-                (squared_euclidean as Kernel, squared_euclidean_bounded as BoundedKernel),
-                (manhattan as Kernel, manhattan_bounded as BoundedKernel),
-                (chebyshev as Kernel, chebyshev_bounded as BoundedKernel),
-            ] {
-                let exact = full(a, b);
-                let loose = bounded(a, b, exact * 2.0 + 1.0);
-                prop_assert_eq!(loose.to_bits(), exact.to_bits());
-                let got = bounded(a, b, exact * frac);
-                if got < exact * frac {
-                    prop_assert_eq!(got.to_bits(), exact.to_bits());
                 }
             }
         }

@@ -10,7 +10,8 @@
 //! * [`CoordMatrix`] — flat row-major coordinate storage for the distance
 //!   hot loops (pivot assignment, Algorithm 3 scans, index leaf scans),
 //! * [`kernels`] — monomorphized per-metric distance kernels, including the
-//!   sqrt-free [`kernels::squared_euclidean`] and early-exit variants,
+//!   sqrt-free [`kernels::squared_euclidean`] and the batched SIMD variants
+//!   [`KernelMode::Fast`] selects,
 //! * [`DistanceMetric`] — L2 / L1 / L∞ distance functions,
 //! * [`Record`] / [`Record::encode`] — the compact binary encoding used by
 //!   the MapReduce layer so that shuffle volume can be accounted in bytes, and

@@ -6,7 +6,7 @@
 //! here; every algorithm in the workspace is parameterised by a
 //! [`DistanceMetric`].
 
-use crate::kernels::{self, BatchKernel, BatchKernelF32, BoundedKernel, Kernel};
+use crate::kernels::{self, BatchKernel, Kernel};
 use crate::point::Point;
 
 /// A metric on the `n`-dimensional space `D`.
@@ -63,36 +63,6 @@ impl DistanceMetric {
         }
     }
 
-    /// Early-exit variant of [`DistanceMetric::rank_kernel`]: returns a value
-    /// `≥ bound` as soon as the partial accumulation proves the rank is at
-    /// least `bound` (the bound lives in rank space).
-    pub fn rank_kernel_bounded(&self) -> BoundedKernel {
-        match self {
-            DistanceMetric::Euclidean => kernels::squared_euclidean_bounded,
-            DistanceMetric::Manhattan => kernels::manhattan_bounded,
-            DistanceMetric::Chebyshev => kernels::chebyshev_bounded,
-        }
-    }
-
-    /// The dimension-aware early-exit rank kernel: same contract as
-    /// [`DistanceMetric::rank_kernel_bounded`], but the bound-check cadence is
-    /// picked from `dim` at hoist time ([`kernels::bounded_check_cadence`]) —
-    /// no checks at all below 96 dims (the branchless plain kernel is
-    /// measurably cheaper than a mispredictable exit branch), cadence 16
-    /// beyond.  Completed results stay bit-identical to
-    /// [`DistanceMetric::rank_kernel`] for every cadence; only where the scan
-    /// may be cut short differs.
-    pub fn rank_kernel_bounded_for_dim(&self, dim: usize) -> BoundedKernel {
-        match (self, kernels::bounded_check_cadence(dim)) {
-            (DistanceMetric::Euclidean, 0) => kernels::squared_euclidean_unchecked,
-            (DistanceMetric::Euclidean, _) => kernels::squared_euclidean_bounded_wide,
-            (DistanceMetric::Manhattan, 0) => kernels::manhattan_unchecked,
-            (DistanceMetric::Manhattan, _) => kernels::manhattan_bounded_wide,
-            (DistanceMetric::Chebyshev, 0) => kernels::chebyshev_unchecked,
-            (DistanceMetric::Chebyshev, _) => kernels::chebyshev_bounded_wide,
-        }
-    }
-
     /// The multi-accumulator fast kernel computing this metric's true
     /// distance (the [`crate::kernels::KernelMode::Fast`] pairwise path).
     /// Agrees with [`DistanceMetric::kernel`] to ~1e-9 relative, not bit for
@@ -100,16 +70,6 @@ impl DistanceMetric {
     pub fn fast_kernel(&self) -> Kernel {
         match self {
             DistanceMetric::Euclidean => kernels::euclidean_fast,
-            DistanceMetric::Manhattan => kernels::manhattan_fast,
-            DistanceMetric::Chebyshev => kernels::chebyshev_fast,
-        }
-    }
-
-    /// The multi-accumulator fast kernel computing this metric's comparison
-    /// rank (squared distance for L2).
-    pub fn fast_rank_kernel(&self) -> Kernel {
-        match self {
-            DistanceMetric::Euclidean => kernels::squared_euclidean_fast,
             DistanceMetric::Manhattan => kernels::manhattan_fast,
             DistanceMetric::Chebyshev => kernels::chebyshev_fast,
         }
@@ -123,15 +83,6 @@ impl DistanceMetric {
             DistanceMetric::Euclidean => kernels::squared_euclidean_batch,
             DistanceMetric::Manhattan => kernels::manhattan_batch,
             DistanceMetric::Chebyshev => kernels::chebyshev_batch,
-        }
-    }
-
-    /// The `f32` batch rank kernel used by the RankF32 candidate filter.
-    pub fn batch_rank_kernel_f32(&self) -> BatchKernelF32 {
-        match self {
-            DistanceMetric::Euclidean => kernels::squared_euclidean_batch_f32,
-            DistanceMetric::Manhattan => kernels::manhattan_batch_f32,
-            DistanceMetric::Chebyshev => kernels::chebyshev_batch_f32,
         }
     }
 
@@ -243,18 +194,12 @@ mod tests {
             assert_eq!((m.kernel())(&a, &b).to_bits(), d.to_bits());
             let rank = (m.rank_kernel())(&a, &b);
             assert_eq!(m.rank_to_distance(rank).to_bits(), d.to_bits());
-            // A bound above the rank leaves the bounded kernel exact.
-            assert_eq!(
-                (m.rank_kernel_bounded())(&a, &b, rank * 2.0 + 1.0).to_bits(),
-                rank.to_bits()
-            );
         }
     }
 
     proptest! {
-        /// The invariant the whole rank path (and the f32 filter built on
-        /// it) leans on: comparing ranks decides exactly like comparing true
-        /// distances.  Strict rank order implies non-decreasing distance
+        /// The invariant the whole rank path leans on: comparing ranks
+        /// decides exactly like comparing true distances.  Strict rank order implies non-decreasing distance
         /// order (`sqrt` can collapse adjacent ranks onto one distance);
         /// strict distance order implies strict rank order; equal ranks map
         /// to bit-equal distances.
@@ -287,27 +232,6 @@ mod tests {
             m.ranks_to_distances(&mut tile);
             prop_assert_eq!(tile[0].to_bits(), d1.to_bits());
             prop_assert_eq!(tile[1].to_bits(), d2.to_bits());
-        }
-
-        /// The dimension-aware bounded kernel keeps the bounded contract at
-        /// every dimensionality class (unchecked / cadence 8 / cadence 16).
-        #[test]
-        fn dim_aware_bounded_kernels_keep_the_contract(
-            a in proptest::collection::vec(-1e3f64..1e3, 1..40),
-            b in proptest::collection::vec(-1e3f64..1e3, 1..40),
-            frac in 0.0f64..2.0,
-            which in 0usize..3,
-        ) {
-            let m = [DistanceMetric::Euclidean, DistanceMetric::Manhattan, DistanceMetric::Chebyshev][which];
-            let n = a.len().min(b.len());
-            let (a, b) = (&a[..n], &b[..n]);
-            let exact = (m.rank_kernel())(a, b);
-            let bounded = m.rank_kernel_bounded_for_dim(n);
-            prop_assert_eq!(bounded(a, b, exact * 2.0 + 1.0).to_bits(), exact.to_bits());
-            let got = bounded(a, b, exact * frac);
-            if got < exact * frac {
-                prop_assert_eq!(got.to_bits(), exact.to_bits());
-            }
         }
 
         /// Distance axioms: non-negativity, identity, symmetry, triangle

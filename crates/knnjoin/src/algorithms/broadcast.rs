@@ -9,14 +9,14 @@
 //! since every reducer sees all of `S`.
 
 use crate::algorithms::common::{
-    counters, encode_raw_inputs, rows_from_output, EncodedRecord, TileScratch,
+    counters, encode_raw_inputs, rows_from_output, EncodedRecord, ScanKernels, TileScratch,
 };
 use crate::context::ExecutionContext;
 use crate::exact::FlatBlock;
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinResult};
-use geom::{DistanceMetric, KernelMode, Neighbor, Point, PointSet, RecordKind};
+use geom::{Neighbor, Point, PointSet, RecordKind};
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::time::Instant;
 
@@ -46,8 +46,7 @@ pub(crate) fn join(
             },
             &BroadcastReducer {
                 k: plan.k,
-                metric: plan.metric,
-                mode: plan.kernel_mode,
+                kernels: ScanKernels::new(plan.metric, plan.kernel_mode),
             },
             &IdentityPartitioner,
         )
@@ -95,8 +94,7 @@ impl Mapper for BroadcastMapper {
 /// `r`.
 struct BroadcastReducer {
     k: usize,
-    metric: DistanceMetric,
-    mode: KernelMode,
+    kernels: ScanKernels,
 }
 
 impl Reducer for BroadcastReducer {
@@ -122,11 +120,11 @@ impl Reducer for BroadcastReducer {
         }
         // Flatten S once: the block is scanned |R_block| times, so the
         // columnar layout and hoisted kernel pay for themselves immediately.
-        let block = FlatBlock::new(&s_block, self.mode);
+        let block = FlatBlock::new(&s_block);
         let mut scratch = TileScratch::new();
         for r_obj in &r_block {
             let (neighbors, counts) =
-                block.scan(&r_obj.coords, self.k, self.metric, None, &mut scratch);
+                block.scan(&r_obj.coords, self.k, &self.kernels, None, &mut scratch);
             ctx.counters()
                 .add(counters::DISTANCE_COMPUTATIONS, counts.frozen);
             ctx.emit(r_obj.id, neighbors);
@@ -136,10 +134,10 @@ impl Reducer for BroadcastReducer {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::algorithms::testing::{assert_matches_oracle, run};
     use crate::Algorithm::{BroadcastJoin, Pgbj};
     use datagen::uniform;
+    use geom::{DistanceMetric, KernelMode};
     use proptest::prelude::*;
 
     const EUCLIDEAN: DistanceMetric = DistanceMetric::Euclidean;
@@ -152,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_and_rank_f32_modes_match_exact_mode() {
+    fn fast_mode_matches_exact_mode() {
         let r = uniform(120, 4, 40.0, 21);
         let s = uniform(300, 4, 40.0, 22);
         for metric in [
@@ -161,14 +159,14 @@ mod tests {
             DistanceMetric::Chebyshev,
         ] {
             let exact = run(BroadcastJoin, &r, &s, 5, metric, |b| b);
-            for mode in [KernelMode::Fast, KernelMode::RankF32] {
-                let got = run(BroadcastJoin, &r, &s, 5, metric, |b| b.kernel_mode(mode));
-                assert!(
-                    got.matches(&exact, 1e-9),
-                    "{metric:?}/{mode:?}: {:?}",
-                    got.mismatch_against(&exact, 1e-9)
-                );
-            }
+            let got = run(BroadcastJoin, &r, &s, 5, metric, |b| {
+                b.kernel_mode(KernelMode::Fast)
+            });
+            assert!(
+                got.matches(&exact, 1e-9),
+                "{metric:?}: {:?}",
+                got.mismatch_against(&exact, 1e-9)
+            );
         }
     }
 

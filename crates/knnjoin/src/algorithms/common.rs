@@ -110,11 +110,12 @@ pub struct ScanCounts {
 }
 
 /// The kernels one scan evaluates candidates with, chosen once from the
-/// plan's [`KernelMode`] — the only place the Voronoi and z-window scans look
-/// at the mode.
+/// plan's [`KernelMode`] — the only place this crate branches on the mode.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScanKernels {
-    metric: DistanceMetric,
+    /// The metric both kernels compute; converts `batch` ranks back to
+    /// distances.
+    pub metric: DistanceMetric,
     /// Pairwise true-distance kernel for isolated evaluations (pivots,
     /// per-candidate rechecks, interleaved delta windows): the bit-identical
     /// scalar kernel in `Exact` mode, its reassociated twin otherwise.
@@ -132,7 +133,7 @@ impl ScanKernels {
                 pair: metric.kernel(),
                 batch: None,
             },
-            KernelMode::Fast | KernelMode::RankF32 => Self {
+            KernelMode::Fast => Self {
                 metric,
                 pair: metric.fast_kernel(),
                 batch: Some(metric.batch_rank_kernel()),
@@ -194,14 +195,11 @@ impl<'a> DeltaView<'a> {
     }
 }
 
-/// Reusable per-reducer scratch for the tiled scans: one rank tile (`f64`),
-/// one filter tile (`f32`) and the downcast query, allocated once and reused
-/// across every probe object the reducer serves.
+/// Reusable per-reducer scratch for the tiled scans: one rank tile,
+/// allocated once and reused across every probe object the reducer serves.
 #[derive(Debug)]
 pub(crate) struct TileScratch {
     pub ranks: Vec<f64>,
-    pub ranks32: Vec<f32>,
-    pub q32: Vec<f32>,
 }
 
 impl TileScratch {
@@ -209,8 +207,6 @@ impl TileScratch {
     pub(crate) fn new() -> Self {
         Self {
             ranks: vec![0.0; PROBE_TILE],
-            ranks32: vec![0.0; PROBE_TILE],
-            q32: Vec::new(),
         }
     }
 }

@@ -316,7 +316,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_and_rank_f32_modes_match_exact_mode() {
+    fn fast_mode_matches_exact_mode() {
         let r = clustered(200, 31);
         let s = clustered(260, 32);
         for metric in [
@@ -325,14 +325,12 @@ mod tests {
             DistanceMetric::Chebyshev,
         ] {
             let exact = run(Hbrj, &r, &s, 8, metric, |b| b);
-            for mode in [KernelMode::Fast, KernelMode::RankF32] {
-                let got = run(Hbrj, &r, &s, 8, metric, |b| b.kernel_mode(mode));
-                assert!(
-                    got.matches(&exact, 1e-9),
-                    "{metric:?}/{mode:?}: {:?}",
-                    got.mismatch_against(&exact, 1e-9)
-                );
-            }
+            let got = run(Hbrj, &r, &s, 8, metric, |b| b.kernel_mode(KernelMode::Fast));
+            assert!(
+                got.matches(&exact, 1e-9),
+                "{metric:?}: {:?}",
+                got.mismatch_against(&exact, 1e-9)
+            );
         }
     }
 

@@ -46,7 +46,7 @@ pub(crate) fn join(
 
     // ---- Partitioning (first job of the paper, run as a driver-side scan) --
     let start = Instant::now();
-    let partitioner = VoronoiPartitioner::new_with_mode(pivots.clone(), metric, plan.kernel_mode);
+    let partitioner = VoronoiPartitioner::new(pivots.clone(), metric);
     let partitioned_r = partitioner.partition(r);
     let partitioned_s = partitioner.partition(s);
     metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());

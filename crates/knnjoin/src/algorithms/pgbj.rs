@@ -50,11 +50,7 @@ pub(crate) fn join(
 
     // ---- Job 1: Voronoi partitioning of R ∪ S -----------------------------
     let start = Instant::now();
-    let partitioner = Arc::new(VoronoiPartitioner::new_with_mode(
-        pivots.clone(),
-        metric,
-        plan.kernel_mode,
-    ));
+    let partitioner = Arc::new(VoronoiPartitioner::new(pivots.clone(), metric));
     let job1 = JobBuilder::new("pgbj-partition")
         .reducers(plan.reducers)
         .map_tasks(plan.map_tasks)

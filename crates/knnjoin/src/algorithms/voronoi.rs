@@ -15,7 +15,7 @@ use crate::bounds::{bounding_knn_theta, hyperplane_bound, theorem2_window};
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
 use crate::partition::{PartitionedDataset, VoronoiPartitioner};
-use crate::pivots::select_pivots_with_mode;
+use crate::pivots::select_pivots;
 use crate::plan::JoinPlan;
 use crate::summary::{
     build_s_summaries, pivot_distance_matrix, RPartitionSummary, SPartitionSummary, SummaryTables,
@@ -388,14 +388,13 @@ pub(crate) fn select_plan_pivots(
     metrics: &mut JoinMetrics,
 ) -> Vec<Point> {
     let start = Instant::now();
-    let pivots = select_pivots_with_mode(
+    let pivots = select_pivots(
         r,
         plan.pivot_count,
         plan.pivot_strategy,
         plan.pivot_sample_size,
         plan.metric,
         plan.seed,
-        plan.kernel_mode,
     );
     metrics.record_phase(phases::PIVOT_SELECTION, start.elapsed());
     metrics.pivot_selections = 1;
@@ -474,11 +473,7 @@ impl VoronoiPrepared {
     ) -> Self {
         let pivots = select_plan_pivots(calibration_r, plan, metrics);
         let start = Instant::now();
-        let partitioner = Arc::new(VoronoiPartitioner::new_with_mode(
-            pivots,
-            plan.metric,
-            plan.kernel_mode,
-        ));
+        let partitioner = Arc::new(VoronoiPartitioner::new(pivots, plan.metric));
         let pivots = Arc::new(partitioner.pivots().to_vec());
         let partitioned_s = partitioner.partition(s);
         let s_summaries = Arc::new(build_s_summaries(&partitioned_s, plan.k));

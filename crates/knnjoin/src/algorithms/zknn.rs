@@ -64,9 +64,7 @@ pub(crate) fn check_z_bits(dims: usize, quantization_bits: u32) -> Result<(), Jo
 
 /// Runs cold H-zkNNJ for a validated `plan` over validated inputs.
 ///
-/// `RankF32` behaves like `Fast` here — the windows hold at most
-/// `2·z_window·k` rows, too few for a separate `f32` filtering pass to pay
-/// off.  The candidate *sets* are identical in every kernel mode; only the
+/// The candidate *sets* are identical in both kernel modes; only the
 /// floating-point accumulation order differs.
 pub(crate) fn join(
     plan: &JoinPlan,
@@ -876,9 +874,9 @@ mod tests {
     }
 
     #[test]
-    fn fast_and_rank_f32_modes_match_the_exact_mode_run() {
+    fn fast_mode_matches_the_exact_mode_run() {
         // The candidate windows are mode-independent (same z-order, same
-        // cuts), so a Fast/RankF32 run must reproduce the Exact-mode run's
+        // cuts), so a Fast run must reproduce the Exact-mode run's
         // rows — only the accumulation order of each distance differs.
         let r = clustered(180, 3, 41);
         let s = clustered(220, 3, 42);
@@ -888,18 +886,16 @@ mod tests {
             DistanceMetric::Chebyshev,
         ] {
             let exact = run(Zknn, &r, &s, 6, metric, |b| b);
-            for mode in [KernelMode::Fast, KernelMode::RankF32] {
-                let got = run(Zknn, &r, &s, 6, metric, |b| b.kernel_mode(mode));
-                assert!(
-                    got.matches(&exact, 1e-9),
-                    "{metric:?}/{mode:?}: {:?}",
-                    got.mismatch_against(&exact, 1e-9)
-                );
-                assert_eq!(
-                    got.metrics.distance_computations, exact.metrics.distance_computations,
-                    "{metric:?}/{mode:?}: candidate windows must be mode-independent"
-                );
-            }
+            let got = run(Zknn, &r, &s, 6, metric, |b| b.kernel_mode(KernelMode::Fast));
+            assert!(
+                got.matches(&exact, 1e-9),
+                "{metric:?}: {:?}",
+                got.mismatch_against(&exact, 1e-9)
+            );
+            assert_eq!(
+                got.metrics.distance_computations, exact.metrics.distance_computations,
+                "{metric:?}: candidate windows must be mode-independent"
+            );
         }
     }
 

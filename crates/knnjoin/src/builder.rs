@@ -209,12 +209,11 @@ impl<'a> JoinBuilder<'a> {
         self
     }
 
-    /// Selects how the distance hot loops evaluate kernels (default
-    /// [`KernelMode::Exact`], which preserves the scalar loops bit for bit).
+    /// Selects which kernels the candidate scans call (default
+    /// [`KernelMode::Exact`], the scalar kernels, bit for bit).
     /// [`KernelMode::Fast`] streams candidates through the multi-accumulator
-    /// batch kernels — same neighbours within accumulation-order round-off —
-    /// and [`KernelMode::RankF32`] additionally filters candidates in `f32`
-    /// before refining the survivors in `f64`.
+    /// batch kernels — same neighbours within accumulation-order round-off.
+    /// Pivot selection, pivot assignment and the shuffle do not depend on it.
     pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
         self.kernel_mode = mode;
         self
@@ -542,14 +541,12 @@ mod tests {
         let r = uniform(30, 2, 10.0, 31);
         let plan = JoinBuilder::new(&r, &r).k(2).plan().unwrap();
         assert_eq!(plan.kernel_mode, KernelMode::Exact);
-        for mode in [KernelMode::Fast, KernelMode::RankF32] {
-            let plan = JoinBuilder::new(&r, &r)
-                .k(2)
-                .kernel_mode(mode)
-                .plan()
-                .unwrap();
-            assert_eq!(plan.kernel_mode, mode);
-        }
+        let plan = JoinBuilder::new(&r, &r)
+            .k(2)
+            .kernel_mode(KernelMode::Fast)
+            .plan()
+            .unwrap();
+        assert_eq!(plan.kernel_mode, KernelMode::Fast);
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! The execution context every join runs inside.
 //!
 //! The paper's algorithms run on a Hadoop deployment whose cluster-wide
-//! settings (task slots per node, HDFS handles, counters collection) live
-//! outside any single job.  [`ExecutionContext`] is the in-process analogue:
-//! it owns the worker-pool size used by the MapReduce engine, the mini-DFS
-//! handle jobs may stage data through, and a pluggable [`MetricsSink`] that
-//! observes the [`JoinMetrics`] of every join executed through the
-//! [`crate::JoinBuilder`].  One context is typically created per application
-//! (or per experiment suite) and shared across joins, so benchmarks stop
-//! re-plumbing pool sizes and metrics collection for every run.
+//! settings (task slots per node, counters collection) live outside any
+//! single job.  [`ExecutionContext`] is the in-process analogue: it owns the
+//! worker-pool size used by the MapReduce engine and a pluggable
+//! [`MetricsSink`] that observes the [`JoinMetrics`] of every join executed
+//! through the [`crate::JoinBuilder`].  One context is typically created per
+//! application (or per experiment suite) and shared across joins, so
+//! benchmarks stop re-plumbing pool sizes and metrics collection for every
+//! run.
 
 use crate::metrics::JoinMetrics;
 use mapreduce::sync::{ranks, RankedMutex};
-use mapreduce::InMemoryDfs;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -189,14 +188,13 @@ impl MetricsSink for MemoryMetricsSink {
 }
 
 /// Shared runtime owned by the caller and threaded through every join: worker
-/// pool size, mini-DFS handle, metrics sink.
+/// pool size, metrics sink.
 ///
-/// Cloning is cheap; clones share the DFS and the sink (like several drivers
-/// talking to one cluster).
+/// Cloning is cheap; clones share the sink (like several drivers talking to
+/// one cluster).
 #[derive(Clone)]
 pub struct ExecutionContext {
     workers: usize,
-    dfs: InMemoryDfs,
     metrics_sink: Arc<dyn MetricsSink>,
 }
 
@@ -210,11 +208,6 @@ impl ExecutionContext {
     /// context's jobs.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The mini-DFS handle jobs stage data through.
-    pub fn dfs(&self) -> &InMemoryDfs {
-        &self.dfs
     }
 
     /// The metrics sink observing completed joins.
@@ -232,7 +225,6 @@ impl Default for ExecutionContext {
     fn default() -> Self {
         Self {
             workers: mapreduce::default_workers(),
-            dfs: InMemoryDfs::with_defaults(),
             metrics_sink: Arc::new(NullMetricsSink),
         }
     }
@@ -242,7 +234,6 @@ impl std::fmt::Debug for ExecutionContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecutionContext")
             .field("workers", &self.workers)
-            .field("dfs", &self.dfs)
             .finish_non_exhaustive()
     }
 }
@@ -251,7 +242,6 @@ impl std::fmt::Debug for ExecutionContext {
 #[derive(Default)]
 pub struct ExecutionContextBuilder {
     workers: Option<usize>,
-    dfs: Option<InMemoryDfs>,
     metrics_sink: Option<Arc<dyn MetricsSink>>,
 }
 
@@ -259,12 +249,6 @@ impl ExecutionContextBuilder {
     /// Sets the worker-pool size (clamped to at least 1).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
-        self
-    }
-
-    /// Supplies an existing DFS handle (e.g. one already holding staged data).
-    pub fn dfs(mut self, dfs: InMemoryDfs) -> Self {
-        self.dfs = Some(dfs);
         self
     }
 
@@ -278,7 +262,6 @@ impl ExecutionContextBuilder {
     pub fn build(self) -> ExecutionContext {
         ExecutionContext {
             workers: self.workers.unwrap_or_else(mapreduce::default_workers),
-            dfs: self.dfs.unwrap_or_else(InMemoryDfs::with_defaults),
             metrics_sink: self
                 .metrics_sink
                 .unwrap_or_else(|| Arc::new(NullMetricsSink)),
@@ -305,7 +288,6 @@ mod tests {
     fn default_context_has_sane_fields() {
         let ctx = ExecutionContext::default();
         assert!(ctx.workers() >= 1);
-        assert!(ctx.dfs().list("/").is_empty());
         // The null sink accepts records without effect.
         ctx.record_join("PGBJ", &sample_metrics());
     }
@@ -313,15 +295,11 @@ mod tests {
     #[test]
     fn builder_overrides_and_clones_share_state() {
         let sink = Arc::new(MemoryMetricsSink::new());
-        let dfs = InMemoryDfs::with_defaults();
-        dfs.write_file("/staged", b"abc").unwrap();
         let ctx = ExecutionContext::builder()
             .workers(3)
-            .dfs(dfs)
             .metrics_sink(sink.clone())
             .build();
         assert_eq!(ctx.workers(), 3);
-        assert!(ctx.dfs().exists("/staged"));
 
         let clone = ctx.clone();
         clone.record_join("PBJ", &sample_metrics());

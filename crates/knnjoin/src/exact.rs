@@ -10,7 +10,7 @@
 //! and the prepared nested-loop / broadcast serving paths.
 
 use crate::algorithms::common::{
-    for_each_tile, label_rows, probe_rows, DeltaView, ScanCounts, TileScratch,
+    for_each_tile, label_rows, probe_rows, DeltaView, ScanCounts, ScanKernels, TileScratch,
 };
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
@@ -70,10 +70,7 @@ impl NestedLoopJoin {
 
     /// [`Self::join`] with an explicit [`KernelMode`], through
     /// `FlatBlock::scan`: `Exact` reproduces the scalar loop above; `Fast`
-    /// streams `S` through the tiled batch rank kernels; `RankF32`
-    /// additionally filters each tile in `f32` and refines only the
-    /// survivors in `f64` (so its `distance_computations` counter reflects
-    /// the refinements alone).
+    /// streams `S` through the tiled batch rank kernels.
     ///
     /// # Errors
     /// Same contract as [`Self::join`].
@@ -91,22 +88,15 @@ impl NestedLoopJoin {
             s_size: s.len(),
             ..Default::default()
         };
-        let block = FlatBlock::new(s.points(), mode);
+        let block = FlatBlock::new(s.points());
         let queries: Vec<&[f64]> = r.iter().map(|p| p.coords.as_slice()).collect();
-        let rows = label_rows(r, block.probe(&queries, k, metric, 1, None, &mut metrics));
+        let kernels = ScanKernels::new(metric, mode);
+        let rows = label_rows(r, block.probe(&queries, k, kernels, 1, None, &mut metrics));
         let mut result = JoinResult { rows, metrics };
         result.normalize();
         Ok(result)
     }
 }
-
-/// Multiplicative guard applied to the `f32` candidate filter's threshold in
-/// `RankF32` mode: a candidate survives when its `f32` rank is below the
-/// current kth rank inflated by this factor, absorbing the downcast's
-/// round-off so near-threshold neighbours still reach the `f64` refinement.
-/// The mode is approximate by contract (recall is *measured*, not
-/// guaranteed); the guard just keeps misses to genuine f32 resolution loss.
-const RANK_F32_GUARD: f32 = 1.0 + 1e-3;
 
 /// A block of `S` flattened into columnar storage for exhaustive scanning:
 /// what a cold broadcast reducer builds from its shuffled records, and what
@@ -117,33 +107,21 @@ const RANK_F32_GUARD: f32 = 1.0 + 1e-3;
 pub(crate) struct FlatBlock {
     ids: Vec<PointId>,
     coords: CoordMatrix,
-    /// `f32` shadow of `coords`, present only in `RankF32` mode.
-    coords32: Option<Vec<f32>>,
-    mode: KernelMode,
 }
 
 impl FlatBlock {
-    /// Flattens `points` (and downcasts the `f32` shadow when `mode` is
-    /// `RankF32`; the other modes never read it).
-    pub(crate) fn new(points: &[Point], mode: KernelMode) -> Self {
-        let coords = CoordMatrix::from_points(points);
-        let coords32 = (mode == KernelMode::RankF32).then(|| {
-            let mut shadow = Vec::with_capacity(coords.as_slice().len());
-            geom::kernels::downcast_coords(coords.as_slice(), &mut shadow);
-            shadow
-        });
+    /// Flattens `points`.
+    pub(crate) fn new(points: &[Point]) -> Self {
         Self {
             ids: points.iter().map(|p| p.id).collect(),
-            coords,
-            coords32,
-            mode,
+            coords: CoordMatrix::from_points(points),
         }
     }
 
     /// [`Self::new`] as the build phase of a prepared join.
-    pub(crate) fn build(s: &PointSet, mode: KernelMode, metrics: &mut JoinMetrics) -> Self {
+    pub(crate) fn build(s: &PointSet, metrics: &mut JoinMetrics) -> Self {
         let start = Instant::now();
-        let block = Self::new(s.points(), mode);
+        let block = Self::new(s.points());
         metrics.record_phase(phases::PREPARE_BUILD, start.elapsed());
         block
     }
@@ -151,10 +129,10 @@ impl FlatBlock {
     /// Re-flattens the materialized corpus (frozen survivors in arrival
     /// order, then adds in ascending id order — the canonical
     /// materialization order, so the compacted scan is bit-identical to a
-    /// cold build over the same corpus), keeping this epoch's kernel mode.
-    pub(crate) fn compact(&self, materialized: &PointSet, metrics: &mut JoinMetrics) -> Self {
+    /// cold build over the same corpus).
+    pub(crate) fn compact(materialized: &PointSet, metrics: &mut JoinMetrics) -> Self {
         metrics.compacted_points += materialized.len() as u64;
-        Self::build(materialized, self.mode, metrics)
+        Self::build(materialized, metrics)
     }
 
     /// Dimensionality of the block's rows.
@@ -165,28 +143,21 @@ impl FlatBlock {
     /// The `k` nearest block rows of one probe object — minus tombstoned
     /// rows, plus the delta overlay's adds when one is attached.
     ///
-    /// * `Exact`: the oracle's scalar loop in scalar order — frozen rows in
-    ///   storage order, then the adds in ascending id order, i.e. exactly the
-    ///   offers a cold scan over the materialized corpus makes.  Masked rows
-    ///   cost no kernel.
-    /// * `Fast`: the block is streamed in [`geom::kernels::PROBE_TILE`]-row
-    ///   tiles through the batch rank kernels; the accumulator runs in rank
-    ///   space (rank order equals distance order for every metric) and the
-    ///   final top-`k` list is converted to true distances in one monotone
-    ///   sweep.  Every tile row is billed, masked or not.
-    /// * `RankF32`: each tile is ranked in `f32` against the downcast query,
-    ///   and only candidates whose `f32` rank beats the current kth rank
-    ///   (inflated by [`RANK_F32_GUARD`]) are re-ranked in `f64`.  Counters
-    ///   count the `f64` refinements — the `f32` filter sweep is the thing
-    ///   being saved and is deliberately not billed.
-    ///
-    /// Outside `Exact` the adds are offered *first* (tightening the
-    /// threshold before the frozen block is scanned) and always in `f64`.
+    /// * Without a batch kernel (`Exact`): the oracle's scalar loop in scalar
+    ///   order — frozen rows in storage order, then the adds in ascending id
+    ///   order, i.e. exactly the offers a cold scan over the materialized
+    ///   corpus makes.  Masked rows cost no kernel.
+    /// * With one (`Fast`): the adds, then the block, are streamed in
+    ///   [`geom::kernels::PROBE_TILE`]-row tiles through the batch rank
+    ///   kernel; the accumulator runs in rank space (rank order equals
+    ///   distance order for every metric) and the final top-`k` list is
+    ///   converted to true distances in one monotone sweep.  Every tile row
+    ///   is billed, masked or not.
     pub(crate) fn scan(
         &self,
         query: &[f64],
         k: usize,
-        metric: DistanceMetric,
+        kernels: &ScanKernels,
         delta: Option<&DeltaView<'_>>,
         scratch: &mut TileScratch,
     ) -> (Vec<Neighbor>, ScanCounts) {
@@ -195,8 +166,8 @@ impl FlatBlock {
         let mut neighbors = NeighborList::new(k);
         let mut counts = ScanCounts::default();
         let tombstoned = |id: PointId| delta.is_some_and(|delta| delta.is_tombstoned(id));
-        if self.mode.is_exact() {
-            let kernel = metric.kernel();
+        let Some(batch) = kernels.batch else {
+            let kernel = kernels.pair;
             for (i, row) in self.coords.rows().enumerate() {
                 if tombstoned(ids[i]) {
                     counts.masked += 1;
@@ -212,8 +183,7 @@ impl FlatBlock {
                 }
             }
             return (neighbors.into_sorted(), counts);
-        }
-        let batch = metric.batch_rank_kernel();
+        };
         if let Some(block) = delta {
             let rows = block.coords.as_slice();
             for_each_tile(block.ids.len(), |t0, t1| {
@@ -226,55 +196,24 @@ impl FlatBlock {
             });
         }
         let rows = self.coords.as_slice();
-        match &self.coords32 {
-            // `Fast`: rank every row of every tile, mask tombstones on offer.
-            None => for_each_tile(ids.len(), |t0, t1| {
-                let ranks = &mut scratch.ranks[..t1 - t0];
-                batch(query, &rows[t0 * dim..t1 * dim], dim, ranks);
-                counts.frozen += ranks.len() as u64;
-                for (&id, &rank) in ids[t0..t1].iter().zip(ranks.iter()) {
-                    if tombstoned(id) {
-                        counts.masked += 1;
-                        continue;
-                    }
-                    neighbors.offer(id, rank);
+        // Rank every row of every tile, mask tombstones on offer.
+        for_each_tile(ids.len(), |t0, t1| {
+            let ranks = &mut scratch.ranks[..t1 - t0];
+            batch(query, &rows[t0 * dim..t1 * dim], dim, ranks);
+            counts.frozen += ranks.len() as u64;
+            for (&id, &rank) in ids[t0..t1].iter().zip(ranks.iter()) {
+                if tombstoned(id) {
+                    counts.masked += 1;
+                    continue;
                 }
-            }),
-            // `RankF32`: f32 filter sweep, f64 refinement of survivors.
-            Some(rows32) => {
-                let batch32 = metric.batch_rank_kernel_f32();
-                let refine = metric.fast_rank_kernel();
-                scratch.q32.clear();
-                geom::kernels::downcast_coords(query, &mut scratch.q32);
-                for_each_tile(ids.len(), |t0, t1| {
-                    let ranks32 = &mut scratch.ranks32[..t1 - t0];
-                    batch32(&scratch.q32, &rows32[t0 * dim..t1 * dim], dim, ranks32);
-                    let threshold = neighbors.threshold();
-                    let cutoff = if threshold.is_finite() {
-                        threshold as f32 * RANK_F32_GUARD
-                    } else {
-                        f32::INFINITY
-                    };
-                    for (off, &rank32) in ranks32.iter().enumerate() {
-                        if rank32 > cutoff {
-                            continue;
-                        }
-                        let idx = t0 + off;
-                        if tombstoned(ids[idx]) {
-                            counts.masked += 1;
-                            continue;
-                        }
-                        counts.frozen += 1;
-                        neighbors.offer(ids[idx], refine(query, self.coords.row(idx)));
-                    }
-                });
+                neighbors.offer(id, rank);
             }
-        }
+        });
         // The accumulator ran in rank space; the monotone rank→distance map
         // preserves the sorted order, so convert each entry in place.
         let mut out = neighbors.into_sorted();
         for n in &mut out {
-            n.distance = metric.rank_to_distance(n.distance);
+            n.distance = kernels.metric.rank_to_distance(n.distance);
         }
         (out, counts)
     }
@@ -287,7 +226,7 @@ impl FlatBlock {
         &self,
         rows: &[&[f64]],
         k: usize,
-        metric: DistanceMetric,
+        kernels: ScanKernels,
         workers: usize,
         delta: Option<&DeltaOverlay>,
         metrics: &mut JoinMetrics,
@@ -298,7 +237,7 @@ impl FlatBlock {
             workers,
             metrics,
             TileScratch::new,
-            |scratch, row| self.scan(rows[row], k, metric, delta.as_ref(), scratch),
+            |scratch, row| self.scan(rows[row], k, &kernels, delta.as_ref(), scratch),
         )
     }
 }
@@ -472,7 +411,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_and_rank_f32_modes_match_the_scalar_loop() {
+    fn fast_mode_matches_the_scalar_loop() {
         let r = uniform(60, 5, 25.0, 11);
         let s = uniform(700, 5, 25.0, 12);
         for metric in [
@@ -491,19 +430,6 @@ mod tests {
             );
             // Fast ranks every row, so the counter still bills |R|·|S|.
             assert_eq!(fast.metrics.distance_computations, 60 * 700);
-            let rank32 = NestedLoopJoin
-                .join_with_mode(&r, &s, 6, metric, KernelMode::RankF32)
-                .unwrap();
-            // Uniform data is nowhere near f32 resolution, so the filter
-            // keeps every true neighbour and the f64 refinement makes the
-            // reported distances exact.
-            assert!(
-                rank32.matches(&exact, 1e-9),
-                "{metric:?}: {:?}",
-                rank32.mismatch_against(&exact, 1e-9)
-            );
-            // The f32 filter's whole point: far fewer f64 kernel calls.
-            assert!(rank32.metrics.distance_computations < fast.metrics.distance_computations / 2);
         }
         let exact_via_mode = NestedLoopJoin
             .join_with_mode(&r, &s, 6, DistanceMetric::Euclidean, KernelMode::Exact)
@@ -516,11 +442,10 @@ mod tests {
 
     /// `FlatBlock::scan` is the oracle's scan made resident: over any block,
     /// with or without a delta overlay, it answers what `NestedLoopJoin::join`
-    /// answers over the materialized corpus — exactly in `Exact` / `Fast`
-    /// (1e-9), to measured recall in `RankF32`.
+    /// answers over the materialized corpus, within 1e-9 in either mode.
     #[test]
     fn flat_block_scan_equals_the_oracle_over_the_materialized_corpus() {
-        use crate::algorithms::common::{DeltaView, TileScratch};
+        use crate::algorithms::common::{DeltaView, ScanKernels, TileScratch};
         let frozen = uniform(600, 4, 30.0, 41);
         let r = uniform(50, 4, 30.0, 42);
         let k = 5;
@@ -546,8 +471,9 @@ mod tests {
         ] {
             for (delta, corpus) in [(None, &frozen), (Some(&overlay), &materialized)] {
                 let oracle = NestedLoopJoin.join(&r, corpus, k, metric).unwrap();
-                for mode in [KernelMode::Exact, KernelMode::Fast, KernelMode::RankF32] {
-                    let block = FlatBlock::new(frozen.points(), mode);
+                let block = FlatBlock::new(frozen.points());
+                for mode in [KernelMode::Exact, KernelMode::Fast] {
+                    let kernels = ScanKernels::new(metric, mode);
                     let view = delta.map(|overlay| DeltaView::gather(overlay, 4));
                     let mut scratch = TileScratch::new();
                     let rows = r
@@ -555,7 +481,7 @@ mod tests {
                         .map(|q| JoinRow {
                             r_id: q.id,
                             neighbors: block
-                                .scan(&q.coords, k, metric, view.as_ref(), &mut scratch)
+                                .scan(&q.coords, k, &kernels, view.as_ref(), &mut scratch)
                                 .0,
                         })
                         .collect();
@@ -564,16 +490,11 @@ mod tests {
                         metrics: JoinMetrics::default(),
                     };
                     let label = format!("{metric:?}/{mode:?}/delta={}", delta.is_some());
-                    if mode == KernelMode::RankF32 {
-                        let recall = got.quality_against(&oracle).recall;
-                        assert!(recall >= 0.999, "{label}: recall {recall}");
-                    } else {
-                        assert!(
-                            got.matches(&oracle, 1e-9),
-                            "{label}: {:?}",
-                            got.mismatch_against(&oracle, 1e-9)
-                        );
-                    }
+                    assert!(
+                        got.matches(&oracle, 1e-9),
+                        "{label}: {:?}",
+                        got.mismatch_against(&oracle, 1e-9)
+                    );
                 }
             }
         }

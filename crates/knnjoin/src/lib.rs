@@ -17,8 +17,8 @@
 //! let r = gaussian_clusters(&ClusterConfig { n_points: 300, ..Default::default() }, 1);
 //! let s = gaussian_clusters(&ClusterConfig { n_points: 300, ..Default::default() }, 2);
 //!
-//! // The context owns the worker pool, the mini-DFS and the metrics sink;
-//! // create it once and share it across joins.
+//! // The context owns the worker pool and the metrics sink; create it once
+//! // and share it across joins.
 //! let ctx = ExecutionContext::default();
 //!
 //! let result = JoinBuilder::new(&r, &s)

@@ -7,7 +7,7 @@
 //! object to its pivot — that distance is shipped with the object and drives
 //! all later pruning.
 
-use geom::{CoordMatrix, DistanceMetric, KernelMode, Point, PointSet};
+use geom::{CoordMatrix, DistanceMetric, Point, PointSet};
 
 /// Assigns objects to generalized Voronoi cells around a fixed pivot set.
 ///
@@ -36,12 +36,6 @@ pub struct VoronoiPartitioner {
     /// `ref_dists[i] = |p_r, p_{ref_order[i]}|`, ascending.
     ref_dists: Vec<f64>,
     metric: DistanceMetric,
-    /// How assignment evaluates distances: `Exact` runs the pruned
-    /// Elkan-style search with the bit-exact kernels; `Fast` / `RankF32` run
-    /// the unpruned batched argmin over the flat pivot matrix with the
-    /// multi-accumulator kernels (no branches in the loop, `t` computations
-    /// per query, first-index-wins on ties).
-    mode: KernelMode,
 }
 
 /// The outcome of one nearest-pivot search.
@@ -136,15 +130,6 @@ impl VoronoiPartitioner {
     /// # Panics
     /// Panics if `pivots` is empty.
     pub fn new(pivots: Vec<Point>, metric: DistanceMetric) -> Self {
-        Self::new_with_mode(pivots, metric, KernelMode::Exact)
-    }
-
-    /// [`VoronoiPartitioner::new`] with an explicit [`KernelMode`] governing
-    /// how [`VoronoiPartitioner::nearest_pivot`] evaluates distances.  The
-    /// pairwise pivot table is always built with the exact kernels — it is a
-    /// one-off `|P|²` cost and keeping it bit-identical keeps every pruning
-    /// bound derived from it valid in either mode.
-    pub fn new_with_mode(pivots: Vec<Point>, metric: DistanceMetric, mode: KernelMode) -> Self {
         assert!(!pivots.is_empty(), "need at least one pivot");
         let matrix = CoordMatrix::from_points(&pivots);
         let t = matrix.len();
@@ -185,7 +170,6 @@ impl VoronoiPartitioner {
             ref_order,
             ref_dists,
             metric,
-            mode,
         }
     }
 
@@ -247,24 +231,6 @@ impl VoronoiPartitioner {
     /// [`VoronoiPartitioner::partition`], which knows the current partition
     /// sizes.
     pub fn nearest_pivot(&self, query: &[f64]) -> PivotAssignment {
-        if !self.mode.is_exact() {
-            // Fast / RankF32: one streaming pass of the batched
-            // multi-accumulator argmin over the contiguous pivot matrix.
-            // No pruning branches, `t` computations, first-index-wins ties
-            // (the same tie rule as the pruned search and the brute-force
-            // oracle), ranks accumulated with the reordered fast kernels.
-            let (partition, rank) = geom::kernels::batch_rank_argmin(
-                query,
-                self.matrix.as_slice(),
-                self.matrix.dims(),
-                self.metric.fast_rank_kernel(),
-            );
-            return PivotAssignment {
-                partition,
-                distance: self.metric.rank_to_distance(rank),
-                computations: self.matrix.len() as u64,
-            };
-        }
         // One dispatch per query; each arm monomorphizes the search with the
         // metric's kernels inlined into the candidate loop.
         match self.metric {
@@ -651,38 +617,6 @@ mod tests {
                 prop_assert_eq!(pruned.partition, brute.partition);
                 prop_assert_eq!(pruned.distance.to_bits(), brute.distance.to_bits());
                 prop_assert!(pruned.computations <= brute.computations);
-            }
-        }
-
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        /// The Fast-mode batched argmin assigns each query to a true nearest
-        /// pivot (within accumulation-order round-off of the exact search)
-        /// and reports exactly `|P|` computations.
-        #[test]
-        fn fast_mode_assignment_tracks_exact(
-            n_pivots in 1usize..48,
-            n_queries in 1usize..30,
-            dims in 1usize..6,
-            seed in 0u64..1000,
-            which in 0usize..3,
-        ) {
-            let metric = [
-                DistanceMetric::Euclidean,
-                DistanceMetric::Manhattan,
-                DistanceMetric::Chebyshev,
-            ][which];
-            let pivots: Vec<Point> = uniform(n_pivots, dims, 100.0, seed).into_points();
-            let exact = VoronoiPartitioner::new(pivots.clone(), metric);
-            let fast = VoronoiPartitioner::new_with_mode(pivots, metric, KernelMode::Fast);
-            for q in &uniform(n_queries, dims, 100.0, seed ^ 0x77) {
-                let a = fast.nearest_pivot(&q.coords);
-                let brute = exact.nearest_pivot_bruteforce(&q.coords);
-                prop_assert_eq!(a.computations, n_pivots as u64);
-                let tol = 1e-9 * brute.distance.abs().max(1.0);
-                prop_assert!((a.distance - brute.distance).abs() <= tol);
             }
         }
     }

@@ -11,7 +11,7 @@
 //! * **k-means selection** — run k-means on a sample and use the cluster
 //!   centroids (which need not be dataset objects) as pivots.
 
-use geom::{CoordMatrix, DistanceMetric, KernelMode, Point, PointSet};
+use geom::{CoordMatrix, DistanceMetric, Point, PointSet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -73,32 +73,6 @@ pub fn select_pivots(
     metric: DistanceMetric,
     seed: u64,
 ) -> Vec<Point> {
-    select_pivots_with_mode(
-        r,
-        count,
-        strategy,
-        sample_size,
-        metric,
-        seed,
-        KernelMode::Exact,
-    )
-}
-
-/// [`select_pivots`] with an explicit [`KernelMode`].  Only the k-means
-/// strategy has a distance hot loop worth switching: in `Fast` / `RankF32`
-/// mode its assignment step runs the batched multi-accumulator argmin over
-/// the flat centre matrix instead of the per-centre early-exit scan.  The
-/// `Exact` path is bit-identical to [`select_pivots`].
-#[allow(clippy::too_many_arguments)]
-pub fn select_pivots_with_mode(
-    r: &PointSet,
-    count: usize,
-    strategy: PivotSelectionStrategy,
-    sample_size: usize,
-    metric: DistanceMetric,
-    seed: u64,
-    mode: KernelMode,
-) -> Vec<Point> {
     assert!(count > 0, "pivot count must be positive");
     assert!(!r.is_empty(), "cannot select pivots from an empty dataset");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -112,7 +86,7 @@ pub fn select_pivots_with_mode(
         }
         PivotSelectionStrategy::Farthest => farthest_selection(&sample, count, metric, &mut rng),
         PivotSelectionStrategy::KMeans { iterations } => {
-            kmeans_selection(&sample, count, iterations.max(1), metric, &mut rng, mode)
+            kmeans_selection(&sample, count, iterations.max(1), metric, &mut rng)
         }
     };
 
@@ -194,15 +168,14 @@ fn farthest_selection(
 
 /// Lloyd's algorithm over flat coordinate storage: the sample and the centres
 /// both live in [`CoordMatrix`]es, and the assignment argmin compares ranks
-/// (squared distances under L2) with an early-exit partial sum — the same
-/// kernel discipline as `VoronoiPartitioner::nearest_pivot`.
+/// (squared distances under L2) — the same kernel discipline as
+/// `VoronoiPartitioner::nearest_pivot`.
 fn kmeans_selection(
     sample: &[Point],
     count: usize,
     iterations: usize,
     metric: DistanceMetric,
     rng: &mut StdRng,
-    mode: KernelMode,
 ) -> Vec<Point> {
     let dims = sample[0].dims();
     let flat_sample = CoordMatrix::from_points(sample);
@@ -212,27 +185,17 @@ fn kmeans_selection(
         centers.push_row(&p.coords);
     }
 
-    let rank_full = metric.rank_kernel();
-    // Dimension-aware cadence: for tiny dims the early-exit check costs more
-    // than it saves, so the bounded kernel degenerates to the plain one.
-    let rank_bounded = metric.rank_kernel_bounded_for_dim(dims);
-    let fast_rank = metric.fast_rank_kernel();
+    let rank = metric.rank_kernel();
     let mut assignment = vec![0usize; sample.len()];
     for _ in 0..iterations {
         // Assignment step: first-index-wins argmin in rank space.
         for (i, row) in flat_sample.rows().enumerate() {
-            if !mode.is_exact() {
-                let (best, _) =
-                    geom::kernels::batch_rank_argmin(row, centers.as_slice(), dims, fast_rank);
-                assignment[i] = best;
-                continue;
-            }
             let mut best = 0;
-            let mut best_rank = rank_full(row, centers.row(0));
+            let mut best_rank = rank(row, centers.row(0));
             for c in 1..centers.len() {
-                let rank = rank_bounded(row, centers.row(c), best_rank);
-                if rank < best_rank {
-                    best_rank = rank;
+                let candidate = rank(row, centers.row(c));
+                if candidate < best_rank {
+                    best_rank = candidate;
                     best = c;
                 }
             }
@@ -392,42 +355,55 @@ mod tests {
         }
     }
 
+    /// One Lloyd iteration at 128 dims, replayed by hand: the initial
+    /// centres are the first draw of the seeded generator, every sample is
+    /// assigned by a scalar first-index-wins argmin written out here, and
+    /// the returned pivots must be exactly the means of those clusters.
     #[test]
-    fn fast_mode_kmeans_is_deterministic_and_sized() {
-        let r = dataset(300);
-        let strategy = PivotSelectionStrategy::KMeans { iterations: 5 };
-        let a = select_pivots_with_mode(
-            &r,
-            8,
-            strategy,
-            150,
+    fn kmeans_assignment_at_128_dims_matches_a_scalar_argmin() {
+        let (dims, count, seed) = (128, 9, 29);
+        let r = datagen::uniform(240, dims, 50.0, 77);
+        for metric in [
             DistanceMetric::Euclidean,
-            11,
-            KernelMode::Fast,
-        );
-        let b = select_pivots_with_mode(
-            &r,
-            8,
-            strategy,
-            150,
-            DistanceMetric::Euclidean,
-            11,
-            KernelMode::Fast,
-        );
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 8);
-        // Exact mode through the mode-aware entry point is the plain path.
-        let exact = select_pivots_with_mode(
-            &r,
-            8,
-            strategy,
-            150,
-            DistanceMetric::Euclidean,
-            11,
-            KernelMode::Exact,
-        );
-        let plain = select_pivots(&r, 8, strategy, 150, DistanceMetric::Euclidean, 11);
-        assert_eq!(exact, plain);
+            DistanceMetric::Manhattan,
+            DistanceMetric::Chebyshev,
+        ] {
+            let strategy = PivotSelectionStrategy::KMeans { iterations: 1 };
+            let pivots = select_pivots(&r, count, strategy, usize::MAX, metric, seed);
+
+            let mut rng = StdRng::seed_from_u64(seed);
+            let initial: Vec<&Point> = r.points().choose_multiple(&mut rng, count).collect();
+            let rank = |a: &Point, b: &Point| {
+                let gaps = a.coords.iter().zip(&b.coords).map(|(x, y)| (x - y).abs());
+                match metric {
+                    DistanceMetric::Euclidean => gaps.fold(0.0, |acc, g| acc + g * g),
+                    DistanceMetric::Manhattan => gaps.fold(0.0, |acc, g| acc + g),
+                    DistanceMetric::Chebyshev => gaps.fold(0.0, f64::max),
+                }
+            };
+            let mut sums = vec![vec![0.0; dims]; count];
+            let mut sizes = vec![0usize; count];
+            for p in &r {
+                let mut best = 0;
+                for c in 1..count {
+                    if rank(p, initial[c]) < rank(p, initial[best]) {
+                        best = c;
+                    }
+                }
+                sizes[best] += 1;
+                for (sum, x) in sums[best].iter_mut().zip(&p.coords) {
+                    *sum += x;
+                }
+            }
+            for c in 0..count {
+                let want: Vec<f64> = if sizes[c] == 0 {
+                    initial[c].coords.clone()
+                } else {
+                    sums[c].iter().map(|sum| sum / sizes[c] as f64).collect()
+                };
+                assert_eq!(pivots[c].coords, want, "{metric:?} centre {c}");
+            }
+        }
     }
 
     #[test]

@@ -147,11 +147,10 @@ pub struct JoinPlan {
     /// [`crate::PreparedJoin`] before a mutation triggers an automatic
     /// compaction (see [`crate::delta`]).  Irrelevant to cold joins.
     pub delta_threshold: usize,
-    /// How the distance hot loops evaluate kernels: `Exact` (the default)
-    /// preserves the scalar loops bit for bit; `Fast` streams candidates
-    /// through the multi-accumulator batch kernels; `RankF32` additionally
-    /// filters candidates in `f32` before refining survivors in `f64` (see
-    /// [`KernelMode`]).
+    /// Which kernels the candidate scans call: `Exact` (the default) is the
+    /// scalar kernels, bit for bit; `Fast` streams candidates through the
+    /// multi-accumulator batch kernels (see [`KernelMode`]).  Pivot
+    /// selection, pivot assignment and the shuffle do not depend on it.
     pub kernel_mode: KernelMode,
 }
 

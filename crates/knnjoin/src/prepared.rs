@@ -68,7 +68,7 @@
 //! assert_eq!(result.metrics.pivot_selections, 0);
 //! ```
 
-use crate::algorithms::common::label_rows;
+use crate::algorithms::common::{label_rows, ScanKernels};
 use crate::algorithms::hbrj::HbrjPrepared;
 use crate::algorithms::voronoi::VoronoiPrepared;
 use crate::algorithms::zknn::ZknnPrepared;
@@ -117,7 +117,9 @@ impl PreparedState {
                 PreparedState::Hbrj(p.compact(materialized, delta, plan, metrics))
             }
             PreparedState::Zknn(p) => PreparedState::Zknn(p.compact(delta, metrics)),
-            PreparedState::Flat(p) => PreparedState::Flat(p.compact(materialized, metrics)),
+            PreparedState::Flat(_) => {
+                PreparedState::Flat(FlatBlock::compact(materialized, metrics))
+            }
         }
     }
 }
@@ -255,7 +257,7 @@ impl PreparedJoin {
                 &mut build_metrics,
             )),
             Algorithm::BroadcastJoin | Algorithm::NestedLoopJoin => {
-                PreparedState::Flat(FlatBlock::build(s, plan.kernel_mode, &mut build_metrics))
+                PreparedState::Flat(FlatBlock::build(s, &mut build_metrics))
             }
         };
         let build_time = start.elapsed();
@@ -567,7 +569,8 @@ impl PreparedJoin {
                 } else {
                     1
                 };
-                block.probe(rows, plan.k, plan.metric, workers, delta, &mut metrics)
+                let kernels = ScanKernels::new(plan.metric, plan.kernel_mode);
+                block.probe(rows, plan.k, kernels, workers, delta, &mut metrics)
             }
         };
         let elapsed = start.elapsed();

@@ -11,18 +11,17 @@
 //!   and runs the optional map-side [`Combiner`] before anything crosses the
 //!   shuffle; reduce tasks group and sort their partitions in parallel — and
 //!   **accounts every byte** that crosses it (the paper's "shuffling cost"
-//!   metric, Figures 8c–12c),
+//!   metric, Figures 8c–12c), and
 //! * exposes Hadoop-style [`Counters`] — including the built-in
 //!   [`counters::builtin`] shuffle/combine counters — and per-phase
-//!   wall-clock timings ([`JobMetrics`]), and
-//! * ships a miniature distributed file system ([`dfs::InMemoryDfs`]) with
-//!   NameNode/DataNode roles, block splitting and configurable replication,
-//!   mirroring how HDFS feeds input splits to map tasks.
+//!   wall-clock timings ([`JobMetrics`]).
 //!
 //! The engine preserves the *dataflow semantics* and *cost structure* of
 //! MapReduce (what gets shuffled, how work is spread over reducers) while
 //! running on a thread pool, which is what the paper's evaluation metrics
-//! depend on.  See `DESIGN.md` §5 for the substitution rationale.
+//! depend on.  ARCHITECTURE.md walks one job's execution path ("The MapReduce
+//! substrate"), and its paper-section → module map names this crate as the
+//! Hadoop stand-in.
 //!
 //! # Example
 //!
@@ -66,7 +65,6 @@
 
 pub mod bytesize;
 pub mod counters;
-pub mod dfs;
 pub mod engine;
 pub mod job;
 pub mod metrics;
@@ -74,7 +72,6 @@ pub mod sync;
 
 pub use bytesize::ByteSize;
 pub use counters::Counters;
-pub use dfs::{DfsConfig, DfsError, InMemoryDfs};
 pub use engine::{
     default_workers, parallel_map, run_job, run_job_with_combiner, JobBuilder, JobError, JobOutput,
 };

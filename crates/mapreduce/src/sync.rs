@@ -16,7 +16,6 @@
 //! | 70 | `engine.queue` | `mapreduce::engine` |
 //! | 80 | `engine.slot` | `mapreduce::engine` |
 //! | 90 | `engine.counters` | `mapreduce::counters` |
-//! | 100 | `dfs.name_node` | `mapreduce::dfs` |
 //!
 //! (The serving front-end's request queue uses a `std` mutex because it
 //! needs a `Condvar`; it is rank-isolated by construction — no other lock is
@@ -57,8 +56,6 @@ pub mod ranks {
     pub const ENGINE_SLOT: u8 = 80;
     /// `mapreduce::counters` counter map.
     pub const ENGINE_COUNTERS: u8 = 90;
-    /// `mapreduce::dfs` NameNode table.
-    pub const DFS_NAME_NODE: u8 = 100;
 }
 
 #[cfg(feature = "debug-invariants")]

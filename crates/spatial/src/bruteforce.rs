@@ -4,59 +4,30 @@
 //! MapReduce join algorithms are validated, and (b) the distance-computation
 //! workhorse inside reducers when an index would not pay off.
 
-use geom::kernels::PROBE_TILE;
-use geom::{CoordMatrix, DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointId};
+use geom::{CoordMatrix, DistanceMetric, Neighbor, NeighborList, Point, PointId};
 
 /// A "no index" index: answers kNN and range queries by scanning all points.
 ///
 /// Coordinates are stored in a flat [`CoordMatrix`] (ids in a parallel
 /// vector), so the scan is a linear walk over contiguous memory with the
-/// metric's kernel hoisted out of the loop.  The [`KernelMode`] chosen at
-/// construction decides how kNN scans evaluate that walk: `Exact` is the
-/// scalar loop, `Fast` streams [`PROBE_TILE`]-row tiles through the
-/// multi-accumulator batch rank kernels, and `RankF32` filters each tile
-/// against an `f32` shadow copy before refining the survivors in `f64`.
+/// metric's scalar kernel hoisted out of the loop.
 #[derive(Debug, Clone)]
 pub struct BruteForceIndex {
     ids: Vec<PointId>,
     coords: CoordMatrix,
-    /// `f32` shadow of `coords`, present only in `RankF32` mode.
-    coords32: Option<Vec<f32>>,
     metric: DistanceMetric,
-    mode: KernelMode,
 }
 
 impl BruteForceIndex {
     /// Builds the index (i.e. flattens the points into columnar storage).
     pub fn new(points: Vec<Point>, metric: DistanceMetric) -> Self {
-        Self::new_with_mode(points, metric, KernelMode::Exact)
-    }
-
-    /// [`BruteForceIndex::new`] with an explicit [`KernelMode`] for the kNN
-    /// scans.
-    pub fn new_with_mode(points: Vec<Point>, metric: DistanceMetric, mode: KernelMode) -> Self {
         let coords = CoordMatrix::from_points(&points);
         let ids = points.into_iter().map(|p| p.id).collect();
-        let coords32 = match mode {
-            KernelMode::RankF32 => {
-                let mut shadow = Vec::with_capacity(coords.as_slice().len());
-                geom::kernels::downcast_coords(coords.as_slice(), &mut shadow);
-                Some(shadow)
-            }
-            KernelMode::Exact | KernelMode::Fast => None,
-        };
         Self {
             ids,
             coords,
-            coords32,
             metric,
-            mode,
         }
-    }
-
-    /// The kernel mode the index was built with.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.mode
     }
 
     /// Number of indexed points.
@@ -80,74 +51,12 @@ impl BruteForceIndex {
         if k == 0 {
             return Vec::new();
         }
-        if !self.mode.is_exact() {
-            return self.knn_batched(&query.coords, k);
-        }
         let kernel = self.metric.kernel();
         let mut list = NeighborList::new(k);
         for (i, row) in self.coords.rows().enumerate() {
             list.offer(self.ids[i], kernel(&query.coords, row));
         }
         list.into_sorted()
-    }
-
-    /// The tiled `Fast` / `RankF32` scan: the accumulator runs in rank space
-    /// (rank order equals distance order) and the final list is converted to
-    /// true distances by the monotone `rank_to_distance` map at the end.
-    fn knn_batched(&self, query: &[f64], k: usize) -> Vec<Neighbor> {
-        let dim = self.coords.dims();
-        let batch = self.metric.batch_rank_kernel();
-        let rows = self.coords.as_slice();
-        let mut list = NeighborList::new(k);
-        let mut ranks = [0.0f64; PROBE_TILE];
-        match &self.coords32 {
-            None => {
-                let mut t0 = 0;
-                while t0 < self.ids.len() {
-                    let t1 = (t0 + PROBE_TILE).min(self.ids.len());
-                    let m = t1 - t0;
-                    batch(query, &rows[t0 * dim..t1 * dim], dim, &mut ranks[..m]);
-                    for (off, &rank) in ranks[..m].iter().enumerate() {
-                        list.offer(self.ids[t0 + off], rank);
-                    }
-                    t0 = t1;
-                }
-            }
-            Some(rows32) => {
-                let batch32 = self.metric.batch_rank_kernel_f32();
-                let refine = self.metric.fast_rank_kernel();
-                let mut q32 = Vec::with_capacity(dim);
-                geom::kernels::downcast_coords(query, &mut q32);
-                let mut ranks32 = [0.0f32; PROBE_TILE];
-                let mut t0 = 0;
-                while t0 < self.ids.len() {
-                    let t1 = (t0 + PROBE_TILE).min(self.ids.len());
-                    let m = t1 - t0;
-                    batch32(&q32, &rows32[t0 * dim..t1 * dim], dim, &mut ranks32[..m]);
-                    let threshold = list.threshold();
-                    // Small multiplicative guard absorbing the downcast's
-                    // round-off; the mode is approximate by contract.
-                    let cutoff = if threshold.is_finite() {
-                        threshold as f32 * (1.0 + 1e-3)
-                    } else {
-                        f32::INFINITY
-                    };
-                    for (off, &rank32) in ranks32[..m].iter().enumerate() {
-                        if rank32 > cutoff {
-                            continue;
-                        }
-                        let idx = t0 + off;
-                        list.offer(self.ids[idx], refine(query, self.coords.row(idx)));
-                    }
-                    t0 = t1;
-                }
-            }
-        }
-        let mut out = list.into_sorted();
-        for n in &mut out {
-            n.distance = self.metric.rank_to_distance(n.distance);
-        }
-        out
     }
 
     /// All points within distance `radius` of `query` (inclusive), sorted by
@@ -215,43 +124,6 @@ mod tests {
         // results sorted by distance
         let r = idx.range(&q, 1.5);
         assert!(r.windows(2).all(|w| w[0].distance <= w[1].distance));
-    }
-
-    #[test]
-    fn fast_and_rank_f32_modes_match_the_scalar_scan() {
-        // Deterministic pseudo-random cloud, well away from f32 resolution.
-        let pts: Vec<Point> = (0..600)
-            .map(|i| {
-                let a = (i as f64 * 0.7331).sin() * 90.0;
-                let b = (i as f64 * 0.1237).cos() * 90.0;
-                let c = ((i * 37 % 101) as f64) - 50.0;
-                Point::new(i as u64, vec![a, b, c])
-            })
-            .collect();
-        for metric in [
-            DistanceMetric::Euclidean,
-            DistanceMetric::Manhattan,
-            DistanceMetric::Chebyshev,
-        ] {
-            let exact = BruteForceIndex::new(pts.clone(), metric);
-            for mode in [KernelMode::Fast, KernelMode::RankF32] {
-                let idx = BruteForceIndex::new_with_mode(pts.clone(), metric, mode);
-                assert_eq!(idx.kernel_mode(), mode);
-                for q in 0..20 {
-                    let query = Point::new(u64::MAX, vec![q as f64 * 7.3 - 60.0, 12.0, -4.5]);
-                    let want = exact.knn(&query, 9);
-                    let got = idx.knn(&query, 9);
-                    assert_eq!(
-                        want.iter().map(|n| n.id).collect::<Vec<_>>(),
-                        got.iter().map(|n| n.id).collect::<Vec<_>>(),
-                        "{metric:?}/{mode:?} query {q}"
-                    );
-                    for (w, g) in want.iter().zip(&got) {
-                        assert!((w.distance - g.distance).abs() <= 1e-9 * w.distance.max(1.0));
-                    }
-                }
-            }
-        }
     }
 
     #[test]

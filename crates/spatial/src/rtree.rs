@@ -82,12 +82,10 @@ pub struct RTree {
     len: usize,
     height: usize,
     /// How leaf scans evaluate distances: `Exact` walks each leaf row through
-    /// the scalar kernel with a per-row threshold check; the non-exact modes
-    /// rank the whole leaf block through the batch kernels first and check
+    /// the scalar kernel with a per-row threshold check; `Fast` ranks the
+    /// whole leaf block through the batch kernels first and checks
     /// thresholds on the converted distances.  Traversal order, MBR pruning
-    /// and the best-first heap are identical in every mode.  `RankF32` has no
-    /// dedicated tree path and behaves as `Fast` (the leaves are too small
-    /// for a separate `f32` filter pass to pay off).
+    /// and the best-first heap are identical in both modes.
     mode: KernelMode,
 }
 
@@ -540,23 +538,20 @@ mod tests {
         ] {
             let pts = random_points(800, 4, 17);
             let exact = RTree::bulk_load_with_fanout(pts.clone(), metric, 8);
-            for mode in [KernelMode::Fast, KernelMode::RankF32] {
-                let fast = RTree::bulk_load_with_mode(pts.clone(), metric, 8, mode);
-                assert_eq!(fast.kernel_mode(), mode);
-                let mut rng = StdRng::seed_from_u64(99);
-                for _ in 0..25 {
-                    let q =
-                        Point::new(u64::MAX, (0..4).map(|_| rng.gen::<f64>() * 100.0).collect());
-                    let want = exact.knn(&q, 7);
-                    let got = fast.knn(&q, 7);
-                    assert_eq!(
-                        want.iter().map(|n| n.id).collect::<Vec<_>>(),
-                        got.iter().map(|n| n.id).collect::<Vec<_>>(),
-                        "{metric:?}/{mode:?}"
-                    );
-                    for (w, g) in want.iter().zip(&got) {
-                        assert!((w.distance - g.distance).abs() <= 1e-9 * w.distance.max(1.0));
-                    }
+            let fast = RTree::bulk_load_with_mode(pts.clone(), metric, 8, KernelMode::Fast);
+            assert_eq!(fast.kernel_mode(), KernelMode::Fast);
+            let mut rng = StdRng::seed_from_u64(99);
+            for _ in 0..25 {
+                let q = Point::new(u64::MAX, (0..4).map(|_| rng.gen::<f64>() * 100.0).collect());
+                let want = exact.knn(&q, 7);
+                let got = fast.knn(&q, 7);
+                assert_eq!(
+                    want.iter().map(|n| n.id).collect::<Vec<_>>(),
+                    got.iter().map(|n| n.id).collect::<Vec<_>>(),
+                    "{metric:?}"
+                );
+                for (w, g) in want.iter().zip(&got) {
+                    assert!((w.distance - g.distance).abs() <= 1e-9 * w.distance.max(1.0));
                 }
             }
         }

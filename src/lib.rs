@@ -8,8 +8,8 @@
 //! * [`geom`] — points, metrics, neighbour lists, record encoding;
 //! * [`datagen`] — seeded synthetic datasets (Forest-like, OSM-like) and the
 //!   paper's ×t expansion procedure;
-//! * [`mapreduce`] — the in-process MapReduce runtime with a mini-DFS and
-//!   shuffle byte accounting;
+//! * [`mapreduce`] — the in-process MapReduce runtime with shuffle byte
+//!   accounting;
 //! * [`spatial`] — the STR-bulk-loaded R-tree used by the H-BRJ baseline;
 //! * [`knnjoin`] — the core algorithms (PGBJ, PBJ, H-BRJ, the approximate
 //!   H-zkNNJ, broadcast, exact nested loop) behind the unified [`Join`]
@@ -28,8 +28,8 @@
 //! let r = gaussian_clusters(&ClusterConfig { n_points: 200, ..Default::default() }, 1);
 //! let s = gaussian_clusters(&ClusterConfig { n_points: 200, ..Default::default() }, 2);
 //!
-//! // One execution context per application: worker pool, mini-DFS handle,
-//! // pluggable metrics sink.
+//! // One execution context per application: worker pool, pluggable metrics
+//! // sink.
 //! let ctx = ExecutionContext::default();
 //!
 //! // Find the 5 nearest neighbours in S of every object of R with PGBJ.

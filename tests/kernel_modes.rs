@@ -1,8 +1,7 @@
 //! Integration tests of the `kernel_mode` plan knob: `Fast` reproduces the
-//! `Exact` results within 1e-9 on every algorithm and metric, `RankF32`'s
-//! recall is measured by the existing [`QualityReport`] machinery, and the
-//! prepared/delta serving path honours the mode across mutations and
-//! compaction.
+//! `Exact` results within 1e-9 on every algorithm and metric, partitioning
+//! and the shuffle do not depend on the mode, and the prepared/delta serving
+//! path honours the mode across mutations and compaction.
 
 use pgbj::prelude::*;
 
@@ -61,35 +60,31 @@ fn fast_mode_matches_exact_mode_on_every_algorithm_and_metric() {
 }
 
 #[test]
-fn rank_f32_recall_is_measured_by_the_quality_report() {
-    // RankF32 is approximate by contract (the f32 filter may drop a candidate
-    // whose rank rounds past the guard band), so its deviation is *measured*,
-    // not asserted to be zero — exactly how the H-zkNNJ recall is handled.
+fn partitioning_and_shuffle_do_not_depend_on_the_mode() {
+    // The mode picks the scan kernel only: pivot selection, pivot assignment
+    // and therefore every record the shuffle moves are the same in both.
     let r = forest(350, 3);
     let s = forest(420, 4);
-    let k = 8;
     let ctx = ExecutionContext::default();
-    for metric in [
-        DistanceMetric::Euclidean,
-        DistanceMetric::Manhattan,
-        DistanceMetric::Chebyshev,
-    ] {
-        for algorithm in Algorithm::ALL.into_iter().filter(|a| a.is_exact()) {
-            let exact = run_mode(&ctx, algorithm, &r, &s, k, metric, KernelMode::Exact);
-            let ranked = run_mode(&ctx, algorithm, &r, &s, k, metric, KernelMode::RankF32);
-            assert_eq!(ranked.rows.len(), exact.rows.len());
-            let quality = ranked.quality_against(&exact);
-            assert!(
-                quality.recall >= 0.999,
-                "{algorithm}/{metric:?}: RankF32 recall {}",
-                quality.recall
-            );
-            assert!(
-                (1.0 - 1e-9..1.0 + 1e-6).contains(&quality.distance_ratio),
-                "{algorithm}/{metric:?}: RankF32 distance ratio {}",
-                quality.distance_ratio
-            );
-        }
+    for algorithm in [Algorithm::Pgbj, Algorithm::Pbj] {
+        let metric = DistanceMetric::Euclidean;
+        let exact = run_mode(&ctx, algorithm, &r, &s, 8, metric, KernelMode::Exact).metrics;
+        let fast = run_mode(&ctx, algorithm, &r, &s, 8, metric, KernelMode::Fast).metrics;
+        assert_eq!(
+            (
+                fast.pivot_assignment_computations,
+                fast.shuffle_bytes,
+                fast.shuffle_records,
+                fast.s_records_shuffled,
+            ),
+            (
+                exact.pivot_assignment_computations,
+                exact.shuffle_bytes,
+                exact.shuffle_records,
+                exact.s_records_shuffled,
+            ),
+            "{algorithm}: (assignment computations, shuffle bytes, shuffle records, S records)"
+        );
     }
 }
 

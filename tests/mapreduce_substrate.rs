@@ -1,93 +1,8 @@
-//! Integration tests exercising the MapReduce substrate (engine + DFS) with
-//! the join's record types, the way a Hadoop deployment would stage data in
-//! HDFS before running the jobs.
+//! Integration test composing the MapReduce substrate with the join: a
+//! user-written job runs over a join's output.
 
-use geom::{Record, RecordKind};
-use mapreduce::{DfsConfig, InMemoryDfs, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
+use mapreduce::{JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use pgbj::prelude::*;
-
-/// Encodes a dataset the way the driver would stage it in the DFS: one record
-/// per point, concatenated with a u32 length prefix.
-fn stage_dataset(dfs: &InMemoryDfs, path: &str, data: &PointSet, kind: RecordKind) {
-    let mut bytes = Vec::new();
-    for p in data {
-        let record = Record::new(kind, 0, 0.0, p.clone());
-        let encoded = record.encode();
-        bytes.extend_from_slice(&(encoded.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&encoded);
-    }
-    dfs.write_file(path, &bytes).expect("fresh path");
-}
-
-/// Reads a staged dataset back from the DFS.
-fn load_dataset(dfs: &InMemoryDfs, path: &str) -> Vec<Record> {
-    let bytes = dfs.read_file(path).expect("file exists");
-    let mut records = Vec::new();
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-        offset += 4;
-        records.push(Record::decode(&bytes[offset..offset + len]).expect("valid record"));
-        offset += len;
-    }
-    records
-}
-
-#[test]
-fn datasets_roundtrip_through_the_context_dfs_and_join_correctly() {
-    let r = datagen::uniform(200, 3, 100.0, 1);
-    let s = datagen::uniform(250, 3, 100.0, 2);
-
-    // The ExecutionContext owns the DFS handle: stage through the context,
-    // then run the join inside the same context.
-    let dfs = InMemoryDfs::new(DfsConfig {
-        data_nodes: 4,
-        block_size: 4096,
-        replication: 1,
-    })
-    .unwrap();
-    let ctx = ExecutionContext::builder().dfs(dfs).build();
-    stage_dataset(ctx.dfs(), "/input/R", &r, RecordKind::R);
-    stage_dataset(ctx.dfs(), "/input/S", &s, RecordKind::S);
-    assert!(
-        ctx.dfs().block_count("/input/R").unwrap() > 1,
-        "dataset should span multiple blocks"
-    );
-
-    // Reload from the DFS (as the map tasks would) and run the join on the
-    // reloaded copies: results must match a join over the originals.
-    let r2 = PointSet::from_points(
-        load_dataset(ctx.dfs(), "/input/R")
-            .into_iter()
-            .map(|rec| rec.point)
-            .collect(),
-    );
-    let s2 = PointSet::from_points(
-        load_dataset(ctx.dfs(), "/input/S")
-            .into_iter()
-            .map(|rec| rec.point)
-            .collect(),
-    );
-    assert_eq!(r2.len(), r.len());
-    assert_eq!(s2.len(), s.len());
-
-    let metric = DistanceMetric::Euclidean;
-    let from_dfs = Join::new(&r2, &s2)
-        .k(5)
-        .metric(metric)
-        .algorithm(Algorithm::Pgbj)
-        .pivot_count(16)
-        .reducers(4)
-        .run(&ctx)
-        .unwrap();
-    let direct = Join::new(&r, &s)
-        .k(5)
-        .metric(metric)
-        .algorithm(Algorithm::NestedLoopJoin)
-        .run(&ctx)
-        .unwrap();
-    assert!(from_dfs.matches(&direct, 1e-9));
-}
 
 /// A small custom MapReduce job over join output: histogram of kth-NN
 /// distances (the building block of distance-based outlier detection),

@@ -1,7 +1,7 @@
 //! The workspace invariant tables the lint pass enforces.
 //!
-//! Everything here is policy, not mechanism: which files may contain
-//! `unsafe`, which files are on the user-reachable panic-freedom perimeter,
+//! Everything here is policy, not mechanism: which files hold the `unsafe`
+//! kernels, which files are on the user-reachable panic-freedom perimeter,
 //! which files feed deterministic counters, and the declared lock-order
 //! table.  The fixture tests swap in narrowed configs so each known-bad
 //! snippet trips exactly one lint.
@@ -30,8 +30,8 @@ pub struct LockSite {
 pub struct Config {
     /// Workspace root all paths are relative to.
     pub root: PathBuf,
-    /// Files allowed to contain `unsafe` (checked by `safety-comment`
-    /// instead of flatly rejected by `unsafe-containment`).
+    /// The files the crates' `unsafe_code` attributes let `unsafe` compile
+    /// in; `safety-comment` and `target-feature-parity` patrol them.
     pub allowed_unsafe: Vec<String>,
     /// Library files on user-reachable paths: no unwrap/expect/panic!/todo!/
     /// unimplemented! and no `[]` indexing outside test regions.
@@ -108,12 +108,7 @@ impl Config {
                 },
                 LockSite {
                     file: "crates/knnjoin/src/context.rs",
-                    receiver: "shard",
-                    rank: 50,
-                },
-                LockSite {
-                    file: "crates/knnjoin/src/context.rs",
-                    receiver: "shards",
+                    receiver: "records",
                     rank: 50,
                 },
                 LockSite {
@@ -187,7 +182,6 @@ fn default_probe_calls() -> Vec<&'static str> {
         ".query_one(",
         ".query_into(",
         ".prepare(",
-        "run_job(",
         "probe_rows(",
     ]
 }

@@ -6,10 +6,11 @@
 //! hand-rolled comment/string-aware scanner and enforces the invariants the
 //! code comments only used to *claim*:
 //!
-//! * **unsafe-containment / safety-comment / target-feature-parity** —
-//!   `unsafe` stays inside the declared kernel files, every unsafe block
-//!   carries a `// SAFETY:` argument, every accelerated kernel has a scalar
-//!   twin exercised by a parity test;
+//! * **safety-comment / target-feature-parity** — in the kernel files (the
+//!   compiler keeps `unsafe` out of everything else: `#![forbid(unsafe_code)]`
+//!   per crate, `deny` + one `allow` in `geom`) every unsafe block carries a
+//!   `// SAFETY:` argument and every accelerated kernel has a scalar twin
+//!   exercised by a parity test;
 //! * **panic-freedom** — user-reachable library paths return typed
 //!   `JoinError`s instead of panicking (no unwrap/expect/panic!/indexing);
 //! * **determinism** — counter/metrics files never read clocks or iterate
@@ -27,6 +28,8 @@
 //! and asserts the delta-layer structural invariants on every mutation
 //! commit.  Single sites opt out with
 //! `// lint: allow(<name>) -- <reason>`; the reason is mandatory.
+
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod lexer;

@@ -18,7 +18,6 @@ use crate::lexer::{find_word, find_words, SourceFile};
 
 /// Every lint the pass knows, in reporting order.
 pub const LINTS: &[&str] = &[
-    "unsafe-containment",
     "safety-comment",
     "target-feature-parity",
     "panic-freedom",
@@ -67,7 +66,7 @@ pub fn is_test_path(rel_path: &str) -> bool {
 pub fn run(files: &[SourceFile], cfg: &Config, allow: &[String]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in files {
-        lint_unsafe(file, cfg, &mut findings);
+        lint_safety_comment(file, cfg, &mut findings);
         lint_target_feature_parity(file, cfg, &mut findings);
         if !is_test_path(&file.rel_path) {
             lint_panic_freedom(file, cfg, &mut findings);
@@ -135,28 +134,18 @@ fn comment_tag_above(file: &SourceFile, line: usize, tag: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// unsafe-containment / safety-comment
+// safety-comment
 // ---------------------------------------------------------------------------
 
-/// `unsafe` may only appear in the declared kernel files; there, every
-/// `unsafe` block needs a `// SAFETY:` comment and every `unsafe fn` a
-/// `# Safety` doc section.
-fn lint_unsafe(file: &SourceFile, cfg: &Config, findings: &mut Vec<Finding>) {
-    let allowed = cfg.allowed_unsafe.contains(&file.rel_path);
+/// In the declared kernel files (the only ones the crates' `unsafe_code`
+/// attributes let `unsafe` compile in), every `unsafe` block needs a
+/// `// SAFETY:` comment and every `unsafe fn` a `# Safety` doc section.
+fn lint_safety_comment(file: &SourceFile, cfg: &Config, findings: &mut Vec<Finding>) {
+    if !cfg.allowed_unsafe.contains(&file.rel_path) {
+        return;
+    }
     for off in find_words(&file.code, "unsafe") {
         let line = file.line_of(off);
-        if !allowed {
-            push(
-                findings,
-                "unsafe-containment",
-                file,
-                line,
-                "`unsafe` outside the declared kernel perimeter (allowed files: ".to_string()
-                    + &cfg.allowed_unsafe.join(", ")
-                    + ")",
-            );
-            continue;
-        }
         let rest = file.code[off + "unsafe".len()..].trim_start();
         if rest.starts_with('{') {
             if !comment_tag_above(file, line, "SAFETY:") {
@@ -897,15 +886,6 @@ mod tests {
     fn check_one(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
         let file = SourceFile::scan(rel, src);
         run(&[file], cfg, &[])
-    }
-
-    #[test]
-    fn unsafe_outside_perimeter_is_contained() {
-        let cfg = Config::empty(PathBuf::from("."));
-        let f = check_one("src/x.rs", "fn f() {\n    unsafe { g(); }\n}\n", &cfg);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].lint, "unsafe-containment");
-        assert_eq!(f[0].line, 2);
     }
 
     #[test]

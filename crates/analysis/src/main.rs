@@ -9,6 +9,8 @@
 //! disables a lint wholesale (ignored under `--deny-all`, the CI mode);
 //! `list` prints the lint names.
 
+#![forbid(unsafe_code)]
+
 use analysis::{check_workspace, default_root, Config, LINTS};
 use std::process::ExitCode;
 

@@ -46,8 +46,8 @@ fn config_for(lint: &str) -> Config {
                 rank: 20,
             });
         }
-        // unsafe-containment, guard-across-probe, ordering-comment and
-        // suppression-syntax patrol every file.
+        // guard-across-probe, ordering-comment and suppression-syntax
+        // patrol every file.
         _ => {}
     }
     cfg

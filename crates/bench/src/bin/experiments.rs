@@ -26,6 +26,8 @@
 //! CI runs all three on every push, so an unexplained counter regression
 //! fails the build instead of silently shifting the baseline.
 
+#![forbid(unsafe_code)]
+
 use bench::experiments::{run_by_id, ExperimentOutput, ALL_EXPERIMENTS};
 use bench::json::Value;
 use bench::ExperimentScale;

@@ -13,6 +13,8 @@
 //! everything, or pass an experiment id (`table2`, `fig8`, ...) for one
 //! artifact.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod json;
 pub mod report;

@@ -28,6 +28,8 @@
 //! assert_ne!(uniform(100, 2, 50.0, 1), uniform(100, 2, 50.0, 2));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod expand;
 pub mod forest;
 pub mod osm;

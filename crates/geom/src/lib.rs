@@ -13,17 +13,18 @@
 //!   sqrt-free [`kernels::squared_euclidean`] and the batched SIMD variants
 //!   [`KernelMode::Fast`] selects,
 //! * [`DistanceMetric`] — L2 / L1 / L∞ distance functions,
-//! * [`Record`] / [`Record::encode`] — the compact binary encoding used by
-//!   the MapReduce layer so that shuffle volume can be accounted in bytes, and
+//! * [`Record`] / [`Record::encode`] — the compact binary encoding whose
+//!   length is the unit shuffle volume is accounted in (the reference for
+//!   the unit; no join path calls the codec), and
 //! * [`Neighbor`] / [`NeighborList`] — bounded max-heaps that maintain the `k`
 //!   nearest neighbours seen so far, and
 //! * [`zorder`] — quantized, bit-interleaved z-values and deterministic
 //!   random-shift vectors, the machinery of the H-zkNNJ approximate join.
 //!
 //! Every layer of the PGBJ pipeline speaks these types: `datagen` produces
-//! [`PointSet`]s, the `mapreduce` shuffle moves [`Record`] encodings (whose
-//! byte length is the paper's shuffling-cost unit), and the join reducers
-//! build their answers in [`NeighborList`]s.
+//! [`PointSet`]s, the `mapreduce` shuffle charges every object its
+//! [`Record`] encoded length (the paper's shuffling-cost unit), and the join
+//! reducers build their answers in [`NeighborList`]s.
 //!
 //! ```
 //! use geom::{DistanceMetric, NeighborList, Point};
@@ -37,7 +38,12 @@
 //! assert_eq!(ids, vec![2, 3]); // the two closest of the three
 //! ```
 
+// `unsafe` compiles in the SIMD kernel module and nowhere else in the
+// workspace: every other crate root forbids it outright.
+#![deny(unsafe_code)]
+
 pub mod coords;
+#[allow(unsafe_code)]
 pub mod kernels;
 pub mod metric;
 pub mod neighbor;

@@ -11,9 +11,9 @@ pub type PointId = u64;
 /// An object in the `n`-dimensional metric space `D`.
 ///
 /// Coordinates are stored inline as an owned `Vec<f64>`.  Points are cheap to
-/// clone relative to the cost of the distance computations performed on them,
-/// and the MapReduce layer serialises them into compact byte records anyway
-/// (see [`crate::record`]).
+/// clone relative to the cost of the distance computations performed on them;
+/// the MapReduce layer shares one copy per object across its shuffles and
+/// accounts it at its encoded size (see [`crate::record`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Point {
     /// Identifier, unique within the dataset the point belongs to.

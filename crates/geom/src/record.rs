@@ -1,11 +1,13 @@
-//! Binary record encoding used by the MapReduce layer.
+//! The binary record encoding that defines the shuffle's byte unit.
 //!
-//! The paper measures *shuffling cost* in gigabytes (Figures 8c–12c).  To
-//! reproduce that metric we serialise every intermediate key/value pair into a
-//! compact binary record and count the bytes that cross the simulated shuffle.
-//! The encoding mirrors the tuples shown in Figure 4 of the paper: dataset tag
+//! The paper measures *shuffling cost* in gigabytes (Figures 8c–12c).  The
+//! encoding mirrors the tuples shown in Figure 4 of the paper: dataset tag
 //! (`R` or `S`), partition id, distance to the closest pivot, and the object
-//! itself.
+//! itself.  Bytes are accounted, not produced: the engine's shuffle moves
+//! typed values inside one process and charges each object
+//! [`Record::encoded_len_for_dims`] bytes, so this codec is the reference
+//! definition of that unit (pinned by its round-trip tests and the join
+//! crate's byte-unit test) and sits on no hot path.
 
 use crate::point::{Point, PointId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -64,28 +66,13 @@ impl Record {
 
     /// Serialises the record into a compact binary form.
     pub fn encode(&self) -> Bytes {
-        Self::encode_parts(self.kind, self.partition, self.pivot_distance, &self.point)
-    }
-
-    /// Serialises a record directly from its parts, with the point borrowed.
-    ///
-    /// Bit-identical to building a [`Record`] and calling [`Record::encode`],
-    /// but without cloning the point first — the map-phase input builders use
-    /// this so encoding `R ∪ S` does not materialise a second copy of the
-    /// datasets.
-    pub fn encode_parts(
-        kind: RecordKind,
-        partition: u32,
-        pivot_distance: f64,
-        point: &Point,
-    ) -> Bytes {
-        let mut buf = BytesMut::with_capacity(1 + 4 + 8 + 8 + 4 + 8 * point.coords.len());
-        buf.put_u8(kind.tag());
-        buf.put_u32_le(partition);
-        buf.put_f64_le(pivot_distance);
-        buf.put_u64_le(point.id);
-        buf.put_u32_le(point.coords.len() as u32);
-        for c in &point.coords {
+        let mut buf = BytesMut::with_capacity(self.encoded_len());
+        buf.put_u8(self.kind.tag());
+        buf.put_u32_le(self.partition);
+        buf.put_f64_le(self.pivot_distance);
+        buf.put_u64_le(self.point.id);
+        buf.put_u32_le(self.point.coords.len() as u32);
+        for c in &self.point.coords {
             buf.put_f64_le(*c);
         }
         buf.freeze()
@@ -120,7 +107,14 @@ impl Record {
 
     /// Exact number of bytes produced by [`Record::encode`].
     pub fn encoded_len(&self) -> usize {
-        1 + 4 + 8 + 8 + 4 + 8 * self.point.coords.len()
+        Self::encoded_len_for_dims(self.point.coords.len())
+    }
+
+    /// Encoded size of any record over a `dims`-dimensional point: tag,
+    /// partition, pivot distance, id and dimension count (25 bytes), then
+    /// the coordinates.  This is what one shuffled object is charged.
+    pub const fn encoded_len_for_dims(dims: usize) -> usize {
+        1 + 4 + 8 + 8 + 4 + 8 * dims
     }
 }
 
@@ -128,14 +122,6 @@ impl Record {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn encode_parts_is_bit_identical_to_owned_encode() {
-        let point = Point::new(7, vec![1.0, -2.0, 0.5]);
-        let owned = Record::new(RecordKind::S, 42, 3.25, point.clone()).encode();
-        let borrowed = Record::encode_parts(RecordKind::S, 42, 3.25, &point);
-        assert_eq!(owned, borrowed);
-    }
 
     #[test]
     fn roundtrip_simple() {

@@ -7,7 +7,7 @@
 //! the global `k` best — exactly the extra job the paper charges to these
 //! baselines in its shuffling-cost analysis.
 
-use crate::algorithms::common::{counters, rows_from_output, EncodedRecord, NeighborListValue};
+use crate::algorithms::common::{counters, rows_from_output, NeighborListValue, ShuffleRecord};
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
@@ -31,28 +31,27 @@ pub(crate) struct BlockRouteMapper {
 
 impl Mapper for BlockRouteMapper {
     type KIn = u64;
-    type VIn = EncodedRecord;
+    type VIn = ShuffleRecord;
     type KOut = u32;
-    type VOut = EncodedRecord;
+    type VOut = ShuffleRecord;
 
-    fn map(&self, key: &u64, value: &EncodedRecord, ctx: &mut MapContext<u32, EncodedRecord>) {
-        let b = self.blocks as u64;
-        let block = (key % b) as u32;
-        let kind = value.decode().kind;
-        match kind {
+    fn map(&self, key: &u64, value: &ShuffleRecord, ctx: &mut MapContext<u32, ShuffleRecord>) {
+        let b = self.blocks as u32;
+        let block = (key % b as u64) as u32;
+        match value.kind {
             RecordKind::R => {
                 // R_i joins S_0..S_B-1: cells (block, 0..B).
-                for j in 0..self.blocks as u32 {
-                    ctx.counters().increment(counters::R_RECORDS);
-                    ctx.emit(block * self.blocks as u32 + j, value.clone());
+                for j in 0..b {
+                    ctx.emit(block * b + j, value.clone());
                 }
+                ctx.counters().add(counters::R_RECORDS, b as u64);
             }
             RecordKind::S => {
                 // S_j joins R_0..R_B-1: cells (0..B, block).
-                for i in 0..self.blocks as u32 {
-                    ctx.counters().increment(counters::S_RECORDS);
-                    ctx.emit(i * self.blocks as u32 + block, value.clone());
+                for i in 0..b {
+                    ctx.emit(i * b + block, value.clone());
                 }
+                ctx.counters().add(counters::S_RECORDS, b as u64);
             }
         }
     }
@@ -128,14 +127,14 @@ impl Reducer for MergeReducer {
 /// job runs the [`MergeCombiner`] map-side so only `k`-bounded lists cross
 /// its shuffle.
 pub(crate) fn run_block_framework<Red>(
-    input: Vec<(u64, EncodedRecord)>,
+    input: Vec<(u64, ShuffleRecord)>,
     plan: &JoinPlan,
     workers: usize,
     join_reducer: &Red,
     metrics: &mut JoinMetrics,
 ) -> Result<Vec<JoinRow>, JoinError>
 where
-    Red: Reducer<KIn = u32, VIn = EncodedRecord, KOut = u64, VOut = NeighborListValue>,
+    Red: Reducer<KIn = u32, VIn = ShuffleRecord, KOut = u64, VOut = NeighborListValue>,
 {
     let (k, reducers, map_tasks) = (plan.k, plan.reducers, plan.map_tasks);
     let blocks = block_count(reducers);
@@ -180,7 +179,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geom::{Point, Record};
+    use geom::Point;
     use mapreduce::Counters;
 
     #[test]
@@ -197,30 +196,30 @@ mod tests {
     #[test]
     fn route_mapper_replicates_r_across_row_and_s_across_column() {
         let mapper = BlockRouteMapper { blocks: 3 };
-        let r_rec = EncodedRecord::encode(&Record::new(
-            RecordKind::R,
-            0,
-            0.0,
-            Point::new(4, vec![0.0]),
-        ));
-        let s_rec = EncodedRecord::encode(&Record::new(
-            RecordKind::S,
-            0,
-            0.0,
-            Point::new(5, vec![0.0]),
-        ));
+        let r_rec = ShuffleRecord::raw(RecordKind::R, Point::new(4, vec![0.0]));
+        let s_rec = ShuffleRecord::raw(RecordKind::S, Point::new(5, vec![0.0]));
 
-        let mut ctx = MapContext::new(0, Counters::new());
+        let replicas = Counters::new();
+        let mut ctx = MapContext::new(0, replicas.clone());
         mapper.map(&4, &r_rec, &mut ctx);
         let r_cells: Vec<u32> = ctx.emitted().iter().map(|(c, _)| *c).collect();
         // id 4 % 3 = block 1 → cells 3, 4, 5 (row 1)
         assert_eq!(r_cells, vec![3, 4, 5]);
+        // Every replica is the one shared point, not a copy of it.
+        assert!(ctx
+            .emitted()
+            .iter()
+            .all(|(_, replica)| std::sync::Arc::ptr_eq(&replica.point, &r_rec.point)));
 
-        let mut ctx = MapContext::new(0, Counters::new());
+        let mut ctx = MapContext::new(0, replicas.clone());
         mapper.map(&5, &s_rec, &mut ctx);
         let s_cells: Vec<u32> = ctx.emitted().iter().map(|(c, _)| *c).collect();
         // id 5 % 3 = block 2 → cells 2, 5, 8 (column 2)
         assert_eq!(s_cells, vec![2, 5, 8]);
+
+        // One replica counted per emitted record, per kind.
+        assert_eq!(replicas.get(counters::R_RECORDS), 3);
+        assert_eq!(replicas.get(counters::S_RECORDS), 3);
     }
 
     #[test]
@@ -229,7 +228,7 @@ mod tests {
         let blocks = 3;
         let mapper = BlockRouteMapper { blocks };
         let cells_of = |id: u64, kind: RecordKind| {
-            let rec = EncodedRecord::encode(&Record::new(kind, 0, 0.0, Point::new(id, vec![0.0])));
+            let rec = ShuffleRecord::raw(kind, Point::new(id, vec![0.0]));
             let mut ctx = MapContext::new(0, Counters::new());
             mapper.map(&id, &rec, &mut ctx);
             ctx.emitted()

@@ -9,14 +9,14 @@
 //! since every reducer sees all of `S`.
 
 use crate::algorithms::common::{
-    counters, encode_raw_inputs, rows_from_output, EncodedRecord, ScanKernels, TileScratch,
+    counters, raw_inputs, rows_from_output, ScanKernels, ShuffleRecord, TileScratch,
 };
 use crate::context::ExecutionContext;
 use crate::exact::FlatBlock;
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinResult};
-use geom::{Neighbor, Point, PointSet, RecordKind};
+use geom::{Neighbor, PointSet, RecordKind};
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::time::Instant;
 
@@ -32,7 +32,7 @@ pub(crate) fn join(
         s_size: s.len(),
         ..Default::default()
     };
-    let input = encode_raw_inputs(r, s);
+    let input = raw_inputs(r, s);
 
     let start = Instant::now();
     let job = JobBuilder::new("broadcast-join")
@@ -70,21 +70,22 @@ struct BroadcastMapper {
 
 impl Mapper for BroadcastMapper {
     type KIn = u64;
-    type VIn = EncodedRecord;
+    type VIn = ShuffleRecord;
     type KOut = u32;
-    type VOut = EncodedRecord;
+    type VOut = ShuffleRecord;
 
-    fn map(&self, key: &u64, value: &EncodedRecord, ctx: &mut MapContext<u32, EncodedRecord>) {
-        match value.decode().kind {
+    fn map(&self, key: &u64, value: &ShuffleRecord, ctx: &mut MapContext<u32, ShuffleRecord>) {
+        match value.kind {
             RecordKind::R => {
                 ctx.counters().increment(counters::R_RECORDS);
                 ctx.emit((key % self.reducers as u64) as u32, value.clone());
             }
             RecordKind::S => {
                 for reducer in 0..self.reducers as u32 {
-                    ctx.counters().increment(counters::S_RECORDS);
                     ctx.emit(reducer, value.clone());
                 }
+                ctx.counters()
+                    .add(counters::S_RECORDS, self.reducers as u64);
             }
         }
     }
@@ -99,35 +100,33 @@ struct BroadcastReducer {
 
 impl Reducer for BroadcastReducer {
     type KIn = u32;
-    type VIn = EncodedRecord;
+    type VIn = ShuffleRecord;
     type KOut = u64;
     type VOut = Vec<Neighbor>;
 
     fn reduce(
         &self,
         _key: &u32,
-        values: &[EncodedRecord],
+        values: &[ShuffleRecord],
         ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
     ) {
-        let mut r_block: Vec<Point> = Vec::new();
-        let mut s_block: Vec<Point> = Vec::new();
-        for value in values {
-            let record = value.decode();
-            match record.kind {
-                RecordKind::R => r_block.push(record.point),
-                RecordKind::S => s_block.push(record.point),
-            }
-        }
         // Flatten S once: the block is scanned |R_block| times, so the
         // columnar layout and hoisted kernel pay for themselves immediately.
-        let block = FlatBlock::new(&s_block);
+        let block = FlatBlock::new(
+            ShuffleRecord::of_kind(values, RecordKind::S).map(|record| &*record.point),
+        );
         let mut scratch = TileScratch::new();
-        for r_obj in &r_block {
-            let (neighbors, counts) =
-                block.scan(&r_obj.coords, self.k, &self.kernels, None, &mut scratch);
+        for record in ShuffleRecord::of_kind(values, RecordKind::R) {
+            let (neighbors, counts) = block.scan(
+                &record.point.coords,
+                self.k,
+                &self.kernels,
+                None,
+                &mut scratch,
+            );
             ctx.counters()
                 .add(counters::DISTANCE_COMPUTATIONS, counts.frozen);
-            ctx.emit(r_obj.id, neighbors);
+            ctx.emit(record.point.id, neighbors);
         }
     }
 }

@@ -1,7 +1,12 @@
-//! Pieces shared by every MapReduce join algorithm: the serialised record
-//! value type used across shuffles, the neighbour-list value type used by the
-//! merge jobs, the kernel / delta / tile plumbing of the candidate scans, and
-//! the direct probe routine of the prepared families.
+//! Pieces shared by every MapReduce join algorithm: the typed object value
+//! the cold jobs shuffle, the neighbour-list value type used by the merge
+//! jobs, the kernel / delta / tile plumbing of the candidate scans, and the
+//! direct probe routine of the prepared families.
+//!
+//! Shuffle bytes are accounted, not produced: a [`ShuffleRecord`] crosses
+//! the engine's in-process shuffle as it is and is charged the length
+//! [`geom::Record`]'s codec would give it — the codec is the reference for
+//! the unit, and nothing here serialises.
 
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
@@ -12,55 +17,55 @@ use geom::{
 };
 use mapreduce::{parallel_map, ByteSize};
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Counter names used by the join jobs (defined next to [`crate::JoinMetrics`],
 /// which aggregates them via `absorb_job`).
 pub use crate::metrics::counters;
 
-/// An intermediate value carrying one serialised object record.
+/// One object as the cold jobs shuffle it — the tuple of the paper's
+/// Figure 4: originating dataset, Voronoi cell, distance to that cell's
+/// pivot, and the object itself behind a shared handle.
 ///
-/// Hadoop moves serialised bytes through its shuffle; we do the same so the
-/// byte accounting of the `mapreduce` crate reflects exactly what the paper's
-/// shuffling-cost metric measures.  The wrapper exists to give the encoded
-/// record a [`ByteSize`] implementation.
+/// Mappers read the fields and emit replicas by cloning the handle; reducers
+/// borrow the coordinates straight into their columnar layouts.  The
+/// [`ByteSize`] is exactly what [`Record::encode`] would produce for the same
+/// tuple, so the engine's byte accounting is the paper's shuffling-cost
+/// metric although no byte is ever written.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EncodedRecord(pub bytes::Bytes);
+pub struct ShuffleRecord {
+    /// Originating dataset.
+    pub kind: RecordKind,
+    /// Index of the closest pivot (0 before any partitioning).
+    pub partition: u32,
+    /// Distance to that pivot (0 before any partitioning).
+    pub pivot_distance: f64,
+    /// The object, shared by every replica.
+    pub point: Arc<Point>,
+}
 
-impl EncodedRecord {
-    /// Encodes a record.
-    pub fn encode(record: &Record) -> Self {
-        Self(record.encode())
+impl ShuffleRecord {
+    /// An object no job has partitioned yet: partition 0, pivot distance 0.
+    pub fn raw(kind: RecordKind, point: Point) -> Self {
+        Self {
+            kind,
+            partition: 0,
+            pivot_distance: 0.0,
+            point: Arc::new(point),
+        }
     }
 
-    /// Encodes a record straight from its parts, borrowing the point.
-    ///
-    /// Bit-identical to `encode(&Record::new(kind, partition, dist,
-    /// point.clone()))` without the intermediate clone — the input builders
-    /// of the map phase use this so preparing `R ∪ S` costs one encoded
-    /// buffer per object instead of a full second copy of the datasets.
-    pub fn from_parts(
-        kind: RecordKind,
-        partition: u32,
-        pivot_distance: f64,
-        point: &Point,
-    ) -> Self {
-        Self(Record::encode_parts(kind, partition, pivot_distance, point))
-    }
-
-    /// Decodes the record.
-    ///
-    /// # Panics
-    /// Panics if the buffer is corrupt; intermediate data is produced by our
-    /// own mappers, so corruption indicates a bug rather than bad input.
-    pub fn decode(&self) -> Record {
-        Record::decode(&self.0).expect("corrupt intermediate record")
+    /// The records of one dataset among a reducer's received `values`, in
+    /// arrival order.
+    pub(crate) fn of_kind(values: &[Self], kind: RecordKind) -> impl Iterator<Item = &Self> {
+        values.iter().filter(move |record| record.kind == kind)
     }
 }
 
-impl ByteSize for EncodedRecord {
+impl ByteSize for ShuffleRecord {
     fn byte_size(&self) -> usize {
-        self.0.len()
+        Record::encoded_len_for_dims(self.point.dims())
     }
 }
 
@@ -228,14 +233,14 @@ pub(crate) fn for_each_tile(n: usize, mut each: impl FnMut(usize, usize)) {
 // Cold job inputs/outputs and the prepared probe routine
 // ---------------------------------------------------------------------------
 
-/// Encodes raw `R ∪ S` as job input for the algorithms without a
-/// preprocessing step (partition 0, pivot distance 0), straight from the
-/// borrowed points.
-pub(crate) fn encode_raw_inputs(r: &PointSet, s: &PointSet) -> Vec<(u64, EncodedRecord)> {
+/// Raw `R ∪ S` as job input for the algorithms without a preprocessing
+/// step, keyed by object id.  Each object is copied once here; every replica
+/// a mapper emits afterwards shares that copy.
+pub(crate) fn raw_inputs(r: &PointSet, s: &PointSet) -> Vec<(u64, ShuffleRecord)> {
     let mut input = Vec::with_capacity(r.len() + s.len());
     for (kind, set) in [(RecordKind::R, r), (RecordKind::S, s)] {
         for p in set {
-            input.push((p.id, EncodedRecord::from_parts(kind, 0, 0.0, p)));
+            input.push((p.id, ShuffleRecord::raw(kind, p.clone())));
         }
     }
     input
@@ -332,18 +337,28 @@ pub(crate) fn probe_rows<S>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geom::{Point, RecordKind};
 
+    /// The byte unit, pinned where the codec and the shuffle part ways: a
+    /// shuffled object is charged exactly the bytes `Record::encode` writes
+    /// for the same tuple, and those bytes decode back to it.
     #[test]
-    fn encoded_record_roundtrip_and_size() {
-        let record = Record::new(RecordKind::S, 3, 1.5, Point::new(9, vec![1.0, 2.0]));
-        let enc = EncodedRecord::encode(&record);
-        assert_eq!(enc.byte_size(), record.encoded_len());
-        assert_eq!(enc.decode(), record);
-        // The borrowed constructor produces the identical bytes (and thus
-        // identical shuffle accounting) without cloning the point.
-        let borrowed = EncodedRecord::from_parts(RecordKind::S, 3, 1.5, &record.point);
-        assert_eq!(borrowed, enc);
+    fn shuffle_record_is_charged_the_codec_length() {
+        for kind in [RecordKind::R, RecordKind::S] {
+            for dims in [2usize, 10] {
+                let point = Point::new(9, (0..dims).map(|d| d as f64 - 1.5).collect());
+                let value = ShuffleRecord {
+                    partition: 3,
+                    pivot_distance: 1.5,
+                    ..ShuffleRecord::raw(kind, point.clone())
+                };
+                let record = Record::new(kind, 3, 1.5, point);
+                let bytes = record.encode();
+                assert_eq!(value.byte_size(), bytes.len());
+                assert_eq!(value.byte_size(), record.encoded_len());
+                assert_eq!(value.byte_size(), 25 + 8 * dims);
+                assert_eq!(Record::decode(&bytes), Some(record));
+            }
+        }
     }
 
     #[test]

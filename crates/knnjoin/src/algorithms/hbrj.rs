@@ -18,7 +18,7 @@
 
 use crate::algorithms::blocks::{block_count, run_block_framework};
 use crate::algorithms::common::{
-    counters, encode_raw_inputs, probe_rows, EncodedRecord, NeighborListValue, ScanCounts,
+    counters, probe_rows, raw_inputs, NeighborListValue, ScanCounts, ShuffleRecord,
 };
 use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
@@ -47,7 +47,7 @@ pub(crate) fn join(
     };
     let blocks = block_count(plan.reducers);
     let rows = run_block_framework(
-        encode_raw_inputs(r, s),
+        raw_inputs(r, s),
         plan,
         ctx.workers(),
         &HbrjCellReducer {
@@ -82,49 +82,42 @@ struct HbrjCellReducer {
 
 impl Reducer for HbrjCellReducer {
     type KIn = u32;
-    type VIn = EncodedRecord;
+    type VIn = ShuffleRecord;
     type KOut = u64;
     type VOut = NeighborListValue;
 
     fn reduce(
         &self,
         cell: &u32,
-        values: &[EncodedRecord],
+        values: &[ShuffleRecord],
         ctx: &mut ReduceContext<u64, NeighborListValue>,
     ) {
-        let mut r_block: Vec<Point> = Vec::new();
-        let mut s_block: Vec<Point> = Vec::new();
-        let s_slot = &self.s_trees[*cell as usize % self.blocks];
-        let tree_cached = s_slot.get().is_some();
-        for value in values {
-            let record = value.decode();
-            match record.kind {
-                RecordKind::R => r_block.push(record.point),
-                // Another cell of this column already built the (identical)
-                // tree: skip collecting the block.
-                RecordKind::S if !tree_cached => s_block.push(record.point),
-                RecordKind::S => {}
-            }
-        }
-        if r_block.is_empty() {
+        if ShuffleRecord::of_kind(values, RecordKind::R)
+            .next()
+            .is_none()
+        {
             return;
         }
         // Even with an empty S block every r must produce a (possibly empty)
-        // candidate list so the merge job emits a row for it.
-        let tree = s_slot.get_or_init(|| {
+        // candidate list so the merge job emits a row for it.  Only the
+        // column's first cell looks at its S records: the bulk load takes
+        // ownership of the block, so that cell copies it once.
+        let tree = self.s_trees[*cell as usize % self.blocks].get_or_init(|| {
             ctx.counters().increment(counters::INDEX_BUILDS);
             Arc::new(RTree::bulk_load_with_mode(
-                s_block,
+                ShuffleRecord::of_kind(values, RecordKind::S)
+                    .map(|record| Point::clone(&record.point))
+                    .collect(),
                 self.metric,
                 self.fanout,
                 self.mode,
             ))
         });
-        for r_obj in &r_block {
-            let (neighbors, computations) = tree.knn_counted(r_obj, self.k);
+        for record in ShuffleRecord::of_kind(values, RecordKind::R) {
+            let (neighbors, computations) = tree.knn_counted(&record.point, self.k);
             ctx.counters()
                 .add(counters::DISTANCE_COMPUTATIONS, computations);
-            ctx.emit(r_obj.id, NeighborListValue::new(neighbors));
+            ctx.emit(record.point.id, NeighborListValue::new(neighbors));
         }
     }
 }

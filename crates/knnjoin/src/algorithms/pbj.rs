@@ -10,9 +10,9 @@
 //! how much of PGBJ's win comes from the grouping versus the bounds.
 
 use crate::algorithms::blocks::run_block_framework;
-use crate::algorithms::common::{counters, EncodedRecord, NeighborListValue};
+use crate::algorithms::common::{counters, NeighborListValue, ShuffleRecord};
 use crate::algorithms::voronoi::{
-    encode_partitioned, select_plan_pivots, FlatPartition, VoronoiScan,
+    partitioned_inputs, select_plan_pivots, FlatPartition, VoronoiScan,
 };
 use crate::bounds::upper_bound;
 use crate::context::ExecutionContext;
@@ -64,7 +64,7 @@ pub(crate) fn join(
 
     // ---- Block join + merge (no grouping phase) -----------------------------
     let rows = run_block_framework(
-        encode_partitioned(&partitioned_r, &partitioned_s, |_, point| point.id),
+        partitioned_inputs(partitioned_r, partitioned_s, |_, point| point.id),
         plan,
         ctx.workers(),
         &PbjCellReducer {
@@ -114,14 +114,14 @@ impl PbjCellReducer {
 
 impl Reducer for PbjCellReducer {
     type KIn = u32;
-    type VIn = EncodedRecord;
+    type VIn = ShuffleRecord;
     type KOut = u64;
     type VOut = NeighborListValue;
 
     fn reduce(
         &self,
         _cell: &u32,
-        values: &[EncodedRecord],
+        values: &[ShuffleRecord],
         ctx: &mut ReduceContext<u64, NeighborListValue>,
     ) {
         VoronoiScan::new(&self.tables, self.k, self.metric, self.mode).scan_shuffled(

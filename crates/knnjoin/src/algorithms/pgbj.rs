@@ -14,8 +14,8 @@
 //!    to all groups whose bound cannot exclude it (Theorem 6); each reducer
 //!    runs the bounded nested-loop join of Algorithm 3 over its group.
 
-use crate::algorithms::common::{counters, encode_raw_inputs, rows_from_output, EncodedRecord};
-use crate::algorithms::voronoi::{encode_partitioned, select_plan_pivots, VoronoiScan};
+use crate::algorithms::common::{counters, raw_inputs, rows_from_output, ShuffleRecord};
+use crate::algorithms::voronoi::{partitioned_inputs, select_plan_pivots, VoronoiScan};
 use crate::bounds::PartitionBounds;
 use crate::context::ExecutionContext;
 use crate::grouping::build_grouping;
@@ -56,7 +56,7 @@ pub(crate) fn join(
         .map_tasks(plan.map_tasks)
         .workers(ctx.workers())
         .run_with_optional_combiner(
-            encode_raw_inputs(r, s),
+            raw_inputs(r, s),
             &PartitionMapper {
                 partitioner: Arc::clone(&partitioner),
             },
@@ -94,7 +94,7 @@ pub(crate) fn join(
         .map_tasks(plan.map_tasks)
         .workers(ctx.workers())
         .run_with_partitioner(
-            encode_partitioned(&partitioned_r, &partitioned_s, |partition, _| partition),
+            partitioned_inputs(partitioned_r, partitioned_s, |partition, _| partition),
             &RouteMapper { group_of, group_lb },
             &PgbjJoinReducer {
                 tables: Arc::clone(&tables),
@@ -124,17 +124,17 @@ pub(crate) fn join(
 // Job 1: partitioning
 // ---------------------------------------------------------------------------
 
-/// The intermediate value of job 1: a batch of serialised records bound for
-/// one Voronoi partition.  Mappers emit singleton batches; the map-side
+/// The intermediate value of job 1: a batch of records bound for one Voronoi
+/// partition.  Mappers emit singleton batches; the map-side
 /// [`BatchCombiner`] merges every batch a map task produced for the same
 /// partition into one, so the per-record shuffle framing is paid once per
 /// (task, partition) instead of once per object.
 #[derive(Debug, Clone, Default, PartialEq)]
-struct RecordBatch(Vec<EncodedRecord>);
+struct RecordBatch(Vec<ShuffleRecord>);
 
 impl ByteSize for RecordBatch {
     fn byte_size(&self) -> usize {
-        // Exactly the serialised records: the `Record` codec is
+        // Exactly the records' own bytes: the `Record` codec is
         // self-delimiting, so a batch needs no extra framing and a singleton
         // batch costs the same as shipping the bare record.  This keeps the
         // combiner-off baseline comparable (its savings are real, not an
@@ -153,24 +153,23 @@ struct PartitionMapper {
 
 impl Mapper for PartitionMapper {
     type KIn = u64;
-    type VIn = EncodedRecord;
+    type VIn = ShuffleRecord;
     type KOut = u32;
     type VOut = RecordBatch;
 
-    fn map(&self, _key: &u64, value: &EncodedRecord, ctx: &mut MapContext<u32, RecordBatch>) {
-        let record = value.decode();
-        let assignment = self.partitioner.nearest_pivot(&record.point.coords);
+    fn map(&self, _key: &u64, value: &ShuffleRecord, ctx: &mut MapContext<u32, RecordBatch>) {
+        let assignment = self.partitioner.nearest_pivot(&value.point.coords);
         ctx.counters().add(
             counters::PIVOT_ASSIGNMENT_COMPUTATIONS,
             assignment.computations,
         );
-        let out = EncodedRecord::from_parts(
-            record.kind,
-            assignment.partition as u32,
-            assignment.distance,
-            &record.point,
-        );
-        ctx.emit(assignment.partition as u32, RecordBatch(vec![out]));
+        let partition = assignment.partition as u32;
+        let out = ShuffleRecord {
+            partition,
+            pivot_distance: assignment.distance,
+            ..value.clone()
+        };
+        ctx.emit(partition, RecordBatch(vec![out]));
     }
 }
 
@@ -200,8 +199,9 @@ struct PartitionBucket {
     s: Vec<(Point, f64)>,
 }
 
-/// Reducer of job 1: collect the objects of each partition (the partitioned
-/// copy of the datasets that job 2 will read).
+/// Reducer of job 1: collect the objects of each partition.  Its output is
+/// the partitioned copy of the datasets that job 2 will read (what Hadoop
+/// would write back to HDFS), so this is where each object is copied once.
 struct CollectPartitionReducer;
 
 impl Reducer for CollectPartitionReducer {
@@ -217,11 +217,11 @@ impl Reducer for CollectPartitionReducer {
         ctx: &mut ReduceContext<u32, PartitionBucket>,
     ) {
         let mut bucket = PartitionBucket::default();
-        for value in values.iter().flat_map(|batch| &batch.0) {
-            let record = value.decode();
+        for record in values.iter().flat_map(|batch| &batch.0) {
+            let object = (Point::clone(&record.point), record.pivot_distance);
             match record.kind {
-                RecordKind::R => bucket.r.push((record.point, record.pivot_distance)),
-                RecordKind::S => bucket.s.push((record.point, record.pivot_distance)),
+                RecordKind::R => bucket.r.push(object),
+                RecordKind::S => bucket.s.push(object),
             }
         }
         ctx.emit(*key, bucket);
@@ -258,25 +258,26 @@ struct RouteMapper {
 
 impl Mapper for RouteMapper {
     type KIn = u32;
-    type VIn = EncodedRecord;
+    type VIn = ShuffleRecord;
     type KOut = u32;
-    type VOut = EncodedRecord;
+    type VOut = ShuffleRecord;
 
-    fn map(&self, key: &u32, value: &EncodedRecord, ctx: &mut MapContext<u32, EncodedRecord>) {
+    fn map(&self, key: &u32, value: &ShuffleRecord, ctx: &mut MapContext<u32, ShuffleRecord>) {
         let partition = *key as usize;
-        let record = value.decode();
-        match record.kind {
+        match value.kind {
             RecordKind::R => {
                 ctx.counters().increment(counters::R_RECORDS);
                 ctx.emit(self.group_of[partition] as u32, value.clone());
             }
             RecordKind::S => {
+                let mut replicas = 0;
                 for (group, bounds) in self.group_lb.iter().enumerate() {
-                    if record.pivot_distance >= bounds[partition] {
-                        ctx.counters().increment(counters::S_RECORDS);
+                    if value.pivot_distance >= bounds[partition] {
+                        replicas += 1;
                         ctx.emit(group as u32, value.clone());
                     }
                 }
+                ctx.counters().add(counters::S_RECORDS, replicas);
             }
         }
     }
@@ -295,14 +296,14 @@ struct PgbjJoinReducer {
 
 impl Reducer for PgbjJoinReducer {
     type KIn = u32;
-    type VIn = EncodedRecord;
+    type VIn = ShuffleRecord;
     type KOut = u64;
     type VOut = Vec<Neighbor>;
 
     fn reduce(
         &self,
         _group: &u32,
-        values: &[EncodedRecord],
+        values: &[ShuffleRecord],
         ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
     ) {
         VoronoiScan::new(&self.tables, self.k, self.metric, self.mode).scan_shuffled(

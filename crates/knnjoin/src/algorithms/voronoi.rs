@@ -9,7 +9,7 @@
 //! partitions, the scan order and `θ_i` come from.
 
 use crate::algorithms::common::{
-    for_each_tile, probe_rows, DeltaView, EncodedRecord, ScanCounts, ScanKernels, TileScratch,
+    for_each_tile, probe_rows, DeltaView, ScanCounts, ScanKernels, ShuffleRecord, TileScratch,
 };
 use crate::bounds::{bounding_knn_theta, hyperplane_bound, theorem2_window};
 use crate::delta::DeltaOverlay;
@@ -71,38 +71,6 @@ impl FlatPartition {
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
-}
-
-/// The per-partition views an Algorithm 3 reducer works from: `R` objects
-/// grouped by partition, and the received `S` subset in flat
-/// [`FlatPartition`] storage.
-pub(crate) type ReducerPartitions = (
-    BTreeMap<usize, Vec<(Point, f64)>>,
-    BTreeMap<usize, FlatPartition>,
-);
-
-/// Decodes a reducer's received records and splits them by kind and
-/// partition (Algorithm 3 line 13), preserving arrival order: `R` objects
-/// stay as owned points (each is a query, visited once), while `S` objects
-/// are flattened straight into the columnar layout the candidate scan reads.
-/// Shared by the PGBJ group reducer and the PBJ cell reducer.
-pub(crate) fn split_reducer_records(values: &[EncodedRecord], dims: usize) -> ReducerPartitions {
-    let mut r_parts: BTreeMap<usize, Vec<(Point, f64)>> = BTreeMap::new();
-    let mut s_parts: BTreeMap<usize, FlatPartition> = BTreeMap::new();
-    for value in values {
-        let record = value.decode();
-        match record.kind {
-            RecordKind::R => r_parts
-                .entry(record.partition as usize)
-                .or_default()
-                .push((record.point, record.pivot_distance)),
-            RecordKind::S => s_parts
-                .entry(record.partition as usize)
-                .or_insert_with(|| FlatPartition::new(dims))
-                .push(&record.point, record.pivot_distance),
-        }
-    }
-    (r_parts, s_parts)
 }
 
 /// Sorts the partition ids in `s_parts` by ascending pivot distance from the
@@ -360,21 +328,42 @@ impl<'a> VoronoiScan<'a> {
     /// scan for every local `r`, handing `(r id, neighbours, distance
     /// computations)` to `emit`.  `theta_of` supplies `θ_i` for an `R`
     /// partition given the `S` subset this reducer received.
+    ///
+    /// The split preserves arrival order: `R` records stay borrowed (each is
+    /// a query, visited once), while `S` coordinates are flattened straight
+    /// into the columnar layout the candidate scan reads.
     pub(crate) fn scan_shuffled(
         &mut self,
-        values: &[EncodedRecord],
+        values: &[ShuffleRecord],
         theta_of: impl Fn(usize, &BTreeMap<usize, FlatPartition>) -> f64,
         mut emit: impl FnMut(PointId, Vec<Neighbor>, u64),
     ) {
         let dims = self.tables.pivots.first().map_or(0, |p| p.dims());
-        let (r_parts, s_parts) = split_reducer_records(values, dims);
+        let mut r_parts: BTreeMap<usize, Vec<&ShuffleRecord>> = BTreeMap::new();
+        let mut s_parts: BTreeMap<usize, FlatPartition> = BTreeMap::new();
+        for record in values {
+            let partition = record.partition as usize;
+            match record.kind {
+                RecordKind::R => r_parts.entry(partition).or_default().push(record),
+                RecordKind::S => s_parts
+                    .entry(partition)
+                    .or_insert_with(|| FlatPartition::new(dims))
+                    .push(&record.point, record.pivot_distance),
+            }
+        }
         for (&i, r_bucket) in &r_parts {
             let s_order = order_s_partitions(&s_parts, i, self.tables);
             let theta_i = theta_of(i, &s_parts);
-            for (r_obj, r_pivot_dist) in r_bucket {
-                let (neighbors, counts) =
-                    self.scan(&r_obj.coords, *r_pivot_dist, i, &s_parts, &s_order, theta_i);
-                emit(r_obj.id, neighbors, counts.frozen);
+            for r in r_bucket {
+                let (neighbors, counts) = self.scan(
+                    &r.point.coords,
+                    r.pivot_distance,
+                    i,
+                    &s_parts,
+                    &s_order,
+                    theta_i,
+                );
+                emit(r.point.id, neighbors, counts.frozen);
             }
         }
     }
@@ -401,24 +390,31 @@ pub(crate) fn select_plan_pivots(
     pivots
 }
 
-/// Encodes Voronoi-partitioned `R ∪ S` as job input, each record carrying
-/// its partition and pivot distance; `key_of` picks the map key (the
-/// partition for PGBJ's routing job, the object id for the block framework).
-pub(crate) fn encode_partitioned<K>(
-    partitioned_r: &PartitionedDataset,
-    partitioned_s: &PartitionedDataset,
+/// Turns Voronoi-partitioned `R ∪ S` into job input, each record carrying
+/// its partition and pivot distance and taking over its point; `key_of`
+/// picks the map key (the partition for PGBJ's routing job, the object id
+/// for the block framework).
+pub(crate) fn partitioned_inputs<K>(
+    partitioned_r: PartitionedDataset,
+    partitioned_s: PartitionedDataset,
     key_of: impl Fn(u32, &Point) -> K,
-) -> Vec<(K, EncodedRecord)> {
+) -> Vec<(K, ShuffleRecord)> {
     let mut input = Vec::with_capacity(partitioned_r.len() + partitioned_s.len());
     for (kind, partitioned) in [
         (RecordKind::R, partitioned_r),
         (RecordKind::S, partitioned_s),
     ] {
-        for (partition, bucket) in partitioned.partitions.iter().enumerate() {
-            for (point, dist) in bucket {
+        for (partition, bucket) in partitioned.partitions.into_iter().enumerate() {
+            let partition = partition as u32;
+            for (point, pivot_distance) in bucket {
                 input.push((
-                    key_of(partition as u32, point),
-                    EncodedRecord::from_parts(kind, partition as u32, *dist, point),
+                    key_of(partition, &point),
+                    ShuffleRecord {
+                        kind,
+                        partition,
+                        pivot_distance,
+                        point: Arc::new(point),
+                    },
                 ));
             }
         }

@@ -35,8 +35,8 @@
 
 use crate::algorithms::blocks::MergeMapper;
 use crate::algorithms::common::{
-    counters, encode_raw_inputs, probe_rows, rows_from_output, EncodedRecord, NeighborListValue,
-    ScanCounts, ScanKernels,
+    counters, probe_rows, raw_inputs, rows_from_output, NeighborListValue, ScanCounts, ScanKernels,
+    ShuffleRecord,
 };
 use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
@@ -86,7 +86,7 @@ pub(crate) fn join(
     metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
 
     // ---- Job 1: per-copy z-order slabs, 2k z-neighbour candidates ----------
-    let input = encode_raw_inputs(r, s);
+    let input = raw_inputs(r, s);
     let start = Instant::now();
     let join_job = JobBuilder::new("zknn-join")
         .reducers(shared.copies.len() * shared.slabs)
@@ -276,32 +276,37 @@ struct ZRouteMapper {
 
 impl Mapper for ZRouteMapper {
     type KIn = u64;
-    type VIn = EncodedRecord;
+    type VIn = ShuffleRecord;
     type KOut = u32;
-    type VOut = EncodedRecord;
+    type VOut = ShuffleRecord;
 
-    fn map(&self, _key: &u64, value: &EncodedRecord, ctx: &mut MapContext<u32, EncodedRecord>) {
-        let record = value.decode();
+    fn map(&self, _key: &u64, value: &ShuffleRecord, ctx: &mut MapContext<u32, ShuffleRecord>) {
         let slabs = self.shared.slabs;
+        let mut replicas = 0;
         for copy in 0..self.shared.copies.len() {
-            let z = self.shared.z(copy, &record.point.coords);
-            match record.kind {
+            let z = self.shared.z(copy, &value.point.coords);
+            match value.kind {
                 RecordKind::R => {
                     let slab = self.shared.slab_of(copy, z);
-                    ctx.counters().increment(counters::R_RECORDS);
+                    replicas += 1;
                     ctx.emit((copy * slabs + slab) as u32, value.clone());
                 }
                 RecordKind::S => {
                     let bounds = &self.shared.copies[copy];
                     for slab in 0..slabs {
                         if z >= bounds.pad_lo[slab] && z <= bounds.pad_hi[slab] {
-                            ctx.counters().increment(counters::S_RECORDS);
+                            replicas += 1;
                             ctx.emit((copy * slabs + slab) as u32, value.clone());
                         }
                     }
                 }
             }
         }
+        let counter = match value.kind {
+            RecordKind::R => counters::R_RECORDS,
+            RecordKind::S => counters::S_RECORDS,
+        };
+        ctx.counters().add(counter, replicas);
     }
 }
 
@@ -317,29 +322,31 @@ struct ZSlabReducer {
 
 impl Reducer for ZSlabReducer {
     type KIn = u32;
-    type VIn = EncodedRecord;
+    type VIn = ShuffleRecord;
     type KOut = u64;
     type VOut = NeighborListValue;
 
     fn reduce(
         &self,
         key: &u32,
-        values: &[EncodedRecord],
+        values: &[ShuffleRecord],
         ctx: &mut ReduceContext<u64, NeighborListValue>,
     ) {
         let copy = *key as usize / self.shared.slabs;
-        let records: Vec<_> = values.iter().map(EncodedRecord::decode).collect();
-        let of_kind = |kind| records.iter().filter(move |rec| rec.kind == kind);
-        if of_kind(RecordKind::R).next().is_none() {
+        if ShuffleRecord::of_kind(values, RecordKind::R)
+            .next()
+            .is_none()
+        {
             return;
         }
         let slab = SortedCopy::sorted(
-            of_kind(RecordKind::S).map(|rec| (rec.point.id, rec.point.coords.as_slice())),
+            ShuffleRecord::of_kind(values, RecordKind::S)
+                .map(|rec| (rec.point.id, rec.point.coords.as_slice())),
             |coords| self.shared.z(copy, coords),
             self.shared.quantizer.dims(),
         );
         let mut scratch = Vec::new();
-        for rec in of_kind(RecordKind::R) {
+        for rec in ShuffleRecord::of_kind(values, RecordKind::R) {
             let z_r = self.shared.z(copy, &rec.point.coords);
             let mut list = NeighborList::new(self.k);
             let computations = slab.scan_window(

@@ -12,7 +12,6 @@
 
 use crate::metrics::JoinMetrics;
 use mapreduce::sync::{ranks, RankedMutex};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -92,36 +91,19 @@ pub struct RecordedJoin {
     pub metrics: JoinMetrics,
 }
 
-/// Lock shards in a [`MemoryMetricsSink`].  Small power of two: enough to
-/// keep a handful of serving workers off each other's lock, cheap to merge.
-const SINK_SHARDS: usize = 8;
-
-/// A sink that keeps every record in memory; used by the experiment harness
-/// and by tests that assert on executed-join history.
-///
-/// Storage is *sharded*: each record lands in one of eight
-/// independently-locked vectors (picked round-robin by a global sequence
-/// counter), so concurrent serving workers reporting query metrics don't
-/// serialize on one mutex.  Every record carries its sequence number, and
-/// [`MemoryMetricsSink::snapshot`] merges the shards back into execution
-/// order — the sharding is invisible to readers.
+/// A sink that keeps every record in memory, in the order the `record`
+/// calls took its lock; used by the experiment harness and by tests that
+/// assert on executed-join history.  One lock: nothing on a serving path
+/// installs this sink (the default is [`NullMetricsSink`]).
 #[derive(Debug)]
 pub struct MemoryMetricsSink {
-    shards: [RankedMutex<Vec<(u64, RecordedJoin)>>; SINK_SHARDS],
-    /// Global arrival order; also selects the shard (`seq % SINK_SHARDS`).
-    seq: AtomicU64,
-    /// Records currently held (kept separately so `len` takes no lock).
-    count: AtomicUsize,
+    records: RankedMutex<Vec<RecordedJoin>>,
 }
 
 impl Default for MemoryMetricsSink {
     fn default() -> Self {
         Self {
-            shards: std::array::from_fn(|_| {
-                RankedMutex::new(ranks::SINK_SHARD, "sink.shard", Vec::new())
-            }),
-            seq: AtomicU64::new(0),
-            count: AtomicUsize::new(0),
+            records: RankedMutex::new(ranks::SINK_SHARD, "sink.records", Vec::new()),
         }
     }
 }
@@ -134,7 +116,7 @@ impl MemoryMetricsSink {
 
     /// Number of joins recorded so far.
     pub fn len(&self) -> usize {
-        self.count.load(Ordering::Acquire)
+        self.records.lock().len()
     }
 
     /// Whether nothing has been recorded.
@@ -142,48 +124,24 @@ impl MemoryMetricsSink {
         self.len() == 0
     }
 
-    /// A copy of everything recorded so far, in execution order (the order
-    /// in which `record` calls claimed their sequence numbers).
+    /// A copy of everything recorded so far, in execution order.
     pub fn snapshot(&self) -> Vec<RecordedJoin> {
-        let mut tagged: Vec<(u64, RecordedJoin)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            tagged.extend(shard.lock().iter().cloned());
-        }
-        tagged.sort_by_key(|(seq, _)| *seq);
-        tagged.into_iter().map(|(_, record)| record).collect()
+        self.records.lock().clone()
     }
 
     /// Clears the history.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let removed = {
-                let mut shard = shard.lock();
-                let n = shard.len();
-                shard.clear();
-                n
-            };
-            self.count.fetch_sub(removed, Ordering::AcqRel);
-        }
+        self.records.lock().clear();
     }
 }
 
 impl MetricsSink for MemoryMetricsSink {
     fn record(&self, algorithm: &str, metrics: &JoinMetrics) {
-        // ORDERING: Relaxed — fetch_add is atomic at any ordering, so each
-        // record still claims a unique sequence number; the record's payload
-        // is published by the shard lock below, and snapshot order comes
-        // from sorting by seq, not from cross-thread memory ordering.
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let record = RecordedJoin {
             algorithm: algorithm.to_string(),
             metrics: metrics.clone(),
         };
-        // lint: allow(panic-freedom) -- `% SINK_SHARDS` keeps the index in
-        // range for the fixed-size shard array.
-        self.shards[(seq % SINK_SHARDS as u64) as usize]
-            .lock()
-            .push((seq, record));
-        self.count.fetch_add(1, Ordering::AcqRel);
+        self.records.lock().push(record);
     }
 }
 

@@ -110,12 +110,18 @@ pub(crate) struct FlatBlock {
 }
 
 impl FlatBlock {
-    /// Flattens `points`.
-    pub(crate) fn new(points: &[Point]) -> Self {
-        Self {
-            ids: points.iter().map(|p| p.id).collect(),
-            coords: CoordMatrix::from_points(points),
+    /// Flattens `points`, borrowing them.
+    pub(crate) fn new<'p>(points: impl IntoIterator<Item = &'p Point>) -> Self {
+        let mut points = points.into_iter().peekable();
+        let dims = points.peek().map_or(0, |p| p.dims());
+        let rows = points.size_hint().0;
+        let mut ids = Vec::with_capacity(rows);
+        let mut coords = CoordMatrix::with_capacity(dims, rows);
+        for p in points {
+            ids.push(p.id);
+            coords.push_row(&p.coords);
         }
+        Self { ids, coords }
     }
 
     /// [`Self::new`] as the build phase of a prepared join.

@@ -47,7 +47,9 @@
 //! [`query_into`](PreparedJoin::query_into) answer arbitrary batches without
 //! re-planning or rebuilding — across repeated queries the `index_builds`
 //! and `pivot_selections` counters stay flat while outputs match the
-//! one-shot path.  [`JoinSession`] adds an LRU cache of prepared joins keyed
+//! one-shot path.  (`query_into` probes its batch whole and then hands the
+//! rows to a [`ResultSink`] one by one: it saves the [`JoinResult`] wrapper,
+//! not the rows.)  [`JoinSession`] adds an LRU cache of prepared joins keyed
 //! by corpus / algorithm / metric / `k` for multi-corpus serving layers.
 //!
 //! The prepared corpus is *mutable*: [`PreparedJoin::insert`] and
@@ -86,6 +88,8 @@
 //! prepared state read their knobs from it.  [`metrics::JoinMetrics`]
 //! captures the quantities the paper's evaluation reports (per-phase running
 //! time, computation selectivity, replication of `S`, shuffling cost).
+
+#![forbid(unsafe_code)]
 
 pub mod algorithms;
 pub mod bounds;

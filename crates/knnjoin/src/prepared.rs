@@ -627,10 +627,13 @@ impl PreparedJoin {
         })
     }
 
-    /// Streams one probe batch's rows (in `r_id` order) into `sink` instead
-    /// of materializing a [`JoinResult`], returning only the query's
-    /// metrics.  Use this to serve large `R` without holding `|R| · k`
-    /// neighbours alive in one result value.
+    /// Hands one probe batch's rows (in `r_id` order) to `sink` one at a
+    /// time instead of returning a [`JoinResult`], and returns only the
+    /// query's metrics.  The whole batch is probed and sorted before the
+    /// first [`ResultSink::accept`], so all `|R| · k` neighbours are alive
+    /// at that point: what a sink saves is the `JoinResult` wrapper and any
+    /// copy a caller would make while forwarding its rows, not the rows.
+    /// To bound memory, split `R` into smaller batches.
     ///
     /// # Errors
     /// Same conditions as [`PreparedJoin::query`].

@@ -387,11 +387,11 @@ impl<'a> IntoIterator for &'a JoinResult {
 
 /// Receives join rows one at a time, in `r_id` order.
 ///
-/// [`crate::PreparedJoin::query_into`] streams its output through a sink
-/// instead of materializing a full [`JoinResult`], so a serving loop can
-/// forward rows (to a socket, a file, an aggregate) without holding
-/// `|R| · k` neighbours in one allocation.  Any `FnMut(JoinRow)` closure is a
-/// sink, and so is a plain `Vec<JoinRow>`.
+/// [`crate::PreparedJoin::query_into`] hands its output to a sink row by row
+/// instead of returning a [`JoinResult`], so a serving loop can forward rows
+/// (to a socket, a file, an aggregate) without building that wrapper — the
+/// batch is still probed whole before the first row arrives.  Any
+/// `FnMut(JoinRow)` closure is a sink, and so is a plain `Vec<JoinRow>`.
 pub trait ResultSink {
     /// Accepts the next output row.
     fn accept(&mut self, row: JoinRow);

@@ -56,9 +56,16 @@ impl Counters {
     }
 
     /// Adds `delta` to the counter `name`, creating it at zero if absent.
+    /// The name is allocated on that first insert only: tasks call this in
+    /// their inner loops with the job-wide lock held.
     pub fn add(&self, name: &str, delta: u64) {
         let mut map = self.inner.lock();
-        *map.entry(name.to_string()).or_insert(0) += delta;
+        match map.get_mut(name) {
+            Some(value) => *value += delta,
+            None => {
+                map.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Increments the counter `name` by one.

@@ -1,7 +1,6 @@
 //! The job execution engine.
 //!
-//! [`run_job`] (or the more convenient [`JobBuilder`]) executes a full
-//! MapReduce job in-process:
+//! [`JobBuilder`] executes a full MapReduce job in-process:
 //!
 //! 1. the input pairs are divided into map splits,
 //! 2. map tasks run in parallel on a bounded worker pool (sized by the
@@ -314,40 +313,8 @@ impl JobBuilder {
     }
 }
 
-/// Executes a MapReduce job.  Prefer [`JobBuilder`] for readability.
-///
-/// # Errors
-/// Returns [`JobError`] if `num_reducers` is zero or an explicit
-/// `num_map_tasks` of zero is requested.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job<M, R, P>(
-    name: &str,
-    input: Vec<(M::KIn, M::VIn)>,
-    mapper: &M,
-    reducer: &R,
-    partitioner: &P,
-    num_reducers: usize,
-    num_map_tasks: Option<usize>,
-) -> Result<JobOutput<R::KOut, R::VOut>, JobError>
-where
-    M: Mapper,
-    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-    P: Partitioner<M::KOut>,
-{
-    run_job_with_combiner(
-        name,
-        input,
-        mapper,
-        None::<&IdentityCombiner<M::KOut, M::VOut>>,
-        reducer,
-        partitioner,
-        num_reducers,
-        num_map_tasks,
-        None,
-    )
-}
-
-/// Executes a MapReduce job with an optional map-side combiner.
+/// Executes a MapReduce job with an optional map-side combiner: the one
+/// body behind every [`JobBuilder`] `run*` method.
 ///
 /// When a combiner is supplied, each map task groups its own output by key and
 /// runs the combiner before anything is handed to the shuffle; the reported
@@ -358,7 +325,7 @@ where
 /// Returns [`JobError`] if `num_reducers` is zero or an explicit
 /// `num_map_tasks` of zero is requested.
 #[allow(clippy::too_many_arguments)]
-pub fn run_job_with_combiner<M, C, R, P>(
+fn run_job_with_combiner<M, C, R, P>(
     name: &str,
     input: Vec<(M::KIn, M::VIn)>,
     mapper: &M,

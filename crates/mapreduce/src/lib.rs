@@ -63,6 +63,8 @@
 //! assert_eq!(pairs, vec![("a".into(), 2), ("b".into(), 2), ("c".into(), 1)]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bytesize;
 pub mod counters;
 pub mod engine;
@@ -72,9 +74,7 @@ pub mod sync;
 
 pub use bytesize::ByteSize;
 pub use counters::Counters;
-pub use engine::{
-    default_workers, parallel_map, run_job, run_job_with_combiner, JobBuilder, JobError, JobOutput,
-};
+pub use engine::{default_workers, parallel_map, JobBuilder, JobError, JobOutput};
 pub use job::{
     Combiner, HashPartitioner, IdentityCombiner, IdentityPartitioner, MapContext, Mapper,
     Partitioner, ReduceContext, Reducer,

@@ -11,7 +11,7 @@
 //! | 20 | `prepared.epoch` (`RwLock`) | `knnjoin::prepared` |
 //! | 30 | `session.shard` | `knnjoin::prepared` |
 //! | 40 | `prepared.cumulative` | `knnjoin::prepared` |
-//! | 50 | `sink.shard` (metrics) | `knnjoin::context` |
+//! | 50 | `sink.records` (metrics) | `knnjoin::context` |
 //! | 60 | `serving.histogram` | `knnjoin::serving` |
 //! | 70 | `engine.queue` | `mapreduce::engine` |
 //! | 80 | `engine.slot` | `mapreduce::engine` |
@@ -46,7 +46,7 @@ pub mod ranks {
     pub const SESSION_SHARD: u8 = 30;
     /// `knnjoin::prepared` cumulative per-handle metrics.
     pub const PREPARED_CUMULATIVE: u8 = 40;
-    /// `knnjoin::context` metrics-sink shard.
+    /// `knnjoin::context` in-memory metrics sink.
     pub const SINK_SHARD: u8 = 50;
     /// `knnjoin::serving` per-worker latency histogram shard.
     pub const SERVING_HISTOGRAM: u8 = 60;
@@ -306,7 +306,7 @@ mod tests {
     #[test]
     fn rwlock_read_then_higher_mutex_is_clean() {
         let epoch = RankedRwLock::new(ranks::PREPARED_EPOCH, "prepared.epoch", 7u32);
-        let sink = RankedMutex::new(ranks::SINK_SHARD, "sink.shard", 0u32);
+        let sink = RankedMutex::new(ranks::SINK_SHARD, "sink.records", 0u32);
         let r = epoch.read();
         let s = sink.lock();
         assert_eq!(*r + *s, 7);

@@ -18,6 +18,8 @@
 //! which is precisely the contrast the paper's evaluation draws.  See the
 //! [`RTree`] docs for a doctest mirroring an H-BRJ reducer.
 
+#![forbid(unsafe_code)]
+
 pub mod bruteforce;
 pub mod rect;
 pub mod rtree;

@@ -52,6 +52,8 @@
 //! assert_eq!(served.metrics.pivot_selections, 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use datagen;
 pub use geom;
 pub use knnjoin;

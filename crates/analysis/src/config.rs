@@ -93,23 +93,8 @@ impl Config {
                 },
                 LockSite {
                     file: "crates/knnjoin/src/prepared.rs",
-                    receiver: "shard",
-                    rank: 30,
-                },
-                LockSite {
-                    file: "crates/knnjoin/src/prepared.rs",
-                    receiver: "shards",
-                    rank: 30,
-                },
-                LockSite {
-                    file: "crates/knnjoin/src/prepared.rs",
                     receiver: "cumulative",
                     rank: 40,
-                },
-                LockSite {
-                    file: "crates/knnjoin/src/context.rs",
-                    receiver: "records",
-                    rank: 50,
                 },
                 LockSite {
                     file: "crates/knnjoin/src/serving/mod.rs",
@@ -180,7 +165,6 @@ fn default_probe_calls() -> Vec<&'static str> {
         ".run(",
         ".query(",
         ".query_one(",
-        ".query_into(",
         ".prepare(",
         "probe_rows(",
     ]

@@ -3,8 +3,7 @@
 
 use datagen::{expand_dataset, forest_like, osm_like, ForestConfig, OsmConfig};
 use geom::PointSet;
-use knnjoin::{ExecutionContext, MemoryMetricsSink};
-use std::sync::Arc;
+use knnjoin::ExecutionContext;
 
 /// How large the experiment inputs are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,22 +35,16 @@ pub struct Workloads {
     scale: ExperimentScale,
     seed: u64,
     context: ExecutionContext,
-    sink: Arc<MemoryMetricsSink>,
 }
 
 impl Workloads {
-    /// Creates the factory, with a shared [`ExecutionContext`] whose
-    /// [`MemoryMetricsSink`] records every join the experiments run.
+    /// Creates the factory, with one [`ExecutionContext`] shared by every
+    /// join the experiments run.
     pub fn new(scale: ExperimentScale) -> Self {
-        let sink = Arc::new(MemoryMetricsSink::new());
-        let context = ExecutionContext::builder()
-            .metrics_sink(sink.clone())
-            .build();
         Self {
             scale,
             seed: 2012,
-            context,
-            sink,
+            context: ExecutionContext::default(),
         }
     }
 
@@ -63,11 +56,6 @@ impl Workloads {
     /// The execution context every experiment join runs inside.
     pub fn context(&self) -> &ExecutionContext {
         &self.context
-    }
-
-    /// The sink recording every join executed through [`Workloads::context`].
-    pub fn metrics_sink(&self) -> &Arc<MemoryMetricsSink> {
-        &self.sink
     }
 
     /// Default `k`, as in the paper.

@@ -18,7 +18,8 @@ use crate::partition::{PartitionedDataset, VoronoiPartitioner};
 use crate::pivots::select_pivots;
 use crate::plan::JoinPlan;
 use crate::summary::{
-    build_s_summaries, pivot_distance_matrix, RPartitionSummary, SPartitionSummary, SummaryTables,
+    build_s_summaries, pivot_distance_matrix, s_summary_row, RPartitionSummary, SPartitionSummary,
+    SummaryTables,
 };
 use geom::kernels::BatchKernel;
 use geom::{
@@ -73,18 +74,14 @@ impl FlatPartition {
     }
 }
 
-/// Sorts the partition ids in `s_parts` by ascending pivot distance from the
-/// pivot of `r_partition` (Algorithm 3 line 14).
-pub fn order_s_partitions(
-    s_parts: &BTreeMap<usize, FlatPartition>,
-    r_partition: usize,
-    tables: &SummaryTables,
-) -> Vec<usize> {
-    let mut order: Vec<usize> = s_parts.keys().copied().collect();
+/// Sorts the `S` cell ids `cells` by ascending pivot distance from one `R`
+/// partition's pivot, given that pivot's row of the pivot-distance matrix
+/// (Algorithm 3 line 14).
+fn order_by_pivot_distance(cells: impl Iterator<Item = usize>, row: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = cells.collect();
     order.sort_by(|&a, &b| {
-        tables
-            .pivot_distance(r_partition, a)
-            .partial_cmp(&tables.pivot_distance(r_partition, b))
+        row[a]
+            .partial_cmp(&row[b])
             .unwrap_or(std::cmp::Ordering::Equal)
     });
     order
@@ -119,7 +116,6 @@ pub fn order_s_partitions(
 pub struct VoronoiScan<'a> {
     tables: &'a SummaryTables,
     k: usize,
-    metric: DistanceMetric,
     kernels: ScanKernels,
     delta: Option<&'a DeltaView<'a>>,
     scratch: TileScratch,
@@ -136,7 +132,6 @@ impl<'a> VoronoiScan<'a> {
         Self {
             tables,
             k,
-            metric,
             kernels: ScanKernels::new(metric, mode),
             delta: None,
             scratch: TileScratch::new(),
@@ -188,7 +183,7 @@ impl<'a> VoronoiScan<'a> {
             // p_i and p_j is already farther away than θ.
             if j != r_partition
                 && theta.is_finite()
-                && hyperplane_bound(r_pivot_dist, d_r_pj, pivot_dist, self.metric) > theta
+                && hyperplane_bound(r_pivot_dist, d_r_pj, pivot_dist, self.kernels.metric) > theta
             {
                 continue;
             }
@@ -303,7 +298,7 @@ impl<'a> VoronoiScan<'a> {
             let last = (first..t1).rev().find(|&i| in_window(i)).unwrap_or(first);
             let dists = &mut self.scratch.ranks[..last + 1 - first];
             batch(r_coords, &rows[first * dim..(last + 1) * dim], dim, dists);
-            self.metric.ranks_to_distances(dists);
+            self.kernels.metric.ranks_to_distances(dists);
             counts.frozen += dists.len() as u64;
             for (off, &d) in dists.iter().enumerate() {
                 let idx = first + off;
@@ -352,7 +347,8 @@ impl<'a> VoronoiScan<'a> {
             }
         }
         for (&i, r_bucket) in &r_parts {
-            let s_order = order_s_partitions(&s_parts, i, self.tables);
+            let s_order =
+                order_by_pivot_distance(s_parts.keys().copied(), &self.tables.pivot_distances[i]);
             let theta_i = theta_of(i, &s_parts);
             for r in r_bucket {
                 let (neighbors, counts) = self.scan(
@@ -487,11 +483,7 @@ impl VoronoiPrepared {
             s_parts.insert(j, Arc::new(flat));
         }
         let non_empty: Vec<usize> = s_parts.keys().copied().collect();
-        let s_orders = Arc::new(compute_s_orders(
-            &non_empty,
-            &pivot_distances,
-            partitioner.partition_count(),
-        ));
+        let s_orders = Arc::new(compute_s_orders(&non_empty, &pivot_distances));
         metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
         Self {
             partitioner,
@@ -565,7 +557,7 @@ impl VoronoiPrepared {
                 }
             }
             metrics.compacted_points += flat.len() as u64;
-            s_summaries[j] = summarize_flat_partition(j, &flat, plan.k);
+            s_summaries[j] = s_summary_row(j, flat.pivot_dists.clone(), plan.k);
             if !flat.is_empty() {
                 s_parts.insert(j, Arc::new(flat));
             }
@@ -576,11 +568,7 @@ impl VoronoiPrepared {
         let s_orders = if new_non_empty == old_non_empty {
             Arc::clone(&self.s_orders)
         } else {
-            Arc::new(compute_s_orders(
-                &new_non_empty,
-                &self.pivot_distances,
-                self.partitioner.partition_count(),
-            ))
+            Arc::new(compute_s_orders(&new_non_empty, &self.pivot_distances))
         };
         Self {
             partitioner: Arc::clone(&self.partitioner),
@@ -706,55 +694,11 @@ impl VoronoiPrepared {
 /// The per-`R`-partition scan orders over the non-empty `S` cells (ascending
 /// pivot distance, Algorithm 3 line 14), shared by the full build and the
 /// partial compaction.
-fn compute_s_orders(
-    non_empty: &[usize],
-    pivot_distances: &[Vec<f64>],
-    partition_count: usize,
-) -> Vec<Vec<usize>> {
-    (0..partition_count)
-        .map(|i| {
-            let mut order = non_empty.to_vec();
-            order.sort_by(|&a, &b| {
-                pivot_distances[i][a]
-                    .partial_cmp(&pivot_distances[i][b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            order
-        })
+fn compute_s_orders(non_empty: &[usize], pivot_distances: &[Vec<f64>]) -> Vec<Vec<usize>> {
+    pivot_distances
+        .iter()
+        .map(|row| order_by_pivot_distance(non_empty.iter().copied(), row))
         .collect()
-}
-
-/// `T_S` row of one flat cell, with exactly the semantics of
-/// [`build_s_summaries`]: `(0, 0)` bounds for empty cells, the `k` smallest
-/// pivot distances ascending otherwise.  Both are order-insensitive in the
-/// cell contents, which is what lets compaction recompute only the affected
-/// rows.
-fn summarize_flat_partition(partition: usize, flat: &FlatPartition, k: usize) -> SPartitionSummary {
-    if flat.is_empty() {
-        return SPartitionSummary {
-            partition,
-            count: 0,
-            lower: 0.0,
-            upper: 0.0,
-            knn_distances: Vec::new(),
-        };
-    }
-    let mut lower = f64::INFINITY;
-    let mut upper = f64::NEG_INFINITY;
-    for &d in &flat.pivot_dists {
-        lower = lower.min(d);
-        upper = upper.max(d);
-    }
-    let mut dists = flat.pivot_dists.clone();
-    dists.sort_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
-    dists.truncate(k);
-    SPartitionSummary {
-        partition,
-        count: flat.len(),
-        lower,
-        upper,
-        knn_distances: dists,
-    }
 }
 
 #[cfg(test)]
@@ -813,7 +757,8 @@ mod tests {
                 let mut overlaid = VoronoiScan::new(&tables, k, metric, mode)
                     .with_delta(Some(&no_adds));
                 for (i, bucket) in pr.partitions.iter().enumerate() {
-                    let s_order = order_s_partitions(&s_parts, i, &tables);
+                    let s_order =
+                        order_by_pivot_distance(s_parts.keys().copied(), &tables.pivot_distances[i]);
                     for (r_obj, r_pivot_dist) in bucket {
                         let a = frozen.scan(&r_obj.coords, *r_pivot_dist, i, &s_parts, &s_order, theta[i]);
                         let b = overlaid.scan(&r_obj.coords, *r_pivot_dist, i, &s_parts, &s_order, theta[i]);

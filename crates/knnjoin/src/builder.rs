@@ -285,8 +285,8 @@ impl<'a> JoinBuilder<'a> {
         Ok(plan)
     }
 
-    /// Plans and executes the join inside `ctx`, reporting metrics to the
-    /// context's sink.
+    /// Plans and executes the join inside `ctx`; what it cost comes back in
+    /// [`JoinResult::metrics`].
     ///
     /// # Errors
     /// Returns the planning error ([`JoinBuilder::plan`]) or any runtime /
@@ -322,10 +322,8 @@ impl<'a> JoinBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::MemoryMetricsSink;
     use crate::exact::NestedLoopJoin;
     use datagen::uniform;
-    use std::sync::Arc;
 
     #[test]
     fn builder_runs_pgbj_and_matches_oracle() {
@@ -374,27 +372,25 @@ mod tests {
     }
 
     #[test]
-    fn metrics_flow_to_the_context_sink() {
+    fn each_run_returns_its_own_metrics() {
         let r = uniform(40, 2, 30.0, 7);
-        let sink = Arc::new(MemoryMetricsSink::new());
-        let ctx = ExecutionContext::builder()
-            .metrics_sink(sink.clone())
-            .build();
-        JoinBuilder::new(&r, &r)
+        let half = uniform(20, 2, 30.0, 8);
+        let ctx = ExecutionContext::default();
+        let broadcast = JoinBuilder::new(&r, &r)
             .k(3)
             .algorithm(Algorithm::BroadcastJoin)
             .run(&ctx)
             .unwrap();
-        JoinBuilder::new(&r, &r)
+        let nested = JoinBuilder::new(&half, &r)
             .k(3)
             .algorithm(Algorithm::NestedLoopJoin)
             .run(&ctx)
             .unwrap();
-        let recorded = sink.snapshot();
-        assert_eq!(recorded.len(), 2);
-        assert_eq!(recorded[0].algorithm, "Broadcast");
-        assert_eq!(recorded[1].algorithm, "NestedLoop");
-        assert_eq!(recorded[1].metrics.r_size, 40);
+        assert_eq!(broadcast.metrics.r_size, 40);
+        assert!(broadcast.metrics.shuffle_bytes > 0);
+        assert_eq!(nested.metrics.r_size, 20);
+        // The single-machine oracle runs no job, so it shuffles nothing.
+        assert_eq!(nested.metrics.shuffle_bytes, 0);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! let r = gaussian_clusters(&ClusterConfig { n_points: 300, ..Default::default() }, 1);
 //! let s = gaussian_clusters(&ClusterConfig { n_points: 300, ..Default::default() }, 2);
 //!
-//! // The context owns the worker pool and the metrics sink; create it once
-//! // and share it across joins.
+//! // The context owns the worker pool; create it once and share it across
+//! // joins.
 //! let ctx = ExecutionContext::default();
 //!
 //! let result = JoinBuilder::new(&r, &s)
@@ -43,14 +43,10 @@
 //! [`JoinBuilder::run`] is the one-shot batch path.  For serving many `R`
 //! batches against one corpus, [`JoinBuilder::prepare`] builds the expensive
 //! S-side state once and returns a [`PreparedJoin`] whose
-//! [`query`](PreparedJoin::query) / [`query_one`](PreparedJoin::query_one) /
-//! [`query_into`](PreparedJoin::query_into) answer arbitrary batches without
-//! re-planning or rebuilding — across repeated queries the `index_builds`
-//! and `pivot_selections` counters stay flat while outputs match the
-//! one-shot path.  (`query_into` probes its batch whole and then hands the
-//! rows to a [`ResultSink`] one by one: it saves the [`JoinResult`] wrapper,
-//! not the rows.)  [`JoinSession`] adds an LRU cache of prepared joins keyed
-//! by corpus / algorithm / metric / `k` for multi-corpus serving layers.
+//! [`query`](PreparedJoin::query) / [`query_one`](PreparedJoin::query_one)
+//! answer arbitrary batches without re-planning or rebuilding — across
+//! repeated queries the `index_builds` and `pivot_selections` counters stay
+//! flat while outputs match the one-shot path.
 //!
 //! The prepared corpus is *mutable*: [`PreparedJoin::insert`] and
 //! [`PreparedJoin::delete`] land in an LSM-style delta memtable
@@ -108,10 +104,7 @@ pub mod serving;
 pub mod summary;
 
 pub use builder::JoinBuilder;
-pub use context::{
-    ExecutionContext, ExecutionContextBuilder, MemoryMetricsSink, MetricsSink, NullMetricsSink,
-    RecordedJoin, ServingStats,
-};
+pub use context::{ExecutionContext, ExecutionContextBuilder, ServingStats};
 pub use delta::{DeltaOverlay, DeltaStats};
 pub use exact::NestedLoopJoin;
 pub use geom::DistanceMetric;
@@ -120,7 +113,7 @@ pub use metrics::JoinMetrics;
 pub use partition::{PartitionedDataset, VoronoiPartitioner};
 pub use pivots::{select_pivots, PivotSelectionStrategy};
 pub use plan::{Algorithm, JoinPlan};
-pub use prepared::{JoinSession, PreparedJoin, SessionKey};
-pub use result::{JoinError, JoinErrorKind, JoinResult, JoinRow, QualityReport, ResultSink};
+pub use prepared::PreparedJoin;
+pub use result::{JoinError, JoinErrorKind, JoinResult, JoinRow, QualityReport};
 pub use serving::{LatencyHistogram, Server, ServerConfig, ServerStats, Ticket};
 pub use summary::{RPartitionSummary, SPartitionSummary, SummaryTables};

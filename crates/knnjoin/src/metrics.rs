@@ -10,7 +10,6 @@
 //! * **shuffling cost**: the number of bytes crossing the MapReduce shuffle.
 
 use mapreduce::JobMetrics;
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Counter names used by the join jobs; aggregated into [`JoinMetrics`] by
@@ -67,8 +66,7 @@ pub mod phases {
     pub const PREPARE_BUILD: &str = "prepare build";
     /// Folding a [`crate::delta::DeltaOverlay`] into the frozen serving
     /// structures of a [`crate::PreparedJoin`].  Appears in the cumulative
-    /// metrics (and the sink record emitted per compaction), never in
-    /// per-query metrics.
+    /// metrics, never in per-query metrics.
     pub const COMPACTION: &str = "compaction";
 }
 
@@ -204,15 +202,6 @@ impl JoinMetrics {
             .sum()
     }
 
-    /// Phase durations as a map, for serialisation into experiment rows.
-    pub fn phases_map(&self) -> BTreeMap<String, Duration> {
-        let mut m = BTreeMap::new();
-        for (n, d) in &self.phase_times {
-            *m.entry(n.clone()).or_insert(Duration::ZERO) += *d;
-        }
-        m
-    }
-
     /// Computation selectivity (Equation 13): distance computations divided by
     /// `|R| · |S|`.  Expressed as a fraction; multiply by 1000 for the "per
     /// thousand" unit the paper plots.
@@ -250,7 +239,6 @@ mod tests {
         assert_eq!(m.total_time(), Duration::from_millis(35));
         assert_eq!(m.phase(phases::KNN_JOIN), Duration::from_millis(30));
         assert_eq!(m.phase(phases::RESULT_MERGING), Duration::ZERO);
-        assert_eq!(m.phases_map().len(), 2);
         assert_eq!(m.phase_times[0].0, phases::PIVOT_SELECTION);
     }
 

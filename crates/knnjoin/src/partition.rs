@@ -52,17 +52,6 @@ pub struct PivotAssignment {
     pub computations: u64,
 }
 
-/// One object together with its partition assignment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AssignedPoint {
-    /// The object itself.
-    pub point: Point,
-    /// Index of its closest pivot.
-    pub partition: usize,
-    /// Distance to that pivot.
-    pub pivot_distance: f64,
-}
-
 /// A dataset split into Voronoi partitions.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionedDataset {
@@ -191,14 +180,6 @@ impl VoronoiPartitioner {
     /// The metric used for assignment.
     pub fn metric(&self) -> DistanceMetric {
         self.metric
-    }
-
-    /// Finds the closest pivot of `p`, returning `(pivot index, distance)`.
-    /// Shorthand for [`VoronoiPartitioner::nearest_pivot`] where the caller
-    /// does not track the computation count.
-    pub fn assign(&self, p: &Point) -> (usize, f64) {
-        let a = self.nearest_pivot(&p.coords);
-        (a.partition, a.distance)
     }
 
     /// Finds the closest pivot of the query, pruning candidates with the
@@ -368,8 +349,8 @@ impl VoronoiPartitioner {
     }
 
     /// The unpruned reference scan: computes all `|P|` pivot distances.  Kept
-    /// as the correctness oracle for [`VoronoiPartitioner::nearest_pivot`]
-    /// and as the baseline the criterion benches compare against.
+    /// as the correctness oracle the pruned-search tests compare
+    /// [`VoronoiPartitioner::nearest_pivot`] against.
     ///
     /// The argmin runs in the same rank space as the pruned search (squared
     /// distances under L2): `sqrt` is monotone but can collapse two ranks a
@@ -462,12 +443,12 @@ mod tests {
     }
 
     #[test]
-    fn assign_picks_closest_pivot() {
+    fn nearest_pivot_picks_closest_pivot() {
         let part = VoronoiPartitioner::new(pivots_2d(), DistanceMetric::Euclidean);
-        assert_eq!(part.assign(&Point::new(9, vec![1.0, 1.0])).0, 0);
-        assert_eq!(part.assign(&Point::new(9, vec![9.0, 1.0])).0, 1);
-        assert_eq!(part.assign(&Point::new(9, vec![1.0, 9.0])).0, 2);
-        let (_, d) = part.assign(&Point::new(9, vec![3.0, 4.0]));
+        assert_eq!(part.nearest_pivot(&[1.0, 1.0]).partition, 0);
+        assert_eq!(part.nearest_pivot(&[9.0, 1.0]).partition, 1);
+        assert_eq!(part.nearest_pivot(&[1.0, 9.0]).partition, 2);
+        let d = part.nearest_pivot(&[3.0, 4.0]).distance;
         assert!((d - 5.0).abs() < 1e-12);
     }
 

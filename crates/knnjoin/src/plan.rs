@@ -218,8 +218,7 @@ impl JoinPlan {
         Ok(())
     }
 
-    /// Executes the plan against `r` and `s` inside `ctx`, reporting the
-    /// resulting metrics to the context's sink.
+    /// Executes the plan against `r` and `s` inside `ctx`.
     ///
     /// # Errors
     /// Returns the plan's [`JoinPlan::validate`] error, the input validation
@@ -233,7 +232,7 @@ impl JoinPlan {
     ) -> Result<JoinResult, JoinError> {
         self.validate()?;
         validate_inputs(r, s, self.k)?;
-        let result = match self.algorithm {
+        match self.algorithm {
             Algorithm::Pgbj => pgbj::join(self, r, s, ctx),
             Algorithm::Pbj => pbj::join(self, r, s, ctx),
             Algorithm::Hbrj => hbrj::join(self, r, s, ctx),
@@ -242,9 +241,7 @@ impl JoinPlan {
             Algorithm::NestedLoopJoin => {
                 NestedLoopJoin.join_with_mode(r, s, self.k, self.metric, self.kernel_mode)
             }
-        }?;
-        ctx.record_join(self.algorithm.name(), &result.metrics);
-        Ok(result)
+        }
     }
 }
 

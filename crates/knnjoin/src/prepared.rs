@@ -1,5 +1,4 @@
-//! The prepared (build/probe) serving surface: [`PreparedJoin`] and
-//! [`JoinSession`].
+//! The prepared (build/probe) serving surface: [`PreparedJoin`].
 //!
 //! Every algorithm in this crate shares a two-phase shape: an expensive
 //! S-side *build* (pivot selection + Voronoi partitioning for PGBJ/PBJ,
@@ -25,8 +24,8 @@
 //!
 //! The paper's MapReduce jobs exist to ship `S` replicas to the reducers that
 //! need them; with `S` resident nothing has to cross a shuffle, so a probe
-//! runs no job.  `query`, `query_one`, `query_into` and the
-//! [`crate::Server`]'s coalesced batches all enter one routine over
+//! runs no job.  `query`, `query_one` and the [`crate::Server`]'s
+//! coalesced batches all enter one routine over
 //! *borrowed* coordinate rows, which validates them, snapshots one epoch and
 //! answers positionally:
 //!
@@ -77,13 +76,11 @@ use crate::delta::{DeltaOverlay, DeltaStats};
 use crate::exact::{check_finite, FlatBlock};
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::{Algorithm, JoinPlan};
-use crate::result::{JoinError, JoinResult, JoinRow, ResultSink};
+use crate::result::{JoinError, JoinResult, JoinRow};
 use geom::{DistanceMetric, Neighbor, Point, PointId, PointSet};
 use mapreduce::sync::{ranks, RankedMutex, RankedRwLock};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -158,11 +155,6 @@ struct Inner {
     /// `Arc` clone per query): concurrent probes never contend with each
     /// other, only (briefly) with an epoch publication.
     epoch: RankedRwLock<Arc<Epoch>>,
-    /// Lock-free mirror of the published epoch's `number`, so
-    /// [`PreparedJoin::epoch`] (called by the session cache *while holding a
-    /// shard lock*) never has to acquire the epoch lock — which would invert
-    /// the declared `prepared.epoch < session.shard` order.
-    epoch_number: AtomicU64,
     /// Serializes mutations (insert/delete/compact) so overlay updates and
     /// epoch publication are atomic with respect to each other.  Queries
     /// never take this lock.
@@ -182,15 +174,7 @@ impl Inner {
     }
 
     fn publish(&self, epoch: Epoch) {
-        let number = epoch.number;
-        let mut current = self.epoch.write();
-        *current = Arc::new(epoch);
-        // ORDERING: Release pairs with the Acquire load in
-        // `PreparedJoin::epoch`, so a reader that observes the new number
-        // also observes every write that produced the epoch; the store
-        // happens under the write guard so the mirror can never run ahead of
-        // the lock-protected pointer.
-        self.epoch_number.store(number, Ordering::Release);
+        *self.epoch.write() = Arc::new(epoch);
     }
 }
 
@@ -274,7 +258,6 @@ impl PreparedJoin {
                 ctx: ctx.clone(),
                 plan,
                 epoch: RankedRwLock::new(ranks::PREPARED_EPOCH, "prepared.epoch", Arc::new(epoch)),
-                epoch_number: AtomicU64::new(0),
                 mutate: RankedMutex::new(ranks::PREPARED_MUTATE, "prepared.mutate", ()),
                 build_metrics,
                 build_time,
@@ -324,15 +307,11 @@ impl PreparedJoin {
 
     /// The current corpus version.  Starts at 0 and is bumped by every
     /// effective [`PreparedJoin::insert`], [`PreparedJoin::delete`] and
-    /// compaction, so a cached handle whose epoch moved is detectably stale
-    /// (see [`SessionKey::epoch`]).
-    ///
-    /// Reads a lock-free mirror of the published epoch's number, so callers
-    /// holding other locks (the session cache's shard mutex in particular)
-    /// can poll staleness without acquiring the epoch lock.
+    /// compaction, so a caller holding an older answer can tell the corpus
+    /// moved.  Reads the published snapshot's number under the epoch read
+    /// lock, like every probe.
     pub fn epoch(&self) -> u64 {
-        // ORDERING: Acquire pairs with the Release store in `Inner::publish`.
-        self.inner.epoch_number.load(Ordering::Acquire)
+        self.inner.epoch.read().number
     }
 
     /// The delta layer's current shape: pending overlay sizes plus lifetime
@@ -444,8 +423,7 @@ impl PreparedJoin {
     /// Folds `delta` into `epoch`'s frozen structures: partition-local
     /// rebuilds against the materialized corpus, reported through
     /// [`JoinMetrics`] (a `compaction` phase with `compactions = 1`) into
-    /// the cumulative metrics and the context's serving log.  Caller holds
-    /// the mutate lock.
+    /// the cumulative metrics.  Caller holds the mutate lock.
     fn run_compaction(&self, epoch: &Epoch, delta: DeltaOverlay) -> Epoch {
         #[cfg(any(test, feature = "debug-invariants"))]
         delta.audit(&epoch.frozen_ids);
@@ -463,13 +441,12 @@ impl PreparedJoin {
         metrics.record_phase(phases::COMPACTION, start.elapsed());
         // ORDERING: Relaxed — monotonic statistics counters; readers only
         // need eventual totals, never synchronization with the epoch data
-        // (which flows through the epoch lock / its Release mirror).
+        // (which flows through the epoch lock).
         inner.compactions.fetch_add(1, Ordering::Relaxed);
         inner
             .compacted_points
             .fetch_add(metrics.compacted_points, Ordering::Relaxed);
         inner.cumulative.lock().absorb(&metrics);
-        inner.ctx.record_join(inner.plan.algorithm.name(), &metrics);
         Epoch {
             number: epoch.number + 1,
             state: Arc::new(state),
@@ -536,9 +513,9 @@ impl PreparedJoin {
     /// Validates borrowed probe rows against the prepared corpus, then runs
     /// the algorithm's direct probe against one epoch snapshot, returning one
     /// neighbour list per row, positionally.  The `Arc<Epoch>` is cloned once
-    /// up front, so `query`, `query_one`, `query_into` and the server's
-    /// coalesced batches all observe a single consistent corpus version even
-    /// while concurrent mutations publish new epochs mid-probe.
+    /// up front, so `query`, `query_one` and the server's coalesced batches
+    /// all observe a single consistent corpus version even while concurrent
+    /// mutations publish new epochs mid-probe.
     pub(crate) fn probe(
         &self,
         rows: &[&[f64]],
@@ -585,28 +562,20 @@ impl PreparedJoin {
             .query_nanos
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
         inner.cumulative.lock().absorb(&metrics);
-        inner.ctx.record_join(inner.plan.algorithm.name(), &metrics);
         Ok((neighbors, metrics))
     }
 
-    /// [`Self::probe`] over a point set, as rows labelled with their points'
-    /// ids in `r_id` order.
-    fn probe_set(&self, r: &PointSet) -> Result<(Vec<JoinRow>, JoinMetrics), JoinError> {
-        let coords: Vec<&[f64]> = r.iter().map(|p| p.coords.as_slice()).collect();
-        let (neighbors, metrics) = self.probe(&coords)?;
-        let mut rows = label_rows(r, neighbors);
-        rows.sort_by_key(|row| row.r_id);
-        Ok((rows, metrics))
-    }
-
     /// Answers one probe batch: the `k` nearest resident `S` objects of every
-    /// object of `r`.
+    /// object of `r`, as rows in `r_id` order.
     ///
     /// # Errors
     /// Returns [`JoinError`] when the batch is empty, ragged, non-finite or
     /// of the wrong dimensionality.
     pub fn query(&self, r: &PointSet) -> Result<JoinResult, JoinError> {
-        let (rows, metrics) = self.probe_set(r)?;
+        let coords: Vec<&[f64]> = r.iter().map(|p| p.coords.as_slice()).collect();
+        let (neighbors, metrics) = self.probe(&coords)?;
+        let mut rows = label_rows(r, neighbors);
+        rows.sort_by_key(|row| row.r_id);
         Ok(JoinResult { rows, metrics })
     }
 
@@ -625,297 +594,5 @@ impl PreparedJoin {
             r_id: point.id,
             neighbors,
         })
-    }
-
-    /// Hands one probe batch's rows (in `r_id` order) to `sink` one at a
-    /// time instead of returning a [`JoinResult`], and returns only the
-    /// query's metrics.  The whole batch is probed and sorted before the
-    /// first [`ResultSink::accept`], so all `|R| · k` neighbours are alive
-    /// at that point: what a sink saves is the `JoinResult` wrapper and any
-    /// copy a caller would make while forwarding its rows, not the rows.
-    /// To bound memory, split `R` into smaller batches.
-    ///
-    /// # Errors
-    /// Same conditions as [`PreparedJoin::query`].
-    pub fn query_into(
-        &self,
-        r: &PointSet,
-        sink: &mut dyn ResultSink,
-    ) -> Result<JoinMetrics, JoinError> {
-        let (rows, metrics) = self.probe_set(r)?;
-        for row in rows {
-            sink.accept(row);
-        }
-        Ok(metrics)
-    }
-}
-
-/// The key a [`JoinSession`] caches prepared joins under: a caller-chosen
-/// corpus label plus the query-compatibility knobs (algorithm, metric, `k`)
-/// and the corpus epoch the entry was cached at.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SessionKey {
-    /// Caller-chosen corpus label (which `S` the state was built over).
-    pub corpus: String,
-    /// Algorithm of the cached state.
-    pub algorithm: Algorithm,
-    /// Metric of the cached state.
-    pub metric: DistanceMetric,
-    /// `k` of the cached state.
-    pub k: usize,
-    /// [`PreparedJoin::epoch`] at the moment the entry was cached.  A handle
-    /// mutated after caching no longer matches its stored key, so the
-    /// session treats it as stale and rebuilds instead of serving a corpus
-    /// the caller's label no longer describes.
-    pub epoch: u64,
-}
-
-impl SessionKey {
-    /// Whether `other` asks for the same corpus label and query shape,
-    /// ignoring the cached epoch (unknowable at request time).
-    fn matches_request(&self, other: &SessionKey) -> bool {
-        self.corpus == other.corpus
-            && self.algorithm == other.algorithm
-            && self.metric == other.metric
-            && self.k == other.k
-    }
-}
-
-/// Lock shards in a [`JoinSession`].  Requests for different corpora /
-/// shapes hash to different shards and never contend; a small power of two
-/// keeps the (rare, miss-path-only) cross-shard eviction scan cheap.
-const SESSION_SHARDS: usize = 8;
-
-/// One cached prepared join plus its logical-clock LRU stamp.
-#[derive(Debug)]
-struct SessionEntry {
-    key: SessionKey,
-    handle: Arc<PreparedJoin>,
-    /// Tick of the last hit or insert, from the session's global clock.
-    last_used: u64,
-}
-
-/// An LRU cache of [`PreparedJoin`]s keyed by corpus and query shape, for
-/// serving layers that juggle several corpora / algorithms / `k` values.
-///
-/// [`JoinSession::get_or_prepare`] returns the cached handle when a
-/// compatible one exists — same corpus label, same [`SessionKey`] shape
-/// *and* an identical resolved [`JoinPlan`] (every tuning knob) — and
-/// builds + caches it otherwise, evicting the least-recently-used entry
-/// beyond `capacity`.
-///
-/// The cache is *sharded* by request-key hash: the serving hot path (a hit)
-/// locks only the one shard its key lives in, so concurrent lookups for
-/// different corpora / shapes never serialize on a single mutex.  Recency is
-/// a global logical clock (an atomic tick stamped on every hit/insert), and
-/// `capacity` stays a *global* bound: when an insert overflows it, the
-/// globally least-recently-used entry is found by a cross-shard minimum-tick
-/// scan — a miss-path-only cost, taken after a prepare that is orders of
-/// magnitude more expensive.
-#[derive(Debug)]
-pub struct JoinSession {
-    ctx: ExecutionContext,
-    capacity: usize,
-    shards: [RankedMutex<Vec<SessionEntry>>; SESSION_SHARDS],
-    /// Global logical clock ordering hits/inserts across shards.
-    clock: AtomicU64,
-    /// Total cached entries across shards (so `len` takes no lock).
-    len: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// The shard a request key lives in (ignores the epoch, which is unknowable
-/// at request time and must not move an entry between shards).
-fn session_shard(key: &SessionKey) -> usize {
-    let mut hasher = DefaultHasher::new();
-    key.corpus.hash(&mut hasher);
-    key.algorithm.hash(&mut hasher);
-    key.metric.hash(&mut hasher);
-    key.k.hash(&mut hasher);
-    (hasher.finish() % SESSION_SHARDS as u64) as usize
-}
-
-impl JoinSession {
-    /// Creates a session serving from `ctx`, caching at most `capacity`
-    /// prepared joins (clamped to at least 1).
-    pub fn new(ctx: ExecutionContext, capacity: usize) -> Self {
-        Self {
-            ctx,
-            capacity: capacity.max(1),
-            shards: std::array::from_fn(|_| {
-                RankedMutex::new(ranks::SESSION_SHARD, "session.shard", Vec::new())
-            }),
-            clock: AtomicU64::new(0),
-            len: AtomicUsize::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// The execution context the session prepares and serves from.
-    pub fn context(&self) -> &ExecutionContext {
-        &self.ctx
-    }
-
-    fn tick(&self) -> u64 {
-        // ORDERING: Relaxed — the clock only needs uniqueness and rough
-        // recency, both of which fetch_add provides at any ordering; entries
-        // stamped with a tick are themselves protected by their shard lock.
-        self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Returns the cached [`PreparedJoin`] compatible with `builder` over
-    /// the corpus labelled `corpus`, preparing and caching it on a miss.
-    ///
-    /// Compatibility is the *entire* resolved plan, not just the lookup
-    /// key: a cached entry under the same `(corpus, algorithm, metric, k)`
-    /// whose other knobs differ (pivot count, seed, `z_window`,
-    /// reducers, …) is treated as stale and replaced, never silently
-    /// served — otherwise a lower-accuracy configuration could answer a
-    /// request for a higher-accuracy one.
-    ///
-    /// # Errors
-    /// Returns the builder's planning error or any build-time
-    /// [`JoinError`].
-    pub fn get_or_prepare(
-        &self,
-        corpus: &str,
-        builder: crate::JoinBuilder<'_>,
-    ) -> Result<Arc<PreparedJoin>, JoinError> {
-        let plan = builder.plan()?;
-        let key = SessionKey {
-            corpus: corpus.to_string(),
-            algorithm: plan.algorithm,
-            metric: plan.metric,
-            k: plan.k,
-            epoch: 0,
-        };
-        // lint: allow(panic-freedom) -- `session_shard` reduces the hash
-        // modulo `SESSION_SHARDS`, the array's fixed length.
-        let shard = &self.shards[session_shard(&key)];
-        // A hit must match the request shape, carry an identical resolved
-        // plan, *and* still sit at the epoch it was cached at — a handle
-        // mutated through `insert`/`delete`/`compact` since caching serves a
-        // different corpus than its label promised, so it is stale.
-        let take_exact_hit = |entries: &mut Vec<SessionEntry>| {
-            let entry = entries.iter_mut().find(|e| {
-                e.key.matches_request(&key)
-                    && *e.handle.plan() == plan
-                    && e.handle.epoch() == e.key.epoch
-            })?;
-            entry.last_used = self.tick();
-            Some(Arc::clone(&entry.handle))
-        };
-        {
-            let mut entries = shard.lock();
-            if let Some(handle) = take_exact_hit(&mut entries) {
-                // ORDERING: Relaxed — monotonic statistics counter only.
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(handle);
-            }
-        }
-        // Build outside the lock (preparation can be slow); a concurrent
-        // preparer of the same plan may win the re-check below, in which
-        // case its handle is reused and this build is dropped.
-        let prepared = Arc::new(builder.prepare(&self.ctx)?);
-        {
-            let mut entries = shard.lock();
-            if let Some(handle) = take_exact_hit(&mut entries) {
-                // ORDERING: Relaxed — monotonic statistics counter only.
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(handle);
-            }
-            // A same-request entry with a different plan or a moved epoch is
-            // stale: evict it rather than leave two entries answering one
-            // key (it necessarily lives in this shard — epoch is excluded
-            // from the shard hash).
-            if let Some(pos) = entries.iter().position(|e| e.key.matches_request(&key)) {
-                entries.remove(pos);
-                // ORDERING: Relaxed for the statistics counters; the `len`
-                // mirror uses AcqRel so the capacity check below observes
-                // every prior insert/remove.
-                self.len.fetch_sub(1, Ordering::AcqRel);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            // ORDERING: Relaxed — monotonic statistics counter only.
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            entries.push(SessionEntry {
-                key: SessionKey {
-                    epoch: prepared.epoch(),
-                    ..key
-                },
-                handle: Arc::clone(&prepared),
-                last_used: self.tick(),
-            });
-            self.len.fetch_add(1, Ordering::AcqRel);
-        }
-        // Global capacity bound: evict the globally least-recently-used
-        // entry (minimum tick across shards) while over.  Bounded retries:
-        // a concurrent hit may refresh the candidate between scan and
-        // removal, in which case the scan reruns.
-        let mut attempts = 0;
-        while self.len.load(Ordering::Acquire) > self.capacity && attempts < 16 {
-            attempts += 1;
-            self.evict_lru();
-        }
-        Ok(prepared)
-    }
-
-    /// Removes the entry with the globally minimal `last_used` tick, if any.
-    /// Shards are locked one at a time (scan), then the owning shard is
-    /// re-locked for the removal; a concurrent touch in between makes this a
-    /// no-op and the caller rescans.
-    fn evict_lru(&self) {
-        let mut candidate: Option<(usize, u64)> = None;
-        for (index, shard) in self.shards.iter().enumerate() {
-            for entry in shard.lock().iter() {
-                if candidate.is_none_or(|(_, tick)| entry.last_used < tick) {
-                    candidate = Some((index, entry.last_used));
-                }
-            }
-        }
-        let Some((index, tick)) = candidate else {
-            return;
-        };
-        // lint: allow(panic-freedom) -- `index` came from enumerating this
-        // same fixed-size shard array above.
-        let mut entries = self.shards[index].lock();
-        if let Some(pos) = entries.iter().position(|e| e.last_used == tick) {
-            entries.remove(pos);
-            self.len.fetch_sub(1, Ordering::AcqRel);
-            // ORDERING: Relaxed — monotonic statistics counter only.
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        // ORDERING: Relaxed — monotonic statistics read only.
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses (i.e. builds) so far.
-    pub fn misses(&self) -> u64 {
-        // ORDERING: Relaxed — monotonic statistics read only.
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted so far.
-    pub fn evictions(&self) -> u64 {
-        // ORDERING: Relaxed — monotonic statistics read only.
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Number of cached prepared joins.
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// Whether nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }

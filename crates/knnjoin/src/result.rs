@@ -385,30 +385,6 @@ impl<'a> IntoIterator for &'a JoinResult {
     }
 }
 
-/// Receives join rows one at a time, in `r_id` order.
-///
-/// [`crate::PreparedJoin::query_into`] hands its output to a sink row by row
-/// instead of returning a [`JoinResult`], so a serving loop can forward rows
-/// (to a socket, a file, an aggregate) without building that wrapper — the
-/// batch is still probed whole before the first row arrives.  Any
-/// `FnMut(JoinRow)` closure is a sink, and so is a plain `Vec<JoinRow>`.
-pub trait ResultSink {
-    /// Accepts the next output row.
-    fn accept(&mut self, row: JoinRow);
-}
-
-impl ResultSink for Vec<JoinRow> {
-    fn accept(&mut self, row: JoinRow) {
-        self.push(row);
-    }
-}
-
-impl<F: FnMut(JoinRow)> ResultSink for F {
-    fn accept(&mut self, row: JoinRow) {
-        self(row);
-    }
-}
-
 /// How close an (approximate) join result is to the exact answer; produced by
 /// [`JoinResult::quality_against`] and reported by the bench harness next to
 /// the cost metrics.
@@ -652,26 +628,6 @@ mod tests {
         let owned_ids: Vec<PointId> = res.into_iter().map(|r| r.r_id).collect();
         assert_eq!(owned_ids, vec![1, 2, 3]);
         assert!(JoinResult::default().is_empty());
-    }
-
-    #[test]
-    fn result_sinks_accept_rows() {
-        let rows = vec![row(1, &[1.0]), row(2, &[2.0])];
-        // A Vec is a sink.
-        let mut vec_sink: Vec<JoinRow> = Vec::new();
-        for r in rows.clone() {
-            ResultSink::accept(&mut vec_sink, r);
-        }
-        assert_eq!(vec_sink.len(), 2);
-        // Any FnMut(JoinRow) is a sink.
-        let mut seen = 0usize;
-        {
-            let mut closure_sink = |row: JoinRow| seen += row.neighbors.len();
-            for r in rows {
-                ResultSink::accept(&mut closure_sink, r);
-            }
-        }
-        assert_eq!(seen, 2);
     }
 
     #[test]

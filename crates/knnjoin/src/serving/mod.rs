@@ -208,7 +208,7 @@ struct BatchRequest {
 /// Queued-but-not-yet-executing work, under the server's one `std` mutex.
 /// (`parking_lot`'s vendored shim has no `Condvar`, and the queue needs one;
 /// the sharded `parking_lot` locks live where no waiting is needed — the
-/// per-worker histograms here, the metrics-sink and session shards.)
+/// per-worker histograms.)
 #[derive(Debug, Default)]
 struct Queue {
     singles: VecDeque<SingleRequest>,

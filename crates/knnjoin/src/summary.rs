@@ -114,20 +114,6 @@ impl SummaryTables {
     pub fn pivot_distance(&self, i: usize, j: usize) -> f64 {
         self.pivot_distances[i][j]
     }
-
-    /// Approximate size in bytes of the summary tables, used when accounting
-    /// for the cost of broadcasting them to every mapper (Hadoop distributed
-    /// cache).
-    pub fn approximate_size_bytes(&self) -> usize {
-        let pivot_bytes: usize = self.pivots.iter().map(Point::encoded_len).sum();
-        let r_bytes = self.r_summaries.len() * (8 + 8 + 8 + 8);
-        let s_bytes: usize = self
-            .s_summaries
-            .iter()
-            .map(|s| 8 + 8 + 8 + 8 + 8 * s.knn_distances.len())
-            .sum();
-        pivot_bytes + r_bytes + s_bytes
-    }
 }
 
 /// Builds the `T_R` side of the tables alone.  The prepared serving path uses
@@ -139,7 +125,7 @@ pub fn build_r_summaries(partitioned_r: &PartitionedDataset) -> Vec<RPartitionSu
         .iter()
         .enumerate()
         .map(|(i, bucket)| {
-            let (lower, upper) = bounds_of(bucket);
+            let (lower, upper) = bounds_of(bucket.iter().map(|(_, d)| *d));
             RPartitionSummary {
                 partition: i,
                 count: bucket.len(),
@@ -156,35 +142,43 @@ pub fn build_s_summaries(partitioned_s: &PartitionedDataset, k: usize) -> Vec<SP
         .partitions
         .iter()
         .enumerate()
-        .map(|(i, bucket)| {
-            let (lower, upper) = bounds_of(bucket);
-            let mut dists: Vec<f64> = bucket.iter().map(|(_, d)| *d).collect();
-            dists.sort_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
-            dists.truncate(k);
-            SPartitionSummary {
-                partition: i,
-                count: bucket.len(),
-                lower,
-                upper,
-                knn_distances: dists,
-            }
-        })
+        .map(|(i, bucket)| s_summary_row(i, bucket.iter().map(|(_, d)| *d).collect(), k))
         .collect()
 }
 
-/// `(L, U)` of a partition; empty partitions report `(0, 0)` like an absent
-/// row in the paper's tables.
-fn bounds_of(bucket: &[(Point, f64)]) -> (f64, f64) {
-    if bucket.is_empty() {
-        return (0.0, 0.0);
+/// The `T_S` row of partition `partition` from its objects' pivot
+/// distances: the `(L, U)` bounds and the `k` smallest distances ascending.
+/// Order-insensitive in the column, which is what lets a compaction
+/// recompute only the rows of the cells it rebuilt.
+pub(crate) fn s_summary_row(
+    partition: usize,
+    mut pivot_dists: Vec<f64>,
+    k: usize,
+) -> SPartitionSummary {
+    let (lower, upper) = bounds_of(pivot_dists.iter().copied());
+    let count = pivot_dists.len();
+    pivot_dists.sort_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
+    pivot_dists.truncate(k);
+    SPartitionSummary {
+        partition,
+        count,
+        lower,
+        upper,
+        knn_distances: pivot_dists,
     }
-    let mut lower = f64::INFINITY;
-    let mut upper = f64::NEG_INFINITY;
-    for (_, d) in bucket {
-        lower = lower.min(*d);
-        upper = upper.max(*d);
+}
+
+/// `(L, U)` of a pivot-distance column; an empty one reports `(0, 0)` like
+/// an absent row in the paper's tables.
+fn bounds_of(pivot_dists: impl Iterator<Item = f64>) -> (f64, f64) {
+    let (lower, upper) = pivot_dists.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), d| {
+        (lo.min(d), hi.max(d))
+    });
+    if lower > upper {
+        (0.0, 0.0)
+    } else {
+        (lower, upper)
     }
-    (lower, upper)
 }
 
 /// Full pairwise pivot distance matrix.
@@ -277,13 +271,6 @@ mod tests {
                 assert_eq!(tables.pivot_distance(i, j), tables.pivot_distance(j, i));
             }
         }
-    }
-
-    #[test]
-    fn approximate_size_grows_with_k() {
-        let (small, _, _, _) = setup(1);
-        let (large, _, _, _) = setup(20);
-        assert!(large.approximate_size_bytes() > small.approximate_size_bytes());
     }
 
     #[test]

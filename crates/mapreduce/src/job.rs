@@ -233,17 +233,6 @@ impl<K: ByteSize, V: ByteSize> MapContext<K, V> {
         &self.emitted
     }
 
-    /// The byte volume of the pairs emitted so far, before routing and
-    /// combining (computed on demand for unit-testing mappers; the engine
-    /// accounts the post-combine shuffle volume itself, so the emit hot path
-    /// does no byte accounting).
-    pub fn emitted_bytes(&self) -> u64 {
-        self.emitted
-            .iter()
-            .map(|(k, v)| (k.byte_size() + v.byte_size()) as u64)
-            .sum()
-    }
-
     /// The job's shared counters.
     pub fn counters(&self) -> &Counters {
         &self.counters
@@ -334,12 +323,11 @@ mod tests {
     }
 
     #[test]
-    fn map_context_accounts_bytes() {
+    fn map_context_collects_output() {
         let mut ctx: MapContext<u32, u64> = MapContext::new(0, Counters::new());
         ctx.emit(1, 2);
         ctx.emit(3, 4);
         assert_eq!(ctx.emitted.len(), 2);
-        assert_eq!(ctx.emitted_bytes(), 2 * (4 + 8));
         assert_eq!(ctx.task_id(), 0);
     }
 

@@ -9,9 +9,7 @@
 //! |------|------|----------|
 //! | 10 | `prepared.mutate` | `knnjoin::prepared` |
 //! | 20 | `prepared.epoch` (`RwLock`) | `knnjoin::prepared` |
-//! | 30 | `session.shard` | `knnjoin::prepared` |
 //! | 40 | `prepared.cumulative` | `knnjoin::prepared` |
-//! | 50 | `sink.records` (metrics) | `knnjoin::context` |
 //! | 60 | `serving.histogram` | `knnjoin::serving` |
 //! | 70 | `engine.queue` | `mapreduce::engine` |
 //! | 80 | `engine.slot` | `mapreduce::engine` |
@@ -42,12 +40,8 @@ pub mod ranks {
     pub const PREPARED_MUTATE: u8 = 10;
     /// `knnjoin::prepared` epoch pointer (`RwLock`).
     pub const PREPARED_EPOCH: u8 = 20;
-    /// `knnjoin::prepared` session LRU shard.
-    pub const SESSION_SHARD: u8 = 30;
     /// `knnjoin::prepared` cumulative per-handle metrics.
     pub const PREPARED_CUMULATIVE: u8 = 40;
-    /// `knnjoin::context` in-memory metrics sink.
-    pub const SINK_SHARD: u8 = 50;
     /// `knnjoin::serving` per-worker latency histogram shard.
     pub const SERVING_HISTOGRAM: u8 = 60;
     /// `mapreduce::engine` worker-pool task queue.
@@ -306,10 +300,10 @@ mod tests {
     #[test]
     fn rwlock_read_then_higher_mutex_is_clean() {
         let epoch = RankedRwLock::new(ranks::PREPARED_EPOCH, "prepared.epoch", 7u32);
-        let sink = RankedMutex::new(ranks::SINK_SHARD, "sink.records", 0u32);
+        let cumulative = RankedMutex::new(ranks::PREPARED_CUMULATIVE, "prepared.cumulative", 0u32);
         let r = epoch.read();
-        let s = sink.lock();
-        assert_eq!(*r + *s, 7);
+        let c = cumulative.lock();
+        assert_eq!(*r + *c, 7);
     }
 
     /// The provocation test: acquiring a lower-ranked lock while holding a
@@ -344,15 +338,15 @@ mod tests {
     #[test]
     fn same_rank_nesting_fires_the_auditor() {
         let outcome = std::panic::catch_unwind(|| {
-            let a = RankedMutex::new(ranks::SESSION_SHARD, "session.shard", ());
-            let b = RankedMutex::new(ranks::SESSION_SHARD, "session.shard", ());
+            let a = RankedMutex::new(ranks::SERVING_HISTOGRAM, "serving.histogram", ());
+            let b = RankedMutex::new(ranks::SERVING_HISTOGRAM, "serving.histogram", ());
             let _held = a.lock();
             let _violation = b.lock();
         });
         if cfg!(debug_assertions) {
             assert!(outcome.is_err(), "same-rank nesting must fire");
-            audit::release(ranks::SESSION_SHARD, "session.shard");
-            audit::release(ranks::SESSION_SHARD, "session.shard");
+            audit::release(ranks::SERVING_HISTOGRAM, "serving.histogram");
+            audit::release(ranks::SERVING_HISTOGRAM, "serving.histogram");
         }
     }
 }

@@ -15,7 +15,6 @@
 //! ```
 
 use pgbj::prelude::*;
-use std::sync::Arc;
 
 fn main() {
     // The "map": 20,000 POIs clustered into cities and towns.
@@ -45,12 +44,7 @@ fn main() {
     );
     let k = 5;
 
-    // The context's metrics sink observes every query served through it, so
-    // the per-batch numbers below need no extra plumbing.
-    let sink = Arc::new(MemoryMetricsSink::new());
-    let ctx = ExecutionContext::builder()
-        .metrics_sink(sink.clone())
-        .build();
+    let ctx = ExecutionContext::default();
 
     // Build the PGBJ serving state once: pivot selection, Voronoi
     // partitioning of the POIs, summary tables.

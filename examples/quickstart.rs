@@ -38,7 +38,7 @@ fn main() {
     let k = 10;
 
     // One execution context per application: it owns the MapReduce worker
-    // pool and the metrics sink.
+    // pool.
     let ctx = ExecutionContext::default();
 
     // PGBJ: Voronoi partitioning around 48 pivots, geometric grouping onto 8

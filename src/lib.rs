@@ -28,8 +28,7 @@
 //! let r = gaussian_clusters(&ClusterConfig { n_points: 200, ..Default::default() }, 1);
 //! let s = gaussian_clusters(&ClusterConfig { n_points: 200, ..Default::default() }, 2);
 //!
-//! // One execution context per application: worker pool, pluggable metrics
-//! // sink.
+//! // One execution context per application: the worker pool.
 //! let ctx = ExecutionContext::default();
 //!
 //! // Find the 5 nearest neighbours in S of every object of R with PGBJ.
@@ -74,10 +73,9 @@ pub mod prelude {
     pub use geom::{DistanceMetric, KernelMode, Neighbor, Point, PointSet};
     pub use knnjoin::{
         Algorithm, DeltaOverlay, DeltaStats, ExecutionContext, GroupingStrategy, JoinBuilder,
-        JoinError, JoinErrorKind, JoinPlan, JoinResult, JoinRow, JoinSession, LatencyHistogram,
-        MemoryMetricsSink, MetricsSink, NestedLoopJoin, NullMetricsSink, PivotSelectionStrategy,
-        PreparedJoin, QualityReport, ResultSink, Server, ServerConfig, ServerStats, ServingStats,
-        Ticket,
+        JoinError, JoinErrorKind, JoinPlan, JoinResult, JoinRow, LatencyHistogram, NestedLoopJoin,
+        PivotSelectionStrategy, PreparedJoin, QualityReport, Server, ServerConfig, ServerStats,
+        ServingStats, Ticket,
     };
 }
 

@@ -3,7 +3,6 @@
 //! `Join` builder.
 
 use pgbj::prelude::*;
-use std::sync::Arc;
 
 fn workload(seed: u64) -> PointSet {
     datagen::gaussian_clusters(
@@ -198,26 +197,26 @@ fn phase_breakdown_covers_total_time() {
 }
 
 #[test]
-fn context_sink_collects_every_join_of_a_session() {
-    // The sink replaces per-experiment metric plumbing: run a small session
-    // of joins and read the history back in execution order.
-    let r = workload(13);
-    let sink = Arc::new(MemoryMetricsSink::new());
-    let ctx = ExecutionContext::builder()
-        .metrics_sink(sink.clone())
-        .build();
-    for algorithm in [Algorithm::Pgbj, Algorithm::Hbrj, Algorithm::BroadcastJoin] {
-        Join::new(&r, &r)
+fn every_join_result_carries_its_own_metrics() {
+    // Joins sharing one context do not share metrics: each result reports
+    // the |R| it was run over and the bytes its own jobs shuffled.
+    let s = workload(13);
+    let ctx = ExecutionContext::default();
+    for (algorithm, r_len) in [
+        (Algorithm::Pgbj, 500),
+        (Algorithm::Hbrj, 300),
+        (Algorithm::BroadcastJoin, 100),
+    ] {
+        let r = PointSet::from_points(s.points()[..r_len].to_vec());
+        let result = Join::new(&r, &s)
             .k(4)
             .algorithm(algorithm)
             .pivot_count(12)
             .reducers(4)
             .run(&ctx)
             .unwrap();
+        assert_eq!(result.metrics.r_size, r_len, "{algorithm}");
+        assert_eq!(result.metrics.s_size, s.len(), "{algorithm}");
+        assert!(result.metrics.shuffle_bytes > 0, "{algorithm}");
     }
-    let history = sink.snapshot();
-    let names: Vec<&str> = history.iter().map(|rec| rec.algorithm.as_str()).collect();
-    assert_eq!(names, vec!["PGBJ", "H-BRJ", "Broadcast"]);
-    assert!(history.iter().all(|rec| rec.metrics.r_size == r.len()));
-    assert!(history.iter().all(|rec| rec.metrics.shuffle_bytes > 0));
 }

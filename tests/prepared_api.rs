@@ -1,11 +1,12 @@
 //! Integration tests of the prepared (build/probe) serving API:
 //! bit-identical agreement with the one-shot path for every algorithm, flat
 //! `index_builds` / `pivot_selections` counters across repeated queries,
-//! correctness on batches the join was never prepared with, streaming sinks,
-//! and the `JoinSession` LRU.
+//! correctness on batches the join was never prepared with, the cumulative
+//! metrics, and the epoch counter under concurrent writers.
 
+use pgbj::knnjoin::JoinMetrics;
 use pgbj::prelude::*;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn clustered(n: usize, dims: usize, seed: u64) -> PointSet {
     gaussian_clusters(
@@ -49,6 +50,7 @@ fn prepared_query_is_bit_identical_to_one_shot_run_across_metrics() {
                 .prepare(&ctx)
                 .expect("prepare");
             let served = prepared.query(&r).expect("prepared query");
+            assert!(served.rows.windows(2).all(|w| w[0].r_id < w[1].r_id));
             assert!(
                 served.matches(&cold, 0.0),
                 "{algorithm} ({metric:?}) prepared vs cold: {:?}",
@@ -169,39 +171,6 @@ fn query_one_answers_single_points() {
 }
 
 #[test]
-fn query_into_streams_rows_in_order_without_a_join_result() {
-    let r = clustered(90, 2, 10);
-    let s = clustered(140, 2, 11);
-    let ctx = ExecutionContext::default();
-    let prepared = builder_for(&r, &s, Algorithm::Hbrj, 4)
-        .prepare(&ctx)
-        .expect("prepare");
-    let reference = prepared.query(&r).expect("query");
-
-    // A Vec sink collects everything.
-    let mut collected: Vec<JoinRow> = Vec::new();
-    let metrics = prepared.query_into(&r, &mut collected).expect("query_into");
-    assert_eq!(collected.len(), reference.len());
-    assert!(collected.windows(2).all(|w| w[0].r_id < w[1].r_id));
-    assert_eq!(
-        metrics.distance_computations,
-        reference.metrics.distance_computations
-    );
-
-    // A closure sink can aggregate without retaining rows.
-    let mut neighbor_total = 0usize;
-    let mut fold = |row: JoinRow| neighbor_total += row.neighbors.len();
-    prepared.query_into(&r, &mut fold).expect("query_into");
-    assert_eq!(
-        neighbor_total,
-        reference
-            .iter()
-            .map(|row| row.neighbors.len())
-            .sum::<usize>()
-    );
-}
-
-#[test]
 fn prepared_query_validates_batches() {
     let r = clustered(50, 2, 12);
     let s = clustered(80, 2, 13);
@@ -246,282 +215,119 @@ fn prepared_clones_share_state_and_stats() {
     assert_eq!(clone.stats().queries, 2);
 }
 
-#[test]
-fn join_session_reuses_compatible_prepared_joins_and_evicts_lru() {
-    let r = clustered(70, 2, 17);
-    let s = clustered(110, 2, 18);
-    let other_corpus = clustered(90, 2, 19);
-    let session = JoinSession::new(ExecutionContext::default(), 2);
-
-    // Miss, then hit: the same Arc comes back and nothing is rebuilt.
-    let first = session
-        .get_or_prepare("pois", builder_for(&r, &s, Algorithm::Pgbj, 5))
-        .expect("prepare pois");
-    let again = session
-        .get_or_prepare("pois", builder_for(&r, &s, Algorithm::Pgbj, 5))
-        .expect("reuse pois");
-    assert!(Arc::ptr_eq(&first, &again));
-    assert_eq!((session.hits(), session.misses()), (1, 1));
-    assert_eq!(session.len(), 1);
-
-    // A different k is a different serving shape: miss.
-    let other_k = session
-        .get_or_prepare("pois", builder_for(&r, &s, Algorithm::Pgbj, 9))
-        .expect("prepare k=9");
-    assert!(!Arc::ptr_eq(&first, &other_k));
-    assert_eq!(session.misses(), 2);
-    assert_eq!(session.len(), 2);
-
-    // Third distinct key evicts the least-recently-used entry (k=5 was
-    // refreshed by the hit, then k=9 was added; the LRU is k=5... no: the
-    // hit moved k=5 to most-recent, then k=9 became most-recent, so k=5 is
-    // evicted).
-    let _third = session
-        .get_or_prepare(
-            "stations",
-            builder_for(&r, &other_corpus, Algorithm::Hbrj, 5),
-        )
-        .expect("prepare stations");
-    assert_eq!(session.evictions(), 1);
-    assert_eq!(session.len(), 2);
-
-    // The evicted key rebuilds on next use.
-    let rebuilt = session
-        .get_or_prepare("pois", builder_for(&r, &s, Algorithm::Pgbj, 5))
-        .expect("rebuild pois");
-    assert!(!Arc::ptr_eq(&first, &rebuilt));
-    assert_eq!(session.misses(), 4);
-
-    // Queries through cached handles still serve correctly.
-    let result = rebuilt.query(&r).expect("query cached handle");
-    assert_eq!(result.len(), r.len());
+/// The deterministic counters of one query's (or the handle's cumulative)
+/// metrics, in a comparable shape.
+fn counters(m: &JoinMetrics) -> [u64; 10] {
+    [
+        m.distance_computations,
+        m.pivot_assignment_computations,
+        m.delta_probe_computations,
+        m.tombstone_masked,
+        m.shuffle_bytes,
+        m.shuffle_records,
+        m.index_builds,
+        m.pivot_selections,
+        m.compactions,
+        m.compacted_points,
+    ]
 }
 
-/// A cached entry is only a hit when the *entire* resolved plan matches:
-/// same corpus/algorithm/metric/k but different tuning knobs must rebuild
-/// (and replace the stale entry), never silently serve the old
-/// configuration.
+/// What the queries of a handle cost is read from the handle itself:
+/// `cumulative_metrics()` is the field-wise sum of every returned
+/// `JoinResult::metrics`, no rebuild leaks into it, and a forced compaction
+/// adds exactly one `compactions`.
 #[test]
-fn join_session_never_serves_a_different_configuration() {
-    let r = clustered(60, 2, 30);
-    let s = clustered(100, 2, 31);
-    let session = JoinSession::new(ExecutionContext::default(), 4);
-    let narrow = session
-        .get_or_prepare(
-            "pois",
-            Join::new(&r, &s)
-                .k(4)
-                .algorithm(Algorithm::Zknn)
-                .z_window(1),
-        )
-        .expect("prepare z_window=1");
-    // Same key shape, wider (higher-recall) window: must NOT reuse narrow.
-    let wide = session
-        .get_or_prepare(
-            "pois",
-            Join::new(&r, &s)
-                .k(4)
-                .algorithm(Algorithm::Zknn)
-                .z_window(8),
-        )
-        .expect("prepare z_window=8");
-    assert!(!Arc::ptr_eq(&narrow, &wide));
-    assert_eq!(wide.plan().z_window, 8);
-    assert_eq!(session.hits(), 0);
-    assert_eq!(session.misses(), 2);
-    // The stale same-key entry was replaced, not duplicated.
-    assert_eq!(session.len(), 1);
-    assert_eq!(session.evictions(), 1);
-    // Asking for the wide configuration again is now a hit.
-    let again = session
-        .get_or_prepare(
-            "pois",
-            Join::new(&r, &s)
-                .k(4)
-                .algorithm(Algorithm::Zknn)
-                .z_window(8),
-        )
-        .expect("reuse z_window=8");
-    assert!(Arc::ptr_eq(&wide, &again));
-    assert_eq!(session.hits(), 1);
-}
-
-/// A cached handle mutated after caching (its corpus epoch moved) is stale:
-/// the session must rebuild instead of serving a corpus the caller's label
-/// no longer describes, counting the eviction and the rebuild miss.
-#[test]
-fn join_session_evicts_handles_mutated_since_caching() {
-    let r = clustered(60, 2, 40);
-    let s = clustered(100, 2, 41);
-    let session = JoinSession::new(ExecutionContext::default(), 4);
-    let cached = session
-        .get_or_prepare("pois", builder_for(&r, &s, Algorithm::Pgbj, 4))
-        .expect("prepare");
-    assert_eq!((session.hits(), session.misses()), (0, 1));
-
-    // Mutate through the cached handle: its epoch no longer matches the key.
-    cached
-        .insert(Point::new(500_000, vec![1.0, 2.0]))
-        .expect("insert");
-    assert_eq!(cached.epoch(), 1);
-
-    let fresh = session
-        .get_or_prepare("pois", builder_for(&r, &s, Algorithm::Pgbj, 4))
-        .expect("rebuild after mutation");
-    assert!(
-        !Arc::ptr_eq(&cached, &fresh),
-        "a mutated handle must not be served as a hit"
-    );
-    assert_eq!(session.hits(), 0);
-    assert_eq!(session.misses(), 2);
-    assert_eq!(session.evictions(), 1, "the stale entry was replaced");
-    assert_eq!(session.len(), 1);
-    // The fresh handle serves the *label's* corpus (without the mutation).
-    assert_eq!(fresh.s_len(), s.len());
-
-    // Unmutated handles keep hitting.
-    let again = session
-        .get_or_prepare("pois", builder_for(&r, &s, Algorithm::Pgbj, 4))
-        .expect("reuse");
-    assert!(Arc::ptr_eq(&fresh, &again));
-    assert_eq!(session.hits(), 1);
-}
-
-/// Prepared queries report to the context's metrics sink like any other
-/// join, so serving observability needs no extra plumbing.
-#[test]
-fn prepared_queries_flow_into_the_metrics_sink() {
+fn cumulative_metrics_sum_the_returned_query_metrics() {
     let r = clustered(60, 2, 20);
     let s = clustered(90, 2, 21);
-    let sink = Arc::new(MemoryMetricsSink::new());
-    let ctx = ExecutionContext::builder()
-        .metrics_sink(sink.clone())
-        .build();
+    let ctx = ExecutionContext::default();
     let prepared = builder_for(&r, &s, Algorithm::Pbj, 3)
         .prepare(&ctx)
         .expect("prepare");
-    prepared.query(&r).expect("query 1");
-    prepared.query(&r).expect("query 2");
-    let records = sink.snapshot();
-    assert_eq!(records.len(), 2);
-    assert!(records.iter().all(|rec| rec.algorithm == "PBJ"));
-    assert!(records.iter().all(|rec| rec.metrics.pivot_selections == 0));
-}
+    let mut expected = JoinMetrics::default();
+    expected.absorb(&prepared.query(&r).expect("query 1").metrics);
+    expected.absorb(&prepared.query(&r).expect("query 2").metrics);
+    // A pending overlay makes the delta counters part of the sum too.
+    prepared
+        .insert(Point::new(700_000, vec![1.0, 2.0]))
+        .expect("insert");
+    prepared.delete(r.points()[0].id);
+    let mutated = prepared.query(&r).expect("query 3").metrics;
+    assert!(mutated.delta_probe_computations > 0);
+    expected.absorb(&mutated);
 
-/// Sharded-session regression: the hit/miss/eviction counters stay exact
-/// when many threads hammer the LRU at once.  With capacity ≥ distinct keys
-/// every key is built at most... exactly once (a concurrent duplicate build
-/// loses the insert re-check and converts to a hit), nothing is evicted, and
-/// hits + misses account for every request.
-#[test]
-fn sharded_session_counters_survive_concurrent_hammering() {
-    const THREADS: usize = 4;
-    const ROUNDS: usize = 30;
-    let r = clustered(50, 2, 90);
-    let s = clustered(80, 2, 91);
-    let labels = ["a", "b", "c", "d", "e", "f"];
-    let session = JoinSession::new(ExecutionContext::default(), labels.len());
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let session = &session;
-            let (r, s) = (&r, &s);
-            scope.spawn(move || {
-                for round in 0..ROUNDS {
-                    let label = labels[(t + round) % labels.len()];
-                    let handle = session
-                        .get_or_prepare(label, builder_for(r, s, Algorithm::Pbj, 3))
-                        .expect("get_or_prepare");
-                    assert_eq!(handle.k(), 3);
-                }
-            });
-        }
-    });
-    let total = (THREADS * ROUNDS) as u64;
-    assert_eq!(session.hits() + session.misses(), total);
-    // Each of the 6 keys was built at least once; duplicate concurrent
-    // builds resolve to hits, so the cache holds exactly one entry per key.
-    assert!(session.misses() >= labels.len() as u64);
-    assert_eq!(session.len(), labels.len());
-    assert_eq!(session.evictions(), 0);
-}
+    let cumulative = prepared.cumulative_metrics();
+    assert_eq!(counters(&cumulative), counters(&expected));
+    assert!(cumulative.distance_computations > 0);
+    assert_eq!(cumulative.pivot_selections, 0);
+    assert_eq!(cumulative.index_builds, 0);
+    assert_eq!(cumulative.compactions, 0);
 
-/// With capacity below the working set, the global LRU bound holds across
-/// shards: the cache never ends over capacity, and the eviction counter
-/// satisfies the exact conservation law `evictions = misses − len` (every
-/// miss inserts one entry; entries leave only by eviction).
-#[test]
-fn sharded_session_global_capacity_bound_under_concurrency() {
-    const THREADS: usize = 4;
-    const ROUNDS: usize = 18;
-    const CAPACITY: usize = 3;
-    let r = clustered(50, 2, 92);
-    let s = clustered(80, 2, 93);
-    let labels = ["u", "v", "w", "x", "y", "z"];
-    let session = JoinSession::new(ExecutionContext::default(), CAPACITY);
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let session = &session;
-            let (r, s) = (&r, &s);
-            scope.spawn(move || {
-                for round in 0..ROUNDS {
-                    let label = labels[(t * 2 + round) % labels.len()];
-                    session
-                        .get_or_prepare(label, builder_for(r, s, Algorithm::Pbj, 3))
-                        .expect("get_or_prepare");
-                }
-            });
-        }
-    });
-    assert!(
-        session.len() <= CAPACITY,
-        "over capacity: {}",
-        session.len()
+    assert!(prepared.compact(), "a pending overlay compacts");
+    let after = prepared.cumulative_metrics();
+    assert_eq!(after.compactions, 1);
+    assert_eq!(
+        after.compacted_points,
+        prepared.delta_stats().compacted_points
     );
-    assert_eq!(session.hits() + session.misses(), (THREADS * ROUNDS) as u64);
-    assert_eq!(session.evictions(), session.misses() - session.len() as u64);
+    assert_eq!(
+        after.distance_computations,
+        cumulative.distance_computations
+    );
+    assert_eq!(prepared.delta_stats().compactions, 1);
 }
 
-/// Epoch-staleness eviction (PR 6) holds in every shard: labels hashing to
-/// different shards each detect their own handle's mutation, rebuild, and
-/// count exactly one eviction — with no cross-shard interference on the
-/// other cached entries.
+/// `epoch()` reads the published snapshot: while writers insert
+/// concurrently, every reader sees it move forward only, and never past the
+/// number of mutations that have started.
 #[test]
-fn sharded_session_epoch_staleness_holds_per_shard() {
-    let r = clustered(50, 2, 94);
-    let s = clustered(80, 2, 95);
-    let labels = ["north", "south", "east", "west", "up"];
-    let session = JoinSession::new(ExecutionContext::default(), labels.len());
-    let handles: Vec<_> = labels
-        .iter()
-        .map(|label| {
-            session
-                .get_or_prepare(label, builder_for(&r, &s, Algorithm::Pgbj, 4))
-                .expect("prepare")
-        })
-        .collect();
-    assert_eq!(session.misses(), labels.len() as u64);
-    assert_eq!(session.len(), labels.len());
-
-    for (i, (label, cached)) in labels.iter().zip(&handles).enumerate() {
-        // Mutate this label's handle: its cached epoch is now stale.
-        cached
-            .insert(Point::new(900_000 + i as u64, vec![1.0, 2.0]))
-            .expect("insert");
-        let fresh = session
-            .get_or_prepare(label, builder_for(&r, &s, Algorithm::Pgbj, 4))
-            .expect("rebuild stale");
-        assert!(
-            !Arc::ptr_eq(cached, &fresh),
-            "{label}: mutated handle served as a hit"
-        );
-        assert_eq!(session.evictions(), i as u64 + 1);
-        assert_eq!(session.len(), labels.len(), "{label}: entry not replaced");
-        // The other labels' entries are untouched: still hits.
-        let other = labels[(i + 1) % labels.len()];
-        let before = session.hits();
-        session
-            .get_or_prepare(other, builder_for(&r, &s, Algorithm::Pgbj, 4))
-            .expect("neighbour label");
-        assert_eq!(session.hits(), before + 1, "{other}: expected a hit");
-    }
+fn epoch_is_monotone_and_bounded_by_mutations_under_concurrent_writers() {
+    const WRITERS: u64 = 3;
+    const INSERTS_PER_WRITER: u64 = 40;
+    let r = clustered(40, 2, 22);
+    let s = clustered(80, 2, 23);
+    let ctx = ExecutionContext::default();
+    // A threshold above the total keeps automatic compactions (which are
+    // epoch bumps too) out of the count.
+    let prepared = builder_for(&r, &s, Algorithm::Pgbj, 3)
+        .delta_threshold(1_000)
+        .prepare(&ctx)
+        .expect("prepare");
+    let started = AtomicU64::new(0);
+    let barrier = std::sync::Barrier::new(WRITERS as usize + 2);
+    std::thread::scope(|scope| {
+        for w in 0..WRITERS {
+            let (prepared, started, barrier) = (&prepared, &started, &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                for i in 0..INSERTS_PER_WRITER {
+                    let id = 800_000 + w * INSERTS_PER_WRITER + i;
+                    // ORDERING: SeqCst — the count must be visible before
+                    // the insert can publish the epoch it accounts for.
+                    started.fetch_add(1, Ordering::SeqCst);
+                    prepared
+                        .insert(Point::new(id, vec![i as f64, w as f64]))
+                        .expect("insert");
+                }
+            });
+        }
+        for _ in 0..2 {
+            let (prepared, started, barrier) = (&prepared, &started, &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                let mut last = 0;
+                while last < WRITERS * INSERTS_PER_WRITER {
+                    let seen = prepared.epoch();
+                    let bound = started.load(Ordering::SeqCst);
+                    assert!(seen >= last, "epoch went back: {last} -> {seen}");
+                    assert!(seen <= bound, "epoch {seen} ahead of {bound} mutations");
+                    last = seen;
+                    std::thread::yield_now();
+                }
+            });
+        }
+    });
+    // Every insert used a fresh id, so each one was an effective mutation.
+    assert_eq!(prepared.epoch(), WRITERS * INSERTS_PER_WRITER);
+    assert_eq!(prepared.delta_stats().epoch, prepared.epoch());
 }

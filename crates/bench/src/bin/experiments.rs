@@ -23,12 +23,17 @@
 //! and `serving_slo` (keyed by `label`; e.g. `BENCH_serving_quick.json` —
 //! request/response/rejection accounting of the concurrent server).  Wall
 //! times and latency percentiles are machine-dependent and never compared.
+//! A `perf_baseline` check also fails when a `Fast` PGBJ / PBJ row of the
+//! run spends more distance computations than its `Exact` twin plus the
+//! candidate walk's tile slack, whatever the reference says.
 //! CI runs all three on every push, so an unexplained counter regression
 //! fails the build instead of silently shifting the baseline.
 
 #![forbid(unsafe_code)]
 
-use bench::experiments::{run_by_id, ExperimentOutput, ALL_EXPERIMENTS};
+use bench::experiments::{
+    fast_rows_beyond_their_tile_slack, run_by_id, ExperimentOutput, ALL_EXPERIMENTS,
+};
 use bench::json::Value;
 use bench::ExperimentScale;
 use std::io::Write;
@@ -265,11 +270,11 @@ fn main() -> ExitCode {
                 continue;
             }
             checked += 1;
-            problems.extend(
-                diff_rows(&output.json, &reference, key_field, fields)
-                    .into_iter()
-                    .map(|p| format!("{}: {p}", output.id)),
-            );
+            let mut drift = diff_rows(&output.json, &reference, key_field, fields);
+            if output.id == "perf_baseline" {
+                drift.extend(fast_rows_beyond_their_tile_slack(&output.json));
+            }
+            problems.extend(drift.into_iter().map(|p| format!("{}: {p}", output.id)));
         }
         if checked == 0 {
             eprintln!(

@@ -2,12 +2,11 @@
 //!
 //! Both the reducers of the paper's Algorithm 3 and the baseline joins need to
 //! maintain "the best `k` candidates seen so far, and the distance of the
-//! worst of them" while scanning candidate objects.  [`NeighborList`] is a
-//! max-heap bounded at `k` entries providing exactly that.
+//! worst of them" while scanning candidate objects.  [`NeighborList`] keeps
+//! those `k` candidates in ascending order, providing exactly that.
 
 use crate::point::PointId;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// A candidate neighbour: the id of an `S` object and its distance to the
 /// query object from `R`.
@@ -45,11 +44,18 @@ impl PartialOrd for Neighbor {
     }
 }
 
-/// A bounded max-heap that keeps the `k` smallest-distance neighbours.
+/// The `k` smallest-distance neighbours seen so far, kept sorted ascending
+/// by (distance, id).
+///
+/// A candidate scan rejects almost every offer, which costs one comparison
+/// against the last entry; an admitted one is placed by binary search and
+/// shifts the entries behind it — O(k) moves of a two-word `Copy` value,
+/// cheaper than a heap's sift plus the final sort at the `k` a kNN join
+/// runs with.
 #[derive(Debug, Clone)]
 pub struct NeighborList {
     k: usize,
-    heap: BinaryHeap<Neighbor>,
+    sorted: Vec<Neighbor>,
 }
 
 impl NeighborList {
@@ -61,7 +67,7 @@ impl NeighborList {
         assert!(k > 0, "k must be positive");
         Self {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            sorted: Vec::with_capacity(k),
         }
     }
 
@@ -72,77 +78,74 @@ impl NeighborList {
 
     /// Number of neighbours currently held (≤ `k`).
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.sorted.len()
     }
 
     /// Whether no neighbour has been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.sorted.is_empty()
     }
 
     /// Whether the list already holds `k` neighbours.
+    #[inline]
     pub fn is_full(&self) -> bool {
-        self.heap.len() >= self.k
+        self.sorted.len() >= self.k
     }
 
     /// Current pruning threshold θ: the distance of the worst neighbour kept,
     /// or `f64::INFINITY` while fewer than `k` neighbours have been seen.
     ///
     /// This matches line 24 of Algorithm 3: `θ ← max_{o ∈ KNN(r,S)} |o, r|`.
+    #[inline]
     pub fn threshold(&self) -> f64 {
         if self.is_full() {
-            self.heap.peek().map_or(f64::INFINITY, |n| n.distance)
+            self.sorted.last().map_or(f64::INFINITY, |n| n.distance)
         } else {
             f64::INFINITY
         }
     }
 
-    /// Offers a candidate; it is kept only if it improves the current kNN set.
-    /// Returns `true` if the candidate was inserted.
+    /// Offers a candidate; it is kept only if it improves the current kNN set
+    /// (strictly closer than the worst neighbour once the list is full, which
+    /// then leaves: the largest by (distance, id)).  Returns `true` if the
+    /// candidate was inserted.
+    #[inline]
     pub fn offer(&mut self, id: PointId, distance: f64) -> bool {
-        if self.heap.len() < self.k {
-            self.heap.push(Neighbor::new(id, distance));
-            true
-        } else if distance < self.threshold() {
-            self.heap.pop();
-            self.heap.push(Neighbor::new(id, distance));
-            true
-        } else {
-            false
+        if self.is_full() {
+            if distance < self.threshold() {
+                self.sorted.pop();
+            } else {
+                return false;
+            }
         }
+        let candidate = Neighbor::new(id, distance);
+        let at = self.sorted.partition_point(|held| *held < candidate);
+        self.sorted.insert(at, candidate);
+        true
     }
 
     /// Consumes the list and returns the neighbours sorted by ascending
     /// distance (ties broken by id).
     pub fn into_sorted(self) -> Vec<Neighbor> {
-        let mut v = self.heap.into_vec();
-        v.sort_unstable();
-        v
+        self.sorted
     }
 
-    /// Drains the neighbours, sorted by ascending distance, leaving the list
-    /// empty (but keeping its bound `k` and heap allocation).  Use this where
-    /// one accumulator is reused across queries: it moves the heap's backing
-    /// storage out instead of cloning it as [`NeighborList::to_sorted`] once
-    /// did.
+    /// Moves the neighbours out, sorted by ascending distance, leaving the
+    /// list empty with its bound `k`.  Use this where one accumulator is
+    /// reused across queries.
     pub fn drain_sorted(&mut self) -> Vec<Neighbor> {
-        let mut v: Vec<Neighbor> = self.heap.drain().collect();
-        v.sort_unstable();
-        v
+        std::mem::replace(&mut self.sorted, Vec::with_capacity(self.k))
     }
 
     /// Returns the neighbours sorted by ascending distance without consuming
-    /// the accumulator.  Copies the (two-word, `Copy`) entries straight out of
-    /// the heap — the heap itself is not cloned.
+    /// the accumulator.
     pub fn to_sorted(&self) -> Vec<Neighbor> {
-        let mut v: Vec<Neighbor> = self.heap.iter().copied().collect();
-        v.sort_unstable();
-        v
+        self.sorted.clone()
     }
 
-    /// Iterator over the neighbours currently held, in unspecified order.
+    /// Iterator over the neighbours currently held, ascending.
     pub fn iter(&self) -> impl Iterator<Item = &Neighbor> {
-        self.heap.iter()
+        self.sorted.iter()
     }
 }
 
@@ -150,6 +153,43 @@ impl NeighborList {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BinaryHeap;
+
+    /// The bounded max-heap [`NeighborList`] replaced, kept as the reference
+    /// its admission and eviction rules are replayed against.
+    struct HeapList {
+        k: usize,
+        heap: BinaryHeap<Neighbor>,
+    }
+
+    impl HeapList {
+        fn threshold(&self) -> f64 {
+            if self.heap.len() >= self.k {
+                self.heap.peek().map_or(f64::INFINITY, |n| n.distance)
+            } else {
+                f64::INFINITY
+            }
+        }
+
+        fn offer(&mut self, id: PointId, distance: f64) -> bool {
+            if self.heap.len() < self.k {
+                self.heap.push(Neighbor::new(id, distance));
+                true
+            } else if distance < self.threshold() {
+                self.heap.pop();
+                self.heap.push(Neighbor::new(id, distance));
+                true
+            } else {
+                false
+            }
+        }
+
+        fn into_sorted(self) -> Vec<Neighbor> {
+            let mut v = self.heap.into_vec();
+            v.sort_unstable();
+            v
+        }
+    }
 
     #[test]
     #[should_panic(expected = "k must be positive")]
@@ -229,6 +269,27 @@ mod tests {
     }
 
     proptest! {
+        /// Any offer sequence — distances drawn from a handful of values so
+        /// ties at the threshold are the rule, ids repeating — is admitted,
+        /// evicted and thresholded exactly as by the reference heap.
+        #[test]
+        fn replays_the_reference_heap_offer_for_offer(
+            offers in proptest::collection::vec(0u64..72, 1..96),
+            k in 1usize..10,
+        ) {
+            let mut list = NeighborList::new(k);
+            let mut reference = HeapList { k, heap: BinaryHeap::new() };
+            for offer in offers {
+                // Twelve ids at six distances each.
+                let (id, distance) = (offer / 6, (offer % 6) as f64 * 0.5);
+                prop_assert_eq!(list.offer(id, distance), reference.offer(id, distance));
+                prop_assert_eq!(list.threshold(), reference.threshold());
+                prop_assert_eq!(list.len(), reference.heap.len());
+            }
+            prop_assert_eq!(list.to_sorted(), list.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(list.into_sorted(), reference.into_sorted());
+        }
+
         /// The accumulator must agree with sorting all candidates and taking
         /// the first k (under the same deterministic tie-breaking).
         #[test]

@@ -149,6 +149,7 @@ impl ScanKernels {
     /// True distances from `query` to `out.len()` contiguous `rows`, in row
     /// order: one `pair` call per row in `Exact` mode, one batch call plus
     /// the monotone rank→distance sweep otherwise.
+    #[inline]
     pub(crate) fn distances(&self, query: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
         match self.batch {
             None => {
@@ -164,23 +165,25 @@ impl ScanKernels {
     }
 }
 
-/// What one probe sees of a mutated corpus's S-delta memtable: the overlay
-/// (for tombstone tests) plus its added points gathered into flat columnar
-/// layout, so scans stream them like any other block instead of chasing one
-/// `BTreeMap` node per add.  Built once per probe (the overlay is immutable
-/// between mutations), iterating `adds()` in its deterministic ascending-id
-/// order.
+/// What one probe sees of a mutated corpus's S-delta memtable, gathered
+/// into flat layout once per probe (the overlay is immutable between
+/// mutations): the added points in columnar form, so scans stream them like
+/// any other block instead of chasing one `BTreeMap` node per add, and the
+/// tombstoned ids as one ascending run, so masking a candidate is a binary
+/// search over contiguous memory whatever order a scan meets ids in.  Both
+/// keep the overlay's deterministic ascending-id order.
 #[derive(Debug)]
-pub(crate) struct DeltaView<'a> {
-    overlay: &'a DeltaOverlay,
+pub(crate) struct DeltaView {
+    /// Tombstoned frozen ids, ascending.
+    tombstones: Vec<PointId>,
     /// Added ids, parallel to the coordinate rows.
     pub ids: Vec<PointId>,
     /// Added coordinates, one row per add.
     pub coords: CoordMatrix,
 }
 
-impl<'a> DeltaView<'a> {
-    pub(crate) fn gather(overlay: &'a DeltaOverlay, dims: usize) -> Self {
+impl DeltaView {
+    pub(crate) fn gather(overlay: &DeltaOverlay, dims: usize) -> Self {
         let mut ids = Vec::with_capacity(overlay.adds_len());
         let mut coords = CoordMatrix::with_capacity(dims, overlay.adds_len());
         for (id, row) in overlay.adds() {
@@ -188,15 +191,16 @@ impl<'a> DeltaView<'a> {
             coords.push_row(row);
         }
         Self {
-            overlay,
+            tombstones: overlay.tombstones().collect(),
             ids,
             coords,
         }
     }
 
     /// Whether `id`'s frozen copy is masked.
+    #[inline]
     pub(crate) fn is_tombstoned(&self, id: PointId) -> bool {
-        self.overlay.is_tombstoned(id)
+        self.tombstones.binary_search(&id).is_ok()
     }
 }
 

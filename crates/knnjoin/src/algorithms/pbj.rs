@@ -11,9 +11,7 @@
 
 use crate::algorithms::blocks::run_block_framework;
 use crate::algorithms::common::{counters, NeighborListValue, ShuffleRecord};
-use crate::algorithms::voronoi::{
-    partitioned_inputs, select_plan_pivots, FlatPartition, VoronoiScan,
-};
+use crate::algorithms::voronoi::{partitioned_inputs, select_plan_pivots, CellMap, VoronoiScan};
 use crate::bounds::upper_bound;
 use crate::context::ExecutionContext;
 use crate::metrics::{phases, JoinMetrics};
@@ -23,7 +21,6 @@ use crate::result::{JoinError, JoinResult};
 use crate::summary::SummaryTables;
 use geom::{DistanceMetric, KernelMode, PointSet};
 use mapreduce::{ReduceContext, Reducer};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -95,12 +92,12 @@ impl PbjCellReducer {
     /// the `S` objects this reducer actually received (the "looser bound" the
     /// paper attributes to PBJ): the `k`-th smallest `ub(s, P_i^R)` over the
     /// local block.
-    fn local_theta(&self, r_partition: usize, s_parts: &BTreeMap<usize, FlatPartition>) -> f64 {
+    fn local_theta(&self, r_partition: usize, s_parts: &CellMap) -> f64 {
         let u_r = self.tables.r_summaries[r_partition].upper;
         let mut ubs: Vec<f64> = Vec::new();
         for (&j, bucket) in s_parts {
             let pivot_dist = self.tables.pivot_distance(r_partition, j);
-            for s_pivot_dist in &bucket.pivot_dists {
+            for s_pivot_dist in bucket.pivot_dists() {
                 ubs.push(upper_bound(u_r, pivot_dist, *s_pivot_dist));
             }
         }
@@ -124,15 +121,14 @@ impl Reducer for PbjCellReducer {
         values: &[ShuffleRecord],
         ctx: &mut ReduceContext<u64, NeighborListValue>,
     ) {
-        VoronoiScan::new(&self.tables, self.k, self.metric, self.mode).scan_shuffled(
-            values,
-            |i, s_parts| self.local_theta(i, s_parts),
-            |r_id, neighbors, computations| {
-                ctx.counters()
-                    .add(counters::DISTANCE_COMPUTATIONS, computations);
-                ctx.emit(r_id, NeighborListValue::new(neighbors));
-            },
-        );
+        let computations = VoronoiScan::new(&self.tables, self.k, self.metric, self.mode)
+            .scan_shuffled(
+                values,
+                |i, s_parts| self.local_theta(i, s_parts),
+                |r_id, neighbors| ctx.emit(r_id, NeighborListValue::new(neighbors)),
+            );
+        ctx.counters()
+            .add(counters::DISTANCE_COMPUTATIONS, computations);
     }
 }
 

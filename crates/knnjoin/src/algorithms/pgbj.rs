@@ -306,15 +306,14 @@ impl Reducer for PgbjJoinReducer {
         values: &[ShuffleRecord],
         ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
     ) {
-        VoronoiScan::new(&self.tables, self.k, self.metric, self.mode).scan_shuffled(
-            values,
-            |i, _| self.theta[i],
-            |r_id, neighbors, computations| {
-                ctx.counters()
-                    .add(counters::DISTANCE_COMPUTATIONS, computations);
-                ctx.emit(r_id, neighbors);
-            },
-        );
+        let computations = VoronoiScan::new(&self.tables, self.k, self.metric, self.mode)
+            .scan_shuffled(
+                values,
+                |i, _| self.theta[i],
+                |r_id, neighbors| ctx.emit(r_id, neighbors),
+            );
+        ctx.counters()
+            .add(counters::DISTANCE_COMPUTATIONS, computations);
     }
 }
 

@@ -17,50 +17,78 @@ use crate::metrics::{phases, JoinMetrics};
 use crate::partition::{PartitionedDataset, VoronoiPartitioner};
 use crate::pivots::select_pivots;
 use crate::plan::JoinPlan;
-use crate::summary::{
-    build_s_summaries, pivot_distance_matrix, s_summary_row, RPartitionSummary, SPartitionSummary,
-    SummaryTables,
-};
-use geom::kernels::BatchKernel;
+use crate::summary::{pivot_distance_matrix, RPartitionSummary, SPartitionSummary, SummaryTables};
 use geom::{
     CoordMatrix, DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointId, PointSet,
     RecordKind,
 };
-use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One partition's objects in flat structure-of-data layout: coordinate rows
-/// in a contiguous [`CoordMatrix`] with ids and pivot distances in parallel
-/// vectors.  This is what the Algorithm 3 reducers scan: the candidate loop
-/// walks three dense arrays instead of chasing a `Point` heap allocation per
-/// candidate.
-#[derive(Debug, Clone, Default)]
+/// One row of a [`FlatPartition`]: the object's distance to the cell's pivot,
+/// its id, its coordinates.
+type Row<'a> = (f64, PointId, &'a [f64]);
+
+/// The order of a cell's rows: ascending pivot distance, ties by id.
+fn row_order(a: &Row<'_>, b: &Row<'_>) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// One Voronoi cell's `S` objects in flat structure-of-data layout —
+/// coordinate rows in a contiguous [`CoordMatrix`], ids and pivot distances
+/// in parallel vectors — with the rows **ascending by pivot distance, ties
+/// by id**, so the objects inside a Theorem 2 window are one contiguous run
+/// found by binary search ([`VoronoiScan`] owns that walk).
+///
+/// The fields are private and a cell is only made from rows already in
+/// order (`Self::from_sorted`), so the order cannot be broken from outside.
+/// Three places make cells and establish it: `VoronoiPrepared::build` sorts
+/// each bucket before flattening it, `VoronoiPrepared::compact` merges a
+/// cell's surviving rows with its sorted adds, and
+/// `VoronoiScan::scan_shuffled` sorts each received cell once per reducer.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlatPartition {
-    /// Object ids, parallel to the coordinate rows.
-    pub ids: Vec<PointId>,
-    /// Object-to-pivot distances, parallel to the coordinate rows.
-    pub pivot_dists: Vec<f64>,
-    /// Coordinates, one row per object.
-    pub coords: CoordMatrix,
+    ids: Vec<PointId>,
+    pivot_dists: Vec<f64>,
+    coords: CoordMatrix,
 }
 
 impl FlatPartition {
-    /// Creates an empty partition for the given dimensionality.
-    pub fn new(dims: usize) -> Self {
+    /// Flattens `rows`, which must already be in cell order — asserted under
+    /// `cfg(test)` and the `debug-invariants` feature.
+    pub(crate) fn from_sorted(dims: usize, rows: &[Row<'_>]) -> Self {
+        #[cfg(any(test, feature = "debug-invariants"))]
+        assert!(
+            rows.windows(2).all(|w| row_order(&w[0], &w[1]).is_le()),
+            "cell invariant violated: rows do not ascend by (pivot distance, id)"
+        );
+        let mut coords = CoordMatrix::with_capacity(dims, rows.len());
+        rows.iter().for_each(|row| coords.push_row(row.2));
         Self {
-            ids: Vec::new(),
-            pivot_dists: Vec::new(),
-            coords: CoordMatrix::new(dims),
+            ids: rows.iter().map(|row| row.1).collect(),
+            pivot_dists: rows.iter().map(|row| row.0).collect(),
+            coords,
         }
     }
 
-    /// Appends one object.
-    pub fn push(&mut self, point: &Point, pivot_dist: f64) {
-        self.ids.push(point.id);
-        self.pivot_dists.push(pivot_dist);
-        self.coords.push_row(&point.coords);
+    /// Puts `rows` in cell order, then flattens them: each object is copied
+    /// once, into its final row.
+    fn sorted(dims: usize, mut rows: Vec<Row<'_>>) -> Self {
+        rows.sort_unstable_by(row_order);
+        Self::from_sorted(dims, &rows)
+    }
+
+    /// The rows, in cell order.
+    fn rows(&self) -> impl Iterator<Item = Row<'_>> {
+        (0..self.len()).map(|i| (self.pivot_dists[i], self.ids[i], self.coords.row(i)))
+    }
+
+    /// The objects' pivot distances, ascending.
+    pub(crate) fn pivot_dists(&self) -> &[f64] {
+        &self.pivot_dists
     }
 
     /// Number of objects held.
@@ -74,50 +102,86 @@ impl FlatPartition {
     }
 }
 
+/// Merges two row runs, each in cell order, into one.
+fn merge_rows<'a>(
+    a: impl Iterator<Item = Row<'a>>,
+    b: impl Iterator<Item = Row<'a>>,
+) -> impl Iterator<Item = Row<'a>> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if row_order(y, x).is_lt() => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
+}
+
+/// The `S` cells a scan runs against, by partition; only non-empty ones.
+/// Each sits behind its own `Arc` so a compaction shares the cells it did not
+/// touch.
+pub type CellMap = BTreeMap<usize, Arc<FlatPartition>>;
+
 /// Sorts the `S` cell ids `cells` by ascending pivot distance from one `R`
 /// partition's pivot, given that pivot's row of the pivot-distance matrix
 /// (Algorithm 3 line 14).
 fn order_by_pivot_distance(cells: impl Iterator<Item = usize>, row: &[f64]) -> Vec<usize> {
     let mut order: Vec<usize> = cells.collect();
-    order.sort_by(|&a, &b| {
-        row[a]
-            .partial_cmp(&row[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    order.sort_by(|&a, &b| row[a].partial_cmp(&row[b]).unwrap_or(Ordering::Equal));
     order
 }
 
+/// Rows per kernel call of the `Fast` candidate walk.  Small on purpose: θ is
+/// re-read between tiles, so a tile is also how far past a shrinking edge
+/// `Fast` may evaluate.  (The prune-free scanners have no edge to overshoot
+/// and keep [`geom::kernels::PROBE_TILE`].)
+const FAST_TILE: usize = 32;
+
 /// The pruned candidate scan at the heart of Algorithm 3 (lines 16–25) — the
 /// single implementation behind the PGBJ group reducer, the PBJ cell reducer
-/// and the prepared serve reducer.
+/// and the prepared probe, with or without a delta overlay, in either kernel
+/// mode.
 ///
-/// For one `R` object `r` (belonging to partition `r_partition`, at distance
-/// `r_pivot_dist` from its pivot), [`VoronoiScan::scan`] visits the `S`
-/// objects — grouped by their partition in flat [`FlatPartition`] layout, in
-/// the order `s_order` (ascending pivot distance from `p_i`) — pruning with
-/// Corollary 1, Theorem 2 and the running threshold
-/// `θ = min(θ_i, current kth distance)`.
+/// For one `R` object `r` (in partition `r_partition`, `r_pivot_dist` from
+/// its pivot), [`VoronoiScan::scan`] visits the `S` cells in the order
+/// `s_order` (ascending pivot distance from `p_i`), pruning whole cells with
+/// Corollary 1 and, inside a cell, walking only the rows Theorem 2 admits
+/// under the running threshold `θ = min(θ_i, current kth distance)`:
 ///
-/// The kernels are chosen once at construction (no enum dispatch per
-/// candidate) and the tile scratch is reused across objects.  All threshold
-/// comparisons stay in true-distance space: θ and the Theorem 2 window are
-/// derived from triangle-inequality bounds over true distances, and mixing
-/// them with squared ranks could flip a comparison at the last ulp (see
-/// ARCHITECTURE.md).
+/// 1. two `partition_point`s over the cell's ascending pivot distances turn
+///    the window `[lo, hi]` into a row range, a third finds its *centre*,
+///    the first row with `|p_j, s| ≥ |p_j, r|`;
+/// 2. the range is walked from the centre up to `hi`, then from the centre
+///    down to `lo`, in tiles through `ScanKernels::distances`: one row
+///    with the scalar kernel in `Exact`, `FAST_TILE` rows with the batch
+///    kernel in `Fast`;
+/// 3. before every tile θ is re-read and the tile is cut at the first row
+///    with `||p_j, s| − |p_j, r|| > θ`, which ends that direction: by the
+///    triangle inequality every later row is farther still.  Walked from
+///    one end instead, a cell's near edge could never move — a row admitted
+///    on the way in keeps θ above its own `||p_j, s| − |p_j, r||`, hence
+///    above that of every row between it and the centre.
+///
+/// `Exact` and `Fast` thus differ in the kernel and the tile only: per
+/// visited cell `Fast` evaluates what `Exact` does plus at most
+/// `FAST_TILE − 1` rows behind each edge (beyond θ, so never among the `k`
+/// nearest) — at most `2 × (FAST_TILE − 1)` more `distance_computations` —
+/// and its results agree within accumulation-order round-off (≤ 1e-9
+/// relative).  All comparisons stay in true-distance space: θ and the window
+/// come from triangle-inequality bounds over true distances, and squared
+/// ranks could flip one at the last ulp (see ARCHITECTURE.md).
 ///
 /// With a delta overlay attached (`VoronoiScan::with_delta`), the added
 /// points are offered into the accumulator *first* (tightening the running θ
-/// before any frozen candidate is scanned) and tombstoned frozen candidates
-/// are masked.  Callers must pass `θ_i = ∞` whenever the overlay carries
-/// tombstones: `θ_i` is derived from the frozen `T_S` table, whose guarantee
-/// ("partition `i` alone holds `k` objects within `θ_i`") deletions can
-/// break.  Added points never invalidate it; they only shrink the true kth
-/// distance.
+/// before any frozen candidate is scanned) and tombstoned frozen rows are
+/// evaluated with their tile but masked from the accumulator.  Callers must
+/// pass `θ_i = ∞` whenever the overlay carries tombstones: `θ_i` is derived
+/// from the frozen `T_S` table, whose guarantee ("partition `i` alone holds
+/// `k` objects within `θ_i`") deletions can break.  Added points never
+/// invalidate it; they only shrink the true kth distance.
 pub struct VoronoiScan<'a> {
     tables: &'a SummaryTables,
     k: usize,
     kernels: ScanKernels,
-    delta: Option<&'a DeltaView<'a>>,
+    delta: Option<&'a DeltaView>,
     scratch: TileScratch,
 }
 
@@ -139,7 +203,7 @@ impl<'a> VoronoiScan<'a> {
     }
 
     /// Attaches the S-delta memtable of a mutated [`crate::PreparedJoin`].
-    pub(crate) fn with_delta(mut self, delta: Option<&'a DeltaView<'a>>) -> Self {
+    pub(crate) fn with_delta(mut self, delta: Option<&'a DeltaView>) -> Self {
         self.delta = delta;
         self
     }
@@ -147,12 +211,28 @@ impl<'a> VoronoiScan<'a> {
     /// Returns the `k` best neighbours of one `R` object and the distance
     /// computations spent (object-to-object plus object-to-pivot, per the
     /// paper's selectivity definition).
-    pub fn scan<P: Borrow<FlatPartition>>(
+    pub fn scan(
         &mut self,
         r_coords: &[f64],
         r_pivot_dist: f64,
         r_partition: usize,
-        s_parts: &BTreeMap<usize, P>,
+        s_parts: &CellMap,
+        s_order: &[usize],
+        theta_i: f64,
+    ) -> (Vec<Neighbor>, ScanCounts) {
+        // The tile is a compile-time constant of the walk, so the one-row
+        // walk costs `Exact` no tile bookkeeping.
+        let r = (r_coords, r_pivot_dist, r_partition);
+        match self.kernels.batch {
+            None => self.scan_in_tiles::<1>(r, s_parts, s_order, theta_i),
+            Some(_) => self.scan_in_tiles::<FAST_TILE>(r, s_parts, s_order, theta_i),
+        }
+    }
+
+    fn scan_in_tiles<const TILE: usize>(
+        &mut self,
+        (r_coords, r_pivot_dist, r_partition): (&[f64], f64, usize),
+        s_parts: &CellMap,
         s_order: &[usize],
         theta_i: f64,
     ) -> (Vec<Neighbor>, ScanCounts) {
@@ -194,158 +274,99 @@ impl<'a> VoronoiScan<'a> {
             if lo > hi {
                 continue;
             }
-            let Some(bucket) = s_parts.get(&j) else {
+            let Some(cell) = s_parts.get(&j) else {
                 continue;
             };
-            let bucket = bucket.borrow();
-            match self.kernels.batch {
-                None => self.scan_bucket_exact(
-                    r_coords,
-                    bucket,
-                    d_r_pj,
-                    (lo, hi),
-                    theta_i,
-                    &mut neighbors,
-                    &mut counts,
-                ),
-                Some(batch) => self.scan_bucket_tiled(
-                    batch,
-                    r_coords,
-                    bucket,
-                    (lo, hi),
-                    &mut neighbors,
-                    &mut counts,
-                ),
+            let pivot_dists = cell.pivot_dists.as_slice();
+            let first = pivot_dists.partition_point(|&d| d < lo);
+            let last = pivot_dists.partition_point(|&d| d <= hi);
+            let centre = first + pivot_dists[first..last].partition_point(|&d| d < d_r_pj);
+            // Up from the centre, until |p_j, s| − |p_j, r| > θ.
+            let mut next = centre;
+            while next < last {
+                let theta_now = theta_i.min(neighbors.threshold());
+                let tile = &pivot_dists[next..(next + TILE).min(last)];
+                let stop = next + tile.partition_point(|&d| d - d_r_pj <= theta_now);
+                if stop == next {
+                    break;
+                }
+                self.offer_rows(r_coords, cell, next..stop, &mut neighbors, &mut counts);
+                next = stop;
+            }
+            // Down from the centre, until |p_j, r| − |p_j, s| > θ.
+            let mut done = centre;
+            while first < done {
+                let theta_now = theta_i.min(neighbors.threshold());
+                let tile = &pivot_dists[done.saturating_sub(TILE).max(first)..done];
+                let start = done - tile.len() + tile.partition_point(|&d| d_r_pj - d > theta_now);
+                if start == done {
+                    break;
+                }
+                self.offer_rows(r_coords, cell, start..done, &mut neighbors, &mut counts);
+                done = start;
             }
         }
         (neighbors.into_sorted(), counts)
     }
 
-    /// `Exact` candidate loop: one scalar kernel per candidate that survives
-    /// the window test and the per-candidate recheck against the current
-    /// (shrinking) θ.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn scan_bucket_exact(
-        &self,
-        r_coords: &[f64],
-        bucket: &FlatPartition,
-        d_r_pj: f64,
-        (lo, hi): (f64, f64),
-        theta_i: f64,
-        neighbors: &mut NeighborList,
-        counts: &mut ScanCounts,
-    ) {
-        let kernel = self.kernels.pair;
-        for idx in 0..bucket.len() {
-            let s_pivot_dist = bucket.pivot_dists[idx];
-            if s_pivot_dist < lo || s_pivot_dist > hi {
-                continue;
-            }
-            // Re-check against the current θ using the triangle inequality
-            // |r, s| ≥ ||p_j, s| − |p_j, r||.
-            let theta_now = theta_i.min(neighbors.threshold());
-            if (s_pivot_dist - d_r_pj).abs() > theta_now {
-                continue;
-            }
-            if self
-                .delta
-                .is_some_and(|delta| delta.is_tombstoned(bucket.ids[idx]))
-            {
-                counts.masked += 1;
-                continue;
-            }
-            let d = kernel(r_coords, bucket.coords.row(idx));
-            counts.frozen += 1;
-            neighbors.offer(bucket.ids[idx], d);
-        }
-    }
-
-    /// `Fast` candidate loop: identical bucket-level pruning, but candidates
-    /// are evaluated through the batch rank kernel in
-    /// [`geom::kernels::PROBE_TILE`]-row tiles over the contiguous coordinate
-    /// slice, then converted to true distances in one sweep.
-    ///
-    /// Differences from the exact loop, all answer-preserving:
-    /// * tile rows outside the Theorem 2 pivot-distance window may still be
-    ///   evaluated (the tile is only narrowed to its first/last in-window
-    ///   row) — they are billed but never offered;
-    /// * the per-candidate θ-shrink recheck is dropped — it only skips
-    ///   kernels, never changes which distances reach the accumulator.
-    ///
-    /// Both mean `Fast` counters differ from `Exact` counters (fewer
-    /// branches, wider loops); results agree within accumulation-order
-    /// round-off (≤ 1e-9 relative, pinned by the cross-mode integration
-    /// tests).
-    fn scan_bucket_tiled(
+    /// Evaluates the contiguous `rows` of `cell` and offers all but the
+    /// tombstoned ones.
+    #[inline(always)]
+    fn offer_rows(
         &mut self,
-        batch: BatchKernel,
         r_coords: &[f64],
-        bucket: &FlatPartition,
-        (lo, hi): (f64, f64),
+        cell: &FlatPartition,
+        rows: Range<usize>,
         neighbors: &mut NeighborList,
         counts: &mut ScanCounts,
     ) {
         let dim = r_coords.len();
-        let rows = bucket.coords.as_slice();
-        let in_window = |idx: usize| (lo..=hi).contains(&bucket.pivot_dists[idx]);
-        for_each_tile(bucket.len(), |t0, t1| {
-            // Narrow the tile to its in-window span; skip it entirely when
-            // no row qualifies.
-            let Some(first) = (t0..t1).find(|&i| in_window(i)) else {
-                return;
-            };
-            let last = (first..t1).rev().find(|&i| in_window(i)).unwrap_or(first);
-            let dists = &mut self.scratch.ranks[..last + 1 - first];
-            batch(r_coords, &rows[first * dim..(last + 1) * dim], dim, dists);
-            self.kernels.metric.ranks_to_distances(dists);
-            counts.frozen += dists.len() as u64;
-            for (off, &d) in dists.iter().enumerate() {
-                let idx = first + off;
-                if !in_window(idx) {
-                    continue;
-                }
-                if self
-                    .delta
-                    .is_some_and(|delta| delta.is_tombstoned(bucket.ids[idx]))
-                {
-                    counts.masked += 1;
-                    continue;
-                }
-                neighbors.offer(bucket.ids[idx], d);
+        let dists = &mut self.scratch.ranks[..rows.len()];
+        let coords = &cell.coords.as_slice()[rows.start * dim..rows.end * dim];
+        self.kernels.distances(r_coords, coords, dim, dists);
+        counts.frozen += dists.len() as u64;
+        for (&id, &d) in cell.ids[rows].iter().zip(dists.iter()) {
+            if self.delta.is_some_and(|delta| delta.is_tombstoned(id)) {
+                counts.masked += 1;
+            } else {
+                neighbors.offer(id, d);
             }
-        });
+        }
     }
 
     /// The body of a cold Algorithm 3 reducer (lines 12–25): split the
     /// shuffled records by kind and partition (line 13), sort the received
     /// `S` partitions by pivot distance per `R` partition (line 14), and
-    /// scan for every local `r`, handing `(r id, neighbours, distance
-    /// computations)` to `emit`.  `theta_of` supplies `θ_i` for an `R`
-    /// partition given the `S` subset this reducer received.
-    ///
-    /// The split preserves arrival order: `R` records stay borrowed (each is
-    /// a query, visited once), while `S` coordinates are flattened straight
-    /// into the columnar layout the candidate scan reads.
+    /// scan for every local `r`, handing `(r id, neighbours)` to `emit`.
+    /// `theta_of` supplies `θ_i` for an `R` partition given the `S` subset
+    /// this reducer received.  Returns the distance computations spent.
+    /// `R` records stay borrowed (each is a query, visited once); each
+    /// received `S` cell is sorted once and flattened into cell order.
     pub(crate) fn scan_shuffled(
         &mut self,
         values: &[ShuffleRecord],
-        theta_of: impl Fn(usize, &BTreeMap<usize, FlatPartition>) -> f64,
-        mut emit: impl FnMut(PointId, Vec<Neighbor>, u64),
-    ) {
+        theta_of: impl Fn(usize, &CellMap) -> f64,
+        mut emit: impl FnMut(PointId, Vec<Neighbor>),
+    ) -> u64 {
         let dims = self.tables.pivots.first().map_or(0, |p| p.dims());
         let mut r_parts: BTreeMap<usize, Vec<&ShuffleRecord>> = BTreeMap::new();
-        let mut s_parts: BTreeMap<usize, FlatPartition> = BTreeMap::new();
+        let mut s_rows: BTreeMap<usize, Vec<Row<'_>>> = BTreeMap::new();
         for record in values {
             let partition = record.partition as usize;
             match record.kind {
                 RecordKind::R => r_parts.entry(partition).or_default().push(record),
-                RecordKind::S => s_parts
-                    .entry(partition)
-                    .or_insert_with(|| FlatPartition::new(dims))
-                    .push(&record.point, record.pivot_distance),
+                RecordKind::S => s_rows.entry(partition).or_default().push((
+                    record.pivot_distance,
+                    record.point.id,
+                    &record.point.coords,
+                )),
             }
         }
+        let s_parts: CellMap = s_rows
+            .into_iter()
+            .map(|(j, rows)| (j, Arc::new(FlatPartition::sorted(dims, rows))))
+            .collect();
+        let mut computations = 0;
         for (&i, r_bucket) in &r_parts {
             let s_order =
                 order_by_pivot_distance(s_parts.keys().copied(), &self.tables.pivot_distances[i]);
@@ -359,9 +380,11 @@ impl<'a> VoronoiScan<'a> {
                     &s_order,
                     theta_i,
                 );
-                emit(r.point.id, neighbors, counts.frozen);
+                computations += counts.frozen;
+                emit(r.point.id, neighbors);
             }
         }
+        computations
     }
 }
 
@@ -437,10 +460,8 @@ pub(crate) struct VoronoiPrepared {
     partitioner: Arc<VoronoiPartitioner>,
     /// The pivot set, shared into every per-query [`SummaryTables`].
     pivots: Arc<Vec<Point>>,
-    /// Voronoi-partitioned `S` in flat layout; only non-empty partitions.
-    /// Each cell sits behind its own `Arc` so a compaction rebuilds only the
-    /// cells the delta touched and shares the rest.
-    s_parts: BTreeMap<usize, Arc<FlatPartition>>,
+    /// Voronoi-partitioned `S` in flat layout.
+    s_parts: CellMap,
     /// `T_S`, built once with the plan's `k`; shared into every per-query
     /// [`SummaryTables`].
     s_summaries: Arc<Vec<SPartitionSummary>>,
@@ -468,19 +489,19 @@ impl VoronoiPrepared {
         let partitioner = Arc::new(VoronoiPartitioner::new(pivots, plan.metric));
         let pivots = Arc::new(partitioner.pivots().to_vec());
         let partitioned_s = partitioner.partition(s);
-        let s_summaries = Arc::new(build_s_summaries(&partitioned_s, plan.k));
         let pivot_distances = Arc::new(pivot_distance_matrix(&pivots, plan.metric));
         let dims = partitioner.pivot_matrix().dims();
-        let mut s_parts: BTreeMap<usize, Arc<FlatPartition>> = BTreeMap::new();
+        let mut s_parts = CellMap::new();
+        let mut s_summaries = Vec::with_capacity(partitioned_s.partition_count());
         for (j, bucket) in partitioned_s.partitions.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
+            let rows = bucket
+                .iter()
+                .map(|(s, dist)| (*dist, s.id, s.coords.as_slice()));
+            let cell = FlatPartition::sorted(dims, rows.collect());
+            s_summaries.push(SPartitionSummary::of_sorted(j, cell.pivot_dists(), plan.k));
+            if !cell.is_empty() {
+                s_parts.insert(j, Arc::new(cell));
             }
-            let mut flat = FlatPartition::new(dims);
-            for (point, dist) in bucket {
-                flat.push(point, *dist);
-            }
-            s_parts.insert(j, Arc::new(flat));
         }
         let non_empty: Vec<usize> = s_parts.keys().copied().collect();
         let s_orders = Arc::new(compute_s_orders(&non_empty, &pivot_distances));
@@ -489,7 +510,7 @@ impl VoronoiPrepared {
             partitioner,
             pivots,
             s_parts,
-            s_summaries,
+            s_summaries: Arc::new(s_summaries),
             pivot_distances,
             s_orders,
         }
@@ -501,11 +522,11 @@ impl VoronoiPrepared {
     /// pivot machinery, distance matrix and — when the non-empty cell set is
     /// unchanged — the scan orders) are `Arc`-shared into the new state.
     ///
-    /// The rebuilt cells keep frozen arrival order followed by adds in
-    /// ascending id order, and their `T_S` rows are recomputed with the same
-    /// (order-insensitive) formulas as the full build, so the compacted
-    /// state is distance-identical to a cold build over the materialized
-    /// corpus.
+    /// A rebuilt cell is the merge of its surviving rows (already in cell
+    /// order) with its adds (sorted here, a handful per cell) — no cell is
+    /// ever re-sorted — and its `T_S` row is read off the merged column as
+    /// in the full build, so the compacted state is row-identical to a cold
+    /// build over the materialized corpus.
     pub(crate) fn compact(
         &self,
         delta: &DeltaOverlay,
@@ -521,7 +542,7 @@ impl VoronoiPrepared {
                 }
             }
         }
-        let mut add_cells: BTreeMap<usize, Vec<(Point, f64)>> = BTreeMap::new();
+        let mut add_cells: BTreeMap<usize, Vec<Row<'_>>> = BTreeMap::new();
         for (id, coords) in delta.adds() {
             let a = self.partitioner.nearest_pivot(coords);
             metrics.pivot_assignment_computations += a.computations;
@@ -529,37 +550,28 @@ impl VoronoiPrepared {
             add_cells
                 .entry(a.partition)
                 .or_default()
-                .push((Point::new(id, coords.to_vec()), a.distance));
+                .push((a.distance, id, coords));
         }
 
-        let mut s_parts: BTreeMap<usize, Arc<FlatPartition>> = BTreeMap::new();
-        for (&j, part) in self.s_parts.iter() {
-            if !affected.contains(&j) {
-                s_parts.insert(j, Arc::clone(part));
-            }
-        }
+        let mut s_parts = self.s_parts.clone();
         let mut s_summaries = (*self.s_summaries).clone();
         for &j in &affected {
-            let mut flat = FlatPartition::new(dims);
-            if let Some(old) = self.s_parts.get(&j) {
-                for idx in 0..old.len() {
-                    if delta.is_tombstoned(old.ids[idx]) {
-                        continue;
-                    }
-                    flat.ids.push(old.ids[idx]);
-                    flat.pivot_dists.push(old.pivot_dists[idx]);
-                    flat.coords.push_row(old.coords.row(idx));
-                }
-            }
-            if let Some(adds) = add_cells.get(&j) {
-                for (point, dist) in adds {
-                    flat.push(point, *dist);
-                }
-            }
-            metrics.compacted_points += flat.len() as u64;
-            s_summaries[j] = s_summary_row(j, flat.pivot_dists.clone(), plan.k);
-            if !flat.is_empty() {
-                s_parts.insert(j, Arc::new(flat));
+            let survivors = self
+                .s_parts
+                .get(&j)
+                .into_iter()
+                .flat_map(|old| old.rows())
+                .filter(|row| !delta.is_tombstoned(row.1));
+            let mut adds = add_cells.remove(&j).unwrap_or_default();
+            adds.sort_unstable_by(row_order);
+            let rows: Vec<Row<'_>> = merge_rows(survivors, adds.into_iter()).collect();
+            let cell = FlatPartition::from_sorted(dims, &rows);
+            metrics.compacted_points += cell.len() as u64;
+            s_summaries[j] = SPartitionSummary::of_sorted(j, cell.pivot_dists(), plan.k);
+            if cell.is_empty() {
+                s_parts.remove(&j);
+            } else {
+                s_parts.insert(j, Arc::new(cell));
             }
         }
 
@@ -709,6 +721,76 @@ mod tests {
     use datagen::uniform;
     use proptest::prelude::*;
 
+    const METRICS: [DistanceMetric; 3] = [
+        DistanceMetric::Euclidean,
+        DistanceMetric::Manhattan,
+        DistanceMetric::Chebyshev,
+    ];
+
+    /// What a reducer holds for one seeded `R ⋉ S`: the partitioned `R`, the
+    /// tables, every `θ_i` and the `S` cells in cell order.
+    struct Fixture {
+        partitioned_r: PartitionedDataset,
+        tables: SummaryTables,
+        theta: Vec<f64>,
+        s_parts: CellMap,
+    }
+
+    fn fixture(
+        r: &PointSet,
+        s: &PointSet,
+        k: usize,
+        pivot_count: usize,
+        metric: DistanceMetric,
+        seed: u64,
+    ) -> Fixture {
+        let pivots = select_pivots(
+            r,
+            pivot_count.min(r.len()),
+            PivotSelectionStrategy::default(),
+            1000,
+            metric,
+            seed,
+        );
+        let partitioner = VoronoiPartitioner::new(pivots.clone(), metric);
+        let (partitioned_r, partitioned_s) = (partitioner.partition(r), partitioner.partition(s));
+        let tables = SummaryTables::build(pivots, metric, &partitioned_r, &partitioned_s, k);
+        let theta = PartitionBounds::compute(&tables, k).theta;
+        let s_parts = partitioned_s
+            .partitions
+            .iter()
+            .enumerate()
+            .map(|(j, bucket)| {
+                let rows = bucket
+                    .iter()
+                    .map(|(s, dist)| (*dist, s.id, s.coords.as_slice()));
+                (j, Arc::new(FlatPartition::sorted(r.dims(), rows.collect())))
+            })
+            .collect();
+        Fixture {
+            partitioned_r,
+            tables,
+            theta,
+            s_parts,
+        }
+    }
+
+    impl Fixture {
+        /// Calls `each(scan order, r, r's pivot distance, r's partition)` for
+        /// every object of `R`.
+        fn for_each_r(&self, mut each: impl FnMut(&[usize], &Point, f64, usize)) {
+            for (i, bucket) in self.partitioned_r.partitions.iter().enumerate() {
+                let s_order = order_by_pivot_distance(
+                    self.s_parts.keys().copied(),
+                    &self.tables.pivot_distances[i],
+                );
+                for (r_obj, r_pivot_dist) in bucket {
+                    each(&s_order, r_obj, *r_pivot_dist, i);
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         /// An attached-but-empty overlay must not perturb the scan: same
@@ -724,48 +806,128 @@ mod tests {
             seed in 0u64..100,
             which_metric in 0usize..3,
         ) {
-            let metric = [
-                DistanceMetric::Euclidean,
-                DistanceMetric::Manhattan,
-                DistanceMetric::Chebyshev,
-            ][which_metric];
+            let metric = METRICS[which_metric];
             let r = uniform(n_r, dims, 50.0, seed);
             let s = uniform(n_s, dims, 50.0, seed ^ 0xABCD);
-            let pivots = select_pivots(
-                &r,
-                pivot_count.min(n_r),
-                PivotSelectionStrategy::default(),
-                1000,
-                metric,
-                seed,
-            );
-            let partitioner = VoronoiPartitioner::new(pivots.clone(), metric);
-            let (pr, ps) = (partitioner.partition(&r), partitioner.partition(&s));
-            let tables = SummaryTables::build(pivots, metric, &pr, &ps, k);
-            let theta = PartitionBounds::compute(&tables, k).theta;
-            let mut s_parts: BTreeMap<usize, FlatPartition> = BTreeMap::new();
-            for (j, bucket) in ps.partitions.iter().enumerate() {
-                let flat = s_parts.entry(j).or_insert_with(|| FlatPartition::new(dims));
-                for (point, dist) in bucket {
-                    flat.push(point, *dist);
-                }
-            }
+            let f = fixture(&r, &s, k, pivot_count, metric, seed);
             let empty = DeltaOverlay::default();
             let no_adds = DeltaView::gather(&empty, dims);
             for mode in [KernelMode::Exact, KernelMode::Fast] {
-                let mut frozen = VoronoiScan::new(&tables, k, metric, mode);
-                let mut overlaid = VoronoiScan::new(&tables, k, metric, mode)
+                let mut frozen = VoronoiScan::new(&f.tables, k, metric, mode);
+                let mut overlaid = VoronoiScan::new(&f.tables, k, metric, mode)
                     .with_delta(Some(&no_adds));
-                for (i, bucket) in pr.partitions.iter().enumerate() {
-                    let s_order =
-                        order_by_pivot_distance(s_parts.keys().copied(), &tables.pivot_distances[i]);
-                    for (r_obj, r_pivot_dist) in bucket {
-                        let a = frozen.scan(&r_obj.coords, *r_pivot_dist, i, &s_parts, &s_order, theta[i]);
-                        let b = overlaid.scan(&r_obj.coords, *r_pivot_dist, i, &s_parts, &s_order, theta[i]);
-                        prop_assert_eq!(a, b, "{:?}", mode);
+                let mut verdict = Ok(());
+                f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
+                    let a = frozen.scan(&r_obj.coords, r_pivot_dist, i, &f.s_parts, s_order, f.theta[i]);
+                    let b = overlaid.scan(&r_obj.coords, r_pivot_dist, i, &f.s_parts, s_order, f.theta[i]);
+                    if a != b && verdict.is_ok() {
+                        verdict = Err(format!("{mode:?}: {a:?} vs {b:?}"));
                     }
-                }
+                });
+                prop_assert!(verdict.is_ok(), "{:?}", verdict);
             }
         }
+
+        /// The bound the window-first walk exists for, per `R` object: both
+        /// modes answer what a brute-force scan answers (`Exact` bit for
+        /// bit, `Fast` within 1e-9), and `Fast` evaluates at most
+        /// `FAST_TILE − 1` objects more than `Exact` behind each edge of a
+        /// cell it visits.  A cell either mode visits costs `Exact` at least
+        /// one object, so the visits are bounded by `Exact`'s object
+        /// evaluations and by the number of cells.
+        #[test]
+        fn fast_evaluates_at_most_a_tile_per_edge_more_than_exact_in_a_visited_cell(
+            n_r in 5usize..40,
+            n_s in 100usize..1200,
+            k in 1usize..12,
+            pivot_count in 1usize..7,
+            dims in 1usize..6,
+            seed in 0u64..100,
+            which_metric in 0usize..3,
+        ) {
+            let metric = METRICS[which_metric];
+            let r = uniform(n_r, dims, 50.0, seed);
+            let s = uniform(n_s, dims, 50.0, seed ^ 0x5EED);
+            let f = fixture(&r, &s, k, pivot_count, metric, seed);
+            let mut exact = VoronoiScan::new(&f.tables, k, metric, KernelMode::Exact);
+            let mut fast = VoronoiScan::new(&f.tables, k, metric, KernelMode::Fast);
+            let mut verdict = Ok(());
+            f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
+                let mut oracle = NeighborList::new(k);
+                for s_obj in &s {
+                    oracle.offer(s_obj.id, metric.distance(r_obj, s_obj));
+                }
+                let want: Vec<f64> = oracle.into_sorted().iter().map(|n| n.distance).collect();
+                let (e_rows, e) = exact.scan(&r_obj.coords, r_pivot_dist, i, &f.s_parts, s_order, f.theta[i]);
+                let (f_rows, fc) = fast.scan(&r_obj.coords, r_pivot_dist, i, &f.s_parts, s_order, f.theta[i]);
+                let e_dists: Vec<f64> = e_rows.iter().map(|n| n.distance).collect();
+                let close = f_rows.len() == want.len()
+                    && f_rows.iter().zip(&want).all(|(n, w)| (n.distance - w).abs() <= 1e-9 * w.max(1.0));
+                // Every cell of the scan order costs one pivot distance.
+                let cells = s_order.len() as u64;
+                let exact_objects = e.frozen - cells;
+                let slack = 2 * (FAST_TILE as u64 - 1) * cells.min(exact_objects);
+                if verdict.is_ok() && (e_dists != want || !close || fc.frozen > e.frozen + slack) {
+                    verdict = Err(format!(
+                        "r {}: exact {e_dists:?} ({} evals), fast {f_rows:?} ({} evals), \
+                         oracle {want:?}, slack {slack}",
+                        r_obj.id, e.frozen, fc.frozen
+                    ));
+                }
+            });
+            prop_assert!(verdict.is_ok(), "{:?}", verdict);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cell invariant violated")]
+    fn a_cell_refuses_rows_out_of_cell_order() {
+        let rows: [Row<'_>; 2] = [(2.0, 1, &[0.0]), (1.0, 2, &[0.0])];
+        FlatPartition::from_sorted(1, &rows);
+    }
+
+    /// Compaction merges instead of sorting: with adds and tombstones landing
+    /// in the same cells, every rebuilt cell (audited at construction) and
+    /// its `T_S` row equal, row for row, what a cold build over the
+    /// materialized corpus lays out.
+    #[test]
+    fn compaction_lays_cells_out_like_a_cold_build_over_the_materialized_corpus() {
+        let (dims, k) = (3, 4);
+        let calibration = uniform(200, dims, 40.0, 7);
+        let frozen = uniform(900, dims, 40.0, 8);
+        let plan = JoinPlan {
+            k,
+            pivot_count: 6,
+            ..JoinPlan::default()
+        };
+        let mut metrics = JoinMetrics::default();
+        let built = VoronoiPrepared::build(&calibration, &frozen, &plan, &mut metrics);
+        // Churn inside the first two cells: delete every third of their
+        // objects and re-add as many right beside the survivors.
+        let mut overlay = DeltaOverlay::default();
+        let mut live: Vec<Point> = Vec::new();
+        let churned: Vec<usize> = built.s_parts.keys().copied().take(2).collect();
+        for p in &frozen {
+            let cell = built.partitioner.nearest_pivot(&p.coords).partition;
+            if churned.contains(&cell) && p.id % 3 == 0 {
+                overlay.tombstone(p.id);
+                let beside: Vec<f64> = p.coords.iter().map(|c| c + 0.01).collect();
+                overlay.insert_add(10_000 + p.id, beside.clone());
+                live.push(Point::new(10_000 + p.id, beside));
+            } else {
+                live.push(p.clone());
+            }
+        }
+        assert!(overlay.tombstones_len() > 20);
+        let compacted = built.compact(&overlay, &plan, &mut metrics);
+        let cold = VoronoiPrepared::build(
+            &calibration,
+            &PointSet::from_points(live),
+            &plan,
+            &mut metrics,
+        );
+        assert_eq!(compacted.s_parts, cold.s_parts);
+        assert_eq!(compacted.s_summaries, cold.s_summaries);
+        assert_eq!(compacted.s_orders, cold.s_orders);
     }
 }

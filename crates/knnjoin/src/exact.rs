@@ -164,7 +164,7 @@ impl FlatBlock {
         query: &[f64],
         k: usize,
         kernels: &ScanKernels,
-        delta: Option<&DeltaView<'_>>,
+        delta: Option<&DeltaView>,
         scratch: &mut TileScratch,
     ) -> (Vec<Neighbor>, ScanCounts) {
         let dim = self.coords.dims();

@@ -142,29 +142,29 @@ pub fn build_s_summaries(partitioned_s: &PartitionedDataset, k: usize) -> Vec<SP
         .partitions
         .iter()
         .enumerate()
-        .map(|(i, bucket)| s_summary_row(i, bucket.iter().map(|(_, d)| *d).collect(), k))
+        .map(|(i, bucket)| {
+            let mut pivot_dists: Vec<f64> = bucket.iter().map(|(_, d)| *d).collect();
+            pivot_dists.sort_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
+            SPartitionSummary::of_sorted(i, &pivot_dists, k)
+        })
         .collect()
 }
 
-/// The `T_S` row of partition `partition` from its objects' pivot
-/// distances: the `(L, U)` bounds and the `k` smallest distances ascending.
-/// Order-insensitive in the column, which is what lets a compaction
-/// recompute only the rows of the cells it rebuilt.
-pub(crate) fn s_summary_row(
-    partition: usize,
-    mut pivot_dists: Vec<f64>,
-    k: usize,
-) -> SPartitionSummary {
-    let (lower, upper) = bounds_of(pivot_dists.iter().copied());
-    let count = pivot_dists.len();
-    pivot_dists.sort_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
-    pivot_dists.truncate(k);
-    SPartitionSummary {
-        partition,
-        count,
-        lower,
-        upper,
-        knn_distances: pivot_dists,
+impl SPartitionSummary {
+    /// The `T_S` row of partition `partition` read off its objects' pivot
+    /// distances in ascending order — the column a
+    /// [`crate::algorithms::voronoi::FlatPartition`] keeps: the `(L, U)`
+    /// bounds are its ends and `KNN(p_i, P_i^S)` its first `k` entries.  An
+    /// empty column reports `(0, 0)` like an absent row in the paper's
+    /// tables.
+    pub(crate) fn of_sorted(partition: usize, pivot_dists: &[f64], k: usize) -> Self {
+        Self {
+            partition,
+            count: pivot_dists.len(),
+            lower: pivot_dists.first().copied().unwrap_or(0.0),
+            upper: pivot_dists.last().copied().unwrap_or(0.0),
+            knn_distances: pivot_dists[..k.min(pivot_dists.len())].to_vec(),
+        }
     }
 }
 

@@ -1,9 +1,12 @@
 //! Integration tests of the `kernel_mode` plan knob: `Fast` reproduces the
-//! `Exact` results within 1e-9 on every algorithm and metric, partitioning
-//! and the shuffle do not depend on the mode, and the prepared/delta serving
-//! path honours the mode across mutations and compaction.
+//! `Exact` results within 1e-9 on every algorithm and metric, never
+//! out-evaluates `Exact` on the Voronoi joins by more than its tile slack,
+//! partitioning and the shuffle do not depend on the mode, and the
+//! prepared/delta serving path honours the mode across mutations and
+//! compaction.
 
 use pgbj::prelude::*;
+use proptest::prelude::*;
 
 fn forest(n: usize, seed: u64) -> PointSet {
     datagen::forest_like(
@@ -147,5 +150,95 @@ fn prepared_serving_honours_the_mode_across_mutations_and_compaction() {
             "{algorithm}: Fast compacted serving deviates: {:?}",
             got.mismatch_against(&want, 1e-9)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+    /// Cold PGBJ and PBJ over data shape, `k`, metric, pivot count and
+    /// reducers: `Exact` equals the oracle bit for bit, `Fast` within 1e-9,
+    /// and `Fast` spends at most 62 distance computations (a 32-row tile
+    /// less a row, behind each of a window's two edges) more than `Exact`
+    /// per cell visit.  The visits are bounded from
+    /// above: an `R` object meets each of the pivots' cells at most once per
+    /// reducer it is sent to — one for PGBJ, `⌊√reducers⌋` blocks for PBJ.
+    #[test]
+    fn fast_stays_within_its_tile_slack_of_exact_on_the_voronoi_joins(
+        n_r in 40usize..160,
+        n_s in 300usize..1500,
+        dims in 2usize..8,
+        clustered in 0usize..2,
+        k in 1usize..12,
+        pivot_count in 2usize..10,
+        reducers in 1usize..10,
+        which_metric in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let generate = |n: usize, seed: u64| {
+            if clustered == 1 {
+                gaussian_clusters(
+                    &ClusterConfig {
+                        n_points: n,
+                        dims,
+                        n_clusters: 4,
+                        std_dev: 6.0,
+                        extent: 120.0,
+                        skew: 0.6,
+                    },
+                    seed,
+                )
+            } else {
+                uniform(n, dims, 120.0, seed)
+            }
+        };
+        let (r, s) = (generate(n_r, seed), generate(n_s, seed ^ 0xF00D));
+        let metric = [
+            DistanceMetric::Euclidean,
+            DistanceMetric::Manhattan,
+            DistanceMetric::Chebyshev,
+        ][which_metric];
+        let ctx = ExecutionContext::default();
+        let oracle = Join::new(&r, &s)
+            .k(k)
+            .metric(metric)
+            .algorithm(Algorithm::NestedLoopJoin)
+            .run(&ctx)
+            .expect("oracle");
+        for (algorithm, sends) in [
+            (Algorithm::Pgbj, 1),
+            (Algorithm::Pbj, (reducers as f64).sqrt().floor() as u64),
+        ] {
+            let run = |mode| {
+                Join::new(&r, &s)
+                    .k(k)
+                    .metric(metric)
+                    .algorithm(algorithm)
+                    .pivot_count(pivot_count)
+                    .reducers(reducers)
+                    .seed(seed)
+                    .kernel_mode(mode)
+                    .run(&ctx)
+                    .expect("join")
+            };
+            let (exact, fast) = (run(KernelMode::Exact), run(KernelMode::Fast));
+            prop_assert!(
+                exact.matches(&oracle, 0.0),
+                "{algorithm} Exact: {:?}",
+                exact.mismatch_against(&oracle, 0.0)
+            );
+            prop_assert!(
+                fast.matches(&oracle, 1e-9),
+                "{algorithm} Fast: {:?}",
+                fast.mismatch_against(&oracle, 1e-9)
+            );
+            let cell_visits = (n_r * pivot_count) as u64 * sends.max(1);
+            prop_assert!(
+                fast.metrics.distance_computations
+                    <= exact.metrics.distance_computations + 62 * cell_visits,
+                "{algorithm}: Fast {} vs Exact {} over at most {cell_visits} cell visits",
+                fast.metrics.distance_computations,
+                exact.metrics.distance_computations
+            );
+        }
     }
 }

@@ -25,14 +25,17 @@
 //! times and latency percentiles are machine-dependent and never compared.
 //! A `perf_baseline` check also fails when a `Fast` PGBJ / PBJ row of the
 //! run spends more distance computations than its `Exact` twin plus the
-//! candidate walk's tile slack, whatever the reference says.
+//! candidate walk's tile slack, or when a cold PBJ row's pivot-assignment
+//! computations differ from its PGBJ twin's (they run one front half),
+//! whatever the reference says.
 //! CI runs all three on every push, so an unexplained counter regression
 //! fails the build instead of silently shifting the baseline.
 
 #![forbid(unsafe_code)]
 
 use bench::experiments::{
-    fast_rows_beyond_their_tile_slack, run_by_id, ExperimentOutput, ALL_EXPERIMENTS,
+    fast_rows_beyond_their_tile_slack, pbj_rows_off_their_pgbj_twin, run_by_id, ExperimentOutput,
+    ALL_EXPERIMENTS,
 };
 use bench::json::Value;
 use bench::ExperimentScale;
@@ -273,6 +276,7 @@ fn main() -> ExitCode {
             let mut drift = diff_rows(&output.json, &reference, key_field, fields);
             if output.id == "perf_baseline" {
                 drift.extend(fast_rows_beyond_their_tile_slack(&output.json));
+                drift.extend(pbj_rows_off_their_pgbj_twin(&output.json));
             }
             problems.extend(drift.into_iter().map(|p| format!("{}: {p}", output.id)));
         }

@@ -49,7 +49,8 @@ pub struct BaselineRow {
     pub wall_time_s: f64,
     /// Join-phase distance computations (Equation 13 numerator).
     pub distance_computations: u64,
-    /// Pruned pivot-assignment computations (PGBJ job 1 only; 0 elsewhere).
+    /// Pruned pivot-assignment computations (job 1 of PGBJ and PBJ, the
+    /// assignment step of their prepared probes; 0 elsewhere).
     pub pivot_assignment_computations: u64,
     /// Spatial indexes built by reducers (H-BRJ: one per S block; prepared
     /// rows must report 0 — the trees are resident).
@@ -323,13 +324,7 @@ const FAST_TILE_SLACK: f64 = 0.15;
 /// that out-evaluate their `Exact` twins by more than `FAST_TILE_SLACK`,
 /// each as a description; empty when `Fast` holds its bound.
 pub fn fast_rows_beyond_their_tile_slack(rows: &Value) -> Vec<String> {
-    let computations = |name: &str| {
-        rows.as_array()
-            .into_iter()
-            .flatten()
-            .find(|row| row["algorithm"].as_str() == Some(name))
-            .and_then(|row| row["distance_computations"].as_f64())
-    };
+    let within_slack = |exact: f64, fast: f64| fast <= exact * (1.0 + FAST_TILE_SLACK);
     let mut problems = Vec::new();
     for algorithm in [Algorithm::Pgbj, Algorithm::Pbj] {
         let name = algorithm.name();
@@ -340,17 +335,59 @@ pub fn fast_rows_beyond_their_tile_slack(rows: &Value) -> Vec<String> {
                 format!("{name} (prepared, fast)"),
             ),
         ] {
-            match (computations(&exact), computations(&fast)) {
-                (Some(e), Some(f)) if f <= e * (1.0 + FAST_TILE_SLACK) => {}
-                (Some(e), Some(f)) => problems.push(format!(
-                    "{fast}.distance_computations: {f} exceeds {exact}'s {e} by more \
-                     than the tile slack of {FAST_TILE_SLACK}"
-                )),
-                _ => problems.push(format!("{exact} / {fast}: row missing")),
-            }
+            problems.extend(twin_problem(
+                rows,
+                (&fast, &exact),
+                "distance_computations",
+                within_slack,
+                "more than the tile slack above it",
+            ));
         }
     }
     problems
+}
+
+/// The cold PBJ rows of a `perf_baseline` run whose
+/// `pivot_assignment_computations` differ from their PGBJ twin's, each as a
+/// description.  The two algorithms run one front half
+/// (`voronoi::partition_job`) under one plan, so the number is the same by
+/// construction; a difference means a second way from points to cells is
+/// back.
+pub fn pbj_rows_off_their_pgbj_twin(rows: &Value) -> Vec<String> {
+    let twins = ["", " (fast)"].map(|suffix| (format!("PBJ{suffix}"), format!("PGBJ{suffix}")));
+    let problems = twins.iter().filter_map(|(pbj, pgbj)| {
+        twin_problem(
+            rows,
+            (pbj, pgbj),
+            "pivot_assignment_computations",
+            |pgbj, pbj| pbj == pgbj,
+            "not equal, though both run the same front half",
+        )
+    });
+    problems.collect()
+}
+
+/// Describes how the `row`'s `field` breaks `holds(twin's, row's)` — `rule`
+/// says what the two should have been — or that one of the rows is missing.
+fn twin_problem(
+    rows: &Value,
+    (row, twin): (&str, &str),
+    field: &str,
+    holds: impl Fn(f64, f64) -> bool,
+    rule: &str,
+) -> Option<String> {
+    let value_of = |algorithm: &str| {
+        rows.as_array()
+            .into_iter()
+            .flatten()
+            .find(|r| r["algorithm"].as_str() == Some(algorithm))
+            .and_then(|r| r[field].as_f64())
+    };
+    match (value_of(twin), value_of(row)) {
+        (Some(t), Some(r)) if holds(t, r) => None,
+        (Some(t), Some(r)) => Some(format!("{row}.{field}: {r} against {twin}'s {t}: {rule}")),
+        _ => Some(format!("{twin} / {row}: row missing")),
+    }
 }
 
 #[cfg(test)]
@@ -380,15 +417,15 @@ mod tests {
             assert!(row["wall_time_s"].as_f64().expect("time") >= 0.0);
             assert!(row["distance_computations"].as_u64().expect("comps") > 0);
         }
-        // Cold rows: only PGBJ runs the partitioning MapReduce job, so only
-        // it reports pivot-assignment computations; only H-BRJ builds
-        // indexes; exactly the pivot algorithms select pivots.
+        // Cold rows: only PGBJ and PBJ run the partitioning MapReduce job,
+        // so only they report pivot-assignment computations; only H-BRJ
+        // builds indexes; exactly the pivot algorithms select pivots.
         for row in &rows[..6] {
             let name = row["algorithm"].as_str().expect("name");
             let assign = row["pivot_assignment_computations"]
                 .as_u64()
                 .expect("assign comps");
-            if name == "PGBJ" {
+            if name == "PGBJ" || name == "PBJ" {
                 assert!(assign > 0);
             } else {
                 assert_eq!(assign, 0);
@@ -501,6 +538,27 @@ mod tests {
         let problems = fast_rows_beyond_their_tile_slack(&inflated);
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].starts_with("PGBJ (fast)"), "{problems:?}");
+    }
+
+    #[test]
+    fn pbj_rows_bill_the_front_half_like_pgbj_and_the_gate_notices_when_not() {
+        let out = perf_baseline(ExperimentScale::Quick);
+        assert_eq!(pbj_rows_off_their_pgbj_twin(&out.json), [""; 0]);
+        // A PBJ row billed like the old driver-side scan (nothing) trips it.
+        let rows = out.json.as_array().expect("rows").iter();
+        let unbilled = Value::Array(
+            rows.map(|row| match row["algorithm"].as_str() {
+                Some("PBJ") => Value::object(vec![
+                    ("algorithm", "PBJ".into()),
+                    ("pivot_assignment_computations", 0.0.into()),
+                ]),
+                _ => row.clone(),
+            })
+            .collect(),
+        );
+        let problems = pbj_rows_off_their_pgbj_twin(&unbilled);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with("PBJ."), "{problems:?}");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::context::ExecutionContext;
 use crate::exact::FlatBlock;
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
-use crate::result::{JoinError, JoinResult};
+use crate::result::{JoinError, JoinRow};
 use geom::{Neighbor, PointSet, RecordKind};
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::time::Instant;
@@ -26,12 +26,8 @@ pub(crate) fn join(
     r: &PointSet,
     s: &PointSet,
     ctx: &ExecutionContext,
-) -> Result<JoinResult, JoinError> {
-    let mut metrics = JoinMetrics {
-        r_size: r.len(),
-        s_size: s.len(),
-        ..Default::default()
-    };
+    metrics: &mut JoinMetrics,
+) -> Result<Vec<JoinRow>, JoinError> {
     let input = raw_inputs(r, s);
 
     let start = Instant::now();
@@ -53,13 +49,7 @@ pub(crate) fn join(
         .map_err(|e| JoinError::substrate("broadcast-join", e))?;
     metrics.record_phase(phases::KNN_JOIN, start.elapsed());
     metrics.absorb_job(&job.metrics);
-
-    let mut result = JoinResult {
-        rows: rows_from_output(job.output),
-        metrics,
-    };
-    result.normalize();
-    Ok(result)
+    Ok(rows_from_output(job.output))
 }
 
 /// Mapper: `R` objects go to one reducer (hash of their id); `S` objects are

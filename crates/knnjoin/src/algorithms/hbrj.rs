@@ -24,7 +24,7 @@ use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
-use crate::result::{JoinError, JoinResult};
+use crate::result::{JoinError, JoinRow};
 use geom::{DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointSet, RecordKind};
 use mapreduce::{ReduceContext, Reducer};
 use spatial::RTree;
@@ -39,30 +39,22 @@ pub(crate) fn join(
     r: &PointSet,
     s: &PointSet,
     ctx: &ExecutionContext,
-) -> Result<JoinResult, JoinError> {
-    let mut metrics = JoinMetrics {
-        r_size: r.len(),
-        s_size: s.len(),
-        ..Default::default()
-    };
+    metrics: &mut JoinMetrics,
+) -> Result<Vec<JoinRow>, JoinError> {
     let blocks = block_count(plan.reducers);
-    let rows = run_block_framework(
+    run_block_framework(
         raw_inputs(r, s),
         plan,
         ctx.workers(),
         &HbrjCellReducer {
             k: plan.k,
             metric: plan.metric,
-            fanout: plan.rtree_fanout,
             mode: plan.kernel_mode,
             blocks,
             s_trees: (0..blocks).map(|_| OnceLock::new()).collect(),
         },
-        &mut metrics,
-    )?;
-    let mut result = JoinResult { rows, metrics };
-    result.normalize();
-    Ok(result)
+        metrics,
+    )
 }
 
 /// Reducer for one `(R_i, S_j)` cell: a shared R-tree over `S_j` (built by
@@ -71,7 +63,6 @@ pub(crate) fn join(
 struct HbrjCellReducer {
     k: usize,
     metric: DistanceMetric,
-    fanout: usize,
     mode: KernelMode,
     /// `B`, the number of blocks per dataset; cell `c` joins `S` block
     /// `c % B`.
@@ -109,7 +100,7 @@ impl Reducer for HbrjCellReducer {
                     .map(|record| Point::clone(&record.point))
                     .collect(),
                 self.metric,
-                self.fanout,
+                RTree::DEFAULT_FANOUT,
                 self.mode,
             ))
         });
@@ -151,7 +142,7 @@ impl HbrjPrepared {
                 Arc::new(RTree::bulk_load_with_mode(
                     block,
                     plan.metric,
-                    plan.rtree_fanout,
+                    RTree::DEFAULT_FANOUT,
                     plan.kernel_mode,
                 ))
             })
@@ -248,7 +239,7 @@ impl HbrjPrepared {
             trees[b] = Arc::new(RTree::bulk_load_with_mode(
                 block,
                 plan.metric,
-                plan.rtree_fanout,
+                RTree::DEFAULT_FANOUT,
                 plan.kernel_mode,
             ));
         }

@@ -8,9 +8,11 @@
 //! | Broadcast ([`crate::Algorithm::BroadcastJoin`], `broadcast.rs`) | §3 ("basic strategy") | R split N ways, S broadcast | none |
 //! | H-zkNNJ ([`crate::Algorithm::Zknn`], `zknn.rs`) | §6 competitor (Zhang, Li, Jestes) | per-copy z-order slabs + merge job | approximate: 2k z-neighbours per shifted copy |
 //!
-//! Each module exposes a cold driver `join(&JoinPlan, r, s, ctx)` (what
-//! [`crate::JoinPlan::execute`] dispatches to) and the state a
-//! [`crate::PreparedJoin`] keeps resident for it.  One scan implementation
+//! Each module exposes a cold driver `join(&JoinPlan, r, s, ctx, &mut
+//! JoinMetrics)` returning the join rows ([`crate::JoinPlan::execute`]
+//! dispatches to it, seeds the metrics and normalises the result) and the
+//! state a [`crate::PreparedJoin`] keeps resident for it.  PGBJ and PBJ share
+//! their front half, `voronoi::partition_job`.  One scan implementation
 //! serves each family, cold and prepared alike: [`voronoi::VoronoiScan`]
 //! (Algorithm 3) for PGBJ and PBJ, `FlatBlock::scan` in [`crate::exact`] for
 //! the broadcast and nested-loop joins, the R-tree search for H-BRJ and the

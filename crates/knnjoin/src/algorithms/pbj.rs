@@ -1,9 +1,11 @@
 //! PBJ — partitioning-based join without grouping (Section 6 of the paper).
 //!
 //! PBJ keeps the Voronoi partitioning and all of PGBJ's distance bounds, but
-//! drops the grouping step: like H-BRJ it splits `R` and `S` into `B = ⌊√N⌋`
-//! random blocks, joins every `(R_i, S_j)` pair on one reducer, and merges the
-//! partial results with a second MapReduce job.  Inside a reducer, the summary
+//! drops the grouping step: after the same front half as PGBJ
+//! ([`partition_job`]: pivots, the partitioning job, `T_R` / `T_S`), it
+//! splits `R` and `S` into `B = ⌊√N⌋` random blocks like H-BRJ, joins every
+//! `(R_i, S_j)` pair on one reducer, and merges the partial results with a
+//! further MapReduce job.  Inside a reducer, the summary
 //! tables are used to derive a (necessarily looser, because the local `S`
 //! block is a random sample of `S`) kNN distance bound and to prune candidate
 //! partitions and objects — exactly the behaviour the paper uses to isolate
@@ -11,18 +13,16 @@
 
 use crate::algorithms::blocks::run_block_framework;
 use crate::algorithms::common::{counters, NeighborListValue, ShuffleRecord};
-use crate::algorithms::voronoi::{partitioned_inputs, select_plan_pivots, CellMap, VoronoiScan};
+use crate::algorithms::voronoi::{partition_job, CellMap, VoronoiScan};
 use crate::bounds::upper_bound;
 use crate::context::ExecutionContext;
-use crate::metrics::{phases, JoinMetrics};
-use crate::partition::VoronoiPartitioner;
+use crate::metrics::JoinMetrics;
 use crate::plan::JoinPlan;
-use crate::result::{JoinError, JoinResult};
+use crate::result::{JoinError, JoinRow};
 use crate::summary::SummaryTables;
 use geom::{DistanceMetric, KernelMode, PointSet};
 use mapreduce::{ReduceContext, Reducer};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Runs cold PBJ for a validated `plan` over validated inputs.
 pub(crate) fn join(
@@ -30,52 +30,23 @@ pub(crate) fn join(
     r: &PointSet,
     s: &PointSet,
     ctx: &ExecutionContext,
-) -> Result<JoinResult, JoinError> {
-    let (k, metric) = (plan.k, plan.metric);
-    let mut metrics = JoinMetrics {
-        r_size: r.len(),
-        s_size: s.len(),
-        ..Default::default()
-    };
-
-    // ---- Preprocessing: pivot selection ------------------------------------
-    let pivots = select_plan_pivots(r, plan, &mut metrics);
-
-    // ---- Partitioning (first job of the paper, run as a driver-side scan) --
-    let start = Instant::now();
-    let partitioner = VoronoiPartitioner::new(pivots.clone(), metric);
-    let partitioned_r = partitioner.partition(r);
-    let partitioned_s = partitioner.partition(s);
-    metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
-
-    // ---- Summary tables -----------------------------------------------------
-    let start = Instant::now();
-    let tables = Arc::new(SummaryTables::build(
-        pivots,
-        metric,
-        &partitioned_r,
-        &partitioned_s,
-        k,
-    ));
-    metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
-
+    metrics: &mut JoinMetrics,
+) -> Result<Vec<JoinRow>, JoinError> {
+    let (tables, records) = partition_job(plan, r, s, ctx, metrics)?;
     // ---- Block join + merge (no grouping phase) -----------------------------
-    let rows = run_block_framework(
-        partitioned_inputs(partitioned_r, partitioned_s, |_, point| point.id),
+    let input = records.into_iter().map(|record| (record.point.id, record));
+    run_block_framework(
+        input.collect(),
         plan,
         ctx.workers(),
         &PbjCellReducer {
             tables,
-            k,
-            metric,
+            k: plan.k,
+            metric: plan.metric,
             mode: plan.kernel_mode,
         },
-        &mut metrics,
-    )?;
-
-    let mut result = JoinResult { rows, metrics };
-    result.normalize();
-    Ok(result)
+        metrics,
+    )
 }
 
 /// Reducer for one `(R_i, S_j)` cell: bounded, pruned nested-loop join using
@@ -136,7 +107,8 @@ impl Reducer for PbjCellReducer {
 mod tests {
     use super::*;
     use crate::algorithms::testing::{assert_matches_oracle, run};
-    use crate::Algorithm::Pbj;
+    use crate::metrics::phases;
+    use crate::Algorithm::{Hbrj, Pbj, Pgbj};
     use datagen::{gaussian_clusters, uniform, ClusterConfig};
     use proptest::prelude::*;
 
@@ -214,6 +186,27 @@ mod tests {
         assert_eq!(
             m.phase(phases::PARTITION_GROUPING),
             std::time::Duration::ZERO
+        );
+        // Same front half as PGBJ under one plan, so the same assignment bill.
+        let pgbj = run(Pgbj, &r, &s, 5, EUCLIDEAN, |b| {
+            b.pivot_count(16).reducers(9)
+        });
+        assert!(m.pivot_assignment_computations >= 400);
+        assert_eq!(
+            m.pivot_assignment_computations,
+            pgbj.metrics.pivot_assignment_computations
+        );
+        // Combiner off, every shuffled record is one object or one partial
+        // list: PBJ ships what the block framework alone ships (join job +
+        // merge job, H-BRJ under the same plan) plus job 1's |R| + |S|.
+        let plain = |algorithm| {
+            run(algorithm, &r, &s, 5, EUCLIDEAN, |b| {
+                b.pivot_count(16).reducers(9).combiner(false)
+            })
+        };
+        assert_eq!(
+            plain(Pbj).metrics.shuffle_records,
+            plain(Hbrj).metrics.shuffle_records + 400
         );
     }
 

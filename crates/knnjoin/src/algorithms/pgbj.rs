@@ -2,32 +2,31 @@
 //!
 //! The algorithm runs as a preprocessing step plus two MapReduce jobs:
 //!
-//! 1. **Preprocessing** (driver): select pivots from `R`.
-//! 2. **Job 1 — partitioning**: every object of `R ∪ S` is assigned to the
-//!    Voronoi cell of its closest pivot; the reducers collect the partitioned
-//!    data, from which the driver builds the summary tables `T_R` / `T_S`
-//!    ("index merging" in Figure 6).
-//! 3. **Grouping** (driver): Voronoi cells of `R` are merged into one group
+//! 1. **Front half** ([`partition_job`], shared with PBJ): select pivots from
+//!    `R`; job 1 assigns every object of `R ∪ S` to the Voronoi cell of its
+//!    closest pivot; the driver folds the job's output into the summary
+//!    tables `T_R` / `T_S` ("index merging" in Figure 6).
+//! 2. **Grouping** (driver): Voronoi cells of `R` are merged into one group
 //!    per reducer with the geometric or greedy strategy, and the replica
 //!    lower bounds `LB(P_j^S, G_i)` are precomputed (Algorithm 2).
-//! 4. **Job 2 — the join**: mappers route every `r` to its group and every `s`
+//! 3. **Job 2 — the join**: mappers route every `r` to its group and every `s`
 //!    to all groups whose bound cannot exclude it (Theorem 6); each reducer
 //!    runs the bounded nested-loop join of Algorithm 3 over its group.
+//!
+//! This file holds what PGBJ adds to the front half: grouping and
+//! replication.
 
-use crate::algorithms::common::{counters, raw_inputs, rows_from_output, ShuffleRecord};
-use crate::algorithms::voronoi::{partitioned_inputs, select_plan_pivots, VoronoiScan};
+use crate::algorithms::common::{counters, rows_from_output, ShuffleRecord};
+use crate::algorithms::voronoi::{partition_job, VoronoiScan};
 use crate::bounds::PartitionBounds;
 use crate::context::ExecutionContext;
 use crate::grouping::build_grouping;
 use crate::metrics::{phases, JoinMetrics};
-use crate::partition::{PartitionedDataset, VoronoiPartitioner};
 use crate::plan::JoinPlan;
-use crate::result::{JoinError, JoinResult};
+use crate::result::{JoinError, JoinRow};
 use crate::summary::SummaryTables;
-use geom::{DistanceMetric, KernelMode, Neighbor, Point, PointSet, RecordKind};
-use mapreduce::{
-    ByteSize, Combiner, IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer,
-};
+use geom::{DistanceMetric, KernelMode, Neighbor, PointSet, RecordKind};
+use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -37,51 +36,13 @@ pub(crate) fn join(
     r: &PointSet,
     s: &PointSet,
     ctx: &ExecutionContext,
-) -> Result<JoinResult, JoinError> {
-    let (k, metric) = (plan.k, plan.metric);
-    let mut metrics = JoinMetrics {
-        r_size: r.len(),
-        s_size: s.len(),
-        ..Default::default()
-    };
-
-    // ---- Preprocessing: pivot selection -----------------------------------
-    let pivots = select_plan_pivots(r, plan, &mut metrics);
-
-    // ---- Job 1: Voronoi partitioning of R ∪ S -----------------------------
-    let start = Instant::now();
-    let partitioner = Arc::new(VoronoiPartitioner::new(pivots.clone(), metric));
-    let job1 = JobBuilder::new("pgbj-partition")
-        .reducers(plan.reducers)
-        .map_tasks(plan.map_tasks)
-        .workers(ctx.workers())
-        .run_with_optional_combiner(
-            raw_inputs(r, s),
-            &PartitionMapper {
-                partitioner: Arc::clone(&partitioner),
-            },
-            plan.combiner.then_some(&BatchCombiner),
-            &CollectPartitionReducer,
-        )
-        .map_err(|e| JoinError::substrate("pgbj-partition", e))?;
-    let (partitioned_r, partitioned_s) = assemble_partitions(job1.output, pivots.len());
-    metrics.absorb_job(&job1.metrics);
-    metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
-
-    // ---- Index merging: summary tables ------------------------------------
-    let start = Instant::now();
-    let tables = Arc::new(SummaryTables::build(
-        pivots,
-        metric,
-        &partitioned_r,
-        &partitioned_s,
-        k,
-    ));
-    metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
+    metrics: &mut JoinMetrics,
+) -> Result<Vec<JoinRow>, JoinError> {
+    let (tables, records) = partition_job(plan, r, s, ctx, metrics)?;
 
     // ---- Grouping and replica bounds (Algorithm 2) -------------------------
     let start = Instant::now();
-    let bounds = PartitionBounds::compute(&tables, k);
+    let bounds = PartitionBounds::compute(&tables, plan.k);
     let grouping = build_grouping(plan.grouping_strategy, &tables, &bounds, plan.reducers);
     let group_lb = Arc::new(bounds.group_lower_bounds(&grouping));
     let group_of = Arc::new(grouping.group_of(tables.partition_count()));
@@ -89,165 +50,28 @@ pub(crate) fn join(
 
     // ---- Job 2: the kNN join (Algorithm 3) ----------------------------------
     let start = Instant::now();
-    let job2 = JobBuilder::new("pgbj-join")
+    let input = records.into_iter().map(|record| (record.partition, record));
+    let job = JobBuilder::new("pgbj-join")
         .reducers(grouping.group_count())
         .map_tasks(plan.map_tasks)
         .workers(ctx.workers())
         .run_with_partitioner(
-            partitioned_inputs(partitioned_r, partitioned_s, |partition, _| partition),
+            input.collect(),
             &RouteMapper { group_of, group_lb },
             &PgbjJoinReducer {
-                tables: Arc::clone(&tables),
+                tables,
                 theta: bounds.theta,
-                k,
-                metric,
+                k: plan.k,
+                metric: plan.metric,
                 mode: plan.kernel_mode,
             },
             &IdentityPartitioner,
         )
         .map_err(|e| JoinError::substrate("pgbj-join", e))?;
     metrics.record_phase(phases::KNN_JOIN, start.elapsed());
-
-    // Both jobs contribute: job 1's partitioning shuffle is part of the
-    // paper's shuffling-cost metric.
-    metrics.absorb_job(&job2.metrics);
-
-    let mut result = JoinResult {
-        rows: rows_from_output(job2.output),
-        metrics,
-    };
-    result.normalize();
-    Ok(result)
+    metrics.absorb_job(&job.metrics);
+    Ok(rows_from_output(job.output))
 }
-
-// ---------------------------------------------------------------------------
-// Job 1: partitioning
-// ---------------------------------------------------------------------------
-
-/// The intermediate value of job 1: a batch of records bound for one Voronoi
-/// partition.  Mappers emit singleton batches; the map-side
-/// [`BatchCombiner`] merges every batch a map task produced for the same
-/// partition into one, so the per-record shuffle framing is paid once per
-/// (task, partition) instead of once per object.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct RecordBatch(Vec<ShuffleRecord>);
-
-impl ByteSize for RecordBatch {
-    fn byte_size(&self) -> usize {
-        // Exactly the records' own bytes: the `Record` codec is
-        // self-delimiting, so a batch needs no extra framing and a singleton
-        // batch costs the same as shipping the bare record.  This keeps the
-        // combiner-off baseline comparable (its savings are real, not an
-        // artifact of batch framing).
-        self.0.iter().map(ByteSize::byte_size).sum()
-    }
-}
-
-/// Mapper of job 1: assign each object to its closest pivot via the pruned
-/// [`VoronoiPartitioner::nearest_pivot`], crediting the pivot-assignment
-/// counter with the distance computations actually spent (the pruned scan
-/// usually touches far fewer than `|P|` pivots).
-struct PartitionMapper {
-    partitioner: Arc<VoronoiPartitioner>,
-}
-
-impl Mapper for PartitionMapper {
-    type KIn = u64;
-    type VIn = ShuffleRecord;
-    type KOut = u32;
-    type VOut = RecordBatch;
-
-    fn map(&self, _key: &u64, value: &ShuffleRecord, ctx: &mut MapContext<u32, RecordBatch>) {
-        let assignment = self.partitioner.nearest_pivot(&value.point.coords);
-        ctx.counters().add(
-            counters::PIVOT_ASSIGNMENT_COMPUTATIONS,
-            assignment.computations,
-        );
-        let partition = assignment.partition as u32;
-        let out = ShuffleRecord {
-            partition,
-            pivot_distance: assignment.distance,
-            ..value.clone()
-        };
-        ctx.emit(partition, RecordBatch(vec![out]));
-    }
-}
-
-/// Combiner of job 1: concatenate a map task's batches per partition.
-/// Batching is trivially associative, so the reducer sees the same records
-/// whether or not the combiner ran — only the shuffle framing shrinks.
-struct BatchCombiner;
-
-impl Combiner for BatchCombiner {
-    type K = u32;
-    type V = RecordBatch;
-
-    fn combine(&self, _key: &u32, values: &[RecordBatch]) -> Vec<RecordBatch> {
-        vec![RecordBatch(
-            values
-                .iter()
-                .flat_map(|batch| batch.0.iter().cloned())
-                .collect(),
-        )]
-    }
-}
-
-/// The data a job-1 reducer produces for one partition.
-#[derive(Debug, Clone, Default)]
-struct PartitionBucket {
-    r: Vec<(Point, f64)>,
-    s: Vec<(Point, f64)>,
-}
-
-/// Reducer of job 1: collect the objects of each partition.  Its output is
-/// the partitioned copy of the datasets that job 2 will read (what Hadoop
-/// would write back to HDFS), so this is where each object is copied once.
-struct CollectPartitionReducer;
-
-impl Reducer for CollectPartitionReducer {
-    type KIn = u32;
-    type VIn = RecordBatch;
-    type KOut = u32;
-    type VOut = PartitionBucket;
-
-    fn reduce(
-        &self,
-        key: &u32,
-        values: &[RecordBatch],
-        ctx: &mut ReduceContext<u32, PartitionBucket>,
-    ) {
-        let mut bucket = PartitionBucket::default();
-        for record in values.iter().flat_map(|batch| &batch.0) {
-            let object = (Point::clone(&record.point), record.pivot_distance);
-            match record.kind {
-                RecordKind::R => bucket.r.push(object),
-                RecordKind::S => bucket.s.push(object),
-            }
-        }
-        ctx.emit(*key, bucket);
-    }
-}
-
-fn assemble_partitions(
-    output: Vec<(u32, PartitionBucket)>,
-    n_partitions: usize,
-) -> (PartitionedDataset, PartitionedDataset) {
-    let mut pr = PartitionedDataset {
-        partitions: vec![Vec::new(); n_partitions],
-    };
-    let mut ps = PartitionedDataset {
-        partitions: vec![Vec::new(); n_partitions],
-    };
-    for (partition, bucket) in output {
-        pr.partitions[partition as usize] = bucket.r;
-        ps.partitions[partition as usize] = bucket.s;
-    }
-    (pr, ps)
-}
-
-// ---------------------------------------------------------------------------
-// Job 2: routing and the join
-// ---------------------------------------------------------------------------
 
 /// Mapper of job 2 (Algorithm 3, lines 3–11): `R` objects go to the reducer of
 /// their group; `S` objects go to every group whose lower bound admits them.

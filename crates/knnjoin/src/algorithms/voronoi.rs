@@ -1,27 +1,32 @@
-//! The Voronoi scan family shared by PGBJ and PBJ: the flat per-partition
-//! `S` layout, the one bounded candidate scan of Algorithm 3
-//! ([`VoronoiScan`]), and the prepared state that runs it against a resident
-//! `S` (`VoronoiPrepared`).
+//! The Voronoi family shared by PGBJ and PBJ: the front half that turns
+//! points into cells (`partition_job`), the flat per-partition `S` layout,
+//! the one bounded candidate scan of Algorithm 3 ([`VoronoiScan`]), and the
+//! prepared state that runs it against a resident `S` (`VoronoiPrepared`).
 //!
 //! §6 of the paper defines PBJ as PGBJ's bounds without the grouping, so both
 //! algorithms — cold or prepared, with or without a delta overlay, in any
-//! kernel mode — call the same scan; they differ only in where the `S`
-//! partitions, the scan order and `θ_i` come from.
+//! kernel mode — share everything up to the summary tables and call the same
+//! scan; they differ only in where the `S` partitions, the scan order and
+//! `θ_i` come from.
 
 use crate::algorithms::common::{
-    for_each_tile, probe_rows, DeltaView, ScanCounts, ScanKernels, ShuffleRecord, TileScratch,
+    counters, for_each_tile, probe_rows, raw_inputs, DeltaView, ScanCounts, ScanKernels,
+    ShuffleRecord, TileScratch,
 };
 use crate::bounds::{bounding_knn_theta, hyperplane_bound, theorem2_window};
+use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
-use crate::partition::{PartitionedDataset, VoronoiPartitioner};
+use crate::partition::VoronoiPartitioner;
 use crate::pivots::select_pivots;
 use crate::plan::JoinPlan;
-use crate::summary::{pivot_distance_matrix, RPartitionSummary, SPartitionSummary, SummaryTables};
+use crate::result::JoinError;
+use crate::summary::{pivot_distance_matrix, r_summaries, SPartitionSummary, SummaryTables};
 use geom::{
     CoordMatrix, DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointId, PointSet,
     RecordKind,
 };
+use mapreduce::{ByteSize, Combiner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -409,36 +414,140 @@ pub(crate) fn select_plan_pivots(
     pivots
 }
 
-/// Turns Voronoi-partitioned `R ∪ S` into job input, each record carrying
-/// its partition and pivot distance and taking over its point; `key_of`
-/// picks the map key (the partition for PGBJ's routing job, the object id
-/// for the block framework).
-pub(crate) fn partitioned_inputs<K>(
-    partitioned_r: PartitionedDataset,
-    partitioned_s: PartitionedDataset,
-    key_of: impl Fn(u32, &Point) -> K,
-) -> Vec<(K, ShuffleRecord)> {
-    let mut input = Vec::with_capacity(partitioned_r.len() + partitioned_s.len());
-    for (kind, partitioned) in [
-        (RecordKind::R, partitioned_r),
-        (RecordKind::S, partitioned_s),
-    ] {
-        for (partition, bucket) in partitioned.partitions.into_iter().enumerate() {
-            let partition = partition as u32;
-            for (point, pivot_distance) in bucket {
-                input.push((
-                    key_of(partition, &point),
-                    ShuffleRecord {
-                        kind,
-                        partition,
-                        pivot_distance,
-                        point: Arc::new(point),
-                    },
-                ));
-            }
+/// The front half of cold PGBJ and cold PBJ, the same step by definition
+/// (§6): pivot selection, the first MapReduce job — every object of `R ∪ S`
+/// to the cell of its closest pivot — and index merging, which folds the
+/// job's output into `T_R` / `T_S` (Figure 6).  Returns the tables and every
+/// object as the job left it: carrying its cell and pivot distance, sharing
+/// the point [`raw_inputs`] allocated, cell by cell in the reducers' order.
+/// Both the job's shuffle and its pivot-assignment computations are billed
+/// to `metrics`.
+pub(crate) fn partition_job(
+    plan: &JoinPlan,
+    r: &PointSet,
+    s: &PointSet,
+    ctx: &ExecutionContext,
+    metrics: &mut JoinMetrics,
+) -> Result<(Arc<SummaryTables>, Vec<ShuffleRecord>), JoinError> {
+    let pivots = select_plan_pivots(r, plan, metrics);
+
+    let start = Instant::now();
+    let job = JobBuilder::new("voronoi-partition")
+        .reducers(plan.reducers)
+        .map_tasks(plan.map_tasks)
+        .workers(ctx.workers())
+        .run_with_optional_combiner(
+            raw_inputs(r, s),
+            &PartitionMapper(VoronoiPartitioner::new(pivots.clone(), plan.metric)),
+            plan.combiner.then_some(&BatchCombiner),
+            &PassThroughReducer,
+        )
+        .map_err(|e| JoinError::substrate("voronoi-partition", e))?;
+    metrics.absorb_job(&job.metrics);
+    let records: Vec<ShuffleRecord> = job.output.into_iter().map(|(_, record)| record).collect();
+    metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
+
+    let start = Instant::now();
+    let of_kind = |kind: RecordKind| {
+        ShuffleRecord::of_kind(&records, kind)
+            .map(|record| (record.partition as usize, record.pivot_distance))
+    };
+    let tables = SummaryTables::from_assignments(
+        pivots,
+        plan.metric,
+        of_kind(RecordKind::R),
+        of_kind(RecordKind::S),
+        plan.k,
+    );
+    metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
+    Ok((Arc::new(tables), records))
+}
+
+/// The intermediate value of the partitioning job: a batch of records bound
+/// for one Voronoi partition.  Mappers emit singleton batches; the map-side
+/// [`BatchCombiner`] merges every batch a map task produced for the same
+/// partition into one, so the per-record shuffle framing is paid once per
+/// (task, partition) instead of once per object.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct RecordBatch(Vec<ShuffleRecord>);
+
+impl ByteSize for RecordBatch {
+    fn byte_size(&self) -> usize {
+        // Exactly the records' own bytes: the `Record` codec is
+        // self-delimiting, so a batch needs no extra framing and a singleton
+        // batch costs the same as shipping the bare record.  This keeps the
+        // combiner-off baseline comparable (its savings are real, not an
+        // artifact of batch framing).
+        self.0.iter().map(ByteSize::byte_size).sum()
+    }
+}
+
+/// Mapper of the partitioning job: assign each object to its closest pivot
+/// via [`VoronoiPartitioner::nearest_pivot`], crediting the pivot-assignment
+/// counter with the distance computations actually spent (the pruned search
+/// usually touches far fewer than `|P|` pivots).
+struct PartitionMapper(VoronoiPartitioner);
+
+impl Mapper for PartitionMapper {
+    type KIn = u64;
+    type VIn = ShuffleRecord;
+    type KOut = u32;
+    type VOut = RecordBatch;
+
+    fn map(&self, _key: &u64, value: &ShuffleRecord, ctx: &mut MapContext<u32, RecordBatch>) {
+        let assignment = self.0.nearest_pivot(&value.point.coords);
+        ctx.counters().add(
+            counters::PIVOT_ASSIGNMENT_COMPUTATIONS,
+            assignment.computations,
+        );
+        let partition = assignment.partition as u32;
+        let out = ShuffleRecord {
+            partition,
+            pivot_distance: assignment.distance,
+            ..value.clone()
+        };
+        ctx.emit(partition, RecordBatch(vec![out]));
+    }
+}
+
+/// Combiner of the partitioning job: concatenate a map task's batches per
+/// partition.  Batching is trivially associative, so the reducer sees the
+/// same records whether or not the combiner ran — only the shuffle framing
+/// shrinks.
+struct BatchCombiner;
+
+impl Combiner for BatchCombiner {
+    type K = u32;
+    type V = RecordBatch;
+
+    fn combine(&self, _key: &u32, values: &[RecordBatch]) -> Vec<RecordBatch> {
+        let records = values.iter().flat_map(|batch| batch.0.iter().cloned());
+        vec![RecordBatch(records.collect())]
+    }
+}
+
+/// Reducer of the partitioning job: hand each partition's records on as they
+/// arrived (map-task order, then input order).  The job's output is what the
+/// join job reads, and a record is a handle on its object, so nothing is
+/// copied.
+struct PassThroughReducer;
+
+impl Reducer for PassThroughReducer {
+    type KIn = u32;
+    type VIn = RecordBatch;
+    type KOut = u32;
+    type VOut = ShuffleRecord;
+
+    fn reduce(
+        &self,
+        key: &u32,
+        values: &[RecordBatch],
+        ctx: &mut ReduceContext<u32, ShuffleRecord>,
+    ) {
+        for record in values.iter().flat_map(|batch| &batch.0) {
+            ctx.emit(*key, record.clone());
         }
     }
-    input
 }
 
 // ---------------------------------------------------------------------------
@@ -451,8 +560,8 @@ pub(crate) fn partitioned_inputs<K>(
 /// `T_S` summary table and the per-partition scan orders.  Everything here
 /// depends only on `S`, the pivot set and the plan — probe batches of `R`
 /// reuse it unchanged, which is what keeps `pivot_selections` flat across
-/// queries.  The two algorithms share it whole; only the probe's routing
-/// (group, then route — or hash-route) looks at `plan.algorithm`.
+/// queries.  The two algorithms share it whole: nothing here, the probe
+/// included, looks at `plan.algorithm`.
 #[derive(Debug)]
 pub(crate) struct VoronoiPrepared {
     /// Pivot assignment machinery (flat pivot matrix + pruned search);
@@ -477,7 +586,9 @@ impl VoronoiPrepared {
     /// Builds the S-side state: pivot selection + `S` partitioning +
     /// summaries.  `calibration_r` seeds pivot selection (the paper draws
     /// pivots from `R`); the resulting state serves arbitrary probe batches
-    /// because the correctness of every bound holds for any pivot set.
+    /// because the correctness of every bound holds for any pivot set.  `S`
+    /// is assigned as every probe and compaction assigns, and billed to
+    /// `metrics` likewise.
     pub(crate) fn build(
         calibration_r: &PointSet,
         s: &PointSet,
@@ -488,16 +599,16 @@ impl VoronoiPrepared {
         let start = Instant::now();
         let partitioner = Arc::new(VoronoiPartitioner::new(pivots, plan.metric));
         let pivots = Arc::new(partitioner.pivots().to_vec());
-        let partitioned_s = partitioner.partition(s);
         let pivot_distances = Arc::new(pivot_distance_matrix(&pivots, plan.metric));
-        let dims = partitioner.pivot_matrix().dims();
+        let mut cells: Vec<Vec<Row<'_>>> = vec![Vec::new(); pivots.len()];
+        for p in s {
+            let (cell, dist) = assign(&partitioner, &p.coords, metrics);
+            cells[cell].push((dist, p.id, &p.coords));
+        }
         let mut s_parts = CellMap::new();
-        let mut s_summaries = Vec::with_capacity(partitioned_s.partition_count());
-        for (j, bucket) in partitioned_s.partitions.iter().enumerate() {
-            let rows = bucket
-                .iter()
-                .map(|(s, dist)| (*dist, s.id, s.coords.as_slice()));
-            let cell = FlatPartition::sorted(dims, rows.collect());
+        let mut s_summaries = Vec::with_capacity(cells.len());
+        for (j, rows) in cells.into_iter().enumerate() {
+            let cell = FlatPartition::sorted(s.dims(), rows);
             s_summaries.push(SPartitionSummary::of_sorted(j, cell.pivot_dists(), plan.k));
             if !cell.is_empty() {
                 s_parts.insert(j, Arc::new(cell));
@@ -544,13 +655,9 @@ impl VoronoiPrepared {
         }
         let mut add_cells: BTreeMap<usize, Vec<Row<'_>>> = BTreeMap::new();
         for (id, coords) in delta.adds() {
-            let a = self.partitioner.nearest_pivot(coords);
-            metrics.pivot_assignment_computations += a.computations;
-            affected.insert(a.partition);
-            add_cells
-                .entry(a.partition)
-                .or_default()
-                .push((a.distance, id, coords));
+            let (cell, dist) = assign(&self.partitioner, coords, metrics);
+            affected.insert(cell);
+            add_cells.entry(cell).or_default().push((dist, id, coords));
         }
 
         let mut s_parts = self.s_parts.clone();
@@ -592,46 +699,15 @@ impl VoronoiPrepared {
         }
     }
 
-    /// Assigns a probe batch to Voronoi cells, returning one `(partition,
-    /// pivot distance)` per object plus the pruned assignment computations
-    /// actually spent.
-    fn assign_batch(&self, rows: &[&[f64]]) -> (Vec<(usize, f64)>, u64) {
-        let mut assignments = Vec::with_capacity(rows.len());
-        let mut computations = 0u64;
-        for row in rows {
-            let a = self.partitioner.nearest_pivot(row);
-            computations += a.computations;
-            assignments.push((a.partition, a.distance));
-        }
-        (assignments, computations)
-    }
-
     /// Assembles the full [`SummaryTables`] for one probe batch: `T_R` is
-    /// computed from the batch's assignments; the pivot set, `T_S` and the
+    /// folded from the batch's assignments; the pivot set, `T_S` and the
     /// pivot-distance matrix are `Arc`-shared from the prebuilt state, so
     /// assembly costs O(t) for the fresh `R` summaries and nothing else.
     fn query_tables(&self, assignments: &[(usize, f64)]) -> SummaryTables {
-        let t = self.partitioner.partition_count();
-        let mut counts = vec![0usize; t];
-        let mut lowers = vec![f64::INFINITY; t];
-        let mut uppers = vec![f64::NEG_INFINITY; t];
-        for &(i, dist) in assignments {
-            counts[i] += 1;
-            lowers[i] = lowers[i].min(dist);
-            uppers[i] = uppers[i].max(dist);
-        }
-        let r_summaries = (0..t)
-            .map(|i| RPartitionSummary {
-                partition: i,
-                count: counts[i],
-                lower: if counts[i] == 0 { 0.0 } else { lowers[i] },
-                upper: if counts[i] == 0 { 0.0 } else { uppers[i] },
-            })
-            .collect();
         SummaryTables {
             pivots: Arc::clone(&self.pivots),
             metric: self.partitioner.metric(),
-            r_summaries,
+            r_summaries: r_summaries(self.pivots.len(), assignments.iter().copied()),
             s_summaries: Arc::clone(&self.s_summaries),
             pivot_distances: Arc::clone(&self.pivot_distances),
         }
@@ -656,8 +732,10 @@ impl VoronoiPrepared {
         metrics: &mut JoinMetrics,
     ) -> Vec<Vec<Neighbor>> {
         let start = Instant::now();
-        let (assignments, computations) = self.assign_batch(rows);
-        metrics.pivot_assignment_computations += computations;
+        let assignments: Vec<(usize, f64)> = rows
+            .iter()
+            .map(|row| assign(&self.partitioner, row, metrics))
+            .collect();
         metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
 
         let start = Instant::now();
@@ -703,6 +781,18 @@ impl VoronoiPrepared {
     }
 }
 
+/// Assigns one object to its `(cell, pivot distance)` — the one way `prepare`,
+/// a probe and a compaction reach the search — billing the computations spent.
+fn assign(
+    partitioner: &VoronoiPartitioner,
+    coords: &[f64],
+    metrics: &mut JoinMetrics,
+) -> (usize, f64) {
+    let assignment = partitioner.nearest_pivot(coords);
+    metrics.pivot_assignment_computations += assignment.computations;
+    (assignment.partition, assignment.distance)
+}
+
 /// The per-`R`-partition scan orders over the non-empty `S` cells (ascending
 /// pivot distance, Algorithm 3 line 14), shared by the full build and the
 /// partial compaction.
@@ -717,6 +807,7 @@ fn compute_s_orders(non_empty: &[usize], pivot_distances: &[Vec<f64>]) -> Vec<Ve
 mod tests {
     use super::*;
     use crate::bounds::PartitionBounds;
+    use crate::partition::PartitionedDataset;
     use crate::pivots::{select_pivots, PivotSelectionStrategy};
     use datagen::uniform;
     use proptest::prelude::*;

@@ -42,7 +42,7 @@ use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
-use crate::result::{JoinError, JoinResult};
+use crate::result::{JoinError, JoinRow};
 use geom::kernels::Kernel;
 use geom::zorder::{random_shifts, ZQuantizer, ZValue, MAX_Z_BITS};
 use geom::{CoordMatrix, Neighbor, NeighborList, PointId, PointSet, RecordKind};
@@ -50,13 +50,21 @@ use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceConte
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Rejects a dimensionality whose interleaved z-value would not fit: the one
-/// H-zkNNJ rule that depends on the data, checked at planning time and again
-/// by the cold driver (a hand-built plan never went through planning).
-pub(crate) fn check_z_bits(dims: usize, quantization_bits: u32) -> Result<(), JoinError> {
-    if dims as u32 * quantization_bits > MAX_Z_BITS {
+/// Grid bits per dimension of the z-value quantization: 16 — plenty for the
+/// paper's workloads — wherever the interleaved value fits, and as many as
+/// fit its [`MAX_Z_BITS`] beyond 16 dimensions.
+fn z_bits(dims: usize) -> u32 {
+    (MAX_Z_BITS / dims as u32).min(16)
+}
+
+/// Rejects a dimensionality no z-value can interleave — none, or more than
+/// one bit each fits: the one H-zkNNJ rule that depends on the data, checked
+/// at planning time and again by the cold driver (a hand-built plan never
+/// went through planning).
+pub(crate) fn check_z_bits(dims: usize) -> Result<(), JoinError> {
+    if dims == 0 || dims as u32 > MAX_Z_BITS {
         return Err(JoinError::InvalidConfig(format!(
-            "{dims} dims × {quantization_bits} quantization bits exceeds the {MAX_Z_BITS}-bit z-value"
+            "H-zkNNJ interleaves 1..={MAX_Z_BITS} dims into its z-value (got {dims})"
         )));
     }
     Ok(())
@@ -71,14 +79,10 @@ pub(crate) fn join(
     r: &PointSet,
     s: &PointSet,
     ctx: &ExecutionContext,
-) -> Result<JoinResult, JoinError> {
-    check_z_bits(r.dims(), plan.quantization_bits)?;
+    metrics: &mut JoinMetrics,
+) -> Result<Vec<JoinRow>, JoinError> {
+    check_z_bits(r.dims())?;
     let k = plan.k;
-    let mut metrics = JoinMetrics {
-        r_size: r.len(),
-        s_size: s.len(),
-        ..Default::default()
-    };
 
     // ---- Driver: quantizer, shifts and slab boundaries ---------------------
     let start = Instant::now();
@@ -125,12 +129,7 @@ pub(crate) fn join(
     metrics.record_phase(phases::RESULT_MERGING, start.elapsed());
     metrics.absorb_job(&merge_job.metrics);
 
-    let mut result = JoinResult {
-        rows: rows_from_output(merge_job.output),
-        metrics,
-    };
-    result.normalize();
-    Ok(result)
+    Ok(rows_from_output(merge_job.output))
 }
 
 /// The driver-side calibration shared by the cold and prepared paths: the
@@ -140,7 +139,6 @@ pub(crate) fn join(
 fn z_calibration(
     r: &PointSet,
     s: &PointSet,
-    bits: u32,
     copies: usize,
     seed: u64,
 ) -> (ZQuantizer, Vec<Vec<f64>>) {
@@ -154,8 +152,8 @@ fn z_calibration(
         }
     }
     let widths: Vec<f64> = mins.iter().zip(&maxs).map(|(lo, hi)| hi - lo).collect();
-    let quantizer =
-        ZQuantizer::new(&mins, &maxs, bits).expect("bits validated against dims before build");
+    let quantizer = ZQuantizer::new(&mins, &maxs, z_bits(dims))
+        .expect("dims validated against the z-value before build");
     let shifts = random_shifts(&widths, copies, seed);
     (quantizer, shifts)
 }
@@ -190,8 +188,7 @@ impl ZknnShared {
     /// slab boundaries from the data (driver-side preprocessing; the shuffled
     /// work stays in the MapReduce jobs).
     fn build(r: &PointSet, s: &PointSet, plan: &JoinPlan) -> ZknnShared {
-        let (quantizer, shifts) =
-            z_calibration(r, s, plan.quantization_bits, plan.shift_copies, plan.seed);
+        let (quantizer, shifts) = z_calibration(r, s, plan.shift_copies, plan.seed);
         // Spread the reducer budget over the copies, at least one slab each.
         let slabs = (plan.reducers / plan.shift_copies).max(1);
         let window = plan.z_window.saturating_mul(plan.k);
@@ -530,13 +527,7 @@ impl ZknnPrepared {
         metrics: &mut JoinMetrics,
     ) -> Self {
         let start = Instant::now();
-        let (quantizer, shifts) = z_calibration(
-            calibration_r,
-            s,
-            plan.quantization_bits,
-            plan.shift_copies,
-            plan.seed,
-        );
+        let (quantizer, shifts) = z_calibration(calibration_r, s, plan.shift_copies, plan.seed);
         let copies = shifts
             .iter()
             .map(|shift| {
@@ -945,20 +936,27 @@ mod tests {
     }
 
     #[test]
-    fn z_value_overflow_is_rejected_for_hand_built_plans_too() {
-        // 12 dims × 32 bits = 384 > 256 interleaved bits.
-        let wide = uniform(10, 12, 1.0, 2);
+    fn grid_bits_follow_the_dimensionality_and_overflow_is_a_typed_error() {
+        // Up to 16 dims the grid keeps its 16 bits; beyond, as many as fit.
+        assert_eq!([1, 2, 10, 16].map(z_bits), [16; 4]);
+        assert_eq!([17, 20, 64, 256].map(z_bits), [15, 12, 4, 1]);
+        // 20 dims × 16 bits would overflow the z-value; with derived bits the
+        // join runs, a hand-built plan included.
         let plan = JoinPlan {
             algorithm: Zknn,
             k: 2,
-            pivot_count: 3,
-            quantization_bits: 32,
             ..Default::default()
         };
-        let err = plan
-            .execute(&wide, &wide, &ExecutionContext::default())
-            .unwrap_err();
-        assert!(matches!(err, JoinError::InvalidConfig(_)), "{err}");
+        let ctx = ExecutionContext::default();
+        let wide = uniform(40, 20, 1.0, 2);
+        assert_eq!(plan.execute(&wide, &wide, &ctx).unwrap().rows.len(), 40);
+        // More dimensions than the z-value has bits, or none at all, is a
+        // typed error.
+        let flat = PointSet::from_coords(vec![Vec::new(); 3]);
+        for unfit in [uniform(4, 257, 1.0, 2), flat] {
+            let err = plan.execute(&unfit, &unfit, &ctx).unwrap_err();
+            assert!(matches!(err, JoinError::InvalidConfig(_)), "{err}");
+        }
     }
 
     proptest! {

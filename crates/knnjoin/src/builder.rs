@@ -33,7 +33,6 @@ use crate::pivots::PivotSelectionStrategy;
 use crate::plan::{Algorithm, JoinPlan, DEFAULT_DELTA_THRESHOLD};
 use crate::result::{JoinError, JoinResult};
 use geom::{DistanceMetric, KernelMode, PointSet};
-use spatial::RTree;
 
 /// Default number of reducers when the caller does not choose one.
 const DEFAULT_REDUCERS: usize = 4;
@@ -56,9 +55,7 @@ pub struct JoinBuilder<'a> {
     grouping_strategy: GroupingStrategy,
     reducers: Option<usize>,
     map_tasks: Option<usize>,
-    rtree_fanout: usize,
     shift_copies: usize,
-    quantization_bits: u32,
     z_window: usize,
     combiner: bool,
     seed: u64,
@@ -83,9 +80,7 @@ impl<'a> JoinBuilder<'a> {
             grouping_strategy: defaults.grouping_strategy,
             reducers: None,
             map_tasks: None,
-            rtree_fanout: RTree::DEFAULT_FANOUT,
             shift_copies: defaults.shift_copies,
-            quantization_bits: defaults.quantization_bits,
             z_window: defaults.z_window,
             combiner: defaults.combiner,
             seed: defaults.seed,
@@ -150,26 +145,12 @@ impl<'a> JoinBuilder<'a> {
         self
     }
 
-    /// Sets the H-BRJ R-tree fanout.
-    pub fn rtree_fanout(mut self, fanout: usize) -> Self {
-        self.rtree_fanout = fanout;
-        self
-    }
-
     /// Sets `α`, the number of randomly shifted data copies H-zkNNJ joins
     /// over (default 2).  This is the accuracy knob: each copy adds 2k
     /// z-order candidates per `R` object, healing z-curve seams the other
     /// copies miss, at proportionally more shuffle volume.
     pub fn shift_copies(mut self, copies: usize) -> Self {
         self.shift_copies = copies;
-        self
-    }
-
-    /// Sets the grid bits per dimension of H-zkNNJ's z-value quantization
-    /// (default 16).  More bits resolve finer spatial detail; `dims · bits`
-    /// must fit the 256-bit z-value.
-    pub fn quantization_bits(mut self, bits: u32) -> Self {
-        self.quantization_bits = bits;
         self
     }
 
@@ -183,7 +164,7 @@ impl<'a> JoinBuilder<'a> {
         self
     }
 
-    /// Enables or disables the map-side combiners (PGBJ's partitioning job,
+    /// Enables or disables the map-side combiners (the PGBJ / PBJ partitioning job,
     /// the block algorithms' merge job).  On by default; disable to measure
     /// the uncombined shuffle volume (byte accounting is framing-neutral, so
     /// the difference is entirely the combiners' saving).
@@ -269,9 +250,7 @@ impl<'a> JoinBuilder<'a> {
             grouping_strategy: self.grouping_strategy,
             reducers,
             map_tasks: self.map_tasks.unwrap_or(reducers * 2),
-            rtree_fanout: self.rtree_fanout,
             shift_copies: self.shift_copies,
-            quantization_bits: self.quantization_bits,
             z_window: self.z_window,
             combiner: self.combiner,
             seed: self.seed,
@@ -280,7 +259,7 @@ impl<'a> JoinBuilder<'a> {
         };
         plan.validate()?;
         if self.algorithm == Algorithm::Zknn {
-            check_z_bits(self.r.dims(), self.quantization_bits)?;
+            check_z_bits(self.r.dims())?;
         }
         Ok(plan)
     }
@@ -394,17 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_fanout_is_a_config_error() {
-        let r = uniform(10, 2, 10.0, 8);
-        let err = JoinBuilder::new(&r, &r)
-            .k(1)
-            .rtree_fanout(1)
-            .plan()
-            .unwrap_err();
-        assert!(matches!(err, JoinError::InvalidConfig(_)));
-    }
-
-    #[test]
     fn zero_pivot_sample_size_is_rejected_not_a_panic() {
         let r = uniform(20, 2, 10.0, 9);
         let err = JoinBuilder::new(&r, &r)
@@ -450,11 +418,9 @@ mod tests {
             .k(3)
             .algorithm(Algorithm::Zknn)
             .shift_copies(4)
-            .quantization_bits(12)
             .plan()
             .unwrap();
         assert_eq!(plan.shift_copies, 4);
-        assert_eq!(plan.quantization_bits, 12);
         assert_eq!(plan.algorithm.name(), "H-zkNNJ");
 
         let err = JoinBuilder::new(&r, &r)
@@ -463,30 +429,14 @@ mod tests {
             .plan()
             .unwrap_err();
         assert!(matches!(err, JoinError::InvalidConfig(_)), "{err}");
-        let err = JoinBuilder::new(&r, &r)
-            .k(3)
-            .quantization_bits(0)
-            .plan()
-            .unwrap_err();
-        assert!(matches!(err, JoinError::InvalidConfig(_)), "{err}");
-        let err = JoinBuilder::new(&r, &r)
-            .k(3)
-            .quantization_bits(40)
-            .plan()
-            .unwrap_err();
-        assert!(matches!(err, JoinError::InvalidConfig(_)), "{err}");
-        // 12 dims × 32 bits = 384 > 256 interleaved bits, but only Zknn
-        // interleaves, so the plan is only rejected when Zknn is selected.
-        let wide = uniform(20, 12, 10.0, 23);
-        assert!(JoinBuilder::new(&wide, &wide)
-            .k(3)
-            .quantization_bits(32)
-            .plan()
-            .is_ok());
+        // More dimensions than the 256-bit z-value has bits cannot be
+        // interleaved, but only Zknn interleaves, so the plan is only
+        // rejected when Zknn is selected.
+        let wide = uniform(4, 257, 10.0, 23);
+        assert!(JoinBuilder::new(&wide, &wide).k(3).plan().is_ok());
         let err = JoinBuilder::new(&wide, &wide)
             .k(3)
             .algorithm(Algorithm::Zknn)
-            .quantization_bits(32)
             .plan()
             .unwrap_err();
         assert!(matches!(err, JoinError::InvalidConfig(_)), "{err}");

@@ -79,8 +79,9 @@ pub struct JoinMetrics {
     /// phase (between `R` objects and `S` objects *or pivots*, per the paper's
     /// definition of selectivity).
     pub distance_computations: u64,
-    /// Point-to-pivot distance computations spent by the partitioning job's
-    /// pruned nearest-pivot assignment (PGBJ job 1).  Kept separate from
+    /// Point-to-pivot distance computations spent by the pruned
+    /// nearest-pivot assignment: job 1 of cold PGBJ and PBJ, `prepare` over
+    /// `S`, a prepared probe over its batch.  Kept separate from
     /// [`JoinMetrics::distance_computations`] so the selectivity of
     /// Equation 13 stays comparable with the paper.
     pub pivot_assignment_computations: u64,

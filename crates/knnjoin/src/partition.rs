@@ -1,11 +1,14 @@
 //! Voronoi-diagram based data partitioning (Section 2.3 / first MapReduce job).
 //!
 //! Given the selected pivots, every object of `R ∪ S` is assigned to the
-//! partition (generalized Voronoi cell) of its closest pivot; ties are broken
-//! towards the partition that currently holds fewer objects, as footnote 1 of
-//! the paper specifies.  The partitioner also records the distance from each
-//! object to its pivot — that distance is shipped with the object and drives
-//! all later pruning.
+//! partition (generalized Voronoi cell) of its closest pivot, together with
+//! its distance to that pivot — the distance is shipped with the object and
+//! drives all later pruning.  [`VoronoiPartitioner::nearest_pivot`] is the
+//! one search every path assigns with, and an exact tie goes to the smallest
+//! pivot index.  That departs from footnote 1 of the paper (ties go to the
+//! partition currently holding fewer objects): a mapper of the first job sees
+//! one object at a time and no global cell sizes, so the footnote's rule
+//! cannot run inside the job that does the partitioning.
 
 use geom::{CoordMatrix, DistanceMetric, Point, PointSet};
 
@@ -74,6 +77,12 @@ impl PartitionedDataset {
     /// Whether the dataset is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The `(partition, pivot distance)` of every object.
+    pub(crate) fn assignments(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let cells = self.partitions.iter().enumerate();
+        cells.flat_map(|(cell, bucket)| bucket.iter().map(move |(_, dist)| (cell, *dist)))
     }
 
     /// Sizes of all partitions.
@@ -207,10 +216,7 @@ impl VoronoiPartitioner {
     /// is the same `(pivot index, distance)` as the brute-force argmin —
     /// smallest index on exact ties — together with the number of distance
     /// computations *actually* spent (it used to be reported as "always
-    /// `|P|`"; see [`PivotAssignment::computations`]).  The fewer-objects
-    /// tie-break of footnote 1 is applied by
-    /// [`VoronoiPartitioner::partition`], which knows the current partition
-    /// sizes.
+    /// `|P|`"; see [`PivotAssignment::computations`]).
     pub fn nearest_pivot(&self, query: &[f64]) -> PivotAssignment {
         // One dispatch per query; each arm monomorphizes the search with the
         // metric's kernels inlined into the candidate loop.
@@ -375,54 +381,13 @@ impl VoronoiPartitioner {
         }
     }
 
-    /// Partitions a whole dataset, applying the paper's tie-breaking rule
-    /// (ties go to the partition currently holding fewer objects).
-    ///
-    /// Uses the same triangle-inequality pruning as
-    /// [`VoronoiPartitioner::nearest_pivot`], with the skip threshold widened
-    /// by the tie tolerance: a pivot is only skipped when it provably can
-    /// neither improve the minimum *nor* tie with it within `f64::EPSILON`,
-    /// so the tie set (and therefore the size-balancing assignment) is
-    /// identical to the exhaustive scan's.
+    /// Partitions a whole dataset: one [`VoronoiPartitioner::nearest_pivot`]
+    /// per object, each bucket in input order.
     pub fn partition(&self, data: &PointSet) -> PartitionedDataset {
-        let t = self.matrix.len();
-        let rank_full = self.metric.rank_kernel();
-        let mut partitions: Vec<Vec<(Point, f64)>> = vec![Vec::new(); t];
-        let mut ties: Vec<usize> = Vec::new();
+        let mut partitions: Vec<Vec<(Point, f64)>> = vec![Vec::new(); self.matrix.len()];
         for p in data {
-            let mut best = 0usize;
-            let mut best_d = self
-                .metric
-                .rank_to_distance(rank_full(&p.coords, self.matrix.row(0)));
-            ties.clear();
-            ties.push(0);
-            for j in 1..t {
-                // Skip only when |q, p_j| ≥ |p_best, p_j| − best_d lies
-                // strictly above the tie band around best_d (the small
-                // absolute cushion absorbs the rounding of the precomputed
-                // pair distance).
-                let threshold = 2.0 * best_d + 2.0 * f64::EPSILON;
-                if self.pair[best * t + j] > threshold + threshold.abs() * 1e-12 {
-                    continue;
-                }
-                let d = self
-                    .metric
-                    .rank_to_distance(rank_full(&p.coords, self.matrix.row(j)));
-                if d < best_d - f64::EPSILON {
-                    best_d = d;
-                    best = j;
-                    ties.clear();
-                    ties.push(j);
-                } else if (d - best_d).abs() <= f64::EPSILON {
-                    ties.push(j);
-                }
-            }
-            let target = ties
-                .iter()
-                .copied()
-                .min_by_key(|i| partitions[*i].len())
-                .expect("at least one pivot");
-            partitions[target].push((p.clone(), best_d));
+            let assignment = self.nearest_pivot(&p.coords);
+            partitions[assignment.partition].push((p.clone(), assignment.distance));
         }
         PartitionedDataset { partitions }
     }
@@ -489,9 +454,9 @@ mod tests {
     }
 
     #[test]
-    fn ties_go_to_smaller_partition() {
+    fn ties_go_to_the_lower_pivot_index() {
         // Two pivots symmetric about x = 0; every object on the axis is
-        // equidistant, so they must alternate between the two partitions.
+        // equidistant, and the one tie rule sends them all to pivot 0.
         let pivots = vec![
             Point::new(0, vec![-1.0, 0.0]),
             Point::new(1, vec![1.0, 0.0]),
@@ -499,8 +464,7 @@ mod tests {
         let part = VoronoiPartitioner::new(pivots, DistanceMetric::Euclidean);
         let data = PointSet::from_coords((0..10).map(|i| vec![0.0, i as f64]).collect());
         let pd = part.partition(&data);
-        assert_eq!(pd.partitions[0].len(), 5);
-        assert_eq!(pd.partitions[1].len(), 5);
+        assert_eq!(pd.sizes(), [10, 0]);
     }
 
     #[test]
@@ -559,14 +523,25 @@ mod tests {
             for y in -3..=3 {
                 for x in -3..=3 {
                     let q = [x as f64, y as f64];
-                    let pruned = part.nearest_pivot(&q);
                     let brute = part.nearest_pivot_bruteforce(&q);
-                    assert_eq!(pruned.partition, brute.partition, "{metric:?} at {q:?}");
-                    assert_eq!(
-                        pruned.distance.to_bits(),
-                        brute.distance.to_bits(),
-                        "{metric:?} at {q:?}"
-                    );
+                    let pruned = part.nearest_pivot(&q);
+                    let alone = part.partition(&PointSet::from_coords(vec![q.to_vec()]));
+                    let cell = alone
+                        .sizes()
+                        .iter()
+                        .position(|&n| n == 1)
+                        .expect("one cell");
+                    for (subject, cell, dist) in [
+                        ("nearest_pivot", pruned.partition, pruned.distance),
+                        ("partition", cell, alone.partitions[cell][0].1),
+                    ] {
+                        assert_eq!(cell, brute.partition, "{subject} {metric:?} at {q:?}");
+                        assert_eq!(
+                            dist.to_bits(),
+                            brute.distance.to_bits(),
+                            "{subject} {metric:?} at {q:?}"
+                        );
+                    }
                 }
             }
         }
@@ -604,9 +579,8 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-        /// Pruning inside `partition` must not change any assignment (the
-        /// epsilon tie-band is preserved, so the size-balancing tie-break sees
-        /// the same candidate sets).
+        /// `partition` puts every object in the cell, and at the distance
+        /// bits, the exhaustive scan gives.
         #[test]
         fn pruned_partitioning_matches_exhaustive_semantics(
             n in 1usize..150,
@@ -621,16 +595,14 @@ mod tests {
             ][which];
             let data = uniform(n, 3, 100.0, seed);
             let pivots: Vec<Point> = uniform(n_pivots, 3, 100.0, seed ^ 0xbeef).into_points();
-            let part = VoronoiPartitioner::new(pivots.clone(), metric);
+            let part = VoronoiPartitioner::new(pivots, metric);
             let pd = part.partition(&data);
             prop_assert_eq!(pd.len(), n);
             for (i, bucket) in pd.partitions.iter().enumerate() {
                 for (p, d) in bucket {
                     let brute = part.nearest_pivot_bruteforce(&p.coords);
+                    prop_assert_eq!(brute.partition, i);
                     prop_assert_eq!(brute.distance.to_bits(), d.to_bits());
-                    // The assigned pivot is a true minimiser (up to the tie band).
-                    let assigned = metric.distance(p, &pivots[i]);
-                    prop_assert!((assigned - brute.distance).abs() <= f64::EPSILON);
                 }
             }
         }

@@ -11,10 +11,10 @@ use crate::algorithms::{broadcast, hbrj, pbj, pgbj, zknn};
 use crate::context::ExecutionContext;
 use crate::exact::{validate_inputs, NestedLoopJoin};
 use crate::grouping::GroupingStrategy;
+use crate::metrics::JoinMetrics;
 use crate::pivots::PivotSelectionStrategy;
 use crate::result::{JoinError, JoinResult};
 use geom::{DistanceMetric, KernelMode, PointSet};
-use spatial::RTree;
 
 /// The join algorithms selectable at runtime.
 ///
@@ -119,17 +119,11 @@ pub struct JoinPlan {
     pub reducers: usize,
     /// Number of map tasks.
     pub map_tasks: usize,
-    /// R-tree fanout (H-BRJ).
-    pub rtree_fanout: usize,
     /// `α`, the number of randomly shifted copies (H-zkNNJ; the first copy is
     /// always unshifted).  More copies heal more z-curve seams (higher
     /// recall) at proportionally more shuffle and candidate work; the EDBT
     /// paper uses 2–4.
     pub shift_copies: usize,
-    /// Grid bits per dimension of the z-value quantization (H-zkNNJ):
-    /// 1..=32, and `dims · bits` must fit the 256-bit z-value.  16 is plenty
-    /// for the paper's workloads.
-    pub quantization_bits: u32,
     /// Candidate-window multiplier (H-zkNNJ): `z_window · k` z-neighbours per
     /// side per shifted copy (the EDBT paper's window is `z_window = 1`).
     /// Widening the window compensates for the curve's distortion at higher
@@ -138,7 +132,7 @@ pub struct JoinPlan {
     /// 10-d Forest workload while staying far below the exact algorithms'
     /// distance work.
     pub z_window: usize,
-    /// Whether map-side combiners run (PGBJ's partitioning job, the block
+    /// Whether map-side combiners run (the PGBJ / PBJ partitioning job, the block
     /// algorithms' merge job) to cut shuffle volume.
     pub combiner: bool,
     /// Seed driving pivot selection.
@@ -194,20 +188,8 @@ impl JoinPlan {
         if self.map_tasks == 0 {
             return Err(JoinError::ZeroMapTasks);
         }
-        if self.rtree_fanout < 2 {
-            return invalid(format!(
-                "rtree_fanout must be at least 2 (got {})",
-                self.rtree_fanout
-            ));
-        }
         if self.shift_copies == 0 {
             return invalid("shift_copies must be at least 1".into());
-        }
-        if self.quantization_bits == 0 || self.quantization_bits > 32 {
-            return invalid(format!(
-                "quantization_bits must be in 1..=32 (got {})",
-                self.quantization_bits
-            ));
         }
         if self.z_window == 0 {
             return invalid("z_window must be at least 1".into());
@@ -232,16 +214,24 @@ impl JoinPlan {
     ) -> Result<JoinResult, JoinError> {
         self.validate()?;
         validate_inputs(r, s, self.k)?;
-        match self.algorithm {
-            Algorithm::Pgbj => pgbj::join(self, r, s, ctx),
-            Algorithm::Pbj => pbj::join(self, r, s, ctx),
-            Algorithm::Hbrj => hbrj::join(self, r, s, ctx),
-            Algorithm::Zknn => zknn::join(self, r, s, ctx),
-            Algorithm::BroadcastJoin => broadcast::join(self, r, s, ctx),
+        let mut metrics = JoinMetrics {
+            r_size: r.len(),
+            s_size: s.len(),
+            ..Default::default()
+        };
+        let rows = match self.algorithm {
+            Algorithm::Pgbj => pgbj::join(self, r, s, ctx, &mut metrics),
+            Algorithm::Pbj => pbj::join(self, r, s, ctx, &mut metrics),
+            Algorithm::Hbrj => hbrj::join(self, r, s, ctx, &mut metrics),
+            Algorithm::Zknn => zknn::join(self, r, s, ctx, &mut metrics),
+            Algorithm::BroadcastJoin => broadcast::join(self, r, s, ctx, &mut metrics),
             Algorithm::NestedLoopJoin => {
-                NestedLoopJoin.join_with_mode(r, s, self.k, self.metric, self.kernel_mode)
+                return NestedLoopJoin.join_with_mode(r, s, self.k, self.metric, self.kernel_mode)
             }
-        }
+        }?;
+        let mut result = JoinResult { rows, metrics };
+        result.normalize();
+        Ok(result)
     }
 }
 
@@ -258,9 +248,7 @@ impl Default for JoinPlan {
             grouping_strategy: GroupingStrategy::Geometric,
             reducers: 4,
             map_tasks: 8,
-            rtree_fanout: RTree::DEFAULT_FANOUT,
             shift_copies: 2,
-            quantization_bits: 16,
             z_window: 4,
             combiner: true,
             seed: 0xC0FFEE,
@@ -303,15 +291,13 @@ mod tests {
     fn validate_rejects_each_broken_rule_and_execute_never_panics_on_one() {
         use crate::result::JoinErrorKind;
         type Rule = (&'static str, fn(&mut JoinPlan));
-        let rows: [Rule; 10] = [
+        let rows: [Rule; 8] = [
             ("k", |p| p.k = 0),
             ("pivot_count", |p| p.pivot_count = 0),
             ("pivot_sample_size", |p| p.pivot_sample_size = 0),
             ("reducers", |p| p.reducers = 0),
             ("map_tasks", |p| p.map_tasks = 0),
-            ("rtree_fanout", |p| p.rtree_fanout = 1),
             ("shift_copies", |p| p.shift_copies = 0),
-            ("quantization_bits", |p| p.quantization_bits = 33),
             ("z_window", |p| p.z_window = 0),
             ("delta_threshold", |p| p.delta_threshold = 0),
         ];

@@ -15,7 +15,7 @@ use geom::{DistanceMetric, Point};
 use std::sync::Arc;
 
 /// Summary of one partition of `R`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RPartitionSummary {
     /// Partition (pivot) index.
     pub partition: usize,
@@ -91,17 +91,39 @@ impl SummaryTables {
             pivots.len(),
             "S partitioning does not match pivot count"
         );
+        Self::from_assignments(
+            pivots,
+            metric,
+            partitioned_r.assignments(),
+            partitioned_s.assignments(),
+            k,
+        )
+    }
 
-        let r_summaries = build_r_summaries(partitioned_r);
-        let s_summaries = Arc::new(build_s_summaries(partitioned_s, k));
-        let pivot_distances = Arc::new(pivot_distance_matrix(&pivots, metric));
-
+    /// Index merging (Figure 6): builds the tables from the `(cell, pivot
+    /// distance)` of every object of `R` and of `S`, in any order — which is
+    /// all of the first job's output that the tables depend on.
+    pub(crate) fn from_assignments(
+        pivots: Vec<Point>,
+        metric: DistanceMetric,
+        r: impl IntoIterator<Item = (usize, f64)>,
+        s: impl IntoIterator<Item = (usize, f64)>,
+        k: usize,
+    ) -> Self {
+        let mut columns: Vec<Vec<f64>> = vec![Vec::new(); pivots.len()];
+        for (cell, dist) in s {
+            columns[cell].push(dist);
+        }
+        let s_summaries = columns.iter_mut().enumerate().map(|(cell, column)| {
+            column.sort_unstable_by(f64::total_cmp);
+            SPartitionSummary::of_sorted(cell, column, k)
+        });
         Self {
+            r_summaries: r_summaries(pivots.len(), r),
+            s_summaries: Arc::new(s_summaries.collect()),
+            pivot_distances: Arc::new(pivot_distance_matrix(&pivots, metric)),
             pivots: Arc::new(pivots),
             metric,
-            r_summaries,
-            s_summaries,
-            pivot_distances,
         }
     }
 
@@ -116,38 +138,27 @@ impl SummaryTables {
     }
 }
 
-/// Builds the `T_R` side of the tables alone.  The prepared serving path uses
-/// this per query: `R` summaries depend on the probe batch, while the `S`
-/// summaries and pivot matrix are captured once at build time.
-pub fn build_r_summaries(partitioned_r: &PartitionedDataset) -> Vec<RPartitionSummary> {
-    partitioned_r
-        .partitions
-        .iter()
-        .enumerate()
-        .map(|(i, bucket)| {
-            let (lower, upper) = bounds_of(bucket.iter().map(|(_, d)| *d));
-            RPartitionSummary {
-                partition: i,
-                count: bucket.len(),
-                lower,
-                upper,
-            }
-        })
-        .collect()
-}
-
-/// Builds the `T_S` side of the tables alone (see [`build_r_summaries`]).
-pub fn build_s_summaries(partitioned_s: &PartitionedDataset, k: usize) -> Vec<SPartitionSummary> {
-    partitioned_s
-        .partitions
-        .iter()
-        .enumerate()
-        .map(|(i, bucket)| {
-            let mut pivot_dists: Vec<f64> = bucket.iter().map(|(_, d)| *d).collect();
-            pivot_dists.sort_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
-            SPartitionSummary::of_sorted(i, &pivot_dists, k)
-        })
-        .collect()
+/// `T_R` over `t` cells: one fold over the `(cell, pivot distance)` of every
+/// object of `R` — a cold join's, or one probe batch's.  A cell no object
+/// fell in reports `(0, 0)` like an absent row in the paper's tables.
+pub(crate) fn r_summaries(
+    t: usize,
+    assignments: impl IntoIterator<Item = (usize, f64)>,
+) -> Vec<RPartitionSummary> {
+    let empty = |partition| RPartitionSummary {
+        partition,
+        ..Default::default()
+    };
+    let mut rows: Vec<RPartitionSummary> = (0..t).map(empty).collect();
+    for (cell, dist) in assignments {
+        let row = &mut rows[cell];
+        (row.lower, row.upper) = match row.count {
+            0 => (dist, dist),
+            _ => (row.lower.min(dist), row.upper.max(dist)),
+        };
+        row.count += 1;
+    }
+    rows
 }
 
 impl SPartitionSummary {
@@ -165,19 +176,6 @@ impl SPartitionSummary {
             upper: pivot_dists.last().copied().unwrap_or(0.0),
             knn_distances: pivot_dists[..k.min(pivot_dists.len())].to_vec(),
         }
-    }
-}
-
-/// `(L, U)` of a pivot-distance column; an empty one reports `(0, 0)` like
-/// an absent row in the paper's tables.
-fn bounds_of(pivot_dists: impl Iterator<Item = f64>) -> (f64, f64) {
-    let (lower, upper) = pivot_dists.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), d| {
-        (lo.min(d), hi.max(d))
-    });
-    if lower > upper {
-        (0.0, 0.0)
-    } else {
-        (lower, upper)
     }
 }
 

@@ -55,6 +55,67 @@ fn check_all_six(r: &PointSet, s: &PointSet, k: usize, reducers: usize, zknn_rec
     );
 }
 
+/// `pivot_count = |R|` makes every `R` object a pivot, so two `R` objects at
+/// one location are two pivots at distance 0 and every object nearest to them
+/// ties exactly.  The one tie rule (lower pivot index) has to hold wherever
+/// an object is assigned — job 1 of cold PGBJ and PBJ, `prepare`, a probe and
+/// a compaction — or an object and its bounds end up in different cells.
+#[test]
+fn agreement_when_two_pivots_share_a_location() {
+    let mut r_rows: Vec<Vec<f64>> = (0..10)
+        .map(|i| vec![(i % 5) as f64 * 7.0, (i / 5) as f64 * 9.0])
+        .collect();
+    let shared = r_rows[3].clone();
+    r_rows.push(shared.clone());
+    let r = PointSet::from_coords(r_rows);
+    let s = PointSet::from_coords(
+        (0..40)
+            .map(|i| vec![(i % 8) as f64 * 4.0 - 1.0, (i / 8) as f64 * 3.0])
+            .collect(),
+    );
+    let (k, ctx) = (3, ExecutionContext::default());
+    let oracle_over = |s: &PointSet| {
+        NestedLoopJoin
+            .join(&r, s, k, DistanceMetric::Euclidean)
+            .expect("oracle")
+    };
+    let join = |algorithm| {
+        Join::new(&r, &s)
+            .k(k)
+            .algorithm(algorithm)
+            .pivot_count(r.len())
+            .reducers(4)
+    };
+    let oracle = oracle_over(&s);
+    for algorithm in [Algorithm::Pgbj, Algorithm::Pbj] {
+        let cold = join(algorithm).run(&ctx).expect("cold join");
+        assert!(
+            cold.matches(&oracle, 1e-9),
+            "cold {algorithm}: {:?}",
+            cold.mismatch_against(&oracle, 1e-9)
+        );
+    }
+    let prepared = join(Algorithm::Pgbj).prepare(&ctx).expect("prepare");
+    let served = prepared.query(&r).expect("query");
+    assert!(served.matches(&oracle, 1e-9), "prepared PGBJ");
+    // Churn right at the shared location, then fold it in.
+    prepared
+        .insert(Point::new(9_000, shared.clone()))
+        .expect("insert");
+    prepared
+        .insert(Point::new(9_001, vec![shared[0] + 0.5, shared[1]]))
+        .expect("insert");
+    assert!(prepared.delete(s.points()[5].id));
+    assert!(prepared.compact());
+    let served = prepared.query(&r).expect("query after compaction");
+    let oracle = oracle_over(&prepared.materialized_corpus());
+    assert!(
+        served.matches(&oracle, 1e-9),
+        "compacted PGBJ: {:?}",
+        served.mismatch_against(&oracle, 1e-9)
+    );
+}
+
 /// Builds a 2-d dataset from flat coordinates, then duplicates roughly a
 /// third of the points (picked deterministically from `seed`).
 fn with_duplicates(flat: &[f64], seed: u64) -> PointSet {

@@ -78,6 +78,14 @@ fn repeated_queries_keep_index_builds_and_pivot_selections_flat() {
         }
         if algorithm.uses_pivots() {
             assert_eq!(build.pivot_selections, 1, "{algorithm}");
+            // `prepare` assigns S the way a probe assigns R, and bills it:
+            // at least one pivot distance per object.
+            assert!(
+                build.pivot_assignment_computations >= s.len() as u64,
+                "{algorithm}: build billed {} assignment computations for {} objects",
+                build.pivot_assignment_computations,
+                s.len()
+            );
         }
         let mut first: Option<JoinResult> = None;
         for round in 0..3 {

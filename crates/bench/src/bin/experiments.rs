@@ -24,8 +24,8 @@
 //! request/response/rejection accounting of the concurrent server).  Wall
 //! times and latency percentiles are machine-dependent and never compared.
 //! A `perf_baseline` check also fails when a `Fast` PGBJ / PBJ row of the
-//! run spends more distance computations than its `Exact` twin plus the
-//! candidate walk's tile slack, or when a cold PBJ row's pivot-assignment
+//! run spends other distance computations than its `Exact` twin (both modes
+//! walk the same tiles), or when a cold PBJ row's pivot-assignment
 //! computations differ from its PGBJ twin's (they run one front half),
 //! whatever the reference says.
 //! CI runs all three on every push, so an unexplained counter regression
@@ -34,7 +34,7 @@
 #![forbid(unsafe_code)]
 
 use bench::experiments::{
-    fast_rows_beyond_their_tile_slack, pbj_rows_off_their_pgbj_twin, run_by_id, ExperimentOutput,
+    fast_rows_off_their_exact_twin, pbj_rows_off_their_pgbj_twin, run_by_id, ExperimentOutput,
     ALL_EXPERIMENTS,
 };
 use bench::json::Value;
@@ -275,7 +275,7 @@ fn main() -> ExitCode {
             checked += 1;
             let mut drift = diff_rows(&output.json, &reference, key_field, fields);
             if output.id == "perf_baseline" {
-                drift.extend(fast_rows_beyond_their_tile_slack(&output.json));
+                drift.extend(fast_rows_off_their_exact_twin(&output.json));
                 drift.extend(pbj_rows_off_their_pgbj_twin(&output.json));
             }
             problems.extend(drift.into_iter().map(|p| format!("{}: {p}", output.id)));

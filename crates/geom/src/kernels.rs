@@ -3,17 +3,22 @@
 //! [`crate::DistanceMetric::distance_coords`] is convenient but pays an enum
 //! dispatch per call, and the Euclidean variant a `sqrt` per call.  The hot
 //! loops (pivot assignment, Algorithm 3 scans, k-means) instead hoist one of
-//! these kernels out of the loop and call it directly.  There are three
-//! families, and a [`KernelMode`] picks between the first and the other two:
+//! these kernels out of the loop and call it directly.  There are four
+//! families; a [`KernelMode`] picks the first two or the last two:
 //!
 //! * the scalar kernels ([`euclidean`], [`manhattan`], [`chebyshev`]) compute
 //!   exactly the same value as `distance_coords` — same left-to-right
 //!   accumulation order, so results are bit-identical — and
 //!   [`squared_euclidean`] skips the `sqrt`, for argmin loops that only need
 //!   the *ordering* of distances (`sqrt` is monotone);
+//! * the `*_batch_exact` kernels rank one query against a contiguous block
+//!   of rows per call with one row per SIMD lane (AVX2 where the CPU has
+//!   it): every row still accumulates left to right with a separate
+//!   multiply and add, so each output has the scalar kernel's bits, on any
+//!   CPU;
 //! * the `*_fast` pairwise kernels run four independent accumulators;
-//! * the `*_batch` kernels rank one query against a contiguous block of rows
-//!   per call, through AVX2 intrinsics where the CPU has them.
+//! * the `*_batch` kernels are their block form, four dimensions per SIMD
+//!   register and FMA where the CPU has them.
 //!
 //! The fast and batch kernels reorder floating-point addition, so they agree
 //! with the scalar kernels to ~1e-9 relative, not bit for bit.  Pivot
@@ -34,9 +39,9 @@ pub type Kernel = fn(&[f64], &[f64]) -> f64;
 /// flat row-major block of `out.len()` rows of `dim` coordinates (a
 /// [`crate::CoordMatrix`] sub-slice) and `out[i]` receives the *rank* of
 /// `(q, rows[i])` — the squared distance for L2, the distance itself for
-/// L1/L∞.  Batch kernels accumulate with the multi-accumulator [`KernelMode::Fast`]
-/// order, so their values agree with the scalar kernels to ~1e-9 relative,
-/// not bit for bit.
+/// L1/L∞.  The `*_batch_exact` kernels return the scalar kernels' bits; the
+/// `*_batch` kernels accumulate in the multi-accumulator [`KernelMode::Fast`]
+/// order and agree with them to ~1e-9 relative.
 pub type BatchKernel = fn(&[f64], &[f64], usize, &mut [f64]);
 
 /// How many rows of a flat coordinate block the tiled probe loops evaluate
@@ -46,19 +51,22 @@ pub type BatchKernel = fn(&[f64], &[f64], usize, &mut [f64]);
 pub const PROBE_TILE: usize = 256;
 
 /// Which kernel family the candidate scans call.  The mode selects a kernel
-/// and nothing else: pivot selection, pivot assignment, the shuffle and every
-/// pruning bound are the same in both.
+/// and nothing else: pivot selection, pivot assignment, the shuffle, every
+/// pruning bound and the tiles a scan walks are the same in both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelMode {
-    /// The scalar left-to-right kernels: results and deterministic counters
-    /// are bit-identical to the committed baselines.
+    /// Left-to-right accumulation with a separate multiply and add: the
+    /// scalar kernels for single pairs, the lane-per-row `*_batch_exact`
+    /// kernels for row tiles.  Every distance has `distance_coords`' bits,
+    /// with or without AVX2, so results and deterministic counters are
+    /// bit-identical to the oracle and the committed baselines.
     #[default]
     Exact,
-    /// Multi-accumulator SIMD-friendly kernels and tiled batch probes.
-    /// Floating-point addition is reordered, so distances agree with
-    /// [`KernelMode::Exact`] to ~1e-9 relative rather than bit for bit, and
-    /// scan counters may differ (the tiled scans re-evaluate bounds per tile
-    /// instead of per candidate).
+    /// The reassociated family: multi-accumulator pairwise kernels and the
+    /// FMA `*_batch` kernels.  Distances agree with [`KernelMode::Exact`] to
+    /// ~1e-9 relative rather than bit for bit (and may differ in the last
+    /// bits between CPUs with and without AVX2), so a neighbour at a tie or
+    /// a candidate a rounding error from a bound can come out differently.
     Fast,
 }
 
@@ -225,7 +233,8 @@ pub fn chebyshev_fast(a: &[f64], b: &[f64]) -> f64 {
 /// multiply-and-add into FMA, so results agree with the scalar twins to
 /// ~1e-9 relative (measured ~4e-16) but are *not* bit-identical, and may
 /// differ in the last bits between CPUs with and without AVX2.  `Exact`
-/// mode never routes through these.
+/// mode never routes through these: its tile kernels are the lane-per-row
+/// `*_batch_exact_avx2` ones at the end of the module.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     #[inline]
@@ -396,6 +405,179 @@ mod x86 {
             _mm256_max_pd(lo, hi)
         }
     );
+
+    /// Four rows' next four coordinates, loaded row-wise and transposed in
+    /// registers: lane `r` of column `t` is coordinate `t` of row `r`, rows
+    /// `dim` apart from `first`.  With `tail` the load is masked (top bit set
+    /// per lane selects): masked-out coordinates read as 0.0 and touch no
+    /// memory.
+    ///
+    /// # Safety
+    /// Caller must verify AVX2 at runtime; four coordinates (the selected
+    /// ones under `tail`) must be readable at `first + r * dim`, `r < 4`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_columns(
+        first: *const f64,
+        dim: usize,
+        tail: Option<std::arch::x86_64::__m256i>,
+    ) -> [std::arch::x86_64::__m256d; 4] {
+        use std::arch::x86_64::*;
+        let (p0, p1, p2, p3) = (
+            first,
+            first.add(dim),
+            first.add(2 * dim),
+            first.add(3 * dim),
+        );
+        let (r0, r1, r2, r3) = match tail {
+            None => (
+                _mm256_loadu_pd(p0),
+                _mm256_loadu_pd(p1),
+                _mm256_loadu_pd(p2),
+                _mm256_loadu_pd(p3),
+            ),
+            Some(mask) => (
+                _mm256_maskload_pd(p0, mask),
+                _mm256_maskload_pd(p1, mask),
+                _mm256_maskload_pd(p2, mask),
+                _mm256_maskload_pd(p3, mask),
+            ),
+        };
+        let t0 = _mm256_unpacklo_pd(r0, r1);
+        let t1 = _mm256_unpackhi_pd(r0, r1);
+        let t2 = _mm256_unpacklo_pd(r2, r3);
+        let t3 = _mm256_unpackhi_pd(r2, r3);
+        [
+            _mm256_permute2f128_pd(t0, t2, 0x20),
+            _mm256_permute2f128_pd(t1, t3, 0x20),
+            _mm256_permute2f128_pd(t0, t2, 0x31),
+            _mm256_permute2f128_pd(t1, t3, 0x31),
+        ]
+    }
+
+    /// A lane-per-row batch kernel: eight rows in flight (then four, then
+    /// `$scalar` for the last under-four), one row per lane of a 256-bit
+    /// accumulator, dimensions walked in order.  `$step` is the scalar
+    /// kernel's loop body on four rows at once — the same IEEE operations in
+    /// the same order, no FMA, no reassociation — so each lane holds exactly
+    /// the bits `$scalar` returns for its row.  The ragged `dim % 4` tail is
+    /// padded with zero coordinates on both sides, and a step over a zero
+    /// difference leaves every accumulator bit as it was (`acc + 0.0` and
+    /// `max(0.0, acc)` for `acc ≥ +0.0`).
+    macro_rules! avx2_lane_per_row_kernel {
+        ($name:ident, $scalar:path, ($($decl:tt)*),
+         |$qd:ident, $col:ident, $acc:ident| $step:expr) => {
+            /// # Safety
+            /// Caller must verify AVX2 at runtime and uphold
+            /// `q.len() == dim && rows.len() == dim * out.len()`.
+            #[target_feature(enable = "avx2")]
+            pub(super) unsafe fn $name(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
+                use std::arch::x86_64::*;
+
+                /// `4 * GROUPS` rows from `rows` on into `out`.
+                ///
+                /// # Safety
+                /// As the enclosing kernel's, for `4 * GROUPS` rows and
+                /// output slots.
+                #[inline]
+                #[target_feature(enable = "avx2")]
+                unsafe fn block<const GROUPS: usize>(
+                    q: &[f64],
+                    q_tail: &[f64; 4],
+                    tail_mask: __m256i,
+                    rows: *const f64,
+                    dim: usize,
+                    out: *mut f64,
+                ) {
+                    let full = dim & !3;
+                    $($decl)*
+                    let mut accs = [_mm256_setzero_pd(); GROUPS];
+                    let mut d = 0;
+                    while d < dim {
+                        let (tail, qs) = if d < full {
+                            (None, q.as_ptr().add(d))
+                        } else {
+                            (Some(tail_mask), q_tail.as_ptr())
+                        };
+                        let mut cols = [[_mm256_setzero_pd(); 4]; GROUPS];
+                        for g in 0..GROUPS {
+                            cols[g] = load_columns(rows.add(4 * g * dim + d), dim, tail);
+                        }
+                        for t in 0..4 {
+                            let $qd = _mm256_broadcast_sd(&*qs.add(t));
+                            for g in 0..GROUPS {
+                                let $col = cols[g][t];
+                                let $acc = &mut accs[g];
+                                $step;
+                            }
+                        }
+                        d += 4;
+                    }
+                    for g in 0..GROUPS {
+                        _mm256_storeu_pd(out.add(4 * g), accs[g]);
+                    }
+                }
+
+                let rem = dim % 4;
+                let tail_mask = _mm256_setr_epi64x(
+                    if rem > 0 { -1 } else { 0 },
+                    if rem > 1 { -1 } else { 0 },
+                    if rem > 2 { -1 } else { 0 },
+                    0,
+                );
+                let mut q_tail = [0.0f64; 4];
+                q_tail[..rem].copy_from_slice(&q[dim - rem..]);
+                let n = out.len();
+                let mut i = 0;
+                while i + 8 <= n {
+                    let (r, o) = (rows.as_ptr().add(i * dim), out.as_mut_ptr().add(i));
+                    block::<2>(q, &q_tail, tail_mask, r, dim, o);
+                    i += 8;
+                }
+                if i + 4 <= n {
+                    let (r, o) = (rows.as_ptr().add(i * dim), out.as_mut_ptr().add(i));
+                    block::<1>(q, &q_tail, tail_mask, r, dim, o);
+                    i += 4;
+                }
+                while i < n {
+                    out[i] = $scalar(q, &rows[i * dim..(i + 1) * dim]);
+                    i += 1;
+                }
+            }
+        };
+    }
+
+    avx2_lane_per_row_kernel!(
+        squared_euclidean_batch_exact_avx2,
+        super::squared_euclidean,
+        (),
+        |qd, col, acc| {
+            let diff = _mm256_sub_pd(qd, col);
+            *acc = _mm256_add_pd(*acc, _mm256_mul_pd(diff, diff));
+        }
+    );
+
+    avx2_lane_per_row_kernel!(
+        manhattan_batch_exact_avx2,
+        super::manhattan,
+        (let abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));),
+        |qd, col, acc| {
+            let diff = _mm256_sub_pd(qd, col);
+            *acc = _mm256_add_pd(*acc, _mm256_and_pd(diff, abs_mask));
+        }
+    );
+
+    // `_mm256_max_pd` returns its second operand when either is NaN, as
+    // `f64::max(acc, x)` returns `acc` for a NaN `x`.
+    avx2_lane_per_row_kernel!(
+        chebyshev_batch_exact_avx2,
+        super::chebyshev,
+        (let abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));),
+        |qd, col, acc| {
+            let diff = _mm256_sub_pd(qd, col);
+            *acc = _mm256_max_pd(_mm256_and_pd(diff, abs_mask), *acc);
+        }
+    );
 }
 
 /// Expands to a 4-row-blocked batch kernel: rows are processed four at a
@@ -440,15 +622,41 @@ macro_rules! row_blocked_batch {
     }};
 }
 
+/// The portable lane-per-row loop for L2²: what both batch families run
+/// where AVX2 is missing, bit-identical to [`squared_euclidean`] per row.
+fn squared_euclidean_batch_portable(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
+    row_blocked_batch!(q, rows, dim, out, squared_euclidean, |qd, x, acc| {
+        let d = qd - x;
+        *acc += d * d;
+    });
+}
+
+/// [`squared_euclidean_batch_portable`] for L1, bit-identical to
+/// [`manhattan`] per row.
+fn manhattan_batch_portable(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
+    row_blocked_batch!(q, rows, dim, out, manhattan, |qd, x, acc| {
+        *acc += (qd - x).abs();
+    });
+}
+
+/// [`squared_euclidean_batch_portable`] for L∞, bit-identical to
+/// [`chebyshev`] per row.
+fn chebyshev_batch_portable(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
+    row_blocked_batch!(q, rows, dim, out, chebyshev, |qd, x, acc| {
+        *acc = (*acc).max((qd - x).abs());
+    });
+}
+
 /// Squared Euclidean ranks of `q` against every row of a flat row-major
 /// coordinate block: `out[i] = Σ_d (q[d] − rows[i·dim + d])²`.  One call
-/// streams a whole [`PROBE_TILE`]-sized tile through multiple independent
-/// accumulator chains instead of paying a call and a serial dependency chain
-/// per row: on x86-64 with AVX2+FMA (runtime-detected) four rows are kept in
-/// flight with a 256-bit FMA accumulator each; elsewhere rows are blocked
-/// eight at a time with the dimension loop innermost.  Consumers must only
-/// rely on the documented ~1e-9 agreement with the scalar twin, not on bit
-/// equality — the accumulation shape differs between the two paths.
+/// streams a whole tile through multiple independent accumulator chains
+/// instead of paying a call and a serial dependency chain per row: on x86-64
+/// with AVX2+FMA (runtime-detected) four rows are kept in flight with a
+/// 256-bit FMA accumulator each; elsewhere rows are blocked eight at a time
+/// with the dimension loop innermost.  Consumers must only rely on the
+/// documented ~1e-9 agreement with the scalar twin, not on bit equality —
+/// the accumulation shape differs between the two paths
+/// ([`squared_euclidean_batch_exact`] is the bit-exact family).
 ///
 /// # Panics
 /// Panics if `q.len() != dim` or `rows.len() != dim * out.len()`.
@@ -463,10 +671,7 @@ pub fn squared_euclidean_batch(q: &[f64], rows: &[f64], dim: usize, out: &mut [f
         unsafe { x86::squared_euclidean_batch_avx2(q, rows, dim, out) };
         return;
     }
-    row_blocked_batch!(q, rows, dim, out, squared_euclidean, |qd, x, acc| {
-        let d = qd - x;
-        *acc += d * d;
-    });
+    squared_euclidean_batch_portable(q, rows, dim, out);
 }
 
 /// Euclidean distances of `q` against every row: [`squared_euclidean_batch`]
@@ -492,9 +697,7 @@ pub fn manhattan_batch(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
         unsafe { x86::manhattan_batch_avx2(q, rows, dim, out) };
         return;
     }
-    row_blocked_batch!(q, rows, dim, out, manhattan, |qd, x, acc| {
-        *acc += (qd - x).abs();
-    });
+    manhattan_batch_portable(q, rows, dim, out);
 }
 
 /// Chebyshev ranks (= distances) of `q` against every row of a flat block,
@@ -510,9 +713,67 @@ pub fn chebyshev_batch(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
         unsafe { x86::chebyshev_batch_avx2(q, rows, dim, out) };
         return;
     }
-    row_blocked_batch!(q, rows, dim, out, chebyshev, |qd, x, acc| {
-        *acc = (*acc).max((qd - x).abs());
-    });
+    chebyshev_batch_portable(q, rows, dim, out);
+}
+
+/// [`squared_euclidean`] of `q` against every row of a flat row-major block,
+/// **bit for bit**: `out[i]` holds exactly the bits `squared_euclidean(q, row
+/// i)` returns, on any CPU — through the AVX2 lane-per-row kernel where the
+/// CPU has it (runtime-detected), the portable row-blocked loop elsewhere.
+/// Rows, not dimensions, fill the SIMD lanes — eight rows in flight, each
+/// accumulating left to right with a separate multiply and add — so the
+/// speed-up over one scalar call per row costs no reassociation.  This is the
+/// [`KernelMode::Exact`] tile kernel.
+///
+/// # Panics
+/// Panics if `q.len() != dim` or `rows.len() != dim * out.len()`.
+#[inline]
+pub fn squared_euclidean_batch_exact(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
+    assert_eq!(q.len(), dim, "query dimensionality mismatch");
+    assert_eq!(rows.len(), dim * out.len(), "ragged batch block");
+    #[cfg(target_arch = "x86_64")]
+    if x86::have_avx2() {
+        // SAFETY: AVX2 verified at runtime; slice invariants asserted above.
+        unsafe { x86::squared_euclidean_batch_exact_avx2(q, rows, dim, out) };
+        return;
+    }
+    squared_euclidean_batch_portable(q, rows, dim, out);
+}
+
+/// [`manhattan`] of `q` against every row of a flat block, bit for bit (see
+/// [`squared_euclidean_batch_exact`]).
+///
+/// # Panics
+/// Panics if `q.len() != dim` or `rows.len() != dim * out.len()`.
+#[inline]
+pub fn manhattan_batch_exact(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
+    assert_eq!(q.len(), dim, "query dimensionality mismatch");
+    assert_eq!(rows.len(), dim * out.len(), "ragged batch block");
+    #[cfg(target_arch = "x86_64")]
+    if x86::have_avx2() {
+        // SAFETY: AVX2 verified at runtime; slice invariants asserted above.
+        unsafe { x86::manhattan_batch_exact_avx2(q, rows, dim, out) };
+        return;
+    }
+    manhattan_batch_portable(q, rows, dim, out);
+}
+
+/// [`chebyshev`] of `q` against every row of a flat block, bit for bit (see
+/// [`squared_euclidean_batch_exact`]).
+///
+/// # Panics
+/// Panics if `q.len() != dim` or `rows.len() != dim * out.len()`.
+#[inline]
+pub fn chebyshev_batch_exact(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
+    assert_eq!(q.len(), dim, "query dimensionality mismatch");
+    assert_eq!(rows.len(), dim * out.len(), "ragged batch block");
+    #[cfg(target_arch = "x86_64")]
+    if x86::have_avx2() {
+        // SAFETY: AVX2 verified at runtime; slice invariants asserted above.
+        unsafe { x86::chebyshev_batch_exact_avx2(q, rows, dim, out) };
+        return;
+    }
+    chebyshev_batch_portable(q, rows, dim, out);
 }
 
 #[cfg(test)]
@@ -538,6 +799,25 @@ mod tests {
         assert!(!KernelMode::Fast.is_exact());
         assert_eq!(KernelMode::Exact.name(), "exact");
         assert_eq!(KernelMode::Fast.name(), "fast");
+    }
+
+    /// `n` values of the uniform `seed` from `offset` on, turned adversarial
+    /// deterministically: every 4th value is rescaled to huge magnitude,
+    /// every 4th-plus-one down to denormal-adjacent magnitude, every
+    /// 4th-plus-two zeroed — so a summation mixes magnitudes, exact zeros and
+    /// subnormals.
+    fn adversarial(seed: &[f64], offset: usize, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| {
+                let v = seed[(offset + i) % seed.len()];
+                match i % 4 {
+                    0 => v * 1e5,
+                    1 => v * 1e-305,
+                    2 => 0.0,
+                    _ => v,
+                }
+            })
+            .collect()
     }
 
     proptest! {
@@ -579,25 +859,8 @@ mod tests {
             seed in proptest::collection::vec(-1e3f64..1e3, 300),
         ) {
             let dim = [1usize, 2, 3, 4, 7, 8, 16, 33][dim_idx];
-            // Turn the uniform seed adversarial deterministically: every 4th
-            // value is rescaled to huge magnitude, every 4th-plus-one down to
-            // denormal-adjacent magnitude, every 4th-plus-two zeroed — so the
-            // summation mixes magnitudes, exact zeros and subnormals.
-            let take = |offset: usize, n: usize| -> Vec<f64> {
-                (0..n)
-                    .map(|i| {
-                        let v = seed[(offset + i) % seed.len()];
-                        match i % 4 {
-                            0 => v * 1e5,
-                            1 => v * 1e-305,
-                            2 => 0.0,
-                            _ => v,
-                        }
-                    })
-                    .collect()
-            };
-            let q = take(0, dim);
-            let block = take(dim, dim * rows);
+            let q = adversarial(&seed, 0, dim);
+            let block = adversarial(&seed, dim, dim * rows);
             let close = |got: f64, want: f64| -> bool {
                 (got - want).abs() <= 1e-9 * want.abs().max(1.0)
             };
@@ -631,6 +894,55 @@ mod tests {
                     prop_assert!(
                         close(out[i], scalar(&q, row)),
                         "batch row {i}: {} vs scalar {}", out[i], scalar(&q, row)
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+        /// The `Exact` tile kernels return the scalar kernels' bits, row for
+        /// row: through the dispatched function (AVX2 lane-per-row where the
+        /// host has it) and through the portable loop called directly, over
+        /// every dimensionality 1..=33 (crossing the 4-dim chunk edge) and
+        /// every row count 0..=70 (crossing the 8-row block edge), with
+        /// huge, subnormal-adjacent and zero coordinates mixed.  For L2 the
+        /// rank→distance sweep then lands on `distance_coords`' bits.
+        #[test]
+        fn exact_batch_kernels_equal_their_scalar_twins_bit_for_bit(
+            seed in proptest::collection::vec(-1e3f64..1e3, 300),
+        ) {
+            const KERNELS: [(&str, BatchKernel, Kernel); 6] = [
+                ("l2", squared_euclidean_batch_exact, squared_euclidean),
+                ("l2 portable", squared_euclidean_batch_portable, squared_euclidean),
+                ("l1", manhattan_batch_exact, manhattan),
+                ("l1 portable", manhattan_batch_portable, manhattan),
+                ("linf", chebyshev_batch_exact, chebyshev),
+                ("linf portable", chebyshev_batch_portable, chebyshev),
+            ];
+            for dim in 1usize..=33 {
+                let q = adversarial(&seed, 0, dim);
+                let block = adversarial(&seed, dim, dim * 70);
+                for (name, batch, scalar) in KERNELS {
+                    let want: Vec<u64> = block
+                        .chunks_exact(dim)
+                        .map(|row| scalar(&q, row).to_bits())
+                        .collect();
+                    for rows in 0usize..=70 {
+                        let mut out = vec![f64::NAN; rows];
+                        batch(&q, &block[..dim * rows], dim, &mut out);
+                        let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+                        prop_assert_eq!(&got[..], &want[..rows], "{} dim {} rows {}", name, dim, rows);
+                    }
+                }
+                let mut out = vec![f64::NAN; 70];
+                squared_euclidean_batch_exact(&q, &block, dim, &mut out);
+                DistanceMetric::Euclidean.ranks_to_distances(&mut out);
+                for (d, row) in out.iter().zip(block.chunks_exact(dim)) {
+                    prop_assert_eq!(
+                        d.to_bits(),
+                        DistanceMetric::Euclidean.distance_coords(&q, row).to_bits()
                     );
                 }
             }

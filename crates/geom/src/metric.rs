@@ -75,9 +75,24 @@ impl DistanceMetric {
         }
     }
 
-    /// The one-query-vs-many-rows rank kernel streaming a flat coordinate
-    /// tile per call (see [`BatchKernel`]).  Convert the ranks back with
-    /// [`DistanceMetric::ranks_to_distances`].
+    /// The one-query-vs-many-rows rank kernel whose every output is
+    /// bit-identical to [`DistanceMetric::rank_kernel`] on the same row, on
+    /// any CPU (the [`crate::kernels::KernelMode::Exact`] tile kernel: one
+    /// row per SIMD lane, no FMA, no reassociation).  Followed by
+    /// [`DistanceMetric::ranks_to_distances`] it yields
+    /// [`DistanceMetric::distance_coords`]' bits.
+    pub fn exact_batch_rank_kernel(&self) -> BatchKernel {
+        match self {
+            DistanceMetric::Euclidean => kernels::squared_euclidean_batch_exact,
+            DistanceMetric::Manhattan => kernels::manhattan_batch_exact,
+            DistanceMetric::Chebyshev => kernels::chebyshev_batch_exact,
+        }
+    }
+
+    /// The reassociated one-query-vs-many-rows rank kernel (the
+    /// [`crate::kernels::KernelMode::Fast`] tile kernel, see [`BatchKernel`]):
+    /// agrees with [`DistanceMetric::rank_kernel`] to ~1e-9 relative.
+    /// Convert the ranks back with [`DistanceMetric::ranks_to_distances`].
     pub fn batch_rank_kernel(&self) -> BatchKernel {
         match self {
             DistanceMetric::Euclidean => kernels::squared_euclidean_batch,
@@ -194,6 +209,9 @@ mod tests {
             assert_eq!((m.kernel())(&a, &b).to_bits(), d.to_bits());
             let rank = (m.rank_kernel())(&a, &b);
             assert_eq!(m.rank_to_distance(rank).to_bits(), d.to_bits());
+            let mut tile = [0.0];
+            (m.exact_batch_rank_kernel())(&a, &b, 3, &mut tile);
+            assert_eq!(tile[0].to_bits(), rank.to_bits());
         }
     }
 

@@ -115,53 +115,47 @@ pub struct ScanCounts {
 }
 
 /// The kernels one scan evaluates candidates with, chosen once from the
-/// plan's [`KernelMode`] — the only place this crate branches on the mode.
+/// plan's [`KernelMode`].  Both modes carry the same three things, so a scan
+/// written against them walks the same rows in the same order whatever the
+/// mode; only `FlatBlock::scan` reads `mode` itself, to keep the oracle's
+/// scalar loop apart from the kernels it checks.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScanKernels {
-    /// The metric both kernels compute; converts `batch` ranks back to
+    /// The metric both kernels compute; converts `tile` ranks back to
     /// distances.
     pub metric: DistanceMetric,
+    /// The mode the kernels were chosen for.
+    pub mode: KernelMode,
     /// Pairwise true-distance kernel for isolated evaluations (pivots,
-    /// per-candidate rechecks, interleaved delta windows): the bit-identical
-    /// scalar kernel in `Exact` mode, its reassociated twin otherwise.
+    /// per-candidate rechecks, interleaved delta windows): the scalar kernel
+    /// in `Exact` mode, its reassociated twin in `Fast`.
     pub pair: Kernel,
-    /// Batch rank kernel for contiguous row runs; `None` in `Exact` mode,
-    /// which evaluates every row through `pair`.
-    pub batch: Option<BatchKernel>,
+    /// Rank kernel for contiguous row runs: the lane-per-row kernel whose
+    /// outputs are bit-identical to `pair`'s in `Exact` mode, the FMA batch
+    /// kernel in `Fast`.
+    pub tile: BatchKernel,
 }
 
 impl ScanKernels {
     pub(crate) fn new(metric: DistanceMetric, mode: KernelMode) -> Self {
-        match mode {
-            KernelMode::Exact => Self {
-                metric,
-                pair: metric.kernel(),
-                batch: None,
-            },
-            KernelMode::Fast => Self {
-                metric,
-                pair: metric.fast_kernel(),
-                batch: Some(metric.batch_rank_kernel()),
-            },
+        let (pair, tile) = match mode {
+            KernelMode::Exact => (metric.kernel(), metric.exact_batch_rank_kernel()),
+            KernelMode::Fast => (metric.fast_kernel(), metric.batch_rank_kernel()),
+        };
+        Self {
+            metric,
+            mode,
+            pair,
+            tile,
         }
     }
 
     /// True distances from `query` to `out.len()` contiguous `rows`, in row
-    /// order: one `pair` call per row in `Exact` mode, one batch call plus
-    /// the monotone rank→distance sweep otherwise.
+    /// order: one `tile` call plus the monotone rank→distance sweep.
     #[inline]
     pub(crate) fn distances(&self, query: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
-        match self.batch {
-            None => {
-                for (i, d) in out.iter_mut().enumerate() {
-                    *d = (self.pair)(query, &rows[i * dim..(i + 1) * dim]);
-                }
-            }
-            Some(batch) => {
-                batch(query, rows, dim, out);
-                self.metric.ranks_to_distances(out);
-            }
-        }
+        (self.tile)(query, rows, dim, out);
+        self.metric.ranks_to_distances(out);
     }
 }
 

@@ -62,21 +62,21 @@ impl PbjCellReducer {
     /// Derives a kNN-distance bound for the objects of one `R` partition from
     /// the `S` objects this reducer actually received (the "looser bound" the
     /// paper attributes to PBJ): the `k`-th smallest `ub(s, P_i^R)` over the
-    /// local block.
+    /// local block.  A cell's rows ascend by pivot distance and `ub` is
+    /// monotone in it, so only a cell's first `k` rows can be among the `k`
+    /// smallest.
     fn local_theta(&self, r_partition: usize, s_parts: &CellMap) -> f64 {
         let u_r = self.tables.r_summaries[r_partition].upper;
         let mut ubs: Vec<f64> = Vec::new();
-        for (&j, bucket) in s_parts {
+        for (&j, cell) in s_parts {
             let pivot_dist = self.tables.pivot_distance(r_partition, j);
-            for s_pivot_dist in bucket.pivot_dists() {
-                ubs.push(upper_bound(u_r, pivot_dist, *s_pivot_dist));
-            }
+            let nearest = &cell.pivot_dists()[..self.k.min(cell.len())];
+            ubs.extend(nearest.iter().map(|d| upper_bound(u_r, pivot_dist, *d)));
         }
         if ubs.len() < self.k {
             return f64::INFINITY;
         }
-        ubs.sort_by(|a, b| a.partial_cmp(b).expect("finite bounds"));
-        ubs[self.k - 1]
+        *ubs.select_nth_unstable_by(self.k - 1, f64::total_cmp).1
     }
 }
 
@@ -107,7 +107,10 @@ impl Reducer for PbjCellReducer {
 mod tests {
     use super::*;
     use crate::algorithms::testing::{assert_matches_oracle, run};
+    use crate::algorithms::voronoi::FlatPartition;
     use crate::metrics::phases;
+    use crate::partition::VoronoiPartitioner;
+    use crate::pivots::{select_pivots, PivotSelectionStrategy};
     use crate::Algorithm::{Hbrj, Pbj, Pgbj};
     use datagen::{gaussian_clusters, uniform, ClusterConfig};
     use proptest::prelude::*;
@@ -224,6 +227,72 @@ mod tests {
             "no pruning: {} computations",
             res.metrics.distance_computations
         );
+    }
+
+    /// `local_theta` reads only each cell's first `k` rows; the value is the
+    /// `k`-th smallest `ub` over *every* row of the block (what a full sort
+    /// gives), bit for bit, for `k` below, at and above the smallest cell's
+    /// size, and `∞` once the block holds fewer than `k` objects.
+    #[test]
+    fn local_theta_is_the_kth_smallest_upper_bound_of_the_whole_block() {
+        let r = clustered(120, 12);
+        let s = clustered(90, 13);
+        let pivots = select_pivots(&r, 7, PivotSelectionStrategy::default(), 1000, EUCLIDEAN, 3);
+        let partitioner = VoronoiPartitioner::new(pivots.clone(), EUCLIDEAN);
+        let (partitioned_r, partitioned_s) = (partitioner.partition(&r), partitioner.partition(&s));
+        let s_parts: CellMap = partitioned_s
+            .partitions
+            .iter()
+            .enumerate()
+            .filter(|(_, bucket)| !bucket.is_empty())
+            .map(|(j, bucket)| {
+                let rows = bucket
+                    .iter()
+                    .map(|(p, dist)| (*dist, p.id, p.coords.as_slice()));
+                (j, Arc::new(FlatPartition::sorted(2, rows.collect())))
+            })
+            .collect();
+        let smallest = s_parts.values().map(|cell| cell.len()).min().unwrap();
+        assert!(smallest > 1 && s_parts.len() > 2, "fixture lost its shape");
+        for k in [
+            1,
+            smallest - 1,
+            smallest,
+            smallest + 1,
+            40,
+            s.len(),
+            s.len() + 1,
+        ] {
+            let tables = Arc::new(SummaryTables::build(
+                pivots.clone(),
+                EUCLIDEAN,
+                &partitioned_r,
+                &partitioned_s,
+                k,
+            ));
+            let reducer = PbjCellReducer {
+                tables: Arc::clone(&tables),
+                k,
+                metric: EUCLIDEAN,
+                mode: KernelMode::Exact,
+            };
+            for i in 0..pivots.len() {
+                let mut ubs: Vec<f64> = Vec::new();
+                for (&j, cell) in &s_parts {
+                    for d in cell.pivot_dists() {
+                        let pivot_dist = tables.pivot_distance(i, j);
+                        ubs.push(upper_bound(tables.r_summaries[i].upper, pivot_dist, *d));
+                    }
+                }
+                ubs.sort_by(f64::total_cmp);
+                let want = ubs.get(k - 1).copied().unwrap_or(f64::INFINITY);
+                assert_eq!(
+                    reducer.local_theta(i, &s_parts).to_bits(),
+                    want.to_bits(),
+                    "k {k}, R partition {i}"
+                );
+            }
+        }
     }
 
     proptest! {

@@ -81,7 +81,7 @@ impl FlatPartition {
 
     /// Puts `rows` in cell order, then flattens them: each object is copied
     /// once, into its final row.
-    fn sorted(dims: usize, mut rows: Vec<Row<'_>>) -> Self {
+    pub(crate) fn sorted(dims: usize, mut rows: Vec<Row<'_>>) -> Self {
         rows.sort_unstable_by(row_order);
         Self::from_sorted(dims, &rows)
     }
@@ -134,11 +134,11 @@ fn order_by_pivot_distance(cells: impl Iterator<Item = usize>, row: &[f64]) -> V
     order
 }
 
-/// Rows per kernel call of the `Fast` candidate walk.  Small on purpose: θ is
-/// re-read between tiles, so a tile is also how far past a shrinking edge
-/// `Fast` may evaluate.  (The prune-free scanners have no edge to overshoot
+/// Rows per kernel call of the candidate walk.  Small on purpose: θ is
+/// re-read between tiles, so a tile is also how far past a shrinking edge the
+/// walk may evaluate.  (The prune-free scanners have no edge to overshoot
 /// and keep [`geom::kernels::PROBE_TILE`].)
-const FAST_TILE: usize = 32;
+const SCAN_TILE: usize = 32;
 
 /// The pruned candidate scan at the heart of Algorithm 3 (lines 16–25) — the
 /// single implementation behind the PGBJ group reducer, the PBJ cell reducer
@@ -147,32 +147,39 @@ const FAST_TILE: usize = 32;
 ///
 /// For one `R` object `r` (in partition `r_partition`, `r_pivot_dist` from
 /// its pivot), [`VoronoiScan::scan`] visits the `S` cells in the order
-/// `s_order` (ascending pivot distance from `p_i`), pruning whole cells with
-/// Corollary 1 and, inside a cell, walking only the rows Theorem 2 admits
-/// under the running threshold `θ = min(θ_i, current kth distance)`:
+/// `s_order` (ascending pivot distance from `p_i`) under the running
+/// threshold `θ = min(θ_i, current kth distance)`:
 ///
-/// 1. two `partition_point`s over the cell's ascending pivot distances turn
-///    the window `[lo, hi]` into a row range, a third finds its *centre*,
-///    the first row with `|p_j, s| ≥ |p_j, r|`;
-/// 2. the range is walked from the centre up to `hi`, then from the centre
-///    down to `lo`, in tiles through `ScanKernels::distances`: one row
-///    with the scalar kernel in `Exact`, `FAST_TILE` rows with the batch
-///    kernel in `Fast`;
-/// 3. before every tile θ is re-read and the tile is cut at the first row
+/// 1. the walk ends at the first cell `j` with `|p_i, p_j| / 2 − |r, p_i| >
+///    θ`, before `|r, p_j|` is evaluated.  Every `s` of cell `j` is no
+///    farther from `p_j` than from `p_i`, so `|p_i, p_j| ≤ |p_i, s| + |s,
+///    p_j| ≤ 2 |p_i, s|`, and `|r, s| ≥ |p_i, s| − |r, p_i| ≥ |p_i, p_j| / 2
+///    − |r, p_i|` by the triangle inequality alone: no object of that cell
+///    is within θ, nor of any later one (`|p_i, p_j|` ascends along
+///    `s_order`, θ only shrinks).  An addition to Algorithm 3, which pays a
+///    pivot distance for every cell it then prunes with Corollary 1;
+/// 2. Corollary 1 prunes a whole cell, Theorem 2 turns the rest into a
+///    window `[lo, hi]` of pivot distances: two `partition_point`s over the
+///    cell's ascending pivot distances make it a row range, a third finds
+///    its *centre*, the first row with `|p_j, s| ≥ |p_j, r|`;
+/// 3. the range is walked from the centre up to `hi`, then from the centre
+///    down to `lo`, in tiles of `SCAN_TILE` rows through
+///    `ScanKernels::distances`;
+/// 4. before every tile θ is re-read and the tile is cut at the first row
 ///    with `||p_j, s| − |p_j, r|| > θ`, which ends that direction: by the
 ///    triangle inequality every later row is farther still.  Walked from
 ///    one end instead, a cell's near edge could never move — a row admitted
 ///    on the way in keeps θ above its own `||p_j, s| − |p_j, r||`, hence
 ///    above that of every row between it and the centre.
 ///
-/// `Exact` and `Fast` thus differ in the kernel and the tile only: per
-/// visited cell `Fast` evaluates what `Exact` does plus at most
-/// `FAST_TILE − 1` rows behind each edge (beyond θ, so never among the `k`
-/// nearest) — at most `2 × (FAST_TILE − 1)` more `distance_computations` —
-/// and its results agree within accumulation-order round-off (≤ 1e-9
-/// relative).  All comparisons stay in true-distance space: θ and the window
-/// come from triangle-inequality bounds over true distances, and squared
-/// ranks could flip one at the last ulp (see ARCHITECTURE.md).
+/// `Exact` and `Fast` differ in the kernels and nothing else: both offer the
+/// same rows in the same order unless a `Fast` distance, off by its
+/// accumulation-order round-off (≤ 1e-9 relative), lands on the other side
+/// of θ.  `Exact`'s tile kernel returns the scalar kernel's bits, so its
+/// answers equal a brute-force scan's bit for bit.  All comparisons stay in
+/// true-distance space: θ and the window come from triangle-inequality
+/// bounds over true distances, and squared ranks could flip one at the last
+/// ulp (see ARCHITECTURE.md).
 ///
 /// With a delta overlay attached (`VoronoiScan::with_delta`), the added
 /// points are offered into the accumulator *first* (tightening the running θ
@@ -225,22 +232,6 @@ impl<'a> VoronoiScan<'a> {
         s_order: &[usize],
         theta_i: f64,
     ) -> (Vec<Neighbor>, ScanCounts) {
-        // The tile is a compile-time constant of the walk, so the one-row
-        // walk costs `Exact` no tile bookkeeping.
-        let r = (r_coords, r_pivot_dist, r_partition);
-        match self.kernels.batch {
-            None => self.scan_in_tiles::<1>(r, s_parts, s_order, theta_i),
-            Some(_) => self.scan_in_tiles::<FAST_TILE>(r, s_parts, s_order, theta_i),
-        }
-    }
-
-    fn scan_in_tiles<const TILE: usize>(
-        &mut self,
-        (r_coords, r_pivot_dist, r_partition): (&[f64], f64, usize),
-        s_parts: &CellMap,
-        s_order: &[usize],
-        theta_i: f64,
-    ) -> (Vec<Neighbor>, ScanCounts) {
         let tables = self.tables;
         let dim = r_coords.len();
         let mut neighbors = NeighborList::new(self.k);
@@ -260,6 +251,11 @@ impl<'a> VoronoiScan<'a> {
         for &j in s_order {
             let theta = theta_i.min(neighbors.threshold());
             let pivot_dist = tables.pivot_distance(r_partition, j);
+            // Every s of cell j is at least |p_i, p_j| / 2 from p_i, hence at
+            // least that minus |r, p_i| from r; later cells are farther.
+            if j != r_partition && 0.5 * pivot_dist - r_pivot_dist > theta {
+                break;
+            }
             // Distance from r to the pivot of partition j; pivots count as
             // objects in the paper's selectivity metric.
             let d_r_pj = (self.kernels.pair)(r_coords, &tables.pivots[j].coords);
@@ -290,7 +286,7 @@ impl<'a> VoronoiScan<'a> {
             let mut next = centre;
             while next < last {
                 let theta_now = theta_i.min(neighbors.threshold());
-                let tile = &pivot_dists[next..(next + TILE).min(last)];
+                let tile = &pivot_dists[next..(next + SCAN_TILE).min(last)];
                 let stop = next + tile.partition_point(|&d| d - d_r_pj <= theta_now);
                 if stop == next {
                     break;
@@ -302,7 +298,7 @@ impl<'a> VoronoiScan<'a> {
             let mut done = centre;
             while first < done {
                 let theta_now = theta_i.min(neighbors.threshold());
-                let tile = &pivot_dists[done.saturating_sub(TILE).max(first)..done];
+                let tile = &pivot_dists[done.saturating_sub(SCAN_TILE).max(first)..done];
                 let start = done - tile.len() + tile.partition_point(|&d| d_r_pj - d > theta_now);
                 if start == done {
                     break;
@@ -843,6 +839,16 @@ mod tests {
             metric,
             seed,
         );
+        fixture_over(pivots, r, s, k, metric)
+    }
+
+    fn fixture_over(
+        pivots: Vec<Point>,
+        r: &PointSet,
+        s: &PointSet,
+        k: usize,
+        metric: DistanceMetric,
+    ) -> Fixture {
         let partitioner = VoronoiPartitioner::new(pivots.clone(), metric);
         let (partitioned_r, partitioned_s) = (partitioner.partition(r), partitioner.partition(s));
         let tables = SummaryTables::build(pivots, metric, &partitioned_r, &partitioned_s, k);
@@ -922,10 +928,12 @@ mod tests {
         /// The bound the window-first walk exists for, per `R` object: both
         /// modes answer what a brute-force scan answers (`Exact` bit for
         /// bit, `Fast` within 1e-9), and `Fast` evaluates at most
-        /// `FAST_TILE − 1` objects more than `Exact` behind each edge of a
-        /// cell it visits.  A cell either mode visits costs `Exact` at least
-        /// one object, so the visits are bounded by `Exact`'s object
-        /// evaluations and by the number of cells.
+        /// `SCAN_TILE − 1` objects more than `Exact` behind each edge of a
+        /// cell it visits (both walk the same tiles, so a difference takes a
+        /// `Fast` distance landing on the other side of θ).  A cell either
+        /// mode visits costs `Exact` at least one object, so the visits are
+        /// bounded by `Exact`'s object evaluations and by the number of
+        /// cells.
         #[test]
         fn fast_evaluates_at_most_a_tile_per_edge_more_than_exact_in_a_visited_cell(
             n_r in 5usize..40,
@@ -954,10 +962,11 @@ mod tests {
                 let e_dists: Vec<f64> = e_rows.iter().map(|n| n.distance).collect();
                 let close = f_rows.len() == want.len()
                     && f_rows.iter().zip(&want).all(|(n, w)| (n.distance - w).abs() <= 1e-9 * w.max(1.0));
-                // Every cell of the scan order costs one pivot distance.
+                // A cell of the scan order costs at most one pivot distance
+                // (none once the walk has stopped), so this is a lower bound.
                 let cells = s_order.len() as u64;
-                let exact_objects = e.frozen - cells;
-                let slack = 2 * (FAST_TILE as u64 - 1) * cells.min(exact_objects);
+                let exact_objects = e.frozen.saturating_sub(cells);
+                let slack = 2 * (SCAN_TILE as u64 - 1) * cells.min(exact_objects);
                 if verdict.is_ok() && (e_dists != want || !close || fc.frozen > e.frozen + slack) {
                     verdict = Err(format!(
                         "r {}: exact {e_dists:?} ({} evals), fast {f_rows:?} ({} evals), \
@@ -967,6 +976,64 @@ mod tests {
                 }
             });
             prop_assert!(verdict.is_ok(), "{:?}", verdict);
+        }
+    }
+
+    /// The pivot-order cut ends the walk: with one pivot per well-separated
+    /// cluster, a scan pays for its own cell and stops at the next one, so
+    /// its evaluations — pivots and objects together — are fewer than the
+    /// cells of the scan order, each of which cost a pivot distance before
+    /// the cut.  The answers are still the brute-force ones.
+    #[test]
+    fn the_walk_stops_at_the_first_cell_too_far_to_hold_a_neighbour() {
+        let k = 2;
+        let centres: Vec<Point> = (0..30)
+            .map(|i| Point::new(i, vec![100.0 * i as f64, 0.0]))
+            .collect();
+        let around_centres = |offset: f64| {
+            let rows = centres.iter().flat_map(|c| {
+                (0..4).map(move |t| vec![c.coords[0] + offset + 0.3 * t as f64, 0.5])
+            });
+            PointSet::from_coords(rows.collect())
+        };
+        let (r, s) = (around_centres(-0.4), around_centres(-0.5));
+        for metric in METRICS {
+            let f = fixture_over(centres.clone(), &r, &s, k, metric);
+            for mode in [KernelMode::Exact, KernelMode::Fast] {
+                let mut scan = VoronoiScan::new(&f.tables, k, metric, mode);
+                f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
+                    let (rows, counts) = scan.scan(
+                        &r_obj.coords,
+                        r_pivot_dist,
+                        i,
+                        &f.s_parts,
+                        s_order,
+                        f.theta[i],
+                    );
+                    assert_eq!(s_order.len(), centres.len());
+                    assert!(
+                        counts.frozen < s_order.len() as u64,
+                        "{metric:?} {mode:?} r {}: {} evaluations over {} cells",
+                        r_obj.id,
+                        counts.frozen,
+                        s_order.len()
+                    );
+                    let mut oracle = NeighborList::new(k);
+                    for s_obj in &s {
+                        oracle.offer(s_obj.id, metric.distance(r_obj, s_obj));
+                    }
+                    let want = oracle.into_sorted();
+                    let close = rows.len() == want.len()
+                        && rows
+                            .iter()
+                            .zip(&want)
+                            .all(|(got, want)| (got.distance - want.distance).abs() <= 1e-9);
+                    assert!(
+                        if mode.is_exact() { rows == want } else { close },
+                        "{metric:?} {mode:?}: {rows:?} vs {want:?}"
+                    );
+                });
+            }
         }
     }
 

@@ -149,11 +149,13 @@ impl FlatBlock {
     /// The `k` nearest block rows of one probe object — minus tombstoned
     /// rows, plus the delta overlay's adds when one is attached.
     ///
-    /// * Without a batch kernel (`Exact`): the oracle's scalar loop in scalar
-    ///   order — frozen rows in storage order, then the adds in ascending id
-    ///   order, i.e. exactly the offers a cold scan over the materialized
-    ///   corpus makes.  Masked rows cost no kernel.
-    /// * With one (`Fast`): the adds, then the block, are streamed in
+    /// * `Exact`: the oracle's scalar loop in scalar order — frozen rows in
+    ///   storage order, then the adds in ascending id order, i.e. exactly
+    ///   the offers a cold scan over the materialized corpus makes.  Masked
+    ///   rows cost no kernel.  The tile kernel is left out on purpose: this
+    ///   is the scan every other one is checked against, so it shares no
+    ///   kernel with them.
+    /// * `Fast`: the adds, then the block, are streamed in
     ///   [`geom::kernels::PROBE_TILE`]-row tiles through the batch rank
     ///   kernel; the accumulator runs in rank space (rank order equals
     ///   distance order for every metric) and the final top-`k` list is
@@ -172,7 +174,7 @@ impl FlatBlock {
         let mut neighbors = NeighborList::new(k);
         let mut counts = ScanCounts::default();
         let tombstoned = |id: PointId| delta.is_some_and(|delta| delta.is_tombstoned(id));
-        let Some(batch) = kernels.batch else {
+        if kernels.mode.is_exact() {
             let kernel = kernels.pair;
             for (i, row) in self.coords.rows().enumerate() {
                 if tombstoned(ids[i]) {
@@ -189,7 +191,8 @@ impl FlatBlock {
                 }
             }
             return (neighbors.into_sorted(), counts);
-        };
+        }
+        let batch = kernels.tile;
         if let Some(block) = delta {
             let rows = block.coords.as_slice();
             for_each_tile(block.ids.len(), |t0, t1| {

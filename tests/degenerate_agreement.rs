@@ -116,6 +116,147 @@ fn agreement_when_two_pivots_share_a_location() {
     );
 }
 
+/// One input the pivot-order cut of the Voronoi cell walk is aimed at:
+/// `calibration` seeds the pivots of the prepared join (the cold joins draw
+/// them from `r`), `r` is the probe side.
+struct CutLayout {
+    name: &'static str,
+    calibration: PointSet,
+    r: PointSet,
+    s: PointSet,
+    k: usize,
+    pivot_count: usize,
+}
+
+/// Layouts where `|p_i, p_j| / 2 − |r, p_i|` is negative, zero, exactly on a
+/// bound, or never beaten by a finite θ.
+fn cut_layouts() -> Vec<CutLayout> {
+    let near = |n: usize, seed: u64| uniform(n, 2, 50.0, seed);
+    // Probes far outside every cell: |r, p_i| exceeds every |p_i, p_j|.
+    let mut far_rows: Vec<Vec<f64>> = near(12, 1).iter().map(|p| p.coords.clone()).collect();
+    far_rows.extend([
+        vec![4_000.0, 3_000.0],
+        vec![-2_500.0, 60.0],
+        vec![25.0, -9_000.0],
+    ]);
+    // Every R object a pivot, three of them at one location: |p_i, p_j| = 0.
+    let mut shared_rows: Vec<Vec<f64>> = (0..9)
+        .map(|i| vec![(i % 3) as f64 * 11.0, (i / 3) as f64 * 8.0])
+        .collect();
+    shared_rows.extend([shared_rows[4].clone(), shared_rows[4].clone()]);
+    let shared = PointSet::from_coords(shared_rows);
+    // Pivots on the even integers, S on every integer: the odd ones sit on a
+    // bisector, and every distance and bound is exact in floating point.
+    let evens = PointSet::from_coords((0..11).map(|i| vec![2.0 * i as f64]).collect());
+    let integers = PointSet::from_coords((-3..24).map(|i| vec![i as f64]).collect());
+    vec![
+        CutLayout {
+            name: "probes far outside their cell",
+            calibration: near(40, 2),
+            r: PointSet::from_coords(far_rows),
+            s: near(200, 3),
+            k: 4,
+            pivot_count: 6,
+        },
+        CutLayout {
+            name: "pivots sharing a location",
+            calibration: shared.clone(),
+            r: shared.clone(),
+            s: near(60, 4),
+            k: 3,
+            pivot_count: shared.len(),
+        },
+        CutLayout {
+            name: "integer lattice with objects on bisectors",
+            calibration: evens.clone(),
+            r: evens.clone(),
+            s: integers,
+            k: 3,
+            pivot_count: evens.len(),
+        },
+        CutLayout {
+            name: "k larger than any cell",
+            calibration: near(30, 5),
+            r: near(30, 5),
+            s: near(64, 6),
+            k: 20,
+            pivot_count: 8,
+        },
+        CutLayout {
+            name: "k larger than S",
+            calibration: near(20, 7),
+            r: near(20, 7),
+            s: near(9, 8),
+            k: 12,
+            pivot_count: 4,
+        },
+    ]
+}
+
+/// The cell walk stops at the first cell whose pivot is too far from `p_i`
+/// for any of its objects to be within θ of `r`.  On the layouts that bound
+/// is weakest or tightest on, every path through the walk — cold PGBJ, cold
+/// PBJ, a prepared probe, a probe under an overlay with adds and tombstones
+/// (θ_i = ∞), a probe after compaction — still answers what brute force
+/// answers: `Exact` bit for bit, `Fast` within 1e-9, under every metric.
+#[test]
+fn agreement_on_layouts_that_stress_the_pivot_order_cut() {
+    let ctx = ExecutionContext::default();
+    for layout in cut_layouts() {
+        let CutLayout { name, r, s, k, .. } = &layout;
+        for metric in [
+            DistanceMetric::Euclidean,
+            DistanceMetric::Manhattan,
+            DistanceMetric::Chebyshev,
+        ] {
+            let oracle_over = |s: &PointSet| NestedLoopJoin.join(r, s, *k, metric).expect("oracle");
+            let oracle = oracle_over(s);
+            for (mode, tolerance) in [(KernelMode::Exact, 0.0), (KernelMode::Fast, 1e-9)] {
+                let check = |what: &str, got: &JoinResult, want: &JoinResult| {
+                    assert!(
+                        got.matches(want, tolerance),
+                        "{name}, {metric:?}, {mode:?}, {what}: {:?}",
+                        got.mismatch_against(want, tolerance)
+                    );
+                };
+                let join = |r, algorithm| {
+                    Join::new(r, s)
+                        .k(*k)
+                        .metric(metric)
+                        .kernel_mode(mode)
+                        .algorithm(algorithm)
+                        .pivot_count(layout.pivot_count)
+                        .reducers(4)
+                        .seed(7)
+                };
+                for algorithm in [Algorithm::Pgbj, Algorithm::Pbj] {
+                    let cold = join(r, algorithm).run(&ctx).expect("cold join");
+                    check(&format!("cold {algorithm}"), &cold, &oracle);
+                }
+                let prepared = join(&layout.calibration, Algorithm::Pgbj)
+                    .delta_threshold(usize::MAX)
+                    .prepare(&ctx)
+                    .expect("prepare");
+                check("prepared", &prepared.query(r).expect("query"), &oracle);
+                // Adds beside the first probes, every fourth S object gone.
+                for (i, p) in r.iter().take(3).enumerate() {
+                    let beside: Vec<f64> = p.coords.iter().map(|c| c + 0.25).collect();
+                    prepared
+                        .insert(Point::new(50_000 + i as u64, beside))
+                        .expect("insert");
+                }
+                for victim in s.iter().step_by(4) {
+                    assert!(prepared.delete(victim.id), "frozen id is live");
+                }
+                let churned = oracle_over(&prepared.materialized_corpus());
+                check("overlay", &prepared.query(r).expect("query"), &churned);
+                assert!(prepared.compact());
+                check("compacted", &prepared.query(r).expect("query"), &churned);
+            }
+        }
+    }
+}
+
 /// Builds a 2-d dataset from flat coordinates, then duplicates roughly a
 /// third of the points (picked deterministically from `seed`).
 fn with_duplicates(flat: &[f64], seed: u64) -> PointSet {

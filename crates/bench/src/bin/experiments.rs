@@ -25,17 +25,19 @@
 //! times and latency percentiles are machine-dependent and never compared.
 //! A `perf_baseline` check also fails when a `Fast` PGBJ / PBJ row of the
 //! run spends other distance computations than its `Exact` twin (both modes
-//! walk the same tiles), or when a cold PBJ row's pivot-assignment
-//! computations differ from its PGBJ twin's (they run one front half),
-//! whatever the reference says.
+//! walk the same tiles), when a cold PBJ row's pivot-assignment
+//! computations differ from its PGBJ twin's (they run one front half), or
+//! when a cold PGBJ row's shuffle records are not job 1's batches plus one
+//! per routed object (a cell slice is accounted as its rows), whatever the
+//! reference says.
 //! CI runs all three on every push, so an unexplained counter regression
 //! fails the build instead of silently shifting the baseline.
 
 #![forbid(unsafe_code)]
 
 use bench::experiments::{
-    fast_rows_off_their_exact_twin, pbj_rows_off_their_pgbj_twin, run_by_id, ExperimentOutput,
-    ALL_EXPERIMENTS,
+    fast_rows_off_their_exact_twin, pbj_rows_off_their_pgbj_twin,
+    pgbj_rows_off_their_shuffle_identity, run_by_id, ExperimentOutput, ALL_EXPERIMENTS,
 };
 use bench::json::Value;
 use bench::ExperimentScale;
@@ -277,6 +279,7 @@ fn main() -> ExitCode {
             if output.id == "perf_baseline" {
                 drift.extend(fast_rows_off_their_exact_twin(&output.json));
                 drift.extend(pbj_rows_off_their_pgbj_twin(&output.json));
+                drift.extend(pgbj_rows_off_their_shuffle_identity(&output.json));
             }
             problems.extend(drift.into_iter().map(|p| format!("{}: {p}", output.id)));
         }

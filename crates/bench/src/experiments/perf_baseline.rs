@@ -60,6 +60,14 @@ pub struct BaselineRow {
     pub shuffle_bytes: u64,
     /// Records crossing the shuffle across all jobs (post-combine).
     pub shuffle_records: u64,
+    /// `combine_output_records + r_records_shuffled + s_records_shuffled`:
+    /// job 1's post-combine batches plus one record per object the join job
+    /// routed.  On a cold PGBJ row that is every record of both jobs, so it
+    /// equals `shuffle_records` exactly while each routed object is charged
+    /// one record — cells cross that shuffle as slices, accounted per row
+    /// (see [`pgbj_rows_off_their_shuffle_identity`]).  Not gated against
+    /// the committed file.
+    pub batches_plus_routed_records: u64,
     /// Recall against the nested-loop oracle (1.0 for exact algorithms).
     pub recall: f64,
     /// Mean distance-approximation ratio against the oracle (1.0 = exact).
@@ -124,6 +132,9 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
                 pivot_selections: m.pivot_selections,
                 shuffle_bytes: m.shuffle_bytes,
                 shuffle_records: m.shuffle_records,
+                batches_plus_routed_records: m.combine_output_records
+                    + m.r_records_shuffled
+                    + m.s_records_shuffled,
                 recall: quality.recall,
                 distance_ratio: quality.distance_ratio,
                 build_time_s: 0.0,
@@ -157,6 +168,9 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
                 pivot_selections: m.pivot_selections,
                 shuffle_bytes: m.shuffle_bytes,
                 shuffle_records: m.shuffle_records,
+                batches_plus_routed_records: m.combine_output_records
+                    + m.r_records_shuffled
+                    + m.s_records_shuffled,
                 recall: quality.recall,
                 distance_ratio: quality.distance_ratio,
                 build_time_s: 0.0,
@@ -210,6 +224,9 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
                 pivot_selections: m.pivot_selections,
                 shuffle_bytes: m.shuffle_bytes,
                 shuffle_records: m.shuffle_records,
+                batches_plus_routed_records: m.combine_output_records
+                    + m.r_records_shuffled
+                    + m.s_records_shuffled,
                 recall: quality.recall,
                 distance_ratio: quality.distance_ratio,
                 build_time_s,
@@ -293,6 +310,10 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
                     ("pivot_selections", (row.pivot_selections as f64).into()),
                     ("shuffle_bytes", (row.shuffle_bytes as f64).into()),
                     ("shuffle_records", (row.shuffle_records as f64).into()),
+                    (
+                        "batches_plus_routed_records",
+                        (row.batches_plus_routed_records as f64).into(),
+                    ),
                     ("recall", row.recall.into()),
                     ("distance_ratio", row.distance_ratio.into()),
                     ("build_time_s", row.build_time_s.into()),
@@ -360,6 +381,36 @@ pub fn pbj_rows_off_their_pgbj_twin(rows: &Value) -> Vec<String> {
     problems.collect()
 }
 
+/// The cold PGBJ rows of a `perf_baseline` run whose `shuffle_records` is not
+/// job 1's batches plus one record per routed object
+/// (`batches_plus_routed_records`), each as a description.  Job 2 moves a
+/// cell's rows as one shared slice; the slice is *accounted* as its rows, so
+/// the identity holds by construction and breaks the moment a slice is
+/// charged as one record (or an object twice).
+pub fn pgbj_rows_off_their_shuffle_identity(rows: &Value) -> Vec<String> {
+    let problems = ["PGBJ", "PGBJ (fast)"].into_iter().filter_map(|row| {
+        let of = |field: &str| row_field(rows, row, field);
+        match (of("shuffle_records"), of("batches_plus_routed_records")) {
+            (Some(shuffled), Some(accounted)) if shuffled == accounted => None,
+            (Some(shuffled), Some(accounted)) => Some(format!(
+                "{row}.shuffle_records: {shuffled} against {accounted} batches + routed \
+                 objects: a routed object is not charged exactly one record"
+            )),
+            _ => Some(format!("{row}: row or field missing")),
+        }
+    });
+    problems.collect()
+}
+
+/// The numeric `field` of the row named `algorithm`, if both exist.
+fn row_field(rows: &Value, algorithm: &str, field: &str) -> Option<f64> {
+    rows.as_array()
+        .into_iter()
+        .flatten()
+        .find(|r| r["algorithm"].as_str() == Some(algorithm))
+        .and_then(|r| r[field].as_f64())
+}
+
 /// Describes how the `row`'s `field` breaks `holds(twin's, row's)` — `rule`
 /// says what the two should have been — or that one of the rows is missing.
 fn twin_problem(
@@ -369,13 +420,7 @@ fn twin_problem(
     holds: impl Fn(f64, f64) -> bool,
     rule: &str,
 ) -> Option<String> {
-    let value_of = |algorithm: &str| {
-        rows.as_array()
-            .into_iter()
-            .flatten()
-            .find(|r| r["algorithm"].as_str() == Some(algorithm))
-            .and_then(|r| r[field].as_f64())
-    };
+    let value_of = |algorithm: &str| row_field(rows, algorithm, field);
     match (value_of(twin), value_of(row)) {
         (Some(t), Some(r)) if holds(t, r) => None,
         (Some(t), Some(r)) => Some(format!("{row}.{field}: {r} against {twin}'s {t}: {rule}")),
@@ -552,6 +597,31 @@ mod tests {
         let problems = pbj_rows_off_their_pgbj_twin(&unbilled);
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].starts_with("PBJ."), "{problems:?}");
+    }
+
+    #[test]
+    fn pgbj_rows_account_a_slice_as_its_rows_and_the_gate_notices_when_not() {
+        let out = perf_baseline(ExperimentScale::Quick);
+        assert_eq!(pgbj_rows_off_their_shuffle_identity(&out.json), [""; 0]);
+        // A PGBJ row whose slices were counted as one record each trips it.
+        let rows = out.json.as_array().expect("rows").iter();
+        let per_slice = Value::Array(
+            rows.map(|row| match row["algorithm"].as_str() {
+                Some("PGBJ") => Value::object(vec![
+                    ("algorithm", "PGBJ".into()),
+                    ("shuffle_records", 100.0.into()),
+                    (
+                        "batches_plus_routed_records",
+                        row["batches_plus_routed_records"].clone(),
+                    ),
+                ]),
+                _ => row.clone(),
+            })
+            .collect(),
+        );
+        let problems = pgbj_rows_off_their_shuffle_identity(&per_slice);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with("PGBJ."), "{problems:?}");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
 use geom::{Neighbor, RecordKind};
 use mapreduce::{
-    Combiner, IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer,
+    ByteSize, Combiner, IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer,
 };
 use std::time::Instant;
 
@@ -22,8 +22,30 @@ pub(crate) fn block_count(reducers: usize) -> usize {
     ((reducers as f64).sqrt().floor() as usize).max(1)
 }
 
-/// Mapper of the block join job: replicate each `R` record across the row of
-/// reducer cells for its block and each `S` record across the column.
+/// Emits `value` — `objects` objects of block `block` of dataset `kind` — to
+/// the `b` reducer cells where its block meets the other dataset's blocks:
+/// `R_i` joins `S_0 … S_{B−1}` along row `i` of the `B × B` grid, `S_j` joins
+/// `R_0 … R_{B−1}` down column `j`.  One replica is counted per object per
+/// cell.
+pub(crate) fn replicate<V: Clone + ByteSize>(
+    ctx: &mut MapContext<u32, V>,
+    kind: RecordKind,
+    (block, b): (u32, u32),
+    value: &V,
+    objects: usize,
+) {
+    let (replicas, row, column) = match kind {
+        RecordKind::R => (counters::R_RECORDS, b, 1),
+        RecordKind::S => (counters::S_RECORDS, 1, b),
+    };
+    for other in 0..b {
+        ctx.emit(block * row + other * column, value.clone());
+    }
+    ctx.counters().add(replicas, objects as u64 * b as u64);
+}
+
+/// Mapper of H-BRJ's block join job: replicate each `R` record across the
+/// row of reducer cells for its block and each `S` record across the column.
 pub(crate) struct BlockRouteMapper {
     /// `B`, the number of blocks per dataset.
     pub blocks: usize,
@@ -37,23 +59,7 @@ impl Mapper for BlockRouteMapper {
 
     fn map(&self, key: &u64, value: &ShuffleRecord, ctx: &mut MapContext<u32, ShuffleRecord>) {
         let b = self.blocks as u32;
-        let block = (key % b as u64) as u32;
-        match value.kind {
-            RecordKind::R => {
-                // R_i joins S_0..S_B-1: cells (block, 0..B).
-                for j in 0..b {
-                    ctx.emit(block * b + j, value.clone());
-                }
-                ctx.counters().add(counters::R_RECORDS, b as u64);
-            }
-            RecordKind::S => {
-                // S_j joins R_0..R_B-1: cells (0..B, block).
-                for i in 0..b {
-                    ctx.emit(i * b + block, value.clone());
-                }
-                ctx.counters().add(counters::S_RECORDS, b as u64);
-            }
-        }
+        replicate(ctx, value.kind, ((key % b as u64) as u32, b), value, 1);
     }
 }
 
@@ -121,20 +127,23 @@ impl Reducer for MergeReducer {
 }
 
 /// Runs the two MapReduce jobs of the block framework with the supplied
+/// block-routing mapper (objects for H-BRJ, Voronoi cells for PBJ) and
 /// per-cell join reducer, filling in phase timings, shuffle volume and
 /// counters for *both* jobs.  `workers` is the physical pool size from the
 /// caller's execution context; when the plan's `combiner` is set, the merge
 /// job runs the [`MergeCombiner`] map-side so only `k`-bounded lists cross
 /// its shuffle.
-pub(crate) fn run_block_framework<Red>(
-    input: Vec<(u64, ShuffleRecord)>,
+pub(crate) fn run_block_framework<Map, Red>(
+    input: Vec<(Map::KIn, Map::VIn)>,
     plan: &JoinPlan,
     workers: usize,
+    route_mapper: &Map,
     join_reducer: &Red,
     metrics: &mut JoinMetrics,
 ) -> Result<Vec<JoinRow>, JoinError>
 where
-    Red: Reducer<KIn = u32, VIn = ShuffleRecord, KOut = u64, VOut = NeighborListValue>,
+    Map: Mapper<KOut = u32>,
+    Red: Reducer<KIn = u32, VIn = Map::VOut, KOut = u64, VOut = NeighborListValue>,
 {
     let (k, reducers, map_tasks) = (plan.k, plan.reducers, plan.map_tasks);
     let blocks = block_count(reducers);
@@ -145,12 +154,7 @@ where
         .reducers(blocks * blocks)
         .map_tasks(map_tasks)
         .workers(workers)
-        .run_with_partitioner(
-            input,
-            &BlockRouteMapper { blocks },
-            join_reducer,
-            &IdentityPartitioner,
-        )
+        .run_with_partitioner(input, route_mapper, join_reducer, &IdentityPartitioner)
         .map_err(|e| JoinError::substrate("block-join", e))?;
     metrics.record_phase(phases::KNN_JOIN, start.elapsed());
     metrics.absorb_job(&join_job.metrics);

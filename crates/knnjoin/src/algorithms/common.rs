@@ -1,10 +1,11 @@
 //! Pieces shared by every MapReduce join algorithm: the typed object value
-//! the cold jobs shuffle, the neighbour-list value type used by the merge
-//! jobs, the kernel / delta / tile plumbing of the candidate scans, and the
-//! direct probe routine of the prepared families.
+//! the jobs without a partitioning step shuffle, the neighbour-list value
+//! type used by the merge jobs, the kernel / delta / tile plumbing of the
+//! candidate scans, and the direct probe routine of the prepared families.
 //!
-//! Shuffle bytes are accounted, not produced: a [`ShuffleRecord`] crosses
-//! the engine's in-process shuffle as it is and is charged the length
+//! Shuffle bytes are accounted, not produced: a [`ShuffleRecord`] (like the
+//! Voronoi family's cells, see [`crate::algorithms::voronoi`]) crosses the
+//! engine's in-process shuffle as it is and is charged the length
 //! [`geom::Record`]'s codec would give it — the codec is the reference for
 //! the unit, and nothing here serialises.
 
@@ -24,34 +25,28 @@ use std::time::Instant;
 /// which aggregates them via `absorb_job`).
 pub use crate::metrics::counters;
 
-/// One object as the cold jobs shuffle it — the tuple of the paper's
-/// Figure 4: originating dataset, Voronoi cell, distance to that cell's
-/// pivot, and the object itself behind a shared handle.
+/// One object as the jobs of H-BRJ, the broadcast join and H-zkNNJ shuffle
+/// it: originating dataset and the object itself behind a shared handle —
+/// the tuple of the paper's Figure 4 with no Voronoi cell assigned.
 ///
-/// Mappers read the fields and emit replicas by cloning the handle; reducers
-/// borrow the coordinates straight into their columnar layouts.  The
-/// [`ByteSize`] is exactly what [`Record::encode`] would produce for the same
-/// tuple, so the engine's byte accounting is the paper's shuffling-cost
-/// metric although no byte is ever written.
+/// Mappers emit replicas by cloning the handle; reducers borrow the
+/// coordinates straight into their own layouts.  The [`ByteSize`] is exactly
+/// what [`Record::encode`] would produce for the tuple (partition 0, pivot
+/// distance 0), so the engine's byte accounting is the paper's
+/// shuffling-cost metric although no byte is ever written.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShuffleRecord {
     /// Originating dataset.
     pub kind: RecordKind,
-    /// Index of the closest pivot (0 before any partitioning).
-    pub partition: u32,
-    /// Distance to that pivot (0 before any partitioning).
-    pub pivot_distance: f64,
     /// The object, shared by every replica.
     pub point: Arc<Point>,
 }
 
 impl ShuffleRecord {
-    /// An object no job has partitioned yet: partition 0, pivot distance 0.
+    /// Wraps one object of dataset `kind`.
     pub fn raw(kind: RecordKind, point: Point) -> Self {
         Self {
             kind,
-            partition: 0,
-            pivot_distance: 0.0,
             point: Arc::new(point),
         }
     }
@@ -280,9 +275,10 @@ pub(crate) fn label_rows(r: &PointSet, neighbors: Vec<Vec<Neighbor>>) -> Vec<Joi
 /// never spawns threads of its own.
 pub const PARALLEL_PROBE_CUT: usize = 64;
 
-/// The one probe routine of every prepared family: runs `scan_row` for rows
-/// `0..n` and returns their neighbour lists positionally, folding the scan
-/// counters into `metrics` and recording the `knn join` phase.  Nothing is
+/// The one probe routine of every prepared family: runs `scan_row(scan, i,
+/// rows[i])` for every row and returns the neighbour lists positionally,
+/// folding the scan counters into `metrics` and recording the `knn join`
+/// phase.  Nothing is
 /// encoded, shuffled or grouped — `S` is resident, so a probe costs what its
 /// scans cost.  Batches of [`PARALLEL_PROBE_CUT`] rows or more are split into
 /// one contiguous range per worker on the engine's [`parallel_map`]; each
@@ -290,19 +286,22 @@ pub const PARALLEL_PROBE_CUT: usize = 64;
 /// Rows are scanned independently, so the split changes neither a row nor a
 /// counter.
 pub(crate) fn probe_rows<S>(
-    n: usize,
+    rows: &[&[f64]],
     workers: usize,
     metrics: &mut JoinMetrics,
     new_scan: impl Fn() -> S + Sync,
-    scan_row: impl Fn(&mut S, usize) -> (Vec<Neighbor>, ScanCounts) + Sync,
+    scan_row: impl Fn(&mut S, usize, &[f64]) -> (Vec<Neighbor>, ScanCounts) + Sync,
 ) -> Vec<Vec<Neighbor>> {
     let start = Instant::now();
+    let n = rows.len();
     let scan_range = |range: Range<usize>| {
         let mut scan = new_scan();
         let mut totals = ScanCounts::default();
         let rows: Vec<Vec<Neighbor>> = range
             .map(|i| {
-                let (neighbors, counts) = scan_row(&mut scan, i);
+                #[cfg(test)]
+                failpoint::check(rows[i]);
+                let (neighbors, counts) = scan_row(&mut scan, i, rows[i]);
                 totals.frozen += counts.frozen;
                 totals.delta += counts.delta;
                 totals.masked += counts.masked;
@@ -332,6 +331,24 @@ pub(crate) fn probe_rows<S>(
     rows
 }
 
+/// The fault-injection hook of the serving tests, at the one place every
+/// prepared probe passes.  Compiled into this crate's unit tests only, and
+/// keyed on the probed row itself — nothing is armed, so tests running in
+/// parallel cannot trip each other.
+#[cfg(test)]
+pub(crate) mod failpoint {
+    /// A finite coordinate no generated dataset contains: a probe row that
+    /// starts with it panics inside [`super::probe_rows`].
+    pub(crate) const POISON: f64 = -6.022_140_76e23;
+
+    pub(super) fn check(row: &[f64]) {
+        assert!(
+            row.first() != Some(&POISON),
+            "failpoint: poisoned probe row"
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,12 +361,8 @@ mod tests {
         for kind in [RecordKind::R, RecordKind::S] {
             for dims in [2usize, 10] {
                 let point = Point::new(9, (0..dims).map(|d| d as f64 - 1.5).collect());
-                let value = ShuffleRecord {
-                    partition: 3,
-                    pivot_distance: 1.5,
-                    ..ShuffleRecord::raw(kind, point.clone())
-                };
-                let record = Record::new(kind, 3, 1.5, point);
+                let value = ShuffleRecord::raw(kind, point.clone());
+                let record = Record::new(kind, 0, 0.0, point);
                 let bytes = record.encode();
                 assert_eq!(value.byte_size(), bytes.len());
                 assert_eq!(value.byte_size(), record.encoded_len());

@@ -16,7 +16,7 @@
 //! counters are unchanged; only the number of bulk loads drops from `B²` to
 //! `B` (the `index_builds` metric).
 
-use crate::algorithms::blocks::{block_count, run_block_framework};
+use crate::algorithms::blocks::{block_count, run_block_framework, BlockRouteMapper};
 use crate::algorithms::common::{
     counters, probe_rows, raw_inputs, NeighborListValue, ScanCounts, ShuffleRecord,
 };
@@ -46,6 +46,7 @@ pub(crate) fn join(
         raw_inputs(r, s),
         plan,
         ctx.workers(),
+        &BlockRouteMapper { blocks },
         &HbrjCellReducer {
             k: plan.k,
             metric: plan.metric,
@@ -173,12 +174,11 @@ impl HbrjPrepared {
         // the frozen top-k as is.
         let t = delta.map_or(0, DeltaOverlay::tombstones_len);
         probe_rows(
-            rows.len(),
+            rows,
             workers,
             metrics,
             || (),
-            |(), row| {
-                let query = rows[row];
+            |(), _, query| {
                 let mut counts = ScanCounts::default();
                 // One shared accumulator across the block trees: the k-th
                 // distance found in earlier trees prunes later ones, which

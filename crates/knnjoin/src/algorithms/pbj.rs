@@ -11,9 +11,9 @@
 //! partitions and objects — exactly the behaviour the paper uses to isolate
 //! how much of PGBJ's win comes from the grouping versus the bounds.
 
-use crate::algorithms::blocks::run_block_framework;
-use crate::algorithms::common::{counters, NeighborListValue, ShuffleRecord};
-use crate::algorithms::voronoi::{partition_job, CellMap, VoronoiScan};
+use crate::algorithms::blocks::{block_count, replicate, run_block_framework};
+use crate::algorithms::common::{counters, NeighborListValue};
+use crate::algorithms::voronoi::{partition_job, CellMap, ShuffledCell, VoronoiScan};
 use crate::bounds::upper_bound;
 use crate::context::ExecutionContext;
 use crate::metrics::JoinMetrics;
@@ -21,7 +21,7 @@ use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
 use crate::summary::SummaryTables;
 use geom::{DistanceMetric, KernelMode, PointSet};
-use mapreduce::{ReduceContext, Reducer};
+use mapreduce::{MapContext, Mapper, ReduceContext, Reducer};
 use std::sync::Arc;
 
 /// Runs cold PBJ for a validated `plan` over validated inputs.
@@ -32,13 +32,15 @@ pub(crate) fn join(
     ctx: &ExecutionContext,
     metrics: &mut JoinMetrics,
 ) -> Result<Vec<JoinRow>, JoinError> {
-    let (tables, records) = partition_job(plan, r, s, ctx, metrics)?;
+    let (tables, cells) = partition_job(plan, r, s, ctx, metrics)?;
     // ---- Block join + merge (no grouping phase) -----------------------------
-    let input = records.into_iter().map(|record| (record.point.id, record));
     run_block_framework(
-        input.collect(),
+        cells,
         plan,
         ctx.workers(),
+        &BlockCellMapper {
+            blocks: block_count(plan.reducers),
+        },
         &PbjCellReducer {
             tables,
             k: plan.k,
@@ -47,6 +49,33 @@ pub(crate) fn join(
         },
         metrics,
     )
+}
+
+/// Mapper of PBJ's block join job: the block framework's random split, a
+/// Voronoi cell at a time.  Each sorted cell is split once into its `B`
+/// `id mod B` sub-cells, and each sub-cell is shipped, shared, along its row
+/// or column of the reducer grid like an object of that block.
+struct BlockCellMapper {
+    /// `B`, the number of blocks per dataset.
+    blocks: usize,
+}
+
+impl Mapper for BlockCellMapper {
+    type KIn = u32;
+    type VIn = ShuffledCell;
+    type KOut = u32;
+    type VOut = ShuffledCell;
+
+    fn map(&self, _cell: &u32, value: &ShuffledCell, ctx: &mut MapContext<u32, ShuffledCell>) {
+        let b = self.blocks as u32;
+        for (block, rows) in (0..b).zip(value.rows.split_by_id(self.blocks)) {
+            if !rows.is_empty() {
+                let objects = rows.len();
+                let sub_cell = ShuffledCell { rows, ..*value };
+                replicate(ctx, value.kind, (block, b), &sub_cell, objects);
+            }
+        }
+    }
 }
 
 /// Reducer for one `(R_i, S_j)` cell: bounded, pruned nested-loop join using
@@ -82,18 +111,18 @@ impl PbjCellReducer {
 
 impl Reducer for PbjCellReducer {
     type KIn = u32;
-    type VIn = ShuffleRecord;
+    type VIn = ShuffledCell;
     type KOut = u64;
     type VOut = NeighborListValue;
 
     fn reduce(
         &self,
         _cell: &u32,
-        values: &[ShuffleRecord],
+        values: &[ShuffledCell],
         ctx: &mut ReduceContext<u64, NeighborListValue>,
     ) {
         let computations = VoronoiScan::new(&self.tables, self.k, self.metric, self.mode)
-            .scan_shuffled(
+            .join_cells(
                 values,
                 |i, s_parts| self.local_theta(i, s_parts),
                 |r_id, neighbors| ctx.emit(r_id, NeighborListValue::new(neighbors)),
@@ -107,7 +136,7 @@ impl Reducer for PbjCellReducer {
 mod tests {
     use super::*;
     use crate::algorithms::testing::{assert_matches_oracle, run};
-    use crate::algorithms::voronoi::FlatPartition;
+    use crate::algorithms::voronoi::{CellSlice, FlatPartition};
     use crate::metrics::phases;
     use crate::partition::VoronoiPartitioner;
     use crate::pivots::{select_pivots, PivotSelectionStrategy};
@@ -249,7 +278,10 @@ mod tests {
                 let rows = bucket
                     .iter()
                     .map(|(p, dist)| (*dist, p.id, p.coords.as_slice()));
-                (j, Arc::new(FlatPartition::sorted(2, rows.collect())))
+                (
+                    j,
+                    CellSlice::whole(FlatPartition::sorted(2, rows.collect())),
+                )
             })
             .collect();
         let smallest = s_parts.values().map(|cell| cell.len()).min().unwrap();

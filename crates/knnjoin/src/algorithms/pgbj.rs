@@ -4,20 +4,22 @@
 //!
 //! 1. **Front half** ([`partition_job`], shared with PBJ): select pivots from
 //!    `R`; job 1 assigns every object of `R ∪ S` to the Voronoi cell of its
-//!    closest pivot; the driver folds the job's output into the summary
-//!    tables `T_R` / `T_S` ("index merging" in Figure 6).
+//!    closest pivot and emits each cell once, sorted and flat; the driver
+//!    reads the summary tables `T_R` / `T_S` off the cells ("index merging"
+//!    in Figure 6).
 //! 2. **Grouping** (driver): Voronoi cells of `R` are merged into one group
 //!    per reducer with the geometric or greedy strategy, and the replica
 //!    lower bounds `LB(P_j^S, G_i)` are precomputed (Algorithm 2).
-//! 3. **Job 2 — the join**: mappers route every `r` to its group and every `s`
-//!    to all groups whose bound cannot exclude it (Theorem 6); each reducer
-//!    runs the bounded nested-loop join of Algorithm 3 over its group.
+//! 3. **Job 2 — the join**: mappers route every `R` cell to its group and of
+//!    every `S` cell, to each group, the suffix its bound cannot exclude
+//!    (Theorem 6); each reducer runs the bounded nested-loop join of
+//!    Algorithm 3 over its group.
 //!
 //! This file holds what PGBJ adds to the front half: grouping and
 //! replication.
 
-use crate::algorithms::common::{counters, rows_from_output, ShuffleRecord};
-use crate::algorithms::voronoi::{partition_job, VoronoiScan};
+use crate::algorithms::common::{counters, rows_from_output};
+use crate::algorithms::voronoi::{partition_job, ShuffledCell, VoronoiScan};
 use crate::bounds::PartitionBounds;
 use crate::context::ExecutionContext;
 use crate::grouping::build_grouping;
@@ -38,25 +40,24 @@ pub(crate) fn join(
     ctx: &ExecutionContext,
     metrics: &mut JoinMetrics,
 ) -> Result<Vec<JoinRow>, JoinError> {
-    let (tables, records) = partition_job(plan, r, s, ctx, metrics)?;
+    let (tables, cells) = partition_job(plan, r, s, ctx, metrics)?;
 
     // ---- Grouping and replica bounds (Algorithm 2) -------------------------
     let start = Instant::now();
     let bounds = PartitionBounds::compute(&tables, plan.k);
     let grouping = build_grouping(plan.grouping_strategy, &tables, &bounds, plan.reducers);
-    let group_lb = Arc::new(bounds.group_lower_bounds(&grouping));
-    let group_of = Arc::new(grouping.group_of(tables.partition_count()));
+    let group_lb = bounds.group_lower_bounds(&grouping);
+    let group_of = grouping.group_of(tables.partition_count());
     metrics.record_phase(phases::PARTITION_GROUPING, start.elapsed());
 
     // ---- Job 2: the kNN join (Algorithm 3) ----------------------------------
     let start = Instant::now();
-    let input = records.into_iter().map(|record| (record.partition, record));
     let job = JobBuilder::new("pgbj-join")
         .reducers(grouping.group_count())
         .map_tasks(plan.map_tasks)
         .workers(ctx.workers())
         .run_with_partitioner(
-            input.collect(),
+            cells,
             &RouteMapper { group_of, group_lb },
             &PgbjJoinReducer {
                 tables,
@@ -73,32 +74,36 @@ pub(crate) fn join(
     Ok(rows_from_output(job.output))
 }
 
-/// Mapper of job 2 (Algorithm 3, lines 3–11): `R` objects go to the reducer of
-/// their group; `S` objects go to every group whose lower bound admits them.
+/// Mapper of job 2 (Algorithm 3, lines 3–11), a cell at a time: an `R` cell
+/// goes whole to the reducer of its group; of an `S` cell every group gets
+/// the rows its lower bound admits — `|s, p_j| ≥ LB(P_j^S, G)`, a suffix of
+/// the sorted cell ([`crate::algorithms::voronoi::CellSlice::at_least`]).
 struct RouteMapper {
-    group_of: Arc<Vec<usize>>,
-    group_lb: Arc<Vec<Vec<f64>>>,
+    group_of: Vec<usize>,
+    group_lb: Vec<Vec<f64>>,
 }
 
 impl Mapper for RouteMapper {
     type KIn = u32;
-    type VIn = ShuffleRecord;
+    type VIn = ShuffledCell;
     type KOut = u32;
-    type VOut = ShuffleRecord;
+    type VOut = ShuffledCell;
 
-    fn map(&self, key: &u32, value: &ShuffleRecord, ctx: &mut MapContext<u32, ShuffleRecord>) {
-        let partition = *key as usize;
+    fn map(&self, _cell: &u32, value: &ShuffledCell, ctx: &mut MapContext<u32, ShuffledCell>) {
+        let partition = value.partition as usize;
         match value.kind {
             RecordKind::R => {
-                ctx.counters().increment(counters::R_RECORDS);
+                ctx.counters()
+                    .add(counters::R_RECORDS, value.rows.len() as u64);
                 ctx.emit(self.group_of[partition] as u32, value.clone());
             }
             RecordKind::S => {
                 let mut replicas = 0;
                 for (group, bounds) in self.group_lb.iter().enumerate() {
-                    if value.pivot_distance >= bounds[partition] {
-                        replicas += 1;
-                        ctx.emit(group as u32, value.clone());
+                    let rows = value.rows.at_least(bounds[partition]);
+                    if !rows.is_empty() {
+                        replicas += rows.len() as u64;
+                        ctx.emit(group as u32, ShuffledCell { rows, ..*value });
                     }
                 }
                 ctx.counters().add(counters::S_RECORDS, replicas);
@@ -108,8 +113,8 @@ impl Mapper for RouteMapper {
 }
 
 /// Reducer of job 2 (Algorithm 3, lines 12–25): the bounded, pruned
-/// nested-loop kNN join for one group, over the `S` subset Theorem 6 routed
-/// here, with the global Algorithm 1 bound as `θ_i`.
+/// nested-loop kNN join for one group, over the `S` suffixes Theorem 6
+/// routed here, with the global Algorithm 1 bound as `θ_i`.
 struct PgbjJoinReducer {
     tables: Arc<SummaryTables>,
     theta: Vec<f64>,
@@ -120,18 +125,18 @@ struct PgbjJoinReducer {
 
 impl Reducer for PgbjJoinReducer {
     type KIn = u32;
-    type VIn = ShuffleRecord;
+    type VIn = ShuffledCell;
     type KOut = u64;
     type VOut = Vec<Neighbor>;
 
     fn reduce(
         &self,
         _group: &u32,
-        values: &[ShuffleRecord],
+        values: &[ShuffledCell],
         ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
     ) {
         let computations = VoronoiScan::new(&self.tables, self.k, self.metric, self.mode)
-            .scan_shuffled(
+            .join_cells(
                 values,
                 |i, _| self.theta[i],
                 |r_id, neighbors| ctx.emit(r_id, neighbors),

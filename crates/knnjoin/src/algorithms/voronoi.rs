@@ -10,25 +10,25 @@
 //! `θ_i` come from.
 
 use crate::algorithms::common::{
-    counters, for_each_tile, probe_rows, raw_inputs, DeltaView, ScanCounts, ScanKernels,
-    ShuffleRecord, TileScratch,
+    counters, for_each_tile, probe_rows, DeltaView, ScanCounts, ScanKernels, TileScratch,
 };
 use crate::bounds::{bounding_knn_theta, hyperplane_bound, theorem2_window};
 use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
-use crate::partition::VoronoiPartitioner;
+use crate::partition::{PivotDistances, VoronoiPartitioner};
 use crate::pivots::select_pivots;
 use crate::plan::JoinPlan;
 use crate::result::JoinError;
-use crate::summary::{pivot_distance_matrix, r_summaries, SPartitionSummary, SummaryTables};
+use crate::summary::{r_summaries, SPartitionSummary, SummaryTables};
 use geom::{
     CoordMatrix, DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointId, PointSet,
-    RecordKind,
+    Record, RecordKind,
 };
 use mapreduce::{ByteSize, Combiner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,18 +42,18 @@ fn row_order(a: &Row<'_>, b: &Row<'_>) -> Ordering {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
-/// One Voronoi cell's `S` objects in flat structure-of-data layout —
-/// coordinate rows in a contiguous [`CoordMatrix`], ids and pivot distances
-/// in parallel vectors — with the rows **ascending by pivot distance, ties
-/// by id**, so the objects inside a Theorem 2 window are one contiguous run
-/// found by binary search ([`VoronoiScan`] owns that walk).
+/// One Voronoi cell's objects (of `R` or of `S`) in flat structure-of-data
+/// layout — coordinate rows in a contiguous [`CoordMatrix`], ids and pivot
+/// distances in parallel vectors — with the rows **ascending by pivot
+/// distance, ties by id**, so the objects inside a Theorem 2 window are one
+/// contiguous run found by binary search ([`VoronoiScan`] owns that walk)
+/// and the objects Theorem 6 routes to a group are a suffix.
 ///
 /// The fields are private and a cell is only made from rows already in
 /// order (`Self::from_sorted`), so the order cannot be broken from outside.
-/// Three places make cells and establish it: `VoronoiPrepared::build` sorts
-/// each bucket before flattening it, `VoronoiPrepared::compact` merges a
-/// cell's surviving rows with its sorted adds, and
-/// `VoronoiScan::scan_shuffled` sorts each received cell once per reducer.
+/// A cell is sorted once, where it is first whole (job 1's reducer,
+/// `VoronoiPrepared::build`); compaction merges and PBJ's split takes
+/// subsequences.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatPartition {
     ids: Vec<PointId>,
@@ -85,26 +85,6 @@ impl FlatPartition {
         rows.sort_unstable_by(row_order);
         Self::from_sorted(dims, &rows)
     }
-
-    /// The rows, in cell order.
-    fn rows(&self) -> impl Iterator<Item = Row<'_>> {
-        (0..self.len()).map(|i| (self.pivot_dists[i], self.ids[i], self.coords.row(i)))
-    }
-
-    /// The objects' pivot distances, ascending.
-    pub(crate) fn pivot_dists(&self) -> &[f64] {
-        &self.pivot_dists
-    }
-
-    /// Number of objects held.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the partition holds no objects.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
 }
 
 /// Merges two row runs, each in cell order, into one.
@@ -120,10 +100,72 @@ fn merge_rows<'a>(
     })
 }
 
-/// The `S` cells a scan runs against, by partition; only non-empty ones.
-/// Each sits behind its own `Arc` so a compaction shares the cells it did not
-/// touch.
-pub type CellMap = BTreeMap<usize, Arc<FlatPartition>>;
+/// The rows of one shared cell from `first_row` on — how a cell crosses a
+/// shuffle and how a scan holds it.  Every group a cell is replicated to,
+/// and every epoch a compaction left it alone in, read one allocation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellSlice {
+    cell: Arc<FlatPartition>,
+    first_row: usize,
+}
+
+impl CellSlice {
+    /// All of `cell`.
+    pub(crate) fn whole(cell: FlatPartition) -> Self {
+        Self {
+            cell: Arc::new(cell),
+            first_row: 0,
+        }
+    }
+
+    /// The rows at pivot distance `bound` or more: Theorem 6's `|s, p_j| ≥
+    /// LB(P_j^S, G)` for the whole cell at once — the test is monotone along
+    /// ascending rows, so what a group needs is a suffix, one binary search.
+    pub(crate) fn at_least(&self, bound: f64) -> Self {
+        Self {
+            cell: Arc::clone(&self.cell),
+            first_row: self.first_row + self.pivot_dists().partition_point(|&d| d < bound),
+        }
+    }
+
+    /// Splits the rows into `blocks` whole sub-cells by `id mod blocks` (the
+    /// block framework's split); a subsequence of a sorted cell is sorted.
+    pub(crate) fn split_by_id(&self, blocks: usize) -> Vec<Self> {
+        let mut split: Vec<Vec<Row<'_>>> = vec![Vec::new(); blocks];
+        for row in self.rows() {
+            split[(row.1 % blocks as u64) as usize].push(row);
+        }
+        let dims = self.cell.coords.dims();
+        let sub_cell = |rows| Self::whole(FlatPartition::from_sorted(dims, rows));
+        split.iter().map(|rows| sub_cell(rows)).collect()
+    }
+
+    /// The rows, in cell order.
+    fn rows(&self) -> impl Iterator<Item = Row<'_>> {
+        let cell = &*self.cell;
+        let rows = self.first_row..cell.ids.len();
+        rows.map(|i| (cell.pivot_dists[i], cell.ids[i], cell.coords.row(i)))
+    }
+
+    /// The rows' pivot distances, ascending.
+    pub(crate) fn pivot_dists(&self) -> &[f64] {
+        &self.cell.pivot_dists[self.first_row..]
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.cell.ids.len() - self.first_row
+    }
+
+    /// Whether the slice holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// The `S` cells a scan runs against, by partition; only non-empty ones: the
+/// suffixes a cold reducer was sent, or a prepared state's whole cells.
+pub type CellMap = BTreeMap<usize, CellSlice>;
 
 /// Sorts the `S` cell ids `cells` by ascending pivot distance from one `R`
 /// partition's pivot, given that pivot's row of the pivot-distance matrix
@@ -151,13 +193,10 @@ const SCAN_TILE: usize = 32;
 /// threshold `θ = min(θ_i, current kth distance)`:
 ///
 /// 1. the walk ends at the first cell `j` with `|p_i, p_j| / 2 − |r, p_i| >
-///    θ`, before `|r, p_j|` is evaluated.  Every `s` of cell `j` is no
-///    farther from `p_j` than from `p_i`, so `|p_i, p_j| ≤ |p_i, s| + |s,
-///    p_j| ≤ 2 |p_i, s|`, and `|r, s| ≥ |p_i, s| − |r, p_i| ≥ |p_i, p_j| / 2
-///    − |r, p_i|` by the triangle inequality alone: no object of that cell
-///    is within θ, nor of any later one (`|p_i, p_j|` ascends along
-///    `s_order`, θ only shrinks).  An addition to Algorithm 3, which pays a
-///    pivot distance for every cell it then prunes with Corollary 1;
+///    θ`, before `|r, p_j|` is evaluated: no object of that cell is within
+///    θ, nor of any later one (proof in ARCHITECTURE.md, "The cell walk
+///    stops early").  An addition to Algorithm 3, which pays a pivot
+///    distance for every cell it then prunes with Corollary 1;
 /// 2. Corollary 1 prunes a whole cell, Theorem 2 turns the rest into a
 ///    window `[lo, hi]` of pivot distances: two `partition_point`s over the
 ///    cell's ascending pivot distances make it a row range, a third finds
@@ -278,7 +317,17 @@ impl<'a> VoronoiScan<'a> {
             let Some(cell) = s_parts.get(&j) else {
                 continue;
             };
-            let pivot_dists = cell.pivot_dists.as_slice();
+            // The rows Theorem 6 kept from this reducer lie below the window:
+            // |r, p_j| − θ ≥ |p_i, p_j| − U(P_i^R) − θ_i ≥ LB(P_j^S, G), up to
+            // the rounding of the two sides.
+            #[cfg(any(test, feature = "debug-invariants"))]
+            assert!(
+                cell.cell.pivot_dists[..cell.first_row]
+                    .last()
+                    .is_none_or(|&cut| cut < lo + 1e-9 * (1.0 + lo.abs())),
+                "suffix invariant violated: a Theorem 2 window starts before its slice"
+            );
+            let pivot_dists = cell.pivot_dists();
             let first = pivot_dists.partition_point(|&d| d < lo);
             let last = pivot_dists.partition_point(|&d| d <= hi);
             let centre = first + pivot_dists[first..last].partition_point(|&d| d < d_r_pj);
@@ -310,17 +359,19 @@ impl<'a> VoronoiScan<'a> {
         (neighbors.into_sorted(), counts)
     }
 
-    /// Evaluates the contiguous `rows` of `cell` and offers all but the
-    /// tombstoned ones.
+    /// Evaluates the contiguous `rows` of `slice` (counted from its first
+    /// row) and offers all but the tombstoned ones.
     #[inline(always)]
     fn offer_rows(
         &mut self,
         r_coords: &[f64],
-        cell: &FlatPartition,
+        slice: &CellSlice,
         rows: Range<usize>,
         neighbors: &mut NeighborList,
         counts: &mut ScanCounts,
     ) {
+        let cell = &*slice.cell;
+        let rows = slice.first_row + rows.start..slice.first_row + rows.end;
         let dim = r_coords.len();
         let dists = &mut self.scratch.ranks[..rows.len()];
         let coords = &cell.coords.as_slice()[rows.start * dim..rows.end * dim];
@@ -335,54 +386,40 @@ impl<'a> VoronoiScan<'a> {
         }
     }
 
-    /// The body of a cold Algorithm 3 reducer (lines 12–25): split the
-    /// shuffled records by kind and partition (line 13), sort the received
-    /// `S` partitions by pivot distance per `R` partition (line 14), and
-    /// scan for every local `r`, handing `(r id, neighbours)` to `emit`.
+    /// The body of a cold Algorithm 3 reducer (lines 12–25), PGBJ's and
+    /// PBJ's alike: the received `S` slices *are* the [`CellMap`] (line 13),
+    /// the scan order is sorted per `R` cell (line 14) and every received
+    /// `R` row is scanned, handing `(r id, neighbours)` to `emit`.
     /// `theta_of` supplies `θ_i` for an `R` partition given the `S` subset
-    /// this reducer received.  Returns the distance computations spent.
-    /// `R` records stay borrowed (each is a query, visited once); each
-    /// received `S` cell is sorted once and flattened into cell order.
-    pub(crate) fn scan_shuffled(
+    /// received.  Returns the distance computations spent.
+    pub(crate) fn join_cells(
         &mut self,
-        values: &[ShuffleRecord],
+        values: &[ShuffledCell],
         theta_of: impl Fn(usize, &CellMap) -> f64,
         mut emit: impl FnMut(PointId, Vec<Neighbor>),
     ) -> u64 {
-        let dims = self.tables.pivots.first().map_or(0, |p| p.dims());
-        let mut r_parts: BTreeMap<usize, Vec<&ShuffleRecord>> = BTreeMap::new();
-        let mut s_rows: BTreeMap<usize, Vec<Row<'_>>> = BTreeMap::new();
-        for record in values {
-            let partition = record.partition as usize;
-            match record.kind {
-                RecordKind::R => r_parts.entry(partition).or_default().push(record),
-                RecordKind::S => s_rows.entry(partition).or_default().push((
-                    record.pivot_distance,
-                    record.point.id,
-                    &record.point.coords,
-                )),
-            }
+        let mut r_cells: BTreeMap<usize, &CellSlice> = BTreeMap::new();
+        let mut s_parts = CellMap::new();
+        for value in values {
+            let partition = value.partition as usize;
+            let replaced = match value.kind {
+                RecordKind::R => r_cells.insert(partition, &value.rows).is_some(),
+                RecordKind::S => s_parts.insert(partition, value.rows.clone()).is_some(),
+            };
+            debug_assert!(!replaced, "a reducer received cell {partition} twice");
         }
-        let s_parts: CellMap = s_rows
-            .into_iter()
-            .map(|(j, rows)| (j, Arc::new(FlatPartition::sorted(dims, rows))))
-            .collect();
         let mut computations = 0;
-        for (&i, r_bucket) in &r_parts {
-            let s_order =
-                order_by_pivot_distance(s_parts.keys().copied(), &self.tables.pivot_distances[i]);
+        for (i, r_cell) in r_cells {
+            let s_order = order_by_pivot_distance(
+                s_parts.keys().copied(),
+                self.tables.pivot_distances.row(i),
+            );
             let theta_i = theta_of(i, &s_parts);
-            for r in r_bucket {
-                let (neighbors, counts) = self.scan(
-                    &r.point.coords,
-                    r.pivot_distance,
-                    i,
-                    &s_parts,
-                    &s_order,
-                    theta_i,
-                );
+            for (pivot_dist, id, coords) in r_cell.rows() {
+                let (neighbors, counts) =
+                    self.scan(coords, pivot_dist, i, &s_parts, &s_order, theta_i);
                 computations += counts.frozen;
-                emit(r.point.id, neighbors);
+                emit(id, neighbors);
             }
         }
         computations
@@ -410,138 +447,214 @@ pub(crate) fn select_plan_pivots(
     pivots
 }
 
+/// One cell of one dataset as the cold jobs move it: job 1 emits it whole,
+/// the join job shuffles the suffix or sub-cell a reducer needs.  Shuffle
+/// cost is accounted, not produced: `n` rows are charged as `n` per-object
+/// emissions — `n` records of [`Record::encoded_len_for_dims`] bytes, the
+/// key once per record ([`ByteSize::records`]).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ShuffledCell {
+    /// Originating dataset.
+    pub kind: RecordKind,
+    /// The cell's pivot.
+    pub partition: u32,
+    /// The rows sent.
+    pub rows: CellSlice,
+}
+
+impl ByteSize for ShuffledCell {
+    fn byte_size(&self) -> usize {
+        self.records() * Record::encoded_len_for_dims(self.rows.cell.coords.dims())
+    }
+
+    fn records(&self) -> usize {
+        self.rows.len()
+    }
+}
+
+/// The partitioning job's output, the join job's input: every non-empty
+/// cell of `R` and of `S`, keyed by its pivot.
+pub(crate) type KeyedCells = Vec<(u32, ShuffledCell)>;
+
 /// The front half of cold PGBJ and cold PBJ, the same step by definition
 /// (§6): pivot selection, the first MapReduce job — every object of `R ∪ S`
-/// to the cell of its closest pivot — and index merging, which folds the
-/// job's output into `T_R` / `T_S` (Figure 6).  Returns the tables and every
-/// object as the job left it: carrying its cell and pivot distance, sharing
-/// the point [`raw_inputs`] allocated, cell by cell in the reducers' order.
-/// Both the job's shuffle and its pivot-assignment computations are billed
-/// to `metrics`.
+/// to the cell of its closest pivot, every cell laid out once by the reducer
+/// that holds all of it — and index merging, which reads `T_R` / `T_S` off
+/// the cells' sorted pivot distances (Figure 6).  Returns the tables and the
+/// job's output as it is.  The job's shuffle and its pivot-assignment
+/// computations are billed to `metrics`.
 pub(crate) fn partition_job(
     plan: &JoinPlan,
     r: &PointSet,
     s: &PointSet,
     ctx: &ExecutionContext,
     metrics: &mut JoinMetrics,
-) -> Result<(Arc<SummaryTables>, Vec<ShuffleRecord>), JoinError> {
+) -> Result<(Arc<SummaryTables>, KeyedCells), JoinError> {
     let pivots = select_plan_pivots(r, plan, metrics);
 
     let start = Instant::now();
+    let partitioner = VoronoiPartitioner::new(pivots, plan.metric);
+    let datasets = [(RecordKind::R, r), (RecordKind::S, s)];
+    let input = datasets
+        .iter()
+        .flat_map(|(kind, set)| set.iter().map(move |point| (point.id, (*kind, point))));
     let job = JobBuilder::new("voronoi-partition")
         .reducers(plan.reducers)
         .map_tasks(plan.map_tasks)
         .workers(ctx.workers())
         .run_with_optional_combiner(
-            raw_inputs(r, s),
-            &PartitionMapper(VoronoiPartitioner::new(pivots.clone(), plan.metric)),
-            plan.combiner.then_some(&BatchCombiner),
-            &PassThroughReducer,
+            input.collect(),
+            &PartitionMapper(&partitioner),
+            plan.combiner.then_some(&BatchCombiner(PhantomData)),
+            &CellReducer(PhantomData),
         )
         .map_err(|e| JoinError::substrate("voronoi-partition", e))?;
     metrics.absorb_job(&job.metrics);
-    let records: Vec<ShuffleRecord> = job.output.into_iter().map(|(_, record)| record).collect();
     metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
 
     let start = Instant::now();
-    let of_kind = |kind: RecordKind| {
-        ShuffleRecord::of_kind(&records, kind)
-            .map(|record| (record.partition as usize, record.pivot_distance))
+    let columns = |kind: RecordKind| {
+        let cells = job.output.iter().filter(move |(_, cell)| cell.kind == kind);
+        cells.map(|(j, cell)| (*j as usize, cell.rows.pivot_dists()))
     };
-    let tables = SummaryTables::from_assignments(
-        pivots,
-        plan.metric,
-        of_kind(RecordKind::R),
-        of_kind(RecordKind::S),
+    let tables = SummaryTables::from_sorted_columns(
+        &partitioner,
+        columns(RecordKind::R),
+        columns(RecordKind::S),
         plan.k,
     );
     metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
-    Ok((Arc::new(tables), records))
+    Ok((Arc::new(tables), job.output))
 }
 
-/// The intermediate value of the partitioning job: a batch of records bound
-/// for one Voronoi partition.  Mappers emit singleton batches; the map-side
-/// [`BatchCombiner`] merges every batch a map task produced for the same
-/// partition into one, so the per-record shuffle framing is paid once per
-/// (task, partition) instead of once per object.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct RecordBatch(Vec<ShuffleRecord>);
+/// One object as the partitioning job shuffles it — the tuple of the paper's
+/// Figure 4: dataset, distance to its cell's pivot (the cell is the key) and
+/// the object, borrowed from the caller: the first copy of an object is the
+/// row the reducer writes.  Charged what [`Record::encode`] would produce.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct AssignedPoint<'a> {
+    kind: RecordKind,
+    pivot_distance: f64,
+    /// Pivot distances the mapper's search spent.  Not part of the tuple: it
+    /// rides along so the reducer credits the counter once per cell instead
+    /// of every map call taking the job-wide counter lock.
+    search_cost: u64,
+    point: &'a Point,
+}
 
-impl ByteSize for RecordBatch {
+/// The intermediate value of the partitioning job: a batch of objects bound
+/// for one cell.  Mappers emit singletons (inline: no allocation per object);
+/// the map-side [`BatchCombiner`] merges a task's batches per cell, so the
+/// shuffle framing is paid once per (task, cell) instead of once per object.
+#[derive(Debug, Clone, PartialEq)]
+enum RecordBatch<'a> {
+    One(AssignedPoint<'a>),
+    Many(Vec<AssignedPoint<'a>>),
+}
+
+impl<'a> RecordBatch<'a> {
+    fn objects(&self) -> &[AssignedPoint<'a>] {
+        match self {
+            Self::One(object) => std::slice::from_ref(object),
+            Self::Many(objects) => objects,
+        }
+    }
+}
+
+impl ByteSize for RecordBatch<'_> {
     fn byte_size(&self) -> usize {
-        // Exactly the records' own bytes: the `Record` codec is
-        // self-delimiting, so a batch needs no extra framing and a singleton
-        // batch costs the same as shipping the bare record.  This keeps the
-        // combiner-off baseline comparable (its savings are real, not an
-        // artifact of batch framing).
-        self.0.iter().map(ByteSize::byte_size).sum()
+        // Exactly the records' own bytes — the codec is self-delimiting, so
+        // a singleton batch costs what the bare record costs and the
+        // combiner's savings are real, not an artifact of batch framing.
+        let len = |object: &AssignedPoint<'_>| Record::encoded_len_for_dims(object.point.dims());
+        self.objects().iter().map(len).sum()
     }
 }
 
 /// Mapper of the partitioning job: assign each object to its closest pivot
-/// via [`VoronoiPartitioner::nearest_pivot`], crediting the pivot-assignment
-/// counter with the distance computations actually spent (the pruned search
-/// usually touches far fewer than `|P|` pivots).
-struct PartitionMapper(VoronoiPartitioner);
+/// via [`VoronoiPartitioner::nearest_pivot`].
+struct PartitionMapper<'a>(&'a VoronoiPartitioner);
 
-impl Mapper for PartitionMapper {
+impl<'a> Mapper for PartitionMapper<'a> {
     type KIn = u64;
-    type VIn = ShuffleRecord;
+    type VIn = (RecordKind, &'a Point);
     type KOut = u32;
-    type VOut = RecordBatch;
+    type VOut = RecordBatch<'a>;
 
-    fn map(&self, _key: &u64, value: &ShuffleRecord, ctx: &mut MapContext<u32, RecordBatch>) {
-        let assignment = self.0.nearest_pivot(&value.point.coords);
-        ctx.counters().add(
-            counters::PIVOT_ASSIGNMENT_COMPUTATIONS,
-            assignment.computations,
-        );
-        let partition = assignment.partition as u32;
-        let out = ShuffleRecord {
-            partition,
+    fn map(
+        &self,
+        _id: &u64,
+        &(kind, point): &(RecordKind, &'a Point),
+        ctx: &mut MapContext<u32, RecordBatch<'a>>,
+    ) {
+        let assignment = self.0.nearest_pivot(&point.coords);
+        let object = AssignedPoint {
+            kind,
             pivot_distance: assignment.distance,
-            ..value.clone()
+            search_cost: assignment.computations,
+            point,
         };
-        ctx.emit(partition, RecordBatch(vec![out]));
+        ctx.emit(assignment.partition as u32, RecordBatch::One(object));
     }
 }
 
 /// Combiner of the partitioning job: concatenate a map task's batches per
-/// partition.  Batching is trivially associative, so the reducer sees the
-/// same records whether or not the combiner ran — only the shuffle framing
+/// cell.  Batching is trivially associative, so the reducer sees the same
+/// records whether or not the combiner ran — only the shuffle framing
 /// shrinks.
-struct BatchCombiner;
+struct BatchCombiner<'a>(PhantomData<&'a Point>);
 
-impl Combiner for BatchCombiner {
+impl<'a> Combiner for BatchCombiner<'a> {
     type K = u32;
-    type V = RecordBatch;
+    type V = RecordBatch<'a>;
 
-    fn combine(&self, _key: &u32, values: &[RecordBatch]) -> Vec<RecordBatch> {
-        let records = values.iter().flat_map(|batch| batch.0.iter().cloned());
-        vec![RecordBatch(records.collect())]
+    fn combine(&self, _key: &u32, values: &[RecordBatch<'a>]) -> Vec<RecordBatch<'a>> {
+        let objects = values.iter().flat_map(|batch| batch.objects());
+        vec![RecordBatch::Many(objects.copied().collect())]
     }
 }
 
-/// Reducer of the partitioning job: hand each partition's records on as they
-/// arrived (map-task order, then input order).  The job's output is what the
-/// join job reads, and a record is a handle on its object, so nothing is
-/// copied.
-struct PassThroughReducer;
+/// Reducer of the partitioning job: it holds all of a cell, so it lays it
+/// out once for everything downstream — its `R` and its `S` objects each as
+/// one sorted [`FlatPartition`] (empty ones are not emitted), as
+/// [`VoronoiPrepared::build`] lays out `S` — and credits the
+/// pivot-assignment counter with what the cell's objects actually cost.
+struct CellReducer<'a>(PhantomData<&'a Point>);
 
-impl Reducer for PassThroughReducer {
+impl<'a> Reducer for CellReducer<'a> {
     type KIn = u32;
-    type VIn = RecordBatch;
+    type VIn = RecordBatch<'a>;
     type KOut = u32;
-    type VOut = ShuffleRecord;
+    type VOut = ShuffledCell;
 
     fn reduce(
         &self,
         key: &u32,
-        values: &[RecordBatch],
-        ctx: &mut ReduceContext<u32, ShuffleRecord>,
+        values: &[RecordBatch<'a>],
+        ctx: &mut ReduceContext<u32, ShuffledCell>,
     ) {
-        for record in values.iter().flat_map(|batch| &batch.0) {
-            ctx.emit(*key, record.clone());
+        let objects = || values.iter().flat_map(|batch| batch.objects());
+        ctx.counters().add(
+            counters::PIVOT_ASSIGNMENT_COMPUTATIONS,
+            objects().map(|object| object.search_cost).sum(),
+        );
+        for kind in [RecordKind::R, RecordKind::S] {
+            let of_kind = objects().filter(|object| object.kind == kind);
+            let rows: Vec<Row<'_>> = of_kind
+                .map(|o| (o.pivot_distance, o.point.id, o.point.coords.as_slice()))
+                .collect();
+            if let Some(first) = rows.first() {
+                let rows = CellSlice::whole(FlatPartition::sorted(first.2.len(), rows));
+                let partition = *key;
+                ctx.emit(
+                    partition,
+                    ShuffledCell {
+                        kind,
+                        partition,
+                        rows,
+                    },
+                );
+            }
         }
     }
 }
@@ -560,18 +673,15 @@ impl Reducer for PassThroughReducer {
 /// included, looks at `plan.algorithm`.
 #[derive(Debug)]
 pub(crate) struct VoronoiPrepared {
-    /// Pivot assignment machinery (flat pivot matrix + pruned search);
-    /// `Arc`-shared so compaction epochs reuse it untouched.
+    /// Pivot assignment machinery (flat pivot matrix + pruned search) and
+    /// owner of the pivot set and pivot-distance table every per-query
+    /// [`SummaryTables`] shares; compaction epochs reuse it untouched.
     partitioner: Arc<VoronoiPartitioner>,
-    /// The pivot set, shared into every per-query [`SummaryTables`].
-    pivots: Arc<Vec<Point>>,
-    /// Voronoi-partitioned `S` in flat layout.
+    /// Voronoi-partitioned `S` in flat layout, every cell whole.
     s_parts: CellMap,
     /// `T_S`, built once with the plan's `k`; shared into every per-query
     /// [`SummaryTables`].
     s_summaries: Arc<Vec<SPartitionSummary>>,
-    /// Pairwise pivot distances, shared likewise.
-    pivot_distances: Arc<Vec<Vec<f64>>>,
     /// For every `R` partition `i`: the non-empty `S` partitions sorted by
     /// pivot distance from `p_i` (Algorithm 3 line 14, hoisted out of the
     /// per-query path since it depends only on the pivots).
@@ -594,9 +704,7 @@ impl VoronoiPrepared {
         let pivots = select_plan_pivots(calibration_r, plan, metrics);
         let start = Instant::now();
         let partitioner = Arc::new(VoronoiPartitioner::new(pivots, plan.metric));
-        let pivots = Arc::new(partitioner.pivots().to_vec());
-        let pivot_distances = Arc::new(pivot_distance_matrix(&pivots, plan.metric));
-        let mut cells: Vec<Vec<Row<'_>>> = vec![Vec::new(); pivots.len()];
+        let mut cells: Vec<Vec<Row<'_>>> = vec![Vec::new(); partitioner.partition_count()];
         for p in s {
             let (cell, dist) = assign(&partitioner, &p.coords, metrics);
             cells[cell].push((dist, p.id, &p.coords));
@@ -604,21 +712,19 @@ impl VoronoiPrepared {
         let mut s_parts = CellMap::new();
         let mut s_summaries = Vec::with_capacity(cells.len());
         for (j, rows) in cells.into_iter().enumerate() {
-            let cell = FlatPartition::sorted(s.dims(), rows);
+            let cell = CellSlice::whole(FlatPartition::sorted(s.dims(), rows));
             s_summaries.push(SPartitionSummary::of_sorted(j, cell.pivot_dists(), plan.k));
             if !cell.is_empty() {
-                s_parts.insert(j, Arc::new(cell));
+                s_parts.insert(j, cell);
             }
         }
         let non_empty: Vec<usize> = s_parts.keys().copied().collect();
-        let s_orders = Arc::new(compute_s_orders(&non_empty, &pivot_distances));
+        let s_orders = Arc::new(compute_s_orders(&non_empty, partitioner.pivot_distances()));
         metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
         Self {
             partitioner,
-            pivots,
             s_parts,
             s_summaries: Arc::new(s_summaries),
-            pivot_distances,
             s_orders,
         }
     }
@@ -644,7 +750,7 @@ impl VoronoiPrepared {
         let mut affected: BTreeSet<usize> = BTreeSet::new();
         if delta.tombstones_len() > 0 {
             for (&j, part) in self.s_parts.iter() {
-                if part.ids.iter().any(|id| delta.is_tombstoned(*id)) {
+                if part.cell.ids.iter().any(|id| delta.is_tombstoned(*id)) {
                     affected.insert(j);
                 }
             }
@@ -668,13 +774,13 @@ impl VoronoiPrepared {
             let mut adds = add_cells.remove(&j).unwrap_or_default();
             adds.sort_unstable_by(row_order);
             let rows: Vec<Row<'_>> = merge_rows(survivors, adds.into_iter()).collect();
-            let cell = FlatPartition::from_sorted(dims, &rows);
+            let cell = CellSlice::whole(FlatPartition::from_sorted(dims, &rows));
             metrics.compacted_points += cell.len() as u64;
             s_summaries[j] = SPartitionSummary::of_sorted(j, cell.pivot_dists(), plan.k);
             if cell.is_empty() {
                 s_parts.remove(&j);
             } else {
-                s_parts.insert(j, Arc::new(cell));
+                s_parts.insert(j, cell);
             }
         }
 
@@ -683,29 +789,29 @@ impl VoronoiPrepared {
         let s_orders = if new_non_empty == old_non_empty {
             Arc::clone(&self.s_orders)
         } else {
-            Arc::new(compute_s_orders(&new_non_empty, &self.pivot_distances))
+            let pivot_distances = self.partitioner.pivot_distances();
+            Arc::new(compute_s_orders(&new_non_empty, pivot_distances))
         };
         Self {
             partitioner: Arc::clone(&self.partitioner),
-            pivots: Arc::clone(&self.pivots),
             s_parts,
             s_summaries: Arc::new(s_summaries),
-            pivot_distances: Arc::clone(&self.pivot_distances),
             s_orders,
         }
     }
 
     /// Assembles the full [`SummaryTables`] for one probe batch: `T_R` is
     /// folded from the batch's assignments; the pivot set, `T_S` and the
-    /// pivot-distance matrix are `Arc`-shared from the prebuilt state, so
+    /// pivot-distance table are `Arc`-shared from the prebuilt state, so
     /// assembly costs O(t) for the fresh `R` summaries and nothing else.
     fn query_tables(&self, assignments: &[(usize, f64)]) -> SummaryTables {
+        let partitioner = &self.partitioner;
         SummaryTables {
-            pivots: Arc::clone(&self.pivots),
-            metric: self.partitioner.metric(),
-            r_summaries: r_summaries(self.pivots.len(), assignments.iter().copied()),
+            pivots: Arc::clone(partitioner.shared_pivots()),
+            metric: partitioner.metric(),
+            r_summaries: r_summaries(partitioner.partition_count(), assignments.iter().copied()),
             s_summaries: Arc::clone(&self.s_summaries),
-            pivot_distances: Arc::clone(&self.pivot_distances),
+            pivot_distances: Arc::clone(partitioner.pivot_distances()),
         }
     }
 
@@ -755,23 +861,17 @@ impl VoronoiPrepared {
 
         let delta = delta.map(|d| DeltaView::gather(d, self.partitioner.pivot_matrix().dims()));
         probe_rows(
-            rows.len(),
+            rows,
             workers,
             metrics,
             || {
                 VoronoiScan::new(&tables, plan.k, plan.metric, plan.kernel_mode)
                     .with_delta(delta.as_ref())
             },
-            |scan, row| {
-                let (i, pivot_dist) = assignments[row];
-                scan.scan(
-                    rows[row],
-                    pivot_dist,
-                    i,
-                    &self.s_parts,
-                    &self.s_orders[i],
-                    theta[i],
-                )
+            |scan, at, row| {
+                let (i, pivot_dist) = assignments[at];
+                let (cells, order) = (&self.s_parts, &self.s_orders[i]);
+                scan.scan(row, pivot_dist, i, cells, order, theta[i])
             },
         )
     }
@@ -792,9 +892,9 @@ fn assign(
 /// The per-`R`-partition scan orders over the non-empty `S` cells (ascending
 /// pivot distance, Algorithm 3 line 14), shared by the full build and the
 /// partial compaction.
-fn compute_s_orders(non_empty: &[usize], pivot_distances: &[Vec<f64>]) -> Vec<Vec<usize>> {
+fn compute_s_orders(non_empty: &[usize], pivot_distances: &PivotDistances) -> Vec<Vec<usize>> {
     pivot_distances
-        .iter()
+        .rows()
         .map(|row| order_by_pivot_distance(non_empty.iter().copied(), row))
         .collect()
 }
@@ -803,6 +903,7 @@ fn compute_s_orders(non_empty: &[usize], pivot_distances: &[Vec<f64>]) -> Vec<Ve
 mod tests {
     use super::*;
     use crate::bounds::PartitionBounds;
+    use crate::grouping::{build_grouping, GroupingStrategy};
     use crate::partition::PartitionedDataset;
     use crate::pivots::{select_pivots, PivotSelectionStrategy};
     use datagen::uniform;
@@ -814,10 +915,11 @@ mod tests {
         DistanceMetric::Chebyshev,
     ];
 
-    /// What a reducer holds for one seeded `R ⋉ S`: the partitioned `R`, the
-    /// tables, every `θ_i` and the `S` cells in cell order.
+    /// What a reducer holds for one seeded `R ⋉ S`: the partitioned `R` and
+    /// `S`, the tables, every `θ_i` and the `S` cells in cell order.
     struct Fixture {
         partitioned_r: PartitionedDataset,
+        partitioned_s: PartitionedDataset,
         tables: SummaryTables,
         theta: Vec<f64>,
         s_parts: CellMap,
@@ -861,11 +963,13 @@ mod tests {
                 let rows = bucket
                     .iter()
                     .map(|(s, dist)| (*dist, s.id, s.coords.as_slice()));
-                (j, Arc::new(FlatPartition::sorted(r.dims(), rows.collect())))
+                let cell = FlatPartition::sorted(r.dims(), rows.collect());
+                (j, CellSlice::whole(cell))
             })
             .collect();
         Fixture {
             partitioned_r,
+            partitioned_s,
             tables,
             theta,
             s_parts,
@@ -879,7 +983,7 @@ mod tests {
             for (i, bucket) in self.partitioned_r.partitions.iter().enumerate() {
                 let s_order = order_by_pivot_distance(
                     self.s_parts.keys().copied(),
-                    &self.tables.pivot_distances[i],
+                    self.tables.pivot_distances.row(i),
                 );
                 for (r_obj, r_pivot_dist) in bucket {
                     each(&s_order, r_obj, *r_pivot_dist, i);
@@ -1035,6 +1139,236 @@ mod tests {
                 });
             }
         }
+    }
+
+    /// How many of `dists` are at least `bound` — Theorem 6, one object at a
+    /// time, as Algorithm 3's mapper states it.
+    fn admitted_one_by_one(dists: impl Iterator<Item = f64>, bound: f64) -> usize {
+        dists.filter(|&d| d >= bound).count()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Suffix routing is the per-object rule: for every (cell, group)
+        /// the slice `CellSlice::at_least` cuts holds exactly the objects
+        /// with `|s, p_j| ≥ LB(P_j^S, G)` — under both grouping strategies,
+        /// with `k` beyond `|S|` (every bound `−∞`), more reducers than
+        /// cells (memberless groups, bound `+∞`), empty cells, and a bound
+        /// exactly on an object's distance — and the slices add up to
+        /// Theorem 7's replica count.
+        #[test]
+        fn suffix_routing_ships_what_the_per_object_rule_ships(
+            n_r in 5usize..80,
+            n_s in 1usize..150,
+            k in 1usize..12,
+            pivot_count in 1usize..10,
+            reducers in 1usize..14,
+            greedy in proptest::bool::ANY,
+            dims in 1usize..4,
+            seed in 0u64..200,
+        ) {
+            let metric = METRICS[(seed % 3) as usize];
+            let r = uniform(n_r, dims, 50.0, seed);
+            let s = uniform(n_s, dims, 50.0, seed ^ 0x7E06);
+            let f = fixture(&r, &s, k, pivot_count, metric, seed);
+            let bounds = PartitionBounds::compute(&f.tables, k);
+            let strategy = if greedy { GroupingStrategy::Greedy } else { GroupingStrategy::Geometric };
+            let grouping = build_grouping(strategy, &f.tables, &bounds, reducers);
+            let mut shipped = 0u64;
+            for group_lb in bounds.group_lower_bounds(&grouping) {
+                for (j, bucket) in f.partitioned_s.partitions.iter().enumerate() {
+                    let slice = f.s_parts[&j].at_least(group_lb[j]);
+                    let want = admitted_one_by_one(bucket.iter().map(|(_, d)| *d), group_lb[j]);
+                    prop_assert_eq!(slice.len(), want, "cell {}, bound {}", j, group_lb[j]);
+                    prop_assert_eq!(slice.pivot_dists(), &f.s_parts[&j].pivot_dists()[bucket.len() - want..]);
+                    shipped += want as u64;
+                }
+            }
+            prop_assert_eq!(shipped, bounds.count_replicas(&grouping, &f.partitioned_s));
+            // The edge bounds, whatever the grouping produced.
+            for (j, bucket) in f.partitioned_s.partitions.iter().enumerate() {
+                let cell = &f.s_parts[&j];
+                prop_assert_eq!(cell.at_least(f64::NEG_INFINITY).len(), bucket.len());
+                prop_assert_eq!(cell.at_least(f64::INFINITY).len(), 0);
+                for &(_, tie) in bucket {
+                    let want = admitted_one_by_one(bucket.iter().map(|(_, d)| *d), tie);
+                    prop_assert_eq!(cell.at_least(tie).len(), want);
+                    prop_assert_eq!(cell.at_least(tie).at_least(tie), cell.at_least(tie));
+                }
+            }
+        }
+    }
+
+    /// Ties: on an integer lattice many objects share a pivot distance, and
+    /// a bound that equals it admits every one of them.
+    #[test]
+    fn a_bound_on_a_shared_pivot_distance_admits_every_object_at_it() {
+        let lattice = |offset: f64| {
+            let rows = (0..8).flat_map(|x| (0..8).map(move |y| vec![x as f64 + offset, y as f64]));
+            PointSet::from_coords(rows.collect())
+        };
+        let (r, s) = (lattice(0.0), lattice(0.0));
+        let pivots = vec![Point::new(0, vec![2.0, 2.0]), Point::new(1, vec![5.0, 5.0])];
+        let f = fixture_over(pivots, &r, &s, 3, DistanceMetric::Manhattan);
+        for (j, bucket) in f.partitioned_s.partitions.iter().enumerate() {
+            let cell = &f.s_parts[&j];
+            let shared = bucket.iter().filter(|(_, d)| *d == 2.0).count();
+            assert!(shared > 2, "the lattice lost its ties");
+            let below = bucket.iter().filter(|(_, d)| *d < 2.0).count();
+            assert_eq!(cell.at_least(2.0).len(), bucket.len() - below);
+            assert_eq!(
+                cell.at_least(2.0).pivot_dists()[..shared],
+                vec![2.0; shared]
+            );
+        }
+    }
+
+    /// The cold twin of the compaction test below: for one plan, the cells
+    /// job 1's reducer emits are `VoronoiPrepared::build`'s cells field by
+    /// field, `T_S` and `T_R` are what the sorted columns say, and neither
+    /// the combiner nor the task layout changes a cell.
+    #[test]
+    fn job_one_emits_the_cells_a_prepared_build_lays_out() {
+        let (dims, k) = (3, 4);
+        let r = uniform(700, dims, 40.0, 17);
+        let s = uniform(900, dims, 40.0, 18);
+        let plan = JoinPlan {
+            k,
+            pivot_count: 9,
+            reducers: 3,
+            map_tasks: 5,
+            ..JoinPlan::default()
+        };
+        let ctx = ExecutionContext::default();
+        let mut metrics = JoinMetrics::default();
+        let built = VoronoiPrepared::build(&r, &s, &plan, &mut metrics);
+        let (tables, cells) = partition_job(&plan, &r, &s, &ctx, &mut metrics).unwrap();
+
+        let of_kind = |kind: RecordKind| -> CellMap {
+            let cells = cells.iter().filter(|(_, cell)| cell.kind == kind);
+            cells
+                .map(|(j, cell)| {
+                    assert_eq!(*j, cell.partition);
+                    (*j as usize, cell.rows.clone())
+                })
+                .collect()
+        };
+        assert_eq!(of_kind(RecordKind::S), built.s_parts);
+        assert_eq!(tables.s_summaries, built.s_summaries);
+        assert_eq!(tables.pivots, *built.partitioner.shared_pivots());
+        assert_eq!(tables.pivot_distances, *built.partitioner.pivot_distances());
+
+        // T_R is the fold over R's assignments, and the R cells hold R.
+        let assigned = built.partitioner.partition(&r);
+        let folded = r_summaries(
+            tables.partition_count(),
+            assigned
+                .partitions
+                .iter()
+                .enumerate()
+                .flat_map(|(i, bucket)| bucket.iter().map(move |(_, d)| (i, *d))),
+        );
+        assert_eq!(tables.r_summaries, folded);
+        let r_cells = of_kind(RecordKind::R);
+        for (i, bucket) in assigned.partitions.iter().enumerate() {
+            let mut want: Vec<(f64, PointId)> = bucket.iter().map(|(p, d)| (*d, p.id)).collect();
+            want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let got: Vec<(f64, PointId)> = r_cells.get(&i).map_or(Vec::new(), |cell| {
+                cell.rows().map(|row| (row.0, row.1)).collect()
+            });
+            assert_eq!(got, want, "R cell {i}");
+        }
+
+        // Same cells from any task layout, combined or not.
+        for (combiner, map_tasks, reducers) in [(false, 5, 3), (true, 1, 1), (false, 11, 7)] {
+            let other = JoinPlan {
+                combiner,
+                map_tasks,
+                reducers,
+                ..plan.clone()
+            };
+            let (other_tables, mut other_cells) =
+                partition_job(&other, &r, &s, &ctx, &mut JoinMetrics::default()).unwrap();
+            assert_eq!(other_tables, tables);
+            let mut cells = cells.clone();
+            let by_cell = |cell: &(u32, ShuffledCell)| (cell.0, cell.1.kind == RecordKind::S);
+            cells.sort_by_key(by_cell);
+            other_cells.sort_by_key(by_cell);
+            assert_eq!(
+                other_cells, cells,
+                "combiner {combiner}, {map_tasks} x {reducers}"
+            );
+        }
+    }
+
+    /// A shuffled slice is charged what its rows would be one by one: `n`
+    /// records of the codec's length each, whatever part of the cell it is.
+    #[test]
+    fn a_slice_is_charged_its_rows_at_the_codec_length() {
+        let rows: Vec<Row<'_>> = (0..7)
+            .map(|i| (i as f64, i, &[0.5, 1.5, 2.5][..]))
+            .collect();
+        let whole = ShuffledCell {
+            kind: RecordKind::S,
+            partition: 3,
+            rows: CellSlice::whole(FlatPartition::from_sorted(3, &rows)),
+        };
+        let record = Record::new(RecordKind::S, 3, 2.0, Point::new(2, vec![0.5, 1.5, 2.5]));
+        for (bound, n) in [(f64::NEG_INFINITY, 7), (2.0, 5), (6.5, 0)] {
+            let slice = ShuffledCell {
+                rows: whole.rows.at_least(bound),
+                ..whole.clone()
+            };
+            assert_eq!(slice.records(), n);
+            assert_eq!(slice.byte_size(), n * record.encoded_len());
+        }
+    }
+
+    /// PBJ's split: the `B` sub-cells of a cell partition its rows by
+    /// `id mod B`, and each is a cell in its own right (`from_sorted` audits
+    /// the order of every one it builds).
+    #[test]
+    fn sub_cells_partition_a_cell_and_each_ascends() {
+        let s = uniform(400, 2, 30.0, 5);
+        let f = fixture(&s, &s, 3, 4, DistanceMetric::Euclidean, 5);
+        for blocks in [1, 3, 7] {
+            for cell in f.s_parts.values() {
+                let sub_cells = cell.split_by_id(blocks);
+                assert_eq!(sub_cells.len(), blocks);
+                let mut rejoined: Vec<Row<'_>> = Vec::new();
+                for (block, sub_cell) in sub_cells.iter().enumerate() {
+                    assert!(sub_cell
+                        .rows()
+                        .all(|row| row.1 % blocks as u64 == block as u64));
+                    assert!(sub_cell.rows().is_sorted_by(|a, b| row_order(a, b).is_le()));
+                    rejoined.extend(sub_cell.rows());
+                }
+                rejoined.sort_by(row_order);
+                assert_eq!(rejoined, cell.rows().collect::<Vec<_>>());
+            }
+        }
+    }
+
+    /// The audit behind suffix routing: a reducer handed less of a cell than
+    /// its bound allows (here: nothing below the cell's median) is caught
+    /// at the first window that reaches into the missing rows.
+    #[test]
+    #[should_panic(expected = "suffix invariant violated")]
+    fn a_scan_refuses_a_slice_cut_inside_its_window() {
+        let s = uniform(300, 2, 30.0, 9);
+        let f = fixture(&s, &s, 3, 2, DistanceMetric::Euclidean, 9);
+        let cut: CellMap = f
+            .s_parts
+            .iter()
+            .map(|(&j, cell)| {
+                let dists = cell.pivot_dists();
+                (j, cell.at_least(dists[dists.len() / 2]))
+            })
+            .collect();
+        let mut scan = VoronoiScan::new(&f.tables, 3, DistanceMetric::Euclidean, KernelMode::Exact);
+        f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
+            scan.scan(&r_obj.coords, r_pivot_dist, i, &cut, s_order, f.theta[i]);
+        });
     }
 
     #[test]

@@ -574,8 +574,7 @@ impl ZknnPrepared {
                 delta_sorted_copies(&self.quantizer, &self.shifts, overlay),
             )
         });
-        probe_rows(rows.len(), workers, metrics, Vec::new, |scratch, row| {
-            let query = rows[row];
+        probe_rows(rows, workers, metrics, Vec::new, |scratch, _, query| {
             let mut lists = Vec::with_capacity(self.copies.len());
             let mut counts = ScanCounts::default();
             for (i, (copy, shift)) in self.copies.iter().zip(&self.shifts).enumerate() {

@@ -242,11 +242,11 @@ impl FlatBlock {
     ) -> Vec<Vec<Neighbor>> {
         let delta = delta.map(|overlay| DeltaView::gather(overlay, self.dims()));
         probe_rows(
-            rows.len(),
+            rows,
             workers,
             metrics,
             TileScratch::new,
-            |scratch, row| self.scan(rows[row], k, &kernels, delta.as_ref(), scratch),
+            |scratch, _, row| self.scan(row, k, &kernels, delta.as_ref(), scratch),
         )
     }
 }

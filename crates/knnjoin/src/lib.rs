@@ -110,7 +110,7 @@ pub use exact::NestedLoopJoin;
 pub use geom::DistanceMetric;
 pub use grouping::{GroupingStrategy, PartitionGrouping};
 pub use metrics::JoinMetrics;
-pub use partition::{PartitionedDataset, VoronoiPartitioner};
+pub use partition::{PartitionedDataset, PivotDistances, VoronoiPartitioner};
 pub use pivots::{select_pivots, PivotSelectionStrategy};
 pub use plan::{Algorithm, JoinPlan};
 pub use prepared::PreparedJoin;

@@ -11,6 +11,50 @@
 //! cannot run inside the job that does the partitioning.
 
 use geom::{CoordMatrix, DistanceMetric, Point, PointSet};
+use std::sync::Arc;
+
+/// The `t × t` pairwise pivot distances in one flat row-major table: row `i`
+/// is `|p_i, p_0| … |p_i, p_{t−1}|`.  Computed once, by
+/// [`VoronoiPartitioner::new`], and `Arc`-shared from there into the
+/// [`crate::SummaryTables`] of every join and probe over those pivots.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PivotDistances {
+    t: usize,
+    flat: Vec<f64>,
+}
+
+impl PivotDistances {
+    fn compute(pivots: &CoordMatrix, metric: DistanceMetric) -> Self {
+        let t = pivots.len();
+        let kernel = metric.kernel();
+        let mut flat = vec![0.0; t * t];
+        for i in 0..t {
+            for j in (i + 1)..t {
+                let d = kernel(pivots.row(i), pivots.row(j));
+                flat[i * t + j] = d;
+                flat[j * t + i] = d;
+            }
+        }
+        Self { t, flat }
+    }
+
+    /// `|p_i, p_j|` for every `j`.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[f64] {
+        &self.flat[i * self.t..(i + 1) * self.t]
+    }
+
+    /// `|p_i, p_j|`.
+    #[inline]
+    pub fn get(&self, i: usize, j: usize) -> f64 {
+        self.flat[i * self.t + j]
+    }
+
+    /// The rows, in pivot order.
+    pub fn rows(&self) -> impl Iterator<Item = &[f64]> {
+        (0..self.t).map(|i| self.row(i))
+    }
+}
 
 /// Assigns objects to generalized Voronoi cells around a fixed pivot set.
 ///
@@ -20,10 +64,10 @@ use geom::{CoordMatrix, DistanceMetric, Point, PointSet};
 /// -inequality pruning of [`VoronoiPartitioner::nearest_pivot`].
 #[derive(Debug, Clone)]
 pub struct VoronoiPartitioner {
-    pivots: Vec<Point>,
+    pivots: Arc<Vec<Point>>,
     matrix: CoordMatrix,
-    /// Flat `t × t` pairwise pivot distances, `pair[i * t + j] = |p_i, p_j|`.
-    pair: Vec<f64>,
+    /// `|p_i, p_j|`, the one copy every bound and scan order reads.
+    pair: Arc<PivotDistances>,
     /// The reference pivot `p_r` anchoring the search window: the most
     /// eccentric pivot (maximum summed distance to the others), since an
     /// eccentric reference spreads the `|p_r, p_j|` values and makes the
@@ -79,12 +123,6 @@ impl PartitionedDataset {
         self.len() == 0
     }
 
-    /// The `(partition, pivot distance)` of every object.
-    pub(crate) fn assignments(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let cells = self.partitions.iter().enumerate();
-        cells.flat_map(|(cell, bucket)| bucket.iter().map(move |(_, dist)| (cell, *dist)))
-    }
-
     /// Sizes of all partitions.
     pub fn sizes(&self) -> Vec<usize> {
         self.partitions.iter().map(Vec::len).collect()
@@ -122,8 +160,8 @@ impl VoronoiPartitioner {
     /// Creates a partitioner for the given pivots and metric.
     ///
     /// Builds the flat pivot [`CoordMatrix`] and the `|P|²` pairwise pivot
-    /// distance table (the same table PGBJ's summary step needs anyway) that
-    /// the pruned assignment relies on.
+    /// distance table the pruned assignment relies on — the same
+    /// [`PivotDistances`] the summary tables then share.
     ///
     /// # Panics
     /// Panics if `pivots` is empty.
@@ -131,18 +169,8 @@ impl VoronoiPartitioner {
         assert!(!pivots.is_empty(), "need at least one pivot");
         let matrix = CoordMatrix::from_points(&pivots);
         let t = matrix.len();
-        let kernel = metric.kernel();
-        let mut pair = vec![0.0; t * t];
-        for i in 0..t {
-            for j in (i + 1)..t {
-                let d = kernel(matrix.row(i), matrix.row(j));
-                pair[i * t + j] = d;
-                pair[j * t + i] = d;
-            }
-        }
-        let row_sums: Vec<f64> = (0..t)
-            .map(|i| pair[i * t..(i + 1) * t].iter().sum())
-            .collect();
+        let pair = PivotDistances::compute(&matrix, metric);
+        let row_sums: Vec<f64> = pair.rows().map(|row| row.iter().sum()).collect();
         let ref_pivot = (0..t)
             .max_by(|&a, &b| {
                 row_sums[a]
@@ -150,20 +178,18 @@ impl VoronoiPartitioner {
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
             .expect("at least one pivot");
+        let ref_row = pair.row(ref_pivot);
         let mut ref_order: Vec<u32> = (0..t as u32).collect();
         ref_order.sort_by(|&a, &b| {
-            pair[ref_pivot * t + a as usize]
-                .partial_cmp(&pair[ref_pivot * t + b as usize])
+            ref_row[a as usize]
+                .partial_cmp(&ref_row[b as usize])
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let ref_dists: Vec<f64> = ref_order
-            .iter()
-            .map(|&j| pair[ref_pivot * t + j as usize])
-            .collect();
+        let ref_dists: Vec<f64> = ref_order.iter().map(|&j| ref_row[j as usize]).collect();
         Self {
-            pivots,
+            pivots: Arc::new(pivots),
             matrix,
-            pair,
+            pair: Arc::new(pair),
             ref_pivot,
             ref_order,
             ref_dists,
@@ -174,6 +200,16 @@ impl VoronoiPartitioner {
     /// The pivots this partitioner was built with.
     pub fn pivots(&self) -> &[Point] {
         &self.pivots
+    }
+
+    /// The pivot set behind its shared handle.
+    pub(crate) fn shared_pivots(&self) -> &Arc<Vec<Point>> {
+        &self.pivots
+    }
+
+    /// The pairwise pivot distances behind their shared handle.
+    pub(crate) fn pivot_distances(&self) -> &Arc<PivotDistances> {
+        &self.pair
     }
 
     /// The pivot coordinates in flat row-major storage.
@@ -284,7 +320,7 @@ impl VoronoiPartitioner {
         // distance still accumulates left-to-right on its own
         // (bit-identical), but the two chains are independent, so the CPU
         // overlaps them.
-        let mut elkan_row = &self.pair[best * t..(best + 1) * t];
+        let mut elkan_row = self.pair.row(best);
         // Bounds hoisted out of the per-visit checks; refreshed on update.
         let mut two_best = 2.0 * best_d;
         let mut win_lo = d0 - best_d;
@@ -295,7 +331,7 @@ impl VoronoiPartitioner {
                     best_rank = $rank;
                     best = $j;
                     best_d = to_distance($rank);
-                    elkan_row = &self.pair[best * t..(best + 1) * t];
+                    elkan_row = self.pair.row(best);
                     two_best = 2.0 * best_d;
                     win_lo = d0 - best_d;
                     win_hi = d0 + best_d;

@@ -67,6 +67,7 @@ use crate::result::{JoinError, JoinResult, JoinRow};
 use geom::{Point, PointSet};
 use mapreduce::sync::{ranks, RankedMutex};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -445,7 +446,10 @@ impl Server {
     /// Stops admitting requests, drains everything already queued (every
     /// outstanding [`Ticket`] is answered — drained work still executes, it
     /// is never dropped), joins the workers, and returns the final stats.
-    /// Idempotent; also invoked by `Drop`.
+    /// Idempotent; also invoked by `Drop`.  Never panics: a probe that
+    /// panicked has already failed its own tickets with
+    /// [`JoinError::Internal`] (counted in `failed`), and a worker lost to a
+    /// panic anywhere else is not re-raised here.
     pub fn shutdown(&self) -> ServerStats {
         {
             let mut queue = lock_tolerant(&self.shared.queue);
@@ -457,9 +461,10 @@ impl Server {
         }
         let handles = std::mem::take(&mut *lock_tolerant(&self.workers));
         for handle in handles {
-            // lint: allow(panic-freedom) -- a panicked worker is a bug in
-            // this crate; re-raising it beats returning silently torn stats.
-            handle.join().expect("serving worker panicked");
+            // A worker's panic payload has nowhere useful to go: the panic
+            // hook has reported it, and shutdown (also run by `Drop`) must
+            // return the stats it has.
+            let _ = handle.join();
         }
         self.stats()
     }
@@ -512,6 +517,15 @@ fn worker_loop(shared: &Shared, prepared: &PreparedJoin, index: usize) {
     }
 }
 
+/// Runs one unit's probe, turning a panic inside it into the typed error the
+/// unit's tickets are failed with.  A probe holds no lock while it scans and
+/// publishes nothing until it returns (see [`PreparedJoin::probe`]), so the
+/// worker and the corpus are intact after the unwind and the worker goes on
+/// to its next unit.
+fn probe_caught<T>(probe: impl FnOnce() -> Result<T, JoinError>) -> Result<T, JoinError> {
+    catch_unwind(AssertUnwindSafe(probe)).unwrap_or(Err(JoinError::Internal("a probe panicked")))
+}
+
 /// Probes a coalesced batch of single-point queries as one set of borrowed
 /// rows, in submission order.  The probe answers positionally and every
 /// algorithm ranks a row by its coordinates alone, so ids never enter it:
@@ -532,7 +546,7 @@ fn run_coalesced(
         .iter()
         .map(|request| request.point.coords.as_slice())
         .collect();
-    match prepared.probe(&rows) {
+    match probe_caught(|| prepared.probe(&rows)) {
         Ok((neighbors, _)) => {
             debug_assert_eq!(neighbors.len(), requests.len());
             for (request, neighbors) in requests.into_iter().zip(neighbors) {
@@ -553,7 +567,7 @@ fn run_coalesced(
 }
 
 fn run_batch(shared: &Shared, prepared: &PreparedJoin, index: usize, request: BatchRequest) {
-    let outcome = prepared.query(&request.points);
+    let outcome = probe_caught(|| prepared.query(&request.points));
     finish(
         shared,
         index,
@@ -624,6 +638,7 @@ impl ServerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::common::failpoint::POISON;
     use crate::context::ExecutionContext;
     use crate::plan::Algorithm;
     use crate::JoinBuilder;
@@ -800,5 +815,62 @@ mod tests {
         assert_eq!(stats.mean_coalesced_batch(), 8.0);
         assert!(stats.qps() > 0.0);
         assert!(stats.latency.p50() <= stats.latency.p99());
+    }
+
+    /// Fault injection at `probe_rows`: a probe that panics fails exactly
+    /// the tickets of its own unit with a typed `Internal`, the one worker
+    /// survives to serve the units queued behind it and a fresh query, and
+    /// shutdown returns the stats — no ticket is left waiting.
+    #[test]
+    fn a_panicking_probe_fails_only_its_own_unit_and_the_worker_lives() {
+        let (prepared, queries) = serve_fixture(300, 3);
+        let server = Server::start(
+            prepared,
+            ServerConfig::default()
+                .workers(1)
+                .max_batch(4)
+                .start_paused(true),
+        );
+        let poisoned = |id| Point::new(id, vec![POISON, 1.0, 2.0]);
+        // Two coalesced units of four singles; the poisoned single sits in
+        // the middle of the first.
+        let singles: Vec<_> = queries
+            .iter()
+            .take(8)
+            .enumerate()
+            .map(|(at, p)| {
+                let point = if at == 1 { poisoned(p.id) } else { p.clone() };
+                (at, p.id, server.submit_one(point).unwrap())
+            })
+            .collect();
+        let mut with_poison = queries.points()[8..12].to_vec();
+        with_poison.push(poisoned(77));
+        let bad_batch = server.submit(PointSet::from_points(with_poison)).unwrap();
+        let clean = PointSet::from_points(queries.points()[8..12].to_vec());
+        let good_batch = server.submit(clean).unwrap();
+        server.resume();
+
+        assert_eq!(
+            bad_batch.wait().unwrap_err(),
+            JoinError::Internal("a probe panicked")
+        );
+        assert_eq!(good_batch.wait().unwrap().rows.len(), 4);
+        for (at, id, ticket) in singles {
+            match ticket.wait() {
+                Ok(row) => assert!(at >= 4 && row.r_id == id, "single {at} was answered"),
+                Err(error) => {
+                    assert!(at < 4, "single {at} shared no unit with the poison");
+                    assert_eq!(error.kind(), crate::JoinErrorKind::Internal);
+                }
+            }
+        }
+        // The same worker answers what comes next.
+        let next = queries.points()[12].clone();
+        assert_eq!(server.query_one(next.clone()).unwrap().r_id, next.id);
+        let stats = server.shutdown();
+        assert_eq!(stats.failed, 4 + 1);
+        assert_eq!(stats.completed, 4 + 1 + 1);
+        assert_eq!(stats.submitted, 8 + 2 + 1);
+        assert_eq!(server.queue_depth(), 0);
     }
 }

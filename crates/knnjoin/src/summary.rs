@@ -10,7 +10,7 @@
 //!   object-to-pivot distances (`p_i.d_1 … p_i.d_k`), kept in ascending order
 //!   so Algorithm 1 can early-terminate.
 
-use crate::partition::PartitionedDataset;
+use crate::partition::{PartitionedDataset, PivotDistances, VoronoiPartitioner};
 use geom::{DistanceMetric, Point};
 use std::sync::Arc;
 
@@ -47,10 +47,10 @@ pub struct SPartitionSummary {
 /// The pair of summary tables plus the pivot set they refer to.
 ///
 /// The S-side fields (`pivots`, `s_summaries`, `pivot_distances`) sit behind
-/// [`Arc`]s: the prepared serving path assembles fresh tables per probe
-/// batch — only `T_R` changes — and sharing the heavy parts keeps that
-/// assembly O(1) instead of re-copying the pivot set and the `t × t`
-/// distance matrix on every query.
+/// [`Arc`]s: the pivot set and the `t × t` distance table are the
+/// [`VoronoiPartitioner`]'s own, and the prepared serving path assembles
+/// fresh tables per probe batch — only `T_R` changes — so that assembly
+/// copies neither.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SummaryTables {
     /// Pivots defining the Voronoi cells (ids are positional: pivot `i` is
@@ -62,8 +62,8 @@ pub struct SummaryTables {
     pub r_summaries: Vec<RPartitionSummary>,
     /// One entry per partition of `S` (indexed by partition id).
     pub s_summaries: Arc<Vec<SPartitionSummary>>,
-    /// Pairwise pivot distances: `pivot_distances[i][j] = |p_i, p_j|`.
-    pub pivot_distances: Arc<Vec<Vec<f64>>>,
+    /// Pairwise pivot distances, `|p_i, p_j|`.
+    pub pivot_distances: Arc<PivotDistances>,
 }
 
 impl SummaryTables {
@@ -91,39 +91,52 @@ impl SummaryTables {
             pivots.len(),
             "S partitioning does not match pivot count"
         );
-        Self::from_assignments(
-            pivots,
-            metric,
-            partitioned_r.assignments(),
-            partitioned_s.assignments(),
+        let sorted_columns = |partitioned: &PartitionedDataset| -> Vec<Vec<f64>> {
+            let columns = partitioned.partitions.iter().map(|bucket| {
+                let mut column: Vec<f64> = bucket.iter().map(|(_, dist)| *dist).collect();
+                column.sort_unstable_by(f64::total_cmp);
+                column
+            });
+            columns.collect()
+        };
+        let (r, s) = (sorted_columns(partitioned_r), sorted_columns(partitioned_s));
+        Self::from_sorted_columns(
+            &VoronoiPartitioner::new(pivots, metric),
+            r.iter().map(Vec::as_slice).enumerate(),
+            s.iter().map(Vec::as_slice).enumerate(),
             k,
         )
     }
 
-    /// Index merging (Figure 6): builds the tables from the `(cell, pivot
-    /// distance)` of every object of `R` and of `S`, in any order — which is
-    /// all of the first job's output that the tables depend on.
-    pub(crate) fn from_assignments(
-        pivots: Vec<Point>,
-        metric: DistanceMetric,
-        r: impl IntoIterator<Item = (usize, f64)>,
-        s: impl IntoIterator<Item = (usize, f64)>,
+    /// Index merging (Figure 6): the tables over `partitioner`'s pivots, read
+    /// off each non-empty cell's ascending pivot distances — which is all of
+    /// the first job's output that the tables depend on.  The pivot set and
+    /// the pivot distances are shared from the partitioner, not recomputed.
+    pub(crate) fn from_sorted_columns<'a>(
+        partitioner: &VoronoiPartitioner,
+        r: impl IntoIterator<Item = (usize, &'a [f64])>,
+        s: impl IntoIterator<Item = (usize, &'a [f64])>,
         k: usize,
     ) -> Self {
-        let mut columns: Vec<Vec<f64>> = vec![Vec::new(); pivots.len()];
-        for (cell, dist) in s {
-            columns[cell].push(dist);
+        let t = partitioner.partition_count();
+        let mut r_summaries: Vec<RPartitionSummary> = (0..t)
+            .map(|cell| RPartitionSummary::of_sorted(cell, &[]))
+            .collect();
+        for (cell, column) in r {
+            r_summaries[cell] = RPartitionSummary::of_sorted(cell, column);
         }
-        let s_summaries = columns.iter_mut().enumerate().map(|(cell, column)| {
-            column.sort_unstable_by(f64::total_cmp);
-            SPartitionSummary::of_sorted(cell, column, k)
-        });
+        let mut s_summaries: Vec<SPartitionSummary> = (0..t)
+            .map(|cell| SPartitionSummary::of_sorted(cell, &[], k))
+            .collect();
+        for (cell, column) in s {
+            s_summaries[cell] = SPartitionSummary::of_sorted(cell, column, k);
+        }
         Self {
-            r_summaries: r_summaries(pivots.len(), r),
-            s_summaries: Arc::new(s_summaries.collect()),
-            pivot_distances: Arc::new(pivot_distance_matrix(&pivots, metric)),
-            pivots: Arc::new(pivots),
-            metric,
+            pivots: Arc::clone(partitioner.shared_pivots()),
+            metric: partitioner.metric(),
+            r_summaries,
+            s_summaries: Arc::new(s_summaries),
+            pivot_distances: Arc::clone(partitioner.pivot_distances()),
         }
     }
 
@@ -133,8 +146,9 @@ impl SummaryTables {
     }
 
     /// `|p_i, p_j|` looked up from the precomputed matrix.
+    #[inline]
     pub fn pivot_distance(&self, i: usize, j: usize) -> f64 {
-        self.pivot_distances[i][j]
+        self.pivot_distances.get(i, j)
     }
 }
 
@@ -161,6 +175,21 @@ pub(crate) fn r_summaries(
     rows
 }
 
+impl RPartitionSummary {
+    /// The `T_R` row of partition `partition` read off its objects' pivot
+    /// distances in ascending order: the `(L, U)` bounds are the column's
+    /// ends — what [`r_summaries`] folds from the same distances in any
+    /// order.
+    pub(crate) fn of_sorted(partition: usize, pivot_dists: &[f64]) -> Self {
+        Self {
+            partition,
+            count: pivot_dists.len(),
+            lower: pivot_dists.first().copied().unwrap_or(0.0),
+            upper: pivot_dists.last().copied().unwrap_or(0.0),
+        }
+    }
+}
+
 impl SPartitionSummary {
     /// The `T_S` row of partition `partition` read off its objects' pivot
     /// distances in ascending order — the column a
@@ -177,20 +206,6 @@ impl SPartitionSummary {
             knn_distances: pivot_dists[..k.min(pivot_dists.len())].to_vec(),
         }
     }
-}
-
-/// Full pairwise pivot distance matrix.
-pub fn pivot_distance_matrix(pivots: &[Point], metric: DistanceMetric) -> Vec<Vec<f64>> {
-    let n = pivots.len();
-    let mut m = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d = metric.distance(&pivots[i], &pivots[j]);
-            m[i][j] = d;
-            m[j][i] = d;
-        }
-    }
-    m
 }
 
 #[cfg(test)]

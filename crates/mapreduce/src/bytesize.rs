@@ -12,6 +12,15 @@ use bytes::Bytes;
 pub trait ByteSize {
     /// Serialised size in bytes.
     fn byte_size(&self) -> usize;
+
+    /// How many shuffled records this value stands for: one, unless a value
+    /// moves a run of records as one object (a slice of a shared cell).  The
+    /// engine counts `records()` shuffle records per emitted pair and charges
+    /// the key once per record, so such a value is accounted exactly like the
+    /// per-record emissions it replaces; `byte_size` then covers all of them.
+    fn records(&self) -> usize {
+        1
+    }
 }
 
 macro_rules! impl_bytesize_fixed {

@@ -109,8 +109,25 @@ impl std::fmt::Display for JobError {
 impl std::error::Error for JobError {}
 
 /// One reduce partition's share of one map task's output: the routed (and
-/// possibly combined) pairs plus their shuffle byte volume.
-type PartitionBuffer<K, V> = (Vec<(K, V)>, u64);
+/// possibly combined) pairs plus the shuffle volume they are charged.
+type PartitionBuffer<K, V> = (Vec<(K, V)>, ShuffleVolume);
+
+/// What a run of pairs costs to shuffle: every pair counts
+/// [`ByteSize::records`] records, each charged its key, plus the value's
+/// bytes.
+#[derive(Debug, Clone, Copy, Default)]
+struct ShuffleVolume {
+    records: u64,
+    bytes: u64,
+}
+
+impl ShuffleVolume {
+    fn charge<K: ByteSize, V: ByteSize>(&mut self, key: &K, value: &V) {
+        let records = value.records();
+        self.records += records as u64;
+        self.bytes += (records * key.byte_size() + value.byte_size()) as u64;
+    }
+}
 
 /// Everything one reduce partition receives: one routed buffer per map task,
 /// concatenated in map-task order.
@@ -385,9 +402,9 @@ where
         .map(|_| Vec::with_capacity(map_tasks))
         .collect();
     for task_buffers in map_results {
-        for (p, (buffer, bytes)) in task_buffers.into_iter().enumerate() {
-            shuffle_records += buffer.len() as u64;
-            shuffle_bytes += bytes;
+        for (p, (buffer, volume)) in task_buffers.into_iter().enumerate() {
+            shuffle_records += volume.records;
+            shuffle_bytes += volume.bytes;
             partition_inputs[p].push(buffer);
         }
     }
@@ -462,34 +479,32 @@ where
     P: Partitioner<K>,
 {
     let mut buffers: Vec<Vec<(K, V)>> = (0..num_reducers).map(|_| Vec::new()).collect();
-    // Without a combiner the routed pairs cross the shuffle as-is, so their
-    // bytes are accounted in this same pass; with one, the accounting has to
-    // wait for the (smaller) combined buffer below.
-    let mut routed_bytes = vec![0u64; num_reducers];
+    // Without a combiner the routed pairs cross the shuffle as-is, so they
+    // are accounted in this same pass; with one, the accounting has to wait
+    // for the (smaller) combined buffer below.
+    let mut routed = vec![ShuffleVolume::default(); num_reducers];
     for (k, v) in emitted {
         let p = partitioner.partition(&k, num_reducers);
         debug_assert!(p < num_reducers, "partitioner returned out-of-range index");
         let p = p.min(num_reducers - 1);
         if combiner.is_none() {
-            routed_bytes[p] += (k.byte_size() + v.byte_size()) as u64;
+            routed[p].charge(&k, &v);
         }
         buffers[p].push((k, v));
     }
     buffers
         .into_iter()
-        .zip(routed_bytes)
-        .map(|(buffer, bytes)| match combiner {
+        .zip(routed)
+        .map(|(buffer, volume)| match combiner {
             Some(c) if !buffer.is_empty() => {
                 counters.add(builtin::COMBINE_INPUT_RECORDS, buffer.len() as u64);
                 let combined = apply_combiner(c, buffer);
                 counters.add(builtin::COMBINE_OUTPUT_RECORDS, combined.len() as u64);
-                let bytes = combined
-                    .iter()
-                    .map(|(k, v)| (k.byte_size() + v.byte_size()) as u64)
-                    .sum();
-                (combined, bytes)
+                let mut volume = ShuffleVolume::default();
+                combined.iter().for_each(|(k, v)| volume.charge(k, v));
+                (combined, volume)
             }
-            _ => (buffer, bytes),
+            _ => (buffer, volume),
         })
         .collect()
 }
@@ -593,6 +608,54 @@ mod tests {
         assert_eq!(m.output_records, 10);
         assert_eq!(m.map_tasks, 5);
         assert_eq!(m.reduce_tasks, 3);
+    }
+
+    #[test]
+    fn a_value_standing_for_a_run_is_charged_as_its_records() {
+        /// `n` 8-byte records moved as one value.
+        #[derive(Clone)]
+        struct Run(usize);
+        impl ByteSize for Run {
+            fn byte_size(&self) -> usize {
+                8 * self.0
+            }
+            fn records(&self) -> usize {
+                self.0
+            }
+        }
+        struct RunMap;
+        impl Mapper for RunMap {
+            type KIn = u64;
+            type VIn = u64;
+            type KOut = u64;
+            type VOut = Run;
+            fn map(&self, k: &u64, v: &u64, ctx: &mut MapContext<u64, Run>) {
+                ctx.emit(*k, Run(*v as usize));
+            }
+        }
+        struct RunRed;
+        impl Reducer for RunRed {
+            type KIn = u64;
+            type VIn = Run;
+            type KOut = u64;
+            type VOut = u64;
+            fn reduce(&self, k: &u64, vs: &[Run], ctx: &mut ReduceContext<u64, u64>) {
+                ctx.emit(*k, vs.iter().map(|run| run.0 as u64).sum());
+            }
+        }
+        // Runs of 0..10 records under three keys: 45 records in all, each
+        // charged its 8-byte key and its own 8 bytes — what 45 single
+        // emissions of (u64, u64) cost in `metrics_account_records_and_bytes`.
+        let input: Vec<(u64, u64)> = (0..10).map(|n| (n % 3, n)).collect();
+        let out = JobBuilder::new("runs")
+            .reducers(2)
+            .map_tasks(4)
+            .run(input, &RunMap, &RunRed)
+            .unwrap();
+        assert_eq!(out.metrics.shuffle_records, 45);
+        assert_eq!(out.metrics.shuffle_bytes, 45 * 16);
+        assert_eq!(out.metrics.counters.get(builtin::SHUFFLE_RECORDS), 45);
+        assert_eq!(out.output.iter().map(|(_, n)| n).sum::<u64>(), 45);
     }
 
     #[test]

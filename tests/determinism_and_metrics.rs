@@ -52,27 +52,57 @@ fn repeated_runs_are_bit_identical() {
 #[test]
 fn worker_pool_size_does_not_change_results() {
     // The ExecutionContext owns physical parallelism; logical results and
-    // cost accounting must be identical whatever the pool size.
+    // cost accounting must be identical whatever the pool size — and the
+    // map-side combiner may only change what job 1's shuffle is charged.
+    // Both Voronoi joins move whole cells through their jobs, so this also
+    // pins that no row or counter depends on which task a cell met.
     let r = workload(21);
     let s = workload(22);
-    let run_with_workers = |workers: usize| {
-        let ctx = ExecutionContext::builder().workers(workers).build();
-        Join::new(&r, &s)
-            .k(5)
-            .algorithm(Algorithm::Pgbj)
-            .pivot_count(16)
-            .reducers(4)
-            .run(&ctx)
-            .unwrap()
+    let counters = |m: &pgbj::knnjoin::JoinMetrics| {
+        [
+            m.distance_computations,
+            m.pivot_assignment_computations,
+            m.r_records_shuffled,
+            m.s_records_shuffled,
+            m.shuffle_records,
+            m.shuffle_bytes,
+            m.combine_input_records,
+            m.combine_output_records,
+        ]
     };
-    let single = run_with_workers(1);
-    let pooled = run_with_workers(8);
-    assert!(single.matches(&pooled, 0.0));
-    assert_eq!(single.metrics.shuffle_bytes, pooled.metrics.shuffle_bytes);
-    assert_eq!(
-        single.metrics.distance_computations,
-        pooled.metrics.distance_computations
-    );
+    for algorithm in [Algorithm::Pgbj, Algorithm::Pbj] {
+        let run = |workers: usize, combiner: bool| {
+            let ctx = ExecutionContext::builder().workers(workers).build();
+            Join::new(&r, &s)
+                .k(5)
+                .algorithm(algorithm)
+                .pivot_count(16)
+                .reducers(4)
+                .combiner(combiner)
+                .run(&ctx)
+                .unwrap()
+        };
+        let reference = run(1, true);
+        for combiner in [true, false] {
+            let single = run(1, combiner);
+            assert!(single.matches(&reference, 0.0), "{algorithm} {combiner}");
+            // Without the combiner job 1 ships more, the rest is untouched.
+            assert_eq!(
+                counters(&single.metrics)[..4],
+                counters(&reference.metrics)[..4],
+                "{algorithm} combiner {combiner}"
+            );
+            for workers in [2, 4, 8] {
+                let pooled = run(workers, combiner);
+                assert!(single.matches(&pooled, 0.0), "{algorithm} x{workers}");
+                assert_eq!(
+                    counters(&single.metrics),
+                    counters(&pooled.metrics),
+                    "{algorithm} combiner {combiner} x{workers}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -25,11 +25,12 @@
 //! times and latency percentiles are machine-dependent and never compared.
 //! A `perf_baseline` check also fails when a `Fast` PGBJ / PBJ row of the
 //! run spends other distance computations than its `Exact` twin (both modes
-//! walk the same tiles), when a cold PBJ row's pivot-assignment
-//! computations differ from its PGBJ twin's (they run one front half), or
-//! when a cold PGBJ row's shuffle records are not job 1's batches plus one
-//! per routed object (a cell slice is accounted as its rows), whatever the
-//! reference says.
+//! walk the same tiles), when a `Fast` H-BRJ row differs from its `Exact`
+//! twin on any deterministic field (the R-tree knows no mode), when a cold
+//! PBJ row's pivot-assignment computations differ from its PGBJ twin's (they
+//! run one front half), or when a cold PGBJ row's shuffle records are not
+//! job 1's batches plus one per routed object (a cell slice is accounted as
+//! its rows), whatever the reference says.
 //! CI runs all three on every push, so an unexplained counter regression
 //! fails the build instead of silently shifting the baseline.
 
@@ -38,27 +39,12 @@
 use bench::experiments::{
     fast_rows_off_their_exact_twin, pbj_rows_off_their_pgbj_twin,
     pgbj_rows_off_their_shuffle_identity, run_by_id, ExperimentOutput, ALL_EXPERIMENTS,
+    BASELINE_FIELDS,
 };
 use bench::json::Value;
 use bench::ExperimentScale;
 use std::io::Write;
 use std::process::ExitCode;
-
-/// The perf-baseline fields that must be bit-stable for a fixed seed, for
-/// the cold rows and the `"(prepared)"` serving rows alike (a prepared row
-/// drifting on `index_builds` or `pivot_selections` means per-query rebuild
-/// work leaked back in).  `wall_time_s`, `build_time_s` and
-/// `cold_wall_time_s` are deliberately absent.
-const BASELINE_FIELDS: [&str; 8] = [
-    "distance_computations",
-    "pivot_assignment_computations",
-    "index_builds",
-    "pivot_selections",
-    "shuffle_bytes",
-    "shuffle_records",
-    "recall",
-    "distance_ratio",
-];
 
 /// The mutable-corpus fields that must be bit-stable for a fixed seed.
 /// A drift in `delta_probe_computations` or `tombstone_masked` means the

@@ -11,7 +11,8 @@
 //! `kernel_mode = KernelMode::Fast`, so the SIMD-accumulated batch-kernel
 //! path carries its own reference counters next to the scalar `Exact` rows
 //! it must agree with (on PGBJ and PBJ its `distance_computations` equal the
-//! `Exact` twin's, see [`fast_rows_off_their_exact_twin`]).  A third row set
+//! `Exact` twin's, on H-BRJ every deterministic field does, see
+//! [`fast_rows_off_their_exact_twin`]).  A third row set
 //! (`"<name> (prepared)"`) measures the serving path: one
 //! `JoinBuilder::prepare` build followed by [`PREPARED_QUERIES`] repeated
 //! `PreparedJoin::query` calls, reporting the per-query counters (which must
@@ -34,6 +35,22 @@ use std::time::Instant;
 
 /// Repeated `PreparedJoin::query` calls per algorithm in the serving rows.
 pub const PREPARED_QUERIES: u32 = 8;
+
+/// The perf-baseline fields that must be bit-stable for a fixed seed, for
+/// the cold rows and the `"(prepared)"` serving rows alike (a prepared row
+/// drifting on `index_builds` or `pivot_selections` means per-query rebuild
+/// work leaked back in).  `wall_time_s`, `build_time_s` and
+/// `cold_wall_time_s` are deliberately absent.
+pub const BASELINE_FIELDS: [&str; 8] = [
+    "distance_computations",
+    "pivot_assignment_computations",
+    "index_builds",
+    "pivot_selections",
+    "shuffle_bytes",
+    "shuffle_records",
+    "recall",
+    "distance_ratio",
+];
 
 /// One algorithm's baseline measurements.  Cold rows measure one
 /// `JoinBuilder::run`; prepared rows measure one `PreparedJoin::query` (the
@@ -210,10 +227,9 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
             let result = last.expect("at least one query ran");
             let quality = result.quality_against(&oracle);
             let m = &result.metrics;
-            let suffix = if mode.is_exact() {
-                "(prepared)"
-            } else {
-                "(prepared, fast)"
+            let suffix = match mode {
+                KernelMode::Exact => "(prepared)",
+                KernelMode::Fast => "(prepared, fast)",
             };
             BaselineRow {
                 algorithm: format!("{} {suffix}", algorithm.name()),
@@ -331,16 +347,27 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
     }
 }
 
-/// The PGBJ / PBJ `Fast` rows of a `perf_baseline` run — cold and prepared —
-/// whose `distance_computations` differ from their `Exact` twin's, each as a
-/// description.  Both modes walk the same 32-row tiles of the same cells
-/// (`VoronoiScan`), so the counts are equal unless a `Fast` distance, off by
-/// its ≤ 1e-9 round-off, landed on the other side of a bound and flipped an
-/// admission — rare enough on a fixed seed to be worth seeing when it
-/// happens.
+/// The `Fast` rows of a `perf_baseline` run — cold and prepared — that are
+/// off their `Exact` twin, each as a description.  PGBJ / PBJ: on
+/// `distance_computations`; both modes walk the same 32-row tiles of the
+/// same cells (`VoronoiScan`), so the counts are equal unless a `Fast`
+/// distance, off by its ≤ 1e-9 round-off, landed on the other side of a
+/// bound and flipped an admission — rare enough on a fixed seed to be worth
+/// seeing when it happens.  H-BRJ: on every one of [`BASELINE_FIELDS`]; the
+/// R-tree cannot see the mode, so a difference means a second leaf walk is
+/// back.
 pub fn fast_rows_off_their_exact_twin(rows: &Value) -> Vec<String> {
     let mut problems = Vec::new();
-    for algorithm in [Algorithm::Pgbj, Algorithm::Pbj] {
+    let voronoi: &[&str] = &["distance_computations"];
+    for (algorithm, fields, rule) in [
+        (Algorithm::Pgbj, voronoi, "both modes walk the same tiles"),
+        (Algorithm::Pbj, voronoi, "both modes walk the same tiles"),
+        (
+            Algorithm::Hbrj,
+            &BASELINE_FIELDS,
+            "the R-tree knows no mode",
+        ),
+    ] {
         let name = algorithm.name();
         for (exact, fast) in [
             (name.to_string(), format!("{name} (fast)")),
@@ -349,13 +376,15 @@ pub fn fast_rows_off_their_exact_twin(rows: &Value) -> Vec<String> {
                 format!("{name} (prepared, fast)"),
             ),
         ] {
-            problems.extend(twin_problem(
-                rows,
-                (&fast, &exact),
-                "distance_computations",
-                |exact, fast| fast == exact,
-                "not equal, though both modes walk the same tiles",
-            ));
+            problems.extend(fields.iter().filter_map(|field| {
+                twin_problem(
+                    rows,
+                    (&fast, &exact),
+                    field,
+                    |exact, fast| fast == exact,
+                    &format!("not equal, though {rule}"),
+                )
+            }));
         }
     }
     problems
@@ -555,7 +584,7 @@ mod tests {
         let out = perf_baseline(ExperimentScale::Quick);
         assert_eq!(fast_rows_off_their_exact_twin(&out.json), [""; 0]);
         // A Fast row that evaluated one row more than its Exact twin trips
-        // the gate.
+        // the gate, and so does an H-BRJ one on any deterministic field.
         let off_by_one = Value::Array(
             out.json
                 .as_array()
@@ -569,13 +598,29 @@ mod tests {
                             (row["distance_computations"].as_f64().expect("comps") + 1.0).into(),
                         ),
                     ]),
+                    Some("H-BRJ (prepared, fast)") => match row {
+                        Value::Object(fields) => Value::Object(
+                            fields
+                                .iter()
+                                .map(|(name, value)| match name.as_str() {
+                                    "index_builds" => (name.clone(), 1.0.into()),
+                                    _ => (name.clone(), value.clone()),
+                                })
+                                .collect(),
+                        ),
+                        other => other.clone(),
+                    },
                     _ => row.clone(),
                 })
                 .collect(),
         );
         let problems = fast_rows_off_their_exact_twin(&off_by_one);
-        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert_eq!(problems.len(), 2, "{problems:?}");
         assert!(problems[0].starts_with("PGBJ (fast)"), "{problems:?}");
+        assert!(
+            problems[1].starts_with("H-BRJ (prepared, fast).index_builds"),
+            "{problems:?}"
+        );
     }
 
     #[test]

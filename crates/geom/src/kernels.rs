@@ -4,7 +4,8 @@
 //! dispatch per call, and the Euclidean variant a `sqrt` per call.  The hot
 //! loops (pivot assignment, Algorithm 3 scans, k-means) instead hoist one of
 //! these kernels out of the loop and call it directly.  There are four
-//! families; a [`KernelMode`] picks the first two or the last two:
+//! families; a [`KernelMode`] picks which of the two tile families (the
+//! second or the fourth) a candidate scan calls, and nothing else:
 //!
 //! * the scalar kernels ([`euclidean`], [`manhattan`], [`chebyshev`]) compute
 //!   exactly the same value as `distance_coords` — same left-to-right
@@ -16,14 +17,16 @@
 //!   it): every row still accumulates left to right with a separate
 //!   multiply and add, so each output has the scalar kernel's bits, on any
 //!   CPU;
-//! * the `*_fast` pairwise kernels run four independent accumulators;
-//! * the `*_batch` kernels are their block form, four dimensions per SIMD
+//! * the `*_fast` pairwise kernels run four independent accumulators: the
+//!   remainder rows and portable twins of
+//! * the `*_batch` kernels, their block form, four dimensions per SIMD
 //!   register and FMA where the CPU has them.
 //!
 //! The fast and batch kernels reorder floating-point addition, so they agree
-//! with the scalar kernels to ~1e-9 relative, not bit for bit.  Pivot
-//! selection and pivot assignment always use the scalar kernels, whatever
-//! the mode: the stored pivot distances feed every pruning bound.
+//! with the scalar kernels to ~1e-9 relative, not bit for bit.  Every
+//! isolated pair — pivot selection, pivot assignment, an object against a
+//! pivot inside a scan — goes through the scalar kernels, whatever the mode:
+//! the stored pivot distances feed every pruning bound.
 //!
 //! Squared distances are safe wherever only comparisons *within* the squared
 //! domain happen (argmin against a running best kept in the same domain).
@@ -50,23 +53,24 @@ pub type BatchKernel = fn(&[f64], &[f64], usize, &mut [f64]);
 /// it; consumers re-slice larger S blocks into `PROBE_TILE`-row tiles.
 pub const PROBE_TILE: usize = 256;
 
-/// Which kernel family the candidate scans call.  The mode selects a kernel
+/// Which tile kernel the candidate scans call.  The mode selects that kernel
 /// and nothing else: pivot selection, pivot assignment, the shuffle, every
-/// pruning bound and the tiles a scan walks are the same in both.
+/// pruning bound, the R-tree search and the tiles a scan walks are the same
+/// in both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelMode {
     /// Left-to-right accumulation with a separate multiply and add: the
-    /// scalar kernels for single pairs, the lane-per-row `*_batch_exact`
-    /// kernels for row tiles.  Every distance has `distance_coords`' bits,
-    /// with or without AVX2, so results and deterministic counters are
-    /// bit-identical to the oracle and the committed baselines.
+    /// lane-per-row `*_batch_exact` kernels.  Every distance has
+    /// `distance_coords`' bits, with or without AVX2, so results and
+    /// deterministic counters are bit-identical to the oracle and the
+    /// committed baselines.
     #[default]
     Exact,
-    /// The reassociated family: multi-accumulator pairwise kernels and the
-    /// FMA `*_batch` kernels.  Distances agree with [`KernelMode::Exact`] to
-    /// ~1e-9 relative rather than bit for bit (and may differ in the last
-    /// bits between CPUs with and without AVX2), so a neighbour at a tie or
-    /// a candidate a rounding error from a bound can come out differently.
+    /// The reassociated FMA `*_batch` kernels.  Tile distances agree with
+    /// [`KernelMode::Exact`] to ~1e-9 relative rather than bit for bit (and
+    /// may differ in the last bits between CPUs with and without AVX2), so
+    /// a neighbour at a tie or a candidate a rounding error from a bound can
+    /// come out differently.
     Fast,
 }
 
@@ -77,11 +81,6 @@ impl KernelMode {
             KernelMode::Exact => "exact",
             KernelMode::Fast => "fast",
         }
-    }
-
-    /// Whether this mode guarantees bit-identical results and counters.
-    pub fn is_exact(&self) -> bool {
-        matches!(self, KernelMode::Exact)
     }
 }
 
@@ -162,12 +161,6 @@ pub fn squared_euclidean_fast(a: &[f64], b: &[f64]) -> f64 {
         tail += d * d;
     }
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
-}
-
-/// Fast Euclidean distance: `sqrt` of [`squared_euclidean_fast`].
-#[inline]
-pub fn euclidean_fast(a: &[f64], b: &[f64]) -> f64 {
-    squared_euclidean_fast(a, b).sqrt()
 }
 
 /// [`manhattan`] with four independent partial sums (see
@@ -795,8 +788,6 @@ mod tests {
     #[test]
     fn kernel_mode_labels_and_default() {
         assert_eq!(KernelMode::default(), KernelMode::Exact);
-        assert!(KernelMode::Exact.is_exact());
-        assert!(!KernelMode::Fast.is_exact());
         assert_eq!(KernelMode::Exact.name(), "exact");
         assert_eq!(KernelMode::Fast.name(), "fast");
     }
@@ -868,7 +859,6 @@ mod tests {
             for (fast, scalar) in [
                 (squared_euclidean_fast as Kernel, squared_euclidean as Kernel),
                 (manhattan_fast as Kernel, manhattan as Kernel),
-                (euclidean_fast as Kernel, euclidean as Kernel),
             ] {
                 let row = &block[..dim];
                 prop_assert!(

@@ -63,18 +63,6 @@ impl DistanceMetric {
         }
     }
 
-    /// The multi-accumulator fast kernel computing this metric's true
-    /// distance (the [`crate::kernels::KernelMode::Fast`] pairwise path).
-    /// Agrees with [`DistanceMetric::kernel`] to ~1e-9 relative, not bit for
-    /// bit — see the accumulation-order caveat in [`crate::kernels`].
-    pub fn fast_kernel(&self) -> Kernel {
-        match self {
-            DistanceMetric::Euclidean => kernels::euclidean_fast,
-            DistanceMetric::Manhattan => kernels::manhattan_fast,
-            DistanceMetric::Chebyshev => kernels::chebyshev_fast,
-        }
-    }
-
     /// The one-query-vs-many-rows rank kernel whose every output is
     /// bit-identical to [`DistanceMetric::rank_kernel`] on the same row, on
     /// any CPU (the [`crate::kernels::KernelMode::Exact`] tile kernel: one

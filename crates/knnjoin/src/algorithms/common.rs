@@ -109,21 +109,17 @@ pub struct ScanCounts {
     pub masked: u64,
 }
 
-/// The kernels one scan evaluates candidates with, chosen once from the
-/// plan's [`KernelMode`].  Both modes carry the same three things, so a scan
-/// written against them walks the same rows in the same order whatever the
-/// mode; only `FlatBlock::scan` reads `mode` itself, to keep the oracle's
-/// scalar loop apart from the kernels it checks.
+/// The kernels one scan evaluates candidates with, built once per join from
+/// the plan — the one place its [`KernelMode`] is read.  The mode picks the
+/// tile kernel and nothing else, so a scan written against this walks the
+/// same rows in the same order whatever the mode.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScanKernels {
     /// The metric both kernels compute; converts `tile` ranks back to
     /// distances.
     pub metric: DistanceMetric,
-    /// The mode the kernels were chosen for.
-    pub mode: KernelMode,
-    /// Pairwise true-distance kernel for isolated evaluations (pivots,
-    /// per-candidate rechecks, interleaved delta windows): the scalar kernel
-    /// in `Exact` mode, its reassociated twin in `Fast`.
+    /// The scalar true-distance kernel, for isolated evaluations (an object
+    /// against a pivot, a per-candidate recheck).
     pub pair: Kernel,
     /// Rank kernel for contiguous row runs: the lane-per-row kernel whose
     /// outputs are bit-identical to `pair`'s in `Exact` mode, the FMA batch
@@ -133,15 +129,13 @@ pub(crate) struct ScanKernels {
 
 impl ScanKernels {
     pub(crate) fn new(metric: DistanceMetric, mode: KernelMode) -> Self {
-        let (pair, tile) = match mode {
-            KernelMode::Exact => (metric.kernel(), metric.exact_batch_rank_kernel()),
-            KernelMode::Fast => (metric.fast_kernel(), metric.batch_rank_kernel()),
-        };
         Self {
             metric,
-            mode,
-            pair,
-            tile,
+            pair: metric.kernel(),
+            tile: match mode {
+                KernelMode::Exact => metric.exact_batch_rank_kernel(),
+                KernelMode::Fast => metric.batch_rank_kernel(),
+            },
         }
     }
 

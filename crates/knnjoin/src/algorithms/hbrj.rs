@@ -25,7 +25,7 @@ use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
-use geom::{DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointSet, RecordKind};
+use geom::{DistanceMetric, Neighbor, NeighborList, Point, PointSet, RecordKind};
 use mapreduce::{ReduceContext, Reducer};
 use spatial::RTree;
 use std::collections::BTreeSet;
@@ -50,7 +50,6 @@ pub(crate) fn join(
         &HbrjCellReducer {
             k: plan.k,
             metric: plan.metric,
-            mode: plan.kernel_mode,
             blocks,
             s_trees: (0..blocks).map(|_| OnceLock::new()).collect(),
         },
@@ -64,7 +63,6 @@ pub(crate) fn join(
 struct HbrjCellReducer {
     k: usize,
     metric: DistanceMetric,
-    mode: KernelMode,
     /// `B`, the number of blocks per dataset; cell `c` joins `S` block
     /// `c % B`.
     blocks: usize,
@@ -96,13 +94,11 @@ impl Reducer for HbrjCellReducer {
         // ownership of the block, so that cell copies it once.
         let tree = self.s_trees[*cell as usize % self.blocks].get_or_init(|| {
             ctx.counters().increment(counters::INDEX_BUILDS);
-            Arc::new(RTree::bulk_load_with_mode(
+            Arc::new(RTree::bulk_load(
                 ShuffleRecord::of_kind(values, RecordKind::S)
                     .map(|record| Point::clone(&record.point))
                     .collect(),
                 self.metric,
-                RTree::DEFAULT_FANOUT,
-                self.mode,
             ))
         });
         for record in ShuffleRecord::of_kind(values, RecordKind::R) {
@@ -139,14 +135,7 @@ impl HbrjPrepared {
         }
         let trees = block_points
             .into_iter()
-            .map(|block| {
-                Arc::new(RTree::bulk_load_with_mode(
-                    block,
-                    plan.metric,
-                    RTree::DEFAULT_FANOUT,
-                    plan.kernel_mode,
-                ))
-            })
+            .map(|block| Arc::new(RTree::bulk_load(block, plan.metric)))
             .collect();
         metrics.index_builds += blocks as u64;
         metrics.record_phase(phases::PREPARE_BUILD, start.elapsed());
@@ -236,12 +225,7 @@ impl HbrjPrepared {
                 .collect();
             metrics.compacted_points += block.len() as u64;
             metrics.index_builds += 1;
-            trees[b] = Arc::new(RTree::bulk_load_with_mode(
-                block,
-                plan.metric,
-                RTree::DEFAULT_FANOUT,
-                plan.kernel_mode,
-            ));
+            trees[b] = Arc::new(RTree::bulk_load(block, plan.metric));
         }
         Self { trees }
     }
@@ -297,25 +281,6 @@ mod tests {
         let r = uniform(30, 2, 20.0, 6);
         let s = uniform(5, 2, 20.0, 7);
         assert_matches_oracle(Hbrj, &r, &s, 9, EUCLIDEAN, |b| b.reducers(4));
-    }
-
-    #[test]
-    fn fast_mode_matches_exact_mode() {
-        let r = clustered(200, 31);
-        let s = clustered(260, 32);
-        for metric in [
-            DistanceMetric::Euclidean,
-            DistanceMetric::Manhattan,
-            DistanceMetric::Chebyshev,
-        ] {
-            let exact = run(Hbrj, &r, &s, 8, metric, |b| b);
-            let got = run(Hbrj, &r, &s, 8, metric, |b| b.kernel_mode(KernelMode::Fast));
-            assert!(
-                got.matches(&exact, 1e-9),
-                "{metric:?}: {:?}",
-                got.mismatch_against(&exact, 1e-9)
-            );
-        }
     }
 
     #[test]

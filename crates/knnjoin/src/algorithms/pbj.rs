@@ -12,7 +12,7 @@
 //! how much of PGBJ's win comes from the grouping versus the bounds.
 
 use crate::algorithms::blocks::{block_count, replicate, run_block_framework};
-use crate::algorithms::common::{counters, NeighborListValue};
+use crate::algorithms::common::{counters, NeighborListValue, ScanKernels};
 use crate::algorithms::voronoi::{partition_job, CellMap, ShuffledCell, VoronoiScan};
 use crate::bounds::upper_bound;
 use crate::context::ExecutionContext;
@@ -20,7 +20,7 @@ use crate::metrics::JoinMetrics;
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
 use crate::summary::SummaryTables;
-use geom::{DistanceMetric, KernelMode, PointSet};
+use geom::PointSet;
 use mapreduce::{MapContext, Mapper, ReduceContext, Reducer};
 use std::sync::Arc;
 
@@ -44,8 +44,7 @@ pub(crate) fn join(
         &PbjCellReducer {
             tables,
             k: plan.k,
-            metric: plan.metric,
-            mode: plan.kernel_mode,
+            kernels: ScanKernels::new(plan.metric, plan.kernel_mode),
         },
         metrics,
     )
@@ -83,8 +82,7 @@ impl Mapper for BlockCellMapper {
 struct PbjCellReducer {
     tables: Arc<SummaryTables>,
     k: usize,
-    metric: DistanceMetric,
-    mode: KernelMode,
+    kernels: ScanKernels,
 }
 
 impl PbjCellReducer {
@@ -121,12 +119,11 @@ impl Reducer for PbjCellReducer {
         values: &[ShuffledCell],
         ctx: &mut ReduceContext<u64, NeighborListValue>,
     ) {
-        let computations = VoronoiScan::new(&self.tables, self.k, self.metric, self.mode)
-            .join_cells(
-                values,
-                |i, s_parts| self.local_theta(i, s_parts),
-                |r_id, neighbors| ctx.emit(r_id, NeighborListValue::new(neighbors)),
-            );
+        let computations = VoronoiScan::new(&self.tables, self.k, self.kernels).join_cells(
+            values,
+            |i, s_parts| self.local_theta(i, s_parts),
+            |r_id, neighbors| ctx.emit(r_id, NeighborListValue::new(neighbors)),
+        );
         ctx.counters()
             .add(counters::DISTANCE_COMPUTATIONS, computations);
     }
@@ -142,6 +139,7 @@ mod tests {
     use crate::pivots::{select_pivots, PivotSelectionStrategy};
     use crate::Algorithm::{Hbrj, Pbj, Pgbj};
     use datagen::{gaussian_clusters, uniform, ClusterConfig};
+    use geom::{DistanceMetric, KernelMode};
     use proptest::prelude::*;
 
     const EUCLIDEAN: DistanceMetric = DistanceMetric::Euclidean;
@@ -305,8 +303,7 @@ mod tests {
             let reducer = PbjCellReducer {
                 tables: Arc::clone(&tables),
                 k,
-                metric: EUCLIDEAN,
-                mode: KernelMode::Exact,
+                kernels: ScanKernels::new(EUCLIDEAN, KernelMode::Exact),
             };
             for i in 0..pivots.len() {
                 let mut ubs: Vec<f64> = Vec::new();

@@ -18,7 +18,7 @@
 //! This file holds what PGBJ adds to the front half: grouping and
 //! replication.
 
-use crate::algorithms::common::{counters, rows_from_output};
+use crate::algorithms::common::{counters, rows_from_output, ScanKernels};
 use crate::algorithms::voronoi::{partition_job, ShuffledCell, VoronoiScan};
 use crate::bounds::PartitionBounds;
 use crate::context::ExecutionContext;
@@ -27,7 +27,7 @@ use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
 use crate::summary::SummaryTables;
-use geom::{DistanceMetric, KernelMode, Neighbor, PointSet, RecordKind};
+use geom::{Neighbor, PointSet, RecordKind};
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::sync::Arc;
 use std::time::Instant;
@@ -63,8 +63,7 @@ pub(crate) fn join(
                 tables,
                 theta: bounds.theta,
                 k: plan.k,
-                metric: plan.metric,
-                mode: plan.kernel_mode,
+                kernels: ScanKernels::new(plan.metric, plan.kernel_mode),
             },
             &IdentityPartitioner,
         )
@@ -119,8 +118,7 @@ struct PgbjJoinReducer {
     tables: Arc<SummaryTables>,
     theta: Vec<f64>,
     k: usize,
-    metric: DistanceMetric,
-    mode: KernelMode,
+    kernels: ScanKernels,
 }
 
 impl Reducer for PgbjJoinReducer {
@@ -135,12 +133,11 @@ impl Reducer for PgbjJoinReducer {
         values: &[ShuffledCell],
         ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
     ) {
-        let computations = VoronoiScan::new(&self.tables, self.k, self.metric, self.mode)
-            .join_cells(
-                values,
-                |i, _| self.theta[i],
-                |r_id, neighbors| ctx.emit(r_id, neighbors),
-            );
+        let computations = VoronoiScan::new(&self.tables, self.k, self.kernels).join_cells(
+            values,
+            |i, _| self.theta[i],
+            |r_id, neighbors| ctx.emit(r_id, neighbors),
+        );
         ctx.counters()
             .add(counters::DISTANCE_COMPUTATIONS, computations);
     }
@@ -154,6 +151,7 @@ mod tests {
     use crate::pivots::PivotSelectionStrategy;
     use crate::Algorithm::Pgbj;
     use datagen::{gaussian_clusters, uniform, ClusterConfig};
+    use geom::DistanceMetric;
     use proptest::prelude::*;
 
     const EUCLIDEAN: DistanceMetric = DistanceMetric::Euclidean;

@@ -21,10 +21,7 @@ use crate::pivots::select_pivots;
 use crate::plan::JoinPlan;
 use crate::result::JoinError;
 use crate::summary::{r_summaries, SPartitionSummary, SummaryTables};
-use geom::{
-    CoordMatrix, DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointId, PointSet,
-    Record, RecordKind,
-};
+use geom::{CoordMatrix, Neighbor, NeighborList, Point, PointId, PointSet, Record, RecordKind};
 use mapreduce::{ByteSize, Combiner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
@@ -211,7 +208,7 @@ const SCAN_TILE: usize = 32;
 ///    on the way in keeps θ above its own `||p_j, s| − |p_j, r||`, hence
 ///    above that of every row between it and the centre.
 ///
-/// `Exact` and `Fast` differ in the kernels and nothing else: both offer the
+/// `Exact` and `Fast` differ in the tile kernel and nothing else: both offer the
 /// same rows in the same order unless a `Fast` distance, off by its
 /// accumulation-order round-off (≤ 1e-9 relative), lands on the other side
 /// of θ.  `Exact`'s tile kernel returns the scalar kernel's bits, so its
@@ -238,16 +235,11 @@ pub struct VoronoiScan<'a> {
 
 impl<'a> VoronoiScan<'a> {
     /// A scan over frozen `S` partitions summarized by `tables`.
-    pub fn new(
-        tables: &'a SummaryTables,
-        k: usize,
-        metric: DistanceMetric,
-        mode: KernelMode,
-    ) -> Self {
+    pub(crate) fn new(tables: &'a SummaryTables, k: usize, kernels: ScanKernels) -> Self {
         Self {
             tables,
             k,
-            kernels: ScanKernels::new(metric, mode),
+            kernels,
             delta: None,
             scratch: TileScratch::new(),
         }
@@ -860,14 +852,12 @@ impl VoronoiPrepared {
         metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
 
         let delta = delta.map(|d| DeltaView::gather(d, self.partitioner.pivot_matrix().dims()));
+        let kernels = ScanKernels::new(plan.metric, plan.kernel_mode);
         probe_rows(
             rows,
             workers,
             metrics,
-            || {
-                VoronoiScan::new(&tables, plan.k, plan.metric, plan.kernel_mode)
-                    .with_delta(delta.as_ref())
-            },
+            || VoronoiScan::new(&tables, plan.k, kernels).with_delta(delta.as_ref()),
             |scan, at, row| {
                 let (i, pivot_dist) = assignments[at];
                 let (cells, order) = (&self.s_parts, &self.s_orders[i]);
@@ -907,6 +897,7 @@ mod tests {
     use crate::partition::PartitionedDataset;
     use crate::pivots::{select_pivots, PivotSelectionStrategy};
     use datagen::uniform;
+    use geom::{DistanceMetric, KernelMode};
     use proptest::prelude::*;
 
     const METRICS: [DistanceMetric; 3] = [
@@ -1014,8 +1005,8 @@ mod tests {
             let empty = DeltaOverlay::default();
             let no_adds = DeltaView::gather(&empty, dims);
             for mode in [KernelMode::Exact, KernelMode::Fast] {
-                let mut frozen = VoronoiScan::new(&f.tables, k, metric, mode);
-                let mut overlaid = VoronoiScan::new(&f.tables, k, metric, mode)
+                let mut frozen = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric, mode));
+                let mut overlaid = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric, mode))
                     .with_delta(Some(&no_adds));
                 let mut verdict = Ok(());
                 f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
@@ -1052,8 +1043,8 @@ mod tests {
             let r = uniform(n_r, dims, 50.0, seed);
             let s = uniform(n_s, dims, 50.0, seed ^ 0x5EED);
             let f = fixture(&r, &s, k, pivot_count, metric, seed);
-            let mut exact = VoronoiScan::new(&f.tables, k, metric, KernelMode::Exact);
-            let mut fast = VoronoiScan::new(&f.tables, k, metric, KernelMode::Fast);
+            let mut exact = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric, KernelMode::Exact));
+            let mut fast = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric, KernelMode::Fast));
             let mut verdict = Ok(());
             f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
                 let mut oracle = NeighborList::new(k);
@@ -1104,7 +1095,7 @@ mod tests {
         for metric in METRICS {
             let f = fixture_over(centres.clone(), &r, &s, k, metric);
             for mode in [KernelMode::Exact, KernelMode::Fast] {
-                let mut scan = VoronoiScan::new(&f.tables, k, metric, mode);
+                let mut scan = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric, mode));
                 f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
                     let (rows, counts) = scan.scan(
                         &r_obj.coords,
@@ -1133,7 +1124,11 @@ mod tests {
                             .zip(&want)
                             .all(|(got, want)| (got.distance - want.distance).abs() <= 1e-9);
                     assert!(
-                        if mode.is_exact() { rows == want } else { close },
+                        if mode == KernelMode::Exact {
+                            rows == want
+                        } else {
+                            close
+                        },
                         "{metric:?} {mode:?}: {rows:?} vs {want:?}"
                     );
                 });
@@ -1365,7 +1360,11 @@ mod tests {
                 (j, cell.at_least(dists[dists.len() / 2]))
             })
             .collect();
-        let mut scan = VoronoiScan::new(&f.tables, 3, DistanceMetric::Euclidean, KernelMode::Exact);
+        let mut scan = VoronoiScan::new(
+            &f.tables,
+            3,
+            ScanKernels::new(DistanceMetric::Euclidean, KernelMode::Exact),
+        );
         f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
             scan.scan(&r_obj.coords, r_pivot_dist, i, &cut, s_order, f.theta[i]);
         });

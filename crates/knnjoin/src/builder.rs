@@ -190,11 +190,11 @@ impl<'a> JoinBuilder<'a> {
         self
     }
 
-    /// Selects which kernels the candidate scans call (default
-    /// [`KernelMode::Exact`], the scalar kernels, bit for bit).
-    /// [`KernelMode::Fast`] streams candidates through the multi-accumulator
-    /// batch kernels — same neighbours within accumulation-order round-off.
-    /// Pivot selection, pivot assignment and the shuffle do not depend on it.
+    /// Selects which tile kernel the candidate scans call (default
+    /// [`KernelMode::Exact`], the scalar kernels' bits).
+    /// [`KernelMode::Fast`] is the reassociated FMA batch kernels — same
+    /// neighbours within accumulation-order round-off.  Nothing else
+    /// depends on it.
     pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
         self.kernel_mode = mode;
         self

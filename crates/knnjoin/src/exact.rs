@@ -5,19 +5,21 @@
 //! `r ∈ R`, scan all of `S` and keep the `k` closest objects — `O(|R|·|S|)`
 //! distance computations.  [`NestedLoopJoin::join`] is used by tests and
 //! benchmarks as ground truth and as the centralized baseline that motivates
-//! distributing the join; `FlatBlock` is the same scan as a reusable
-//! resident block (kernel modes, delta overlay) for the broadcast join of §3
-//! and the prepared nested-loop / broadcast serving paths.
+//! distributing the join, and shares no kernel with what it checks;
+//! `FlatBlock` is the same scan as a reusable resident block (tile kernels,
+//! delta overlay) for the broadcast join of §3, [`Algorithm::NestedLoopJoin`]
+//! and their prepared serving paths.
+//!
+//! [`Algorithm::NestedLoopJoin`]: crate::Algorithm::NestedLoopJoin
 
 use crate::algorithms::common::{
     for_each_tile, label_rows, probe_rows, DeltaView, ScanCounts, ScanKernels, TileScratch,
 };
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
+use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinResult, JoinRow};
-use geom::{
-    CoordMatrix, DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointId, PointSet,
-};
+use geom::{CoordMatrix, DistanceMetric, Neighbor, NeighborList, Point, PointId, PointSet};
 use std::time::Instant;
 
 /// The exact nested-loop kNN join.
@@ -63,35 +65,6 @@ impl NestedLoopJoin {
             ..Default::default()
         };
         metrics.record_phase(phases::KNN_JOIN, start.elapsed());
-        let mut result = JoinResult { rows, metrics };
-        result.normalize();
-        Ok(result)
-    }
-
-    /// [`Self::join`] with an explicit [`KernelMode`], through
-    /// `FlatBlock::scan`: `Exact` reproduces the scalar loop above; `Fast`
-    /// streams `S` through the tiled batch rank kernels.
-    ///
-    /// # Errors
-    /// Same contract as [`Self::join`].
-    pub fn join_with_mode(
-        &self,
-        r: &PointSet,
-        s: &PointSet,
-        k: usize,
-        metric: DistanceMetric,
-        mode: KernelMode,
-    ) -> Result<JoinResult, JoinError> {
-        validate_inputs(r, s, k)?;
-        let mut metrics = JoinMetrics {
-            r_size: r.len(),
-            s_size: s.len(),
-            ..Default::default()
-        };
-        let block = FlatBlock::new(s.points());
-        let queries: Vec<&[f64]> = r.iter().map(|p| p.coords.as_slice()).collect();
-        let kernels = ScanKernels::new(metric, mode);
-        let rows = label_rows(r, block.probe(&queries, k, kernels, 1, None, &mut metrics));
         let mut result = JoinResult { rows, metrics };
         result.normalize();
         Ok(result)
@@ -146,21 +119,30 @@ impl FlatBlock {
         self.coords.dims()
     }
 
+    /// The cold [`crate::Algorithm::NestedLoopJoin`]: `S` flattened once and
+    /// every `R` object scanned on the calling thread.
+    pub(crate) fn join(
+        plan: &JoinPlan,
+        r: &PointSet,
+        s: &PointSet,
+        metrics: &mut JoinMetrics,
+    ) -> Vec<JoinRow> {
+        let queries: Vec<&[f64]> = r.iter().map(|p| p.coords.as_slice()).collect();
+        let kernels = ScanKernels::new(plan.metric, plan.kernel_mode);
+        let neighbors = Self::new(s.points()).probe(&queries, plan.k, kernels, 1, None, metrics);
+        label_rows(r, neighbors)
+    }
+
     /// The `k` nearest block rows of one probe object — minus tombstoned
     /// rows, plus the delta overlay's adds when one is attached.
     ///
-    /// * `Exact`: the oracle's scalar loop in scalar order — frozen rows in
-    ///   storage order, then the adds in ascending id order, i.e. exactly
-    ///   the offers a cold scan over the materialized corpus makes.  Masked
-    ///   rows cost no kernel.  The tile kernel is left out on purpose: this
-    ///   is the scan every other one is checked against, so it shares no
-    ///   kernel with them.
-    /// * `Fast`: the adds, then the block, are streamed in
-    ///   [`geom::kernels::PROBE_TILE`]-row tiles through the batch rank
-    ///   kernel; the accumulator runs in rank space (rank order equals
-    ///   distance order for every metric) and the final top-`k` list is
-    ///   converted to true distances in one monotone sweep.  Every tile row
-    ///   is billed, masked or not.
+    /// The adds, then the block, are streamed in
+    /// [`geom::kernels::PROBE_TILE`]-row tiles through `kernels.tile`; the
+    /// accumulator runs in rank space (rank order equals distance order for
+    /// every metric) and the final top-`k` list is converted to true
+    /// distances in one monotone sweep.  Every evaluated row is billed and a
+    /// tombstoned one is masked on offer — the order and the billing rule of
+    /// [`crate::algorithms::voronoi::VoronoiScan`].
     pub(crate) fn scan(
         &self,
         query: &[f64],
@@ -174,24 +156,6 @@ impl FlatBlock {
         let mut neighbors = NeighborList::new(k);
         let mut counts = ScanCounts::default();
         let tombstoned = |id: PointId| delta.is_some_and(|delta| delta.is_tombstoned(id));
-        if kernels.mode.is_exact() {
-            let kernel = kernels.pair;
-            for (i, row) in self.coords.rows().enumerate() {
-                if tombstoned(ids[i]) {
-                    counts.masked += 1;
-                    continue;
-                }
-                neighbors.offer(ids[i], kernel(query, row));
-                counts.frozen += 1;
-            }
-            if let Some(block) = delta {
-                for (i, row) in block.coords.rows().enumerate() {
-                    neighbors.offer(block.ids[i], kernel(query, row));
-                    counts.delta += 1;
-                }
-            }
-            return (neighbors.into_sorted(), counts);
-        }
         let batch = kernels.tile;
         if let Some(block) = delta {
             let rows = block.coords.as_slice();
@@ -419,42 +383,15 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fast_mode_matches_the_scalar_loop() {
-        let r = uniform(60, 5, 25.0, 11);
-        let s = uniform(700, 5, 25.0, 12);
-        for metric in [
-            DistanceMetric::Euclidean,
-            DistanceMetric::Manhattan,
-            DistanceMetric::Chebyshev,
-        ] {
-            let exact = NestedLoopJoin.join(&r, &s, 6, metric).unwrap();
-            let fast = NestedLoopJoin
-                .join_with_mode(&r, &s, 6, metric, KernelMode::Fast)
-                .unwrap();
-            assert!(
-                fast.matches(&exact, 1e-9),
-                "{metric:?}: {:?}",
-                fast.mismatch_against(&exact, 1e-9)
-            );
-            // Fast ranks every row, so the counter still bills |R|·|S|.
-            assert_eq!(fast.metrics.distance_computations, 60 * 700);
-        }
-        let exact_via_mode = NestedLoopJoin
-            .join_with_mode(&r, &s, 6, DistanceMetric::Euclidean, KernelMode::Exact)
-            .unwrap();
-        let exact = NestedLoopJoin
-            .join(&r, &s, 6, DistanceMetric::Euclidean)
-            .unwrap();
-        assert!(exact_via_mode.matches(&exact, 0.0));
-    }
-
     /// `FlatBlock::scan` is the oracle's scan made resident: over any block,
     /// with or without a delta overlay, it answers what `NestedLoopJoin::join`
-    /// answers over the materialized corpus, within 1e-9 in either mode.
+    /// answers over the materialized corpus — bit for bit in `Exact`, within
+    /// 1e-9 in `Fast` — and bills every row it evaluates: the whole block
+    /// whatever the overlay, every add, and a mask per tombstoned row met.
     #[test]
     fn flat_block_scan_equals_the_oracle_over_the_materialized_corpus() {
         use crate::algorithms::common::{DeltaView, ScanKernels, TileScratch};
+        use geom::KernelMode;
         let frozen = uniform(600, 4, 30.0, 41);
         let r = uniform(50, 4, 30.0, 42);
         let k = 5;
@@ -481,28 +418,37 @@ mod tests {
             for (delta, corpus) in [(None, &frozen), (Some(&overlay), &materialized)] {
                 let oracle = NestedLoopJoin.join(&r, corpus, k, metric).unwrap();
                 let block = FlatBlock::new(frozen.points());
-                for mode in [KernelMode::Exact, KernelMode::Fast] {
+                for (mode, tolerance) in [(KernelMode::Exact, 0.0), (KernelMode::Fast, 1e-9)] {
                     let kernels = ScanKernels::new(metric, mode);
                     let view = delta.map(|overlay| DeltaView::gather(overlay, 4));
                     let mut scratch = TileScratch::new();
+                    let label = format!("{metric:?}/{mode:?}/delta={}", delta.is_some());
+                    // Every tombstoned id is a block row, so each is met.
+                    let want_billed = delta.map_or([600, 0, 0], |overlay| {
+                        let (adds, tombstones) = (overlay.adds_len(), overlay.tombstones_len());
+                        [600, adds as u64, tombstones as u64]
+                    });
                     let rows = r
                         .iter()
-                        .map(|q| JoinRow {
-                            r_id: q.id,
-                            neighbors: block
-                                .scan(&q.coords, k, &kernels, view.as_ref(), &mut scratch)
-                                .0,
+                        .map(|q| {
+                            let (neighbors, counts) =
+                                block.scan(&q.coords, k, &kernels, view.as_ref(), &mut scratch);
+                            let billed = [counts.frozen, counts.delta, counts.masked];
+                            assert_eq!(billed, want_billed, "{label}");
+                            JoinRow {
+                                r_id: q.id,
+                                neighbors,
+                            }
                         })
                         .collect();
                     let got = JoinResult {
                         rows,
                         metrics: JoinMetrics::default(),
                     };
-                    let label = format!("{metric:?}/{mode:?}/delta={}", delta.is_some());
                     assert!(
-                        got.matches(&oracle, 1e-9),
+                        got.matches(&oracle, tolerance),
                         "{label}: {:?}",
-                        got.mismatch_against(&oracle, 1e-9)
+                        got.mismatch_against(&oracle, tolerance)
                     );
                 }
             }

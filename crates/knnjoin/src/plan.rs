@@ -9,7 +9,7 @@
 
 use crate::algorithms::{broadcast, hbrj, pbj, pgbj, zknn};
 use crate::context::ExecutionContext;
-use crate::exact::{validate_inputs, NestedLoopJoin};
+use crate::exact::{validate_inputs, FlatBlock};
 use crate::grouping::GroupingStrategy;
 use crate::metrics::JoinMetrics;
 use crate::pivots::PivotSelectionStrategy;
@@ -141,10 +141,9 @@ pub struct JoinPlan {
     /// [`crate::PreparedJoin`] before a mutation triggers an automatic
     /// compaction (see [`crate::delta`]).  Irrelevant to cold joins.
     pub delta_threshold: usize,
-    /// Which kernels the candidate scans call: `Exact` (the default) is the
-    /// scalar kernels, bit for bit; `Fast` streams candidates through the
-    /// multi-accumulator batch kernels (see [`KernelMode`]).  Pivot
-    /// selection, pivot assignment and the shuffle do not depend on it.
+    /// Which tile kernel the candidate scans call: `Exact` (the default)
+    /// returns the scalar kernels' bits; `Fast` is the reassociated FMA
+    /// batch kernels (see [`KernelMode`]).  Nothing else depends on it.
     pub kernel_mode: KernelMode,
 }
 
@@ -225,9 +224,7 @@ impl JoinPlan {
             Algorithm::Hbrj => hbrj::join(self, r, s, ctx, &mut metrics),
             Algorithm::Zknn => zknn::join(self, r, s, ctx, &mut metrics),
             Algorithm::BroadcastJoin => broadcast::join(self, r, s, ctx, &mut metrics),
-            Algorithm::NestedLoopJoin => {
-                return NestedLoopJoin.join_with_mode(r, s, self.k, self.metric, self.kernel_mode)
-            }
+            Algorithm::NestedLoopJoin => Ok(FlatBlock::join(self, r, s, &mut metrics)),
         }?;
         let mut result = JoinResult { rows, metrics };
         result.normalize();

@@ -6,7 +6,7 @@
 
 use geom::{CoordMatrix, DistanceMetric, Neighbor, NeighborList, Point, PointId};
 
-/// A "no index" index: answers kNN and range queries by scanning all points.
+/// A "no index" index: answers kNN queries by scanning all points.
 ///
 /// Coordinates are stored in a flat [`CoordMatrix`] (ids in a parallel
 /// vector), so the scan is a linear walk over contiguous memory with the
@@ -58,23 +58,6 @@ impl BruteForceIndex {
         }
         list.into_sorted()
     }
-
-    /// All points within distance `radius` of `query` (inclusive), sorted by
-    /// ascending distance.
-    pub fn range(&self, query: &Point, radius: f64) -> Vec<Neighbor> {
-        let kernel = self.metric.kernel();
-        let mut out: Vec<Neighbor> = self
-            .coords
-            .rows()
-            .enumerate()
-            .filter_map(|(i, row)| {
-                let d = kernel(&query.coords, row);
-                (d <= radius).then_some(Neighbor::new(self.ids[i], d))
-            })
-            .collect();
-        out.sort_unstable();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -114,25 +97,11 @@ mod tests {
     }
 
     #[test]
-    fn range_query_counts_match_geometry() {
-        let idx = BruteForceIndex::new(grid(), DistanceMetric::Euclidean);
-        let q = Point::new(999, vec![2.0, 2.0]);
-        // radius 1 covers the centre plus its 4 axis neighbours
-        assert_eq!(idx.range(&q, 1.0).len(), 5);
-        // radius 1.5 additionally covers the 4 diagonal neighbours
-        assert_eq!(idx.range(&q, 1.5).len(), 9);
-        // results sorted by distance
-        let r = idx.range(&q, 1.5);
-        assert!(r.windows(2).all(|w| w[0].distance <= w[1].distance));
-    }
-
-    #[test]
     fn empty_index_behaves() {
         let idx = BruteForceIndex::new(Vec::new(), DistanceMetric::Manhattan);
         assert!(idx.is_empty());
         assert_eq!(idx.len(), 0);
         assert!(idx.knn(&Point::new(0, vec![0.0]), 3).is_empty());
-        assert!(idx.range(&Point::new(0, vec![0.0]), 10.0).is_empty());
         assert_eq!(idx.metric(), DistanceMetric::Manhattan);
     }
 }

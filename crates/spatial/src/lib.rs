@@ -8,7 +8,7 @@
 //! * [`Rect`] — axis-aligned minimum bounding rectangles in arbitrary
 //!   dimensionality,
 //! * [`RTree`] — an R-tree bulk-loaded with the Sort-Tile-Recursive (STR)
-//!   algorithm, supporting best-first kNN queries and range queries, and
+//!   algorithm, supporting best-first kNN queries, and
 //! * [`BruteForceIndex`] — a linear-scan reference implementation used by the
 //!   tests to validate the tree and by experiments that need an exact,
 //!   index-free baseline.

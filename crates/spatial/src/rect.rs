@@ -66,19 +66,6 @@ impl Rect {
         }
     }
 
-    /// Whether the point lies inside (or on the boundary of) this rectangle.
-    pub fn contains(&self, p: &Point) -> bool {
-        p.coords
-            .iter()
-            .enumerate()
-            .all(|(d, c)| *c >= self.min[d] && *c <= self.max[d])
-    }
-
-    /// Whether two rectangles intersect.
-    pub fn intersects(&self, other: &Rect) -> bool {
-        (0..self.dims()).all(|d| self.min[d] <= other.max[d] && other.min[d] <= self.max[d])
-    }
-
     /// Minimum distance from a query point to any point of this rectangle
     /// (zero if the query is inside).  This is the classic `MINDIST` bound
     /// driving best-first R-tree traversal.
@@ -107,19 +94,6 @@ mod tests {
         assert_eq!(r.min, vec![-1.0, 1.0]);
         assert_eq!(r.max, vec![2.0, 5.0]);
         assert_eq!(r.dims(), 2);
-    }
-
-    #[test]
-    fn contains_and_intersects() {
-        let r = Rect::new(vec![0.0, 0.0], vec![2.0, 2.0]);
-        assert!(r.contains(&p(&[1.0, 1.0])));
-        assert!(r.contains(&p(&[0.0, 2.0])));
-        assert!(!r.contains(&p(&[3.0, 1.0])));
-        let other = Rect::new(vec![1.5, 1.5], vec![5.0, 5.0]);
-        assert!(r.intersects(&other));
-        assert!(other.intersects(&r));
-        let far = Rect::new(vec![3.0, 3.0], vec![4.0, 4.0]);
-        assert!(!r.intersects(&far));
     }
 
     #[test]
@@ -156,6 +130,6 @@ mod tests {
     fn from_point_is_degenerate() {
         let r = Rect::from_point(&p(&[3.0, 4.0]));
         assert_eq!(r.min, r.max);
-        assert!(r.contains(&p(&[3.0, 4.0])));
+        assert_eq!(r.min, vec![3.0, 4.0]);
     }
 }

@@ -11,7 +11,7 @@
 //! paper's *computation selectivity* metric.
 
 use crate::rect::Rect;
-use geom::{CoordMatrix, DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointId};
+use geom::{CoordMatrix, DistanceMetric, Neighbor, NeighborList, Point, PointId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -81,24 +81,13 @@ pub struct RTree {
     fanout: usize,
     len: usize,
     height: usize,
-    /// How leaf scans evaluate distances: `Exact` walks each leaf row through
-    /// the scalar kernel with a per-row threshold check; `Fast` ranks the
-    /// whole leaf block through the batch kernels first and checks
-    /// thresholds on the converted distances.  Traversal order, MBR pruning
-    /// and the best-first heap are identical in both modes.
-    mode: KernelMode,
 }
 
-/// Priority-queue entry for best-first traversal: either a node or a point,
-/// keyed by its minimum possible distance to the query.
-enum QueueEntry<'a> {
-    Node(&'a Node),
-    Point(PointId, f64),
-}
-
+/// Priority-queue entry for best-first traversal: a node, keyed by the
+/// minimum possible distance from the query to its MBR.
 struct Prioritized<'a> {
     dist: f64,
-    entry: QueueEntry<'a>,
+    node: &'a Node,
 }
 
 impl PartialEq for Prioritized<'_> {
@@ -141,20 +130,6 @@ impl RTree {
         metric: DistanceMetric,
         fanout: usize,
     ) -> Self {
-        Self::bulk_load_with_mode(points, metric, fanout, KernelMode::Exact)
-    }
-
-    /// [`RTree::bulk_load_with_fanout`] with an explicit [`KernelMode`] for
-    /// the leaf scans (see the `mode` field for the semantics).
-    ///
-    /// # Panics
-    /// Panics if `fanout < 2`.
-    pub fn bulk_load_with_mode(
-        points: Vec<Point>,
-        metric: DistanceMetric,
-        fanout: usize,
-        mode: KernelMode,
-    ) -> Self {
         assert!(fanout >= 2, "fanout must be at least 2");
         let len = points.len();
         if points.is_empty() {
@@ -164,7 +139,6 @@ impl RTree {
                 fanout,
                 len: 0,
                 height: 0,
-                mode,
             };
         }
         let dims = points[0].dims().max(1);
@@ -181,7 +155,6 @@ impl RTree {
             fanout,
             len,
             height,
-            mode,
         }
     }
 
@@ -208,11 +181,6 @@ impl RTree {
     /// The configured fanout.
     pub fn fanout(&self) -> usize {
         self.fanout
-    }
-
-    /// The leaf-scan kernel mode the tree was built with.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.mode
     }
 
     /// The `k` nearest neighbours of `query`, sorted by ascending distance.
@@ -244,76 +212,54 @@ impl RTree {
     /// running threshold can only contain points that would not enter the
     /// accumulator anyway.
     ///
+    /// A leaf is ranked in one call of the metric's bit-exact tile kernel
+    /// over its contiguous rows and offered straight into the accumulator,
+    /// so the heap holds nodes only and every distance has
+    /// [`DistanceMetric::distance_coords`]' bits.  The leaves visited are
+    /// those of a walk that queues each point and offers it when popped:
+    /// when a node at MBR distance `m` is popped, that walk has already
+    /// popped and offered every discovered point with `d ≤ m`, so both
+    /// compare `m` against the same `k`-th distance.
+    ///
     /// Returns the number of point-to-point distance computations spent.
     pub fn knn_into(&self, query: &[f64], result: &mut NeighborList) -> u64 {
-        if result.k() == 0 || self.root.is_none() {
+        let Some(root) = &self.root else {
             return 0;
-        }
-        let kernel = self.metric.kernel();
-        let batch = self.metric.batch_rank_kernel();
-        let dims = query.len();
-        // Reused across every leaf this query visits; leaves hold at most
-        // `fanout` rows, so the non-exact path sizes it once up front.
-        let mut ranks = if self.mode.is_exact() {
-            Vec::new()
-        } else {
-            vec![0.0f64; self.fanout]
         };
+        let tile = self.metric.exact_batch_rank_kernel();
+        let dims = query.len();
+        // Reused across every leaf this query visits; a leaf holds at most
+        // `fanout` rows.
+        let mut dists = vec![0.0f64; self.fanout];
         let mut distance_computations = 0u64;
         let mut heap: BinaryHeap<Prioritized<'_>> = BinaryHeap::new();
-        let root = self.root.as_ref().expect("checked above");
         heap.push(Prioritized {
             dist: root.mbr().min_distance(query, self.metric),
-            entry: QueueEntry::Node(root),
+            node: root,
         });
-        while let Some(Prioritized { dist, entry }) = heap.pop() {
+        while let Some(Prioritized { dist, node }) = heap.pop() {
             // Everything still in the heap is at least `dist` away; once that
             // exceeds the current kth-distance we are done.
             if dist > result.threshold() {
                 break;
             }
-            match entry {
-                QueueEntry::Point(id, d) => {
-                    result.offer(id, d);
-                }
-                QueueEntry::Node(Node::Leaf { ids, coords, .. }) => {
-                    if !self.mode.is_exact() {
-                        // Rank the whole leaf block in one batch-kernel call,
-                        // convert, then offer straight into the accumulator.
-                        // Skipping the per-point heap round-trip saves a
-                        // push+pop per candidate and tightens the threshold
-                        // immediately, pruning later subtrees harder.  The
-                        // final k best are unchanged: a candidate the heap
-                        // would deliver later is offered now at the same
-                        // distance, and the threshold only shrinks toward
-                        // the same kth distance.
-                        let m = ids.len();
-                        batch(query, coords.as_slice(), dims, &mut ranks[..m]);
-                        self.metric.ranks_to_distances(&mut ranks[..m]);
-                        distance_computations += m as u64;
-                        for (i, &d) in ranks[..m].iter().enumerate() {
-                            result.offer(ids[i], d);
-                        }
-                        continue;
-                    }
-                    for (i, row) in coords.rows().enumerate() {
-                        let d = kernel(query, row);
-                        distance_computations += 1;
-                        if d <= result.threshold() {
-                            heap.push(Prioritized {
-                                dist: d,
-                                entry: QueueEntry::Point(ids[i], d),
-                            });
-                        }
+            match node {
+                Node::Leaf { ids, coords, .. } => {
+                    let dists = &mut dists[..ids.len()];
+                    tile(query, coords.as_slice(), dims, dists);
+                    self.metric.ranks_to_distances(dists);
+                    distance_computations += dists.len() as u64;
+                    for (&id, &d) in ids.iter().zip(dists.iter()) {
+                        result.offer(id, d);
                     }
                 }
-                QueueEntry::Node(Node::Internal { children, .. }) => {
+                Node::Internal { children, .. } => {
                     for child in children {
                         let d = child.mbr().min_distance(query, self.metric);
                         if d <= result.threshold() {
                             heap.push(Prioritized {
                                 dist: d,
-                                entry: QueueEntry::Node(child),
+                                node: child,
                             });
                         }
                     }
@@ -321,39 +267,6 @@ impl RTree {
             }
         }
         distance_computations
-    }
-
-    /// All points within `radius` of `query` (inclusive), sorted by ascending
-    /// distance.
-    pub fn range(&self, query: &Point, radius: f64) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        if let Some(root) = &self.root {
-            self.range_recurse(root, query, radius, &mut out);
-        }
-        out.sort();
-        out
-    }
-
-    fn range_recurse(&self, node: &Node, query: &Point, radius: f64, out: &mut Vec<Neighbor>) {
-        if node.mbr().min_distance(&query.coords, self.metric) > radius {
-            return;
-        }
-        match node {
-            Node::Leaf { ids, coords, .. } => {
-                let kernel = self.metric.kernel();
-                for (i, row) in coords.rows().enumerate() {
-                    let d = kernel(&query.coords, row);
-                    if d <= radius {
-                        out.push(Neighbor::new(ids[i], d));
-                    }
-                }
-            }
-            Node::Internal { children, .. } => {
-                for c in children {
-                    self.range_recurse(c, query, radius, out);
-                }
-            }
-        }
     }
 }
 
@@ -445,7 +358,6 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.height(), 0);
         assert!(t.knn(&Point::new(0, vec![0.0, 0.0]), 5).is_empty());
-        assert!(t.range(&Point::new(0, vec![0.0, 0.0]), 1.0).is_empty());
     }
 
     #[test]
@@ -491,17 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn range_matches_bruteforce() {
-        let pts = random_points(400, 3, 5);
-        let tree = RTree::bulk_load(pts.clone(), DistanceMetric::Manhattan);
-        let brute = BruteForceIndex::new(pts, DistanceMetric::Manhattan);
-        let q = Point::new(u64::MAX, vec![50.0, 50.0, 50.0]);
-        for radius in [1.0, 10.0, 40.0, 200.0] {
-            assert_eq!(tree.range(&q, radius), brute.range(&q, radius));
-        }
-    }
-
-    #[test]
     fn pruning_saves_distance_computations() {
         let pts = random_points(5000, 2, 9);
         let tree = RTree::bulk_load(pts, DistanceMetric::Euclidean);
@@ -530,34 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_mode_leaf_scans_match_exact_mode() {
-        for metric in [
-            DistanceMetric::Euclidean,
-            DistanceMetric::Manhattan,
-            DistanceMetric::Chebyshev,
-        ] {
-            let pts = random_points(800, 4, 17);
-            let exact = RTree::bulk_load_with_fanout(pts.clone(), metric, 8);
-            let fast = RTree::bulk_load_with_mode(pts.clone(), metric, 8, KernelMode::Fast);
-            assert_eq!(fast.kernel_mode(), KernelMode::Fast);
-            let mut rng = StdRng::seed_from_u64(99);
-            for _ in 0..25 {
-                let q = Point::new(u64::MAX, (0..4).map(|_| rng.gen::<f64>() * 100.0).collect());
-                let want = exact.knn(&q, 7);
-                let got = fast.knn(&q, 7);
-                assert_eq!(
-                    want.iter().map(|n| n.id).collect::<Vec<_>>(),
-                    got.iter().map(|n| n.id).collect::<Vec<_>>(),
-                    "{metric:?}"
-                );
-                for (w, g) in want.iter().zip(&got) {
-                    assert!((w.distance - g.distance).abs() <= 1e-9 * w.distance.max(1.0));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn duplicate_points_are_all_retrievable() {
         let mut pts = Vec::new();
         for i in 0..20 {
@@ -571,17 +444,21 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+        /// Ids and distance bits equal the scalar-kernel reference's, over
+        /// every dimensionality and leaf size up to past two SIMD registers
+        /// (lane tails of the tile kernel and of its portable twin).
         #[test]
         fn knn_always_matches_bruteforce(
             n in 1usize..200,
-            dims in 1usize..5,
+            dims in 1usize..18,
+            fanout in 2usize..17,
             k in 1usize..12,
             seed in 0u64..1000,
             which in 0usize..3,
         ) {
             let metric = [DistanceMetric::Euclidean, DistanceMetric::Manhattan, DistanceMetric::Chebyshev][which];
             let pts = random_points(n, dims, seed);
-            let tree = RTree::bulk_load_with_fanout(pts.clone(), metric, 4);
+            let tree = RTree::bulk_load_with_fanout(pts.clone(), metric, fanout);
             let brute = BruteForceIndex::new(pts, metric);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
             let q = Point::new(u64::MAX, (0..dims).map(|_| rng.gen::<f64>() * 100.0).collect());

@@ -107,21 +107,6 @@ impl Config {
                     rank: 60,
                 },
                 LockSite {
-                    file: "crates/mapreduce/src/engine.rs",
-                    receiver: "queue",
-                    rank: 70,
-                },
-                LockSite {
-                    file: "crates/mapreduce/src/engine.rs",
-                    receiver: "slot",
-                    rank: 80,
-                },
-                LockSite {
-                    file: "crates/mapreduce/src/engine.rs",
-                    receiver: "slots",
-                    rank: 80,
-                },
-                LockSite {
                     file: "crates/mapreduce/src/counters.rs",
                     receiver: "inner",
                     rank: 90,

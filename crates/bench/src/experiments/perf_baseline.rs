@@ -97,6 +97,33 @@ pub struct BaselineRow {
     pub cold_wall_time_s: f64,
 }
 
+impl BaselineRow {
+    /// The row of one cold run: counters and wall time from `result`'s
+    /// metrics, quality against `oracle`, no build and no cold run to compare
+    /// with.  Fast and prepared rows overwrite their timing columns.
+    fn from_result(algorithm: String, result: &JoinResult, oracle: &JoinResult) -> Self {
+        let quality = result.quality_against(oracle);
+        let m = &result.metrics;
+        Self {
+            algorithm,
+            wall_time_s: m.total_time().as_secs_f64(),
+            distance_computations: m.distance_computations,
+            pivot_assignment_computations: m.pivot_assignment_computations,
+            index_builds: m.index_builds,
+            pivot_selections: m.pivot_selections,
+            shuffle_bytes: m.shuffle_bytes,
+            shuffle_records: m.shuffle_records,
+            batches_plus_routed_records: m.combine_output_records
+                + m.r_records_shuffled
+                + m.s_records_shuffled,
+            recall: quality.recall,
+            distance_ratio: quality.distance_ratio,
+            build_time_s: 0.0,
+            cold_wall_time_s: 0.0,
+        }
+    }
+}
+
 /// Runs the baseline workload through every algorithm.
 pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
     let workloads = Workloads::new(scale);
@@ -138,25 +165,7 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
             } else {
                 run(algorithm, KernelMode::Exact)
             };
-            let quality = result.quality_against(&oracle);
-            let m = &result.metrics;
-            BaselineRow {
-                algorithm: algorithm.name().to_string(),
-                wall_time_s: m.total_time().as_secs_f64(),
-                distance_computations: m.distance_computations,
-                pivot_assignment_computations: m.pivot_assignment_computations,
-                index_builds: m.index_builds,
-                pivot_selections: m.pivot_selections,
-                shuffle_bytes: m.shuffle_bytes,
-                shuffle_records: m.shuffle_records,
-                batches_plus_routed_records: m.combine_output_records
-                    + m.r_records_shuffled
-                    + m.s_records_shuffled,
-                recall: quality.recall,
-                distance_ratio: quality.distance_ratio,
-                build_time_s: 0.0,
-                cold_wall_time_s: 0.0,
-            }
+            BaselineRow::from_result(algorithm.name().to_string(), &result, &oracle)
         })
         .collect();
 
@@ -174,24 +183,10 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
         .iter()
         .map(|&algorithm| {
             let result = run(algorithm, KernelMode::Fast);
-            let quality = result.quality_against(&oracle);
-            let m = &result.metrics;
+            let name = format!("{} (fast)", algorithm.name());
             BaselineRow {
-                algorithm: format!("{} (fast)", algorithm.name()),
-                wall_time_s: m.total_time().as_secs_f64(),
-                distance_computations: m.distance_computations,
-                pivot_assignment_computations: m.pivot_assignment_computations,
-                index_builds: m.index_builds,
-                pivot_selections: m.pivot_selections,
-                shuffle_bytes: m.shuffle_bytes,
-                shuffle_records: m.shuffle_records,
-                batches_plus_routed_records: m.combine_output_records
-                    + m.r_records_shuffled
-                    + m.s_records_shuffled,
-                recall: quality.recall,
-                distance_ratio: quality.distance_ratio,
-                build_time_s: 0.0,
                 cold_wall_time_s: cold_wall_of(algorithm.name(), &rows),
+                ..BaselineRow::from_result(name, &result, &oracle)
             }
         })
         .collect();
@@ -225,28 +220,19 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
             }
             let avg_query_s = start.elapsed().as_secs_f64() / f64::from(PREPARED_QUERIES);
             let result = last.expect("at least one query ran");
-            let quality = result.quality_against(&oracle);
-            let m = &result.metrics;
             let suffix = match mode {
                 KernelMode::Exact => "(prepared)",
                 KernelMode::Fast => "(prepared, fast)",
             };
             BaselineRow {
-                algorithm: format!("{} {suffix}", algorithm.name()),
                 wall_time_s: avg_query_s,
-                distance_computations: m.distance_computations,
-                pivot_assignment_computations: m.pivot_assignment_computations,
-                index_builds: m.index_builds,
-                pivot_selections: m.pivot_selections,
-                shuffle_bytes: m.shuffle_bytes,
-                shuffle_records: m.shuffle_records,
-                batches_plus_routed_records: m.combine_output_records
-                    + m.r_records_shuffled
-                    + m.s_records_shuffled,
-                recall: quality.recall,
-                distance_ratio: quality.distance_ratio,
                 build_time_s,
                 cold_wall_time_s: cold_wall_of(algorithm.name(), &rows),
+                ..BaselineRow::from_result(
+                    format!("{} {suffix}", algorithm.name()),
+                    &result,
+                    &oracle,
+                )
             }
         })
         .collect();

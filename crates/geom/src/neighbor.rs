@@ -124,23 +124,34 @@ impl NeighborList {
         true
     }
 
+    /// Offers the evaluated rows `ids[i]` at `distances[i]`, in order, except
+    /// those whose id is in `masked` (ascending: deleted objects a frozen
+    /// structure still holds), and returns how many were masked.  With
+    /// nothing masked the loop is [`Self::offer`] alone.
+    #[inline]
+    pub fn offer_rows(&mut self, ids: &[PointId], distances: &[f64], masked: &[PointId]) -> u64 {
+        let rows = ids.iter().zip(distances);
+        if masked.is_empty() {
+            rows.for_each(|(&id, &distance)| {
+                self.offer(id, distance);
+            });
+            return 0;
+        }
+        let mut skipped = 0;
+        for (id, &distance) in rows {
+            if masked.binary_search(id).is_ok() {
+                skipped += 1;
+            } else {
+                self.offer(*id, distance);
+            }
+        }
+        skipped
+    }
+
     /// Consumes the list and returns the neighbours sorted by ascending
     /// distance (ties broken by id).
     pub fn into_sorted(self) -> Vec<Neighbor> {
         self.sorted
-    }
-
-    /// Moves the neighbours out, sorted by ascending distance, leaving the
-    /// list empty with its bound `k`.  Use this where one accumulator is
-    /// reused across queries.
-    pub fn drain_sorted(&mut self) -> Vec<Neighbor> {
-        std::mem::replace(&mut self.sorted, Vec::with_capacity(self.k))
-    }
-
-    /// Returns the neighbours sorted by ascending distance without consuming
-    /// the accumulator.
-    pub fn to_sorted(&self) -> Vec<Neighbor> {
-        self.sorted.clone()
     }
 
     /// Iterator over the neighbours currently held, ascending.
@@ -224,38 +235,21 @@ mod tests {
         assert!(l.offer(1, 1.0));
         assert!(!l.offer(2, 2.0));
         assert!(l.offer(3, 0.5));
-        assert_eq!(l.to_sorted()[0].id, 3);
+        assert_eq!(l.into_sorted()[0].id, 3);
     }
 
     #[test]
-    fn drain_sorted_empties_but_keeps_bound() {
-        let mut l = NeighborList::new(2);
-        l.offer(1, 2.0);
-        l.offer(2, 1.0);
-        l.offer(3, 3.0);
-        let drained: Vec<_> = l.drain_sorted().iter().map(|n| n.id).collect();
-        assert_eq!(drained, vec![2, 1]);
-        assert!(l.is_empty());
-        assert_eq!(l.k(), 2);
-        assert_eq!(l.threshold(), f64::INFINITY);
-        // The accumulator is reusable after draining.
-        l.offer(9, 5.0);
-        assert_eq!(l.drain_sorted()[0].id, 9);
-    }
-
-    #[test]
-    fn to_sorted_does_not_consume_and_iter_covers_all() {
-        let mut l = NeighborList::new(3);
-        for (id, d) in [(1, 3.0), (2, 1.0), (3, 2.0)] {
-            l.offer(id, d);
-        }
-        let sorted = l.to_sorted();
-        assert_eq!(sorted.len(), 3);
-        assert_eq!(sorted[0].id, 2);
-        assert_eq!(l.len(), 3, "to_sorted must not drain");
-        let mut ids: Vec<_> = l.iter().map(|n| n.id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2, 3]);
+    fn offer_rows_offers_all_but_the_masked_ids() {
+        let (ids, distances) = ([4, 9, 2, 7], [1.0, 0.5, 3.0, 2.0]);
+        let mut all = NeighborList::new(3);
+        assert_eq!(all.offer_rows(&ids, &distances, &[]), 0);
+        let got: Vec<_> = all.iter().map(|n| n.id).collect();
+        assert_eq!(got, vec![9, 4, 7]);
+        // Masked rows are counted, whether or not they would have entered.
+        let mut live = NeighborList::new(3);
+        assert_eq!(live.offer_rows(&ids, &distances, &[2, 9, 11]), 2);
+        let got: Vec<_> = live.iter().map(|n| n.id).collect();
+        assert_eq!(got, vec![4, 7]);
     }
 
     #[test]
@@ -286,7 +280,6 @@ mod tests {
                 prop_assert_eq!(list.threshold(), reference.threshold());
                 prop_assert_eq!(list.len(), reference.heap.len());
             }
-            prop_assert_eq!(list.to_sorted(), list.iter().copied().collect::<Vec<_>>());
             prop_assert_eq!(list.into_sorted(), reference.into_sorted());
         }
 

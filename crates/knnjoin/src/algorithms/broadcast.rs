@@ -12,6 +12,7 @@ use crate::algorithms::common::{
     counters, raw_inputs, rows_from_output, ScanKernels, ShuffleRecord, TileScratch,
 };
 use crate::context::ExecutionContext;
+use crate::delta::NO_DELTA;
 use crate::exact::FlatBlock;
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
@@ -111,7 +112,7 @@ impl Reducer for BroadcastReducer {
                 &record.point.coords,
                 self.k,
                 &self.kernels,
-                None,
+                &NO_DELTA,
                 &mut scratch,
             );
             ctx.counters()

@@ -14,7 +14,7 @@ use crate::metrics::{phases, JoinMetrics};
 use crate::result::JoinRow;
 use geom::kernels::{BatchKernel, Kernel, PROBE_TILE};
 use geom::{
-    CoordMatrix, DistanceMetric, KernelMode, Neighbor, Point, PointId, PointSet, Record, RecordKind,
+    DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointSet, Record, RecordKind,
 };
 use mapreduce::{parallel_map, ByteSize};
 use std::ops::Range;
@@ -89,7 +89,7 @@ impl ByteSize for NeighborListValue {
 /// Merges several partial candidate lists into the final `k` nearest
 /// neighbours of one `R` object.
 pub fn merge_neighbor_lists(lists: &[NeighborListValue], k: usize) -> Vec<Neighbor> {
-    let mut acc = geom::NeighborList::new(k);
+    let mut acc = NeighborList::new(k);
     for list in lists {
         for n in &list.neighbors {
             acc.offer(n.id, n.distance);
@@ -148,45 +148,6 @@ impl ScanKernels {
     }
 }
 
-/// What one probe sees of a mutated corpus's S-delta memtable, gathered
-/// into flat layout once per probe (the overlay is immutable between
-/// mutations): the added points in columnar form, so scans stream them like
-/// any other block instead of chasing one `BTreeMap` node per add, and the
-/// tombstoned ids as one ascending run, so masking a candidate is a binary
-/// search over contiguous memory whatever order a scan meets ids in.  Both
-/// keep the overlay's deterministic ascending-id order.
-#[derive(Debug)]
-pub(crate) struct DeltaView {
-    /// Tombstoned frozen ids, ascending.
-    tombstones: Vec<PointId>,
-    /// Added ids, parallel to the coordinate rows.
-    pub ids: Vec<PointId>,
-    /// Added coordinates, one row per add.
-    pub coords: CoordMatrix,
-}
-
-impl DeltaView {
-    pub(crate) fn gather(overlay: &DeltaOverlay, dims: usize) -> Self {
-        let mut ids = Vec::with_capacity(overlay.adds_len());
-        let mut coords = CoordMatrix::with_capacity(dims, overlay.adds_len());
-        for (id, row) in overlay.adds() {
-            ids.push(id);
-            coords.push_row(row);
-        }
-        Self {
-            tombstones: overlay.tombstones().collect(),
-            ids,
-            coords,
-        }
-    }
-
-    /// Whether `id`'s frozen copy is masked.
-    #[inline]
-    pub(crate) fn is_tombstoned(&self, id: PointId) -> bool {
-        self.tombstones.binary_search(&id).is_ok()
-    }
-}
-
 /// Reusable per-reducer scratch for the tiled scans: one rank tile,
 /// allocated once and reused across every probe object the reducer serves.
 #[derive(Debug)]
@@ -213,6 +174,33 @@ pub(crate) fn for_each_tile(n: usize, mut each: impl FnMut(usize, usize)) {
         let t1 = (t0 + PROBE_TILE).min(n);
         each(t0, t1);
         t0 = t1;
+    }
+}
+
+/// The delta rule of the exact families, which all scan in this order: the
+/// overlay's adds are offered *first* — ranked `PROBE_TILE` rows at a time by
+/// `rank_rows(rows, out)`, the scan's own tile kernel, so they tighten the
+/// running threshold before any frozen row is looked at — then the frozen
+/// structure is searched, every evaluated row billed and a tombstoned one
+/// masked on offer ([`NeighborList::offer_rows`] with
+/// [`DeltaOverlay::tombstones`]).  Returns the scan's counts so far: the adds
+/// evaluated, which is all of them.
+pub(crate) fn offer_adds(
+    delta: &DeltaOverlay,
+    dim: usize,
+    scratch: &mut TileScratch,
+    neighbors: &mut NeighborList,
+    rank_rows: impl Fn(&[f64], &mut [f64]),
+) -> ScanCounts {
+    let (ids, rows) = (delta.add_ids(), delta.add_rows());
+    for_each_tile(ids.len(), |t0, t1| {
+        let ranks = &mut scratch.ranks[..t1 - t0];
+        rank_rows(&rows[t0 * dim..t1 * dim], ranks);
+        neighbors.offer_rows(&ids[t0..t1], ranks, &[]);
+    });
+    ScanCounts {
+        delta: ids.len() as u64,
+        ..ScanCounts::default()
     }
 }
 

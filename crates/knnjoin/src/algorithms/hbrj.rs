@@ -18,7 +18,7 @@
 
 use crate::algorithms::blocks::{block_count, run_block_framework, BlockRouteMapper};
 use crate::algorithms::common::{
-    counters, probe_rows, raw_inputs, NeighborListValue, ScanCounts, ShuffleRecord,
+    counters, offer_adds, probe_rows, raw_inputs, NeighborListValue, ShuffleRecord, TileScratch,
 };
 use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
@@ -142,54 +142,41 @@ impl HbrjPrepared {
         Self { trees }
     }
 
-    /// Answers one probe batch, positionally: best-first kNN against every
-    /// resident block tree, merged into the global top-`k` per row (and with
-    /// the delta overlay when one is present), through [`probe_rows`].
+    /// Answers one probe batch, positionally, through [`probe_rows`]: per
+    /// row, `delta`'s adds first ([`offer_adds`], ranked by the bit-exact
+    /// tile kernel the trees' leaves use), then best-first kNN against every
+    /// resident block tree, tombstoned points masked on offer — all into one
+    /// accumulator, so what is already found prunes what is searched next.
     pub(crate) fn probe(
         &self,
         rows: &[&[f64]],
         plan: &JoinPlan,
         workers: usize,
-        delta: Option<&DeltaOverlay>,
+        delta: &DeltaOverlay,
         metrics: &mut JoinMetrics,
     ) -> Vec<Vec<Neighbor>> {
-        let kernel = plan.metric.kernel();
-        // The trees still index tombstoned objects, so up to
-        // t = |tombstones| of the best frozen hits may be dead.
-        // Oversampling to k + t guarantees the top-(k + t) frozen candidates
-        // contain the top-k *live* frozen candidates; tombstones are masked
-        // afterwards and the survivors are re-ranked together with the
-        // memtable's adds.  Without an overlay t = 0 and the re-rank keeps
-        // the frozen top-k as is.
-        let t = delta.map_or(0, DeltaOverlay::tombstones_len);
+        let metric = plan.metric;
+        let tile = metric.exact_batch_rank_kernel();
         probe_rows(
             rows,
             workers,
             metrics,
-            || (),
-            |(), _, query| {
-                let mut counts = ScanCounts::default();
-                // One shared accumulator across the block trees: the k-th
-                // distance found in earlier trees prunes later ones, which
-                // the cold path's independent per-cell searches cannot do.
-                let mut frozen = NeighborList::new(plan.k + t);
-                for tree in &self.trees {
-                    counts.frozen += tree.knn_into(query, &mut frozen);
-                }
-                let Some(overlay) = delta else {
-                    return (frozen.into_sorted(), counts);
-                };
+            TileScratch::new,
+            |scratch, _, query| {
+                let dim = query.len();
                 let mut list = NeighborList::new(plan.k);
-                for (id, coords) in overlay.adds() {
-                    list.offer(id, kernel(query, coords));
-                    counts.delta += 1;
-                }
-                for n in frozen.into_sorted() {
-                    if overlay.is_tombstoned(n.id) {
-                        counts.masked += 1;
-                        continue;
-                    }
-                    list.offer(n.id, n.distance);
+                let distances = |rows: &[f64], out: &mut [f64]| {
+                    tile(query, rows, dim, out);
+                    metric.ranks_to_distances(out);
+                };
+                let mut counts = offer_adds(delta, dim, scratch, &mut list, distances);
+                // The k-th distance found so far prunes every later tree,
+                // which the cold path's independent per-cell searches cannot
+                // do.
+                for tree in &self.trees {
+                    let (evaluated, masked) = tree.knn_into(query, delta.tombstones(), &mut list);
+                    counts.frozen += evaluated;
+                    counts.masked += masked;
                 }
                 (list.into_sorted(), counts)
             },
@@ -211,8 +198,8 @@ impl HbrjPrepared {
     ) -> Self {
         let blocks = self.trees.len();
         let affected: BTreeSet<usize> = delta
-            .adds()
-            .map(|(id, _)| id)
+            .add_ids()
+            .iter()
             .chain(delta.tombstones())
             .map(|id| (id % blocks as u64) as usize)
             .collect();

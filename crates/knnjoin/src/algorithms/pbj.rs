@@ -16,6 +16,7 @@ use crate::algorithms::common::{counters, NeighborListValue, ScanKernels};
 use crate::algorithms::voronoi::{partition_job, CellMap, ShuffledCell, VoronoiScan};
 use crate::bounds::upper_bound;
 use crate::context::ExecutionContext;
+use crate::delta::NO_DELTA;
 use crate::metrics::JoinMetrics;
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
@@ -119,11 +120,12 @@ impl Reducer for PbjCellReducer {
         values: &[ShuffledCell],
         ctx: &mut ReduceContext<u64, NeighborListValue>,
     ) {
-        let computations = VoronoiScan::new(&self.tables, self.k, self.kernels).join_cells(
-            values,
-            |i, s_parts| self.local_theta(i, s_parts),
-            |r_id, neighbors| ctx.emit(r_id, NeighborListValue::new(neighbors)),
-        );
+        let computations = VoronoiScan::new(&self.tables, self.k, self.kernels, &NO_DELTA)
+            .join_cells(
+                values,
+                |i, s_parts| self.local_theta(i, s_parts),
+                |r_id, neighbors| ctx.emit(r_id, NeighborListValue::new(neighbors)),
+            );
         ctx.counters()
             .add(counters::DISTANCE_COMPUTATIONS, computations);
     }

@@ -22,6 +22,7 @@ use crate::algorithms::common::{counters, rows_from_output, ScanKernels};
 use crate::algorithms::voronoi::{partition_job, ShuffledCell, VoronoiScan};
 use crate::bounds::PartitionBounds;
 use crate::context::ExecutionContext;
+use crate::delta::NO_DELTA;
 use crate::grouping::build_grouping;
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
@@ -133,11 +134,12 @@ impl Reducer for PgbjJoinReducer {
         values: &[ShuffledCell],
         ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
     ) {
-        let computations = VoronoiScan::new(&self.tables, self.k, self.kernels).join_cells(
-            values,
-            |i, _| self.theta[i],
-            |r_id, neighbors| ctx.emit(r_id, neighbors),
-        );
+        let computations = VoronoiScan::new(&self.tables, self.k, self.kernels, &NO_DELTA)
+            .join_cells(
+                values,
+                |i, _| self.theta[i],
+                |r_id, neighbors| ctx.emit(r_id, neighbors),
+            );
         ctx.counters()
             .add(counters::DISTANCE_COMPUTATIONS, computations);
     }

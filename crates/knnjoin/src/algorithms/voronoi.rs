@@ -10,7 +10,7 @@
 //! `θ_i` come from.
 
 use crate::algorithms::common::{
-    counters, for_each_tile, probe_rows, DeltaView, ScanCounts, ScanKernels, TileScratch,
+    counters, offer_adds, probe_rows, ScanCounts, ScanKernels, TileScratch,
 };
 use crate::bounds::{bounding_knn_theta, hyperplane_bound, theorem2_window};
 use crate::context::ExecutionContext;
@@ -181,8 +181,7 @@ const SCAN_TILE: usize = 32;
 
 /// The pruned candidate scan at the heart of Algorithm 3 (lines 16–25) — the
 /// single implementation behind the PGBJ group reducer, the PBJ cell reducer
-/// and the prepared probe, with or without a delta overlay, in either kernel
-/// mode.
+/// and the prepared probe, under any delta overlay, in either kernel mode.
 ///
 /// For one `R` object `r` (in partition `r_partition`, `r_pivot_dist` from
 /// its pivot), [`VoronoiScan::scan`] visits the `S` cells in the order
@@ -217,11 +216,13 @@ const SCAN_TILE: usize = 32;
 /// bounds over true distances, and squared ranks could flip one at the last
 /// ulp (see ARCHITECTURE.md).
 ///
-/// With a delta overlay attached (`VoronoiScan::with_delta`), the added
-/// points are offered into the accumulator *first* (tightening the running θ
-/// before any frozen candidate is scanned) and tombstoned frozen rows are
-/// evaluated with their tile but masked from the accumulator.  Callers must
-/// pass `θ_i = ∞` whenever the overlay carries tombstones: `θ_i` is derived
+/// The scan's delta overlay (the cold reducers' is empty) is merged by the
+/// rule of `common::offer_adds`: its added points are offered into the
+/// accumulator *first* (tightening the running θ before any frozen candidate
+/// is scanned)
+/// and tombstoned frozen rows are evaluated with their tile but masked from
+/// the accumulator.  Callers must pass `θ_i = ∞` whenever the overlay
+/// carries tombstones: `θ_i` is derived
 /// from the frozen `T_S` table, whose guarantee ("partition `i` alone holds
 /// `k` objects within `θ_i`") deletions can break.  Added points never
 /// invalidate it; they only shrink the true kth distance.
@@ -229,26 +230,26 @@ pub struct VoronoiScan<'a> {
     tables: &'a SummaryTables,
     k: usize,
     kernels: ScanKernels,
-    delta: Option<&'a DeltaView>,
+    delta: &'a DeltaOverlay,
     scratch: TileScratch,
 }
 
 impl<'a> VoronoiScan<'a> {
-    /// A scan over frozen `S` partitions summarized by `tables`.
-    pub(crate) fn new(tables: &'a SummaryTables, k: usize, kernels: ScanKernels) -> Self {
+    /// A scan over the frozen `S` partitions summarized by `tables`, merged
+    /// with `delta`.
+    pub(crate) fn new(
+        tables: &'a SummaryTables,
+        k: usize,
+        kernels: ScanKernels,
+        delta: &'a DeltaOverlay,
+    ) -> Self {
         Self {
             tables,
             k,
             kernels,
-            delta: None,
+            delta,
             scratch: TileScratch::new(),
         }
-    }
-
-    /// Attaches the S-delta memtable of a mutated [`crate::PreparedJoin`].
-    pub(crate) fn with_delta(mut self, delta: Option<&'a DeltaView>) -> Self {
-        self.delta = delta;
-        self
     }
 
     /// Returns the `k` best neighbours of one `R` object and the distance
@@ -266,19 +267,15 @@ impl<'a> VoronoiScan<'a> {
         let tables = self.tables;
         let dim = r_coords.len();
         let mut neighbors = NeighborList::new(self.k);
-        let mut counts = ScanCounts::default();
-        if let Some(block) = self.delta {
-            let rows = block.coords.as_slice();
-            for_each_tile(block.ids.len(), |t0, t1| {
-                let dists = &mut self.scratch.ranks[..t1 - t0];
-                self.kernels
-                    .distances(r_coords, &rows[t0 * dim..t1 * dim], dim, dists);
-                counts.delta += dists.len() as u64;
-                for (id, &d) in block.ids[t0..t1].iter().zip(dists.iter()) {
-                    neighbors.offer(*id, d);
-                }
-            });
-        }
+        let kernels = self.kernels;
+        let distances = |rows: &[f64], out: &mut [f64]| kernels.distances(r_coords, rows, dim, out);
+        let mut counts = offer_adds(
+            self.delta,
+            dim,
+            &mut self.scratch,
+            &mut neighbors,
+            distances,
+        );
         for &j in s_order {
             let theta = theta_i.min(neighbors.threshold());
             let pivot_dist = tables.pivot_distance(r_partition, j);
@@ -369,13 +366,7 @@ impl<'a> VoronoiScan<'a> {
         let coords = &cell.coords.as_slice()[rows.start * dim..rows.end * dim];
         self.kernels.distances(r_coords, coords, dim, dists);
         counts.frozen += dists.len() as u64;
-        for (&id, &d) in cell.ids[rows].iter().zip(dists.iter()) {
-            if self.delta.is_some_and(|delta| delta.is_tombstoned(id)) {
-                counts.masked += 1;
-            } else {
-                neighbors.offer(id, d);
-            }
-        }
+        counts.masked += neighbors.offer_rows(&cell.ids[rows], dists, self.delta.tombstones());
     }
 
     /// The body of a cold Algorithm 3 reducer (lines 12–25), PGBJ's and
@@ -809,8 +800,8 @@ impl VoronoiPrepared {
 
     /// Answers one probe batch, positionally: assign the rows to cells,
     /// derive the batch's `T_R` and `θ_i` for the cells it touches, then run
-    /// Algorithm 3's bounded scan against the resident `S` (merged with the
-    /// delta overlay when one is present) through [`probe_rows`].  `θ_i`
+    /// Algorithm 3's bounded scan against the resident `S`, merged with
+    /// `delta`, through [`probe_rows`].  `θ_i`
     /// comes from the global Algorithm 1 bound: the resident `S` is the full
     /// dataset, so the tight bound applies even to PBJ, whose cold cells only
     /// have their local block's looser one.  Algorithm 2's `LB` matrix and
@@ -822,7 +813,7 @@ impl VoronoiPrepared {
         rows: &[&[f64]],
         plan: &JoinPlan,
         workers: usize,
-        delta: Option<&DeltaOverlay>,
+        delta: &DeltaOverlay,
         metrics: &mut JoinMetrics,
     ) -> Vec<Vec<Neighbor>> {
         let start = Instant::now();
@@ -839,7 +830,7 @@ impl VoronoiPrepared {
         // objects are deleted, so tombstones demote θ to the running kth
         // distance alone.  Algorithm 1 returns ∞ at once for a cell the
         // batch left empty, so only touched cells pay for their bound.
-        let frozen_bounds_hold = delta.is_none_or(|d| d.tombstones_len() == 0);
+        let frozen_bounds_hold = delta.tombstones_len() == 0;
         let theta: Vec<f64> = (0..tables.partition_count())
             .map(|i| {
                 if frozen_bounds_hold {
@@ -851,13 +842,12 @@ impl VoronoiPrepared {
             .collect();
         metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
 
-        let delta = delta.map(|d| DeltaView::gather(d, self.partitioner.pivot_matrix().dims()));
         let kernels = ScanKernels::new(plan.metric, plan.kernel_mode);
         probe_rows(
             rows,
             workers,
             metrics,
-            || VoronoiScan::new(&tables, plan.k, kernels).with_delta(delta.as_ref()),
+            || VoronoiScan::new(&tables, plan.k, kernels, delta),
             |scan, at, row| {
                 let (i, pivot_dist) = assignments[at];
                 let (cells, order) = (&self.s_parts, &self.s_orders[i]);
@@ -893,6 +883,7 @@ fn compute_s_orders(non_empty: &[usize], pivot_distances: &PivotDistances) -> Ve
 mod tests {
     use super::*;
     use crate::bounds::PartitionBounds;
+    use crate::delta::NO_DELTA;
     use crate::grouping::{build_grouping, GroupingStrategy};
     use crate::partition::PartitionedDataset;
     use crate::pivots::{select_pivots, PivotSelectionStrategy};
@@ -985,11 +976,12 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
-        /// An attached-but-empty overlay must not perturb the scan: same
-        /// neighbours, same counters as no overlay at all, in every mode —
-        /// what lets one scan serve the frozen and the mutated corpus.
+        /// An overlay that mutations left empty must not perturb the scan:
+        /// same neighbours, same counters as the cold reducers' `NO_DELTA`,
+        /// in every mode — what lets one scan serve the frozen and the
+        /// mutated corpus.
         #[test]
-        fn empty_overlay_scans_exactly_like_no_overlay(
+        fn an_emptied_overlay_scans_exactly_like_the_cold_one(
             n_r in 5usize..60,
             n_s in 5usize..120,
             k in 1usize..8,
@@ -1002,12 +994,14 @@ mod tests {
             let r = uniform(n_r, dims, 50.0, seed);
             let s = uniform(n_s, dims, 50.0, seed ^ 0xABCD);
             let f = fixture(&r, &s, k, pivot_count, metric, seed);
-            let empty = DeltaOverlay::default();
-            let no_adds = DeltaView::gather(&empty, dims);
+            // An overlay emptied by mutations, not the one born empty.
+            let mut emptied = DeltaOverlay::default();
+            emptied.insert_add(7, &vec![1.0; dims]);
+            emptied.remove_add(7);
             for mode in [KernelMode::Exact, KernelMode::Fast] {
-                let mut frozen = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric, mode));
-                let mut overlaid = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric, mode))
-                    .with_delta(Some(&no_adds));
+                let kernels = ScanKernels::new(metric, mode);
+                let mut frozen = VoronoiScan::new(&f.tables, k, kernels, &NO_DELTA);
+                let mut overlaid = VoronoiScan::new(&f.tables, k, kernels, &emptied);
                 let mut verdict = Ok(());
                 f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
                     let a = frozen.scan(&r_obj.coords, r_pivot_dist, i, &f.s_parts, s_order, f.theta[i]);
@@ -1043,8 +1037,8 @@ mod tests {
             let r = uniform(n_r, dims, 50.0, seed);
             let s = uniform(n_s, dims, 50.0, seed ^ 0x5EED);
             let f = fixture(&r, &s, k, pivot_count, metric, seed);
-            let mut exact = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric, KernelMode::Exact));
-            let mut fast = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric, KernelMode::Fast));
+            let mut exact = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric, KernelMode::Exact), &NO_DELTA);
+            let mut fast = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric, KernelMode::Fast), &NO_DELTA);
             let mut verdict = Ok(());
             f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
                 let mut oracle = NeighborList::new(k);
@@ -1095,7 +1089,8 @@ mod tests {
         for metric in METRICS {
             let f = fixture_over(centres.clone(), &r, &s, k, metric);
             for mode in [KernelMode::Exact, KernelMode::Fast] {
-                let mut scan = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric, mode));
+                let mut scan =
+                    VoronoiScan::new(&f.tables, k, ScanKernels::new(metric, mode), &NO_DELTA);
                 f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
                     let (rows, counts) = scan.scan(
                         &r_obj.coords,
@@ -1364,6 +1359,7 @@ mod tests {
             &f.tables,
             3,
             ScanKernels::new(DistanceMetric::Euclidean, KernelMode::Exact),
+            &NO_DELTA,
         );
         f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
             scan.scan(&r_obj.coords, r_pivot_dist, i, &cut, s_order, f.theta[i]);
@@ -1403,7 +1399,7 @@ mod tests {
             if churned.contains(&cell) && p.id % 3 == 0 {
                 overlay.tombstone(p.id);
                 let beside: Vec<f64> = p.coords.iter().map(|c| c + 0.01).collect();
-                overlay.insert_add(10_000 + p.id, beside.clone());
+                overlay.insert_add(10_000 + p.id, &beside);
                 live.push(Point::new(10_000 + p.id, beside));
             } else {
                 live.push(p.clone());

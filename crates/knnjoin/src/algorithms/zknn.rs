@@ -552,45 +552,43 @@ impl ZknnPrepared {
     /// then merge the per-copy candidates into the `k` best distinct `S`
     /// objects.
     ///
-    /// When a delta overlay is present, its adds are quantized with the
-    /// *prepared* quantizer and shifts into a `(z, id)`-sorted index per
+    /// A candidate set is defined by rank in `(z, id)` order, so the adds
+    /// cannot be offered ahead of the frozen rows as the exact families
+    /// offer them: while `delta` holds anything, its adds are quantized with
+    /// the *prepared* quantizer and shifts into a `(z, id)`-sorted index per
     /// copy, and every window is the two-pointer merge of frozen and delta
     /// entries — exactly the window a cold build over the materialized
     /// corpus would scan, provided cold calibration yields this quantizer.
     /// Tombstoned frozen entries are skipped without consuming window slots.
+    /// With nothing to merge a window is one run of frozen rows.
     pub(crate) fn probe(
         &self,
         rows: &[&[f64]],
         plan: &JoinPlan,
         workers: usize,
-        delta: Option<&DeltaOverlay>,
+        delta: &DeltaOverlay,
         metrics: &mut JoinMetrics,
     ) -> Vec<Vec<Neighbor>> {
         let kernels = ScanKernels::new(plan.metric, plan.kernel_mode);
-        // The overlay plus its per-copy `(z, id)`-sorted add index.
-        let delta = delta.map(|overlay| {
-            (
-                overlay,
-                delta_sorted_copies(&self.quantizer, &self.shifts, overlay),
-            )
-        });
+        let add_copies =
+            (!delta.is_empty()).then(|| delta_sorted_copies(&self.quantizer, &self.shifts, delta));
         probe_rows(rows, workers, metrics, Vec::new, |scratch, _, query| {
             let mut lists = Vec::with_capacity(self.copies.len());
             let mut counts = ScanCounts::default();
             for (i, (copy, shift)) in self.copies.iter().zip(&self.shifts).enumerate() {
                 let z_r = self.quantizer.z_value(query, Some(shift));
                 let mut list = NeighborList::new(plan.k);
-                match &delta {
+                match &add_copies {
                     None => {
                         counts.frozen +=
                             copy.scan_window(query, z_r, self.window, &kernels, scratch, &mut list);
                     }
-                    Some((overlay, add_copies)) => self.merged_window(
+                    Some(add_copies) => self.merged_window(
                         query,
                         z_r,
                         copy,
                         &add_copies[i],
-                        overlay,
+                        delta,
                         kernels.pair,
                         &mut list,
                         &mut counts,

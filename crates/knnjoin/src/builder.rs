@@ -30,12 +30,9 @@ use crate::context::ExecutionContext;
 use crate::exact::validate_inputs;
 use crate::grouping::GroupingStrategy;
 use crate::pivots::PivotSelectionStrategy;
-use crate::plan::{Algorithm, JoinPlan, DEFAULT_DELTA_THRESHOLD};
+use crate::plan::{Algorithm, JoinPlan};
 use crate::result::{JoinError, JoinResult};
 use geom::{DistanceMetric, KernelMode, PointSet};
-
-/// Default number of reducers when the caller does not choose one.
-const DEFAULT_REDUCERS: usize = 4;
 
 /// Fluent configuration of one kNN join over borrowed datasets.
 ///
@@ -46,64 +43,46 @@ const DEFAULT_REDUCERS: usize = 4;
 pub struct JoinBuilder<'a> {
     r: &'a PointSet,
     s: &'a PointSet,
-    algorithm: Algorithm,
-    k: usize,
-    metric: DistanceMetric,
+    /// The plan as requested so far: [`JoinPlan::default`] overwritten by the
+    /// setters, except for the three values below.
+    plan: JoinPlan,
+    /// Auto-tuned from `|R|` unless requested.
     pivot_count: Option<usize>,
-    pivot_strategy: PivotSelectionStrategy,
-    pivot_sample_size: usize,
-    grouping_strategy: GroupingStrategy,
+    /// The default plan's unless requested.
     reducers: Option<usize>,
+    /// Twice the reducers unless requested.
     map_tasks: Option<usize>,
-    shift_copies: usize,
-    z_window: usize,
-    combiner: bool,
-    seed: u64,
-    delta_threshold: usize,
-    kernel_mode: KernelMode,
 }
 
 impl<'a> JoinBuilder<'a> {
     /// Starts a join of `r` against `s` (each object of `r` receives `k`
     /// neighbours from `s`).
     pub fn new(r: &'a PointSet, s: &'a PointSet) -> Self {
-        let defaults = JoinPlan::default();
         Self {
             r,
             s,
-            algorithm: defaults.algorithm,
-            k: 1,
-            metric: defaults.metric,
+            plan: JoinPlan::default(),
             pivot_count: None,
-            pivot_strategy: defaults.pivot_strategy,
-            pivot_sample_size: defaults.pivot_sample_size,
-            grouping_strategy: defaults.grouping_strategy,
             reducers: None,
             map_tasks: None,
-            shift_copies: defaults.shift_copies,
-            z_window: defaults.z_window,
-            combiner: defaults.combiner,
-            seed: defaults.seed,
-            delta_threshold: DEFAULT_DELTA_THRESHOLD,
-            kernel_mode: defaults.kernel_mode,
         }
     }
 
     /// Sets the number of neighbours per `R` object (default 1).
     pub fn k(mut self, k: usize) -> Self {
-        self.k = k;
+        self.plan.k = k;
         self
     }
 
     /// Sets the distance metric (default Euclidean).
     pub fn metric(mut self, metric: DistanceMetric) -> Self {
-        self.metric = metric;
+        self.plan.metric = metric;
         self
     }
 
     /// Selects the algorithm (default [`Algorithm::Pgbj`]).
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
+        self.plan.algorithm = algorithm;
         self
     }
 
@@ -117,19 +96,19 @@ impl<'a> JoinBuilder<'a> {
     /// Sets the pivot-selection strategy (default: random candidate sets, the
     /// paper's recommendation).
     pub fn pivot_strategy(mut self, strategy: PivotSelectionStrategy) -> Self {
-        self.pivot_strategy = strategy;
+        self.plan.pivot_strategy = strategy;
         self
     }
 
     /// Caps how many objects of `R` pivot selection may examine.
     pub fn pivot_sample_size(mut self, sample_size: usize) -> Self {
-        self.pivot_sample_size = sample_size;
+        self.plan.pivot_sample_size = sample_size;
         self
     }
 
     /// Sets the PGBJ grouping strategy (default geometric).
     pub fn grouping_strategy(mut self, strategy: GroupingStrategy) -> Self {
-        self.grouping_strategy = strategy;
+        self.plan.grouping_strategy = strategy;
         self
     }
 
@@ -150,7 +129,7 @@ impl<'a> JoinBuilder<'a> {
     /// z-order candidates per `R` object, healing z-curve seams the other
     /// copies miss, at proportionally more shuffle volume.
     pub fn shift_copies(mut self, copies: usize) -> Self {
-        self.shift_copies = copies;
+        self.plan.shift_copies = copies;
         self
     }
 
@@ -160,7 +139,7 @@ impl<'a> JoinBuilder<'a> {
     /// recall at fixed shuffle volume (wider windows cost no extra shuffle,
     /// unlike more `shift_copies`).
     pub fn z_window(mut self, multiplier: usize) -> Self {
-        self.z_window = multiplier;
+        self.plan.z_window = multiplier;
         self
     }
 
@@ -169,13 +148,13 @@ impl<'a> JoinBuilder<'a> {
     /// the uncombined shuffle volume (byte accounting is framing-neutral, so
     /// the difference is entirely the combiners' saving).
     pub fn combiner(mut self, enabled: bool) -> Self {
-        self.combiner = enabled;
+        self.plan.combiner = enabled;
         self
     }
 
     /// Seeds pivot selection (experiments fix this for reproducibility).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.plan.seed = seed;
         self
     }
 
@@ -186,7 +165,7 @@ impl<'a> JoinBuilder<'a> {
     /// closer to frozen-only cost at the price of compacting more often;
     /// irrelevant to one-shot [`JoinBuilder::run`] joins.
     pub fn delta_threshold(mut self, threshold: usize) -> Self {
-        self.delta_threshold = threshold;
+        self.plan.delta_threshold = threshold;
         self
     }
 
@@ -196,7 +175,7 @@ impl<'a> JoinBuilder<'a> {
     /// neighbours within accumulation-order round-off.  Nothing else
     /// depends on it.
     pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.kernel_mode = mode;
+        self.plan.kernel_mode = mode;
         self
     }
 
@@ -213,7 +192,7 @@ impl<'a> JoinBuilder<'a> {
     /// rules ([`JoinPlan::validate`]: [`JoinError::ZeroReducers`],
     /// [`JoinError::ZeroMapTasks`], [`JoinError::InvalidConfig`]).
     pub fn plan(&self) -> Result<JoinPlan, JoinError> {
-        validate_inputs(self.r, self.s, self.k)?;
+        validate_inputs(self.r, self.s, self.plan.k)?;
 
         let pivot_ceiling = self.r.len().min(self.s.len());
         let (pivot_count, pivots_auto_tuned) = match self.pivot_count {
@@ -233,32 +212,21 @@ impl<'a> JoinBuilder<'a> {
             None => (
                 ((self.r.len() as f64).sqrt().ceil() as usize)
                     .min(pivot_ceiling)
-                    .min(self.pivot_sample_size)
+                    .min(self.plan.pivot_sample_size)
                     .max(1),
                 true,
             ),
         };
-        let reducers = self.reducers.unwrap_or(DEFAULT_REDUCERS);
+        let reducers = self.reducers.unwrap_or(self.plan.reducers);
         let plan = JoinPlan {
-            algorithm: self.algorithm,
-            k: self.k,
-            metric: self.metric,
             pivot_count,
             pivots_auto_tuned,
-            pivot_strategy: self.pivot_strategy,
-            pivot_sample_size: self.pivot_sample_size,
-            grouping_strategy: self.grouping_strategy,
             reducers,
             map_tasks: self.map_tasks.unwrap_or(reducers * 2),
-            shift_copies: self.shift_copies,
-            z_window: self.z_window,
-            combiner: self.combiner,
-            seed: self.seed,
-            delta_threshold: self.delta_threshold,
-            kernel_mode: self.kernel_mode,
+            ..self.plan.clone()
         };
         plan.validate()?;
-        if self.algorithm == Algorithm::Zknn {
+        if plan.algorithm == Algorithm::Zknn {
             check_z_bits(self.r.dims())?;
         }
         Ok(plan)
@@ -302,6 +270,7 @@ impl<'a> JoinBuilder<'a> {
 mod tests {
     use super::*;
     use crate::exact::NestedLoopJoin;
+    use crate::plan::DEFAULT_DELTA_THRESHOLD;
     use datagen::uniform;
 
     #[test]

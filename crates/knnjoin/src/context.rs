@@ -39,16 +39,6 @@ impl ServingStats {
             div_duration(self.build_time, self.queries)
         }
     }
-
-    /// Mean end-to-end cost per query with the build amortized in:
-    /// `(build_time + total_query_time) / queries`.
-    pub fn amortized_query_time(&self) -> Duration {
-        if self.queries == 0 {
-            self.build_time
-        } else {
-            div_duration(self.build_time + self.total_query_time, self.queries)
-        }
-    }
 }
 
 /// `d / n`, zero when `n` is zero (nanosecond precision).
@@ -134,7 +124,6 @@ mod tests {
         // Before any query the build is unamortized.
         assert_eq!(fresh.mean_query_time(), Duration::ZERO);
         assert_eq!(fresh.amortized_build_time(), Duration::from_millis(80));
-        assert_eq!(fresh.amortized_query_time(), Duration::from_millis(80));
 
         let served = ServingStats {
             queries: 8,
@@ -143,7 +132,6 @@ mod tests {
         };
         assert_eq!(served.mean_query_time(), Duration::from_millis(5));
         assert_eq!(served.amortized_build_time(), Duration::from_millis(10));
-        assert_eq!(served.amortized_query_time(), Duration::from_millis(15));
     }
 
     #[test]

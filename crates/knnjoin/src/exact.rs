@@ -13,9 +13,9 @@
 //! [`Algorithm::NestedLoopJoin`]: crate::Algorithm::NestedLoopJoin
 
 use crate::algorithms::common::{
-    for_each_tile, label_rows, probe_rows, DeltaView, ScanCounts, ScanKernels, TileScratch,
+    for_each_tile, label_rows, offer_adds, probe_rows, ScanCounts, ScanKernels, TileScratch,
 };
-use crate::delta::DeltaOverlay;
+use crate::delta::{DeltaOverlay, NO_DELTA};
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinResult, JoinRow};
@@ -114,11 +114,6 @@ impl FlatBlock {
         Self::build(materialized, metrics)
     }
 
-    /// Dimensionality of the block's rows.
-    pub(crate) fn dims(&self) -> usize {
-        self.coords.dims()
-    }
-
     /// The cold [`crate::Algorithm::NestedLoopJoin`]: `S` flattened once and
     /// every `R` object scanned on the calling thread.
     pub(crate) fn join(
@@ -129,58 +124,37 @@ impl FlatBlock {
     ) -> Vec<JoinRow> {
         let queries: Vec<&[f64]> = r.iter().map(|p| p.coords.as_slice()).collect();
         let kernels = ScanKernels::new(plan.metric, plan.kernel_mode);
-        let neighbors = Self::new(s.points()).probe(&queries, plan.k, kernels, 1, None, metrics);
+        let neighbors =
+            Self::new(s.points()).probe(&queries, plan.k, kernels, 1, &NO_DELTA, metrics);
         label_rows(r, neighbors)
     }
 
-    /// The `k` nearest block rows of one probe object — minus tombstoned
-    /// rows, plus the delta overlay's adds when one is attached.
+    /// The `k` nearest block rows of one probe object — minus the rows
+    /// `delta` tombstones, plus its adds.
     ///
     /// The adds, then the block, are streamed in
     /// [`geom::kernels::PROBE_TILE`]-row tiles through `kernels.tile`; the
     /// accumulator runs in rank space (rank order equals distance order for
     /// every metric) and the final top-`k` list is converted to true
-    /// distances in one monotone sweep.  Every evaluated row is billed and a
-    /// tombstoned one is masked on offer — the order and the billing rule of
-    /// [`crate::algorithms::voronoi::VoronoiScan`].
+    /// distances in one monotone sweep.  The delta rule is [`offer_adds`]'.
     pub(crate) fn scan(
         &self,
         query: &[f64],
         k: usize,
         kernels: &ScanKernels,
-        delta: Option<&DeltaView>,
+        delta: &DeltaOverlay,
         scratch: &mut TileScratch,
     ) -> (Vec<Neighbor>, ScanCounts) {
         let dim = self.coords.dims();
-        let ids = &self.ids;
         let mut neighbors = NeighborList::new(k);
-        let mut counts = ScanCounts::default();
-        let tombstoned = |id: PointId| delta.is_some_and(|delta| delta.is_tombstoned(id));
-        let batch = kernels.tile;
-        if let Some(block) = delta {
-            let rows = block.coords.as_slice();
-            for_each_tile(block.ids.len(), |t0, t1| {
-                let ranks = &mut scratch.ranks[..t1 - t0];
-                batch(query, &rows[t0 * dim..t1 * dim], dim, ranks);
-                counts.delta += ranks.len() as u64;
-                for (id, &rank) in block.ids[t0..t1].iter().zip(ranks.iter()) {
-                    neighbors.offer(*id, rank);
-                }
-            });
-        }
+        let rank_rows = |rows: &[f64], ranks: &mut [f64]| (kernels.tile)(query, rows, dim, ranks);
+        let mut counts = offer_adds(delta, dim, scratch, &mut neighbors, rank_rows);
         let rows = self.coords.as_slice();
-        // Rank every row of every tile, mask tombstones on offer.
-        for_each_tile(ids.len(), |t0, t1| {
+        for_each_tile(self.ids.len(), |t0, t1| {
             let ranks = &mut scratch.ranks[..t1 - t0];
-            batch(query, &rows[t0 * dim..t1 * dim], dim, ranks);
+            rank_rows(&rows[t0 * dim..t1 * dim], ranks);
             counts.frozen += ranks.len() as u64;
-            for (&id, &rank) in ids[t0..t1].iter().zip(ranks.iter()) {
-                if tombstoned(id) {
-                    counts.masked += 1;
-                    continue;
-                }
-                neighbors.offer(id, rank);
-            }
+            counts.masked += neighbors.offer_rows(&self.ids[t0..t1], ranks, delta.tombstones());
         });
         // The accumulator ran in rank space; the monotone rank→distance map
         // preserves the sorted order, so convert each entry in place.
@@ -201,16 +175,15 @@ impl FlatBlock {
         k: usize,
         kernels: ScanKernels,
         workers: usize,
-        delta: Option<&DeltaOverlay>,
+        delta: &DeltaOverlay,
         metrics: &mut JoinMetrics,
     ) -> Vec<Vec<Neighbor>> {
-        let delta = delta.map(|overlay| DeltaView::gather(overlay, self.dims()));
         probe_rows(
             rows,
             workers,
             metrics,
             TileScratch::new,
-            |scratch, _, row| self.scan(row, k, &kernels, delta.as_ref(), scratch),
+            |scratch, _, row| self.scan(row, k, &kernels, delta, scratch),
         )
     }
 }
@@ -384,20 +357,19 @@ mod tests {
     }
 
     /// `FlatBlock::scan` is the oracle's scan made resident: over any block,
-    /// with or without a delta overlay, it answers what `NestedLoopJoin::join`
+    /// under an empty or a loaded delta overlay, it answers what `NestedLoopJoin::join`
     /// answers over the materialized corpus — bit for bit in `Exact`, within
     /// 1e-9 in `Fast` — and bills every row it evaluates: the whole block
     /// whatever the overlay, every add, and a mask per tombstoned row met.
     #[test]
     fn flat_block_scan_equals_the_oracle_over_the_materialized_corpus() {
-        use crate::algorithms::common::{DeltaView, ScanKernels, TileScratch};
         use geom::KernelMode;
         let frozen = uniform(600, 4, 30.0, 41);
         let r = uniform(50, 4, 30.0, 42);
         let k = 5;
         let mut overlay = DeltaOverlay::default();
         for p in uniform(40, 4, 30.0, 43).iter() {
-            overlay.insert_add(10_000 + p.id, p.coords.clone());
+            overlay.insert_add(10_000 + p.id, &p.coords);
         }
         for id in (0..600).step_by(7) {
             overlay.tombstone(id);
@@ -415,24 +387,21 @@ mod tests {
             DistanceMetric::Manhattan,
             DistanceMetric::Chebyshev,
         ] {
-            for (delta, corpus) in [(None, &frozen), (Some(&overlay), &materialized)] {
+            for (delta, corpus) in [(&NO_DELTA, &frozen), (&overlay, &materialized)] {
                 let oracle = NestedLoopJoin.join(&r, corpus, k, metric).unwrap();
                 let block = FlatBlock::new(frozen.points());
                 for (mode, tolerance) in [(KernelMode::Exact, 0.0), (KernelMode::Fast, 1e-9)] {
                     let kernels = ScanKernels::new(metric, mode);
-                    let view = delta.map(|overlay| DeltaView::gather(overlay, 4));
                     let mut scratch = TileScratch::new();
-                    let label = format!("{metric:?}/{mode:?}/delta={}", delta.is_some());
+                    let label = format!("{metric:?}/{mode:?}/delta={}", delta.len());
                     // Every tombstoned id is a block row, so each is met.
-                    let want_billed = delta.map_or([600, 0, 0], |overlay| {
-                        let (adds, tombstones) = (overlay.adds_len(), overlay.tombstones_len());
-                        [600, adds as u64, tombstones as u64]
-                    });
+                    let (adds, tombstones) = (delta.adds_len(), delta.tombstones_len());
+                    let want_billed = [600, adds as u64, tombstones as u64];
                     let rows = r
                         .iter()
                         .map(|q| {
                             let (neighbors, counts) =
-                                block.scan(&q.coords, k, &kernels, view.as_ref(), &mut scratch);
+                                block.scan(&q.coords, k, &kernels, delta, &mut scratch);
                             let billed = [counts.frozen, counts.delta, counts.masked];
                             assert_eq!(billed, want_billed, "{label}");
                             JoinRow {

@@ -65,12 +65,6 @@ impl Algorithm {
         }
     }
 
-    /// Whether the algorithm runs on the MapReduce substrate (everything but
-    /// the nested-loop oracle).
-    pub fn is_distributed(&self) -> bool {
-        !matches!(self, Algorithm::NestedLoopJoin)
-    }
-
     /// Whether the algorithm consumes the Voronoi pivot machinery.
     pub fn uses_pivots(&self) -> bool {
         matches!(self, Algorithm::Pgbj | Algorithm::Pbj)
@@ -269,9 +263,6 @@ mod tests {
         assert_eq!(Algorithm::NestedLoopJoin.name(), "NestedLoop");
         assert_eq!(Algorithm::default(), Algorithm::Pgbj);
         assert_eq!(format!("{}", Algorithm::Hbrj), "H-BRJ");
-        assert!(Algorithm::Pgbj.is_distributed());
-        assert!(Algorithm::Zknn.is_distributed());
-        assert!(!Algorithm::NestedLoopJoin.is_distributed());
         assert!(Algorithm::Pbj.uses_pivots());
         assert!(!Algorithm::Hbrj.uses_pivots());
         assert!(!Algorithm::Zknn.uses_pivots());

@@ -39,8 +39,8 @@
 //!    scanned inline on the calling thread, from there up as one contiguous
 //!    range per context worker on the engine's scoped threads;
 //! 4. **scan** — the family's one per-row scan (Algorithm 3's bounded scan,
-//!    the R-tree search, the z-window, the flat block), with the delta
-//!    overlay merged in when one is pending.
+//!    the R-tree search, the z-window, the flat block), merged with the
+//!    epoch's delta overlay — empty or not, the same code.
 //!
 //! A served query therefore costs what its scan costs, and reports
 //! `shuffle_bytes = shuffle_records = r_records_shuffled = 0`; every other
@@ -163,9 +163,8 @@ struct Inner {
     build_time: Duration,
     queries: AtomicU64,
     query_nanos: AtomicU64,
+    /// Every query's and every compaction's [`JoinMetrics`], absorbed.
     cumulative: RankedMutex<JoinMetrics>,
-    compactions: AtomicU64,
-    compacted_points: AtomicU64,
 }
 
 impl Inner {
@@ -268,8 +267,6 @@ impl PreparedJoin {
                     "prepared.cumulative",
                     JoinMetrics::default(),
                 ),
-                compactions: AtomicU64::new(0),
-                compacted_points: AtomicU64::new(0),
             }),
         })
     }
@@ -318,14 +315,13 @@ impl PreparedJoin {
     /// compaction totals.
     pub fn delta_stats(&self) -> DeltaStats {
         let epoch = self.inner.snapshot();
+        let cumulative = self.inner.cumulative.lock();
         DeltaStats {
             epoch: epoch.number,
             pending_adds: epoch.delta.adds_len(),
             pending_tombstones: epoch.delta.tombstones_len(),
-            // ORDERING: Relaxed — monotonic lifetime totals read for
-            // observability; no other memory depends on their value.
-            compactions: self.inner.compactions.load(Ordering::Relaxed),
-            compacted_points: self.inner.compacted_points.load(Ordering::Relaxed),
+            compactions: cumulative.compactions,
+            compacted_points: cumulative.compacted_points,
         }
     }
 
@@ -364,7 +360,7 @@ impl PreparedJoin {
             // new coordinates from the memtable.
             delta.tombstone(point.id);
         }
-        delta.insert_add(point.id, point.coords);
+        delta.insert_add(point.id, &point.coords);
         self.commit(&epoch, delta);
         Ok(())
     }
@@ -439,13 +435,6 @@ impl PreparedJoin {
             .state
             .compact(&materialized, &delta, &inner.plan, &mut metrics);
         metrics.record_phase(phases::COMPACTION, start.elapsed());
-        // ORDERING: Relaxed — monotonic statistics counters; readers only
-        // need eventual totals, never synchronization with the epoch data
-        // (which flows through the epoch lock).
-        inner.compactions.fetch_add(1, Ordering::Relaxed);
-        inner
-            .compacted_points
-            .fetch_add(metrics.compacted_points, Ordering::Relaxed);
         inner.cumulative.lock().absorb(&metrics);
         Epoch {
             number: epoch.number + 1,
@@ -523,10 +512,7 @@ impl PreparedJoin {
         self.validate_rows(rows)?;
         let inner = &*self.inner;
         let epoch = inner.snapshot();
-        // An empty overlay probes the frozen structures through exactly the
-        // pre-delta code path (`None`, not `Some(empty)`), keeping counters
-        // and candidate traversal bit-identical to an immutable corpus.
-        let delta = (!epoch.delta.is_empty()).then_some(&*epoch.delta);
+        let delta = &*epoch.delta;
         let mut metrics = JoinMetrics {
             r_size: rows.len(),
             s_size: epoch.live_len(),

@@ -31,8 +31,9 @@ use crate::job::{
     Reducer,
 };
 use crate::metrics::{JobMetrics, PhaseTimings};
-use crate::sync::{ranks, RankedMutex};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Worker-thread count used when the caller supplies none: one thread per
@@ -45,6 +46,18 @@ pub fn default_workers() -> usize {
 /// the input order of the results (task index is passed through to `f`).
 /// This is the engine's one worker pool: map and reduce tasks run on it, and
 /// so do the row ranges of a prepared probe, which has no shuffle to run.
+///
+/// Task indices are handed out by one atomic counter, so a worker that drew
+/// short tasks draws more of them; each worker returns its `(index, result)`
+/// pairs through its join handle.  No worker ever waits for another: task
+/// `i`'s input sits in its own take-once cell until the one worker that drew
+/// `i` empties it, before `f` runs.  (The cell is a `Mutex<Option<T>>`
+/// because safe Rust moves a value out through a shared reference no other
+/// way; it is locked once, never contended and never held across `f`, so it
+/// has no place in the lock order of [`crate::sync`].)
+///
+/// # Panics
+/// Re-raises the panic of a task, with its payload.
 pub fn parallel_map<T, U, F>(items: Vec<T>, workers: usize, f: F) -> Vec<U>
 where
     T: Send,
@@ -60,31 +73,38 @@ where
             .map(|(i, t)| f(i, t))
             .collect();
     }
-    // The task closure `f` runs with the slot guard held and may take the
-    // counters lock (rank engine.counters > engine.slot), so the nesting
-    // queue < slot < counters stays within the declared order.
-    let queue: RankedMutex<VecDeque<(usize, T)>> = RankedMutex::new(
-        ranks::ENGINE_QUEUE,
-        "engine.queue",
-        items.into_iter().enumerate().collect(),
-    );
-    let slots: Vec<RankedMutex<Option<U>>> = (0..n)
-        .map(|_| RankedMutex::new(ranks::ENGINE_SLOT, "engine.slot", None))
-        .collect();
+    let cells: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(0);
+    let run_tasks = || {
+        let mut done = Vec::new();
+        loop {
+            // ORDERING: Relaxed — the counter only makes the drawn indices
+            // distinct; inputs reach a worker through the scope's spawn and
+            // results leave it through the join, which synchronize.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(cell) = cells.get(i) else {
+                return done;
+            };
+            let item = cell
+                .lock()
+                .expect("no task runs under a cell's lock")
+                .take();
+            done.push((i, f(i, item.expect("a task index is drawn once"))));
+        }
+    };
+    let mut results: Vec<Option<U>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let next = queue.lock().pop_front();
-                match next {
-                    Some((i, item)) => *slots[i].lock() = Some(f(i, item)),
-                    None => break,
-                }
-            });
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_tasks)).collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => done.into_iter().for_each(|(i, u)| results[i] = Some(u)),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
     });
-    slots
+    results
         .into_iter()
-        .map(|slot| slot.into_inner().expect("every task produced a result"))
+        .map(|result| result.expect("every task produced a result"))
         .collect()
 }
 
@@ -277,30 +297,9 @@ impl JobBuilder {
         )
     }
 
-    /// Runs the job with a map-side [`Combiner`] and the default
-    /// [`HashPartitioner`].
-    ///
-    /// # Errors
-    /// Returns [`JobError`] if the configuration is invalid.
-    pub fn run_with_combiner<M, C, R>(
-        &self,
-        input: Vec<(M::KIn, M::VIn)>,
-        mapper: &M,
-        combiner: &C,
-        reducer: &R,
-    ) -> Result<JobOutput<R::KOut, R::VOut>, JobError>
-    where
-        M: Mapper,
-        C: Combiner<K = M::KOut, V = M::VOut>,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-    {
-        self.run_with_optional_combiner(input, mapper, Some(combiner), reducer)
-    }
-
-    /// Runs the job with the default [`HashPartitioner`] and a combiner that
-    /// may or may not be present — the `Option` mirrors a runtime
-    /// "combiner on/off" knob so call sites don't branch between
-    /// [`JobBuilder::run`] and [`JobBuilder::run_with_combiner`].
+    /// Runs the job with the default [`HashPartitioner`] and a map-side
+    /// [`Combiner`] that may or may not be present — the `Option` mirrors a
+    /// runtime "combiner on/off" knob, so call sites don't branch.
     ///
     /// # Errors
     /// Returns [`JobError`] if the configuration is invalid.
@@ -824,7 +823,7 @@ mod tests {
         let combined = JobBuilder::new("combined")
             .reducers(4)
             .map_tasks(4)
-            .run_with_combiner(input, &IdMap, &SumCombiner, &SumRed)
+            .run_with_optional_combiner(input, &IdMap, Some(&SumCombiner), &SumRed)
             .unwrap();
 
         let mut a = plain.output.clone();
@@ -849,7 +848,7 @@ mod tests {
         let ident = JobBuilder::new("ident")
             .reducers(3)
             .map_tasks(3)
-            .run_with_combiner(input, &IdMap, &IdentityCombiner::new(), &SumRed)
+            .run_with_optional_combiner(input, &IdMap, Some(&IdentityCombiner::new()), &SumRed)
             .unwrap();
         let mut a = plain.output;
         let mut b = ident.output;
@@ -893,6 +892,28 @@ mod tests {
         }
         let empty: Vec<u64> = parallel_map(Vec::new(), 4, |_, x: u64| x);
         assert!(empty.is_empty());
+    }
+
+    /// Inputs are moved, not cloned (`Box` is not `Clone`), uneven tasks
+    /// still land in input order, and a task's panic reaches the caller with
+    /// its own payload, as an inline run's would.
+    #[test]
+    fn parallel_map_moves_inputs_and_re_raises_a_task_panic() {
+        let boxed: Vec<Box<usize>> = (0..40).map(Box::new).collect();
+        let out = parallel_map(boxed, 3, |i, x| {
+            if i % 7 == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            *x + 1
+        });
+        assert_eq!(out, (1..=40).collect::<Vec<_>>());
+        let panic = std::panic::catch_unwind(|| {
+            parallel_map((0..9u64).collect(), 3, |_, x| assert_ne!(x, 5, "task five"))
+        });
+        let payload = panic.expect_err("the task panicked");
+        assert!(payload
+            .downcast_ref::<String>()
+            .is_some_and(|msg| msg.contains("task five")));
     }
 
     #[test]
@@ -945,7 +966,7 @@ mod tests {
         let combined = JobBuilder::new("combined")
             .reducers(4)
             .map_tasks(3)
-            .run_with_combiner(input, &IdMap, &SumCombiner, &SumRed)
+            .run_with_optional_combiner(input, &IdMap, Some(&SumCombiner), &SumRed)
             .unwrap();
 
         // Without a combiner the combine counters stay untouched.
@@ -1008,7 +1029,7 @@ mod tests {
                     .reducers(reducers)
                     .map_tasks(map_tasks)
                     .workers(workers)
-                    .run_with_combiner(values, &IdMap, &SumCombiner, &SumRed)
+                    .run_with_optional_combiner(values, &IdMap, Some(&SumCombiner), &SumRed)
                     .unwrap();
                 // Same partitioner and per-partition sorted keys: the output
                 // must be identical record for record, not just as a set.

@@ -11,8 +11,6 @@
 //! | 20 | `prepared.epoch` (`RwLock`) | `knnjoin::prepared` |
 //! | 40 | `prepared.cumulative` | `knnjoin::prepared` |
 //! | 60 | `serving.histogram` | `knnjoin::serving` |
-//! | 70 | `engine.queue` | `mapreduce::engine` |
-//! | 80 | `engine.slot` | `mapreduce::engine` |
 //! | 90 | `engine.counters` | `mapreduce::counters` |
 //!
 //! (The serving front-end's request queue uses a `std` mutex because it
@@ -44,10 +42,6 @@ pub mod ranks {
     pub const PREPARED_CUMULATIVE: u8 = 40;
     /// `knnjoin::serving` per-worker latency histogram shard.
     pub const SERVING_HISTOGRAM: u8 = 60;
-    /// `mapreduce::engine` worker-pool task queue.
-    pub const ENGINE_QUEUE: u8 = 70;
-    /// `mapreduce::engine` per-task result slot.
-    pub const ENGINE_SLOT: u8 = 80;
     /// `mapreduce::counters` counter map.
     pub const ENGINE_COUNTERS: u8 = 90;
 }
@@ -284,7 +278,7 @@ mod tests {
 
     #[test]
     fn in_order_acquisition_is_clean() {
-        let low = RankedMutex::new(ranks::ENGINE_QUEUE, "engine.queue", 1u32);
+        let low = RankedMutex::new(ranks::SERVING_HISTOGRAM, "serving.histogram", 1u32);
         let high = RankedMutex::new(ranks::ENGINE_COUNTERS, "engine.counters", 2u32);
         let a = low.lock();
         let b = high.lock();
@@ -314,7 +308,7 @@ mod tests {
     fn out_of_order_acquisition_fires_the_auditor() {
         let outcome = std::panic::catch_unwind(|| {
             let high = RankedMutex::new(ranks::ENGINE_COUNTERS, "engine.counters", ());
-            let low = RankedMutex::new(ranks::ENGINE_QUEUE, "engine.queue", ());
+            let low = RankedMutex::new(ranks::SERVING_HISTOGRAM, "serving.histogram", ());
             let _held = high.lock();
             let _violation = low.lock();
         });
@@ -328,7 +322,7 @@ mod tests {
             // The poisoned stack entries from the aborted acquisition must
             // not leak into later tests on this thread.
             audit::release(ranks::ENGINE_COUNTERS, "engine.counters");
-            audit::release(ranks::ENGINE_QUEUE, "engine.queue");
+            audit::release(ranks::SERVING_HISTOGRAM, "serving.histogram");
             assert_eq!(audit::held_count(), 0);
         }
     }

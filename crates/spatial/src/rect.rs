@@ -27,14 +27,6 @@ impl Rect {
         Self { min, max }
     }
 
-    /// The degenerate rectangle covering a single point.
-    pub fn from_point(p: &Point) -> Self {
-        Self {
-            min: p.coords.clone(),
-            max: p.coords.clone(),
-        }
-    }
-
     /// The smallest rectangle enclosing a non-empty set of points.
     ///
     /// # Panics
@@ -124,12 +116,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn bounding_empty_panics() {
         let _ = Rect::bounding(&[]);
-    }
-
-    #[test]
-    fn from_point_is_degenerate() {
-        let r = Rect::from_point(&p(&[3.0, 4.0]));
-        assert_eq!(r.min, r.max);
-        assert_eq!(r.min, vec![3.0, 4.0]);
     }
 }

@@ -196,7 +196,7 @@ impl RTree {
             return (Vec::new(), 0);
         }
         let mut result = NeighborList::new(k);
-        let computations = self.knn_into(&query.coords, &mut result);
+        let (computations, _) = self.knn_into(&query.coords, &[], &mut result);
         (result.into_sorted(), computations)
     }
 
@@ -221,17 +221,28 @@ impl RTree {
     /// popped and offered every discovered point with `d ≤ m`, so both
     /// compare `m` against the same `k`-th distance.
     ///
-    /// Returns the number of point-to-point distance computations spent.
-    pub fn knn_into(&self, query: &[f64], result: &mut NeighborList) -> u64 {
+    /// Points whose id is in `masked` (ascending) are deleted objects the
+    /// tree still indexes: a visited leaf evaluates them with its other rows
+    /// and skips them on offer, so the search runs on until `k` live
+    /// neighbours are found or the tree is exhausted.
+    ///
+    /// Returns the number of point-to-point distance computations spent and
+    /// how many of the evaluated points were masked.
+    pub fn knn_into(
+        &self,
+        query: &[f64],
+        masked: &[PointId],
+        result: &mut NeighborList,
+    ) -> (u64, u64) {
         let Some(root) = &self.root else {
-            return 0;
+            return (0, 0);
         };
         let tile = self.metric.exact_batch_rank_kernel();
         let dims = query.len();
         // Reused across every leaf this query visits; a leaf holds at most
         // `fanout` rows.
         let mut dists = vec![0.0f64; self.fanout];
-        let mut distance_computations = 0u64;
+        let (mut distance_computations, mut masked_points) = (0u64, 0u64);
         let mut heap: BinaryHeap<Prioritized<'_>> = BinaryHeap::new();
         heap.push(Prioritized {
             dist: root.mbr().min_distance(query, self.metric),
@@ -249,9 +260,7 @@ impl RTree {
                     tile(query, coords.as_slice(), dims, dists);
                     self.metric.ranks_to_distances(dists);
                     distance_computations += dists.len() as u64;
-                    for (&id, &d) in ids.iter().zip(dists.iter()) {
-                        result.offer(id, d);
-                    }
+                    masked_points += result.offer_rows(ids, dists, masked);
                 }
                 Node::Internal { children, .. } => {
                     for child in children {
@@ -266,7 +275,7 @@ impl RTree {
                 }
             }
         }
-        distance_computations
+        (distance_computations, masked_points)
     }
 }
 
@@ -463,6 +472,36 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
             let q = Point::new(u64::MAX, (0..dims).map(|_| rng.gen::<f64>() * 100.0).collect());
             prop_assert_eq!(tree.knn(&q, k), brute.knn(&q, k));
+        }
+
+        /// A masked search is a search of the unmasked points: same ids and
+        /// distance bits as brute force over them — with more points masked
+        /// than `k` around the query, and with every point masked — and every
+        /// masked point it reports was evaluated.
+        #[test]
+        fn masked_knn_matches_bruteforce_over_the_unmasked_points(
+            n in 1usize..200,
+            dims in 1usize..6,
+            fanout in 2usize..17,
+            k in 1usize..8,
+            keep_one_in in 1u64..6,
+            seed in 0u64..1000,
+            which in 0usize..3,
+        ) {
+            let metric = [DistanceMetric::Euclidean, DistanceMetric::Manhattan, DistanceMetric::Chebyshev][which];
+            let pts = random_points(n, dims, seed);
+            let tree = RTree::bulk_load_with_fanout(pts.clone(), metric, fanout);
+            // `keep_one_in == 1` keeps nothing: every point is masked.
+            let (live, masked): (Vec<Point>, Vec<Point>) =
+                pts.into_iter().partition(|p| keep_one_in > 1 && p.id % keep_one_in == 0);
+            let masked: Vec<PointId> = masked.iter().map(|p| p.id).collect();
+            let brute = BruteForceIndex::new(live, metric);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
+            let q = Point::new(u64::MAX, (0..dims).map(|_| rng.gen::<f64>() * 100.0).collect());
+            let mut found = NeighborList::new(k);
+            let (evaluated, skipped) = tree.knn_into(&q.coords, &masked, &mut found);
+            prop_assert_eq!(found.into_sorted(), brute.knn(&q, k));
+            prop_assert!(skipped <= evaluated && skipped <= masked.len() as u64);
         }
     }
 }

@@ -132,33 +132,112 @@ fn forced_compaction_folds_the_overlay_and_preserves_answers() {
     }
 }
 
-/// With an empty overlay the probe takes the pre-delta code path: after an
-/// insert is undone by its delete, per-query counters are bit-identical to a
-/// never-mutated handle.
+/// Every deterministic field of a query's [`JoinMetrics`], in declaration
+/// order.
+fn all_counters(result: &JoinResult) -> [u64; 14] {
+    let m = &result.metrics;
+    [
+        m.distance_computations,
+        m.pivot_assignment_computations,
+        m.r_records_shuffled,
+        m.s_records_shuffled,
+        m.index_builds,
+        m.pivot_selections,
+        m.shuffle_bytes,
+        m.shuffle_records,
+        m.combine_input_records,
+        m.combine_output_records,
+        m.delta_probe_computations,
+        m.tombstone_masked,
+        m.compactions,
+        m.compacted_points,
+    ]
+}
+
+/// An empty overlay is zero add rows and no mask, not a separate code path:
+/// after an insert is undone by its delete the overlay the probes run under
+/// is one that mutations emptied, and rows and every counter are
+/// bit-identical to a never-mutated handle's, in both kernel modes.  (That
+/// the never-mutated handle itself answers as it did before every probe took
+/// an overlay is pinned by the `none` rows of `tests/probe_differential.rs`
+/// and by the drift gates' prepared rows.)
 #[test]
 fn empty_overlay_queries_are_bit_identical_to_the_frozen_path() {
     let r = clustered(60, 2, 5);
     let s = clustered(90, 2, 6);
     let ctx = ExecutionContext::default();
     for algorithm in Algorithm::ALL {
-        let prepared = builder_for(&r, &s, algorithm, 5)
-            .prepare(&ctx)
-            .expect("prepare");
-        let pristine = prepared.query(&r).expect("pristine query");
-        prepared
-            .insert(Point::new(ADD_ID_BASE, vec![0.0, 0.0]))
-            .expect("insert");
-        assert!(prepared.delete(ADD_ID_BASE));
-        assert!(prepared.delta_stats().pending_adds == 0);
-        let roundtrip = prepared.query(&r).expect("round-trip query");
-        assert!(roundtrip.matches(&pristine, 0.0), "{algorithm}");
-        assert_eq!(
-            roundtrip.metrics.distance_computations, pristine.metrics.distance_computations,
-            "{algorithm}: empty overlay must not perturb frozen counters"
-        );
-        assert_eq!(roundtrip.metrics.delta_probe_computations, 0);
-        assert_eq!(roundtrip.metrics.tombstone_masked, 0);
+        for mode in [KernelMode::Exact, KernelMode::Fast] {
+            let prepared = builder_for(&r, &s, algorithm, 5)
+                .kernel_mode(mode)
+                .prepare(&ctx)
+                .expect("prepare");
+            let pristine = prepared.query(&r).expect("pristine query");
+            prepared
+                .insert(Point::new(ADD_ID_BASE, vec![0.0, 0.0]))
+                .expect("insert");
+            assert!(prepared.delete(ADD_ID_BASE));
+            assert!(prepared.delta_stats().pending_adds == 0);
+            let roundtrip = prepared.query(&r).expect("round-trip query");
+            assert!(roundtrip.matches(&pristine, 0.0), "{algorithm} {mode:?}");
+            assert_eq!(
+                all_counters(&roundtrip),
+                all_counters(&pristine),
+                "{algorithm} {mode:?}: an empty overlay must not perturb a counter"
+            );
+            assert_eq!(roundtrip.metrics.delta_probe_computations, 0);
+            assert_eq!(roundtrip.metrics.tombstone_masked, 0);
+        }
     }
+}
+
+/// The starvation case H-BRJ's oversampling existed for: with far more
+/// tombstones than `k` among a query's nearest frozen rows, a tree search
+/// that stopped at its first `k` hits would come back with dead points only.
+/// The masked search runs on instead: every row still gets `k` live
+/// neighbours, exactly the oracle's over the materialized corpus, and the
+/// dead rows it met are counted, not ranked.
+#[test]
+fn hbrj_finds_k_live_neighbours_behind_more_than_k_tombstones() {
+    let k = 4;
+    let s = clustered(400, 2, 31);
+    let queries = clustered(12, 2, 32);
+    let ctx = ExecutionContext::default();
+    let prepared = builder_for(&queries, &s, Algorithm::Hbrj, k)
+        .delta_threshold(usize::MAX)
+        .prepare(&ctx)
+        .expect("prepare");
+    // Delete the 5k nearest frozen objects of every query, and add nothing.
+    let nearest = NestedLoopJoin
+        .join(&queries, &s, 5 * k, DistanceMetric::Euclidean)
+        .expect("oracle");
+    for row in &nearest.rows {
+        for n in &row.neighbors {
+            prepared.delete(n.id);
+        }
+    }
+    let stats = prepared.delta_stats();
+    assert!(stats.pending_tombstones >= 5 * k && stats.pending_adds == 0);
+
+    let oracle = NestedLoopJoin
+        .join(
+            &queries,
+            &prepared.materialized_corpus(),
+            k,
+            DistanceMetric::Euclidean,
+        )
+        .expect("oracle over the live corpus");
+    let served = prepared.query(&queries).expect("masked query");
+    assert!(
+        served.matches(&oracle, 0.0),
+        "{:?}",
+        served.mismatch_against(&oracle, 0.0)
+    );
+    assert!(served.rows.iter().all(|row| row.neighbors.len() == k));
+    assert!(
+        served.metrics.tombstone_masked >= (5 * k * queries.len()) as u64,
+        "every query's search had to step over its own deleted neighbourhood"
+    );
 }
 
 // ---------------------------------------------------------------------------

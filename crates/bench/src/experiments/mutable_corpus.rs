@@ -52,7 +52,7 @@ pub struct MutableRow {
     pub compactions: u64,
     /// Lifetime points rewritten by compaction.
     pub compacted_points: u64,
-    /// Live corpus size (`|frozen| − |tombstones| + |adds|`).
+    /// Live corpus size ([`PreparedJoin::s_len`]).
     pub live_points: u64,
 }
 
@@ -95,6 +95,14 @@ fn measure(prepared: &PreparedJoin, data: &PointSet, churn_pct: usize, phase: &s
     let result = last.expect("at least one query ran");
     let m = &result.metrics;
     let stats = prepared.delta_stats();
+    // The corpus is derived from the family structure on demand: one id
+    // each, ascending, as many as the live count says.
+    let corpus = prepared.materialized_corpus();
+    assert_eq!(prepared.s_len(), corpus.len(), "live count vs corpus");
+    assert!(
+        corpus.points().is_sorted_by(|a, b| a.id < b.id),
+        "corpus ids must ascend strictly"
+    );
     MutableRow {
         algorithm: prepared.algorithm().name().to_string(),
         churn_pct,

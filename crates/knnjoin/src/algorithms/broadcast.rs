@@ -104,7 +104,8 @@ impl Reducer for BroadcastReducer {
         // Flatten S once: the block is scanned |R_block| times, so the
         // columnar layout and hoisted kernel pay for themselves immediately.
         let block = FlatBlock::new(
-            ShuffleRecord::of_kind(values, RecordKind::S).map(|record| &*record.point),
+            ShuffleRecord::of_kind(values, RecordKind::S)
+                .map(|record| (record.point.id, &record.point.coords[..])),
         );
         let mut scratch = TileScratch::new();
         for record in ShuffleRecord::of_kind(values, RecordKind::R) {

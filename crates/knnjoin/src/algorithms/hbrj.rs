@@ -25,7 +25,7 @@ use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
-use geom::{DistanceMetric, Neighbor, NeighborList, Point, PointSet, RecordKind};
+use geom::{DistanceMetric, Neighbor, NeighborList, Point, PointId, PointSet, RecordKind};
 use mapreduce::{ReduceContext, Reducer};
 use spatial::RTree;
 use std::collections::BTreeSet;
@@ -123,6 +123,13 @@ pub(crate) struct HbrjPrepared {
     trees: Vec<Arc<RTree>>,
 }
 
+/// Bulk-loads one block's tree from its points in ascending id order, so a
+/// tree depends only on the set it holds, not on the order it arrived in.
+fn block_tree(mut block: Vec<Point>, metric: DistanceMetric) -> Arc<RTree> {
+    block.sort_by_key(|p| p.id);
+    Arc::new(RTree::bulk_load(block, metric))
+}
+
 impl HbrjPrepared {
     /// Splits `S` into the same `id mod B` blocks as the cold path and
     /// bulk-loads one tree per block.
@@ -135,11 +142,16 @@ impl HbrjPrepared {
         }
         let trees = block_points
             .into_iter()
-            .map(|block| Arc::new(RTree::bulk_load(block, plan.metric)))
+            .map(|block| block_tree(block, plan.metric))
             .collect();
         metrics.index_builds += blocks as u64;
         metrics.record_phase(phases::PREPARE_BUILD, start.elapsed());
         Self { trees }
+    }
+
+    /// The resident `S` rows, read from the trees' leaves.
+    pub(crate) fn points(&self) -> impl Iterator<Item = (PointId, &[f64])> {
+        self.trees.iter().flat_map(|tree| tree.points())
     }
 
     /// Answers one probe batch, positionally, through [`probe_rows`]: per
@@ -184,35 +196,35 @@ impl HbrjPrepared {
     }
 
     /// Folds a delta overlay into the resident trees, rebuilding *only* the
-    /// `id mod B` blocks the delta touches from the materialized corpus;
-    /// untouched trees are `Arc`-shared into the new state.  Block
-    /// membership is a pure function of the id, so the rebuilt blocks hold
-    /// exactly what a cold build over the materialized corpus would load —
-    /// in the same order, since both iterate the corpus front to back.
+    /// `id mod B` blocks the delta touches, each from its tree's leaf rows
+    /// minus tombstones plus the block's adds; untouched trees are
+    /// `Arc`-shared into the new state.  Block membership is a pure function
+    /// of the id and [`block_tree`] loads in id order, so every tree is the
+    /// one a build over the live corpus would load.
     pub(crate) fn compact(
         &self,
-        materialized: &PointSet,
         delta: &DeltaOverlay,
         plan: &JoinPlan,
         metrics: &mut JoinMetrics,
     ) -> Self {
-        let blocks = self.trees.len();
+        let block_of = |id: PointId| (id % self.trees.len() as u64) as usize;
         let affected: BTreeSet<usize> = delta
             .add_ids()
             .iter()
             .chain(delta.tombstones())
-            .map(|id| (id % blocks as u64) as usize)
+            .map(|&id| block_of(id))
             .collect();
         let mut trees = self.trees.clone();
         for &b in &affected {
-            let block: Vec<Point> = materialized
-                .iter()
-                .filter(|p| (p.id % blocks as u64) as usize == b)
-                .cloned()
+            let block: Vec<Point> = self.trees[b]
+                .points()
+                .filter(|(id, _)| !delta.is_tombstoned(*id))
+                .chain(delta.adds().filter(|(id, _)| block_of(*id) == b))
+                .map(|(id, coords)| Point::new(id, coords.to_vec()))
                 .collect();
             metrics.compacted_points += block.len() as u64;
             metrics.index_builds += 1;
-            trees[b] = Arc::new(RTree::bulk_load(block, plan.metric));
+            trees[b] = block_tree(block, plan.metric);
         }
         Self { trees }
     }
@@ -317,8 +329,53 @@ mod tests {
         assert_eq!(res.metrics.distance_computations, reference_computations);
     }
 
+    /// `points` in an order drawn from `seed`, not the ids' order.
+    fn permuted(mut points: Vec<Point>, seed: u64) -> PointSet {
+        points.sort_by_key(|p| p.id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed);
+        PointSet::from_points(points)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
+        /// Compaction lays every block out as `build` does over the live
+        /// set, whatever order that set arrives in: with deletes, adds and
+        /// an upsert folded into a corpus whose ids do not ascend in arrival
+        /// order, each tree's leaf sequence equals the fresh build's.
+        #[test]
+        fn compaction_lays_blocks_out_as_a_build_over_any_order_of_the_live_set(
+            n in 20usize..150,
+            reducers in 1usize..10,
+            stride in 2u64..7,
+            seed in 0u64..1000,
+        ) {
+            let plan = JoinPlan { reducers, ..JoinPlan::default() };
+            let frozen = permuted(uniform(n, 2, 80.0, seed).into_points(), seed);
+            let mut metrics = JoinMetrics::default();
+            let built = HbrjPrepared::build(&frozen, &plan, &mut metrics);
+            // Frozen ids 1 and 2 are upserted, two fresh ids added.
+            let (upserted, fresh) = ([1, 2], [3 * n as u64, 3 * n as u64 + 1]);
+            let mut delta = DeltaOverlay::default();
+            let mut live: Vec<Point> = Vec::new();
+            for p in &frozen {
+                if p.id % stride == 0 || upserted.contains(&p.id) {
+                    delta.tombstone(p.id);
+                } else {
+                    live.push(p.clone());
+                }
+            }
+            for (i, id) in upserted.into_iter().chain(fresh).enumerate() {
+                let moved = Point::new(id, vec![i as f64, 40.0]);
+                delta.insert_add(id, &moved.coords);
+                live.push(moved);
+            }
+            let compacted = built.compact(&delta, &plan, &mut metrics);
+            let rebuilt = HbrjPrepared::build(&permuted(live, !seed), &plan, &mut metrics);
+            prop_assert_eq!(compacted.trees.len(), rebuilt.trees.len());
+            for (a, b) in compacted.trees.iter().zip(&rebuilt.trees) {
+                prop_assert_eq!(a.points().collect::<Vec<_>>(), b.points().collect::<Vec<_>>());
+            }
+        }
+
         #[test]
         fn hbrj_equals_exact_join(
             n_r in 10usize..100,

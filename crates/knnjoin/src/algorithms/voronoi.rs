@@ -783,6 +783,12 @@ impl VoronoiPrepared {
         }
     }
 
+    /// The resident `S` rows, cell by cell.
+    pub(crate) fn points(&self) -> impl Iterator<Item = (PointId, &[f64])> {
+        let rows = self.s_parts.values().flat_map(CellSlice::rows);
+        rows.map(|(_, id, coords)| (id, coords))
+    }
+
     /// Assembles the full [`SummaryTables`] for one probe batch: `T_R` is
     /// folded from the batch's assignments; the pivot set, `T_S` and the
     /// pivot-distance table are `Arc`-shared from the prebuilt state, so

@@ -547,6 +547,13 @@ impl ZknnPrepared {
         }
     }
 
+    /// The resident `S` rows, read from the first copy: a shift moves the
+    /// z-values, never the coordinates.
+    pub(crate) fn points(&self) -> impl Iterator<Item = (PointId, &[f64])> {
+        let copy = &self.copies[0];
+        copy.ids.iter().copied().zip(copy.coords.rows())
+    }
+
     /// Answers one probe batch, positionally, through [`probe_rows`]: per
     /// row and per copy, scan the `z_window · k` z-neighbours on each side,
     /// then merge the per-copy candidates into the `k` best distinct `S`

@@ -15,13 +15,15 @@
 //!
 //! The correctness bar is DBSP-style: a query against the mutated corpus
 //! must be distance-identical to the same query against a cold build over
-//! the materialized corpus (frozen minus tombstones, plus adds).  The
-//! overlay maintains one invariant that makes the live corpus a disjoint
-//! union: an added id is never simultaneously live on the frozen side
-//! (re-inserting a frozen id tombstones the frozen copy first), so
+//! the materialized corpus (frozen minus tombstones, plus adds).  The frozen
+//! rows live only in the family structure; the epoch indexes them by one
+//! ascending run of ids.  The overlay maintains one invariant that makes the
+//! live corpus a disjoint union: an added id is never simultaneously live on
+//! the frozen side (re-inserting a frozen id tombstones the frozen copy
+//! first), so
 //!
 //! ```text
-//! live = (frozen \ tombstones) ∪ adds        |live| = |frozen| − t + a
+//! live = (frozen \ tombstones) ∪ adds        |live| = |frozen ids| − t + a
 //! ```
 //!
 //! Epoch/snapshot semantics, the mutation API and compaction live in
@@ -160,6 +162,25 @@ impl DeltaOverlay {
         }
     }
 
+    /// The ids live once the overlay is folded into `frozen_ids`, ascending
+    /// like them: one linear merge of the frozen run, minus the tombstones,
+    /// with the adds.
+    pub(crate) fn live_ids(&self, frozen_ids: &[PointId]) -> Vec<PointId> {
+        // Every tombstone names a frozen id, so one walk drops them all.
+        let mut dead = self.tombstones.iter().peekable();
+        let mut adds = self.add_ids.as_slice();
+        let mut ids = Vec::with_capacity(frozen_ids.len() + self.adds_len());
+        for &id in frozen_ids.iter().filter(|id| dead.next_if_eq(id).is_none()) {
+            while let Some((&add, rest)) = adds.split_first().filter(|(&add, _)| add < id) {
+                ids.push(add);
+                adds = rest;
+            }
+            ids.push(id);
+        }
+        ids.extend_from_slice(adds);
+        ids
+    }
+
     /// Structural invariant audit, asserted on every mutation commit under
     /// `cfg(test)` and the `debug-invariants` feature:
     ///
@@ -167,21 +188,24 @@ impl DeltaOverlay {
     ///    frozen id must tombstone the frozen copy first, or `live_len`
     ///    arithmetic and probe masking both break),
     /// 2. tombstones only name frozen ids (a tombstone for a never-frozen id
-    ///    would make `|frozen| − t + a` undercount the live corpus), and
+    ///    would make `|frozen ids| − t + a` undercount the live corpus), and
     /// 3. both id runs strictly ascend, with one coordinate row per add (the
     ///    binary searches and the parallel rows rest on it).
+    ///
+    /// `frozen_ids` ascends, as the epoch stores it.
     #[cfg(any(test, feature = "debug-invariants"))]
-    pub(crate) fn audit(&self, frozen_ids: &std::collections::BTreeSet<PointId>) {
+    pub(crate) fn audit(&self, frozen_ids: &[PointId]) {
+        let frozen = |id: &PointId| frozen_ids.binary_search(id).is_ok();
         for id in &self.add_ids {
             assert!(
-                !frozen_ids.contains(id) || self.is_tombstoned(*id),
+                !frozen(id) || self.is_tombstoned(*id),
                 "delta invariant violated: add {id} duplicates a live frozen id \
                  (frozen copy not tombstoned)"
             );
         }
         for id in &self.tombstones {
             assert!(
-                frozen_ids.contains(id),
+                frozen(id),
                 "delta invariant violated: tombstone {id} names an id absent \
                  from the frozen corpus"
             );
@@ -256,14 +280,15 @@ mod tests {
         /// Any insert / upsert / delete / remove-then-add sequence leaves the
         /// three arrays saying what a `BTreeMap` + `BTreeSet` model says —
         /// the representation they replaced — with both id runs ascending
-        /// (`audit`) after every step.  Ids below 20 are frozen; a mutation
+        /// (`audit`) and `live_ids` folding them into the frozen run as the
+        /// model does, after every step.  Ids below 20 are frozen; a mutation
         /// is classified as `PreparedJoin::insert` / `delete` classify it.
         #[test]
         fn flat_overlay_replays_the_map_and_set_model(
             ops in collection::vec(0u64..120, 1..160),
             xs in collection::vec(-9.0f64..9.0, 160),
         ) {
-            let frozen: BTreeSet<PointId> = (0..20).collect();
+            let frozen: Vec<PointId> = (0..20).collect();
             let mut overlay = DeltaOverlay::default();
             let mut adds: BTreeMap<PointId, Vec<f64>> = BTreeMap::new();
             let mut tombstones: BTreeSet<PointId> = BTreeSet::new();
@@ -296,6 +321,9 @@ mod tests {
                 for id in 0..40 {
                     prop_assert_eq!(overlay.is_tombstoned(id), tombstones.contains(&id));
                 }
+                let live: BTreeSet<PointId> =
+                    frozen.iter().filter(|id| !tombstones.contains(id)).chain(adds.keys()).copied().collect();
+                prop_assert_eq!(overlay.live_ids(&frozen), live.into_iter().collect::<Vec<_>>());
             }
         }
     }

@@ -19,7 +19,7 @@ use crate::delta::{DeltaOverlay, NO_DELTA};
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinResult, JoinRow};
-use geom::{CoordMatrix, DistanceMetric, Neighbor, NeighborList, Point, PointId, PointSet};
+use geom::{CoordMatrix, DistanceMetric, Neighbor, NeighborList, PointId, PointSet};
 use std::time::Instant;
 
 /// The exact nested-loop kNN join.
@@ -83,35 +83,40 @@ pub(crate) struct FlatBlock {
 }
 
 impl FlatBlock {
-    /// Flattens `points`, borrowing them.
-    pub(crate) fn new<'p>(points: impl IntoIterator<Item = &'p Point>) -> Self {
-        let mut points = points.into_iter().peekable();
-        let dims = points.peek().map_or(0, |p| p.dims());
-        let rows = points.size_hint().0;
-        let mut ids = Vec::with_capacity(rows);
-        let mut coords = CoordMatrix::with_capacity(dims, rows);
-        for p in points {
-            ids.push(p.id);
-            coords.push_row(&p.coords);
+    /// Flattens `(id, coordinates)` rows, in order.
+    pub(crate) fn new<'p>(rows: impl IntoIterator<Item = (PointId, &'p [f64])>) -> Self {
+        let mut rows = rows.into_iter().peekable();
+        let dims = rows.peek().map_or(0, |(_, row)| row.len());
+        let len = rows.size_hint().0;
+        let mut ids = Vec::with_capacity(len);
+        let mut coords = CoordMatrix::with_capacity(dims, len);
+        for (id, row) in rows {
+            ids.push(id);
+            coords.push_row(row);
         }
         Self { ids, coords }
     }
 
-    /// [`Self::new`] as the build phase of a prepared join.
+    /// [`Self::new`] over `s`, as the build phase of a prepared join.
     pub(crate) fn build(s: &PointSet, metrics: &mut JoinMetrics) -> Self {
         let start = Instant::now();
-        let block = Self::new(s.points());
+        let block = Self::new(s.iter().map(|p| (p.id, &p.coords[..])));
         metrics.record_phase(phases::PREPARE_BUILD, start.elapsed());
         block
     }
 
-    /// Re-flattens the materialized corpus (frozen survivors in arrival
-    /// order, then adds in ascending id order — the canonical
-    /// materialization order, so the compacted scan is bit-identical to a
-    /// cold build over the same corpus).
-    pub(crate) fn compact(materialized: &PointSet, metrics: &mut JoinMetrics) -> Self {
-        metrics.compacted_points += materialized.len() as u64;
-        Self::build(materialized, metrics)
+    /// The block's rows, in block order.
+    pub(crate) fn points(&self) -> impl Iterator<Item = (PointId, &[f64])> {
+        self.ids.iter().copied().zip(self.coords.rows())
+    }
+
+    /// Folds `delta` in: the surviving rows in block order, then the adds in
+    /// ascending id order.
+    pub(crate) fn compact(&self, delta: &DeltaOverlay, metrics: &mut JoinMetrics) -> Self {
+        let survivors = self.points().filter(|(id, _)| !delta.is_tombstoned(*id));
+        let block = Self::new(survivors.chain(delta.adds()));
+        metrics.compacted_points += block.ids.len() as u64;
+        block
     }
 
     /// The cold [`crate::Algorithm::NestedLoopJoin`]: `S` flattened once and
@@ -124,8 +129,8 @@ impl FlatBlock {
     ) -> Vec<JoinRow> {
         let queries: Vec<&[f64]> = r.iter().map(|p| p.coords.as_slice()).collect();
         let kernels = ScanKernels::new(plan.metric, plan.kernel_mode);
-        let neighbors =
-            Self::new(s.points()).probe(&queries, plan.k, kernels, 1, &NO_DELTA, metrics);
+        let block = Self::new(s.iter().map(|p| (p.id, &p.coords[..])));
+        let neighbors = block.probe(&queries, plan.k, kernels, 1, &NO_DELTA, metrics);
         label_rows(r, neighbors)
     }
 
@@ -389,7 +394,7 @@ mod tests {
         ] {
             for (delta, corpus) in [(&NO_DELTA, &frozen), (&overlay, &materialized)] {
                 let oracle = NestedLoopJoin.join(&r, corpus, k, metric).unwrap();
-                let block = FlatBlock::new(frozen.points());
+                let block = FlatBlock::new(frozen.iter().map(|p| (p.id, &p.coords[..])));
                 for (mode, tolerance) in [(KernelMode::Exact, 0.0), (KernelMode::Fast, 1e-9)] {
                     let kernels = ScanKernels::new(metric, mode);
                     let mut scratch = TileScratch::new();

@@ -79,14 +79,14 @@ use crate::plan::{Algorithm, JoinPlan};
 use crate::result::{JoinError, JoinResult, JoinRow};
 use geom::{DistanceMetric, Neighbor, Point, PointId, PointSet};
 use mapreduce::sync::{ranks, RankedMutex, RankedRwLock};
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The S-side state, one variant per scan family (see each type for what
 /// exactly is captured): PGBJ and PBJ share the Voronoi state, the broadcast
-/// and nested-loop joins the flat block.
+/// and nested-loop joins the flat block.  Each is the only copy of the
+/// frozen corpus.
 #[derive(Debug)]
 enum PreparedState {
     Voronoi(VoronoiPrepared),
@@ -101,22 +101,23 @@ impl PreparedState {
     /// R-tree blocks / z-runs and share the rest; pivots, the quantizer and
     /// every other calibrated artifact are reused unchanged, so compaction
     /// never re-plans.
-    fn compact(
-        &self,
-        materialized: &PointSet,
-        delta: &DeltaOverlay,
-        plan: &JoinPlan,
-        metrics: &mut JoinMetrics,
-    ) -> Self {
+    fn compact(&self, delta: &DeltaOverlay, plan: &JoinPlan, metrics: &mut JoinMetrics) -> Self {
         match self {
             PreparedState::Voronoi(p) => PreparedState::Voronoi(p.compact(delta, plan, metrics)),
-            PreparedState::Hbrj(p) => {
-                PreparedState::Hbrj(p.compact(materialized, delta, plan, metrics))
-            }
+            PreparedState::Hbrj(p) => PreparedState::Hbrj(p.compact(delta, plan, metrics)),
             PreparedState::Zknn(p) => PreparedState::Zknn(p.compact(delta, metrics)),
-            PreparedState::Flat(_) => {
-                PreparedState::Flat(FlatBlock::compact(materialized, metrics))
-            }
+            PreparedState::Flat(p) => PreparedState::Flat(p.compact(delta, metrics)),
+        }
+    }
+
+    /// The frozen rows as `(id, coordinates)`, read in place, in the
+    /// structure's own order.
+    fn points(&self) -> Box<dyn Iterator<Item = (PointId, &[f64])> + '_> {
+        match self {
+            PreparedState::Voronoi(p) => Box::new(p.points()),
+            PreparedState::Hbrj(p) => Box::new(p.points()),
+            PreparedState::Zknn(p) => Box::new(p.points()),
+            PreparedState::Flat(p) => Box::new(p.points()),
         }
     }
 }
@@ -126,22 +127,22 @@ impl PreparedState {
 /// against that snapshot, so a concurrent mutation or compaction (which
 /// *publishes a new* `Epoch` rather than touching this one) can never tear a
 /// probe batch.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Epoch {
     /// Monotonic version, bumped by every effective mutation and compaction.
     number: u64,
     state: Arc<PreparedState>,
-    /// The corpus the frozen structures were built over (pre-delta).
-    frozen: Arc<PointSet>,
-    /// Ids present in `frozen`, for upsert/delete classification.
-    frozen_ids: Arc<BTreeSet<PointId>>,
+    /// The ids of `state`'s rows, strictly ascending: an index for
+    /// upsert/delete classification (no structure finds an id in
+    /// `O(log n)`), not a copy of the rows.
+    frozen_ids: Arc<[PointId]>,
     delta: Arc<DeltaOverlay>,
 }
 
 impl Epoch {
-    /// Number of live objects: `|frozen| − |tombstones| + |adds|`.
+    /// Number of live objects: `|frozen ids| − |tombstones| + |adds|`.
     fn live_len(&self) -> usize {
-        self.frozen.len() - self.delta.tombstones_len() + self.delta.adds_len()
+        self.frozen_ids.len() - self.delta.tombstones_len() + self.delta.adds_len()
     }
 }
 
@@ -175,23 +176,6 @@ impl Inner {
     fn publish(&self, epoch: Epoch) {
         *self.epoch.write() = Arc::new(epoch);
     }
-}
-
-/// The corpus an epoch represents, as a cold build would receive it: the
-/// frozen points in their original order minus tombstones, then the overlay's
-/// adds in ascending id order.
-fn materialize(frozen: &PointSet, delta: &DeltaOverlay) -> PointSet {
-    let live = frozen.len() - delta.tombstones_len() + delta.adds_len();
-    let mut points = Vec::with_capacity(live);
-    for p in frozen.iter() {
-        if !delta.is_tombstoned(p.id) {
-            points.push(p.clone());
-        }
-    }
-    for (id, coords) in delta.adds() {
-        points.push(Point::new(id, coords.to_vec()));
-    }
-    PointSet::from_points(points)
 }
 
 /// A join whose S-side state has been built once and can serve arbitrary `R`
@@ -244,11 +228,13 @@ impl PreparedJoin {
             }
         };
         let build_time = start.elapsed();
+        let mut frozen_ids: Vec<PointId> = s.iter().map(|p| p.id).collect();
+        frozen_ids.sort_unstable();
+        frozen_ids.dedup();
         let epoch = Epoch {
             number: 0,
             state: Arc::new(state),
-            frozen_ids: Arc::new(s.iter().map(|p| p.id).collect()),
-            frozen: Arc::new(s.clone()),
+            frozen_ids: frozen_ids.into(),
             delta: Arc::new(DeltaOverlay::default()),
         };
         Ok(Self {
@@ -297,7 +283,7 @@ impl PreparedJoin {
     }
 
     /// Number of *live* resident `S` objects:
-    /// `|frozen| − |tombstones| + |adds|`.
+    /// `|frozen ids| − |tombstones| + |adds|`.
     pub fn s_len(&self) -> usize {
         self.inner.snapshot().live_len()
     }
@@ -325,13 +311,22 @@ impl PreparedJoin {
         }
     }
 
-    /// The live corpus as a cold [`crate::JoinBuilder::run`] would receive
-    /// it: frozen points in their original order minus tombstones, then the
-    /// pending adds in ascending id order.  This is the oracle input for the
+    /// The live corpus in ascending id order: the frozen rows, read from the
+    /// family structure, minus tombstones, plus the pending adds.  Derived
+    /// on demand — no epoch keeps a copy.  This is the oracle input for the
     /// mutated-equals-cold guarantee.
     pub fn materialized_corpus(&self) -> PointSet {
         let epoch = self.inner.snapshot();
-        materialize(&epoch.frozen, &epoch.delta)
+        let delta = &*epoch.delta;
+        let mut points: Vec<Point> = epoch
+            .state
+            .points()
+            .filter(|(id, _)| !delta.is_tombstoned(*id))
+            .chain(delta.adds())
+            .map(|(id, coords)| Point::new(id, coords.to_vec()))
+            .collect();
+        points.sort_by_key(|p| p.id);
+        PointSet::from_points(points)
     }
 
     /// Inserts (or upserts) one `S` object into the resident corpus via the
@@ -355,7 +350,7 @@ impl PreparedJoin {
         let _guard = self.inner.mutate.lock();
         let epoch = self.inner.snapshot();
         let mut delta = (*epoch.delta).clone();
-        if epoch.frozen_ids.contains(&point.id) {
+        if epoch.frozen_ids.binary_search(&point.id).is_ok() {
             // Upsert over a frozen object: mask the frozen copy, serve the
             // new coordinates from the memtable.
             delta.tombstone(point.id);
@@ -373,7 +368,7 @@ impl PreparedJoin {
         let epoch = self.inner.snapshot();
         let mut delta = (*epoch.delta).clone();
         let in_adds = delta.remove_add(id);
-        let newly_tombstoned = epoch.frozen_ids.contains(&id) && delta.tombstone(id);
+        let newly_tombstoned = epoch.frozen_ids.binary_search(&id).is_ok() && delta.tombstone(id);
         if !in_adds && !newly_tombstoned {
             // Nothing changed: don't publish a new epoch for a no-op.
             return false;
@@ -391,57 +386,59 @@ impl PreparedJoin {
         if epoch.delta.is_empty() || epoch.live_len() == 0 {
             return false;
         }
-        let compacted = self.run_compaction(&epoch, (*epoch.delta).clone());
-        self.inner.publish(compacted);
+        let next = Epoch {
+            number: epoch.number + 1,
+            ..(*epoch).clone()
+        };
+        self.inner.publish(self.run_compaction(next));
         true
     }
 
-    /// Publishes `delta` as the next epoch, compacting first when the
-    /// overlay crossed the plan's threshold.  Caller holds the mutate lock.
+    /// Publishes `delta` as the next epoch, compacted when the overlay
+    /// crossed the plan's threshold.  Caller holds the mutate lock.
     fn commit(&self, epoch: &Epoch, delta: DeltaOverlay) {
         #[cfg(any(test, feature = "debug-invariants"))]
         delta.audit(&epoch.frozen_ids);
-        let live = epoch.frozen.len() - delta.tombstones_len() + delta.adds_len();
-        if delta.len() > self.inner.plan.delta_threshold && live > 0 {
-            let compacted = self.run_compaction(epoch, delta);
-            self.inner.publish(compacted);
+        let next = Epoch {
+            number: epoch.number + 1,
+            delta: Arc::new(delta),
+            ..epoch.clone()
+        };
+        if next.delta.len() > self.inner.plan.delta_threshold && next.live_len() > 0 {
+            self.inner.publish(self.run_compaction(next));
         } else {
-            self.inner.publish(Epoch {
-                number: epoch.number + 1,
-                state: Arc::clone(&epoch.state),
-                frozen: Arc::clone(&epoch.frozen),
-                frozen_ids: Arc::clone(&epoch.frozen_ids),
-                delta: Arc::new(delta),
-            });
+            self.inner.publish(next);
         }
     }
 
-    /// Folds `delta` into `epoch`'s frozen structures: partition-local
-    /// rebuilds against the materialized corpus, reported through
-    /// [`JoinMetrics`] (a `compaction` phase with `compactions = 1`) into
-    /// the cumulative metrics.  Caller holds the mutate lock.
-    fn run_compaction(&self, epoch: &Epoch, delta: DeltaOverlay) -> Epoch {
-        #[cfg(any(test, feature = "debug-invariants"))]
-        delta.audit(&epoch.frozen_ids);
+    /// Returns `epoch`, numbered by the caller, with its overlay folded into
+    /// the frozen structures — partition-local rebuilds from the structures'
+    /// own rows, nothing materialised — reported through [`JoinMetrics`] (a
+    /// `compaction` phase with `compactions = 1`) into the cumulative
+    /// metrics.  Caller holds the mutate lock.
+    fn run_compaction(&self, epoch: Epoch) -> Epoch {
         let inner = &*self.inner;
         let start = Instant::now();
-        let materialized = materialize(&epoch.frozen, &delta);
         let mut metrics = JoinMetrics {
-            s_size: materialized.len(),
+            s_size: epoch.live_len(),
             compactions: 1,
             ..Default::default()
         };
-        let state = epoch
-            .state
-            .compact(&materialized, &delta, &inner.plan, &mut metrics);
+        let state = epoch.state.compact(&epoch.delta, &inner.plan, &mut metrics);
+        let frozen_ids: Arc<[PointId]> = epoch.delta.live_ids(&epoch.frozen_ids).into();
         metrics.record_phase(phases::COMPACTION, start.elapsed());
         inner.cumulative.lock().absorb(&metrics);
+        #[cfg(any(test, feature = "debug-invariants"))]
+        assert!(
+            frozen_ids.is_sorted_by(|a, b| a < b) && frozen_ids.len() == state.points().count(),
+            "compaction invariant violated: the id run does not ascend strictly \
+             or does not index the compacted rows one to one"
+        );
         Epoch {
-            number: epoch.number + 1,
             state: Arc::new(state),
-            frozen_ids: Arc::new(materialized.iter().map(|p| p.id).collect()),
-            frozen: Arc::new(materialized),
+            frozen_ids,
             delta: Arc::new(DeltaOverlay::default()),
+            ..epoch
         }
     }
 

@@ -183,6 +183,21 @@ impl RTree {
         self.fanout
     }
 
+    /// The indexed points as `(id, coordinates)`, leaf by leaf from left to
+    /// right: read in place from the leaves, which are the tree's only copy.
+    pub fn points(&self) -> impl Iterator<Item = (PointId, &[f64])> {
+        let mut pending: Vec<&Node> = self.root.iter().collect();
+        let leaves = std::iter::from_fn(move || loop {
+            match pending.pop()? {
+                Node::Leaf { ids, coords, .. } => {
+                    return Some(ids.iter().copied().zip(coords.rows()))
+                }
+                Node::Internal { children, .. } => pending.extend(children.iter().rev()),
+            }
+        });
+        leaves.flatten()
+    }
+
     /// The `k` nearest neighbours of `query`, sorted by ascending distance.
     pub fn knn(&self, query: &Point, k: usize) -> Vec<Neighbor> {
         self.knn_counted(query, k).0
@@ -472,6 +487,30 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
             let q = Point::new(u64::MAX, (0..dims).map(|_| rng.gen::<f64>() * 100.0).collect());
             prop_assert_eq!(tree.knn(&q, k), brute.knn(&q, k));
+        }
+
+        /// The leaves hold exactly what was bulk-loaded: `points()` yields
+        /// every loaded `(id, coordinates)` once, duplicates included.
+        #[test]
+        fn points_yields_the_bulk_loaded_multiset(
+            n in 0usize..200,
+            dims in 1usize..6,
+            fanout in 2usize..17,
+            copies in 1usize..3,
+            seed in 0u64..1000,
+        ) {
+            let once = random_points(n, dims, seed);
+            let loaded: Vec<Point> = (0..copies).flat_map(|_| once.iter().cloned()).collect();
+            let tree = RTree::bulk_load_with_fanout(loaded.clone(), DistanceMetric::Euclidean, fanout);
+            let key = |p: &Point| (p.id, p.coords.iter().map(|c| c.to_bits()).collect::<Vec<_>>());
+            let mut want: Vec<_> = loaded.iter().map(key).collect();
+            let mut got: Vec<_> = tree
+                .points()
+                .map(|(id, coords)| key(&Point::new(id, coords.to_vec())))
+                .collect();
+            want.sort_unstable();
+            got.sort_unstable();
+            prop_assert_eq!(got, want);
         }
 
         /// A masked search is a search of the unmasked points: same ids and

@@ -43,58 +43,99 @@ fn insert_delete_and_upsert_semantics() {
     let r = clustered(40, 2, 1);
     let s = clustered(60, 2, 2);
     let ctx = ExecutionContext::default();
-    let prepared = builder_for(&r, &s, Algorithm::Pgbj, 3)
-        .prepare(&ctx)
-        .expect("prepare");
-    assert_eq!(prepared.epoch(), 0);
-    assert_eq!(prepared.s_len(), 60);
+    for algorithm in Algorithm::ALL {
+        let prepared = builder_for(&r, &s, algorithm, 3)
+            .prepare(&ctx)
+            .expect("prepare");
+        let pending = || {
+            let stats = prepared.delta_stats();
+            (stats.pending_adds, stats.pending_tombstones)
+        };
+        assert_eq!(prepared.epoch(), 0);
+        assert_eq!(prepared.s_len(), 60);
 
-    // Insert a fresh point: live count and epoch move, stats see the add.
-    prepared
-        .insert(Point::new(ADD_ID_BASE, vec![1.0, 2.0]))
-        .expect("insert");
-    assert_eq!(prepared.epoch(), 1);
-    assert_eq!(prepared.s_len(), 61);
-    let stats = prepared.delta_stats();
-    assert_eq!((stats.pending_adds, stats.pending_tombstones), (1, 0));
+        // Insert a fresh point: live count and epoch move, stats see the add.
+        prepared
+            .insert(Point::new(ADD_ID_BASE, vec![1.0, 2.0]))
+            .expect("insert");
+        assert_eq!(prepared.epoch(), 1);
+        assert_eq!(prepared.s_len(), 61);
+        assert_eq!(pending(), (1, 0));
 
-    // Upsert over a frozen id: tombstone + add, live count unchanged.
-    let frozen_id = s.iter().next().expect("s nonempty").id;
-    prepared
-        .insert(Point::new(frozen_id, vec![3.0, 4.0]))
-        .expect("upsert");
-    assert_eq!(prepared.s_len(), 61);
-    let stats = prepared.delta_stats();
-    assert_eq!((stats.pending_adds, stats.pending_tombstones), (2, 1));
+        // Upsert over a frozen id: tombstone + add, live count unchanged.
+        let frozen_id = s.iter().next().expect("s nonempty").id;
+        prepared
+            .insert(Point::new(frozen_id, vec![3.0, 4.0]))
+            .expect("upsert");
+        assert_eq!(prepared.s_len(), 61);
+        assert_eq!(pending(), (2, 1));
 
-    // Delete the added point; delete of a missing id is a published no-op.
-    assert!(prepared.delete(ADD_ID_BASE));
-    assert!(!prepared.delete(ADD_ID_BASE), "second delete is a no-op");
-    let epoch_after = prepared.epoch();
-    assert!(!prepared.delete(ADD_ID_BASE + 77), "unknown id is a no-op");
-    assert_eq!(prepared.epoch(), epoch_after, "no-op must not bump epoch");
-    assert_eq!(prepared.s_len(), 60);
+        // Delete the added point; delete of a missing id is a published no-op.
+        assert!(prepared.delete(ADD_ID_BASE));
+        assert!(!prepared.delete(ADD_ID_BASE), "second delete is a no-op");
+        let epoch_after = prepared.epoch();
+        assert!(!prepared.delete(ADD_ID_BASE + 77), "unknown id is a no-op");
+        assert_eq!(prepared.epoch(), epoch_after, "no-op must not bump epoch");
+        assert_eq!(prepared.s_len(), 60);
 
-    // Deleted ids never come back in results.
-    let deleted_frozen = s.iter().nth(1).expect("s has 2 points").id;
-    assert!(prepared.delete(deleted_frozen));
-    let result = prepared.query(&r).expect("query");
-    assert!(result
-        .rows
-        .iter()
-        .all(|row| row.neighbors.iter().all(|n| n.id != deleted_frozen)));
+        // Deleted ids never come back in results.
+        let deleted_frozen = s.iter().nth(1).expect("s has 2 points").id;
+        assert!(prepared.delete(deleted_frozen));
+        let result = prepared.query(&r).expect("query");
+        assert!(result
+            .rows
+            .iter()
+            .all(|row| row.neighbors.iter().all(|n| n.id != deleted_frozen)));
 
-    // Wrong-dimensionality inserts are rejected.
-    assert!(matches!(
-        prepared.insert(Point::new(ADD_ID_BASE + 1, vec![1.0, 2.0, 3.0])),
-        Err(JoinError::DimensionalityMismatch { .. })
-    ));
+        // Wrong-dimensionality inserts are rejected.
+        assert!(matches!(
+            prepared.insert(Point::new(ADD_ID_BASE + 1, vec![1.0, 2.0, 3.0])),
+            Err(JoinError::DimensionalityMismatch { .. })
+        ));
+
+        // Across a compaction the deleted id leaves the frozen side: deleting
+        // it again is a no-op, and re-inserting it is a plain add.
+        assert!(prepared.compact(), "{algorithm}");
+        let epoch_after = prepared.epoch();
+        assert!(!prepared.delete(deleted_frozen), "{algorithm}: dropped id");
+        assert_eq!(prepared.epoch(), epoch_after, "no-op must not bump epoch");
+        prepared
+            .insert(Point::new(deleted_frozen, vec![5.0, 6.0]))
+            .expect("re-insert");
+        assert_eq!(pending(), (1, 0), "{algorithm}: a plain add, no tombstone");
+        // Upserting a pending add replaces it in place.
+        prepared
+            .insert(Point::new(deleted_frozen, vec![7.0, 8.0]))
+            .expect("upsert of a pending add");
+        assert_eq!(pending(), (1, 0), "{algorithm}");
+        assert_eq!(prepared.s_len(), 60);
+
+        // Every live id deleted: nothing left to compact over, and a query
+        // still answers every row, with no neighbours.
+        for p in prepared.materialized_corpus().iter() {
+            assert!(prepared.delete(p.id), "{algorithm}: {} is live", p.id);
+        }
+        assert_eq!(prepared.s_len(), 0);
+        assert!(!prepared.compact(), "{algorithm}: no live object");
+        let emptied = prepared.query(&r).expect("query over an emptied corpus");
+        assert_eq!(emptied.rows.len(), r.len());
+        assert!(
+            emptied.rows.iter().all(|row| row.neighbors.is_empty()),
+            "{algorithm}"
+        );
+    }
 }
 
 #[test]
 fn forced_compaction_folds_the_overlay_and_preserves_answers() {
     let r = clustered(50, 2, 3);
-    let s = clustered(80, 2, 4);
+    // Ids permuted against arrival order (37 is prime to 80), plus the two
+    // corners that pin H-zkNNJ's z-domain for the fresh build below.
+    let mut points = clustered(80, 2, 4).into_points();
+    for (i, p) in points.iter_mut().enumerate() {
+        p.id = (37 * i as u64) % 80;
+    }
+    let s = with_sentinels(points);
     let ctx = ExecutionContext::default();
     for algorithm in Algorithm::ALL {
         let prepared = builder_for(&r, &s, algorithm, 4)
@@ -106,8 +147,13 @@ fn forced_compaction_folds_the_overlay_and_preserves_answers() {
                 .insert(Point::new(ADD_ID_BASE + i, vec![i as f64 * 10.0, 50.0]))
                 .expect("insert");
         }
-        let victim = s.iter().next().expect("s nonempty").id;
+        let victim = s.points()[0].id;
         assert!(prepared.delete(victim));
+        // An upsert of a frozen id: the frozen copy masked, the new one added.
+        let moved = s.points()[3].id;
+        prepared
+            .insert(Point::new(moved, vec![120.0, 60.0]))
+            .expect("upsert");
         let before = prepared.query(&r).expect("query with overlay");
         assert!(
             before.metrics.delta_probe_computations > 0 || algorithm == Algorithm::Zknn,
@@ -129,6 +175,21 @@ fn forced_compaction_folds_the_overlay_and_preserves_answers() {
         );
         assert_eq!(after.metrics.delta_probe_computations, 0);
         assert_eq!(after.metrics.tombstone_masked, 0);
+
+        // And it is the state a fresh prepare over the live corpus, with the
+        // same calibration `R`, builds: same rows, same work.
+        let live = prepared.materialized_corpus();
+        let fresh = builder_for(&r, &live, algorithm, 4)
+            .prepare(&ctx)
+            .expect("fresh prepare")
+            .query(&r)
+            .expect("fresh query");
+        assert!(
+            after.matches(&fresh, 0.0),
+            "{algorithm} compacted vs fresh: {:?}",
+            after.mismatch_against(&fresh, 0.0)
+        );
+        assert_eq!(all_counters(&after), all_counters(&fresh), "{algorithm}");
     }
 }
 
@@ -333,14 +394,9 @@ fn assert_matches_cold(
     }
 }
 
-/// Builds `S` with two far-corner sentinels so mutation never moves the
-/// bounding box cold calibration sees.
-fn corpus_with_sentinels(coords: Vec<Vec<f64>>) -> PointSet {
-    let mut points: Vec<Point> = coords
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| Point::new(i as u64, c))
-        .collect();
+/// Builds `S` from `points` and two far-corner sentinels so mutation never
+/// moves the bounding box cold calibration sees.
+fn with_sentinels(mut points: Vec<Point>) -> PointSet {
     points.push(Point::new(SENTINEL_ID_BASE, vec![-250.0, -250.0]));
     points.push(Point::new(SENTINEL_ID_BASE + 1, vec![250.0, 250.0]));
     PointSet::from_points(points)
@@ -384,7 +440,10 @@ proptest! {
         checkpoint in 1usize..6,
     ) {
         let ops = decode_ops(&op_kinds, &op_picks, &op_coords);
-        let s = corpus_with_sentinels(s_flat.chunks_exact(2).map(|c| c.to_vec()).collect());
+        let s = with_sentinels(
+            PointSet::from_coords(s_flat.chunks_exact(2).map(|c| c.to_vec()).collect())
+                .into_points(),
+        );
         let r = clustered(30, 2, 7);
         let ctx = ExecutionContext::default();
         for metric in [DistanceMetric::Euclidean, DistanceMetric::Manhattan] {

@@ -928,10 +928,9 @@ mod tests {
                 }
                 let mut out = vec![f64::NAN; 70];
                 squared_euclidean_batch_exact(&q, &block, dim, &mut out);
-                DistanceMetric::Euclidean.ranks_to_distances(&mut out);
-                for (d, row) in out.iter().zip(block.chunks_exact(dim)) {
+                for (rank, row) in out.iter().zip(block.chunks_exact(dim)) {
                     prop_assert_eq!(
-                        d.to_bits(),
+                        DistanceMetric::Euclidean.rank_to_distance(*rank).to_bits(),
                         DistanceMetric::Euclidean.distance_coords(&q, row).to_bits()
                     );
                 }

@@ -67,7 +67,7 @@ impl DistanceMetric {
     /// bit-identical to [`DistanceMetric::rank_kernel`] on the same row, on
     /// any CPU (the [`crate::kernels::KernelMode::Exact`] tile kernel: one
     /// row per SIMD lane, no FMA, no reassociation).  Followed by
-    /// [`DistanceMetric::ranks_to_distances`] it yields
+    /// [`DistanceMetric::rank_to_distance`] it yields
     /// [`DistanceMetric::distance_coords`]' bits.
     pub fn exact_batch_rank_kernel(&self) -> BatchKernel {
         match self {
@@ -80,7 +80,7 @@ impl DistanceMetric {
     /// The reassociated one-query-vs-many-rows rank kernel (the
     /// [`crate::kernels::KernelMode::Fast`] tile kernel, see [`BatchKernel`]):
     /// agrees with [`DistanceMetric::rank_kernel`] to ~1e-9 relative.
-    /// Convert the ranks back with [`DistanceMetric::ranks_to_distances`].
+    /// Convert the ranks back with [`DistanceMetric::rank_to_distance`].
     pub fn batch_rank_kernel(&self) -> BatchKernel {
         match self {
             DistanceMetric::Euclidean => kernels::squared_euclidean_batch,
@@ -97,9 +97,11 @@ impl DistanceMetric {
     /// The round trip only runs *rank → distance*: the reverse mapping
     /// (squaring a distance to obtain a rank) is **not** the bit-exact
     /// inverse — `sqrt` rounds, so `rank_to_distance(d * d)` may differ from
-    /// `d` in the last ulp, and thresholds must therefore never be squared
-    /// into rank space for exact comparisons (see ARCHITECTURE.md).  What
-    /// every rank-space consumer may rely on is *order preservation*:
+    /// `d` in the last ulp, and a threshold squared into rank space must be
+    /// widened before a rank is compared against it
+    /// ([`crate::NeighborList::offer_ranks`] has the one such bound and its
+    /// proof).  What every rank-space consumer may rely on is *order
+    /// preservation*:
     /// `rank_to_distance` is monotone non-decreasing, so an argmin/top-k over
     /// ranks is an argmin/top-k over distances (pinned by the
     /// `rank_ordering_matches_distance_ordering` proptest).
@@ -116,17 +118,6 @@ impl DistanceMetric {
         match self {
             DistanceMetric::Euclidean => rank.sqrt(),
             DistanceMetric::Manhattan | DistanceMetric::Chebyshev => rank,
-        }
-    }
-
-    /// In-place [`DistanceMetric::rank_to_distance`] over a rank tile: the
-    /// vectorizable `sqrt` sweep for L2, a no-op for L1/L∞.
-    pub fn ranks_to_distances(&self, ranks: &mut [f64]) {
-        if matches!(self, DistanceMetric::Euclidean) {
-            for r in ranks.iter_mut() {
-                debug_assert!(*r >= 0.0 || r.is_nan(), "negative rank {r}");
-                *r = r.sqrt();
-            }
         }
     }
 
@@ -232,12 +223,6 @@ mod tests {
             if r1 == r2 {
                 prop_assert_eq!(d1.to_bits(), d2.to_bits());
             }
-            // The in-place tile conversion is the same function applied
-            // element-wise.
-            let mut tile = [r1, r2];
-            m.ranks_to_distances(&mut tile);
-            prop_assert_eq!(tile[0].to_bits(), d1.to_bits());
-            prop_assert_eq!(tile[1].to_bits(), d2.to_bits());
         }
 
         /// Distance axioms: non-negativity, identity, symmetry, triangle

@@ -5,6 +5,7 @@
 //! worst of them" while scanning candidate objects.  [`NeighborList`] keeps
 //! those `k` candidates in ascending order, providing exactly that.
 
+use crate::metric::DistanceMetric;
 use crate::point::PointId;
 use std::cmp::Ordering;
 
@@ -48,10 +49,9 @@ impl PartialOrd for Neighbor {
 /// by (distance, id).
 ///
 /// A candidate scan rejects almost every offer, which costs one comparison
-/// against the last entry; an admitted one is placed by binary search and
-/// shifts the entries behind it — O(k) moves of a two-word `Copy` value,
-/// cheaper than a heap's sift plus the final sort at the `k` a kNN join
-/// runs with.
+/// against the last entry; an admitted one is pushed and shifted down past
+/// the larger entries — O(k) moves of a two-word `Copy` value, cheaper than
+/// a heap's sift plus the final sort at the `k` a kNN join runs with.
 #[derive(Debug, Clone)]
 pub struct NeighborList {
     k: usize,
@@ -119,33 +119,77 @@ impl NeighborList {
             }
         }
         let candidate = Neighbor::new(id, distance);
-        let at = self.sorted.partition_point(|held| *held < candidate);
-        self.sorted.insert(at, candidate);
+        self.sorted.push(candidate);
+        let mut at = self.sorted.len() - 1;
+        while at > 0 && candidate < self.sorted[at - 1] {
+            self.sorted[at] = self.sorted[at - 1];
+            at -= 1;
+        }
+        self.sorted[at] = candidate;
         true
     }
 
-    /// Offers the evaluated rows `ids[i]` at `distances[i]`, in order, except
-    /// those whose id is in `masked` (ascending: deleted objects a frozen
-    /// structure still holds), and returns how many were masked.  With
-    /// nothing masked the loop is [`Self::offer`] alone.
+    /// Offers the evaluated rows `ids[i]` at rank `ranks[i]` (`metric`'s rank
+    /// kernels' output), in order, except those whose id is in `masked`
+    /// (ascending: deleted objects a frozen structure still holds), and
+    /// returns how many were masked — the one admission rule of every
+    /// candidate scan.
+    ///
+    /// Once the list is full, a row with `rank ≥ bound` is skipped
+    /// unconverted; every other row goes through
+    /// [`DistanceMetric::rank_to_distance`] to [`Self::offer`].  The bound is
+    /// θ for L1/L∞ (rank = distance) and `max(θ·θ·(1 + 4ε),
+    /// f64::MIN_POSITIVE)` for L2, which only skips rows `offer` rejects:
+    ///
+    /// * in the reals the bound exceeds θ².  For a normal `fl(θ²)` each of
+    ///   the two roundings loses at most a factor `1 − 2⁻⁵³`, and `(1 −
+    ///   2⁻⁵³)²·(1 + 2⁻⁵⁰) > 1` (overflow gives `+∞`); for a subnormal or
+    ///   zero `fl(θ²)`, θ² is below the floor;
+    /// * so `rank ≥ bound` gives `√rank > θ`, hence `fl(√rank) ≥ θ`: θ is a
+    ///   float and correctly rounded `sqrt` is monotone;
+    /// * `offer` admits only distances strictly below θ.
+    ///
+    /// So θ after every row, every admission and the list's bits are those
+    /// of offering every converted row.  While the list is not full the
+    /// bound is `NaN`, which no rank reaches: even a `+∞` rank is offered.
     #[inline]
-    pub fn offer_rows(&mut self, ids: &[PointId], distances: &[f64], masked: &[PointId]) -> u64 {
-        let rows = ids.iter().zip(distances);
-        if masked.is_empty() {
-            rows.for_each(|(&id, &distance)| {
-                self.offer(id, distance);
-            });
-            return 0;
-        }
-        let mut skipped = 0;
-        for (id, &distance) in rows {
-            if masked.binary_search(id).is_ok() {
-                skipped += 1;
-            } else {
-                self.offer(*id, distance);
+    pub fn offer_ranks(
+        &mut self,
+        ids: &[PointId],
+        ranks: &[f64],
+        masked: &[PointId],
+        metric: DistanceMetric,
+    ) -> u64 {
+        let mut bound = self.rank_bound(metric);
+        let mut masked_met = 0;
+        for (&id, &rank) in ids.iter().zip(ranks) {
+            if !masked.is_empty() && masked.binary_search(&id).is_ok() {
+                masked_met += 1;
+                continue;
+            }
+            if rank >= bound {
+                continue;
+            }
+            if self.offer(id, metric.rank_to_distance(rank)) {
+                bound = self.rank_bound(metric);
             }
         }
-        skipped
+        masked_met
+    }
+
+    /// [`Self::offer_ranks`]' skip bound for the current θ.
+    #[inline]
+    fn rank_bound(&self, metric: DistanceMetric) -> f64 {
+        if !self.is_full() {
+            return f64::NAN;
+        }
+        let theta = self.threshold();
+        match metric {
+            DistanceMetric::Euclidean => {
+                (theta * theta * (1.0 + 4.0 * f64::EPSILON)).max(f64::MIN_POSITIVE)
+            }
+            DistanceMetric::Manhattan | DistanceMetric::Chebyshev => theta,
+        }
     }
 
     /// Consumes the list and returns the neighbours sorted by ascending
@@ -238,18 +282,54 @@ mod tests {
         assert_eq!(l.into_sorted()[0].id, 3);
     }
 
+    /// The admission rule [`NeighborList::offer_ranks`] replaced, kept as
+    /// its reference: every rank converted first, then every unmasked row
+    /// offered.
+    fn offer_rows(
+        list: &mut NeighborList,
+        ids: &[PointId],
+        ranks: &[f64],
+        masked: &[PointId],
+        metric: DistanceMetric,
+    ) -> u64 {
+        let distances: Vec<f64> = ranks.iter().map(|&r| rank_to_distance(r, metric)).collect();
+        let mut skipped = 0;
+        for (id, &distance) in ids.iter().zip(&distances) {
+            if masked.binary_search(id).is_ok() {
+                skipped += 1;
+            } else {
+                list.offer(*id, distance);
+            }
+        }
+        skipped
+    }
+
+    /// The reference's conversion, the `sqrt` sweep over a whole tile.
+    fn rank_to_distance(rank: f64, metric: DistanceMetric) -> f64 {
+        match metric {
+            DistanceMetric::Euclidean => rank.sqrt(),
+            DistanceMetric::Manhattan | DistanceMetric::Chebyshev => rank,
+        }
+    }
+
     #[test]
-    fn offer_rows_offers_all_but_the_masked_ids() {
+    fn offer_ranks_offers_all_but_the_masked_ids() {
         let (ids, distances) = ([4, 9, 2, 7], [1.0, 0.5, 3.0, 2.0]);
-        let mut all = NeighborList::new(3);
-        assert_eq!(all.offer_rows(&ids, &distances, &[]), 0);
-        let got: Vec<_> = all.iter().map(|n| n.id).collect();
-        assert_eq!(got, vec![9, 4, 7]);
-        // Masked rows are counted, whether or not they would have entered.
-        let mut live = NeighborList::new(3);
-        assert_eq!(live.offer_rows(&ids, &distances, &[2, 9, 11]), 2);
-        let got: Vec<_> = live.iter().map(|n| n.id).collect();
-        assert_eq!(got, vec![4, 7]);
+        let squared = distances.map(|d| d * d);
+        for (metric, ranks) in [
+            (DistanceMetric::Manhattan, distances),
+            (DistanceMetric::Euclidean, squared),
+        ] {
+            let mut all = NeighborList::new(3);
+            assert_eq!(all.offer_ranks(&ids, &ranks, &[], metric), 0);
+            let got: Vec<_> = all.iter().map(|n| (n.id, n.distance)).collect();
+            assert_eq!(got, vec![(9, 0.5), (4, 1.0), (7, 2.0)]);
+            // Masked rows are counted, whether or not they would have entered.
+            let mut live = NeighborList::new(3);
+            assert_eq!(live.offer_ranks(&ids, &ranks, &[2, 9, 11], metric), 2);
+            let got: Vec<_> = live.iter().map(|n| n.id).collect();
+            assert_eq!(got, vec![4, 7]);
+        }
     }
 
     #[test]
@@ -302,6 +382,62 @@ mod tests {
             expect.sort();
             expect.truncate(k);
             prop_assert_eq!(list.into_sorted(), expect);
+        }
+
+        /// `offer_ranks` is the rule it replaced, tile for tile: after every
+        /// tile the list holds the same bits, and the tile masked as many
+        /// rows, as converting every rank and offering every unmasked row.
+        /// Ranks sit within 8 ulps of a few held distances' own ranks — on
+        /// both sides of the skip bound, which sits 4-8 ulps above θ² —
+        /// with zeros and `+∞`s mixed in, under every metric, at ordinary
+        /// scales and at one where θ² is subnormal.
+        #[test]
+        fn offer_ranks_replays_the_convert_every_rank_rule(
+            draws in proptest::collection::vec(0u64..1 << 16, 1..160),
+            tile in 1usize..12,
+            k in 1usize..10,
+            which_metric in 0usize..3,
+            tiny in proptest::bool::ANY,
+            masked in proptest::collection::vec(0u64..24, 0..6),
+        ) {
+            let metric = [
+                DistanceMetric::Euclidean,
+                DistanceMetric::Manhattan,
+                DistanceMetric::Chebyshev,
+            ][which_metric];
+            let scale = if tiny { 1e-160 } else { 1.0 };
+            let mut masked = masked;
+            masked.sort_unstable();
+            masked.dedup();
+            let nudged = |x: f64, ulps: i64| f64::from_bits((x.to_bits() as i64 + ulps).max(0) as u64);
+            let (ids, ranks): (Vec<PointId>, Vec<f64>) = draws
+                .iter()
+                .map(|&draw| {
+                    let distance = [0.75, 1.5, 3.0, 1.1e-3][(draw >> 5) as usize % 4] * scale;
+                    let held = match metric {
+                        DistanceMetric::Euclidean => distance * distance,
+                        _ => distance,
+                    };
+                    let rank = match (draw >> 7) % 19 {
+                        0 => 0.0,
+                        1 => f64::INFINITY,
+                        ulps => nudged(held, ulps as i64 - 10),
+                    };
+                    (draw % 24, rank)
+                })
+                .unzip();
+            let mut list = NeighborList::new(k);
+            let mut reference = NeighborList::new(k);
+            for (ids, ranks) in ids.chunks(tile).zip(ranks.chunks(tile)) {
+                prop_assert_eq!(
+                    list.offer_ranks(ids, ranks, &masked, metric),
+                    offer_rows(&mut reference, ids, ranks, &masked, metric)
+                );
+                let bits = |l: &NeighborList| -> Vec<(PointId, u64)> {
+                    l.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+                };
+                prop_assert_eq!(bits(&list), bits(&reference));
+            }
         }
     }
 }

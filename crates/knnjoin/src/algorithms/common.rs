@@ -115,15 +115,15 @@ pub struct ScanCounts {
 /// same rows in the same order whatever the mode.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScanKernels {
-    /// The metric both kernels compute; converts `tile` ranks back to
-    /// distances.
+    /// The metric both kernels compute; `tile` ranks are offered with it
+    /// ([`NeighborList::offer_ranks`]).
     pub metric: DistanceMetric,
     /// The scalar true-distance kernel, for isolated evaluations (an object
     /// against a pivot, a per-candidate recheck).
     pub pair: Kernel,
     /// Rank kernel for contiguous row runs: the lane-per-row kernel whose
-    /// outputs are bit-identical to `pair`'s in `Exact` mode, the FMA batch
-    /// kernel in `Fast`.
+    /// outputs are bit-identical to the scalar rank kernel's in `Exact`
+    /// mode, the FMA batch kernel in `Fast`.
     pub tile: BatchKernel,
 }
 
@@ -137,14 +137,6 @@ impl ScanKernels {
                 KernelMode::Fast => metric.batch_rank_kernel(),
             },
         }
-    }
-
-    /// True distances from `query` to `out.len()` contiguous `rows`, in row
-    /// order: one `tile` call plus the monotone rank→distance sweep.
-    #[inline]
-    pub(crate) fn distances(&self, query: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
-        (self.tile)(query, rows, dim, out);
-        self.metric.ranks_to_distances(out);
     }
 }
 
@@ -179,24 +171,25 @@ pub(crate) fn for_each_tile(n: usize, mut each: impl FnMut(usize, usize)) {
 
 /// The delta rule of the exact families, which all scan in this order: the
 /// overlay's adds are offered *first* — ranked `PROBE_TILE` rows at a time by
-/// `rank_rows(rows, out)`, the scan's own tile kernel, so they tighten the
+/// `tile`, the scan's own tile kernel for `metric`, so they tighten the
 /// running threshold before any frozen row is looked at — then the frozen
 /// structure is searched, every evaluated row billed and a tombstoned one
-/// masked on offer ([`NeighborList::offer_rows`] with
+/// masked on offer ([`NeighborList::offer_ranks`] with
 /// [`DeltaOverlay::tombstones`]).  Returns the scan's counts so far: the adds
 /// evaluated, which is all of them.
 pub(crate) fn offer_adds(
     delta: &DeltaOverlay,
-    dim: usize,
+    query: &[f64],
+    tile: BatchKernel,
+    metric: DistanceMetric,
     scratch: &mut TileScratch,
     neighbors: &mut NeighborList,
-    rank_rows: impl Fn(&[f64], &mut [f64]),
 ) -> ScanCounts {
-    let (ids, rows) = (delta.add_ids(), delta.add_rows());
+    let (ids, rows, dim) = (delta.add_ids(), delta.add_rows(), query.len());
     for_each_tile(ids.len(), |t0, t1| {
         let ranks = &mut scratch.ranks[..t1 - t0];
-        rank_rows(&rows[t0 * dim..t1 * dim], ranks);
-        neighbors.offer_rows(&ids[t0..t1], ranks, &[]);
+        tile(query, &rows[t0 * dim..t1 * dim], dim, ranks);
+        neighbors.offer_ranks(&ids[t0..t1], ranks, &[], metric);
     });
     ScanCounts {
         delta: ids.len() as u64,

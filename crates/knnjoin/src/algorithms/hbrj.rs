@@ -175,13 +175,8 @@ impl HbrjPrepared {
             metrics,
             TileScratch::new,
             |scratch, _, query| {
-                let dim = query.len();
                 let mut list = NeighborList::new(plan.k);
-                let distances = |rows: &[f64], out: &mut [f64]| {
-                    tile(query, rows, dim, out);
-                    metric.ranks_to_distances(out);
-                };
-                let mut counts = offer_adds(delta, dim, scratch, &mut list, distances);
+                let mut counts = offer_adds(delta, query, tile, metric, scratch, &mut list);
                 // The k-th distance found so far prunes every later tree,
                 // which the cold path's independent per-cell searches cannot
                 // do.

@@ -96,7 +96,7 @@ impl PbjCellReducer {
     fn local_theta(&self, r_partition: usize, s_parts: &CellMap) -> f64 {
         let u_r = self.tables.r_summaries[r_partition].upper;
         let mut ubs: Vec<f64> = Vec::new();
-        for (&j, cell) in s_parts {
+        for (j, cell) in s_parts.iter() {
             let pivot_dist = self.tables.pivot_distance(r_partition, j);
             let nearest = &cell.pivot_dists()[..self.k.min(cell.len())];
             ubs.extend(nearest.iter().map(|d| upper_bound(u_r, pivot_dist, *d)));
@@ -269,7 +269,7 @@ mod tests {
         let pivots = select_pivots(&r, 7, PivotSelectionStrategy::default(), 1000, EUCLIDEAN, 3);
         let partitioner = VoronoiPartitioner::new(pivots.clone(), EUCLIDEAN);
         let (partitioned_r, partitioned_s) = (partitioner.partition(&r), partitioner.partition(&s));
-        let s_parts: CellMap = partitioned_s
+        let cells = partitioned_s
             .partitions
             .iter()
             .enumerate()
@@ -282,10 +282,13 @@ mod tests {
                     j,
                     CellSlice::whole(FlatPartition::sorted(2, rows.collect())),
                 )
-            })
-            .collect();
-        let smallest = s_parts.values().map(|cell| cell.len()).min().unwrap();
-        assert!(smallest > 1 && s_parts.len() > 2, "fixture lost its shape");
+            });
+        let s_parts = CellMap::of(pivots.len(), cells);
+        let smallest = s_parts.iter().map(|(_, cell)| cell.len()).min().unwrap();
+        assert!(
+            smallest > 1 && s_parts.iter().count() > 2,
+            "fixture lost its shape"
+        );
         for k in [
             1,
             smallest - 1,
@@ -309,7 +312,7 @@ mod tests {
             };
             for i in 0..pivots.len() {
                 let mut ubs: Vec<f64> = Vec::new();
-                for (&j, cell) in &s_parts {
+                for (j, cell) in s_parts.iter() {
                     for d in cell.pivot_dists() {
                         let pivot_dist = tables.pivot_distance(i, j);
                         ubs.push(upper_bound(tables.r_summaries[i].upper, pivot_dist, *d));

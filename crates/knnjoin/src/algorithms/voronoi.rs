@@ -24,7 +24,6 @@ use crate::summary::{r_summaries, SPartitionSummary, SummaryTables};
 use geom::{CoordMatrix, Neighbor, NeighborList, Point, PointId, PointSet, Record, RecordKind};
 use mapreduce::{ByteSize, Combiner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
@@ -160,9 +159,46 @@ impl CellSlice {
     }
 }
 
-/// The `S` cells a scan runs against, by partition; only non-empty ones: the
-/// suffixes a cold reducer was sent, or a prepared state's whole cells.
-pub type CellMap = BTreeMap<usize, CellSlice>;
+/// The cells a scan runs against — the suffixes a cold reducer was sent, or
+/// a prepared state's whole cells — in a table with one slot per partition,
+/// empty where no cell is present.  Present cells iterate in ascending
+/// partition order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellMap {
+    slots: Vec<Option<CellSlice>>,
+}
+
+impl CellMap {
+    /// A table for `t` partitions, every slot empty.
+    pub(crate) fn new(t: usize) -> Self {
+        Self {
+            slots: vec![None; t],
+        }
+    }
+
+    /// The cell of partition `j`, if present.
+    #[inline]
+    pub(crate) fn get(&self, j: usize) -> Option<&CellSlice> {
+        self.slots[j].as_ref()
+    }
+
+    /// Puts `cell` (or nothing) in partition `j`'s slot, returning what was
+    /// there.
+    pub(crate) fn set(&mut self, j: usize, cell: Option<CellSlice>) -> Option<CellSlice> {
+        std::mem::replace(&mut self.slots[j], cell)
+    }
+
+    /// The present cells with their partitions, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &CellSlice)> {
+        let slots = self.slots.iter().enumerate();
+        slots.filter_map(|(j, slot)| Some((j, slot.as_ref()?)))
+    }
+
+    /// The partitions with a cell, ascending.
+    pub(crate) fn partitions(&self) -> impl Iterator<Item = usize> + '_ {
+        self.iter().map(|(j, _)| j)
+    }
+}
 
 /// Sorts the `S` cell ids `cells` by ascending pivot distance from one `R`
 /// partition's pivot, given that pivot's row of the pivot-distance matrix
@@ -198,8 +234,8 @@ const SCAN_TILE: usize = 32;
 ///    cell's ascending pivot distances make it a row range, a third finds
 ///    its *centre*, the first row with `|p_j, s| ≥ |p_j, r|`;
 /// 3. the range is walked from the centre up to `hi`, then from the centre
-///    down to `lo`, in tiles of `SCAN_TILE` rows through
-///    `ScanKernels::distances`;
+///    down to `lo`, in tiles of `SCAN_TILE` rows ranked by the tile kernel
+///    and offered with [`NeighborList::offer_ranks`];
 /// 4. before every tile θ is re-read and the tile is cut at the first row
 ///    with `||p_j, s| − |p_j, r|| > θ`, which ends that direction: by the
 ///    triangle inequality every later row is farther still.  Walked from
@@ -211,10 +247,10 @@ const SCAN_TILE: usize = 32;
 /// same rows in the same order unless a `Fast` distance, off by its
 /// accumulation-order round-off (≤ 1e-9 relative), lands on the other side
 /// of θ.  `Exact`'s tile kernel returns the scalar kernel's bits, so its
-/// answers equal a brute-force scan's bit for bit.  All comparisons stay in
-/// true-distance space: θ and the window come from triangle-inequality
-/// bounds over true distances, and squared ranks could flip one at the last
-/// ulp (see ARCHITECTURE.md).
+/// answers equal a brute-force scan's bit for bit.  θ, the cut, Corollary 1
+/// and the window compare true distances; the one rank-space comparison is
+/// `offer_ranks`' skip, whose bound is widened so that it only skips rows
+/// `offer` would reject.
 ///
 /// The scan's delta overlay (the cold reducers' is empty) is merged by the
 /// rule of `common::offer_adds`: its added points are offered into the
@@ -265,16 +301,16 @@ impl<'a> VoronoiScan<'a> {
         theta_i: f64,
     ) -> (Vec<Neighbor>, ScanCounts) {
         let tables = self.tables;
-        let dim = r_coords.len();
+        let pivots: &CoordMatrix = &tables.pivots;
         let mut neighbors = NeighborList::new(self.k);
-        let kernels = self.kernels;
-        let distances = |rows: &[f64], out: &mut [f64]| kernels.distances(r_coords, rows, dim, out);
+        let (tile, metric) = (self.kernels.tile, self.kernels.metric);
         let mut counts = offer_adds(
             self.delta,
-            dim,
+            r_coords,
+            tile,
+            metric,
             &mut self.scratch,
             &mut neighbors,
-            distances,
         );
         for &j in s_order {
             let theta = theta_i.min(neighbors.threshold());
@@ -286,13 +322,13 @@ impl<'a> VoronoiScan<'a> {
             }
             // Distance from r to the pivot of partition j; pivots count as
             // objects in the paper's selectivity metric.
-            let d_r_pj = (self.kernels.pair)(r_coords, &tables.pivots[j].coords);
+            let d_r_pj = (self.kernels.pair)(r_coords, pivots.row(j));
             counts.frozen += 1;
             // Corollary 1: skip the whole partition if the hyperplane between
             // p_i and p_j is already farther away than θ.
             if j != r_partition
                 && theta.is_finite()
-                && hyperplane_bound(r_pivot_dist, d_r_pj, pivot_dist, self.kernels.metric) > theta
+                && hyperplane_bound(r_pivot_dist, d_r_pj, pivot_dist, metric) > theta
             {
                 continue;
             }
@@ -303,7 +339,7 @@ impl<'a> VoronoiScan<'a> {
             if lo > hi {
                 continue;
             }
-            let Some(cell) = s_parts.get(&j) else {
+            let Some(cell) = s_parts.get(j) else {
                 continue;
             };
             // The rows Theorem 6 kept from this reducer lie below the window:
@@ -329,7 +365,7 @@ impl<'a> VoronoiScan<'a> {
                 if stop == next {
                     break;
                 }
-                self.offer_rows(r_coords, cell, next..stop, &mut neighbors, &mut counts);
+                self.offer_tile(r_coords, cell, next..stop, &mut neighbors, &mut counts);
                 next = stop;
             }
             // Down from the centre, until |p_j, r| − |p_j, s| > θ.
@@ -341,17 +377,17 @@ impl<'a> VoronoiScan<'a> {
                 if start == done {
                     break;
                 }
-                self.offer_rows(r_coords, cell, start..done, &mut neighbors, &mut counts);
+                self.offer_tile(r_coords, cell, start..done, &mut neighbors, &mut counts);
                 done = start;
             }
         }
         (neighbors.into_sorted(), counts)
     }
 
-    /// Evaluates the contiguous `rows` of `slice` (counted from its first
-    /// row) and offers all but the tombstoned ones.
+    /// Ranks the contiguous `rows` of `slice` (counted from its first row)
+    /// and offers all but the tombstoned ones.
     #[inline(always)]
-    fn offer_rows(
+    fn offer_tile(
         &mut self,
         r_coords: &[f64],
         slice: &CellSlice,
@@ -362,11 +398,12 @@ impl<'a> VoronoiScan<'a> {
         let cell = &*slice.cell;
         let rows = slice.first_row + rows.start..slice.first_row + rows.end;
         let dim = r_coords.len();
-        let dists = &mut self.scratch.ranks[..rows.len()];
+        let ranks = &mut self.scratch.ranks[..rows.len()];
         let coords = &cell.coords.as_slice()[rows.start * dim..rows.end * dim];
-        self.kernels.distances(r_coords, coords, dim, dists);
-        counts.frozen += dists.len() as u64;
-        counts.masked += neighbors.offer_rows(&cell.ids[rows], dists, self.delta.tombstones());
+        (self.kernels.tile)(r_coords, coords, dim, ranks);
+        counts.frozen += ranks.len() as u64;
+        let (ids, masked) = (&cell.ids[rows], self.delta.tombstones());
+        counts.masked += neighbors.offer_ranks(ids, ranks, masked, self.kernels.metric);
     }
 
     /// The body of a cold Algorithm 3 reducer (lines 12–25), PGBJ's and
@@ -381,22 +418,24 @@ impl<'a> VoronoiScan<'a> {
         theta_of: impl Fn(usize, &CellMap) -> f64,
         mut emit: impl FnMut(PointId, Vec<Neighbor>),
     ) -> u64 {
-        let mut r_cells: BTreeMap<usize, &CellSlice> = BTreeMap::new();
-        let mut s_parts = CellMap::new();
+        let t = self.tables.partition_count();
+        let (mut r_cells, mut s_parts) = (CellMap::new(t), CellMap::new(t));
         for value in values {
             let partition = value.partition as usize;
-            let replaced = match value.kind {
-                RecordKind::R => r_cells.insert(partition, &value.rows).is_some(),
-                RecordKind::S => s_parts.insert(partition, value.rows.clone()).is_some(),
+            let cells = match value.kind {
+                RecordKind::R => &mut r_cells,
+                RecordKind::S => &mut s_parts,
             };
-            debug_assert!(!replaced, "a reducer received cell {partition} twice");
+            let replaced = cells.set(partition, Some(value.rows.clone()));
+            debug_assert!(
+                replaced.is_none(),
+                "a reducer received cell {partition} twice"
+            );
         }
         let mut computations = 0;
-        for (i, r_cell) in r_cells {
-            let s_order = order_by_pivot_distance(
-                s_parts.keys().copied(),
-                self.tables.pivot_distances.row(i),
-            );
+        for (i, r_cell) in r_cells.iter() {
+            let s_order =
+                order_by_pivot_distance(s_parts.partitions(), self.tables.pivot_distances.row(i));
             let theta_i = theta_of(i, &s_parts);
             for (pivot_dist, id, coords) in r_cell.rows() {
                 let (neighbors, counts) =
@@ -692,17 +731,14 @@ impl VoronoiPrepared {
             let (cell, dist) = assign(&partitioner, &p.coords, metrics);
             cells[cell].push((dist, p.id, &p.coords));
         }
-        let mut s_parts = CellMap::new();
+        let mut s_parts = CellMap::new(cells.len());
         let mut s_summaries = Vec::with_capacity(cells.len());
         for (j, rows) in cells.into_iter().enumerate() {
             let cell = CellSlice::whole(FlatPartition::sorted(s.dims(), rows));
             s_summaries.push(SPartitionSummary::of_sorted(j, cell.pivot_dists(), plan.k));
-            if !cell.is_empty() {
-                s_parts.insert(j, cell);
-            }
+            s_parts.set(j, (!cell.is_empty()).then_some(cell));
         }
-        let non_empty: Vec<usize> = s_parts.keys().copied().collect();
-        let s_orders = Arc::new(compute_s_orders(&non_empty, partitioner.pivot_distances()));
+        let s_orders = Arc::new(compute_s_orders(&s_parts, partitioner.pivot_distances()));
         metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
         Self {
             partitioner,
@@ -730,50 +766,44 @@ impl VoronoiPrepared {
         metrics: &mut JoinMetrics,
     ) -> Self {
         let dims = self.partitioner.pivot_matrix().dims();
-        let mut affected: BTreeSet<usize> = BTreeSet::new();
+        let mut affected = vec![false; self.partitioner.partition_count()];
         if delta.tombstones_len() > 0 {
-            for (&j, part) in self.s_parts.iter() {
-                if part.cell.ids.iter().any(|id| delta.is_tombstoned(*id)) {
-                    affected.insert(j);
-                }
+            for (j, part) in self.s_parts.iter() {
+                affected[j] = part.cell.ids.iter().any(|id| delta.is_tombstoned(*id));
             }
         }
-        let mut add_cells: BTreeMap<usize, Vec<Row<'_>>> = BTreeMap::new();
+        let mut add_cells: Vec<Vec<Row<'_>>> = vec![Vec::new(); affected.len()];
         for (id, coords) in delta.adds() {
             let (cell, dist) = assign(&self.partitioner, coords, metrics);
-            affected.insert(cell);
-            add_cells.entry(cell).or_default().push((dist, id, coords));
+            affected[cell] = true;
+            add_cells[cell].push((dist, id, coords));
         }
 
         let mut s_parts = self.s_parts.clone();
         let mut s_summaries = (*self.s_summaries).clone();
-        for &j in &affected {
+        for (j, mut adds) in add_cells.into_iter().enumerate() {
+            if !affected[j] {
+                continue;
+            }
             let survivors = self
                 .s_parts
-                .get(&j)
+                .get(j)
                 .into_iter()
                 .flat_map(|old| old.rows())
                 .filter(|row| !delta.is_tombstoned(row.1));
-            let mut adds = add_cells.remove(&j).unwrap_or_default();
             adds.sort_unstable_by(row_order);
             let rows: Vec<Row<'_>> = merge_rows(survivors, adds.into_iter()).collect();
             let cell = CellSlice::whole(FlatPartition::from_sorted(dims, &rows));
             metrics.compacted_points += cell.len() as u64;
             s_summaries[j] = SPartitionSummary::of_sorted(j, cell.pivot_dists(), plan.k);
-            if cell.is_empty() {
-                s_parts.remove(&j);
-            } else {
-                s_parts.insert(j, cell);
-            }
+            s_parts.set(j, (!cell.is_empty()).then_some(cell));
         }
 
-        let old_non_empty: Vec<usize> = self.s_parts.keys().copied().collect();
-        let new_non_empty: Vec<usize> = s_parts.keys().copied().collect();
-        let s_orders = if new_non_empty == old_non_empty {
+        let s_orders = if s_parts.partitions().eq(self.s_parts.partitions()) {
             Arc::clone(&self.s_orders)
         } else {
             let pivot_distances = self.partitioner.pivot_distances();
-            Arc::new(compute_s_orders(&new_non_empty, pivot_distances))
+            Arc::new(compute_s_orders(&s_parts, pivot_distances))
         };
         Self {
             partitioner: Arc::clone(&self.partitioner),
@@ -785,7 +815,7 @@ impl VoronoiPrepared {
 
     /// The resident `S` rows, cell by cell.
     pub(crate) fn points(&self) -> impl Iterator<Item = (PointId, &[f64])> {
-        let rows = self.s_parts.values().flat_map(CellSlice::rows);
+        let rows = self.s_parts.iter().flat_map(|(_, cell)| cell.rows());
         rows.map(|(_, id, coords)| (id, coords))
     }
 
@@ -796,7 +826,7 @@ impl VoronoiPrepared {
     fn query_tables(&self, assignments: &[(usize, f64)]) -> SummaryTables {
         let partitioner = &self.partitioner;
         SummaryTables {
-            pivots: Arc::clone(partitioner.shared_pivots()),
+            pivots: Arc::clone(partitioner.pivot_matrix()),
             metric: partitioner.metric(),
             r_summaries: r_summaries(partitioner.partition_count(), assignments.iter().copied()),
             s_summaries: Arc::clone(&self.s_summaries),
@@ -875,13 +905,13 @@ fn assign(
     (assignment.partition, assignment.distance)
 }
 
-/// The per-`R`-partition scan orders over the non-empty `S` cells (ascending
+/// The per-`R`-partition scan orders over the present `S` cells (ascending
 /// pivot distance, Algorithm 3 line 14), shared by the full build and the
 /// partial compaction.
-fn compute_s_orders(non_empty: &[usize], pivot_distances: &PivotDistances) -> Vec<Vec<usize>> {
+fn compute_s_orders(s_parts: &CellMap, pivot_distances: &PivotDistances) -> Vec<Vec<usize>> {
     pivot_distances
         .rows()
-        .map(|row| order_by_pivot_distance(non_empty.iter().copied(), row))
+        .map(|row| order_by_pivot_distance(s_parts.partitions(), row))
         .collect()
 }
 
@@ -943,18 +973,13 @@ mod tests {
         let (partitioned_r, partitioned_s) = (partitioner.partition(r), partitioner.partition(s));
         let tables = SummaryTables::build(pivots, metric, &partitioned_r, &partitioned_s, k);
         let theta = PartitionBounds::compute(&tables, k).theta;
-        let s_parts = partitioned_s
-            .partitions
-            .iter()
-            .enumerate()
-            .map(|(j, bucket)| {
-                let rows = bucket
-                    .iter()
-                    .map(|(s, dist)| (*dist, s.id, s.coords.as_slice()));
-                let cell = FlatPartition::sorted(r.dims(), rows.collect());
-                (j, CellSlice::whole(cell))
-            })
-            .collect();
+        let cells = partitioned_s.partitions.iter().map(|bucket| {
+            let rows = bucket
+                .iter()
+                .map(|(s, dist)| (*dist, s.id, s.coords.as_slice()));
+            CellSlice::whole(FlatPartition::sorted(r.dims(), rows.collect()))
+        });
+        let s_parts = CellMap::of(tables.partition_count(), cells.enumerate());
         Fixture {
             partitioned_r,
             partitioned_s,
@@ -964,13 +989,24 @@ mod tests {
         }
     }
 
+    impl CellMap {
+        /// `cells` in a table for `t` partitions.
+        pub(crate) fn of(t: usize, cells: impl IntoIterator<Item = (usize, CellSlice)>) -> Self {
+            let mut map = Self::new(t);
+            for (j, cell) in cells {
+                map.set(j, Some(cell));
+            }
+            map
+        }
+    }
+
     impl Fixture {
         /// Calls `each(scan order, r, r's pivot distance, r's partition)` for
         /// every object of `R`.
         fn for_each_r(&self, mut each: impl FnMut(&[usize], &Point, f64, usize)) {
             for (i, bucket) in self.partitioned_r.partitions.iter().enumerate() {
                 let s_order = order_by_pivot_distance(
-                    self.s_parts.keys().copied(),
+                    self.s_parts.partitions(),
                     self.tables.pivot_distances.row(i),
                 );
                 for (r_obj, r_pivot_dist) in bucket {
@@ -1173,17 +1209,17 @@ mod tests {
             let mut shipped = 0u64;
             for group_lb in bounds.group_lower_bounds(&grouping) {
                 for (j, bucket) in f.partitioned_s.partitions.iter().enumerate() {
-                    let slice = f.s_parts[&j].at_least(group_lb[j]);
+                    let slice = f.s_parts.get(j).unwrap().at_least(group_lb[j]);
                     let want = admitted_one_by_one(bucket.iter().map(|(_, d)| *d), group_lb[j]);
                     prop_assert_eq!(slice.len(), want, "cell {}, bound {}", j, group_lb[j]);
-                    prop_assert_eq!(slice.pivot_dists(), &f.s_parts[&j].pivot_dists()[bucket.len() - want..]);
+                    prop_assert_eq!(slice.pivot_dists(), &f.s_parts.get(j).unwrap().pivot_dists()[bucket.len() - want..]);
                     shipped += want as u64;
                 }
             }
             prop_assert_eq!(shipped, bounds.count_replicas(&grouping, &f.partitioned_s));
             // The edge bounds, whatever the grouping produced.
             for (j, bucket) in f.partitioned_s.partitions.iter().enumerate() {
-                let cell = &f.s_parts[&j];
+                let cell = f.s_parts.get(j).unwrap();
                 prop_assert_eq!(cell.at_least(f64::NEG_INFINITY).len(), bucket.len());
                 prop_assert_eq!(cell.at_least(f64::INFINITY).len(), 0);
                 for &(_, tie) in bucket {
@@ -1207,7 +1243,7 @@ mod tests {
         let pivots = vec![Point::new(0, vec![2.0, 2.0]), Point::new(1, vec![5.0, 5.0])];
         let f = fixture_over(pivots, &r, &s, 3, DistanceMetric::Manhattan);
         for (j, bucket) in f.partitioned_s.partitions.iter().enumerate() {
-            let cell = &f.s_parts[&j];
+            let cell = f.s_parts.get(j).unwrap();
             let shared = bucket.iter().filter(|(_, d)| *d == 2.0).count();
             assert!(shared > 2, "the lattice lost its ties");
             let below = bucket.iter().filter(|(_, d)| *d < 2.0).count();
@@ -1240,18 +1276,17 @@ mod tests {
         let built = VoronoiPrepared::build(&r, &s, &plan, &mut metrics);
         let (tables, cells) = partition_job(&plan, &r, &s, &ctx, &mut metrics).unwrap();
 
-        let of_kind = |kind: RecordKind| -> CellMap {
+        let of_kind = |kind: RecordKind| {
             let cells = cells.iter().filter(|(_, cell)| cell.kind == kind);
-            cells
-                .map(|(j, cell)| {
-                    assert_eq!(*j, cell.partition);
-                    (*j as usize, cell.rows.clone())
-                })
-                .collect()
+            let cells = cells.map(|(j, cell)| {
+                assert_eq!(*j, cell.partition);
+                (*j as usize, cell.rows.clone())
+            });
+            CellMap::of(tables.partition_count(), cells)
         };
         assert_eq!(of_kind(RecordKind::S), built.s_parts);
         assert_eq!(tables.s_summaries, built.s_summaries);
-        assert_eq!(tables.pivots, *built.partitioner.shared_pivots());
+        assert_eq!(tables.pivots, *built.partitioner.pivot_matrix());
         assert_eq!(tables.pivot_distances, *built.partitioner.pivot_distances());
 
         // T_R is the fold over R's assignments, and the R cells hold R.
@@ -1269,7 +1304,7 @@ mod tests {
         for (i, bucket) in assigned.partitions.iter().enumerate() {
             let mut want: Vec<(f64, PointId)> = bucket.iter().map(|(p, d)| (*d, p.id)).collect();
             want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let got: Vec<(f64, PointId)> = r_cells.get(&i).map_or(Vec::new(), |cell| {
+            let got: Vec<(f64, PointId)> = r_cells.get(i).map_or(Vec::new(), |cell| {
                 cell.rows().map(|row| (row.0, row.1)).collect()
             });
             assert_eq!(got, want, "R cell {i}");
@@ -1328,7 +1363,7 @@ mod tests {
         let s = uniform(400, 2, 30.0, 5);
         let f = fixture(&s, &s, 3, 4, DistanceMetric::Euclidean, 5);
         for blocks in [1, 3, 7] {
-            for cell in f.s_parts.values() {
+            for (_, cell) in f.s_parts.iter() {
                 let sub_cells = cell.split_by_id(blocks);
                 assert_eq!(sub_cells.len(), blocks);
                 let mut rejoined: Vec<Row<'_>> = Vec::new();
@@ -1353,14 +1388,11 @@ mod tests {
     fn a_scan_refuses_a_slice_cut_inside_its_window() {
         let s = uniform(300, 2, 30.0, 9);
         let f = fixture(&s, &s, 3, 2, DistanceMetric::Euclidean, 9);
-        let cut: CellMap = f
-            .s_parts
-            .iter()
-            .map(|(&j, cell)| {
-                let dists = cell.pivot_dists();
-                (j, cell.at_least(dists[dists.len() / 2]))
-            })
-            .collect();
+        let cut = f.s_parts.iter().map(|(j, cell)| {
+            let dists = cell.pivot_dists();
+            (j, cell.at_least(dists[dists.len() / 2]))
+        });
+        let cut = CellMap::of(f.tables.partition_count(), cut);
         let mut scan = VoronoiScan::new(
             &f.tables,
             3,
@@ -1399,7 +1431,7 @@ mod tests {
         // objects and re-add as many right beside the survivors.
         let mut overlay = DeltaOverlay::default();
         let mut live: Vec<Point> = Vec::new();
-        let churned: Vec<usize> = built.s_parts.keys().copied().take(2).collect();
+        let churned: Vec<usize> = built.s_parts.partitions().take(2).collect();
         for p in &frozen {
             let cell = built.partitioner.nearest_pivot(&p.coords).partition;
             if churned.contains(&cell) && p.id % 3 == 0 {

@@ -485,16 +485,10 @@ impl SortedCopy {
         let lo = pos.saturating_sub(window);
         let hi = (pos + window).min(self.z.len());
         scratch.resize((hi - lo).max(scratch.len()), 0.0);
-        let dists = &mut scratch[..hi - lo];
-        kernels.distances(
-            query,
-            &self.coords.as_slice()[lo * dims..hi * dims],
-            dims,
-            dists,
-        );
-        for (id, d) in self.ids[lo..hi].iter().zip(dists.iter()) {
-            list.offer(*id, *d);
-        }
+        let ranks = &mut scratch[..hi - lo];
+        let rows = &self.coords.as_slice()[lo * dims..hi * dims];
+        (kernels.tile)(query, rows, dims, ranks);
+        list.offer_ranks(&self.ids[lo..hi], ranks, &[], kernels.metric);
         (hi - lo) as u64
     }
 }

@@ -138,10 +138,9 @@ impl FlatBlock {
     /// `delta` tombstones, plus its adds.
     ///
     /// The adds, then the block, are streamed in
-    /// [`geom::kernels::PROBE_TILE`]-row tiles through `kernels.tile`; the
-    /// accumulator runs in rank space (rank order equals distance order for
-    /// every metric) and the final top-`k` list is converted to true
-    /// distances in one monotone sweep.  The delta rule is [`offer_adds`]'.
+    /// [`geom::kernels::PROBE_TILE`]-row tiles through `kernels.tile` and
+    /// offered as ranks ([`NeighborList::offer_ranks`]).  The delta rule is
+    /// [`offer_adds`]'.
     pub(crate) fn scan(
         &self,
         query: &[f64],
@@ -152,22 +151,17 @@ impl FlatBlock {
     ) -> (Vec<Neighbor>, ScanCounts) {
         let dim = self.coords.dims();
         let mut neighbors = NeighborList::new(k);
-        let rank_rows = |rows: &[f64], ranks: &mut [f64]| (kernels.tile)(query, rows, dim, ranks);
-        let mut counts = offer_adds(delta, dim, scratch, &mut neighbors, rank_rows);
+        let (tile, metric) = (kernels.tile, kernels.metric);
+        let mut counts = offer_adds(delta, query, tile, metric, scratch, &mut neighbors);
         let rows = self.coords.as_slice();
         for_each_tile(self.ids.len(), |t0, t1| {
             let ranks = &mut scratch.ranks[..t1 - t0];
-            rank_rows(&rows[t0 * dim..t1 * dim], ranks);
+            tile(query, &rows[t0 * dim..t1 * dim], dim, ranks);
             counts.frozen += ranks.len() as u64;
-            counts.masked += neighbors.offer_rows(&self.ids[t0..t1], ranks, delta.tombstones());
+            let ids = &self.ids[t0..t1];
+            counts.masked += neighbors.offer_ranks(ids, ranks, delta.tombstones(), metric);
         });
-        // The accumulator ran in rank space; the monotone rank→distance map
-        // preserves the sorted order, so convert each entry in place.
-        let mut out = neighbors.into_sorted();
-        for n in &mut out {
-            n.distance = kernels.metric.rank_to_distance(n.distance);
-        }
-        (out, counts)
+        (neighbors.into_sorted(), counts)
     }
 
     /// Answers one probe batch, positionally, through [`probe_rows`]: the
@@ -193,17 +187,21 @@ impl FlatBlock {
     }
 }
 
-/// Refuses the first row with a non-finite coordinate, with the typed error
-/// every entry point shares: `NaN` breaks the total order the summary tables
-/// sort by, and `±∞` turns distance arithmetic into `NaN`.
+/// Refuses the first row with a non-finite or out-of-range coordinate, with
+/// the typed error every entry point shares: `NaN` breaks the total order the
+/// summary tables sort by, `±∞` turns distance arithmetic into `NaN`, and
+/// beyond `sqrt(f64::MAX / (16·dims))` a squared distance can overflow to
+/// `+∞`, which makes the Voronoi bounds prune true neighbours.  Within the
+/// limit every squared distance stays below `f64::MAX / 4`.
 pub(crate) fn check_finite<'a>(
     dataset: &'static str,
     rows: impl IntoIterator<Item = &'a [f64]>,
 ) -> Result<(), JoinError> {
-    match rows
-        .into_iter()
-        .position(|row| row.iter().any(|c| !c.is_finite()))
-    {
+    let out_of_range = |row: &[f64]| {
+        let limit = (f64::MAX / (16.0 * row.len() as f64)).sqrt();
+        row.iter().any(|c| !c.is_finite() || c.abs() > limit)
+    };
+    match rows.into_iter().position(out_of_range) {
         Some(index) => Err(JoinError::NonFiniteInput { dataset, index }),
         None => Ok(()),
     }

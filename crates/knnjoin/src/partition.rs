@@ -64,8 +64,9 @@ impl PivotDistances {
 /// -inequality pruning of [`VoronoiPartitioner::nearest_pivot`].
 #[derive(Debug, Clone)]
 pub struct VoronoiPartitioner {
-    pivots: Arc<Vec<Point>>,
-    matrix: CoordMatrix,
+    /// The pivots, row `i` being pivot `i`: the one copy the assignment
+    /// search and every [`crate::SummaryTables`] over these pivots read.
+    matrix: Arc<CoordMatrix>,
     /// `|p_i, p_j|`, the one copy every bound and scan order reads.
     pair: Arc<PivotDistances>,
     /// The reference pivot `p_r` anchoring the search window: the most
@@ -187,8 +188,7 @@ impl VoronoiPartitioner {
         });
         let ref_dists: Vec<f64> = ref_order.iter().map(|&j| ref_row[j as usize]).collect();
         Self {
-            pivots: Arc::new(pivots),
-            matrix,
+            matrix: Arc::new(matrix),
             pair: Arc::new(pair),
             ref_pivot,
             ref_order,
@@ -197,29 +197,20 @@ impl VoronoiPartitioner {
         }
     }
 
-    /// The pivots this partitioner was built with.
-    pub fn pivots(&self) -> &[Point] {
-        &self.pivots
-    }
-
-    /// The pivot set behind its shared handle.
-    pub(crate) fn shared_pivots(&self) -> &Arc<Vec<Point>> {
-        &self.pivots
-    }
-
     /// The pairwise pivot distances behind their shared handle.
     pub(crate) fn pivot_distances(&self) -> &Arc<PivotDistances> {
         &self.pair
     }
 
-    /// The pivot coordinates in flat row-major storage.
-    pub fn pivot_matrix(&self) -> &CoordMatrix {
+    /// The pivot coordinates in flat row-major storage, behind their shared
+    /// handle.
+    pub fn pivot_matrix(&self) -> &Arc<CoordMatrix> {
         &self.matrix
     }
 
     /// The number of partitions.
     pub fn partition_count(&self) -> usize {
-        self.pivots.len()
+        self.matrix.len()
     }
 
     /// The metric used for assignment.
@@ -282,9 +273,10 @@ impl VoronoiPartitioner {
         rank_full: impl Fn(&[f64], &[f64]) -> f64,
         to_distance: impl Fn(f64) -> f64,
     ) -> PivotAssignment {
-        let t = self.matrix.len();
+        let matrix: &CoordMatrix = &self.matrix;
+        let t = matrix.len();
         let mut best = self.ref_pivot;
-        let mut best_rank = rank_full(query, self.matrix.row(best));
+        let mut best_rank = rank_full(query, matrix.row(best));
         let mut best_d = to_distance(best_rank);
         let mut computations = 1u64;
         if t == 1 {
@@ -350,8 +342,8 @@ impl VoronoiPartitioner {
                     } else {
                         let j1 = pending;
                         pending = NONE;
-                        let r1 = rank_full(query, self.matrix.row(j1));
-                        let r2 = rank_full(query, self.matrix.row(j));
+                        let r1 = rank_full(query, matrix.row(j1));
+                        let r2 = rank_full(query, matrix.row(j));
                         computations += 2;
                         resolve!(j1, r1);
                         resolve!(j, r2);
@@ -362,7 +354,7 @@ impl VoronoiPartitioner {
         macro_rules! flush {
             () => {
                 if pending != NONE {
-                    let r = rank_full(query, self.matrix.row(pending));
+                    let r = rank_full(query, matrix.row(pending));
                     computations += 1;
                     resolve!(pending, r);
                     pending = NONE;

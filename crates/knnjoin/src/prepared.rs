@@ -338,7 +338,8 @@ impl PreparedJoin {
     /// # Errors
     /// Returns [`JoinError::DimensionalityMismatch`] when the point's
     /// dimensionality differs from the corpus and
-    /// [`JoinError::NonFiniteInput`] when a coordinate is `NaN` or infinite.
+    /// [`JoinError::NonFiniteInput`] when a coordinate is `NaN`, infinite or
+    /// out of range.
     pub fn insert(&self, point: Point) -> Result<(), JoinError> {
         if point.coords.len() != self.inner.s_dims {
             return Err(JoinError::DimensionalityMismatch {
@@ -469,7 +470,7 @@ impl PreparedJoin {
 
     /// The one rule set for probe input, shared with the server's admission
     /// control: non-empty, rectangular, of the corpus's dimensionality, and
-    /// finite.
+    /// finite within [`check_finite`]'s range.
     pub(crate) fn validate_rows(&self, rows: &[&[f64]]) -> Result<(), JoinError> {
         let s_dims = self.inner.s_dims;
         let Some(first) = rows.first() else {

@@ -50,10 +50,12 @@ pub enum JoinError {
         /// The dataset's dimensionality (from its first point).
         expected: usize,
     },
-    /// A coordinate is `NaN` or infinite.  Rejected up front at every entry
+    /// A coordinate is `NaN`, infinite, or out of range: larger in magnitude
+    /// than `sqrt(f64::MAX / (16·dims))`.  Rejected up front at every entry
     /// point (`run`, `prepare`, `query*`, `insert`): `NaN` breaks the total
-    /// order the summary tables and bounds sort by, and `±∞` turns distance
-    /// arithmetic into `NaN`.
+    /// order the summary tables and bounds sort by, `±∞` turns distance
+    /// arithmetic into `NaN`, and beyond the range a squared distance can
+    /// overflow.
     NonFiniteInput {
         /// Which dataset (`"R"` or `"S"`).
         dataset: &'static str,
@@ -166,7 +168,8 @@ impl std::fmt::Display for JoinError {
             ),
             JoinError::NonFiniteInput { dataset, index } => write!(
                 f,
-                "dataset {dataset} has a non-finite coordinate in the point at index {index}"
+                "dataset {dataset} has a non-finite or out-of-range coordinate in the point \
+                 at index {index}"
             ),
             JoinError::PivotCountOutOfRange {
                 pivot_count,

@@ -336,7 +336,7 @@ impl Server {
     /// # Errors
     /// [`JoinError::DimensionalityMismatch`] when the point doesn't match the
     /// corpus, [`JoinError::NonFiniteInput`] (index 0 — the caller's own
-    /// point) when a coordinate is `NaN` or infinite,
+    /// point) when a coordinate is `NaN`, infinite or out of range,
     /// [`JoinError::Overloaded`] when the queue is at capacity,
     /// [`JoinError::ServerShutdown`] after [`Server::shutdown`] began.
     pub fn submit_one(&self, point: Point) -> Result<Ticket<JoinRow>, JoinError> {

@@ -11,7 +11,7 @@
 //!   so Algorithm 1 can early-terminate.
 
 use crate::partition::{PartitionedDataset, PivotDistances, VoronoiPartitioner};
-use geom::{DistanceMetric, Point};
+use geom::{CoordMatrix, DistanceMetric, Point};
 use std::sync::Arc;
 
 /// Summary of one partition of `R`.
@@ -47,15 +47,15 @@ pub struct SPartitionSummary {
 /// The pair of summary tables plus the pivot set they refer to.
 ///
 /// The S-side fields (`pivots`, `s_summaries`, `pivot_distances`) sit behind
-/// [`Arc`]s: the pivot set and the `t × t` distance table are the
+/// [`Arc`]s: the pivot matrix and the `t × t` distance table are the
 /// [`VoronoiPartitioner`]'s own, and the prepared serving path assembles
 /// fresh tables per probe batch — only `T_R` changes — so that assembly
 /// copies neither.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SummaryTables {
-    /// Pivots defining the Voronoi cells (ids are positional: pivot `i` is
-    /// partition `i`).
-    pub pivots: Arc<Vec<Point>>,
+    /// Pivots defining the Voronoi cells, flat: row `i` is pivot `i`, the
+    /// pivot of partition `i`.
+    pub pivots: Arc<CoordMatrix>,
     /// Metric used throughout.
     pub metric: DistanceMetric,
     /// One entry per partition of `R` (indexed by partition id).
@@ -132,7 +132,7 @@ impl SummaryTables {
             s_summaries[cell] = SPartitionSummary::of_sorted(cell, column, k);
         }
         Self {
-            pivots: Arc::clone(partitioner.shared_pivots()),
+            pivots: Arc::clone(partitioner.pivot_matrix()),
             metric: partitioner.metric(),
             r_summaries,
             s_summaries: Arc::new(s_summaries),

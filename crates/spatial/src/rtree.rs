@@ -228,13 +228,13 @@ impl RTree {
     /// accumulator anyway.
     ///
     /// A leaf is ranked in one call of the metric's bit-exact tile kernel
-    /// over its contiguous rows and offered straight into the accumulator,
-    /// so the heap holds nodes only and every distance has
-    /// [`DistanceMetric::distance_coords`]' bits.  The leaves visited are
-    /// those of a walk that queues each point and offers it when popped:
-    /// when a node at MBR distance `m` is popped, that walk has already
-    /// popped and offered every discovered point with `d ≤ m`, so both
-    /// compare `m` against the same `k`-th distance.
+    /// over its contiguous rows and offered straight into the accumulator
+    /// ([`NeighborList::offer_ranks`]), so the heap holds nodes only and
+    /// every distance has [`DistanceMetric::distance_coords`]' bits.  The
+    /// leaves visited are those of a walk that queues each point and offers
+    /// it when popped: when a node at MBR distance `m` is popped, that walk
+    /// has already popped and offered every discovered point with `d ≤ m`,
+    /// so both compare `m` against the same `k`-th distance.
     ///
     /// Points whose id is in `masked` (ascending) are deleted objects the
     /// tree still indexes: a visited leaf evaluates them with its other rows
@@ -256,7 +256,7 @@ impl RTree {
         let dims = query.len();
         // Reused across every leaf this query visits; a leaf holds at most
         // `fanout` rows.
-        let mut dists = vec![0.0f64; self.fanout];
+        let mut ranks = vec![0.0f64; self.fanout];
         let (mut distance_computations, mut masked_points) = (0u64, 0u64);
         let mut heap: BinaryHeap<Prioritized<'_>> = BinaryHeap::new();
         heap.push(Prioritized {
@@ -271,11 +271,10 @@ impl RTree {
             }
             match node {
                 Node::Leaf { ids, coords, .. } => {
-                    let dists = &mut dists[..ids.len()];
-                    tile(query, coords.as_slice(), dims, dists);
-                    self.metric.ranks_to_distances(dists);
-                    distance_computations += dists.len() as u64;
-                    masked_points += result.offer_rows(ids, dists, masked);
+                    let ranks = &mut ranks[..ids.len()];
+                    tile(query, coords.as_slice(), dims, ranks);
+                    distance_computations += ranks.len() as u64;
+                    masked_points += result.offer_ranks(ids, ranks, masked, self.metric);
                 }
                 Node::Internal { children, .. } => {
                     for child in children {

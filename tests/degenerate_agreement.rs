@@ -257,6 +257,68 @@ fn agreement_on_layouts_that_stress_the_pivot_order_cut() {
     }
 }
 
+/// Points on the line `y = x / 2` with `x = (i − 20)·scale + i mod 3`, as
+/// `R`, and `S = 0.9·R + 7`: at a large enough scale the squared distances
+/// between them overflow although every coordinate is finite.
+fn far_apart(scale: f64) -> (PointSet, PointSet) {
+    let x = |i: usize| (i as f64 - 20.0) * scale + (i % 3) as f64;
+    let r = PointSet::from_coords((0..40).map(|i| vec![x(i), x(i) / 2.0]).collect());
+    let s = r
+        .iter()
+        .map(|p| p.coords.iter().map(|c| 0.9 * c + 7.0).collect());
+    let s = PointSet::from_coords(s.collect());
+    (r, s)
+}
+
+/// Beyond `sqrt(f64::MAX / (16·dims))` a coordinate is refused with the
+/// typed error by every algorithm, cold, through `prepare`, on `query` and
+/// on `insert` (which leaves the epoch alone) — PGBJ and PBJ used to return
+/// wrong or missing neighbours there.  Just inside the range every algorithm
+/// still answers what the oracle answers.
+#[test]
+fn coordinates_out_of_range_are_refused_and_just_inside_it_agree() {
+    fn join<'a>(r: &'a PointSet, s: &'a PointSet, algorithm: Algorithm) -> Join<'a> {
+        let join = Join::new(r, s).k(5).algorithm(algorithm);
+        join.pivot_count(8).reducers(3)
+    }
+    let ctx = ExecutionContext::default();
+    let (small_r, small_s) = far_apart(1.0);
+    // The first point, at x = −20·scale, is already out of range.
+    let refused = |dataset| JoinError::NonFiniteInput { dataset, index: 0 };
+    for scale in [1e160, 5e152] {
+        let (r, s) = far_apart(scale);
+        for algorithm in Algorithm::ALL {
+            let label = format!("{algorithm} at scale {scale:e}");
+            assert_eq!(
+                join(&r, &s, algorithm).run(&ctx).unwrap_err(),
+                refused("R"),
+                "{label}"
+            );
+            let prepare = join(&small_r, &s, algorithm).prepare(&ctx);
+            assert_eq!(prepare.unwrap_err(), refused("S"), "{label}");
+            let prepared = join(&small_r, &small_s, algorithm)
+                .prepare(&ctx)
+                .expect("prepare");
+            assert_eq!(prepared.query(&r).unwrap_err(), refused("R"), "{label}");
+            let far = Point::new(9_000, s.points()[0].coords.clone());
+            assert_eq!(prepared.insert(far).unwrap_err(), refused("S"), "{label}");
+            assert_eq!(prepared.epoch(), 0, "{label}");
+        }
+    }
+    let (r, s) = far_apart(1.15e152);
+    let oracle = NestedLoopJoin
+        .join(&r, &s, 5, DistanceMetric::Euclidean)
+        .expect("oracle");
+    for algorithm in Algorithm::ALL {
+        let result = join(&r, &s, algorithm).run(&ctx).expect("in range");
+        assert!(
+            result.matches(&oracle, 0.0),
+            "{algorithm}: {:?}",
+            result.mismatch_against(&oracle, 0.0)
+        );
+    }
+}
+
 /// Builds a 2-d dataset from flat coordinates, then duplicates roughly a
 /// third of the points (picked deterministically from `seed`).
 fn with_duplicates(flat: &[f64], seed: u64) -> PointSet {

@@ -71,7 +71,6 @@ impl Config {
             ],
             determinism_strict: vec![
                 "crates/knnjoin/src/metrics.rs".into(),
-                "crates/mapreduce/src/counters.rs".into(),
                 "crates/mapreduce/src/metrics.rs".into(),
             ],
             determinism_no_maps: vec![
@@ -105,11 +104,6 @@ impl Config {
                     file: "crates/knnjoin/src/serving/mod.rs",
                     receiver: "histograms",
                     rank: 60,
-                },
-                LockSite {
-                    file: "crates/mapreduce/src/counters.rs",
-                    receiver: "inner",
-                    rank: 90,
                 },
             ],
             probe_calls: default_probe_calls(),

@@ -10,6 +10,7 @@
 use analysis::config::{Config, LockSite};
 use analysis::lexer::SourceFile;
 use analysis::{lints, LINTS};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 fn load_fixture(lint: &str) -> SourceFile {
@@ -86,15 +87,60 @@ fn fixtures_and_lints_are_in_sync() {
     assert_eq!(on_disk, expected, "fixture directories must mirror LINTS");
 }
 
-#[test]
-fn workspace_is_clean_under_deny_all() {
+fn workspace_root() -> PathBuf {
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let root = manifest
+    manifest
         .ancestors()
         .nth(2)
         .expect("workspace root above crates/analysis")
-        .to_path_buf();
-    let cfg = Config::workspace(root);
+        .to_path_buf()
+}
+
+/// The lint's lock table is a hand copy of `mapreduce::sync::ranks`: it must
+/// name exactly the declared ranks, in files that exist, and so must the
+/// rank table in the `sync` module's docs.
+#[test]
+fn lock_table_matches_the_declared_ranks() {
+    let root = workspace_root();
+    let sync_rs = root.join("crates/mapreduce/src/sync.rs");
+    let text = std::fs::read_to_string(&sync_rs)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", sync_rs.display()));
+    let module = text
+        .split("pub mod ranks {")
+        .nth(1)
+        .and_then(|rest| rest.split('}').next())
+        .expect("sync.rs declares `pub mod ranks { .. }`");
+    let declared: BTreeSet<u8> = module
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("pub const "))
+        .map(|decl| {
+            let value = decl.split(": u8 =").nth(1).expect("a `u8` rank");
+            value.trim().trim_end_matches(';').parse().expect("a rank")
+        })
+        .collect();
+    let documented: BTreeSet<u8> = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("//! | "))
+        .filter_map(|row| row.split(" |").next()?.parse().ok())
+        .collect();
+    let cfg = Config::workspace(root.clone());
+    let linted: BTreeSet<u8> = cfg.lock_table.iter().map(|site| site.rank).collect();
+    assert!(!declared.is_empty(), "no ranks parsed from sync.rs");
+    assert_eq!(linted, declared, "analysis lock table vs `mod ranks`");
+    assert_eq!(documented, declared, "sync.rs rank table vs `mod ranks`");
+    for site in &cfg.lock_table {
+        assert!(
+            root.join(site.file).is_file(),
+            "lock site {} (rank {}) names a missing file",
+            site.file,
+            site.rank
+        );
+    }
+}
+
+#[test]
+fn workspace_is_clean_under_deny_all() {
+    let cfg = Config::workspace(workspace_root());
     let findings = analysis::check_workspace(&cfg, &[]).expect("scanning the workspace");
     assert!(
         findings.is_empty(),

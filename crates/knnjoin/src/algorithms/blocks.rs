@@ -1,14 +1,18 @@
-//! The √N × √N block framework shared by H-BRJ and PBJ (Section 3).
+//! The √N × √N block framework shared by H-BRJ and PBJ (Section 3), and the
+//! merge job every two-job algorithm ends with.
 //!
 //! Both baselines split `R` and `S` into `B = ⌊√N⌋` subsets each and give one
 //! reducer every pair `(R_i, S_j)`, so each `R` object meets every `S` object
 //! across the `B²` reducers.  Because a reducer only sees `1/B` of `S`, the
 //! per-cell kNN lists are partial and a second MapReduce job merges them into
 //! the global `k` best — exactly the extra job the paper charges to these
-//! baselines in its shuffling-cost analysis.
+//! baselines in its shuffling-cost analysis.  H-zkNNJ's per-copy lists go
+//! through the same merge job, under its own merge rule.
 
-use crate::algorithms::common::{counters, rows_from_output, NeighborListValue, ShuffleRecord};
-use crate::metrics::{phases, JoinMetrics};
+use crate::algorithms::common::{
+    merge_neighbor_lists, rows_from_output, NeighborListValue, ShuffleRecord,
+};
+use crate::metrics::{phases, Count, JoinMetrics, Tally};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
 use geom::{Neighbor, RecordKind};
@@ -25,33 +29,36 @@ pub(crate) fn block_count(reducers: usize) -> usize {
 /// Emits `value` — `objects` objects of block `block` of dataset `kind` — to
 /// the `b` reducer cells where its block meets the other dataset's blocks:
 /// `R_i` joins `S_0 … S_{B−1}` along row `i` of the `B × B` grid, `S_j` joins
-/// `R_0 … R_{B−1}` down column `j`.  One replica is counted per object per
+/// `R_0 … R_{B−1}` down column `j`.  One replica is tallied per object per
 /// cell.
 pub(crate) fn replicate<V: Clone + ByteSize>(
     ctx: &mut MapContext<u32, V>,
+    tally: &Tally,
     kind: RecordKind,
     (block, b): (u32, u32),
     value: &V,
     objects: usize,
 ) {
-    let (replicas, row, column) = match kind {
-        RecordKind::R => (counters::R_RECORDS, b, 1),
-        RecordKind::S => (counters::S_RECORDS, 1, b),
+    let (row, column) = match kind {
+        RecordKind::R => (b, 1),
+        RecordKind::S => (1, b),
     };
     for other in 0..b {
         ctx.emit(block * row + other * column, value.clone());
     }
-    ctx.counters().add(replicas, objects as u64 * b as u64);
+    tally.add(Count::Shuffled(kind), objects as u64 * b as u64);
 }
 
 /// Mapper of H-BRJ's block join job: replicate each `R` record across the
 /// row of reducer cells for its block and each `S` record across the column.
-pub(crate) struct BlockRouteMapper {
+pub(crate) struct BlockRouteMapper<'a> {
     /// `B`, the number of blocks per dataset.
     pub blocks: usize,
+    /// Where the replicas are tallied.
+    pub tally: &'a Tally,
 }
 
-impl Mapper for BlockRouteMapper {
+impl Mapper for BlockRouteMapper<'_> {
     type KIn = u64;
     type VIn = ShuffleRecord;
     type KOut = u32;
@@ -59,12 +66,19 @@ impl Mapper for BlockRouteMapper {
 
     fn map(&self, key: &u64, value: &ShuffleRecord, ctx: &mut MapContext<u32, ShuffleRecord>) {
         let b = self.blocks as u32;
-        replicate(ctx, value.kind, ((key % b as u64) as u32, b), value, 1);
+        let block = (key % b as u64) as u32;
+        replicate(ctx, self.tally, value.kind, (block, b), value, 1);
     }
 }
 
+/// How the merge job folds one `R` object's partial candidate lists into its
+/// final `k`: [`merge_neighbor_lists`] for the block algorithms,
+/// `zknn::merge_distinct_candidates` for H-zkNNJ.  The two offer candidates
+/// in different orders, so they keep different survivors of a distance tie.
+pub(crate) type MergeRule = fn(&[NeighborListValue], usize) -> Vec<Neighbor>;
+
 /// Identity mapper of the merge job.
-pub(crate) struct MergeMapper;
+struct MergeMapper;
 
 impl Mapper for MergeMapper {
     type KIn = u64;
@@ -84,10 +98,11 @@ impl Mapper for MergeMapper {
 
 /// Map-side combiner of the merge job: collapse the partial candidate lists a
 /// map task holds for one `R` object into a single `k`-bounded list before
-/// they cross the shuffle.  Top-`k` merging is associative, so the
+/// they cross the shuffle.  Both merge rules are associative, so the
 /// [`MergeReducer`] produces the same final list either way.
-pub(crate) struct MergeCombiner {
-    pub k: usize,
+struct MergeCombiner {
+    k: usize,
+    merge: MergeRule,
 }
 
 impl Combiner for MergeCombiner {
@@ -95,16 +110,15 @@ impl Combiner for MergeCombiner {
     type V = NeighborListValue;
 
     fn combine(&self, _key: &u64, values: &[NeighborListValue]) -> Vec<NeighborListValue> {
-        vec![NeighborListValue::new(
-            crate::algorithms::common::merge_neighbor_lists(values, self.k),
-        )]
+        vec![NeighborListValue::new((self.merge)(values, self.k))]
     }
 }
 
 /// Reducer of the merge job: keep the `k` globally best candidates per `R`
 /// object.
-pub(crate) struct MergeReducer {
-    pub k: usize,
+struct MergeReducer {
+    k: usize,
+    merge: MergeRule,
 }
 
 impl Reducer for MergeReducer {
@@ -119,20 +133,15 @@ impl Reducer for MergeReducer {
         values: &[NeighborListValue],
         ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
     ) {
-        ctx.emit(
-            *key,
-            crate::algorithms::common::merge_neighbor_lists(values, self.k),
-        );
+        ctx.emit(*key, (self.merge)(values, self.k));
     }
 }
 
 /// Runs the two MapReduce jobs of the block framework with the supplied
 /// block-routing mapper (objects for H-BRJ, Voronoi cells for PBJ) and
-/// per-cell join reducer, filling in phase timings, shuffle volume and
-/// counters for *both* jobs.  `workers` is the physical pool size from the
-/// caller's execution context; when the plan's `combiner` is set, the merge
-/// job runs the [`MergeCombiner`] map-side so only `k`-bounded lists cross
-/// its shuffle.
+/// per-cell join reducer, recording phase timings and shuffle volume for
+/// *both* jobs; what the mapper and reducer tally is the caller's to fold.
+/// `workers` is the physical pool size from the caller's execution context.
 pub(crate) fn run_block_framework<Map, Red>(
     input: Vec<(Map::KIn, Map::VIn)>,
     plan: &JoinPlan,
@@ -145,38 +154,54 @@ where
     Map: Mapper<KOut = u32>,
     Red: Reducer<KIn = u32, VIn = Map::VOut, KOut = u64, VOut = NeighborListValue>,
 {
-    let (k, reducers, map_tasks) = (plan.k, plan.reducers, plan.map_tasks);
-    let blocks = block_count(reducers);
+    let blocks = block_count(plan.reducers);
 
     // ---- Join job: one reducer per (R block, S block) cell -----------------
     let start = Instant::now();
     let join_job = JobBuilder::new("block-join")
         .reducers(blocks * blocks)
-        .map_tasks(map_tasks)
+        .map_tasks(plan.map_tasks)
         .workers(workers)
         .run_with_partitioner(input, route_mapper, join_reducer, &IdentityPartitioner)
         .map_err(|e| JoinError::substrate("block-join", e))?;
     metrics.record_phase(phases::KNN_JOIN, start.elapsed());
     metrics.absorb_job(&join_job.metrics);
 
-    // ---- Merge job: combine the per-cell partial kNN lists ------------------
+    run_merge_job(
+        join_job.output,
+        plan,
+        workers,
+        merge_neighbor_lists,
+        metrics,
+    )
+}
+
+/// The merge job of every two-job algorithm: fold each `R` object's partial
+/// candidate lists into its final `k` with `merge`.  When the plan's
+/// `combiner` is set, the [`MergeCombiner`] runs map-side, so only
+/// `k`-bounded lists cross the shuffle.
+pub(crate) fn run_merge_job(
+    input: Vec<(u64, NeighborListValue)>,
+    plan: &JoinPlan,
+    workers: usize,
+    merge: MergeRule,
+    metrics: &mut JoinMetrics,
+) -> Result<Vec<JoinRow>, JoinError> {
     let start = Instant::now();
-    let merge_input = join_job.output;
-    let merge_combiner = MergeCombiner { k };
-    let merge_job = JobBuilder::new("block-merge")
-        .reducers(reducers)
-        .map_tasks(map_tasks)
+    let k = plan.k;
+    let merge_job = JobBuilder::new("merge")
+        .reducers(plan.reducers)
+        .map_tasks(plan.map_tasks)
         .workers(workers)
         .run_with_optional_combiner(
-            merge_input,
+            input,
             &MergeMapper,
-            plan.combiner.then_some(&merge_combiner),
-            &MergeReducer { k },
+            plan.combiner.then_some(&MergeCombiner { k, merge }),
+            &MergeReducer { k, merge },
         )
-        .map_err(|e| JoinError::substrate("block-merge", e))?;
+        .map_err(|e| JoinError::substrate("merge", e))?;
     metrics.record_phase(phases::RESULT_MERGING, start.elapsed());
     metrics.absorb_job(&merge_job.metrics);
-
     Ok(rows_from_output(merge_job.output))
 }
 
@@ -184,7 +209,6 @@ where
 mod tests {
     use super::*;
     use geom::Point;
-    use mapreduce::Counters;
 
     #[test]
     fn block_count_is_floor_sqrt() {
@@ -199,12 +223,15 @@ mod tests {
 
     #[test]
     fn route_mapper_replicates_r_across_row_and_s_across_column() {
-        let mapper = BlockRouteMapper { blocks: 3 };
+        let tally = Tally::default();
+        let mapper = BlockRouteMapper {
+            blocks: 3,
+            tally: &tally,
+        };
         let r_rec = ShuffleRecord::raw(RecordKind::R, Point::new(4, vec![0.0]));
         let s_rec = ShuffleRecord::raw(RecordKind::S, Point::new(5, vec![0.0]));
 
-        let replicas = Counters::new();
-        let mut ctx = MapContext::new(0, replicas.clone());
+        let mut ctx = MapContext::default();
         mapper.map(&4, &r_rec, &mut ctx);
         let r_cells: Vec<u32> = ctx.emitted().iter().map(|(c, _)| *c).collect();
         // id 4 % 3 = block 1 → cells 3, 4, 5 (row 1)
@@ -215,25 +242,30 @@ mod tests {
             .iter()
             .all(|(_, replica)| std::sync::Arc::ptr_eq(&replica.point, &r_rec.point)));
 
-        let mut ctx = MapContext::new(0, replicas.clone());
+        let mut ctx = MapContext::default();
         mapper.map(&5, &s_rec, &mut ctx);
         let s_cells: Vec<u32> = ctx.emitted().iter().map(|(c, _)| *c).collect();
         // id 5 % 3 = block 2 → cells 2, 5, 8 (column 2)
         assert_eq!(s_cells, vec![2, 5, 8]);
 
-        // One replica counted per emitted record, per kind.
-        assert_eq!(replicas.get(counters::R_RECORDS), 3);
-        assert_eq!(replicas.get(counters::S_RECORDS), 3);
+        // One replica tallied per emitted record, per kind.
+        let mut metrics = JoinMetrics::default();
+        metrics.absorb_tally(tally);
+        assert_eq!(metrics.r_records_shuffled, 3);
+        assert_eq!(metrics.s_records_shuffled, 3);
     }
 
     #[test]
     fn every_r_block_meets_every_s_block() {
         // For every pair (r, s), exactly one reducer cell receives both.
-        let blocks = 3;
-        let mapper = BlockRouteMapper { blocks };
+        let tally = Tally::default();
+        let mapper = BlockRouteMapper {
+            blocks: 3,
+            tally: &tally,
+        };
         let cells_of = |id: u64, kind: RecordKind| {
             let rec = ShuffleRecord::raw(kind, Point::new(id, vec![0.0]));
-            let mut ctx = MapContext::new(0, Counters::new());
+            let mut ctx = MapContext::default();
             mapper.map(&id, &rec, &mut ctx);
             ctx.emitted()
                 .iter()
@@ -253,8 +285,11 @@ mod tests {
 
     #[test]
     fn merge_reducer_keeps_global_best() {
-        let reducer = MergeReducer { k: 2 };
-        let mut ctx = ReduceContext::new(0, Counters::new());
+        let reducer = MergeReducer {
+            k: 2,
+            merge: merge_neighbor_lists,
+        };
+        let mut ctx = ReduceContext::default();
         reducer.reduce(
             &7,
             &[

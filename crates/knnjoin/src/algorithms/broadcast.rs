@@ -9,12 +9,12 @@
 //! since every reducer sees all of `S`.
 
 use crate::algorithms::common::{
-    counters, raw_inputs, rows_from_output, ScanKernels, ShuffleRecord, TileScratch,
+    raw_inputs, rows_from_output, ScanKernels, ShuffleRecord, TileScratch,
 };
 use crate::context::ExecutionContext;
 use crate::delta::NO_DELTA;
 use crate::exact::FlatBlock;
-use crate::metrics::{phases, JoinMetrics};
+use crate::metrics::{phases, Count, JoinMetrics, Tally};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
 use geom::{Neighbor, PointSet, RecordKind};
@@ -32,6 +32,7 @@ pub(crate) fn join(
     let input = raw_inputs(r, s);
 
     let start = Instant::now();
+    let tally = Tally::default();
     let job = JobBuilder::new("broadcast-join")
         .reducers(plan.reducers)
         .map_tasks(plan.map_tasks)
@@ -40,26 +41,30 @@ pub(crate) fn join(
             input,
             &BroadcastMapper {
                 reducers: plan.reducers,
+                tally: &tally,
             },
             &BroadcastReducer {
                 k: plan.k,
                 kernels: ScanKernels::new(plan.metric, plan.kernel_mode),
+                tally: &tally,
             },
             &IdentityPartitioner,
         )
         .map_err(|e| JoinError::substrate("broadcast-join", e))?;
     metrics.record_phase(phases::KNN_JOIN, start.elapsed());
     metrics.absorb_job(&job.metrics);
+    metrics.absorb_tally(tally);
     Ok(rows_from_output(job.output))
 }
 
 /// Mapper: `R` objects go to one reducer (hash of their id); `S` objects are
 /// broadcast to every reducer.
-struct BroadcastMapper {
+struct BroadcastMapper<'a> {
     reducers: usize,
+    tally: &'a Tally,
 }
 
-impl Mapper for BroadcastMapper {
+impl Mapper for BroadcastMapper<'_> {
     type KIn = u64;
     type VIn = ShuffleRecord;
     type KOut = u32;
@@ -68,15 +73,15 @@ impl Mapper for BroadcastMapper {
     fn map(&self, key: &u64, value: &ShuffleRecord, ctx: &mut MapContext<u32, ShuffleRecord>) {
         match value.kind {
             RecordKind::R => {
-                ctx.counters().increment(counters::R_RECORDS);
+                self.tally.add(Count::Shuffled(RecordKind::R), 1);
                 ctx.emit((key % self.reducers as u64) as u32, value.clone());
             }
             RecordKind::S => {
                 for reducer in 0..self.reducers as u32 {
                     ctx.emit(reducer, value.clone());
                 }
-                ctx.counters()
-                    .add(counters::S_RECORDS, self.reducers as u64);
+                let replicas = self.reducers as u64;
+                self.tally.add(Count::Shuffled(RecordKind::S), replicas);
             }
         }
     }
@@ -84,12 +89,13 @@ impl Mapper for BroadcastMapper {
 
 /// Reducer: exhaustive [`FlatBlock::scan`] of the full `S` for every local
 /// `r`.
-struct BroadcastReducer {
+struct BroadcastReducer<'a> {
     k: usize,
     kernels: ScanKernels,
+    tally: &'a Tally,
 }
 
-impl Reducer for BroadcastReducer {
+impl Reducer for BroadcastReducer<'_> {
     type KIn = u32;
     type VIn = ShuffleRecord;
     type KOut = u64;
@@ -116,8 +122,7 @@ impl Reducer for BroadcastReducer {
                 &NO_DELTA,
                 &mut scratch,
             );
-            ctx.counters()
-                .add(counters::DISTANCE_COMPUTATIONS, counts.frozen);
+            self.tally.add(Count::Distances, counts.frozen);
             ctx.emit(record.point.id, neighbors);
         }
     }

@@ -21,10 +21,6 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Counter names used by the join jobs (defined next to [`crate::JoinMetrics`],
-/// which aggregates them via `absorb_job`).
-pub use crate::metrics::counters;
-
 /// One object as the jobs of H-BRJ, the broadcast join and H-zkNNJ shuffle
 /// it: originating dataset and the object itself behind a shared handle —
 /// the tuple of the paper's Figure 4 with no Voronoi cell assigned.
@@ -65,7 +61,7 @@ impl ByteSize for ShuffleRecord {
 }
 
 /// A partial kNN list for one `R` object, shuffled by the merge job of the
-/// block-based algorithms (H-BRJ, PBJ).
+/// two-job algorithms (H-BRJ, PBJ, H-zkNNJ).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeighborListValue {
     /// Candidate neighbours (at most `k` of them) found by one reducer cell.

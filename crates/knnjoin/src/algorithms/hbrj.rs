@@ -18,11 +18,11 @@
 
 use crate::algorithms::blocks::{block_count, run_block_framework, BlockRouteMapper};
 use crate::algorithms::common::{
-    counters, offer_adds, probe_rows, raw_inputs, NeighborListValue, ShuffleRecord, TileScratch,
+    offer_adds, probe_rows, raw_inputs, NeighborListValue, ShuffleRecord, TileScratch,
 };
 use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
-use crate::metrics::{phases, JoinMetrics};
+use crate::metrics::{phases, Count, JoinMetrics, Tally};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
 use geom::{DistanceMetric, Neighbor, NeighborList, Point, PointId, PointSet, RecordKind};
@@ -42,25 +42,32 @@ pub(crate) fn join(
     metrics: &mut JoinMetrics,
 ) -> Result<Vec<JoinRow>, JoinError> {
     let blocks = block_count(plan.reducers);
-    run_block_framework(
+    let tally = Tally::default();
+    let rows = run_block_framework(
         raw_inputs(r, s),
         plan,
         ctx.workers(),
-        &BlockRouteMapper { blocks },
+        &BlockRouteMapper {
+            blocks,
+            tally: &tally,
+        },
         &HbrjCellReducer {
             k: plan.k,
             metric: plan.metric,
             blocks,
             s_trees: (0..blocks).map(|_| OnceLock::new()).collect(),
+            tally: &tally,
         },
         metrics,
-    )
+    );
+    metrics.absorb_tally(tally);
+    rows
 }
 
 /// Reducer for one `(R_i, S_j)` cell: a shared R-tree over `S_j` (built by
 /// the column's first cell, reused by the rest), best-first kNN per
 /// `r ∈ R_i`.
-struct HbrjCellReducer {
+struct HbrjCellReducer<'a> {
     k: usize,
     metric: DistanceMetric,
     /// `B`, the number of blocks per dataset; cell `c` joins `S` block
@@ -68,9 +75,10 @@ struct HbrjCellReducer {
     blocks: usize,
     /// One lazily built tree per `S` block, shared across the column's cells.
     s_trees: Vec<OnceLock<Arc<RTree>>>,
+    tally: &'a Tally,
 }
 
-impl Reducer for HbrjCellReducer {
+impl Reducer for HbrjCellReducer<'_> {
     type KIn = u32;
     type VIn = ShuffleRecord;
     type KOut = u64;
@@ -93,7 +101,7 @@ impl Reducer for HbrjCellReducer {
         // column's first cell looks at its S records: the bulk load takes
         // ownership of the block, so that cell copies it once.
         let tree = self.s_trees[*cell as usize % self.blocks].get_or_init(|| {
-            ctx.counters().increment(counters::INDEX_BUILDS);
+            self.tally.add(Count::IndexBuilds, 1);
             Arc::new(RTree::bulk_load(
                 ShuffleRecord::of_kind(values, RecordKind::S)
                     .map(|record| Point::clone(&record.point))
@@ -103,8 +111,7 @@ impl Reducer for HbrjCellReducer {
         });
         for record in ShuffleRecord::of_kind(values, RecordKind::R) {
             let (neighbors, computations) = tree.knn_counted(&record.point, self.k);
-            ctx.counters()
-                .add(counters::DISTANCE_COMPUTATIONS, computations);
+            self.tally.add(Count::Distances, computations);
             ctx.emit(record.point.id, NeighborListValue::new(neighbors));
         }
     }

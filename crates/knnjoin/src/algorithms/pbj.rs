@@ -12,12 +12,12 @@
 //! how much of PGBJ's win comes from the grouping versus the bounds.
 
 use crate::algorithms::blocks::{block_count, replicate, run_block_framework};
-use crate::algorithms::common::{counters, NeighborListValue, ScanKernels};
+use crate::algorithms::common::{NeighborListValue, ScanKernels};
 use crate::algorithms::voronoi::{partition_job, CellMap, ShuffledCell, VoronoiScan};
 use crate::bounds::upper_bound;
 use crate::context::ExecutionContext;
 use crate::delta::NO_DELTA;
-use crate::metrics::JoinMetrics;
+use crate::metrics::{Count, JoinMetrics, Tally};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
 use crate::summary::SummaryTables;
@@ -35,32 +35,38 @@ pub(crate) fn join(
 ) -> Result<Vec<JoinRow>, JoinError> {
     let (tables, cells) = partition_job(plan, r, s, ctx, metrics)?;
     // ---- Block join + merge (no grouping phase) -----------------------------
-    run_block_framework(
+    let tally = Tally::default();
+    let rows = run_block_framework(
         cells,
         plan,
         ctx.workers(),
         &BlockCellMapper {
             blocks: block_count(plan.reducers),
+            tally: &tally,
         },
         &PbjCellReducer {
             tables,
             k: plan.k,
             kernels: ScanKernels::new(plan.metric, plan.kernel_mode),
+            tally: &tally,
         },
         metrics,
-    )
+    );
+    metrics.absorb_tally(tally);
+    rows
 }
 
 /// Mapper of PBJ's block join job: the block framework's random split, a
 /// Voronoi cell at a time.  Each sorted cell is split once into its `B`
 /// `id mod B` sub-cells, and each sub-cell is shipped, shared, along its row
 /// or column of the reducer grid like an object of that block.
-struct BlockCellMapper {
+struct BlockCellMapper<'a> {
     /// `B`, the number of blocks per dataset.
     blocks: usize,
+    tally: &'a Tally,
 }
 
-impl Mapper for BlockCellMapper {
+impl Mapper for BlockCellMapper<'_> {
     type KIn = u32;
     type VIn = ShuffledCell;
     type KOut = u32;
@@ -72,7 +78,7 @@ impl Mapper for BlockCellMapper {
             if !rows.is_empty() {
                 let objects = rows.len();
                 let sub_cell = ShuffledCell { rows, ..*value };
-                replicate(ctx, value.kind, (block, b), &sub_cell, objects);
+                replicate(ctx, self.tally, value.kind, (block, b), &sub_cell, objects);
             }
         }
     }
@@ -80,13 +86,14 @@ impl Mapper for BlockCellMapper {
 
 /// Reducer for one `(R_i, S_j)` cell: bounded, pruned nested-loop join using
 /// the Voronoi summary tables, but over a random block of `S`.
-struct PbjCellReducer {
+struct PbjCellReducer<'a> {
     tables: Arc<SummaryTables>,
     k: usize,
     kernels: ScanKernels,
+    tally: &'a Tally,
 }
 
-impl PbjCellReducer {
+impl PbjCellReducer<'_> {
     /// Derives a kNN-distance bound for the objects of one `R` partition from
     /// the `S` objects this reducer actually received (the "looser bound" the
     /// paper attributes to PBJ): the `k`-th smallest `ub(s, P_i^R)` over the
@@ -108,7 +115,7 @@ impl PbjCellReducer {
     }
 }
 
-impl Reducer for PbjCellReducer {
+impl Reducer for PbjCellReducer<'_> {
     type KIn = u32;
     type VIn = ShuffledCell;
     type KOut = u64;
@@ -126,8 +133,7 @@ impl Reducer for PbjCellReducer {
                 |i, s_parts| self.local_theta(i, s_parts),
                 |r_id, neighbors| ctx.emit(r_id, NeighborListValue::new(neighbors)),
             );
-        ctx.counters()
-            .add(counters::DISTANCE_COMPUTATIONS, computations);
+        self.tally.add(Count::Distances, computations);
     }
 }
 
@@ -309,6 +315,7 @@ mod tests {
                 tables: Arc::clone(&tables),
                 k,
                 kernels: ScanKernels::new(EUCLIDEAN, KernelMode::Exact),
+                tally: &Tally::default(),
             };
             for i in 0..pivots.len() {
                 let mut ubs: Vec<f64> = Vec::new();

@@ -18,13 +18,13 @@
 //! This file holds what PGBJ adds to the front half: grouping and
 //! replication.
 
-use crate::algorithms::common::{counters, rows_from_output, ScanKernels};
+use crate::algorithms::common::{rows_from_output, ScanKernels};
 use crate::algorithms::voronoi::{partition_job, ShuffledCell, VoronoiScan};
 use crate::bounds::PartitionBounds;
 use crate::context::ExecutionContext;
 use crate::delta::NO_DELTA;
 use crate::grouping::build_grouping;
-use crate::metrics::{phases, JoinMetrics};
+use crate::metrics::{phases, Count, JoinMetrics, Tally};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
 use crate::summary::SummaryTables;
@@ -53,24 +53,31 @@ pub(crate) fn join(
 
     // ---- Job 2: the kNN join (Algorithm 3) ----------------------------------
     let start = Instant::now();
+    let tally = Tally::default();
     let job = JobBuilder::new("pgbj-join")
         .reducers(grouping.group_count())
         .map_tasks(plan.map_tasks)
         .workers(ctx.workers())
         .run_with_partitioner(
             cells,
-            &RouteMapper { group_of, group_lb },
+            &RouteMapper {
+                group_of,
+                group_lb,
+                tally: &tally,
+            },
             &PgbjJoinReducer {
                 tables,
                 theta: bounds.theta,
                 k: plan.k,
                 kernels: ScanKernels::new(plan.metric, plan.kernel_mode),
+                tally: &tally,
             },
             &IdentityPartitioner,
         )
         .map_err(|e| JoinError::substrate("pgbj-join", e))?;
     metrics.record_phase(phases::KNN_JOIN, start.elapsed());
     metrics.absorb_job(&job.metrics);
+    metrics.absorb_tally(tally);
     Ok(rows_from_output(job.output))
 }
 
@@ -78,12 +85,13 @@ pub(crate) fn join(
 /// goes whole to the reducer of its group; of an `S` cell every group gets
 /// the rows its lower bound admits — `|s, p_j| ≥ LB(P_j^S, G)`, a suffix of
 /// the sorted cell ([`crate::algorithms::voronoi::CellSlice::at_least`]).
-struct RouteMapper {
+struct RouteMapper<'a> {
     group_of: Vec<usize>,
     group_lb: Vec<Vec<f64>>,
+    tally: &'a Tally,
 }
 
-impl Mapper for RouteMapper {
+impl Mapper for RouteMapper<'_> {
     type KIn = u32;
     type VIn = ShuffledCell;
     type KOut = u32;
@@ -93,8 +101,8 @@ impl Mapper for RouteMapper {
         let partition = value.partition as usize;
         match value.kind {
             RecordKind::R => {
-                ctx.counters()
-                    .add(counters::R_RECORDS, value.rows.len() as u64);
+                let objects = value.rows.len() as u64;
+                self.tally.add(Count::Shuffled(RecordKind::R), objects);
                 ctx.emit(self.group_of[partition] as u32, value.clone());
             }
             RecordKind::S => {
@@ -106,7 +114,7 @@ impl Mapper for RouteMapper {
                         ctx.emit(group as u32, ShuffledCell { rows, ..*value });
                     }
                 }
-                ctx.counters().add(counters::S_RECORDS, replicas);
+                self.tally.add(Count::Shuffled(RecordKind::S), replicas);
             }
         }
     }
@@ -115,14 +123,15 @@ impl Mapper for RouteMapper {
 /// Reducer of job 2 (Algorithm 3, lines 12–25): the bounded, pruned
 /// nested-loop kNN join for one group, over the `S` suffixes Theorem 6
 /// routed here, with the global Algorithm 1 bound as `θ_i`.
-struct PgbjJoinReducer {
+struct PgbjJoinReducer<'a> {
     tables: Arc<SummaryTables>,
     theta: Vec<f64>,
     k: usize,
     kernels: ScanKernels,
+    tally: &'a Tally,
 }
 
-impl Reducer for PgbjJoinReducer {
+impl Reducer for PgbjJoinReducer<'_> {
     type KIn = u32;
     type VIn = ShuffledCell;
     type KOut = u64;
@@ -140,8 +149,7 @@ impl Reducer for PgbjJoinReducer {
                 |i, _| self.theta[i],
                 |r_id, neighbors| ctx.emit(r_id, neighbors),
             );
-        ctx.counters()
-            .add(counters::DISTANCE_COMPUTATIONS, computations);
+        self.tally.add(Count::Distances, computations);
     }
 }
 

@@ -9,13 +9,11 @@
 //! scan; they differ only in where the `S` partitions, the scan order and
 //! `θ_i` come from.
 
-use crate::algorithms::common::{
-    counters, offer_adds, probe_rows, ScanCounts, ScanKernels, TileScratch,
-};
+use crate::algorithms::common::{offer_adds, probe_rows, ScanCounts, ScanKernels, TileScratch};
 use crate::bounds::{bounding_knn_theta, hyperplane_bound, theorem2_window};
 use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
-use crate::metrics::{phases, JoinMetrics};
+use crate::metrics::{phases, Count, JoinMetrics, Tally};
 use crate::partition::{PivotDistances, VoronoiPartitioner};
 use crate::pivots::select_pivots;
 use crate::plan::JoinPlan;
@@ -516,6 +514,7 @@ pub(crate) fn partition_job(
 
     let start = Instant::now();
     let partitioner = VoronoiPartitioner::new(pivots, plan.metric);
+    let tally = Tally::default();
     let datasets = [(RecordKind::R, r), (RecordKind::S, s)];
     let input = datasets
         .iter()
@@ -528,10 +527,11 @@ pub(crate) fn partition_job(
             input.collect(),
             &PartitionMapper(&partitioner),
             plan.combiner.then_some(&BatchCombiner(PhantomData)),
-            &CellReducer(PhantomData),
+            &CellReducer(&tally),
         )
         .map_err(|e| JoinError::substrate("voronoi-partition", e))?;
     metrics.absorb_job(&job.metrics);
+    metrics.absorb_tally(tally);
     metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
 
     let start = Instant::now();
@@ -558,8 +558,8 @@ struct AssignedPoint<'a> {
     kind: RecordKind,
     pivot_distance: f64,
     /// Pivot distances the mapper's search spent.  Not part of the tuple: it
-    /// rides along so the reducer credits the counter once per cell instead
-    /// of every map call taking the job-wide counter lock.
+    /// rides along so the reducer tallies it once per cell instead of once
+    /// per object.
     search_cost: u64,
     point: &'a Point,
 }
@@ -639,9 +639,9 @@ impl<'a> Combiner for BatchCombiner<'a> {
 /// Reducer of the partitioning job: it holds all of a cell, so it lays it
 /// out once for everything downstream — its `R` and its `S` objects each as
 /// one sorted [`FlatPartition`] (empty ones are not emitted), as
-/// [`VoronoiPrepared::build`] lays out `S` — and credits the
-/// pivot-assignment counter with what the cell's objects actually cost.
-struct CellReducer<'a>(PhantomData<&'a Point>);
+/// [`VoronoiPrepared::build`] lays out `S` — and tallies the pivot
+/// assignments the cell's objects actually cost.
+struct CellReducer<'a>(&'a Tally);
 
 impl<'a> Reducer for CellReducer<'a> {
     type KIn = u32;
@@ -656,10 +656,8 @@ impl<'a> Reducer for CellReducer<'a> {
         ctx: &mut ReduceContext<u32, ShuffledCell>,
     ) {
         let objects = || values.iter().flat_map(|batch| batch.objects());
-        ctx.counters().add(
-            counters::PIVOT_ASSIGNMENT_COMPUTATIONS,
-            objects().map(|object| object.search_cost).sum(),
-        );
+        let search_cost = objects().map(|object| object.search_cost).sum();
+        self.0.add(Count::PivotAssignments, search_cost);
         for kind in [RecordKind::R, RecordKind::S] {
             let of_kind = objects().filter(|object| object.kind == kind);
             let rows: Vec<Row<'_>> = of_kind

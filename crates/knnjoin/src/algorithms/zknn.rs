@@ -23,9 +23,10 @@
 //!    directly, which replicates exactly those boundary records).  Each
 //!    reducer sorts its slab's `S` subset by z-value and answers every local
 //!    `r` from its z-window, computing true distances to the candidates.
-//! 2. **`zknn-merge`** — the standard merge job (shared with H-BRJ/PBJ): the
-//!    `α` partial candidate lists of every `r` fold into the final top-`k`,
-//!    pre-merged map-side when the combiner knob is on.
+//! 2. **`merge`** — the merge job shared with H-BRJ/PBJ, under
+//!    [`merge_distinct_candidates`]: the `α` partial candidate lists of every
+//!    `r` fold into the final top-`k`, pre-merged map-side when the combiner
+//!    knob is on.
 //!
 //! Cost structure: `O(α·|R∪S|)` shuffled records and at most
 //! `α·2·z_window·k` distance computations per `R` object — a constant per
@@ -33,14 +34,13 @@
 //! a true neighbour is z-far in every shifted copy.
 //! [`crate::result::QualityReport`] measures exactly that trade.
 
-use crate::algorithms::blocks::MergeMapper;
+use crate::algorithms::blocks::run_merge_job;
 use crate::algorithms::common::{
-    counters, probe_rows, raw_inputs, rows_from_output, NeighborListValue, ScanCounts, ScanKernels,
-    ShuffleRecord,
+    probe_rows, raw_inputs, NeighborListValue, ScanCounts, ScanKernels, ShuffleRecord,
 };
 use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
-use crate::metrics::{phases, JoinMetrics};
+use crate::metrics::{phases, Count, JoinMetrics, Tally};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
 use geom::kernels::Kernel;
@@ -92,6 +92,7 @@ pub(crate) fn join(
     // ---- Job 1: per-copy z-order slabs, 2k z-neighbour candidates ----------
     let input = raw_inputs(r, s);
     let start = Instant::now();
+    let tally = Tally::default();
     let join_job = JobBuilder::new("zknn-join")
         .reducers(shared.copies.len() * shared.slabs)
         .map_tasks(plan.map_tasks)
@@ -100,36 +101,24 @@ pub(crate) fn join(
             input,
             &ZRouteMapper {
                 shared: Arc::clone(&shared),
+                tally: &tally,
             },
             &ZSlabReducer {
                 shared: Arc::clone(&shared),
                 k,
                 kernels: ScanKernels::new(plan.metric, plan.kernel_mode),
+                tally: &tally,
             },
             &IdentityPartitioner,
         )
         .map_err(|e| JoinError::substrate("zknn-join", e))?;
     metrics.record_phase(phases::KNN_JOIN, start.elapsed());
     metrics.absorb_job(&join_job.metrics);
+    metrics.absorb_tally(tally);
 
     // ---- Job 2: merge the per-copy candidate lists -------------------------
-    let start = Instant::now();
-    let merge_combiner = ZMergeCombiner { k };
-    let merge_job = JobBuilder::new("zknn-merge")
-        .reducers(plan.reducers)
-        .map_tasks(plan.map_tasks)
-        .workers(ctx.workers())
-        .run_with_optional_combiner(
-            join_job.output,
-            &MergeMapper,
-            plan.combiner.then_some(&merge_combiner),
-            &ZMergeReducer { k },
-        )
-        .map_err(|e| JoinError::substrate("zknn-merge", e))?;
-    metrics.record_phase(phases::RESULT_MERGING, start.elapsed());
-    metrics.absorb_job(&merge_job.metrics);
-
-    Ok(rows_from_output(merge_job.output))
+    let (input, workers) = (join_job.output, ctx.workers());
+    run_merge_job(input, plan, workers, merge_distinct_candidates, metrics)
 }
 
 /// The driver-side calibration shared by the cold and prepared paths: the
@@ -267,11 +256,12 @@ impl ZknnShared {
 /// Mapper of job 1: for every shifted copy, route each `R` record to its
 /// z-slab and each `S` record to every slab whose padded z-window contains it
 /// (its own slab plus, near boundaries, the neighbour it pads).
-struct ZRouteMapper {
+struct ZRouteMapper<'a> {
     shared: Arc<ZknnShared>,
+    tally: &'a Tally,
 }
 
-impl Mapper for ZRouteMapper {
+impl Mapper for ZRouteMapper<'_> {
     type KIn = u64;
     type VIn = ShuffleRecord;
     type KOut = u32;
@@ -299,11 +289,7 @@ impl Mapper for ZRouteMapper {
                 }
             }
         }
-        let counter = match value.kind {
-            RecordKind::R => counters::R_RECORDS,
-            RecordKind::S => counters::S_RECORDS,
-        };
-        ctx.counters().add(counter, replicas);
+        self.tally.add(Count::Shuffled(value.kind), replicas);
     }
 }
 
@@ -311,13 +297,14 @@ impl Mapper for ZRouteMapper {
 /// a [`SortedCopy`] and answer every local `r` from the candidate window
 /// around its z-position — `z_window · k` preceding and following — with
 /// true distances, exactly as the serve reducer does against a resident copy.
-struct ZSlabReducer {
+struct ZSlabReducer<'a> {
     shared: Arc<ZknnShared>,
     k: usize,
     kernels: ScanKernels,
+    tally: &'a Tally,
 }
 
-impl Reducer for ZSlabReducer {
+impl Reducer for ZSlabReducer<'_> {
     type KIn = u32;
     type VIn = ShuffleRecord;
     type KOut = u64;
@@ -354,8 +341,7 @@ impl Reducer for ZSlabReducer {
                 &mut scratch,
                 &mut list,
             );
-            ctx.counters()
-                .add(counters::DISTANCE_COMPUTATIONS, computations);
+            self.tally.add(Count::Distances, computations);
             ctx.emit(rec.point.id, NeighborListValue::new(list.into_sorted()));
         }
     }
@@ -389,44 +375,6 @@ pub(crate) fn merge_distinct_candidates(
         acc.offer(id, distance);
     }
     acc.into_sorted()
-}
-
-/// Map-side combiner of the merge job: fold the partial candidate lists a map
-/// task holds for one `R` object into one `k`-bounded distinct list.
-struct ZMergeCombiner {
-    k: usize,
-}
-
-impl mapreduce::Combiner for ZMergeCombiner {
-    type K = u64;
-    type V = NeighborListValue;
-
-    fn combine(&self, _key: &u64, values: &[NeighborListValue]) -> Vec<NeighborListValue> {
-        vec![NeighborListValue::new(merge_distinct_candidates(
-            values, self.k,
-        ))]
-    }
-}
-
-/// Reducer of the merge job: the `k` globally best distinct candidates.
-struct ZMergeReducer {
-    k: usize,
-}
-
-impl Reducer for ZMergeReducer {
-    type KIn = u64;
-    type VIn = NeighborListValue;
-    type KOut = u64;
-    type VOut = Vec<geom::Neighbor>;
-
-    fn reduce(
-        &self,
-        key: &u64,
-        values: &[NeighborListValue],
-        ctx: &mut ReduceContext<u64, Vec<geom::Neighbor>>,
-    ) {
-        ctx.emit(*key, merge_distinct_candidates(values, self.k));
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,40 +9,54 @@
 //!   reducers, and the average per object (`α` in Section 3);
 //! * **shuffling cost**: the number of bytes crossing the MapReduce shuffle.
 
+use geom::RecordKind;
 use mapreduce::JobMetrics;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Counter names used by the join jobs; aggregated into [`JoinMetrics`] by
-/// [`JoinMetrics::absorb_job`].
-pub mod counters {
-    /// Distance computations performed in the join phase (between `R` objects
-    /// and `S` objects or pivots) — the numerator of Equation 13.
-    pub const DISTANCE_COMPUTATIONS: &str = "distance_computations";
-    /// Point-to-pivot distance computations spent assigning objects to their
-    /// Voronoi cell in the partitioning job.  Reported separately from
-    /// [`DISTANCE_COMPUTATIONS`] so Equation 13 keeps the paper's definition;
-    /// the count is the number *actually* spent by the pruned
-    /// `nearest_pivot`, not the nominal `|R ∪ S| · |P|`.
-    pub const PIVOT_ASSIGNMENT_COMPUTATIONS: &str = "pivot_assignment_computations";
-    /// Number of `R` records emitted by the join job's mappers.
-    pub const R_RECORDS: &str = "r_records_shuffled";
-    /// Number of `S` records (replicas included) emitted by the join job's
-    /// mappers.
-    pub const S_RECORDS: &str = "s_records_shuffled";
-    /// Number of spatial indexes (R-trees) actually constructed by the join
-    /// job's reducers.  H-BRJ builds one per *distinct* `S` block (`⌊√N⌋`
-    /// total) and shares it across the row of reducer cells; a regression to
-    /// one-per-cell shows up here as a jump to `⌊√N⌋²`.
-    pub const INDEX_BUILDS: &str = "index_builds";
-    /// Distance computations spent scanning the resident S-delta memtable of
-    /// a mutated [`crate::PreparedJoin`] (see [`crate::delta`]).  Kept apart
-    /// from [`DISTANCE_COMPUTATIONS`] so the frozen-structure cost stays
-    /// directly comparable with an unmutated corpus.
-    pub const DELTA_PROBE_COMPUTATIONS: &str = "delta_probe_computations";
-    /// Frozen-structure candidates discarded because their id is tombstoned
-    /// in the delta overlay — the per-query overhead deletions impose until
-    /// the next compaction folds the tombstones in.
-    pub const TOMBSTONE_MASKED: &str = "tombstone_masked";
+/// The counts one cold MapReduce job's tasks keep: one relaxed atomic per
+/// [`JoinMetrics`] field a job feeds.  The driver lends `&Tally` to the
+/// job's mapper and reducer and, once the job is done, folds it in with
+/// [`JoinMetrics::absorb_tally`].
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    distance_computations: AtomicU64,
+    pivot_assignment_computations: AtomicU64,
+    r_records_shuffled: AtomicU64,
+    s_records_shuffled: AtomicU64,
+    index_builds: AtomicU64,
+}
+
+/// What a task adds to a [`Tally`]; each names the [`JoinMetrics`] field it
+/// lands in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Count {
+    /// [`JoinMetrics::distance_computations`].
+    Distances,
+    /// [`JoinMetrics::pivot_assignment_computations`].
+    PivotAssignments,
+    /// [`JoinMetrics::r_records_shuffled`] or
+    /// [`JoinMetrics::s_records_shuffled`], by dataset.
+    Shuffled(RecordKind),
+    /// [`JoinMetrics::index_builds`].
+    IndexBuilds,
+}
+
+impl Tally {
+    /// Adds `n` to `count`, from any of the job's worker threads.
+    pub(crate) fn add(&self, count: Count, n: u64) {
+        let slot = match count {
+            Count::Distances => &self.distance_computations,
+            Count::PivotAssignments => &self.pivot_assignment_computations,
+            Count::Shuffled(RecordKind::R) => &self.r_records_shuffled,
+            Count::Shuffled(RecordKind::S) => &self.s_records_shuffled,
+            Count::IndexBuilds => &self.index_builds,
+        };
+        // ORDERING: Relaxed — the slots are independent sums no task reads;
+        // the driver reads them only after the worker pool's threads are
+        // joined, and the join synchronizes.
+        slot.fetch_add(n, Ordering::Relaxed);
+    }
 }
 
 /// Phase names used by the harness; kept as constants so experiment tables use
@@ -133,25 +147,25 @@ impl JoinMetrics {
         self.phase_times.push((name.to_string(), elapsed));
     }
 
-    /// Folds one MapReduce job's metrics into this join's totals: shuffle
-    /// volume, combiner throughput, and the join-level [`counters`].
-    ///
-    /// Multi-job algorithms call this once per job, so *every* job's cost is
-    /// visible — PGBJ's partitioning job counts towards shuffling cost just
-    /// like its join job, exactly as the paper's cluster measurements would.
+    /// Folds one MapReduce job's shuffle volume and combiner throughput
+    /// into this join's totals; what the job's tasks counted comes through
+    /// its tally.  Every job is folded — PGBJ's
+    /// partitioning job counts towards shuffling cost just like its join
+    /// job, exactly as the paper's cluster measurements would.
     pub fn absorb_job(&mut self, job: &JobMetrics) {
         self.shuffle_bytes += job.shuffle_bytes;
         self.shuffle_records += job.shuffle_records;
         self.combine_input_records += job.combine_input_records;
         self.combine_output_records += job.combine_output_records;
-        self.distance_computations += job.counters.get(counters::DISTANCE_COMPUTATIONS);
-        self.pivot_assignment_computations +=
-            job.counters.get(counters::PIVOT_ASSIGNMENT_COMPUTATIONS);
-        self.r_records_shuffled += job.counters.get(counters::R_RECORDS);
-        self.s_records_shuffled += job.counters.get(counters::S_RECORDS);
-        self.index_builds += job.counters.get(counters::INDEX_BUILDS);
-        self.delta_probe_computations += job.counters.get(counters::DELTA_PROBE_COMPUTATIONS);
-        self.tombstone_masked += job.counters.get(counters::TOMBSTONE_MASKED);
+    }
+
+    /// Folds the counts one job's tasks kept into this join's totals.
+    pub(crate) fn absorb_tally(&mut self, tally: Tally) {
+        self.distance_computations += tally.distance_computations.into_inner();
+        self.pivot_assignment_computations += tally.pivot_assignment_computations.into_inner();
+        self.r_records_shuffled += tally.r_records_shuffled.into_inner();
+        self.s_records_shuffled += tally.s_records_shuffled.into_inner();
+        self.index_builds += tally.index_builds.into_inner();
     }
 
     /// Folds another join's metrics into this one: counters and shuffle
@@ -268,14 +282,21 @@ mod tests {
             combine_output_records: 100,
             ..Default::default()
         };
-        job.counters.add(counters::DISTANCE_COMPUTATIONS, 7);
-        job.counters.add(counters::PIVOT_ASSIGNMENT_COMPUTATIONS, 5);
-        job.counters.add(counters::R_RECORDS, 40);
-        job.counters.add(counters::INDEX_BUILDS, 3);
-        job.counters.add(counters::DELTA_PROBE_COMPUTATIONS, 9);
-        job.counters.add(counters::TOMBSTONE_MASKED, 2);
-        join.absorb_job(&job);
-        join.absorb_job(&job); // a second job of the same algorithm
+        let tally = || {
+            let tally = Tally::default();
+            tally.add(Count::Distances, 7);
+            tally.add(Count::PivotAssignments, 5);
+            tally.add(Count::Shuffled(RecordKind::R), 40);
+            tally.add(Count::Shuffled(RecordKind::S), 30);
+            tally.add(Count::Shuffled(RecordKind::S), 1);
+            tally.add(Count::IndexBuilds, 3);
+            tally
+        };
+        for _ in 0..2 {
+            // Two jobs of the same algorithm.
+            join.absorb_job(&job);
+            join.absorb_tally(tally());
+        }
         assert_eq!(join.shuffle_records, 200);
         assert_eq!(join.shuffle_bytes, 8_000);
         assert_eq!(join.combine_input_records, 300);
@@ -283,10 +304,10 @@ mod tests {
         assert_eq!(join.distance_computations, 14);
         assert_eq!(join.pivot_assignment_computations, 10);
         assert_eq!(join.r_records_shuffled, 80);
-        assert_eq!(join.s_records_shuffled, 0);
+        assert_eq!(join.s_records_shuffled, 62);
         assert_eq!(join.index_builds, 6);
-        assert_eq!(join.delta_probe_computations, 18);
-        assert_eq!(join.tombstone_masked, 4);
+        assert_eq!(join.delta_probe_computations, 0);
+        assert_eq!(join.tombstone_masked, 0);
     }
 
     #[test]

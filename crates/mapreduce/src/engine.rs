@@ -16,8 +16,7 @@
 //! 4. reduce tasks run in parallel, one per partition; each task merges its
 //!    buffers into sorted key groups (Hadoop's sort/group guarantee, now
 //!    performed inside the parallel region) and runs the [`Reducer`], and
-//! 5. per-phase timings, shuffle volume and counters (including the built-in
-//!    [`crate::counters::builtin`] shuffle/combine counters) are reported as
+//! 5. per-phase timings and shuffle and combine volume are reported as
 //!    [`JobMetrics`].
 //!
 //! Output order is deterministic regardless of the worker-pool size: reduce
@@ -25,7 +24,6 @@
 //! the values of one key arrive in map-task order (then emission order).
 
 use crate::bytesize::ByteSize;
-use crate::counters::{builtin, Counters};
 use crate::job::{
     Combiner, HashPartitioner, IdentityCombiner, MapContext, Mapper, Partitioner, ReduceContext,
     Reducer,
@@ -159,7 +157,7 @@ pub struct JobOutput<K, V> {
     /// Final key/value pairs emitted by all reduce tasks, in reduce-task order
     /// (task 0's output first), with each task's keys in sorted order.
     pub output: Vec<(K, V)>,
-    /// Execution metrics (timings, shuffle volume, counters).
+    /// Execution metrics (timings, shuffle and combine volume).
     pub metrics: JobMetrics,
 }
 
@@ -366,8 +364,6 @@ where
         return Err(JobError::NoMapTasks);
     }
     let workers = workers.unwrap_or_else(default_workers).max(1);
-
-    let counters = Counters::new();
     let input_records = input.len() as u64;
 
     // ---- Map phase -------------------------------------------------------
@@ -378,16 +374,15 @@ where
     let map_start = Instant::now();
     let splits = make_splits(input, requested_map_tasks);
     let map_tasks = splits.len().max(1);
-    let map_results: Vec<Vec<PartitionBuffer<M::KOut, M::VOut>>> =
-        parallel_map(splits, workers, |task_id, split| {
-            let mut ctx = MapContext::new(task_id, counters.clone());
-            mapper.setup(&mut ctx);
-            for (k, v) in &split {
-                mapper.map(k, v, &mut ctx);
-            }
-            mapper.cleanup(&mut ctx);
-            route_and_combine(ctx.emitted, combiner, partitioner, num_reducers, &counters)
-        });
+    let map_results = parallel_map(splits, workers, |_, split| {
+        let mut ctx = MapContext::default();
+        for (k, v) in &split {
+            mapper.map(k, v, &mut ctx);
+        }
+        let emitted = ctx.emitted.len() as u64;
+        let buffers = route_and_combine(ctx.emitted, combiner, partitioner, num_reducers);
+        (buffers, emitted)
+    });
     let map_time = map_start.elapsed();
 
     // ---- Shuffle phase ----------------------------------------------------
@@ -397,18 +392,25 @@ where
     let shuffle_start = Instant::now();
     let mut shuffle_records = 0u64;
     let mut shuffle_bytes = 0u64;
+    // With a combiner every emitted pair goes into it, and what crosses the
+    // shuffle is what came out.
+    let (mut combine_input_records, mut combine_output_records) = (0u64, 0u64);
     let mut partition_inputs: Vec<PartitionInput<M::KOut, M::VOut>> = (0..num_reducers)
         .map(|_| Vec::with_capacity(map_tasks))
         .collect();
-    for task_buffers in map_results {
+    for (task_buffers, emitted) in map_results {
         for (p, (buffer, volume)) in task_buffers.into_iter().enumerate() {
             shuffle_records += volume.records;
             shuffle_bytes += volume.bytes;
+            if combiner.is_some() {
+                combine_output_records += buffer.len() as u64;
+            }
             partition_inputs[p].push(buffer);
         }
+        if combiner.is_some() {
+            combine_input_records += emitted;
+        }
     }
-    counters.add(builtin::SHUFFLE_RECORDS, shuffle_records);
-    counters.add(builtin::SHUFFLE_BYTES, shuffle_bytes);
     let shuffle_time = shuffle_start.elapsed();
 
     // ---- Reduce phase ------------------------------------------------------
@@ -417,19 +419,17 @@ where
     // partition inside the parallel region instead of globally up front.
     let reduce_start = Instant::now();
     let reduce_outputs: Vec<Vec<(R::KOut, R::VOut)>> =
-        parallel_map(partition_inputs, workers, |task_id, buffers| {
+        parallel_map(partition_inputs, workers, |_, buffers| {
             let mut groups: BTreeMap<M::KOut, Vec<M::VOut>> = BTreeMap::new();
             for buffer in buffers {
                 for (k, v) in buffer {
                     groups.entry(k).or_default().push(v);
                 }
             }
-            let mut ctx = ReduceContext::new(task_id, counters.clone());
-            reducer.setup(&mut ctx);
+            let mut ctx = ReduceContext::default();
             for (k, vs) in &groups {
                 reducer.reduce(k, vs, &mut ctx);
             }
-            reducer.cleanup(&mut ctx);
             ctx.emitted
         });
     let reduce_time = reduce_start.elapsed();
@@ -446,15 +446,14 @@ where
         input_records,
         shuffle_records,
         shuffle_bytes,
-        combine_input_records: counters.get(builtin::COMBINE_INPUT_RECORDS),
-        combine_output_records: counters.get(builtin::COMBINE_OUTPUT_RECORDS),
+        combine_input_records,
+        combine_output_records,
         output_records: output.len() as u64,
         timings: PhaseTimings {
             map: map_time,
             shuffle: shuffle_time,
             reduce: reduce_time,
         },
-        counters,
     };
 
     Ok(JobOutput { output, metrics })
@@ -469,7 +468,6 @@ fn route_and_combine<K, V, C, P>(
     combiner: Option<&C>,
     partitioner: &P,
     num_reducers: usize,
-    counters: &Counters,
 ) -> Vec<PartitionBuffer<K, V>>
 where
     K: Clone + Ord + ByteSize,
@@ -496,9 +494,7 @@ where
         .zip(routed)
         .map(|(buffer, volume)| match combiner {
             Some(c) if !buffer.is_empty() => {
-                counters.add(builtin::COMBINE_INPUT_RECORDS, buffer.len() as u64);
                 let combined = apply_combiner(c, buffer);
-                counters.add(builtin::COMBINE_OUTPUT_RECORDS, combined.len() as u64);
                 let mut volume = ShuffleVolume::default();
                 combined.iter().for_each(|(k, v)| volume.charge(k, v));
                 (combined, volume)
@@ -653,7 +649,6 @@ mod tests {
             .unwrap();
         assert_eq!(out.metrics.shuffle_records, 45);
         assert_eq!(out.metrics.shuffle_bytes, 45 * 16);
-        assert_eq!(out.metrics.counters.get(builtin::SHUFFLE_RECORDS), 45);
         assert_eq!(out.output.iter().map(|(_, n)| n).sum::<u64>(), 45);
     }
 
@@ -712,73 +707,32 @@ mod tests {
     fn identity_partitioner_routes_by_key() {
         // With the identity partitioner and as many reducers as keys, each
         // reducer sees exactly one key; the output order groups per reducer.
+        struct CellMap;
+        impl Mapper for CellMap {
+            type KIn = u64;
+            type VIn = u64;
+            type KOut = u32;
+            type VOut = u64;
+            fn map(&self, k: &u64, v: &u64, ctx: &mut MapContext<u32, u64>) {
+                ctx.emit(*k as u32, *v);
+            }
+        }
+        struct CellCount;
+        impl Reducer for CellCount {
+            type KIn = u32;
+            type VIn = u64;
+            type KOut = u32;
+            type VOut = u64;
+            fn reduce(&self, k: &u32, vs: &[u64], ctx: &mut ReduceContext<u32, u64>) {
+                ctx.emit(*k, vs.iter().sum());
+            }
+        }
         let input: Vec<(u64, u64)> = (0..30).map(|i| (i % 3, 1)).collect();
         let out = JobBuilder::new("ident")
             .reducers(3)
-            .run_with_partitioner(input, &IdMap, &SumRed, &IdentityPartitioner)
+            .run_with_partitioner(input, &CellMap, &CellCount, &IdentityPartitioner)
             .unwrap();
         assert_eq!(out.output, vec![(0, 10), (1, 10), (2, 10)]);
-    }
-
-    #[test]
-    fn counters_flow_from_tasks_to_metrics() {
-        struct CountingMap;
-        impl Mapper for CountingMap {
-            type KIn = u64;
-            type VIn = u64;
-            type KOut = u64;
-            type VOut = u64;
-            fn map(&self, k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>) {
-                ctx.counters().increment("mapped");
-                ctx.emit(*k, *v);
-            }
-        }
-        let out = JobBuilder::new("counting")
-            .reducers(2)
-            .run(pairs(50), &CountingMap, &SumRed)
-            .unwrap();
-        assert_eq!(out.metrics.counters.get("mapped"), 50);
-    }
-
-    #[test]
-    fn setup_and_cleanup_run_once_per_task() {
-        struct LifecycleMap;
-        impl Mapper for LifecycleMap {
-            type KIn = u64;
-            type VIn = u64;
-            type KOut = u64;
-            type VOut = u64;
-            fn setup(&self, ctx: &mut MapContext<u64, u64>) {
-                ctx.counters().increment("map_setup");
-            }
-            fn cleanup(&self, ctx: &mut MapContext<u64, u64>) {
-                ctx.counters().increment("map_cleanup");
-            }
-            fn map(&self, k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>) {
-                ctx.emit(*k, *v);
-            }
-        }
-        struct LifecycleRed;
-        impl Reducer for LifecycleRed {
-            type KIn = u64;
-            type VIn = u64;
-            type KOut = u64;
-            type VOut = u64;
-            fn setup(&self, ctx: &mut ReduceContext<u64, u64>) {
-                ctx.counters().increment("red_setup");
-            }
-            fn reduce(&self, k: &u64, vs: &[u64], ctx: &mut ReduceContext<u64, u64>) {
-                ctx.emit(*k, vs.len() as u64);
-            }
-        }
-        let out = JobBuilder::new("lifecycle")
-            .reducers(3)
-            .map_tasks(4)
-            .run(pairs(40), &LifecycleMap, &LifecycleRed)
-            .unwrap();
-        assert_eq!(out.metrics.counters.get("map_setup"), 4);
-        assert_eq!(out.metrics.counters.get("map_cleanup"), 4);
-        assert_eq!(out.metrics.counters.get("red_setup"), 3);
     }
 
     #[test]
@@ -947,7 +901,7 @@ mod tests {
     }
 
     #[test]
-    fn builtin_counters_track_shuffle_and_combine_volume() {
+    fn metrics_track_shuffle_and_combine_volume() {
         /// Sums partial counts on the map side.
         struct SumCombiner;
         impl Combiner for SumCombiner {
@@ -969,25 +923,20 @@ mod tests {
             .run_with_optional_combiner(input, &IdMap, Some(&SumCombiner), &SumRed)
             .unwrap();
 
-        // Without a combiner the combine counters stay untouched.
-        let pc = &plain.metrics.counters;
-        assert_eq!(pc.get(builtin::COMBINE_INPUT_RECORDS), 0);
-        assert_eq!(pc.get(builtin::COMBINE_OUTPUT_RECORDS), 0);
-        assert_eq!(plain.metrics.combine_input_records, 0);
-        assert_eq!(pc.get(builtin::SHUFFLE_RECORDS), 600);
-        assert_eq!(pc.get(builtin::SHUFFLE_BYTES), plain.metrics.shuffle_bytes);
+        // Without a combiner the combine volume stays zero.
+        let p = &plain.metrics;
+        assert_eq!((p.combine_input_records, p.combine_output_records), (0, 0));
+        assert_eq!(p.shuffle_records, 600);
+        assert_eq!(p.shuffle_bytes, 600 * 16);
 
         // With a combiner: everything the mappers emitted entered the
-        // combiner, fewer records left it, and the shuffle counters reflect
-        // the post-combine volume.
+        // combiner, one pair per (task, key) left it, and the shuffle
+        // carried exactly what left it.
         let m = &combined.metrics;
         assert_eq!(m.combine_input_records, 600);
         assert_eq!(m.combine_output_records, 3 * 10); // tasks × keys
-        assert_eq!(m.counters.get(builtin::COMBINE_INPUT_RECORDS), 600);
-        assert_eq!(m.counters.get(builtin::COMBINE_OUTPUT_RECORDS), 30);
-        assert_eq!(m.counters.get(builtin::SHUFFLE_RECORDS), m.shuffle_records);
-        assert_eq!(m.counters.get(builtin::SHUFFLE_BYTES), m.shuffle_bytes);
-        assert!(m.shuffle_bytes < plain.metrics.shuffle_bytes);
+        assert_eq!(m.shuffle_records, m.combine_output_records);
+        assert_eq!(m.shuffle_bytes, 30 * 16);
     }
 
     mod combiner_properties {

@@ -2,7 +2,6 @@
 //! contexts through which they emit intermediate and final pairs.
 
 use crate::bytesize::ByteSize;
-use crate::counters::Counters;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -24,14 +23,6 @@ pub trait Mapper: Send + Sync {
 
     /// Processes one input pair.
     fn map(&self, key: &Self::KIn, value: &Self::VIn, ctx: &mut MapContext<Self::KOut, Self::VOut>);
-
-    /// Called once per map task before any input pair is processed
-    /// (Hadoop's `setup()`); the default does nothing.
-    fn setup(&self, _ctx: &mut MapContext<Self::KOut, Self::VOut>) {}
-
-    /// Called once per map task after the last input pair (Hadoop's
-    /// `cleanup()`); the default does nothing.
-    fn cleanup(&self, _ctx: &mut MapContext<Self::KOut, Self::VOut>) {}
 }
 
 /// The reduce side of a job.
@@ -56,12 +47,6 @@ pub trait Reducer: Send + Sync {
         values: &[Self::VIn],
         ctx: &mut ReduceContext<Self::KOut, Self::VOut>,
     );
-
-    /// Called once per reduce task before the first key; default no-op.
-    fn setup(&self, _ctx: &mut ReduceContext<Self::KOut, Self::VOut>) {}
-
-    /// Called once per reduce task after the last key; default no-op.
-    fn cleanup(&self, _ctx: &mut ReduceContext<Self::KOut, Self::VOut>) {}
 }
 
 /// A map-side combiner (Hadoop's `Combiner`): merges the values a single map
@@ -192,39 +177,23 @@ impl Partitioner<u32> for IdentityPartitioner {
     }
 }
 
-impl Partitioner<u64> for IdentityPartitioner {
-    fn partition(&self, key: &u64, num_reducers: usize) -> usize {
-        (*key as usize) % num_reducers
-    }
-}
-
-impl Partitioner<usize> for IdentityPartitioner {
-    fn partition(&self, key: &usize, num_reducers: usize) -> usize {
-        *key % num_reducers
-    }
-}
-
-/// Context handed to a map task; collects emitted intermediate pairs and their
-/// shuffle size.
+/// Context handed to a map task; collects emitted intermediate pairs.  The
+/// engine builds its own; `default()` gives a standalone one for
+/// unit-testing a mapper.
 #[derive(Debug)]
 pub struct MapContext<K, V> {
     pub(crate) emitted: Vec<(K, V)>,
-    pub(crate) counters: Counters,
-    pub(crate) task_id: usize,
+}
+
+impl<K, V> Default for MapContext<K, V> {
+    fn default() -> Self {
+        Self {
+            emitted: Vec::new(),
+        }
+    }
 }
 
 impl<K: ByteSize, V: ByteSize> MapContext<K, V> {
-    /// Creates a standalone context.  The engine builds contexts itself; this
-    /// constructor exists so mapper implementations can be unit-tested in
-    /// isolation.
-    pub fn new(task_id: usize, counters: Counters) -> Self {
-        Self {
-            emitted: Vec::new(),
-            counters,
-            task_id,
-        }
-    }
-
     /// Emits an intermediate key/value pair.
     pub fn emit(&mut self, key: K, value: V) {
         self.emitted.push((key, value));
@@ -234,38 +203,25 @@ impl<K: ByteSize, V: ByteSize> MapContext<K, V> {
     pub fn emitted(&self) -> &[(K, V)] {
         &self.emitted
     }
-
-    /// The job's shared counters.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    /// Index of the map task executing this context (0-based).
-    pub fn task_id(&self) -> usize {
-        self.task_id
-    }
 }
 
-/// Context handed to a reduce task; collects final output pairs.
+/// Context handed to a reduce task; collects final output pairs.  The engine
+/// builds its own; `default()` gives a standalone one for unit-testing a
+/// reducer.
 #[derive(Debug)]
 pub struct ReduceContext<K, V> {
     pub(crate) emitted: Vec<(K, V)>,
-    pub(crate) counters: Counters,
-    pub(crate) task_id: usize,
+}
+
+impl<K, V> Default for ReduceContext<K, V> {
+    fn default() -> Self {
+        Self {
+            emitted: Vec::new(),
+        }
+    }
 }
 
 impl<K, V> ReduceContext<K, V> {
-    /// Creates a standalone context.  The engine builds contexts itself; this
-    /// constructor exists so reducer implementations can be unit-tested in
-    /// isolation.
-    pub fn new(task_id: usize, counters: Counters) -> Self {
-        Self {
-            emitted: Vec::new(),
-            counters,
-            task_id,
-        }
-    }
-
     /// Emits a final output pair.
     pub fn emit(&mut self, key: K, value: V) {
         self.emitted.push((key, value));
@@ -274,16 +230,6 @@ impl<K, V> ReduceContext<K, V> {
     /// The pairs emitted so far (exposed for unit-testing reducers).
     pub fn emitted(&self) -> &[(K, V)] {
         &self.emitted
-    }
-
-    /// The job's shared counters.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    /// Index of the reduce task executing this context (0-based).
-    pub fn task_id(&self) -> usize {
-        self.task_id
     }
 }
 
@@ -319,27 +265,22 @@ mod tests {
     #[test]
     fn identity_partitioner_uses_key_modulo() {
         let p = IdentityPartitioner;
-        assert_eq!(Partitioner::<u32>::partition(&p, &5u32, 4), 1);
-        assert_eq!(Partitioner::<u64>::partition(&p, &12u64, 5), 2);
-        assert_eq!(Partitioner::<usize>::partition(&p, &9usize, 3), 0);
+        assert_eq!(p.partition(&5u32, 4), 1);
+        assert_eq!(p.partition(&12u32, 5), 2);
     }
 
     #[test]
     fn map_context_collects_output() {
-        let mut ctx: MapContext<u32, u64> = MapContext::new(0, Counters::new());
+        let mut ctx: MapContext<u32, u64> = MapContext::default();
         ctx.emit(1, 2);
         ctx.emit(3, 4);
         assert_eq!(ctx.emitted.len(), 2);
-        assert_eq!(ctx.task_id(), 0);
     }
 
     #[test]
     fn reduce_context_collects_output() {
-        let mut ctx: ReduceContext<String, u32> = ReduceContext::new(3, Counters::new());
+        let mut ctx: ReduceContext<String, u32> = ReduceContext::default();
         ctx.emit("a".into(), 1);
-        ctx.counters().increment("seen");
-        assert_eq!(ctx.emitted.len(), 1);
-        assert_eq!(ctx.task_id(), 3);
-        assert_eq!(ctx.counters().get("seen"), 1);
+        assert_eq!(ctx.emitted(), &[("a".to_string(), 1)]);
     }
 }

@@ -12,9 +12,8 @@
 //!   shuffle; reduce tasks group and sort their partitions in parallel — and
 //!   **accounts every byte** that crosses it (the paper's "shuffling cost"
 //!   metric, Figures 8c–12c), and
-//! * exposes Hadoop-style [`Counters`] — including the built-in
-//!   [`counters::builtin`] shuffle/combine counters — and per-phase
-//!   wall-clock timings ([`JobMetrics`]).
+//! * reports each job's shuffle and combine volume and per-phase wall-clock
+//!   timings as [`JobMetrics`].
 //!
 //! The engine preserves the *dataflow semantics* and *cost structure* of
 //! MapReduce (what gets shuffled, how work is spread over reducers) while
@@ -66,14 +65,12 @@
 #![forbid(unsafe_code)]
 
 pub mod bytesize;
-pub mod counters;
 pub mod engine;
 pub mod job;
 pub mod metrics;
 pub mod sync;
 
 pub use bytesize::ByteSize;
-pub use counters::Counters;
 pub use engine::{default_workers, parallel_map, JobBuilder, JobError, JobOutput};
 pub use job::{
     Combiner, HashPartitioner, IdentityCombiner, IdentityPartitioner, MapContext, Mapper,

@@ -1,11 +1,9 @@
 //! Job execution metrics.
 //!
-//! The paper reports running time broken into phases (Figure 6), shuffling
-//! cost in bytes (Figures 8c–12c) and algorithm-specific counters.  The engine
-//! fills a [`JobMetrics`] for every executed job; drivers combine several of
-//! them (e.g. the two MapReduce jobs of PGBJ) into experiment rows.
+//! The paper reports running time broken into phases (Figure 6) and shuffling
+//! cost in bytes (Figures 8c–12c).  The engine fills a [`JobMetrics`] for
+//! every executed job; drivers fold each job's into their own totals.
 
-use crate::counters::Counters;
 use std::time::Duration;
 
 /// Wall-clock duration of each phase of a job.
@@ -54,33 +52,6 @@ pub struct JobMetrics {
     pub output_records: u64,
     /// Per-phase wall clock durations.
     pub timings: PhaseTimings,
-    /// User counters accumulated by map and reduce tasks.
-    pub counters: Counters,
-}
-
-impl JobMetrics {
-    /// Merges another job's metrics into this one (summing counts and
-    /// durations).  Used to report multi-job algorithms such as H-BRJ, whose
-    /// cost is the sum of its two MapReduce jobs.
-    pub fn absorb(&mut self, other: &JobMetrics) {
-        self.map_tasks += other.map_tasks;
-        self.reduce_tasks += other.reduce_tasks;
-        self.input_records += other.input_records;
-        self.shuffle_records += other.shuffle_records;
-        self.shuffle_bytes += other.shuffle_bytes;
-        self.combine_input_records += other.combine_input_records;
-        self.combine_output_records += other.combine_output_records;
-        self.output_records += other.output_records;
-        self.timings.map += other.timings.map;
-        self.timings.shuffle += other.timings.shuffle;
-        self.timings.reduce += other.timings.reduce;
-        self.counters.merge(&other.counters);
-    }
-
-    /// Shuffle cost in mebibytes, convenient for experiment tables.
-    pub fn shuffle_mib(&self) -> f64 {
-        self.shuffle_bytes as f64 / (1024.0 * 1024.0)
-    }
 }
 
 #[cfg(test)]
@@ -95,47 +66,5 @@ mod tests {
             reduce: Duration::from_millis(30),
         };
         assert_eq!(t.total(), Duration::from_millis(60));
-    }
-
-    #[test]
-    fn absorb_sums_everything() {
-        let mut a = JobMetrics {
-            job_name: "a".into(),
-            map_tasks: 1,
-            reduce_tasks: 2,
-            input_records: 10,
-            shuffle_records: 20,
-            shuffle_bytes: 100,
-            combine_input_records: 20,
-            combine_output_records: 15,
-            output_records: 5,
-            timings: PhaseTimings {
-                map: Duration::from_millis(1),
-                shuffle: Duration::from_millis(2),
-                reduce: Duration::from_millis(3),
-            },
-            counters: Counters::new(),
-        };
-        a.counters.add("x", 1);
-        let mut b = a.clone();
-        b.counters = Counters::new();
-        b.counters.add("x", 2);
-        a.absorb(&b);
-        assert_eq!(a.map_tasks, 2);
-        assert_eq!(a.shuffle_bytes, 200);
-        assert_eq!(a.combine_input_records, 40);
-        assert_eq!(a.combine_output_records, 30);
-        assert_eq!(a.output_records, 10);
-        assert_eq!(a.timings.total(), Duration::from_millis(12));
-        assert_eq!(a.counters.get("x"), 3);
-    }
-
-    #[test]
-    fn shuffle_mib_conversion() {
-        let m = JobMetrics {
-            shuffle_bytes: 2 * 1024 * 1024,
-            ..Default::default()
-        };
-        assert!((m.shuffle_mib() - 2.0).abs() < 1e-12);
     }
 }

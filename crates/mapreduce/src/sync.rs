@@ -11,7 +11,6 @@
 //! | 20 | `prepared.epoch` (`RwLock`) | `knnjoin::prepared` |
 //! | 40 | `prepared.cumulative` | `knnjoin::prepared` |
 //! | 60 | `serving.histogram` | `knnjoin::serving` |
-//! | 90 | `engine.counters` | `mapreduce::counters` |
 //!
 //! (The serving front-end's request queue uses a `std` mutex because it
 //! needs a `Condvar`; it is rank-isolated by construction — no other lock is
@@ -42,8 +41,6 @@ pub mod ranks {
     pub const PREPARED_CUMULATIVE: u8 = 40;
     /// `knnjoin::serving` per-worker latency histogram shard.
     pub const SERVING_HISTOGRAM: u8 = 60;
-    /// `mapreduce::counters` counter map.
-    pub const ENGINE_COUNTERS: u8 = 90;
 }
 
 #[cfg(feature = "debug-invariants")]
@@ -278,8 +275,8 @@ mod tests {
 
     #[test]
     fn in_order_acquisition_is_clean() {
-        let low = RankedMutex::new(ranks::SERVING_HISTOGRAM, "serving.histogram", 1u32);
-        let high = RankedMutex::new(ranks::ENGINE_COUNTERS, "engine.counters", 2u32);
+        let low = RankedMutex::new(ranks::PREPARED_CUMULATIVE, "prepared.cumulative", 1u32);
+        let high = RankedMutex::new(ranks::SERVING_HISTOGRAM, "serving.histogram", 2u32);
         let a = low.lock();
         let b = high.lock();
         assert_eq!(*a + *b, 3);
@@ -307,8 +304,8 @@ mod tests {
     #[test]
     fn out_of_order_acquisition_fires_the_auditor() {
         let outcome = std::panic::catch_unwind(|| {
-            let high = RankedMutex::new(ranks::ENGINE_COUNTERS, "engine.counters", ());
-            let low = RankedMutex::new(ranks::SERVING_HISTOGRAM, "serving.histogram", ());
+            let high = RankedMutex::new(ranks::SERVING_HISTOGRAM, "serving.histogram", ());
+            let low = RankedMutex::new(ranks::PREPARED_CUMULATIVE, "prepared.cumulative", ());
             let _held = high.lock();
             let _violation = low.lock();
         });
@@ -321,8 +318,8 @@ mod tests {
             assert!(msg.contains("lock-order violation"), "got: {msg}");
             // The poisoned stack entries from the aborted acquisition must
             // not leak into later tests on this thread.
-            audit::release(ranks::ENGINE_COUNTERS, "engine.counters");
             audit::release(ranks::SERVING_HISTOGRAM, "serving.histogram");
+            audit::release(ranks::PREPARED_CUMULATIVE, "prepared.cumulative");
             assert_eq!(audit::held_count(), 0);
         }
     }

@@ -53,9 +53,10 @@ fn repeated_runs_are_bit_identical() {
 fn worker_pool_size_does_not_change_results() {
     // The ExecutionContext owns physical parallelism; logical results and
     // cost accounting must be identical whatever the pool size — and the
-    // map-side combiner may only change what job 1's shuffle is charged.
-    // Both Voronoi joins move whole cells through their jobs, so this also
-    // pins that no row or counter depends on which task a cell met.
+    // map-side combiner may only change what a shuffle is charged.  Both
+    // Voronoi joins move whole cells through their jobs, so this also pins
+    // that no row or counter depends on which task a cell met; every join
+    // count is a sum over tasks that add from several threads.
     let r = workload(21);
     let s = workload(22);
     let counters = |m: &pgbj::knnjoin::JoinMetrics| {
@@ -64,13 +65,14 @@ fn worker_pool_size_does_not_change_results() {
             m.pivot_assignment_computations,
             m.r_records_shuffled,
             m.s_records_shuffled,
+            m.index_builds,
             m.shuffle_records,
             m.shuffle_bytes,
             m.combine_input_records,
             m.combine_output_records,
         ]
     };
-    for algorithm in [Algorithm::Pgbj, Algorithm::Pbj] {
+    for algorithm in Algorithm::ALL {
         let run = |workers: usize, combiner: bool| {
             let ctx = ExecutionContext::builder().workers(workers).build();
             Join::new(&r, &s)
@@ -86,10 +88,10 @@ fn worker_pool_size_does_not_change_results() {
         for combiner in [true, false] {
             let single = run(1, combiner);
             assert!(single.matches(&reference, 0.0), "{algorithm} {combiner}");
-            // Without the combiner job 1 ships more, the rest is untouched.
+            // Without the combiner more is shipped, the rest is untouched.
             assert_eq!(
-                counters(&single.metrics)[..4],
-                counters(&reference.metrics)[..4],
+                counters(&single.metrics)[..5],
+                counters(&reference.metrics)[..5],
                 "{algorithm} combiner {combiner}"
             );
             for workers in [2, 4, 8] {

@@ -4,12 +4,13 @@
 //! Not a paper artifact — the paper's corpus is immutable — but the serving
 //! question its batch design leaves open: what does a resident delta overlay
 //! cost at query time, and does compaction restore frozen-path parity?  For
-//! every algorithm and churn level (0%, 5%, 20% of the corpus inserted *and*
-//! deleted), one `JoinBuilder::prepare` handle is mutated through
-//! `PreparedJoin::insert`/`delete` with auto-compaction disabled, queried
-//! (the `"overlay"` rows: delta probes and tombstone masks at their peak),
-//! then force-compacted and queried again (the `"compacted"` rows: the delta
-//! counters must return to zero, the live corpus unchanged).
+//! both prepared algorithms (PGBJ and PBJ) and every churn level (0%, 5%,
+//! 20% of the corpus inserted *and* deleted), one `JoinBuilder::prepare`
+//! handle is mutated through `PreparedJoin::insert`/`delete` with
+//! auto-compaction disabled, queried (the `"overlay"` rows: delta probes and
+//! tombstone masks at their peak), then force-compacted and queried again
+//! (the `"compacted"` rows: the delta counters must return to zero, the live
+//! corpus unchanged).
 //!
 //! The deterministic columns (`distance_computations`,
 //! `delta_probe_computations`, `tombstone_masked`, `compactions`,
@@ -95,8 +96,8 @@ fn measure(prepared: &PreparedJoin, data: &PointSet, churn_pct: usize, phase: &s
     let result = last.expect("at least one query ran");
     let m = &result.metrics;
     let stats = prepared.delta_stats();
-    // The corpus is derived from the family structure on demand: one id
-    // each, ascending, as many as the live count says.
+    // The corpus is derived from the Voronoi cells on demand: one id each,
+    // ascending, as many as the live count says.
     let corpus = prepared.materialized_corpus();
     assert_eq!(prepared.s_len(), corpus.len(), "live count vs corpus");
     assert!(
@@ -117,21 +118,14 @@ fn measure(prepared: &PreparedJoin, data: &PointSet, churn_pct: usize, phase: &s
     }
 }
 
-/// Runs the churn grid over every algorithm.
+/// Runs the churn grid over the algorithms `prepare` keeps an index for.
 pub fn mutable_corpus(scale: ExperimentScale) -> ExperimentOutput {
     let workloads = Workloads::new(scale);
     let data = workloads.forest_default();
     let k = workloads.default_k();
 
     let mut rows: Vec<MutableRow> = Vec::new();
-    for &algorithm in &[
-        Algorithm::Hbrj,
-        Algorithm::Pbj,
-        Algorithm::Pgbj,
-        Algorithm::Zknn,
-        Algorithm::BroadcastJoin,
-        Algorithm::NestedLoopJoin,
-    ] {
+    for &algorithm in &[Algorithm::Pbj, Algorithm::Pgbj] {
         for &pct in &CHURN_PERCENTS {
             let prepared = JoinBuilder::new(&data, &data)
                 .k(k)
@@ -139,8 +133,6 @@ pub fn mutable_corpus(scale: ExperimentScale) -> ExperimentOutput {
                 .algorithm(algorithm)
                 .pivot_count(workloads.default_pivots())
                 .reducers(workloads.default_reducers())
-                .shift_copies(workloads.default_shift_copies())
-                .z_window(workloads.default_z_window())
                 // Keep the full churn resident so the overlay rows measure
                 // the delta probe path at its peak, not a mid-churn rebuild.
                 .delta_threshold(usize::MAX)
@@ -235,12 +227,12 @@ mod tests {
     }
 
     #[test]
-    fn covers_every_algorithm_churn_level_and_phase() {
+    fn covers_both_algorithms_every_churn_level_and_phase() {
         let out = mutable_corpus(ExperimentScale::Quick);
         assert_eq!(out.id, "mutable_corpus");
         let rows = rows_of(&out);
-        // 6 algorithms × 3 churn levels × 2 phases.
-        assert_eq!(rows.len(), 36);
+        // 2 algorithms × 3 churn levels × 2 phases.
+        assert_eq!(rows.len(), 12);
         let labels: Vec<&str> = rows.iter().filter_map(|r| r["label"].as_str()).collect();
         let mut unique = labels.clone();
         unique.sort_unstable();
@@ -252,7 +244,7 @@ mod tests {
     fn overlay_rows_probe_the_delta_and_compaction_restores_parity() {
         let out = mutable_corpus(ExperimentScale::Quick);
         let rows = rows_of(&out);
-        for algorithm in ["H-BRJ", "PBJ", "PGBJ", "H-zkNNJ", "Broadcast", "NestedLoop"] {
+        for algorithm in ["PBJ", "PGBJ"] {
             let frozen = find(rows, &format!("{algorithm} churn=0% overlay"));
             let churned = find(rows, &format!("{algorithm} churn=5% overlay"));
             let compacted = find(rows, &format!("{algorithm} churn=5% compacted"));
@@ -263,18 +255,15 @@ mod tests {
             assert_eq!(frozen["compactions"].as_u64(), Some(0));
 
             // 5% churn keeps the corpus size (equal inserts and deletes)
-            // and probes the memtable on every algorithm but the window-only
-            // H-zkNNJ (whose delta hits depend on z-adjacency).
+            // and probes the memtable.
             assert_eq!(
                 churned["live_points"].as_u64(),
                 frozen["live_points"].as_u64()
             );
-            if algorithm != "H-zkNNJ" {
-                assert!(
-                    churned["delta_probe_computations"].as_u64().unwrap() > 0,
-                    "{algorithm}: overlay adds must be probed"
-                );
-            }
+            assert!(
+                churned["delta_probe_computations"].as_u64().unwrap() > 0,
+                "{algorithm}: overlay adds must be probed"
+            );
 
             // The acceptance bar: serving through the overlay at 5% churn
             // costs < 1.5× the frozen-only query in distance kernels.

@@ -13,17 +13,18 @@
 //! it must agree with (on PGBJ and PBJ its `distance_computations` equal the
 //! `Exact` twin's, on H-BRJ every deterministic field does, see
 //! [`fast_rows_off_their_exact_twin`]).  A third row set
-//! (`"<name> (prepared)"`) measures the serving path: one
-//! `JoinBuilder::prepare` build followed by [`PREPARED_QUERIES`] repeated
-//! `PreparedJoin::query` calls, reporting the per-query counters (which must
-//! show zero `index_builds` / `pivot_selections`) and the amortized query
-//! wall time next to the cold run it replaces; a fourth
-//! (`"<name> (prepared, fast)"`) repeats the serving rows with
-//! `kernel_mode = Fast`, pinning the resident-S tiled scans.  The JSON is written to
-//! `BENCH_baseline.json` (see the README) so the repository always carries a
-//! reference trajectory: computation, shuffle and quality numbers are
-//! deterministic for the fixed seed and must not regress silently; wall
-//! times are machine-dependent and indicative only.
+//! (`"<name> (prepared)"`, PGBJ and PBJ — the algorithms `prepare` keeps an
+//! index for) measures the serving path: one `JoinBuilder::prepare` build
+//! followed by [`PREPARED_QUERIES`] repeated `PreparedJoin::query` calls,
+//! reporting the per-query counters (which must show zero `index_builds` /
+//! `pivot_selections`) and the amortized query wall time next to the cold
+//! run it replaces; a fourth (`"<name> (prepared, fast)"`) repeats the
+//! serving rows with `kernel_mode = Fast`, pinning the resident-S tiled
+//! scans.  The JSON is written to `BENCH_baseline.json` (see the README) so
+//! the repository always carries a reference trajectory: computation,
+//! shuffle and quality numbers are deterministic for the fixed seed and must
+//! not regress silently; wall times are machine-dependent and indicative
+//! only.
 
 use super::ExperimentOutput;
 use crate::json::Value;
@@ -192,13 +193,18 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
         .collect();
     rows.extend(fast_rows);
 
-    // ---- Prepared serving rows: one build, PREPARED_QUERIES queries, once
-    // per kernel mode (Exact first, so the committed row order is stable).
-    // The `(prepared, fast)` rows pin the resident-S tiled scans' counters,
-    // which no cold row exercises.
+    // ---- Prepared serving rows of the Voronoi family: one build,
+    // PREPARED_QUERIES queries, once per kernel mode (Exact first, so the
+    // committed row order is stable).  The `(prepared, fast)` rows pin the
+    // resident-S tiled scans' counters, which no cold row exercises.
     let prepared_rows: Vec<BaselineRow> = [KernelMode::Exact, KernelMode::Fast]
         .iter()
-        .flat_map(|&mode| algorithms.iter().map(move |&algorithm| (mode, algorithm)))
+        .flat_map(|&mode| {
+            let voronoi = algorithms
+                .iter()
+                .filter(|algorithm| algorithm.uses_pivots());
+            voronoi.map(move |&algorithm| (mode, algorithm))
+        })
         .map(|(mode, algorithm)| {
             let start = Instant::now();
             let prepared = JoinBuilder::new(&data, &data)
@@ -207,8 +213,6 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
                 .algorithm(algorithm)
                 .pivot_count(pivots)
                 .reducers(reducers)
-                .shift_copies(workloads.default_shift_copies())
-                .z_window(workloads.default_z_window())
                 .kernel_mode(mode)
                 .prepare(workloads.context())
                 .expect("baseline prepare must succeed");
@@ -333,15 +337,15 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
     }
 }
 
-/// The `Fast` rows of a `perf_baseline` run — cold and prepared — that are
-/// off their `Exact` twin, each as a description.  PGBJ / PBJ: on
+/// The `Fast` rows of a `perf_baseline` run that are off their `Exact`
+/// twin, each as a description.  PGBJ / PBJ, cold and prepared: on
 /// `distance_computations`; both modes walk the same 32-row tiles of the
 /// same cells (`VoronoiScan`), so the counts are equal unless a `Fast`
 /// distance, off by its ≤ 1e-9 round-off, landed on the other side of a
 /// bound and flipped an admission — rare enough on a fixed seed to be worth
-/// seeing when it happens.  H-BRJ: on every one of [`BASELINE_FIELDS`]; the
-/// R-tree cannot see the mode, so a difference means a second leaf walk is
-/// back.
+/// seeing when it happens.  Cold H-BRJ: on every one of
+/// [`BASELINE_FIELDS`]; the R-tree cannot see the mode, so a difference
+/// means a second leaf walk is back.
 pub fn fast_rows_off_their_exact_twin(rows: &Value) -> Vec<String> {
     let mut problems = Vec::new();
     let voronoi: &[&str] = &["distance_computations"];
@@ -355,13 +359,14 @@ pub fn fast_rows_off_their_exact_twin(rows: &Value) -> Vec<String> {
         ),
     ] {
         let name = algorithm.name();
-        for (exact, fast) in [
-            (name.to_string(), format!("{name} (fast)")),
-            (
+        let mut twins = vec![(name.to_string(), format!("{name} (fast)"))];
+        if algorithm.uses_pivots() {
+            twins.push((
                 format!("{name} (prepared)"),
                 format!("{name} (prepared, fast)"),
-            ),
-        ] {
+            ));
+        }
+        for (exact, fast) in twins {
             problems.extend(fields.iter().filter_map(|field| {
                 twin_problem(
                     rows,
@@ -452,9 +457,9 @@ mod tests {
         let out = perf_baseline(ExperimentScale::Quick);
         assert_eq!(out.id, "perf_baseline");
         let rows = out.json.as_array().expect("array of rows");
-        // Six exact cold rows, six fast-mode cold rows, six prepared rows
-        // and six prepared fast-mode rows.
-        assert_eq!(rows.len(), 24);
+        // Six exact cold rows, six fast-mode cold rows, then the PBJ and
+        // PGBJ prepared rows in each mode.
+        assert_eq!(rows.len(), 16);
         let names: Vec<&str> = rows
             .iter()
             .map(|r| r["algorithm"].as_str().expect("name"))
@@ -464,8 +469,15 @@ mod tests {
             &["H-BRJ", "PBJ", "PGBJ", "H-zkNNJ", "Broadcast", "NestedLoop"]
         );
         assert!(names[6..12].iter().all(|n| n.ends_with("(fast)")));
-        assert!(names[12..18].iter().all(|n| n.ends_with("(prepared)")));
-        assert!(names[18..].iter().all(|n| n.ends_with("(prepared, fast)")));
+        assert_eq!(
+            &names[12..],
+            &[
+                "PBJ (prepared)",
+                "PGBJ (prepared)",
+                "PBJ (prepared, fast)",
+                "PGBJ (prepared, fast)"
+            ]
+        );
         for row in rows {
             assert!(row["wall_time_s"].as_f64().expect("time") >= 0.0);
             assert!(row["distance_computations"].as_u64().expect("comps") > 0);
@@ -549,13 +561,14 @@ mod tests {
                 "{algorithm}"
             );
             // Pivot assignment runs the one pruned search in every mode.
-            for (exact_row, fast_row) in [
-                (algorithm.to_string(), format!("{algorithm} (fast)")),
-                (
+            let mut twins = vec![(algorithm.to_string(), format!("{algorithm} (fast)"))];
+            if algorithm == "PBJ" || algorithm == "PGBJ" {
+                twins.push((
                     format!("{algorithm} (prepared)"),
                     format!("{algorithm} (prepared, fast)"),
-                ),
-            ] {
+                ));
+            }
+            for (exact_row, fast_row) in twins {
                 assert_eq!(
                     by_name(&fast_row)["pivot_assignment_computations"].as_u64(),
                     by_name(&exact_row)["pivot_assignment_computations"].as_u64(),
@@ -584,12 +597,12 @@ mod tests {
                             (row["distance_computations"].as_f64().expect("comps") + 1.0).into(),
                         ),
                     ]),
-                    Some("H-BRJ (prepared, fast)") => match row {
+                    Some("H-BRJ (fast)") => match row {
                         Value::Object(fields) => Value::Object(
                             fields
                                 .iter()
                                 .map(|(name, value)| match name.as_str() {
-                                    "index_builds" => (name.clone(), 1.0.into()),
+                                    "index_builds" => (name.clone(), 0.0.into()),
                                     _ => (name.clone(), value.clone()),
                                 })
                                 .collect(),
@@ -604,7 +617,7 @@ mod tests {
         assert_eq!(problems.len(), 2, "{problems:?}");
         assert!(problems[0].starts_with("PGBJ (fast)"), "{problems:?}");
         assert!(
-            problems[1].starts_with("H-BRJ (prepared, fast).index_builds"),
+            problems[1].starts_with("H-BRJ (fast).index_builds"),
             "{problems:?}"
         );
     }
@@ -719,35 +732,28 @@ mod tests {
                 .find(|r| r["algorithm"].as_str() == Some(name))
                 .unwrap_or_else(|| panic!("missing row {name}"))
         };
-        for algorithm in ["H-BRJ", "PBJ", "PGBJ", "H-zkNNJ", "Broadcast", "NestedLoop"] {
+        for algorithm in ["PBJ", "PGBJ"] {
             let row = by_name(&format!("{algorithm} (prepared)"));
             // The serving invariant: no per-query index builds or pivot
             // selections — that work lives in the build phase.
             assert_eq!(row["index_builds"].as_u64(), Some(0), "{algorithm}");
             assert_eq!(row["pivot_selections"].as_u64(), Some(0), "{algorithm}");
-            // Exact prepared answers stay exact; the approximate one keeps
-            // its recall bar.
+            // Prepared answers stay exact.
             let recall = row["recall"].as_f64().expect("recall");
-            if algorithm == "H-zkNNJ" {
-                assert!(recall >= 0.9, "recall {recall}");
-            } else {
-                assert!((recall - 1.0).abs() < 1e-12, "{algorithm} recall {recall}");
-            }
+            assert!((recall - 1.0).abs() < 1e-12, "{algorithm} recall {recall}");
         }
         // The amortization claim itself: repeated prepared queries beat the
-        // cold run they replace on the paper's contribution and the R-tree
-        // baseline (the two algorithms with the heaviest S-side builds).
-        // Wall-clock comparisons can be disturbed by parallel test load, so
-        // a failed attempt re-measures on a fresh run before declaring a
-        // regression.
+        // cold run they replace on both prepared algorithms.  Wall-clock
+        // comparisons can be disturbed by parallel test load, so a failed
+        // attempt re-measures on a fresh run before declaring a regression.
         let wall_times_beat_cold = |rows: &[Value]| {
-            ["PGBJ", "H-BRJ"].iter().all(|algorithm| {
+            ["PGBJ", "PBJ"].iter().all(|algorithm| {
                 let prepared = rows
                     .iter()
                     .find(|r| {
                         r["algorithm"]
                             .as_str()
-                            .map(|n| n.starts_with(algorithm) && n.ends_with("(prepared)"))
+                            .map(|n| n == format!("{algorithm} (prepared)"))
                             == Some(true)
                     })
                     .unwrap_or_else(|| panic!("missing prepared row for {algorithm}"));
@@ -766,7 +772,7 @@ mod tests {
         }
         assert!(
             beaten,
-            "prepared queries did not beat cold runs on PGBJ and H-BRJ in any attempt"
+            "prepared queries did not beat cold runs on PGBJ and PBJ in any attempt"
         );
     }
 

@@ -12,7 +12,6 @@ use crate::algorithms::common::{
     raw_inputs, rows_from_output, ScanKernels, ShuffleRecord, TileScratch,
 };
 use crate::context::ExecutionContext;
-use crate::delta::NO_DELTA;
 use crate::exact::FlatBlock;
 use crate::metrics::{phases, Count, JoinMetrics, Tally};
 use crate::plan::JoinPlan;
@@ -115,14 +114,9 @@ impl Reducer for BroadcastReducer<'_> {
         );
         let mut scratch = TileScratch::new();
         for record in ShuffleRecord::of_kind(values, RecordKind::R) {
-            let (neighbors, counts) = block.scan(
-                &record.point.coords,
-                self.k,
-                &self.kernels,
-                &NO_DELTA,
-                &mut scratch,
-            );
-            self.tally.add(Count::Distances, counts.frozen);
+            let (neighbors, evaluated) =
+                block.scan(&record.point.coords, self.k, &self.kernels, &mut scratch);
+            self.tally.add(Count::Distances, evaluated);
             ctx.emit(record.point.id, neighbors);
         }
     }

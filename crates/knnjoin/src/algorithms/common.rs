@@ -1,7 +1,7 @@
 //! Pieces shared by every MapReduce join algorithm: the typed object value
 //! the jobs without a partitioning step shuffle, the neighbour-list value
 //! type used by the merge jobs, the kernel / delta / tile plumbing of the
-//! candidate scans, and the direct probe routine of the prepared families.
+//! candidate scans, and the direct probe routine of the prepared join.
 //!
 //! Shuffle bytes are accounted, not produced: a [`ShuffleRecord`] (like the
 //! Voronoi family's cells, see [`crate::algorithms::voronoi`]) crosses the
@@ -165,14 +165,14 @@ pub(crate) fn for_each_tile(n: usize, mut each: impl FnMut(usize, usize)) {
     }
 }
 
-/// The delta rule of the exact families, which all scan in this order: the
-/// overlay's adds are offered *first* — ranked `PROBE_TILE` rows at a time by
-/// `tile`, the scan's own tile kernel for `metric`, so they tighten the
-/// running threshold before any frozen row is looked at — then the frozen
-/// structure is searched, every evaluated row billed and a tombstoned one
-/// masked on offer ([`NeighborList::offer_ranks`] with
-/// [`DeltaOverlay::tombstones`]).  Returns the scan's counts so far: the adds
-/// evaluated, which is all of them.
+/// The delta rule of the prepared scan: the overlay's adds are offered
+/// *first* — ranked `PROBE_TILE` rows at a time by `tile`, the scan's own
+/// tile kernel for `metric`, so they tighten the running threshold before
+/// any frozen row is looked at — then the frozen cells are searched, every
+/// evaluated row billed and a tombstoned one masked on offer
+/// ([`NeighborList::offer_ranks`] with [`DeltaOverlay::tombstones`]).
+/// Returns the scan's counts so far: the adds evaluated, which is all of
+/// them.
 pub(crate) fn offer_adds(
     delta: &DeltaOverlay,
     query: &[f64],
@@ -246,11 +246,10 @@ pub(crate) fn label_rows(r: &PointSet, neighbors: Vec<Vec<Neighbor>>) -> Vec<Joi
 /// never spawns threads of its own.
 pub const PARALLEL_PROBE_CUT: usize = 64;
 
-/// The one probe routine of every prepared family: runs `scan_row(scan, i,
-/// rows[i])` for every row and returns the neighbour lists positionally,
-/// folding the scan counters into `metrics` and recording the `knn join`
-/// phase.  Nothing is
-/// encoded, shuffled or grouped — `S` is resident, so a probe costs what its
+/// The probe routine of the prepared join: runs `scan_row(scan, i, rows[i])`
+/// for every row and returns the neighbour lists positionally, folding the
+/// scan counters into `metrics` and recording the `knn join` phase.  Nothing
+/// is encoded, shuffled or grouped — `S` is resident, so a probe costs what its
 /// scans cost.  Batches of [`PARALLEL_PROBE_CUT`] rows or more are split into
 /// one contiguous range per worker on the engine's [`parallel_map`]; each
 /// range builds its own scan state (kernels, tile scratch) with `new_scan`.

@@ -17,20 +17,15 @@
 //! `B` (the `index_builds` metric).
 
 use crate::algorithms::blocks::{block_count, run_block_framework, BlockRouteMapper};
-use crate::algorithms::common::{
-    offer_adds, probe_rows, raw_inputs, NeighborListValue, ShuffleRecord, TileScratch,
-};
+use crate::algorithms::common::{raw_inputs, NeighborListValue, ShuffleRecord};
 use crate::context::ExecutionContext;
-use crate::delta::DeltaOverlay;
-use crate::metrics::{phases, Count, JoinMetrics, Tally};
+use crate::metrics::{Count, JoinMetrics, Tally};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
-use geom::{DistanceMetric, Neighbor, NeighborList, Point, PointId, PointSet, RecordKind};
+use geom::{DistanceMetric, Point, PointSet, RecordKind};
 use mapreduce::{ReduceContext, Reducer};
 use spatial::RTree;
-use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// Runs cold H-BRJ for a validated `plan` over validated inputs.  There is
 /// no preprocessing: the map job replicates raw records.
@@ -114,121 +109,6 @@ impl Reducer for HbrjCellReducer<'_> {
             self.tally.add(Count::Distances, computations);
             ctx.emit(record.point.id, NeighborListValue::new(neighbors));
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Prepared (build/probe) serving path
-// ---------------------------------------------------------------------------
-
-/// The prepared H-BRJ state: the `B = ⌊√N⌋` per-block R-trees, bulk-loaded
-/// once at build time.  A probe searches all `B` resident trees per row and
-/// keeps the global top-`k` — no per-query tree builds (`index_builds` stays
-/// flat), no shuffle and no merge job.
-#[derive(Debug)]
-pub(crate) struct HbrjPrepared {
-    trees: Vec<Arc<RTree>>,
-}
-
-/// Bulk-loads one block's tree from its points in ascending id order, so a
-/// tree depends only on the set it holds, not on the order it arrived in.
-fn block_tree(mut block: Vec<Point>, metric: DistanceMetric) -> Arc<RTree> {
-    block.sort_by_key(|p| p.id);
-    Arc::new(RTree::bulk_load(block, metric))
-}
-
-impl HbrjPrepared {
-    /// Splits `S` into the same `id mod B` blocks as the cold path and
-    /// bulk-loads one tree per block.
-    pub(crate) fn build(s: &PointSet, plan: &JoinPlan, metrics: &mut JoinMetrics) -> Self {
-        let start = Instant::now();
-        let blocks = block_count(plan.reducers);
-        let mut block_points: Vec<Vec<Point>> = vec![Vec::new(); blocks];
-        for p in s {
-            block_points[(p.id % blocks as u64) as usize].push(p.clone());
-        }
-        let trees = block_points
-            .into_iter()
-            .map(|block| block_tree(block, plan.metric))
-            .collect();
-        metrics.index_builds += blocks as u64;
-        metrics.record_phase(phases::PREPARE_BUILD, start.elapsed());
-        Self { trees }
-    }
-
-    /// The resident `S` rows, read from the trees' leaves.
-    pub(crate) fn points(&self) -> impl Iterator<Item = (PointId, &[f64])> {
-        self.trees.iter().flat_map(|tree| tree.points())
-    }
-
-    /// Answers one probe batch, positionally, through [`probe_rows`]: per
-    /// row, `delta`'s adds first ([`offer_adds`], ranked by the bit-exact
-    /// tile kernel the trees' leaves use), then best-first kNN against every
-    /// resident block tree, tombstoned points masked on offer — all into one
-    /// accumulator, so what is already found prunes what is searched next.
-    pub(crate) fn probe(
-        &self,
-        rows: &[&[f64]],
-        plan: &JoinPlan,
-        workers: usize,
-        delta: &DeltaOverlay,
-        metrics: &mut JoinMetrics,
-    ) -> Vec<Vec<Neighbor>> {
-        let metric = plan.metric;
-        let tile = metric.exact_batch_rank_kernel();
-        probe_rows(
-            rows,
-            workers,
-            metrics,
-            TileScratch::new,
-            |scratch, _, query| {
-                let mut list = NeighborList::new(plan.k);
-                let mut counts = offer_adds(delta, query, tile, metric, scratch, &mut list);
-                // The k-th distance found so far prunes every later tree,
-                // which the cold path's independent per-cell searches cannot
-                // do.
-                for tree in &self.trees {
-                    let (evaluated, masked) = tree.knn_into(query, delta.tombstones(), &mut list);
-                    counts.frozen += evaluated;
-                    counts.masked += masked;
-                }
-                (list.into_sorted(), counts)
-            },
-        )
-    }
-
-    /// Folds a delta overlay into the resident trees, rebuilding *only* the
-    /// `id mod B` blocks the delta touches, each from its tree's leaf rows
-    /// minus tombstones plus the block's adds; untouched trees are
-    /// `Arc`-shared into the new state.  Block membership is a pure function
-    /// of the id and [`block_tree`] loads in id order, so every tree is the
-    /// one a build over the live corpus would load.
-    pub(crate) fn compact(
-        &self,
-        delta: &DeltaOverlay,
-        plan: &JoinPlan,
-        metrics: &mut JoinMetrics,
-    ) -> Self {
-        let block_of = |id: PointId| (id % self.trees.len() as u64) as usize;
-        let affected: BTreeSet<usize> = delta
-            .add_ids()
-            .iter()
-            .chain(delta.tombstones())
-            .map(|&id| block_of(id))
-            .collect();
-        let mut trees = self.trees.clone();
-        for &b in &affected {
-            let block: Vec<Point> = self.trees[b]
-                .points()
-                .filter(|(id, _)| !delta.is_tombstoned(*id))
-                .chain(delta.adds().filter(|(id, _)| block_of(*id) == b))
-                .map(|(id, coords)| Point::new(id, coords.to_vec()))
-                .collect();
-            metrics.compacted_points += block.len() as u64;
-            metrics.index_builds += 1;
-            trees[b] = block_tree(block, plan.metric);
-        }
-        Self { trees }
     }
 }
 
@@ -331,53 +211,8 @@ mod tests {
         assert_eq!(res.metrics.distance_computations, reference_computations);
     }
 
-    /// `points` in an order drawn from `seed`, not the ids' order.
-    fn permuted(mut points: Vec<Point>, seed: u64) -> PointSet {
-        points.sort_by_key(|p| p.id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed);
-        PointSet::from_points(points)
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
-        /// Compaction lays every block out as `build` does over the live
-        /// set, whatever order that set arrives in: with deletes, adds and
-        /// an upsert folded into a corpus whose ids do not ascend in arrival
-        /// order, each tree's leaf sequence equals the fresh build's.
-        #[test]
-        fn compaction_lays_blocks_out_as_a_build_over_any_order_of_the_live_set(
-            n in 20usize..150,
-            reducers in 1usize..10,
-            stride in 2u64..7,
-            seed in 0u64..1000,
-        ) {
-            let plan = JoinPlan { reducers, ..JoinPlan::default() };
-            let frozen = permuted(uniform(n, 2, 80.0, seed).into_points(), seed);
-            let mut metrics = JoinMetrics::default();
-            let built = HbrjPrepared::build(&frozen, &plan, &mut metrics);
-            // Frozen ids 1 and 2 are upserted, two fresh ids added.
-            let (upserted, fresh) = ([1, 2], [3 * n as u64, 3 * n as u64 + 1]);
-            let mut delta = DeltaOverlay::default();
-            let mut live: Vec<Point> = Vec::new();
-            for p in &frozen {
-                if p.id % stride == 0 || upserted.contains(&p.id) {
-                    delta.tombstone(p.id);
-                } else {
-                    live.push(p.clone());
-                }
-            }
-            for (i, id) in upserted.into_iter().chain(fresh).enumerate() {
-                let moved = Point::new(id, vec![i as f64, 40.0]);
-                delta.insert_add(id, &moved.coords);
-                live.push(moved);
-            }
-            let compacted = built.compact(&delta, &plan, &mut metrics);
-            let rebuilt = HbrjPrepared::build(&permuted(live, !seed), &plan, &mut metrics);
-            prop_assert_eq!(compacted.trees.len(), rebuilt.trees.len());
-            for (a, b) in compacted.trees.iter().zip(&rebuilt.trees) {
-                prop_assert_eq!(a.points().collect::<Vec<_>>(), b.points().collect::<Vec<_>>());
-            }
-        }
-
         #[test]
         fn hbrj_equals_exact_join(
             n_r in 10usize..100,

@@ -35,17 +35,13 @@
 //! [`crate::result::QualityReport`] measures exactly that trade.
 
 use crate::algorithms::blocks::run_merge_job;
-use crate::algorithms::common::{
-    probe_rows, raw_inputs, NeighborListValue, ScanCounts, ScanKernels, ShuffleRecord,
-};
+use crate::algorithms::common::{raw_inputs, NeighborListValue, ScanKernels, ShuffleRecord};
 use crate::context::ExecutionContext;
-use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, Count, JoinMetrics, Tally};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
-use geom::kernels::Kernel;
 use geom::zorder::{random_shifts, ZQuantizer, ZValue, MAX_Z_BITS};
-use geom::{CoordMatrix, Neighbor, NeighborList, PointId, PointSet, RecordKind};
+use geom::{CoordMatrix, NeighborList, PointId, PointSet, RecordKind};
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::sync::Arc;
 use std::time::Instant;
@@ -121,32 +117,6 @@ pub(crate) fn join(
     run_merge_job(input, plan, workers, merge_distinct_candidates, metrics)
 }
 
-/// The driver-side calibration shared by the cold and prepared paths: the
-/// quantization domain over `R ∪ S`, the [`ZQuantizer`] it induces, and the
-/// seeded shift vectors.  One definition, so the prepared path cannot drift
-/// from the cold computation it must reproduce bit for bit.
-fn z_calibration(
-    r: &PointSet,
-    s: &PointSet,
-    copies: usize,
-    seed: u64,
-) -> (ZQuantizer, Vec<Vec<f64>>) {
-    let dims = r.dims();
-    let mut mins = vec![f64::INFINITY; dims];
-    let mut maxs = vec![f64::NEG_INFINITY; dims];
-    for p in r.iter().chain(s.iter()) {
-        for d in 0..dims {
-            mins[d] = mins[d].min(p.coords[d]);
-            maxs[d] = maxs[d].max(p.coords[d]);
-        }
-    }
-    let widths: Vec<f64> = mins.iter().zip(&maxs).map(|(lo, hi)| hi - lo).collect();
-    let quantizer = ZQuantizer::new(&mins, &maxs, z_bits(dims))
-        .expect("dims validated against the z-value before build");
-    let shifts = random_shifts(&widths, copies, seed);
-    (quantizer, shifts)
-}
-
 /// One shifted copy's range partitioning: the slab cut points over `R ∪ S`
 /// z-values, and the `k`-rank-padded z-window of `S` records each slab
 /// additionally receives (the boundary replicas of the EDBT paper).
@@ -173,11 +143,24 @@ struct ZknnShared {
 }
 
 impl ZknnShared {
-    /// Computes the quantization domain, shift vectors and per-copy balanced
-    /// slab boundaries from the data (driver-side preprocessing; the shuffled
-    /// work stays in the MapReduce jobs).
+    /// Computes the quantization domain over `R ∪ S`, the seeded shift
+    /// vectors and per-copy balanced slab boundaries from the data
+    /// (driver-side preprocessing; the shuffled work stays in the MapReduce
+    /// jobs).
     fn build(r: &PointSet, s: &PointSet, plan: &JoinPlan) -> ZknnShared {
-        let (quantizer, shifts) = z_calibration(r, s, plan.shift_copies, plan.seed);
+        let dims = r.dims();
+        let mut mins = vec![f64::INFINITY; dims];
+        let mut maxs = vec![f64::NEG_INFINITY; dims];
+        for p in r.iter().chain(s.iter()) {
+            for d in 0..dims {
+                mins[d] = mins[d].min(p.coords[d]);
+                maxs[d] = maxs[d].max(p.coords[d]);
+            }
+        }
+        let widths: Vec<f64> = mins.iter().zip(&maxs).map(|(lo, hi)| hi - lo).collect();
+        let quantizer = ZQuantizer::new(&mins, &maxs, z_bits(dims))
+            .expect("dims validated against the z-value before build");
+        let shifts = random_shifts(&widths, plan.shift_copies, plan.seed);
         // Spread the reducer budget over the copies, at least one slab each.
         let slabs = (plan.reducers / plan.shift_copies).max(1);
         let window = plan.z_window.saturating_mul(plan.k);
@@ -296,7 +279,7 @@ impl Mapper for ZRouteMapper<'_> {
 /// Reducer of job 1, one per (copy, slab): sort the received `S` subset into
 /// a [`SortedCopy`] and answer every local `r` from the candidate window
 /// around its z-position — `z_window · k` preceding and following — with
-/// true distances, exactly as the serve reducer does against a resident copy.
+/// true distances.
 struct ZSlabReducer<'a> {
     shared: Arc<ZknnShared>,
     k: usize,
@@ -377,13 +360,8 @@ pub(crate) fn merge_distinct_candidates(
     acc.into_sorted()
 }
 
-// ---------------------------------------------------------------------------
-// Prepared (build/probe) serving path
-// ---------------------------------------------------------------------------
-
-/// `S` objects (a slab, a full shifted copy, or a delta's adds) sorted by
-/// `(z-value, id)` with the coordinates in matching flat rows — the windows
-/// any probe object scans.
+/// One slab's `S` objects sorted by `(z-value, id)` with the coordinates in
+/// matching flat rows — the windows its `R` objects scan.
 #[derive(Debug)]
 struct SortedCopy {
     z: Vec<ZValue>,
@@ -439,261 +417,6 @@ impl SortedCopy {
         list.offer_ranks(&self.ids[lo..hi], ranks, &[], kernels.metric);
         (hi - lo) as u64
     }
-}
-
-/// The prepared H-zkNNJ state: the quantizer and shift vectors (calibrated
-/// from the datasets the join was prepared with, exactly as the cold driver
-/// computes them) plus one `(z, id)`-sorted copy of `S` per shift.  Because
-/// each resident copy is the *full* sorted `S`, a probe object's candidate
-/// window around its z-position is identical to the window the cold slab
-/// reducers see (slab padding exists only to reassemble this list under
-/// partitioning), so prepared answers are bit-identical to cold ones.
-#[derive(Debug)]
-pub(crate) struct ZknnPrepared {
-    quantizer: ZQuantizer,
-    shifts: Vec<Vec<f64>>,
-    /// Candidate z-neighbours per side: `z_window · k`.
-    window: usize,
-    copies: Vec<SortedCopy>,
-}
-
-impl ZknnPrepared {
-    /// Builds the sorted shifted copies of `S`.  `calibration_r` only
-    /// calibrates the quantization domain (the cold driver derives it from
-    /// `R ∪ S`); out-of-domain probe coordinates are clamped by the
-    /// quantizer.
-    pub(crate) fn build(
-        calibration_r: &PointSet,
-        s: &PointSet,
-        plan: &JoinPlan,
-        metrics: &mut JoinMetrics,
-    ) -> Self {
-        let start = Instant::now();
-        let (quantizer, shifts) = z_calibration(calibration_r, s, plan.shift_copies, plan.seed);
-        let copies = shifts
-            .iter()
-            .map(|shift| {
-                SortedCopy::sorted(
-                    s.iter().map(|p| (p.id, p.coords.as_slice())),
-                    |coords| quantizer.z_value(coords, Some(shift)),
-                    s.dims(),
-                )
-            })
-            .collect();
-        metrics.record_phase(phases::PREPARE_BUILD, start.elapsed());
-        Self {
-            quantizer,
-            shifts,
-            window: plan.z_window.saturating_mul(plan.k),
-            copies,
-        }
-    }
-
-    /// The resident `S` rows, read from the first copy: a shift moves the
-    /// z-values, never the coordinates.
-    pub(crate) fn points(&self) -> impl Iterator<Item = (PointId, &[f64])> {
-        let copy = &self.copies[0];
-        copy.ids.iter().copied().zip(copy.coords.rows())
-    }
-
-    /// Answers one probe batch, positionally, through [`probe_rows`]: per
-    /// row and per copy, scan the `z_window · k` z-neighbours on each side,
-    /// then merge the per-copy candidates into the `k` best distinct `S`
-    /// objects.
-    ///
-    /// A candidate set is defined by rank in `(z, id)` order, so the adds
-    /// cannot be offered ahead of the frozen rows as the exact families
-    /// offer them: while `delta` holds anything, its adds are quantized with
-    /// the *prepared* quantizer and shifts into a `(z, id)`-sorted index per
-    /// copy, and every window is the two-pointer merge of frozen and delta
-    /// entries — exactly the window a cold build over the materialized
-    /// corpus would scan, provided cold calibration yields this quantizer.
-    /// Tombstoned frozen entries are skipped without consuming window slots.
-    /// With nothing to merge a window is one run of frozen rows.
-    pub(crate) fn probe(
-        &self,
-        rows: &[&[f64]],
-        plan: &JoinPlan,
-        workers: usize,
-        delta: &DeltaOverlay,
-        metrics: &mut JoinMetrics,
-    ) -> Vec<Vec<Neighbor>> {
-        let kernels = ScanKernels::new(plan.metric, plan.kernel_mode);
-        let add_copies =
-            (!delta.is_empty()).then(|| delta_sorted_copies(&self.quantizer, &self.shifts, delta));
-        probe_rows(rows, workers, metrics, Vec::new, |scratch, _, query| {
-            let mut lists = Vec::with_capacity(self.copies.len());
-            let mut counts = ScanCounts::default();
-            for (i, (copy, shift)) in self.copies.iter().zip(&self.shifts).enumerate() {
-                let z_r = self.quantizer.z_value(query, Some(shift));
-                let mut list = NeighborList::new(plan.k);
-                match &add_copies {
-                    None => {
-                        counts.frozen +=
-                            copy.scan_window(query, z_r, self.window, &kernels, scratch, &mut list);
-                    }
-                    Some(add_copies) => self.merged_window(
-                        query,
-                        z_r,
-                        copy,
-                        &add_copies[i],
-                        delta,
-                        kernels.pair,
-                        &mut list,
-                        &mut counts,
-                    ),
-                }
-                lists.push(NeighborListValue::new(list.into_sorted()));
-            }
-            (merge_distinct_candidates(&lists, plan.k), counts)
-        })
-    }
-
-    /// The delta-merged candidate window for one probe object and one copy:
-    /// the `window` live `(z, id)`-predecessors and `window` live successors
-    /// of `z_r` in the virtual merge of the frozen copy (minus tombstones)
-    /// and the delta adds — exactly the window a cold build over the
-    /// materialized corpus scans.  Tombstoned frozen entries are skipped
-    /// *without* consuming a window slot.  The merged windows interleave
-    /// frozen and add rows, so they are evaluated pairwise with `kernel`.
-    #[allow(clippy::too_many_arguments)]
-    fn merged_window(
-        &self,
-        r_coords: &[f64],
-        z_r: ZValue,
-        frozen: &SortedCopy,
-        adds: &SortedCopy,
-        overlay: &DeltaOverlay,
-        kernel: Kernel,
-        list: &mut NeighborList,
-        counts: &mut ScanCounts,
-    ) {
-        let window = self.window;
-        let pos_f = frozen.z.partition_point(|z| *z < z_r);
-        let pos_a = adds.z.partition_point(|z| *z < z_r);
-
-        // Backward merge over the strict predecessors: largest (z, id) first.
-        let (mut f, mut a) = (pos_f, pos_a);
-        let mut taken = 0usize;
-        while taken < window && (f > 0 || a > 0) {
-            let take_frozen = match (f > 0, a > 0) {
-                (true, true) => {
-                    (frozen.z[f - 1], frozen.ids[f - 1]) >= (adds.z[a - 1], adds.ids[a - 1])
-                }
-                (have_frozen, _) => have_frozen,
-            };
-            if take_frozen {
-                f -= 1;
-                if overlay.is_tombstoned(frozen.ids[f]) {
-                    counts.masked += 1;
-                    continue;
-                }
-                list.offer(frozen.ids[f], kernel(r_coords, frozen.coords.row(f)));
-                counts.frozen += 1;
-            } else {
-                a -= 1;
-                list.offer(adds.ids[a], kernel(r_coords, adds.coords.row(a)));
-                counts.delta += 1;
-            }
-            taken += 1;
-        }
-
-        // Forward merge over the successors (z ≥ z_r): smallest (z, id) first.
-        let (mut f, mut a) = (pos_f, pos_a);
-        let mut taken = 0usize;
-        while taken < window && (f < frozen.z.len() || a < adds.z.len()) {
-            let take_frozen = match (f < frozen.z.len(), a < adds.z.len()) {
-                (true, true) => (frozen.z[f], frozen.ids[f]) <= (adds.z[a], adds.ids[a]),
-                (have_frozen, _) => have_frozen,
-            };
-            if take_frozen {
-                if overlay.is_tombstoned(frozen.ids[f]) {
-                    counts.masked += 1;
-                    f += 1;
-                    continue;
-                }
-                list.offer(frozen.ids[f], kernel(r_coords, frozen.coords.row(f)));
-                counts.frozen += 1;
-                f += 1;
-            } else {
-                list.offer(adds.ids[a], kernel(r_coords, adds.coords.row(a)));
-                counts.delta += 1;
-                a += 1;
-            }
-            taken += 1;
-        }
-    }
-
-    /// Folds the overlay into the sorted copies: per copy, a linear merge of
-    /// the live frozen entries (tombstones dropped) with the delta's sorted
-    /// adds, both ordered by `(z, id)`.  The quantizer, shifts and window are
-    /// *unchanged* — the z-domain is fixed at prepare time, so compaction
-    /// never perturbs frozen z-values.
-    pub(crate) fn compact(&self, delta: &DeltaOverlay, metrics: &mut JoinMetrics) -> Self {
-        let add_copies = delta_sorted_copies(&self.quantizer, &self.shifts, delta);
-        let copies = self
-            .copies
-            .iter()
-            .zip(&add_copies)
-            .map(|(frozen, adds)| {
-                let dims = frozen.coords.dims();
-                let merged_len = frozen.z.len() - delta.tombstones_len() + adds.z.len();
-                let mut z = Vec::with_capacity(merged_len);
-                let mut ids = Vec::with_capacity(merged_len);
-                let mut coords = CoordMatrix::with_capacity(dims, merged_len);
-                let (mut f, mut a) = (0usize, 0usize);
-                while f < frozen.z.len() || a < adds.z.len() {
-                    if f < frozen.z.len() && delta.is_tombstoned(frozen.ids[f]) {
-                        f += 1;
-                        continue;
-                    }
-                    let take_frozen = match (f < frozen.z.len(), a < adds.z.len()) {
-                        (true, true) => (frozen.z[f], frozen.ids[f]) <= (adds.z[a], adds.ids[a]),
-                        (have_frozen, _) => have_frozen,
-                    };
-                    if take_frozen {
-                        z.push(frozen.z[f]);
-                        ids.push(frozen.ids[f]);
-                        coords.push_row(frozen.coords.row(f));
-                        f += 1;
-                    } else {
-                        z.push(adds.z[a]);
-                        ids.push(adds.ids[a]);
-                        coords.push_row(adds.coords.row(a));
-                        a += 1;
-                    }
-                }
-                metrics.compacted_points += z.len() as u64;
-                SortedCopy { z, ids, coords }
-            })
-            .collect();
-        Self {
-            quantizer: self.quantizer.clone(),
-            shifts: self.shifts.clone(),
-            window: self.window,
-            copies,
-        }
-    }
-}
-
-/// Builds one `(z, id)`-sorted index of the overlay's adds per shift, using
-/// the prepared quantizer so delta entries live in the same z-domain as the
-/// frozen copies (frozen z-values and windows stay bit-identical).
-fn delta_sorted_copies(
-    quantizer: &ZQuantizer,
-    shifts: &[Vec<f64>],
-    delta: &DeltaOverlay,
-) -> Vec<SortedCopy> {
-    shifts
-        .iter()
-        .map(|shift| {
-            SortedCopy::sorted(
-                delta.adds(),
-                |coords| quantizer.z_value(coords, Some(shift)),
-                quantizer.dims(),
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]

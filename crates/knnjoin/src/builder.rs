@@ -242,24 +242,24 @@ impl<'a> JoinBuilder<'a> {
         self.plan()?.execute(self.r, self.s, ctx)
     }
 
-    /// Splits the join into its build and probe phases: validates the plan,
-    /// builds all S-side state once (pivot set + partitioned `S` for
-    /// PGBJ/PBJ, per-block R-trees for H-BRJ, shifted sorted z-copies for
-    /// H-zkNNJ, flat staging otherwise) and returns a
-    /// [`crate::PreparedJoin`] that answers arbitrary `R` batches without
-    /// rebuilding any of it — [`crate::PreparedJoin::query`] over this
-    /// builder's `R` produces the same neighbours as [`JoinBuilder::run`],
-    /// with the per-query `index_builds` and `pivot_selections` counters
-    /// pinned at zero.
+    /// Splits a PGBJ or PBJ join into its build and probe phases: validates
+    /// the plan, builds the S-side Voronoi state once (pivot set +
+    /// partitioned `S`) and returns a [`crate::PreparedJoin`] that answers
+    /// arbitrary `R` batches without rebuilding any of it —
+    /// [`crate::PreparedJoin::query`] over this builder's `R` produces the
+    /// same neighbours as [`JoinBuilder::run`], with the per-query
+    /// `index_builds` and `pivot_selections` counters pinned at zero.
     ///
     /// The builder's `R` doubles as the calibration sample (pivot selection
-    /// and the z-value domain are seeded from it, exactly as the one-shot
-    /// path does); every bound remains valid for any later batch, so the
-    /// prepared state serves them exactly.
+    /// is seeded from it, exactly as the one-shot path does); every bound
+    /// remains valid for any later batch, so the prepared state serves them
+    /// exactly.
     ///
     /// # Errors
-    /// Returns the planning error ([`JoinBuilder::plan`]) or any build-time
-    /// [`JoinError`].
+    /// Returns the planning error ([`JoinBuilder::plan`]), then
+    /// [`JoinError::InvalidConfig`] for an algorithm other than PGBJ and PBJ
+    /// (the paper's competitors run cold only) and
+    /// [`JoinError::DuplicateId`] when two `S` objects share an id.
     pub fn prepare(self, ctx: &ExecutionContext) -> Result<crate::PreparedJoin, JoinError> {
         let plan = self.plan()?;
         crate::PreparedJoin::build(self.r, self.s, plan, ctx)

@@ -6,16 +6,12 @@
 //! distance computations.  [`NestedLoopJoin::join`] is used by tests and
 //! benchmarks as ground truth and as the centralized baseline that motivates
 //! distributing the join, and shares no kernel with what it checks;
-//! `FlatBlock` is the same scan as a reusable resident block (tile kernels,
-//! delta overlay) for the broadcast join of §3, [`Algorithm::NestedLoopJoin`]
-//! and their prepared serving paths.
+//! `FlatBlock` is the same scan over tile kernels, for the broadcast join of
+//! §3 and [`Algorithm::NestedLoopJoin`].
 //!
 //! [`Algorithm::NestedLoopJoin`]: crate::Algorithm::NestedLoopJoin
 
-use crate::algorithms::common::{
-    for_each_tile, label_rows, offer_adds, probe_rows, ScanCounts, ScanKernels, TileScratch,
-};
-use crate::delta::{DeltaOverlay, NO_DELTA};
+use crate::algorithms::common::{for_each_tile, ScanKernels, TileScratch};
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinResult, JoinRow};
@@ -72,10 +68,8 @@ impl NestedLoopJoin {
 }
 
 /// A block of `S` flattened into columnar storage for exhaustive scanning:
-/// what a cold broadcast reducer builds from its shuffled records, and what
-/// the prepared broadcast and nested-loop joins keep resident (in Hadoop
-/// terms the build is the broadcast itself — `S` is staged at every node
-/// once — so probe batches ship only `R`).
+/// what a broadcast reducer builds from its shuffled records, and what the
+/// nested-loop join builds from `S` directly.
 #[derive(Debug)]
 pub(crate) struct FlatBlock {
     ids: Vec<PointId>,
@@ -97,28 +91,6 @@ impl FlatBlock {
         Self { ids, coords }
     }
 
-    /// [`Self::new`] over `s`, as the build phase of a prepared join.
-    pub(crate) fn build(s: &PointSet, metrics: &mut JoinMetrics) -> Self {
-        let start = Instant::now();
-        let block = Self::new(s.iter().map(|p| (p.id, &p.coords[..])));
-        metrics.record_phase(phases::PREPARE_BUILD, start.elapsed());
-        block
-    }
-
-    /// The block's rows, in block order.
-    pub(crate) fn points(&self) -> impl Iterator<Item = (PointId, &[f64])> {
-        self.ids.iter().copied().zip(self.coords.rows())
-    }
-
-    /// Folds `delta` in: the surviving rows in block order, then the adds in
-    /// ascending id order.
-    pub(crate) fn compact(&self, delta: &DeltaOverlay, metrics: &mut JoinMetrics) -> Self {
-        let survivors = self.points().filter(|(id, _)| !delta.is_tombstoned(*id));
-        let block = Self::new(survivors.chain(delta.adds()));
-        metrics.compacted_points += block.ids.len() as u64;
-        block
-    }
-
     /// The cold [`crate::Algorithm::NestedLoopJoin`]: `S` flattened once and
     /// every `R` object scanned on the calling thread.
     pub(crate) fn join(
@@ -127,63 +99,46 @@ impl FlatBlock {
         s: &PointSet,
         metrics: &mut JoinMetrics,
     ) -> Vec<JoinRow> {
-        let queries: Vec<&[f64]> = r.iter().map(|p| p.coords.as_slice()).collect();
         let kernels = ScanKernels::new(plan.metric, plan.kernel_mode);
         let block = Self::new(s.iter().map(|p| (p.id, &p.coords[..])));
-        let neighbors = block.probe(&queries, plan.k, kernels, 1, &NO_DELTA, metrics);
-        label_rows(r, neighbors)
+        let start = Instant::now();
+        let mut scratch = TileScratch::new();
+        let rows = r
+            .iter()
+            .map(|p| {
+                let (neighbors, evaluated) = block.scan(&p.coords, plan.k, &kernels, &mut scratch);
+                metrics.distance_computations += evaluated;
+                JoinRow {
+                    r_id: p.id,
+                    neighbors,
+                }
+            })
+            .collect();
+        metrics.record_phase(phases::KNN_JOIN, start.elapsed());
+        rows
     }
 
-    /// The `k` nearest block rows of one probe object — minus the rows
-    /// `delta` tombstones, plus its adds.
-    ///
-    /// The adds, then the block, are streamed in
+    /// The `k` nearest block rows of one probe object, and the number of
+    /// rows evaluated: all of them.  The block is streamed in
     /// [`geom::kernels::PROBE_TILE`]-row tiles through `kernels.tile` and
-    /// offered as ranks ([`NeighborList::offer_ranks`]).  The delta rule is
-    /// [`offer_adds`]'.
+    /// offered as ranks ([`NeighborList::offer_ranks`]).
     pub(crate) fn scan(
         &self,
         query: &[f64],
         k: usize,
         kernels: &ScanKernels,
-        delta: &DeltaOverlay,
         scratch: &mut TileScratch,
-    ) -> (Vec<Neighbor>, ScanCounts) {
+    ) -> (Vec<Neighbor>, u64) {
         let dim = self.coords.dims();
         let mut neighbors = NeighborList::new(k);
         let (tile, metric) = (kernels.tile, kernels.metric);
-        let mut counts = offer_adds(delta, query, tile, metric, scratch, &mut neighbors);
         let rows = self.coords.as_slice();
         for_each_tile(self.ids.len(), |t0, t1| {
             let ranks = &mut scratch.ranks[..t1 - t0];
             tile(query, &rows[t0 * dim..t1 * dim], dim, ranks);
-            counts.frozen += ranks.len() as u64;
-            let ids = &self.ids[t0..t1];
-            counts.masked += neighbors.offer_ranks(ids, ranks, delta.tombstones(), metric);
+            neighbors.offer_ranks(&self.ids[t0..t1], ranks, &[], metric);
         });
-        (neighbors.into_sorted(), counts)
-    }
-
-    /// Answers one probe batch, positionally, through [`probe_rows`]: the
-    /// exhaustive [`FlatBlock::scan`] per row, on `workers` threads (the
-    /// nested-loop join, cold or prepared, passes 1 and stays on the calling
-    /// thread).
-    pub(crate) fn probe(
-        &self,
-        rows: &[&[f64]],
-        k: usize,
-        kernels: ScanKernels,
-        workers: usize,
-        delta: &DeltaOverlay,
-        metrics: &mut JoinMetrics,
-    ) -> Vec<Vec<Neighbor>> {
-        probe_rows(
-            rows,
-            workers,
-            metrics,
-            TileScratch::new,
-            |scratch, _, row| self.scan(row, k, &kernels, delta, scratch),
-        )
+        (neighbors.into_sorted(), self.ids.len() as u64)
     }
 }
 
@@ -359,70 +314,47 @@ mod tests {
         );
     }
 
-    /// `FlatBlock::scan` is the oracle's scan made resident: over any block,
-    /// under an empty or a loaded delta overlay, it answers what `NestedLoopJoin::join`
-    /// answers over the materialized corpus — bit for bit in `Exact`, within
-    /// 1e-9 in `Fast` — and bills every row it evaluates: the whole block
-    /// whatever the overlay, every add, and a mask per tombstoned row met.
+    /// `FlatBlock::scan` is the oracle's scan over tile kernels: over any
+    /// block it answers what `NestedLoopJoin::join` answers — bit for bit in
+    /// `Exact`, within 1e-9 in `Fast` — and bills every row of the block.
     #[test]
-    fn flat_block_scan_equals_the_oracle_over_the_materialized_corpus() {
+    fn flat_block_scan_equals_the_oracle() {
         use geom::KernelMode;
-        let frozen = uniform(600, 4, 30.0, 41);
+        let s = uniform(600, 4, 30.0, 41);
         let r = uniform(50, 4, 30.0, 42);
         let k = 5;
-        let mut overlay = DeltaOverlay::default();
-        for p in uniform(40, 4, 30.0, 43).iter() {
-            overlay.insert_add(10_000 + p.id, &p.coords);
-        }
-        for id in (0..600).step_by(7) {
-            overlay.tombstone(id);
-        }
-        let mut live: Vec<Point> = frozen
-            .iter()
-            .filter(|p| !overlay.is_tombstoned(p.id))
-            .cloned()
-            .collect();
-        live.extend(overlay.adds().map(|(id, c)| Point::new(id, c.to_vec())));
-        let materialized = PointSet::from_points(live);
-
+        let block = FlatBlock::new(s.iter().map(|p| (p.id, &p.coords[..])));
         for metric in [
             DistanceMetric::Euclidean,
             DistanceMetric::Manhattan,
             DistanceMetric::Chebyshev,
         ] {
-            for (delta, corpus) in [(&NO_DELTA, &frozen), (&overlay, &materialized)] {
-                let oracle = NestedLoopJoin.join(&r, corpus, k, metric).unwrap();
-                let block = FlatBlock::new(frozen.iter().map(|p| (p.id, &p.coords[..])));
-                for (mode, tolerance) in [(KernelMode::Exact, 0.0), (KernelMode::Fast, 1e-9)] {
-                    let kernels = ScanKernels::new(metric, mode);
-                    let mut scratch = TileScratch::new();
-                    let label = format!("{metric:?}/{mode:?}/delta={}", delta.len());
-                    // Every tombstoned id is a block row, so each is met.
-                    let (adds, tombstones) = (delta.adds_len(), delta.tombstones_len());
-                    let want_billed = [600, adds as u64, tombstones as u64];
-                    let rows = r
-                        .iter()
-                        .map(|q| {
-                            let (neighbors, counts) =
-                                block.scan(&q.coords, k, &kernels, delta, &mut scratch);
-                            let billed = [counts.frozen, counts.delta, counts.masked];
-                            assert_eq!(billed, want_billed, "{label}");
-                            JoinRow {
-                                r_id: q.id,
-                                neighbors,
-                            }
-                        })
-                        .collect();
-                    let got = JoinResult {
-                        rows,
-                        metrics: JoinMetrics::default(),
-                    };
-                    assert!(
-                        got.matches(&oracle, tolerance),
-                        "{label}: {:?}",
-                        got.mismatch_against(&oracle, tolerance)
-                    );
-                }
+            let oracle = NestedLoopJoin.join(&r, &s, k, metric).unwrap();
+            for (mode, tolerance) in [(KernelMode::Exact, 0.0), (KernelMode::Fast, 1e-9)] {
+                let kernels = ScanKernels::new(metric, mode);
+                let mut scratch = TileScratch::new();
+                let label = format!("{metric:?}/{mode:?}");
+                let rows = r
+                    .iter()
+                    .map(|q| {
+                        let (neighbors, evaluated) =
+                            block.scan(&q.coords, k, &kernels, &mut scratch);
+                        assert_eq!(evaluated, 600, "{label}");
+                        JoinRow {
+                            r_id: q.id,
+                            neighbors,
+                        }
+                    })
+                    .collect();
+                let got = JoinResult {
+                    rows,
+                    metrics: JoinMetrics::default(),
+                };
+                assert!(
+                    got.matches(&oracle, tolerance),
+                    "{label}: {:?}",
+                    got.mismatch_against(&oracle, tolerance)
+                );
             }
         }
     }

@@ -74,10 +74,6 @@ pub mod phases {
     pub const KNN_JOIN: &str = "knn join";
     /// Extra MapReduce job merging partial results (H-BRJ / PBJ only).
     pub const RESULT_MERGING: &str = "result merging";
-    /// Building the long-lived S-side serving state of a
-    /// [`crate::PreparedJoin`] (spatial indexes, sorted z-copies, flat
-    /// blocks).  Only appears in build metrics, never in per-query metrics.
-    pub const PREPARE_BUILD: &str = "prepare build";
     /// Folding a [`crate::delta::DeltaOverlay`] into the frozen serving
     /// structures of a [`crate::PreparedJoin`].  Appears in the cumulative
     /// metrics, never in per-query metrics.

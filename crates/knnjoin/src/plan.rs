@@ -65,7 +65,8 @@ impl Algorithm {
         }
     }
 
-    /// Whether the algorithm consumes the Voronoi pivot machinery.
+    /// Whether the algorithm consumes the Voronoi pivot machinery — and so
+    /// whether [`crate::JoinBuilder::prepare`] keeps a resident index for it.
     pub fn uses_pivots(&self) -> bool {
         matches!(self, Algorithm::Pgbj | Algorithm::Pbj)
     }

@@ -1,24 +1,22 @@
 //! The prepared (build/probe) serving surface: [`PreparedJoin`].
 //!
-//! Every algorithm in this crate shares a two-phase shape: an expensive
-//! S-side *build* (pivot selection + Voronoi partitioning for PGBJ/PBJ,
-//! per-block R-trees for H-BRJ, shifted sorted z-copies for H-zkNNJ, flat
-//! staging for broadcast/nested-loop) followed by a *probe* over `R`.  The
+//! PGBJ and PBJ share a two-phase shape: an expensive S-side *build* (pivot
+//! selection + Voronoi partitioning) followed by a *probe* over `R`.  The
 //! one-shot [`crate::JoinBuilder::run`] fuses the two, so every call rebuilds
 //! the S-side state from scratch — fine for the paper's batch experiments,
 //! wasteful for a serving system answering many `R` batches against one
 //! corpus.
 //!
-//! [`crate::JoinBuilder::prepare`] splits the phases: it captures all
-//! S-side state behind a cheaply-cloneable [`PreparedJoin`] handle, and
+//! [`crate::JoinBuilder::prepare`] splits the phases: it captures the
+//! Voronoi state behind a cheaply-cloneable [`PreparedJoin`] handle, and
 //! [`PreparedJoin::query`] answers arbitrary `R` batches against it without
 //! re-planning or rebuilding.  Across repeated queries the
 //! [`crate::JoinMetrics::index_builds`] and
 //! [`crate::JoinMetrics::pivot_selections`] counters stay at zero, and the
 //! outputs are bit-identical (in the repo's distance-exact sense, see
-//! [`crate::JoinResult::mismatch_against`]) to what the cold path produces —
-//! the exact algorithms by the theorems' exactness, H-zkNNJ because the
-//! resident sorted copies reproduce the cold candidate windows verbatim.
+//! [`crate::JoinResult::mismatch_against`]) to what the cold path produces,
+//! by the theorems' exactness.  The paper's competitors (H-BRJ, H-zkNNJ, the
+//! broadcast and nested-loop joins) run cold only: `prepare` refuses them.
 //!
 //! # The probe path
 //!
@@ -29,18 +27,17 @@
 //! *borrowed* coordinate rows, which validates them, snapshots one epoch and
 //! answers positionally:
 //!
-//! 1. **assign** (PGBJ/PBJ) — each row to its Voronoi cell, pruned;
-//! 2. **θ for touched cells** (PGBJ/PBJ) — the batch's `T_R` and Algorithm
-//!    1's `θ_i`, only for cells the batch landed in (Algorithm 2's `LB`
-//!    matrix and Algorithm 4's grouping route shuffled records, of which
-//!    there are none);
+//! 1. **assign** — each row to its Voronoi cell, pruned;
+//! 2. **θ for touched cells** — the batch's `T_R` and Algorithm 1's `θ_i`,
+//!    only for cells the batch landed in (Algorithm 2's `LB` matrix and
+//!    Algorithm 4's grouping route shuffled records, of which there are
+//!    none);
 //! 3. **row ranges** — below
 //!    [`crate::algorithms::common::PARALLEL_PROBE_CUT`] rows the batch is
 //!    scanned inline on the calling thread, from there up as one contiguous
 //!    range per context worker on the engine's scoped threads;
-//! 4. **scan** — the family's one per-row scan (Algorithm 3's bounded scan,
-//!    the R-tree search, the z-window, the flat block), merged with the
-//!    epoch's delta overlay — empty or not, the same code.
+//! 4. **scan** — Algorithm 3's bounded scan, merged with the epoch's delta
+//!    overlay — empty or not, the same code.
 //!
 //! A served query therefore costs what its scan costs, and reports
 //! `shuffle_bytes = shuffle_records = r_records_shuffled = 0`; every other
@@ -67,13 +64,11 @@
 //! assert_eq!(result.metrics.pivot_selections, 0);
 //! ```
 
-use crate::algorithms::common::{label_rows, ScanKernels};
-use crate::algorithms::hbrj::HbrjPrepared;
+use crate::algorithms::common::label_rows;
 use crate::algorithms::voronoi::VoronoiPrepared;
-use crate::algorithms::zknn::ZknnPrepared;
 use crate::context::{ExecutionContext, ServingStats};
 use crate::delta::{DeltaOverlay, DeltaStats};
-use crate::exact::{check_finite, FlatBlock};
+use crate::exact::check_finite;
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::{Algorithm, JoinPlan};
 use crate::result::{JoinError, JoinResult, JoinRow};
@@ -82,45 +77,6 @@ use mapreduce::sync::{ranks, RankedMutex, RankedRwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The S-side state, one variant per scan family (see each type for what
-/// exactly is captured): PGBJ and PBJ share the Voronoi state, the broadcast
-/// and nested-loop joins the flat block.  Each is the only copy of the
-/// frozen corpus.
-#[derive(Debug)]
-enum PreparedState {
-    Voronoi(VoronoiPrepared),
-    Hbrj(HbrjPrepared),
-    Zknn(ZknnPrepared),
-    Flat(FlatBlock),
-}
-
-impl PreparedState {
-    /// Rebuilds the frozen structures with the overlay folded in.  The
-    /// partition-based algorithms rebuild only the affected Voronoi cells /
-    /// R-tree blocks / z-runs and share the rest; pivots, the quantizer and
-    /// every other calibrated artifact are reused unchanged, so compaction
-    /// never re-plans.
-    fn compact(&self, delta: &DeltaOverlay, plan: &JoinPlan, metrics: &mut JoinMetrics) -> Self {
-        match self {
-            PreparedState::Voronoi(p) => PreparedState::Voronoi(p.compact(delta, plan, metrics)),
-            PreparedState::Hbrj(p) => PreparedState::Hbrj(p.compact(delta, plan, metrics)),
-            PreparedState::Zknn(p) => PreparedState::Zknn(p.compact(delta, metrics)),
-            PreparedState::Flat(p) => PreparedState::Flat(p.compact(delta, metrics)),
-        }
-    }
-
-    /// The frozen rows as `(id, coordinates)`, read in place, in the
-    /// structure's own order.
-    fn points(&self) -> Box<dyn Iterator<Item = (PointId, &[f64])> + '_> {
-        match self {
-            PreparedState::Voronoi(p) => Box::new(p.points()),
-            PreparedState::Hbrj(p) => Box::new(p.points()),
-            PreparedState::Zknn(p) => Box::new(p.points()),
-            PreparedState::Flat(p) => Box::new(p.points()),
-        }
-    }
-}
 
 /// One immutable version of the corpus: the frozen structures plus the
 /// resident delta overlay.  Queries clone the `Arc` once and run entirely
@@ -131,7 +87,8 @@ impl PreparedState {
 struct Epoch {
     /// Monotonic version, bumped by every effective mutation and compaction.
     number: u64,
-    state: Arc<PreparedState>,
+    /// The Voronoi state: the only copy of the frozen corpus.
+    state: Arc<VoronoiPrepared>,
     /// The ids of `state`'s rows, strictly ascending: an index for
     /// upsert/delete classification (no structure finds an id in
     /// `O(log n)`), not a copy of the rows.
@@ -190,47 +147,42 @@ pub struct PreparedJoin {
 }
 
 impl PreparedJoin {
-    /// Builds the S-side state for the given validated plan.
-    /// `calibration_r` is the builder's `R`: it seeds pivot selection and
-    /// the z-domain exactly as the cold path would, so `query` over the same
-    /// batch reproduces [`crate::JoinBuilder::run`] bit for bit; the built
-    /// state remains valid for every other batch because no bound depends on
-    /// where the pivots (or the quantization domain) came from.
+    /// Builds the Voronoi state for the given validated PGBJ or PBJ plan.
+    /// `calibration_r` is the builder's `R`: it seeds pivot selection exactly
+    /// as the cold path would, so `query` over the same batch reproduces
+    /// [`crate::JoinBuilder::run`] bit for bit; the built state remains valid
+    /// for every other batch because no bound depends on where the pivots
+    /// came from.
+    ///
+    /// # Errors
+    /// [`JoinError::InvalidConfig`] for any other algorithm, and
+    /// [`JoinError::DuplicateId`] when two `S` objects share an id.
     pub(crate) fn build(
         calibration_r: &PointSet,
         s: &PointSet,
         plan: JoinPlan,
         ctx: &ExecutionContext,
     ) -> Result<Self, JoinError> {
+        if !plan.algorithm.uses_pivots() {
+            return Err(JoinError::InvalidConfig(format!(
+                "prepare builds the Voronoi index of PGBJ and PBJ only; {} runs cold",
+                plan.algorithm.name()
+            )));
+        }
+        let mut frozen_ids: Vec<PointId> = s.iter().map(|p| p.id).collect();
+        frozen_ids.sort_unstable();
+        // Sorted, so a repeat is an id equal to the one after it.
+        let mut successors = frozen_ids.iter().skip(1);
+        if let Some(&id) = frozen_ids.iter().find(|id| successors.next() == Some(id)) {
+            return Err(JoinError::DuplicateId { dataset: "S", id });
+        }
         let mut build_metrics = JoinMetrics {
             s_size: s.len(),
             ..Default::default()
         };
         let start = Instant::now();
-        let state = match plan.algorithm {
-            Algorithm::Pgbj | Algorithm::Pbj => PreparedState::Voronoi(VoronoiPrepared::build(
-                calibration_r,
-                s,
-                &plan,
-                &mut build_metrics,
-            )),
-            Algorithm::Hbrj => {
-                PreparedState::Hbrj(HbrjPrepared::build(s, &plan, &mut build_metrics))
-            }
-            Algorithm::Zknn => PreparedState::Zknn(ZknnPrepared::build(
-                calibration_r,
-                s,
-                &plan,
-                &mut build_metrics,
-            )),
-            Algorithm::BroadcastJoin | Algorithm::NestedLoopJoin => {
-                PreparedState::Flat(FlatBlock::build(s, &mut build_metrics))
-            }
-        };
+        let state = VoronoiPrepared::build(calibration_r, s, &plan, &mut build_metrics);
         let build_time = start.elapsed();
-        let mut frozen_ids: Vec<PointId> = s.iter().map(|p| p.id).collect();
-        frozen_ids.sort_unstable();
-        frozen_ids.dedup();
         let epoch = Epoch {
             number: 0,
             state: Arc::new(state),
@@ -312,7 +264,7 @@ impl PreparedJoin {
     }
 
     /// The live corpus in ascending id order: the frozen rows, read from the
-    /// family structure, minus tombstones, plus the pending adds.  Derived
+    /// Voronoi cells, minus tombstones, plus the pending adds.  Derived
     /// on demand — no epoch keeps a copy.  This is the oracle input for the
     /// mutated-equals-cold guarantee.
     pub fn materialized_corpus(&self) -> PointSet {
@@ -517,23 +469,10 @@ impl PreparedJoin {
             ..Default::default()
         };
         let start = Instant::now();
-        let (plan, workers) = (&inner.plan, inner.ctx.workers());
-        let mut neighbors = match &*epoch.state {
-            PreparedState::Voronoi(p) => p.probe(rows, plan, workers, delta, &mut metrics),
-            PreparedState::Hbrj(p) => p.probe(rows, plan, workers, delta, &mut metrics),
-            PreparedState::Zknn(p) => p.probe(rows, plan, workers, delta, &mut metrics),
-            // Broadcast scans the block on the context's workers; the
-            // nested-loop join (cold or prepared) stays on the calling thread.
-            PreparedState::Flat(block) => {
-                let workers = if plan.algorithm == Algorithm::BroadcastJoin {
-                    workers
-                } else {
-                    1
-                };
-                let kernels = ScanKernels::new(plan.metric, plan.kernel_mode);
-                block.probe(rows, plan.k, kernels, workers, delta, &mut metrics)
-            }
-        };
+        let mut neighbors =
+            epoch
+                .state
+                .probe(rows, &inner.plan, inner.ctx.workers(), delta, &mut metrics);
         let elapsed = start.elapsed();
         for list in &mut neighbors {
             list.sort();

@@ -62,6 +62,15 @@ pub enum JoinError {
         /// Index of the first offending point.
         index: usize,
     },
+    /// Two objects of one dataset share an id.  Refused by `prepare`, whose
+    /// resident corpus is keyed by id: an upsert, a delete or a compaction
+    /// would otherwise find two rows behind one key.
+    DuplicateId {
+        /// Which dataset (`"S"`).
+        dataset: &'static str,
+        /// The repeated id.
+        id: PointId,
+    },
     /// An explicitly requested pivot count was zero or exceeded the datasets.
     PivotCountOutOfRange {
         /// The requested number of pivots.
@@ -137,6 +146,7 @@ impl JoinError {
             | JoinError::DimensionalityMismatch { .. }
             | JoinError::RaggedInput { .. }
             | JoinError::NonFiniteInput { .. }
+            | JoinError::DuplicateId { .. }
             | JoinError::PivotCountOutOfRange { .. }
             | JoinError::ZeroReducers
             | JoinError::ZeroMapTasks => JoinErrorKind::PlanValidation,
@@ -171,6 +181,9 @@ impl std::fmt::Display for JoinError {
                 "dataset {dataset} has a non-finite or out-of-range coordinate in the point \
                  at index {index}"
             ),
+            JoinError::DuplicateId { dataset, id } => {
+                write!(f, "dataset {dataset} holds id {id} more than once")
+            }
             JoinError::PivotCountOutOfRange {
                 pivot_count,
                 r_len,

@@ -183,21 +183,6 @@ impl RTree {
         self.fanout
     }
 
-    /// The indexed points as `(id, coordinates)`, leaf by leaf from left to
-    /// right: read in place from the leaves, which are the tree's only copy.
-    pub fn points(&self) -> impl Iterator<Item = (PointId, &[f64])> {
-        let mut pending: Vec<&Node> = self.root.iter().collect();
-        let leaves = std::iter::from_fn(move || loop {
-            match pending.pop()? {
-                Node::Leaf { ids, coords, .. } => {
-                    return Some(ids.iter().copied().zip(coords.rows()))
-                }
-                Node::Internal { children, .. } => pending.extend(children.iter().rev()),
-            }
-        });
-        leaves.flatten()
-    }
-
     /// The `k` nearest neighbours of `query`, sorted by ascending distance.
     pub fn knn(&self, query: &Point, k: usize) -> Vec<Neighbor> {
         self.knn_counted(query, k).0
@@ -206,26 +191,6 @@ impl RTree {
     /// Like [`RTree::knn`], additionally returning the number of point-to-point
     /// distance computations performed (used for the computation-selectivity
     /// metric of the paper).
-    pub fn knn_counted(&self, query: &Point, k: usize) -> (Vec<Neighbor>, u64) {
-        if k == 0 || self.root.is_none() {
-            return (Vec::new(), 0);
-        }
-        let mut result = NeighborList::new(k);
-        let (computations, _) = self.knn_into(&query.coords, &[], &mut result);
-        (result.into_sorted(), computations)
-    }
-
-    /// Continues a kNN search into an existing accumulator: offers this
-    /// tree's candidates to `result`, pruning the best-first descent with the
-    /// accumulator's *current* threshold.
-    ///
-    /// This is the serving-path primitive behind probing several block trees
-    /// for one query: the `k`-th distance found in earlier trees immediately
-    /// prunes subtrees of later ones, which independent per-block searches
-    /// (one reducer per block, as cold H-BRJ must run) cannot do.  Seeding
-    /// never changes the final `k` best distances — a subtree pruned by the
-    /// running threshold can only contain points that would not enter the
-    /// accumulator anyway.
     ///
     /// A leaf is ranked in one call of the metric's bit-exact tile kernel
     /// over its contiguous rows and offered straight into the accumulator
@@ -235,29 +200,18 @@ impl RTree {
     /// it when popped: when a node at MBR distance `m` is popped, that walk
     /// has already popped and offered every discovered point with `d ≤ m`,
     /// so both compare `m` against the same `k`-th distance.
-    ///
-    /// Points whose id is in `masked` (ascending) are deleted objects the
-    /// tree still indexes: a visited leaf evaluates them with its other rows
-    /// and skips them on offer, so the search runs on until `k` live
-    /// neighbours are found or the tree is exhausted.
-    ///
-    /// Returns the number of point-to-point distance computations spent and
-    /// how many of the evaluated points were masked.
-    pub fn knn_into(
-        &self,
-        query: &[f64],
-        masked: &[PointId],
-        result: &mut NeighborList,
-    ) -> (u64, u64) {
-        let Some(root) = &self.root else {
-            return (0, 0);
+    pub fn knn_counted(&self, query: &Point, k: usize) -> (Vec<Neighbor>, u64) {
+        let Some(root) = self.root.as_ref().filter(|_| k > 0) else {
+            return (Vec::new(), 0);
         };
+        let mut result = NeighborList::new(k);
+        let query = query.coords.as_slice();
         let tile = self.metric.exact_batch_rank_kernel();
         let dims = query.len();
         // Reused across every leaf this query visits; a leaf holds at most
         // `fanout` rows.
         let mut ranks = vec![0.0f64; self.fanout];
-        let (mut distance_computations, mut masked_points) = (0u64, 0u64);
+        let mut distance_computations = 0u64;
         let mut heap: BinaryHeap<Prioritized<'_>> = BinaryHeap::new();
         heap.push(Prioritized {
             dist: root.mbr().min_distance(query, self.metric),
@@ -274,7 +228,7 @@ impl RTree {
                     let ranks = &mut ranks[..ids.len()];
                     tile(query, coords.as_slice(), dims, ranks);
                     distance_computations += ranks.len() as u64;
-                    masked_points += result.offer_ranks(ids, ranks, masked, self.metric);
+                    result.offer_ranks(ids, ranks, &[], self.metric);
                 }
                 Node::Internal { children, .. } => {
                     for child in children {
@@ -289,7 +243,7 @@ impl RTree {
                 }
             }
         }
-        (distance_computations, masked_points)
+        (result.into_sorted(), distance_computations)
     }
 }
 
@@ -486,60 +440,6 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
             let q = Point::new(u64::MAX, (0..dims).map(|_| rng.gen::<f64>() * 100.0).collect());
             prop_assert_eq!(tree.knn(&q, k), brute.knn(&q, k));
-        }
-
-        /// The leaves hold exactly what was bulk-loaded: `points()` yields
-        /// every loaded `(id, coordinates)` once, duplicates included.
-        #[test]
-        fn points_yields_the_bulk_loaded_multiset(
-            n in 0usize..200,
-            dims in 1usize..6,
-            fanout in 2usize..17,
-            copies in 1usize..3,
-            seed in 0u64..1000,
-        ) {
-            let once = random_points(n, dims, seed);
-            let loaded: Vec<Point> = (0..copies).flat_map(|_| once.iter().cloned()).collect();
-            let tree = RTree::bulk_load_with_fanout(loaded.clone(), DistanceMetric::Euclidean, fanout);
-            let key = |p: &Point| (p.id, p.coords.iter().map(|c| c.to_bits()).collect::<Vec<_>>());
-            let mut want: Vec<_> = loaded.iter().map(key).collect();
-            let mut got: Vec<_> = tree
-                .points()
-                .map(|(id, coords)| key(&Point::new(id, coords.to_vec())))
-                .collect();
-            want.sort_unstable();
-            got.sort_unstable();
-            prop_assert_eq!(got, want);
-        }
-
-        /// A masked search is a search of the unmasked points: same ids and
-        /// distance bits as brute force over them — with more points masked
-        /// than `k` around the query, and with every point masked — and every
-        /// masked point it reports was evaluated.
-        #[test]
-        fn masked_knn_matches_bruteforce_over_the_unmasked_points(
-            n in 1usize..200,
-            dims in 1usize..6,
-            fanout in 2usize..17,
-            k in 1usize..8,
-            keep_one_in in 1u64..6,
-            seed in 0u64..1000,
-            which in 0usize..3,
-        ) {
-            let metric = [DistanceMetric::Euclidean, DistanceMetric::Manhattan, DistanceMetric::Chebyshev][which];
-            let pts = random_points(n, dims, seed);
-            let tree = RTree::bulk_load_with_fanout(pts.clone(), metric, fanout);
-            // `keep_one_in == 1` keeps nothing: every point is masked.
-            let (live, masked): (Vec<Point>, Vec<Point>) =
-                pts.into_iter().partition(|p| keep_one_in > 1 && p.id % keep_one_in == 0);
-            let masked: Vec<PointId> = masked.iter().map(|p| p.id).collect();
-            let brute = BruteForceIndex::new(live, metric);
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
-            let q = Point::new(u64::MAX, (0..dims).map(|_| rng.gen::<f64>() * 100.0).collect());
-            let mut found = NeighborList::new(k);
-            let (evaluated, skipped) = tree.knn_into(&q.coords, &masked, &mut found);
-            prop_assert_eq!(found.into_sorted(), brute.knn(&q, k));
-            prop_assert!(skipped <= evaluated && skipped <= masked.len() as u64);
         }
     }
 }

@@ -100,13 +100,7 @@ fn prepared_serving_honours_the_mode_across_mutations_and_compaction() {
     let s = forest(300, 6);
     let k = 6;
     let ctx = ExecutionContext::default();
-    for algorithm in [
-        Algorithm::Pgbj,
-        Algorithm::Pbj,
-        Algorithm::Hbrj,
-        Algorithm::BroadcastJoin,
-        Algorithm::NestedLoopJoin,
-    ] {
+    for algorithm in [Algorithm::Pgbj, Algorithm::Pbj] {
         let build = |mode: KernelMode| {
             Join::new(&r, &s)
                 .k(k)

@@ -1,6 +1,6 @@
 //! Integration tests of the mutable-corpus delta layer: insert/delete
-//! semantics, the mutated-equals-cold guarantee for every algorithm and
-//! metric (DBSP-style, proptested over random interleavings), compaction
+//! semantics, the mutated-equals-cold guarantee for both prepared
+//! algorithms and every metric (DBSP-style, proptested over random interleavings), compaction
 //! boundaries, empty-overlay bit-identity, and snapshot consistency under
 //! concurrent mutation.
 
@@ -21,6 +21,9 @@ fn clustered(n: usize, dims: usize, seed: u64) -> PointSet {
         seed,
     )
 }
+
+/// The algorithms `prepare` builds an index for: the Voronoi family.
+const PREPARED: [Algorithm; 2] = [Algorithm::Pgbj, Algorithm::Pbj];
 
 fn builder_for<'a>(r: &'a PointSet, s: &'a PointSet, algorithm: Algorithm, k: usize) -> Join<'a> {
     Join::new(r, s)
@@ -43,7 +46,7 @@ fn insert_delete_and_upsert_semantics() {
     let r = clustered(40, 2, 1);
     let s = clustered(60, 2, 2);
     let ctx = ExecutionContext::default();
-    for algorithm in Algorithm::ALL {
+    for algorithm in PREPARED {
         let prepared = builder_for(&r, &s, algorithm, 3)
             .prepare(&ctx)
             .expect("prepare");
@@ -129,15 +132,14 @@ fn insert_delete_and_upsert_semantics() {
 #[test]
 fn forced_compaction_folds_the_overlay_and_preserves_answers() {
     let r = clustered(50, 2, 3);
-    // Ids permuted against arrival order (37 is prime to 80), plus the two
-    // corners that pin H-zkNNJ's z-domain for the fresh build below.
+    // Ids permuted against arrival order (37 is prime to 80).
     let mut points = clustered(80, 2, 4).into_points();
     for (i, p) in points.iter_mut().enumerate() {
         p.id = (37 * i as u64) % 80;
     }
-    let s = with_sentinels(points);
+    let s = PointSet::from_points(points);
     let ctx = ExecutionContext::default();
-    for algorithm in Algorithm::ALL {
+    for algorithm in PREPARED {
         let prepared = builder_for(&r, &s, algorithm, 4)
             .prepare(&ctx)
             .expect("prepare");
@@ -156,7 +158,7 @@ fn forced_compaction_folds_the_overlay_and_preserves_answers() {
             .expect("upsert");
         let before = prepared.query(&r).expect("query with overlay");
         assert!(
-            before.metrics.delta_probe_computations > 0 || algorithm == Algorithm::Zknn,
+            before.metrics.delta_probe_computations > 0,
             "{algorithm}: overlay adds must be probed through the memtable"
         );
 
@@ -227,7 +229,7 @@ fn empty_overlay_queries_are_bit_identical_to_the_frozen_path() {
     let r = clustered(60, 2, 5);
     let s = clustered(90, 2, 6);
     let ctx = ExecutionContext::default();
-    for algorithm in Algorithm::ALL {
+    for algorithm in PREPARED {
         for mode in [KernelMode::Exact, KernelMode::Fast] {
             let prepared = builder_for(&r, &s, algorithm, 5)
                 .kernel_mode(mode)
@@ -252,57 +254,8 @@ fn empty_overlay_queries_are_bit_identical_to_the_frozen_path() {
     }
 }
 
-/// The starvation case H-BRJ's oversampling existed for: with far more
-/// tombstones than `k` among a query's nearest frozen rows, a tree search
-/// that stopped at its first `k` hits would come back with dead points only.
-/// The masked search runs on instead: every row still gets `k` live
-/// neighbours, exactly the oracle's over the materialized corpus, and the
-/// dead rows it met are counted, not ranked.
-#[test]
-fn hbrj_finds_k_live_neighbours_behind_more_than_k_tombstones() {
-    let k = 4;
-    let s = clustered(400, 2, 31);
-    let queries = clustered(12, 2, 32);
-    let ctx = ExecutionContext::default();
-    let prepared = builder_for(&queries, &s, Algorithm::Hbrj, k)
-        .delta_threshold(usize::MAX)
-        .prepare(&ctx)
-        .expect("prepare");
-    // Delete the 5k nearest frozen objects of every query, and add nothing.
-    let nearest = NestedLoopJoin
-        .join(&queries, &s, 5 * k, DistanceMetric::Euclidean)
-        .expect("oracle");
-    for row in &nearest.rows {
-        for n in &row.neighbors {
-            prepared.delete(n.id);
-        }
-    }
-    let stats = prepared.delta_stats();
-    assert!(stats.pending_tombstones >= 5 * k && stats.pending_adds == 0);
-
-    let oracle = NestedLoopJoin
-        .join(
-            &queries,
-            &prepared.materialized_corpus(),
-            k,
-            DistanceMetric::Euclidean,
-        )
-        .expect("oracle over the live corpus");
-    let served = prepared.query(&queries).expect("masked query");
-    assert!(
-        served.matches(&oracle, 0.0),
-        "{:?}",
-        served.mismatch_against(&oracle, 0.0)
-    );
-    assert!(served.rows.iter().all(|row| row.neighbors.len() == k));
-    assert!(
-        served.metrics.tombstone_masked >= (5 * k * queries.len()) as u64,
-        "every query's search had to step over its own deleted neighbourhood"
-    );
-}
-
 // ---------------------------------------------------------------------------
-// Mutated-equals-cold (DBSP-style): random interleavings, all six algorithms
+// Mutated-equals-cold (DBSP-style): random interleavings, PGBJ and PBJ
 // ---------------------------------------------------------------------------
 
 /// The in-test model of the live corpus: id → coordinates.
@@ -337,29 +290,18 @@ fn apply_op(prepared: &PreparedJoin, model: &mut Model, op: &Op, op_index: usize
             model.insert(id, coords.clone());
         }
         Op::Delete(pick) => {
-            // Never delete the two sentinel corners pinning the z-domain.
-            let candidates: Vec<u64> = model
-                .keys()
-                .copied()
-                .filter(|id| *id < SENTINEL_ID_BASE)
-                .collect();
-            if candidates.len() <= 1 {
-                return; // keep at least one non-sentinel point alive
+            if model.len() <= 1 {
+                return; // keep one point alive for the cold rebuild
             }
-            let id = candidates[pick % candidates.len()];
+            let id = *model.keys().nth(pick % model.len()).expect("nonempty");
             assert!(prepared.delete(id), "model says {id} is live");
             model.remove(&id);
         }
     }
 }
 
-/// Sentinel ids pinning the corpus bounding box (never deleted), so a cold
-/// `z_calibration` over the mutated corpus reproduces the prepared
-/// quantizer and H-zkNNJ windows stay bit-identical.
-const SENTINEL_ID_BASE: u64 = 900_000;
-
-/// The tentpole guarantee, checked at one instant: for every algorithm and
-/// metric, a query against the mutated handle is distance-identical to a
+/// The tentpole guarantee, checked at one instant: for each prepared
+/// algorithm and metric, a query against the mutated handle is distance-identical to a
 /// cold `run` over the materialized corpus, and no tombstoned id appears.
 fn assert_matches_cold(
     prepared: &PreparedJoin,
@@ -394,14 +336,6 @@ fn assert_matches_cold(
     }
 }
 
-/// Builds `S` from `points` and two far-corner sentinels so mutation never
-/// moves the bounding box cold calibration sees.
-fn with_sentinels(mut points: Vec<Point>) -> PointSet {
-    points.push(Point::new(SENTINEL_ID_BASE, vec![-250.0, -250.0]));
-    points.push(Point::new(SENTINEL_ID_BASE + 1, vec![250.0, 250.0]));
-    PointSet::from_points(points)
-}
-
 /// Decodes the proptest shim's flat draws (no `prop_oneof`/`prop_map` there)
 /// into a mutation script: kind 0 = insert-new, 1 = upsert, 2 = delete.
 fn decode_ops(kinds: &[usize], picks: &[usize], flat_coords: &[f64]) -> Vec<Op> {
@@ -428,7 +362,7 @@ proptest! {
 
     /// Random insert/delete/upsert interleavings: after every prefix the
     /// mutated handle answers exactly like a cold build over the
-    /// materialized corpus — for all six algorithms and both paper metrics,
+    /// materialized corpus — for PGBJ and PBJ and both paper metrics,
     /// across auto-compaction boundaries (threshold 4 forces several).
     #[test]
     fn interleaved_mutations_match_cold_rebuild(
@@ -440,14 +374,11 @@ proptest! {
         checkpoint in 1usize..6,
     ) {
         let ops = decode_ops(&op_kinds, &op_picks, &op_coords);
-        let s = with_sentinels(
-            PointSet::from_coords(s_flat.chunks_exact(2).map(|c| c.to_vec()).collect())
-                .into_points(),
-        );
+        let s = PointSet::from_coords(s_flat.chunks_exact(2).map(|c| c.to_vec()).collect());
         let r = clustered(30, 2, 7);
         let ctx = ExecutionContext::default();
         for metric in [DistanceMetric::Euclidean, DistanceMetric::Manhattan] {
-            for algorithm in Algorithm::ALL {
+            for algorithm in PREPARED {
                 let prepared = builder_for(&r, &s, algorithm, k)
                     .metric(metric)
                     .delta_threshold(4)

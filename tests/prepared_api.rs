@@ -1,5 +1,6 @@
 //! Integration tests of the prepared (build/probe) serving API:
-//! bit-identical agreement with the one-shot path for every algorithm, flat
+//! bit-identical agreement with the one-shot path for PGBJ and PBJ, the
+//! refusal of every other algorithm and of duplicate `S` ids, flat
 //! `index_builds` / `pivot_selections` counters across repeated queries,
 //! correctness on batches the join was never prepared with, the cumulative
 //! metrics, and the epoch counter under concurrent writers.
@@ -22,6 +23,9 @@ fn clustered(n: usize, dims: usize, seed: u64) -> PointSet {
     )
 }
 
+/// The algorithms `prepare` builds an index for: the Voronoi family.
+const PREPARED: [Algorithm; 2] = [Algorithm::Pgbj, Algorithm::Pbj];
+
 fn builder_for<'a>(r: &'a PointSet, s: &'a PointSet, algorithm: Algorithm, k: usize) -> Join<'a> {
     Join::new(r, s)
         .k(k)
@@ -31,7 +35,7 @@ fn builder_for<'a>(r: &'a PointSet, s: &'a PointSet, algorithm: Algorithm, k: us
         .seed(99)
 }
 
-/// The tentpole guarantee: for every algorithm and several metrics,
+/// The tentpole guarantee: for both Voronoi algorithms and several metrics,
 /// `prepare().query(r)` equals `run()` on the same inputs — same rows, same
 /// neighbour counts, identical distances.
 #[test]
@@ -40,7 +44,7 @@ fn prepared_query_is_bit_identical_to_one_shot_run_across_metrics() {
     let s = clustered(220, 3, 2);
     let ctx = ExecutionContext::default();
     for metric in [DistanceMetric::Euclidean, DistanceMetric::Manhattan] {
-        for algorithm in Algorithm::ALL {
+        for algorithm in PREPARED {
             let cold = builder_for(&r, &s, algorithm, 6)
                 .metric(metric)
                 .run(&ctx)
@@ -68,25 +72,20 @@ fn repeated_queries_keep_index_builds_and_pivot_selections_flat() {
     let r = clustered(150, 2, 3);
     let s = clustered(200, 2, 4);
     let ctx = ExecutionContext::default();
-    for algorithm in Algorithm::ALL {
+    for algorithm in PREPARED {
         let prepared = builder_for(&r, &s, algorithm, 5)
             .prepare(&ctx)
             .expect("prepare");
         let build = prepared.build_metrics();
-        if algorithm == Algorithm::Hbrj {
-            assert!(build.index_builds > 0, "H-BRJ must build its trees once");
-        }
-        if algorithm.uses_pivots() {
-            assert_eq!(build.pivot_selections, 1, "{algorithm}");
-            // `prepare` assigns S the way a probe assigns R, and bills it:
-            // at least one pivot distance per object.
-            assert!(
-                build.pivot_assignment_computations >= s.len() as u64,
-                "{algorithm}: build billed {} assignment computations for {} objects",
-                build.pivot_assignment_computations,
-                s.len()
-            );
-        }
+        assert_eq!(build.pivot_selections, 1, "{algorithm}");
+        // `prepare` assigns S the way a probe assigns R, and bills it: at
+        // least one pivot distance per object.
+        assert!(
+            build.pivot_assignment_computations >= s.len() as u64,
+            "{algorithm}: build billed {} assignment computations for {} objects",
+            build.pivot_assignment_computations,
+            s.len()
+        );
         let mut first: Option<JoinResult> = None;
         for round in 0..3 {
             let result = prepared.query(&r).expect("query");
@@ -123,7 +122,7 @@ fn repeated_queries_keep_index_builds_and_pivot_selections_flat() {
 }
 
 /// The prepared state is R-independent: batches the join was never prepared
-/// with are answered exactly (approximately, for H-zkNNJ).
+/// with are answered exactly.
 #[test]
 fn prepared_state_serves_unseen_batches() {
     let calibration = clustered(120, 2, 5);
@@ -133,26 +132,71 @@ fn prepared_state_serves_unseen_batches() {
     let oracle = NestedLoopJoin
         .join(&unseen, &s, 4, DistanceMetric::Euclidean)
         .expect("oracle");
-    for algorithm in Algorithm::ALL {
+    for algorithm in PREPARED {
         let prepared = builder_for(&calibration, &s, algorithm, 4)
             .prepare(&ctx)
             .expect("prepare");
         let served = prepared.query(&unseen).expect("query unseen batch");
-        if algorithm.is_exact() {
-            assert!(
-                served.matches(&oracle, 1e-9),
-                "{algorithm} on an unseen batch: {:?}",
-                served.mismatch_against(&oracle, 1e-9)
-            );
-        } else {
-            assert_eq!(served.len(), unseen.len());
-            let quality = served.quality_against(&oracle);
-            assert!(
-                quality.recall >= 0.8,
-                "{algorithm} recall {}",
-                quality.recall
-            );
+        assert!(
+            served.matches(&oracle, 1e-9),
+            "{algorithm} on an unseen batch: {:?}",
+            served.mismatch_against(&oracle, 1e-9)
+        );
+    }
+}
+
+/// `prepare` builds the Voronoi index only: the paper's competitors are
+/// refused with a typed error naming them, after the input checks, while
+/// `run` on the same builder serves them cold.
+#[test]
+fn prepare_refuses_the_competitors_and_run_still_serves_them() {
+    let r = clustered(60, 2, 30);
+    let s = clustered(90, 2, 31);
+    let ctx = ExecutionContext::default();
+    for algorithm in Algorithm::ALL {
+        if PREPARED.contains(&algorithm) {
+            continue;
         }
+        match builder_for(&r, &s, algorithm, 3).prepare(&ctx) {
+            Err(JoinError::InvalidConfig(message)) => assert!(
+                message.contains(algorithm.name()),
+                "{algorithm}: the refusal does not name it: {message}"
+            ),
+            other => panic!("{algorithm}: prepare returned {other:?}"),
+        }
+        let cold = builder_for(&r, &s, algorithm, 3)
+            .run(&ctx)
+            .expect("cold run");
+        assert_eq!(cold.len(), r.len(), "{algorithm}");
+        // Input errors still come first.
+        assert_eq!(
+            builder_for(&r, &s, algorithm, 0).prepare(&ctx).unwrap_err(),
+            JoinError::InvalidK
+        );
+    }
+}
+
+/// The resident corpus is keyed by id, so `prepare` refuses an `S` that
+/// repeats one: with the repeats kept, `s_len()` counted ids while the cells
+/// held every row, and the first compaction broke the id index.
+#[test]
+fn prepare_refuses_duplicate_s_ids_with_a_typed_error() {
+    let r = clustered(40, 2, 32);
+    let mut s = clustered(60, 2, 33);
+    for at in [10, 20] {
+        let coords = s.points()[at].coords.clone();
+        s.points_mut()[at] = Point::new(5, coords);
+    }
+    let ctx = ExecutionContext::default();
+    for algorithm in PREPARED {
+        assert_eq!(
+            builder_for(&r, &s, algorithm, 3).prepare(&ctx).unwrap_err(),
+            JoinError::DuplicateId {
+                dataset: "S",
+                id: 5
+            },
+            "{algorithm}"
+        );
     }
 }
 
@@ -212,7 +256,7 @@ fn prepared_clones_share_state_and_stats() {
     let r = clustered(80, 2, 15);
     let s = clustered(120, 2, 16);
     let ctx = ExecutionContext::default();
-    let prepared = builder_for(&r, &s, Algorithm::Zknn, 4)
+    let prepared = builder_for(&r, &s, Algorithm::Pbj, 4)
         .prepare(&ctx)
         .expect("prepare");
     let clone = prepared.clone();

@@ -15,10 +15,11 @@
 //! * **churn** — closed-loop readers while a writer thread churns the
 //!   corpus through `PreparedJoin::insert`/`delete`, the serving path
 //!   snapshotting epochs underneath.
-//! * **overload paused** — a paused single-worker server with a tiny
-//!   admission cap, filled past capacity: the surplus must be *rejected*
-//!   (typed `JoinError::Overloaded`), deterministically, and every admitted
-//!   request still completes on resume.
+//! * **overload paused** — a single-permit server with a tiny admission
+//!   cap, filled past capacity before any ticket is waited (an unwaited
+//!   request stays queued): the surplus must be *rejected* (typed
+//!   `JoinError::Overloaded`), deterministically, and every admitted request
+//!   still completes once waited.
 //!
 //! The deterministic columns (`clients`, `requests`, `responses`,
 //! `result_errors`, `rejected`, `rows`) are fixed for the configuration and
@@ -42,7 +43,7 @@ const BATCH_POINTS: usize = 4;
 /// rejected with the typed overload error.
 const OVERLOAD_CAP: usize = 4;
 
-/// Total submissions thrown at the paused overload server.
+/// Total submissions thrown at the overload server before the first wait.
 const OVERLOAD_SUBMITS: usize = 10;
 
 /// One measured serving configuration.
@@ -226,18 +227,14 @@ fn churn_row(
     row_from(format!("churn c={clients}"), clients, tally, &stats)
 }
 
-/// The overload row: a paused single-worker server with a tiny queue cap,
-/// filled past capacity from one thread so the admit/reject split is exact.
+/// The overload row: a single-permit server with a tiny queue cap, filled
+/// past capacity from one thread so the admit/reject split is exact.
+/// Unwaited tickets run nothing, so the queue fills to the cap; the first
+/// wait drains it in one batch.
 fn overload_row(prepared: &PreparedJoin, queries: &PointSet) -> ServingRow {
     let server = Server::start(
         prepared.clone(),
-        ServerConfig::default()
-            .workers(1)
-            .queue_depth(OVERLOAD_CAP)
-            // Paused workers take nothing, so the queue fills to the cap; on
-            // resume the one worker drains it in one batch.
-            .max_batch(OVERLOAD_CAP)
-            .start_paused(true),
+        ServerConfig::default().workers(1).queue_depth(OVERLOAD_CAP),
     );
     let points = queries.points();
     let mut tally = ClientTally::default();
@@ -250,7 +247,6 @@ fn overload_row(prepared: &PreparedJoin, queries: &PointSet) -> ServingRow {
             Err(e) => panic!("unexpected submit error: {e}"),
         }
     }
-    server.resume();
     for ticket in tickets {
         match ticket.wait() {
             Ok(_) => {
@@ -265,7 +261,7 @@ fn overload_row(prepared: &PreparedJoin, queries: &PointSet) -> ServingRow {
 }
 
 /// Runs the serving grid: three closed-loop concurrency levels, the mixed
-/// singles+batches row, the churn row and the paused overload row.
+/// singles+batches row, the churn row and the overload row.
 pub fn serving_slo(scale: ExperimentScale) -> ExperimentOutput {
     let workloads = Workloads::new(scale);
     let corpus = workloads.forest_default();

@@ -241,8 +241,8 @@ pub(crate) fn label_rows(r: &PointSet, neighbors: Vec<Vec<Neighbor>>) -> Vec<Joi
 /// at 16 rows (188 µs inline vs 180 µs split on `forest10d`), wins 14–23%
 /// at 32 and ~30% at 64.  The hand-off grows with the worker count while
 /// the per-range work shrinks, so the cut sits at four times the 2-worker
-/// break-even — and above the server's default `max_batch` of 16, so a
-/// coalesced batch, which only forms while every server worker is busy,
+/// break-even — and above the 16 singles a server round coalesces at most,
+/// so a coalesced batch, which only forms while every probe permit is out,
 /// never spawns threads of its own.
 pub const PARALLEL_PROBE_CUT: usize = 64;
 

@@ -1,12 +1,12 @@
 //! A fixed-size, log-bucketed latency histogram.
 //!
 //! The serving front-end records one sample per answered request, from many
-//! worker threads at once.  A mergeable histogram keeps that cheap: every
-//! worker owns its private [`LatencyHistogram`] (no shared counter, no
+//! client threads at once.  A mergeable histogram keeps that cheap: every
+//! probe permit owns its private [`LatencyHistogram`] (no shared counter, no
 //! contended lock on the hot path) and the aggregate view is produced by
-//! [`LatencyHistogram::merge`]-ing the per-worker histograms on demand.
+//! [`LatencyHistogram::merge`]-ing the per-permit histograms on demand.
 //! Merging is associative and commutative — it is a per-bucket sum plus
-//! min/max/count folds — so the aggregate is independent of worker order and
+//! min/max/count folds — so the aggregate is independent of permit order and
 //! of how partial aggregates are grouped (proptested in
 //! `tests/serving_concurrency.rs`).
 //!
@@ -46,7 +46,8 @@ fn bucket_upper_nanos(index: usize) -> u64 {
         let sub = (index % SUB) as u64;
         let exponent = octave + SUB_BITS - 1;
         let width = 1u64 << (exponent - SUB_BITS);
-        (1u64 << exponent) + (sub + 1) * width - 1
+        // `- 1` before the widths: the top bucket's bound is `u64::MAX`.
+        (1u64 << exponent) - 1 + (sub + 1) * width
     }
 }
 
@@ -107,7 +108,7 @@ impl LatencyHistogram {
 
     /// Folds another histogram into this one (per-bucket sum plus
     /// min/max/count/total folds).  Associative and commutative, so partial
-    /// per-worker aggregates can be combined in any grouping.
+    /// per-permit aggregates can be combined in any grouping.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
             *mine += theirs;
@@ -230,6 +231,13 @@ mod tests {
             // The relative error of reading the upper bound back is ≤ 1/SUB.
             assert!(bucket_upper_nanos(idx) as f64 <= v as f64 * (1.0 + 1.0 / SUB as f64) + 1.0);
         }
+        // The top bucket's bound is `u64::MAX`, read back without overflow
+        // through both entries.
+        assert_eq!(bucket_upper_nanos(bucket_index(u64::MAX)), u64::MAX);
+        let mut h = LatencyHistogram::new();
+        h.record_nanos(u64::MAX);
+        h.record(Duration::MAX);
+        assert_eq!(h.p50(), Duration::from_nanos(u64::MAX));
     }
 
     #[test]

@@ -6,28 +6,31 @@
 //! a batch to amortise.  What a serving system still needs is *many clients
 //! at once*; the [`Server`] adds the three mechanisms that takes:
 //!
-//! * **Work-conserving dispatch, coalescing under load** — an idle worker
-//!   takes whatever single-point queries are queued (up to
-//!   [`ServerConfig::max_batch`]) the moment it sees them; nobody waits on a
-//!   timer.  Batches therefore form only while every worker is busy, which
-//!   is exactly when they pay: one queue hand-off, one epoch snapshot and
-//!   one metrics record cover the whole batch.  Each row is handed back to
-//!   its own caller under its own point id.  Coalesced answers are
-//!   bit-identical (in the repo's distance-exact sense, see
-//!   [`crate::JoinResult::mismatch_against`]) to uncoalesced
-//!   [`PreparedJoin::query_one`] calls because every probe algorithm ranks
-//!   each `R` point independently by its coordinates alone.
+//! * **The waiting client probes, coalescing under load** — the server runs
+//!   no thread of its own.  [`Ticket::wait`] does the work: a waiter whose
+//!   answer is not in yet takes one of [`ServerConfig::workers`] probe
+//!   permits and leads a round on its own thread — a single's waiter takes
+//!   up to 16 queued singles from the front of the singles lane, a batch's
+//!   waiter the front client batch — delivers every answer it took, and
+//!   hands the permit back.  Nobody waits on a timer, so a lone single on an
+//!   idle server is probed alone; batches form exactly while every permit is
+//!   out, which is when they pay: one epoch snapshot and one metrics record
+//!   cover the whole batch.  Each row is handed back to its own caller under
+//!   its own point id.  Coalesced answers are bit-identical (in the repo's
+//!   distance-exact sense, see [`crate::JoinResult::mismatch_against`]) to
+//!   uncoalesced [`PreparedJoin::query_one`] calls because every probe
+//!   algorithm ranks each `R` point independently by its coordinates alone.
 //! * **Admission control** — requests are validated (dimensionality, finite
 //!   coordinates) before they are queued, so one client's bad point fails
 //!   synchronously with its own index and can never fail a batch it would
 //!   have shared with others; the queue is depth-capped, and a submit over
 //!   the cap returns [`JoinError::Overloaded`] *immediately* instead of
 //!   queueing unboundedly, so overload surfaces as typed back-pressure
-//!   rather than latency collapse.
-//! * **Bounded workers + mergeable latency histograms** — a fixed pool of
-//!   worker threads drains the queue; each records per-request latency into
-//!   its own [`LatencyHistogram`], merged on demand by [`Server::stats`]
-//!   into p50/p95/p99 and QPS.
+//!   rather than latency collapse.  A [`Ticket`] dropped unwaited withdraws
+//!   its request, so fire-and-forget clients cannot hold the queue full.
+//! * **Bounded permits + mergeable latency histograms** — each permit
+//!   records per-request latency into its own [`LatencyHistogram`], merged
+//!   on demand by [`Server::stats`] into p50/p95/p99 and QPS.
 //!
 //! The corpus stays fully mutable underneath: writers call
 //! [`PreparedJoin::insert`] / [`PreparedJoin::delete`] /
@@ -70,22 +73,18 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Locks a `std` mutex, tolerating poison: a client thread that panicked
-/// mid-submit must not cascade panics into every other client and worker of
-/// the server.  The protected state (queues of requests, result cells) stays
-/// structurally valid across any panic point, so continuing with the inner
-/// value is sound — the same policy the vendored `parking_lot` shim applies
-/// workspace-wide.
+/// Most queued singles one round takes.  A round never waits for a batch to
+/// fill: it takes what is queued, so batches only form under load.
+const MAX_BATCH: usize = 16;
+
+/// Locks a `std` mutex, tolerating poison: a client that panicked mid-submit
+/// or mid-round must not cascade panics into every other client.  The queue
+/// and the result cells stay structurally valid across any panic point — the
+/// policy the vendored `parking_lot` shim applies workspace-wide.
 fn lock_tolerant<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// [`Condvar::wait`] with the same poison tolerance as [`lock_tolerant`].
-fn wait_tolerant<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Tuning knobs of a [`Server`].
@@ -93,42 +92,28 @@ fn wait_tolerant<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGua
 /// The defaults suit the repo's test corpora.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads draining the queue (clamped to ≥ 1).
+    /// Probe permits: how many waiting clients may lead a round at once
+    /// (clamped to ≥ 1).  The server spawns no thread; rounds run on the
+    /// threads that wait for their answers.
     pub workers: usize,
-    /// Most queued single-point queries one worker takes at once (clamped
-    /// to ≥ 1; `1` disables coalescing).  A worker never waits for a batch
-    /// to fill: it takes what is queued, so batches only form under load.
-    pub max_batch: usize,
-    /// Admission cap: maximum queued (not yet executing) requests; a submit
-    /// beyond this returns [`JoinError::Overloaded`].
+    /// Admission cap: maximum queued (not yet taken by a round) requests; a
+    /// submit beyond this returns [`JoinError::Overloaded`].
     pub queue_depth: usize,
-    /// Start with the workers paused (requests queue but do not execute
-    /// until [`Server::resume`]).  For deterministic overload and
-    /// flush-trigger tests; defaults to `false`.
-    pub start_paused: bool,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             workers: 4,
-            max_batch: 16,
             queue_depth: 1024,
-            start_paused: false,
         }
     }
 }
 
 impl ServerConfig {
-    /// Sets the worker-thread count.
+    /// Sets the probe-permit count.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Sets the coalescer's batch-size cap.
-    pub fn max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch;
         self
     }
 
@@ -137,58 +122,54 @@ impl ServerConfig {
         self.queue_depth = queue_depth;
         self
     }
-
-    /// Starts the server paused (see [`ServerConfig::start_paused`]).
-    pub fn start_paused(mut self, paused: bool) -> Self {
-        self.start_paused = paused;
-        self
-    }
 }
 
-/// A one-shot rendezvous cell: the worker delivers exactly one result, the
-/// ticket holder blocks on it.
-#[derive(Debug)]
-struct Slot<T> {
-    cell: Mutex<Option<Result<T, JoinError>>>,
-    ready: Condvar,
-}
+/// A one-shot result cell: a round delivers exactly one result, the ticket
+/// holder takes it under the queue lock (see [`Shared::lead_until`]); the
+/// cell's lock is a leaf.
+type Slot<T> = Mutex<Option<Result<T, JoinError>>>;
 
-impl<T> Slot<T> {
-    fn new() -> Self {
-        Self {
-            cell: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn deliver(&self, value: Result<T, JoinError>) {
-        *lock_tolerant(&self.cell) = Some(value);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> Result<T, JoinError> {
-        let mut cell = lock_tolerant(&self.cell);
-        loop {
-            match cell.take() {
-                Some(value) => return value,
-                None => cell = wait_tolerant(&self.ready, cell),
-            }
-        }
-    }
+/// The queue lane a request waits in, and the lane its waiter leads from.
+#[derive(Debug, Clone, Copy)]
+enum Lane {
+    Singles,
+    Batches,
 }
 
 /// A claim on an admitted request's eventual answer; redeem it with
 /// [`Ticket::wait`].  Produced by [`Server::submit_one`] / [`Server::submit`]
-/// so a client can pipeline several requests before blocking.
+/// so a client can pipeline several requests before blocking: the first
+/// `wait` leads a round that takes the others too.  Dropping a ticket
+/// unwaited withdraws its request if no round has taken it yet.
+#[must_use = "a dropped ticket withdraws its request"]
 #[derive(Debug)]
 pub struct Ticket<T> {
     slot: Arc<Slot<T>>,
+    lane: Lane,
+    shared: Arc<Shared>,
 }
 
 impl<T> Ticket<T> {
-    /// Blocks until the server answers this request.
+    /// Blocks until this request is answered, leading rounds from its own
+    /// lane while a permit is free and the lane has queued work.
     pub fn wait(self) -> Result<T, JoinError> {
-        self.slot.wait()
+        self.shared
+            .lead_until(&[self.lane], |_| lock_tolerant(&self.slot).take())
+    }
+}
+
+impl<T> Drop for Ticket<T> {
+    /// Withdraws the request if it is still queued.  A withdrawn request
+    /// counts as neither completed nor failed.
+    fn drop(&mut self) {
+        // Only a queued request or a running round shares the cell; nobody
+        // clones it afterwards, so a count of one is final.
+        if Arc::strong_count(&self.slot) > 1 {
+            let me = Arc::as_ptr(&self.slot).cast::<()>();
+            let mut queue = lock_tolerant(&self.shared.queue);
+            queue.singles.retain(|r| Arc::as_ptr(&r.slot).cast() != me);
+            queue.batches.retain(|r| Arc::as_ptr(&r.slot).cast() != me);
+        }
     }
 }
 
@@ -206,31 +187,50 @@ struct BatchRequest {
     slot: Arc<Slot<JoinResult>>,
 }
 
-/// Queued-but-not-yet-executing work, under the server's one `std` mutex.
-/// (`parking_lot`'s vendored shim has no `Condvar`, and the queue needs one;
-/// the sharded `parking_lot` locks live where no waiting is needed — the
-/// per-worker histograms.)
+/// Queued-but-not-yet-taken work and the free probe permits, under the
+/// server's one `std` mutex.  (`parking_lot`'s vendored shim has no
+/// `Condvar`, and the queue needs one; the sharded `parking_lot` locks live
+/// where no waiting is needed — the per-permit histograms.)
 #[derive(Debug, Default)]
 struct Queue {
     singles: VecDeque<SingleRequest>,
     batches: VecDeque<BatchRequest>,
-    /// No new admissions; workers exit once both queues are empty.
+    /// Free permits, each the index of its histogram shard.
+    permits: Vec<usize>,
+    /// No new admissions; [`Server::shutdown`] is draining the queue.
     draining: bool,
-    /// Workers idle (admissions continue); cleared by [`Server::resume`].
-    paused: bool,
 }
 
 impl Queue {
     fn depth(&self) -> usize {
         self.singles.len() + self.batches.len()
     }
+
+    /// Takes a free permit and the front unit of `lane`: up to
+    /// [`MAX_BATCH`] singles, FIFO, or one client batch, passed through
+    /// unsplit.  `None` when either is missing.
+    fn lead(&mut self, lane: Lane) -> Option<(usize, Work)> {
+        if self.permits.is_empty() {
+            return None;
+        }
+        let work = match lane {
+            Lane::Singles if !self.singles.is_empty() => {
+                let take = self.singles.len().min(MAX_BATCH);
+                Work::Coalesced(self.singles.drain(..take).collect())
+            }
+            Lane::Singles => return None,
+            Lane::Batches => Work::Batch(self.batches.pop_front()?),
+        };
+        self.permits.pop().map(|permit| (permit, work))
+    }
 }
 
 #[derive(Debug)]
 struct Shared {
+    prepared: PreparedJoin,
     queue: Mutex<Queue>,
-    work: Condvar,
-    max_batch: usize,
+    /// Signalled once per round, when its permit comes back.
+    returned: Condvar,
     queue_cap: usize,
     submitted: AtomicU64,
     completed: AtomicU64,
@@ -239,46 +239,144 @@ struct Shared {
     coalesced_batches: AtomicU64,
     coalesced_points: AtomicU64,
     batch_requests: AtomicU64,
-    /// One histogram per worker: the hot path locks only its own shard, the
+    /// One histogram per permit: the hot path locks only its own shard, the
     /// aggregate is a merge (associative, so grouping doesn't matter).
     histograms: Vec<RankedMutex<LatencyHistogram>>,
 }
 
-/// One unit of work a worker pulled off the queue.
+/// One unit of work a round took off the queue.
 enum Work {
     /// Coalesced single-point queries, in submission order.
     Coalesced(Vec<SingleRequest>),
     /// A client-provided batch, passed through unsplit.
     Batch(BatchRequest),
-    /// Drain complete: the worker exits.
-    Exit,
+}
+
+/// A permit (its histogram-shard index) on loan to the thread leading a
+/// round.  Dropping it — when the round ends or while a panic unwinds —
+/// hands it back and wakes every waiter, so no panic strands the followers.
+struct Permit<'a>(&'a Shared, usize);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        lock_tolerant(&self.0.queue).permits.push(self.1);
+        self.0.returned.notify_all();
+    }
+}
+
+impl Shared {
+    /// Leads rounds from `lanes` on the calling thread until `done` yields,
+    /// sleeping whenever no permit is free or the lanes are empty.  `done`
+    /// runs under the queue lock, so a cell filled before a permit's return
+    /// is seen before the sleep that return would end.
+    fn lead_until<R>(&self, lanes: &[Lane], mut done: impl FnMut(&Queue) -> Option<R>) -> R {
+        let mut queue = lock_tolerant(&self.queue);
+        loop {
+            if let Some(value) = done(&queue) {
+                return value;
+            }
+            let Some((index, work)) = lanes.iter().find_map(|&lane| queue.lead(lane)) else {
+                queue = self
+                    .returned
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            drop(queue);
+            let permit = Permit(self, index);
+            match work {
+                Work::Coalesced(requests) => self.run_coalesced(index, requests),
+                Work::Batch(request) => self.run_batch(index, request),
+            }
+            drop(permit);
+            queue = lock_tolerant(&self.queue);
+        }
+    }
+
+    /// Probes a coalesced batch of single-point queries as one set of
+    /// borrowed rows, in submission order.  The probe answers positionally
+    /// and every algorithm ranks a row by its coordinates alone, so ids
+    /// never enter it: two clients querying the same id can share a batch,
+    /// and each client's row comes back under its own point id.
+    fn run_coalesced(&self, index: usize, requests: Vec<SingleRequest>) {
+        // ORDERING: Relaxed — monotonic statistics counters only.
+        self.coalesced_batches.fetch_add(1, Ordering::Relaxed);
+        self.coalesced_points
+            .fetch_add(requests.len() as u64, Ordering::Relaxed);
+        let rows: Vec<&[f64]> = requests
+            .iter()
+            .map(|request| request.point.coords.as_slice())
+            .collect();
+        match probe_caught(|| self.prepared.probe(&rows)) {
+            Ok((neighbors, _)) => {
+                debug_assert_eq!(neighbors.len(), requests.len());
+                for (request, neighbors) in requests.into_iter().zip(neighbors) {
+                    self.finish(index, request.submitted, true);
+                    *lock_tolerant(&request.slot) = Some(Ok(JoinRow {
+                        r_id: request.point.id,
+                        neighbors,
+                    }));
+                }
+            }
+            Err(error) => {
+                for request in requests {
+                    self.finish(index, request.submitted, false);
+                    *lock_tolerant(&request.slot) = Some(Err(error.clone()));
+                }
+            }
+        }
+    }
+
+    fn run_batch(&self, index: usize, request: BatchRequest) {
+        let outcome = probe_caught(|| self.prepared.query(&request.points));
+        self.finish(index, request.submitted, outcome.is_ok());
+        *lock_tolerant(&request.slot) = Some(outcome);
+    }
+
+    /// Books one answered request: latency into this permit's histogram
+    /// shard, completed/failed counters.
+    fn finish(&self, index: usize, submitted: Instant, ok: bool) {
+        if let Some(shard) = self.histograms.get(index) {
+            shard.lock().record(submitted.elapsed());
+        }
+        let counter = if ok { &self.completed } else { &self.failed };
+        // ORDERING: Relaxed — monotonic statistics counters only.
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Runs one unit's probe, turning a panic inside it into the typed error the
+/// unit's tickets are failed with.  A probe holds no lock while it scans and
+/// publishes nothing until it returns (see [`PreparedJoin::probe`]), so the
+/// leading thread and the corpus are intact after the unwind.
+fn probe_caught<T>(probe: impl FnOnce() -> Result<T, JoinError>) -> Result<T, JoinError> {
+    catch_unwind(AssertUnwindSafe(probe)).unwrap_or(Err(JoinError::Internal("a probe panicked")))
 }
 
 /// A concurrent serving front-end: many client threads submit single-point
-/// and small-batch kNN queries against one shared [`PreparedJoin`]; a bounded
-/// worker pool answers them with coalescing, admission control and per-request
-/// latency tracking.  See the [module docs](self) for the dataflow.
+/// and small-batch kNN queries against one shared [`PreparedJoin`]; the
+/// waiting clients answer them under a bounded number of probe permits, with
+/// coalescing, admission control and per-request latency tracking.  See the
+/// [module docs](self) for the dataflow.
 #[derive(Debug)]
 pub struct Server {
     shared: Arc<Shared>,
-    prepared: PreparedJoin,
     started: Instant,
-    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Server {
-    /// Starts the worker pool over `prepared`.  The corpus handle stays
-    /// shareable: clone it before (or take it from [`Server::prepared`]) to
-    /// mutate the corpus while the server runs.
+    /// Starts serving `prepared`; no thread is spawned.  The corpus handle
+    /// stays shareable: clone it before (or take it from
+    /// [`Server::prepared`]) to mutate the corpus while the server runs.
     pub fn start(prepared: PreparedJoin, config: ServerConfig) -> Self {
-        let workers = config.workers.max(1);
+        let permits = config.workers.max(1);
         let shared = Arc::new(Shared {
+            prepared,
             queue: Mutex::new(Queue {
-                paused: config.start_paused,
+                permits: (0..permits).collect(),
                 ..Queue::default()
             }),
-            work: Condvar::new(),
-            max_batch: config.max_batch.max(1),
+            returned: Condvar::new(),
             queue_cap: config.queue_depth.max(1),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -287,7 +385,7 @@ impl Server {
             coalesced_batches: AtomicU64::new(0),
             coalesced_points: AtomicU64::new(0),
             batch_requests: AtomicU64::new(0),
-            histograms: (0..workers)
+            histograms: (0..permits)
                 .map(|_| {
                     RankedMutex::new(
                         ranks::SERVING_HISTOGRAM,
@@ -297,23 +395,9 @@ impl Server {
                 })
                 .collect(),
         });
-        let handles = (0..workers)
-            .map(|index| {
-                let shared = Arc::clone(&shared);
-                let prepared = prepared.clone();
-                std::thread::Builder::new()
-                    .name(format!("knnjoin-serve-{index}"))
-                    .spawn(move || worker_loop(&shared, &prepared, index))
-                    // lint: allow(panic-freedom) -- OS thread exhaustion at
-                    // startup has no graceful fallback from this constructor.
-                    .expect("spawn serving worker")
-            })
-            .collect();
         Self {
             shared,
-            prepared,
             started: Instant::now(),
-            workers: Mutex::new(handles),
         }
     }
 
@@ -321,10 +405,10 @@ impl Server {
     /// is safe while the server runs: every probe observes one published
     /// epoch.
     pub fn prepared(&self) -> &PreparedJoin {
-        &self.prepared
+        &self.shared.prepared
     }
 
-    /// Requests currently queued (admitted, not yet executing).
+    /// Requests currently queued (admitted, not yet taken by a round).
     pub fn queue_depth(&self) -> usize {
         lock_tolerant(&self.shared.queue).depth()
     }
@@ -340,21 +424,14 @@ impl Server {
     /// [`JoinError::Overloaded`] when the queue is at capacity,
     /// [`JoinError::ServerShutdown`] after [`Server::shutdown`] began.
     pub fn submit_one(&self, point: Point) -> Result<Ticket<JoinRow>, JoinError> {
-        self.prepared.validate_rows(&[point.coords.as_slice()])?;
-        let slot = Arc::new(Slot::new());
-        {
-            let mut queue = lock_tolerant(&self.shared.queue);
-            self.admit(&queue)?;
-            queue.singles.push_back(SingleRequest {
-                point,
-                submitted: Instant::now(),
-                slot: Arc::clone(&slot),
-            });
-            self.shared.work.notify_one();
-        }
-        // ORDERING: Relaxed — monotonic statistics counter only.
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-        Ok(Ticket { slot })
+        self.prepared().validate_rows(&[point.coords.as_slice()])?;
+        let slot = Arc::new(Mutex::new(None));
+        self.admit(Lane::Singles)?.singles.push_back(SingleRequest {
+            point,
+            submitted: Instant::now(),
+            slot: Arc::clone(&slot),
+        });
+        Ok(self.ticket(slot, Lane::Singles))
     }
 
     /// Admits one batch query (executed unsplit, never merged with other
@@ -367,22 +444,22 @@ impl Server {
     /// [`Server::submit_one`].
     pub fn submit(&self, points: PointSet) -> Result<Ticket<JoinResult>, JoinError> {
         let rows: Vec<&[f64]> = points.iter().map(|p| p.coords.as_slice()).collect();
-        self.prepared.validate_rows(&rows)?;
-        let slot = Arc::new(Slot::new());
-        {
-            let mut queue = lock_tolerant(&self.shared.queue);
-            self.admit(&queue)?;
-            queue.batches.push_back(BatchRequest {
-                points,
-                submitted: Instant::now(),
-                slot: Arc::clone(&slot),
-            });
-            self.shared.work.notify_one();
+        self.prepared().validate_rows(&rows)?;
+        let slot = Arc::new(Mutex::new(None));
+        self.admit(Lane::Batches)?.batches.push_back(BatchRequest {
+            points,
+            submitted: Instant::now(),
+            slot: Arc::clone(&slot),
+        });
+        Ok(self.ticket(slot, Lane::Batches))
+    }
+
+    fn ticket<T>(&self, slot: Arc<Slot<T>>, lane: Lane) -> Ticket<T> {
+        Ticket {
+            slot,
+            lane,
+            shared: Arc::clone(&self.shared),
         }
-        // ORDERING: Relaxed — monotonic statistics counters only.
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-        self.shared.batch_requests.fetch_add(1, Ordering::Relaxed);
-        Ok(Ticket { slot })
     }
 
     /// Answers one single-point query, blocking until the result is ready.
@@ -395,28 +472,25 @@ impl Server {
         self.submit(points)?.wait()
     }
 
-    /// Admission control: reject when draining or at the queue-depth cap.
-    fn admit(&self, queue: &Queue) -> Result<(), JoinError> {
+    /// Admission control: reject when draining or at the queue-depth cap,
+    /// else hand back the locked queue.  Counts under the queue lock, so the
+    /// stats a finished [`Server::shutdown`] returns include every admission.
+    fn admit(&self, lane: Lane) -> Result<MutexGuard<'_, Queue>, JoinError> {
+        let queue = lock_tolerant(&self.shared.queue);
         if queue.draining {
             return Err(JoinError::ServerShutdown);
         }
-        let depth = queue.depth();
-        if depth >= self.shared.queue_cap {
-            // ORDERING: Relaxed — monotonic statistics counter only.
+        let (depth, capacity) = (queue.depth(), self.shared.queue_cap);
+        // ORDERING: Relaxed — monotonic statistics counters only.
+        if depth >= capacity {
             self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(JoinError::Overloaded {
-                depth,
-                capacity: self.shared.queue_cap,
-            });
+            return Err(JoinError::Overloaded { depth, capacity });
         }
-        Ok(())
-    }
-
-    /// Unpauses the workers (no-op when not paused).
-    pub fn resume(&self) {
-        let mut queue = lock_tolerant(&self.shared.queue);
-        queue.paused = false;
-        self.shared.work.notify_all();
+        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
+        if let Lane::Batches = lane {
+            self.shared.batch_requests.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(queue)
     }
 
     /// A point-in-time view of the serving counters and the merged latency
@@ -443,29 +517,19 @@ impl Server {
         }
     }
 
-    /// Stops admitting requests, drains everything already queued (every
-    /// outstanding [`Ticket`] is answered — drained work still executes, it
-    /// is never dropped), joins the workers, and returns the final stats.
-    /// Idempotent; also invoked by `Drop`.  Never panics: a probe that
-    /// panicked has already failed its own tickets with
-    /// [`JoinError::Internal`] (counted in `failed`), and a worker lost to a
-    /// panic anywhere else is not re-raised here.
+    /// Stops admitting requests, then leads rounds from both lanes on the
+    /// calling thread until the queue is empty and every permit is back:
+    /// every outstanding [`Ticket`] is answered (queued work still executes,
+    /// it is never dropped) and the returned stats are final.  Idempotent;
+    /// also invoked by `Drop`.  Never panics: a probe that panicked has
+    /// already failed its own tickets with [`JoinError::Internal`] (counted
+    /// in `failed`).
     pub fn shutdown(&self) -> ServerStats {
-        {
-            let mut queue = lock_tolerant(&self.shared.queue);
-            queue.draining = true;
-            // Drain even if the server was paused: shutdown must not strand
-            // admitted requests.
-            queue.paused = false;
-            self.shared.work.notify_all();
-        }
-        let handles = std::mem::take(&mut *lock_tolerant(&self.workers));
-        for handle in handles {
-            // A worker's panic payload has nowhere useful to go: the panic
-            // hook has reported it, and shutdown (also run by `Drop`) must
-            // return the stats it has.
-            let _ = handle.join();
-        }
+        let shared = &*self.shared;
+        lock_tolerant(&shared.queue).draining = true;
+        shared.lead_until(&[Lane::Singles, Lane::Batches], |queue| {
+            (queue.depth() == 0 && queue.permits.len() == shared.histograms.len()).then_some(())
+        });
         self.stats()
     }
 }
@@ -474,120 +538,6 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Pulls one unit of work, work-conservingly: a client batch passes through
-/// as-is, otherwise whatever singles are queued (up to `max_batch`) leave
-/// together at once.  A worker only blocks when there is nothing to do, so a
-/// lone single on an idle server is probed alone and batches form exactly
-/// while all workers are busy.
-fn next_work(shared: &Shared) -> Work {
-    let mut queue = lock_tolerant(&shared.queue);
-    loop {
-        if queue.paused {
-            queue = wait_tolerant(&shared.work, queue);
-            continue;
-        }
-        let work = if let Some(batch) = queue.batches.pop_front() {
-            Work::Batch(batch)
-        } else if !queue.singles.is_empty() {
-            let take = queue.singles.len().min(shared.max_batch);
-            Work::Coalesced(queue.singles.drain(..take).collect())
-        } else if queue.draining {
-            return Work::Exit;
-        } else {
-            queue = wait_tolerant(&shared.work, queue);
-            continue;
-        };
-        // More work may remain; wake a peer before running this unit.
-        if queue.depth() > 0 {
-            shared.work.notify_one();
-        }
-        return work;
-    }
-}
-
-fn worker_loop(shared: &Shared, prepared: &PreparedJoin, index: usize) {
-    loop {
-        match next_work(shared) {
-            Work::Coalesced(requests) => run_coalesced(shared, prepared, index, requests),
-            Work::Batch(request) => run_batch(shared, prepared, index, request),
-            Work::Exit => return,
-        }
-    }
-}
-
-/// Runs one unit's probe, turning a panic inside it into the typed error the
-/// unit's tickets are failed with.  A probe holds no lock while it scans and
-/// publishes nothing until it returns (see [`PreparedJoin::probe`]), so the
-/// worker and the corpus are intact after the unwind and the worker goes on
-/// to its next unit.
-fn probe_caught<T>(probe: impl FnOnce() -> Result<T, JoinError>) -> Result<T, JoinError> {
-    catch_unwind(AssertUnwindSafe(probe)).unwrap_or(Err(JoinError::Internal("a probe panicked")))
-}
-
-/// Probes a coalesced batch of single-point queries as one set of borrowed
-/// rows, in submission order.  The probe answers positionally and every
-/// algorithm ranks a row by its coordinates alone, so ids never enter it:
-/// two clients querying the same id can share a batch, and each client's row
-/// comes back under its own point id.
-fn run_coalesced(
-    shared: &Shared,
-    prepared: &PreparedJoin,
-    index: usize,
-    requests: Vec<SingleRequest>,
-) {
-    // ORDERING: Relaxed — monotonic statistics counters only.
-    shared.coalesced_batches.fetch_add(1, Ordering::Relaxed);
-    shared
-        .coalesced_points
-        .fetch_add(requests.len() as u64, Ordering::Relaxed);
-    let rows: Vec<&[f64]> = requests
-        .iter()
-        .map(|request| request.point.coords.as_slice())
-        .collect();
-    match probe_caught(|| prepared.probe(&rows)) {
-        Ok((neighbors, _)) => {
-            debug_assert_eq!(neighbors.len(), requests.len());
-            for (request, neighbors) in requests.into_iter().zip(neighbors) {
-                finish(shared, index, request.submitted, Ok(()));
-                request.slot.deliver(Ok(JoinRow {
-                    r_id: request.point.id,
-                    neighbors,
-                }));
-            }
-        }
-        Err(error) => {
-            for request in requests {
-                finish(shared, index, request.submitted, Err(()));
-                request.slot.deliver(Err(error.clone()));
-            }
-        }
-    }
-}
-
-fn run_batch(shared: &Shared, prepared: &PreparedJoin, index: usize, request: BatchRequest) {
-    let outcome = probe_caught(|| prepared.query(&request.points));
-    finish(
-        shared,
-        index,
-        request.submitted,
-        outcome.as_ref().map(|_| ()).map_err(|_| ()),
-    );
-    request.slot.deliver(outcome);
-}
-
-/// Books one answered request: latency into this worker's histogram shard,
-/// completed/failed counters.
-fn finish(shared: &Shared, index: usize, submitted: Instant, outcome: Result<(), ()>) {
-    if let Some(shard) = shared.histograms.get(index) {
-        shard.lock().record(submitted.elapsed());
-    }
-    // ORDERING: Relaxed — monotonic statistics counters only.
-    match outcome {
-        Ok(()) => shared.completed.fetch_add(1, Ordering::Relaxed),
-        Err(()) => shared.failed.fetch_add(1, Ordering::Relaxed),
-    };
 }
 
 /// A snapshot of a [`Server`]'s counters and merged latency histogram.
@@ -608,7 +558,7 @@ pub struct ServerStats {
     /// Client-provided batch requests (served unsplit).
     pub batch_requests: u64,
     /// Per-request latencies of all answered requests (merged across
-    /// workers); p50/p95/p99 via [`LatencyHistogram::p50`] etc.
+    /// permits); p50/p95/p99 via [`LatencyHistogram::p50`] etc.
     pub latency: LatencyHistogram,
     /// Time since [`Server::start`].
     pub uptime: Duration,
@@ -692,15 +642,13 @@ mod tests {
     }
 
     #[test]
-    fn paused_server_queues_then_overloads_deterministically() {
+    fn a_full_queue_overloads_deterministically() {
         let (prepared, queries) = serve_fixture(200, 2);
         let cap = 4;
+        // Nothing runs until a ticket is waited, so the queue fills to `cap`.
         let server = Server::start(
             prepared,
-            ServerConfig::default()
-                .workers(1)
-                .queue_depth(cap)
-                .start_paused(true),
+            ServerConfig::default().workers(1).queue_depth(cap),
         );
         let mut tickets = Vec::new();
         let mut rejected = 0usize;
@@ -718,7 +666,6 @@ mod tests {
         assert_eq!(tickets.len(), cap);
         assert_eq!(rejected, queries.len() - cap);
         assert_eq!(server.queue_depth(), cap);
-        server.resume();
         for (id, ticket) in tickets {
             assert_eq!(ticket.wait().unwrap().r_id, id);
         }
@@ -772,12 +719,9 @@ mod tests {
     #[test]
     fn drain_answers_every_admitted_request() {
         let (prepared, queries) = serve_fixture(200, 2);
-        // Paused server: nothing is taken off the queue on its own;
-        // shutdown's drain must still answer every ticket.
-        let server = Server::start(
-            prepared,
-            ServerConfig::default().workers(2).start_paused(true),
-        );
+        // Nothing is taken off the queue until a ticket is waited; shutdown's
+        // drain must answer every ticket before any wait.
+        let server = Server::start(prepared, ServerConfig::default().workers(2));
         let tickets: Vec<_> = queries
             .iter()
             .map(|p| (p.id, server.submit_one(p.clone()).unwrap()))
@@ -792,63 +736,49 @@ mod tests {
     #[test]
     fn stats_expose_throughput_and_coalescing_shape() {
         let (prepared, queries) = serve_fixture(300, 3);
-        let server = Server::start(
-            prepared,
-            ServerConfig::default()
-                .workers(1)
-                .max_batch(8)
-                .start_paused(true),
-        );
+        let server = Server::start(prepared, ServerConfig::default().workers(1));
         let tickets: Vec<_> = queries
             .iter()
             .map(|p| server.submit_one(p.clone()).unwrap())
             .collect();
-        server.resume();
         for ticket in tickets {
             ticket.wait().unwrap();
         }
         let stats = server.shutdown();
         assert_eq!(stats.coalesced_points, queries.len() as u64);
-        // 32 singles queued behind one paused worker, batch cap 8 ⇒ exactly
-        // 4 full probe batches on resume.
-        assert_eq!(stats.coalesced_batches, 4);
-        assert_eq!(stats.mean_coalesced_batch(), 8.0);
+        // 32 singles queued before the first wait, at most 16 per round ⇒
+        // exactly 2 full probe batches.
+        assert_eq!(stats.coalesced_batches, 2);
+        assert_eq!(stats.mean_coalesced_batch(), MAX_BATCH as f64);
         assert!(stats.qps() > 0.0);
         assert!(stats.latency.p50() <= stats.latency.p99());
     }
 
     /// Fault injection at `probe_rows`: a probe that panics fails exactly
-    /// the tickets of its own unit with a typed `Internal`, the one worker
-    /// survives to serve the units queued behind it and a fresh query, and
+    /// the tickets of its own unit with a typed `Internal`, the one permit
+    /// comes back to serve the units queued behind it and a fresh query, and
     /// shutdown returns the stats — no ticket is left waiting.
     #[test]
     fn a_panicking_probe_fails_only_its_own_unit_and_the_worker_lives() {
         let (prepared, queries) = serve_fixture(300, 3);
-        let server = Server::start(
-            prepared,
-            ServerConfig::default()
-                .workers(1)
-                .max_batch(4)
-                .start_paused(true),
-        );
+        let server = Server::start(prepared, ServerConfig::default().workers(1));
         let poisoned = |id| Point::new(id, vec![POISON, 1.0, 2.0]);
-        // Two coalesced units of four singles; the poisoned single sits in
-        // the middle of the first.
+        // Two coalesced units, of 16 and 4 singles; the poisoned single sits
+        // in the first.
         let singles: Vec<_> = queries
             .iter()
-            .take(8)
+            .take(20)
             .enumerate()
             .map(|(at, p)| {
                 let point = if at == 1 { poisoned(p.id) } else { p.clone() };
                 (at, p.id, server.submit_one(point).unwrap())
             })
             .collect();
-        let mut with_poison = queries.points()[8..12].to_vec();
+        let mut with_poison = queries.points()[20..24].to_vec();
         with_poison.push(poisoned(77));
         let bad_batch = server.submit(PointSet::from_points(with_poison)).unwrap();
-        let clean = PointSet::from_points(queries.points()[8..12].to_vec());
+        let clean = PointSet::from_points(queries.points()[20..24].to_vec());
         let good_batch = server.submit(clean).unwrap();
-        server.resume();
 
         assert_eq!(
             bad_batch.wait().unwrap_err(),
@@ -857,20 +787,65 @@ mod tests {
         assert_eq!(good_batch.wait().unwrap().rows.len(), 4);
         for (at, id, ticket) in singles {
             match ticket.wait() {
-                Ok(row) => assert!(at >= 4 && row.r_id == id, "single {at} was answered"),
+                Ok(row) => assert!(
+                    at >= MAX_BATCH && row.r_id == id,
+                    "single {at} was answered"
+                ),
                 Err(error) => {
-                    assert!(at < 4, "single {at} shared no unit with the poison");
+                    assert!(at < MAX_BATCH, "single {at} shared no unit with the poison");
                     assert_eq!(error.kind(), crate::JoinErrorKind::Internal);
                 }
             }
         }
-        // The same worker answers what comes next.
-        let next = queries.points()[12].clone();
+        // The same permit answers what comes next.
+        let next = queries.points()[24].clone();
         assert_eq!(server.query_one(next.clone()).unwrap().r_id, next.id);
         let stats = server.shutdown();
-        assert_eq!(stats.failed, 4 + 1);
+        assert_eq!(stats.failed, 16 + 1);
         assert_eq!(stats.completed, 4 + 1 + 1);
-        assert_eq!(stats.submitted, 8 + 2 + 1);
+        assert_eq!(stats.submitted, 20 + 2 + 1);
         assert_eq!(server.queue_depth(), 0);
+    }
+
+    /// A panic outside `probe_caught` unwinds through the leading client's
+    /// `wait`; the permit's drop guard still hands it back, so with one
+    /// permit the next query is answered and shutdown returns.
+    #[test]
+    fn a_round_that_unwinds_returns_its_permit() {
+        let (prepared, queries) = serve_fixture(200, 2);
+        let server = Server::start(prepared, ServerConfig::default().workers(1));
+        let index = lock_tolerant(&server.shared.queue).permits.pop().unwrap();
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _permit = Permit(&server.shared, index);
+            panic!("a round fails outside its probe");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(lock_tolerant(&server.shared.queue).permits, vec![index]);
+        let next = queries.points()[0].clone();
+        assert_eq!(server.query_one(next.clone()).unwrap().r_id, next.id);
+        assert_eq!(server.shutdown().completed, 1);
+    }
+
+    /// An unwaited ticket's request runs only when another waiter drains it,
+    /// so dropping the ticket withdraws it: fire-and-forget clients cannot
+    /// hold the queue at its cap.
+    #[test]
+    fn a_dropped_ticket_withdraws_its_request() {
+        let (prepared, queries) = serve_fixture(200, 2);
+        let cap = 4;
+        let server = Server::start(
+            prepared,
+            ServerConfig::default().workers(1).queue_depth(cap),
+        );
+        for point in queries.iter().take(cap) {
+            drop(server.submit_one(point.clone()).unwrap());
+        }
+        drop(server.submit(PointSet::from_points(queries.points()[..2].to_vec())));
+        assert_eq!(server.queue_depth(), 0);
+        let next = queries.points()[cap].clone();
+        assert_eq!(server.query_one(next.clone()).unwrap().r_id, next.id);
+        let stats = server.shutdown();
+        assert_eq!(stats.submitted, cap as u64 + 2);
+        assert_eq!((stats.completed, stats.failed, stats.rejected), (1, 0, 0));
     }
 }

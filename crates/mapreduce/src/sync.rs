@@ -39,7 +39,7 @@ pub mod ranks {
     pub const PREPARED_EPOCH: u8 = 20;
     /// `knnjoin::prepared` cumulative per-handle metrics.
     pub const PREPARED_CUMULATIVE: u8 = 40;
-    /// `knnjoin::serving` per-worker latency histogram shard.
+    /// `knnjoin::serving` per-permit latency histogram shard.
     pub const SERVING_HISTOGRAM: u8 = 60;
 }
 

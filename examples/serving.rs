@@ -2,13 +2,15 @@
 //! prepared PGBJ handle, with latency SLOs read off the built-in histogram.
 //!
 //! Scenario: the POI corpus from the `mutable_corpus` example goes online.
-//! Requests arrive one point at a time from independent client threads; an
-//! idle worker probes a request the moment it arrives, and while all workers
-//! are busy the waiting singles coalesce into probe batches (of at most
-//! `max_batch`).  Every request is answered with exactly what
-//! [`PreparedJoin::query_one`] would have returned.  Admission control caps the queue: past
-//! `queue_depth` pending requests, `submit_one` fails fast with the typed
-//! [`JoinError::Overloaded`] instead of letting latency collapse.
+//! Requests arrive one point at a time from independent client threads.  The
+//! server runs no thread of its own: a waiting client probes its own request
+//! the moment a probe permit is free, and while every permit is out the
+//! queued singles coalesce into probe batches (of at most 16), led by
+//! whichever waiter gets the next permit.  Every request is answered with
+//! exactly what [`PreparedJoin::query_one`] would have returned.  Admission
+//! control caps the queue: past `queue_depth` pending requests, `submit_one`
+//! fails fast with the typed [`JoinError::Overloaded`] instead of letting
+//! latency collapse.
 //!
 //! ```text
 //! cargo run --release --example serving
@@ -51,15 +53,12 @@ fn main() {
         prepared.s_len(),
     );
 
-    // A server with 4 workers: singles that queue up while all four are
-    // busy leave in batches of up to 16, and at most 1024 requests may be
+    // A server with 4 probe permits: singles that queue up while all four
+    // are out leave in batches of up to 16, and at most 1024 requests may be
     // pending before admission control pushes back.
     let server = Server::start(
         prepared,
-        ServerConfig::default()
-            .workers(4)
-            .max_batch(16)
-            .queue_depth(1024),
+        ServerConfig::default().workers(4).queue_depth(1024),
     );
 
     // Closed-loop load: 8 client threads, 64 requests each, every client

@@ -13,7 +13,8 @@
 use pgbj::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 
 fn clustered(n: usize, dims: usize, seed: u64) -> PointSet {
     gaussian_clusters(
@@ -90,10 +91,7 @@ fn stress_mixed_clients_all_responses_exact() {
         .map(|row| (row.r_id, row))
         .collect();
 
-    let server = Arc::new(Server::start(
-        prepared,
-        ServerConfig::default().workers(3).max_batch(8),
-    ));
+    let server = Arc::new(Server::start(prepared, ServerConfig::default().workers(3)));
     let points: Vec<Point> = queries.iter().cloned().collect();
     std::thread::scope(|scope| {
         for client in 0..CLIENTS {
@@ -182,10 +180,7 @@ fn soak_mutate_under_load_answers_match_some_epoch() {
     let epochs = Mutex::new(vec![prepared.materialized_corpus()]);
     let answers: Mutex<Vec<(Point, JoinRow)>> = Mutex::new(Vec::new());
 
-    let server = Server::start(
-        prepared.clone(),
-        ServerConfig::default().workers(2).max_batch(4),
-    );
+    let server = Server::start(prepared.clone(), ServerConfig::default().workers(2));
     let points: Vec<Point> = queries.iter().cloned().collect();
     std::thread::scope(|scope| {
         // Writer: seeded insert/delete/compact churn.
@@ -269,21 +264,13 @@ fn coalesced_rows_bit_identical_to_query_one_for_every_algorithm() {
             .iter()
             .map(|p| prepared.query_one(p).expect("uncoalesced query_one"))
             .collect();
-        // Paused server + batch cap 4: the 12 queued singles leave as
-        // exactly ⌈12 / 4⌉ = 3 coalesced probe batches once resumed,
-        // whichever of the two workers takes them.
-        let server = Server::start(
-            prepared,
-            ServerConfig::default()
-                .workers(2)
-                .max_batch(4)
-                .start_paused(true),
-        );
+        // Submit all, then wait: the first wait leads one round that takes
+        // all 12 queued singles (≤ 16 per round) as one coalesced batch.
+        let server = Server::start(prepared, ServerConfig::default().workers(2));
         let tickets: Vec<_> = queries
             .iter()
             .map(|p| server.submit_one(p.clone()).expect("submit"))
             .collect();
-        server.resume();
         for (ticket, want) in tickets.into_iter().zip(&expected) {
             let got = ticket.wait().expect("coalesced answer");
             assert!(
@@ -294,7 +281,7 @@ fn coalesced_rows_bit_identical_to_query_one_for_every_algorithm() {
         }
         let stats = server.shutdown();
         assert_eq!(stats.coalesced_points, queries.len() as u64, "{algorithm}");
-        assert_eq!(stats.coalesced_batches, 3, "{algorithm}");
+        assert_eq!(stats.coalesced_batches, 1, "{algorithm}");
         assert_eq!(stats.failed, 0, "{algorithm}");
     }
 }
@@ -317,17 +304,10 @@ fn coalescing_never_reorders_or_merges_same_id_requests() {
     let want_a = prepared.query_one(&a).unwrap();
     let want_b = prepared.query_one(&b).unwrap();
 
-    let server = Server::start(
-        prepared,
-        ServerConfig::default()
-            .workers(1)
-            .max_batch(3)
-            .start_paused(true),
-    );
+    let server = Server::start(prepared, ServerConfig::default().workers(1));
     let t1 = server.submit_one(a.clone()).unwrap();
     let t2 = server.submit_one(a_imposter.clone()).unwrap();
     let t3 = server.submit_one(a.clone()).unwrap();
-    server.resume();
     let r1 = t1.wait().unwrap();
     let r2 = t2.wait().unwrap();
     let r3 = t3.wait().unwrap();
@@ -350,9 +330,9 @@ fn coalescing_never_reorders_or_merges_same_id_requests() {
     assert_eq!(stats.coalesced_points, 3);
 }
 
-/// Work-conserving dispatch: an idle server answers a lone single at once —
-/// alone, whatever `max_batch` says, with no second submit and no timer to
-/// release it — so closed-loop singles never coalesce.
+/// The waiting client probes at once: an idle server answers a lone single
+/// alone, with no second submit and no timer to release it, so closed-loop
+/// singles never coalesce.
 #[test]
 fn idle_server_answers_a_lone_single_alone() {
     let corpus = clustered(200, 2, 74);
@@ -361,10 +341,7 @@ fn idle_server_answers_a_lone_single_alone() {
     let prepared = builder_for(&queries, &corpus, Algorithm::Pgbj, 3)
         .prepare(&ctx)
         .expect("prepare");
-    let server = Server::start(
-        prepared.clone(),
-        ServerConfig::default().workers(1).max_batch(1000),
-    );
+    let server = Server::start(prepared.clone(), ServerConfig::default().workers(1));
     for (answered, point) in queries.iter().enumerate() {
         let row = server.query_one(point.clone()).expect("lone answer");
         assert!(rows_identical(&row, &prepared.query_one(point).unwrap()));
@@ -389,13 +366,7 @@ fn non_finite_points_are_refused_at_admission_not_in_the_batch() {
     let prepared = builder_for(&queries, &corpus, Algorithm::Pgbj, 3)
         .prepare(&ctx)
         .expect("prepare");
-    let server = Server::start(
-        prepared.clone(),
-        ServerConfig::default()
-            .workers(1)
-            .max_batch(8)
-            .start_paused(true),
-    );
+    let server = Server::start(prepared.clone(), ServerConfig::default().workers(1));
     let mut tickets = Vec::new();
     for (i, point) in queries.iter().enumerate() {
         if i == 2 {
@@ -422,7 +393,6 @@ fn non_finite_points_are_refused_at_admission_not_in_the_batch() {
         tickets.push((point, server.submit_one(point.clone()).expect("submit")));
     }
     assert_eq!(server.queue_depth(), queries.len());
-    server.resume();
     for (point, ticket) in tickets {
         let row = ticket.wait().expect("innocent ticket succeeds");
         assert!(rows_identical(&row, &prepared.query_one(point).unwrap()));
@@ -436,7 +406,8 @@ fn non_finite_points_are_refused_at_admission_not_in_the_batch() {
     assert_eq!(stats.failed, 0);
 }
 
-/// The drain trigger: a paused server still answers everything on shutdown.
+/// The drain trigger: shutdown answers everything still queued, before any
+/// ticket is waited.
 #[test]
 fn coalescer_drain_trigger_answers_all_pending_on_shutdown() {
     let corpus = clustered(200, 2, 76);
@@ -449,13 +420,7 @@ fn coalescer_drain_trigger_answers_all_pending_on_shutdown() {
         .iter()
         .map(|p| prepared.query_one(p).unwrap())
         .collect();
-    let server = Server::start(
-        prepared,
-        ServerConfig::default()
-            .workers(2)
-            .max_batch(1000)
-            .start_paused(true),
-    );
+    let server = Server::start(prepared, ServerConfig::default().workers(2));
     let tickets: Vec<_> = queries
         .iter()
         .map(|p| server.submit_one(p.clone()).unwrap())
@@ -471,9 +436,10 @@ fn coalescer_drain_trigger_answers_all_pending_on_shutdown() {
 // Backpressure / overload
 // ---------------------------------------------------------------------------
 
-/// Concurrent submitters against a tiny paused queue: exactly `cap` are
-/// admitted, the rest get `JoinError::Overloaded` immediately (no hang, no
-/// panic), and the admitted ones complete after resume.
+/// Concurrent submitters against a tiny queue that nobody waits on yet:
+/// exactly `cap` are admitted, the rest get `JoinError::Overloaded`
+/// immediately (no hang, no panic), and the admitted ones complete when
+/// waited.
 #[test]
 fn concurrent_overload_rejects_typed_and_never_hangs() {
     const SUBMITTERS: usize = 8;
@@ -484,15 +450,11 @@ fn concurrent_overload_rejects_typed_and_never_hangs() {
     let prepared = builder_for(&queries, &corpus, Algorithm::Pgbj, 2)
         .prepare(&ctx)
         .expect("prepare");
+    // Unwaited tickets run nothing, so the queue fills to `CAP`; the first
+    // wait takes all `CAP` as one batch.
     let server = Server::start(
         prepared,
-        ServerConfig::default()
-            .workers(1)
-            .queue_depth(CAP)
-            // Paused workers take nothing, so the queue fills to `CAP`; on
-            // resume the one worker takes all `CAP` as one batch.
-            .max_batch(CAP)
-            .start_paused(true),
+        ServerConfig::default().workers(1).queue_depth(CAP),
     );
     let admitted = Mutex::new(Vec::new());
     let rejected = Mutex::new(0usize);
@@ -517,7 +479,6 @@ fn concurrent_overload_rejects_typed_and_never_hangs() {
     let rejected = rejected.into_inner().unwrap();
     assert_eq!(admitted.len(), CAP);
     assert_eq!(rejected, SUBMITTERS - CAP);
-    server.resume();
     for (id, ticket) in admitted {
         assert_eq!(ticket.wait().expect("admitted completes").r_id, id);
     }
@@ -546,10 +507,7 @@ fn shutdown_drains_in_flight_and_is_idempotent() {
     let prepared = builder_for(&queries, &corpus, Algorithm::Pgbj, 3)
         .prepare(&ctx)
         .expect("prepare");
-    let server = Server::start(
-        prepared,
-        ServerConfig::default().workers(2).start_paused(true),
-    );
+    let server = Server::start(prepared, ServerConfig::default().workers(2));
     let tickets: Vec<_> = queries
         .iter()
         .map(|p| (p.id, server.submit_one(p.clone()).unwrap()))
@@ -569,6 +527,56 @@ fn shutdown_drains_in_flight_and_is_idempotent() {
     );
 }
 
+/// Shutdown under load: four clients loop `query_one` while the main thread
+/// shuts the server down.  Every call returns a row or `ServerShutdown`
+/// (none hangs, none fails otherwise), and the stats `shutdown` returns
+/// count exactly the answers the clients saw.
+#[test]
+fn shutdown_under_load_answers_or_refuses_every_call() {
+    const CLIENTS: usize = 4;
+    let corpus = clustered(300, 2, 84);
+    let queries = clustered(40, 2, 85);
+    let ctx = ExecutionContext::default();
+    let prepared = builder_for(&queries, &corpus, Algorithm::Pgbj, 3)
+        .prepare(&ctx)
+        .expect("prepare");
+    let server = Server::start(prepared, ServerConfig::default().workers(2));
+    let points: Vec<Point> = queries.iter().cloned().collect();
+    let answered = AtomicU64::new(0);
+    let started = Barrier::new(CLIENTS + 1);
+    let stats = std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            let (server, points, answered, started) = (&server, &points, &answered, &started);
+            scope.spawn(move || {
+                started.wait();
+                for op in 0.. {
+                    let point = points[(client * 11 + op) % points.len()].clone();
+                    let id = point.id;
+                    match server.query_one(point) {
+                        Ok(row) => {
+                            assert_eq!(row.r_id, id);
+                            answered.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(JoinError::ServerShutdown) => break,
+                        Err(other) => panic!("client {client}: unexpected error {other}"),
+                    }
+                }
+            });
+        }
+        started.wait();
+        while server.stats().completed < 50 {
+            std::thread::yield_now();
+        }
+        server.shutdown()
+    });
+    let answered = answered.into_inner();
+    assert!(answered >= 50);
+    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.completed + stats.failed, answered);
+    assert_eq!(stats.submitted, answered);
+    assert_eq!(server.queue_depth(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Histogram merge associativity (proptest)
 // ---------------------------------------------------------------------------
@@ -585,7 +593,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Merging is associative and commutative, and any grouping equals the
-    /// histogram of the concatenated samples — so per-worker histograms can
+    /// histogram of the concatenated samples — so per-permit histograms can
     /// be folded in any order without changing the reported quantiles.
     #[test]
     fn histogram_merge_is_associative(

@@ -10,9 +10,9 @@
 //! (`"<name> (fast)"`) repeats each cold join with
 //! `kernel_mode = KernelMode::Fast`, so the SIMD-accumulated batch-kernel
 //! path carries its own reference counters next to the scalar `Exact` rows
-//! it must agree with (on PGBJ and PBJ its `distance_computations` equal the
-//! `Exact` twin's, on H-BRJ every deterministic field does, see
-//! [`fast_rows_off_their_exact_twin`]).  A third row set
+//! it must agree with (on PGBJ, PBJ and H-BRJ every deterministic field
+//! equals the `Exact` twin's, see [`fast_rows_off_their_exact_twin`]).  A
+//! third row set
 //! (`"<name> (prepared)"`, PGBJ and PBJ — the algorithms `prepare` keeps an
 //! index for) measures the serving path: one `JoinBuilder::prepare` build
 //! followed by [`PREPARED_QUERIES`] repeated `PreparedJoin::query` calls,
@@ -338,25 +338,18 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
 }
 
 /// The `Fast` rows of a `perf_baseline` run that are off their `Exact`
-/// twin, each as a description.  PGBJ / PBJ, cold and prepared: on
-/// `distance_computations`; both modes walk the same 32-row tiles of the
-/// same cells (`VoronoiScan`), so the counts are equal unless a `Fast`
-/// distance, off by its ≤ 1e-9 round-off, landed on the other side of a
-/// bound and flipped an admission — rare enough on a fixed seed to be worth
-/// seeing when it happens.  Cold H-BRJ: on every one of
-/// [`BASELINE_FIELDS`]; the R-tree cannot see the mode, so a difference
-/// means a second leaf walk is back.
+/// twin on any of [`BASELINE_FIELDS`], each as a description.  PGBJ / PBJ,
+/// cold and prepared: both modes rank the frozen Voronoi cells with the one
+/// exact column kernel (`VoronoiScan`), and the baseline's prepared rows
+/// carry no delta, so a difference means the mode reached the scan again.
+/// Cold H-BRJ: the R-tree cannot see the mode, so a difference means a
+/// second leaf walk is back.
 pub fn fast_rows_off_their_exact_twin(rows: &Value) -> Vec<String> {
     let mut problems = Vec::new();
-    let voronoi: &[&str] = &["distance_computations"];
-    for (algorithm, fields, rule) in [
-        (Algorithm::Pgbj, voronoi, "both modes walk the same tiles"),
-        (Algorithm::Pbj, voronoi, "both modes walk the same tiles"),
-        (
-            Algorithm::Hbrj,
-            &BASELINE_FIELDS,
-            "the R-tree knows no mode",
-        ),
+    for (algorithm, rule) in [
+        (Algorithm::Pgbj, "the Voronoi scan knows no mode"),
+        (Algorithm::Pbj, "the Voronoi scan knows no mode"),
+        (Algorithm::Hbrj, "the R-tree knows no mode"),
     ] {
         let name = algorithm.name();
         let mut twins = vec![(name.to_string(), format!("{name} (fast)"))];
@@ -367,7 +360,7 @@ pub fn fast_rows_off_their_exact_twin(rows: &Value) -> Vec<String> {
             ));
         }
         for (exact, fast) in twins {
-            problems.extend(fields.iter().filter_map(|field| {
+            problems.extend(BASELINE_FIELDS.iter().filter_map(|field| {
                 twin_problem(
                     rows,
                     (&fast, &exact),
@@ -582,44 +575,44 @@ mod tests {
     fn voronoi_fast_rows_equal_their_exact_twins_and_the_gate_notices_when_not() {
         let out = perf_baseline(ExperimentScale::Quick);
         assert_eq!(fast_rows_off_their_exact_twin(&out.json), [""; 0]);
-        // A Fast row that evaluated one row more than its Exact twin trips
-        // the gate, and so does an H-BRJ one on any deterministic field.
-        let off_by_one = Value::Array(
-            out.json
-                .as_array()
-                .expect("rows")
-                .iter()
-                .map(|row| match row["algorithm"].as_str() {
-                    Some("PGBJ (fast)") => Value::object(vec![
-                        ("algorithm", "PGBJ (fast)".into()),
-                        (
-                            "distance_computations",
-                            (row["distance_computations"].as_f64().expect("comps") + 1.0).into(),
-                        ),
-                    ]),
-                    Some("H-BRJ (fast)") => match row {
-                        Value::Object(fields) => Value::Object(
-                            fields
-                                .iter()
-                                .map(|(name, value)| match name.as_str() {
-                                    "index_builds" => (name.clone(), 0.0.into()),
-                                    _ => (name.clone(), value.clone()),
-                                })
-                                .collect(),
-                        ),
-                        other => other.clone(),
-                    },
+        // A Fast row off its Exact twin on any deterministic field trips the
+        // gate: one more evaluation, one more shuffled byte, one build less.
+        let altered = [
+            ("PGBJ (fast)", "distance_computations", 1.0),
+            ("PBJ (prepared, fast)", "shuffle_bytes", 1.0),
+            ("H-BRJ (fast)", "index_builds", -1.0),
+        ];
+        let rows = out.json.as_array().expect("rows").iter();
+        let drifted = Value::Array(
+            rows.map(|row| {
+                let name = row["algorithm"].as_str();
+                match (altered.iter().find(|a| Some(a.0) == name), row) {
+                    (Some(&(_, field, by)), Value::Object(fields)) => Value::Object(
+                        fields
+                            .iter()
+                            .map(|(name, value)| {
+                                let value = if name == field {
+                                    (value.as_f64().expect("field") + by).into()
+                                } else {
+                                    value.clone()
+                                };
+                                (name.clone(), value)
+                            })
+                            .collect(),
+                    ),
                     _ => row.clone(),
-                })
-                .collect(),
+                }
+            })
+            .collect(),
         );
-        let problems = fast_rows_off_their_exact_twin(&off_by_one);
-        assert_eq!(problems.len(), 2, "{problems:?}");
-        assert!(problems[0].starts_with("PGBJ (fast)"), "{problems:?}");
-        assert!(
-            problems[1].starts_with("H-BRJ (fast).index_builds"),
-            "{problems:?}"
-        );
+        let problems = fast_rows_off_their_exact_twin(&drifted);
+        assert_eq!(problems.len(), 3, "{problems:?}");
+        for (problem, (row, field, _)) in problems.iter().zip(altered) {
+            assert!(
+                problem.starts_with(&format!("{row}.{field}")),
+                "{problems:?}"
+            );
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! [`crate::DistanceMetric::distance_coords`] is convenient but pays an enum
 //! dispatch per call, and the Euclidean variant a `sqrt` per call.  The hot
 //! loops (pivot assignment, Algorithm 3 scans, k-means) instead hoist one of
-//! these kernels out of the loop and call it directly.  There are four
-//! families; a [`KernelMode`] picks which of the two tile families (the
-//! second or the fourth) a candidate scan calls, and nothing else:
+//! these kernels out of the loop and call it directly.  There are five
+//! families; a [`KernelMode`] picks which of the two row-major tile families
+//! (the second or the fifth) a candidate scan over row-major rows calls, and
+//! nothing else:
 //!
 //! * the scalar kernels ([`euclidean`], [`manhattan`], [`chebyshev`]) compute
 //!   exactly the same value as `distance_coords` — same left-to-right
@@ -17,6 +18,11 @@
 //!   it): every row still accumulates left to right with a separate
 //!   multiply and add, so each output has the scalar kernel's bits, on any
 //!   CPU;
+//! * the `*_columns` kernels rank one query against a run of rows of a
+//!   column-major block — the Voronoi cells' layout — eight rows per pass,
+//!   one row per lane, each dimension's column read with no transpose: the
+//!   same operations in the same order, so the scalar kernel's bits on any
+//!   CPU, in either mode;
 //! * the `*_fast` pairwise kernels run four independent accumulators: the
 //!   remainder rows and portable twins of
 //! * the `*_batch` kernels, their block form, four dimensions per SIMD
@@ -47,16 +53,24 @@ pub type Kernel = fn(&[f64], &[f64]) -> f64;
 /// order and agree with them to ~1e-9 relative.
 pub type BatchKernel = fn(&[f64], &[f64], usize, &mut [f64]);
 
+/// A one-query-vs-a-row-run kernel over a column-major block:
+/// `f(q, cols, stride, first, out)` where `cols` holds `q.len()` columns of
+/// `stride` rows each, coordinate `d` of row `r` at `cols[d * stride + r]`,
+/// and `out[i]` receives the rank of `(q, row first + i)`.  Every
+/// `*_columns` kernel returns the scalar rank kernel's bits.
+pub type ColumnKernel = fn(&[f64], &[f64], usize, usize, &mut [f64]);
+
 /// How many rows of a flat coordinate block the tiled probe loops evaluate
 /// per batch-kernel call.  256 rows × 16 dims × 8 bytes = 32 KiB, so a tile
 /// plus its rank scratch stays L1/L2-resident while the batch kernel streams
 /// it; consumers re-slice larger S blocks into `PROBE_TILE`-row tiles.
 pub const PROBE_TILE: usize = 256;
 
-/// Which tile kernel the candidate scans call.  The mode selects that kernel
-/// and nothing else: pivot selection, pivot assignment, the shuffle, every
-/// pruning bound, the R-tree search and the tiles a scan walks are the same
-/// in both.
+/// Which tile kernel the candidate scans over row-major rows call.  The mode
+/// selects that kernel and nothing else: pivot selection, pivot assignment,
+/// the shuffle, every pruning bound, the R-tree search, the tiles a scan
+/// walks and the column kernel ranking the Voronoi cells are the same in
+/// both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelMode {
     /// Left-to-right accumulation with a separate multiply and add: the
@@ -227,7 +241,8 @@ pub fn chebyshev_fast(a: &[f64], b: &[f64]) -> f64 {
 /// ~1e-9 relative (measured ~4e-16) but are *not* bit-identical, and may
 /// differ in the last bits between CPUs with and without AVX2.  `Exact`
 /// mode never routes through these: its tile kernels are the lane-per-row
-/// `*_batch_exact_avx2` ones at the end of the module.
+/// `*_batch_exact_avx2` ones and the `*_columns_avx2` ones at the end of the
+/// module.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     #[inline]
@@ -571,6 +586,113 @@ mod x86 {
             *acc = _mm256_max_pd(_mm256_and_pd(diff, abs_mask), *acc);
         }
     );
+
+    /// A column kernel: rows `first..first + out.len()` of a column-major
+    /// block, eight per pass, one row per lane.  Each dimension's column is
+    /// contiguous, so two unaligned loads fetch that coordinate of eight
+    /// rows with no transpose; the last 1-7 rows take one full and one
+    /// masked load, or one masked load, and a masked-out lane touches no
+    /// memory.  `$step` is the scalar kernel's loop body, dimensions in
+    /// order, so each lane holds exactly the bits the scalar kernel returns
+    /// for its row.
+    macro_rules! avx2_column_kernel {
+        ($name:ident, ($($decl:tt)*), |$qd:ident, $col:ident, $acc:ident| $step:expr) => {
+            /// # Safety
+            /// Caller must verify AVX2 at runtime and uphold
+            /// `cols.len() == q.len() * stride && first + out.len() <= stride`.
+            #[target_feature(enable = "avx2")]
+            pub(super) unsafe fn $name(
+                q: &[f64],
+                cols: &[f64],
+                stride: usize,
+                first: usize,
+                out: &mut [f64],
+            ) {
+                use std::arch::x86_64::*;
+
+                /// `4 * REGS` rows from `rows` on, `stride` apart per
+                /// dimension; with `MASKED` register `g` loads the lanes
+                /// `masks[g]` selects.
+                ///
+                /// # Safety
+                /// As the enclosing kernel's, for the selected rows.
+                #[inline]
+                #[target_feature(enable = "avx2")]
+                unsafe fn block<const REGS: usize, const MASKED: bool>(
+                    q: &[f64],
+                    rows: *const f64,
+                    stride: usize,
+                    masks: [__m256i; REGS],
+                ) -> [__m256d; REGS] {
+                    $($decl)*
+                    let mut accs = [_mm256_setzero_pd(); REGS];
+                    let mut column = rows;
+                    for &qd in q {
+                        let $qd = _mm256_set1_pd(qd);
+                        for g in 0..REGS {
+                            let $col = if MASKED {
+                                _mm256_maskload_pd(column.add(4 * g), masks[g])
+                            } else {
+                                _mm256_loadu_pd(column.add(4 * g))
+                            };
+                            let $acc = &mut accs[g];
+                            $step;
+                        }
+                        column = column.add(stride);
+                    }
+                    accs
+                }
+
+                let n = out.len();
+                let rows = cols.as_ptr().add(first);
+                let mut i = 0;
+                while i + 8 <= n {
+                    let accs = block::<2, false>(q, rows.add(i), stride, [_mm256_setzero_si256(); 2]);
+                    _mm256_storeu_pd(out.as_mut_ptr().add(i), accs[0]);
+                    _mm256_storeu_pd(out.as_mut_ptr().add(i + 4), accs[1]);
+                    i += 8;
+                }
+                let rem = n - i;
+                if rem > 0 {
+                    let lane = |row: usize| if row < rem { -1 } else { 0 };
+                    let mask = |from: usize| _mm256_setr_epi64x(lane(from), lane(from + 1), lane(from + 2), lane(from + 3));
+                    let mut tail = [0.0f64; 8];
+                    if rem <= 4 {
+                        let accs = block::<1, true>(q, rows.add(i), stride, [mask(0)]);
+                        _mm256_storeu_pd(tail.as_mut_ptr(), accs[0]);
+                    } else {
+                        let accs = block::<2, true>(q, rows.add(i), stride, [mask(0), mask(4)]);
+                        _mm256_storeu_pd(tail.as_mut_ptr(), accs[0]);
+                        _mm256_storeu_pd(tail.as_mut_ptr().add(4), accs[1]);
+                    }
+                    out[i..].copy_from_slice(&tail[..rem]);
+                }
+            }
+        };
+    }
+
+    avx2_column_kernel!(squared_euclidean_columns_avx2, (), |qd, col, acc| {
+        let diff = _mm256_sub_pd(qd, col);
+        *acc = _mm256_add_pd(*acc, _mm256_mul_pd(diff, diff));
+    });
+
+    avx2_column_kernel!(
+        manhattan_columns_avx2,
+        (let abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));),
+        |qd, col, acc| {
+            let diff = _mm256_sub_pd(qd, col);
+            *acc = _mm256_add_pd(*acc, _mm256_and_pd(diff, abs_mask));
+        }
+    );
+
+    avx2_column_kernel!(
+        chebyshev_columns_avx2,
+        (let abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));),
+        |qd, col, acc| {
+            let diff = _mm256_sub_pd(qd, col);
+            *acc = _mm256_max_pd(_mm256_and_pd(diff, abs_mask), *acc);
+        }
+    );
 }
 
 /// Expands to a 4-row-blocked batch kernel: rows are processed four at a
@@ -716,7 +838,7 @@ pub fn chebyshev_batch(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
 /// Rows, not dimensions, fill the SIMD lanes — eight rows in flight, each
 /// accumulating left to right with a separate multiply and add — so the
 /// speed-up over one scalar call per row costs no reassociation.  This is the
-/// [`KernelMode::Exact`] tile kernel.
+/// [`KernelMode::Exact`] tile kernel for row-major rows.
 ///
 /// # Panics
 /// Panics if `q.len() != dim` or `rows.len() != dim * out.len()`.
@@ -767,6 +889,150 @@ pub fn chebyshev_batch_exact(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64
         return;
     }
     chebyshev_batch_portable(q, rows, dim, out);
+}
+
+/// Expands to a column kernel's portable loop: rows eight at a time, the
+/// dimension loop outside the row loop, every row accumulating in dimension
+/// order — the scalar `$step`, so each output is bit-identical to the scalar
+/// kernel's.
+macro_rules! column_blocked_batch {
+    ($q:ident, $cols:ident, $stride:ident, $first:ident, $out:ident,
+     |$qd:ident, $x:ident, $acc:ident| $step:expr) => {{
+        const BLOCK: usize = 8;
+        for (b, slots) in $out.chunks_mut(BLOCK).enumerate() {
+            let row = $first + b * BLOCK;
+            let mut acc = [0.0f64; BLOCK];
+            for (d, &$qd) in $q.iter().enumerate() {
+                let column = &$cols[d * $stride + row..][..slots.len()];
+                for (&$x, $acc) in column.iter().zip(&mut acc) {
+                    $step;
+                }
+            }
+            slots.copy_from_slice(&acc[..slots.len()]);
+        }
+    }};
+}
+
+/// The portable column loop for L2²: what [`squared_euclidean_columns`] runs
+/// where AVX2 is missing, bit-identical to [`squared_euclidean`] per row.
+fn squared_euclidean_columns_portable(
+    q: &[f64],
+    cols: &[f64],
+    stride: usize,
+    first: usize,
+    out: &mut [f64],
+) {
+    column_blocked_batch!(q, cols, stride, first, out, |qd, x, acc| {
+        let d = qd - x;
+        *acc += d * d;
+    });
+}
+
+/// [`squared_euclidean_columns_portable`] for L1, bit-identical to
+/// [`manhattan`] per row.
+fn manhattan_columns_portable(
+    q: &[f64],
+    cols: &[f64],
+    stride: usize,
+    first: usize,
+    out: &mut [f64],
+) {
+    column_blocked_batch!(q, cols, stride, first, out, |qd, x, acc| {
+        *acc += (qd - x).abs();
+    });
+}
+
+/// [`squared_euclidean_columns_portable`] for L∞, bit-identical to
+/// [`chebyshev`] per row.
+fn chebyshev_columns_portable(
+    q: &[f64],
+    cols: &[f64],
+    stride: usize,
+    first: usize,
+    out: &mut [f64],
+) {
+    column_blocked_batch!(q, cols, stride, first, out, |qd, x, acc| {
+        *acc = (*acc).max((qd - x).abs());
+    });
+}
+
+/// Asserts a column kernel's slice invariants: `cols` holds `q.len()`
+/// columns of `stride` rows, and the rows asked for lie inside them.
+#[inline]
+fn check_columns(q: &[f64], cols: &[f64], stride: usize, first: usize, out: &[f64]) {
+    assert_eq!(
+        cols.len(),
+        q.len() * stride,
+        "column block is not dims × stride"
+    );
+    assert!(
+        first <= stride && out.len() <= stride - first,
+        "rows past the end of the columns"
+    );
+}
+
+/// [`squared_euclidean`] of `q` against rows `first..first + out.len()` of a
+/// column-major block, **bit for bit**: `out[i]` is the rank of row
+/// `first + i`, whose coordinate `d` is `cols[d * stride + first + i]`.
+/// This is the tile kernel of the Voronoi scans, in either [`KernelMode`]:
+/// each column is contiguous, so the AVX2 path (runtime-detected) loads
+/// eight rows' coordinate in two loads and still sums every row left to
+/// right with a separate multiply and add — no transpose, no reassociation.
+/// The portable twin runs where AVX2 is missing.
+///
+/// # Panics
+/// Panics if `cols.len() != q.len() * stride` or
+/// `first + out.len() > stride`.
+#[inline]
+pub fn squared_euclidean_columns(
+    q: &[f64],
+    cols: &[f64],
+    stride: usize,
+    first: usize,
+    out: &mut [f64],
+) {
+    check_columns(q, cols, stride, first, out);
+    #[cfg(target_arch = "x86_64")]
+    if x86::have_avx2() {
+        // SAFETY: AVX2 verified at runtime; slice invariants asserted above.
+        unsafe { x86::squared_euclidean_columns_avx2(q, cols, stride, first, out) };
+        return;
+    }
+    squared_euclidean_columns_portable(q, cols, stride, first, out);
+}
+
+/// [`manhattan`] of `q` against rows of a column-major block, bit for bit
+/// (see [`squared_euclidean_columns`]).
+///
+/// # Panics
+/// As [`squared_euclidean_columns`].
+#[inline]
+pub fn manhattan_columns(q: &[f64], cols: &[f64], stride: usize, first: usize, out: &mut [f64]) {
+    check_columns(q, cols, stride, first, out);
+    #[cfg(target_arch = "x86_64")]
+    if x86::have_avx2() {
+        // SAFETY: AVX2 verified at runtime; slice invariants asserted above.
+        unsafe { x86::manhattan_columns_avx2(q, cols, stride, first, out) };
+        return;
+    }
+    manhattan_columns_portable(q, cols, stride, first, out);
+}
+
+/// [`chebyshev`] of `q` against rows of a column-major block, bit for bit
+/// (see [`squared_euclidean_columns`]).
+///
+/// # Panics
+/// As [`squared_euclidean_columns`].
+#[inline]
+pub fn chebyshev_columns(q: &[f64], cols: &[f64], stride: usize, first: usize, out: &mut [f64]) {
+    check_columns(q, cols, stride, first, out);
+    #[cfg(target_arch = "x86_64")]
+    if x86::have_avx2() {
+        // SAFETY: AVX2 verified at runtime; slice invariants asserted above.
+        unsafe { x86::chebyshev_columns_avx2(q, cols, stride, first, out) };
+        return;
+    }
+    chebyshev_columns_portable(q, cols, stride, first, out);
 }
 
 #[cfg(test)]
@@ -936,5 +1202,103 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `rows` rows of `dims` coordinates, row-major, as one column per
+    /// dimension, in an allocation of exactly `dims * rows` values.
+    fn to_columns(block: &[f64], dims: usize) -> Box<[f64]> {
+        let rows = block.len() / dims;
+        let columns = (0..dims).flat_map(|d| block.iter().skip(d).step_by(dims).copied());
+        let columns: Box<[f64]> = columns.collect();
+        assert_eq!(columns.len(), dims * rows);
+        columns
+    }
+
+    const COLUMN_KERNELS: [(&str, ColumnKernel, Kernel); 6] = [
+        ("l2", squared_euclidean_columns, squared_euclidean),
+        (
+            "l2 portable",
+            squared_euclidean_columns_portable,
+            squared_euclidean,
+        ),
+        ("l1", manhattan_columns, manhattan),
+        ("l1 portable", manhattan_columns_portable, manhattan),
+        ("linf", chebyshev_columns, chebyshev),
+        ("linf portable", chebyshev_columns_portable, chebyshev),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2))]
+        /// The column kernels return the scalar kernels' bits, row for row:
+        /// through the dispatched function (AVX2 where the host has it) and
+        /// through the portable loop called directly, over every
+        /// dimensionality 1..=33 and every window `first..first + len` of a
+        /// 70-row column block (crossing the 8-row block edge and every
+        /// 1-7-row tail at every offset), with huge, subnormal-adjacent and
+        /// zero coordinates mixed.
+        #[test]
+        fn column_kernels_equal_their_scalar_twins_bit_for_bit(
+            seed in proptest::collection::vec(-1e3f64..1e3, 300),
+        ) {
+            const ROWS: usize = 70;
+            for dims in 1usize..=33 {
+                let q = adversarial(&seed, 0, dims);
+                let block = adversarial(&seed, dims, dims * ROWS);
+                let columns = to_columns(&block, dims);
+                for (name, kernel, scalar) in COLUMN_KERNELS {
+                    let want: Vec<u64> = block
+                        .chunks_exact(dims)
+                        .map(|row| scalar(&q, row).to_bits())
+                        .collect();
+                    let mut out = [f64::NAN; ROWS];
+                    for first in 0..=ROWS {
+                        for len in 0..=ROWS - first {
+                            kernel(&q, &columns, ROWS, first, &mut out[..len]);
+                            let same = out[..len].iter().zip(&want[first..]).all(|(v, w)| v.to_bits() == *w);
+                            prop_assert!(same, "{} dims {} rows {}..{}", name, dims, first, first + len);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A window that ends at a block's last row loads no coordinate past
+    /// it: every tail length, in a block whose allocation ends exactly at
+    /// the last row of its last column, so an over-read would run off the
+    /// allocation (caught by a sanitizer or a guard page) rather than into
+    /// a neighbouring column.  The ranks are the scalar kernels'.
+    #[test]
+    fn a_masked_tail_reads_nothing_past_the_last_row() {
+        let seed: Vec<f64> = (0..97).map(|i| (i as f64 * 0.37).sin() * 40.0).collect();
+        for dims in [1usize, 2, 3, 10] {
+            for rows in 1usize..=17 {
+                let block = adversarial(&seed, 3, dims * rows);
+                let columns = to_columns(&block, dims);
+                let q = adversarial(&seed, 11, dims);
+                for (name, kernel, scalar) in COLUMN_KERNELS {
+                    for len in 1..=rows {
+                        let mut out = vec![f64::NAN; len];
+                        kernel(&q, &columns, rows, rows - len, &mut out);
+                        let want = block[(rows - len) * dims..].chunks_exact(dims);
+                        for (got, row) in out.iter().zip(want) {
+                            assert_eq!(
+                                got.to_bits(),
+                                scalar(&q, row).to_bits(),
+                                "{name} dims {dims}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The column kernels refuse a window that runs past the column end.
+    #[test]
+    #[should_panic(expected = "rows past the end of the columns")]
+    fn a_window_past_the_column_end_is_refused() {
+        let columns = [0.0; 6];
+        squared_euclidean_columns(&[0.0, 0.0], &columns, 3, 2, &mut [0.0; 2]);
     }
 }

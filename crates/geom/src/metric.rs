@@ -6,7 +6,7 @@
 //! here; every algorithm in the workspace is parameterised by a
 //! [`DistanceMetric`].
 
-use crate::kernels::{self, BatchKernel, Kernel};
+use crate::kernels::{self, BatchKernel, ColumnKernel, Kernel};
 use crate::point::Point;
 
 /// A metric on the `n`-dimensional space `D`.
@@ -74,6 +74,17 @@ impl DistanceMetric {
             DistanceMetric::Euclidean => kernels::squared_euclidean_batch_exact,
             DistanceMetric::Manhattan => kernels::manhattan_batch_exact,
             DistanceMetric::Chebyshev => kernels::chebyshev_batch_exact,
+        }
+    }
+
+    /// The one-query-vs-a-row-run rank kernel over a column-major block
+    /// whose every output is bit-identical to [`DistanceMetric::rank_kernel`]
+    /// on the same row, on any CPU (see [`ColumnKernel`]).
+    pub fn column_rank_kernel(&self) -> ColumnKernel {
+        match self {
+            DistanceMetric::Euclidean => kernels::squared_euclidean_columns,
+            DistanceMetric::Manhattan => kernels::manhattan_columns,
+            DistanceMetric::Chebyshev => kernels::chebyshev_columns,
         }
     }
 
@@ -190,6 +201,9 @@ mod tests {
             assert_eq!(m.rank_to_distance(rank).to_bits(), d.to_bits());
             let mut tile = [0.0];
             (m.exact_batch_rank_kernel())(&a, &b, 3, &mut tile);
+            assert_eq!(tile[0].to_bits(), rank.to_bits());
+            // One row is its own three one-row columns.
+            (m.column_rank_kernel())(&a, &b, 1, 0, &mut tile);
             assert_eq!(tile[0].to_bits(), rank.to_bits());
         }
     }

@@ -12,7 +12,7 @@
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
 use crate::result::JoinRow;
-use geom::kernels::{BatchKernel, Kernel, PROBE_TILE};
+use geom::kernels::{BatchKernel, ColumnKernel, Kernel, PROBE_TILE};
 use geom::{
     DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointSet, Record, RecordKind,
 };
@@ -107,20 +107,24 @@ pub struct ScanCounts {
 
 /// The kernels one scan evaluates candidates with, built once per join from
 /// the plan — the one place its [`KernelMode`] is read.  The mode picks the
-/// tile kernel and nothing else, so a scan written against this walks the
-/// same rows in the same order whatever the mode.
+/// row-major tile kernel and nothing else, so a scan written against this
+/// walks the same rows in the same order whatever the mode; the column
+/// kernel, which ranks the Voronoi cells, is exact in both.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScanKernels {
-    /// The metric both kernels compute; `tile` ranks are offered with it
+    /// The metric every kernel computes; tile ranks are offered with it
     /// ([`NeighborList::offer_ranks`]).
     pub metric: DistanceMetric,
     /// The scalar true-distance kernel, for isolated evaluations (an object
     /// against a pivot, a per-candidate recheck).
     pub pair: Kernel,
-    /// Rank kernel for contiguous row runs: the lane-per-row kernel whose
-    /// outputs are bit-identical to the scalar rank kernel's in `Exact`
-    /// mode, the FMA batch kernel in `Fast`.
+    /// Rank kernel for contiguous runs of row-major rows: the lane-per-row
+    /// kernel whose outputs are bit-identical to the scalar rank kernel's in
+    /// `Exact` mode, the FMA batch kernel in `Fast`.
     pub tile: BatchKernel,
+    /// Rank kernel for row runs of a column-major Voronoi cell, bit-identical
+    /// to the scalar rank kernel in either mode.
+    pub columns: ColumnKernel,
 }
 
 impl ScanKernels {
@@ -128,6 +132,7 @@ impl ScanKernels {
         Self {
             metric,
             pair: metric.kernel(),
+            columns: metric.column_rank_kernel(),
             tile: match mode {
                 KernelMode::Exact => metric.exact_batch_rank_kernel(),
                 KernelMode::Fast => metric.batch_rank_kernel(),

@@ -169,11 +169,14 @@ impl<'a> JoinBuilder<'a> {
         self
     }
 
-    /// Selects which tile kernel the candidate scans call (default
-    /// [`KernelMode::Exact`], the scalar kernels' bits).
+    /// Selects which tile kernel the scans over row-major blocks call
+    /// (default [`KernelMode::Exact`], the scalar kernels' bits).
     /// [`KernelMode::Fast`] is the reassociated FMA batch kernels — same
-    /// neighbours within accumulation-order round-off.  Nothing else
-    /// depends on it.
+    /// neighbours within accumulation-order round-off — for H-zkNNJ, the
+    /// broadcast and nested-loop joins and a prepared join's delta adds.
+    /// PGBJ and PBJ rank their Voronoi cells with one exact column kernel
+    /// in either mode, so `Fast` leaves their cold answers and counters as
+    /// `Exact` has them.  Nothing else depends on it.
     pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
         self.plan.kernel_mode = mode;
         self

@@ -136,9 +136,11 @@ pub struct JoinPlan {
     /// [`crate::PreparedJoin`] before a mutation triggers an automatic
     /// compaction (see [`crate::delta`]).  Irrelevant to cold joins.
     pub delta_threshold: usize,
-    /// Which tile kernel the candidate scans call: `Exact` (the default)
-    /// returns the scalar kernels' bits; `Fast` is the reassociated FMA
-    /// batch kernels (see [`KernelMode`]).  Nothing else depends on it.
+    /// Which tile kernel the scans over row-major blocks call: `Exact` (the
+    /// default) returns the scalar kernels' bits; `Fast` is the reassociated
+    /// FMA batch kernels (see [`KernelMode`]).  The Voronoi cells of PGBJ
+    /// and PBJ are ranked exactly in both modes.  Nothing else depends on
+    /// it.
     pub kernel_mode: KernelMode,
 }
 

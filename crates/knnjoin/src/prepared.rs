@@ -270,12 +270,12 @@ impl PreparedJoin {
     pub fn materialized_corpus(&self) -> PointSet {
         let epoch = self.inner.snapshot();
         let delta = &*epoch.delta;
-        let mut points: Vec<Point> = epoch
-            .state
-            .points()
-            .filter(|(id, _)| !delta.is_tombstoned(*id))
-            .chain(delta.adds())
-            .map(|(id, coords)| Point::new(id, coords.to_vec()))
+        let frozen = epoch.state.points();
+        let live = frozen.filter(|(id, _)| !delta.is_tombstoned(*id));
+        let adds = delta.adds().map(|(id, coords)| (id, coords.to_vec()));
+        let mut points: Vec<Point> = live
+            .chain(adds)
+            .map(|(id, coords)| Point::new(id, coords))
             .collect();
         points.sort_by_key(|p| p.id);
         PointSet::from_points(points)

@@ -643,6 +643,12 @@ mod x86 {
                     accs
                 }
 
+                if q.is_empty() {
+                    // No columns: `cols` may be a dangling empty slice that
+                    // `first` must not offset.
+                    out.fill(0.0);
+                    return;
+                }
                 let n = out.len();
                 let rows = cols.as_ptr().add(first);
                 let mut i = 0;

@@ -5,8 +5,6 @@
 //! best-first k-nearest-neighbour search for every `r` in its block of `R`.
 //! This crate provides that substrate:
 //!
-//! * [`Rect`] — axis-aligned minimum bounding rectangles in arbitrary
-//!   dimensionality,
 //! * [`RTree`] — an R-tree bulk-loaded with the Sort-Tile-Recursive (STR)
 //!   algorithm, supporting best-first kNN queries, and
 //! * [`BruteForceIndex`] — a linear-scan reference implementation used by the
@@ -21,9 +19,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bruteforce;
-pub mod rect;
 pub mod rtree;
 
 pub use bruteforce::BruteForceIndex;
-pub use rect::Rect;
 pub use rtree::RTree;

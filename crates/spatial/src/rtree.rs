@@ -6,44 +6,100 @@
 //! objects", which is exactly the behaviour the reproduction needs to exhibit.
 //!
 //! The tree is immutable once built (bulk loading matches the join use-case,
-//! where the whole block of `S` is known up front).  Queries optionally report
-//! the number of point-distance computations performed, which feeds the
-//! paper's *computation selectivity* metric.
+//! where the whole block of `S` is known up front), so it is stored packed
+//! rather than as linked nodes: the points in leaf order as one column-major
+//! block, and each level of nodes as flat bounding boxes plus the runs of the
+//! level below that they own.  Queries optionally report the number of
+//! point-distance computations performed, which feeds the paper's
+//! *computation selectivity* metric.
 
-use crate::rect::Rect;
-use geom::{CoordMatrix, DistanceMetric, Neighbor, NeighborList, Point, PointId};
+use geom::{DistanceMetric, Neighbor, NeighborList, Point, PointId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
-/// A node of the R-tree.  Leaves hold their points in flat structure-of-data
-/// layout (ids parallel to [`CoordMatrix`] rows): a leaf scan is the hot loop
-/// of every kNN probe, and walking one contiguous coordinate block beats
-/// chasing a heap-allocated `Point` per entry.
+/// One level of nodes: node `i` owns entries `first[i]..first[i + 1]` of
+/// the level below (of the leaf rows, for the bottom level) and bounds them
+/// by `lo[d·nodes + i]..=hi[d·nodes + i]` on dimension `d` — column-major,
+/// like the rows, so a run of siblings is bounded by contiguous columns.
 #[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        mbr: Rect,
-        ids: Vec<PointId>,
-        coords: CoordMatrix,
-    },
-    Internal {
-        mbr: Rect,
-        children: Vec<Node>,
-    },
+struct Level {
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    first: Vec<usize>,
 }
 
-impl Node {
-    fn mbr(&self) -> &Rect {
-        match self {
-            Node::Leaf { mbr, .. } | Node::Internal { mbr, .. } => mbr,
+impl Level {
+    /// The level whose node `i` bounds entries `first[i]..first[i + 1]` of
+    /// a column-major block of `stride` entries, entry `e` spanning
+    /// `lo[d·stride + e]..=hi[d·stride + e]` on dimension `d`.
+    fn bounding(first: Vec<usize>, dims: usize, stride: usize, lo: &[f64], hi: &[f64]) -> Self {
+        let boxes = (first.len() - 1) * dims;
+        let (mut lows, mut highs) = (Vec::with_capacity(boxes), Vec::with_capacity(boxes));
+        for d in 0..dims {
+            for run in first.windows(2) {
+                let entries = d * stride + run[0]..d * stride + run[1];
+                let (lo, hi) = (&lo[entries.clone()], &hi[entries]);
+                lows.push(lo.iter().fold(f64::INFINITY, |m, &x| m.min(x)));
+                highs.push(hi.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x)));
+            }
+        }
+        Self {
+            lo: lows,
+            hi: highs,
+            first,
         }
     }
 
-    fn leaf(points: Vec<Point>) -> Self {
-        let mbr = Rect::bounding(&points);
-        let coords = CoordMatrix::from_points(&points);
-        let ids = points.into_iter().map(|p| p.id).collect();
-        Node::Leaf { mbr, ids, coords }
+    fn nodes(&self) -> usize {
+        self.first.len() - 1
+    }
+
+    /// The entries of the level below that node `i` owns.
+    fn run(&self, i: usize) -> Range<usize> {
+        self.first[i]..self.first[i + 1]
+    }
+
+    /// The level above this one: each parent owns the next `fanout` nodes.
+    fn parent(&self, dims: usize, fanout: usize) -> Self {
+        let nodes = self.nodes();
+        let first = (0..nodes).step_by(fanout).chain([nodes]).collect();
+        Self::bounding(first, dims, nodes, &self.lo, &self.hi)
+    }
+
+    /// MINDIST from `q` to nodes `first..first + out.len()`: `out[i]` is
+    /// `metric.distance_coords(q, clamped)` bit for bit, where `clamped` is
+    /// `q` clamped into node `first + i`'s box (zero inside it).
+    fn min_distances(&self, metric: DistanceMetric, q: &[f64], first: usize, out: &mut [f64]) {
+        match metric {
+            DistanceMetric::Euclidean => {
+                self.fold_gaps(q, first, out, |acc, g| acc + g * g);
+                out.iter_mut().for_each(|d| *d = d.sqrt());
+            }
+            DistanceMetric::Manhattan => self.fold_gaps(q, first, out, |acc, g| acc + g.abs()),
+            DistanceMetric::Chebyshev => self.fold_gaps(q, first, out, |acc, g| acc.max(g.abs())),
+        }
+    }
+
+    /// Folds `step` over each node's gaps `q[d] − clamp(q[d], lo, hi)` from
+    /// zero, left to right as the scalar kernels sum; eight nodes at a time,
+    /// so their chains overlap.
+    #[inline(always)]
+    fn fold_gaps(&self, q: &[f64], first: usize, out: &mut [f64], step: impl Fn(f64, f64) -> f64) {
+        const BLOCK: usize = 8;
+        let stride = self.nodes();
+        for (b, slots) in out.chunks_mut(BLOCK).enumerate() {
+            let node = first + b * BLOCK;
+            let mut acc = [0.0f64; BLOCK];
+            for (d, &x) in q.iter().enumerate() {
+                let lo = &self.lo[d * stride + node..][..slots.len()];
+                let hi = &self.hi[d * stride + node..][..slots.len()];
+                for ((acc, &l), &h) in acc.iter_mut().zip(lo).zip(hi) {
+                    *acc = step(*acc, x - x.clamp(l, h));
+                }
+            }
+            slots.copy_from_slice(&acc[..slots.len()]);
+        }
     }
 }
 
@@ -76,27 +132,33 @@ impl Node {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RTree {
-    root: Option<Node>,
+    /// The points' ids in leaf order.
+    ids: Vec<PointId>,
+    /// The points' coordinates in leaf order, column-major: coordinate `d`
+    /// of row `i` is `cols[d * len + i]`.
+    cols: Vec<f64>,
+    /// `levels[0]` groups the rows into leaves; the last level is the root.
+    levels: Vec<Level>,
     metric: DistanceMetric,
     fanout: usize,
-    len: usize,
-    height: usize,
 }
 
-/// Priority-queue entry for best-first traversal: a node, keyed by the
-/// minimum possible distance from the query to its MBR.
-struct Prioritized<'a> {
+/// Priority-queue entry for best-first traversal: node `node` of
+/// `levels[level]`, keyed by the minimum possible distance from the query to
+/// its box.
+struct Prioritized {
     dist: f64,
-    node: &'a Node,
+    level: usize,
+    node: usize,
 }
 
-impl PartialEq for Prioritized<'_> {
+impl PartialEq for Prioritized {
     fn eq(&self, other: &Self) -> bool {
         self.dist == other.dist
     }
 }
-impl Eq for Prioritized<'_> {}
-impl Ord for Prioritized<'_> {
+impl Eq for Prioritized {}
+impl Ord for Prioritized {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse so the BinaryHeap (a max-heap) pops the *smallest* distance.
         other
@@ -105,7 +167,7 @@ impl Ord for Prioritized<'_> {
             .unwrap_or(Ordering::Equal)
     }
 }
-impl PartialOrd for Prioritized<'_> {
+impl PartialOrd for Prioritized {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -124,7 +186,7 @@ impl RTree {
     /// fanout (maximum entries per node).
     ///
     /// # Panics
-    /// Panics if `fanout < 2`.
+    /// Panics if `fanout < 2` or if there are more than `u32::MAX` points.
     pub fn bulk_load_with_fanout(
         points: Vec<Point>,
         metric: DistanceMetric,
@@ -132,45 +194,51 @@ impl RTree {
     ) -> Self {
         assert!(fanout >= 2, "fanout must be at least 2");
         let len = points.len();
-        if points.is_empty() {
-            return Self {
-                root: None,
-                metric,
-                fanout,
-                len: 0,
-                height: 0,
-            };
+        let dims = points.first().map_or(0, Point::dims);
+        // The input's columns: the sort keys of STR, one contiguous column
+        // per dimension.
+        let mut input = Vec::with_capacity(dims * len);
+        for d in 0..dims {
+            input.extend(points.iter().map(|p| p.coords[d]));
         }
-        let dims = points[0].dims().max(1);
-        let leaf_groups = str_pack(points, 0, dims, fanout);
-        let mut level: Vec<Node> = leaf_groups.into_iter().map(Node::leaf).collect();
-        let mut height = 1;
-        while level.len() > 1 {
-            level = pack_nodes(level, fanout);
-            height += 1;
+        let mut rows: Vec<u32> =
+            (0..u32::try_from(len).expect("at most u32::MAX points")).collect();
+        let mut first = vec![0];
+        str_pack(&input, &mut rows, 0, dims, fanout, &mut first);
+        let ids = rows.iter().map(|&r| points[r as usize].id).collect();
+        let cols: Vec<f64> = input
+            .chunks(len.max(1))
+            .flat_map(|column| rows.iter().map(|&r| column[r as usize]))
+            .collect();
+        let mut levels = Vec::new();
+        if len > 0 {
+            levels.push(Level::bounding(first, dims, len, &cols, &cols));
+            while let Some(top) = levels.last().filter(|top| top.nodes() > 1) {
+                levels.push(top.parent(dims, fanout));
+            }
         }
         Self {
-            root: level.into_iter().next(),
+            ids,
+            cols,
+            levels,
             metric,
             fanout,
-            len,
-            height,
         }
     }
 
     /// Number of indexed points.
     pub fn len(&self) -> usize {
-        self.len
+        self.ids.len()
     }
 
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ids.is_empty()
     }
 
     /// Height of the tree in levels (0 for an empty tree, 1 for a single leaf).
     pub fn height(&self) -> usize {
-        self.height
+        self.levels.len()
     }
 
     /// The metric used for queries.
@@ -192,8 +260,8 @@ impl RTree {
     /// distance computations performed (used for the computation-selectivity
     /// metric of the paper).
     ///
-    /// A leaf is ranked in one call of the metric's bit-exact tile kernel
-    /// over its contiguous rows and offered straight into the accumulator
+    /// A leaf is ranked in one call of the metric's bit-exact column kernel
+    /// over its run of rows and offered straight into the accumulator
     /// ([`NeighborList::offer_ranks`]), so the heap holds nodes only and
     /// every distance has [`DistanceMetric::distance_coords`]' bits.  The
     /// leaves visited are those of a walk that queues each point and offers
@@ -201,45 +269,46 @@ impl RTree {
     /// has already popped and offered every discovered point with `d ≤ m`,
     /// so both compare `m` against the same `k`-th distance.
     pub fn knn_counted(&self, query: &Point, k: usize) -> (Vec<Neighbor>, u64) {
-        let Some(root) = self.root.as_ref().filter(|_| k > 0) else {
+        let Some(root) = self.levels.len().checked_sub(1).filter(|_| k > 0) else {
             return (Vec::new(), 0);
         };
         let mut result = NeighborList::new(k);
         let query = query.coords.as_slice();
-        let tile = self.metric.exact_batch_rank_kernel();
-        let dims = query.len();
-        // Reused across every leaf this query visits; a leaf holds at most
-        // `fanout` rows.
-        let mut ranks = vec![0.0f64; self.fanout];
+        let rank = self.metric.column_rank_kernel();
+        // The ranks of a leaf's rows or the MINDISTs of a node's children,
+        // reused across the walk: a node owns at most `fanout` entries.
+        let mut scratch = vec![0.0f64; self.fanout];
         let mut distance_computations = 0u64;
-        let mut heap: BinaryHeap<Prioritized<'_>> = BinaryHeap::new();
+        let mut heap = BinaryHeap::new();
+        self.levels[root].min_distances(self.metric, query, 0, &mut scratch[..1]);
         heap.push(Prioritized {
-            dist: root.mbr().min_distance(query, self.metric),
-            node: root,
+            dist: scratch[0],
+            level: root,
+            node: 0,
         });
-        while let Some(Prioritized { dist, node }) = heap.pop() {
+        while let Some(Prioritized { dist, level, node }) = heap.pop() {
             // Everything still in the heap is at least `dist` away; once that
             // exceeds the current kth-distance we are done.
-            if dist > result.threshold() {
+            let threshold = result.threshold();
+            if dist > threshold {
                 break;
             }
-            match node {
-                Node::Leaf { ids, coords, .. } => {
-                    let ranks = &mut ranks[..ids.len()];
-                    tile(query, coords.as_slice(), dims, ranks);
-                    distance_computations += ranks.len() as u64;
-                    result.offer_ranks(ids, ranks, &[], self.metric);
-                }
-                Node::Internal { children, .. } => {
-                    for child in children {
-                        let d = child.mbr().min_distance(query, self.metric);
-                        if d <= result.threshold() {
-                            heap.push(Prioritized {
-                                dist: d,
-                                node: child,
-                            });
-                        }
-                    }
+            let run = self.levels[level].run(node);
+            let scratch = &mut scratch[..run.len()];
+            if level == 0 {
+                rank(query, &self.cols, self.ids.len(), run.start, scratch);
+                distance_computations += scratch.len() as u64;
+                result.offer_ranks(&self.ids[run], scratch, &[], self.metric);
+                continue;
+            }
+            self.levels[level - 1].min_distances(self.metric, query, run.start, scratch);
+            for (child, &d) in run.zip(scratch.iter()) {
+                if d <= threshold {
+                    heap.push(Prioritized {
+                        dist: d,
+                        level: level - 1,
+                        node: child,
+                    });
                 }
             }
         }
@@ -247,66 +316,42 @@ impl RTree {
     }
 }
 
-/// Recursive Sort-Tile-Recursive packing of points into groups of at most
-/// `capacity`, cycling through dimensions.
-fn str_pack(mut points: Vec<Point>, dim: usize, dims: usize, capacity: usize) -> Vec<Vec<Point>> {
-    if points.len() <= capacity {
-        return vec![points];
+/// Sort-Tile-Recursive packing: reorders `rows` (indices into the `columns`
+/// of a column-major block) so that every leaf is a run of at most
+/// `capacity` of them, cycling through the dimensions from `dim`, and
+/// appends each run's end to `ends`.  With no dimension to sort on, the rows
+/// are chunked in input order.
+fn str_pack(
+    columns: &[f64],
+    rows: &mut [u32],
+    dim: usize,
+    dims: usize,
+    capacity: usize,
+    ends: &mut Vec<usize>,
+) {
+    if rows.len() <= capacity || dims == 0 {
+        for leaf in rows.chunks(capacity) {
+            ends.push(ends[ends.len() - 1] + leaf.len());
+        }
+        return;
     }
-    let n_groups = points.len().div_ceil(capacity);
-    let remaining_dims = (dims - dim % dims).max(1);
-    // Number of slabs along the current dimension: the (remaining_dims)-th
-    // root of the number of groups, as in the STR paper.
-    let slabs = (n_groups as f64).powf(1.0 / remaining_dims as f64).ceil() as usize;
-    let slabs = slabs.clamp(1, n_groups);
+    let n_groups = rows.len().div_ceil(capacity);
     let d = dim % dims;
-    points.sort_by(|a, b| {
-        a.coords[d]
-            .partial_cmp(&b.coords[d])
+    // Number of slabs along the current dimension: the (remaining dims)-th
+    // root of the number of groups, as in the STR paper.
+    let slabs = (n_groups as f64).powf(1.0 / (dims - d) as f64).ceil() as usize;
+    let slabs = slabs.clamp(1, n_groups);
+    let len = columns.len() / dims;
+    let column = &columns[d * len..][..len];
+    // Stable, so rows with equal keys keep their order.
+    rows.sort_by(|&a, &b| {
+        column[a as usize]
+            .partial_cmp(&column[b as usize])
             .unwrap_or(Ordering::Equal)
     });
-    let per_slab = points.len().div_ceil(slabs);
-    let mut out = Vec::new();
-    let mut it = points.into_iter();
-    loop {
-        let slab: Vec<Point> = it.by_ref().take(per_slab).collect();
-        if slab.is_empty() {
-            break;
-        }
-        if slabs == 1 {
-            // No further useful split along this dimension at this level;
-            // chunk directly to avoid infinite recursion.
-            let mut slab_it = slab.into_iter();
-            loop {
-                let chunk: Vec<Point> = slab_it.by_ref().take(capacity).collect();
-                if chunk.is_empty() {
-                    break;
-                }
-                out.push(chunk);
-            }
-        } else {
-            out.extend(str_pack(slab, dim + 1, dims, capacity));
-        }
+    for slab in rows.chunks_mut(rows.len().div_ceil(slabs)) {
+        str_pack(columns, slab, dim + 1, dims, capacity, ends);
     }
-    out
-}
-
-/// Packs one level of nodes into parents of at most `fanout` children each.
-fn pack_nodes(nodes: Vec<Node>, fanout: usize) -> Vec<Node> {
-    let mut out = Vec::with_capacity(nodes.len().div_ceil(fanout));
-    let mut it = nodes.into_iter();
-    loop {
-        let children: Vec<Node> = it.by_ref().take(fanout).collect();
-        if children.is_empty() {
-            break;
-        }
-        let mut mbr = children[0].mbr().clone();
-        for c in &children[1..] {
-            mbr.expand(c.mbr());
-        }
-        out.push(Node::Internal { mbr, children });
-    }
-    out
 }
 
 #[cfg(test)]
@@ -419,6 +464,76 @@ mod tests {
         assert!(nn.iter().all(|n| n.distance == 0.0));
     }
 
+    const METRICS: [DistanceMetric; 3] = [
+        DistanceMetric::Euclidean,
+        DistanceMetric::Manhattan,
+        DistanceMetric::Chebyshev,
+    ];
+
+    /// Distance computations and heights recorded on the linked-node tree
+    /// this packed layout replaced: the STR leaf order, the node boxes and
+    /// the heap's push/pop sequence (ties included — the `grid` rows snap
+    /// every coordinate to one of six values) must all be unchanged for the
+    /// counts to match.  Each count is the sum over eight queries.
+    #[test]
+    fn distance_computations_and_heights_are_pinned() {
+        // (n, dims, fanout, k, metric, seed, grid) => (computations, height)
+        let table = [
+            ((500, 2, 2, 5, 0, 1, false), (68, 9)),
+            ((500, 2, 4, 10, 1, 2, false), (178, 5)),
+            ((500, 2, 16, 3, 2, 3, false), (146, 3)),
+            ((400, 10, 2, 7, 1, 4, false), (647, 9)),
+            ((400, 10, 4, 5, 2, 5, false), (595, 5)),
+            ((400, 10, 16, 10, 0, 6, false), (3110, 3)),
+            ((300, 17, 2, 4, 2, 7, false), (391, 9)),
+            ((300, 17, 4, 10, 0, 8, false), (1995, 5)),
+            ((300, 17, 16, 1, 1, 9, false), (2400, 3)),
+            ((600, 2, 4, 8, 0, 10, true), (263, 5)),
+            ((600, 3, 16, 20, 1, 11, true), (926, 3)),
+            ((600, 2, 2, 6, 2, 12, true), (226, 10)),
+        ];
+        let snap = |c: &mut f64, grid: bool| {
+            if grid {
+                *c = (*c / 20.0).floor();
+            }
+        };
+        for ((n, dims, fanout, k, which, seed, grid), expected) in table {
+            let mut pts = random_points(n, dims, seed);
+            pts.iter_mut()
+                .flat_map(|p| &mut p.coords)
+                .for_each(|c| snap(c, grid));
+            let tree = RTree::bulk_load_with_fanout(pts, METRICS[which], fanout);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
+            let computations: u64 = (0..8)
+                .map(|_| {
+                    let mut q: Vec<f64> = (0..dims).map(|_| rng.gen::<f64>() * 100.0).collect();
+                    q.iter_mut().for_each(|c| snap(c, grid));
+                    tree.knn_counted(&Point::new(u64::MAX, q), k).1
+                })
+                .sum();
+            assert_eq!(
+                (computations, tree.height()),
+                expected,
+                "(n, dims, fanout, k, metric, seed, grid) = {:?}",
+                (n, dims, fanout, k, which, seed, grid)
+            );
+        }
+    }
+
+    /// With no dimension to sort on, rows are chunked in input order and
+    /// every MINDIST and every distance is zero.
+    #[test]
+    fn zero_dimensional_points_are_packed_and_probed() {
+        let pts: Vec<Point> = (0..200).map(|i| Point::new(i, Vec::new())).collect();
+        for metric in METRICS {
+            let tree = RTree::bulk_load_with_fanout(pts.clone(), metric, 4);
+            assert_eq!((tree.len(), tree.height()), (200, 4));
+            let nn = tree.knn(&Point::new(u64::MAX, Vec::new()), 3);
+            assert_eq!(nn.len(), 3);
+            assert!(nn.iter().all(|n| n.distance == 0.0));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         /// Ids and distance bits equal the scalar-kernel reference's, over
@@ -433,13 +548,66 @@ mod tests {
             seed in 0u64..1000,
             which in 0usize..3,
         ) {
-            let metric = [DistanceMetric::Euclidean, DistanceMetric::Manhattan, DistanceMetric::Chebyshev][which];
+            let metric = METRICS[which];
             let pts = random_points(n, dims, seed);
             let tree = RTree::bulk_load_with_fanout(pts.clone(), metric, fanout);
             let brute = BruteForceIndex::new(pts, metric);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
             let q = Point::new(u64::MAX, (0..dims).map(|_| rng.gen::<f64>() * 100.0).collect());
             prop_assert_eq!(tree.knn(&q, k), brute.knn(&q, k));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The in-place MINDIST has the bits of the metric's distance to the
+        /// query clamped into each box of a level, for queries inside box
+        /// `j` (`side` 0), on its face (1: one coordinate on a bound) and
+        /// outside it (2: one coordinate below the box).
+        #[test]
+        fn min_distances_are_the_distances_to_the_clamped_query(
+            dims in 1usize..34,
+            nodes in 1usize..20,
+            side in 0usize..3,
+            seed in 0u64..1000,
+            which in 0usize..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut coord = || rng.gen::<f64>() * 200.0 - 100.0;
+            let corners: Vec<(f64, f64)> = (0..dims * nodes).map(|_| (coord(), coord())).collect();
+            let level = Level {
+                lo: corners.iter().map(|&(a, b)| a.min(b)).collect(),
+                hi: corners.iter().map(|&(a, b)| a.max(b)).collect(),
+                first: (0..=nodes).collect(),
+            };
+            let bound = |side: &[f64], node: usize| -> Vec<f64> {
+                (0..dims).map(|d| side[d * nodes + node]).collect()
+            };
+            let j = seed as usize % nodes;
+            let (lo, hi) = (bound(&level.lo, j), bound(&level.hi, j));
+            let mut q: Vec<f64> = lo.iter().zip(&hi).map(|(l, h)| l + (h - l) * 0.5).collect();
+            let d = seed as usize % dims;
+            match side {
+                0 => {}
+                1 => q[d] = if seed % 2 == 0 { lo[d] } else { hi[d] },
+                _ => {
+                    q.iter_mut().for_each(|c| *c = coord() * 3.0);
+                    q[d] = lo[d] - 1.0 - coord().abs();
+                }
+            }
+            let metric = METRICS[which];
+            let mut packed = vec![f64::NAN; nodes];
+            level.min_distances(metric, &q, 0, &mut packed);
+            for (node, packed) in packed.iter().enumerate() {
+                let (lo, hi) = (bound(&level.lo, node), bound(&level.hi, node));
+                let clamped: Vec<f64> = (0..dims).map(|d| q[d].clamp(lo[d], hi[d])).collect();
+                let expected = metric.distance_coords(&q, &clamped).to_bits();
+                prop_assert_eq!(packed.to_bits(), expected);
+                let mut alone = [f64::NAN];
+                level.min_distances(metric, &q, node, &mut alone);
+                prop_assert_eq!(alone[0].to_bits(), expected);
+            }
+            prop_assert_eq!(packed[j] > 0.0, side == 2);
         }
     }
 }

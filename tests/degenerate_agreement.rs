@@ -10,7 +10,13 @@ use pgbj::prelude::*;
 use proptest::prelude::*;
 
 /// Runs one algorithm through the builder with small-topology settings.
-fn run(algorithm: Algorithm, r: &PointSet, s: &PointSet, k: usize, reducers: usize) -> JoinResult {
+fn try_run(
+    algorithm: Algorithm,
+    r: &PointSet,
+    s: &PointSet,
+    k: usize,
+    reducers: usize,
+) -> Result<JoinResult, JoinError> {
     Join::new(r, s)
         .k(k)
         .algorithm(algorithm)
@@ -19,7 +25,11 @@ fn run(algorithm: Algorithm, r: &PointSet, s: &PointSet, k: usize, reducers: usi
         .map_tasks(3)
         .seed(2012)
         .run(&ExecutionContext::default())
-        .unwrap_or_else(|e| panic!("{algorithm} failed: {e}"))
+}
+
+/// [`try_run`], failing the test on an error.
+fn run(algorithm: Algorithm, r: &PointSet, s: &PointSet, k: usize, reducers: usize) -> JoinResult {
+    try_run(algorithm, r, s, k, reducers).unwrap_or_else(|e| panic!("{algorithm} failed: {e}"))
 }
 
 /// Asserts the full six-algorithm contract for one input pair: the five
@@ -320,6 +330,45 @@ fn coordinates_out_of_range_are_refused_and_just_inside_it_agree() {
             "{algorithm}: {:?}",
             result.mismatch_against(&oracle, 0.0)
         );
+    }
+}
+
+/// Hostile shapes, every algorithm cold: zero-dimensional `R` and `S` (no
+/// coordinate to sort, split or bound on; every distance is 0), and an
+/// all-equal `S` with `k > |S|`.  Each algorithm answers like the oracle or
+/// refuses with a typed configuration error — never a panic, and never a
+/// failure inside a job.
+#[test]
+fn every_algorithm_answers_or_refuses_zero_dimensions_and_k_past_an_all_equal_s() {
+    let zero_dims = |n: usize| PointSet::from_coords(vec![Vec::new(); n]);
+    let cases = [
+        (zero_dims(30), zero_dims(200), 5),
+        (
+            uniform(20, 3, 40.0, 7),
+            PointSet::from_coords(vec![vec![1.5; 3]; 6]),
+            9,
+        ),
+    ];
+    for (r, s, k) in &cases {
+        let oracle = NestedLoopJoin
+            .join(r, s, *k, DistanceMetric::Euclidean)
+            .expect("oracle");
+        for algorithm in Algorithm::ALL {
+            match try_run(algorithm, r, s, *k, 3) {
+                Ok(result) => assert!(
+                    result.matches(&oracle, 1e-9),
+                    "{algorithm} deviates on {} dims: {:?}",
+                    s.dims(),
+                    result.mismatch_against(&oracle, 1e-9)
+                ),
+                Err(e) => assert_eq!(
+                    e.kind(),
+                    JoinErrorKind::Configuration,
+                    "{algorithm} on {} dims: {e}",
+                    s.dims()
+                ),
+            }
+        }
     }
 }
 

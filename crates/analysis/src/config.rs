@@ -1,9 +1,9 @@
 //! The workspace invariant tables the lint pass enforces.
 //!
 //! Everything here is policy, not mechanism: which files hold the `unsafe`
-//! kernels, which files are on the user-reachable panic-freedom perimeter,
-//! which files feed deterministic counters, and the declared lock-order
-//! table.  The fixture tests swap in narrowed configs so each known-bad
+//! kernels, which files feed deterministic counters, and the declared
+//! lock-order table.  Panic-freedom on user-reachable paths is clippy's
+//! (`#![deny(clippy::unwrap_used, …)]` in each of those modules).  The fixture tests swap in narrowed configs so each known-bad
 //! snippet trips exactly one lint.
 
 use std::path::PathBuf;
@@ -33,15 +33,14 @@ pub struct Config {
     /// The files the crates' `unsafe_code` attributes let `unsafe` compile
     /// in; `safety-comment` and `target-feature-parity` patrol them.
     pub allowed_unsafe: Vec<String>,
-    /// Library files on user-reachable paths: no unwrap/expect/panic!/todo!/
-    /// unimplemented! and no `[]` indexing outside test regions.
-    pub user_reachable: Vec<String>,
     /// Files feeding deterministic counters: no `Instant`, `SystemTime`,
     /// `HashMap` or `HashSet` at all.
     pub determinism_strict: Vec<String>,
-    /// Files (or directory prefixes ending in `/`) producing `BENCH_*.json`
-    /// values: no `HashMap`/`HashSet`/`SystemTime` (wall-clock `Instant`
-    /// readings are allowed — they are excluded from drift checks).
+    /// Files (or directory prefixes ending in `/`) around the `BENCH_*.json`
+    /// writers: no `HashMap`/`HashSet`/`SystemTime`.  `Instant` is allowed:
+    /// the experiments binary times its progress lines and the paper's
+    /// figures print running-time panels, neither of which reaches a gated
+    /// file.
     pub determinism_no_maps: Vec<String>,
     /// The declared lock-order table.
     pub lock_table: Vec<LockSite>,
@@ -58,20 +57,14 @@ impl Config {
         Self {
             root,
             allowed_unsafe: vec!["crates/geom/src/kernels.rs".into()],
-            user_reachable: vec![
-                "crates/knnjoin/src/builder.rs".into(),
-                "crates/knnjoin/src/plan.rs".into(),
-                "crates/knnjoin/src/prepared.rs".into(),
-                "crates/knnjoin/src/result.rs".into(),
-                "crates/knnjoin/src/serving/mod.rs".into(),
-                "crates/knnjoin/src/delta.rs".into(),
-                "crates/knnjoin/src/context.rs".into(),
-                "crates/knnjoin/src/lib.rs".into(),
-                "src/lib.rs".into(),
-            ],
             determinism_strict: vec![
                 "crates/knnjoin/src/metrics.rs".into(),
                 "crates/mapreduce/src/metrics.rs".into(),
+                // The counter gates: a clock read here could reach a
+                // committed `BENCH_*.json`.
+                "crates/bench/src/experiments/perf_baseline.rs".into(),
+                "crates/bench/src/experiments/mutable_corpus.rs".into(),
+                "crates/bench/src/experiments/serving_slo.rs".into(),
             ],
             determinism_no_maps: vec![
                 "crates/bench/src/json.rs".into(),
@@ -117,7 +110,6 @@ impl Config {
         Self {
             root,
             allowed_unsafe: Vec::new(),
-            user_reachable: Vec::new(),
             determinism_strict: Vec::new(),
             determinism_no_maps: Vec::new(),
             lock_table: Vec::new(),

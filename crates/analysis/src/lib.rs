@@ -11,17 +11,21 @@
 //!   per crate, `deny` + one `allow` in `geom`) every unsafe block carries a
 //!   `// SAFETY:` argument and every accelerated kernel has a scalar twin
 //!   exercised by a parity test;
-//! * **panic-freedom** — user-reachable library paths return typed
-//!   `JoinError`s instead of panicking (no unwrap/expect/panic!/indexing);
-//! * **determinism** — counter/metrics files never read clocks or iterate
-//!   hash containers, bench serialization never lets wall-clock or hash
-//!   order leak into `BENCH_*.json`, and the experiments binary's drift
-//!   tables name real fields;
+//! * **determinism** — counter/metrics files and the three counter-gate
+//!   experiments never read clocks or iterate hash containers, the rest of
+//!   the bench serialization never lets hash order or `SystemTime` leak into
+//!   `BENCH_*.json`, and the experiments binary's drift tables name real
+//!   fields;
 //! * **lock-order / guard-across-probe** — the declared lock-rank table
 //!   (`mapreduce::sync::ranks`) is checked intra-function, and no lock
 //!   guard is live across a probe/run call;
 //! * **ordering-comment** — every `Ordering::Relaxed` justifies itself with
 //!   an adjacent `// ORDERING:` comment.
+//!
+//! Panic-freedom on user-reachable paths is not checked here: the modules on
+//! that perimeter deny clippy's `unwrap_used`, `expect_used`, `panic`,
+//! `todo`, `unimplemented` and `indexing_slicing`, and CI runs clippy with
+//! `-D warnings`.
 //!
 //! The runtime twin of this pass is the `debug-invariants` cargo feature
 //! (see `mapreduce::sync`), which audits the same lock order dynamically

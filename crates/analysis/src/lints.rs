@@ -20,7 +20,6 @@ use crate::lexer::{find_word, find_words, SourceFile};
 pub const LINTS: &[&str] = &[
     "safety-comment",
     "target-feature-parity",
-    "panic-freedom",
     "determinism",
     "lock-order",
     "guard-across-probe",
@@ -69,7 +68,6 @@ pub fn run(files: &[SourceFile], cfg: &Config, allow: &[String]) -> Vec<Finding>
         lint_safety_comment(file, cfg, &mut findings);
         lint_target_feature_parity(file, cfg, &mut findings);
         if !is_test_path(&file.rel_path) {
-            lint_panic_freedom(file, cfg, &mut findings);
             lint_determinism(file, cfg, &mut findings);
             lint_locks(file, cfg, &mut findings);
             lint_ordering_comment(file, &mut findings);
@@ -257,108 +255,6 @@ fn check_twin(
                  the parity test must call both"
             ),
         );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// panic-freedom
-// ---------------------------------------------------------------------------
-
-/// On user-reachable library paths: no `unwrap`/`expect`/`panic!`/`todo!`/
-/// `unimplemented!` and no `[…]` indexing outside test regions — errors
-/// flow through `JoinError`.
-fn lint_panic_freedom(file: &SourceFile, cfg: &Config, findings: &mut Vec<Finding>) {
-    if !cfg.user_reachable.contains(&file.rel_path) {
-        return;
-    }
-    let code = &file.code;
-    for (needle, what) in [(".unwrap()", "`.unwrap()`"), (".expect(", "`.expect(…)`")] {
-        let mut from = 0usize;
-        while let Some(rel) = code[from..].find(needle) {
-            let off = from + rel;
-            from = off + needle.len();
-            let line = file.line_of(off);
-            if file.in_test_region(line) {
-                continue;
-            }
-            push(
-                findings,
-                "panic-freedom",
-                file,
-                line,
-                format!("{what} on a user-reachable path — return a typed `JoinError` instead"),
-            );
-        }
-    }
-    for mac in ["panic", "todo", "unimplemented"] {
-        for off in find_words(code, mac) {
-            if code.as_bytes().get(off + mac.len()) != Some(&b'!') {
-                continue;
-            }
-            let line = file.line_of(off);
-            if file.in_test_region(line) {
-                continue;
-            }
-            push(
-                findings,
-                "panic-freedom",
-                file,
-                line,
-                format!("`{mac}!` on a user-reachable path — return a typed `JoinError` instead"),
-            );
-        }
-    }
-    lint_indexing(file, findings);
-}
-
-/// `[…]` indexing (a panic on out-of-range) on user-reachable paths.
-fn lint_indexing(file: &SourceFile, findings: &mut Vec<Finding>) {
-    let bytes = file.code.as_bytes();
-    for (i, &b) in bytes.iter().enumerate() {
-        if b != b'[' {
-            continue;
-        }
-        let line = file.line_of(i);
-        if file.in_test_region(line) {
-            continue;
-        }
-        // Walk back over whitespace to the previous significant byte.
-        let mut j = i;
-        let mut prev = None;
-        while j > 0 {
-            j -= 1;
-            if !bytes[j].is_ascii_whitespace() {
-                prev = Some(bytes[j]);
-                break;
-            }
-        }
-        let Some(prev) = prev else { continue };
-        let indexing = prev.is_ascii_alphanumeric() || prev == b'_' || prev == b')' || prev == b']';
-        // An array literal after a keyword (`for x in [… ]`, `return [… ]`)
-        // ends on an identifier byte but indexes nothing.
-        if indexing && (prev.is_ascii_alphanumeric() || prev == b'_') {
-            let mut k = j + 1;
-            while k > 0 && (bytes[k - 1].is_ascii_alphanumeric() || bytes[k - 1] == b'_') {
-                k -= 1;
-            }
-            if matches!(
-                &file.code[k..j + 1],
-                "in" | "return" | "break" | "else" | "match" | "if" | "while"
-            ) {
-                continue;
-            }
-        }
-        if indexing {
-            push(
-                findings,
-                "panic-freedom",
-                file,
-                line,
-                "`[…]` indexing on a user-reachable path — prefer `.get(…)` or prove the \
-                 bound and suppress with a reason"
-                    .into(),
-            );
-        }
     }
 }
 
@@ -902,25 +798,23 @@ mod tests {
 
     #[test]
     fn suppression_with_reason_silences_a_finding() {
-        let mut cfg = Config::empty(PathBuf::from("."));
-        cfg.user_reachable.push("src/lib.rs".into());
-        let src = "pub fn f(v: &[u8]) -> u8 {\n    \
-                   // lint: allow(panic-freedom) -- caller proves non-empty.\n    \
-                   *v.first().unwrap()\n}\n";
-        assert!(check_one("src/lib.rs", src, &cfg).is_empty());
+        let cfg = Config::empty(PathBuf::from("."));
+        let src = "fn f() {\n    \
+                   // lint: allow(ordering-comment) -- a statistics counter.\n    \
+                   x.fetch_add(1, Ordering::Relaxed);\n}\n";
+        assert!(check_one("src/o.rs", src, &cfg).is_empty());
     }
 
     #[test]
     fn malformed_suppression_is_reported_and_does_not_silence() {
-        let mut cfg = Config::empty(PathBuf::from("."));
-        cfg.user_reachable.push("src/lib.rs".into());
-        let src = "pub fn f(v: &[u8]) -> u8 {\n    \
-                   // lint: allow(panic-freedom)\n    \
-                   *v.first().unwrap()\n}\n";
-        let f = check_one("src/lib.rs", src, &cfg);
+        let cfg = Config::empty(PathBuf::from("."));
+        let src = "fn f() {\n    \
+                   // lint: allow(ordering-comment)\n    \
+                   x.fetch_add(1, Ordering::Relaxed);\n}\n";
+        let f = check_one("src/o.rs", src, &cfg);
         let lints: Vec<_> = f.iter().map(|x| x.lint).collect();
         assert!(lints.contains(&"suppression-syntax"), "{f:?}");
-        assert!(lints.contains(&"panic-freedom"), "{f:?}");
+        assert!(lints.contains(&"ordering-comment"), "{f:?}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 // Known-bad: a suppression with no `-- <reason>` tail.
 
 pub fn noted() -> u32 {
-    // lint: allow(panic-freedom)
+    // lint: allow(ordering-comment)
     7
 }

@@ -33,7 +33,6 @@ fn config_for(lint: &str) -> Config {
         "safety-comment" | "target-feature-parity" => {
             cfg.allowed_unsafe.push("bad.rs".into());
         }
-        "panic-freedom" => cfg.user_reachable.push("bad.rs".into()),
         "determinism" => cfg.determinism_strict.push("bad.rs".into()),
         "lock-order" => {
             cfg.lock_table.push(LockSite {

@@ -21,8 +21,11 @@
 //! distance ratio), `mutable_corpus` (keyed by `label`; e.g.
 //! `BENCH_mutable.json` — delta-layer probe/tombstone/compaction counters)
 //! and `serving_slo` (keyed by `label`; e.g. `BENCH_serving_quick.json` —
-//! request/response/rejection accounting of the concurrent server).  Wall
-//! times and latency percentiles are machine-dependent and never compared.
+//! request/response/rejection accounting of the concurrent server).  Those
+//! three write no clock reading into their rows: every field is exact for
+//! the seed.  Running times, latencies and throughput are measured with a
+//! spread by `benchmark/` and declared in `BENCHMARK.json`; the paper's
+//! figures still print their running-time panels, which no check reads.
 //! A `perf_baseline` check also fails when a `Fast` PGBJ / PBJ row of the
 //! run spends other distance computations than its `Exact` twin (both modes
 //! walk the same tiles), when a `Fast` H-BRJ row differs from its `Exact`
@@ -50,7 +53,7 @@ use std::process::ExitCode;
 /// A drift in `delta_probe_computations` or `tombstone_masked` means the
 /// memtable merge changed; a drift in `distance_computations` on the
 /// `churn=0%` rows means the frozen path is no longer bit-identical when
-/// the overlay is empty.  `wall_time_s` is deliberately absent.
+/// the overlay is empty.
 const MUTABLE_FIELDS: [&str; 6] = [
     "distance_computations",
     "delta_probe_computations",
@@ -63,8 +66,7 @@ const MUTABLE_FIELDS: [&str; 6] = [
 /// The serving-SLO fields that must be exact for a fixed configuration.
 /// A drift in `responses` or `rows` means requests were dropped or
 /// duplicated under concurrency; a drift in `rejected` on the overload row
-/// means admission control stopped being deterministic.  The latency
-/// percentiles and `qps` are machine-dependent and deliberately absent.
+/// means admission control stopped being deterministic.
 const SERVING_FIELDS: [&str; 6] = [
     "clients",
     "requests",

@@ -1,6 +1,16 @@
-//! One module per experiment family, each regenerating a table or figure of
-//! the paper.  Every experiment returns an [`ExperimentOutput`] holding both
-//! human-readable markdown tables and machine-readable JSON rows.
+//! One module per experiment family.  Every experiment returns an
+//! [`ExperimentOutput`] holding both human-readable markdown tables and
+//! machine-readable JSON rows.
+//!
+//! Two kinds of experiment live here.  The paper's tables and figures
+//! (`table2` … `fig12`) report what Section 6 reports, running-time panels
+//! included; those times come from one run each and show a shape, not a
+//! claim.  `perf_baseline`, `mutable_corpus` and `serving_slo` are counter
+//! gates: every field of their rows is exact for the seed, and
+//! `experiments --check` compares them against the committed
+//! `BENCH_*.json`.  No timing claim rests on either kind: running times,
+//! latencies and throughput are measured with a spread by `benchmark/`, one
+//! `BENCHMARK.json` metric each.
 
 mod effect_of_k;
 mod mutable_corpus;

@@ -15,18 +15,19 @@
 //! The deterministic columns (`distance_computations`,
 //! `delta_probe_computations`, `tombstone_masked`, `compactions`,
 //! `compacted_points`, `live_points`) are fixed for the seed and regress via
-//! `experiments mutable_corpus --quick --check BENCH_mutable.json` in CI;
-//! wall times are machine-dependent and never compared.
+//! `experiments mutable_corpus --quick --check BENCH_mutable.json` in CI.
+//! The rows hold no time: the cost of a write, a compaction and a read under
+//! churn is measured with a spread by `benchmark/` (`write_mean_us`,
+//! `delta.compact_ms`, `churn_read_p50_us` in `BENCHMARK.json`).
 
 use super::ExperimentOutput;
 use crate::json::Value;
-use crate::report::{fmt_f64, Table};
+use crate::report::Table;
 use crate::workloads::{ExperimentScale, Workloads};
 use geom::{DistanceMetric, Point, PointSet};
 use knnjoin::{Algorithm, JoinBuilder, PreparedJoin};
-use std::time::Instant;
 
-/// Queries averaged per wall-time measurement.
+/// Queries run per measurement; the row counts the last one.
 const QUERIES: u32 = 4;
 
 /// Churn levels: fraction of the corpus inserted and (independently) deleted.
@@ -41,8 +42,6 @@ pub struct MutableRow {
     pub churn_pct: usize,
     /// `"overlay"` (delta resident) or `"compacted"` (overlay folded in).
     pub phase: String,
-    /// Mean per-query wall time over `QUERIES` queries.  Machine-dependent.
-    pub wall_time_s: f64,
     /// Frozen-side distance computations per query.
     pub distance_computations: u64,
     /// Memtable-side distance computations per query.
@@ -87,12 +86,10 @@ fn apply_churn(prepared: &PreparedJoin, data: &PointSet, pct: usize) {
 }
 
 fn measure(prepared: &PreparedJoin, data: &PointSet, churn_pct: usize, phase: &str) -> MutableRow {
-    let start = Instant::now();
     let mut last = None;
     for _ in 0..QUERIES {
         last = Some(prepared.query(data).expect("mutable query"));
     }
-    let wall_time_s = start.elapsed().as_secs_f64() / f64::from(QUERIES);
     let result = last.expect("at least one query ran");
     let m = &result.metrics;
     let stats = prepared.delta_stats();
@@ -108,7 +105,6 @@ fn measure(prepared: &PreparedJoin, data: &PointSet, churn_pct: usize, phase: &s
         algorithm: prepared.algorithm().name().to_string(),
         churn_pct,
         phase: phase.to_string(),
-        wall_time_s,
         distance_computations: m.distance_computations,
         delta_probe_computations: m.delta_probe_computations,
         tombstone_masked: m.tombstone_masked,
@@ -151,7 +147,6 @@ pub fn mutable_corpus(scale: ExperimentScale) -> ExperimentOutput {
             "algorithm",
             "churn [%]",
             "phase",
-            "avg query [s]",
             "distance comps",
             "delta probe comps",
             "tombstone masked",
@@ -165,7 +160,6 @@ pub fn mutable_corpus(scale: ExperimentScale) -> ExperimentOutput {
             row.algorithm.clone(),
             row.churn_pct.to_string(),
             row.phase.clone(),
-            fmt_f64(row.wall_time_s),
             row.distance_computations.to_string(),
             row.delta_probe_computations.to_string(),
             row.tombstone_masked.to_string(),
@@ -186,7 +180,6 @@ pub fn mutable_corpus(scale: ExperimentScale) -> ExperimentOutput {
                     ("algorithm", row.algorithm.as_str().into()),
                     ("churn_pct", (row.churn_pct as f64).into()),
                     ("phase", row.phase.as_str().into()),
-                    ("wall_time_s", row.wall_time_s.into()),
                     (
                         "distance_computations",
                         (row.distance_computations as f64).into(),
@@ -299,20 +292,9 @@ mod tests {
 
     #[test]
     fn deterministic_counters_for_fixed_seed() {
+        // The rows hold no clock reading, so two runs agree on every field.
         let a = mutable_corpus(ExperimentScale::Quick);
         let b = mutable_corpus(ExperimentScale::Quick);
-        for (ra, rb) in rows_of(&a).iter().zip(rows_of(&b)) {
-            assert_eq!(ra["label"].as_str(), rb["label"].as_str());
-            for field in [
-                "distance_computations",
-                "delta_probe_computations",
-                "tombstone_masked",
-                "compactions",
-                "compacted_points",
-                "live_points",
-            ] {
-                assert_eq!(ra[field].as_u64(), rb[field].as_u64(), "{field}");
-            }
-        }
+        assert_eq!(a.json, b.json);
     }
 }

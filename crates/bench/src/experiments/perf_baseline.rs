@@ -1,10 +1,10 @@
-//! The persistent performance baseline: one fixed-seed workload, every
-//! algorithm, the quantities future PRs regress against.
+//! The persistent counter baseline: one fixed-seed workload, every
+//! algorithm, the deterministic quantities future PRs regress against.
 //!
 //! Unlike the figure experiments (which sweep a parameter), `perf_baseline`
 //! runs each join algorithm once on the default Forest-like workload and
-//! records wall time, distance computations, pivot-assignment computations,
-//! index builds, shuffle volume, and — against the nested-loop oracle — the
+//! records distance computations, pivot-assignment computations, index
+//! builds, shuffle volume, and — against the nested-loop oracle — the
 //! approximation quality (recall and distance ratio; exactly 1 for the exact
 //! algorithms, the interesting row is H-zkNNJ's).  A second row set
 //! (`"<name> (fast)"`) repeats each cold join with
@@ -14,17 +14,17 @@
 //! equals the `Exact` twin's, see [`fast_rows_off_their_exact_twin`]).  A
 //! third row set
 //! (`"<name> (prepared)"`, PGBJ and PBJ — the algorithms `prepare` keeps an
-//! index for) measures the serving path: one `JoinBuilder::prepare` build
+//! index for) runs the serving path: one `JoinBuilder::prepare` build
 //! followed by [`PREPARED_QUERIES`] repeated `PreparedJoin::query` calls,
 //! reporting the per-query counters (which must show zero `index_builds` /
-//! `pivot_selections`) and the amortized query wall time next to the cold
-//! run it replaces; a fourth (`"<name> (prepared, fast)"`) repeats the
+//! `pivot_selections`); a fourth (`"<name> (prepared, fast)"`) repeats the
 //! serving rows with `kernel_mode = Fast`, pinning the resident-S tiled
 //! scans.  The JSON is written to `BENCH_baseline.json` (see the README) so
-//! the repository always carries a reference trajectory: computation,
-//! shuffle and quality numbers are deterministic for the fixed seed and must
-//! not regress silently; wall times are machine-dependent and indicative
-//! only.
+//! the repository always carries a reference trajectory: every field is
+//! deterministic for the fixed seed and must not regress silently.  The rows
+//! hold no time: how long a cold join, a build or a prepared query takes is
+//! measured with a spread by `benchmark/` (`pgbj_join_s`, `prepared.build_s`,
+//! `prepared.query_batch128_ms`, ...).
 
 use super::ExperimentOutput;
 use crate::json::Value;
@@ -32,7 +32,6 @@ use crate::report::{fmt_f64, Table};
 use crate::workloads::{ExperimentScale, Workloads};
 use geom::{DistanceMetric, KernelMode};
 use knnjoin::{Algorithm, JoinBuilder, JoinResult};
-use std::time::Instant;
 
 /// Repeated `PreparedJoin::query` calls per algorithm in the serving rows.
 pub const PREPARED_QUERIES: u32 = 8;
@@ -40,8 +39,7 @@ pub const PREPARED_QUERIES: u32 = 8;
 /// The perf-baseline fields that must be bit-stable for a fixed seed, for
 /// the cold rows and the `"(prepared)"` serving rows alike (a prepared row
 /// drifting on `index_builds` or `pivot_selections` means per-query rebuild
-/// work leaked back in).  `wall_time_s`, `build_time_s` and
-/// `cold_wall_time_s` are deliberately absent.
+/// work leaked back in).
 pub const BASELINE_FIELDS: [&str; 8] = [
     "distance_computations",
     "pivot_assignment_computations",
@@ -53,17 +51,13 @@ pub const BASELINE_FIELDS: [&str; 8] = [
     "distance_ratio",
 ];
 
-/// One algorithm's baseline measurements.  Cold rows measure one
-/// `JoinBuilder::run`; prepared rows measure one `PreparedJoin::query` (the
-/// deterministic counters are per query, the wall time is the mean over
-/// [`PREPARED_QUERIES`] repetitions) plus the build they amortize.
+/// One algorithm's baseline counters.  Cold rows count one
+/// `JoinBuilder::run`; prepared rows count one `PreparedJoin::query` (the
+/// last of [`PREPARED_QUERIES`] repetitions).
 #[derive(Debug, Clone)]
 pub struct BaselineRow {
     /// Algorithm name (`"PGBJ"` cold, `"PGBJ (prepared)"` serving).
     pub algorithm: String,
-    /// Cold: total wall time.  Prepared: mean per-query wall time over
-    /// [`PREPARED_QUERIES`] queries.  Machine-dependent.
-    pub wall_time_s: f64,
     /// Join-phase distance computations (Equation 13 numerator).
     pub distance_computations: u64,
     /// Pruned pivot-assignment computations (job 1 of PGBJ and PBJ, the
@@ -90,24 +84,16 @@ pub struct BaselineRow {
     pub recall: f64,
     /// Mean distance-approximation ratio against the oracle (1.0 = exact).
     pub distance_ratio: f64,
-    /// Prepared rows only: one-time build wall time.  0 on cold rows.
-    pub build_time_s: f64,
-    /// Fast and prepared rows: the `Exact` cold wall time this row compares
-    /// against (the speedup / amortization denominator).  0 on exact cold
-    /// rows.
-    pub cold_wall_time_s: f64,
 }
 
 impl BaselineRow {
-    /// The row of one cold run: counters and wall time from `result`'s
-    /// metrics, quality against `oracle`, no build and no cold run to compare
-    /// with.  Fast and prepared rows overwrite their timing columns.
+    /// The row of one run: counters from `result`'s metrics, quality against
+    /// `oracle`.
     fn from_result(algorithm: String, result: &JoinResult, oracle: &JoinResult) -> Self {
         let quality = result.quality_against(oracle);
         let m = &result.metrics;
         Self {
             algorithm,
-            wall_time_s: m.total_time().as_secs_f64(),
             distance_computations: m.distance_computations,
             pivot_assignment_computations: m.pivot_assignment_computations,
             index_builds: m.index_builds,
@@ -119,8 +105,6 @@ impl BaselineRow {
                 + m.s_records_shuffled,
             recall: quality.recall,
             distance_ratio: quality.distance_ratio,
-            build_time_s: 0.0,
-            cold_wall_time_s: 0.0,
         }
     }
 }
@@ -170,25 +154,15 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
         })
         .collect();
 
-    let cold_wall_of = |name: &str, rows: &[BaselineRow]| {
-        rows.iter()
-            .find(|r| r.algorithm == name)
-            .map(|r| r.wall_time_s)
-            .unwrap_or(0.0)
-    };
-
     // ---- Fast-mode cold rows: the same joins through the SIMD batch
-    // kernels (`kernel_mode = Fast`), each carrying the Exact cold wall it
-    // is expected to beat.  Results must agree with Exact within 1e-9.
+    // kernels (`kernel_mode = Fast`).  Results must agree with Exact within
+    // 1e-9.
     let fast_rows: Vec<BaselineRow> = algorithms
         .iter()
         .map(|&algorithm| {
             let result = run(algorithm, KernelMode::Fast);
             let name = format!("{} (fast)", algorithm.name());
-            BaselineRow {
-                cold_wall_time_s: cold_wall_of(algorithm.name(), &rows),
-                ..BaselineRow::from_result(name, &result, &oracle)
-            }
+            BaselineRow::from_result(name, &result, &oracle)
         })
         .collect();
     rows.extend(fast_rows);
@@ -206,7 +180,6 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
             voronoi.map(move |&algorithm| (mode, algorithm))
         })
         .map(|(mode, algorithm)| {
-            let start = Instant::now();
             let prepared = JoinBuilder::new(&data, &data)
                 .k(k)
                 .metric(DistanceMetric::Euclidean)
@@ -216,28 +189,16 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
                 .kernel_mode(mode)
                 .prepare(workloads.context())
                 .expect("baseline prepare must succeed");
-            let build_time_s = start.elapsed().as_secs_f64();
-            let start = Instant::now();
             let mut last = None;
             for _ in 0..PREPARED_QUERIES {
                 last = Some(prepared.query(&data).expect("prepared query"));
             }
-            let avg_query_s = start.elapsed().as_secs_f64() / f64::from(PREPARED_QUERIES);
             let result = last.expect("at least one query ran");
             let suffix = match mode {
                 KernelMode::Exact => "(prepared)",
                 KernelMode::Fast => "(prepared, fast)",
             };
-            BaselineRow {
-                wall_time_s: avg_query_s,
-                build_time_s,
-                cold_wall_time_s: cold_wall_of(algorithm.name(), &rows),
-                ..BaselineRow::from_result(
-                    format!("{} {suffix}", algorithm.name()),
-                    &result,
-                    &oracle,
-                )
-            }
+            BaselineRow::from_result(format!("{} {suffix}", algorithm.name()), &result, &oracle)
         })
         .collect();
     rows.extend(prepared_rows);
@@ -247,7 +208,6 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
          \"(fast)\" rows rerun the join with kernel_mode = Fast)",
         &[
             "algorithm",
-            "wall time [s]",
             "distance comps",
             "pivot-assign comps",
             "index builds",
@@ -261,31 +221,20 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
     let mut serving = Table::new(
         format!(
             "Prepared serving (1 build + {PREPARED_QUERIES} repeated queries; \
-             per-query wall time vs the cold run)"
+             counters of one query)"
         ),
-        &[
-            "algorithm",
-            "cold run [s]",
-            "build [s]",
-            "avg query [s]",
-            "index builds/query",
-            "pivot selections/query",
-        ],
+        &["algorithm", "index builds/query", "pivot selections/query"],
     );
     for row in &rows {
         if row.algorithm.contains("(prepared") {
             serving.add_row(vec![
                 row.algorithm.clone(),
-                fmt_f64(row.cold_wall_time_s),
-                fmt_f64(row.build_time_s),
-                fmt_f64(row.wall_time_s),
                 row.index_builds.to_string(),
                 row.pivot_selections.to_string(),
             ]);
         } else {
             table.add_row(vec![
                 row.algorithm.clone(),
-                fmt_f64(row.wall_time_s),
                 row.distance_computations.to_string(),
                 row.pivot_assignment_computations.to_string(),
                 row.index_builds.to_string(),
@@ -303,7 +252,6 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
             .map(|row| {
                 Value::object(vec![
                     ("algorithm", row.algorithm.as_str().into()),
-                    ("wall_time_s", row.wall_time_s.into()),
                     (
                         "distance_computations",
                         (row.distance_computations as f64).into(),
@@ -322,8 +270,6 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
                     ),
                     ("recall", row.recall.into()),
                     ("distance_ratio", row.distance_ratio.into()),
-                    ("build_time_s", row.build_time_s.into()),
-                    ("cold_wall_time_s", row.cold_wall_time_s.into()),
                 ])
             })
             .collect(),
@@ -472,7 +418,6 @@ mod tests {
             ]
         );
         for row in rows {
-            assert!(row["wall_time_s"].as_f64().expect("time") >= 0.0);
             assert!(row["distance_computations"].as_u64().expect("comps") > 0);
         }
         // Cold rows: only PGBJ and PBJ run the partitioning MapReduce job,
@@ -546,12 +491,6 @@ mod tests {
             assert!(
                 (fd - ed).abs() < 1e-9,
                 "{algorithm}: distance ratio {fd} vs {ed}"
-            );
-            // The speedup denominator rides along on the row.
-            assert_eq!(
-                fast["cold_wall_time_s"].as_f64(),
-                exact["wall_time_s"].as_f64(),
-                "{algorithm}"
             );
             // Pivot assignment runs the one pruned search in every mode.
             let mut twins = vec![(algorithm.to_string(), format!("{algorithm} (fast)"))];
@@ -717,16 +656,15 @@ mod tests {
     }
 
     #[test]
-    fn prepared_rows_keep_build_counters_flat_and_beat_cold_runs() {
+    fn prepared_rows_keep_build_counters_flat() {
         let out = perf_baseline(ExperimentScale::Quick);
         let rows = out.json.as_array().expect("rows");
-        let by_name = |name: &str| {
-            rows.iter()
-                .find(|r| r["algorithm"].as_str() == Some(name))
-                .unwrap_or_else(|| panic!("missing row {name}"))
-        };
         for algorithm in ["PBJ", "PGBJ"] {
-            let row = by_name(&format!("{algorithm} (prepared)"));
+            let name = format!("{algorithm} (prepared)");
+            let row = rows
+                .iter()
+                .find(|r| r["algorithm"].as_str() == Some(name.as_str()))
+                .unwrap_or_else(|| panic!("missing row {name}"));
             // The serving invariant: no per-query index builds or pivot
             // selections — that work lives in the build phase.
             assert_eq!(row["index_builds"].as_u64(), Some(0), "{algorithm}");
@@ -735,38 +673,6 @@ mod tests {
             let recall = row["recall"].as_f64().expect("recall");
             assert!((recall - 1.0).abs() < 1e-12, "{algorithm} recall {recall}");
         }
-        // The amortization claim itself: repeated prepared queries beat the
-        // cold run they replace on both prepared algorithms.  Wall-clock
-        // comparisons can be disturbed by parallel test load, so a failed
-        // attempt re-measures on a fresh run before declaring a regression.
-        let wall_times_beat_cold = |rows: &[Value]| {
-            ["PGBJ", "PBJ"].iter().all(|algorithm| {
-                let prepared = rows
-                    .iter()
-                    .find(|r| {
-                        r["algorithm"]
-                            .as_str()
-                            .map(|n| n == format!("{algorithm} (prepared)"))
-                            == Some(true)
-                    })
-                    .unwrap_or_else(|| panic!("missing prepared row for {algorithm}"));
-                let avg_query = prepared["wall_time_s"].as_f64().expect("avg query");
-                let cold = prepared["cold_wall_time_s"].as_f64().expect("cold wall");
-                avg_query < cold
-            })
-        };
-        let mut beaten = wall_times_beat_cold(rows);
-        for _ in 0..3 {
-            if beaten {
-                break;
-            }
-            let retry = perf_baseline(ExperimentScale::Quick);
-            beaten = wall_times_beat_cold(retry.json.as_array().expect("rows"));
-        }
-        assert!(
-            beaten,
-            "prepared queries did not beat cold runs on PGBJ and PBJ in any attempt"
-        );
     }
 
     #[test]
@@ -830,28 +736,9 @@ mod tests {
 
     #[test]
     fn deterministic_counters_for_fixed_seed() {
+        // The rows hold no clock reading, so two runs agree on every field.
         let a = perf_baseline(ExperimentScale::Quick);
         let b = perf_baseline(ExperimentScale::Quick);
-        for (ra, rb) in a
-            .json
-            .as_array()
-            .expect("rows")
-            .iter()
-            .zip(b.json.as_array().expect("rows"))
-        {
-            // Everything except wall time must be identical run to run.
-            for field in [
-                "distance_computations",
-                "pivot_assignment_computations",
-                "index_builds",
-                "pivot_selections",
-                "shuffle_bytes",
-                "shuffle_records",
-            ] {
-                assert_eq!(ra[field].as_u64(), rb[field].as_u64(), "{field}");
-            }
-            assert_eq!(ra["recall"].as_f64(), rb["recall"].as_f64());
-            assert_eq!(ra["distance_ratio"].as_f64(), rb["distance_ratio"].as_f64());
-        }
+        assert_eq!(a.json, b.json);
     }
 }

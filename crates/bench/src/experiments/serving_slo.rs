@@ -1,15 +1,13 @@
-//! The serving-SLO experiment: latency percentiles and throughput of the
-//! concurrent [`knnjoin::Server`] front-end over one prepared PGBJ handle.
+//! The serving-SLO experiment: request accounting of the concurrent
+//! [`knnjoin::Server`] front-end over one prepared PGBJ handle.
 //!
 //! Not a paper artifact — the paper measures batch joins — but the natural
-//! follow-on question for the prepared/delta serving stack: what do tail
-//! latencies look like when many closed-loop clients share one corpus?  The
-//! grid:
+//! follow-on question for the prepared/delta serving stack: does every
+//! request come back exactly once when many closed-loop clients share one
+//! corpus?  The grid:
 //!
 //! * **closed-loop c=N** — N clients, each issuing single-point queries
-//!   back-to-back, for several concurrency levels.  Percentiles come from
-//!   the server's mergeable log-bucketed histogram, QPS from completed
-//!   requests over uptime.
+//!   back-to-back, for several concurrency levels.
 //! * **mixed singles+batches** — half the clients submit small prepared
 //!   batches instead of singles, exercising both queue lanes at once.
 //! * **churn** — closed-loop readers while a writer thread churns the
@@ -24,16 +22,17 @@
 //! The deterministic columns (`clients`, `requests`, `responses`,
 //! `result_errors`, `rejected`, `rows`) are fixed for the configuration and
 //! regress via `experiments serving_slo --quick --check
-//! BENCH_serving_quick.json` in CI; the latency/throughput columns
-//! (`p50_ms`, `p95_ms`, `p99_ms`, `qps`, `mean_coalesced_batch`) are
-//! machine-dependent and never compared.
+//! BENCH_serving_quick.json` in CI.  The rows hold no time: latency
+//! percentiles, throughput and coalescing are measured with a spread by
+//! `benchmark/` (`lone_p50_us`, `single_p50_us`, `single_slo_share` and the
+//! other serving metrics of `BENCHMARK.json`).
 
 use super::ExperimentOutput;
 use crate::json::Value;
-use crate::report::{fmt_f64, Table};
+use crate::report::Table;
 use crate::workloads::{ExperimentScale, Workloads};
 use geom::{DistanceMetric, Point, PointSet};
-use knnjoin::{Algorithm, JoinBuilder, JoinError, PreparedJoin, Server, ServerConfig, ServerStats};
+use knnjoin::{Algorithm, JoinBuilder, JoinError, PreparedJoin, Server, ServerConfig};
 use std::sync::Mutex;
 
 /// Points per batch submit on the mixed row.
@@ -63,16 +62,6 @@ pub struct ServingRow {
     pub rejected: u64,
     /// Result rows received (a batch of B counts B).
     pub rows: u64,
-    /// Median request latency in milliseconds.  Machine-dependent.
-    pub p50_ms: f64,
-    /// 95th-percentile latency in milliseconds.  Machine-dependent.
-    pub p95_ms: f64,
-    /// 99th-percentile latency in milliseconds.  Machine-dependent.
-    pub p99_ms: f64,
-    /// Completed requests per second of server uptime.  Machine-dependent.
-    pub qps: f64,
-    /// Mean single-point requests per coalesced probe batch.
-    pub mean_coalesced_batch: f64,
 }
 
 /// What one client thread tallied; summed across the row's clients.
@@ -107,7 +96,7 @@ impl ClientTally {
     }
 }
 
-fn row_from(label: String, clients: usize, tally: ClientTally, stats: &ServerStats) -> ServingRow {
+fn row_from(label: String, clients: usize, tally: ClientTally) -> ServingRow {
     ServingRow {
         label,
         clients,
@@ -116,11 +105,6 @@ fn row_from(label: String, clients: usize, tally: ClientTally, stats: &ServerSta
         result_errors: tally.result_errors,
         rejected: tally.rejected,
         rows: tally.rows,
-        p50_ms: stats.latency.p50().as_secs_f64() * 1e3,
-        p95_ms: stats.latency.p95().as_secs_f64() * 1e3,
-        p99_ms: stats.latency.p99().as_secs_f64() * 1e3,
-        qps: stats.qps(),
-        mean_coalesced_batch: stats.mean_coalesced_batch(),
     }
 }
 
@@ -184,11 +168,11 @@ fn closed_loop_row(
     clients: usize,
     per_client: usize,
     batch_clients: impl Fn(usize) -> bool + Sync,
-) -> (ServingRow, ServerStats) {
+) -> ServingRow {
     let server = Server::start(prepared.clone(), ServerConfig::default());
     let tally = drive_clients(&server, queries, clients, per_client, batch_clients);
-    let stats = server.shutdown();
-    (row_from(label, clients, tally, &stats), stats)
+    server.shutdown();
+    row_from(label, clients, tally)
 }
 
 /// The churn row: closed-loop readers while one writer inserts and then
@@ -223,8 +207,8 @@ fn churn_row(
         churn.join().expect("writer thread");
         tally
     });
-    let stats = server.shutdown();
-    row_from(format!("churn c={clients}"), clients, tally, &stats)
+    server.shutdown();
+    row_from(format!("churn c={clients}"), clients, tally)
 }
 
 /// The overload row: a single-permit server with a tiny queue cap, filled
@@ -256,8 +240,8 @@ fn overload_row(prepared: &PreparedJoin, queries: &PointSet) -> ServingRow {
             Err(_) => tally.result_errors += 1,
         }
     }
-    let stats = server.shutdown();
-    row_from("overload paused".into(), 1, tally, &stats)
+    server.shutdown();
+    row_from("overload paused".into(), 1, tally)
 }
 
 /// Runs the serving grid: three closed-loop concurrency levels, the mixed
@@ -276,7 +260,7 @@ pub fn serving_slo(scale: ExperimentScale) -> ExperimentOutput {
 
     let mut rows: Vec<ServingRow> = Vec::new();
     for &clients in &levels {
-        let (row, _) = closed_loop_row(
+        let row = closed_loop_row(
             &prepared,
             &queries,
             format!("closed-loop c={clients}"),
@@ -287,7 +271,7 @@ pub fn serving_slo(scale: ExperimentScale) -> ExperimentOutput {
         rows.push(row);
     }
     let mixed_clients = *levels.last().expect("at least one level");
-    let (mixed, _) = closed_loop_row(
+    let mixed = closed_loop_row(
         &prepared,
         &queries,
         format!("mixed singles+batches c={mixed_clients}"),
@@ -314,11 +298,6 @@ pub fn serving_slo(scale: ExperimentScale) -> ExperimentOutput {
             "responses",
             "rejected",
             "rows",
-            "p50 [ms]",
-            "p95 [ms]",
-            "p99 [ms]",
-            "QPS",
-            "coalesce",
         ],
     );
     for row in &rows {
@@ -329,11 +308,6 @@ pub fn serving_slo(scale: ExperimentScale) -> ExperimentOutput {
             row.responses.to_string(),
             row.rejected.to_string(),
             row.rows.to_string(),
-            fmt_f64(row.p50_ms),
-            fmt_f64(row.p95_ms),
-            fmt_f64(row.p99_ms),
-            fmt_f64(row.qps),
-            fmt_f64(row.mean_coalesced_batch),
         ]);
     }
 
@@ -348,11 +322,6 @@ pub fn serving_slo(scale: ExperimentScale) -> ExperimentOutput {
                     ("result_errors", (row.result_errors as f64).into()),
                     ("rejected", (row.rejected as f64).into()),
                     ("rows", (row.rows as f64).into()),
-                    ("p50_ms", row.p50_ms.into()),
-                    ("p95_ms", row.p95_ms.into()),
-                    ("p99_ms", row.p99_ms.into()),
-                    ("qps", row.qps.into()),
-                    ("mean_coalesced_batch", row.mean_coalesced_batch.into()),
                 ])
             })
             .collect(),
@@ -401,7 +370,7 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_rows_answer_every_request_and_report_latency() {
+    fn closed_loop_rows_answer_every_request() {
         let out = serving_slo(ExperimentScale::Quick);
         let rows = rows_of(&out);
         for (label, clients) in [
@@ -417,12 +386,6 @@ mod tests {
             assert_eq!(row["rows"].as_u64(), Some(requests), "{label}");
             assert_eq!(row["result_errors"].as_u64(), Some(0), "{label}");
             assert_eq!(row["rejected"].as_u64(), Some(0), "{label}");
-            assert!(row["p50_ms"].as_f64().unwrap() > 0.0, "{label}");
-            assert!(
-                row["p99_ms"].as_f64().unwrap() >= row["p50_ms"].as_f64().unwrap(),
-                "{label}"
-            );
-            assert!(row["qps"].as_f64().unwrap() > 0.0, "{label}");
         }
     }
 
@@ -452,20 +415,9 @@ mod tests {
 
     #[test]
     fn deterministic_counters_for_fixed_configuration() {
+        // The rows hold no clock reading, so two runs agree on every field.
         let a = serving_slo(ExperimentScale::Quick);
         let b = serving_slo(ExperimentScale::Quick);
-        for (ra, rb) in rows_of(&a).iter().zip(rows_of(&b)) {
-            assert_eq!(ra["label"].as_str(), rb["label"].as_str());
-            for field in [
-                "clients",
-                "requests",
-                "responses",
-                "result_errors",
-                "rejected",
-                "rows",
-            ] {
-                assert_eq!(ra[field].as_u64(), rb[field].as_u64(), "{field}");
-            }
-        }
+        assert_eq!(a.json, b.json);
     }
 }

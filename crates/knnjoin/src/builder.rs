@@ -25,6 +25,15 @@
 //! following the paper's parameter study, which found pivot counts growing
 //! with the dataset (2000–8000 pivots for multi-million-object inputs).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::algorithms::zknn::check_z_bits;
 use crate::context::ExecutionContext;
 use crate::exact::validate_inputs;

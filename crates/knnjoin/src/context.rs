@@ -9,6 +9,15 @@
 //! [`crate::JoinResult::metrics`]; what a prepared join has cost so far from
 //! [`crate::PreparedJoin::cumulative_metrics`].
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::time::Duration;
 
 /// Session-scoped serving statistics of one [`crate::PreparedJoin`]: how

@@ -1,17 +1,17 @@
 //! The mutable-corpus delta layer: the S-side memtable a
 //! [`crate::PreparedJoin`] accumulates inserts and deletes in.
 //!
-//! The paper's join structures (Voronoi cells + summaries, per-block
-//! R-trees, sorted z-copies) are batch-built: none of them absorbs a
-//! mutation in place.  Instead of rebuilding on every change, the prepared
-//! join follows the log-structured discipline of LSM stores: mutations land
-//! in a small resident [`DeltaOverlay`] — the added points plus the ids of
-//! the deleted ones, stored the way a probe scans them — and every probe
-//! merges the overlay with the frozen structures through the shared top-k
-//! accumulator.  When the
-//! overlay outgrows the plan's `delta_threshold`, a *compaction* folds it
-//! into the frozen structures (rebuilding only the affected Voronoi cells /
-//! R-trees / z-runs) and publishes a new epoch with an empty overlay.
+//! The prepared index (`prepare` builds it for PGBJ and PBJ only: the
+//! Voronoi cells of `S` and their summaries) is batch-built and does not
+//! absorb a mutation in place.  Instead of rebuilding on every change, the
+//! prepared join follows the log-structured discipline of LSM stores:
+//! mutations land in a small resident [`DeltaOverlay`] — the added points
+//! plus the ids of the deleted ones, stored the way a probe scans them — and
+//! every probe merges the overlay with the frozen cells through the shared
+//! top-k accumulator.  When the overlay outgrows the plan's
+//! `delta_threshold`, a *compaction* folds it into the frozen cells
+//! (rebuilding only the affected cells and their summaries) and publishes a
+//! new epoch with an empty overlay.
 //!
 //! The correctness bar is DBSP-style: a query against the mutated corpus
 //! must be distance-identical to the same query against a cold build over
@@ -29,6 +29,15 @@
 //! Epoch/snapshot semantics, the mutation API and compaction live in
 //! [`crate::prepared`]; this module owns the overlay itself and the
 //! observability types.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use geom::PointId;
 

@@ -7,6 +7,15 @@
 //! [`crate::ExecutionContext`]; they can also be inspected, logged or reused
 //! across datasets of similar shape.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::algorithms::{broadcast, hbrj, pbj, pgbj, zknn};
 use crate::context::ExecutionContext;
 use crate::exact::{validate_inputs, FlatBlock};

@@ -64,6 +64,15 @@
 //! assert_eq!(result.metrics.pivot_selections, 0);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::algorithms::common::label_rows;
 use crate::algorithms::voronoi::VoronoiPrepared;
 use crate::context::{ExecutionContext, ServingStats};

@@ -1,6 +1,15 @@
 //! Join results, the consolidated [`JoinError`] taxonomy, and result
 //! verification helpers.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::metrics::JoinMetrics;
 use geom::{Neighbor, PointId};
 use mapreduce::JobError;
@@ -267,9 +276,7 @@ impl JoinResult {
         self.rows
             .binary_search_by_key(&r_id, |r| r.r_id)
             .ok()
-            // lint: allow(panic-freedom) -- a successful binary_search index
-            // is in range by definition.
-            .map(|i| &self.rows[i])
+            .and_then(|i| self.rows.get(i))
     }
 
     /// Verifies that this result is equivalent to `expected` up to ties:

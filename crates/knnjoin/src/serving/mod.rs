@@ -61,6 +61,19 @@
 //! assert_eq!(stats.completed, 8);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
+// The histogram is outside the panic-freedom perimeter above: its one
+// indexing site reads a bucket index clamped below `BUCKETS`
+// (`bucket_index_is_monotone_and_in_range`).
+#[allow(clippy::indexing_slicing)]
 mod histogram;
 
 pub use histogram::LatencyHistogram;

@@ -77,25 +77,6 @@ impl Mapper for BlockRouteMapper<'_> {
 /// in different orders, so they keep different survivors of a distance tie.
 pub(crate) type MergeRule = fn(&[NeighborListValue], usize) -> Vec<Neighbor>;
 
-/// Identity mapper of the merge job.
-struct MergeMapper;
-
-impl Mapper for MergeMapper {
-    type KIn = u64;
-    type VIn = NeighborListValue;
-    type KOut = u64;
-    type VOut = NeighborListValue;
-
-    fn map(
-        &self,
-        key: &u64,
-        value: &NeighborListValue,
-        ctx: &mut MapContext<u64, NeighborListValue>,
-    ) {
-        ctx.emit(*key, value.clone());
-    }
-}
-
 /// Map-side combiner of the merge job: collapse the partial candidate lists a
 /// map task holds for one `R` object into a single `k`-bounded list before
 /// they cross the shuffle.  Both merge rules are associative, so the
@@ -179,7 +160,9 @@ where
 /// The merge job of every two-job algorithm: fold each `R` object's partial
 /// candidate lists into its final `k` with `merge`.  When the plan's
 /// `combiner` is set, the [`MergeCombiner`] runs map-side, so only
-/// `k`-bounded lists cross the shuffle.
+/// `k`-bounded lists cross the shuffle.  The input is already keyed by `R`
+/// id, so the job runs without a mapper and moves the lists, never cloning
+/// one.
 pub(crate) fn run_merge_job(
     input: Vec<(u64, NeighborListValue)>,
     plan: &JoinPlan,
@@ -193,9 +176,8 @@ pub(crate) fn run_merge_job(
         .reducers(plan.reducers)
         .map_tasks(plan.map_tasks)
         .workers(workers)
-        .run_with_optional_combiner(
+        .run_keyed(
             input,
-            &MergeMapper,
             plan.combiner.then_some(&MergeCombiner { k, merge }),
             &MergeReducer { k, merge },
         )

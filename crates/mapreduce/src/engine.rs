@@ -6,30 +6,35 @@
 //! 2. map tasks run in parallel on a bounded worker pool (sized by the
 //!    caller's execution context, defaulting to the machine's parallelism);
 //!    each task hash-routes every pair it emits into a **per-task,
-//!    per-reduce-partition buffer** using the job's [`Partitioner`], runs the
-//!    optional [`Combiner`] over each buffer, and accounts the byte size of
-//!    everything that survives towards the shuffle (mirroring Hadoop's
-//!    partitioned spill files and map-side combine),
-//! 3. the shuffle hands each reduce partition the buffers every map task
+//!    per-reduce-partition buffer** using the job's [`Partitioner`], stably
+//!    sorts each buffer by key (Hadoop's spill sort), runs the optional
+//!    [`Combiner`] over each buffer's key runs — so a combined buffer comes
+//!    out sorted too — and accounts the byte size of everything that
+//!    survives towards the shuffle (mirroring Hadoop's partitioned, sorted
+//!    spill files and map-side combine),
+//! 3. the shuffle hands each reduce partition the sorted runs every map task
 //!    produced for it — a transpose of already-routed buffers, with no
 //!    global materialisation and no global sort,
-//! 4. reduce tasks run in parallel, one per partition; each task merges its
-//!    buffers into sorted key groups (Hadoop's sort/group guarantee, now
-//!    performed inside the parallel region) and runs the [`Reducer`], and
+//! 4. reduce tasks run in parallel, one per partition; each task concatenates
+//!    its runs in map-task order and stably sorts them, which merges the
+//!    presorted runs (Hadoop's merge phase), then runs the [`Reducer`] once
+//!    per key on that key's values — moved into one reused buffer and
+//!    dropped as soon as the call returns, so no map and no per-key `Vec` is
+//!    built — and
 //! 5. per-phase timings and shuffle and combine volume are reported as
 //!    [`JobMetrics`].
 //!
 //! Output order is deterministic regardless of the worker-pool size: reduce
 //! partitions appear in partition order, keys ascend within a partition, and
-//! the values of one key arrive in map-task order (then emission order).
+//! the values of one key arrive in map-task order (then emission order) —
+//! both sorts are stable.
 
 use crate::bytesize::ByteSize;
 use crate::job::{
-    Combiner, HashPartitioner, IdentityCombiner, MapContext, Mapper, Partitioner, ReduceContext,
-    Reducer,
+    Combiner, HashPartitioner, MapContext, Mapper, Partitioner, ReduceContext, Reducer,
 };
 use crate::metrics::{JobMetrics, PhaseTimings};
-use std::collections::BTreeMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -127,7 +132,8 @@ impl std::fmt::Display for JobError {
 impl std::error::Error for JobError {}
 
 /// One reduce partition's share of one map task's output: the routed (and
-/// possibly combined) pairs plus the shuffle volume they are charged.
+/// possibly combined) pairs, sorted by key, plus the shuffle volume they are
+/// charged.
 type PartitionBuffer<K, V> = (Vec<(K, V)>, ShuffleVolume);
 
 /// What a run of pairs costs to shuffle: every pair counts
@@ -147,8 +153,8 @@ impl ShuffleVolume {
     }
 }
 
-/// Everything one reduce partition receives: one routed buffer per map task,
-/// concatenated in map-task order.
+/// Everything one reduce partition receives: one sorted run per map task, in
+/// map-task order.
 type PartitionInput<K, V> = Vec<Vec<(K, V)>>;
 
 /// The result of a completed job: the reduce output plus execution metrics.
@@ -282,16 +288,12 @@ impl JobBuilder {
         R: Reducer<KIn = M::KOut, VIn = M::VOut>,
         P: Partitioner<M::KOut>,
     {
-        run_job_with_combiner(
-            &self.name,
+        self.execute(
             input,
-            mapper,
-            None::<&IdentityCombiner<M::KOut, M::VOut>>,
+            |split| map_split(mapper, split),
+            None,
             reducer,
             partitioner,
-            self.num_reducers,
-            self.num_map_tasks,
-            self.workers,
         )
     }
 
@@ -313,211 +315,231 @@ impl JobBuilder {
         C: Combiner<K = M::KOut, V = M::VOut>,
         R: Reducer<KIn = M::KOut, VIn = M::VOut>,
     {
-        run_job_with_combiner(
-            &self.name,
+        self.execute(
             input,
-            mapper,
-            combiner,
+            |split| map_split(mapper, split),
+            combiner.map(|c| c as _),
             reducer,
             &HashPartitioner,
-            self.num_reducers,
-            self.num_map_tasks,
-            self.workers,
         )
     }
-}
 
-/// Executes a MapReduce job with an optional map-side combiner: the one
-/// body behind every [`JobBuilder`] `run*` method.
-///
-/// When a combiner is supplied, each map task groups its own output by key and
-/// runs the combiner before anything is handed to the shuffle; the reported
-/// `shuffle_records` / `shuffle_bytes` reflect the combined (smaller) volume,
-/// just like Hadoop's "reduce shuffle bytes" counter.
-///
-/// # Errors
-/// Returns [`JobError`] if `num_reducers` is zero or an explicit
-/// `num_map_tasks` of zero is requested.
-#[allow(clippy::too_many_arguments)]
-fn run_job_with_combiner<M, C, R, P>(
-    name: &str,
-    input: Vec<(M::KIn, M::VIn)>,
-    mapper: &M,
-    combiner: Option<&C>,
-    reducer: &R,
-    partitioner: &P,
-    num_reducers: usize,
-    num_map_tasks: Option<usize>,
-    workers: Option<usize>,
-) -> Result<JobOutput<R::KOut, R::VOut>, JobError>
-where
-    M: Mapper,
-    C: Combiner<K = M::KOut, V = M::VOut>,
-    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-    P: Partitioner<M::KOut>,
-{
-    if num_reducers == 0 {
-        return Err(JobError::NoReducers);
+    /// Runs a job whose input is already keyed, with the default
+    /// [`HashPartitioner`] and an optional map-side [`Combiner`].  The map
+    /// step is Hadoop's identity mapper: each split's pairs move straight
+    /// into routing, and none is cloned.
+    ///
+    /// # Errors
+    /// Returns [`JobError`] if the configuration is invalid.
+    pub fn run_keyed<C, R>(
+        &self,
+        input: Vec<(R::KIn, R::VIn)>,
+        combiner: Option<&C>,
+        reducer: &R,
+    ) -> Result<JobOutput<R::KOut, R::VOut>, JobError>
+    where
+        C: Combiner<K = R::KIn, V = R::VIn>,
+        R: Reducer,
+        R::KIn: ByteSize,
+        R::VIn: ByteSize,
+    {
+        self.execute(
+            input,
+            |split| split,
+            combiner.map(|c| c as _),
+            reducer,
+            &HashPartitioner,
+        )
     }
-    let requested_map_tasks = num_map_tasks.unwrap_or_else(|| num_reducers.max(1));
-    if requested_map_tasks == 0 {
-        return Err(JobError::NoMapTasks);
-    }
-    let workers = workers.unwrap_or_else(default_workers).max(1);
-    let input_records = input.len() as u64;
 
-    // ---- Map phase -------------------------------------------------------
-    // Each map task hash-routes its own output into one buffer per reduce
-    // partition and combines each buffer in place, so all per-record shuffle
-    // work (routing, combining, byte accounting) happens inside the parallel
-    // region — the analogue of Hadoop's partitioned, combined spill files.
-    let map_start = Instant::now();
-    let splits = make_splits(input, requested_map_tasks);
-    let map_tasks = splits.len().max(1);
-    let map_results = parallel_map(splits, workers, |_, split| {
-        let mut ctx = MapContext::default();
-        for (k, v) in &split {
-            mapper.map(k, v, &mut ctx);
+    /// Executes the job: the one body behind every `run*` method, which
+    /// differ only in the map step that turns a split into emitted pairs.
+    ///
+    /// When a combiner is supplied, each map task runs it over each sorted
+    /// buffer before anything is handed to the shuffle; the reported
+    /// `shuffle_records` / `shuffle_bytes` reflect the combined (smaller)
+    /// volume, just like Hadoop's "reduce shuffle bytes" counter.
+    ///
+    /// # Errors
+    /// Returns [`JobError`] if the job has no reducers or an explicit
+    /// `num_map_tasks` of zero.
+    fn execute<KIn, VIn, K, V, R, P>(
+        &self,
+        input: Vec<(KIn, VIn)>,
+        map: impl Fn(Vec<(KIn, VIn)>) -> Vec<(K, V)> + Sync,
+        combiner: Option<&dyn Combiner<K = K, V = V>>,
+        reducer: &R,
+        partitioner: &P,
+    ) -> Result<JobOutput<R::KOut, R::VOut>, JobError>
+    where
+        KIn: Send,
+        VIn: Send,
+        K: Send + Clone + Ord + Hash + ByteSize,
+        V: Send + Clone + ByteSize,
+        R: Reducer<KIn = K, VIn = V>,
+        P: Partitioner<K>,
+    {
+        let num_reducers = self.num_reducers;
+        if num_reducers == 0 {
+            return Err(JobError::NoReducers);
         }
-        let emitted = ctx.emitted.len() as u64;
-        let buffers = route_and_combine(ctx.emitted, combiner, partitioner, num_reducers);
-        (buffers, emitted)
-    });
-    let map_time = map_start.elapsed();
+        let requested_map_tasks = self.num_map_tasks.unwrap_or(num_reducers);
+        if requested_map_tasks == 0 {
+            return Err(JobError::NoMapTasks);
+        }
+        let workers = self.workers.unwrap_or_else(default_workers).max(1);
+        let input_records = input.len() as u64;
 
-    // ---- Shuffle phase ----------------------------------------------------
-    // The pairs are already routed; the shuffle is a transpose that hands
-    // partition `p` the buffer every map task produced for it, moving whole
-    // buffers rather than records.
-    let shuffle_start = Instant::now();
-    let mut shuffle_records = 0u64;
-    let mut shuffle_bytes = 0u64;
-    // With a combiner every emitted pair goes into it, and what crosses the
-    // shuffle is what came out.
-    let (mut combine_input_records, mut combine_output_records) = (0u64, 0u64);
-    let mut partition_inputs: Vec<PartitionInput<M::KOut, M::VOut>> = (0..num_reducers)
-        .map(|_| Vec::with_capacity(map_tasks))
-        .collect();
-    for (task_buffers, emitted) in map_results {
-        for (p, (buffer, volume)) in task_buffers.into_iter().enumerate() {
-            shuffle_records += volume.records;
-            shuffle_bytes += volume.bytes;
-            if combiner.is_some() {
-                combine_output_records += buffer.len() as u64;
-            }
-            partition_inputs[p].push(buffer);
-        }
-        if combiner.is_some() {
-            combine_input_records += emitted;
-        }
-    }
-    let shuffle_time = shuffle_start.elapsed();
-
-    // ---- Reduce phase ------------------------------------------------------
-    // Each reduce task merges the buffers it received into sorted key groups
-    // (the sort/group guarantee) and runs the reducer — grouping happens per
-    // partition inside the parallel region instead of globally up front.
-    let reduce_start = Instant::now();
-    let reduce_outputs: Vec<Vec<(R::KOut, R::VOut)>> =
-        parallel_map(partition_inputs, workers, |_, buffers| {
-            let mut groups: BTreeMap<M::KOut, Vec<M::VOut>> = BTreeMap::new();
-            for buffer in buffers {
-                for (k, v) in buffer {
-                    groups.entry(k).or_default().push(v);
-                }
-            }
-            let mut ctx = ReduceContext::default();
-            for (k, vs) in &groups {
-                reducer.reduce(k, vs, &mut ctx);
-            }
-            ctx.emitted
+        // ---- Map phase ---------------------------------------------------
+        // Each map task routes its own output into one buffer per reduce
+        // partition, sorts and combines each buffer in place, so all
+        // per-record shuffle work (routing, sorting, combining, byte
+        // accounting) happens inside the parallel region — the analogue of
+        // Hadoop's partitioned, sorted, combined spill files.
+        let map_start = Instant::now();
+        let splits = make_splits(input, requested_map_tasks);
+        let map_tasks = splits.len().max(1);
+        let map_results = parallel_map(splits, workers, |_, split| {
+            let emitted = map(split);
+            let count = emitted.len() as u64;
+            (spill(emitted, combiner, partitioner, num_reducers), count)
         });
-    let reduce_time = reduce_start.elapsed();
+        let map_time = map_start.elapsed();
 
-    let mut output = Vec::new();
-    for mut part in reduce_outputs {
-        output.append(&mut part);
+        // ---- Shuffle phase -----------------------------------------------
+        // The pairs are already routed; the shuffle is a transpose that hands
+        // partition `p` the run every map task produced for it, moving whole
+        // buffers rather than records.
+        let shuffle_start = Instant::now();
+        let mut shuffle_records = 0u64;
+        let mut shuffle_bytes = 0u64;
+        // With a combiner every emitted pair goes into it, and what crosses
+        // the shuffle is what came out.
+        let (mut combine_input_records, mut combine_output_records) = (0u64, 0u64);
+        let mut partition_inputs: Vec<PartitionInput<K, V>> = (0..num_reducers)
+            .map(|_| Vec::with_capacity(map_tasks))
+            .collect();
+        for (task_buffers, emitted) in map_results {
+            for (p, (buffer, volume)) in task_buffers.into_iter().enumerate() {
+                shuffle_records += volume.records;
+                shuffle_bytes += volume.bytes;
+                if combiner.is_some() {
+                    combine_output_records += buffer.len() as u64;
+                }
+                partition_inputs[p].push(buffer);
+            }
+            if combiner.is_some() {
+                combine_input_records += emitted;
+            }
+        }
+        let shuffle_time = shuffle_start.elapsed();
+
+        // ---- Reduce phase ------------------------------------------------
+        // Each reduce task merges the sorted runs it received into key groups
+        // (the sort/group guarantee) and runs the reducer — the merge happens
+        // per partition inside the parallel region, not globally up front.
+        let reduce_start = Instant::now();
+        let reduce_outputs: Vec<Vec<(R::KOut, R::VOut)>> =
+            parallel_map(partition_inputs, workers, |_, runs| {
+                let mut merged = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+                for mut run in runs {
+                    merged.append(&mut run);
+                }
+                let mut ctx = ReduceContext::default();
+                for_each_group(merged, |k, vs| reducer.reduce(k, vs, &mut ctx));
+                ctx.emitted
+            });
+        let reduce_time = reduce_start.elapsed();
+
+        let output: Vec<_> = reduce_outputs.into_iter().flatten().collect();
+        let metrics = JobMetrics {
+            job_name: self.name.clone(),
+            map_tasks,
+            reduce_tasks: num_reducers,
+            input_records,
+            shuffle_records,
+            shuffle_bytes,
+            combine_input_records,
+            combine_output_records,
+            output_records: output.len() as u64,
+            timings: PhaseTimings {
+                map: map_time,
+                shuffle: shuffle_time,
+                reduce: reduce_time,
+            },
+        };
+        Ok(JobOutput { output, metrics })
     }
-
-    let metrics = JobMetrics {
-        job_name: name.to_string(),
-        map_tasks,
-        reduce_tasks: num_reducers,
-        input_records,
-        shuffle_records,
-        shuffle_bytes,
-        combine_input_records,
-        combine_output_records,
-        output_records: output.len() as u64,
-        timings: PhaseTimings {
-            map: map_time,
-            shuffle: shuffle_time,
-            reduce: reduce_time,
-        },
-    };
-
-    Ok(JobOutput { output, metrics })
 }
 
-/// Routes one map task's output into one buffer per reduce partition, applies
-/// the optional combiner to each buffer, and accounts the shuffle bytes of
-/// whatever survives.  Runs inside the map task, so routing and combining are
-/// parallel across map tasks.
-fn route_and_combine<K, V, C, P>(
+/// The map step of the `run*` methods that take a [`Mapper`]: every pair of
+/// the split through `mapper`, in order.
+fn map_split<M: Mapper>(mapper: &M, split: Vec<(M::KIn, M::VIn)>) -> Vec<(M::KOut, M::VOut)> {
+    let mut ctx = MapContext::default();
+    for (k, v) in &split {
+        mapper.map(k, v, &mut ctx);
+    }
+    ctx.emitted
+}
+
+/// Writes one map task's spill: routes its output into one buffer per reduce
+/// partition, stably sorts each buffer by key, applies the optional combiner
+/// to each buffer's key runs, and accounts the shuffle bytes of whatever
+/// survives.  Runs inside the map task, so all of it is parallel across map
+/// tasks.
+fn spill<K, V, P>(
     emitted: Vec<(K, V)>,
-    combiner: Option<&C>,
+    combiner: Option<&dyn Combiner<K = K, V = V>>,
     partitioner: &P,
     num_reducers: usize,
 ) -> Vec<PartitionBuffer<K, V>>
 where
-    K: Clone + Ord + ByteSize,
-    V: Clone + ByteSize,
-    C: Combiner<K = K, V = V>,
+    K: Send + Clone + Ord + Hash + ByteSize,
+    V: Send + Clone + ByteSize,
     P: Partitioner<K>,
 {
     let mut buffers: Vec<Vec<(K, V)>> = (0..num_reducers).map(|_| Vec::new()).collect();
-    // Without a combiner the routed pairs cross the shuffle as-is, so they
-    // are accounted in this same pass; with one, the accounting has to wait
-    // for the (smaller) combined buffer below.
-    let mut routed = vec![ShuffleVolume::default(); num_reducers];
     for (k, v) in emitted {
         let p = partitioner.partition(&k, num_reducers);
         debug_assert!(p < num_reducers, "partitioner returned out-of-range index");
-        let p = p.min(num_reducers - 1);
-        if combiner.is_none() {
-            routed[p].charge(&k, &v);
-        }
-        buffers[p].push((k, v));
+        buffers[p.min(num_reducers - 1)].push((k, v));
     }
     buffers
         .into_iter()
-        .zip(routed)
-        .map(|(buffer, volume)| match combiner {
-            Some(c) if !buffer.is_empty() => {
-                let combined = apply_combiner(c, buffer);
-                let mut volume = ShuffleVolume::default();
-                combined.iter().for_each(|(k, v)| volume.charge(k, v));
-                (combined, volume)
+        .map(|mut buffer| {
+            if let Some(c) = combiner {
+                let mut combined = Vec::new();
+                for_each_group(buffer, |k, vs| {
+                    combined.extend(c.combine(k, vs).into_iter().map(|v| (k.clone(), v)));
+                });
+                buffer = combined;
+            } else {
+                buffer.sort_by(|a, b| a.0.cmp(&b.0));
             }
-            _ => (buffer, volume),
+            let mut volume = ShuffleVolume::default();
+            buffer.iter().for_each(|(k, v)| volume.charge(k, v));
+            (buffer, volume)
         })
         .collect()
 }
 
-/// Groups one partition buffer by key and applies the combiner, keeping keys
-/// in sorted order.
-fn apply_combiner<C: Combiner>(combiner: &C, buffer: Vec<(C::K, C::V)>) -> Vec<(C::K, C::V)> {
-    let mut grouped: BTreeMap<C::K, Vec<C::V>> = BTreeMap::new();
-    for (k, v) in buffer {
-        grouped.entry(k).or_default().push(v);
-    }
-    let mut combined = Vec::new();
-    for (k, vs) in grouped {
-        for v in combiner.combine(&k, &vs) {
-            combined.push((k.clone(), v));
+/// Stably sorts `pairs` by key, then calls `f` once per key, in ascending key
+/// order, with that key's values in their input order.  On pairs made of
+/// presorted runs the sort is a merge.  No map is built: each key's values
+/// are moved into one reused buffer, and dropped as soon as `f` returns, so
+/// what `f` allocates can reuse what the previous key freed.
+fn for_each_group<K: Ord, V>(mut pairs: Vec<(K, V)>, mut f: impl FnMut(&K, &[V])) {
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut pairs = pairs.into_iter().peekable();
+    let mut values = Vec::new();
+    while let Some((key, value)) = pairs.next() {
+        values.push(value);
+        while let Some((_, value)) = pairs.next_if(|(k, _)| *k == key) {
+            values.push(value);
         }
+        f(&key, &values);
+        values.clear();
     }
-    combined
 }
 
 /// Splits the input into at most `n` contiguous, near-equal chunks.
@@ -543,6 +565,7 @@ fn make_splits<T>(input: Vec<T>, n: usize) -> Vec<Vec<T>> {
 mod tests {
     use super::*;
     use crate::job::IdentityPartitioner;
+    use std::collections::BTreeMap;
 
     /// Identity mapper over (u64, u64) pairs.
     struct IdMap;
@@ -793,6 +816,15 @@ mod tests {
 
     #[test]
     fn identity_combiner_is_a_no_op() {
+        /// Passes every value through untouched.
+        struct PassThrough;
+        impl Combiner for PassThrough {
+            type K = u64;
+            type V = u64;
+            fn combine(&self, _k: &u64, values: &[u64]) -> Vec<u64> {
+                values.to_vec()
+            }
+        }
         let input = pairs(200);
         let plain = JobBuilder::new("plain")
             .reducers(3)
@@ -802,7 +834,7 @@ mod tests {
         let ident = JobBuilder::new("ident")
             .reducers(3)
             .map_tasks(3)
-            .run_with_optional_combiner(input, &IdMap, Some(&IdentityCombiner::new()), &SumRed)
+            .run_with_optional_combiner(input, &IdMap, Some(&PassThrough), &SumRed)
             .unwrap();
         let mut a = plain.output;
         let mut b = ident.output;
@@ -993,6 +1025,192 @@ mod tests {
                     combined.metrics.combine_output_records,
                     combined.metrics.shuffle_records
                 );
+            }
+        }
+    }
+
+    /// Sort-merge grouping against a `BTreeMap` oracle, which groups each
+    /// key's values in (map task, emission) order by construction.
+    mod grouping_oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Records every call, and answers with the values' sum and count:
+        /// two values per (map task, key), whose order the reducer must keep.
+        #[derive(Default)]
+        struct Recording(Mutex<Vec<(u64, Vec<u64>)>>);
+        impl Combiner for Recording {
+            type K = u64;
+            type V = u64;
+            fn combine(&self, k: &u64, values: &[u64]) -> Vec<u64> {
+                self.0.lock().unwrap().push((*k, values.to_vec()));
+                vec![values.iter().sum(), values.len() as u64]
+            }
+        }
+
+        impl Recording {
+            /// The calls, in a canonical order (map tasks call concurrently).
+            fn calls(self) -> Vec<(u64, Vec<u64>)> {
+                let mut calls = self.0.into_inner().unwrap();
+                calls.sort();
+                calls
+            }
+        }
+
+        /// Emits each key with its values as the reducer received them.
+        struct Collect;
+        impl Reducer for Collect {
+            type KIn = u64;
+            type VIn = u64;
+            type KOut = u64;
+            type VOut = Vec<u64>;
+            fn reduce(&self, k: &u64, vs: &[u64], ctx: &mut ReduceContext<u64, Vec<u64>>) {
+                ctx.emit(*k, vs.to_vec());
+            }
+        }
+
+        /// Every counter of a [`JobMetrics`]: all of it but the timings.
+        type Counters = (String, usize, usize, u64, u64, u64, u64, u64, u64);
+
+        fn counters(m: &JobMetrics) -> Counters {
+            (
+                m.job_name.clone(),
+                m.map_tasks,
+                m.reduce_tasks,
+                m.input_records,
+                m.shuffle_records,
+                m.shuffle_bytes,
+                m.combine_input_records,
+                m.combine_output_records,
+                m.output_records,
+            )
+        }
+
+        /// The output, the sorted combiner calls and the counters of an
+        /// identity-mapped job with the [`Recording`] combiner (or none),
+        /// grouped per map task and per reduce partition by `BTreeMap`s.
+        type Expected = (Vec<(u64, Vec<u64>)>, Vec<(u64, Vec<u64>)>, Counters);
+
+        fn oracle(
+            input: &[(u64, u64)],
+            map_tasks: usize,
+            reducers: usize,
+            combine: bool,
+        ) -> Expected {
+            let splits = make_splits(input.to_vec(), map_tasks);
+            let mut calls = Vec::new();
+            let mut shuffled = 0u64;
+            let mut partitions: Vec<BTreeMap<u64, Vec<u64>>> = vec![BTreeMap::new(); reducers];
+            for split in &splits {
+                let mut buffers: Vec<BTreeMap<u64, Vec<u64>>> = vec![BTreeMap::new(); reducers];
+                for &(k, v) in split {
+                    let p = HashPartitioner.partition(&k, reducers);
+                    buffers[p].entry(k).or_default().push(v);
+                }
+                for (p, buffer) in buffers.into_iter().enumerate() {
+                    for (k, vs) in buffer {
+                        let vs = if combine {
+                            calls.push((k, vs.clone()));
+                            vec![vs.iter().sum(), vs.len() as u64]
+                        } else {
+                            vs
+                        };
+                        shuffled += vs.len() as u64;
+                        partitions[p].entry(k).or_default().extend(vs);
+                    }
+                }
+            }
+            calls.sort();
+            let output: Vec<_> = partitions.into_iter().flatten().collect();
+            let combined = |n: u64| if combine { n } else { 0 };
+            let counters = (
+                "job".to_string(),
+                splits.len(),
+                reducers,
+                input.len() as u64,
+                shuffled,
+                shuffled * 16,
+                combined(input.len() as u64),
+                combined(shuffled),
+                output.len() as u64,
+            );
+            (output, calls, counters)
+        }
+
+        /// `raw` keyed into a handful of keys (duplicate-heavy), a few
+        /// hundred, or all of `u64` (nearly every key unique), by `spread`;
+        /// each value is its pair's input position, so value order shows.
+        fn keyed(raw: &[u64], spread: usize) -> Vec<(u64, u64)> {
+            let space = [3, 200, u64::MAX][spread];
+            raw.iter()
+                .enumerate()
+                .map(|(i, r)| (r % space, i as u64))
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            /// Keys, the order of each key's values, what every combiner call
+            /// sees and every counter equal the `BTreeMap` grouping's.
+            #[test]
+            fn sort_merge_grouping_matches_a_btreemap_oracle(
+                raw in collection::vec(0u64..u64::MAX, 0..400),
+                spread in 0usize..3,
+                map_tasks in 1usize..10,
+                reducers in 1usize..7,
+                workers in 1usize..5,
+                combine in bool::ANY,
+            ) {
+                let input = keyed(&raw, spread);
+                let recording = Recording::default();
+                let out = JobBuilder::new("job")
+                    .reducers(reducers)
+                    .map_tasks(map_tasks)
+                    .workers(workers)
+                    .run_with_optional_combiner(
+                        input.clone(),
+                        &IdMap,
+                        combine.then_some(&recording),
+                        &Collect,
+                    )
+                    .unwrap();
+                let (output, calls, expected) = oracle(&input, map_tasks, reducers, combine);
+                prop_assert_eq!(out.output, output);
+                prop_assert_eq!(recording.calls(), calls);
+                prop_assert_eq!(counters(&out.metrics), expected);
+            }
+
+            /// `run_keyed` is the identity mapper without the clones: the
+            /// same output, combiner calls and counters.
+            #[test]
+            fn run_keyed_equals_an_identity_mapper(
+                raw in collection::vec(0u64..u64::MAX, 0..400),
+                spread in 0usize..3,
+                map_tasks in 1usize..10,
+                reducers in 1usize..7,
+                workers in 1usize..5,
+                combine in bool::ANY,
+            ) {
+                let input = keyed(&raw, spread);
+                let job = JobBuilder::new("job")
+                    .reducers(reducers)
+                    .map_tasks(map_tasks)
+                    .workers(workers);
+                let (keyed_calls, mapped_calls) = (Recording::default(), Recording::default());
+                let keyed = job
+                    .run_keyed(input.clone(), combine.then_some(&keyed_calls), &Collect)
+                    .unwrap();
+                let mapped = job
+                    .run_with_optional_combiner(
+                        input,
+                        &IdMap,
+                        combine.then_some(&mapped_calls),
+                        &Collect,
+                    )
+                    .unwrap();
+                prop_assert_eq!(keyed.output, mapped.output);
+                prop_assert_eq!(keyed_calls.calls(), mapped_calls.calls());
+                prop_assert_eq!(counters(&keyed.metrics), counters(&mapped.metrics));
             }
         }
     }

@@ -121,31 +121,6 @@ pub trait Combiner: Send + Sync {
     fn combine(&self, key: &Self::K, values: &[Self::V]) -> Vec<Self::V>;
 }
 
-/// A combiner that passes values through untouched; used internally when a
-/// job is run without a combiner.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IdentityCombiner<K, V>(std::marker::PhantomData<fn() -> (K, V)>);
-
-impl<K, V> IdentityCombiner<K, V> {
-    /// Creates the identity combiner.
-    pub fn new() -> Self {
-        Self(std::marker::PhantomData)
-    }
-}
-
-impl<K, V> Combiner for IdentityCombiner<K, V>
-where
-    K: Send + Clone + Ord + Hash + ByteSize,
-    V: Send + Clone + ByteSize,
-{
-    type K = K;
-    type V = V;
-
-    fn combine(&self, _key: &K, values: &[V]) -> Vec<V> {
-        values.to_vec()
-    }
-}
-
 /// Routes an intermediate key to one of the `num_reducers` reduce tasks.
 pub trait Partitioner<K>: Send + Sync {
     /// Returns the reducer index in `0..num_reducers` for `key`.

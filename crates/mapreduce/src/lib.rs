@@ -7,9 +7,10 @@
 //! * executes user-supplied [`Mapper`] and [`Reducer`] implementations over a
 //!   configurable number of map tasks and reduce tasks,
 //! * performs a real, *shuffle-lean* shuffle — every map task hash-routes its
-//!   output into per-reduce-partition buffers via the job's [`Partitioner`]
-//!   and runs the optional map-side [`Combiner`] before anything crosses the
-//!   shuffle; reduce tasks group and sort their partitions in parallel — and
+//!   output into per-reduce-partition buffers via the job's [`Partitioner`],
+//!   sorts each buffer by key and runs the optional map-side [`Combiner`]
+//!   before anything crosses the shuffle; reduce tasks merge their sorted
+//!   runs into key groups in parallel — and
 //!   **accounts every byte** that crosses it (the paper's "shuffling cost"
 //!   metric, Figures 8c–12c), and
 //! * reports each job's shuffle and combine volume and per-phase wall-clock
@@ -73,8 +74,8 @@ pub mod sync;
 pub use bytesize::ByteSize;
 pub use engine::{default_workers, parallel_map, JobBuilder, JobError, JobOutput};
 pub use job::{
-    Combiner, HashPartitioner, IdentityCombiner, IdentityPartitioner, MapContext, Mapper,
-    Partitioner, ReduceContext, Reducer,
+    Combiner, HashPartitioner, IdentityPartitioner, MapContext, Mapper, Partitioner, ReduceContext,
+    Reducer,
 };
 pub use metrics::{JobMetrics, PhaseTimings};
 pub use sync::{RankedMutex, RankedRwLock};

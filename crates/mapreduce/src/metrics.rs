@@ -9,15 +9,16 @@ use std::time::Duration;
 /// Wall-clock duration of each phase of a job.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
-    /// Time spent running map tasks, including the per-partition routing and
-    /// combiner work each map task performs before handing its buffers over.
+    /// Time spent running map tasks, including the per-partition routing,
+    /// spill sort and combiner work each map task performs before handing
+    /// its buffers over.
     pub map: Duration,
     /// Time spent moving the per-task partition buffers to their reduce
     /// partitions (a transpose of already-routed buffers; the per-record work
     /// happens inside the map and reduce phases).
     pub shuffle: Duration,
-    /// Time spent running reduce tasks, including each task's group-by-key
-    /// merge of the buffers it received.
+    /// Time spent running reduce tasks, including each task's run merge: the
+    /// stable sort that merges the sorted runs it received into key groups.
     pub reduce: Duration,
 }
 

@@ -26,10 +26,9 @@
 //! the seed.  Running times, latencies and throughput are measured with a
 //! spread by `benchmark/` and declared in `BENCHMARK.json`; the paper's
 //! figures still print their running-time panels, which no check reads.
-//! A `perf_baseline` check also fails when a `Fast` PGBJ / PBJ row of the
-//! run spends other distance computations than its `Exact` twin (both modes
-//! walk the same tiles), when a `Fast` H-BRJ row differs from its `Exact`
-//! twin on any deterministic field (the R-tree knows no mode), when a cold
+//! A `perf_baseline` check also fails when a `Fast` row of the run, cold
+//! or prepared, differs from its `Exact` twin on any deterministic field
+//! (no scan reads the mode), when a cold
 //! PBJ row's pivot-assignment computations differ from its PGBJ twin's (they
 //! run one front half), or when a cold PGBJ row's shuffle records are not
 //! job 1's batches plus one per routed object (a cell slice is accounted as

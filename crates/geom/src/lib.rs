@@ -7,11 +7,11 @@
 //!
 //! * [`Point`] — an identified, owned vector of `f64` coordinates,
 //! * [`PointSet`] — a dataset of points with convenience accessors,
-//! * [`CoordMatrix`] — flat row-major coordinate storage for the distance
-//!   hot loops (pivot assignment, Algorithm 3 scans, index leaf scans),
+//! * [`CoordMatrix`] — flat row-major coordinate storage for the pivot
+//!   sets and other row-at-a-time loops,
 //! * [`kernels`] — monomorphized per-metric distance kernels, including the
-//!   sqrt-free [`kernels::squared_euclidean`] and the batched SIMD variants
-//!   [`KernelMode::Fast`] selects,
+//!   sqrt-free [`kernels::squared_euclidean`] and the bit-exact
+//!   column-major tile kernels every scan ranks its rows with,
 //! * [`DistanceMetric`] — L2 / L1 / L∞ distance functions,
 //! * [`Record`] / [`Record::encode`] — the compact binary encoding whose
 //!   length is the unit shuffle volume is accounted in (the reference for

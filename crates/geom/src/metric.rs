@@ -6,7 +6,7 @@
 //! here; every algorithm in the workspace is parameterised by a
 //! [`DistanceMetric`].
 
-use crate::kernels::{self, BatchKernel, ColumnKernel, Kernel};
+use crate::kernels::{self, ColumnKernel, Kernel};
 use crate::point::Point;
 
 /// A metric on the `n`-dimensional space `D`.
@@ -63,20 +63,6 @@ impl DistanceMetric {
         }
     }
 
-    /// The one-query-vs-many-rows rank kernel whose every output is
-    /// bit-identical to [`DistanceMetric::rank_kernel`] on the same row, on
-    /// any CPU (the [`crate::kernels::KernelMode::Exact`] tile kernel: one
-    /// row per SIMD lane, no FMA, no reassociation).  Followed by
-    /// [`DistanceMetric::rank_to_distance`] it yields
-    /// [`DistanceMetric::distance_coords`]' bits.
-    pub fn exact_batch_rank_kernel(&self) -> BatchKernel {
-        match self {
-            DistanceMetric::Euclidean => kernels::squared_euclidean_batch_exact,
-            DistanceMetric::Manhattan => kernels::manhattan_batch_exact,
-            DistanceMetric::Chebyshev => kernels::chebyshev_batch_exact,
-        }
-    }
-
     /// The one-query-vs-a-row-run rank kernel over a column-major block
     /// whose every output is bit-identical to [`DistanceMetric::rank_kernel`]
     /// on the same row, on any CPU (see [`ColumnKernel`]).
@@ -85,18 +71,6 @@ impl DistanceMetric {
             DistanceMetric::Euclidean => kernels::squared_euclidean_columns,
             DistanceMetric::Manhattan => kernels::manhattan_columns,
             DistanceMetric::Chebyshev => kernels::chebyshev_columns,
-        }
-    }
-
-    /// The reassociated one-query-vs-many-rows rank kernel (the
-    /// [`crate::kernels::KernelMode::Fast`] tile kernel, see [`BatchKernel`]):
-    /// agrees with [`DistanceMetric::rank_kernel`] to ~1e-9 relative.
-    /// Convert the ranks back with [`DistanceMetric::rank_to_distance`].
-    pub fn batch_rank_kernel(&self) -> BatchKernel {
-        match self {
-            DistanceMetric::Euclidean => kernels::squared_euclidean_batch,
-            DistanceMetric::Manhattan => kernels::manhattan_batch,
-            DistanceMetric::Chebyshev => kernels::chebyshev_batch,
         }
     }
 
@@ -199,10 +173,8 @@ mod tests {
             assert_eq!((m.kernel())(&a, &b).to_bits(), d.to_bits());
             let rank = (m.rank_kernel())(&a, &b);
             assert_eq!(m.rank_to_distance(rank).to_bits(), d.to_bits());
-            let mut tile = [0.0];
-            (m.exact_batch_rank_kernel())(&a, &b, 3, &mut tile);
-            assert_eq!(tile[0].to_bits(), rank.to_bits());
             // One row is its own three one-row columns.
+            let mut tile = [0.0];
             (m.column_rank_kernel())(&a, &b, 1, 0, &mut tile);
             assert_eq!(tile[0].to_bits(), rank.to_bits());
         }

@@ -44,7 +44,7 @@ pub(crate) fn join(
             },
             &BroadcastReducer {
                 k: plan.k,
-                kernels: ScanKernels::new(plan.metric, plan.kernel_mode),
+                kernels: ScanKernels::new(plan.metric),
                 tally: &tally,
             },
             &IdentityPartitioner,
@@ -153,9 +153,13 @@ mod tests {
                 b.kernel_mode(KernelMode::Fast)
             });
             assert!(
-                got.matches(&exact, 1e-9),
+                got.matches(&exact, 0.0),
                 "{metric:?}: {:?}",
-                got.mismatch_against(&exact, 1e-9)
+                got.mismatch_against(&exact, 0.0)
+            );
+            assert_eq!(
+                got.metrics.distance_computations,
+                exact.metrics.distance_computations
             );
         }
     }

@@ -12,10 +12,8 @@
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
 use crate::result::JoinRow;
-use geom::kernels::{BatchKernel, ColumnKernel, Kernel, PROBE_TILE};
-use geom::{
-    DistanceMetric, KernelMode, Neighbor, NeighborList, Point, PointSet, Record, RecordKind,
-};
+use geom::kernels::{ColumnKernel, Kernel, PROBE_TILE};
+use geom::{DistanceMetric, Neighbor, NeighborList, Point, PointSet, Record, RecordKind};
 use mapreduce::{parallel_map, ByteSize};
 use std::ops::Range;
 use std::sync::Arc;
@@ -106,10 +104,8 @@ pub struct ScanCounts {
 }
 
 /// The kernels one scan evaluates candidates with, built once per join from
-/// the plan — the one place its [`KernelMode`] is read.  The mode picks the
-/// row-major tile kernel and nothing else, so a scan written against this
-/// walks the same rows in the same order whatever the mode; the column
-/// kernel, which ranks the Voronoi cells, is exact in both.
+/// the plan's metric.  Every block a scan ranks is column-major, so one
+/// bit-exact column kernel serves them all.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScanKernels {
     /// The metric every kernel computes; tile ranks are offered with it
@@ -118,25 +114,17 @@ pub(crate) struct ScanKernels {
     /// The scalar true-distance kernel, for isolated evaluations (an object
     /// against a pivot, a per-candidate recheck).
     pub pair: Kernel,
-    /// Rank kernel for contiguous runs of row-major rows: the lane-per-row
-    /// kernel whose outputs are bit-identical to the scalar rank kernel's in
-    /// `Exact` mode, the FMA batch kernel in `Fast`.
-    pub tile: BatchKernel,
-    /// Rank kernel for row runs of a column-major Voronoi cell, bit-identical
-    /// to the scalar rank kernel in either mode.
+    /// Rank kernel for row runs of a column-major block, bit-identical to
+    /// the scalar rank kernel.
     pub columns: ColumnKernel,
 }
 
 impl ScanKernels {
-    pub(crate) fn new(metric: DistanceMetric, mode: KernelMode) -> Self {
+    pub(crate) fn new(metric: DistanceMetric) -> Self {
         Self {
             metric,
             pair: metric.kernel(),
             columns: metric.column_rank_kernel(),
-            tile: match mode {
-                KernelMode::Exact => metric.exact_batch_rank_kernel(),
-                KernelMode::Fast => metric.batch_rank_kernel(),
-            },
         }
     }
 }
@@ -157,43 +145,23 @@ impl TileScratch {
     }
 }
 
-/// Walks `n` rows in [`PROBE_TILE`]-row tiles, calling `each(first, last)`
-/// with every tile's half-open row range.  `each` is a scan's hot tile loop,
-/// so the walk is always folded into the caller.
-#[inline(always)]
-pub(crate) fn for_each_tile(n: usize, mut each: impl FnMut(usize, usize)) {
-    let mut t0 = 0;
-    while t0 < n {
-        let t1 = (t0 + PROBE_TILE).min(n);
-        each(t0, t1);
-        t0 = t1;
-    }
-}
-
 /// The delta rule of the prepared scan: the overlay's adds are offered
-/// *first* — ranked `PROBE_TILE` rows at a time by `tile`, the scan's own
-/// tile kernel for `metric`, so they tighten the running threshold before
-/// any frozen row is looked at — then the frozen cells are searched, every
-/// evaluated row billed and a tombstoned one masked on offer
-/// ([`NeighborList::offer_ranks`] with [`DeltaOverlay::tombstones`]).
-/// Returns the scan's counts so far: the adds evaluated, which is all of
-/// them.
+/// *first* — one [`crate::exact::FlatBlock::offer`] walk over all of them,
+/// so they tighten the running threshold before any frozen row is looked
+/// at — then the frozen cells are searched, every evaluated row billed and
+/// a tombstoned one masked on offer ([`NeighborList::offer_ranks`] with
+/// [`DeltaOverlay::tombstones`]).  Returns the scan's counts so far: the
+/// adds evaluated, which is all of them.
 pub(crate) fn offer_adds(
     delta: &DeltaOverlay,
     query: &[f64],
-    tile: BatchKernel,
-    metric: DistanceMetric,
+    kernels: &ScanKernels,
     scratch: &mut TileScratch,
     neighbors: &mut NeighborList,
 ) -> ScanCounts {
-    let (ids, rows, dim) = (delta.add_ids(), delta.add_rows(), query.len());
-    for_each_tile(ids.len(), |t0, t1| {
-        let ranks = &mut scratch.ranks[..t1 - t0];
-        tile(query, &rows[t0 * dim..t1 * dim], dim, ranks);
-        neighbors.offer_ranks(&ids[t0..t1], ranks, &[], metric);
-    });
+    let adds = delta.add_block();
     ScanCounts {
-        delta: ids.len() as u64,
+        delta: adds.offer(query, 0..adds.len(), kernels, scratch, neighbors),
         ..ScanCounts::default()
     }
 }

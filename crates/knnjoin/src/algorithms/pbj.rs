@@ -47,7 +47,7 @@ pub(crate) fn join(
         &PbjCellReducer {
             tables,
             k: plan.k,
-            kernels: ScanKernels::new(plan.metric, plan.kernel_mode),
+            kernels: ScanKernels::new(plan.metric),
             tally: &tally,
         },
         metrics,
@@ -147,7 +147,7 @@ mod tests {
     use crate::pivots::{select_pivots, PivotSelectionStrategy};
     use crate::Algorithm::{Hbrj, Pbj, Pgbj};
     use datagen::{gaussian_clusters, uniform, ClusterConfig};
-    use geom::{DistanceMetric, KernelMode};
+    use geom::DistanceMetric;
     use proptest::prelude::*;
 
     const EUCLIDEAN: DistanceMetric = DistanceMetric::Euclidean;
@@ -314,7 +314,7 @@ mod tests {
             let reducer = PbjCellReducer {
                 tables: Arc::clone(&tables),
                 k,
-                kernels: ScanKernels::new(EUCLIDEAN, KernelMode::Exact),
+                kernels: ScanKernels::new(EUCLIDEAN),
                 tally: &Tally::default(),
             };
             for i in 0..pivots.len() {

@@ -69,7 +69,7 @@ pub(crate) fn join(
                 tables,
                 theta: bounds.theta,
                 k: plan.k,
-                kernels: ScanKernels::new(plan.metric, plan.kernel_mode),
+                kernels: ScanKernels::new(plan.metric),
                 tally: &tally,
             },
             &IdentityPartitioner,

@@ -4,10 +4,9 @@
 //! prepared state that runs it against a resident `S` (`VoronoiPrepared`).
 //!
 //! §6 of the paper defines PBJ as PGBJ's bounds without the grouping, so both
-//! algorithms — cold or prepared, with or without a delta overlay, in any
-//! kernel mode — share everything up to the summary tables and call the same
-//! scan; they differ only in where the `S` partitions, the scan order and
-//! `θ_i` come from.
+//! algorithms — cold or prepared, with or without a delta overlay — share
+//! everything up to the summary tables and call the same scan; they differ
+//! only in where the `S` partitions, the scan order and `θ_i` come from.
 
 use crate::algorithms::common::{offer_adds, probe_rows, ScanCounts, ScanKernels, TileScratch};
 use crate::bounds::{bounding_knn_theta, hyperplane_bound, theorem2_window};
@@ -30,6 +29,10 @@ use std::time::Instant;
 /// One object on its way into a [`FlatPartition`]: its distance to the
 /// cell's pivot, its id, its coordinates.
 type Row<'a> = (f64, PointId, &'a [f64]);
+
+/// One of a delta's adds on its way into a cell at compaction: `(pivot
+/// distance, id, index among the overlay's adds)`.
+type AddRow = (f64, PointId, usize);
 
 /// The order of a cell's rows, by `(pivot distance, id)` key: ascending
 /// pivot distance, ties by id.
@@ -146,8 +149,9 @@ impl FlatPartition {
 
     /// The rows not tombstoned in `delta`, merged with `adds` (in cell
     /// order; an add goes before an equal row).  Each run of surviving rows
-    /// is copied with one `extend_from_slice` per field and column.
-    fn merged(&self, delta: &DeltaOverlay, adds: &[Row<'_>]) -> Self {
+    /// is copied with one `extend_from_slice` per field and column, and an
+    /// add's coordinates are read from the overlay's columns.
+    fn merged(&self, delta: &DeltaOverlay, adds: &[AddRow]) -> Self {
         /// A run of surviving rows, or one add.
         enum Piece {
             Kept(Range<usize>),
@@ -171,7 +175,7 @@ impl FlatPartition {
 
         let (mut pieces, mut next) = (Vec::new(), 0);
         for i in (0..self.len()).filter(|&i| !delta.is_tombstoned(self.ids[i])) {
-            let below = |add: &&Row<'_>| cell_order((add.0, add.1), self.key(i)).is_lt();
+            let below = |add: &&AddRow| cell_order((add.0, add.1), self.key(i)).is_lt();
             while adds.get(next).filter(below).is_some() {
                 pieces.push(Piece::Added(next));
                 next += 1;
@@ -189,7 +193,8 @@ impl FlatPartition {
         assemble(&mut pivot_dists, &pieces, &self.pivot_dists, |a| adds[a].0);
         let mut columns = Vec::with_capacity(self.dims * ids.len());
         for d in 0..self.dims {
-            assemble(&mut columns, &pieces, self.column(d), |a| adds[a].2[d]);
+            let added = delta.add_block().column(d);
+            assemble(&mut columns, &pieces, self.column(d), |a| added[adds[a].2]);
         }
         Self {
             ids,
@@ -324,7 +329,7 @@ const SCAN_TILE: usize = 32;
 
 /// The pruned candidate scan at the heart of Algorithm 3 (lines 16–25) — the
 /// single implementation behind the PGBJ group reducer, the PBJ cell reducer
-/// and the prepared probe, under any delta overlay, in either kernel mode.
+/// and the prepared probe, under any delta overlay.
 ///
 /// For one `R` object `r` (in partition `r_partition`, `r_pivot_dist` from
 /// its pivot), [`VoronoiScan::scan`] visits the `S` cells in the order
@@ -350,13 +355,12 @@ const SCAN_TILE: usize = 32;
 ///    on the way in keeps θ above its own `||p_j, s| − |p_j, r||`, hence
 ///    above that of every row between it and the centre.
 ///
-/// The frozen cells are ranked by the exact column kernel
-/// (`ScanKernels::columns`) in either kernel mode, so the scan returns the
-/// scalar kernel's bits and its answers equal a brute-force scan's bit for
-/// bit; the mode reaches only the delta's adds.  θ, the cut, Corollary 1
-/// and the window compare true distances; the one rank-space comparison is
-/// `offer_ranks`' skip, whose bound is widened so that it only skips rows
-/// `offer` would reject.
+/// The frozen cells and the delta's adds are ranked by the exact column
+/// kernel (`ScanKernels::columns`), so the scan returns the scalar kernel's
+/// bits and its answers equal a brute-force scan's bit for bit.  θ, the
+/// cut, Corollary 1 and the window compare true distances; the one
+/// rank-space comparison is `offer_ranks`' skip, whose bound is widened so
+/// that it only skips rows `offer` would reject.
 ///
 /// The scan's delta overlay (the cold reducers' is empty) is merged by the
 /// rule of `common::offer_adds`: its added points are offered into the
@@ -409,12 +413,11 @@ impl<'a> VoronoiScan<'a> {
         let tables = self.tables;
         let pivots: &CoordMatrix = &tables.pivots;
         let mut neighbors = NeighborList::new(self.k);
-        let (tile, metric) = (self.kernels.tile, self.kernels.metric);
+        let metric = self.kernels.metric;
         let mut counts = offer_adds(
             self.delta,
             r_coords,
-            tile,
-            metric,
+            &self.kernels,
             &mut self.scratch,
             &mut neighbors,
         );
@@ -880,11 +883,11 @@ impl VoronoiPrepared {
                 affected[j] = part.cell.ids.iter().any(|id| delta.is_tombstoned(*id));
             }
         }
-        let mut add_cells: Vec<Vec<Row<'_>>> = vec![Vec::new(); affected.len()];
-        for (id, coords) in delta.adds() {
-            let (cell, dist) = assign(&self.partitioner, coords, metrics);
+        let mut add_cells: Vec<Vec<AddRow>> = vec![Vec::new(); affected.len()];
+        for (a, (id, coords)) in delta.adds().enumerate() {
+            let (cell, dist) = assign(&self.partitioner, &coords, metrics);
             affected[cell] = true;
-            add_cells[cell].push((dist, id, coords));
+            add_cells[cell].push((dist, id, a));
         }
 
         let mut s_parts = self.s_parts.clone();
@@ -893,7 +896,7 @@ impl VoronoiPrepared {
             if !affected[j] {
                 continue;
             }
-            adds.sort_unstable_by(row_order);
+            adds.sort_unstable_by(|a, b| cell_order((a.0, a.1), (b.0, b.1)));
             // A prepared cell is whole: its slice starts at row 0.
             let old = self.s_parts.get(j).map_or(&empty, |slice| &*slice.cell);
             let cell = CellSlice::whole(old.merged(delta, &adds));
@@ -981,7 +984,7 @@ impl VoronoiPrepared {
             .collect();
         metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
 
-        let kernels = ScanKernels::new(plan.metric, plan.kernel_mode);
+        let kernels = ScanKernels::new(plan.metric);
         probe_rows(
             rows,
             workers,
@@ -1027,7 +1030,7 @@ mod tests {
     use crate::partition::PartitionedDataset;
     use crate::pivots::{select_pivots, PivotSelectionStrategy};
     use datagen::uniform;
-    use geom::{DistanceMetric, KernelMode};
+    use geom::DistanceMetric;
     use proptest::prelude::*;
 
     const METRICS: [DistanceMetric; 3] = [
@@ -1140,32 +1143,27 @@ mod tests {
             let s = uniform(n_s, dims, 50.0, seed ^ 0xABCD);
             let f = fixture(&r, &s, k, pivot_count, metric, seed);
             // An overlay emptied by mutations, not the one born empty.
-            let mut emptied = DeltaOverlay::default();
-            emptied.insert_add(7, &vec![1.0; dims]);
-            emptied.remove_add(7);
-            for mode in [KernelMode::Exact, KernelMode::Fast] {
-                let kernels = ScanKernels::new(metric, mode);
-                let mut frozen = VoronoiScan::new(&f.tables, k, kernels, &NO_DELTA);
-                let mut overlaid = VoronoiScan::new(&f.tables, k, kernels, &emptied);
-                let mut verdict = Ok(());
-                f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
-                    let a = frozen.scan(&r_obj.coords, r_pivot_dist, i, &f.s_parts, s_order, f.theta[i]);
-                    let b = overlaid.scan(&r_obj.coords, r_pivot_dist, i, &f.s_parts, s_order, f.theta[i]);
-                    if a != b && verdict.is_ok() {
-                        verdict = Err(format!("{mode:?}: {a:?} vs {b:?}"));
-                    }
-                });
-                prop_assert!(verdict.is_ok(), "{:?}", verdict);
-            }
+            let added = DeltaOverlay::default().after_insert(7, &vec![1.0; dims], false);
+            let emptied = added.after_delete(7, false).expect("the add is dropped");
+            let kernels = ScanKernels::new(metric);
+            let mut frozen = VoronoiScan::new(&f.tables, k, kernels, &NO_DELTA);
+            let mut overlaid = VoronoiScan::new(&f.tables, k, kernels, &emptied);
+            let mut verdict = Ok(());
+            f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
+                let a = frozen.scan(&r_obj.coords, r_pivot_dist, i, &f.s_parts, s_order, f.theta[i]);
+                let b = overlaid.scan(&r_obj.coords, r_pivot_dist, i, &f.s_parts, s_order, f.theta[i]);
+                if a != b && verdict.is_ok() {
+                    verdict = Err(format!("{a:?} vs {b:?}"));
+                }
+            });
+            prop_assert!(verdict.is_ok(), "{:?}", verdict);
         }
 
-        /// Without a delta the mode cannot reach the Voronoi scan: both modes
-        /// rank frozen cells with the one exact column kernel, so per `R`
-        /// object they return the same neighbour list at the same
-        /// `ScanCounts`, and that list is what a brute-force scan answers,
-        /// bit for bit.
+        /// The frozen cells are ranked with the exact column kernel, so per
+        /// `R` object the scan answers what a brute-force scan answers, bit
+        /// for bit.
         #[test]
-        fn both_modes_scan_frozen_cells_identically_and_answer_the_oracle(
+        fn the_frozen_scan_answers_the_oracle_bit_for_bit(
             n_r in 5usize..40,
             n_s in 100usize..1200,
             k in 1usize..12,
@@ -1178,8 +1176,7 @@ mod tests {
             let r = uniform(n_r, dims, 50.0, seed);
             let s = uniform(n_s, dims, 50.0, seed ^ 0x5EED);
             let f = fixture(&r, &s, k, pivot_count, metric, seed);
-            let mut exact = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric, KernelMode::Exact), &NO_DELTA);
-            let mut fast = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric, KernelMode::Fast), &NO_DELTA);
+            let mut scan = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric), &NO_DELTA);
             let mut verdict = Ok(());
             f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
                 let mut oracle = NeighborList::new(k);
@@ -1187,14 +1184,10 @@ mod tests {
                     oracle.offer(s_obj.id, metric.distance(r_obj, s_obj));
                 }
                 let want: Vec<u64> = oracle.into_sorted().iter().map(|n| n.distance.to_bits()).collect();
-                let e = exact.scan(&r_obj.coords, r_pivot_dist, i, &f.s_parts, s_order, f.theta[i]);
-                let fc = fast.scan(&r_obj.coords, r_pivot_dist, i, &f.s_parts, s_order, f.theta[i]);
-                let got: Vec<u64> = e.0.iter().map(|n| n.distance.to_bits()).collect();
-                if verdict.is_ok() && (got != want || e != fc) {
-                    verdict = Err(format!(
-                        "r {}: exact {e:?}, fast {fc:?}, oracle distance bits {want:?}",
-                        r_obj.id
-                    ));
+                let (rows, _) = scan.scan(&r_obj.coords, r_pivot_dist, i, &f.s_parts, s_order, f.theta[i]);
+                let got: Vec<u64> = rows.iter().map(|n| n.distance.to_bits()).collect();
+                if verdict.is_ok() && got != want {
+                    verdict = Err(format!("r {}: {rows:?}, oracle distance bits {want:?}", r_obj.id));
                 }
             });
             prop_assert!(verdict.is_ok(), "{:?}", verdict);
@@ -1221,34 +1214,31 @@ mod tests {
         let (r, s) = (around_centres(-0.4), around_centres(-0.5));
         for metric in METRICS {
             let f = fixture_over(centres.clone(), &r, &s, k, metric);
-            for mode in [KernelMode::Exact, KernelMode::Fast] {
-                let mut scan =
-                    VoronoiScan::new(&f.tables, k, ScanKernels::new(metric, mode), &NO_DELTA);
-                f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
-                    let (rows, counts) = scan.scan(
-                        &r_obj.coords,
-                        r_pivot_dist,
-                        i,
-                        &f.s_parts,
-                        s_order,
-                        f.theta[i],
-                    );
-                    assert_eq!(s_order.len(), centres.len());
-                    assert!(
-                        counts.frozen < s_order.len() as u64,
-                        "{metric:?} {mode:?} r {}: {} evaluations over {} cells",
-                        r_obj.id,
-                        counts.frozen,
-                        s_order.len()
-                    );
-                    let mut oracle = NeighborList::new(k);
-                    for s_obj in &s {
-                        oracle.offer(s_obj.id, metric.distance(r_obj, s_obj));
-                    }
-                    let want = oracle.into_sorted();
-                    assert_eq!(rows, want, "{metric:?} {mode:?}");
-                });
-            }
+            let mut scan = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric), &NO_DELTA);
+            f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
+                let (rows, counts) = scan.scan(
+                    &r_obj.coords,
+                    r_pivot_dist,
+                    i,
+                    &f.s_parts,
+                    s_order,
+                    f.theta[i],
+                );
+                assert_eq!(s_order.len(), centres.len());
+                assert!(
+                    counts.frozen < s_order.len() as u64,
+                    "{metric:?} r {}: {} evaluations over {} cells",
+                    r_obj.id,
+                    counts.frozen,
+                    s_order.len()
+                );
+                let mut oracle = NeighborList::new(k);
+                for s_obj in &s {
+                    oracle.offer(s_obj.id, metric.distance(r_obj, s_obj));
+                }
+                let want = oracle.into_sorted();
+                assert_eq!(rows, want, "{metric:?}");
+            });
         }
     }
 
@@ -1474,7 +1464,7 @@ mod tests {
         let mut scan = VoronoiScan::new(
             &f.tables,
             3,
-            ScanKernels::new(DistanceMetric::Euclidean, KernelMode::Exact),
+            ScanKernels::new(DistanceMetric::Euclidean),
             &NO_DELTA,
         );
         f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
@@ -1542,11 +1532,12 @@ mod tests {
         let mut live: Vec<(PointId, Vec<f64>)> = Vec::new();
         for (id, coords) in &source {
             if id % 5 == 0 {
-                overlay.tombstone(*id);
+                overlay = overlay
+                    .after_delete(*id, true)
+                    .expect("a frozen id is live");
             } else if id % 7 == 0 {
                 let moved: Vec<f64> = coords.iter().map(|c| -c).collect();
-                overlay.tombstone(*id);
-                overlay.insert_add(*id, &moved);
+                overlay = overlay.after_insert(*id, &moved, true);
                 live.push((*id, moved));
             } else {
                 live.push((*id, coords.clone()));
@@ -1556,7 +1547,7 @@ mod tests {
             let coords: Vec<f64> = (0..dims)
                 .map(|d| odd[(i as usize + d) % odd.len()] + i as f64)
                 .collect();
-            overlay.insert_add(1_000 + i, &coords);
+            overlay = overlay.after_insert(1_000 + i, &coords, false);
             live.push((1_000 + i, coords));
         }
         live.sort_by_key(|row| row.0);
@@ -1602,9 +1593,11 @@ mod tests {
         for p in &frozen {
             let cell = built.partitioner.nearest_pivot(&p.coords).partition;
             if churned.contains(&cell) && p.id % 3 == 0 {
-                overlay.tombstone(p.id);
                 let beside: Vec<f64> = p.coords.iter().map(|c| c + 0.01).collect();
-                overlay.insert_add(10_000 + p.id, &beside);
+                let deleted = overlay
+                    .after_delete(p.id, true)
+                    .expect("a frozen id is live");
+                overlay = deleted.after_insert(10_000 + p.id, &beside, false);
                 live.push(Point::new(10_000 + p.id, beside));
             } else {
                 live.push(p.clone());

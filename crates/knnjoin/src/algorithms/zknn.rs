@@ -35,13 +35,16 @@
 //! [`crate::result::QualityReport`] measures exactly that trade.
 
 use crate::algorithms::blocks::run_merge_job;
-use crate::algorithms::common::{raw_inputs, NeighborListValue, ScanKernels, ShuffleRecord};
+use crate::algorithms::common::{
+    raw_inputs, NeighborListValue, ScanKernels, ShuffleRecord, TileScratch,
+};
 use crate::context::ExecutionContext;
+use crate::exact::FlatBlock;
 use crate::metrics::{phases, Count, JoinMetrics, Tally};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
 use geom::zorder::{random_shifts, ZQuantizer, ZValue, MAX_Z_BITS};
-use geom::{CoordMatrix, NeighborList, PointId, PointSet, RecordKind};
+use geom::{NeighborList, PointId, PointSet, RecordKind};
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::sync::Arc;
 use std::time::Instant;
@@ -67,9 +70,6 @@ pub(crate) fn check_z_bits(dims: usize) -> Result<(), JoinError> {
 }
 
 /// Runs cold H-zkNNJ for a validated `plan` over validated inputs.
-///
-/// The candidate *sets* are identical in both kernel modes; only the
-/// floating-point accumulation order differs.
 pub(crate) fn join(
     plan: &JoinPlan,
     r: &PointSet,
@@ -102,7 +102,7 @@ pub(crate) fn join(
             &ZSlabReducer {
                 shared: Arc::clone(&shared),
                 k,
-                kernels: ScanKernels::new(plan.metric, plan.kernel_mode),
+                kernels: ScanKernels::new(plan.metric),
                 tally: &tally,
             },
             &IdentityPartitioner,
@@ -310,9 +310,8 @@ impl Reducer for ZSlabReducer<'_> {
             ShuffleRecord::of_kind(values, RecordKind::S)
                 .map(|rec| (rec.point.id, rec.point.coords.as_slice())),
             |coords| self.shared.z(copy, coords),
-            self.shared.quantizer.dims(),
         );
-        let mut scratch = Vec::new();
+        let mut scratch = TileScratch::new();
         for rec in ShuffleRecord::of_kind(values, RecordKind::R) {
             let z_r = self.shared.z(copy, &rec.point.coords);
             let mut list = NeighborList::new(self.k);
@@ -360,13 +359,13 @@ pub(crate) fn merge_distinct_candidates(
     acc.into_sorted()
 }
 
-/// One slab's `S` objects sorted by `(z-value, id)` with the coordinates in
-/// matching flat rows — the windows its `R` objects scan.
+/// One slab's `S` objects sorted by `(z-value, id)`: the z-values, and the
+/// rows as a [`FlatBlock`] in the same order — the windows its `R` objects
+/// scan.
 #[derive(Debug)]
 struct SortedCopy {
     z: Vec<ZValue>,
-    ids: Vec<PointId>,
-    coords: CoordMatrix,
+    rows: FlatBlock,
 }
 
 impl SortedCopy {
@@ -376,21 +375,15 @@ impl SortedCopy {
     fn sorted<'p>(
         entries: impl Iterator<Item = (PointId, &'p [f64])>,
         z_of: impl Fn(&[f64]) -> ZValue,
-        dims: usize,
     ) -> Self {
         let mut entries: Vec<(ZValue, PointId, &[f64])> = entries
             .map(|(id, coords)| (z_of(coords), id, coords))
             .collect();
         entries.sort_unstable_by_key(|(z, id, _)| (*z, *id));
-        let mut z = Vec::with_capacity(entries.len());
-        let mut ids = Vec::with_capacity(entries.len());
-        let mut coords = CoordMatrix::with_capacity(dims, entries.len());
-        for (zv, id, row) in entries {
-            z.push(zv);
-            ids.push(id);
-            coords.push_row(row);
+        Self {
+            z: entries.iter().map(|(z, _, _)| *z).collect(),
+            rows: FlatBlock::new(entries.iter().map(|(_, id, row)| (*id, *row))),
         }
-        Self { z, ids, coords }
     }
 
     /// Offers the candidate z-window around `z_r`'s insertion position —
@@ -403,19 +396,12 @@ impl SortedCopy {
         z_r: ZValue,
         window: usize,
         kernels: &ScanKernels,
-        scratch: &mut Vec<f64>,
+        scratch: &mut TileScratch,
         list: &mut NeighborList,
     ) -> u64 {
-        let dims = self.coords.dims();
         let pos = self.z.partition_point(|z| *z < z_r);
-        let lo = pos.saturating_sub(window);
-        let hi = (pos + window).min(self.z.len());
-        scratch.resize((hi - lo).max(scratch.len()), 0.0);
-        let ranks = &mut scratch[..hi - lo];
-        let rows = &self.coords.as_slice()[lo * dims..hi * dims];
-        (kernels.tile)(query, rows, dims, ranks);
-        list.offer_ranks(&self.ids[lo..hi], ranks, &[], kernels.metric);
-        (hi - lo) as u64
+        let rows = pos.saturating_sub(window)..(pos + window).min(self.z.len());
+        self.rows.offer(query, rows, kernels, scratch, list)
     }
 }
 
@@ -542,9 +528,8 @@ mod tests {
 
     #[test]
     fn fast_mode_matches_the_exact_mode_run() {
-        // The candidate windows are mode-independent (same z-order, same
-        // cuts), so a Fast run must reproduce the Exact-mode run's
-        // rows — only the accumulation order of each distance differs.
+        // No scan reads the mode: a Fast run reproduces the Exact-mode run's
+        // rows bit for bit, at the same evaluations.
         let r = clustered(180, 3, 41);
         let s = clustered(220, 3, 42);
         for metric in [
@@ -555,14 +540,89 @@ mod tests {
             let exact = run(Zknn, &r, &s, 6, metric, |b| b);
             let got = run(Zknn, &r, &s, 6, metric, |b| b.kernel_mode(KernelMode::Fast));
             assert!(
-                got.matches(&exact, 1e-9),
+                got.matches(&exact, 0.0),
                 "{metric:?}: {:?}",
-                got.mismatch_against(&exact, 1e-9)
+                got.mismatch_against(&exact, 0.0)
             );
             assert_eq!(
-                got.metrics.distance_computations, exact.metrics.distance_computations,
-                "{metric:?}: candidate windows must be mode-independent"
+                got.metrics.distance_computations,
+                exact.metrics.distance_computations
             );
+        }
+    }
+
+    /// A z-window is offered exactly as a per-row loop of the scalar rank
+    /// kernels offers it: the same ids, the same distance bits, one
+    /// evaluation per row — for windows clamped at the slab's start
+    /// (`pos < window`) and at its end (`pos + window > len`), and for
+    /// windows longer than one `PROBE_TILE`, whose tiles end inside them.
+    #[test]
+    fn sorted_copy_windows_offer_what_a_scalar_row_loop_offers() {
+        use geom::kernels::{chebyshev, manhattan, squared_euclidean, Kernel, PROBE_TILE};
+        let n = 300;
+        assert!(n > PROBE_TILE);
+        // Row `i` has z-value `2i`, so a query at z `2p` sits at position `p`.
+        let z_of = |coords: &[f64]| ZValue([0, 0, 0, coords[0] as u64 * 2]);
+        let windows = [
+            (0, 5, 0..5),
+            (3, 10, 0..13),
+            (n - 2, 6, n - 8..n),
+            (n, 4, n - 4..n),
+            (150, 120, 30..270),
+            (150, 200, 0..n),
+        ];
+        for dims in [1, 3, 10] {
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    let wiggle = |d: usize| ((i * 31 + d * 17) as f64 * 0.37).sin() * 40.0;
+                    std::iter::once(i as f64)
+                        .chain((1..dims).map(wiggle))
+                        .collect()
+                })
+                .collect();
+            // Entries arrive unsorted; ids are 1000 + the row index.
+            let entries = rows
+                .iter()
+                .enumerate()
+                .rev()
+                .map(|(i, row)| (1_000 + i as u64, &row[..]));
+            let slab = SortedCopy::sorted(entries, z_of);
+            for (metric, scalar) in [
+                (DistanceMetric::Euclidean, squared_euclidean as Kernel),
+                (DistanceMetric::Manhattan, manhattan as Kernel),
+                (DistanceMetric::Chebyshev, chebyshev as Kernel),
+            ] {
+                let kernels = ScanKernels::new(metric);
+                let mut scratch = TileScratch::new();
+                for (pos, window, expected) in windows.clone() {
+                    let query: Vec<f64> = (0..dims)
+                        .map(|d| pos as f64 + 0.25 * d as f64 - 3.5)
+                        .collect();
+                    let mut got = NeighborList::new(expected.len());
+                    let z_r = ZValue([0, 0, 0, 2 * pos as u64]);
+                    let evaluated =
+                        slab.scan_window(&query, z_r, window, &kernels, &mut scratch, &mut got);
+                    assert_eq!(
+                        evaluated,
+                        expected.len() as u64,
+                        "{metric:?} dims {dims} at {pos}"
+                    );
+                    let mut want = NeighborList::new(expected.len());
+                    for i in expected {
+                        want.offer(
+                            1_000 + i as u64,
+                            metric.rank_to_distance(scalar(&query, &rows[i])),
+                        );
+                    }
+                    let bits = |list: NeighborList| -> Vec<(u64, u64)> {
+                        list.into_sorted()
+                            .iter()
+                            .map(|n| (n.id, n.distance.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(bits(got), bits(want), "{metric:?} dims {dims} at {pos}");
+                }
+            }
         }
     }
 

@@ -178,16 +178,10 @@ impl<'a> JoinBuilder<'a> {
         self
     }
 
-    /// Selects which tile kernel the scans over row-major blocks call
-    /// (default [`KernelMode::Exact`], the scalar kernels' bits).
-    /// [`KernelMode::Fast`] is the reassociated FMA batch kernels — same
-    /// neighbours within accumulation-order round-off — for H-zkNNJ, the
-    /// broadcast and nested-loop joins and a prepared join's delta adds.
-    /// PGBJ and PBJ rank their Voronoi cells with one exact column kernel
-    /// in either mode, so `Fast` leaves their cold answers and counters as
-    /// `Exact` has them.  Nothing else depends on it.
-    pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.plan.kernel_mode = mode;
+    /// Accepts a [`KernelMode`] and changes nothing: no scan reads it, since
+    /// every scan ranks its rows with the bit-exact column kernels.  Kept
+    /// for `benchmark/` and the `(fast)` gate rows, which still name a mode.
+    pub fn kernel_mode(self, _mode: KernelMode) -> Self {
         self
     }
 
@@ -463,17 +457,14 @@ mod tests {
     }
 
     #[test]
-    fn kernel_mode_resolves_into_the_plan_and_defaults_to_exact() {
+    fn kernel_mode_leaves_the_plan_as_it_is() {
         use geom::KernelMode;
         let r = uniform(30, 2, 10.0, 31);
         let plan = JoinBuilder::new(&r, &r).k(2).plan().unwrap();
-        assert_eq!(plan.kernel_mode, KernelMode::Exact);
-        let plan = JoinBuilder::new(&r, &r)
-            .k(2)
-            .kernel_mode(KernelMode::Fast)
-            .plan()
-            .unwrap();
-        assert_eq!(plan.kernel_mode, KernelMode::Fast);
+        for mode in [KernelMode::Exact, KernelMode::Fast] {
+            let moded = JoinBuilder::new(&r, &r).k(2).kernel_mode(mode).plan();
+            assert_eq!(moded.unwrap(), plan);
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! Voronoi cells of `S` and their summaries) is batch-built and does not
 //! absorb a mutation in place.  Instead of rebuilding on every change, the
 //! prepared join follows the log-structured discipline of LSM stores:
-//! mutations land in a small resident [`DeltaOverlay`] — the added points
-//! plus the ids of the deleted ones, stored the way a probe scans them — and
+//! mutations land in a small resident [`DeltaOverlay`] — the added points,
+//! column-major like every block a scan ranks, plus the ids of the deleted
+//! ones — and
 //! every probe merges the overlay with the frozen cells through the shared
 //! top-k accumulator.  When the overlay outgrows the plan's
 //! `delta_threshold`, a *compaction* folds it into the frozen cells
@@ -39,28 +40,28 @@
     clippy::indexing_slicing
 )]
 
+use crate::exact::{splice_into, FlatBlock};
 use geom::PointId;
 
 /// The resident S-delta memtable: points added since the last compaction
-/// (re-inserts are upserts) plus the tombstoned frozen ids — three flat
-/// arrays in the order every probe reads them, so a probe scans the overlay
-/// in place: the added ids ascending, their coordinates as parallel
-/// row-major rows (one tile-kernel call per run of rows), the tombstoned ids
-/// as one ascending run (masking a candidate is a binary search over
-/// contiguous memory).  An empty overlay is zero add rows and no mask; no
-/// probe treats it specially.
+/// (re-inserts are upserts) plus the tombstoned frozen ids, in the order and
+/// layout every probe reads them, so a probe scans the overlay in place: the
+/// adds as one `FlatBlock` — ids ascending, coordinates column-major like
+/// every other block a scan ranks — and the tombstoned ids as one ascending
+/// run (masking a candidate is a binary search over contiguous memory).  An
+/// empty overlay is zero add rows and no mask; no probe treats it
+/// specially.
 ///
-/// The overlay is an immutable snapshot from a reader's point of view:
-/// mutations clone the three arrays, apply the change and publish the copy
-/// under a new epoch, so in-flight queries keep scanning the overlay they
-/// started with.  The ascending orders are deterministic, which keeps the
+/// The overlay is an immutable snapshot from a reader's point of view: a
+/// mutation lays the next overlay out from this one in one pass
+/// (`after_insert`, `after_delete`) and publishes it under a
+/// new epoch, so in-flight queries keep scanning the overlay they started
+/// with.  The ascending orders are deterministic, which keeps the
 /// delta-probe counters reproducible for the bench harness.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeltaOverlay {
-    /// Added (or re-inserted) ids, ascending.
-    add_ids: Vec<PointId>,
-    /// Their coordinates: row `i` belongs to `add_ids[i]`.
-    add_rows: Vec<f64>,
+    /// Added (or re-inserted) points, ids ascending.
+    adds: FlatBlock,
     /// Frozen ids masked from every probe until compaction drops them,
     /// ascending.
     tombstones: Vec<PointId>,
@@ -69,8 +70,7 @@ pub struct DeltaOverlay {
 /// The overlay of a corpus nothing was added to or deleted from: what the
 /// cold reducers hand the scans they share with the prepared probes.
 pub(crate) static NO_DELTA: DeltaOverlay = DeltaOverlay {
-    add_ids: Vec::new(),
-    add_rows: Vec::new(),
+    adds: FlatBlock::EMPTY,
     tombstones: Vec::new(),
 };
 
@@ -83,12 +83,12 @@ impl DeltaOverlay {
     /// Pending delta entries (adds plus tombstones) — the quantity compared
     /// against the plan's `delta_threshold`.
     pub fn len(&self) -> usize {
-        self.add_ids.len() + self.tombstones.len()
+        self.adds.len() + self.tombstones.len()
     }
 
     /// Number of added points pending.
     pub fn adds_len(&self) -> usize {
-        self.add_ids.len()
+        self.adds.len()
     }
 
     /// Number of tombstoned frozen ids pending.
@@ -102,23 +102,16 @@ impl DeltaOverlay {
         self.tombstones.binary_search(&id).is_ok()
     }
 
-    /// The added points in ascending id order.
-    pub fn adds(&self) -> impl Iterator<Item = (PointId, &[f64])> + '_ {
-        // Zero-dimensional adds have no coordinates to chunk: every row is
-        // the empty slice.
-        let mut rows = self.add_rows.chunks_exact(self.dims().max(1));
-        let ids = self.add_ids.iter();
-        ids.map(move |id| (*id, rows.next().unwrap_or_default()))
+    /// The added points in ascending id order, each row gathered from the
+    /// columns.
+    pub fn adds(&self) -> impl Iterator<Item = (PointId, Vec<f64>)> + '_ {
+        let ids = self.adds.ids().iter();
+        ids.enumerate().map(|(i, id)| (*id, self.adds.row(i)))
     }
 
-    /// The added ids, ascending.
-    pub(crate) fn add_ids(&self) -> &[PointId] {
-        &self.add_ids
-    }
-
-    /// The added coordinates, row-major, parallel to [`Self::add_ids`].
-    pub(crate) fn add_rows(&self) -> &[f64] {
-        &self.add_rows
+    /// The added points as the block a probe ranks.
+    pub(crate) fn add_block(&self) -> &FlatBlock {
+        &self.adds
     }
 
     /// The tombstoned ids in ascending order.
@@ -126,49 +119,53 @@ impl DeltaOverlay {
         &self.tombstones
     }
 
-    /// Coordinates per added row (0 while nothing is added).
-    fn dims(&self) -> usize {
-        self.add_rows
-            .len()
-            .checked_div(self.add_ids.len())
-            .unwrap_or(0)
-    }
-
-    /// Adds (or replaces) an added point.
-    pub(crate) fn insert_add(&mut self, id: PointId, coords: &[f64]) {
-        let dims = coords.len();
-        let (at, replaced) = match self.add_ids.binary_search(&id) {
-            Ok(at) => (at, 1),
-            Err(at) => {
-                self.add_ids.insert(at, id);
-                (at, 0)
-            }
+    /// The overlay after `id` is inserted at `coords`: added (replacing a
+    /// pending add of `id`), and tombstoned too when it is `frozen`, so its
+    /// frozen copy is masked.  Every array is laid out once, from `self`,
+    /// which in-flight probes may still be scanning.
+    pub(crate) fn after_insert(&self, id: PointId, coords: &[f64], frozen: bool) -> Self {
+        let cut = match self.adds.ids().binary_search(&id) {
+            Ok(at) => at..at + 1,
+            Err(at) => at..at,
         };
-        let row = at * dims..(at + replaced) * dims;
-        self.add_rows.splice(row, coords.iter().copied());
-    }
-
-    /// Removes an added point, reporting whether it was present.
-    pub(crate) fn remove_add(&mut self, id: PointId) -> bool {
-        let Ok(at) = self.add_ids.binary_search(&id) else {
-            return false;
-        };
-        let dims = self.dims();
-        self.add_ids.remove(at);
-        self.add_rows.drain(at * dims..(at + 1) * dims);
-        true
-    }
-
-    /// Tombstones a frozen id, reporting whether it was newly tombstoned.
-    /// Tombstones are only ever cleared by compaction.
-    pub(crate) fn tombstone(&mut self, id: PointId) -> bool {
-        match self.tombstones.binary_search(&id) {
-            Ok(_) => false,
-            Err(at) => {
-                self.tombstones.insert(at, id);
-                true
-            }
+        Self {
+            adds: self.adds.spliced(cut, Some((id, coords))),
+            tombstones: self
+                .tombstoned(id, frozen)
+                .unwrap_or_else(|| self.tombstones.clone()),
         }
+    }
+
+    /// The overlay after `id` is deleted: a pending add of `id` dropped, and
+    /// `id` tombstoned when it is `frozen`, laid out as
+    /// [`Self::after_insert`] lays it out.  `None` when that changes nothing,
+    /// as for an id that is not live.
+    pub(crate) fn after_delete(&self, id: PointId, frozen: bool) -> Option<Self> {
+        let add = self.adds.ids().binary_search(&id).ok();
+        let tombstones = self.tombstoned(id, frozen);
+        if add.is_none() && tombstones.is_none() {
+            return None;
+        }
+        Some(Self {
+            adds: add.map_or_else(
+                || self.adds.clone(),
+                |at| self.adds.spliced(at..at + 1, None),
+            ),
+            tombstones: tombstones.unwrap_or_else(|| self.tombstones.clone()),
+        })
+    }
+
+    /// The tombstones with `id` added, if it is `frozen` and not yet among
+    /// them.
+    fn tombstoned(&self, id: PointId, frozen: bool) -> Option<Vec<PointId>> {
+        let at = self
+            .tombstones
+            .binary_search(&id)
+            .err()
+            .filter(|_| frozen)?;
+        let mut tombstones = Vec::with_capacity(self.tombstones.len() + 1);
+        splice_into(&mut tombstones, &self.tombstones, at..at, Some(id));
+        Some(tombstones)
     }
 
     /// The ids live once the overlay is folded into `frozen_ids`, ascending
@@ -177,7 +174,7 @@ impl DeltaOverlay {
     pub(crate) fn live_ids(&self, frozen_ids: &[PointId]) -> Vec<PointId> {
         // Every tombstone names a frozen id, so one walk drops them all.
         let mut dead = self.tombstones.iter().peekable();
-        let mut adds = self.add_ids.as_slice();
+        let mut adds = self.adds.ids();
         let mut ids = Vec::with_capacity(frozen_ids.len() + self.adds_len());
         for &id in frozen_ids.iter().filter(|id| dead.next_if_eq(id).is_none()) {
             while let Some((&add, rest)) = adds.split_first().filter(|(&add, _)| add < id) {
@@ -198,14 +195,13 @@ impl DeltaOverlay {
     ///    arithmetic and probe masking both break),
     /// 2. tombstones only name frozen ids (a tombstone for a never-frozen id
     ///    would make `|frozen ids| − t + a` undercount the live corpus), and
-    /// 3. both id runs strictly ascend, with one coordinate row per add (the
-    ///    binary searches and the parallel rows rest on it).
+    /// 3. both id runs strictly ascend (the binary searches rest on it).
     ///
     /// `frozen_ids` ascends, as the epoch stores it.
     #[cfg(any(test, feature = "debug-invariants"))]
     pub(crate) fn audit(&self, frozen_ids: &[PointId]) {
         let frozen = |id: &PointId| frozen_ids.binary_search(id).is_ok();
-        for id in &self.add_ids {
+        for id in self.adds.ids() {
             assert!(
                 !frozen(id) || self.is_tombstoned(*id),
                 "delta invariant violated: add {id} duplicates a live frozen id \
@@ -221,10 +217,8 @@ impl DeltaOverlay {
         }
         let ascends = |ids: &[PointId]| ids.is_sorted_by(|a, b| a < b);
         assert!(
-            ascends(&self.add_ids)
-                && ascends(&self.tombstones)
-                && self.add_rows.len() == self.dims() * self.add_ids.len(),
-            "delta invariant violated: an id run does not ascend, or rows and ids disagree"
+            ascends(self.adds.ids()) && ascends(&self.tombstones),
+            "delta invariant violated: an id run does not ascend"
         );
     }
 }
@@ -254,44 +248,53 @@ mod tests {
 
     #[test]
     fn overlay_tracks_adds_and_tombstones_independently() {
-        let mut d = DeltaOverlay::default();
-        assert!(d.is_empty() && NO_DELTA.is_empty());
-        d.insert_add(7, &[1.0, 2.0]);
-        d.insert_add(3, &[0.0, 0.0]);
-        d.tombstone(9);
+        let empty = DeltaOverlay::default();
+        assert!(empty.is_empty() && NO_DELTA.is_empty());
+        let d = empty.after_insert(7, &[1.0, 2.0], false);
+        let d = d.after_insert(3, &[0.0, 0.0], false);
+        let d = d.after_delete(9, true).expect("a frozen id is tombstoned");
         assert_eq!(d.len(), 3);
         assert_eq!((d.adds_len(), d.tombstones_len()), (2, 1));
         assert!(d.is_tombstoned(9) && !d.is_tombstoned(7));
-        // Deterministic ascending-id iteration, rows parallel to ids.
-        assert_eq!(d.add_ids(), [3, 7]);
-        assert_eq!(d.add_rows(), [0.0, 0.0, 1.0, 2.0]);
-        // Upsert replaces in place.
-        d.insert_add(7, &[5.0, 5.0]);
-        let adds: Vec<_> = d.adds().collect();
-        assert_eq!(adds, [(3, &[0.0, 0.0][..]), (7, &[5.0, 5.0][..])]);
-        assert!(d.remove_add(7));
-        assert!(!d.remove_add(7));
-        assert_eq!(d.add_rows(), [0.0, 0.0]);
-        // Tombstoning twice reports only the first as new.
-        assert!(!d.tombstone(9));
-        assert!(d.tombstone(10));
-        // A point without coordinates is still a point.
-        let mut flat = DeltaOverlay::default();
-        flat.insert_add(2, &[]);
-        flat.insert_add(1, &[]);
+        // Deterministic ascending-id iteration; the coordinates are stored
+        // one column per dimension.
+        assert_eq!(d.add_block().ids(), [3, 7]);
         assert_eq!(
-            flat.adds().collect::<Vec<_>>(),
-            [(1, &[][..]), (2, &[][..])]
+            (d.add_block().column(0), d.add_block().column(1)),
+            (&[0.0, 1.0][..], &[0.0, 2.0][..])
         );
+        // Upsert replaces in place.
+        let d = d.after_insert(7, &[5.0, 5.0], false);
+        let adds: Vec<_> = d.adds().collect();
+        assert_eq!(adds, [(3, vec![0.0, 0.0]), (7, vec![5.0, 5.0])]);
+        let d = d.after_delete(7, false).expect("a pending add is dropped");
+        assert!(d.after_delete(7, false).is_none());
+        assert_eq!(d.adds().collect::<Vec<_>>(), [(3, vec![0.0, 0.0])]);
+        // Tombstoning twice changes nothing the second time.
+        assert!(d.after_delete(9, true).is_none());
+        assert_eq!(
+            d.after_delete(10, true).map(|d| d.tombstones_len()),
+            Some(2)
+        );
+        // An upsert over a frozen id masks its frozen copy once.
+        let upserted = d.after_insert(9, &[4.0, 4.0], true);
+        assert_eq!((upserted.adds_len(), upserted.tombstones()), (2, &[9][..]));
+        // A point without coordinates is still a point.
+        let flat = empty
+            .after_insert(2, &[], false)
+            .after_insert(1, &[], false);
+        assert_eq!(flat.adds().collect::<Vec<_>>(), [(1, vec![]), (2, vec![])]);
     }
 
     proptest! {
         /// Any insert / upsert / delete / remove-then-add sequence leaves the
-        /// three arrays saying what a `BTreeMap` + `BTreeSet` model says —
-        /// the representation they replaced — with both id runs ascending
-        /// (`audit`) and `live_ids` folding them into the frozen run as the
-        /// model does, after every step.  Ids below 20 are frozen; a mutation
-        /// is classified as `PreparedJoin::insert` / `delete` classify it.
+        /// overlay saying what a `BTreeMap` + `BTreeSet` model says — the
+        /// representation it replaced — coordinate for coordinate, with both
+        /// id runs ascending (`audit`) and `live_ids` folding them into the
+        /// frozen run as the model does, after every step; and every step
+        /// leaves the overlay it started from as it was.  Ids below 20 are
+        /// frozen; a mutation is classified as `PreparedJoin::insert` /
+        /// `delete` classify it.
         #[test]
         fn flat_overlay_replays_the_map_and_set_model(
             ops in collection::vec(0u64..120, 1..160),
@@ -304,26 +307,35 @@ mod tests {
             for (step, (draw, x)) in ops.into_iter().zip(xs).enumerate() {
                 // Forty ids, three ops each; two of the three insert.
                 let (id, op) = (draw / 3, draw % 3);
-                if op < 2 {
+                let is_frozen = frozen.contains(&id);
+                let published = overlay.clone();
+                let next = if op < 2 {
                     // Insert or upsert; over a frozen id the copy is masked.
                     let coords = vec![x, id as f64, step as f64];
-                    if frozen.contains(&id) {
-                        prop_assert_eq!(overlay.tombstone(id), tombstones.insert(id));
+                    let next = overlay.after_insert(id, &coords, is_frozen);
+                    if is_frozen {
+                        tombstones.insert(id);
                     }
-                    overlay.insert_add(id, &coords);
                     adds.insert(id, coords);
+                    Some(next)
                 } else {
-                    prop_assert_eq!(overlay.remove_add(id), adds.remove(&id).is_some());
-                    if frozen.contains(&id) {
-                        prop_assert_eq!(overlay.tombstone(id), tombstones.insert(id));
-                    }
-                }
+                    let removed = adds.remove(&id).is_some();
+                    let masked = is_frozen && tombstones.insert(id);
+                    let next = overlay.after_delete(id, is_frozen);
+                    prop_assert_eq!(next.is_some(), removed || masked);
+                    next
+                };
+                // The overlay a mutation starts from is what readers still
+                // scan: it must come out as it went in.
+                prop_assert_eq!(&overlay, &published);
+                overlay = next.unwrap_or(published);
                 overlay.audit(&frozen);
-                let model: Vec<(PointId, &[f64])> =
-                    adds.iter().map(|(id, c)| (*id, c.as_slice())).collect();
-                prop_assert_eq!(overlay.adds().collect::<Vec<_>>(), model);
-                prop_assert_eq!(overlay.add_ids().to_vec(), adds.keys().copied().collect::<Vec<_>>());
-                prop_assert_eq!(overlay.add_rows().len(), 3 * adds.len());
+                prop_assert_eq!(overlay.adds().collect::<Vec<_>>(), adds.clone().into_iter().collect::<Vec<_>>());
+                prop_assert_eq!(overlay.add_block().ids().to_vec(), adds.keys().copied().collect::<Vec<_>>());
+                for d in 0..3 {
+                    let model: Vec<f64> = adds.values().map(|coords| coords[d]).collect();
+                    prop_assert_eq!(overlay.add_block().column(d), &model[..], "coordinate {}", d);
+                }
                 prop_assert_eq!(overlay.tombstones().to_vec(), tombstones.iter().copied().collect::<Vec<_>>());
                 prop_assert_eq!(overlay.len(), adds.len() + tombstones.len());
                 prop_assert_eq!(overlay.is_empty(), adds.is_empty() && tombstones.is_empty());

@@ -6,16 +6,19 @@
 //! distance computations.  [`NestedLoopJoin::join`] is used by tests and
 //! benchmarks as ground truth and as the centralized baseline that motivates
 //! distributing the join, and shares no kernel with what it checks;
-//! `FlatBlock` is the same scan over tile kernels, for the broadcast join of
-//! §3 and [`Algorithm::NestedLoopJoin`].
+//! `FlatBlock` is the same scan over the column kernels, for the broadcast
+//! join of §3, [`Algorithm::NestedLoopJoin`], H-zkNNJ's windows and the
+//! delta overlay's adds.
 //!
 //! [`Algorithm::NestedLoopJoin`]: crate::Algorithm::NestedLoopJoin
 
-use crate::algorithms::common::{for_each_tile, ScanKernels, TileScratch};
+use crate::algorithms::common::{ScanKernels, TileScratch};
 use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinResult, JoinRow};
+use geom::kernels::PROBE_TILE;
 use geom::{CoordMatrix, DistanceMetric, Neighbor, NeighborList, PointId, PointSet};
+use std::ops::Range;
 use std::time::Instant;
 
 /// The exact nested-loop kNN join.
@@ -67,31 +70,81 @@ impl NestedLoopJoin {
     }
 }
 
-/// A block of `S` flattened into columnar storage for exhaustive scanning:
-/// what a broadcast reducer builds from its shuffled records, and what the
-/// nested-loop join builds from `S` directly.
-#[derive(Debug)]
+/// A block of `S` rows laid out for exhaustive scanning: the ids, and the
+/// coordinates column-major — coordinate `d` of row `i` at
+/// `columns[d * len + i]` — so [`Self::offer`] ranks a run of rows with the
+/// column kernel, the one every scan uses.  A broadcast reducer builds one
+/// from its shuffled records, the nested-loop join from `S`, an H-zkNNJ
+/// reducer from its z-sorted slab, and the delta overlay holds its adds in
+/// one.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct FlatBlock {
     ids: Vec<PointId>,
-    coords: CoordMatrix,
+    columns: Vec<f64>,
 }
 
 impl FlatBlock {
-    /// Flattens `(id, coordinates)` rows, in order.
+    /// The block of no rows.
+    pub(crate) const EMPTY: Self = Self {
+        ids: Vec::new(),
+        columns: Vec::new(),
+    };
+
+    /// Lays `(id, coordinates)` rows out in order, one column at a time.
     pub(crate) fn new<'p>(rows: impl IntoIterator<Item = (PointId, &'p [f64])>) -> Self {
-        let mut rows = rows.into_iter().peekable();
-        let dims = rows.peek().map_or(0, |(_, row)| row.len());
-        let len = rows.size_hint().0;
-        let mut ids = Vec::with_capacity(len);
-        let mut coords = CoordMatrix::with_capacity(dims, len);
-        for (id, row) in rows {
-            ids.push(id);
-            coords.push_row(row);
+        let rows: Vec<(PointId, &[f64])> = rows.into_iter().collect();
+        let dims = rows.first().map_or(0, |(_, row)| row.len());
+        let mut columns = Vec::with_capacity(dims * rows.len());
+        for d in 0..dims {
+            columns.extend(rows.iter().map(|(_, row)| row[d]));
         }
-        Self { ids, coords }
+        let ids = rows.iter().map(|(id, _)| *id).collect();
+        Self { ids, columns }
     }
 
-    /// The cold [`crate::Algorithm::NestedLoopJoin`]: `S` flattened once and
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The row ids, in row order.
+    pub(crate) fn ids(&self) -> &[PointId] {
+        &self.ids
+    }
+
+    /// Coordinates per row (0 while the block is empty).
+    fn dims(&self) -> usize {
+        self.columns.len().checked_div(self.len()).unwrap_or(0)
+    }
+
+    /// Coordinate `d` of every row, in row order.
+    pub(crate) fn column(&self, d: usize) -> &[f64] {
+        let n = self.len();
+        &self.columns[d * n..(d + 1) * n]
+    }
+
+    /// Row `i`'s coordinates, gathered from the columns.
+    pub(crate) fn row(&self, i: usize) -> Vec<f64> {
+        (0..self.dims()).map(|d| self.column(d)[i]).collect()
+    }
+
+    /// The block with the rows `cut` replaced by `row` (by nothing when it
+    /// is `None`), laid out in one pass: each array is written once, and
+    /// `self` is left as it is.
+    pub(crate) fn spliced(&self, cut: Range<usize>, row: Option<(PointId, &[f64])>) -> Self {
+        let dims = row.map_or(self.dims(), |(_, coords)| coords.len());
+        let n = self.len() - cut.len() + usize::from(row.is_some());
+        let mut ids = Vec::with_capacity(n);
+        splice_into(&mut ids, &self.ids, cut.clone(), row.map(|(id, _)| id));
+        let mut columns = Vec::with_capacity(dims * n);
+        for d in 0..dims {
+            let value = row.map(|(_, coords)| coords[d]);
+            splice_into(&mut columns, self.column(d), cut.clone(), value);
+        }
+        Self { ids, columns }
+    }
+
+    /// The cold [`crate::Algorithm::NestedLoopJoin`]: `S` laid out once and
     /// every `R` object scanned on the calling thread.
     pub(crate) fn join(
         plan: &JoinPlan,
@@ -99,7 +152,7 @@ impl FlatBlock {
         s: &PointSet,
         metrics: &mut JoinMetrics,
     ) -> Vec<JoinRow> {
-        let kernels = ScanKernels::new(plan.metric, plan.kernel_mode);
+        let kernels = ScanKernels::new(plan.metric);
         let block = Self::new(s.iter().map(|p| (p.id, &p.coords[..])));
         let start = Instant::now();
         let mut scratch = TileScratch::new();
@@ -119,9 +172,7 @@ impl FlatBlock {
     }
 
     /// The `k` nearest block rows of one probe object, and the number of
-    /// rows evaluated: all of them.  The block is streamed in
-    /// [`geom::kernels::PROBE_TILE`]-row tiles through `kernels.tile` and
-    /// offered as ranks ([`NeighborList::offer_ranks`]).
+    /// rows evaluated: all of them ([`Self::offer`] over the whole block).
     pub(crate) fn scan(
         &self,
         query: &[f64],
@@ -129,17 +180,38 @@ impl FlatBlock {
         kernels: &ScanKernels,
         scratch: &mut TileScratch,
     ) -> (Vec<Neighbor>, u64) {
-        let dim = self.coords.dims();
         let mut neighbors = NeighborList::new(k);
-        let (tile, metric) = (kernels.tile, kernels.metric);
-        let rows = self.coords.as_slice();
-        for_each_tile(self.ids.len(), |t0, t1| {
-            let ranks = &mut scratch.ranks[..t1 - t0];
-            tile(query, &rows[t0 * dim..t1 * dim], dim, ranks);
-            neighbors.offer_ranks(&self.ids[t0..t1], ranks, &[], metric);
-        });
-        (neighbors.into_sorted(), self.ids.len() as u64)
+        let evaluated = self.offer(query, 0..self.len(), kernels, scratch, &mut neighbors);
+        (neighbors.into_sorted(), evaluated)
     }
+
+    /// Ranks `rows` against `query`, [`PROBE_TILE`] rows per call of
+    /// `kernels.columns`, and offers each tile to `list` as ranks
+    /// ([`NeighborList::offer_ranks`]).  Returns the rows evaluated: all of
+    /// `rows`.
+    pub(crate) fn offer(
+        &self,
+        query: &[f64],
+        rows: Range<usize>,
+        kernels: &ScanKernels,
+        scratch: &mut TileScratch,
+        list: &mut NeighborList,
+    ) -> u64 {
+        for first in rows.clone().step_by(PROBE_TILE) {
+            let last = (first + PROBE_TILE).min(rows.end);
+            let ranks = &mut scratch.ranks[..last - first];
+            (kernels.columns)(query, &self.columns, self.len(), first, ranks);
+            list.offer_ranks(&self.ids[first..last], ranks, &[], kernels.metric);
+        }
+        rows.len() as u64
+    }
+}
+
+/// Appends `old` with its elements `cut` replaced by `new` to `out`.
+pub(crate) fn splice_into<T: Copy>(out: &mut Vec<T>, old: &[T], cut: Range<usize>, new: Option<T>) {
+    out.extend_from_slice(&old[..cut.start]);
+    out.extend(new);
+    out.extend_from_slice(&old[cut.end..]);
 }
 
 /// Refuses the first row with a non-finite or out-of-range coordinate, with
@@ -314,12 +386,12 @@ mod tests {
         );
     }
 
-    /// `FlatBlock::scan` is the oracle's scan over tile kernels: over any
-    /// block it answers what `NestedLoopJoin::join` answers — bit for bit in
-    /// `Exact`, within 1e-9 in `Fast` — and bills every row of the block.
+    /// `FlatBlock::scan` is the oracle's scan over the column kernel: over
+    /// any block — 600 rows, so tiles end inside it — it answers what
+    /// `NestedLoopJoin::join` answers bit for bit, and bills every row of
+    /// the block.
     #[test]
     fn flat_block_scan_equals_the_oracle() {
-        use geom::KernelMode;
         let s = uniform(600, 4, 30.0, 41);
         let r = uniform(50, 4, 30.0, 42);
         let k = 5;
@@ -330,32 +402,28 @@ mod tests {
             DistanceMetric::Chebyshev,
         ] {
             let oracle = NestedLoopJoin.join(&r, &s, k, metric).unwrap();
-            for (mode, tolerance) in [(KernelMode::Exact, 0.0), (KernelMode::Fast, 1e-9)] {
-                let kernels = ScanKernels::new(metric, mode);
-                let mut scratch = TileScratch::new();
-                let label = format!("{metric:?}/{mode:?}");
-                let rows = r
-                    .iter()
-                    .map(|q| {
-                        let (neighbors, evaluated) =
-                            block.scan(&q.coords, k, &kernels, &mut scratch);
-                        assert_eq!(evaluated, 600, "{label}");
-                        JoinRow {
-                            r_id: q.id,
-                            neighbors,
-                        }
-                    })
-                    .collect();
-                let got = JoinResult {
-                    rows,
-                    metrics: JoinMetrics::default(),
-                };
-                assert!(
-                    got.matches(&oracle, tolerance),
-                    "{label}: {:?}",
-                    got.mismatch_against(&oracle, tolerance)
-                );
-            }
+            let kernels = ScanKernels::new(metric);
+            let mut scratch = TileScratch::new();
+            let rows = r
+                .iter()
+                .map(|q| {
+                    let (neighbors, evaluated) = block.scan(&q.coords, k, &kernels, &mut scratch);
+                    assert_eq!(evaluated, 600, "{metric:?}");
+                    JoinRow {
+                        r_id: q.id,
+                        neighbors,
+                    }
+                })
+                .collect();
+            let got = JoinResult {
+                rows,
+                metrics: JoinMetrics::default(),
+            };
+            assert!(
+                got.matches(&oracle, 0.0),
+                "{metric:?}: {:?}",
+                got.mismatch_against(&oracle, 0.0)
+            );
         }
     }
 

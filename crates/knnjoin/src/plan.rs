@@ -23,7 +23,7 @@ use crate::grouping::GroupingStrategy;
 use crate::metrics::JoinMetrics;
 use crate::pivots::PivotSelectionStrategy;
 use crate::result::{JoinError, JoinResult};
-use geom::{DistanceMetric, KernelMode, PointSet};
+use geom::{DistanceMetric, PointSet};
 
 /// The join algorithms selectable at runtime.
 ///
@@ -145,12 +145,6 @@ pub struct JoinPlan {
     /// [`crate::PreparedJoin`] before a mutation triggers an automatic
     /// compaction (see [`crate::delta`]).  Irrelevant to cold joins.
     pub delta_threshold: usize,
-    /// Which tile kernel the scans over row-major blocks call: `Exact` (the
-    /// default) returns the scalar kernels' bits; `Fast` is the reassociated
-    /// FMA batch kernels (see [`KernelMode`]).  The Voronoi cells of PGBJ
-    /// and PBJ are ranked exactly in both modes.  Nothing else depends on
-    /// it.
-    pub kernel_mode: KernelMode,
 }
 
 /// Default [`JoinPlan::delta_threshold`]: mutations beyond this many pending
@@ -256,7 +250,6 @@ impl Default for JoinPlan {
             combiner: true,
             seed: 0xC0FFEE,
             delta_threshold: DEFAULT_DELTA_THRESHOLD,
-            kernel_mode: KernelMode::default(),
         }
     }
 }

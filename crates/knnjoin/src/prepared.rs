@@ -281,9 +281,8 @@ impl PreparedJoin {
         let delta = &*epoch.delta;
         let frozen = epoch.state.points();
         let live = frozen.filter(|(id, _)| !delta.is_tombstoned(*id));
-        let adds = delta.adds().map(|(id, coords)| (id, coords.to_vec()));
         let mut points: Vec<Point> = live
-            .chain(adds)
+            .chain(delta.adds())
             .map(|(id, coords)| Point::new(id, coords))
             .collect();
         points.sort_by_key(|p| p.id);
@@ -311,13 +310,10 @@ impl PreparedJoin {
         check_finite("S", [point.coords.as_slice()])?;
         let _guard = self.inner.mutate.lock();
         let epoch = self.inner.snapshot();
-        let mut delta = (*epoch.delta).clone();
-        if epoch.frozen_ids.binary_search(&point.id).is_ok() {
-            // Upsert over a frozen object: mask the frozen copy, serve the
-            // new coordinates from the memtable.
-            delta.tombstone(point.id);
-        }
-        delta.insert_add(point.id, &point.coords);
+        // An upsert over a frozen object masks the frozen copy and serves
+        // the new coordinates from the memtable.
+        let frozen = epoch.frozen_ids.binary_search(&point.id).is_ok();
+        let delta = epoch.delta.after_insert(point.id, &point.coords, frozen);
         self.commit(&epoch, delta);
         Ok(())
     }
@@ -328,13 +324,11 @@ impl PreparedJoin {
     pub fn delete(&self, id: PointId) -> bool {
         let _guard = self.inner.mutate.lock();
         let epoch = self.inner.snapshot();
-        let mut delta = (*epoch.delta).clone();
-        let in_adds = delta.remove_add(id);
-        let newly_tombstoned = epoch.frozen_ids.binary_search(&id).is_ok() && delta.tombstone(id);
-        if !in_adds && !newly_tombstoned {
-            // Nothing changed: don't publish a new epoch for a no-op.
+        let frozen = epoch.frozen_ids.binary_search(&id).is_ok();
+        // Nothing changed: don't publish a new epoch for a no-op.
+        let Some(delta) = epoch.delta.after_delete(id, frozen) else {
             return false;
-        }
+        };
         self.commit(&epoch, delta);
         true
     }

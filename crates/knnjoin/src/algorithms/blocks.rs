@@ -58,13 +58,13 @@ pub(crate) struct BlockRouteMapper<'a> {
     pub tally: &'a Tally,
 }
 
-impl Mapper for BlockRouteMapper<'_> {
+impl<'a> Mapper for BlockRouteMapper<'a> {
     type KIn = u64;
-    type VIn = ShuffleRecord;
+    type VIn = ShuffleRecord<'a>;
     type KOut = u32;
-    type VOut = ShuffleRecord;
+    type VOut = ShuffleRecord<'a>;
 
-    fn map(&self, key: &u64, value: &ShuffleRecord, ctx: &mut MapContext<u32, ShuffleRecord>) {
+    fn map(&self, key: &u64, value: &Self::VIn, ctx: &mut MapContext<u32, Self::VOut>) {
         let b = self.blocks as u32;
         let block = (key % b as u64) as u32;
         replicate(ctx, self.tally, value.kind, (block, b), value, 1);
@@ -210,19 +210,26 @@ mod tests {
             blocks: 3,
             tally: &tally,
         };
-        let r_rec = ShuffleRecord::raw(RecordKind::R, Point::new(4, vec![0.0]));
-        let s_rec = ShuffleRecord::raw(RecordKind::S, Point::new(5, vec![0.0]));
+        let (r_point, s_point) = (Point::new(4, vec![0.0]), Point::new(5, vec![0.0]));
+        let r_rec = ShuffleRecord {
+            kind: RecordKind::R,
+            point: &r_point,
+        };
+        let s_rec = ShuffleRecord {
+            kind: RecordKind::S,
+            point: &s_point,
+        };
 
         let mut ctx = MapContext::default();
         mapper.map(&4, &r_rec, &mut ctx);
         let r_cells: Vec<u32> = ctx.emitted().iter().map(|(c, _)| *c).collect();
         // id 4 % 3 = block 1 → cells 3, 4, 5 (row 1)
         assert_eq!(r_cells, vec![3, 4, 5]);
-        // Every replica is the one shared point, not a copy of it.
+        // Every replica borrows the one input point, not a copy of it.
         assert!(ctx
             .emitted()
             .iter()
-            .all(|(_, replica)| std::sync::Arc::ptr_eq(&replica.point, &r_rec.point)));
+            .all(|(_, replica)| std::ptr::eq(replica.point, &r_point)));
 
         let mut ctx = MapContext::default();
         mapper.map(&5, &s_rec, &mut ctx);
@@ -246,7 +253,11 @@ mod tests {
             tally: &tally,
         };
         let cells_of = |id: u64, kind: RecordKind| {
-            let rec = ShuffleRecord::raw(kind, Point::new(id, vec![0.0]));
+            let point = Point::new(id, vec![0.0]);
+            let rec = ShuffleRecord {
+                kind,
+                point: &point,
+            };
             let mut ctx = MapContext::default();
             mapper.map(&id, &rec, &mut ctx);
             ctx.emitted()

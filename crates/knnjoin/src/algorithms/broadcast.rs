@@ -63,21 +63,21 @@ struct BroadcastMapper<'a> {
     tally: &'a Tally,
 }
 
-impl Mapper for BroadcastMapper<'_> {
+impl<'a> Mapper for BroadcastMapper<'a> {
     type KIn = u64;
-    type VIn = ShuffleRecord;
+    type VIn = ShuffleRecord<'a>;
     type KOut = u32;
-    type VOut = ShuffleRecord;
+    type VOut = ShuffleRecord<'a>;
 
-    fn map(&self, key: &u64, value: &ShuffleRecord, ctx: &mut MapContext<u32, ShuffleRecord>) {
+    fn map(&self, key: &u64, value: &Self::VIn, ctx: &mut MapContext<u32, Self::VOut>) {
         match value.kind {
             RecordKind::R => {
                 self.tally.add(Count::Shuffled(RecordKind::R), 1);
-                ctx.emit((key % self.reducers as u64) as u32, value.clone());
+                ctx.emit((key % self.reducers as u64) as u32, *value);
             }
             RecordKind::S => {
                 for reducer in 0..self.reducers as u32 {
-                    ctx.emit(reducer, value.clone());
+                    ctx.emit(reducer, *value);
                 }
                 let replicas = self.reducers as u64;
                 self.tally.add(Count::Shuffled(RecordKind::S), replicas);
@@ -94,30 +94,28 @@ struct BroadcastReducer<'a> {
     tally: &'a Tally,
 }
 
-impl Reducer for BroadcastReducer<'_> {
+impl<'a> Reducer for BroadcastReducer<'a> {
     type KIn = u32;
-    type VIn = ShuffleRecord;
+    type VIn = ShuffleRecord<'a>;
     type KOut = u64;
     type VOut = Vec<Neighbor>;
 
     fn reduce(
         &self,
         _key: &u32,
-        values: &[ShuffleRecord],
+        values: &[ShuffleRecord<'a>],
         ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
     ) {
         // Flatten S once: the block is scanned |R_block| times, so the
         // columnar layout and hoisted kernel pay for themselves immediately.
         let block = FlatBlock::new(
-            ShuffleRecord::of_kind(values, RecordKind::S)
-                .map(|record| (record.point.id, &record.point.coords[..])),
+            ShuffleRecord::of_kind(values, RecordKind::S).map(|p| (p.id, &p.coords[..])),
         );
         let mut scratch = TileScratch::new();
-        for record in ShuffleRecord::of_kind(values, RecordKind::R) {
-            let (neighbors, evaluated) =
-                block.scan(&record.point.coords, self.k, &self.kernels, &mut scratch);
+        for r in ShuffleRecord::of_kind(values, RecordKind::R) {
+            let (neighbors, evaluated) = block.scan(&r.coords, self.k, &self.kernels, &mut scratch);
             self.tally.add(Count::Distances, evaluated);
-            ctx.emit(record.point.id, neighbors);
+            ctx.emit(r.id, neighbors);
         }
     }
 }

@@ -5,9 +5,9 @@
 //!
 //! Shuffle bytes are accounted, not produced: a [`ShuffleRecord`] (like the
 //! Voronoi family's cells, see [`crate::algorithms::voronoi`]) crosses the
-//! engine's in-process shuffle as it is and is charged the length
-//! [`geom::Record`]'s codec would give it — the codec is the reference for
-//! the unit, and nothing here serialises.
+//! engine's in-process shuffle as it is, a borrow of its input object, and
+//! is charged the length [`geom::Record`]'s codec would give it — the codec
+//! is the reference for the unit, and nothing here serialises or copies.
 
 use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
@@ -16,43 +16,39 @@ use geom::kernels::{ColumnKernel, Kernel, PROBE_TILE};
 use geom::{DistanceMetric, Neighbor, NeighborList, Point, PointSet, Record, RecordKind};
 use mapreduce::{parallel_map, ByteSize};
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One object as the jobs of H-BRJ, the broadcast join and H-zkNNJ shuffle
-/// it: originating dataset and the object itself behind a shared handle —
+/// it: originating dataset and a borrow of the object in its input set —
 /// the tuple of the paper's Figure 4 with no Voronoi cell assigned.
 ///
-/// Mappers emit replicas by cloning the handle; reducers borrow the
-/// coordinates straight into their own layouts.  The [`ByteSize`] is exactly
-/// what [`Record::encode`] would produce for the tuple (partition 0, pivot
-/// distance 0), so the engine's byte accounting is the paper's
+/// Mappers emit replicas by copying the record, never the object; reducers
+/// borrow the coordinates straight into their own layouts.  The [`ByteSize`]
+/// is exactly what [`Record::encode`] would produce for the tuple (partition
+/// 0, pivot distance 0), so the engine's byte accounting is the paper's
 /// shuffling-cost metric although no byte is ever written.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShuffleRecord {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ShuffleRecord<'a> {
     /// Originating dataset.
     pub kind: RecordKind,
-    /// The object, shared by every replica.
-    pub point: Arc<Point>,
+    /// The object, borrowed from its input set by every replica.
+    pub point: &'a Point,
 }
 
-impl ShuffleRecord {
-    /// Wraps one object of dataset `kind`.
-    pub fn raw(kind: RecordKind, point: Point) -> Self {
-        Self {
-            kind,
-            point: Arc::new(point),
-        }
-    }
-
+impl<'a> ShuffleRecord<'a> {
     /// The records of one dataset among a reducer's received `values`, in
     /// arrival order.
-    pub(crate) fn of_kind(values: &[Self], kind: RecordKind) -> impl Iterator<Item = &Self> {
-        values.iter().filter(move |record| record.kind == kind)
+    pub(crate) fn of_kind(
+        values: &[Self],
+        kind: RecordKind,
+    ) -> impl Iterator<Item = &'a Point> + '_ {
+        values
+            .iter()
+            .filter_map(move |r| (r.kind == kind).then_some(r.point))
     }
 }
 
-impl ByteSize for ShuffleRecord {
+impl ByteSize for ShuffleRecord<'_> {
     fn byte_size(&self) -> usize {
         Record::encoded_len_for_dims(self.point.dims())
     }
@@ -171,13 +167,13 @@ pub(crate) fn offer_adds(
 // ---------------------------------------------------------------------------
 
 /// Raw `R ∪ S` as job input for the algorithms without a preprocessing
-/// step, keyed by object id.  Each object is copied once here; every replica
-/// a mapper emits afterwards shares that copy.
-pub(crate) fn raw_inputs(r: &PointSet, s: &PointSet) -> Vec<(u64, ShuffleRecord)> {
+/// step, keyed by object id.  Nothing is copied: every record, and every
+/// replica a mapper emits from it, borrows the object from `r` or `s`.
+pub(crate) fn raw_inputs<'a>(r: &'a PointSet, s: &'a PointSet) -> Vec<(u64, ShuffleRecord<'a>)> {
     let mut input = Vec::with_capacity(r.len() + s.len());
     for (kind, set) in [(RecordKind::R, r), (RecordKind::S, s)] {
-        for p in set {
-            input.push((p.id, ShuffleRecord::raw(kind, p.clone())));
+        for point in set {
+            input.push((point.id, ShuffleRecord { kind, point }));
         }
     }
     input
@@ -304,8 +300,11 @@ mod tests {
         for kind in [RecordKind::R, RecordKind::S] {
             for dims in [2usize, 10] {
                 let point = Point::new(9, (0..dims).map(|d| d as f64 - 1.5).collect());
-                let value = ShuffleRecord::raw(kind, point.clone());
-                let record = Record::new(kind, 0, 0.0, point);
+                let value = ShuffleRecord {
+                    kind,
+                    point: &point,
+                };
+                let record = Record::new(kind, 0, 0.0, point.clone());
                 let bytes = record.encode();
                 assert_eq!(value.byte_size(), bytes.len());
                 assert_eq!(value.byte_size(), record.encoded_len());

@@ -15,6 +15,10 @@
 //! to the per-cell trees it replaces and the join output and distance
 //! counters are unchanged; only the number of bulk loads drops from `B²` to
 //! `B` (the `index_builds` metric).
+//!
+//! No object is copied on the way: the records borrow `R` and `S`, the tree
+//! is bulk-loaded from those borrows, and a cell probes it for every local
+//! `r` through one reused [`KnnScratch`], tallying its evaluations once.
 
 use crate::algorithms::blocks::{block_count, run_block_framework, BlockRouteMapper};
 use crate::algorithms::common::{raw_inputs, NeighborListValue, ShuffleRecord};
@@ -22,10 +26,10 @@ use crate::context::ExecutionContext;
 use crate::metrics::{Count, JoinMetrics, Tally};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
-use geom::{DistanceMetric, Point, PointSet, RecordKind};
+use geom::{DistanceMetric, PointSet, RecordKind};
 use mapreduce::{ReduceContext, Reducer};
-use spatial::RTree;
-use std::sync::{Arc, OnceLock};
+use spatial::{KnnScratch, RTree};
+use std::sync::OnceLock;
 
 /// Runs cold H-BRJ for a validated `plan` over validated inputs.  There is
 /// no preprocessing: the map job replicates raw records.
@@ -69,20 +73,20 @@ struct HbrjCellReducer<'a> {
     /// `c % B`.
     blocks: usize,
     /// One lazily built tree per `S` block, shared across the column's cells.
-    s_trees: Vec<OnceLock<Arc<RTree>>>,
+    s_trees: Vec<OnceLock<RTree>>,
     tally: &'a Tally,
 }
 
-impl Reducer for HbrjCellReducer<'_> {
+impl<'a> Reducer for HbrjCellReducer<'a> {
     type KIn = u32;
-    type VIn = ShuffleRecord;
+    type VIn = ShuffleRecord<'a>;
     type KOut = u64;
     type VOut = NeighborListValue;
 
     fn reduce(
         &self,
         cell: &u32,
-        values: &[ShuffleRecord],
+        values: &[ShuffleRecord<'a>],
         ctx: &mut ReduceContext<u64, NeighborListValue>,
     ) {
         if ShuffleRecord::of_kind(values, RecordKind::R)
@@ -93,22 +97,20 @@ impl Reducer for HbrjCellReducer<'_> {
         }
         // Even with an empty S block every r must produce a (possibly empty)
         // candidate list so the merge job emits a row for it.  Only the
-        // column's first cell looks at its S records: the bulk load takes
-        // ownership of the block, so that cell copies it once.
+        // column's first cell looks at its S records, and loads the tree
+        // straight from the borrowed objects.
         let tree = self.s_trees[*cell as usize % self.blocks].get_or_init(|| {
             self.tally.add(Count::IndexBuilds, 1);
-            Arc::new(RTree::bulk_load(
-                ShuffleRecord::of_kind(values, RecordKind::S)
-                    .map(|record| Point::clone(&record.point))
-                    .collect(),
-                self.metric,
-            ))
+            RTree::bulk_load(ShuffleRecord::of_kind(values, RecordKind::S), self.metric)
         });
-        for record in ShuffleRecord::of_kind(values, RecordKind::R) {
-            let (neighbors, computations) = tree.knn_counted(&record.point, self.k);
-            self.tally.add(Count::Distances, computations);
-            ctx.emit(record.point.id, NeighborListValue::new(neighbors));
+        let mut scratch = KnnScratch::default();
+        let mut computations = 0;
+        for r in ShuffleRecord::of_kind(values, RecordKind::R) {
+            let (neighbors, evaluated) = tree.knn_with(&r.coords, self.k, &mut scratch);
+            computations += evaluated;
+            ctx.emit(r.id, NeighborListValue::new(neighbors));
         }
+        self.tally.add(Count::Distances, computations);
     }
 }
 
@@ -202,7 +204,7 @@ mod tests {
         );
         let mut reference_computations = 0u64;
         for j in 0..blocks {
-            let s_block: Vec<Point> = s.iter().filter(|p| p.id % blocks == j).cloned().collect();
+            let s_block = s.iter().filter(|p| p.id % blocks == j);
             let tree = RTree::bulk_load_with_fanout(s_block, EUCLIDEAN, RTree::DEFAULT_FANOUT);
             for r_obj in &r {
                 reference_computations += tree.knn_counted(r_obj, k).1;

@@ -244,13 +244,13 @@ struct ZRouteMapper<'a> {
     tally: &'a Tally,
 }
 
-impl Mapper for ZRouteMapper<'_> {
+impl<'a> Mapper for ZRouteMapper<'a> {
     type KIn = u64;
-    type VIn = ShuffleRecord;
+    type VIn = ShuffleRecord<'a>;
     type KOut = u32;
-    type VOut = ShuffleRecord;
+    type VOut = ShuffleRecord<'a>;
 
-    fn map(&self, _key: &u64, value: &ShuffleRecord, ctx: &mut MapContext<u32, ShuffleRecord>) {
+    fn map(&self, _key: &u64, value: &Self::VIn, ctx: &mut MapContext<u32, Self::VOut>) {
         let slabs = self.shared.slabs;
         let mut replicas = 0;
         for copy in 0..self.shared.copies.len() {
@@ -259,14 +259,14 @@ impl Mapper for ZRouteMapper<'_> {
                 RecordKind::R => {
                     let slab = self.shared.slab_of(copy, z);
                     replicas += 1;
-                    ctx.emit((copy * slabs + slab) as u32, value.clone());
+                    ctx.emit((copy * slabs + slab) as u32, *value);
                 }
                 RecordKind::S => {
                     let bounds = &self.shared.copies[copy];
                     for slab in 0..slabs {
                         if z >= bounds.pad_lo[slab] && z <= bounds.pad_hi[slab] {
                             replicas += 1;
-                            ctx.emit((copy * slabs + slab) as u32, value.clone());
+                            ctx.emit((copy * slabs + slab) as u32, *value);
                         }
                     }
                 }
@@ -287,16 +287,16 @@ struct ZSlabReducer<'a> {
     tally: &'a Tally,
 }
 
-impl Reducer for ZSlabReducer<'_> {
+impl<'a> Reducer for ZSlabReducer<'a> {
     type KIn = u32;
-    type VIn = ShuffleRecord;
+    type VIn = ShuffleRecord<'a>;
     type KOut = u64;
     type VOut = NeighborListValue;
 
     fn reduce(
         &self,
         key: &u32,
-        values: &[ShuffleRecord],
+        values: &[ShuffleRecord<'a>],
         ctx: &mut ReduceContext<u64, NeighborListValue>,
     ) {
         let copy = *key as usize / self.shared.slabs;
@@ -307,16 +307,15 @@ impl Reducer for ZSlabReducer<'_> {
             return;
         }
         let slab = SortedCopy::sorted(
-            ShuffleRecord::of_kind(values, RecordKind::S)
-                .map(|rec| (rec.point.id, rec.point.coords.as_slice())),
+            ShuffleRecord::of_kind(values, RecordKind::S).map(|s| (s.id, s.coords.as_slice())),
             |coords| self.shared.z(copy, coords),
         );
         let mut scratch = TileScratch::new();
-        for rec in ShuffleRecord::of_kind(values, RecordKind::R) {
-            let z_r = self.shared.z(copy, &rec.point.coords);
+        for r in ShuffleRecord::of_kind(values, RecordKind::R) {
+            let z_r = self.shared.z(copy, &r.coords);
             let mut list = NeighborList::new(self.k);
             let computations = slab.scan_window(
-                &rec.point.coords,
+                &r.coords,
                 z_r,
                 self.shared.window,
                 &self.kernels,
@@ -324,7 +323,7 @@ impl Reducer for ZSlabReducer<'_> {
                 &mut list,
             );
             self.tally.add(Count::Distances, computations);
-            ctx.emit(rec.point.id, NeighborListValue::new(list.into_sorted()));
+            ctx.emit(r.id, NeighborListValue::new(list.into_sorted()));
         }
     }
 }

@@ -11,6 +11,7 @@
 //! * **k-means selection** — run k-means on a sample and use the cluster
 //!   centroids (which need not be dataset objects) as pivots.
 
+use geom::kernels::Kernel;
 use geom::{CoordMatrix, DistanceMetric, Point, PointSet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -96,72 +97,78 @@ pub fn select_pivots(
     pivots
 }
 
-/// Draws a uniform sample of `n` points without replacement.
-fn sample_points(r: &PointSet, n: usize, rng: &mut StdRng) -> Vec<Point> {
+/// Draws a uniform sample of `n` points without replacement, by reference:
+/// no point is copied until a strategy has chosen its pivots.
+fn sample_points<'r>(r: &'r PointSet, n: usize, rng: &mut StdRng) -> Vec<&'r Point> {
     if n >= r.len() {
-        return r.points().to_vec();
+        return r.iter().collect();
     }
-    r.points().choose_multiple(rng, n).cloned().collect()
+    r.points().choose_multiple(rng, n).collect()
 }
 
 /// Total pairwise distance of a candidate pivot set.
-fn total_pairwise_distance(set: &[Point], metric: DistanceMetric) -> f64 {
+fn total_pairwise_distance(set: &[&Point], kernel: Kernel) -> f64 {
     let mut total = 0.0;
-    for i in 0..set.len() {
-        for j in (i + 1)..set.len() {
-            total += metric.distance(&set[i], &set[j]);
+    for (i, a) in set.iter().enumerate() {
+        for b in &set[i + 1..] {
+            total += kernel(&a.coords, &b.coords);
         }
     }
     total
 }
 
 fn random_selection(
-    sample: &[Point],
+    sample: &[&Point],
     count: usize,
     candidate_sets: usize,
     metric: DistanceMetric,
     rng: &mut StdRng,
 ) -> Vec<Point> {
-    let mut best: Option<(f64, Vec<Point>)> = None;
+    let kernel = metric.kernel();
+    let mut best: Option<(f64, Vec<&Point>)> = None;
     for _ in 0..candidate_sets {
-        let candidate: Vec<Point> = sample.choose_multiple(rng, count).cloned().collect();
-        let score = total_pairwise_distance(&candidate, metric);
+        let candidate: Vec<&Point> = sample.choose_multiple(rng, count).copied().collect();
+        let score = total_pairwise_distance(&candidate, kernel);
         if best.as_ref().is_none_or(|(s, _)| score > *s) {
             best = Some((score, candidate));
         }
     }
-    best.expect("at least one candidate set").1
+    best.expect("at least one candidate set")
+        .1
+        .into_iter()
+        .cloned()
+        .collect()
 }
 
 fn farthest_selection(
-    sample: &[Point],
+    sample: &[&Point],
     count: usize,
     metric: DistanceMetric,
     rng: &mut StdRng,
 ) -> Vec<Point> {
     let kernel = metric.kernel();
     let mut pivots: Vec<Point> = Vec::with_capacity(count);
-    let first = sample[rng.gen_range(0..sample.len())].clone();
+    let first = sample[rng.gen_range(0..sample.len())];
     // Summed distance from every sample object to the chosen pivots,
     // maintained incrementally so selection is O(count · |sample|).
     let mut summed: Vec<f64> = sample
         .iter()
         .map(|p| kernel(&p.coords, &first.coords))
         .collect();
-    pivots.push(first);
+    pivots.push(first.clone());
     while pivots.len() < count {
         let (best_idx, _) = summed
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
             .expect("sample is non-empty");
-        let next = sample[best_idx].clone();
+        let next = sample[best_idx];
         for (i, p) in sample.iter().enumerate() {
             summed[i] += kernel(&p.coords, &next.coords);
         }
         // Prevent re-selection by zeroing out the chosen object's score.
         summed[best_idx] = f64::NEG_INFINITY;
-        pivots.push(next);
+        pivots.push(next.clone());
     }
     pivots
 }
@@ -171,14 +178,17 @@ fn farthest_selection(
 /// (squared distances under L2) — the same kernel discipline as
 /// `VoronoiPartitioner::nearest_pivot`.
 fn kmeans_selection(
-    sample: &[Point],
+    sample: &[&Point],
     count: usize,
     iterations: usize,
     metric: DistanceMetric,
     rng: &mut StdRng,
 ) -> Vec<Point> {
     let dims = sample[0].dims();
-    let flat_sample = CoordMatrix::from_points(sample);
+    let mut flat_sample = CoordMatrix::with_capacity(dims, sample.len());
+    for p in sample {
+        flat_sample.push_row(&p.coords);
+    }
     // Initialise centres with a random subset of the sample.
     let mut centers = CoordMatrix::with_capacity(dims, count);
     for p in sample.choose_multiple(rng, count) {
@@ -287,6 +297,12 @@ mod tests {
         }
     }
 
+    /// Total pairwise L2 distance of a pivot set.
+    fn spread(pivots: &[Point]) -> f64 {
+        let set: Vec<&Point> = pivots.iter().collect();
+        total_pairwise_distance(&set, DistanceMetric::Euclidean.kernel())
+    }
+
     #[test]
     fn farthest_selection_spreads_more_than_random() {
         let r = dataset(400);
@@ -301,7 +317,7 @@ mod tests {
         );
         let far_pivots = select_pivots(&r, 10, PivotSelectionStrategy::Farthest, 400, m, 5);
         assert!(
-            total_pairwise_distance(&far_pivots, m) >= total_pairwise_distance(&rand_pivots, m),
+            spread(&far_pivots) >= spread(&rand_pivots),
             "farthest selection should maximise spread"
         );
     }
@@ -328,8 +344,8 @@ mod tests {
             m,
             9,
         );
-        assert!(total_pairwise_distance(&p1, m) > 0.0);
-        assert!(total_pairwise_distance(&p10, m) > 0.0);
+        assert!(spread(&p1) > 0.0);
+        assert!(spread(&p10) > 0.0);
     }
 
     #[test]

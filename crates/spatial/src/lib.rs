@@ -22,4 +22,4 @@ pub mod bruteforce;
 pub mod rtree;
 
 pub use bruteforce::BruteForceIndex;
-pub use rtree::RTree;
+pub use rtree::{KnnScratch, RTree};

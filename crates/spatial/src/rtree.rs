@@ -14,6 +14,7 @@
 //! *computation selectivity* metric.
 
 use geom::{DistanceMetric, Neighbor, NeighborList, Point, PointId};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -95,7 +96,15 @@ impl Level {
                 let lo = &self.lo[d * stride + node..][..slots.len()];
                 let hi = &self.hi[d * stride + node..][..slots.len()];
                 for ((acc, &l), &h) in acc.iter_mut().zip(lo).zip(hi) {
-                    *acc = step(*acc, x - x.clamp(l, h));
+                    // `x.clamp(l, h)` without its assert: the lanes vectorize.
+                    let clamped = if x < l {
+                        l
+                    } else if x > h {
+                        h
+                    } else {
+                        x
+                    };
+                    *acc = step(*acc, x - clamped);
                 }
             }
             slots.copy_from_slice(&acc[..slots.len()]);
@@ -145,11 +154,12 @@ pub struct RTree {
 
 /// Priority-queue entry for best-first traversal: node `node` of
 /// `levels[level]`, keyed by the minimum possible distance from the query to
-/// its box.
+/// its box.  The order compares `dist` alone: equal ones pop in heap order.
+#[derive(Debug)]
 struct Prioritized {
     dist: f64,
-    level: usize,
-    node: usize,
+    level: u32,
+    node: u32,
 }
 
 impl PartialEq for Prioritized {
@@ -173,39 +183,52 @@ impl PartialOrd for Prioritized {
     }
 }
 
+/// The node heap and rank buffer of [`RTree::knn_with`], cleared by each
+/// query with their capacity kept, so a run of queries allocates them once.
+#[derive(Debug, Default)]
+pub struct KnnScratch {
+    heap: BinaryHeap<Prioritized>,
+    ranks: Vec<f64>,
+}
+
 impl RTree {
     /// Default maximum number of entries per node.
     pub const DEFAULT_FANOUT: usize = 16;
 
     /// Bulk-loads an R-tree with the default fanout.
-    pub fn bulk_load(points: Vec<Point>, metric: DistanceMetric) -> Self {
+    pub fn bulk_load<P: Borrow<Point>>(
+        points: impl IntoIterator<Item = P>,
+        metric: DistanceMetric,
+    ) -> Self {
         Self::bulk_load_with_fanout(points, metric, Self::DEFAULT_FANOUT)
     }
 
     /// Bulk-loads an R-tree using Sort-Tile-Recursive packing with the given
-    /// fanout (maximum entries per node).
+    /// fanout (maximum entries per node), from owned or borrowed points.
     ///
     /// # Panics
     /// Panics if `fanout < 2` or if there are more than `u32::MAX` points.
-    pub fn bulk_load_with_fanout(
-        points: Vec<Point>,
+    pub fn bulk_load_with_fanout<P: Borrow<Point>>(
+        points: impl IntoIterator<Item = P>,
         metric: DistanceMetric,
         fanout: usize,
     ) -> Self {
         assert!(fanout >= 2, "fanout must be at least 2");
+        let points: Vec<P> = points.into_iter().collect();
+        let point = |row: usize| -> &Point { points[row].borrow() };
         let len = points.len();
-        let dims = points.first().map_or(0, Point::dims);
+        let dims = if len > 0 { point(0).dims() } else { 0 };
         // The input's columns: the sort keys of STR, one contiguous column
         // per dimension.
         let mut input = Vec::with_capacity(dims * len);
         for d in 0..dims {
-            input.extend(points.iter().map(|p| p.coords[d]));
+            input.extend((0..len).map(|row| point(row).coords[d]));
         }
         let mut rows: Vec<u32> =
             (0..u32::try_from(len).expect("at most u32::MAX points")).collect();
         let mut first = vec![0];
         str_pack(&input, &mut rows, 0, dims, fanout, &mut first);
-        let ids = rows.iter().map(|&r| points[r as usize].id).collect();
+        let ids = rows.iter().map(|&r| point(r as usize).id).collect();
         let cols: Vec<f64> = input
             .chunks(len.max(1))
             .flat_map(|column| rows.iter().map(|&r| column[r as usize]))
@@ -258,7 +281,14 @@ impl RTree {
 
     /// Like [`RTree::knn`], additionally returning the number of point-to-point
     /// distance computations performed (used for the computation-selectivity
-    /// metric of the paper).
+    /// metric of the paper): [`RTree::knn_with`] on a fresh scratch.
+    pub fn knn_counted(&self, query: &Point, k: usize) -> (Vec<Neighbor>, u64) {
+        self.knn_with(&query.coords, k, &mut KnnScratch::default())
+    }
+
+    /// The `k` nearest neighbours of the coordinates `query` and the number
+    /// of distance computations spent, traversing with the caller's
+    /// `scratch` — a loop of probes reuses one heap and one rank buffer.
     ///
     /// A leaf is ranked in one call of the metric's bit-exact column kernel
     /// over its run of rows and offered straight into the accumulator
@@ -268,22 +298,27 @@ impl RTree {
     /// it when popped: when a node at MBR distance `m` is popped, that walk
     /// has already popped and offered every discovered point with `d ≤ m`,
     /// so both compare `m` against the same `k`-th distance.
-    pub fn knn_counted(&self, query: &Point, k: usize) -> (Vec<Neighbor>, u64) {
+    pub fn knn_with(
+        &self,
+        query: &[f64],
+        k: usize,
+        scratch: &mut KnnScratch,
+    ) -> (Vec<Neighbor>, u64) {
         let Some(root) = self.levels.len().checked_sub(1).filter(|_| k > 0) else {
             return (Vec::new(), 0);
         };
         let mut result = NeighborList::new(k);
-        let query = query.coords.as_slice();
         let rank = self.metric.column_rank_kernel();
-        // The ranks of a leaf's rows or the MINDISTs of a node's children,
-        // reused across the walk: a node owns at most `fanout` entries.
-        let mut scratch = vec![0.0f64; self.fanout];
+        let KnnScratch { heap, ranks } = scratch;
+        heap.clear();
+        // The ranks of a leaf's rows or the MINDISTs of a node's children:
+        // a node owns at most `fanout` entries.
+        ranks.resize(self.fanout, 0.0);
         let mut distance_computations = 0u64;
-        let mut heap = BinaryHeap::new();
-        self.levels[root].min_distances(self.metric, query, 0, &mut scratch[..1]);
+        self.levels[root].min_distances(self.metric, query, 0, &mut ranks[..1]);
         heap.push(Prioritized {
-            dist: scratch[0],
-            level: root,
+            dist: ranks[0],
+            level: root as u32,
             node: 0,
         });
         while let Some(Prioritized { dist, level, node }) = heap.pop() {
@@ -293,21 +328,21 @@ impl RTree {
             if dist > threshold {
                 break;
             }
-            let run = self.levels[level].run(node);
-            let scratch = &mut scratch[..run.len()];
+            let run = self.levels[level as usize].run(node as usize);
+            let ranks = &mut ranks[..run.len()];
             if level == 0 {
-                rank(query, &self.cols, self.ids.len(), run.start, scratch);
-                distance_computations += scratch.len() as u64;
-                result.offer_ranks(&self.ids[run], scratch, &[], self.metric);
+                rank(query, &self.cols, self.ids.len(), run.start, ranks);
+                distance_computations += ranks.len() as u64;
+                result.offer_ranks(&self.ids[run], ranks, &[], self.metric);
                 continue;
             }
-            self.levels[level - 1].min_distances(self.metric, query, run.start, scratch);
-            for (child, &d) in run.zip(scratch.iter()) {
+            self.levels[level as usize - 1].min_distances(self.metric, query, run.start, ranks);
+            for (child, &d) in run.zip(ranks.iter()) {
                 if d <= threshold {
                     heap.push(Prioritized {
                         dist: d,
                         level: level - 1,
-                        node: child,
+                        node: child as u32,
                     });
                 }
             }
@@ -376,7 +411,7 @@ mod tests {
 
     #[test]
     fn empty_tree() {
-        let t = RTree::bulk_load(Vec::new(), DistanceMetric::Euclidean);
+        let t = RTree::bulk_load(Vec::<Point>::new(), DistanceMetric::Euclidean);
         assert!(t.is_empty());
         assert_eq!(t.height(), 0);
         assert!(t.knn(&Point::new(0, vec![0.0, 0.0]), 5).is_empty());
@@ -555,6 +590,98 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
             let q = Point::new(u64::MAX, (0..dims).map(|_| rng.gen::<f64>() * 100.0).collect());
             prop_assert_eq!(tree.knn(&q, k), brute.knn(&q, k));
+        }
+    }
+
+    /// A tree loaded from borrowed points is the tree loaded from owned
+    /// copies of them: same height, same answers, same counts.
+    #[test]
+    fn borrowed_and_owned_points_load_the_same_tree() {
+        for (n, dims, fanout, which) in
+            [(0, 2, 4, 0), (1, 3, 2, 1), (700, 2, 16, 2), (300, 9, 4, 0)]
+        {
+            let pts = random_points(n, dims, n as u64);
+            let borrowed = RTree::bulk_load_with_fanout(&pts, METRICS[which], fanout);
+            let owned = RTree::bulk_load_with_fanout(pts.clone(), METRICS[which], fanout);
+            assert_eq!(
+                (borrowed.len(), borrowed.height()),
+                (owned.len(), owned.height())
+            );
+            for q in random_points(20, dims, 99) {
+                assert_eq!(borrowed.knn_counted(&q, 7), owned.knn_counted(&q, 7));
+            }
+        }
+    }
+
+    /// Which of several equal-distance points survive into a query's `k`
+    /// depends on the order the heap pops equal-MINDIST nodes, which no
+    /// count shows.  A run of queries on five-value grid rows through one
+    /// reused scratch is pinned as an FNV-1a digest of every answer's ids
+    /// and distance bits, recorded with fresh `knn_counted` calls on the
+    /// traversal whose heap entries held `usize` levels and nodes.
+    #[test]
+    fn tie_heavy_answers_are_pinned() {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let snap = |c: f64| (c / 20.0).floor();
+        let mut computations = 0;
+        for (which, fanout, dims) in [(0, 2, 2), (1, 4, 3), (2, 16, 2), (0, 4, 3)] {
+            let mut pts = random_points(600, dims, 40 + fanout as u64);
+            pts.iter_mut()
+                .flat_map(|p| &mut p.coords)
+                .for_each(|c| *c = snap(*c));
+            let tree = RTree::bulk_load_with_fanout(&pts, METRICS[which], fanout);
+            let mut rng = StdRng::seed_from_u64(fanout as u64);
+            let mut scratch = KnnScratch::default();
+            for k in 1..30 {
+                let q: Vec<f64> = (0..dims).map(|_| snap(rng.gen::<f64>() * 100.0)).collect();
+                let (neighbors, count) = tree.knn_with(&q, k, &mut scratch);
+                computations += count;
+                for n in neighbors {
+                    mix(n.id);
+                    mix(n.distance.to_bits());
+                }
+            }
+        }
+        assert_eq!((hash, computations), (0x6291_36de_10ec_3a13, 6798));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// One scratch reused across a run of queries — varied `k`, every
+        /// metric, tie-heavy `grid` rows — answers each exactly as a fresh
+        /// `knn_counted` does: ids, distance bits and counts.
+        #[test]
+        fn a_reused_scratch_answers_like_a_fresh_one(
+            n in 1usize..400,
+            dims in 1usize..6,
+            fanout in 2usize..17,
+            seed in 0u64..1000,
+            which in 0usize..3,
+            grid in proptest::bool::ANY,
+        ) {
+            let snap = |c: f64| if grid { (c / 20.0).floor() } else { c };
+            let mut pts = random_points(n, dims, seed);
+            pts.iter_mut().flat_map(|p| &mut p.coords).for_each(|c| *c = snap(*c));
+            let tree = RTree::bulk_load_with_fanout(&pts, METRICS[which], fanout);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
+            let mut scratch = KnnScratch::default();
+            for _ in 0..12 {
+                let q: Vec<f64> = (0..dims).map(|_| snap(rng.gen::<f64>() * 100.0)).collect();
+                let k = rng.gen_range(0..n + 3);
+                let (reused, reused_count) = tree.knn_with(&q, k, &mut scratch);
+                let (fresh, fresh_count) = tree.knn_counted(&Point::new(u64::MAX, q), k);
+                let bits = |list: &[Neighbor]| -> Vec<(PointId, u64)> {
+                    list.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+                };
+                prop_assert_eq!(bits(&reused), bits(&fresh));
+                prop_assert_eq!(reused_count, fresh_count);
+            }
         }
     }
 

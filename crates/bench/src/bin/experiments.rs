@@ -30,18 +30,18 @@
 //! or prepared, differs from its `Exact` twin on any deterministic field
 //! (no scan reads the mode), when a cold
 //! PBJ row's pivot-assignment computations differ from its PGBJ twin's (they
-//! run one front half), or when a cold PGBJ row's shuffle records are not
-//! job 1's batches plus one per routed object (a cell slice is accounted as
-//! its rows), whatever the reference says.
+//! run one front half), or when a cold row's shuffle records are not the
+//! records its combiners let through plus one per routed object (a cell
+//! slice is accounted as its rows, a merged or passed-through partial list
+//! as one), whatever the reference says.
 //! CI runs all three on every push, so an unexplained counter regression
 //! fails the build instead of silently shifting the baseline.
 
 #![forbid(unsafe_code)]
 
 use bench::experiments::{
-    fast_rows_off_their_exact_twin, pbj_rows_off_their_pgbj_twin,
-    pgbj_rows_off_their_shuffle_identity, run_by_id, ExperimentOutput, ALL_EXPERIMENTS,
-    BASELINE_FIELDS,
+    cold_rows_off_their_shuffle_identity, fast_rows_off_their_exact_twin,
+    pbj_rows_off_their_pgbj_twin, run_by_id, ExperimentOutput, ALL_EXPERIMENTS, BASELINE_FIELDS,
 };
 use bench::json::Value;
 use bench::ExperimentScale;
@@ -266,7 +266,7 @@ fn main() -> ExitCode {
             if output.id == "perf_baseline" {
                 drift.extend(fast_rows_off_their_exact_twin(&output.json));
                 drift.extend(pbj_rows_off_their_pgbj_twin(&output.json));
-                drift.extend(pgbj_rows_off_their_shuffle_identity(&output.json));
+                drift.extend(cold_rows_off_their_shuffle_identity(&output.json));
             }
             problems.extend(drift.into_iter().map(|p| format!("{}: {p}", output.id)));
         }

@@ -23,8 +23,8 @@ pub use effect_of_k::{fig8, fig9};
 pub use mutable_corpus::{mutable_corpus, MutableRow};
 pub use parameter_study::{fig6, fig7, table2, table3};
 pub use perf_baseline::{
-    fast_rows_off_their_exact_twin, pbj_rows_off_their_pgbj_twin, perf_baseline,
-    pgbj_rows_off_their_shuffle_identity, BaselineRow, BASELINE_FIELDS, PREPARED_QUERIES,
+    cold_rows_off_their_shuffle_identity, fast_rows_off_their_exact_twin,
+    pbj_rows_off_their_pgbj_twin, perf_baseline, BaselineRow, BASELINE_FIELDS, PREPARED_QUERIES,
 };
 pub use serving_slo::{serving_slo, ServingRow};
 pub use sweeps::{fig10, fig11, fig12};

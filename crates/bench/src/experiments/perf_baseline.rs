@@ -71,12 +71,13 @@ pub struct BaselineRow {
     /// Records crossing the shuffle across all jobs (post-combine).
     pub shuffle_records: u64,
     /// `combine_output_records + r_records_shuffled + s_records_shuffled`:
-    /// job 1's post-combine batches plus one record per object the join job
-    /// routed.  On a cold PGBJ row that is every record of both jobs, so it
-    /// equals `shuffle_records` exactly while each routed object is charged
-    /// one record — cells cross that shuffle as slices, accounted per row
-    /// (see [`pgbj_rows_off_their_shuffle_identity`]).  Not gated against
-    /// the committed file.
+    /// the records every combiner let through (PGBJ and PBJ job 1's batches,
+    /// the merge job's partial lists) plus one record per object a routing
+    /// job replicated.  On every cold row that is every record of every
+    /// job, so it equals `shuffle_records` exactly while each routed object
+    /// and each combined batch or list is charged one record (see
+    /// [`cold_rows_off_their_shuffle_identity`]).  Not gated against the
+    /// committed file.
     pub batches_plus_routed_records: u64,
     /// Recall against the nested-loop oracle (1.0 for exact algorithms).
     pub recall: f64,
@@ -331,20 +332,29 @@ pub fn pbj_rows_off_their_pgbj_twin(rows: &Value) -> Vec<String> {
     problems.collect()
 }
 
-/// The cold PGBJ rows of a `perf_baseline` run whose `shuffle_records` is not
-/// job 1's batches plus one record per routed object
-/// (`batches_plus_routed_records`), each as a description.  Job 2 moves a
-/// cell's rows as one shared slice; the slice is *accounted* as its rows, so
-/// the identity holds by construction and breaks the moment a slice is
-/// charged as one record (or an object twice).
-pub fn pgbj_rows_off_their_shuffle_identity(rows: &Value) -> Vec<String> {
-    let problems = ["PGBJ", "PGBJ (fast)"].into_iter().filter_map(|row| {
-        let of = |field: &str| row_field(rows, row, field);
+/// The cold rows of a `perf_baseline` run — all six algorithms and their
+/// `"(fast)"` twins — whose `shuffle_records` is not the records their
+/// combiners let through plus one record per routed object
+/// (`batches_plus_routed_records`), each as a description.  The baseline
+/// runs with the combiner on, so every job is covered: PGBJ and PBJ job 1
+/// ship combined batches, the join jobs charge one record per object they
+/// route (a PGBJ or PBJ cell slice is accounted as its rows), and the merge
+/// job of PBJ, H-BRJ and H-zkNNJ ships one combined or passed-through list
+/// per `r` and map task.  The identity holds by construction and breaks the
+/// moment a value standing for several objects or lists is charged as one
+/// record, or one is charged twice.
+pub fn cold_rows_off_their_shuffle_identity(rows: &Value) -> Vec<String> {
+    let cold = Algorithm::ALL.into_iter().flat_map(|algorithm| {
+        ["", " (fast)"].map(|suffix| format!("{}{suffix}", algorithm.name()))
+    });
+    let problems = cold.filter_map(|row| {
+        let of = |field: &str| row_field(rows, &row, field);
         match (of("shuffle_records"), of("batches_plus_routed_records")) {
             (Some(shuffled), Some(accounted)) if shuffled == accounted => None,
             (Some(shuffled), Some(accounted)) => Some(format!(
-                "{row}.shuffle_records: {shuffled} against {accounted} batches + routed \
-                 objects: a routed object is not charged exactly one record"
+                "{row}.shuffle_records: {shuffled} against {accounted} combined batches or \
+                 lists + routed objects: a routed object or a combined value is not charged \
+                 exactly one record"
             )),
             _ => Some(format!("{row}: row or field missing")),
         }
@@ -513,15 +523,17 @@ mod tests {
     }
 
     #[test]
-    fn pgbj_rows_account_a_slice_as_its_rows_and_the_gate_notices_when_not() {
+    fn every_cold_row_keeps_its_shuffle_identity_and_the_gate_notices_when_not() {
         let out = perf_baseline(ExperimentScale::Quick);
-        assert_eq!(pgbj_rows_off_their_shuffle_identity(&out.json), [""; 0]);
-        // A PGBJ row whose slices were counted as one record each trips it.
+        assert_eq!(cold_rows_off_their_shuffle_identity(&out.json), [""; 0]);
+        // A PGBJ row whose slices were counted as one record each, and an
+        // H-BRJ (fast) row whose merge job charged a cell's lists as one
+        // record, each trip it; the prepared rows are not its business.
         let rows = out.json.as_array().expect("rows").iter();
-        let per_slice = Value::Array(
+        let undercharged = Value::Array(
             rows.map(|row| match row["algorithm"].as_str() {
-                Some("PGBJ") => Value::object(vec![
-                    ("algorithm", "PGBJ".into()),
+                Some(name @ ("PGBJ" | "H-BRJ (fast)" | "PBJ (prepared)")) => Value::object(vec![
+                    ("algorithm", name.into()),
                     ("shuffle_records", 100.0.into()),
                     (
                         "batches_plus_routed_records",
@@ -532,9 +544,19 @@ mod tests {
             })
             .collect(),
         );
-        let problems = pgbj_rows_off_their_shuffle_identity(&per_slice);
-        assert_eq!(problems.len(), 1, "{problems:?}");
+        let problems = cold_rows_off_their_shuffle_identity(&undercharged);
+        assert_eq!(problems.len(), 2, "{problems:?}");
         assert!(problems[0].starts_with("PGBJ."), "{problems:?}");
+        assert!(problems[1].starts_with("H-BRJ (fast)."), "{problems:?}");
+        // A missing cold row is a problem of its own.
+        let rows = out.json.as_array().expect("rows").iter();
+        let without_zknn = Value::Array(
+            rows.filter(|row| row["algorithm"].as_str() != Some("H-zkNNJ"))
+                .cloned()
+                .collect(),
+        );
+        let problems = cold_rows_off_their_shuffle_identity(&without_zknn);
+        assert_eq!(problems, ["H-zkNNJ: row or field missing"]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! through the same merge job, under its own merge rule.
 
 use crate::algorithms::common::{
-    merge_neighbor_lists, rows_from_output, NeighborListValue, ShuffleRecord,
+    merge_neighbor_lists, rows_from_output, CellRun, PartialList, ShuffleRecord,
 };
 use crate::metrics::{phases, Count, JoinMetrics, Tally};
 use crate::plan::JoinPlan;
@@ -75,43 +75,58 @@ impl<'a> Mapper for BlockRouteMapper<'a> {
 /// final `k`: [`merge_neighbor_lists`] for the block algorithms,
 /// `zknn::merge_distinct_candidates` for H-zkNNJ.  The two offer candidates
 /// in different orders, so they keep different survivors of a distance tie.
-pub(crate) type MergeRule = fn(&[NeighborListValue], usize) -> Vec<Neighbor>;
+/// Either returns a list produced by a `NeighborList` — at most `k` entries
+/// with distinct ids, sorted by `Neighbor`'s order — unchanged when it is
+/// the only one, which is what lets [`MergeCombiner`] pass such a list
+/// through.
+pub(crate) type MergeRule = fn(&[PartialList<'_>], usize) -> Vec<Neighbor>;
 
 /// Map-side combiner of the merge job: collapse the partial candidate lists a
 /// map task holds for one `R` object into a single `k`-bounded list before
-/// they cross the shuffle.  Both merge rules are associative, so the
-/// [`MergeReducer`] produces the same final list either way.
-struct MergeCombiner {
+/// they cross the shuffle.  A lone list is passed through as it came (still
+/// borrowed from its cell's run, and exactly what `merge` would return for
+/// it); only two or more are merged, into an owned list.  Either way the
+/// [`MergeReducer`] ends with the `k` nearest candidates.  Which of several
+/// candidates tied at the `k`-th distance survives may differ from a run
+/// without the combiner under [`merge_neighbor_lists`] (it admits by arrival
+/// but evicts by id); `zknn::merge_distinct_candidates` keeps the `k` least
+/// by (distance, id) and is associative outright.
+struct MergeCombiner<'a> {
     k: usize,
-    merge: MergeRule,
+    /// The [`MergeRule`], at the lifetime of the lists it merges.
+    merge: fn(&[PartialList<'a>], usize) -> Vec<Neighbor>,
 }
 
-impl Combiner for MergeCombiner {
+impl<'a> Combiner for MergeCombiner<'a> {
     type K = u64;
-    type V = NeighborListValue;
+    type V = PartialList<'a>;
 
-    fn combine(&self, _key: &u64, values: &[NeighborListValue]) -> Vec<NeighborListValue> {
-        vec![NeighborListValue::new((self.merge)(values, self.k))]
+    fn combine(&self, _key: &u64, values: &[PartialList<'a>]) -> Vec<PartialList<'a>> {
+        match values {
+            [list] => vec![list.clone()],
+            _ => vec![PartialList::Owned((self.merge)(values, self.k))],
+        }
     }
 }
 
 /// Reducer of the merge job: keep the `k` globally best candidates per `R`
-/// object.
-struct MergeReducer {
+/// object.  The merged list is the only allocation it makes: the join row.
+struct MergeReducer<'a> {
     k: usize,
-    merge: MergeRule,
+    /// The [`MergeRule`], at the lifetime of the lists it merges.
+    merge: fn(&[PartialList<'a>], usize) -> Vec<Neighbor>,
 }
 
-impl Reducer for MergeReducer {
+impl<'a> Reducer for MergeReducer<'a> {
     type KIn = u64;
-    type VIn = NeighborListValue;
+    type VIn = PartialList<'a>;
     type KOut = u64;
     type VOut = Vec<Neighbor>;
 
     fn reduce(
         &self,
         key: &u64,
-        values: &[NeighborListValue],
+        values: &[PartialList<'a>],
         ctx: &mut ReduceContext<u64, Vec<Neighbor>>,
     ) {
         ctx.emit(*key, (self.merge)(values, self.k));
@@ -133,7 +148,7 @@ pub(crate) fn run_block_framework<Map, Red>(
 ) -> Result<Vec<JoinRow>, JoinError>
 where
     Map: Mapper<KOut = u32>,
-    Red: Reducer<KIn = u32, VIn = Map::VOut, KOut = u64, VOut = NeighborListValue>,
+    Red: Reducer<KIn = u32, VIn = Map::VOut, KOut = u32, VOut = CellRun>,
 {
     let blocks = block_count(plan.reducers);
 
@@ -149,7 +164,7 @@ where
     metrics.absorb_job(&join_job.metrics);
 
     run_merge_job(
-        join_job.output,
+        &join_job.output,
         plan,
         workers,
         merge_neighbor_lists,
@@ -158,19 +173,26 @@ where
 }
 
 /// The merge job of every two-job algorithm: fold each `R` object's partial
-/// candidate lists into its final `k` with `merge`.  When the plan's
-/// `combiner` is set, the [`MergeCombiner`] runs map-side, so only
-/// `k`-bounded lists cross the shuffle.  The input is already keyed by `R`
-/// id, so the job runs without a mapper and moves the lists, never cloning
-/// one.
+/// candidate lists into its final `k` with `merge`.  The input is the first
+/// job's per-cell [`CellRun`]s, in that job's output order; every list in
+/// them becomes one `(r id, PartialList::Borrowed)` record, in run order, so
+/// no list is copied and each is charged one record of `4 + 16·len` bytes.
+/// The records are already keyed by `R` id, so the job runs without a
+/// mapper.  When the plan's `combiner` is set, the [`MergeCombiner`] runs
+/// map-side, so only `k`-bounded lists cross the shuffle.
 pub(crate) fn run_merge_job(
-    input: Vec<(u64, NeighborListValue)>,
+    runs: &[(u32, CellRun)],
     plan: &JoinPlan,
     workers: usize,
     merge: MergeRule,
     metrics: &mut JoinMetrics,
 ) -> Result<Vec<JoinRow>, JoinError> {
     let start = Instant::now();
+    let input: Vec<(u64, PartialList<'_>)> = runs
+        .iter()
+        .flat_map(|(_, run)| run.lists())
+        .map(|(r_id, list)| (r_id, PartialList::Borrowed(list)))
+        .collect();
     let k = plan.k;
     let merge_job = JobBuilder::new("merge")
         .reducers(plan.reducers)
@@ -190,7 +212,10 @@ pub(crate) fn run_merge_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geom::Point;
+    use crate::algorithms::zknn::merge_distinct_candidates;
+    use geom::{NeighborList, Point, PointId};
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn block_count_is_floor_sqrt() {
@@ -286,8 +311,8 @@ mod tests {
         reducer.reduce(
             &7,
             &[
-                NeighborListValue::new(vec![Neighbor::new(1, 3.0), Neighbor::new(2, 4.0)]),
-                NeighborListValue::new(vec![Neighbor::new(3, 1.0)]),
+                PartialList::Borrowed(&[Neighbor::new(1, 3.0), Neighbor::new(2, 4.0)]),
+                PartialList::Owned(vec![Neighbor::new(3, 1.0)]),
             ],
             &mut ctx,
         );
@@ -296,5 +321,167 @@ mod tests {
         assert_eq!(*key, 7);
         let ids: Vec<u64> = merged.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![3, 1]);
+    }
+
+    /// A list as a reducer cell produces it: up to `k` of `2k + 2` random
+    /// candidates (ids below 40, distinct) offered into a `NeighborList`,
+    /// on a grid of six distances so that ties are everywhere.
+    fn cell_list(rng: &mut TestRng, k: usize) -> Vec<Neighbor> {
+        let mut list = NeighborList::new(k);
+        let mut seen = BTreeSet::new();
+        for _ in 0..rng.below(2 * k as u128 + 3) {
+            let id = rng.below(40) as PointId;
+            if seen.insert(id) {
+                list.offer(id, rng.below(6) as f64 * 0.5);
+            }
+        }
+        list.into_sorted()
+    }
+
+    fn bits(list: &[Neighbor]) -> Vec<(PointId, u64)> {
+        list.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+    }
+
+    /// The merge job as the engine defines it, over owned lists: the input
+    /// cut into at most `map_tasks` contiguous splits of `⌈n / tasks⌉`
+    /// lists, each split's lists grouped by `r` in a `BTreeMap` and — with
+    /// the combiner — merged per group, always, however many it holds; then
+    /// every `r`'s shuffled lists, in split order, merged into its row.
+    /// Returns the rows by `r` and the shuffle records, shuffle bytes and
+    /// combine input and output records.
+    fn merge_oracle(
+        lists: &[(PointId, Vec<Neighbor>)],
+        k: usize,
+        map_tasks: usize,
+        combiner: bool,
+        merge: MergeRule,
+    ) -> (Vec<(PointId, Vec<Neighbor>)>, [u64; 4]) {
+        let owned = |group: &[Vec<Neighbor>]| -> Vec<PartialList<'static>> {
+            group.iter().cloned().map(PartialList::Owned).collect()
+        };
+        let chunk = lists
+            .len()
+            .div_ceil(map_tasks.min(lists.len()).max(1))
+            .max(1);
+        let mut shuffled: BTreeMap<PointId, Vec<Vec<Neighbor>>> = BTreeMap::new();
+        let mut counters = [0u64; 4];
+        for split in lists.chunks(chunk) {
+            let mut groups: BTreeMap<PointId, Vec<Vec<Neighbor>>> = BTreeMap::new();
+            for (r_id, list) in split {
+                groups.entry(*r_id).or_default().push(list.clone());
+            }
+            for (r_id, group) in groups {
+                let sent = if combiner {
+                    counters[2] += group.len() as u64;
+                    counters[3] += 1;
+                    vec![merge(&owned(&group), k)]
+                } else {
+                    group
+                };
+                for list in sent {
+                    counters[0] += 1;
+                    counters[1] += (8 + 4 + 16 * list.len()) as u64;
+                    shuffled.entry(r_id).or_default().push(list);
+                }
+            }
+        }
+        let rows = shuffled
+            .into_iter()
+            .map(|(r_id, group)| (r_id, merge(&owned(&group), k)))
+            .collect();
+        (rows, counters)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// The merge job over borrowed per-cell runs, with the combiner's
+        /// lone-list pass-through, answers and charges what the owned-list
+        /// oracle does, under both merge rules: random tie-heavy lists
+        /// (some shorter than `k`) cut into random runs, with or without the
+        /// `R` ids sorted so that one `r`'s lists share a map task and the
+        /// combiner has groups of several to merge.
+        #[test]
+        fn the_merge_job_equals_the_owned_list_oracle(
+            k in 1usize..13,
+            reducers in 1usize..10,
+            map_tasks in 1usize..21,
+            combiner in bool::ANY,
+            distinct in bool::ANY,
+            grouped in bool::ANY,
+            two_workers in bool::ANY,
+            seed in 0u64..1 << 48,
+        ) {
+            let mut rng = TestRng::new(seed);
+            let r_ids = 1 + rng.below(12);
+            let mut lists: Vec<(PointId, Vec<Neighbor>)> = (0..rng.below(60))
+                .map(|_| (rng.below(r_ids) as PointId, cell_list(&mut rng, k)))
+                .collect();
+            if grouped {
+                lists.sort_by_key(|(r_id, _)| *r_id);
+            }
+            let mut runs: Vec<(u32, CellRun)> = Vec::new();
+            for (r_id, list) in &lists {
+                if runs.is_empty() || rng.below(4) == 0 {
+                    runs.push((runs.len() as u32, CellRun::default()));
+                }
+                if let Some((_, run)) = runs.last_mut() {
+                    run.push(*r_id, list);
+                }
+            }
+            let merge: MergeRule = if distinct {
+                merge_distinct_candidates
+            } else {
+                merge_neighbor_lists
+            };
+            let plan = JoinPlan {
+                k,
+                reducers,
+                map_tasks,
+                combiner,
+                ..JoinPlan::default()
+            };
+            let mut metrics = JoinMetrics::default();
+            let workers = if two_workers { 2 } else { 1 };
+            let rows = run_merge_job(&runs, &plan, workers, merge, &mut metrics).unwrap();
+            let mut got: Vec<(PointId, Vec<(PointId, u64)>)> =
+                rows.iter().map(|row| (row.r_id, bits(&row.neighbors))).collect();
+            got.sort_by_key(|(r_id, _)| *r_id);
+
+            let (want_rows, want_counters) = merge_oracle(&lists, k, map_tasks, combiner, merge);
+            let want: Vec<(PointId, Vec<(PointId, u64)>)> =
+                want_rows.iter().map(|(r_id, list)| (*r_id, bits(list))).collect();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(
+                [
+                    metrics.shuffle_records,
+                    metrics.shuffle_bytes,
+                    metrics.combine_input_records,
+                    metrics.combine_output_records,
+                ],
+                want_counters
+            );
+        }
+
+        /// The combiner's shortcut is exact: a list a `NeighborList` produced
+        /// is its own merge under both rules, bit for bit, and the combiner
+        /// hands it back as the same borrow.
+        #[test]
+        fn a_lone_cell_list_is_its_own_merge_under_both_rules(
+            k in 1usize..13,
+            seed in 0u64..1 << 48,
+        ) {
+            let list = cell_list(&mut TestRng::new(seed), k);
+            for merge in [merge_neighbor_lists as MergeRule, merge_distinct_candidates] {
+                let lone = [PartialList::Borrowed(&list)];
+                prop_assert_eq!(bits(&merge(&lone, k)), bits(&list));
+                let combiner = MergeCombiner { k, merge };
+                let passed = combiner.combine(&0, &lone);
+                let same_borrow = match passed.as_slice() {
+                    [PartialList::Borrowed(out)] => std::ptr::eq(*out, &list[..]),
+                    _ => false,
+                };
+                prop_assert!(same_borrow, "the lone list was not passed through: {passed:?}");
+            }
+        }
     }
 }

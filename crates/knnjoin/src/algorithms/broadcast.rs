@@ -112,11 +112,13 @@ impl<'a> Reducer for BroadcastReducer<'a> {
             ShuffleRecord::of_kind(values, RecordKind::S).map(|p| (p.id, &p.coords[..])),
         );
         let mut scratch = TileScratch::new();
+        let mut computations = 0;
         for r in ShuffleRecord::of_kind(values, RecordKind::R) {
             let (neighbors, evaluated) = block.scan(&r.coords, self.k, &self.kernels, &mut scratch);
-            self.tally.add(Count::Distances, evaluated);
+            computations += evaluated;
             ctx.emit(r.id, neighbors);
         }
+        self.tally.add(Count::Distances, computations);
     }
 }
 

@@ -1,7 +1,8 @@
 //! Pieces shared by every MapReduce join algorithm: the typed object value
-//! the jobs without a partitioning step shuffle, the neighbour-list value
-//! type used by the merge jobs, the kernel / delta / tile plumbing of the
-//! candidate scans, and the direct probe routine of the prepared join.
+//! the jobs without a partitioning step shuffle, the per-cell runs of
+//! partial kNN lists and the borrowed lists the merge jobs shuffle, the
+//! kernel / delta / tile plumbing of the candidate scans, and the direct
+//! probe routine of the prepared join.
 //!
 //! Shuffle bytes are accounted, not produced: a [`ShuffleRecord`] (like the
 //! Voronoi family's cells, see [`crate::algorithms::voronoi`]) crosses the
@@ -13,7 +14,7 @@ use crate::delta::DeltaOverlay;
 use crate::metrics::{phases, JoinMetrics};
 use crate::result::JoinRow;
 use geom::kernels::{ColumnKernel, Kernel, PROBE_TILE};
-use geom::{DistanceMetric, Neighbor, NeighborList, Point, PointSet, Record, RecordKind};
+use geom::{DistanceMetric, Neighbor, NeighborList, Point, PointId, PointSet, Record, RecordKind};
 use mapreduce::{parallel_map, ByteSize};
 use std::ops::Range;
 use std::time::Instant;
@@ -54,34 +55,82 @@ impl ByteSize for ShuffleRecord<'_> {
     }
 }
 
-/// A partial kNN list for one `R` object, shuffled by the merge job of the
-/// two-job algorithms (H-BRJ, PBJ, H-zkNNJ).
-#[derive(Debug, Clone, PartialEq)]
-pub struct NeighborListValue {
-    /// Candidate neighbours (at most `k` of them) found by one reducer cell.
-    pub neighbors: Vec<Neighbor>,
+/// One reducer cell's partial kNN lists, laid end to end: the `R` ids in
+/// emission order, where each list ends, and every list's neighbours in one
+/// buffer.  The block join reducers (PBJ, H-BRJ) and H-zkNNJ's slab reducer
+/// emit one run per cell, and the merge job borrows each list out of it
+/// ([`PartialList::Borrowed`]), so no partial list is a heap object of its
+/// own and none is freed on another thread.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct CellRun {
+    r_ids: Vec<PointId>,
+    ends: Vec<usize>,
+    neighbors: Vec<Neighbor>,
 }
 
-impl NeighborListValue {
-    /// Wraps a candidate list.
-    pub fn new(neighbors: Vec<Neighbor>) -> Self {
-        Self { neighbors }
+impl CellRun {
+    /// An empty run with room for `lists` lists of up to `list_len`
+    /// neighbours each.
+    pub(crate) fn with_capacity(lists: usize, list_len: usize) -> Self {
+        Self {
+            r_ids: Vec::with_capacity(lists),
+            ends: Vec::with_capacity(lists),
+            neighbors: Vec::with_capacity(lists * list_len),
+        }
+    }
+
+    /// Appends `r_id`'s partial list.
+    pub(crate) fn push(&mut self, r_id: PointId, list: &[Neighbor]) {
+        self.neighbors.extend_from_slice(list);
+        self.r_ids.push(r_id);
+        self.ends.push(self.neighbors.len());
+    }
+
+    /// The `(r id, list)` pairs in the order they were appended.
+    pub(crate) fn lists(&self) -> impl Iterator<Item = (PointId, &[Neighbor])> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        self.r_ids
+            .iter()
+            .zip(starts.zip(&self.ends))
+            .map(|(&r_id, (start, &end))| (r_id, &self.neighbors[start..end]))
     }
 }
 
-impl ByteSize for NeighborListValue {
+/// A partial kNN list of one `R` object as the merge job of the two-job
+/// algorithms (H-BRJ, PBJ, H-zkNNJ) shuffles it: borrowed from the
+/// [`CellRun`] of the reducer cell that found it, or owned once the
+/// map-side combiner has merged several into one.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum PartialList<'a> {
+    /// A list as its reducer cell emitted it.
+    Borrowed(&'a [Neighbor]),
+    /// The merge of several lists of one map task.
+    Owned(Vec<Neighbor>),
+}
+
+impl PartialList<'_> {
+    /// The candidate neighbours (at most `k` of them).
+    pub(crate) fn neighbors(&self) -> &[Neighbor] {
+        match self {
+            PartialList::Borrowed(list) => list,
+            PartialList::Owned(list) => list,
+        }
+    }
+}
+
+impl ByteSize for PartialList<'_> {
     fn byte_size(&self) -> usize {
         // r-id is the key; each neighbour is an (id, distance) pair.
-        4 + self.neighbors.len() * (8 + 8)
+        4 + self.neighbors().len() * (8 + 8)
     }
 }
 
 /// Merges several partial candidate lists into the final `k` nearest
 /// neighbours of one `R` object.
-pub fn merge_neighbor_lists(lists: &[NeighborListValue], k: usize) -> Vec<Neighbor> {
+pub(crate) fn merge_neighbor_lists(lists: &[PartialList<'_>], k: usize) -> Vec<Neighbor> {
     let mut acc = NeighborList::new(k);
     for list in lists {
-        for n in &list.neighbors {
+        for n in list.neighbors() {
             acc.offer(n.id, n.distance);
         }
     }
@@ -315,16 +364,31 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_list_value_size() {
-        let v = NeighborListValue::new(vec![Neighbor::new(1, 0.5), Neighbor::new(2, 1.5)]);
-        assert_eq!(v.byte_size(), 4 + 2 * 16);
+    fn partial_list_size() {
+        let list = [Neighbor::new(1, 0.5), Neighbor::new(2, 1.5)];
+        assert_eq!(PartialList::Borrowed(&list).byte_size(), 4 + 2 * 16);
+        assert_eq!(PartialList::Owned(list.to_vec()).byte_size(), 4 + 2 * 16);
+        assert_eq!(PartialList::Borrowed(&[]).byte_size(), 4);
+    }
+
+    #[test]
+    fn a_cell_run_hands_back_its_lists_in_order() {
+        let mut run = CellRun::with_capacity(3, 2);
+        assert_eq!(run.lists().count(), 0);
+        let a = [Neighbor::new(1, 0.5), Neighbor::new(2, 1.5)];
+        let c = [Neighbor::new(3, 2.0)];
+        run.push(7, &a);
+        run.push(4, &[]);
+        run.push(9, &c);
+        let lists: Vec<(PointId, &[Neighbor])> = run.lists().collect();
+        assert_eq!(lists, vec![(7, &a[..]), (4, &[][..]), (9, &c[..])]);
     }
 
     #[test]
     fn merging_partial_lists_keeps_global_k_best() {
-        let a = NeighborListValue::new(vec![Neighbor::new(1, 5.0), Neighbor::new(2, 1.0)]);
-        let b = NeighborListValue::new(vec![Neighbor::new(3, 0.5), Neighbor::new(4, 9.0)]);
-        let merged = merge_neighbor_lists(&[a, b], 2);
+        let a = [Neighbor::new(1, 5.0), Neighbor::new(2, 1.0)];
+        let b = vec![Neighbor::new(3, 0.5), Neighbor::new(4, 9.0)];
+        let merged = merge_neighbor_lists(&[PartialList::Borrowed(&a), PartialList::Owned(b)], 2);
         let ids: Vec<u64> = merged.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![3, 2]);
     }
@@ -335,8 +399,8 @@ mod tests {
         // must not crowd out distinct neighbours... they are kept as-is since
         // block algorithms never see the same (r, s) pair twice, but merging
         // is still well-defined.
-        let a = NeighborListValue::new(vec![Neighbor::new(1, 1.0)]);
-        let b = NeighborListValue::new(vec![Neighbor::new(2, 2.0)]);
+        let a = PartialList::Borrowed(&[Neighbor::new(1, 1.0)]);
+        let b = PartialList::Borrowed(&[Neighbor::new(2, 2.0)]);
         let merged = merge_neighbor_lists(&[a.clone(), b, a], 3);
         assert_eq!(merged.len(), 3);
         assert_eq!(merged[0].id, 1);

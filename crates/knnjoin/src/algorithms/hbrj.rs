@@ -18,10 +18,11 @@
 //!
 //! No object is copied on the way: the records borrow `R` and `S`, the tree
 //! is bulk-loaded from those borrows, and a cell probes it for every local
-//! `r` through one reused [`KnnScratch`], tallying its evaluations once.
+//! `r` through one reused [`KnnScratch`], writes the partial lists into one
+//! [`CellRun`] and tallies its evaluations once.
 
 use crate::algorithms::blocks::{block_count, run_block_framework, BlockRouteMapper};
-use crate::algorithms::common::{raw_inputs, NeighborListValue, ShuffleRecord};
+use crate::algorithms::common::{raw_inputs, CellRun, ShuffleRecord};
 use crate::context::ExecutionContext;
 use crate::metrics::{Count, JoinMetrics, Tally};
 use crate::plan::JoinPlan;
@@ -80,19 +81,17 @@ struct HbrjCellReducer<'a> {
 impl<'a> Reducer for HbrjCellReducer<'a> {
     type KIn = u32;
     type VIn = ShuffleRecord<'a>;
-    type KOut = u64;
-    type VOut = NeighborListValue;
+    type KOut = u32;
+    type VOut = CellRun;
 
     fn reduce(
         &self,
         cell: &u32,
         values: &[ShuffleRecord<'a>],
-        ctx: &mut ReduceContext<u64, NeighborListValue>,
+        ctx: &mut ReduceContext<u32, CellRun>,
     ) {
-        if ShuffleRecord::of_kind(values, RecordKind::R)
-            .next()
-            .is_none()
-        {
+        let r_count = ShuffleRecord::of_kind(values, RecordKind::R).count();
+        if r_count == 0 {
             return;
         }
         // Even with an empty S block every r must produce a (possibly empty)
@@ -103,14 +102,16 @@ impl<'a> Reducer for HbrjCellReducer<'a> {
             self.tally.add(Count::IndexBuilds, 1);
             RTree::bulk_load(ShuffleRecord::of_kind(values, RecordKind::S), self.metric)
         });
+        let mut run = CellRun::with_capacity(r_count, self.k.min(tree.len()));
         let mut scratch = KnnScratch::default();
         let mut computations = 0;
         for r in ShuffleRecord::of_kind(values, RecordKind::R) {
             let (neighbors, evaluated) = tree.knn_with(&r.coords, self.k, &mut scratch);
             computations += evaluated;
-            ctx.emit(r.id, NeighborListValue::new(neighbors));
+            run.push(r.id, &neighbors);
         }
         self.tally.add(Count::Distances, computations);
+        ctx.emit(*cell, run);
     }
 }
 

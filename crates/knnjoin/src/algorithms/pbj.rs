@@ -12,7 +12,7 @@
 //! how much of PGBJ's win comes from the grouping versus the bounds.
 
 use crate::algorithms::blocks::{block_count, replicate, run_block_framework};
-use crate::algorithms::common::{NeighborListValue, ScanKernels};
+use crate::algorithms::common::{CellRun, ScanKernels};
 use crate::algorithms::voronoi::{partition_job, CellMap, ShuffledCell, VoronoiScan};
 use crate::bounds::upper_bound;
 use crate::context::ExecutionContext;
@@ -21,7 +21,7 @@ use crate::metrics::{Count, JoinMetrics, Tally};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
 use crate::summary::SummaryTables;
-use geom::PointSet;
+use geom::{PointSet, RecordKind};
 use mapreduce::{MapContext, Mapper, ReduceContext, Reducer};
 use std::sync::Arc;
 
@@ -118,22 +118,30 @@ impl PbjCellReducer<'_> {
 impl Reducer for PbjCellReducer<'_> {
     type KIn = u32;
     type VIn = ShuffledCell;
-    type KOut = u64;
-    type VOut = NeighborListValue;
+    type KOut = u32;
+    type VOut = CellRun;
 
-    fn reduce(
-        &self,
-        _cell: &u32,
-        values: &[ShuffledCell],
-        ctx: &mut ReduceContext<u64, NeighborListValue>,
-    ) {
+    fn reduce(&self, cell: &u32, values: &[ShuffledCell], ctx: &mut ReduceContext<u32, CellRun>) {
+        let rows = |kind| -> usize {
+            values
+                .iter()
+                .filter(|value| value.kind == kind)
+                .map(|value| value.rows.len())
+                .sum()
+        };
+        let r_rows = rows(RecordKind::R);
+        if r_rows == 0 {
+            return;
+        }
+        let mut run = CellRun::with_capacity(r_rows, self.k.min(rows(RecordKind::S)));
         let computations = VoronoiScan::new(&self.tables, self.k, self.kernels, &NO_DELTA)
             .join_cells(
                 values,
                 |i, s_parts| self.local_theta(i, s_parts),
-                |r_id, neighbors| ctx.emit(r_id, NeighborListValue::new(neighbors)),
+                |r_id, neighbors| run.push(r_id, &neighbors),
             );
         self.tally.add(Count::Distances, computations);
+        ctx.emit(*cell, run);
     }
 }
 

@@ -36,7 +36,7 @@
 
 use crate::algorithms::blocks::run_merge_job;
 use crate::algorithms::common::{
-    raw_inputs, NeighborListValue, ScanKernels, ShuffleRecord, TileScratch,
+    raw_inputs, CellRun, PartialList, ScanKernels, ShuffleRecord, TileScratch,
 };
 use crate::context::ExecutionContext;
 use crate::exact::FlatBlock;
@@ -113,8 +113,8 @@ pub(crate) fn join(
     metrics.absorb_tally(tally);
 
     // ---- Job 2: merge the per-copy candidate lists -------------------------
-    let (input, workers) = (join_job.output, ctx.workers());
-    run_merge_job(input, plan, workers, merge_distinct_candidates, metrics)
+    let (runs, workers) = (&join_job.output, ctx.workers());
+    run_merge_job(runs, plan, workers, merge_distinct_candidates, metrics)
 }
 
 /// One shifted copy's range partitioning: the slab cut points over `R ∪ S`
@@ -290,31 +290,31 @@ struct ZSlabReducer<'a> {
 impl<'a> Reducer for ZSlabReducer<'a> {
     type KIn = u32;
     type VIn = ShuffleRecord<'a>;
-    type KOut = u64;
-    type VOut = NeighborListValue;
+    type KOut = u32;
+    type VOut = CellRun;
 
     fn reduce(
         &self,
         key: &u32,
         values: &[ShuffleRecord<'a>],
-        ctx: &mut ReduceContext<u64, NeighborListValue>,
+        ctx: &mut ReduceContext<u32, CellRun>,
     ) {
         let copy = *key as usize / self.shared.slabs;
-        if ShuffleRecord::of_kind(values, RecordKind::R)
-            .next()
-            .is_none()
-        {
+        let r_count = ShuffleRecord::of_kind(values, RecordKind::R).count();
+        if r_count == 0 {
             return;
         }
         let slab = SortedCopy::sorted(
             ShuffleRecord::of_kind(values, RecordKind::S).map(|s| (s.id, s.coords.as_slice())),
             |coords| self.shared.z(copy, coords),
         );
+        let mut run = CellRun::with_capacity(r_count, self.k.min(slab.z.len()));
         let mut scratch = TileScratch::new();
+        let mut computations = 0;
         for r in ShuffleRecord::of_kind(values, RecordKind::R) {
             let z_r = self.shared.z(copy, &r.coords);
             let mut list = NeighborList::new(self.k);
-            let computations = slab.scan_window(
+            computations += slab.scan_window(
                 &r.coords,
                 z_r,
                 self.shared.window,
@@ -322,9 +322,10 @@ impl<'a> Reducer for ZSlabReducer<'a> {
                 &mut scratch,
                 &mut list,
             );
-            self.tally.add(Count::Distances, computations);
-            ctx.emit(r.id, NeighborListValue::new(list.into_sorted()));
+            run.push(r.id, &list.into_sorted());
         }
+        self.tally.add(Count::Distances, computations);
+        ctx.emit(*key, run);
     }
 }
 
@@ -337,7 +338,7 @@ impl<'a> Reducer for ZSlabReducer<'a> {
 /// partial merge drops is beaten by `k` distinct ids that all survive into
 /// the next round — so the map-side combiner applies the same function.
 pub(crate) fn merge_distinct_candidates(
-    lists: &[NeighborListValue],
+    lists: &[PartialList<'_>],
     k: usize,
 ) -> Vec<geom::Neighbor> {
     // BTreeMap (not HashMap): the bounded list breaks exact-distance ties by
@@ -345,7 +346,7 @@ pub(crate) fn merge_distinct_candidates(
     // order or equal-distance survivors would vary run to run.
     let mut best: std::collections::BTreeMap<PointId, f64> = std::collections::BTreeMap::new();
     for list in lists {
-        for n in &list.neighbors {
+        for n in list.neighbors() {
             best.entry(n.id)
                 .and_modify(|d| *d = d.min(n.distance))
                 .or_insert(n.distance);
@@ -631,15 +632,15 @@ mod tests {
         // distance; with k = 1 only one survives, and it must be the same
         // one (smallest id) on every run — not whichever a hash map yields
         // first.
-        let from_copy_a = NeighborListValue::new(vec![geom::Neighbor::new(7, 2.5)]);
-        let from_copy_b = NeighborListValue::new(vec![geom::Neighbor::new(3, 2.5)]);
+        let from_copy_a = PartialList::Borrowed(&[geom::Neighbor::new(7, 2.5)]);
+        let from_copy_b = PartialList::Owned(vec![geom::Neighbor::new(3, 2.5)]);
         for _ in 0..32 {
             let merged = merge_distinct_candidates(&[from_copy_a.clone(), from_copy_b.clone()], 1);
             assert_eq!(merged.len(), 1);
             assert_eq!(merged[0].id, 3);
         }
         // Duplicates of one id keep the smaller distance, not a second slot.
-        let dup = NeighborListValue::new(vec![geom::Neighbor::new(7, 1.0)]);
+        let dup = PartialList::Borrowed(&[geom::Neighbor::new(7, 1.0)]);
         let merged = merge_distinct_candidates(&[from_copy_a, dup], 2);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].distance, 1.0);

@@ -17,7 +17,8 @@
 //!   length is the unit shuffle volume is accounted in (the reference for
 //!   the unit; no join path calls the codec), and
 //! * [`Neighbor`] / [`NeighborList`] — bounded max-heaps that maintain the `k`
-//!   nearest neighbours seen so far, and
+//!   nearest neighbours seen so far, and [`Mask`] / [`IdFilter`], the ids
+//!   a scan must not offer behind a one-hash bit filter, and
 //! * [`zorder`] — quantized, bit-interleaved z-values and deterministic
 //!   random-shift vectors, the machinery of the H-zkNNJ approximate join.
 //!
@@ -54,7 +55,7 @@ pub mod zorder;
 pub use coords::CoordMatrix;
 pub use kernels::KernelMode;
 pub use metric::DistanceMetric;
-pub use neighbor::{Neighbor, NeighborList};
+pub use neighbor::{IdFilter, Mask, Neighbor, NeighborList};
 pub use point::{Point, PointId, PointSet};
 pub use record::{Record, RecordKind};
 pub use zorder::{ZQuantizer, ZValue};

@@ -4,10 +4,105 @@
 //! maintain "the best `k` candidates seen so far, and the distance of the
 //! worst of them" while scanning candidate objects.  [`NeighborList`] keeps
 //! those `k` candidates in ascending order, providing exactly that.
+//! [`Mask`] names the ids a scan must not offer (deleted objects a frozen
+//! structure still holds), fronted by an [`IdFilter`] so that an id outside
+//! the set almost always costs one bit test.
 
 use crate::metric::DistanceMetric;
 use crate::point::PointId;
 use std::cmp::Ordering;
+
+/// A one-hash bit filter over a set of ids: [`IdFilter::might_contain`] is
+/// `true` for every id of the set and for about one in sixteen of the rest.
+///
+/// The table holds ~16 bits per id, rounded up to a power of two (at least
+/// one 64-bit word), so it is sized from the set alone.  An id picks its bit
+/// by Fibonacci hashing — the top bits of `id · 2⁶⁴/φ` — which spreads runs
+/// of consecutive ids over the whole table.
+#[derive(Debug, Clone)]
+pub struct IdFilter {
+    words: Vec<u64>,
+    /// `64 − log2(bits)`: the shift that leaves a bit index.
+    shift: u32,
+}
+
+impl IdFilter {
+    /// The filter that holds nothing; [`Self::might_contain`] is `false`
+    /// for every id.
+    const EMPTY: IdFilter = IdFilter {
+        words: Vec::new(),
+        shift: 64,
+    };
+
+    /// The filter over `ids`, ~16 bits per id.
+    pub fn new(ids: &[PointId]) -> Self {
+        Self::with_words(ids, (ids.len() * 16).div_ceil(64))
+    }
+
+    /// The filter over `ids` in `words` 64-bit words, rounded up to a power
+    /// of two; an empty set gets an empty table.
+    fn with_words(ids: &[PointId], words: usize) -> Self {
+        if ids.is_empty() {
+            return Self::EMPTY;
+        }
+        let words = words.max(1).next_power_of_two();
+        let mut filter = Self {
+            words: vec![0; words],
+            shift: 64 - (words * 64).trailing_zeros(),
+        };
+        for &id in ids {
+            let bit = filter.bit(id);
+            filter.words[bit / 64] |= 1 << (bit % 64);
+        }
+        filter
+    }
+
+    /// The bit `id` hashes to; only called on a non-empty table.
+    #[inline]
+    fn bit(&self, id: PointId) -> usize {
+        (id.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// Whether `id` may be in the set: never `false` for an id that is.
+    #[inline]
+    pub fn might_contain(&self, id: PointId) -> bool {
+        if self.words.is_empty() {
+            return false;
+        }
+        let bit = self.bit(id);
+        self.words[bit / 64] >> (bit % 64) & 1 == 1
+    }
+}
+
+/// The ids a scan must not offer: an ascending run and the [`IdFilter`]
+/// built over it.  Membership is the run's binary search, asked only of the
+/// ids the filter lets through, so it is exact and a miss costs one bit
+/// test.
+#[derive(Debug, Clone, Copy)]
+pub struct Mask<'a> {
+    ids: &'a [PointId],
+    filter: &'a IdFilter,
+}
+
+impl<'a> Mask<'a> {
+    /// The mask of nothing, which unmasked scans pass.
+    pub const NONE: Mask<'static> = Mask {
+        ids: &[],
+        filter: &IdFilter::EMPTY,
+    };
+
+    /// The mask of the ascending `ids`; `filter` must be built over them
+    /// ([`IdFilter::new`]).
+    pub fn new(ids: &'a [PointId], filter: &'a IdFilter) -> Self {
+        Self { ids, filter }
+    }
+
+    /// Whether `id` is masked.
+    #[inline]
+    pub fn contains(&self, id: PointId) -> bool {
+        self.filter.might_contain(id) && self.ids.binary_search(&id).is_ok()
+    }
+}
 
 /// A candidate neighbour: the id of an `S` object and its distance to the
 /// query object from `R`.
@@ -71,6 +166,24 @@ impl NeighborList {
         }
     }
 
+    /// Empties the list and bounds it at `k` entries, keeping its
+    /// allocation and growing it to `k` entries if it is smaller: a loop of
+    /// queries reuses one list.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`, as [`Self::new`] does.
+    pub fn reset(&mut self, k: usize) {
+        assert!(k > 0, "k must be positive");
+        self.k = k;
+        self.sorted.clear();
+        self.sorted.reserve(k);
+    }
+
+    /// The neighbours held, ascending by (distance, id).
+    pub fn as_slice(&self) -> &[Neighbor] {
+        &self.sorted
+    }
+
     /// The bound `k`.
     pub fn k(&self) -> usize {
         self.k
@@ -131,9 +244,9 @@ impl NeighborList {
 
     /// Offers the evaluated rows `ids[i]` at rank `ranks[i]` (`metric`'s rank
     /// kernels' output), in order, except those whose id is in `masked`
-    /// (ascending: deleted objects a frozen structure still holds), and
-    /// returns how many were masked — the one admission rule of every
-    /// candidate scan.
+    /// (deleted objects a frozen structure still holds; [`Mask::NONE`] for
+    /// none), and returns how many were masked — the one admission rule of
+    /// every candidate scan.
     ///
     /// Once the list is full, a row with `rank ≥ bound` is skipped
     /// unconverted; every other row goes through
@@ -157,13 +270,13 @@ impl NeighborList {
         &mut self,
         ids: &[PointId],
         ranks: &[f64],
-        masked: &[PointId],
+        masked: Mask<'_>,
         metric: DistanceMetric,
     ) -> u64 {
         let mut bound = self.rank_bound(metric);
         let mut masked_met = 0;
         for (&id, &rank) in ids.iter().zip(ranks) {
-            if !masked.is_empty() && masked.binary_search(&id).is_ok() {
+            if masked.contains(id) {
                 masked_met += 1;
                 continue;
             }
@@ -284,7 +397,7 @@ mod tests {
 
     /// The admission rule [`NeighborList::offer_ranks`] replaced, kept as
     /// its reference: every rank converted first, then every unmasked row
-    /// offered.
+    /// offered, masking by binary search alone.
     fn offer_rows(
         list: &mut NeighborList,
         ids: &[PointId],
@@ -321,15 +434,47 @@ mod tests {
             (DistanceMetric::Euclidean, squared),
         ] {
             let mut all = NeighborList::new(3);
-            assert_eq!(all.offer_ranks(&ids, &ranks, &[], metric), 0);
+            assert_eq!(all.offer_ranks(&ids, &ranks, Mask::NONE, metric), 0);
             let got: Vec<_> = all.iter().map(|n| (n.id, n.distance)).collect();
             assert_eq!(got, vec![(9, 0.5), (4, 1.0), (7, 2.0)]);
             // Masked rows are counted, whether or not they would have entered.
             let mut live = NeighborList::new(3);
-            assert_eq!(live.offer_ranks(&ids, &ranks, &[2, 9, 11], metric), 2);
+            let (dead, filter) = ([2, 9, 11], IdFilter::new(&[2, 9, 11]));
+            let mask = Mask::new(&dead, &filter);
+            assert_eq!(live.offer_ranks(&ids, &ranks, mask, metric), 2);
             let got: Vec<_> = live.iter().map(|n| n.id).collect();
             assert_eq!(got, vec![4, 7]);
         }
+    }
+
+    #[test]
+    fn a_reset_list_is_a_new_one() {
+        let mut list = NeighborList::new(2);
+        list.offer(4, 1.0);
+        list.offer(5, 0.5);
+        list.reset(3);
+        assert!(list.is_empty() && list.as_slice().is_empty());
+        assert_eq!((list.k(), list.threshold()), (3, f64::INFINITY));
+        for (id, d) in [(1, 3.0), (2, 1.0), (3, 2.0), (6, 0.5)] {
+            list.offer(id, d);
+        }
+        let ids: Vec<_> = list.as_slice().iter().map(|n| n.id).collect();
+        assert_eq!(ids, vec![6, 2, 3]);
+    }
+
+    #[test]
+    fn an_empty_filter_holds_nothing() {
+        let filter = IdFilter::new(&[]);
+        assert!(filter.words.is_empty());
+        assert!((0..100).all(|id| !filter.might_contain(id)));
+        assert!((0..100).all(|id| !Mask::NONE.contains(id)));
+        // ~16 bits per id, a power of two of whole words.
+        assert_eq!(IdFilter::new(&[7]).words.len(), 1);
+        assert_eq!(IdFilter::new(&(0..5).collect::<Vec<_>>()).words.len(), 2);
+        assert_eq!(
+            IdFilter::new(&(0..500).collect::<Vec<_>>()).words.len(),
+            128
+        );
     }
 
     #[test]
@@ -384,13 +529,42 @@ mod tests {
             prop_assert_eq!(list.into_sorted(), expect);
         }
 
+        /// A mask answers what the binary search over its ids answers, for
+        /// ids in and out of the set, whether its filter has ~16 bits per
+        /// id or one word for up to 200 ids (where nearly every id
+        /// collides); the filter never misses an id of the set.
+        #[test]
+        fn a_mask_answers_the_binary_search(
+            set in proptest::collection::vec(0u64..600, 0..200),
+            words in 0usize..3,
+            probes in proptest::collection::vec(0u64..700, 1..200),
+        ) {
+            let mut ids = set;
+            ids.sort_unstable();
+            ids.dedup();
+            let filter = match words {
+                0 => IdFilter::new(&ids),
+                w => IdFilter::with_words(&ids, w),
+            };
+            let mask = Mask::new(&ids, &filter);
+            for &id in &ids {
+                prop_assert!(filter.might_contain(id));
+                prop_assert!(mask.contains(id));
+            }
+            for id in probes {
+                prop_assert_eq!(mask.contains(id), ids.binary_search(&id).is_ok(), "id {}", id);
+            }
+        }
+
         /// `offer_ranks` is the rule it replaced, tile for tile: after every
         /// tile the list holds the same bits, and the tile masked as many
         /// rows, as converting every rank and offering every unmasked row.
         /// Ranks sit within 8 ulps of a few held distances' own ranks — on
         /// both sides of the skip bound, which sits 4-8 ulps above θ² —
         /// with zeros and `+∞`s mixed in, under every metric, at ordinary
-        /// scales and at one where θ² is subnormal.
+        /// scales and at one where θ² is subnormal.  Masks are filtered at
+        /// ~16 bits per id or in one word, where unmasked ids collide with
+        /// masked ones.
         #[test]
         fn offer_ranks_replays_the_convert_every_rank_rule(
             draws in proptest::collection::vec(0u64..1 << 16, 1..160),
@@ -399,6 +573,7 @@ mod tests {
             which_metric in 0usize..3,
             tiny in proptest::bool::ANY,
             masked in proptest::collection::vec(0u64..24, 0..6),
+            tiny_filter in proptest::bool::ANY,
         ) {
             let metric = [
                 DistanceMetric::Euclidean,
@@ -406,9 +581,24 @@ mod tests {
                 DistanceMetric::Chebyshev,
             ][which_metric];
             let scale = if tiny { 1e-160 } else { 1.0 };
-            let mut masked = masked;
+            // The 24 ids are scattered over 64 bits: Fibonacci hashing
+            // spreads small consecutive ids without a collision even in a
+            // one-word filter, scattered ones share its bits.
+            let scatter = |n: u64| {
+                let z = n.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            let mut masked: Vec<PointId> = masked.into_iter().map(scatter).collect();
             masked.sort_unstable();
             masked.dedup();
+            let filter = if tiny_filter {
+                IdFilter::with_words(&masked, 1)
+            } else {
+                IdFilter::new(&masked)
+            };
+            let mask = Mask::new(&masked, &filter);
             let nudged = |x: f64, ulps: i64| f64::from_bits((x.to_bits() as i64 + ulps).max(0) as u64);
             let (ids, ranks): (Vec<PointId>, Vec<f64>) = draws
                 .iter()
@@ -423,14 +613,14 @@ mod tests {
                         1 => f64::INFINITY,
                         ulps => nudged(held, ulps as i64 - 10),
                     };
-                    (draw % 24, rank)
+                    (scatter(draw % 24), rank)
                 })
                 .unzip();
             let mut list = NeighborList::new(k);
             let mut reference = NeighborList::new(k);
             for (ids, ranks) in ids.chunks(tile).zip(ranks.chunks(tile)) {
                 prop_assert_eq!(
-                    list.offer_ranks(ids, ranks, &masked, metric),
+                    list.offer_ranks(ids, ranks, mask, metric),
                     offer_rows(&mut reference, ids, ranks, &masked, metric)
                 );
                 let bits = |l: &NeighborList| -> Vec<(PointId, u64)> {

@@ -253,15 +253,14 @@ pub(crate) fn label_rows(r: &PointSet, neighbors: Vec<Vec<Neighbor>>) -> Vec<Joi
 /// range per worker and scanned on the engine's scoped threads.
 ///
 /// Measured with PGBJ on the benchmark's two shapes (`forest10d` 12 000 ×
-/// 10-d and `osm2d` 48 000 × 2-d, 110 pivots, 2 workers on 2 cores), where a
-/// row costs ~11.5 µs to scan on either: handing two ranges to
-/// [`parallel_map`] costs ~130 µs of spawn + join, so the split breaks even
-/// at 16 rows (188 µs inline vs 180 µs split on `forest10d`), wins 14–23%
-/// at 32 and ~30% at 64.  The hand-off grows with the worker count while
-/// the per-range work shrinks, so the cut sits at four times the 2-worker
-/// break-even — and above the 16 singles a server round coalesces at most,
-/// so a coalesced batch, which only forms while every probe permit is out,
-/// never spawns threads of its own.
+/// 10-d and `osm2d` 48 000 × 2-d, 110 pivots, 2 cores): handing two ranges
+/// to [`parallel_map`] costs ~100–130 µs of spawn + join, and a row of a
+/// 16-row batch costs ~9 µs to scan inline on `forest10d` and ~4.5 µs on
+/// `osm2d`, so on two free cores a 2-worker split breaks even at ~25 and
+/// ~50 rows.  The hand-off grows with the worker count while the per-range
+/// work shrinks, so the cut sits above both — and above the 16 singles a
+/// server round coalesces at most, so a coalesced batch, which only forms
+/// while every probe permit is out, never spawns threads of its own.
 pub const PARALLEL_PROBE_CUT: usize = 64;
 
 /// The probe routine of the prepared join: runs `scan_row(scan, i, rows[i])`

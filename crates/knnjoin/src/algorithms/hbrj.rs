@@ -18,8 +18,9 @@
 //!
 //! No object is copied on the way: the records borrow `R` and `S`, the tree
 //! is bulk-loaded from those borrows, and a cell probes it for every local
-//! `r` through one reused [`KnnScratch`], writes the partial lists into one
-//! [`CellRun`] and tallies its evaluations once.
+//! `r` through one reused [`KnnScratch`] — heap, rank buffer and answer
+//! list — copies each borrowed answer into one [`CellRun`] and tallies its
+//! evaluations once.
 
 use crate::algorithms::blocks::{block_count, run_block_framework, BlockRouteMapper};
 use crate::algorithms::common::{raw_inputs, CellRun, ShuffleRecord};
@@ -108,7 +109,7 @@ impl<'a> Reducer for HbrjCellReducer<'a> {
         for r in ShuffleRecord::of_kind(values, RecordKind::R) {
             let (neighbors, evaluated) = tree.knn_with(&r.coords, self.k, &mut scratch);
             computations += evaluated;
-            run.push(r.id, &neighbors);
+            run.push(r.id, neighbors);
         }
         self.tally.add(Count::Distances, computations);
         ctx.emit(*cell, run);

@@ -17,8 +17,10 @@ use crate::partition::{PivotDistances, VoronoiPartitioner};
 use crate::pivots::select_pivots;
 use crate::plan::JoinPlan;
 use crate::result::JoinError;
-use crate::summary::{r_summaries, SPartitionSummary, SummaryTables};
-use geom::{CoordMatrix, Neighbor, NeighborList, Point, PointId, PointSet, Record, RecordKind};
+use crate::summary::SummaryTables;
+use geom::{
+    CoordMatrix, Mask, Neighbor, NeighborList, Point, PointId, PointSet, Record, RecordKind,
+};
 use mapreduce::{ByteSize, Combiner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::cmp::Ordering;
 use std::marker::PhantomData;
@@ -367,8 +369,8 @@ const SCAN_TILE: usize = 32;
 /// accumulator *first* (tightening the running θ before any frozen candidate
 /// is scanned)
 /// and tombstoned frozen rows are evaluated with their tile but masked from
-/// the accumulator.  Callers must pass `θ_i = ∞` whenever the overlay
-/// carries tombstones: `θ_i` is derived
+/// the accumulator through the overlay's [`Mask`].  Callers must pass `θ_i =
+/// ∞` whenever the overlay carries tombstones: `θ_i` is derived
 /// from the frozen `T_S` table, whose guarantee ("partition `i` alone holds
 /// `k` objects within `θ_i`") deletions can break.  Added points never
 /// invalidate it; they only shrink the true kth distance.
@@ -377,6 +379,7 @@ pub struct VoronoiScan<'a> {
     k: usize,
     kernels: ScanKernels,
     delta: &'a DeltaOverlay,
+    masked: Mask<'a>,
     scratch: TileScratch,
 }
 
@@ -394,6 +397,7 @@ impl<'a> VoronoiScan<'a> {
             k,
             kernels,
             delta,
+            masked: delta.mask(),
             scratch: TileScratch::new(),
         }
     }
@@ -509,8 +513,8 @@ impl<'a> VoronoiScan<'a> {
         let ranks = &mut self.scratch.ranks[..rows.len()];
         (self.kernels.columns)(r_coords, &cell.columns, cell.len(), rows.start, ranks);
         counts.frozen += ranks.len() as u64;
-        let (ids, masked) = (&cell.ids[rows], self.delta.tombstones());
-        counts.masked += neighbors.offer_ranks(ids, ranks, masked, self.kernels.metric);
+        let ids = &cell.ids[rows];
+        counts.masked += neighbors.offer_ranks(ids, ranks, self.masked, self.kernels.metric);
     }
 
     /// The body of a cold Algorithm 3 reducer (lines 12–25), PGBJ's and
@@ -799,7 +803,7 @@ impl<'a> Reducer for CellReducer<'a> {
 /// The prepared PGBJ / PBJ state: the pivot machinery (pivots are selected
 /// once, from the calibration `R` the join was prepared with, exactly as the
 /// cold path would), the Voronoi-partitioned `S` in flat columnar layout, the
-/// `T_S` summary table and the per-partition scan orders.  Everything here
+/// frozen summary tables and the per-partition scan orders.  Everything here
 /// depends only on `S`, the pivot set and the plan — probe batches of `R`
 /// reuse it unchanged, which is what keeps `pivot_selections` flat across
 /// queries.  The two algorithms share it whole: nothing here, the probe
@@ -807,14 +811,15 @@ impl<'a> Reducer for CellReducer<'a> {
 #[derive(Debug)]
 pub(crate) struct VoronoiPrepared {
     /// Pivot assignment machinery (flat pivot matrix + pruned search) and
-    /// owner of the pivot set and pivot-distance table every per-query
-    /// [`SummaryTables`] shares; compaction epochs reuse it untouched.
+    /// owner of the pivot set and pivot-distance table `tables` shares;
+    /// compaction epochs reuse it untouched.
     partitioner: Arc<VoronoiPartitioner>,
     /// Voronoi-partitioned `S` in flat layout, every cell whole.
     s_parts: CellMap,
-    /// `T_S`, built once with the plan's `k`; shared into every per-query
-    /// [`SummaryTables`].
-    s_summaries: Arc<Vec<SPartitionSummary>>,
+    /// The frozen summary tables every probe reads: the shared pivots and
+    /// pivot distances, and `T_S` with the plan's `k`.  Their `T_R` is
+    /// empty: a probe folds `U(P_i^R)` for the cells its rows touch.
+    tables: SummaryTables,
     /// For every `R` partition `i`: the non-empty `S` partitions sorted by
     /// pivot distance from `p_i` (Algorithm 3 line 14, hoisted out of the
     /// per-query path since it depends only on the pivots).
@@ -843,18 +848,17 @@ impl VoronoiPrepared {
             cells[cell].push((dist, p.id, &p.coords));
         }
         let mut s_parts = CellMap::new(cells.len());
-        let mut s_summaries = Vec::with_capacity(cells.len());
         for (j, rows) in cells.into_iter().enumerate() {
             let cell = CellSlice::whole(FlatPartition::sorted(s.dims(), rows));
-            s_summaries.push(SPartitionSummary::of_sorted(j, cell.pivot_dists(), plan.k));
             s_parts.set(j, (!cell.is_empty()).then_some(cell));
         }
+        let tables = frozen_tables(&partitioner, &s_parts, plan.k);
         let s_orders = Arc::new(compute_s_orders(&s_parts, partitioner.pivot_distances()));
         metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
         Self {
             partitioner,
             s_parts,
-            s_summaries: Arc::new(s_summaries),
+            tables,
             s_orders,
         }
     }
@@ -867,9 +871,9 @@ impl VoronoiPrepared {
     ///
     /// A rebuilt cell is the merge of its surviving rows (already in cell
     /// order) with its adds (sorted here, a handful per cell) — no cell is
-    /// ever re-sorted — and its `T_S` row is read off the merged column as
-    /// in the full build, so the compacted state is row-identical to a cold
-    /// build over the materialized corpus.
+    /// ever re-sorted — and the `T_S` rows are read off the cells' columns
+    /// as in the full build, so the compacted state is row-identical to a
+    /// cold build over the materialized corpus.
     pub(crate) fn compact(
         &self,
         delta: &DeltaOverlay,
@@ -891,7 +895,6 @@ impl VoronoiPrepared {
         }
 
         let mut s_parts = self.s_parts.clone();
-        let mut s_summaries = (*self.s_summaries).clone();
         for (j, mut adds) in add_cells.into_iter().enumerate() {
             if !affected[j] {
                 continue;
@@ -901,7 +904,6 @@ impl VoronoiPrepared {
             let old = self.s_parts.get(j).map_or(&empty, |slice| &*slice.cell);
             let cell = CellSlice::whole(old.merged(delta, &adds));
             metrics.compacted_points += cell.len() as u64;
-            s_summaries[j] = SPartitionSummary::of_sorted(j, cell.pivot_dists(), plan.k);
             s_parts.set(j, (!cell.is_empty()).then_some(cell));
         }
 
@@ -913,8 +915,8 @@ impl VoronoiPrepared {
         };
         Self {
             partitioner: Arc::clone(&self.partitioner),
+            tables: frozen_tables(&self.partitioner, &s_parts, plan.k),
             s_parts,
-            s_summaries: Arc::new(s_summaries),
             s_orders,
         }
     }
@@ -925,31 +927,15 @@ impl VoronoiPrepared {
         rows.map(|(_, id, coords)| (id, coords))
     }
 
-    /// Assembles the full [`SummaryTables`] for one probe batch: `T_R` is
-    /// folded from the batch's assignments; the pivot set, `T_S` and the
-    /// pivot-distance table are `Arc`-shared from the prebuilt state, so
-    /// assembly costs O(t) for the fresh `R` summaries and nothing else.
-    fn query_tables(&self, assignments: &[(usize, f64)]) -> SummaryTables {
-        let partitioner = &self.partitioner;
-        SummaryTables {
-            pivots: Arc::clone(partitioner.pivot_matrix()),
-            metric: partitioner.metric(),
-            r_summaries: r_summaries(partitioner.partition_count(), assignments.iter().copied()),
-            s_summaries: Arc::clone(&self.s_summaries),
-            pivot_distances: Arc::clone(partitioner.pivot_distances()),
-        }
-    }
-
     /// Answers one probe batch, positionally: assign the rows to cells,
-    /// derive the batch's `T_R` and `θ_i` for the cells it touches, then run
-    /// Algorithm 3's bounded scan against the resident `S`, merged with
-    /// `delta`, through [`probe_rows`].  `θ_i`
-    /// comes from the global Algorithm 1 bound: the resident `S` is the full
-    /// dataset, so the tight bound applies even to PBJ, whose cold cells only
-    /// have their local block's looser one.  Algorithm 2's `LB` matrix and
-    /// Algorithm 4's grouping decide which `S` replica is shipped to which
-    /// reducer; nothing is shipped here, so neither is computed and PGBJ and
-    /// PBJ probe identically.
+    /// derive `θ_i` for the cells the batch touches, then run Algorithm 3's
+    /// bounded scan against the resident `S`, merged with `delta`, through
+    /// [`probe_rows`].  `θ_i` comes from the global Algorithm 1 bound: the
+    /// resident `S` is the full dataset, so the tight bound applies even to
+    /// PBJ, whose cold cells only have their local block's looser one.
+    /// Algorithm 2's `LB` matrix and Algorithm 4's grouping decide which `S`
+    /// replica is shipped to which reducer; nothing is shipped here, so
+    /// neither is computed and PGBJ and PBJ probe identically.
     pub(crate) fn probe(
         &self,
         rows: &[&[f64]],
@@ -966,22 +952,15 @@ impl VoronoiPrepared {
         metrics.record_phase(phases::DATA_PARTITIONING, start.elapsed());
 
         let start = Instant::now();
-        let tables = self.query_tables(&assignments);
         // θ_i promises that partition i alone holds k objects within θ_i of
         // any r assigned there — a promise the frozen T_S cannot keep once
         // objects are deleted, so tombstones demote θ to the running kth
-        // distance alone.  Algorithm 1 returns ∞ at once for a cell the
-        // batch left empty, so only touched cells pay for their bound.
-        let frozen_bounds_hold = delta.tombstones_len() == 0;
-        let theta: Vec<f64> = (0..tables.partition_count())
-            .map(|i| {
-                if frozen_bounds_hold {
-                    bounding_knn_theta(&tables, i, plan.k)
-                } else {
-                    f64::INFINITY
-                }
-            })
-            .collect();
+        // distance alone.
+        let theta = if delta.tombstones_len() == 0 {
+            self.row_thetas(&assignments, plan.k)
+        } else {
+            vec![f64::INFINITY; rows.len()]
+        };
         metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
 
         let kernels = ScanKernels::new(plan.metric);
@@ -989,14 +968,45 @@ impl VoronoiPrepared {
             rows,
             workers,
             metrics,
-            || VoronoiScan::new(&tables, plan.k, kernels, delta),
+            || VoronoiScan::new(&self.tables, plan.k, kernels, delta),
             |scan, at, row| {
                 let (i, pivot_dist) = assignments[at];
                 let (cells, order) = (&self.s_parts, &self.s_orders[i]);
-                scan.scan(row, pivot_dist, i, cells, order, theta[i])
+                scan.scan(row, pivot_dist, i, cells, order, theta[at])
             },
         )
     }
+
+    /// Each row's `θ_i` (Algorithm 1), computed once per cell the batch
+    /// touches and for no other: the rows are grouped by cell in row order,
+    /// `U(P_i^R)` is the largest pivot distance of a group — the `U` of the
+    /// batch's `T_R` row, folded with the same `max` in the same order — and
+    /// the walk follows the cell's scan order, ascending by pivot distance,
+    /// so it skips nearly every cell past the first few.
+    fn row_thetas(&self, assignments: &[(usize, f64)], k: usize) -> Vec<f64> {
+        let mut by_cell: Vec<usize> = (0..assignments.len()).collect();
+        by_cell.sort_by_key(|&at| assignments[at].0);
+        let mut theta = vec![f64::INFINITY; assignments.len()];
+        for group in by_cell.chunk_by(|&a, &b| assignments[a].0 == assignments[b].0) {
+            let i = assignments[group[0]].0;
+            let dists = group.iter().map(|&at| assignments[at].1);
+            let upper = dists.reduce(f64::max).unwrap_or(0.0);
+            let theta_i =
+                bounding_knn_theta(&self.tables, i, upper, k, self.s_orders[i].iter().copied());
+            for &at in group {
+                theta[at] = theta_i;
+            }
+        }
+        theta
+    }
+}
+
+/// The frozen summary tables of a prepared `S`: the partitioner's pivots and
+/// pivot distances, `T_S` read off each cell's ascending pivot distances as
+/// index merging reads it, and an empty `T_R`.
+fn frozen_tables(partitioner: &VoronoiPartitioner, s_parts: &CellMap, k: usize) -> SummaryTables {
+    let columns = s_parts.iter().map(|(j, cell)| (j, cell.pivot_dists()));
+    SummaryTables::from_sorted_columns(partitioner, std::iter::empty(), columns, k)
 }
 
 /// Assigns one object to its `(cell, pivot distance)` — the one way `prepare`,
@@ -1029,9 +1039,35 @@ mod tests {
     use crate::grouping::{build_grouping, GroupingStrategy};
     use crate::partition::PartitionedDataset;
     use crate::pivots::{select_pivots, PivotSelectionStrategy};
+    use crate::summary::RPartitionSummary;
     use datagen::uniform;
     use geom::DistanceMetric;
     use proptest::prelude::*;
+
+    /// `T_R` over `t` cells: one fold over the `(cell, pivot distance)` of every
+    /// object of `R`.  A cell no object fell in reports `(0, 0)` like an absent
+    /// row in the paper's tables.  The reference for the tables a cold join
+    /// reads off sorted columns and for the `U` a prepared probe folds — with
+    /// the same `max`, in the same row order — for the cells its rows touch.
+    fn r_summaries(
+        t: usize,
+        assignments: impl IntoIterator<Item = (usize, f64)>,
+    ) -> Vec<RPartitionSummary> {
+        let empty = |partition| RPartitionSummary {
+            partition,
+            ..Default::default()
+        };
+        let mut rows: Vec<RPartitionSummary> = (0..t).map(empty).collect();
+        for (cell, dist) in assignments {
+            let row = &mut rows[cell];
+            (row.lower, row.upper) = match row.count {
+                0 => (dist, dist),
+                _ => (row.lower.min(dist), row.upper.max(dist)),
+            };
+            row.count += 1;
+        }
+        rows
+    }
 
     const METRICS: [DistanceMetric; 3] = [
         DistanceMetric::Euclidean,
@@ -1354,7 +1390,7 @@ mod tests {
             CellMap::of(tables.partition_count(), cells)
         };
         assert_eq!(of_kind(RecordKind::S), built.s_parts);
-        assert_eq!(tables.s_summaries, built.s_summaries);
+        assert_eq!(tables.s_summaries, built.tables.s_summaries);
         assert_eq!(tables.pivots, *built.partitioner.pivot_matrix());
         assert_eq!(tables.pivot_distances, *built.partitioner.pivot_distances());
 
@@ -1566,7 +1602,48 @@ mod tests {
         corpus.sort_by_key(|p| p.id);
         let cold = VoronoiPrepared::build(&s, &PointSet::from_points(corpus), &plan, &mut metrics);
         assert_eq!(compacted.s_parts, cold.s_parts);
-        assert_eq!(compacted.s_summaries, cold.s_summaries);
+        assert_eq!(compacted.tables, cold.tables);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// A probe batch's per-row θ has the bits of the tables the probe
+        /// used to assemble per batch: `T_R` folded over every row, then
+        /// Algorithm 1 over every cell in partition order, for the cell of
+        /// each row — on batches of 1 to 150 rows, with cells repeating,
+        /// under every metric.
+        #[test]
+        fn per_cell_theta_is_the_folded_tables_theta(
+            n_rows in 1usize..150,
+            k in 1usize..30,
+            which in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            let plan = JoinPlan {
+                k,
+                pivot_count: 12,
+                metric: METRICS[which],
+                ..JoinPlan::default()
+            };
+            let s = uniform(400, 3, 40.0, seed);
+            let mut metrics = JoinMetrics::default();
+            let built = VoronoiPrepared::build(&s, &s, &plan, &mut metrics);
+            let batch = uniform(n_rows, 3, 40.0, seed ^ 0x5eed);
+            let assignments: Vec<(usize, f64)> = batch
+                .iter()
+                .map(|p| assign(&built.partitioner, &p.coords, &mut metrics))
+                .collect();
+            let t = built.tables.partition_count();
+            let folded = SummaryTables {
+                r_summaries: r_summaries(t, assignments.iter().copied()),
+                ..built.tables.clone()
+            };
+            let want = PartitionBounds::compute(&folded, k).theta;
+            let got = built.row_thetas(&assignments, k);
+            for (at, &(i, _)) in assignments.iter().enumerate() {
+                prop_assert_eq!(got[at].to_bits(), want[i].to_bits(), "row {} in cell {}", at, i);
+            }
+        }
     }
 
     /// Compaction merges instead of sorting: with adds and tombstones landing
@@ -1612,7 +1689,7 @@ mod tests {
             &mut metrics,
         );
         assert_eq!(compacted.s_parts, cold.s_parts);
-        assert_eq!(compacted.s_summaries, cold.s_summaries);
+        assert_eq!(compacted.tables, cold.tables);
         assert_eq!(compacted.s_orders, cold.s_orders);
     }
 }

@@ -83,30 +83,45 @@ pub fn lower_bound(u_r_partition: f64, pivot_dist: f64, s_pivot_dist: f64) -> f6
     (pivot_dist - u_r_partition - s_pivot_dist).max(0.0)
 }
 
-/// Algorithm 1 (`boundingKNN`): computes `θ_i`, an upper bound on the kNN
-/// distance of every object in `R` partition `r_partition`, using only the
-/// summary tables.
+/// Algorithm 1 (`boundingKNN`): `θ_i`, an upper bound on the kNN distance
+/// of every object of `R` partition `r_partition`, whose objects lie at most
+/// `upper` (`U(P_i^R)`) from its pivot, read off the `S` summaries alone.
 ///
-/// Returns `f64::INFINITY` when `S` holds fewer than `k` objects overall (the
-/// bound is then vacuous but still sound) or when the `R` partition is empty.
-pub fn bounding_knn_theta(tables: &SummaryTables, r_partition: usize, k: usize) -> f64 {
+/// The `S` cells are walked in `order`, which must name every non-empty
+/// one.  A max-heap keeps the `k` smallest upper bounds `U + |p_i, p_j| +
+/// |p_j, s|` (Theorem 3) seen; its top is θ.  Once it holds `k` values, a
+/// cell with `U + |p_i, p_j| ≥ θ` is skipped whole: each of its bounds is
+/// `(U + |p_i, p_j|) + |p_j, s|`, no smaller in floating point (addition is
+/// monotone and `|p_j, s| ≥ 0`), the heap admits only values strictly below
+/// its top, and the top only falls.  So θ has the bits of the walk over
+/// every cell, in any order; walked by ascending `|p_i, p_j|`, as a probe
+/// walks its scan order, almost every cell after the first few is skipped.
+///
+/// Returns `f64::INFINITY` when the walked cells hold fewer than `k`
+/// objects (the bound is then vacuous but still sound).
+pub fn bounding_knn_theta(
+    tables: &SummaryTables,
+    r_partition: usize,
+    upper: f64,
+    k: usize,
+    order: impl IntoIterator<Item = usize>,
+) -> f64 {
     assert!(k > 0, "k must be positive");
-    let r_summary = &tables.r_summaries[r_partition];
-    if r_summary.count == 0 {
-        return f64::INFINITY;
-    }
-    // Max-heap keeps the k smallest upper bounds; its top is the current θ.
+    let pivot_dists = tables.pivot_distances.row(r_partition);
     let mut heap: BinaryHeap<OrderedF64> = BinaryHeap::with_capacity(k + 1);
-    for s_summary in tables.s_summaries.iter() {
-        let pivot_dist = tables.pivot_distance(r_partition, s_summary.partition);
+    for j in order {
+        let pivot_dist = pivot_dists[j];
+        if heap.len() == k && upper + pivot_dist >= top(&heap) {
+            continue;
+        }
         // knn_distances is ascending, so once one candidate fails to improve
         // the heap no later candidate of this partition can (line 8 of
         // Algorithm 1).
-        for s_pivot_dist in &s_summary.knn_distances {
-            let ub = upper_bound(r_summary.upper, pivot_dist, *s_pivot_dist);
+        for &s_pivot_dist in &tables.s_summaries[j].knn_distances {
+            let ub = upper_bound(upper, pivot_dist, s_pivot_dist);
             if heap.len() < k {
                 heap.push(OrderedF64(ub));
-            } else if ub < heap.peek().expect("heap is full").0 {
+            } else if ub < top(&heap) {
                 heap.pop();
                 heap.push(OrderedF64(ub));
             } else {
@@ -117,8 +132,13 @@ pub fn bounding_knn_theta(tables: &SummaryTables, r_partition: usize, k: usize) 
     if heap.len() < k {
         f64::INFINITY
     } else {
-        heap.peek().expect("heap has k entries").0
+        top(&heap)
     }
+}
+
+/// The largest value of a non-empty heap.
+fn top(heap: &BinaryHeap<OrderedF64>) -> f64 {
+    heap.peek().map_or(f64::INFINITY, |top| top.0)
 }
 
 /// Per-partition bounds computed before the second MapReduce job (Algorithm
@@ -132,11 +152,17 @@ pub struct PartitionBounds {
 }
 
 impl PartitionBounds {
-    /// Runs Algorithm 1 for every `R` partition and Algorithm 2 for every
-    /// `(R partition, S partition)` pair.
+    /// Runs Algorithm 1 for every `R` partition, walking the `S` cells in
+    /// partition order (an empty `R` partition gets `θ = ∞`), and Algorithm
+    /// 2 for every `(R partition, S partition)` pair.
     pub fn compute(tables: &SummaryTables, k: usize) -> Self {
         let n = tables.partition_count();
-        let theta: Vec<f64> = (0..n).map(|i| bounding_knn_theta(tables, i, k)).collect();
+        let theta: Vec<f64> = (tables.r_summaries.iter().enumerate())
+            .map(|(i, r)| match r.count {
+                0 => f64::INFINITY,
+                _ => bounding_knn_theta(tables, i, r.upper, k, 0..n),
+            })
+            .collect();
         let lb = (0..n)
             .map(|i| {
                 let u_r = tables.r_summaries[i].upper;
@@ -238,6 +264,7 @@ mod tests {
     use crate::partition::VoronoiPartitioner;
     use datagen::uniform;
     use geom::{DistanceMetric, Point, PointSet};
+    use proptest::collection;
     use proptest::prelude::*;
 
     fn build_tables(
@@ -335,9 +362,97 @@ mod tests {
         let r = uniform(30, 2, 10.0, 1);
         let s = uniform(2, 2, 10.0, 2);
         let (tables, _, _) = build_tables(&r, &s, 3, 5, 3);
-        for i in 0..tables.partition_count() {
-            if tables.r_summaries[i].count > 0 {
-                assert!(bounding_knn_theta(&tables, i, 5).is_infinite());
+        let n = tables.partition_count();
+        for (i, summary) in tables.r_summaries.iter().enumerate() {
+            assert!(bounding_knn_theta(&tables, i, summary.upper, 5, 0..n).is_infinite());
+        }
+        assert!(PartitionBounds::compute(&tables, 5)
+            .theta
+            .iter()
+            .all(|theta| theta.is_infinite()));
+    }
+
+    /// Algorithm 1 as it walked before whole cells were skipped: every cell
+    /// in `order` offers its upper bounds until one fails to improve the
+    /// heap.  The reference the skipping walk is held to.
+    fn full_walk_theta(
+        tables: &SummaryTables,
+        r_partition: usize,
+        upper: f64,
+        k: usize,
+        order: impl IntoIterator<Item = usize>,
+    ) -> f64 {
+        let mut heap: BinaryHeap<OrderedF64> = BinaryHeap::new();
+        for j in order {
+            let pivot_dist = tables.pivot_distance(r_partition, j);
+            for s_pivot_dist in &tables.s_summaries[j].knn_distances {
+                let ub = upper_bound(upper, pivot_dist, *s_pivot_dist);
+                if heap.len() < k {
+                    heap.push(OrderedF64(ub));
+                } else if ub < heap.peek().unwrap().0 {
+                    heap.pop();
+                    heap.push(OrderedF64(ub));
+                } else {
+                    break;
+                }
+            }
+        }
+        if heap.len() < k {
+            f64::INFINITY
+        } else {
+            heap.peek().unwrap().0
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The skipping walk returns the full walk's θ bit for bit, for
+        /// every `R` partition, walked in partition order, by ascending
+        /// pivot distance (the probe's order) and in a shuffled order.
+        /// Pivots sit on a coarse grid, so pivot distances repeat and some
+        /// are zero; `T_S` columns draw from a few values, so upper bounds
+        /// tie; cells may be empty, `k` may exceed `|S|` and `U` may be 0.
+        #[test]
+        fn skipping_cells_keeps_theta_bit_for_bit(
+            t in 1usize..10,
+            grid in collection::vec(0u32..16, 10),
+            columns in collection::vec(collection::vec(0usize..6, 0..7), 10),
+            k in 1usize..16,
+            zero_upper in proptest::bool::ANY,
+            upper in 0.0f64..5.0,
+            shuffle in 0u64..u64::MAX,
+        ) {
+            let upper = if zero_upper { 0.0 } else { upper };
+            let pivots: Vec<Point> = grid[..t]
+                .iter()
+                .enumerate()
+                .map(|(i, &g)| Point::new(i as u64, vec![f64::from(g % 4), f64::from(g / 4) * 1.5]))
+                .collect();
+            let partitioner = VoronoiPartitioner::new(pivots, DistanceMetric::Euclidean);
+            let values = [0.0, 0.5, 1.0, 1.25, 2.5, 3.75];
+            let columns: Vec<Vec<f64>> = columns[..t]
+                .iter()
+                .map(|draws| {
+                    let mut column: Vec<f64> = draws.iter().map(|&v| values[v]).collect();
+                    column.sort_by(f64::total_cmp);
+                    column
+                })
+                .collect();
+            let s = columns.iter().map(Vec::as_slice).enumerate();
+            let tables = SummaryTables::from_sorted_columns(&partitioner, std::iter::empty(), s, k);
+            for i in 0..t {
+                let row = tables.pivot_distances.row(i);
+                let mut ascending: Vec<usize> = (0..t).collect();
+                ascending.sort_by(|&a, &b| row[a].total_cmp(&row[b]));
+                let mut shuffled: Vec<usize> = (0..t).collect();
+                shuffled.sort_by_key(|&j| (j as u64 + 1).wrapping_mul(shuffle | 1).rotate_left(17));
+                let want = full_walk_theta(&tables, i, upper, k, 0..t).to_bits();
+                for order in [(0..t).collect(), ascending, shuffled] {
+                    let full = full_walk_theta(&tables, i, upper, k, order.iter().copied());
+                    let skipped = bounding_knn_theta(&tables, i, upper, k, order.iter().copied());
+                    prop_assert_eq!(full.to_bits(), want, "order {:?}", order);
+                    prop_assert_eq!(skipped.to_bits(), want, "order {:?}", order);
+                }
             }
         }
     }

@@ -41,16 +41,21 @@
 )]
 
 use crate::exact::{splice_into, FlatBlock};
-use geom::PointId;
+use geom::{IdFilter, Mask, PointId};
+use std::sync::OnceLock;
 
 /// The resident S-delta memtable: points added since the last compaction
 /// (re-inserts are upserts) plus the tombstoned frozen ids, in the order and
 /// layout every probe reads them, so a probe scans the overlay in place: the
 /// adds as one `FlatBlock` — ids ascending, coordinates column-major like
 /// every other block a scan ranks — and the tombstoned ids as one ascending
-/// run (masking a candidate is a binary search over contiguous memory).  An
-/// empty overlay is zero add rows and no mask; no probe treats it
-/// specially.
+/// run behind a one-hash bit filter ([`geom::IdFilter`], ~16 bits per
+/// tombstone): masking a candidate is a bit test, and only an id the filter
+/// lets through — every tombstone and about one live id in sixteen — pays
+/// the binary search that decides it.  The filter is a function of the
+/// tombstones, built on the overlay's first masking read, never by a
+/// mutation.  An empty overlay is zero add rows and no mask; no probe
+/// treats it specially.
 ///
 /// The overlay is an immutable snapshot from a reader's point of view: a
 /// mutation lays the next overlay out from this one in one pass
@@ -58,13 +63,23 @@ use geom::PointId;
 /// new epoch, so in-flight queries keep scanning the overlay they started
 /// with.  The ascending orders are deterministic, which keeps the
 /// delta-probe counters reproducible for the bench harness.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct DeltaOverlay {
     /// Added (or re-inserted) points, ids ascending.
     adds: FlatBlock,
     /// Frozen ids masked from every probe until compaction drops them,
     /// ascending.
     tombstones: Vec<PointId>,
+    /// The filter over `tombstones`, built on first use.
+    filter: OnceLock<IdFilter>,
+}
+
+/// Overlays are equal when their adds and tombstones are: the filter is
+/// derived from the tombstones, built or not.
+impl PartialEq for DeltaOverlay {
+    fn eq(&self, other: &Self) -> bool {
+        self.adds == other.adds && self.tombstones == other.tombstones
+    }
 }
 
 /// The overlay of a corpus nothing was added to or deleted from: what the
@@ -72,6 +87,7 @@ pub struct DeltaOverlay {
 pub(crate) static NO_DELTA: DeltaOverlay = DeltaOverlay {
     adds: FlatBlock::EMPTY,
     tombstones: Vec::new(),
+    filter: OnceLock::new(),
 };
 
 impl DeltaOverlay {
@@ -99,7 +115,19 @@ impl DeltaOverlay {
     /// Whether `id`'s frozen copy is masked.
     #[inline]
     pub fn is_tombstoned(&self, id: PointId) -> bool {
-        self.tombstones.binary_search(&id).is_ok()
+        self.mask().contains(id)
+    }
+
+    /// The tombstones as the mask a scan offers its frozen rows through;
+    /// [`Mask::NONE`] when there are none.  The first call on an overlay
+    /// with tombstones builds its filter.
+    #[inline]
+    pub(crate) fn mask(&self) -> Mask<'_> {
+        if self.tombstones.is_empty() {
+            return Mask::NONE;
+        }
+        let filter = self.filter.get_or_init(|| IdFilter::new(&self.tombstones));
+        Mask::new(&self.tombstones, filter)
     }
 
     /// The added points in ascending id order, each row gathered from the
@@ -133,6 +161,7 @@ impl DeltaOverlay {
             tombstones: self
                 .tombstoned(id, frozen)
                 .unwrap_or_else(|| self.tombstones.clone()),
+            filter: OnceLock::new(),
         }
     }
 
@@ -152,6 +181,7 @@ impl DeltaOverlay {
                 |at| self.adds.spliced(at..at + 1, None),
             ),
             tombstones: tombstones.unwrap_or_else(|| self.tombstones.clone()),
+            filter: OnceLock::new(),
         })
     }
 
@@ -203,7 +233,7 @@ impl DeltaOverlay {
         let frozen = |id: &PointId| frozen_ids.binary_search(id).is_ok();
         for id in self.adds.ids() {
             assert!(
-                !frozen(id) || self.is_tombstoned(*id),
+                !frozen(id) || self.tombstones.binary_search(id).is_ok(),
                 "delta invariant violated: add {id} duplicates a live frozen id \
                  (frozen copy not tombstoned)"
             );
@@ -287,6 +317,36 @@ mod tests {
     }
 
     proptest! {
+        /// The filter-backed `is_tombstoned` is the binary search over the
+        /// tombstones, for ids in and out of the set: 3000 ids probed
+        /// against up to 300 tombstones drawn from 0..2000, where the ~16
+        /// bits per tombstone let about one absent id in sixteen through
+        /// the filter.  A clone of an overlay whose filter is built, and a
+        /// mutation of it, answer the same as a fresh overlay.
+        #[test]
+        fn filtered_tombstones_answer_the_binary_search(
+            dead in collection::vec(0u64..2000, 0..300),
+            reborn in 0u64..2000,
+        ) {
+            let frozen: Vec<PointId> = (0..2000).collect();
+            let mut overlay = DeltaOverlay::default();
+            for &id in &dead {
+                overlay = overlay.after_delete(id, true).unwrap_or(overlay);
+            }
+            let tombstones: Vec<PointId> = dead.iter().copied().collect::<BTreeSet<_>>().into_iter().collect();
+            let rule = |ts: &[PointId], id: PointId| ts.binary_search(&id).is_ok();
+            for id in 0..3000 {
+                prop_assert_eq!(overlay.is_tombstoned(id), rule(&tombstones, id), "id {}", id);
+            }
+            let built = overlay.clone();
+            prop_assert_eq!(&built, &overlay);
+            let next = built.after_delete(reborn, true).unwrap_or_else(|| built.clone());
+            next.audit(&frozen);
+            for id in 0..3000 {
+                prop_assert_eq!(next.is_tombstoned(id), rule(next.tombstones(), id), "id {}", id);
+            }
+        }
+
         /// Any insert / upsert / delete / remove-then-add sequence leaves the
         /// overlay saying what a `BTreeMap` + `BTreeSet` model says — the
         /// representation it replaced — coordinate for coordinate, with both

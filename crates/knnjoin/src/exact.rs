@@ -17,7 +17,7 @@ use crate::metrics::{phases, JoinMetrics};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinResult, JoinRow};
 use geom::kernels::PROBE_TILE;
-use geom::{CoordMatrix, DistanceMetric, Neighbor, NeighborList, PointId, PointSet};
+use geom::{CoordMatrix, DistanceMetric, Mask, Neighbor, NeighborList, PointId, PointSet};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -201,7 +201,7 @@ impl FlatBlock {
             let last = (first + PROBE_TILE).min(rows.end);
             let ranks = &mut scratch.ranks[..last - first];
             (kernels.columns)(query, &self.columns, self.len(), first, ranks);
-            list.offer_ranks(&self.ids[first..last], ranks, &[], kernels.metric);
+            list.offer_ranks(&self.ids[first..last], ranks, Mask::NONE, kernels.metric);
         }
         rows.len() as u64
     }

@@ -46,11 +46,10 @@ pub struct SPartitionSummary {
 
 /// The pair of summary tables plus the pivot set they refer to.
 ///
-/// The S-side fields (`pivots`, `s_summaries`, `pivot_distances`) sit behind
-/// [`Arc`]s: the pivot matrix and the `t × t` distance table are the
-/// [`VoronoiPartitioner`]'s own, and the prepared serving path assembles
-/// fresh tables per probe batch — only `T_R` changes — so that assembly
-/// copies neither.
+/// The pivot matrix and the `t × t` distance table sit behind [`Arc`]s:
+/// they are the [`VoronoiPartitioner`]'s own, shared, not copied.  The
+/// prepared serving path keeps one frozen set of tables whose `T_R` is
+/// empty; a probe derives `U(P_i^R)` for the cells its rows touch instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SummaryTables {
     /// Pivots defining the Voronoi cells, flat: row `i` is pivot `i`, the
@@ -61,7 +60,7 @@ pub struct SummaryTables {
     /// One entry per partition of `R` (indexed by partition id).
     pub r_summaries: Vec<RPartitionSummary>,
     /// One entry per partition of `S` (indexed by partition id).
-    pub s_summaries: Arc<Vec<SPartitionSummary>>,
+    pub s_summaries: Vec<SPartitionSummary>,
     /// Pairwise pivot distances, `|p_i, p_j|`.
     pub pivot_distances: Arc<PivotDistances>,
 }
@@ -135,7 +134,7 @@ impl SummaryTables {
             pivots: Arc::clone(partitioner.pivot_matrix()),
             metric: partitioner.metric(),
             r_summaries,
-            s_summaries: Arc::new(s_summaries),
+            s_summaries,
             pivot_distances: Arc::clone(partitioner.pivot_distances()),
         }
     }
@@ -152,34 +151,10 @@ impl SummaryTables {
     }
 }
 
-/// `T_R` over `t` cells: one fold over the `(cell, pivot distance)` of every
-/// object of `R` — a cold join's, or one probe batch's.  A cell no object
-/// fell in reports `(0, 0)` like an absent row in the paper's tables.
-pub(crate) fn r_summaries(
-    t: usize,
-    assignments: impl IntoIterator<Item = (usize, f64)>,
-) -> Vec<RPartitionSummary> {
-    let empty = |partition| RPartitionSummary {
-        partition,
-        ..Default::default()
-    };
-    let mut rows: Vec<RPartitionSummary> = (0..t).map(empty).collect();
-    for (cell, dist) in assignments {
-        let row = &mut rows[cell];
-        (row.lower, row.upper) = match row.count {
-            0 => (dist, dist),
-            _ => (row.lower.min(dist), row.upper.max(dist)),
-        };
-        row.count += 1;
-    }
-    rows
-}
-
 impl RPartitionSummary {
     /// The `T_R` row of partition `partition` read off its objects' pivot
     /// distances in ascending order: the `(L, U)` bounds are the column's
-    /// ends — what [`r_summaries`] folds from the same distances in any
-    /// order.
+    /// ends — what a fold over the same distances in any order gives.
     pub(crate) fn of_sorted(partition: usize, pivot_dists: &[f64]) -> Self {
         Self {
             partition,

@@ -13,7 +13,7 @@
 //! point-distance computations performed, which feeds the paper's
 //! *computation selectivity* metric.
 
-use geom::{DistanceMetric, Neighbor, NeighborList, Point, PointId};
+use geom::{DistanceMetric, Mask, Neighbor, NeighborList, Point, PointId};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -183,12 +183,24 @@ impl PartialOrd for Prioritized {
     }
 }
 
-/// The node heap and rank buffer of [`RTree::knn_with`], cleared by each
-/// query with their capacity kept, so a run of queries allocates them once.
-#[derive(Debug, Default)]
+/// The node heap, rank buffer and answer list of [`RTree::knn_with`],
+/// cleared by each query with their capacity kept, so a run of queries
+/// allocates them once.
+#[derive(Debug)]
 pub struct KnnScratch {
     heap: BinaryHeap<Prioritized>,
     ranks: Vec<f64>,
+    neighbors: NeighborList,
+}
+
+impl Default for KnnScratch {
+    fn default() -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+            ranks: Vec::new(),
+            neighbors: NeighborList::new(1),
+        }
+    }
 }
 
 impl RTree {
@@ -283,12 +295,27 @@ impl RTree {
     /// distance computations performed (used for the computation-selectivity
     /// metric of the paper): [`RTree::knn_with`] on a fresh scratch.
     pub fn knn_counted(&self, query: &Point, k: usize) -> (Vec<Neighbor>, u64) {
-        self.knn_with(&query.coords, k, &mut KnnScratch::default())
+        let mut scratch = KnnScratch::default();
+        let computations = self.search(&query.coords, k, &mut scratch);
+        (scratch.neighbors.into_sorted(), computations)
     }
 
-    /// The `k` nearest neighbours of the coordinates `query` and the number
-    /// of distance computations spent, traversing with the caller's
-    /// `scratch` — a loop of probes reuses one heap and one rank buffer.
+    /// The `k` nearest neighbours of the coordinates `query`, sorted by
+    /// ascending distance and borrowed from the caller's `scratch`, and the
+    /// number of distance computations spent — a loop of probes reuses one
+    /// heap, one rank buffer and one answer list.
+    pub fn knn_with<'s>(
+        &self,
+        query: &[f64],
+        k: usize,
+        scratch: &'s mut KnnScratch,
+    ) -> (&'s [Neighbor], u64) {
+        let computations = self.search(query, k, scratch);
+        (scratch.neighbors.as_slice(), computations)
+    }
+
+    /// Leaves the `k` nearest neighbours of `query` in `scratch`'s answer
+    /// list and returns the distance computations spent.
     ///
     /// A leaf is ranked in one call of the metric's bit-exact column kernel
     /// over its run of rows and offered straight into the accumulator
@@ -298,18 +325,17 @@ impl RTree {
     /// it when popped: when a node at MBR distance `m` is popped, that walk
     /// has already popped and offered every discovered point with `d ≤ m`,
     /// so both compare `m` against the same `k`-th distance.
-    pub fn knn_with(
-        &self,
-        query: &[f64],
-        k: usize,
-        scratch: &mut KnnScratch,
-    ) -> (Vec<Neighbor>, u64) {
+    fn search(&self, query: &[f64], k: usize, scratch: &mut KnnScratch) -> u64 {
+        let KnnScratch {
+            heap,
+            ranks,
+            neighbors: result,
+        } = scratch;
+        result.reset(k.max(1));
         let Some(root) = self.levels.len().checked_sub(1).filter(|_| k > 0) else {
-            return (Vec::new(), 0);
+            return 0;
         };
-        let mut result = NeighborList::new(k);
         let rank = self.metric.column_rank_kernel();
-        let KnnScratch { heap, ranks } = scratch;
         heap.clear();
         // The ranks of a leaf's rows or the MINDISTs of a node's children:
         // a node owns at most `fanout` entries.
@@ -333,7 +359,7 @@ impl RTree {
             if level == 0 {
                 rank(query, &self.cols, self.ids.len(), run.start, ranks);
                 distance_computations += ranks.len() as u64;
-                result.offer_ranks(&self.ids[run], ranks, &[], self.metric);
+                result.offer_ranks(&self.ids[run], ranks, Mask::NONE, self.metric);
                 continue;
             }
             self.levels[level as usize - 1].min_distances(self.metric, query, run.start, ranks);
@@ -347,7 +373,7 @@ impl RTree {
                 }
             }
         }
-        (result.into_sorted(), distance_computations)
+        distance_computations
     }
 }
 
@@ -679,7 +705,7 @@ mod tests {
                 let bits = |list: &[Neighbor]| -> Vec<(PointId, u64)> {
                     list.iter().map(|n| (n.id, n.distance.to_bits())).collect()
                 };
-                prop_assert_eq!(bits(&reused), bits(&fresh));
+                prop_assert_eq!(bits(reused), bits(&fresh));
                 prop_assert_eq!(reused_count, fresh_count);
             }
         }

@@ -1,10 +1,8 @@
 //! The workspace invariant tables the lint pass enforces.
 //!
-//! Everything here is policy, not mechanism: which files hold the `unsafe`
-//! kernels, which files feed deterministic counters, and the declared
-//! lock-order table.  Panic-freedom on user-reachable paths is clippy's
-//! (`#![deny(clippy::unwrap_used, …)]` in each of those modules).  The fixture tests swap in narrowed configs so each known-bad
-//! snippet trips exactly one lint.
+//! Everything here is policy, not mechanism: the declared lock-order table
+//! and the calls a held guard must not span.  The fixture tests swap in a
+//! narrowed config so each known-bad snippet trips exactly one lint.
 
 use std::path::PathBuf;
 
@@ -30,25 +28,10 @@ pub struct LockSite {
 pub struct Config {
     /// Workspace root all paths are relative to.
     pub root: PathBuf,
-    /// The files the crates' `unsafe_code` attributes let `unsafe` compile
-    /// in; `safety-comment` and `target-feature-parity` patrol them.
-    pub allowed_unsafe: Vec<String>,
-    /// Files feeding deterministic counters: no `Instant`, `SystemTime`,
-    /// `HashMap` or `HashSet` at all.
-    pub determinism_strict: Vec<String>,
-    /// Files (or directory prefixes ending in `/`) around the `BENCH_*.json`
-    /// writers: no `HashMap`/`HashSet`/`SystemTime`.  `Instant` is allowed:
-    /// the experiments binary times its progress lines and the paper's
-    /// figures print running-time panels, neither of which reaches a gated
-    /// file.
-    pub determinism_no_maps: Vec<String>,
     /// The declared lock-order table.
     pub lock_table: Vec<LockSite>,
     /// Call fragments a held guard must never span (`guard-across-probe`).
     pub probe_calls: Vec<&'static str>,
-    /// The experiments binary whose `*_FIELDS` drift tables are cross-checked
-    /// against real identifiers, when present.
-    pub drift_fields_file: Option<String>,
 }
 
 impl Config {
@@ -56,22 +39,6 @@ impl Config {
     pub fn workspace(root: PathBuf) -> Self {
         Self {
             root,
-            allowed_unsafe: vec!["crates/geom/src/kernels.rs".into()],
-            determinism_strict: vec![
-                "crates/knnjoin/src/metrics.rs".into(),
-                "crates/mapreduce/src/metrics.rs".into(),
-                // The counter gates: a clock read here could reach a
-                // committed `BENCH_*.json`.
-                "crates/bench/src/experiments/perf_baseline.rs".into(),
-                "crates/bench/src/experiments/mutable_corpus.rs".into(),
-                "crates/bench/src/experiments/serving_slo.rs".into(),
-            ],
-            determinism_no_maps: vec![
-                "crates/bench/src/json.rs".into(),
-                "crates/bench/src/report.rs".into(),
-                "crates/bench/src/bin/experiments.rs".into(),
-                "crates/bench/src/experiments/".into(),
-            ],
             lock_table: vec![
                 LockSite {
                     file: "crates/knnjoin/src/prepared.rs",
@@ -100,33 +67,17 @@ impl Config {
                 },
             ],
             probe_calls: default_probe_calls(),
-            drift_fields_file: Some("crates/bench/src/bin/experiments.rs".into()),
         }
     }
 
-    /// An empty policy with no perimeter files — the fixture tests start
-    /// from this and enable exactly the table the lint under test reads.
+    /// An empty policy with no lock table — the fixture tests start from
+    /// this and declare the ranks the lock-order fixture needs.
     pub fn empty(root: PathBuf) -> Self {
         Self {
             root,
-            allowed_unsafe: Vec::new(),
-            determinism_strict: Vec::new(),
-            determinism_no_maps: Vec::new(),
             lock_table: Vec::new(),
             probe_calls: default_probe_calls(),
-            drift_fields_file: None,
         }
-    }
-
-    /// Whether `rel_path` is inside the `determinism_no_maps` perimeter.
-    pub fn in_no_maps_perimeter(&self, rel_path: &str) -> bool {
-        self.determinism_no_maps.iter().any(|p| {
-            if p.ends_with('/') {
-                rel_path.starts_with(p.as_str())
-            } else {
-                rel_path == p
-            }
-        })
     }
 }
 

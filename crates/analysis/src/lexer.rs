@@ -10,7 +10,7 @@
 //!   punctuation scans can't match inside prose;
 //! * the **comment list**: each comment line's text with its 1-based line
 //!   number (block comments contribute one entry per line), for the
-//!   comment-driven lints (`// SAFETY:`, `// ORDERING:`, suppressions);
+//!   comment-driven lints (`// ORDERING:`, suppressions);
 //! * **test regions**: the line ranges of `#[cfg(test)] mod … { … }` and
 //!   `#[test] fn … { … }` items, found by brace-matching over the code
 //!   view, so lints can exempt test code and the parity lint can require
@@ -21,13 +21,12 @@
 pub struct SourceFile {
     /// Path relative to the workspace root, `/`-separated.
     pub rel_path: String,
-    /// The original text.
-    pub text: String,
-    /// Same length as `text`: comments and literal contents blanked.
+    /// Same length as the original text: comments and literal contents
+    /// blanked.
     pub code: String,
     /// `(1-based line, comment text)` — one entry per comment line.
     pub comments: Vec<(usize, String)>,
-    /// Byte offset of each line start in `text`/`code`.
+    /// Byte offset of each line start in `code`.
     pub line_starts: Vec<usize>,
     /// Inclusive 1-based line ranges of test items.
     pub test_regions: Vec<(usize, usize)>,
@@ -35,9 +34,9 @@ pub struct SourceFile {
 
 impl SourceFile {
     /// Scans `text` into a [`SourceFile`].
-    pub fn scan(rel_path: impl Into<String>, text: impl Into<String>) -> Self {
-        let text = text.into();
-        let (code, comments) = blank(&text);
+    pub fn scan(rel_path: impl Into<String>, text: impl AsRef<str>) -> Self {
+        let text = text.as_ref();
+        let (code, comments) = blank(text);
         let mut line_starts = vec![0usize];
         for (i, b) in text.bytes().enumerate() {
             if b == b'\n' {
@@ -46,7 +45,6 @@ impl SourceFile {
         }
         let mut file = Self {
             rel_path: rel_path.into(),
-            text,
             code,
             comments,
             line_starts,

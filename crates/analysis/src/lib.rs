@@ -1,31 +1,25 @@
 //! Workspace invariant checker: a dependency-free lint pass over the
-//! workspace's own sources.
+//! workspace's own sources, for the rules no off-the-shelf lint expresses.
 //!
 //! `cargo run -p analysis -- check` scans every `.rs` file (skipping
 //! `target/`, the vendored shims and the known-bad lint fixtures) with a
-//! hand-rolled comment/string-aware scanner and enforces the invariants the
-//! code comments only used to *claim*:
+//! hand-rolled comment/string-aware scanner and enforces:
 //!
-//! * **safety-comment / target-feature-parity** — in the kernel files (the
-//!   compiler keeps `unsafe` out of everything else: `#![forbid(unsafe_code)]`
-//!   per crate, `deny` + one `allow` in `geom`) every unsafe block carries a
-//!   `// SAFETY:` argument and every accelerated kernel has a scalar twin
-//!   exercised by a parity test;
-//! * **determinism** — counter/metrics files and the three counter-gate
-//!   experiments never read clocks or iterate hash containers, the rest of
-//!   the bench serialization never lets hash order or `SystemTime` leak into
-//!   `BENCH_*.json`, and the experiments binary's drift tables name real
-//!   fields;
+//! * **target-feature-parity** — every `*_avx2` kernel has a scalar twin in
+//!   its file, named by a parity test;
 //! * **lock-order / guard-across-probe** — the declared lock-rank table
 //!   (`mapreduce::sync::ranks`) is checked intra-function, and no lock
 //!   guard is live across a probe/run call;
 //! * **ordering-comment** — every `Ordering::Relaxed` justifies itself with
 //!   an adjacent `// ORDERING:` comment.
 //!
-//! Panic-freedom on user-reachable paths is not checked here: the modules on
-//! that perimeter deny clippy's `unwrap_used`, `expect_used`, `panic`,
-//! `todo`, `unimplemented` and `indexing_slicing`, and CI runs clippy with
-//! `-D warnings`.
+//! The rest is clippy's (`cargo clippy --workspace --all-targets -- -D
+//! warnings`): the `// SAFETY:` and `# Safety` rules of geom's SIMD kernels
+//! (`undocumented_unsafe_blocks`, `missing_safety_doc`), the determinism
+//! perimeter (`disallowed_types`, `disallowed_methods`, listed in the root
+//! `clippy.toml`) and panic freedom on user-reachable paths.  The drift
+//! gates (`experiments --check`) compare whole rows, so no field list needs
+//! cross-checking.
 //!
 //! The runtime twin of this pass is the `debug-invariants` cargo feature
 //! (see `mapreduce::sync`), which audits the same lock order dynamically
@@ -91,9 +85,9 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
 }
 
 /// Runs the full pass over the workspace at `cfg.root`.
-pub fn check_workspace(cfg: &Config, allow: &[String]) -> io::Result<Vec<Finding>> {
+pub fn check_workspace(cfg: &Config) -> io::Result<Vec<Finding>> {
     let files = collect_sources(&cfg.root)?;
-    Ok(lints::run(&files, cfg, allow))
+    Ok(lints::run(&files, cfg))
 }
 
 /// Locates the workspace root: `--root` if given, else the current

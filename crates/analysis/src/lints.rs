@@ -18,9 +18,7 @@ use crate::lexer::{find_word, find_words, SourceFile};
 
 /// Every lint the pass knows, in reporting order.
 pub const LINTS: &[&str] = &[
-    "safety-comment",
     "target-feature-parity",
-    "determinism",
     "lock-order",
     "guard-across-probe",
     "ordering-comment",
@@ -58,22 +56,14 @@ pub fn is_test_path(rel_path: &str) -> bool {
         .any(|part| matches!(part, "tests" | "benches" | "examples" | "fixtures"))
 }
 
-/// Runs every enabled lint over `files` and applies suppressions.
-///
-/// `allow` lists lint names disabled wholesale for this run (from
-/// `--allow`); `suppression-syntax` can never be disabled.
-pub fn run(files: &[SourceFile], cfg: &Config, allow: &[String]) -> Vec<Finding> {
+/// Runs every lint over `files` and applies suppressions.
+pub fn run(files: &[SourceFile], cfg: &Config) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for file in files {
-        lint_safety_comment(file, cfg, &mut findings);
-        lint_target_feature_parity(file, cfg, &mut findings);
-        if !is_test_path(&file.rel_path) {
-            lint_determinism(file, cfg, &mut findings);
-            lint_locks(file, cfg, &mut findings);
-            lint_ordering_comment(file, &mut findings);
-        }
+    for file in files.iter().filter(|f| !is_test_path(&f.rel_path)) {
+        lint_target_feature_parity(file, &mut findings);
+        lint_locks(file, cfg, &mut findings);
+        lint_ordering_comment(file, &mut findings);
     }
-    lint_drift_fields(files, cfg, &mut findings);
 
     // Parse suppressions (reporting malformed ones) and filter.
     let mut suppressions: Vec<(String, usize, usize, String)> = Vec::new();
@@ -89,7 +79,6 @@ pub fn run(files: &[SourceFile], cfg: &Config, allow: &[String]) -> Vec<Finding>
         })
     });
 
-    findings.retain(|f| f.lint == "suppression-syntax" || !allow.iter().any(|a| a == f.lint));
     findings.sort_by(|a, b| (&a.rel_path, a.line, a.lint).cmp(&(&b.rel_path, b.line, b.lint)));
     findings
 }
@@ -115,80 +104,6 @@ fn comment_only(file: &SourceFile, line: usize) -> bool {
     file.code_line(line).trim().is_empty() && file.comments_on(line).next().is_some()
 }
 
-/// Whether a comment containing `tag` sits on `line` or on the contiguous
-/// run of comment-only lines directly above it.
-fn comment_tag_above(file: &SourceFile, line: usize, tag: &str) -> bool {
-    if file.comments_on(line).any(|c| c.contains(tag)) {
-        return true;
-    }
-    let mut l = line;
-    while l > 1 && comment_only(file, l - 1) {
-        l -= 1;
-        if file.comments_on(l).any(|c| c.contains(tag)) {
-            return true;
-        }
-    }
-    false
-}
-
-// ---------------------------------------------------------------------------
-// safety-comment
-// ---------------------------------------------------------------------------
-
-/// In the declared kernel files (the only ones the crates' `unsafe_code`
-/// attributes let `unsafe` compile in), every `unsafe` block needs a
-/// `// SAFETY:` comment and every `unsafe fn` a `# Safety` doc section.
-fn lint_safety_comment(file: &SourceFile, cfg: &Config, findings: &mut Vec<Finding>) {
-    if !cfg.allowed_unsafe.contains(&file.rel_path) {
-        return;
-    }
-    for off in find_words(&file.code, "unsafe") {
-        let line = file.line_of(off);
-        let rest = file.code[off + "unsafe".len()..].trim_start();
-        if rest.starts_with('{') {
-            if !comment_tag_above(file, line, "SAFETY:") {
-                push(
-                    findings,
-                    "safety-comment",
-                    file,
-                    line,
-                    "`unsafe` block without a `// SAFETY:` comment on or above it".into(),
-                );
-            }
-        } else if rest.starts_with("fn") && !doc_safety_above(file, line) {
-            push(
-                findings,
-                "safety-comment",
-                file,
-                line,
-                "`unsafe fn` without a `# Safety` doc section".into(),
-            );
-        }
-    }
-}
-
-/// Whether the attribute/doc block directly above `line` contains a
-/// `# Safety` doc line.  Attribute lines (`#[…]`) are skipped over; the doc
-/// may sit above them.
-fn doc_safety_above(file: &SourceFile, line: usize) -> bool {
-    let mut l = line;
-    while l > 1 {
-        let prev = l - 1;
-        let code = file.code_line(prev).trim().to_string();
-        let passable = code.is_empty() && file.comments_on(prev).next().is_some()
-            || code.starts_with('#')
-            || code.ends_with(']') && !code.contains([';', '{']);
-        if !passable {
-            return false;
-        }
-        if file.comments_on(prev).any(|c| c.contains("# Safety")) {
-            return true;
-        }
-        l = prev;
-    }
-    false
-}
-
 // ---------------------------------------------------------------------------
 // target-feature-parity
 // ---------------------------------------------------------------------------
@@ -196,10 +111,7 @@ fn doc_safety_above(file: &SourceFile, line: usize) -> bool {
 /// Every `*_avx2` kernel must have a scalar twin (same name, suffix
 /// stripped) defined in the same file and *named* inside a test region — the
 /// parity test that compares the two.
-fn lint_target_feature_parity(file: &SourceFile, cfg: &Config, findings: &mut Vec<Finding>) {
-    if !cfg.allowed_unsafe.contains(&file.rel_path) {
-        return;
-    }
+fn lint_target_feature_parity(file: &SourceFile, findings: &mut Vec<Finding>) {
     let mut seen: Vec<String> = Vec::new();
     let bytes = file.code.as_bytes();
     let mut i = 0usize;
@@ -256,129 +168,6 @@ fn check_twin(
             ),
         );
     }
-}
-
-// ---------------------------------------------------------------------------
-// determinism
-// ---------------------------------------------------------------------------
-
-/// Counter/metrics files must not read clocks or iterate hash containers;
-/// bench serialization files must not use hash containers or `SystemTime`.
-fn lint_determinism(file: &SourceFile, cfg: &Config, findings: &mut Vec<Finding>) {
-    let strict = cfg.determinism_strict.contains(&file.rel_path);
-    let no_maps = cfg.in_no_maps_perimeter(&file.rel_path);
-    if !strict && !no_maps {
-        return;
-    }
-    let banned: &[(&str, &str)] = if strict {
-        &[
-            ("Instant", "clock reads feed deterministic counters"),
-            ("SystemTime", "clock reads feed deterministic counters"),
-            ("HashMap", "iteration order would leak into counter values"),
-            ("HashSet", "iteration order would leak into counter values"),
-        ]
-    } else {
-        &[
-            (
-                "SystemTime",
-                "wall-clock values would drift BENCH_*.json output",
-            ),
-            (
-                "HashMap",
-                "iteration order would leak into BENCH_*.json output",
-            ),
-            (
-                "HashSet",
-                "iteration order would leak into BENCH_*.json output",
-            ),
-        ]
-    };
-    for &(word, why) in banned {
-        for off in find_words(&file.code, word) {
-            let line = file.line_of(off);
-            if file.in_test_region(line) {
-                continue;
-            }
-            push(
-                findings,
-                "determinism",
-                file,
-                line,
-                format!("`{word}` inside the determinism perimeter — {why}"),
-            );
-        }
-    }
-}
-
-/// Cross-check: every field name listed in the experiments binary's
-/// `*_FIELDS` drift tables must exist as an identifier somewhere in the
-/// workspace, so the drift check can't silently compare nothing.
-fn lint_drift_fields(files: &[SourceFile], cfg: &Config, findings: &mut Vec<Finding>) {
-    let Some(rel) = &cfg.drift_fields_file else {
-        return;
-    };
-    let Some(file) = files.iter().find(|f| &f.rel_path == rel) else {
-        return;
-    };
-    for table in ["BASELINE_FIELDS", "MUTABLE_FIELDS", "SERVING_FIELDS"] {
-        let Some(off) = find_word(&file.code, table) else {
-            push(
-                findings,
-                "determinism",
-                file,
-                1,
-                format!("drift table `{table}` not found in {rel}"),
-            );
-            continue;
-        };
-        let line = file.line_of(off);
-        // Field names live in string literals, so read the original text.
-        // The array is `const T: [&str; N] = [ "a", "b", … ];` — the first
-        // `[` after the `=` opens the literal (the type's `[` sits before).
-        let Some(eq_rel) = file.text[off..].find('=') else {
-            continue;
-        };
-        let eq = off + eq_rel;
-        let Some(open_rel) = file.text[eq..].find('[') else {
-            continue;
-        };
-        let open = eq + open_rel;
-        let Some(close_rel) = file.text[open..].find(']') else {
-            continue;
-        };
-        let body = &file.text[open + 1..open + close_rel];
-        for field in string_literals(body) {
-            let used = files
-                .iter()
-                .any(|f| f.rel_path != *rel && find_word(&f.code, &field).is_some());
-            if !used {
-                push(
-                    findings,
-                    "determinism",
-                    file,
-                    line,
-                    format!(
-                        "drift table `{table}` names field `{field}` which exists as an \
-                         identifier nowhere in the workspace — stale drift check"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// The contents of every `"…"` literal in `text` (no escape handling —
-/// drift field names are plain identifiers).
-fn string_literals(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(open) = rest.find('"') {
-        let after = &rest[open + 1..];
-        let Some(close) = after.find('"') else { break };
-        out.push(after[..close].to_string());
-        rest = &after[close + 1..];
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -781,19 +570,7 @@ mod tests {
 
     fn check_one(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
         let file = SourceFile::scan(rel, src);
-        run(&[file], cfg, &[])
-    }
-
-    #[test]
-    fn safety_comment_satisfies_the_block_rule() {
-        let mut cfg = Config::empty(PathBuf::from("."));
-        cfg.allowed_unsafe.push("src/k.rs".into());
-        let clean = "fn f() {\n    // SAFETY: bounds proven above.\n    unsafe { g(); }\n}\n";
-        assert!(check_one("src/k.rs", clean, &cfg).is_empty());
-        let dirty = "fn f() {\n    unsafe { g(); }\n}\n";
-        let f = check_one("src/k.rs", dirty, &cfg);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].lint, "safety-comment");
+        run(&[file], cfg)
     }
 
     #[test]
@@ -908,19 +685,8 @@ mod tests {
     }
 
     #[test]
-    fn determinism_perimeter_bans_hash_containers() {
-        let mut cfg = Config::empty(PathBuf::from("."));
-        cfg.determinism_strict.push("src/m.rs".into());
-        let src = "use std::collections::HashMap;\n";
-        let f = check_one("src/m.rs", src, &cfg);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].lint, "determinism");
-    }
-
-    #[test]
     fn parity_requires_twin_defined_and_tested() {
-        let mut cfg = Config::empty(PathBuf::from("."));
-        cfg.allowed_unsafe.push("src/k.rs".into());
+        let cfg = Config::empty(PathBuf::from("."));
         let clean = "fn dist(a: f64) -> f64 { a }\n\
                      /// # Safety\n\
                      /// Caller checks CPU features.\n\

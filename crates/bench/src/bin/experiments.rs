@@ -13,21 +13,22 @@
 //! with it, a much smaller smoke-test scale.  Tables are always printed to
 //! stdout; `--markdown`/`--json` additionally write them to files.
 //!
-//! `--check` compares the run's rows against a committed reference JSON and
-//! exits non-zero on any drift in the *deterministic* quantities.  Three
-//! experiments carry committed references: `perf_baseline` (keyed by
-//! `algorithm`; e.g. `BENCH_baseline_quick.json` — distance computations,
-//! pivot-assignment computations, index builds, shuffle volume, recall and
-//! distance ratio), `mutable_corpus` (keyed by `label`; e.g.
-//! `BENCH_mutable.json` — delta-layer probe/tombstone/compaction counters)
-//! and `serving_slo` (keyed by `label`; e.g. `BENCH_serving_quick.json` —
+//! `--check` compares the run's rows against a committed reference JSON,
+//! whole rows, and exits non-zero on any drift: a row or a field on one
+//! side only, or two values more than 1e-9 apart.  Three experiments carry
+//! committed references: `perf_baseline` (keyed by `algorithm`; e.g.
+//! `BENCH_baseline_quick.json` — distance computations, pivot-assignment
+//! computations, index builds, shuffle volume, recall and distance ratio),
+//! `mutable_corpus` (keyed by `label`; e.g. `BENCH_mutable.json` —
+//! delta-layer probe/tombstone/compaction counters) and `serving_slo`
+//! (keyed by `label`; e.g. `BENCH_serving_quick.json` —
 //! request/response/rejection accounting of the concurrent server).  Those
 //! three write no clock reading into their rows: every field is exact for
 //! the seed.  Running times, latencies and throughput are measured with a
 //! spread by `benchmark/` and declared in `BENCHMARK.json`; the paper's
 //! figures still print their running-time panels, which no check reads.
 //! A `perf_baseline` check also fails when a `Fast` row of the run, cold
-//! or prepared, differs from its `Exact` twin on any deterministic field
+//! or prepared, differs from its `Exact` twin on any field but its name
 //! (no scan reads the mode), when a cold
 //! PBJ row's pivot-assignment computations differ from its PGBJ twin's (they
 //! run one front half), or when a cold row's shuffle records are not the
@@ -38,100 +39,18 @@
 //! fails the build instead of silently shifting the baseline.
 
 #![forbid(unsafe_code)]
+// Progress lines time each experiment; no clock reading reaches a row.
+#![allow(clippy::disallowed_methods)]
+#![deny(clippy::disallowed_types)]
 
 use bench::experiments::{
-    cold_rows_off_their_shuffle_identity, fast_rows_off_their_exact_twin,
-    pbj_rows_off_their_pgbj_twin, run_by_id, ExperimentOutput, ALL_EXPERIMENTS, BASELINE_FIELDS,
+    check_key, cold_rows_off_their_shuffle_identity, diff_rows, fast_rows_off_their_exact_twin,
+    pbj_rows_off_their_pgbj_twin, run_by_id, ExperimentOutput, ALL_EXPERIMENTS,
 };
 use bench::json::Value;
 use bench::ExperimentScale;
 use std::io::Write;
 use std::process::ExitCode;
-
-/// The mutable-corpus fields that must be bit-stable for a fixed seed.
-/// A drift in `delta_probe_computations` or `tombstone_masked` means the
-/// memtable merge changed; a drift in `distance_computations` on the
-/// `churn=0%` rows means the frozen path is no longer bit-identical when
-/// the overlay is empty.
-const MUTABLE_FIELDS: [&str; 6] = [
-    "distance_computations",
-    "delta_probe_computations",
-    "tombstone_masked",
-    "compactions",
-    "compacted_points",
-    "live_points",
-];
-
-/// The serving-SLO fields that must be exact for a fixed configuration.
-/// A drift in `responses` or `rows` means requests were dropped or
-/// duplicated under concurrency; a drift in `rejected` on the overload row
-/// means admission control stopped being deterministic.
-const SERVING_FIELDS: [&str; 6] = [
-    "clients",
-    "requests",
-    "responses",
-    "result_errors",
-    "rejected",
-    "rows",
-];
-
-/// Which experiments carry a committed reference, which field uniquely keys
-/// their rows, and which columns must match bit-for-bit.
-fn check_spec(id: &str) -> Option<(&'static str, &'static [&'static str])> {
-    match id {
-        "perf_baseline" => Some(("algorithm", &BASELINE_FIELDS)),
-        "mutable_corpus" => Some(("label", &MUTABLE_FIELDS)),
-        "serving_slo" => Some(("label", &SERVING_FIELDS)),
-        _ => None,
-    }
-}
-
-/// Compares a fresh run's rows against the committed reference, matching
-/// rows on `key_field`, returning a description of every drifted quantity.
-fn diff_rows(got: &Value, committed: &Value, key_field: &str, fields: &[&str]) -> Vec<String> {
-    let mut problems = Vec::new();
-    let (Some(got_rows), Some(want_rows)) = (got.as_array(), committed.as_array()) else {
-        return vec!["both the run and the reference must be row arrays".into()];
-    };
-    let find = |rows: &[Value], name: &str| -> Option<Value> {
-        rows.iter()
-            .find(|r| r[key_field].as_str() == Some(name))
-            .cloned()
-    };
-    for want in want_rows {
-        let Some(name) = want[key_field].as_str() else {
-            problems.push(format!("reference row without a {key_field} key"));
-            continue;
-        };
-        let Some(got_row) = find(got_rows, name) else {
-            problems.push(format!("{name}: missing from this run"));
-            continue;
-        };
-        for &field in fields {
-            let (g, w) = (got_row[field].as_f64(), want[field].as_f64());
-            match (g, w) {
-                (Some(g), Some(w)) => {
-                    // Counters are integral and compare exactly; the quality
-                    // ratios tolerate last-ulp float differences.
-                    if (g - w).abs() > 1e-9 {
-                        problems.push(format!("{name}.{field}: got {g}, reference {w}"));
-                    }
-                }
-                _ => problems.push(format!("{name}.{field}: missing on one side")),
-            }
-        }
-    }
-    for got_row in got_rows {
-        if let Some(name) = got_row[key_field].as_str() {
-            if find(want_rows, name).is_none() {
-                problems.push(format!(
-                    "{name}: new in this run — regenerate the committed baseline"
-                ));
-            }
-        }
-    }
-    problems
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -247,22 +166,17 @@ fn main() -> ExitCode {
         let mut checked = 0usize;
         let mut problems: Vec<String> = Vec::new();
         for output in &outputs {
-            let Some((key_field, fields)) = check_spec(&output.id) else {
+            let Some(key_field) = check_key(&output.id) else {
                 continue;
             };
-            // Accept both the {"<id>": [...]} wrapper the --json flag
-            // writes and (for perf_baseline back-compat) a bare row array.
-            let reference = match &committed {
-                Value::Object(_) => committed[output.id.as_str()].clone(),
-                other if output.id == "perf_baseline" => other.clone(),
-                _ => Value::Null,
-            };
+            // The {"<id>": [...]} wrapper the --json flag writes.
+            let reference = &committed[output.id.as_str()];
             if reference.as_array().is_none() {
                 eprintln!("{path} has no {} rows — skipping that check", output.id);
                 continue;
             }
             checked += 1;
-            let mut drift = diff_rows(&output.json, &reference, key_field, fields);
+            let mut drift = diff_rows(&output.json, reference, key_field);
             if output.id == "perf_baseline" {
                 drift.extend(fast_rows_off_their_exact_twin(&output.json));
                 drift.extend(pbj_rows_off_their_pgbj_twin(&output.json));
@@ -306,8 +220,8 @@ fn print_usage() {
     );
     eprintln!("  ids: {}", ALL_EXPERIMENTS.join(" "));
     eprintln!(
-        "  --check: diff the deterministic counters of perf_baseline, \
-         mutable_corpus and/or serving_slo against a committed reference; \
-         non-zero exit on drift"
+        "  --check: diff the rows of perf_baseline, mutable_corpus and/or \
+         serving_slo against a committed reference, every field; non-zero \
+         exit on drift"
     );
 }

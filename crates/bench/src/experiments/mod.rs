@@ -12,6 +12,8 @@
 //! latencies and throughput are measured with a spread by `benchmark/`, one
 //! `BENCHMARK.json` metric each.
 
+#![deny(clippy::disallowed_types)]
+
 mod effect_of_k;
 mod mutable_corpus;
 mod parameter_study;
@@ -24,7 +26,7 @@ pub use mutable_corpus::{mutable_corpus, MutableRow};
 pub use parameter_study::{fig6, fig7, table2, table3};
 pub use perf_baseline::{
     cold_rows_off_their_shuffle_identity, fast_rows_off_their_exact_twin,
-    pbj_rows_off_their_pgbj_twin, perf_baseline, BaselineRow, BASELINE_FIELDS, PREPARED_QUERIES,
+    pbj_rows_off_their_pgbj_twin, perf_baseline, BaselineRow, PREPARED_QUERIES,
 };
 pub use serving_slo::{serving_slo, ServingRow};
 pub use sweeps::{fig10, fig11, fig12};
@@ -96,6 +98,87 @@ pub fn run_by_id(id: &str, scale: ExperimentScale) -> Option<ExperimentOutput> {
         _ => return None,
     };
     Some(out)
+}
+
+/// The field that keys the rows of a counter gate — the experiments whose
+/// rows `experiments --check` compares against a committed `BENCH_*.json`.
+pub fn check_key(id: &str) -> Option<&'static str> {
+    match id {
+        "perf_baseline" => Some("algorithm"),
+        "mutable_corpus" | "serving_slo" => Some("label"),
+        _ => None,
+    }
+}
+
+/// Compares a fresh run's rows against the committed reference, matching
+/// rows on `key_field`, and describes every drift: a row or a field on one
+/// side only, or two values of a field more than 1e-9 apart (numbers) or
+/// not equal (anything else).
+pub fn diff_rows(got: &Value, committed: &Value, key_field: &str) -> Vec<String> {
+    let (Some(got_rows), Some(want_rows)) = (got.as_array(), committed.as_array()) else {
+        return vec!["both the run and the reference must be row arrays".into()];
+    };
+    let find = |rows: &[Value], name: &str| {
+        rows.iter()
+            .position(|r| r[key_field].as_str() == Some(name))
+    };
+    let mut problems = Vec::new();
+    for want in want_rows {
+        let Some(name) = want[key_field].as_str() else {
+            problems.push(format!("reference row without a {key_field} key"));
+            continue;
+        };
+        match find(got_rows, name) {
+            Some(at) => problems.extend(field_drift(name, &got_rows[at], want, key_field)),
+            None => problems.push(format!("{name}: missing from this run")),
+        }
+    }
+    for got_row in got_rows {
+        if let Some(name) = got_row[key_field].as_str() {
+            if find(want_rows, name).is_none() {
+                problems.push(format!(
+                    "{name}: new in this run — regenerate the committed baseline"
+                ));
+            }
+        }
+    }
+    problems
+}
+
+/// Every field but `skip` on which row `got` differs from row `want`, each
+/// described under `name`: a field on one side only, or two values that are
+/// not equal.  Numbers may differ by 1e-9 (counters are integral and compare
+/// exactly; the quality ratios tolerate last-ulp float differences).
+fn field_drift(name: &str, got: &Value, want: &Value, skip: &str) -> Vec<String> {
+    let has = |row: &Value, field: &str| fields(row).iter().any(|(name, _)| name == field);
+    let mut problems = Vec::new();
+    for (field, w) in fields(want).iter().filter(|(field, _)| field != skip) {
+        if !has(got, field) {
+            problems.push(format!("{name}.{field}: missing from this run"));
+            continue;
+        }
+        let g = &got[field.as_str()];
+        let same = match (g.as_f64(), w.as_f64()) {
+            (Some(g), Some(w)) => (g - w).abs() <= 1e-9,
+            _ => g == w,
+        };
+        if !same {
+            let (g, w) = (g.to_string_pretty(), w.to_string_pretty());
+            problems.push(format!("{name}.{field}: got {g}, reference {w}"));
+        }
+    }
+    for (field, _) in fields(got).iter().filter(|(field, _)| !has(want, field)) {
+        problems.push(format!("{name}.{field}: new in this run"));
+    }
+    problems
+}
+
+/// The `(field, value)` pairs of a JSON object row; none for anything else.
+fn fields(row: &Value) -> &[(String, Value)] {
+    match row {
+        Value::Object(pairs) => pairs,
+        _ => &[],
+    }
 }
 
 /// One measured algorithm run, as reported in Figures 8–12 of the paper
@@ -213,6 +296,61 @@ pub(crate) fn three_metric_tables(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The whole-row diff `experiments --check` runs: every field of either
+    /// row is compared, so a gate cannot silently compare nothing.
+    #[test]
+    fn diff_rows_compares_every_field_of_every_row() {
+        let row = |label: &str, fields: Vec<(&str, Value)>| {
+            let mut pairs = vec![("label", Value::from(label))];
+            pairs.extend(fields);
+            Value::object(pairs)
+        };
+        let committed = Value::Array(vec![
+            row("a", vec![("count", 7.0.into()), ("recall", 0.9.into())]),
+            row("b", vec![("count", 3.0.into())]),
+        ]);
+        let diff = |rows: Vec<Value>| diff_rows(&Value::Array(rows), &committed, "label");
+        let b = row("b", vec![("count", 3.0.into())]);
+        // `recall` off by 1e-12 is a last-ulp difference, not drift.
+        let close = row(
+            "a",
+            vec![("count", 7.0.into()), ("recall", (0.9 + 1e-12).into())],
+        );
+        assert_eq!(diff(vec![close, b.clone()]), [""; 0]);
+        // A changed counter.
+        let changed = row("a", vec![("count", 8.0.into()), ("recall", 0.9.into())]);
+        assert_eq!(
+            diff(vec![changed, b.clone()]),
+            ["a.count: got 8, reference 7"]
+        );
+        // A field missing from the run.
+        let missing = row("a", vec![("count", 7.0.into())]);
+        assert_eq!(
+            diff(vec![missing, b.clone()]),
+            ["a.recall: missing from this run"]
+        );
+        // A field new in the run.
+        let new_field = row(
+            "a",
+            vec![
+                ("count", 7.0.into()),
+                ("recall", 0.9.into()),
+                ("extra", 1.0.into()),
+            ],
+        );
+        assert_eq!(
+            diff(vec![new_field, b.clone()]),
+            ["a.extra: new in this run"]
+        );
+        // A row new in the run.
+        let a = row("a", vec![("count", 7.0.into()), ("recall", 0.9.into())]);
+        let c = row("c", vec![("count", 1.0.into())]);
+        assert_eq!(
+            diff(vec![a, b, c]),
+            ["c: new in this run — regenerate the committed baseline"]
+        );
+    }
 
     #[test]
     fn run_by_id_recognises_all_ids() {

@@ -20,6 +20,8 @@
 //! churn is measured with a spread by `benchmark/` (`write_mean_us`,
 //! `delta.compact_ms`, `churn_read_p50_us` in `BENCHMARK.json`).
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use super::ExperimentOutput;
 use crate::json::Value;
 use crate::report::Table;

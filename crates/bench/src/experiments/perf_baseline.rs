@@ -24,7 +24,9 @@
 //! measured with a spread by `benchmark/` (`pgbj_join_s`, `prepared.build_s`,
 //! `prepared.query_batch128_ms`, ...).
 
-use super::ExperimentOutput;
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
+use super::{field_drift, ExperimentOutput};
 use crate::json::Value;
 use crate::report::{fmt_f64, Table};
 use crate::workloads::{ExperimentScale, Workloads};
@@ -33,21 +35,6 @@ use knnjoin::{Algorithm, JoinBuilder, JoinResult};
 
 /// Repeated `PreparedJoin::query` calls per algorithm in the serving rows.
 pub const PREPARED_QUERIES: u32 = 8;
-
-/// The perf-baseline fields that must be bit-stable for a fixed seed, for
-/// the cold rows and the `"(prepared)"` serving rows alike (a prepared row
-/// drifting on `index_builds` or `pivot_selections` means per-query rebuild
-/// work leaked back in).
-pub const BASELINE_FIELDS: [&str; 8] = [
-    "distance_computations",
-    "pivot_assignment_computations",
-    "index_builds",
-    "pivot_selections",
-    "shuffle_bytes",
-    "shuffle_records",
-    "recall",
-    "distance_ratio",
-];
 
 /// One algorithm's baseline counters.  Cold rows count one
 /// `JoinBuilder::run`; prepared rows count one `PreparedJoin::query` (the
@@ -76,8 +63,7 @@ pub struct BaselineRow {
     /// job replicated.  On every cold row that is every record of every
     /// job, so it equals `shuffle_records` exactly while each routed object
     /// and each combined batch or list is charged one record (see
-    /// [`cold_rows_off_their_shuffle_identity`]).  Not gated against the
-    /// committed file.
+    /// [`cold_rows_off_their_shuffle_identity`]).
     pub batches_plus_routed_records: u64,
     /// Recall against the nested-loop oracle (1.0 for exact algorithms).
     pub recall: f64,
@@ -281,7 +267,7 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
 }
 
 /// The `Fast` rows of a `perf_baseline` run that are off their `Exact`
-/// twin on any of [`BASELINE_FIELDS`], each as a description: every
+/// twin on any field but `algorithm`, each as a description: every
 /// algorithm's cold row, and PGBJ's and PBJ's prepared rows.  No scan reads
 /// the kernel mode — every scan ranks its rows with the one exact column
 /// kernel, and the R-tree knows no mode — so a difference means the mode
@@ -298,15 +284,16 @@ pub fn fast_rows_off_their_exact_twin(rows: &Value) -> Vec<String> {
             ));
         }
         for (exact, fast) in twins {
-            problems.extend(BASELINE_FIELDS.iter().filter_map(|field| {
-                twin_problem(
-                    rows,
-                    (&fast, &exact),
-                    field,
-                    |exact, fast| fast == exact,
-                    "not equal, though no scan reads the mode",
-                )
-            }));
+            let (Some(exact_row), Some(fast_row)) = (row(rows, &exact), row(rows, &fast)) else {
+                problems.push(format!("{exact} / {fast}: row missing"));
+                continue;
+            };
+            let drift = field_drift(&fast, fast_row, exact_row, "algorithm");
+            problems.extend(
+                drift.into_iter().map(|problem| {
+                    format!("{problem} (reference: {exact}; no scan reads the mode)")
+                }),
+            );
         }
     }
     problems
@@ -362,13 +349,17 @@ pub fn cold_rows_off_their_shuffle_identity(rows: &Value) -> Vec<String> {
     problems.collect()
 }
 
-/// The numeric `field` of the row named `algorithm`, if both exist.
-fn row_field(rows: &Value, algorithm: &str, field: &str) -> Option<f64> {
+/// The row named `algorithm`, if there is one.
+fn row<'a>(rows: &'a Value, algorithm: &str) -> Option<&'a Value> {
     rows.as_array()
         .into_iter()
         .flatten()
         .find(|r| r["algorithm"].as_str() == Some(algorithm))
-        .and_then(|r| r[field].as_f64())
+}
+
+/// The numeric `field` of the row named `algorithm`, if both exist.
+fn row_field(rows: &Value, algorithm: &str, field: &str) -> Option<f64> {
+    row(rows, algorithm).and_then(|r| r[field].as_f64())
 }
 
 /// Describes how the `row`'s `field` breaks `holds(twin's, row's)` — `rule`
@@ -560,58 +551,22 @@ mod tests {
     }
 
     #[test]
-    fn exact_quick_counters_match_the_committed_baseline() {
-        // Guard for the committed reference trajectory: the Exact path's
-        // deterministic counters must stay bit-identical to the checked-in
-        // BENCH_baseline_quick.json.  (CI enforces the same via the
-        // experiments binary's `--check` flag; this test catches the drift
-        // already at `cargo test` time.)
+    fn quick_rows_match_the_committed_baseline() {
+        // Guard for the committed reference trajectory: every row of the
+        // quick run must equal the checked-in BENCH_baseline_quick.json,
+        // field for field.  (CI enforces the same via the experiments
+        // binary's `--check` flag; this test catches the drift already at
+        // `cargo test` time.)
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../BENCH_baseline_quick.json"
         );
         let committed = std::fs::read_to_string(path).expect("committed baseline readable");
         let committed = Value::parse(&committed).expect("committed baseline parses");
-        let reference = committed["perf_baseline"]
-            .as_array()
-            .expect("perf_baseline rows")
-            .to_vec();
         let out = perf_baseline(ExperimentScale::Quick);
-        let rows = out.json.as_array().expect("rows");
-        for name in ["H-BRJ", "PBJ", "PGBJ", "H-zkNNJ", "Broadcast", "NestedLoop"] {
-            let want = reference
-                .iter()
-                .find(|r| r["algorithm"].as_str() == Some(name))
-                .unwrap_or_else(|| panic!("committed baseline misses {name}"));
-            let got = rows
-                .iter()
-                .find(|r| r["algorithm"].as_str() == Some(name))
-                .unwrap_or_else(|| panic!("run misses {name}"));
-            for field in [
-                "distance_computations",
-                "pivot_assignment_computations",
-                "index_builds",
-                "pivot_selections",
-                "shuffle_bytes",
-                "shuffle_records",
-            ] {
-                assert_eq!(
-                    got[field].as_u64(),
-                    want[field].as_u64(),
-                    "{name}.{field} drifted from the committed baseline"
-                );
-            }
-            for field in ["recall", "distance_ratio"] {
-                let (g, w) = (
-                    got[field].as_f64().expect("fresh"),
-                    want[field].as_f64().expect("committed"),
-                );
-                assert!(
-                    (g - w).abs() < 1e-9,
-                    "{name}.{field}: got {g}, committed {w}"
-                );
-            }
-        }
+        let drift =
+            crate::experiments::diff_rows(&out.json, &committed["perf_baseline"], "algorithm");
+        assert_eq!(drift, [""; 0]);
     }
 
     #[test]

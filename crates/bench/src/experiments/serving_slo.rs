@@ -27,6 +27,8 @@
 //! `benchmark/` (`lone_p50_us`, `single_p50_us`, `single_slo_share` and the
 //! other serving metrics of `BENCHMARK.json`).
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use super::ExperimentOutput;
 use crate::json::Value;
 use crate::report::Table;

@@ -5,6 +5,8 @@
 //! cannot fetch crates, and the harness only needs construction, field
 //! access and pretty-printing, so this module provides exactly that.
 
+#![deny(clippy::disallowed_types)]
+
 use std::fmt::Write as _;
 use std::ops::Index;
 

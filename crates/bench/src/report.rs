@@ -1,5 +1,7 @@
 //! Plain-text / markdown table rendering for experiment outputs.
 
+#![deny(clippy::disallowed_types)]
+
 use std::fmt::Write as _;
 
 /// A simple column-aligned table that renders as GitHub-flavoured markdown.

@@ -3,7 +3,7 @@
 //! [`crate::DistanceMetric::distance_coords`] is convenient but pays an enum
 //! dispatch per call, and the Euclidean variant a `sqrt` per call.  The hot
 //! loops (pivot assignment, Algorithm 3 scans, k-means) instead hoist one of
-//! these kernels out of the loop and call it directly.  There are four
+//! these kernels out of the loop and call it directly.  There are three
 //! families:
 //!
 //! * the scalar kernels ([`euclidean`], [`manhattan`], [`chebyshev`]) compute
@@ -16,14 +16,12 @@
 //!   rows per pass, one row per lane, each dimension's column read with no
 //!   transpose: the same operations in the same order, so the scalar
 //!   kernel's bits on any CPU;
-//! * the `*_fast` pairwise kernels run four independent accumulators: the
-//!   remainder rows and portable twins of
-//! * the `*_batch` kernels, one query against a row-major block, four
-//!   dimensions per SIMD register and FMA where the CPU has them.  No scan
-//!   calls them; they stay for the benchmark's per-layer kernel timing.
+//! * [`squared_euclidean_batch`] ranks one query against a row-major block,
+//!   four dimensions per SIMD register and FMA where the CPU has them.  No
+//!   scan calls it; it stays for the benchmark's per-layer kernel timing.
 //!
-//! The fast and batch kernels reorder floating-point addition, so they agree
-//! with the scalar kernels to ~1e-9 relative, not bit for bit.  Every scan
+//! The batch kernel reorders floating-point addition, so it agrees with the
+//! scalar kernel to ~1e-9 relative, not bit for bit.  Every scan
 //! and every isolated pair — pivot selection, pivot assignment, an object
 //! against a pivot inside a scan — goes through the scalar or column
 //! kernels: the stored pivot distances feed every pruning bound.
@@ -37,14 +35,6 @@
 
 /// A plain distance kernel: `f(a, b)` over equal-length coordinate slices.
 pub type Kernel = fn(&[f64], &[f64]) -> f64;
-
-/// A one-query-vs-many-rows kernel: `f(q, rows, dim, out)` where `rows` is a
-/// flat row-major block of `out.len()` rows of `dim` coordinates (a
-/// [`crate::CoordMatrix`] sub-slice) and `out[i]` receives the *rank* of
-/// `(q, rows[i])` — the squared distance for L2, the distance itself for
-/// L1/L∞.  The `*_batch` kernels accumulate in the multi-accumulator order
-/// and agree with the scalar kernels to ~1e-9 relative.
-pub type BatchKernel = fn(&[f64], &[f64], usize, &mut [f64]);
 
 /// A one-query-vs-a-row-run kernel over a column-major block:
 /// `f(q, cols, stride, first, out)` where `cols` holds `q.len()` columns of
@@ -128,16 +118,15 @@ pub fn chebyshev(a: &[f64], b: &[f64]) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Fast (multi-accumulator) pairwise kernels
+// Batch (one query vs many rows) kernel
 // ---------------------------------------------------------------------------
 
 /// [`squared_euclidean`] with four independent partial sums over
-/// `chunks_exact(4)`.  Breaking the loop-carried addition chain lets stable
-/// rustc keep several FMAs in flight (and autovectorize the chunk body), at
-/// the price of a different — but deterministic — accumulation order: values
-/// agree with the scalar kernel to ~1e-9 relative, not bit for bit.
+/// `chunks_exact(4)`: the remainder rows of the AVX2 batch kernel.  The
+/// accumulation order differs from the scalar kernel's, so values agree
+/// with it to ~1e-9 relative, not bit for bit.
 #[inline]
-pub fn squared_euclidean_fast(a: &[f64], b: &[f64]) -> f64 {
+fn squared_euclidean_fast(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "dimensionality mismatch");
     let head = a.len() & !3;
     let (a_head, a_tail) = a.split_at(head);
@@ -161,71 +150,18 @@ pub fn squared_euclidean_fast(a: &[f64], b: &[f64]) -> f64 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
 }
 
-/// [`manhattan`] with four independent partial sums (see
-/// [`squared_euclidean_fast`] for the accumulation-order caveat).
-#[inline]
-pub fn manhattan_fast(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dimensionality mismatch");
-    let head = a.len() & !3;
-    let (a_head, a_tail) = a.split_at(head);
-    let (b_head, b_tail) = b.split_at(head);
-    let mut acc = [0.0f64; 4];
-    for (ca, cb) in a_head.chunks_exact(4).zip(b_head.chunks_exact(4)) {
-        acc[0] += (ca[0] - cb[0]).abs();
-        acc[1] += (ca[1] - cb[1]).abs();
-        acc[2] += (ca[2] - cb[2]).abs();
-        acc[3] += (ca[3] - cb[3]).abs();
-    }
-    let mut tail = 0.0;
-    for (x, y) in a_tail.iter().zip(b_tail) {
-        tail += (x - y).abs();
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
-}
-
-/// [`chebyshev`] with four independent running maxima.  `max` is insensitive
-/// to evaluation order (all inputs pass through `abs`, so signed zeros cannot
-/// differ), making this the one fast kernel that stays bit-identical to its
-/// scalar twin.
-#[inline]
-pub fn chebyshev_fast(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dimensionality mismatch");
-    let head = a.len() & !3;
-    let (a_head, a_tail) = a.split_at(head);
-    let (b_head, b_tail) = b.split_at(head);
-    let mut acc = [0.0f64; 4];
-    for (ca, cb) in a_head.chunks_exact(4).zip(b_head.chunks_exact(4)) {
-        acc[0] = acc[0].max((ca[0] - cb[0]).abs());
-        acc[1] = acc[1].max((ca[1] - cb[1]).abs());
-        acc[2] = acc[2].max((ca[2] - cb[2]).abs());
-        acc[3] = acc[3].max((ca[3] - cb[3]).abs());
-    }
-    let mut m = acc[0].max(acc[1]).max(acc[2].max(acc[3]));
-    for (x, y) in a_tail.iter().zip(b_tail) {
-        m = m.max((x - y).abs());
-    }
-    m
-}
-
-// ---------------------------------------------------------------------------
-// Batch (one query vs many rows) kernels
-// ---------------------------------------------------------------------------
-
-/// Explicit SIMD batch kernels for x86-64, selected at runtime with
+/// Explicit SIMD kernels for x86-64, selected at runtime with
 /// `is_x86_feature_detected!` (the workspace builds for the baseline
 /// `x86-64` target, which only guarantees SSE2 — wide vectors must be opted
-/// into per function).  Four rows are kept in flight, each with its own
-/// 256-bit accumulator, the ragged `dim % 4` tail is covered by a masked
-/// load (masked-out lanes read as 0.0 and contribute nothing), and the four
-/// accumulators horizontally reduce into four output slots at once.
+/// into per function).
 ///
-/// Accumulation groups every 4th dimension per lane — the same shape as the
-/// `*_fast` kernels — and the squared-Euclidean variant fuses
-/// multiply-and-add into FMA, so results agree with the scalar twins to
-/// ~1e-9 relative (measured ~4e-16) but are *not* bit-identical, and may
-/// differ in the last bits between CPUs with and without AVX2.  No scan
-/// routes through these: scans rank with the `*_columns_avx2` kernels at the
-/// end of the module, which keep the scalar kernels' bits.
+/// The batch kernel keeps four rows in flight, each with its own 256-bit
+/// accumulator; the ragged `dim % 4` tail is a masked load (masked-out
+/// lanes read as 0.0 and contribute nothing), and the four accumulators
+/// reduce into four output slots at once.  Accumulation groups every 4th
+/// dimension per lane, like [`squared_euclidean_fast`], and fuses
+/// multiply-and-add into FMA.  The column kernels keep the scalar kernels'
+/// bits.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     #[inline]
@@ -240,109 +176,55 @@ mod x86 {
         std::arch::is_x86_feature_detected!("avx2")
     }
 
-    macro_rules! avx2_batch_kernel {
-        ($name:ident, $features:literal, $scalar_rem:path,
-         ($($mask_decl:tt)*), |$qv:ident, $xv:ident, $acc:ident| $step:expr,
-         |$a0:ident, $a1:ident, $a2:ident, $a3:ident| $reduce:expr) => {
-            /// # Safety
-            /// Caller must verify the `$features` CPU features at runtime and
-            /// uphold `q.len() == dim && rows.len() == dim * out.len()`.
-            #[target_feature(enable = $features)]
-            pub(super) unsafe fn $name(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
-                use std::arch::x86_64::*;
-                let n = out.len();
-                let full = dim & !3;
-                let rem = dim - full;
-                // Top-bit-set lanes of the mask select the tail elements.
-                let tail_mask = _mm256_setr_epi64x(
-                    if rem > 0 { -1 } else { 0 },
-                    if rem > 1 { -1 } else { 0 },
-                    if rem > 2 { -1 } else { 0 },
-                    0,
-                );
-                $($mask_decl)*
-                let qp = q.as_ptr();
-                let mut r0 = rows.as_ptr();
-                let mut i = 0;
-                while i + 4 <= n {
-                    let r1 = r0.add(dim);
-                    let r2 = r1.add(dim);
-                    let r3 = r2.add(dim);
-                    let mut $a0 = _mm256_setzero_pd();
-                    let mut $a1 = _mm256_setzero_pd();
-                    let mut $a2 = _mm256_setzero_pd();
-                    let mut $a3 = _mm256_setzero_pd();
-                    let mut d = 0;
-                    while d < full {
-                        let $qv = _mm256_loadu_pd(qp.add(d));
-                        {
-                            let $xv = _mm256_loadu_pd(r0.add(d));
-                            let $acc = &mut $a0;
-                            $step;
-                        }
-                        {
-                            let $xv = _mm256_loadu_pd(r1.add(d));
-                            let $acc = &mut $a1;
-                            $step;
-                        }
-                        {
-                            let $xv = _mm256_loadu_pd(r2.add(d));
-                            let $acc = &mut $a2;
-                            $step;
-                        }
-                        {
-                            let $xv = _mm256_loadu_pd(r3.add(d));
-                            let $acc = &mut $a3;
-                            $step;
-                        }
-                        d += 4;
-                    }
-                    if rem > 0 {
-                        let $qv = _mm256_maskload_pd(qp.add(full), tail_mask);
-                        {
-                            let $xv = _mm256_maskload_pd(r0.add(full), tail_mask);
-                            let $acc = &mut $a0;
-                            $step;
-                        }
-                        {
-                            let $xv = _mm256_maskload_pd(r1.add(full), tail_mask);
-                            let $acc = &mut $a1;
-                            $step;
-                        }
-                        {
-                            let $xv = _mm256_maskload_pd(r2.add(full), tail_mask);
-                            let $acc = &mut $a2;
-                            $step;
-                        }
-                        {
-                            let $xv = _mm256_maskload_pd(r3.add(full), tail_mask);
-                            let $acc = &mut $a3;
-                            $step;
-                        }
-                    }
-                    let sums: __m256d = $reduce;
-                    _mm256_storeu_pd(out.as_mut_ptr().add(i), sums);
-                    r0 = r3.add(dim);
-                    i += 4;
-                }
-                while i < n {
-                    out[i] = $scalar_rem(q, &rows[i * dim..(i + 1) * dim]);
-                    i += 1;
-                }
+    /// [`super::squared_euclidean_batch`] on AVX2 and FMA.
+    ///
+    /// # Safety
+    /// Caller must verify AVX2 and FMA at runtime and uphold
+    /// `q.len() == dim && rows.len() == dim * out.len()`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn squared_euclidean_batch_avx2(
+        q: &[f64],
+        rows: &[f64],
+        dim: usize,
+        out: &mut [f64],
+    ) {
+        use std::arch::x86_64::*;
+        let n = out.len();
+        let full = dim & !3;
+        let rem = dim - full;
+        // Top-bit-set lanes of the mask select the tail elements.
+        let lane = |d: usize| if d < rem { -1 } else { 0 };
+        let tail_mask = _mm256_setr_epi64x(lane(0), lane(1), lane(2), 0);
+        let qp = q.as_ptr();
+        let mut r0 = rows.as_ptr();
+        let mut i = 0;
+        while i + 4 <= n {
+            let (r1, r2, r3) = (r0.add(dim), r0.add(2 * dim), r0.add(3 * dim));
+            let [mut a0, mut a1, mut a2, mut a3] = [_mm256_setzero_pd(); 4];
+            let mut d = 0;
+            while d < full {
+                let qv = _mm256_loadu_pd(qp.add(d));
+                let d0 = _mm256_sub_pd(qv, _mm256_loadu_pd(r0.add(d)));
+                let d1 = _mm256_sub_pd(qv, _mm256_loadu_pd(r1.add(d)));
+                let d2 = _mm256_sub_pd(qv, _mm256_loadu_pd(r2.add(d)));
+                let d3 = _mm256_sub_pd(qv, _mm256_loadu_pd(r3.add(d)));
+                a0 = _mm256_fmadd_pd(d0, d0, a0);
+                a1 = _mm256_fmadd_pd(d1, d1, a1);
+                a2 = _mm256_fmadd_pd(d2, d2, a2);
+                a3 = _mm256_fmadd_pd(d3, d3, a3);
+                d += 4;
             }
-        };
-    }
-
-    avx2_batch_kernel!(
-        squared_euclidean_batch_avx2,
-        "avx2,fma",
-        super::squared_euclidean_fast,
-        (),
-        |qv, xv, acc| {
-            let diff = _mm256_sub_pd(qv, xv);
-            *acc = _mm256_fmadd_pd(diff, diff, *acc);
-        },
-        |a0, a1, a2, a3| {
+            if rem > 0 {
+                let qv = _mm256_maskload_pd(qp.add(full), tail_mask);
+                let d0 = _mm256_sub_pd(qv, _mm256_maskload_pd(r0.add(full), tail_mask));
+                let d1 = _mm256_sub_pd(qv, _mm256_maskload_pd(r1.add(full), tail_mask));
+                let d2 = _mm256_sub_pd(qv, _mm256_maskload_pd(r2.add(full), tail_mask));
+                let d3 = _mm256_sub_pd(qv, _mm256_maskload_pd(r3.add(full), tail_mask));
+                a0 = _mm256_fmadd_pd(d0, d0, a0);
+                a1 = _mm256_fmadd_pd(d1, d1, a1);
+                a2 = _mm256_fmadd_pd(d2, d2, a2);
+                a3 = _mm256_fmadd_pd(d3, d3, a3);
+            }
             // 4x4 horizontal sum: hadd pairs rows (0,1) and (2,3), the two
             // 128-bit cross permutes realign the lane halves, and one add
             // yields [Σa0, Σa1, Σa2, Σa3].
@@ -350,52 +232,15 @@ mod x86 {
             let h23 = _mm256_hadd_pd(a2, a3);
             let lo = _mm256_permute2f128_pd(h01, h23, 0x20);
             let hi = _mm256_permute2f128_pd(h01, h23, 0x31);
-            _mm256_add_pd(lo, hi)
+            _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_add_pd(lo, hi));
+            r0 = r3.add(dim);
+            i += 4;
         }
-    );
-
-    avx2_batch_kernel!(
-        manhattan_batch_avx2,
-        "avx2",
-        super::manhattan_fast,
-        (let abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));),
-        |qv, xv, acc| {
-            let diff = _mm256_sub_pd(qv, xv);
-            *acc = _mm256_add_pd(_mm256_and_pd(diff, abs_mask), *acc);
-        },
-        |a0, a1, a2, a3| {
-            let h01 = _mm256_hadd_pd(a0, a1);
-            let h23 = _mm256_hadd_pd(a2, a3);
-            let lo = _mm256_permute2f128_pd(h01, h23, 0x20);
-            let hi = _mm256_permute2f128_pd(h01, h23, 0x31);
-            _mm256_add_pd(lo, hi)
+        while i < n {
+            out[i] = super::squared_euclidean_fast(q, &rows[i * dim..(i + 1) * dim]);
+            i += 1;
         }
-    );
-
-    avx2_batch_kernel!(
-        chebyshev_batch_avx2,
-        "avx2",
-        super::chebyshev_fast,
-        (let abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));),
-        |qv, xv, acc| {
-            let diff = _mm256_sub_pd(qv, xv);
-            *acc = _mm256_max_pd(_mm256_and_pd(diff, abs_mask), *acc);
-        },
-        |a0, a1, a2, a3| {
-            // 4x4 horizontal max via the same pairing shape: unpack keeps
-            // (row, lane-half) pairs together, the cross permutes realign,
-            // and two max ops finish [max a0, max a1, max a2, max a3].
-            let u01 = _mm256_unpacklo_pd(a0, a1);
-            let v01 = _mm256_unpackhi_pd(a0, a1);
-            let m01 = _mm256_max_pd(u01, v01);
-            let u23 = _mm256_unpacklo_pd(a2, a3);
-            let v23 = _mm256_unpackhi_pd(a2, a3);
-            let m23 = _mm256_max_pd(u23, v23);
-            let lo = _mm256_permute2f128_pd(m01, m23, 0x20);
-            let hi = _mm256_permute2f128_pd(m01, m23, 0x31);
-            _mm256_max_pd(lo, hi)
-        }
-    );
+    }
 
     /// A column kernel: rows `first..first + out.len()` of a column-major
     /// block, eight per pass, one row per lane.  Each dimension's column is
@@ -511,84 +356,52 @@ mod x86 {
     );
 }
 
-/// Expands to a 4-row-blocked batch kernel: rows are processed four at a
-/// time with the per-dimension loop innermost, so the four per-row
-/// accumulator chains are independent and the CPU (or the autovectorizer)
-/// overlaps them.  Each row's *own* accumulation stays in plain dimension
-/// order — cross-row blocking needs no reassociation — so every output slot
-/// is bit-identical to the scalar `$scalar` kernel; the under-four remainder
-/// goes through `$scalar` directly.
-macro_rules! row_blocked_batch {
-    ($q:ident, $rows:ident, $dim:ident, $out:ident, $scalar:ident,
-     |$qd:ident, $x:ident, $acc:ident| $step:expr) => {{
-        assert_eq!($q.len(), $dim, "query dimensionality mismatch");
-        assert_eq!($rows.len(), $dim * $out.len(), "ragged batch block");
-        const BLOCK: usize = 8;
-        let mut blocks = $rows.chunks_exact(BLOCK * $dim);
-        let mut slots = $out.chunks_exact_mut(BLOCK);
-        for (block, slot) in blocks.by_ref().zip(slots.by_ref()) {
-            // One subslice per row so the inner loads are provably in
-            // bounds (`d < dim = row.len()`): the bounds checks vanish and
-            // the 8 accumulator chains stay independent.
-            let rows_in_block: [&[f64]; BLOCK] =
-                core::array::from_fn(|r| &block[r * $dim..(r + 1) * $dim]);
-            let mut acc = [0.0f64; BLOCK];
-            for d in 0..$dim {
-                let $qd = $q[d];
-                for r in 0..BLOCK {
-                    let $x = rows_in_block[r][d];
-                    let $acc = &mut acc[r];
-                    $step;
-                }
-            }
-            slot.copy_from_slice(&acc);
-        }
-        for (row, slot) in blocks
-            .remainder()
-            .chunks_exact($dim)
-            .zip(slots.into_remainder())
-        {
-            *slot = $scalar($q, row);
-        }
-    }};
-}
-
-/// The portable row-blocked loop for L2²: what [`squared_euclidean_batch`]
-/// runs where AVX2 and FMA are missing, bit-identical to
-/// [`squared_euclidean`] per row.
+/// The portable loop of [`squared_euclidean_batch`], where AVX2 and FMA are
+/// missing: rows eight at a time with the dimension loop innermost, so the
+/// eight per-row accumulator chains are independent and the CPU (or the
+/// autovectorizer) overlaps them.  Each row's own accumulation stays in
+/// dimension order, so every output is bit-identical to
+/// [`squared_euclidean`]'s.
 fn squared_euclidean_batch_portable(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
-    row_blocked_batch!(q, rows, dim, out, squared_euclidean, |qd, x, acc| {
-        let d = qd - x;
-        *acc += d * d;
-    });
-}
-
-/// [`squared_euclidean_batch_portable`] for L1, bit-identical to
-/// [`manhattan`] per row.
-fn manhattan_batch_portable(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
-    row_blocked_batch!(q, rows, dim, out, manhattan, |qd, x, acc| {
-        *acc += (qd - x).abs();
-    });
-}
-
-/// [`squared_euclidean_batch_portable`] for L∞, bit-identical to
-/// [`chebyshev`] per row.
-fn chebyshev_batch_portable(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
-    row_blocked_batch!(q, rows, dim, out, chebyshev, |qd, x, acc| {
-        *acc = (*acc).max((qd - x).abs());
-    });
+    assert_eq!(q.len(), dim, "query dimensionality mismatch");
+    assert_eq!(rows.len(), dim * out.len(), "ragged batch block");
+    const BLOCK: usize = 8;
+    let mut blocks = rows.chunks_exact(BLOCK * dim);
+    let mut slots = out.chunks_exact_mut(BLOCK);
+    for (block, slot) in blocks.by_ref().zip(slots.by_ref()) {
+        // One subslice per row so the inner loads are provably in bounds
+        // (`d < dim = row.len()`): the bounds checks vanish and the 8
+        // accumulator chains stay independent.
+        let rows_in_block: [&[f64]; BLOCK] =
+            core::array::from_fn(|r| &block[r * dim..(r + 1) * dim]);
+        let mut acc = [0.0f64; BLOCK];
+        for d in 0..dim {
+            let qd = q[d];
+            for r in 0..BLOCK {
+                let diff = qd - rows_in_block[r][d];
+                acc[r] += diff * diff;
+            }
+        }
+        slot.copy_from_slice(&acc);
+    }
+    for (row, slot) in blocks
+        .remainder()
+        .chunks_exact(dim)
+        .zip(slots.into_remainder())
+    {
+        *slot = squared_euclidean(q, row);
+    }
 }
 
 /// Squared Euclidean ranks of `q` against every row of a flat row-major
-/// coordinate block: `out[i] = Σ_d (q[d] − rows[i·dim + d])²`.  One call
-/// streams a whole tile through multiple independent accumulator chains
-/// instead of paying a call and a serial dependency chain per row: on x86-64
-/// with AVX2+FMA (runtime-detected) four rows are kept in flight with a
-/// 256-bit FMA accumulator each; elsewhere rows are blocked eight at a time
-/// with the dimension loop innermost.  Consumers must only rely on the
-/// documented ~1e-9 agreement with the scalar twin, not on bit equality —
-/// the accumulation shape differs between the two paths
-/// ([`squared_euclidean_columns`] is the bit-exact family).
+/// coordinate block: `out[i] = Σ_d (q[d] − rows[i·dim + d])²`.  On x86-64
+/// with AVX2+FMA (runtime-detected) four rows are kept in flight, each with
+/// its own 256-bit FMA accumulator over four dimensions at a time, so the
+/// result agrees with [`squared_euclidean`] to ~1e-9 relative (measured
+/// ~4e-16), not bit for bit, and may differ in the last bits between CPUs
+/// with and without AVX2; elsewhere the portable loop returns the scalar
+/// kernel's bits.  No scan calls it ([`squared_euclidean_columns`] is the
+/// bit-exact family every scan ranks with).
 ///
 /// # Panics
 /// Panics if `q.len() != dim` or `rows.len() != dim * out.len()`.
@@ -604,48 +417,6 @@ pub fn squared_euclidean_batch(q: &[f64], rows: &[f64], dim: usize, out: &mut [f
         return;
     }
     squared_euclidean_batch_portable(q, rows, dim, out);
-}
-
-/// Euclidean distances of `q` against every row: [`squared_euclidean_batch`]
-/// followed by a vectorizable `sqrt` sweep over `out`.
-#[inline]
-pub fn euclidean_batch(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
-    squared_euclidean_batch(q, rows, dim, out);
-    for v in out.iter_mut() {
-        *v = v.sqrt();
-    }
-}
-
-/// Manhattan ranks (= distances) of `q` against every row of a flat block,
-/// 4-row-blocked (see [`squared_euclidean_batch`]).
-#[inline]
-pub fn manhattan_batch(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
-    assert_eq!(q.len(), dim, "query dimensionality mismatch");
-    assert_eq!(rows.len(), dim * out.len(), "ragged batch block");
-    #[cfg(target_arch = "x86_64")]
-    if dim > 0 && x86::have_avx2() {
-        // SAFETY: required CPU features verified at runtime; slice
-        // invariants asserted above.
-        unsafe { x86::manhattan_batch_avx2(q, rows, dim, out) };
-        return;
-    }
-    manhattan_batch_portable(q, rows, dim, out);
-}
-
-/// Chebyshev ranks (= distances) of `q` against every row of a flat block,
-/// 4-row-blocked (see [`squared_euclidean_batch`]).
-#[inline]
-pub fn chebyshev_batch(q: &[f64], rows: &[f64], dim: usize, out: &mut [f64]) {
-    assert_eq!(q.len(), dim, "query dimensionality mismatch");
-    assert_eq!(rows.len(), dim * out.len(), "ragged batch block");
-    #[cfg(target_arch = "x86_64")]
-    if dim > 0 && x86::have_avx2() {
-        // SAFETY: required CPU features verified at runtime; slice
-        // invariants asserted above.
-        unsafe { x86::chebyshev_batch_avx2(q, rows, dim, out) };
-        return;
-    }
-    chebyshev_batch_portable(q, rows, dim, out);
 }
 
 /// Expands to a column kernel's portable loop: rows eight at a time, the
@@ -862,9 +633,9 @@ mod tests {
             );
         }
 
-        /// Every fast/batch kernel agrees with its scalar twin within 1e-9
-        /// *relative* on adversarial inputs: mixed magnitudes, denormals and
-        /// the dimensionalities the tile loops monomorphize over.
+        /// The fast and batch L2 kernels agree with the scalar kernel within
+        /// 1e-9 *relative* on adversarial inputs: mixed magnitudes, denormals
+        /// and the dimensionalities the tile loops monomorphize over.
         #[test]
         fn fast_and_batch_kernels_match_their_scalar_twins(
             dim_idx in 0usize..8,
@@ -878,71 +649,43 @@ mod tests {
                 (got - want).abs() <= 1e-9 * want.abs().max(1.0)
             };
 
-            for (fast, scalar) in [
-                (squared_euclidean_fast as Kernel, squared_euclidean as Kernel),
-                (manhattan_fast as Kernel, manhattan as Kernel),
-            ] {
-                let row = &block[..dim];
-                prop_assert!(
-                    close(fast(&q, row), scalar(&q, row)),
-                    "fast {} vs scalar {}", fast(&q, row), scalar(&q, row)
-                );
-            }
-            // The max-based kernel is exactly order-insensitive.
-            prop_assert_eq!(
-                chebyshev_fast(&q, &block[..dim]).to_bits(),
-                chebyshev(&q, &block[..dim]).to_bits()
-            );
+            let row = &block[..dim];
+            let (fast, scalar) = (squared_euclidean_fast(&q, row), squared_euclidean(&q, row));
+            prop_assert!(close(fast, scalar), "fast {} vs scalar {}", fast, scalar);
 
             let mut out = vec![0.0f64; rows];
-            for (batch, scalar) in [
-                (squared_euclidean_batch as BatchKernel, squared_euclidean as Kernel),
-                (manhattan_batch as BatchKernel, manhattan as Kernel),
-                (chebyshev_batch as BatchKernel, chebyshev as Kernel),
-                (euclidean_batch as BatchKernel, euclidean as Kernel),
-            ] {
-                batch(&q, &block, dim, &mut out);
-                for (i, row) in block.chunks_exact(dim).enumerate() {
-                    prop_assert!(
-                        close(out[i], scalar(&q, row)),
-                        "batch row {i}: {} vs scalar {}", out[i], scalar(&q, row)
-                    );
-                }
+            squared_euclidean_batch(&q, &block, dim, &mut out);
+            for (i, row) in block.chunks_exact(dim).enumerate() {
+                let scalar = squared_euclidean(&q, row);
+                prop_assert!(close(out[i], scalar), "batch row {i}: {} vs scalar {}", out[i], scalar);
             }
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4))]
-        /// The portable row-blocked loops the `*_batch` kernels fall back to
-        /// return the scalar kernels' bits, row for row, over every
+        /// The portable row-blocked loop [`squared_euclidean_batch`] falls
+        /// back to returns the scalar kernel's bits, row for row, over every
         /// dimensionality 1..=33 (crossing the 4-dim chunk edge) and every
         /// row count 0..=70 (crossing the 8-row block edge), with huge,
-        /// subnormal-adjacent and zero coordinates mixed.  For L2 the
+        /// subnormal-adjacent and zero coordinates mixed.  The
         /// rank→distance sweep then lands on `distance_coords`' bits.
         #[test]
         fn portable_batch_loops_equal_their_scalar_twins_bit_for_bit(
             seed in proptest::collection::vec(-1e3f64..1e3, 300),
         ) {
-            const KERNELS: [(&str, BatchKernel, Kernel); 3] = [
-                ("l2", squared_euclidean_batch_portable, squared_euclidean),
-                ("l1", manhattan_batch_portable, manhattan),
-                ("linf", chebyshev_batch_portable, chebyshev),
-            ];
             for dim in 1usize..=33 {
                 let q = adversarial(&seed, 0, dim);
                 let block = adversarial(&seed, dim, dim * 70);
-                for (name, batch, scalar) in KERNELS {
-                    let want: Vec<u64> = block
-                        .chunks_exact(dim)
-                        .map(|row| scalar(&q, row).to_bits())
-                        .collect();
-                    for rows in 0usize..=70 {
-                        let mut out = vec![f64::NAN; rows];
-                        batch(&q, &block[..dim * rows], dim, &mut out);
-                        let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
-                        prop_assert_eq!(&got[..], &want[..rows], "{} dim {} rows {}", name, dim, rows);
-                    }
+                let want: Vec<u64> = block
+                    .chunks_exact(dim)
+                    .map(|row| squared_euclidean(&q, row).to_bits())
+                    .collect();
+                for rows in 0usize..=70 {
+                    let mut out = vec![f64::NAN; rows];
+                    squared_euclidean_batch_portable(&q, &block[..dim * rows], dim, &mut out);
+                    let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+                    prop_assert_eq!(&got[..], &want[..rows], "dim {} rows {}", dim, rows);
                 }
                 let mut out = vec![f64::NAN; 70];
                 squared_euclidean_batch_portable(&q, &block, dim, &mut out);

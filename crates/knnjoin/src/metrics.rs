@@ -9,6 +9,8 @@
 //!   reducers, and the average per object (`α` in Section 3);
 //! * **shuffling cost**: the number of bytes crossing the MapReduce shuffle.
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use geom::RecordKind;
 use mapreduce::JobMetrics;
 use std::sync::atomic::{AtomicU64, Ordering};

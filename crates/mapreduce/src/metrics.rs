@@ -4,6 +4,8 @@
 //! cost in bytes (Figures 8c–12c).  The engine fills a [`JobMetrics`] for
 //! every executed job; drivers fold each job's into their own totals.
 
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use std::time::Duration;
 
 /// Wall-clock duration of each phase of a job.

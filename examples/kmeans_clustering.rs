@@ -11,6 +11,8 @@
 //! cargo run --release --example kmeans_clustering
 //! ```
 
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use pgbj::prelude::*;
 use std::collections::HashMap;
 

@@ -11,6 +11,8 @@
 //! cargo run --release --example knn_classification
 //! ```
 
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use pgbj::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

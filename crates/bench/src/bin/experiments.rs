@@ -32,9 +32,9 @@
 //! (no scan reads the mode), when a cold
 //! PBJ row's pivot-assignment computations differ from its PGBJ twin's (they
 //! run one front half), or when a cold row's shuffle records are not the
-//! records its combiners let through plus one per routed object (a cell
-//! slice is accounted as its rows, a merged or passed-through partial list
-//! as one), whatever the reference says.
+//! batches job 1's combiner lets through plus one per routed object and one
+//! per merge-job partial list (a cell slice is accounted as its rows, a
+//! partial list as one), whatever the reference says.
 //! CI runs all three on every push, so an unexplained counter regression
 //! fails the build instead of silently shifting the baseline.
 

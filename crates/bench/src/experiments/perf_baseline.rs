@@ -57,13 +57,14 @@ pub struct BaselineRow {
     pub shuffle_bytes: u64,
     /// Records crossing the shuffle across all jobs (post-combine).
     pub shuffle_records: u64,
-    /// `combine_output_records + r_records_shuffled + s_records_shuffled`:
-    /// the records every combiner let through (PGBJ and PBJ job 1's batches,
-    /// the merge job's partial lists) plus one record per object a routing
-    /// job replicated.  On every cold row that is every record of every
-    /// job, so it equals `shuffle_records` exactly while each routed object
-    /// and each combined batch or list is charged one record (see
-    /// [`cold_rows_off_their_shuffle_identity`]).
+    /// `combine_output_records + r_records_shuffled + s_records_shuffled`,
+    /// plus `r_records_shuffled` once more where a merge job runs (H-BRJ,
+    /// PBJ, H-zkNNJ): the batches job 1's combiner let through (PGBJ, PBJ),
+    /// one record per object a routing job replicated, and one partial list
+    /// per routed `R` replica, which the merge job ships.  On every cold row
+    /// that is every record of every job, so it equals `shuffle_records`
+    /// exactly while each routed object, batch and list is charged one
+    /// record (see [`cold_rows_off_their_shuffle_identity`]).
     pub batches_plus_routed_records: u64,
     /// Recall against the nested-loop oracle (1.0 for exact algorithms).
     pub recall: f64,
@@ -72,13 +73,22 @@ pub struct BaselineRow {
 }
 
 impl BaselineRow {
-    /// The row of one run: counters from `result`'s metrics, quality against
-    /// `oracle`.
-    fn from_result(algorithm: String, result: &JoinResult, oracle: &JoinResult) -> Self {
+    /// The row `"<name><suffix>"` of one run of `algorithm`: counters from
+    /// `result`'s metrics, quality against `oracle`.
+    fn from_result(
+        algorithm: Algorithm,
+        suffix: &str,
+        result: &JoinResult,
+        oracle: &JoinResult,
+    ) -> Self {
         let quality = result.quality_against(oracle);
         let m = &result.metrics;
+        let merged_lists = match algorithm {
+            Algorithm::Hbrj | Algorithm::Pbj | Algorithm::Zknn => m.r_records_shuffled,
+            _ => 0,
+        };
         Self {
-            algorithm,
+            algorithm: format!("{}{suffix}", algorithm.name()),
             distance_computations: m.distance_computations,
             pivot_assignment_computations: m.pivot_assignment_computations,
             index_builds: m.index_builds,
@@ -87,7 +97,8 @@ impl BaselineRow {
             shuffle_records: m.shuffle_records,
             batches_plus_routed_records: m.combine_output_records
                 + m.r_records_shuffled
-                + m.s_records_shuffled,
+                + m.s_records_shuffled
+                + merged_lists,
             recall: quality.recall,
             distance_ratio: quality.distance_ratio,
         }
@@ -135,7 +146,7 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
             } else {
                 run(algorithm, KernelMode::Exact)
             };
-            BaselineRow::from_result(algorithm.name().to_string(), &result, &oracle)
+            BaselineRow::from_result(algorithm, "", &result, &oracle)
         })
         .collect();
 
@@ -145,8 +156,7 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
         .iter()
         .map(|&algorithm| {
             let result = run(algorithm, KernelMode::Fast);
-            let name = format!("{} (fast)", algorithm.name());
-            BaselineRow::from_result(name, &result, &oracle)
+            BaselineRow::from_result(algorithm, " (fast)", &result, &oracle)
         })
         .collect();
     rows.extend(fast_rows);
@@ -178,10 +188,10 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
             }
             let result = last.expect("at least one query ran");
             let suffix = match mode {
-                KernelMode::Exact => "(prepared)",
-                KernelMode::Fast => "(prepared, fast)",
+                KernelMode::Exact => " (prepared)",
+                KernelMode::Fast => " (prepared, fast)",
             };
-            BaselineRow::from_result(format!("{} {suffix}", algorithm.name()), &result, &oracle)
+            BaselineRow::from_result(algorithm, suffix, &result, &oracle)
         })
         .collect();
     rows.extend(prepared_rows);
@@ -320,16 +330,16 @@ pub fn pbj_rows_off_their_pgbj_twin(rows: &Value) -> Vec<String> {
 }
 
 /// The cold rows of a `perf_baseline` run — all six algorithms and their
-/// `"(fast)"` twins — whose `shuffle_records` is not the records their
-/// combiners let through plus one record per routed object
-/// (`batches_plus_routed_records`), each as a description.  The baseline
-/// runs with the combiner on, so every job is covered: PGBJ and PBJ job 1
-/// ship combined batches, the join jobs charge one record per object they
-/// route (a PGBJ or PBJ cell slice is accounted as its rows), and the merge
-/// job of PBJ, H-BRJ and H-zkNNJ ships one combined or passed-through list
-/// per `r` and map task.  The identity holds by construction and breaks the
-/// moment a value standing for several objects or lists is charged as one
-/// record, or one is charged twice.
+/// `"(fast)"` twins — whose `shuffle_records` is not the batches job 1's
+/// combiner let through plus one record per routed object and one per
+/// merged partial list (`batches_plus_routed_records`), each as a
+/// description.  Every job is covered: PGBJ and PBJ job 1 ship combined
+/// batches, the join jobs charge one record per object they route (a PGBJ
+/// or PBJ cell slice is accounted as its rows), and the merge job of PBJ,
+/// H-BRJ and H-zkNNJ ships one partial list per routed `R` replica.  The
+/// identity holds by construction and breaks the moment a value standing
+/// for several objects or lists is charged as one record, or one is charged
+/// twice.
 pub fn cold_rows_off_their_shuffle_identity(rows: &Value) -> Vec<String> {
     let cold = Algorithm::ALL.into_iter().flat_map(|algorithm| {
         ["", " (fast)"].map(|suffix| format!("{}{suffix}", algorithm.name()))
@@ -339,9 +349,9 @@ pub fn cold_rows_off_their_shuffle_identity(rows: &Value) -> Vec<String> {
         match (of("shuffle_records"), of("batches_plus_routed_records")) {
             (Some(shuffled), Some(accounted)) if shuffled == accounted => None,
             (Some(shuffled), Some(accounted)) => Some(format!(
-                "{row}.shuffle_records: {shuffled} against {accounted} combined batches or \
-                 lists + routed objects: a routed object or a combined value is not charged \
-                 exactly one record"
+                "{row}.shuffle_records: {shuffled} against {accounted} combined batches + \
+                 routed objects + partial lists: a routed object, batch or list is not \
+                 charged exactly one record"
             )),
             _ => Some(format!("{row}: row or field missing")),
         }
@@ -382,10 +392,17 @@ fn twin_problem(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The quick run the tests read, made once and shared.
+    fn quick() -> &'static ExperimentOutput {
+        static QUICK: OnceLock<ExperimentOutput> = OnceLock::new();
+        QUICK.get_or_init(|| perf_baseline(ExperimentScale::Quick))
+    }
 
     #[test]
     fn baseline_covers_all_algorithms_with_sane_numbers() {
-        let out = perf_baseline(ExperimentScale::Quick);
+        let out = quick();
         assert_eq!(out.id, "perf_baseline");
         let rows = out.json.as_array().expect("array of rows");
         // Six exact cold rows, six fast-mode cold rows, then the PBJ and
@@ -446,7 +463,7 @@ mod tests {
 
     #[test]
     fn fast_rows_equal_their_exact_twins_and_the_gate_notices_when_not() {
-        let out = perf_baseline(ExperimentScale::Quick);
+        let out = quick();
         assert_eq!(fast_rows_off_their_exact_twin(&out.json), [""; 0]);
         // A Fast row off its Exact twin on any deterministic field trips the
         // gate, on every algorithm: one more evaluation, one more shuffled
@@ -494,7 +511,7 @@ mod tests {
 
     #[test]
     fn pbj_rows_bill_the_front_half_like_pgbj_and_the_gate_notices_when_not() {
-        let out = perf_baseline(ExperimentScale::Quick);
+        let out = quick();
         assert_eq!(pbj_rows_off_their_pgbj_twin(&out.json), [""; 0]);
         // A PBJ row billed like the old driver-side scan (nothing) trips it.
         let rows = out.json.as_array().expect("rows").iter();
@@ -515,7 +532,7 @@ mod tests {
 
     #[test]
     fn every_cold_row_keeps_its_shuffle_identity_and_the_gate_notices_when_not() {
-        let out = perf_baseline(ExperimentScale::Quick);
+        let out = quick();
         assert_eq!(cold_rows_off_their_shuffle_identity(&out.json), [""; 0]);
         // A PGBJ row whose slices were counted as one record each, and an
         // H-BRJ (fast) row whose merge job charged a cell's lists as one
@@ -563,7 +580,7 @@ mod tests {
         );
         let committed = std::fs::read_to_string(path).expect("committed baseline readable");
         let committed = Value::parse(&committed).expect("committed baseline parses");
-        let out = perf_baseline(ExperimentScale::Quick);
+        let out = quick();
         let drift =
             crate::experiments::diff_rows(&out.json, &committed["perf_baseline"], "algorithm");
         assert_eq!(drift, [""; 0]);
@@ -571,7 +588,7 @@ mod tests {
 
     #[test]
     fn prepared_rows_keep_build_counters_flat() {
-        let out = perf_baseline(ExperimentScale::Quick);
+        let out = quick();
         let rows = out.json.as_array().expect("rows");
         for algorithm in ["PBJ", "PGBJ"] {
             let name = format!("{algorithm} (prepared)");
@@ -591,7 +608,7 @@ mod tests {
 
     #[test]
     fn zknn_meets_the_quality_and_cost_bar_on_the_baseline() {
-        let out = perf_baseline(ExperimentScale::Quick);
+        let out = quick();
         let rows = out.json.as_array().expect("rows");
         let by_name = |name: &str| {
             rows.iter()
@@ -651,8 +668,6 @@ mod tests {
     #[test]
     fn deterministic_counters_for_fixed_seed() {
         // The rows hold no clock reading, so two runs agree on every field.
-        let a = perf_baseline(ExperimentScale::Quick);
-        let b = perf_baseline(ExperimentScale::Quick);
-        assert_eq!(a.json, b.json);
+        assert_eq!(perf_baseline(ExperimentScale::Quick).json, quick().json);
     }
 }

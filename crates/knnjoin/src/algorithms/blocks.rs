@@ -17,7 +17,7 @@ use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
 use geom::{Neighbor, RecordKind};
 use mapreduce::{
-    ByteSize, Combiner, IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer,
+    ByteSize, IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer,
 };
 use std::time::Instant;
 
@@ -75,39 +75,7 @@ impl<'a> Mapper for BlockRouteMapper<'a> {
 /// final `k`: [`merge_neighbor_lists`] for the block algorithms,
 /// `zknn::merge_distinct_candidates` for H-zkNNJ.  The two offer candidates
 /// in different orders, so they keep different survivors of a distance tie.
-/// Either returns a list produced by a `NeighborList` — at most `k` entries
-/// with distinct ids, sorted by `Neighbor`'s order — unchanged when it is
-/// the only one, which is what lets [`MergeCombiner`] pass such a list
-/// through.
 pub(crate) type MergeRule = fn(&[PartialList<'_>], usize) -> Vec<Neighbor>;
-
-/// Map-side combiner of the merge job: collapse the partial candidate lists a
-/// map task holds for one `R` object into a single `k`-bounded list before
-/// they cross the shuffle.  A lone list is passed through as it came (still
-/// borrowed from its cell's run, and exactly what `merge` would return for
-/// it); only two or more are merged, into an owned list.  Either way the
-/// [`MergeReducer`] ends with the `k` nearest candidates.  Which of several
-/// candidates tied at the `k`-th distance survives may differ from a run
-/// without the combiner under [`merge_neighbor_lists`] (it admits by arrival
-/// but evicts by id); `zknn::merge_distinct_candidates` keeps the `k` least
-/// by (distance, id) and is associative outright.
-struct MergeCombiner<'a> {
-    k: usize,
-    /// The [`MergeRule`], at the lifetime of the lists it merges.
-    merge: fn(&[PartialList<'a>], usize) -> Vec<Neighbor>,
-}
-
-impl<'a> Combiner for MergeCombiner<'a> {
-    type K = u64;
-    type V = PartialList<'a>;
-
-    fn combine(&self, _key: &u64, values: &[PartialList<'a>]) -> Vec<PartialList<'a>> {
-        match values {
-            [list] => vec![list.clone()],
-            _ => vec![PartialList::Owned((self.merge)(values, self.k))],
-        }
-    }
-}
 
 /// Reducer of the merge job: keep the `k` globally best candidates per `R`
 /// object.  The merged list is the only allocation it makes: the join row.
@@ -175,11 +143,12 @@ where
 /// The merge job of every two-job algorithm: fold each `R` object's partial
 /// candidate lists into its final `k` with `merge`.  The input is the first
 /// job's per-cell [`CellRun`]s, in that job's output order; every list in
-/// them becomes one `(r id, PartialList::Borrowed)` record, in run order, so
-/// no list is copied and each is charged one record of `4 + 16·len` bytes.
-/// The records are already keyed by `R` id, so the job runs without a
-/// mapper.  When the plan's `combiner` is set, the [`MergeCombiner`] runs
-/// map-side, so only `k`-bounded lists cross the shuffle.
+/// them becomes one `(r id, PartialList)` record, in run order, so no list
+/// is copied and each is charged one record of `4 + 16·len` bytes.  The
+/// records are already keyed by `R` id, so the job runs without a mapper.
+/// It runs without a combiner too: an `r`'s lists come from different cells
+/// and, at the default `map_tasks`, land in different map splits, so a
+/// map-side merge would only pass each one through.
 pub(crate) fn run_merge_job(
     runs: &[(u32, CellRun)],
     plan: &JoinPlan,
@@ -191,18 +160,13 @@ pub(crate) fn run_merge_job(
     let input: Vec<(u64, PartialList<'_>)> = runs
         .iter()
         .flat_map(|(_, run)| run.lists())
-        .map(|(r_id, list)| (r_id, PartialList::Borrowed(list)))
+        .map(|(r_id, list)| (r_id, PartialList(list)))
         .collect();
-    let k = plan.k;
     let merge_job = JobBuilder::new("merge")
         .reducers(plan.reducers)
         .map_tasks(plan.map_tasks)
         .workers(workers)
-        .run_keyed(
-            input,
-            plan.combiner.then_some(&MergeCombiner { k, merge }),
-            &MergeReducer { k, merge },
-        )
+        .run_keyed(input, &MergeReducer { k: plan.k, merge })
         .map_err(|e| JoinError::substrate("merge", e))?;
     metrics.record_phase(phases::RESULT_MERGING, start.elapsed());
     metrics.absorb_job(&merge_job.metrics);
@@ -311,8 +275,8 @@ mod tests {
         reducer.reduce(
             &7,
             &[
-                PartialList::Borrowed(&[Neighbor::new(1, 3.0), Neighbor::new(2, 4.0)]),
-                PartialList::Owned(vec![Neighbor::new(3, 1.0)]),
+                PartialList(&[Neighbor::new(1, 3.0), Neighbor::new(2, 4.0)]),
+                PartialList(&[Neighbor::new(3, 1.0)]),
             ],
             &mut ctx,
         );
@@ -342,70 +306,41 @@ mod tests {
         list.iter().map(|n| (n.id, n.distance.to_bits())).collect()
     }
 
-    /// The merge job as the engine defines it, over owned lists: the input
-    /// cut into at most `map_tasks` contiguous splits of `⌈n / tasks⌉`
-    /// lists, each split's lists grouped by `r` in a `BTreeMap` and — with
-    /// the combiner — merged per group, always, however many it holds; then
-    /// every `r`'s shuffled lists, in split order, merged into its row.
-    /// Returns the rows by `r` and the shuffle records, shuffle bytes and
-    /// combine input and output records.
+    /// The merge job as the engine defines it, over owned lists: splits are
+    /// contiguous and the shuffle sort is stable, so every `r`'s lists reach
+    /// its reducer in input order, and are merged into its row.  Returns the
+    /// rows by `r` and the shuffle records and bytes.
     fn merge_oracle(
         lists: &[(PointId, Vec<Neighbor>)],
         k: usize,
-        map_tasks: usize,
-        combiner: bool,
         merge: MergeRule,
-    ) -> (Vec<(PointId, Vec<Neighbor>)>, [u64; 4]) {
-        let owned = |group: &[Vec<Neighbor>]| -> Vec<PartialList<'static>> {
-            group.iter().cloned().map(PartialList::Owned).collect()
-        };
-        let chunk = lists
-            .len()
-            .div_ceil(map_tasks.min(lists.len()).max(1))
-            .max(1);
-        let mut shuffled: BTreeMap<PointId, Vec<Vec<Neighbor>>> = BTreeMap::new();
-        let mut counters = [0u64; 4];
-        for split in lists.chunks(chunk) {
-            let mut groups: BTreeMap<PointId, Vec<Vec<Neighbor>>> = BTreeMap::new();
-            for (r_id, list) in split {
-                groups.entry(*r_id).or_default().push(list.clone());
-            }
-            for (r_id, group) in groups {
-                let sent = if combiner {
-                    counters[2] += group.len() as u64;
-                    counters[3] += 1;
-                    vec![merge(&owned(&group), k)]
-                } else {
-                    group
-                };
-                for list in sent {
-                    counters[0] += 1;
-                    counters[1] += (8 + 4 + 16 * list.len()) as u64;
-                    shuffled.entry(r_id).or_default().push(list);
-                }
-            }
+    ) -> (Vec<(PointId, Vec<Neighbor>)>, [u64; 2]) {
+        let mut shuffled: BTreeMap<PointId, Vec<PartialList<'_>>> = BTreeMap::new();
+        let mut counters = [0u64; 2];
+        for (r_id, list) in lists {
+            counters[0] += 1;
+            counters[1] += (8 + 4 + 16 * list.len()) as u64;
+            shuffled.entry(*r_id).or_default().push(PartialList(list));
         }
         let rows = shuffled
             .into_iter()
-            .map(|(r_id, group)| (r_id, merge(&owned(&group), k)))
+            .map(|(r_id, group)| (r_id, merge(&group, k)))
             .collect();
         (rows, counters)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
-        /// The merge job over borrowed per-cell runs, with the combiner's
-        /// lone-list pass-through, answers and charges what the owned-list
-        /// oracle does, under both merge rules: random tie-heavy lists
-        /// (some shorter than `k`) cut into random runs, with or without the
-        /// `R` ids sorted so that one `r`'s lists share a map task and the
-        /// combiner has groups of several to merge.
+        /// The merge job over borrowed per-cell runs answers and charges
+        /// what the owned-list oracle does, under both merge rules: random
+        /// tie-heavy lists (some shorter than `k`) cut into random runs, with
+        /// or without the `R` ids sorted so that one `r`'s lists share a map
+        /// task; nothing is combined.
         #[test]
         fn the_merge_job_equals_the_owned_list_oracle(
             k in 1usize..13,
             reducers in 1usize..10,
             map_tasks in 1usize..21,
-            combiner in bool::ANY,
             distinct in bool::ANY,
             grouped in bool::ANY,
             two_workers in bool::ANY,
@@ -437,7 +372,6 @@ mod tests {
                 k,
                 reducers,
                 map_tasks,
-                combiner,
                 ..JoinPlan::default()
             };
             let mut metrics = JoinMetrics::default();
@@ -447,41 +381,15 @@ mod tests {
                 rows.iter().map(|row| (row.r_id, bits(&row.neighbors))).collect();
             got.sort_by_key(|(r_id, _)| *r_id);
 
-            let (want_rows, want_counters) = merge_oracle(&lists, k, map_tasks, combiner, merge);
+            let (want_rows, want_counters) = merge_oracle(&lists, k, merge);
             let want: Vec<(PointId, Vec<(PointId, u64)>)> =
                 want_rows.iter().map(|(r_id, list)| (*r_id, bits(list))).collect();
             prop_assert_eq!(got, want);
+            prop_assert_eq!([metrics.shuffle_records, metrics.shuffle_bytes], want_counters);
             prop_assert_eq!(
-                [
-                    metrics.shuffle_records,
-                    metrics.shuffle_bytes,
-                    metrics.combine_input_records,
-                    metrics.combine_output_records,
-                ],
-                want_counters
+                [metrics.combine_input_records, metrics.combine_output_records],
+                [0, 0]
             );
-        }
-
-        /// The combiner's shortcut is exact: a list a `NeighborList` produced
-        /// is its own merge under both rules, bit for bit, and the combiner
-        /// hands it back as the same borrow.
-        #[test]
-        fn a_lone_cell_list_is_its_own_merge_under_both_rules(
-            k in 1usize..13,
-            seed in 0u64..1 << 48,
-        ) {
-            let list = cell_list(&mut TestRng::new(seed), k);
-            for merge in [merge_neighbor_lists as MergeRule, merge_distinct_candidates] {
-                let lone = [PartialList::Borrowed(&list)];
-                prop_assert_eq!(bits(&merge(&lone, k)), bits(&list));
-                let combiner = MergeCombiner { k, merge };
-                let passed = combiner.combine(&0, &lone);
-                let same_borrow = match passed.as_slice() {
-                    [PartialList::Borrowed(out)] => std::ptr::eq(*out, &list[..]),
-                    _ => false,
-                };
-                prop_assert!(same_borrow, "the lone list was not passed through: {passed:?}");
-            }
         }
     }
 }

@@ -59,7 +59,7 @@ impl ByteSize for ShuffleRecord<'_> {
 /// emission order, where each list ends, and every list's neighbours in one
 /// buffer.  The block join reducers (PBJ, H-BRJ) and H-zkNNJ's slab reducer
 /// emit one run per cell, and the merge job borrows each list out of it
-/// ([`PartialList::Borrowed`]), so no partial list is a heap object of its
+/// ([`PartialList`]), so no partial list is a heap object of its
 /// own and none is freed on another thread.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct CellRun {
@@ -98,30 +98,14 @@ impl CellRun {
 
 /// A partial kNN list of one `R` object as the merge job of the two-job
 /// algorithms (H-BRJ, PBJ, H-zkNNJ) shuffles it: borrowed from the
-/// [`CellRun`] of the reducer cell that found it, or owned once the
-/// map-side combiner has merged several into one.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum PartialList<'a> {
-    /// A list as its reducer cell emitted it.
-    Borrowed(&'a [Neighbor]),
-    /// The merge of several lists of one map task.
-    Owned(Vec<Neighbor>),
-}
-
-impl PartialList<'_> {
-    /// The candidate neighbours (at most `k` of them).
-    pub(crate) fn neighbors(&self) -> &[Neighbor] {
-        match self {
-            PartialList::Borrowed(list) => list,
-            PartialList::Owned(list) => list,
-        }
-    }
-}
+/// [`CellRun`] of the reducer cell that found it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PartialList<'a>(pub &'a [Neighbor]);
 
 impl ByteSize for PartialList<'_> {
     fn byte_size(&self) -> usize {
         // r-id is the key; each neighbour is an (id, distance) pair.
-        4 + self.neighbors().len() * (8 + 8)
+        4 + self.0.len() * (8 + 8)
     }
 }
 
@@ -130,7 +114,7 @@ impl ByteSize for PartialList<'_> {
 pub(crate) fn merge_neighbor_lists(lists: &[PartialList<'_>], k: usize) -> Vec<Neighbor> {
     let mut acc = NeighborList::new(k);
     for list in lists {
-        for n in list.neighbors() {
+        for n in list.0 {
             acc.offer(n.id, n.distance);
         }
     }
@@ -253,12 +237,13 @@ pub(crate) fn label_rows(r: &PointSet, neighbors: Vec<Vec<Neighbor>>) -> Vec<Joi
 /// range per worker and scanned on the engine's scoped threads.
 ///
 /// Measured with PGBJ on the benchmark's two shapes (`forest10d` 12 000 ×
-/// 10-d and `osm2d` 48 000 × 2-d, 110 pivots, 2 cores): handing two ranges
-/// to [`parallel_map`] costs ~100–130 µs of spawn + join, and a row of a
-/// 16-row batch costs ~9 µs to scan inline on `forest10d` and ~4.5 µs on
-/// `osm2d`, so on two free cores a 2-worker split breaks even at ~25 and
-/// ~50 rows.  The hand-off grows with the worker count while the per-range
-/// work shrinks, so the cut sits above both — and above the 16 singles a
+/// 10-d and `osm2d` 48 000 × 2-d, 110 pivots, a shared 2-vCPU host):
+/// handing two ranges to [`parallel_map`] costs ~100–130 µs of spawn + join,
+/// and a 64-row batch split over 2 workers still ran slower than inline in
+/// 2 of 2 runs (`forest10d` 706 / 1079 µs against 588 / 610 µs, `osm2d`
+/// 445 / 584 µs against 285 / 274 µs); 128 rows came out about even.  So on
+/// such a host the cut sits below break-even; it is kept until a
+/// measurement on free cores places it.  It sits above the 16 singles a
 /// server round coalesces at most, so a coalesced batch, which only forms
 /// while every probe permit is out, never spawns threads of its own.
 pub const PARALLEL_PROBE_CUT: usize = 64;
@@ -365,9 +350,8 @@ mod tests {
     #[test]
     fn partial_list_size() {
         let list = [Neighbor::new(1, 0.5), Neighbor::new(2, 1.5)];
-        assert_eq!(PartialList::Borrowed(&list).byte_size(), 4 + 2 * 16);
-        assert_eq!(PartialList::Owned(list.to_vec()).byte_size(), 4 + 2 * 16);
-        assert_eq!(PartialList::Borrowed(&[]).byte_size(), 4);
+        assert_eq!(PartialList(&list).byte_size(), 4 + 2 * 16);
+        assert_eq!(PartialList(&[]).byte_size(), 4);
     }
 
     #[test]
@@ -386,8 +370,8 @@ mod tests {
     #[test]
     fn merging_partial_lists_keeps_global_k_best() {
         let a = [Neighbor::new(1, 5.0), Neighbor::new(2, 1.0)];
-        let b = vec![Neighbor::new(3, 0.5), Neighbor::new(4, 9.0)];
-        let merged = merge_neighbor_lists(&[PartialList::Borrowed(&a), PartialList::Owned(b)], 2);
+        let b = [Neighbor::new(3, 0.5), Neighbor::new(4, 9.0)];
+        let merged = merge_neighbor_lists(&[PartialList(&a), PartialList(&b)], 2);
         let ids: Vec<u64> = merged.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![3, 2]);
     }
@@ -398,9 +382,9 @@ mod tests {
         // must not crowd out distinct neighbours... they are kept as-is since
         // block algorithms never see the same (r, s) pair twice, but merging
         // is still well-defined.
-        let a = PartialList::Borrowed(&[Neighbor::new(1, 1.0)]);
-        let b = PartialList::Borrowed(&[Neighbor::new(2, 2.0)]);
-        let merged = merge_neighbor_lists(&[a.clone(), b, a], 3);
+        let a = PartialList(&[Neighbor::new(1, 1.0)]);
+        let b = PartialList(&[Neighbor::new(2, 2.0)]);
+        let merged = merge_neighbor_lists(&[a, b, a], 3);
         assert_eq!(merged.len(), 3);
         assert_eq!(merged[0].id, 1);
     }

@@ -242,17 +242,15 @@ mod tests {
             m.pivot_assignment_computations,
             pgbj.metrics.pivot_assignment_computations
         );
-        // Combiner off, every shuffled record is one object or one partial
-        // list: PBJ ships what the block framework alone ships (join job +
-        // merge job, H-BRJ under the same plan) plus job 1's |R| + |S|.
-        let plain = |algorithm| {
-            run(algorithm, &r, &s, 5, EUCLIDEAN, |b| {
-                b.pivot_count(16).reducers(9).combiner(false)
-            })
-        };
+        // Past job 1's batches, every shuffled record is one object or one
+        // partial list: PBJ ships what the block framework alone ships (join
+        // job + merge job, H-BRJ under the same plan) plus those batches.
+        let hbrj = run(Hbrj, &r, &s, 5, EUCLIDEAN, |b| {
+            b.pivot_count(16).reducers(9)
+        });
         assert_eq!(
-            plain(Pbj).metrics.shuffle_records,
-            plain(Hbrj).metrics.shuffle_records + 400
+            m.shuffle_records,
+            hbrj.metrics.shuffle_records + m.combine_output_records
         );
     }
 

@@ -640,10 +640,10 @@ pub(crate) fn partition_job(
         .reducers(plan.reducers)
         .map_tasks(plan.map_tasks)
         .workers(ctx.workers())
-        .run_with_optional_combiner(
+        .run_with_combiner(
             input.collect(),
             &PartitionMapper(&partitioner),
-            plan.combiner.then_some(&BatchCombiner(PhantomData)),
+            &BatchCombiner(PhantomData),
             &CellReducer(&tally),
         )
         .map_err(|e| JoinError::substrate("voronoi-partition", e))?;
@@ -737,10 +737,9 @@ impl<'a> Mapper for PartitionMapper<'a> {
     }
 }
 
-/// Combiner of the partitioning job: concatenate a map task's batches per
-/// cell.  Batching is trivially associative, so the reducer sees the same
-/// records whether or not the combiner ran — only the shuffle framing
-/// shrinks.
+/// Combiner of the partitioning job, which always runs: concatenate a map
+/// task's batches per cell.  The reducer sees the records a task emitted,
+/// in order; only the shuffle framing shrinks, to one key per (task, cell).
 struct BatchCombiner<'a>(PhantomData<&'a Point>);
 
 impl<'a> Combiner for BatchCombiner<'a> {
@@ -1362,8 +1361,8 @@ mod tests {
 
     /// The cold twin of the compaction test below: for one plan, the cells
     /// job 1's reducer emits are `VoronoiPrepared::build`'s cells field by
-    /// field, `T_S` and `T_R` are what the sorted columns say, and neither
-    /// the combiner nor the task layout changes a cell.
+    /// field, `T_S` and `T_R` are what the sorted columns say, and the task
+    /// layout does not change a cell.
     #[test]
     fn job_one_emits_the_cells_a_prepared_build_lays_out() {
         let (dims, k) = (3, 4);
@@ -1415,10 +1414,9 @@ mod tests {
             assert_eq!(got, want, "R cell {i}");
         }
 
-        // Same cells from any task layout, combined or not.
-        for (combiner, map_tasks, reducers) in [(false, 5, 3), (true, 1, 1), (false, 11, 7)] {
+        // Same cells from any task layout.
+        for (map_tasks, reducers) in [(1, 1), (11, 7)] {
             let other = JoinPlan {
-                combiner,
                 map_tasks,
                 reducers,
                 ..plan.clone()
@@ -1430,10 +1428,7 @@ mod tests {
             let by_cell = |cell: &(u32, ShuffledCell)| (cell.0, cell.1.kind == RecordKind::S);
             cells.sort_by_key(by_cell);
             other_cells.sort_by_key(by_cell);
-            assert_eq!(
-                other_cells, cells,
-                "combiner {combiner}, {map_tasks} x {reducers}"
-            );
+            assert_eq!(other_cells, cells, "{map_tasks} x {reducers}");
         }
     }
 

@@ -25,8 +25,8 @@
 //!    `r` from its z-window, computing true distances to the candidates.
 //! 2. **`merge`** — the merge job shared with H-BRJ/PBJ, under
 //!    [`merge_distinct_candidates`]: the `α` partial candidate lists of every
-//!    `r` fold into the final top-`k`, pre-merged map-side when the combiner
-//!    knob is on.
+//!    `r` fold into the final top-`k` in one reducer call per `r`, with no
+//!    map-side pass.
 //!
 //! Cost structure: `O(α·|R∪S|)` shuffled records and at most
 //! `α·2·z_window·k` distance computations per `R` object — a constant per
@@ -310,10 +310,11 @@ impl<'a> Reducer for ZSlabReducer<'a> {
         );
         let mut run = CellRun::with_capacity(r_count, self.k.min(slab.z.len()));
         let mut scratch = TileScratch::new();
+        let mut list = NeighborList::new(self.k);
         let mut computations = 0;
         for r in ShuffleRecord::of_kind(values, RecordKind::R) {
             let z_r = self.shared.z(copy, &r.coords);
-            let mut list = NeighborList::new(self.k);
+            list.reset(self.k);
             computations += slab.scan_window(
                 &r.coords,
                 z_r,
@@ -322,7 +323,7 @@ impl<'a> Reducer for ZSlabReducer<'a> {
                 &mut scratch,
                 &mut list,
             );
-            run.push(r.id, &list.into_sorted());
+            run.push(r.id, list.as_slice());
         }
         self.tally.add(Count::Distances, computations);
         ctx.emit(*key, run);
@@ -334,9 +335,7 @@ impl<'a> Reducer for ZSlabReducer<'a> {
 /// Unlike the block algorithms' merge (where every `(r, s)` pair meets in
 /// exactly one reducer cell), H-zkNNJ can find the same `S` object in several
 /// shifted copies; keeping duplicates would crowd distinct candidates out of
-/// the top-`k`.  Deduplicating by id before bounding is associative — an id a
-/// partial merge drops is beaten by `k` distinct ids that all survive into
-/// the next round — so the map-side combiner applies the same function.
+/// the top-`k`.
 pub(crate) fn merge_distinct_candidates(
     lists: &[PartialList<'_>],
     k: usize,
@@ -346,7 +345,7 @@ pub(crate) fn merge_distinct_candidates(
     // order or equal-distance survivors would vary run to run.
     let mut best: std::collections::BTreeMap<PointId, f64> = std::collections::BTreeMap::new();
     for list in lists {
-        for n in list.neighbors() {
+        for n in list.0 {
             best.entry(n.id)
                 .and_modify(|d| *d = d.min(n.distance))
                 .or_insert(n.distance);
@@ -632,15 +631,15 @@ mod tests {
         // distance; with k = 1 only one survives, and it must be the same
         // one (smallest id) on every run — not whichever a hash map yields
         // first.
-        let from_copy_a = PartialList::Borrowed(&[geom::Neighbor::new(7, 2.5)]);
-        let from_copy_b = PartialList::Owned(vec![geom::Neighbor::new(3, 2.5)]);
+        let from_copy_a = PartialList(&[geom::Neighbor::new(7, 2.5)]);
+        let from_copy_b = PartialList(&[geom::Neighbor::new(3, 2.5)]);
         for _ in 0..32 {
-            let merged = merge_distinct_candidates(&[from_copy_a.clone(), from_copy_b.clone()], 1);
+            let merged = merge_distinct_candidates(&[from_copy_a, from_copy_b], 1);
             assert_eq!(merged.len(), 1);
             assert_eq!(merged[0].id, 3);
         }
         // Duplicates of one id keep the smaller distance, not a second slot.
-        let dup = PartialList::Borrowed(&[geom::Neighbor::new(7, 1.0)]);
+        let dup = PartialList(&[geom::Neighbor::new(7, 1.0)]);
         let merged = merge_distinct_candidates(&[from_copy_a, dup], 2);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].distance, 1.0);

@@ -152,15 +152,6 @@ impl<'a> JoinBuilder<'a> {
         self
     }
 
-    /// Enables or disables the map-side combiners (the PGBJ / PBJ partitioning job,
-    /// the block algorithms' merge job).  On by default; disable to measure
-    /// the uncombined shuffle volume (byte accounting is framing-neutral, so
-    /// the difference is entirely the combiners' saving).
-    pub fn combiner(mut self, enabled: bool) -> Self {
-        self.plan.combiner = enabled;
-        self
-    }
-
     /// Seeds pivot selection (experiments fix this for reproducibility).
     pub fn seed(mut self, seed: u64) -> Self {
         self.plan.seed = seed;

@@ -117,10 +117,10 @@ pub struct JoinMetrics {
     pub shuffle_bytes: u64,
     /// Total records crossing the shuffle (post-combine), across all jobs.
     pub shuffle_records: u64,
-    /// Records fed into map-side combiners across all jobs (zero when the
-    /// algorithm ran without combiners).
+    /// Records fed into the map-side combiner of PGBJ's and PBJ's
+    /// partitioning job (zero for the other algorithms, which run none).
     pub combine_input_records: u64,
-    /// Records the combiners let through to the shuffle.
+    /// Records that combiner let through to the shuffle.
     pub combine_output_records: u64,
     /// Distance computations spent scanning the S-delta memtable of a mutated
     /// [`crate::PreparedJoin`]; zero whenever the delta overlay is empty.

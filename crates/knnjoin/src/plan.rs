@@ -136,9 +136,6 @@ pub struct JoinPlan {
     /// 10-d Forest workload while staying far below the exact algorithms'
     /// distance work.
     pub z_window: usize,
-    /// Whether map-side combiners run (the PGBJ / PBJ partitioning job, the block
-    /// algorithms' merge job) to cut shuffle volume.
-    pub combiner: bool,
     /// Seed driving pivot selection.
     pub seed: u64,
     /// Maximum resident delta-overlay size (adds + tombstones) of a
@@ -247,7 +244,6 @@ impl Default for JoinPlan {
             map_tasks: 8,
             shift_copies: 2,
             z_window: 4,
-            combiner: true,
             seed: 0xC0FFEE,
             delta_threshold: DEFAULT_DELTA_THRESHOLD,
         }

@@ -298,16 +298,15 @@ impl JobBuilder {
     }
 
     /// Runs the job with the default [`HashPartitioner`] and a map-side
-    /// [`Combiner`] that may or may not be present — the `Option` mirrors a
-    /// runtime "combiner on/off" knob, so call sites don't branch.
+    /// [`Combiner`] over each map task's sorted key runs.
     ///
     /// # Errors
     /// Returns [`JobError`] if the configuration is invalid.
-    pub fn run_with_optional_combiner<M, C, R>(
+    pub fn run_with_combiner<M, C, R>(
         &self,
         input: Vec<(M::KIn, M::VIn)>,
         mapper: &M,
-        combiner: Option<&C>,
+        combiner: &C,
         reducer: &R,
     ) -> Result<JobOutput<R::KOut, R::VOut>, JobError>
     where
@@ -318,38 +317,29 @@ impl JobBuilder {
         self.execute(
             input,
             |split| map_split(mapper, split),
-            combiner.map(|c| c as _),
+            Some(combiner),
             reducer,
             &HashPartitioner,
         )
     }
 
     /// Runs a job whose input is already keyed, with the default
-    /// [`HashPartitioner`] and an optional map-side [`Combiner`].  The map
-    /// step is Hadoop's identity mapper: each split's pairs move straight
-    /// into routing, and none is cloned.
+    /// [`HashPartitioner`].  The map step is Hadoop's identity mapper: each
+    /// split's pairs move straight into routing, and none is cloned.
     ///
     /// # Errors
     /// Returns [`JobError`] if the configuration is invalid.
-    pub fn run_keyed<C, R>(
+    pub fn run_keyed<R>(
         &self,
         input: Vec<(R::KIn, R::VIn)>,
-        combiner: Option<&C>,
         reducer: &R,
     ) -> Result<JobOutput<R::KOut, R::VOut>, JobError>
     where
-        C: Combiner<K = R::KIn, V = R::VIn>,
         R: Reducer,
         R::KIn: ByteSize,
         R::VIn: ByteSize,
     {
-        self.execute(
-            input,
-            |split| split,
-            combiner.map(|c| c as _),
-            reducer,
-            &HashPartitioner,
-        )
+        self.execute(input, |split| split, None, reducer, &HashPartitioner)
     }
 
     /// Executes the job: the one body behind every `run*` method, which
@@ -800,7 +790,7 @@ mod tests {
         let combined = JobBuilder::new("combined")
             .reducers(4)
             .map_tasks(4)
-            .run_with_optional_combiner(input, &IdMap, Some(&SumCombiner), &SumRed)
+            .run_with_combiner(input, &IdMap, &SumCombiner, &SumRed)
             .unwrap();
 
         let mut a = plain.output.clone();
@@ -834,7 +824,7 @@ mod tests {
         let ident = JobBuilder::new("ident")
             .reducers(3)
             .map_tasks(3)
-            .run_with_optional_combiner(input, &IdMap, Some(&PassThrough), &SumRed)
+            .run_with_combiner(input, &IdMap, &PassThrough, &SumRed)
             .unwrap();
         let mut a = plain.output;
         let mut b = ident.output;
@@ -952,7 +942,7 @@ mod tests {
         let combined = JobBuilder::new("combined")
             .reducers(4)
             .map_tasks(3)
-            .run_with_optional_combiner(input, &IdMap, Some(&SumCombiner), &SumRed)
+            .run_with_combiner(input, &IdMap, &SumCombiner, &SumRed)
             .unwrap();
 
         // Without a combiner the combine volume stays zero.
@@ -1010,7 +1000,7 @@ mod tests {
                     .reducers(reducers)
                     .map_tasks(map_tasks)
                     .workers(workers)
-                    .run_with_optional_combiner(values, &IdMap, Some(&SumCombiner), &SumRed)
+                    .run_with_combiner(values, &IdMap, &SumCombiner, &SumRed)
                     .unwrap();
                 // Same partitioner and per-partition sorted keys: the output
                 // must be identical record for record, not just as a set.
@@ -1163,17 +1153,16 @@ mod tests {
             ) {
                 let input = keyed(&raw, spread);
                 let recording = Recording::default();
-                let out = JobBuilder::new("job")
+                let job = JobBuilder::new("job")
                     .reducers(reducers)
                     .map_tasks(map_tasks)
-                    .workers(workers)
-                    .run_with_optional_combiner(
-                        input.clone(),
-                        &IdMap,
-                        combine.then_some(&recording),
-                        &Collect,
-                    )
-                    .unwrap();
+                    .workers(workers);
+                let out = if combine {
+                    job.run_with_combiner(input.clone(), &IdMap, &recording, &Collect)
+                } else {
+                    job.run(input.clone(), &IdMap, &Collect)
+                }
+                .unwrap();
                 let (output, calls, expected) = oracle(&input, map_tasks, reducers, combine);
                 prop_assert_eq!(out.output, output);
                 prop_assert_eq!(recording.calls(), calls);
@@ -1181,7 +1170,7 @@ mod tests {
             }
 
             /// `run_keyed` is the identity mapper without the clones: the
-            /// same output, combiner calls and counters.
+            /// same output and counters.
             #[test]
             fn run_keyed_equals_an_identity_mapper(
                 raw in collection::vec(0u64..u64::MAX, 0..400),
@@ -1189,27 +1178,15 @@ mod tests {
                 map_tasks in 1usize..10,
                 reducers in 1usize..7,
                 workers in 1usize..5,
-                combine in bool::ANY,
             ) {
                 let input = keyed(&raw, spread);
                 let job = JobBuilder::new("job")
                     .reducers(reducers)
                     .map_tasks(map_tasks)
                     .workers(workers);
-                let (keyed_calls, mapped_calls) = (Recording::default(), Recording::default());
-                let keyed = job
-                    .run_keyed(input.clone(), combine.then_some(&keyed_calls), &Collect)
-                    .unwrap();
-                let mapped = job
-                    .run_with_optional_combiner(
-                        input,
-                        &IdMap,
-                        combine.then_some(&mapped_calls),
-                        &Collect,
-                    )
-                    .unwrap();
+                let keyed = job.run_keyed(input.clone(), &Collect).unwrap();
+                let mapped = job.run(input, &IdMap, &Collect).unwrap();
                 prop_assert_eq!(keyed.output, mapped.output);
-                prop_assert_eq!(keyed_calls.calls(), mapped_calls.calls());
                 prop_assert_eq!(counters(&keyed.metrics), counters(&mapped.metrics));
             }
         }

@@ -100,9 +100,7 @@ pub trait Reducer: Send + Sync {
 /// let input: Vec<(u64, u64)> = (0..100).map(|i| (i % 4, 1)).collect();
 /// let job = JobBuilder::new("sum").reducers(2).map_tasks(4);
 /// let plain = job.run(input.clone(), &IdMap, &Sum).unwrap();
-/// let combined = job
-///     .run_with_optional_combiner(input, &IdMap, Some(&PartialSum), &Sum)
-///     .unwrap();
+/// let combined = job.run_with_combiner(input, &IdMap, &PartialSum, &Sum).unwrap();
 ///
 /// // Same answer, far fewer records across the shuffle:
 /// assert_eq!(combined.output, plain.output);

@@ -13,8 +13,9 @@
 //! The literals were recorded before the H-BRJ copy removal (borrowed
 //! shuffle records, trees built from borrowed rows, a reused probe scratch
 //! with 16-byte heap entries); the PBJ and H-zkNNJ `reducers(9)` rows before
-//! the merge job took borrowed per-cell runs and passed single lists through
-//! its combiner.  None may move with a change that claims to keep answers.
+//! the merge job took borrowed per-cell runs, and all three `reducers(9)`
+//! rows before the merge job dropped its map-side combiner.  None may move
+//! with a change that claims to keep answers.
 
 use pgbj::prelude::*;
 
@@ -101,21 +102,13 @@ fn digests(r: &PointSet, s: &PointSet) -> Vec<(String, u64)> {
         let result = prepared.query(r).expect("prepared query");
         out.push((format!("{algorithm} prepared"), digest(&result)));
     }
-    let result = builder(r, s, Algorithm::Hbrj, 9)
-        .run(&ctx)
-        .expect("cold join");
-    out.push((format!("{} reducers(9)", Algorithm::Hbrj), digest(&result)));
-    // A 3 x 3 grid of merge-job inputs, with and without the map-side
-    // combiner: the merge job's list order decides equal-distance survivors.
-    for algorithm in [Algorithm::Pbj, Algorithm::Zknn] {
-        for combiner in [false, true] {
-            let result = builder(r, s, algorithm, 9)
-                .combiner(combiner)
-                .run(&ctx)
-                .expect("cold join");
-            let label = format!("{algorithm} reducers(9) combiner({combiner})");
-            out.push((label, digest(&result)));
-        }
+    // A 3 x 3 grid of merge-job inputs over 3 map tasks, where one `r`'s
+    // lists can share a split: the merge job's list order decides
+    // equal-distance survivors.
+    for algorithm in [Algorithm::Hbrj, Algorithm::Pbj, Algorithm::Zknn] {
+        let result = builder(r, s, algorithm, 9).run(&ctx).expect("cold join");
+        let label = format!("{algorithm} reducers(9) map_tasks(3)");
+        out.push((label, digest(&result)));
     }
     out
 }
@@ -142,11 +135,9 @@ fn forest_answers_are_pinned() {
         0x8f27_b5cf_36f1_0cad, // NestedLoop cold
         0x60d4_87aa_39b9_e167, // PGBJ prepared
         0x60d4_87aa_39b9_e167, // PBJ prepared
-        0x8f27_b5cf_36f1_0cad, // H-BRJ reducers(9)
-        0x8f27_b5cf_36f1_0cad, // PBJ reducers(9) combiner(false)
-        0x8f27_b5cf_36f1_0cad, // PBJ reducers(9) combiner(true)
-        0x5197_f0d7_f061_ef79, // H-zkNNJ reducers(9) combiner(false)
-        0x5197_f0d7_f061_ef79, // H-zkNNJ reducers(9) combiner(true)
+        0x8f27_b5cf_36f1_0cad, // H-BRJ reducers(9) map_tasks(3)
+        0x8f27_b5cf_36f1_0cad, // PBJ reducers(9) map_tasks(3)
+        0x5197_f0d7_f061_ef79, // H-zkNNJ reducers(9) map_tasks(3)
     ];
     check("forest", forest(), &expected);
 }
@@ -163,11 +154,9 @@ fn grid_answers_are_pinned() {
         0x3638_282c_c389_8592, // NestedLoop cold
         0xc0af_4bbc_9fb7_775b, // PGBJ prepared
         0xc0af_4bbc_9fb7_775b, // PBJ prepared
-        0xa61f_34a9_aff5_9426, // H-BRJ reducers(9)
-        0xc84f_466d_c564_c105, // PBJ reducers(9) combiner(false)
-        0xc84f_466d_c564_c105, // PBJ reducers(9) combiner(true)
-        0xf831_a0ce_3731_cb6e, // H-zkNNJ reducers(9) combiner(false)
-        0xf831_a0ce_3731_cb6e, // H-zkNNJ reducers(9) combiner(true)
+        0xa61f_34a9_aff5_9426, // H-BRJ reducers(9) map_tasks(3)
+        0xc84f_466d_c564_c105, // PBJ reducers(9) map_tasks(3)
+        0xf831_a0ce_3731_cb6e, // H-zkNNJ reducers(9) map_tasks(3)
     ];
     check("grid", grid(), &expected);
 }

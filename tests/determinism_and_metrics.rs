@@ -52,8 +52,7 @@ fn repeated_runs_are_bit_identical() {
 #[test]
 fn worker_pool_size_does_not_change_results() {
     // The ExecutionContext owns physical parallelism; logical results and
-    // cost accounting must be identical whatever the pool size — and the
-    // map-side combiner may only change what a shuffle is charged.  Both
+    // cost accounting must be identical whatever the pool size.  Both
     // Voronoi joins move whole cells through their jobs, so this also pins
     // that no row or counter depends on which task a cell met; every join
     // count is a sum over tasks that add from several threads.
@@ -73,36 +72,25 @@ fn worker_pool_size_does_not_change_results() {
         ]
     };
     for algorithm in Algorithm::ALL {
-        let run = |workers: usize, combiner: bool| {
+        let run = |workers: usize| {
             let ctx = ExecutionContext::builder().workers(workers).build();
             Join::new(&r, &s)
                 .k(5)
                 .algorithm(algorithm)
                 .pivot_count(16)
                 .reducers(4)
-                .combiner(combiner)
                 .run(&ctx)
                 .unwrap()
         };
-        let reference = run(1, true);
-        for combiner in [true, false] {
-            let single = run(1, combiner);
-            assert!(single.matches(&reference, 0.0), "{algorithm} {combiner}");
-            // Without the combiner more is shipped, the rest is untouched.
+        let single = run(1);
+        for workers in [2, 4, 8] {
+            let pooled = run(workers);
+            assert!(single.matches(&pooled, 0.0), "{algorithm} x{workers}");
             assert_eq!(
-                counters(&single.metrics)[..5],
-                counters(&reference.metrics)[..5],
-                "{algorithm} combiner {combiner}"
+                counters(&single.metrics),
+                counters(&pooled.metrics),
+                "{algorithm} x{workers}"
             );
-            for workers in [2, 4, 8] {
-                let pooled = run(workers, combiner);
-                assert!(single.matches(&pooled, 0.0), "{algorithm} x{workers}");
-                assert_eq!(
-                    counters(&single.metrics),
-                    counters(&pooled.metrics),
-                    "{algorithm} combiner {combiner} x{workers}"
-                );
-            }
         }
     }
 }
@@ -152,9 +140,9 @@ fn join_cardinality_matches_definition() {
 #[test]
 fn shuffle_accounting_matches_record_sizes() {
     // Every shuffled record of both PGBJ jobs is a serialised `Record`, so
-    // with the combiner disabled the byte counter is exactly predictable:
-    // job 1 ships |R| + |S| singleton batches (u32 cell key + record), job 2
-    // ships the routed records (u32 group key + record).
+    // the byte counter is exactly predictable: job 1 ships every object of
+    // R ∪ S once, with one u32 cell key per batch its combiner let through;
+    // job 2 ships the routed records (u32 group key + record).
     let r = workload(7);
     let s = workload(8);
     let ctx = ExecutionContext::default();
@@ -163,33 +151,45 @@ fn shuffle_accounting_matches_record_sizes() {
         .algorithm(Algorithm::Pgbj)
         .pivot_count(16)
         .reducers(4)
-        .combiner(false)
         .run(&ctx)
         .unwrap();
+    let m = &result.metrics;
     let record_bytes =
         geom::Record::new(geom::RecordKind::R, 0, 0.0, r.points()[0].clone()).encoded_len() as u64;
-    let job1_bytes = (r.len() + s.len()) as u64 * (record_bytes + 4);
-    let job2_bytes = (result.metrics.r_records_shuffled + result.metrics.s_records_shuffled)
-        * (record_bytes + 4);
-    assert_eq!(result.metrics.shuffle_bytes, job1_bytes + job2_bytes);
+    let job1_bytes = (r.len() + s.len()) as u64 * record_bytes + 4 * m.combine_output_records;
+    let job2_bytes = (m.r_records_shuffled + m.s_records_shuffled) * (record_bytes + 4);
+    assert_eq!(m.shuffle_bytes, job1_bytes + job2_bytes);
+    assert_eq!(m.combine_input_records, (r.len() + s.len()) as u64);
+}
 
-    // The map-side combiner must strictly undercut that volume without
-    // changing the join result.
-    let combined = Join::new(&r, &s)
-        .k(5)
-        .algorithm(Algorithm::Pgbj)
-        .pivot_count(16)
-        .reducers(4)
-        .combiner(true)
-        .run(&ctx)
-        .unwrap();
-    assert!(combined.matches(&result, 0.0));
-    assert!(combined.metrics.shuffle_bytes < result.metrics.shuffle_bytes);
-    assert!(combined.metrics.shuffle_records < result.metrics.shuffle_records);
-    assert_eq!(
-        combined.metrics.combine_input_records,
-        (r.len() + s.len()) as u64
-    );
+#[test]
+fn every_routed_r_replica_returns_as_one_merge_job_record() {
+    // The two-job algorithms' shuffle is exact bookkeeping: PBJ's job 1
+    // ships its combined batches, the join job ships every routed replica,
+    // and the merge job ships one partial list per routed `R` replica —
+    // whether one `r`'s lists land in different map splits (the default
+    // `map_tasks = 2·reducers`) or share one (fewer map tasks).
+    let r = workload(23);
+    let s = workload(24);
+    let ctx = ExecutionContext::default();
+    for algorithm in [Algorithm::Hbrj, Algorithm::Pbj, Algorithm::Zknn] {
+        for (reducers, map_tasks) in [(4, 8), (9, 18), (9, 3)] {
+            let m = Join::new(&r, &s)
+                .k(5)
+                .algorithm(algorithm)
+                .pivot_count(16)
+                .reducers(reducers)
+                .map_tasks(map_tasks)
+                .run(&ctx)
+                .unwrap()
+                .metrics;
+            assert_eq!(
+                m.shuffle_records,
+                m.combine_output_records + m.s_records_shuffled + 2 * m.r_records_shuffled,
+                "{algorithm} reducers({reducers}) map_tasks({map_tasks})"
+            );
+        }
+    }
 }
 
 #[test]

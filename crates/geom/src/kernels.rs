@@ -170,8 +170,6 @@ mod x86 {
     }
 
     #[inline]
-    // lint: allow(target-feature-parity) -- CPU-feature probe, not an
-    // accelerated kernel; it has no scalar twin by design.
     pub(super) fn have_avx2() -> bool {
         std::arch::is_x86_feature_detected!("avx2")
     }
@@ -400,8 +398,9 @@ fn squared_euclidean_batch_portable(q: &[f64], rows: &[f64], dim: usize, out: &m
 /// result agrees with [`squared_euclidean`] to ~1e-9 relative (measured
 /// ~4e-16), not bit for bit, and may differ in the last bits between CPUs
 /// with and without AVX2; elsewhere the portable loop returns the scalar
-/// kernel's bits.  No scan calls it ([`squared_euclidean_columns`] is the
-/// bit-exact family every scan ranks with).
+/// kernel's bits.  No scan calls it (the column kernels of
+/// [`crate::DistanceMetric::column_rank_kernel`] are the bit-exact family
+/// every scan ranks with).
 ///
 /// # Panics
 /// Panics if `q.len() != dim` or `rows.len() != dim * out.len()`.
@@ -511,7 +510,7 @@ fn check_columns(q: &[f64], cols: &[f64], stride: usize, first: usize, out: &[f6
 /// Panics if `cols.len() != q.len() * stride` or
 /// `first + out.len() > stride`.
 #[inline]
-pub fn squared_euclidean_columns(
+pub(crate) fn squared_euclidean_columns(
     q: &[f64],
     cols: &[f64],
     stride: usize,
@@ -534,7 +533,13 @@ pub fn squared_euclidean_columns(
 /// # Panics
 /// As [`squared_euclidean_columns`].
 #[inline]
-pub fn manhattan_columns(q: &[f64], cols: &[f64], stride: usize, first: usize, out: &mut [f64]) {
+pub(crate) fn manhattan_columns(
+    q: &[f64],
+    cols: &[f64],
+    stride: usize,
+    first: usize,
+    out: &mut [f64],
+) {
     check_columns(q, cols, stride, first, out);
     #[cfg(target_arch = "x86_64")]
     if x86::have_avx2() {
@@ -551,7 +556,13 @@ pub fn manhattan_columns(q: &[f64], cols: &[f64], stride: usize, first: usize, o
 /// # Panics
 /// As [`squared_euclidean_columns`].
 #[inline]
-pub fn chebyshev_columns(q: &[f64], cols: &[f64], stride: usize, first: usize, out: &mut [f64]) {
+pub(crate) fn chebyshev_columns(
+    q: &[f64],
+    cols: &[f64],
+    stride: usize,
+    first: usize,
+    out: &mut [f64],
+) {
     check_columns(q, cols, stride, first, out);
     #[cfg(target_arch = "x86_64")]
     if x86::have_avx2() {
@@ -709,18 +720,41 @@ mod tests {
         columns
     }
 
-    const COLUMN_KERNELS: [(&str, ColumnKernel, Kernel); 6] = [
-        ("l2", squared_euclidean_columns, squared_euclidean),
-        (
-            "l2 portable",
-            squared_euclidean_columns_portable,
-            squared_euclidean,
-        ),
-        ("l1", manhattan_columns, manhattan),
-        ("l1 portable", manhattan_columns_portable, manhattan),
-        ("linf", chebyshev_columns, chebyshev),
-        ("linf portable", chebyshev_columns_portable, chebyshev),
-    ];
+    /// Every metric's column kernel, as the scans reach it, and its
+    /// portable twin, each beside the metric's scalar rank kernel.  The
+    /// match is exhaustive: a new metric does not compile until it is
+    /// listed here with its twin.
+    fn column_kernels() -> Vec<(String, ColumnKernel, Kernel)> {
+        let metrics = [
+            DistanceMetric::Euclidean,
+            DistanceMetric::Manhattan,
+            DistanceMetric::Chebyshev,
+        ];
+        let portable = |metric| -> ColumnKernel {
+            match metric {
+                DistanceMetric::Euclidean => squared_euclidean_columns_portable,
+                DistanceMetric::Manhattan => manhattan_columns_portable,
+                DistanceMetric::Chebyshev => chebyshev_columns_portable,
+            }
+        };
+        metrics
+            .into_iter()
+            .flat_map(|m| {
+                [
+                    (
+                        m.name().to_string(),
+                        m.column_rank_kernel(),
+                        m.rank_kernel(),
+                    ),
+                    (
+                        format!("{} portable", m.name()),
+                        portable(m),
+                        m.rank_kernel(),
+                    ),
+                ]
+            })
+            .collect()
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2))]
@@ -740,7 +774,7 @@ mod tests {
                 let q = adversarial(&seed, 0, dims);
                 let block = adversarial(&seed, dims, dims * ROWS);
                 let columns = to_columns(&block, dims);
-                for (name, kernel, scalar) in COLUMN_KERNELS {
+                for (name, kernel, scalar) in column_kernels() {
                     let want: Vec<u64> = block
                         .chunks_exact(dims)
                         .map(|row| scalar(&q, row).to_bits())
@@ -771,7 +805,7 @@ mod tests {
                 let block = adversarial(&seed, 3, dims * rows);
                 let columns = to_columns(&block, dims);
                 let q = adversarial(&seed, 11, dims);
-                for (name, kernel, scalar) in COLUMN_KERNELS {
+                for (name, kernel, scalar) in column_kernels() {
                     for len in 1..=rows {
                         let mut out = vec![f64::NAN; len];
                         kernel(&q, &columns, rows, rows - len, &mut out);

@@ -264,6 +264,7 @@ pub(crate) fn probe_rows<S>(
     new_scan: impl Fn() -> S + Sync,
     scan_row: impl Fn(&mut S, usize, &[f64]) -> (Vec<Neighbor>, ScanCounts) + Sync,
 ) -> Vec<Vec<Neighbor>> {
+    mapreduce::sync::assert_none_held("probe_rows");
     let start = Instant::now();
     let n = rows.len();
     let scan_range = |range: Range<usize>| {

@@ -208,6 +208,7 @@ impl JoinPlan {
         s: &PointSet,
         ctx: &ExecutionContext,
     ) -> Result<JoinResult, JoinError> {
+        mapreduce::sync::assert_none_held("JoinPlan::execute");
         self.validate()?;
         validate_inputs(r, s, self.k)?;
         let mut metrics = JoinMetrics {

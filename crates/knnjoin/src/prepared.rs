@@ -82,8 +82,7 @@ use crate::metrics::{phases, JoinMetrics};
 use crate::plan::{Algorithm, JoinPlan};
 use crate::result::{JoinError, JoinResult, JoinRow};
 use geom::{DistanceMetric, Neighbor, Point, PointId, PointSet};
-use mapreduce::sync::{ranks, RankedMutex, RankedRwLock};
-use std::sync::atomic::{AtomicU64, Ordering};
+use mapreduce::sync::{assert_none_held, ranks, RankedMutex, RankedRwLock};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -128,19 +127,25 @@ struct Inner {
     mutate: RankedMutex<()>,
     build_metrics: JoinMetrics,
     build_time: Duration,
-    queries: AtomicU64,
-    query_nanos: AtomicU64,
-    /// Every query's and every compaction's [`JoinMetrics`], absorbed.
-    cumulative: RankedMutex<JoinMetrics>,
+    cumulative: RankedMutex<Cumulative>,
+}
+
+/// Every query's and every compaction's [`JoinMetrics`], absorbed, and the
+/// query count and time, booked with them in one critical section.
+#[derive(Debug, Default)]
+struct Cumulative {
+    metrics: JoinMetrics,
+    queries: u64,
+    query_time: Duration,
 }
 
 impl Inner {
     fn snapshot(&self) -> Arc<Epoch> {
-        Arc::clone(&self.epoch.read())
+        self.epoch.read_with(Arc::clone)
     }
 
     fn publish(&self, epoch: Epoch) {
-        *self.epoch.write() = Arc::new(epoch);
+        self.epoch.write_with(|current| *current = Arc::new(epoch));
     }
 }
 
@@ -172,6 +177,7 @@ impl PreparedJoin {
         plan: JoinPlan,
         ctx: &ExecutionContext,
     ) -> Result<Self, JoinError> {
+        assert_none_held("PreparedJoin::build");
         if !plan.algorithm.uses_pivots() {
             return Err(JoinError::InvalidConfig(format!(
                 "prepare builds the Voronoi index of PGBJ and PBJ only; {} runs cold",
@@ -207,12 +213,10 @@ impl PreparedJoin {
                 mutate: RankedMutex::new(ranks::PREPARED_MUTATE, "prepared.mutate", ()),
                 build_metrics,
                 build_time,
-                queries: AtomicU64::new(0),
-                query_nanos: AtomicU64::new(0),
                 cumulative: RankedMutex::new(
                     ranks::PREPARED_CUMULATIVE,
                     "prepared.cumulative",
-                    JoinMetrics::default(),
+                    Cumulative::default(),
                 ),
             }),
         })
@@ -255,21 +259,20 @@ impl PreparedJoin {
     /// moved.  Reads the published snapshot's number under the epoch read
     /// lock, like every probe.
     pub fn epoch(&self) -> u64 {
-        self.inner.epoch.read().number
+        self.inner.epoch.read_with(|epoch| epoch.number)
     }
 
     /// The delta layer's current shape: pending overlay sizes plus lifetime
     /// compaction totals.
     pub fn delta_stats(&self) -> DeltaStats {
         let epoch = self.inner.snapshot();
-        let cumulative = self.inner.cumulative.lock();
-        DeltaStats {
+        self.inner.cumulative.with(|c| DeltaStats {
             epoch: epoch.number,
             pending_adds: epoch.delta.adds_len(),
             pending_tombstones: epoch.delta.tombstones_len(),
-            compactions: cumulative.compactions,
-            compacted_points: cumulative.compacted_points,
-        }
+            compactions: c.metrics.compactions,
+            compacted_points: c.metrics.compacted_points,
+        })
     }
 
     /// The live corpus in ascending id order: the frozen rows, read from the
@@ -308,13 +311,14 @@ impl PreparedJoin {
             });
         }
         check_finite("S", [point.coords.as_slice()])?;
-        let _guard = self.inner.mutate.lock();
-        let epoch = self.inner.snapshot();
-        // An upsert over a frozen object masks the frozen copy and serves
-        // the new coordinates from the memtable.
-        let frozen = epoch.frozen_ids.binary_search(&point.id).is_ok();
-        let delta = epoch.delta.after_insert(point.id, &point.coords, frozen);
-        self.commit(&epoch, delta);
+        self.inner.mutate.with(|_| {
+            let epoch = self.inner.snapshot();
+            // An upsert over a frozen object masks the frozen copy and serves
+            // the new coordinates from the memtable.
+            let frozen = epoch.frozen_ids.binary_search(&point.id).is_ok();
+            let delta = epoch.delta.after_insert(point.id, &point.coords, frozen);
+            self.commit(&epoch, delta);
+        });
         Ok(())
     }
 
@@ -322,32 +326,34 @@ impl PreparedJoin {
     /// frozen structures are untouched: the id joins the tombstone set and
     /// every probe path masks it before ranking.
     pub fn delete(&self, id: PointId) -> bool {
-        let _guard = self.inner.mutate.lock();
-        let epoch = self.inner.snapshot();
-        let frozen = epoch.frozen_ids.binary_search(&id).is_ok();
-        // Nothing changed: don't publish a new epoch for a no-op.
-        let Some(delta) = epoch.delta.after_delete(id, frozen) else {
-            return false;
-        };
-        self.commit(&epoch, delta);
-        true
+        self.inner.mutate.with(|_| {
+            let epoch = self.inner.snapshot();
+            let frozen = epoch.frozen_ids.binary_search(&id).is_ok();
+            // Nothing changed: don't publish a new epoch for a no-op.
+            let Some(delta) = epoch.delta.after_delete(id, frozen) else {
+                return false;
+            };
+            self.commit(&epoch, delta);
+            true
+        })
     }
 
     /// Forces a compaction of the pending overlay into a new frozen epoch,
     /// returning whether one ran (`false` when the overlay is empty or the
     /// corpus has no live objects to rebuild over).
     pub fn compact(&self) -> bool {
-        let _guard = self.inner.mutate.lock();
-        let epoch = self.inner.snapshot();
-        if epoch.delta.is_empty() || epoch.live_len() == 0 {
-            return false;
-        }
-        let next = Epoch {
-            number: epoch.number + 1,
-            ..(*epoch).clone()
-        };
-        self.inner.publish(self.run_compaction(next));
-        true
+        self.inner.mutate.with(|_| {
+            let epoch = self.inner.snapshot();
+            if epoch.delta.is_empty() || epoch.live_len() == 0 {
+                return false;
+            }
+            let next = Epoch {
+                number: epoch.number + 1,
+                ..(*epoch).clone()
+            };
+            self.inner.publish(self.run_compaction(next));
+            true
+        })
     }
 
     /// Publishes `delta` as the next epoch, compacted when the overlay
@@ -383,7 +389,7 @@ impl PreparedJoin {
         let state = epoch.state.compact(&epoch.delta, &inner.plan, &mut metrics);
         let frozen_ids: Arc<[PointId]> = epoch.delta.live_ids(&epoch.frozen_ids).into();
         metrics.record_phase(phases::COMPACTION, start.elapsed());
-        inner.cumulative.lock().absorb(&metrics);
+        inner.cumulative.with(|c| c.metrics.absorb(&metrics));
         #[cfg(any(test, feature = "debug-invariants"))]
         assert!(
             frozen_ids.is_sorted_by(|a, b| a < b) && frozen_ids.len() == state.points().count(),
@@ -407,20 +413,17 @@ impl PreparedJoin {
     /// Serving statistics: queries answered, build time, cumulative query
     /// time (amortization helpers included).
     pub fn stats(&self) -> ServingStats {
-        ServingStats {
-            // ORDERING: Relaxed — the two counters are bumped independently
-            // per query; a snapshot between the two bumps is acceptable for
-            // serving statistics and no other state is guarded by them.
-            queries: self.inner.queries.load(Ordering::Relaxed),
+        self.inner.cumulative.with(|c| ServingStats {
+            queries: c.queries,
             build_time: self.inner.build_time,
-            total_query_time: Duration::from_nanos(self.inner.query_nanos.load(Ordering::Relaxed)),
-        }
+            total_query_time: c.query_time,
+        })
     }
 
     /// The session-wide accumulation of every query's [`JoinMetrics`]
     /// (shared across clones of the handle).
     pub fn cumulative_metrics(&self) -> JoinMetrics {
-        self.inner.cumulative.lock().clone()
+        self.inner.cumulative.with(|c| c.metrics.clone())
     }
 
     /// The one rule set for probe input, shared with the server's admission
@@ -465,29 +468,24 @@ impl PreparedJoin {
         self.validate_rows(rows)?;
         let inner = &*self.inner;
         let epoch = inner.snapshot();
-        let delta = &*epoch.delta;
+        let (state, delta) = (&epoch.state, &*epoch.delta);
         let mut metrics = JoinMetrics {
             r_size: rows.len(),
             s_size: epoch.live_len(),
             ..Default::default()
         };
         let start = Instant::now();
-        let mut neighbors =
-            epoch
-                .state
-                .probe(rows, &inner.plan, inner.ctx.workers(), delta, &mut metrics);
+        let workers = inner.ctx.workers();
+        let mut neighbors = state.probe(rows, &inner.plan, workers, delta, &mut metrics);
         let elapsed = start.elapsed();
         for list in &mut neighbors {
             list.sort();
         }
-        // ORDERING: Relaxed — independent monotonic serving counters; the
-        // query result itself was produced from the epoch snapshot above and
-        // never synchronizes through these.
-        inner.queries.fetch_add(1, Ordering::Relaxed);
-        inner
-            .query_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        inner.cumulative.lock().absorb(&metrics);
+        inner.cumulative.with(|c| {
+            c.metrics.absorb(&metrics);
+            c.queries += 1;
+            c.query_time += elapsed;
+        });
         Ok((neighbors, metrics))
     }
 
@@ -520,5 +518,34 @@ impl PreparedJoin {
             r_id: point.id,
             neighbors,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// A query made while a ranked lock is held fails on entry to the
+    /// probe, naming the lock; the unwind releases it.
+    #[cfg(feature = "debug-invariants")]
+    #[test]
+    fn a_probe_under_a_ranked_lock_names_the_lock() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let corpus = datagen::uniform(200, 2, 100.0, 1);
+        let batch = datagen::uniform(8, 2, 100.0, 2);
+        let prepared = crate::JoinBuilder::new(&batch, &corpus)
+            .k(3)
+            .algorithm(crate::Algorithm::Pgbj)
+            .prepare(&crate::ExecutionContext::default())
+            .unwrap();
+        let mutate = &prepared.inner.mutate;
+        let outcome = catch_unwind(AssertUnwindSafe(|| mutate.with(|_| prepared.query(&batch))));
+        if cfg!(debug_assertions) {
+            let panic = outcome.expect_err("a probe under a lock must fail");
+            let message = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                message.contains("probe_rows") && message.contains("prepared.mutate"),
+                "got: {message}"
+            );
+        }
+        assert_eq!(prepared.query(&batch).unwrap().len(), 8);
     }
 }

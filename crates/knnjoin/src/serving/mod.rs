@@ -28,9 +28,9 @@
 //!   queueing unboundedly, so overload surfaces as typed back-pressure
 //!   rather than latency collapse.  A [`Ticket`] dropped unwaited withdraws
 //!   its request, so fire-and-forget clients cannot hold the queue full.
-//! * **Bounded permits + mergeable latency histograms** — each permit
-//!   records per-request latency into its own [`LatencyHistogram`], merged
-//!   on demand by [`Server::stats`] into p50/p95/p99 and QPS.
+//! * **Bounded permits + mergeable latency histograms** — each permit books
+//!   an answer's latency ([`LatencyHistogram`]) and count in its own shard,
+//!   merged on demand by [`Server::stats`] into p50/p95/p99 and QPS.
 //!
 //! The corpus stays fully mutable underneath: writers call
 //! [`PreparedJoin::insert`] / [`PreparedJoin::delete`] /
@@ -84,7 +84,6 @@ use geom::{Point, PointSet};
 use mapreduce::sync::{ranks, RankedMutex};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -200,18 +199,23 @@ struct BatchRequest {
     slot: Arc<Slot<JoinResult>>,
 }
 
-/// Queued-but-not-yet-taken work and the free probe permits, under the
-/// server's one `std` mutex.  (`parking_lot`'s vendored shim has no
-/// `Condvar`, and the queue needs one; the sharded `parking_lot` locks live
-/// where no waiting is needed — the per-permit histograms.)
+/// Queued-but-not-yet-taken work, the free probe permits and the admission
+/// and coalescing counts, under the server's one `std` mutex.  (The vendored
+/// `parking_lot` has no `Condvar`, and the queue needs one; the sharded
+/// `parking_lot` locks live where no waiting is needed — the [`Shard`]s.)
 #[derive(Debug, Default)]
 struct Queue {
     singles: VecDeque<SingleRequest>,
     batches: VecDeque<BatchRequest>,
-    /// Free permits, each the index of its histogram shard.
+    /// Free permits, each the index of its shard.
     permits: Vec<usize>,
     /// No new admissions; [`Server::shutdown`] is draining the queue.
     draining: bool,
+    submitted: u64,
+    rejected: u64,
+    batch_requests: u64,
+    coalesced_batches: u64,
+    coalesced_points: u64,
 }
 
 impl Queue {
@@ -229,6 +233,8 @@ impl Queue {
         let work = match lane {
             Lane::Singles if !self.singles.is_empty() => {
                 let take = self.singles.len().min(MAX_BATCH);
+                self.coalesced_batches += 1;
+                self.coalesced_points += take as u64;
                 Work::Coalesced(self.singles.drain(..take).collect())
             }
             Lane::Singles => return None,
@@ -245,16 +251,18 @@ struct Shared {
     /// Signalled once per round, when its permit comes back.
     returned: Condvar,
     queue_cap: usize,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    failed: AtomicU64,
-    coalesced_batches: AtomicU64,
-    coalesced_points: AtomicU64,
-    batch_requests: AtomicU64,
-    /// One histogram per permit: the hot path locks only its own shard, the
-    /// aggregate is a merge (associative, so grouping doesn't matter).
-    histograms: Vec<RankedMutex<LatencyHistogram>>,
+    /// One shard per permit: the hot path locks only its own, the aggregate
+    /// is a merge (associative, so grouping doesn't matter).
+    shards: Vec<RankedMutex<Shard>>,
+}
+
+/// One permit's answers, each booked in its latency and in one count under
+/// one lock: every snapshot has `latency.count() == completed + failed`.
+#[derive(Debug, Default)]
+struct Shard {
+    latency: LatencyHistogram,
+    completed: u64,
+    failed: u64,
 }
 
 /// One unit of work a round took off the queue.
@@ -265,7 +273,7 @@ enum Work {
     Batch(BatchRequest),
 }
 
-/// A permit (its histogram-shard index) on loan to the thread leading a
+/// A permit (its shard index) on loan to the thread leading a
 /// round.  Dropping it — when the round ends or while a panic unwinds —
 /// hands it back and wakes every waiter, so no panic strands the followers.
 struct Permit<'a>(&'a Shared, usize);
@@ -312,10 +320,6 @@ impl Shared {
     /// never enter it: two clients querying the same id can share a batch,
     /// and each client's row comes back under its own point id.
     fn run_coalesced(&self, index: usize, requests: Vec<SingleRequest>) {
-        // ORDERING: Relaxed — monotonic statistics counters only.
-        self.coalesced_batches.fetch_add(1, Ordering::Relaxed);
-        self.coalesced_points
-            .fetch_add(requests.len() as u64, Ordering::Relaxed);
         let rows: Vec<&[f64]> = requests
             .iter()
             .map(|request| request.point.coords.as_slice())
@@ -346,15 +350,16 @@ impl Shared {
         *lock_tolerant(&request.slot) = Some(outcome);
     }
 
-    /// Books one answered request: latency into this permit's histogram
-    /// shard, completed/failed counters.
+    /// Books one answered request into this permit's shard: its latency
+    /// and its completed or failed count.
     fn finish(&self, index: usize, submitted: Instant, ok: bool) {
-        if let Some(shard) = self.histograms.get(index) {
-            shard.lock().record(submitted.elapsed());
+        if let Some(shard) = self.shards.get(index) {
+            shard.with(|shard| {
+                shard.latency.record(submitted.elapsed());
+                shard.completed += u64::from(ok);
+                shard.failed += u64::from(!ok);
+            });
         }
-        let counter = if ok { &self.completed } else { &self.failed };
-        // ORDERING: Relaxed — monotonic statistics counters only.
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -391,19 +396,12 @@ impl Server {
             }),
             returned: Condvar::new(),
             queue_cap: config.queue_depth.max(1),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            coalesced_batches: AtomicU64::new(0),
-            coalesced_points: AtomicU64::new(0),
-            batch_requests: AtomicU64::new(0),
-            histograms: (0..permits)
+            shards: (0..permits)
                 .map(|_| {
                     RankedMutex::new(
                         ranks::SERVING_HISTOGRAM,
                         "serving.histogram",
-                        LatencyHistogram::new(),
+                        Shard::default(),
                     )
                 })
                 .collect(),
@@ -489,19 +487,18 @@ impl Server {
     /// else hand back the locked queue.  Counts under the queue lock, so the
     /// stats a finished [`Server::shutdown`] returns include every admission.
     fn admit(&self, lane: Lane) -> Result<MutexGuard<'_, Queue>, JoinError> {
-        let queue = lock_tolerant(&self.shared.queue);
+        let mut queue = lock_tolerant(&self.shared.queue);
         if queue.draining {
             return Err(JoinError::ServerShutdown);
         }
         let (depth, capacity) = (queue.depth(), self.shared.queue_cap);
-        // ORDERING: Relaxed — monotonic statistics counters only.
         if depth >= capacity {
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
+            queue.rejected += 1;
             return Err(JoinError::Overloaded { depth, capacity });
         }
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
+        queue.submitted += 1;
         if let Lane::Batches = lane {
-            self.shared.batch_requests.fetch_add(1, Ordering::Relaxed);
+            queue.batch_requests += 1;
         }
         Ok(queue)
     }
@@ -509,22 +506,23 @@ impl Server {
     /// A point-in-time view of the serving counters and the merged latency
     /// histogram.
     pub fn stats(&self) -> ServerStats {
-        let shared = &*self.shared;
-        let mut latency = LatencyHistogram::new();
-        for shard in &shared.histograms {
-            latency.merge(&shard.lock());
+        let (mut latency, mut completed, mut failed) = (LatencyHistogram::new(), 0, 0);
+        for shard in &self.shared.shards {
+            shard.with(|shard| {
+                latency.merge(&shard.latency);
+                completed += shard.completed;
+                failed += shard.failed;
+            });
         }
+        let queue = lock_tolerant(&self.shared.queue);
         ServerStats {
-            // ORDERING: Relaxed — the stats snapshot is advisory: each
-            // counter is independently monotonic and nothing downstream
-            // synchronizes on their relative order.
-            submitted: shared.submitted.load(Ordering::Relaxed),
-            completed: shared.completed.load(Ordering::Relaxed),
-            rejected: shared.rejected.load(Ordering::Relaxed),
-            failed: shared.failed.load(Ordering::Relaxed),
-            coalesced_batches: shared.coalesced_batches.load(Ordering::Relaxed),
-            coalesced_points: shared.coalesced_points.load(Ordering::Relaxed),
-            batch_requests: shared.batch_requests.load(Ordering::Relaxed),
+            submitted: queue.submitted,
+            completed,
+            rejected: queue.rejected,
+            failed,
+            coalesced_batches: queue.coalesced_batches,
+            coalesced_points: queue.coalesced_points,
+            batch_requests: queue.batch_requests,
             latency,
             uptime: self.started.elapsed(),
         }
@@ -541,7 +539,7 @@ impl Server {
         let shared = &*self.shared;
         lock_tolerant(&shared.queue).draining = true;
         shared.lead_until(&[Lane::Singles, Lane::Batches], |queue| {
-            (queue.depth() == 0 && queue.permits.len() == shared.histograms.len()).then_some(())
+            (queue.depth() == 0 && queue.permits.len() == shared.shards.len()).then_some(())
         });
         self.stats()
     }

@@ -5,17 +5,25 @@
 //! thread must only acquire locks in strictly increasing rank order.  The
 //! declared order (lowest = outermost) is:
 //!
-//! | rank | lock | lives in |
-//! |------|------|----------|
-//! | 10 | `prepared.mutate` | `knnjoin::prepared` |
-//! | 20 | `prepared.epoch` (`RwLock`) | `knnjoin::prepared` |
-//! | 40 | `prepared.cumulative` | `knnjoin::prepared` |
-//! | 60 | `serving.histogram` | `knnjoin::serving` |
+//! | rank | lock | lives in | guards |
+//! |------|------|----------|--------|
+//! | 10 | `prepared.mutate` | `knnjoin::prepared` | nothing: serializes insert, delete and compaction |
+//! | 20 | `prepared.epoch` (`RwLock`) | `knnjoin::prepared` | the published epoch |
+//! | 40 | `prepared.cumulative` | `knnjoin::prepared` | absorbed metrics, query count and time |
+//! | 60 | `serving.histogram` | `knnjoin::serving` | one permit's latencies, completed and failed counts |
 //!
 //! (The serving front-end's request queue uses a `std` mutex because it
 //! needs a `Condvar`; it is rank-isolated by construction — no other lock is
 //! ever held while acquiring it, and it is always released before any probe
-//! runs — and is therefore outside this table.)
+//! runs — and is therefore outside this table.  It also holds the admission
+//! and coalescing counts; its result cells are leaves.)
+//!
+//! A lock is held only for the closure passed to [`RankedMutex::with`],
+//! [`RankedRwLock::read_with`] or [`RankedRwLock::write_with`]: no guard
+//! outlives the call, so none can be kept across a probe by accident, and
+//! one that is taken inside the closure is caught by
+//! [`assert_none_held`], which the prepared probe, every cold run and
+//! `prepare` call on entry.
 //!
 //! By default [`RankedMutex`] and [`RankedRwLock`] are zero-cost newtypes
 //! over the `parking_lot` shims.  With the `debug-invariants` cargo feature
@@ -23,12 +31,9 @@
 //! acquisition that the new lock's rank strictly exceeds every rank already
 //! held by the thread — an out-of-order acquisition (a potential deadlock,
 //! or a violation of the documented discipline) fails the test run at the
-//! exact site instead of deadlocking once in a blue moon.  The static twin
-//! of this check is `cargo run -p analysis -- check` (lint `lock-order`),
-//! which verifies the same table intra-function without running anything.
+//! exact site instead of deadlocking once in a blue moon.
 
 use parking_lot::{Mutex, RwLock};
-use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// Declared ranks, lowest = acquired first.  Gaps leave room for future
 /// locks without renumbering.
@@ -82,10 +87,35 @@ mod audit {
         });
     }
 
-    /// The number of audited locks the current thread holds (test helper).
+    /// The number of audited locks the current thread holds.
     pub(super) fn held_count() -> usize {
         HELD.with(|held| held.borrow().len())
     }
+
+    /// See [`super::assert_none_held`].
+    pub(super) fn assert_none_held(site: &str) {
+        debug_assert!(
+            held_count() == 0,
+            "{site} entered while holding {}; no ranked lock may be held \
+             across a probe or a run",
+            HELD.with(|held| {
+                let names: Vec<&str> = held.borrow().iter().map(|&(_, name)| name).collect();
+                names.join(", ")
+            })
+        );
+    }
+}
+
+/// Asserts under `debug-invariants` that the calling thread holds no ranked
+/// lock, naming `site` and every lock it holds; compiles to nothing without
+/// the feature.  Called on entry to the routines that scan: a lock held
+/// there would be held for a whole probe or join.
+#[inline]
+pub fn assert_none_held(site: &str) {
+    #[cfg(feature = "debug-invariants")]
+    audit::assert_none_held(site);
+    #[cfg(not(feature = "debug-invariants"))]
+    let _ = site;
 }
 
 /// Tracks one registered acquisition; unregisters on drop.  A zero-sized
@@ -132,13 +162,6 @@ pub struct RankedMutex<T> {
     inner: Mutex<T>,
 }
 
-/// Guard of a [`RankedMutex`]; releases the audit registration on drop.
-#[derive(Debug)]
-pub struct RankedMutexGuard<'a, T> {
-    guard: MutexGuard<'a, T>,
-    _registration: Registration,
-}
-
 impl<T> RankedMutex<T> {
     /// Creates the lock with its declared rank and display name.
     pub fn new(rank: u8, name: &'static str, value: T) -> Self {
@@ -149,35 +172,12 @@ impl<T> RankedMutex<T> {
         }
     }
 
-    /// Acquires the lock, auditing the acquisition order under
-    /// `debug-invariants`.
+    /// Runs `f` on the locked value and releases the lock when `f` returns
+    /// or unwinds, auditing the acquisition order under `debug-invariants`.
     #[inline]
-    pub fn lock(&self) -> RankedMutexGuard<'_, T> {
-        let registration = Registration::acquire(self.rank, self.name);
-        RankedMutexGuard {
-            guard: self.inner.lock(),
-            _registration: registration,
-        }
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
-    }
-}
-
-impl<T> std::ops::Deref for RankedMutexGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T> std::ops::DerefMut for RankedMutexGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
+    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        let _registration = Registration::acquire(self.rank, self.name);
+        f(&mut self.inner.lock())
     }
 }
 
@@ -190,20 +190,6 @@ pub struct RankedRwLock<T> {
     inner: RwLock<T>,
 }
 
-/// Read guard of a [`RankedRwLock`].
-#[derive(Debug)]
-pub struct RankedReadGuard<'a, T> {
-    guard: RwLockReadGuard<'a, T>,
-    _registration: Registration,
-}
-
-/// Write guard of a [`RankedRwLock`].
-#[derive(Debug)]
-pub struct RankedWriteGuard<'a, T> {
-    guard: RwLockWriteGuard<'a, T>,
-    _registration: Registration,
-}
-
 impl<T> RankedRwLock<T> {
     /// Creates the lock with its declared rank and display name.
     pub fn new(rank: u8, name: &'static str, value: T) -> Self {
@@ -214,58 +200,18 @@ impl<T> RankedRwLock<T> {
         }
     }
 
-    /// Acquires shared read access, auditing the acquisition order under
-    /// `debug-invariants`.
+    /// Runs `f` with shared read access, as [`RankedMutex::with`].
     #[inline]
-    pub fn read(&self) -> RankedReadGuard<'_, T> {
-        let registration = Registration::acquire(self.rank, self.name);
-        RankedReadGuard {
-            guard: self.inner.read(),
-            _registration: registration,
-        }
+    pub fn read_with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+        let _registration = Registration::acquire(self.rank, self.name);
+        f(&self.inner.read())
     }
 
-    /// Acquires exclusive write access, auditing the acquisition order under
-    /// `debug-invariants`.
+    /// Runs `f` with exclusive write access, as [`RankedMutex::with`].
     #[inline]
-    pub fn write(&self) -> RankedWriteGuard<'_, T> {
-        let registration = Registration::acquire(self.rank, self.name);
-        RankedWriteGuard {
-            guard: self.inner.write(),
-            _registration: registration,
-        }
-    }
-}
-
-impl<T> std::ops::Deref for RankedReadGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T> std::ops::Deref for RankedWriteGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T> std::ops::DerefMut for RankedWriteGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
-}
-
-impl<T: Default> Default for RankedMutex<T> {
-    /// A rank-255 lock named `unranked` — usable, but any lock acquired
-    /// while holding it trips the auditor.  Prefer [`RankedMutex::new`] with
-    /// a declared rank.
-    fn default() -> Self {
-        Self::new(u8::MAX, "unranked", T::default())
+    pub fn write_with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        let _registration = Registration::acquire(self.rank, self.name);
+        f(&mut self.inner.write())
     }
 }
 
@@ -277,13 +223,14 @@ mod tests {
     fn in_order_acquisition_is_clean() {
         let low = RankedMutex::new(ranks::PREPARED_CUMULATIVE, "prepared.cumulative", 1u32);
         let high = RankedMutex::new(ranks::SERVING_HISTOGRAM, "serving.histogram", 2u32);
-        let a = low.lock();
-        let b = high.lock();
-        assert_eq!(*a + *b, 3);
-        #[cfg(feature = "debug-invariants")]
-        assert_eq!(audit::held_count(), 2);
-        drop(b);
-        drop(a);
+        let sum = low.with(|a| {
+            high.with(|b| {
+                #[cfg(feature = "debug-invariants")]
+                assert_eq!(audit::held_count(), 2);
+                *a + *b
+            })
+        });
+        assert_eq!(sum, 3);
         #[cfg(feature = "debug-invariants")]
         assert_eq!(audit::held_count(), 0);
     }
@@ -292,22 +239,20 @@ mod tests {
     fn rwlock_read_then_higher_mutex_is_clean() {
         let epoch = RankedRwLock::new(ranks::PREPARED_EPOCH, "prepared.epoch", 7u32);
         let cumulative = RankedMutex::new(ranks::PREPARED_CUMULATIVE, "prepared.cumulative", 0u32);
-        let r = epoch.read();
-        let c = cumulative.lock();
-        assert_eq!(*r + *c, 7);
+        epoch.write_with(|r| *r += 1);
+        assert_eq!(epoch.read_with(|r| cumulative.with(|c| *r + *c)), 8);
     }
 
     /// The provocation test: acquiring a lower-ranked lock while holding a
     /// higher-ranked one must fire the auditor (debug builds with the
-    /// feature enabled).
+    /// feature enabled), and the unwind releases what was held.
     #[cfg(feature = "debug-invariants")]
     #[test]
     fn out_of_order_acquisition_fires_the_auditor() {
         let outcome = std::panic::catch_unwind(|| {
             let high = RankedMutex::new(ranks::SERVING_HISTOGRAM, "serving.histogram", ());
             let low = RankedMutex::new(ranks::PREPARED_CUMULATIVE, "prepared.cumulative", ());
-            let _held = high.lock();
-            let _violation = low.lock();
+            high.with(|_| low.with(|_| ()));
         });
         if cfg!(debug_assertions) {
             let err = outcome.expect_err("auditor must fire on inversion");
@@ -316,10 +261,6 @@ mod tests {
                 .cloned()
                 .unwrap_or_else(|| "non-string panic".to_string());
             assert!(msg.contains("lock-order violation"), "got: {msg}");
-            // The poisoned stack entries from the aborted acquisition must
-            // not leak into later tests on this thread.
-            audit::release(ranks::SERVING_HISTOGRAM, "serving.histogram");
-            audit::release(ranks::PREPARED_CUMULATIVE, "prepared.cumulative");
             assert_eq!(audit::held_count(), 0);
         }
     }
@@ -331,13 +272,11 @@ mod tests {
         let outcome = std::panic::catch_unwind(|| {
             let a = RankedMutex::new(ranks::SERVING_HISTOGRAM, "serving.histogram", ());
             let b = RankedMutex::new(ranks::SERVING_HISTOGRAM, "serving.histogram", ());
-            let _held = a.lock();
-            let _violation = b.lock();
+            a.with(|_| b.with(|_| ()));
         });
         if cfg!(debug_assertions) {
             assert!(outcome.is_err(), "same-rank nesting must fire");
-            audit::release(ranks::SERVING_HISTOGRAM, "serving.histogram");
-            audit::release(ranks::SERVING_HISTOGRAM, "serving.histogram");
+            assert_eq!(audit::held_count(), 0);
         }
     }
 }

@@ -331,7 +331,8 @@ fn cumulative_metrics_sum_the_returned_query_metrics() {
 
 /// `epoch()` reads the published snapshot: while writers insert
 /// concurrently, every reader sees it move forward only, and never past the
-/// number of mutations that have started.
+/// number of mutations that have started.  The readers query between reads,
+/// and `stats().queries` counts every one of their calls.
 #[test]
 fn epoch_is_monotone_and_bounded_by_mutations_under_concurrent_writers() {
     const WRITERS: u64 = 3;
@@ -363,21 +364,27 @@ fn epoch_is_monotone_and_bounded_by_mutations_under_concurrent_writers() {
                 }
             });
         }
-        for _ in 0..2 {
-            let (prepared, started, barrier) = (&prepared, &started, &barrier);
-            scope.spawn(move || {
-                barrier.wait();
-                let mut last = 0;
-                while last < WRITERS * INSERTS_PER_WRITER {
-                    let seen = prepared.epoch();
-                    let bound = started.load(Ordering::SeqCst);
-                    assert!(seen >= last, "epoch went back: {last} -> {seen}");
-                    assert!(seen <= bound, "epoch {seen} ahead of {bound} mutations");
-                    last = seen;
-                    std::thread::yield_now();
-                }
-            });
-        }
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (prepared, started, barrier, r) = (&prepared, &started, &barrier, &r);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let (mut last, mut queries) = (0, 0u64);
+                    while last < WRITERS * INSERTS_PER_WRITER {
+                        let seen = prepared.epoch();
+                        let bound = started.load(Ordering::SeqCst);
+                        assert!(seen >= last, "epoch went back: {last} -> {seen}");
+                        assert!(seen <= bound, "epoch {seen} ahead of {bound} mutations");
+                        last = seen;
+                        prepared.query(r).expect("query");
+                        queries += 1;
+                    }
+                    queries
+                })
+            })
+            .collect();
+        let queries: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(prepared.stats().queries, queries);
     });
     // Every insert used a fresh id, so each one was an effective mutation.
     assert_eq!(prepared.epoch(), WRITERS * INSERTS_PER_WRITER);

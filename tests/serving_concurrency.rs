@@ -530,7 +530,9 @@ fn shutdown_drains_in_flight_and_is_idempotent() {
 /// Shutdown under load: four clients loop `query_one` while the main thread
 /// shuts the server down.  Every call returns a row or `ServerShutdown`
 /// (none hangs, none fails otherwise), and the stats `shutdown` returns
-/// count exactly the answers the clients saw.
+/// count exactly the answers the clients saw.  Every snapshot the main
+/// thread takes under load books each answer in the latency histogram and
+/// in a count together.
 #[test]
 fn shutdown_under_load_answers_or_refuses_every_call() {
     const CLIENTS: usize = 4;
@@ -544,7 +546,7 @@ fn shutdown_under_load_answers_or_refuses_every_call() {
     let points: Vec<Point> = queries.iter().cloned().collect();
     let answered = AtomicU64::new(0);
     let started = Barrier::new(CLIENTS + 1);
-    let stats = std::thread::scope(|scope| {
+    let (stats, split) = std::thread::scope(|scope| {
         for client in 0..CLIENTS {
             let (server, points, answered, started) = (&server, &points, &answered, &started);
             scope.spawn(move || {
@@ -564,11 +566,24 @@ fn shutdown_under_load_answers_or_refuses_every_call() {
             });
         }
         started.wait();
-        while server.stats().completed < 50 {
+        // Counted, not asserted here, and a failure ends the wait: a panic on
+        // this thread, or a wait for answers that never come, would leave the
+        // clients looping on a server nobody shuts down.
+        let mut split = 0;
+        loop {
+            let stats = server.stats();
+            split += u64::from(stats.latency.count() != stats.completed + stats.failed);
+            if stats.completed >= 50 || stats.failed > 0 {
+                break;
+            }
             std::thread::yield_now();
         }
-        server.shutdown()
+        (server.shutdown(), split)
     });
+    assert_eq!(
+        split, 0,
+        "snapshots that split an answer's latency from its count"
+    );
     let answered = answered.into_inner();
     assert!(answered >= 50);
     assert_eq!(stats.failed, 0);

@@ -1,8 +1,8 @@
 //! Pieces shared by every MapReduce join algorithm: the typed object value
 //! the jobs without a partitioning step shuffle, the per-cell runs of
 //! partial kNN lists and the borrowed lists the merge jobs shuffle, the
-//! kernel / delta / tile plumbing of the candidate scans, and the direct
-//! probe routine of the prepared join.
+//! kernel and tile plumbing of the candidate scans, and the batch size from
+//! which a prepared probe splits its rows across workers.
 //!
 //! Shuffle bytes are accounted, not produced: a [`ShuffleRecord`] (like the
 //! Voronoi family's cells, see [`crate::algorithms::voronoi`]) crosses the
@@ -10,14 +10,10 @@
 //! is charged the length [`geom::Record`]'s codec would give it — the codec
 //! is the reference for the unit, and nothing here serialises or copies.
 
-use crate::delta::DeltaOverlay;
-use crate::metrics::{phases, JoinMetrics};
 use crate::result::JoinRow;
 use geom::kernels::{ColumnKernel, Kernel, PROBE_TILE};
 use geom::{DistanceMetric, Neighbor, NeighborList, Point, PointId, PointSet, Record, RecordKind};
-use mapreduce::{parallel_map, ByteSize};
-use std::ops::Range;
-use std::time::Instant;
+use mapreduce::ByteSize;
 
 /// One object as the jobs of H-BRJ, the broadcast join and H-zkNNJ shuffle
 /// it: originating dataset and a borrow of the object in its input set —
@@ -121,7 +117,8 @@ pub(crate) fn merge_neighbor_lists(lists: &[PartialList<'_>], k: usize) -> Vec<N
     acc.into_sorted()
 }
 
-/// Distance-computation breakdown of one candidate scan.
+/// Distance-computation breakdown of the candidate scans one
+/// [`crate::algorithms::voronoi::VoronoiScan`] ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanCounts {
     /// Kernel evaluations against frozen structures (objects or pivots).
@@ -174,29 +171,8 @@ impl TileScratch {
     }
 }
 
-/// The delta rule of the prepared scan: the overlay's adds are offered
-/// *first* — one [`crate::exact::FlatBlock::offer`] walk over all of them,
-/// so they tighten the running threshold before any frozen row is looked
-/// at — then the frozen cells are searched, every evaluated row billed and
-/// a tombstoned one masked on offer ([`NeighborList::offer_ranks`] with
-/// [`DeltaOverlay::tombstones`]).  Returns the scan's counts so far: the
-/// adds evaluated, which is all of them.
-pub(crate) fn offer_adds(
-    delta: &DeltaOverlay,
-    query: &[f64],
-    kernels: &ScanKernels,
-    scratch: &mut TileScratch,
-    neighbors: &mut NeighborList,
-) -> ScanCounts {
-    let adds = delta.add_block();
-    ScanCounts {
-        delta: adds.offer(query, 0..adds.len(), kernels, scratch, neighbors),
-        ..ScanCounts::default()
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Cold job inputs/outputs and the prepared probe routine
+// Cold job inputs/outputs and the prepared probe's batch split
 // ---------------------------------------------------------------------------
 
 /// Raw `R ∪ S` as job input for the algorithms without a preprocessing
@@ -238,7 +214,7 @@ pub(crate) fn label_rows(r: &PointSet, neighbors: Vec<Vec<Neighbor>>) -> Vec<Joi
 ///
 /// Measured with PGBJ on the benchmark's two shapes (`forest10d` 12 000 ×
 /// 10-d and `osm2d` 48 000 × 2-d, 110 pivots, a shared 2-vCPU host):
-/// handing two ranges to [`parallel_map`] costs ~100–130 µs of spawn + join,
+/// handing two ranges to [`mapreduce::parallel_map`] costs ~100–130 µs of spawn + join,
 /// and a 64-row batch split over 2 workers still ran slower than inline in
 /// 2 of 2 runs (`forest10d` 706 / 1079 µs against 588 / 610 µs, `osm2d`
 /// 445 / 584 µs against 285 / 274 µs); 128 rows came out about even.  So on
@@ -247,80 +223,6 @@ pub(crate) fn label_rows(r: &PointSet, neighbors: Vec<Vec<Neighbor>>) -> Vec<Joi
 /// server round coalesces at most, so a coalesced batch, which only forms
 /// while every probe permit is out, never spawns threads of its own.
 pub const PARALLEL_PROBE_CUT: usize = 64;
-
-/// The probe routine of the prepared join: runs `scan_row(scan, i, rows[i])`
-/// for every row and returns the neighbour lists positionally, folding the
-/// scan counters into `metrics` and recording the `knn join` phase.  Nothing
-/// is encoded, shuffled or grouped — `S` is resident, so a probe costs what its
-/// scans cost.  Batches of [`PARALLEL_PROBE_CUT`] rows or more are split into
-/// one contiguous range per worker on the engine's [`parallel_map`]; each
-/// range builds its own scan state (kernels, tile scratch) with `new_scan`.
-/// Rows are scanned independently, so the split changes neither a row nor a
-/// counter.
-pub(crate) fn probe_rows<S>(
-    rows: &[&[f64]],
-    workers: usize,
-    metrics: &mut JoinMetrics,
-    new_scan: impl Fn() -> S + Sync,
-    scan_row: impl Fn(&mut S, usize, &[f64]) -> (Vec<Neighbor>, ScanCounts) + Sync,
-) -> Vec<Vec<Neighbor>> {
-    mapreduce::sync::assert_none_held("probe_rows");
-    let start = Instant::now();
-    let n = rows.len();
-    let scan_range = |range: Range<usize>| {
-        let mut scan = new_scan();
-        let mut totals = ScanCounts::default();
-        let rows: Vec<Vec<Neighbor>> = range
-            .map(|i| {
-                #[cfg(test)]
-                failpoint::check(rows[i]);
-                let (neighbors, counts) = scan_row(&mut scan, i, rows[i]);
-                totals.frozen += counts.frozen;
-                totals.delta += counts.delta;
-                totals.masked += counts.masked;
-                neighbors
-            })
-            .collect();
-        (rows, totals)
-    };
-    let ranges = if n < PARALLEL_PROBE_CUT || workers <= 1 {
-        vec![scan_range(0..n)]
-    } else {
-        let per_range = n.div_ceil(workers);
-        let bounds: Vec<Range<usize>> = (0..n)
-            .step_by(per_range)
-            .map(|lo| lo..(lo + per_range).min(n))
-            .collect();
-        parallel_map(bounds, workers, |_, range| scan_range(range))
-    };
-    let mut rows = Vec::with_capacity(n);
-    for (range_rows, counts) in ranges {
-        rows.extend(range_rows);
-        metrics.distance_computations += counts.frozen;
-        metrics.delta_probe_computations += counts.delta;
-        metrics.tombstone_masked += counts.masked;
-    }
-    metrics.record_phase(phases::KNN_JOIN, start.elapsed());
-    rows
-}
-
-/// The fault-injection hook of the serving tests, at the one place every
-/// prepared probe passes.  Compiled into this crate's unit tests only, and
-/// keyed on the probed row itself — nothing is armed, so tests running in
-/// parallel cannot trip each other.
-#[cfg(test)]
-pub(crate) mod failpoint {
-    /// A finite coordinate no generated dataset contains: a probe row that
-    /// starts with it panics inside [`super::probe_rows`].
-    pub(crate) const POISON: f64 = -6.022_140_76e23;
-
-    pub(super) fn check(row: &[f64]) {
-        assert!(
-            row.first() != Some(&POISON),
-            "failpoint: poisoned probe row"
-        );
-    }
-}
 
 #[cfg(test)]
 mod tests {

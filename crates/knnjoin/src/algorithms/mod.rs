@@ -16,7 +16,10 @@
 //! serves each family, cold and prepared alike: [`voronoi::VoronoiScan`]
 //! (Algorithm 3) for PGBJ and PBJ, `FlatBlock::scan` in [`crate::exact`] for
 //! the broadcast and nested-loop joins, the R-tree search for H-BRJ and the
-//! z-window scan for H-zkNNJ.  H-zkNNJ is the one *approximate* algorithm:
+//! z-window scan for H-zkNNJ.  All but the R-tree search rank a column-major
+//! `FlatBlock` through its one tiled offer, `FlatBlock::offer`, and write into
+//! a `NeighborList` their caller reuses or keeps as the answer.  H-zkNNJ is
+//! the one *approximate* algorithm:
 //! its reported distances are true distances, but its candidate sets are
 //! z-order neighbourhoods, so recall can fall below 1 (measured by
 //! [`crate::result::QualityReport`]).

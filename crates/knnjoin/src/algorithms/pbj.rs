@@ -138,7 +138,7 @@ impl Reducer for PbjCellReducer<'_> {
             .join_cells(
                 values,
                 |i, s_parts| self.local_theta(i, s_parts),
-                |r_id, neighbors| run.push(r_id, &neighbors),
+                |r_id, list| run.push(r_id, list.as_slice()),
             );
         self.tally.add(Count::Distances, computations);
         ctx.emit(*cell, run);
@@ -290,10 +290,7 @@ mod tests {
                 let rows = bucket
                     .iter()
                     .map(|(p, dist)| (*dist, p.id, p.coords.as_slice()));
-                (
-                    j,
-                    CellSlice::whole(FlatPartition::sorted(2, rows.collect())),
-                )
+                (j, CellSlice::whole(FlatPartition::sorted(rows.collect())))
             });
         let s_parts = CellMap::of(pivots.len(), cells);
         let smallest = s_parts.iter().map(|(_, cell)| cell.len()).min().unwrap();

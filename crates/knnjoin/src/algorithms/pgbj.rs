@@ -28,7 +28,7 @@ use crate::metrics::{phases, Count, JoinMetrics, Tally};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
 use crate::summary::SummaryTables;
-use geom::{Neighbor, PointSet, RecordKind};
+use geom::{Neighbor, NeighborList, PointSet, RecordKind};
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::sync::Arc;
 use std::time::Instant;
@@ -147,7 +147,10 @@ impl Reducer for PgbjJoinReducer<'_> {
             .join_cells(
                 values,
                 |i, _| self.theta[i],
-                |r_id, neighbors| ctx.emit(r_id, neighbors),
+                |r_id, list| {
+                    let answer = std::mem::replace(list, NeighborList::new(self.k));
+                    ctx.emit(r_id, answer.into_sorted());
+                },
             );
         self.tally.add(Count::Distances, computations);
     }

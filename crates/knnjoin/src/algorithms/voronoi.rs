@@ -1,27 +1,33 @@
 //! The Voronoi family shared by PGBJ and PBJ: the front half that turns
-//! points into cells (`partition_job`), the flat per-partition `S` layout,
-//! the one bounded candidate scan of Algorithm 3 ([`VoronoiScan`]), and the
-//! prepared state that runs it against a resident `S` (`VoronoiPrepared`).
+//! points into cells (`partition_job`), the cells themselves
+//! ([`FlatPartition`]: an `exact::FlatBlock`, the layout every scan ranks, plus
+//! the rows' ascending pivot distances), the one bounded candidate scan of
+//! Algorithm 3 ([`VoronoiScan`]), and the prepared state that runs it
+//! against a resident `S` (`VoronoiPrepared`).
 //!
 //! §6 of the paper defines PBJ as PGBJ's bounds without the grouping, so both
 //! algorithms — cold or prepared, with or without a delta overlay — share
 //! everything up to the summary tables and call the same scan; they differ
 //! only in where the `S` partitions, the scan order and `θ_i` come from.
+//! The scan is shaped like every other scan of the crate: its tiles go
+//! through `FlatBlock::offer`, and it writes into its caller's
+//! [`NeighborList`].
 
-use crate::algorithms::common::{offer_adds, probe_rows, ScanCounts, ScanKernels, TileScratch};
+use crate::algorithms::common::{ScanCounts, ScanKernels, TileScratch, PARALLEL_PROBE_CUT};
 use crate::bounds::{bounding_knn_theta, hyperplane_bound, theorem2_window};
 use crate::context::ExecutionContext;
 use crate::delta::DeltaOverlay;
+use crate::exact::FlatBlock;
 use crate::metrics::{phases, Count, JoinMetrics, Tally};
 use crate::partition::{PivotDistances, VoronoiPartitioner};
 use crate::pivots::select_pivots;
 use crate::plan::JoinPlan;
 use crate::result::JoinError;
 use crate::summary::SummaryTables;
-use geom::{
-    CoordMatrix, Mask, Neighbor, NeighborList, Point, PointId, PointSet, Record, RecordKind,
+use geom::{Mask, Neighbor, NeighborList, Point, PointId, PointSet, Record, RecordKind};
+use mapreduce::{
+    parallel_map, ByteSize, Combiner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer,
 };
-use mapreduce::{ByteSize, Combiner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::cmp::Ordering;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -47,13 +53,11 @@ fn row_order(a: &Row<'_>, b: &Row<'_>) -> Ordering {
     cell_order((a.0, a.1), (b.0, b.1))
 }
 
-/// One Voronoi cell's objects (of `R` or of `S`) in flat structure-of-data
-/// layout — ids and pivot distances in parallel vectors, coordinates
-/// column-major, one contiguous column per dimension, so a scan tile reads
-/// each dimension of a run of rows in one sweep
-/// ([`geom::kernels::ColumnKernel`]) — with
-/// the rows **ascending by pivot distance, ties by id**, so the objects
-/// inside a Theorem 2 window are one contiguous run found by binary search
+/// One Voronoi cell's objects (of `R` or of `S`): their ids and
+/// coordinates as an `exact::FlatBlock` — column-major, the layout every scan
+/// ranks — and their pivot distances in a parallel vector, with the rows
+/// **ascending by pivot distance, ties by id**, so the objects inside a
+/// Theorem 2 window are one contiguous run found by binary search
 /// ([`VoronoiScan`] owns that walk) and the objects Theorem 6 routes to a
 /// group are a suffix.
 ///
@@ -66,35 +70,29 @@ fn row_order(a: &Row<'_>, b: &Row<'_>) -> Ordering {
 /// takes subsequences.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatPartition {
-    ids: Vec<PointId>,
+    rows: FlatBlock,
     pivot_dists: Vec<f64>,
-    /// Coordinate `d` of row `i` at `columns[d * ids.len() + i]`.
-    columns: Vec<f64>,
-    dims: usize,
 }
 
 impl FlatPartition {
-    /// Flattens `rows`, which must already be in cell order, one column at
-    /// a time.
-    pub(crate) fn from_sorted(dims: usize, rows: &[Row<'_>]) -> Self {
-        let mut columns = Vec::with_capacity(dims * rows.len());
-        for d in 0..dims {
-            columns.extend(rows.iter().map(|row| row.2[d]));
-        }
+    /// Lays out `rows`, which must already be in cell order.
+    pub(crate) fn from_sorted(rows: &[Row<'_>]) -> Self {
+        let dims = rows.first().map_or(0, |row| row.2.len());
+        let ids = rows.iter().map(|row| row.1).collect();
         Self {
-            ids: rows.iter().map(|row| row.1).collect(),
+            rows: FlatBlock::by_columns(ids, dims, |d, out| {
+                out.extend(rows.iter().map(|row| row.2[d]));
+            }),
             pivot_dists: rows.iter().map(|row| row.0).collect(),
-            columns,
-            dims,
         }
         .audited()
     }
 
-    /// Puts `rows` in cell order, then flattens them: each object is copied
+    /// Puts `rows` in cell order, then lays them out: each object is copied
     /// once, into its final row.
-    pub(crate) fn sorted(dims: usize, mut rows: Vec<Row<'_>>) -> Self {
+    pub(crate) fn sorted(mut rows: Vec<Row<'_>>) -> Self {
         rows.sort_unstable_by(row_order);
-        Self::from_sorted(dims, &rows)
+        Self::from_sorted(&rows)
     }
 
     /// `self`, its row order asserted under `cfg(test)` and the
@@ -102,58 +100,38 @@ impl FlatPartition {
     fn audited(self) -> Self {
         #[cfg(any(test, feature = "debug-invariants"))]
         assert!(
-            (1..self.len()).all(|i| cell_order(self.key(i - 1), self.key(i)).is_le()),
+            (1..self.rows.len()).all(|i| cell_order(self.key(i - 1), self.key(i)).is_le()),
             "cell invariant violated: rows do not ascend by (pivot distance, id)"
         );
         self
     }
 
-    /// Number of rows.
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
     /// Row `i`'s `(pivot distance, id)`.
     fn key(&self, i: usize) -> (f64, PointId) {
-        (self.pivot_dists[i], self.ids[i])
-    }
-
-    /// Coordinate `d` of every row, in cell order.
-    fn column(&self, d: usize) -> &[f64] {
-        let n = self.len();
-        &self.columns[d * n..(d + 1) * n]
-    }
-
-    /// Copies row `i`'s coordinates into `out`, `dims` long.
-    fn copy_row(&self, i: usize, out: &mut [f64]) {
-        let n = self.len();
-        for (d, c) in out.iter_mut().enumerate() {
-            *c = self.columns[d * n + i];
-        }
+        (self.pivot_dists[i], self.rows.ids()[i])
     }
 
     /// The cell of the rows at the ascending indices `picked`, gathered
     /// column by column.
     fn gather(&self, picked: &[usize]) -> Self {
-        let mut columns = Vec::with_capacity(self.dims * picked.len());
-        for d in 0..self.dims {
-            let column = self.column(d);
-            columns.extend(picked.iter().map(|&i| column[i]));
-        }
+        let ids = picked.iter().map(|&i| self.rows.ids()[i]).collect();
         Self {
-            ids: picked.iter().map(|&i| self.ids[i]).collect(),
+            rows: FlatBlock::by_columns(ids, self.rows.dims(), |d, out| {
+                let column = self.rows.column(d);
+                out.extend(picked.iter().map(|&i| column[i]));
+            }),
             pivot_dists: picked.iter().map(|&i| self.pivot_dists[i]).collect(),
-            columns,
-            dims: self.dims,
         }
         .audited()
     }
 
     /// The rows not tombstoned in `delta`, merged with `adds` (in cell
-    /// order; an add goes before an equal row).  Each run of surviving rows
-    /// is copied with one `extend_from_slice` per field and column, and an
-    /// add's coordinates are read from the overlay's columns.
-    fn merged(&self, delta: &DeltaOverlay, adds: &[AddRow]) -> Self {
+    /// order; an add goes before an equal row), `dims` coordinates each:
+    /// the cell may be empty, and an empty block has no columns to count.
+    /// Each run of surviving rows is copied with one `extend_from_slice` per
+    /// field and column, and an add's coordinates are read from the
+    /// overlay's columns.
+    fn merged(&self, dims: usize, delta: &DeltaOverlay, adds: &[AddRow]) -> Self {
         /// A run of surviving rows, or one add.
         enum Piece {
             Kept(Range<usize>),
@@ -176,7 +154,8 @@ impl FlatPartition {
         }
 
         let (mut pieces, mut next) = (Vec::new(), 0);
-        for i in (0..self.len()).filter(|&i| !delta.is_tombstoned(self.ids[i])) {
+        let ids = self.rows.ids();
+        for i in (0..ids.len()).filter(|&i| !delta.is_tombstoned(ids[i])) {
             let below = |add: &&AddRow| cell_order((add.0, add.1), self.key(i)).is_lt();
             while adds.get(next).filter(below).is_some() {
                 pieces.push(Piece::Added(next));
@@ -189,20 +168,17 @@ impl FlatPartition {
         }
         pieces.extend((next..adds.len()).map(Piece::Added));
 
-        let n = self.len() + adds.len();
-        let (mut ids, mut pivot_dists) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        assemble(&mut ids, &pieces, &self.ids, |a| adds[a].1);
+        let n = ids.len() + adds.len();
+        let (mut merged_ids, mut pivot_dists) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        assemble(&mut merged_ids, &pieces, ids, |a| adds[a].1);
         assemble(&mut pivot_dists, &pieces, &self.pivot_dists, |a| adds[a].0);
-        let mut columns = Vec::with_capacity(self.dims * ids.len());
-        for d in 0..self.dims {
-            let added = delta.add_block().column(d);
-            assemble(&mut columns, &pieces, self.column(d), |a| added[adds[a].2]);
-        }
+        let added = delta.add_block();
         Self {
-            ids,
+            rows: FlatBlock::by_columns(merged_ids, dims, |d, out| {
+                let added = added.column(d);
+                assemble(out, &pieces, self.rows.column(d), |a| added[adds[a].2]);
+            }),
             pivot_dists,
-            columns,
-            dims: self.dims,
         }
         .audited()
     }
@@ -240,8 +216,9 @@ impl CellSlice {
     /// block framework's split); a subsequence of a sorted cell is sorted.
     pub(crate) fn split_by_id(&self, blocks: usize) -> Vec<Self> {
         let mut picked: Vec<Vec<usize>> = vec![Vec::new(); blocks];
-        for i in self.first_row..self.cell.len() {
-            picked[(self.cell.ids[i] % blocks as u64) as usize].push(i);
+        let ids = self.cell.rows.ids();
+        for i in self.first_row..ids.len() {
+            picked[(ids[i] % blocks as u64) as usize].push(i);
         }
         let sub_cell = |rows: &Vec<usize>| Self::whole(self.cell.gather(rows));
         picked.iter().map(sub_cell).collect()
@@ -250,10 +227,9 @@ impl CellSlice {
     /// The rows, in cell order, each copied out of the columns.
     fn rows(&self) -> impl Iterator<Item = (f64, PointId, Vec<f64>)> + '_ {
         let cell = &*self.cell;
-        (self.first_row..cell.len()).map(|i| {
-            let mut coords = vec![0.0; cell.dims];
-            cell.copy_row(i, &mut coords);
-            (cell.pivot_dists[i], cell.ids[i], coords)
+        (self.first_row..cell.rows.len()).map(|i| {
+            let (pivot_dist, id) = cell.key(i);
+            (pivot_dist, id, cell.rows.row(i))
         })
     }
 
@@ -264,7 +240,7 @@ impl CellSlice {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.cell.len() - self.first_row
+        self.cell.rows.len() - self.first_row
     }
 
     /// Whether the slice holds no rows.
@@ -333,10 +309,10 @@ const SCAN_TILE: usize = 32;
 /// single implementation behind the PGBJ group reducer, the PBJ cell reducer
 /// and the prepared probe, under any delta overlay.
 ///
-/// For one `R` object `r` (in partition `r_partition`, `r_pivot_dist` from
-/// its pivot), [`VoronoiScan::scan`] visits the `S` cells in the order
-/// `s_order` (ascending pivot distance from `p_i`) under the running
-/// threshold `θ = min(θ_i, current kth distance)`:
+/// For one `R` object `r` (in partition `i`, at pivot distance `|r, p_i|`),
+/// [`VoronoiScan::scan`] visits the `S` cells in the order `s_order`
+/// (ascending pivot distance from `p_i`) under the running threshold `θ =
+/// min(θ_i, current kth distance)`:
 ///
 /// 1. the walk ends at the first cell `j` with `|p_i, p_j| / 2 − |r, p_i| >
 ///    θ`, before `|r, p_j|` is evaluated: no object of that cell is within
@@ -348,8 +324,8 @@ const SCAN_TILE: usize = 32;
 ///    cell's ascending pivot distances make it a row range, a third finds
 ///    its *centre*, the first row with `|p_j, s| ≥ |p_j, r|`;
 /// 3. the range is walked from the centre up to `hi`, then from the centre
-///    down to `lo`, in tiles of `SCAN_TILE` rows ranked by the column kernel
-///    and offered with [`NeighborList::offer_ranks`];
+///    down to `lo`, in tiles of `SCAN_TILE` rows, each offered with
+///    `FlatBlock::offer`, the tiled offer every scan shares;
 /// 4. before every tile θ is re-read and the tile is cut at the first row
 ///    with `||p_j, s| − |p_j, r|| > θ`, which ends that direction: by the
 ///    triangle inequality every later row is farther still.  Walked from
@@ -358,19 +334,18 @@ const SCAN_TILE: usize = 32;
 ///    above that of every row between it and the centre.
 ///
 /// The frozen cells and the delta's adds are ranked by the exact column
-/// kernel (`ScanKernels::columns`), so the scan returns the scalar kernel's
+/// kernel (`ScanKernels::columns`), so the scan keeps the scalar kernel's
 /// bits and its answers equal a brute-force scan's bit for bit.  θ, the
 /// cut, Corollary 1 and the window compare true distances; the one
 /// rank-space comparison is `offer_ranks`' skip, whose bound is widened so
 /// that it only skips rows `offer` would reject.
 ///
-/// The scan's delta overlay (the cold reducers' is empty) is merged by the
-/// rule of `common::offer_adds`: its added points are offered into the
-/// accumulator *first* (tightening the running θ before any frozen candidate
-/// is scanned)
-/// and tombstoned frozen rows are evaluated with their tile but masked from
-/// the accumulator through the overlay's [`Mask`].  Callers must pass `θ_i =
-/// ∞` whenever the overlay carries tombstones: `θ_i` is derived
+/// The scan's delta overlay (the cold reducers' is empty) is merged by one
+/// rule: its added points are offered *first*, one `FlatBlock::offer`
+/// over all of them (tightening the running θ before any frozen candidate
+/// is scanned), and tombstoned frozen rows are evaluated with their tile but
+/// masked from the list through the overlay's [`Mask`].  Callers must pass
+/// `θ_i = ∞` whenever the overlay carries tombstones: `θ_i` is derived
 /// from the frozen `T_S` table, whose guarantee ("partition `i` alone holds
 /// `k` objects within `θ_i`") deletions can break.  Added points never
 /// invalidate it; they only shrink the true kth distance.
@@ -381,6 +356,8 @@ pub struct VoronoiScan<'a> {
     delta: &'a DeltaOverlay,
     masked: Mask<'a>,
     scratch: TileScratch,
+    /// The distance computations of every scan so far.
+    pub(crate) counts: ScanCounts,
 }
 
 impl<'a> VoronoiScan<'a> {
@@ -399,49 +376,47 @@ impl<'a> VoronoiScan<'a> {
             delta,
             masked: delta.mask(),
             scratch: TileScratch::new(),
+            counts: ScanCounts::default(),
         }
     }
 
-    /// Returns the `k` best neighbours of one `R` object and the distance
-    /// computations spent (object-to-object plus object-to-pivot, per the
-    /// paper's selectivity definition).
+    /// Leaves in `out`, reset to `k` on entry, the `k` best neighbours of
+    /// one `R` object `r_coords`, assigned to partition `i` at pivot
+    /// distance `r_pivot_dist`, and adds the distance computations spent
+    /// (object-to-object plus object-to-pivot, per the paper's selectivity
+    /// definition) into the scan's `counts`.
     pub fn scan(
         &mut self,
         r_coords: &[f64],
-        r_pivot_dist: f64,
-        r_partition: usize,
+        (i, r_pivot_dist): (usize, f64),
         s_parts: &CellMap,
         s_order: &[usize],
         theta_i: f64,
-    ) -> (Vec<Neighbor>, ScanCounts) {
-        let tables = self.tables;
-        let pivots: &CoordMatrix = &tables.pivots;
-        let mut neighbors = NeighborList::new(self.k);
-        let metric = self.kernels.metric;
-        let mut counts = offer_adds(
-            self.delta,
-            r_coords,
-            &self.kernels,
-            &mut self.scratch,
-            &mut neighbors,
-        );
+        out: &mut NeighborList,
+    ) {
+        let (tables, kernels, masked) = (self.tables, &self.kernels, self.masked);
+        let (counts, scratch) = (&mut self.counts, &mut self.scratch);
+        out.reset(self.k);
+        let adds = self.delta.add_block();
+        adds.offer(r_coords, 0..adds.len(), Mask::NONE, kernels, scratch, out);
+        counts.delta += adds.len() as u64;
         for &j in s_order {
-            let theta = theta_i.min(neighbors.threshold());
-            let pivot_dist = tables.pivot_distance(r_partition, j);
+            let theta = theta_i.min(out.threshold());
+            let pivot_dist = tables.pivot_distance(i, j);
             // Every s of cell j is at least |p_i, p_j| / 2 from p_i, hence at
             // least that minus |r, p_i| from r; later cells are farther.
-            if j != r_partition && 0.5 * pivot_dist - r_pivot_dist > theta {
+            if j != i && 0.5 * pivot_dist - r_pivot_dist > theta {
                 break;
             }
             // Distance from r to the pivot of partition j; pivots count as
             // objects in the paper's selectivity metric.
-            let d_r_pj = (self.kernels.pair)(r_coords, pivots.row(j));
+            let d_r_pj = (kernels.pair)(r_coords, tables.pivots.row(j));
             counts.frozen += 1;
             // Corollary 1: skip the whole partition if the hyperplane between
             // p_i and p_j is already farther away than θ.
-            if j != r_partition
+            if j != i
                 && theta.is_finite()
-                && hyperplane_bound(r_pivot_dist, d_r_pj, pivot_dist, metric) > theta
+                && hyperplane_bound(r_pivot_dist, d_r_pj, pivot_dist, kernels.metric) > theta
             {
                 continue;
             }
@@ -452,7 +427,7 @@ impl<'a> VoronoiScan<'a> {
             if lo > hi {
                 continue;
             }
-            let Some(cell) = s_parts.get(j) else {
+            let Some(slice) = s_parts.get(j) else {
                 continue;
             };
             // The rows Theorem 6 kept from this reducer lie below the window:
@@ -460,74 +435,60 @@ impl<'a> VoronoiScan<'a> {
             // the rounding of the two sides.
             #[cfg(any(test, feature = "debug-invariants"))]
             assert!(
-                cell.cell.pivot_dists[..cell.first_row]
+                slice.cell.pivot_dists[..slice.first_row]
                     .last()
                     .is_none_or(|&cut| cut < lo + 1e-9 * (1.0 + lo.abs())),
                 "suffix invariant violated: a Theorem 2 window starts before its slice"
             );
-            let pivot_dists = cell.pivot_dists();
+            let (cell, first_row) = (&slice.cell.rows, slice.first_row);
+            let pivot_dists = slice.pivot_dists();
             let first = pivot_dists.partition_point(|&d| d < lo);
             let last = pivot_dists.partition_point(|&d| d <= hi);
             let centre = first + pivot_dists[first..last].partition_point(|&d| d < d_r_pj);
+            // Offers the slice's rows `rows` (counted from its first row).
+            let mut offer = |rows: Range<usize>, out: &mut NeighborList| {
+                counts.frozen += rows.len() as u64;
+                let rows = first_row + rows.start..first_row + rows.end;
+                counts.masked += cell.offer(r_coords, rows, masked, kernels, scratch, out);
+            };
             // Up from the centre, until |p_j, s| − |p_j, r| > θ.
             let mut next = centre;
             while next < last {
-                let theta_now = theta_i.min(neighbors.threshold());
+                let theta_now = theta_i.min(out.threshold());
                 let tile = &pivot_dists[next..(next + SCAN_TILE).min(last)];
                 let stop = next + tile.partition_point(|&d| d - d_r_pj <= theta_now);
                 if stop == next {
                     break;
                 }
-                self.offer_tile(r_coords, cell, next..stop, &mut neighbors, &mut counts);
+                offer(next..stop, out);
                 next = stop;
             }
             // Down from the centre, until |p_j, r| − |p_j, s| > θ.
             let mut done = centre;
             while first < done {
-                let theta_now = theta_i.min(neighbors.threshold());
+                let theta_now = theta_i.min(out.threshold());
                 let tile = &pivot_dists[done.saturating_sub(SCAN_TILE).max(first)..done];
                 let start = done - tile.len() + tile.partition_point(|&d| d_r_pj - d > theta_now);
                 if start == done {
                     break;
                 }
-                self.offer_tile(r_coords, cell, start..done, &mut neighbors, &mut counts);
+                offer(start..done, out);
                 done = start;
             }
         }
-        (neighbors.into_sorted(), counts)
-    }
-
-    /// Ranks the contiguous `rows` of `slice` (counted from its first row)
-    /// and offers all but the tombstoned ones.
-    #[inline(always)]
-    fn offer_tile(
-        &mut self,
-        r_coords: &[f64],
-        slice: &CellSlice,
-        rows: Range<usize>,
-        neighbors: &mut NeighborList,
-        counts: &mut ScanCounts,
-    ) {
-        let cell = &*slice.cell;
-        let rows = slice.first_row + rows.start..slice.first_row + rows.end;
-        let ranks = &mut self.scratch.ranks[..rows.len()];
-        (self.kernels.columns)(r_coords, &cell.columns, cell.len(), rows.start, ranks);
-        counts.frozen += ranks.len() as u64;
-        let ids = &cell.ids[rows];
-        counts.masked += neighbors.offer_ranks(ids, ranks, self.masked, self.kernels.metric);
     }
 
     /// The body of a cold Algorithm 3 reducer (lines 12–25), PGBJ's and
     /// PBJ's alike: the received `S` slices *are* the [`CellMap`] (line 13),
     /// the scan order is sorted per `R` cell (line 14) and every received
-    /// `R` row is scanned, handing `(r id, neighbours)` to `emit`.
+    /// `R` row is scanned into one list, handed with the row's id to `emit`.
     /// `theta_of` supplies `θ_i` for an `R` partition given the `S` subset
     /// received.  Returns the distance computations spent.
     pub(crate) fn join_cells(
         &mut self,
         values: &[ShuffledCell],
         theta_of: impl Fn(usize, &CellMap) -> f64,
-        mut emit: impl FnMut(PointId, Vec<Neighbor>),
+        mut emit: impl FnMut(PointId, &mut NeighborList),
     ) -> u64 {
         let t = self.tables.partition_count();
         let (mut r_cells, mut s_parts) = (CellMap::new(t), CellMap::new(t));
@@ -543,23 +504,24 @@ impl<'a> VoronoiScan<'a> {
                 "a reducer received cell {partition} twice"
             );
         }
-        let mut computations = 0;
+        let mut list = NeighborList::new(self.k);
         let mut r_coords = vec![0.0; self.tables.pivots.dims()];
         for (i, r_cell) in r_cells.iter() {
             let s_order =
                 order_by_pivot_distance(s_parts.partitions(), self.tables.pivot_distances.row(i));
             let theta_i = theta_of(i, &s_parts);
             let cell = &*r_cell.cell;
-            for row in r_cell.first_row..cell.len() {
-                cell.copy_row(row, &mut r_coords);
+            for row in r_cell.first_row..cell.rows.len() {
+                for (d, c) in r_coords.iter_mut().enumerate() {
+                    *c = cell.rows.column(d)[row];
+                }
                 let (pivot_dist, id) = cell.key(row);
-                let (neighbors, counts) =
-                    self.scan(&r_coords, pivot_dist, i, &s_parts, &s_order, theta_i);
-                computations += counts.frozen;
-                emit(id, neighbors);
+                let r = (i, pivot_dist);
+                self.scan(&r_coords, r, &s_parts, &s_order, theta_i, &mut list);
+                emit(id, &mut list);
             }
         }
-        computations
+        self.counts.frozen
     }
 }
 
@@ -601,7 +563,7 @@ pub(crate) struct ShuffledCell {
 
 impl ByteSize for ShuffledCell {
     fn byte_size(&self) -> usize {
-        self.records() * Record::encoded_len_for_dims(self.rows.cell.dims)
+        self.records() * Record::encoded_len_for_dims(self.rows.cell.rows.dims())
     }
 
     fn records(&self) -> usize {
@@ -779,8 +741,8 @@ impl<'a> Reducer for CellReducer<'a> {
             let rows: Vec<Row<'_>> = of_kind
                 .map(|o| (o.pivot_distance, o.point.id, o.point.coords.as_slice()))
                 .collect();
-            if let Some(first) = rows.first() {
-                let rows = CellSlice::whole(FlatPartition::sorted(first.2.len(), rows));
+            if !rows.is_empty() {
+                let rows = CellSlice::whole(FlatPartition::sorted(rows));
                 let partition = *key;
                 ctx.emit(
                     partition,
@@ -848,7 +810,7 @@ impl VoronoiPrepared {
         }
         let mut s_parts = CellMap::new(cells.len());
         for (j, rows) in cells.into_iter().enumerate() {
-            let cell = CellSlice::whole(FlatPartition::sorted(s.dims(), rows));
+            let cell = CellSlice::whole(FlatPartition::sorted(rows));
             s_parts.set(j, (!cell.is_empty()).then_some(cell));
         }
         let tables = frozen_tables(&partitioner, &s_parts, plan.k);
@@ -879,11 +841,19 @@ impl VoronoiPrepared {
         plan: &JoinPlan,
         metrics: &mut JoinMetrics,
     ) -> Self {
-        let empty = FlatPartition::from_sorted(self.partitioner.pivot_matrix().dims(), &[]);
+        let (dims, empty) = (
+            self.partitioner.pivot_matrix().dims(),
+            FlatPartition::from_sorted(&[]),
+        );
         let mut affected = vec![false; self.partitioner.partition_count()];
         if delta.tombstones_len() > 0 {
             for (j, part) in self.s_parts.iter() {
-                affected[j] = part.cell.ids.iter().any(|id| delta.is_tombstoned(*id));
+                affected[j] = part
+                    .cell
+                    .rows
+                    .ids()
+                    .iter()
+                    .any(|id| delta.is_tombstoned(*id));
             }
         }
         let mut add_cells: Vec<Vec<AddRow>> = vec![Vec::new(); affected.len()];
@@ -901,7 +871,7 @@ impl VoronoiPrepared {
             adds.sort_unstable_by(|a, b| cell_order((a.0, a.1), (b.0, b.1)));
             // A prepared cell is whole: its slice starts at row 0.
             let old = self.s_parts.get(j).map_or(&empty, |slice| &*slice.cell);
-            let cell = CellSlice::whole(old.merged(delta, &adds));
+            let cell = CellSlice::whole(old.merged(dims, delta, &adds));
             metrics.compacted_points += cell.len() as u64;
             s_parts.set(j, (!cell.is_empty()).then_some(cell));
         }
@@ -929,9 +899,9 @@ impl VoronoiPrepared {
     /// Answers one probe batch, positionally: assign the rows to cells,
     /// derive `θ_i` for the cells the batch touches, then run Algorithm 3's
     /// bounded scan against the resident `S`, merged with `delta`, through
-    /// [`probe_rows`].  `θ_i` comes from the global Algorithm 1 bound: the
-    /// resident `S` is the full dataset, so the tight bound applies even to
-    /// PBJ, whose cold cells only have their local block's looser one.
+    /// [`Self::probe_rows`].  `θ_i` comes from the global Algorithm 1 bound:
+    /// the resident `S` is the full dataset, so the tight bound applies even
+    /// to PBJ, whose cold cells only have their local block's looser one.
     /// Algorithm 2's `LB` matrix and Algorithm 4's grouping decide which `S`
     /// replica is shipped to which reducer; nothing is shipped here, so
     /// neither is computed and PGBJ and PBJ probe identically.
@@ -962,18 +932,76 @@ impl VoronoiPrepared {
         };
         metrics.record_phase(phases::INDEX_MERGING, start.elapsed());
 
-        let kernels = ScanKernels::new(plan.metric);
-        probe_rows(
-            rows,
-            workers,
-            metrics,
-            || VoronoiScan::new(&self.tables, plan.k, kernels, delta),
-            |scan, at, row| {
-                let (i, pivot_dist) = assignments[at];
-                let (cells, order) = (&self.s_parts, &self.s_orders[i]);
-                scan.scan(row, pivot_dist, i, cells, order, theta[at])
-            },
-        )
+        let scan = VoronoiScan::new(&self.tables, plan.k, ScanKernels::new(plan.metric), delta);
+        self.probe_rows(rows, &assignments, &theta, scan, workers, metrics)
+    }
+
+    /// The probe routine of the prepared join: scans row `at` of `rows` from
+    /// its assignment and `θ` with `scan` into a list of its own, whose
+    /// sorted rows are its answer, and returns the answers positionally,
+    /// folding the scan counters into `metrics` and recording the `knn
+    /// join` phase.  Nothing is encoded, shuffled or grouped — `S` is
+    /// resident, so a probe costs what its scans cost.  Batches of
+    /// [`PARALLEL_PROBE_CUT`] rows or more are split into one contiguous
+    /// range per worker on the engine's [`parallel_map`], each scanned by a
+    /// scan of its own made like `scan` (its own tile scratch and counts).
+    /// Rows are scanned independently, so the split changes neither a row
+    /// nor a counter.
+    fn probe_rows(
+        &self,
+        rows: &[&[f64]],
+        assignments: &[(usize, f64)],
+        theta: &[f64],
+        scan: VoronoiScan<'_>,
+        workers: usize,
+        metrics: &mut JoinMetrics,
+    ) -> Vec<Vec<Neighbor>> {
+        mapreduce::sync::assert_none_held("probe_rows");
+        let start = Instant::now();
+        let n = rows.len();
+        let scan_range = |mut scan: VoronoiScan<'_>, range: Range<usize>| {
+            let answers: Vec<Vec<Neighbor>> = range
+                .map(|at| {
+                    #[cfg(test)]
+                    failpoint::check(rows[at]);
+                    let (i, _) = assignments[at];
+                    let (cells, order) = (&self.s_parts, &self.s_orders[i]);
+                    let mut list = NeighborList::new(scan.k);
+                    scan.scan(
+                        rows[at],
+                        assignments[at],
+                        cells,
+                        order,
+                        theta[at],
+                        &mut list,
+                    );
+                    list.into_sorted()
+                })
+                .collect();
+            (answers, scan.counts)
+        };
+        let ranges = if n < PARALLEL_PROBE_CUT || workers <= 1 {
+            vec![scan_range(scan, 0..n)]
+        } else {
+            let per_range = n.div_ceil(workers);
+            let bounds: Vec<Range<usize>> = (0..n)
+                .step_by(per_range)
+                .map(|lo| lo..(lo + per_range).min(n))
+                .collect();
+            parallel_map(bounds, workers, |_, range| {
+                let own = VoronoiScan::new(scan.tables, scan.k, scan.kernels, scan.delta);
+                scan_range(own, range)
+            })
+        };
+        let mut answers = Vec::with_capacity(n);
+        for (range_answers, counts) in ranges {
+            answers.extend(range_answers);
+            metrics.distance_computations += counts.frozen;
+            metrics.delta_probe_computations += counts.delta;
+            metrics.tombstone_masked += counts.masked;
+        }
+        metrics.record_phase(phases::KNN_JOIN, start.elapsed());
+        answers
     }
 
     /// Each row's `θ_i` (Algorithm 1), computed once per cell the batch
@@ -1028,6 +1056,24 @@ fn compute_s_orders(s_parts: &CellMap, pivot_distances: &PivotDistances) -> Vec<
         .rows()
         .map(|row| order_by_pivot_distance(s_parts.partitions(), row))
         .collect()
+}
+
+/// The fault-injection hook of the serving tests, at the one place every
+/// prepared probe passes.  Compiled into this crate's unit tests only, and
+/// keyed on the probed row itself — nothing is armed, so tests running in
+/// parallel cannot trip each other.
+#[cfg(test)]
+pub(crate) mod failpoint {
+    /// A finite coordinate no generated dataset contains: a probe row that
+    /// starts with it panics inside [`super::VoronoiPrepared::probe_rows`].
+    pub(crate) const POISON: f64 = -6.022_140_76e23;
+
+    pub(super) fn check(row: &[f64]) {
+        assert!(
+            row.first() != Some(&POISON),
+            "failpoint: poisoned probe row"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1118,7 +1164,7 @@ mod tests {
             let rows = bucket
                 .iter()
                 .map(|(s, dist)| (*dist, s.id, s.coords.as_slice()));
-            CellSlice::whole(FlatPartition::sorted(r.dims(), rows.collect()))
+            CellSlice::whole(FlatPartition::sorted(rows.collect()))
         });
         let s_parts = CellMap::of(tables.partition_count(), cells.enumerate());
         Fixture {
@@ -1161,8 +1207,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(16))]
         /// An overlay that mutations left empty must not perturb the scan:
         /// same neighbours, same counters as the cold reducers' `NO_DELTA`,
-        /// in every mode — what lets one scan serve the frozen and the
-        /// mutated corpus.
+        /// row after row through one scan and one list each — what lets one
+        /// scan serve the frozen and the mutated corpus.
         #[test]
         fn an_emptied_overlay_scans_exactly_like_the_cold_one(
             n_r in 5usize..60,
@@ -1183,10 +1229,13 @@ mod tests {
             let kernels = ScanKernels::new(metric);
             let mut frozen = VoronoiScan::new(&f.tables, k, kernels, &NO_DELTA);
             let mut overlaid = VoronoiScan::new(&f.tables, k, kernels, &emptied);
+            let (mut a, mut b) = (NeighborList::new(k), NeighborList::new(k));
             let mut verdict = Ok(());
             f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
-                let a = frozen.scan(&r_obj.coords, r_pivot_dist, i, &f.s_parts, s_order, f.theta[i]);
-                let b = overlaid.scan(&r_obj.coords, r_pivot_dist, i, &f.s_parts, s_order, f.theta[i]);
+                let r = (&r_obj.coords[..], (i, r_pivot_dist));
+                frozen.scan(r.0, r.1, &f.s_parts, s_order, f.theta[i], &mut a);
+                overlaid.scan(r.0, r.1, &f.s_parts, s_order, f.theta[i], &mut b);
+                let (a, b) = ((a.as_slice(), frozen.counts), (b.as_slice(), overlaid.counts));
                 if a != b && verdict.is_ok() {
                     verdict = Err(format!("{a:?} vs {b:?}"));
                 }
@@ -1194,9 +1243,13 @@ mod tests {
             prop_assert!(verdict.is_ok(), "{:?}", verdict);
         }
 
-        /// The frozen cells are ranked with the exact column kernel, so per
-        /// `R` object the scan answers what a brute-force scan answers, bit
-        /// for bit.
+        /// The frozen cells and a delta's adds are ranked with the exact
+        /// column kernel, so per `R` object the scan answers what a
+        /// brute-force scan over the live corpus answers, bit for bit: with
+        /// no overlay, and with one that deletes every third object of `S`
+        /// and adds as many points as `R` has (θ_i = ∞ under tombstones).
+        /// Each overlay's scan and list serve every row, so a list the scan
+        /// failed to reset would carry the last row's neighbours.
         #[test]
         fn the_frozen_scan_answers_the_oracle_bit_for_bit(
             n_r in 5usize..40,
@@ -1211,20 +1264,36 @@ mod tests {
             let r = uniform(n_r, dims, 50.0, seed);
             let s = uniform(n_s, dims, 50.0, seed ^ 0x5EED);
             let f = fixture(&r, &s, k, pivot_count, metric, seed);
-            let mut scan = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric), &NO_DELTA);
+            let (mut overlay, mut live) = (DeltaOverlay::default(), Vec::new());
+            for p in &s {
+                if p.id % 3 == 0 {
+                    overlay = overlay.after_delete(p.id, true).expect("a frozen id is live");
+                } else {
+                    live.push(p.clone());
+                }
+            }
+            for p in &uniform(n_r, dims, 50.0, seed ^ 0xADD5) {
+                overlay = overlay.after_insert(100_000 + p.id, &p.coords, false);
+                live.push(Point::new(100_000 + p.id, p.coords.clone()));
+            }
+            let bits = |list: &[Neighbor]| -> Vec<u64> { list.iter().map(|n| n.distance.to_bits()).collect() };
             let mut verdict = Ok(());
-            f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
-                let mut oracle = NeighborList::new(k);
-                for s_obj in &s {
-                    oracle.offer(s_obj.id, metric.distance(r_obj, s_obj));
-                }
-                let want: Vec<u64> = oracle.into_sorted().iter().map(|n| n.distance.to_bits()).collect();
-                let (rows, _) = scan.scan(&r_obj.coords, r_pivot_dist, i, &f.s_parts, s_order, f.theta[i]);
-                let got: Vec<u64> = rows.iter().map(|n| n.distance.to_bits()).collect();
-                if verdict.is_ok() && got != want {
-                    verdict = Err(format!("r {}: {rows:?}, oracle distance bits {want:?}", r_obj.id));
-                }
-            });
+            for (delta, corpus) in [(&NO_DELTA, s.points()), (&overlay, &live[..])] {
+                let mut scan = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric), delta);
+                let mut list = NeighborList::new(k);
+                f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
+                    let mut oracle = NeighborList::new(k);
+                    for s_obj in corpus {
+                        oracle.offer(s_obj.id, metric.distance(r_obj, s_obj));
+                    }
+                    let theta = if delta.tombstones_len() == 0 { f.theta[i] } else { f64::INFINITY };
+                    scan.scan(&r_obj.coords, (i, r_pivot_dist), &f.s_parts, s_order, theta, &mut list);
+                    let (got, want) = (bits(list.as_slice()), bits(oracle.as_slice()));
+                    if verdict.is_ok() && got != want {
+                        verdict = Err(format!("r {}: {list:?}, oracle distance bits {want:?}", r_obj.id));
+                    }
+                });
+            }
             prop_assert!(verdict.is_ok(), "{:?}", verdict);
         }
     }
@@ -1250,29 +1319,24 @@ mod tests {
         for metric in METRICS {
             let f = fixture_over(centres.clone(), &r, &s, k, metric);
             let mut scan = VoronoiScan::new(&f.tables, k, ScanKernels::new(metric), &NO_DELTA);
+            let mut list = NeighborList::new(k);
             f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
-                let (rows, counts) = scan.scan(
-                    &r_obj.coords,
-                    r_pivot_dist,
-                    i,
-                    &f.s_parts,
-                    s_order,
-                    f.theta[i],
-                );
+                let before = scan.counts.frozen;
+                let r = (i, r_pivot_dist);
+                scan.scan(&r_obj.coords, r, &f.s_parts, s_order, f.theta[i], &mut list);
+                let spent = scan.counts.frozen - before;
                 assert_eq!(s_order.len(), centres.len());
                 assert!(
-                    counts.frozen < s_order.len() as u64,
-                    "{metric:?} r {}: {} evaluations over {} cells",
+                    spent < s_order.len() as u64,
+                    "{metric:?} r {}: {spent} evaluations over {} cells",
                     r_obj.id,
-                    counts.frozen,
                     s_order.len()
                 );
                 let mut oracle = NeighborList::new(k);
                 for s_obj in &s {
                     oracle.offer(s_obj.id, metric.distance(r_obj, s_obj));
                 }
-                let want = oracle.into_sorted();
-                assert_eq!(rows, want, "{metric:?}");
+                assert_eq!(list.as_slice(), oracle.as_slice(), "{metric:?}");
             });
         }
     }
@@ -1442,7 +1506,7 @@ mod tests {
         let whole = ShuffledCell {
             kind: RecordKind::S,
             partition: 3,
-            rows: CellSlice::whole(FlatPartition::from_sorted(3, &rows)),
+            rows: CellSlice::whole(FlatPartition::from_sorted(&rows)),
         };
         let record = Record::new(RecordKind::S, 3, 2.0, Point::new(2, vec![0.5, 1.5, 2.5]));
         for (bound, n) in [(f64::NEG_INFINITY, 7), (2.0, 5), (6.5, 0)] {
@@ -1498,8 +1562,10 @@ mod tests {
             ScanKernels::new(DistanceMetric::Euclidean),
             &NO_DELTA,
         );
+        let mut list = NeighborList::new(3);
         f.for_each_r(|s_order, r_obj, r_pivot_dist, i| {
-            scan.scan(&r_obj.coords, r_pivot_dist, i, &cut, s_order, f.theta[i]);
+            let r = (i, r_pivot_dist);
+            scan.scan(&r_obj.coords, r, &cut, s_order, f.theta[i], &mut list);
         });
     }
 
@@ -1507,7 +1573,7 @@ mod tests {
     #[should_panic(expected = "cell invariant violated")]
     fn a_cell_refuses_rows_out_of_cell_order() {
         let rows: [Row<'_>; 2] = [(2.0, 1, &[0.0]), (1.0, 2, &[0.0])];
-        FlatPartition::from_sorted(1, &rows);
+        FlatPartition::from_sorted(&rows);
     }
 
     /// The column layout loses no bit: every row read back out of a cell's

@@ -44,7 +44,7 @@ use crate::metrics::{phases, Count, JoinMetrics, Tally};
 use crate::plan::JoinPlan;
 use crate::result::{JoinError, JoinRow};
 use geom::zorder::{random_shifts, ZQuantizer, ZValue, MAX_Z_BITS};
-use geom::{NeighborList, PointId, PointSet, RecordKind};
+use geom::{Mask, NeighborList, PointId, PointSet, RecordKind};
 use mapreduce::{IdentityPartitioner, JobBuilder, MapContext, Mapper, ReduceContext, Reducer};
 use std::sync::Arc;
 use std::time::Instant;
@@ -400,7 +400,9 @@ impl SortedCopy {
     ) -> u64 {
         let pos = self.z.partition_point(|z| *z < z_r);
         let rows = pos.saturating_sub(window)..(pos + window).min(self.z.len());
-        self.rows.offer(query, rows, kernels, scratch, list)
+        self.rows
+            .offer(query, rows.clone(), Mask::NONE, kernels, scratch, list);
+        rows.len() as u64
     }
 }
 

@@ -6,9 +6,10 @@
 //! distance computations.  [`NestedLoopJoin::join`] is used by tests and
 //! benchmarks as ground truth and as the centralized baseline that motivates
 //! distributing the join, and shares no kernel with what it checks;
-//! `FlatBlock` is the same scan over the column kernels, for the broadcast
-//! join of §3, [`Algorithm::NestedLoopJoin`], H-zkNNJ's windows and the
-//! delta overlay's adds.
+//! `FlatBlock` is the column layout every scan ranks and `FlatBlock::offer`
+//! the one tiled offer they share: whole blocks for the broadcast join of
+//! §3 and [`Algorithm::NestedLoopJoin`], H-zkNNJ's windows, the delta
+//! overlay's adds and the Voronoi cells' Theorem 2 runs.
 //!
 //! [`Algorithm::NestedLoopJoin`]: crate::Algorithm::NestedLoopJoin
 
@@ -70,13 +71,13 @@ impl NestedLoopJoin {
     }
 }
 
-/// A block of `S` rows laid out for exhaustive scanning: the ids, and the
-/// coordinates column-major — coordinate `d` of row `i` at
-/// `columns[d * len + i]` — so [`Self::offer`] ranks a run of rows with the
-/// column kernel, the one every scan uses.  A broadcast reducer builds one
-/// from its shuffled records, the nested-loop join from `S`, an H-zkNNJ
-/// reducer from its z-sorted slab, and the delta overlay holds its adds in
-/// one.
+/// A block of rows laid out for scanning: the ids, and the coordinates
+/// column-major — coordinate `d` of row `i` at `columns[d * len + i]` — so
+/// [`Self::offer`] ranks a run of rows with the column kernel, the one every
+/// scan uses.  A broadcast reducer builds one from its shuffled records, the
+/// nested-loop join from `S`, an H-zkNNJ reducer from its z-sorted slab, the
+/// delta overlay holds its adds in one, and every Voronoi cell holds its rows
+/// in one (`voronoi::FlatPartition`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct FlatBlock {
     ids: Vec<PointId>,
@@ -90,15 +91,27 @@ impl FlatBlock {
         columns: Vec::new(),
     };
 
-    /// Lays `(id, coordinates)` rows out in order, one column at a time.
+    /// Lays `(id, coordinates)` rows out in order.
     pub(crate) fn new<'p>(rows: impl IntoIterator<Item = (PointId, &'p [f64])>) -> Self {
         let rows: Vec<(PointId, &[f64])> = rows.into_iter().collect();
         let dims = rows.first().map_or(0, |(_, row)| row.len());
-        let mut columns = Vec::with_capacity(dims * rows.len());
-        for d in 0..dims {
-            columns.extend(rows.iter().map(|(_, row)| row[d]));
-        }
         let ids = rows.iter().map(|(id, _)| *id).collect();
+        Self::by_columns(ids, dims, |d, out| {
+            out.extend(rows.iter().map(|(_, row)| row[d]))
+        })
+    }
+
+    /// The block of the rows `ids`, laid out one column at a time:
+    /// `column(d, out)` appends coordinate `d` of every row, in row order.
+    pub(crate) fn by_columns(
+        ids: Vec<PointId>,
+        dims: usize,
+        mut column: impl FnMut(usize, &mut Vec<f64>),
+    ) -> Self {
+        let mut columns = Vec::with_capacity(dims * ids.len());
+        for d in 0..dims {
+            column(d, &mut columns);
+        }
         Self { ids, columns }
     }
 
@@ -113,7 +126,7 @@ impl FlatBlock {
     }
 
     /// Coordinates per row (0 while the block is empty).
-    fn dims(&self) -> usize {
+    pub(crate) fn dims(&self) -> usize {
         self.columns.len().checked_div(self.len()).unwrap_or(0)
     }
 
@@ -133,15 +146,12 @@ impl FlatBlock {
     /// `self` is left as it is.
     pub(crate) fn spliced(&self, cut: Range<usize>, row: Option<(PointId, &[f64])>) -> Self {
         let dims = row.map_or(self.dims(), |(_, coords)| coords.len());
-        let n = self.len() - cut.len() + usize::from(row.is_some());
-        let mut ids = Vec::with_capacity(n);
+        let mut ids = Vec::with_capacity(self.len() - cut.len() + usize::from(row.is_some()));
         splice_into(&mut ids, &self.ids, cut.clone(), row.map(|(id, _)| id));
-        let mut columns = Vec::with_capacity(dims * n);
-        for d in 0..dims {
+        Self::by_columns(ids, dims, |d, out| {
             let value = row.map(|(_, coords)| coords[d]);
-            splice_into(&mut columns, self.column(d), cut.clone(), value);
-        }
-        Self { ids, columns }
+            splice_into(out, self.column(d), cut.clone(), value);
+        })
     }
 
     /// The cold [`crate::Algorithm::NestedLoopJoin`]: `S` laid out once and
@@ -180,30 +190,35 @@ impl FlatBlock {
         kernels: &ScanKernels,
         scratch: &mut TileScratch,
     ) -> (Vec<Neighbor>, u64) {
-        let mut neighbors = NeighborList::new(k);
-        let evaluated = self.offer(query, 0..self.len(), kernels, scratch, &mut neighbors);
-        (neighbors.into_sorted(), evaluated)
+        let (mut neighbors, all) = (NeighborList::new(k), 0..self.len());
+        self.offer(query, all, Mask::NONE, kernels, scratch, &mut neighbors);
+        (neighbors.into_sorted(), self.len() as u64)
     }
 
-    /// Ranks `rows` against `query`, [`PROBE_TILE`] rows per call of
-    /// `kernels.columns`, and offers each tile to `list` as ranks
-    /// ([`NeighborList::offer_ranks`]).  Returns the rows evaluated: all of
-    /// `rows`.
+    /// The crate's one tiled offer: ranks `rows` against `query`,
+    /// [`PROBE_TILE`] rows per call of `kernels.columns`, and offers each
+    /// tile to `list` as ranks, except the rows whose id is in `masked`
+    /// ([`NeighborList::offer_ranks`]; [`Mask::NONE`] for none).  Every row
+    /// of `rows` is evaluated; returns how many were masked.
+    #[inline]
     pub(crate) fn offer(
         &self,
         query: &[f64],
         rows: Range<usize>,
+        masked: Mask<'_>,
         kernels: &ScanKernels,
         scratch: &mut TileScratch,
         list: &mut NeighborList,
     ) -> u64 {
+        let mut masked_met = 0;
         for first in rows.clone().step_by(PROBE_TILE) {
             let last = (first + PROBE_TILE).min(rows.end);
             let ranks = &mut scratch.ranks[..last - first];
             (kernels.columns)(query, &self.columns, self.len(), first, ranks);
-            list.offer_ranks(&self.ids[first..last], ranks, Mask::NONE, kernels.metric);
+            let ids = &self.ids[first..last];
+            masked_met += list.offer_ranks(ids, ranks, masked, kernels.metric);
         }
-        rows.len() as u64
+        masked_met
     }
 }
 

@@ -538,14 +538,12 @@ mod tests {
             .unwrap();
         let mutate = &prepared.inner.mutate;
         let outcome = catch_unwind(AssertUnwindSafe(|| mutate.with(|_| prepared.query(&batch))));
-        if cfg!(debug_assertions) {
-            let panic = outcome.expect_err("a probe under a lock must fail");
-            let message = panic.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(
-                message.contains("probe_rows") && message.contains("prepared.mutate"),
-                "got: {message}"
-            );
-        }
+        let panic = outcome.expect_err("a probe under a lock must fail");
+        let message = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            message.contains("probe_rows") && message.contains("prepared.mutate"),
+            "got: {message}"
+        );
         assert_eq!(prepared.query(&batch).unwrap().len(), 8);
     }
 }

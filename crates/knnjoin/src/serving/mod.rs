@@ -29,8 +29,8 @@
 //!   rather than latency collapse.  A [`Ticket`] dropped unwaited withdraws
 //!   its request, so fire-and-forget clients cannot hold the queue full.
 //! * **Bounded permits + mergeable latency histograms** — each permit books
-//!   an answer's latency ([`LatencyHistogram`]) and count in its own shard,
-//!   merged on demand by [`Server::stats`] into p50/p95/p99 and QPS.
+//!   a round's latencies ([`LatencyHistogram`]) and counts in its own shard,
+//!   under one lock per round, merged on demand by [`Server::stats`] into p50/p95/p99 and QPS.
 //!
 //! The corpus stays fully mutable underneath: writers call
 //! [`PreparedJoin::insert`] / [`PreparedJoin::delete`] /
@@ -324,11 +324,16 @@ impl Shared {
             .iter()
             .map(|request| request.point.coords.as_slice())
             .collect();
-        match probe_caught(|| self.prepared.probe(&rows)) {
+        let outcome = probe_caught(|| self.prepared.probe(&rows));
+        let ok = outcome.is_ok();
+        self.finish(
+            index,
+            requests.iter().map(|request| (request.submitted, ok)),
+        );
+        match outcome {
             Ok((neighbors, _)) => {
                 debug_assert_eq!(neighbors.len(), requests.len());
                 for (request, neighbors) in requests.into_iter().zip(neighbors) {
-                    self.finish(index, request.submitted, true);
                     *lock_tolerant(&request.slot) = Some(Ok(JoinRow {
                         r_id: request.point.id,
                         neighbors,
@@ -337,7 +342,6 @@ impl Shared {
             }
             Err(error) => {
                 for request in requests {
-                    self.finish(index, request.submitted, false);
                     *lock_tolerant(&request.slot) = Some(Err(error.clone()));
                 }
             }
@@ -346,18 +350,22 @@ impl Shared {
 
     fn run_batch(&self, index: usize, request: BatchRequest) {
         let outcome = probe_caught(|| self.prepared.query(&request.points));
-        self.finish(index, request.submitted, outcome.is_ok());
+        self.finish(index, [(request.submitted, outcome.is_ok())]);
         *lock_tolerant(&request.slot) = Some(outcome);
     }
 
-    /// Books one answered request into this permit's shard: its latency
-    /// and its completed or failed count.
-    fn finish(&self, index: usize, submitted: Instant, ok: bool) {
+    /// Books a round's answered requests, `(submitted, ok)` each, into
+    /// this permit's shard under one acquisition: each one's latency and its
+    /// completed or failed count.  Called before any of the round's answers
+    /// is handed out, so a client that holds its answer sees it counted.
+    fn finish(&self, index: usize, answered: impl IntoIterator<Item = (Instant, bool)>) {
         if let Some(shard) = self.shards.get(index) {
             shard.with(|shard| {
-                shard.latency.record(submitted.elapsed());
-                shard.completed += u64::from(ok);
-                shard.failed += u64::from(!ok);
+                for (submitted, ok) in answered {
+                    shard.latency.record(submitted.elapsed());
+                    shard.completed += u64::from(ok);
+                    shard.failed += u64::from(!ok);
+                }
             });
         }
     }
@@ -599,7 +607,7 @@ impl ServerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::common::failpoint::POISON;
+    use crate::algorithms::voronoi::failpoint::POISON;
     use crate::context::ExecutionContext;
     use crate::plan::Algorithm;
     use crate::JoinBuilder;

@@ -27,7 +27,7 @@
 //!
 //! By default [`RankedMutex`] and [`RankedRwLock`] are zero-cost newtypes
 //! over the `parking_lot` shims.  With the `debug-invariants` cargo feature
-//! they record a per-thread acquisition stack and `debug_assert!` on every
+//! they record a per-thread acquisition stack and `assert!` on every
 //! acquisition that the new lock's rank strictly exceeds every rank already
 //! held by the thread — an out-of-order acquisition (a potential deadlock,
 //! or a violation of the documented discipline) fails the test run at the
@@ -65,7 +65,7 @@ mod audit {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             if let Some(&(worst, worst_name)) = held.iter().max_by_key(|(r, _)| *r) {
-                debug_assert!(
+                assert!(
                     rank > worst,
                     "lock-order violation: acquiring {name} (rank {rank}) while \
                      holding {worst_name} (rank {worst}); see mapreduce::sync for \
@@ -94,7 +94,7 @@ mod audit {
 
     /// See [`super::assert_none_held`].
     pub(super) fn assert_none_held(site: &str) {
-        debug_assert!(
+        assert!(
             held_count() == 0,
             "{site} entered while holding {}; no ranked lock may be held \
              across a probe or a run",
@@ -244,8 +244,8 @@ mod tests {
     }
 
     /// The provocation test: acquiring a lower-ranked lock while holding a
-    /// higher-ranked one must fire the auditor (debug builds with the
-    /// feature enabled), and the unwind releases what was held.
+    /// higher-ranked one must fire the auditor, and the unwind releases
+    /// what was held.
     #[cfg(feature = "debug-invariants")]
     #[test]
     fn out_of_order_acquisition_fires_the_auditor() {
@@ -254,15 +254,13 @@ mod tests {
             let low = RankedMutex::new(ranks::PREPARED_CUMULATIVE, "prepared.cumulative", ());
             high.with(|_| low.with(|_| ()));
         });
-        if cfg!(debug_assertions) {
-            let err = outcome.expect_err("auditor must fire on inversion");
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_else(|| "non-string panic".to_string());
-            assert!(msg.contains("lock-order violation"), "got: {msg}");
-            assert_eq!(audit::held_count(), 0);
-        }
+        let err = outcome.expect_err("auditor must fire on inversion");
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "non-string panic".to_string());
+        assert!(msg.contains("lock-order violation"), "got: {msg}");
+        assert_eq!(audit::held_count(), 0);
     }
 
     /// Same-rank nesting (two shards of one family) is a violation too.
@@ -274,9 +272,7 @@ mod tests {
             let b = RankedMutex::new(ranks::SERVING_HISTOGRAM, "serving.histogram", ());
             a.with(|_| b.with(|_| ()));
         });
-        if cfg!(debug_assertions) {
-            assert!(outcome.is_err(), "same-rank nesting must fire");
-            assert_eq!(audit::held_count(), 0);
-        }
+        assert!(outcome.is_err(), "same-rank nesting must fire");
+        assert_eq!(audit::held_count(), 0);
     }
 }

@@ -123,8 +123,8 @@ fn every_cold_join_makes_its_pinned_allocations() {
     let data = corpus();
     let ctx = one_worker();
     for (algorithm, pin) in [
-        (Algorithm::Pgbj, 1369),
-        (Algorithm::Pbj, 2810),
+        (Algorithm::Pgbj, 1373),
+        (Algorithm::Pbj, 2214),
         (Algorithm::Hbrj, 877),
         (Algorithm::Zknn, 1448),
         (Algorithm::BroadcastJoin, 664),

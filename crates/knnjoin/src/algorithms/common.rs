@@ -214,12 +214,12 @@ pub(crate) fn label_rows(r: &PointSet, neighbors: Vec<Vec<Neighbor>>) -> Vec<Joi
 ///
 /// Measured with PGBJ on the benchmark's two shapes (`forest10d` 12 000 ×
 /// 10-d and `osm2d` 48 000 × 2-d, 110 pivots, a shared 2-vCPU host):
-/// handing two ranges to [`mapreduce::parallel_map`] costs ~100–130 µs of spawn + join,
-/// and a 64-row batch split over 2 workers still ran slower than inline in
-/// 2 of 2 runs (`forest10d` 706 / 1079 µs against 588 / 610 µs, `osm2d`
-/// 445 / 584 µs against 285 / 274 µs); 128 rows came out about even.  So on
-/// such a host the cut sits below break-even; it is kept until a
-/// measurement on free cores places it.  It sits above the 16 singles a
+/// handing two ranges to [`mapreduce::parallel_map`] costs ~100–130 µs of
+/// spawn + join, and a 64-row batch split over 2 workers still ran slower
+/// than inline in 2 of 2 runs (`forest10d` 706 / 1079 µs against 588 /
+/// 610 µs, `osm2d` 445 / 584 µs against 285 / 274 µs); 128 rows came out
+/// about even.  So on such a host the cut sits below break-even; it is kept
+/// until a measurement on free cores places it.  It sits above the 16 singles a
 /// server round coalesces at most, so a coalesced batch, which only forms
 /// while every probe permit is out, never spawns threads of its own.
 pub const PARALLEL_PROBE_CUT: usize = 64;

@@ -8,23 +8,19 @@
 //! ```
 //!
 //! where `<id>` is one of `table2 table3 fig6 fig7 fig8 fig9 fig10 fig11
-//! fig12 perf_baseline mutable_corpus serving_slo`.  Without `--quick` the
-//! full (report) scale is used;
-//! with it, a much smaller smoke-test scale.  Tables are always printed to
+//! fig12 perf_baseline mutable_corpus`.  Without `--quick` the full (report)
+//! scale is used; with it, a much smaller smoke-test scale.  Tables are always printed to
 //! stdout; `--markdown`/`--json` additionally write them to files.
 //!
 //! `--check` compares the run's rows against a committed reference JSON,
 //! whole rows, and exits non-zero on any drift: a row or a field on one
-//! side only, or two values more than 1e-9 apart.  Three experiments carry
+//! side only, or two values more than 1e-9 apart.  Two experiments carry
 //! committed references: `perf_baseline` (keyed by `algorithm`; e.g.
 //! `BENCH_baseline_quick.json` — distance computations, pivot-assignment
-//! computations, index builds, shuffle volume, recall and distance ratio),
-//! `mutable_corpus` (keyed by `label`; e.g. `BENCH_mutable.json` —
-//! delta-layer probe/tombstone/compaction counters) and `serving_slo`
-//! (keyed by `label`; e.g. `BENCH_serving_quick.json` —
-//! request/response/rejection accounting of the concurrent server).  Those
-//! three write no clock reading into their rows: every field is exact for
-//! the seed.  Running times, latencies and throughput are measured with a
+//! computations, index builds, shuffle volume, recall and distance ratio)
+//! and `mutable_corpus` (keyed by `label`; `BENCH_mutable.json` —
+//! delta-layer probe/tombstone/compaction counters).  Neither writes a clock
+//! reading into its rows: every field is exact for the seed.  Running times, latencies and throughput are measured with a
 //! spread by `benchmark/` and declared in `BENCHMARK.json`; the paper's
 //! figures still print their running-time panels, which no check reads.
 //! A `perf_baseline` check also fails when a `Fast` row of the run, cold
@@ -35,7 +31,8 @@
 //! batches job 1's combiner lets through plus one per routed object and one
 //! per merge-job partial list (a cell slice is accounted as its rows, a
 //! partial list as one), whatever the reference says.
-//! CI runs all three on every push, so an unexplained counter regression
+//! CI runs the three gates (`perf_baseline` quick and full,
+//! `mutable_corpus` quick) on every push, so an unexplained counter regression
 //! fails the build instead of silently shifting the baseline.
 
 #![forbid(unsafe_code)]
@@ -186,8 +183,8 @@ fn main() -> ExitCode {
         }
         if checked == 0 {
             eprintln!(
-                "--check requires a checkable experiment (one of: perf_baseline, \
-                 mutable_corpus, serving_slo) to have run with reference rows in {path}"
+                "--check requires a checkable experiment (perf_baseline or \
+                 mutable_corpus) to have run with reference rows in {path}"
             );
             return ExitCode::FAILURE;
         }
@@ -220,8 +217,7 @@ fn print_usage() {
     );
     eprintln!("  ids: {}", ALL_EXPERIMENTS.join(" "));
     eprintln!(
-        "  --check: diff the rows of perf_baseline, mutable_corpus and/or \
-         serving_slo against a committed reference, every field; non-zero \
-         exit on drift"
+        "  --check: diff the rows of perf_baseline and/or mutable_corpus \
+         against a committed reference, every field; non-zero exit on drift"
     );
 }

@@ -5,10 +5,9 @@
 //! Two kinds of experiment live here.  The paper's tables and figures
 //! (`table2` … `fig12`) report what Section 6 reports, running-time panels
 //! included; those times come from one run each and show a shape, not a
-//! claim.  `perf_baseline`, `mutable_corpus` and `serving_slo` are counter
-//! gates: every field of their rows is exact for the seed, and
-//! `experiments --check` compares them against the committed
-//! `BENCH_*.json`.  No timing claim rests on either kind: running times,
+//! claim.  `perf_baseline` and `mutable_corpus` are counter gates: every
+//! field of their rows is exact for the seed, and `experiments --check`
+//! compares them against the committed `BENCH_*.json`.  No timing claim rests on either kind: running times,
 //! latencies and throughput are measured with a spread by `benchmark/`, one
 //! `BENCHMARK.json` metric each.
 
@@ -18,7 +17,6 @@ mod effect_of_k;
 mod mutable_corpus;
 mod parameter_study;
 mod perf_baseline;
-mod serving_slo;
 mod sweeps;
 
 pub use effect_of_k::{fig8, fig9};
@@ -28,7 +26,6 @@ pub use perf_baseline::{
     cold_rows_off_their_shuffle_identity, fast_rows_off_their_exact_twin,
     pbj_rows_off_their_pgbj_twin, perf_baseline, BaselineRow, PREPARED_QUERIES,
 };
-pub use serving_slo::{serving_slo, ServingRow};
 pub use sweeps::{fig10, fig11, fig12};
 
 use crate::json::Value;
@@ -62,9 +59,9 @@ impl ExperimentOutput {
     }
 }
 
-/// All experiment ids, in paper order; `perf_baseline`, `mutable_corpus`
-/// and `serving_slo` (not paper artifacts) regenerate the committed
-/// `BENCH_baseline.json`, `BENCH_mutable.json` and `BENCH_serving.json`.
+/// All experiment ids, in paper order; `perf_baseline` and
+/// `mutable_corpus` (not paper artifacts) regenerate the committed
+/// `BENCH_baseline.json` and `BENCH_mutable.json`.
 pub const ALL_EXPERIMENTS: &[&str] = &[
     "table2",
     "table3",
@@ -77,7 +74,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "fig12",
     "perf_baseline",
     "mutable_corpus",
-    "serving_slo",
 ];
 
 /// Runs one experiment by id.  Returns `None` for an unknown id.
@@ -94,7 +90,6 @@ pub fn run_by_id(id: &str, scale: ExperimentScale) -> Option<ExperimentOutput> {
         "fig12" => fig12(scale),
         "perf_baseline" => perf_baseline(scale),
         "mutable_corpus" => mutable_corpus(scale),
-        "serving_slo" => serving_slo(scale),
         _ => return None,
     };
     Some(out)
@@ -105,7 +100,7 @@ pub fn run_by_id(id: &str, scale: ExperimentScale) -> Option<ExperimentOutput> {
 pub fn check_key(id: &str) -> Option<&'static str> {
     match id {
         "perf_baseline" => Some("algorithm"),
-        "mutable_corpus" | "serving_slo" => Some("label"),
+        "mutable_corpus" => Some("label"),
         _ => None,
     }
 }

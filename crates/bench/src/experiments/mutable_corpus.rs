@@ -4,10 +4,9 @@
 //! Not a paper artifact — the paper's corpus is immutable — but the serving
 //! question its batch design leaves open: what does a resident delta overlay
 //! cost at query time, and does compaction restore frozen-path parity?  For
-//! both prepared algorithms (PGBJ and PBJ) and every churn level (0%, 5%,
-//! 20% of the corpus inserted *and* deleted), one `JoinBuilder::prepare`
-//! handle is mutated through `PreparedJoin::insert`/`delete` with
-//! auto-compaction disabled, queried (the `"overlay"` rows: delta probes and
+//! every churn level (0%, 5%, 20% of the corpus inserted *and* deleted), one
+//! prepared PGBJ handle (`prepare` keeps no other index) is mutated through
+//! `PreparedJoin::insert`/`delete` with auto-compaction disabled, queried (the `"overlay"` rows: delta probes and
 //! tombstone masks at their peak), then force-compacted and queried again
 //! (the `"compacted"` rows: the delta counters must return to zero, the live
 //! corpus unchanged).
@@ -35,11 +34,9 @@ const QUERIES: u32 = 4;
 /// Churn levels: fraction of the corpus inserted and (independently) deleted.
 const CHURN_PERCENTS: [usize; 3] = [0, 5, 20];
 
-/// One measured (algorithm, churn, phase) cell.
+/// One measured (churn, phase) cell of the prepared PGBJ handle.
 #[derive(Debug, Clone)]
 pub struct MutableRow {
-    /// Algorithm name.
-    pub algorithm: String,
     /// Churn level in percent of the corpus size.
     pub churn_pct: usize,
     /// `"overlay"` (delta resident) or `"compacted"` (overlay folded in).
@@ -104,7 +101,6 @@ fn measure(prepared: &PreparedJoin, data: &PointSet, churn_pct: usize, phase: &s
         "corpus ids must ascend strictly"
     );
     MutableRow {
-        algorithm: prepared.algorithm().name().to_string(),
         churn_pct,
         phase: phase.to_string(),
         distance_computations: m.distance_computations,
@@ -116,32 +112,31 @@ fn measure(prepared: &PreparedJoin, data: &PointSet, churn_pct: usize, phase: &s
     }
 }
 
-/// Runs the churn grid over the algorithms `prepare` keeps an index for.
+/// Runs the churn grid over the prepared PGBJ handle.
 pub fn mutable_corpus(scale: ExperimentScale) -> ExperimentOutput {
     let workloads = Workloads::new(scale);
     let data = workloads.forest_default();
     let k = workloads.default_k();
 
     let mut rows: Vec<MutableRow> = Vec::new();
-    for &algorithm in &[Algorithm::Pbj, Algorithm::Pgbj] {
-        for &pct in &CHURN_PERCENTS {
-            let prepared = JoinBuilder::new(&data, &data)
-                .k(k)
-                .metric(DistanceMetric::Euclidean)
-                .algorithm(algorithm)
-                .pivot_count(workloads.default_pivots())
-                .reducers(workloads.default_reducers())
-                // Keep the full churn resident so the overlay rows measure
-                // the delta probe path at its peak, not a mid-churn rebuild.
-                .delta_threshold(usize::MAX)
-                .prepare(workloads.context())
-                .expect("mutable prepare");
-            apply_churn(&prepared, &data, pct);
-            rows.push(measure(&prepared, &data, pct, "overlay"));
-            prepared.compact();
-            rows.push(measure(&prepared, &data, pct, "compacted"));
-        }
+    for &pct in &CHURN_PERCENTS {
+        let prepared = JoinBuilder::new(&data, &data)
+            .k(k)
+            .metric(DistanceMetric::Euclidean)
+            .algorithm(Algorithm::Pgbj)
+            .pivot_count(workloads.default_pivots())
+            .reducers(workloads.default_reducers())
+            // Keep the full churn resident so the overlay rows measure the
+            // delta probe path at its peak, not a mid-churn rebuild.
+            .delta_threshold(usize::MAX)
+            .prepare(workloads.context())
+            .expect("mutable prepare");
+        apply_churn(&prepared, &data, pct);
+        rows.push(measure(&prepared, &data, pct, "overlay"));
+        prepared.compact();
+        rows.push(measure(&prepared, &data, pct, "compacted"));
     }
+    let algorithm = Algorithm::Pgbj.name();
 
     let mut table = Table::new(
         "Mutable corpus (insert+delete churn on the default Forest-like workload)",
@@ -159,7 +154,7 @@ pub fn mutable_corpus(scale: ExperimentScale) -> ExperimentOutput {
     );
     for row in &rows {
         table.add_row(vec![
-            row.algorithm.clone(),
+            algorithm.to_string(),
             row.churn_pct.to_string(),
             row.phase.clone(),
             row.distance_computations.to_string(),
@@ -177,9 +172,9 @@ pub fn mutable_corpus(scale: ExperimentScale) -> ExperimentOutput {
                 Value::object(vec![
                     (
                         "label",
-                        format!("{} churn={}% {}", row.algorithm, row.churn_pct, row.phase).into(),
+                        format!("{algorithm} churn={}% {}", row.churn_pct, row.phase).into(),
                     ),
-                    ("algorithm", row.algorithm.as_str().into()),
+                    ("algorithm", algorithm.into()),
                     ("churn_pct", (row.churn_pct as f64).into()),
                     ("phase", row.phase.as_str().into()),
                     (
@@ -210,6 +205,13 @@ pub fn mutable_corpus(scale: ExperimentScale) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The quick run the tests read, made once and shared.
+    fn quick() -> &'static ExperimentOutput {
+        static QUICK: OnceLock<ExperimentOutput> = OnceLock::new();
+        QUICK.get_or_init(|| mutable_corpus(ExperimentScale::Quick))
+    }
 
     fn rows_of(out: &ExperimentOutput) -> &[Value] {
         out.json.as_array().expect("rows")
@@ -222,12 +224,12 @@ mod tests {
     }
 
     #[test]
-    fn covers_both_algorithms_every_churn_level_and_phase() {
-        let out = mutable_corpus(ExperimentScale::Quick);
+    fn covers_every_churn_level_and_phase() {
+        let out = quick();
         assert_eq!(out.id, "mutable_corpus");
-        let rows = rows_of(&out);
-        // 2 algorithms × 3 churn levels × 2 phases.
-        assert_eq!(rows.len(), 12);
+        let rows = rows_of(out);
+        // 3 churn levels × 2 phases.
+        assert_eq!(rows.len(), 6);
         let labels: Vec<&str> = rows.iter().filter_map(|r| r["label"].as_str()).collect();
         let mut unique = labels.clone();
         unique.sort_unstable();
@@ -237,66 +239,53 @@ mod tests {
 
     #[test]
     fn overlay_rows_probe_the_delta_and_compaction_restores_parity() {
-        let out = mutable_corpus(ExperimentScale::Quick);
-        let rows = rows_of(&out);
-        for algorithm in ["PBJ", "PGBJ"] {
-            let frozen = find(rows, &format!("{algorithm} churn=0% overlay"));
-            let churned = find(rows, &format!("{algorithm} churn=5% overlay"));
-            let compacted = find(rows, &format!("{algorithm} churn=5% compacted"));
+        let rows = rows_of(quick());
+        let frozen = find(rows, "PGBJ churn=0% overlay");
+        let churned = find(rows, "PGBJ churn=5% overlay");
+        let compacted = find(rows, "PGBJ churn=5% compacted");
 
-            // 0% churn: the frozen path exactly — no delta work at all.
-            assert_eq!(frozen["delta_probe_computations"].as_u64(), Some(0));
-            assert_eq!(frozen["tombstone_masked"].as_u64(), Some(0));
-            assert_eq!(frozen["compactions"].as_u64(), Some(0));
+        // 0% churn: the frozen path exactly — no delta work at all.
+        assert_eq!(frozen["delta_probe_computations"].as_u64(), Some(0));
+        assert_eq!(frozen["tombstone_masked"].as_u64(), Some(0));
+        assert_eq!(frozen["compactions"].as_u64(), Some(0));
 
-            // 5% churn keeps the corpus size (equal inserts and deletes)
-            // and probes the memtable.
-            assert_eq!(
-                churned["live_points"].as_u64(),
-                frozen["live_points"].as_u64()
-            );
-            assert!(
-                churned["delta_probe_computations"].as_u64().unwrap() > 0,
-                "{algorithm}: overlay adds must be probed"
-            );
+        // 5% churn keeps the corpus size (equal inserts and deletes) and
+        // probes the memtable.
+        assert_eq!(
+            churned["live_points"].as_u64(),
+            frozen["live_points"].as_u64()
+        );
+        assert!(
+            churned["delta_probe_computations"].as_u64().unwrap() > 0,
+            "overlay adds must be probed"
+        );
 
-            // The acceptance bar: serving through the overlay at 5% churn
-            // costs < 1.5× the frozen-only query in distance kernels.
-            let frozen_cost = frozen["distance_computations"].as_u64().unwrap() as f64;
-            let churned_cost = (churned["distance_computations"].as_u64().unwrap()
-                + churned["delta_probe_computations"].as_u64().unwrap())
-                as f64;
-            assert!(
-                churned_cost < 1.5 * frozen_cost,
-                "{algorithm}: overlay cost {churned_cost} vs frozen {frozen_cost}"
-            );
+        // The acceptance bar: serving through the overlay at 5% churn costs
+        // < 1.5× the frozen-only query in distance kernels.
+        let frozen_cost = frozen["distance_computations"].as_u64().unwrap() as f64;
+        let churned_cost = (churned["distance_computations"].as_u64().unwrap()
+            + churned["delta_probe_computations"].as_u64().unwrap())
+            as f64;
+        assert!(
+            churned_cost < 1.5 * frozen_cost,
+            "overlay cost {churned_cost} vs frozen {frozen_cost}"
+        );
 
-            // Compaction folds everything in: delta counters silent again,
-            // live corpus unchanged, work accounted.
-            assert_eq!(
-                compacted["delta_probe_computations"].as_u64(),
-                Some(0),
-                "{algorithm}"
-            );
-            assert_eq!(
-                compacted["tombstone_masked"].as_u64(),
-                Some(0),
-                "{algorithm}"
-            );
-            assert_eq!(compacted["compactions"].as_u64(), Some(1), "{algorithm}");
-            assert!(compacted["compacted_points"].as_u64().unwrap() > 0);
-            assert_eq!(
-                compacted["live_points"].as_u64(),
-                churned["live_points"].as_u64()
-            );
-        }
+        // Compaction folds everything in: delta counters silent again, live
+        // corpus unchanged, work accounted.
+        assert_eq!(compacted["delta_probe_computations"].as_u64(), Some(0));
+        assert_eq!(compacted["tombstone_masked"].as_u64(), Some(0));
+        assert_eq!(compacted["compactions"].as_u64(), Some(1));
+        assert!(compacted["compacted_points"].as_u64().unwrap() > 0);
+        assert_eq!(
+            compacted["live_points"].as_u64(),
+            churned["live_points"].as_u64()
+        );
     }
 
     #[test]
     fn deterministic_counters_for_fixed_seed() {
         // The rows hold no clock reading, so two runs agree on every field.
-        let a = mutable_corpus(ExperimentScale::Quick);
-        let b = mutable_corpus(ExperimentScale::Quick);
-        assert_eq!(a.json, b.json);
+        assert_eq!(mutable_corpus(ExperimentScale::Quick).json, quick().json);
     }
 }

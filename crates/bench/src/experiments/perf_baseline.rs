@@ -10,16 +10,15 @@
 //! (`"<name> (fast)"`) repeats each cold join with
 //! `kernel_mode = KernelMode::Fast`, which no scan reads: on every
 //! algorithm every deterministic field equals the `Exact` twin's (see
-//! [`fast_rows_off_their_exact_twin`]).  A third row set
-//! (`"<name> (prepared)"`, PGBJ and PBJ — the algorithms `prepare` keeps an
-//! index for) runs the serving path: one `JoinBuilder::prepare` build
-//! followed by [`PREPARED_QUERIES`] repeated `PreparedJoin::query` calls,
-//! reporting the per-query counters (which must show zero `index_builds` /
-//! `pivot_selections`); a fourth (`"<name> (prepared, fast)"`) repeats the
-//! serving rows with `kernel_mode = Fast`.  The JSON is written to
-//! `BENCH_baseline.json` (see the README) so the repository always carries
-//! a reference trajectory: every field is deterministic for the fixed seed
-//! and must not regress silently.  The rows
+//! [`fast_rows_off_their_exact_twin`]).  A third row, `"PGBJ (prepared)"`
+//! (PGBJ's is the one index `prepare` keeps), runs the serving path: one
+//! `JoinBuilder::prepare` build followed by [`PREPARED_QUERIES`] repeated
+//! `PreparedJoin::query` calls, reporting the per-query counters (which must
+//! show zero `index_builds` / `pivot_selections`); a fourth,
+//! `"PGBJ (prepared, fast)"`, repeats it with `kernel_mode = Fast`.  The
+//! JSON is written to `BENCH_baseline.json` (see the README) so the
+//! repository always carries a reference trajectory: every field is
+//! deterministic for the fixed seed and must not regress silently.  The rows
 //! hold no time: how long a cold join, a build or a prepared query takes is
 //! measured with a spread by `benchmark/` (`pgbj_join_s`, `prepared.build_s`,
 //! `prepared.query_batch128_ms`, ...).
@@ -33,7 +32,7 @@ use crate::workloads::{ExperimentScale, Workloads};
 use geom::{DistanceMetric, KernelMode};
 use knnjoin::{Algorithm, JoinBuilder, JoinResult};
 
-/// Repeated `PreparedJoin::query` calls per algorithm in the serving rows.
+/// Repeated `PreparedJoin::query` calls per serving row.
 pub const PREPARED_QUERIES: u32 = 8;
 
 /// One algorithm's baseline counters.  Cold rows count one
@@ -46,7 +45,7 @@ pub struct BaselineRow {
     /// Join-phase distance computations (Equation 13 numerator).
     pub distance_computations: u64,
     /// Pruned pivot-assignment computations (job 1 of PGBJ and PBJ, the
-    /// assignment step of their prepared probes; 0 elsewhere).
+    /// assignment step of the prepared probe; 0 elsewhere).
     pub pivot_assignment_computations: u64,
     /// Spatial indexes built by reducers (H-BRJ: one per S block; prepared
     /// rows must report 0 — the trees are resident).
@@ -161,40 +160,30 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
         .collect();
     rows.extend(fast_rows);
 
-    // ---- Prepared serving rows of the Voronoi family: one build,
-    // PREPARED_QUERIES queries, once per kernel mode (Exact first, so the
-    // committed row order is stable).
-    let prepared_rows: Vec<BaselineRow> = [KernelMode::Exact, KernelMode::Fast]
-        .iter()
-        .flat_map(|&mode| {
-            let voronoi = algorithms
-                .iter()
-                .filter(|algorithm| algorithm.uses_pivots());
-            voronoi.map(move |&algorithm| (mode, algorithm))
-        })
-        .map(|(mode, algorithm)| {
-            let prepared = JoinBuilder::new(&data, &data)
-                .k(k)
-                .metric(DistanceMetric::Euclidean)
-                .algorithm(algorithm)
-                .pivot_count(pivots)
-                .reducers(reducers)
-                .kernel_mode(mode)
-                .prepare(workloads.context())
-                .expect("baseline prepare must succeed");
-            let mut last = None;
-            for _ in 0..PREPARED_QUERIES {
-                last = Some(prepared.query(&data).expect("prepared query"));
-            }
-            let result = last.expect("at least one query ran");
-            let suffix = match mode {
-                KernelMode::Exact => " (prepared)",
-                KernelMode::Fast => " (prepared, fast)",
-            };
-            BaselineRow::from_result(algorithm, suffix, &result, &oracle)
-        })
-        .collect();
-    rows.extend(prepared_rows);
+    // ---- Prepared serving rows: one PGBJ build, PREPARED_QUERIES queries,
+    // once per kernel mode (Exact first, so the committed row order is
+    // stable).
+    let modes = [
+        (KernelMode::Exact, " (prepared)"),
+        (KernelMode::Fast, " (prepared, fast)"),
+    ];
+    rows.extend(modes.map(|(mode, suffix)| {
+        let prepared = JoinBuilder::new(&data, &data)
+            .k(k)
+            .metric(DistanceMetric::Euclidean)
+            .algorithm(Algorithm::Pgbj)
+            .pivot_count(pivots)
+            .reducers(reducers)
+            .kernel_mode(mode)
+            .prepare(workloads.context())
+            .expect("baseline prepare must succeed");
+        let mut last = None;
+        for _ in 0..PREPARED_QUERIES {
+            last = Some(prepared.query(&data).expect("prepared query"));
+        }
+        let result = last.expect("at least one query ran");
+        BaselineRow::from_result(Algorithm::Pgbj, suffix, &result, &oracle)
+    }));
 
     let mut table = Table::new(
         "Performance baseline (self-join on the default Forest-like workload; \
@@ -278,7 +267,7 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
 
 /// The `Fast` rows of a `perf_baseline` run that are off their `Exact`
 /// twin on any field but `algorithm`, each as a description: every
-/// algorithm's cold row, and PGBJ's and PBJ's prepared rows.  No scan reads
+/// algorithm's cold row, and PGBJ's prepared row.  No scan reads
 /// the kernel mode — every scan ranks its rows with the one exact column
 /// kernel, and the R-tree knows no mode — so a difference means the mode
 /// reached a scan again.
@@ -287,7 +276,7 @@ pub fn fast_rows_off_their_exact_twin(rows: &Value) -> Vec<String> {
     for algorithm in Algorithm::ALL {
         let name = algorithm.name();
         let mut twins = vec![(name.to_string(), format!("{name} (fast)"))];
-        if algorithm.uses_pivots() {
+        if algorithm == Algorithm::Pgbj {
             twins.push((
                 format!("{name} (prepared)"),
                 format!("{name} (prepared, fast)"),
@@ -405,9 +394,9 @@ mod tests {
         let out = quick();
         assert_eq!(out.id, "perf_baseline");
         let rows = out.json.as_array().expect("array of rows");
-        // Six exact cold rows, six fast-mode cold rows, then the PBJ and
-        // PGBJ prepared rows in each mode.
-        assert_eq!(rows.len(), 16);
+        // Six exact cold rows, six fast-mode cold rows, then the PGBJ
+        // prepared row in each mode.
+        assert_eq!(rows.len(), 14);
         let names: Vec<&str> = rows
             .iter()
             .map(|r| r["algorithm"].as_str().expect("name"))
@@ -417,15 +406,7 @@ mod tests {
             &["H-BRJ", "PBJ", "PGBJ", "H-zkNNJ", "Broadcast", "NestedLoop"]
         );
         assert!(names[6..12].iter().all(|n| n.ends_with("(fast)")));
-        assert_eq!(
-            &names[12..],
-            &[
-                "PBJ (prepared)",
-                "PGBJ (prepared)",
-                "PBJ (prepared, fast)",
-                "PGBJ (prepared, fast)"
-            ]
-        );
+        assert_eq!(&names[12..], &["PGBJ (prepared)", "PGBJ (prepared, fast)"]);
         for row in rows {
             assert!(row["distance_computations"].as_u64().expect("comps") > 0);
         }
@@ -470,7 +451,7 @@ mod tests {
         // byte, one build less, a lower recall.
         let altered = [
             ("PGBJ (fast)", "distance_computations", 1.0),
-            ("PBJ (prepared, fast)", "shuffle_bytes", 1.0),
+            ("PGBJ (prepared, fast)", "shuffle_bytes", 1.0),
             ("H-BRJ (fast)", "index_builds", -1.0),
             ("H-zkNNJ (fast)", "recall", -0.01),
             ("Broadcast (fast)", "distance_computations", -1.0),
@@ -540,7 +521,7 @@ mod tests {
         let rows = out.json.as_array().expect("rows").iter();
         let undercharged = Value::Array(
             rows.map(|row| match row["algorithm"].as_str() {
-                Some(name @ ("PGBJ" | "H-BRJ (fast)" | "PBJ (prepared)")) => Value::object(vec![
+                Some(name @ ("PGBJ" | "H-BRJ (fast)" | "PGBJ (prepared)")) => Value::object(vec![
                     ("algorithm", name.into()),
                     ("shuffle_records", 100.0.into()),
                     (
@@ -589,21 +570,14 @@ mod tests {
     #[test]
     fn prepared_rows_keep_build_counters_flat() {
         let out = quick();
-        let rows = out.json.as_array().expect("rows");
-        for algorithm in ["PBJ", "PGBJ"] {
-            let name = format!("{algorithm} (prepared)");
-            let row = rows
-                .iter()
-                .find(|r| r["algorithm"].as_str() == Some(name.as_str()))
-                .unwrap_or_else(|| panic!("missing row {name}"));
-            // The serving invariant: no per-query index builds or pivot
-            // selections — that work lives in the build phase.
-            assert_eq!(row["index_builds"].as_u64(), Some(0), "{algorithm}");
-            assert_eq!(row["pivot_selections"].as_u64(), Some(0), "{algorithm}");
-            // Prepared answers stay exact.
-            let recall = row["recall"].as_f64().expect("recall");
-            assert!((recall - 1.0).abs() < 1e-12, "{algorithm} recall {recall}");
-        }
+        let row = row(&out.json, "PGBJ (prepared)").expect("prepared row");
+        // The serving invariant: no per-query index builds or pivot
+        // selections — that work lives in the build phase.
+        assert_eq!(row["index_builds"].as_u64(), Some(0));
+        assert_eq!(row["pivot_selections"].as_u64(), Some(0));
+        // Prepared answers stay exact.
+        let recall = row["recall"].as_f64().expect("recall");
+        assert!((recall - 1.0).abs() < 1e-12, "recall {recall}");
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl<'a> ShuffleRecord<'a> {
     pub(crate) fn of_kind(
         values: &[Self],
         kind: RecordKind,
-    ) -> impl Iterator<Item = &'a Point> + '_ {
+    ) -> impl Iterator<Item = &'a Point> + Clone + '_ {
         values
             .iter()
             .filter_map(move |r| (r.kind == kind).then_some(r.point))

@@ -10,12 +10,12 @@
 //!
 //! Each module exposes a cold driver `join(&JoinPlan, r, s, ctx, &mut
 //! JoinMetrics)` returning the join rows ([`crate::JoinPlan::execute`]
-//! dispatches to it, seeds the metrics and normalises the result) and the
-//! state a [`crate::PreparedJoin`] keeps resident for it.  PGBJ and PBJ share
-//! their front half, `voronoi::partition_job`.  One scan implementation
-//! serves each family, cold and prepared alike: [`voronoi::VoronoiScan`]
-//! (Algorithm 3) for PGBJ and PBJ, `FlatBlock::scan` in [`crate::exact`] for
-//! the broadcast and nested-loop joins, the R-tree search for H-BRJ and the
+//! dispatches to it, seeds the metrics and normalises the result); PGBJ's
+//! Voronoi state is also the one index a [`crate::PreparedJoin`] keeps
+//! resident.  PGBJ and PBJ share their front half, `voronoi::partition_job`.
+//! One scan implementation serves each family, cold and prepared alike:
+//! [`voronoi::VoronoiScan`] (Algorithm 3) for PGBJ and PBJ, `FlatBlock::scan`
+//! in [`crate::exact`] for the broadcast and nested-loop joins, the R-tree search for H-BRJ and the
 //! z-window scan for H-zkNNJ.  All but the R-tree search rank a column-major
 //! `FlatBlock` through its one tiled offer, `FlatBlock::offer`, and write into
 //! a `NeighborList` their caller reuses or keeps as the answer.  H-zkNNJ is

@@ -99,10 +99,10 @@ impl PbjCellReducer<'_> {
     /// paper attributes to PBJ): the `k`-th smallest `ub(s, P_i^R)` over the
     /// local block.  A cell's rows ascend by pivot distance and `ub` is
     /// monotone in it, so only a cell's first `k` rows can be among the `k`
-    /// smallest.
-    fn local_theta(&self, r_partition: usize, s_parts: &CellMap) -> f64 {
+    /// smallest.  `ubs` is the reduce call's scratch, cleared here.
+    fn local_theta(&self, r_partition: usize, s_parts: &CellMap, ubs: &mut Vec<f64>) -> f64 {
         let u_r = self.tables.r_summaries[r_partition].upper;
-        let mut ubs: Vec<f64> = Vec::new();
+        ubs.clear();
         for (j, cell) in s_parts.iter() {
             let pivot_dist = self.tables.pivot_distance(r_partition, j);
             let nearest = &cell.pivot_dists()[..self.k.min(cell.len())];
@@ -134,10 +134,11 @@ impl Reducer for PbjCellReducer<'_> {
             return;
         }
         let mut run = CellRun::with_capacity(r_rows, self.k.min(rows(RecordKind::S)));
+        let mut ubs = Vec::new();
         let computations = VoronoiScan::new(&self.tables, self.k, self.kernels, &NO_DELTA)
             .join_cells(
                 values,
-                |i, s_parts| self.local_theta(i, s_parts),
+                |i, s_parts| self.local_theta(i, s_parts, &mut ubs),
                 |r_id, list| run.push(r_id, list.as_slice()),
             );
         self.tally.add(Count::Distances, computations);
@@ -273,7 +274,8 @@ mod tests {
     /// `local_theta` reads only each cell's first `k` rows; the value is the
     /// `k`-th smallest `ub` over *every* row of the block (what a full sort
     /// gives), bit for bit, for `k` below, at and above the smallest cell's
-    /// size, and `∞` once the block holds fewer than `k` objects.
+    /// size, and `∞` once the block holds fewer than `k` objects, with one
+    /// scratch buffer reused across every call.
     #[test]
     fn local_theta_is_the_kth_smallest_upper_bound_of_the_whole_block() {
         let r = clustered(120, 12);
@@ -298,6 +300,7 @@ mod tests {
             smallest > 1 && s_parts.iter().count() > 2,
             "fixture lost its shape"
         );
+        let mut scratch = Vec::new();
         for k in [
             1,
             smallest - 1,
@@ -331,7 +334,7 @@ mod tests {
                 ubs.sort_by(f64::total_cmp);
                 let want = ubs.get(k - 1).copied().unwrap_or(f64::INFINITY);
                 assert_eq!(
-                    reducer.local_theta(i, &s_parts).to_bits(),
+                    reducer.local_theta(i, &s_parts, &mut scratch).to_bits(),
                     want.to_bits(),
                     "k {k}, R partition {i}"
                 );

@@ -5,10 +5,11 @@
 //! Algorithm 3 ([`VoronoiScan`]), and the prepared state that runs it
 //! against a resident `S` (`VoronoiPrepared`).
 //!
-//! §6 of the paper defines PBJ as PGBJ's bounds without the grouping, so both
-//! algorithms — cold or prepared, with or without a delta overlay — share
-//! everything up to the summary tables and call the same scan; they differ
-//! only in where the `S` partitions, the scan order and `θ_i` come from.
+//! §6 of the paper defines PBJ as PGBJ's bounds without the grouping, so
+//! both cold algorithms share everything up to the summary tables and call
+//! the same scan; they differ only in where the `S` partitions, the scan
+//! order and `θ_i` come from.  The prepared state is PGBJ's alone: with `S`
+//! resident nothing is routed, so PBJ would probe it identically.
 //! The scan is shaped like every other scan of the crate: its tiles go
 //! through `FlatBlock::offer`, and it writes into its caller's
 //! [`NeighborList`].
@@ -487,7 +488,7 @@ impl<'a> VoronoiScan<'a> {
     pub(crate) fn join_cells(
         &mut self,
         values: &[ShuffledCell],
-        theta_of: impl Fn(usize, &CellMap) -> f64,
+        mut theta_of: impl FnMut(usize, &CellMap) -> f64,
         mut emit: impl FnMut(PointId, &mut NeighborList),
     ) -> u64 {
         let t = self.tables.partition_count();
@@ -525,8 +526,8 @@ impl<'a> VoronoiScan<'a> {
     }
 }
 
-/// Selects the plan's pivots from `r` (the preprocessing step of PGBJ and
-/// PBJ, cold or prepared), recording the phase and the selection counter.
+/// Selects the plan's pivots from `r` (the preprocessing step of cold PGBJ
+/// and PBJ and of `prepare`), recording the phase and the selection counter.
 pub(crate) fn select_plan_pivots(
     r: &PointSet,
     plan: &JoinPlan,
@@ -761,14 +762,14 @@ impl<'a> Reducer for CellReducer<'a> {
 // Prepared (build/probe) serving
 // ---------------------------------------------------------------------------
 
-/// The prepared PGBJ / PBJ state: the pivot machinery (pivots are selected
+/// The prepared PGBJ state: the pivot machinery (pivots are selected
 /// once, from the calibration `R` the join was prepared with, exactly as the
 /// cold path would), the Voronoi-partitioned `S` in flat columnar layout, the
 /// frozen summary tables and the per-partition scan orders.  Everything here
 /// depends only on `S`, the pivot set and the plan — probe batches of `R`
 /// reuse it unchanged, which is what keeps `pivot_selections` flat across
-/// queries.  The two algorithms share it whole: nothing here, the probe
-/// included, looks at `plan.algorithm`.
+/// queries.  It is the one prepared index: PBJ would build and probe the
+/// same state (it differs only in job 2's routing), so `prepare` refuses it.
 #[derive(Debug)]
 pub(crate) struct VoronoiPrepared {
     /// Pivot assignment machinery (flat pivot matrix + pruned search) and
@@ -899,12 +900,10 @@ impl VoronoiPrepared {
     /// Answers one probe batch, positionally: assign the rows to cells,
     /// derive `θ_i` for the cells the batch touches, then run Algorithm 3's
     /// bounded scan against the resident `S`, merged with `delta`, through
-    /// [`Self::probe_rows`].  `θ_i` comes from the global Algorithm 1 bound:
-    /// the resident `S` is the full dataset, so the tight bound applies even
-    /// to PBJ, whose cold cells only have their local block's looser one.
-    /// Algorithm 2's `LB` matrix and Algorithm 4's grouping decide which `S`
-    /// replica is shipped to which reducer; nothing is shipped here, so
-    /// neither is computed and PGBJ and PBJ probe identically.
+    /// [`Self::probe_rows`].  `θ_i` comes from the global Algorithm 1 bound
+    /// over the resident `S`, the full dataset.  Algorithm 2's `LB` matrix
+    /// and Algorithm 4's grouping decide which `S` replica is shipped to
+    /// which reducer; nothing is shipped here, so neither is computed.
     pub(crate) fn probe(
         &self,
         rows: &[&[f64]],

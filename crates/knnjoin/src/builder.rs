@@ -239,7 +239,7 @@ impl<'a> JoinBuilder<'a> {
         self.plan()?.execute(self.r, self.s, ctx)
     }
 
-    /// Splits a PGBJ or PBJ join into its build and probe phases: validates
+    /// Splits a PGBJ join into its build and probe phases: validates
     /// the plan, builds the S-side Voronoi state once (pivot set +
     /// partitioned `S`) and returns a [`crate::PreparedJoin`] that answers
     /// arbitrary `R` batches without rebuilding any of it —
@@ -254,8 +254,9 @@ impl<'a> JoinBuilder<'a> {
     ///
     /// # Errors
     /// Returns the planning error ([`JoinBuilder::plan`]), then
-    /// [`JoinError::InvalidConfig`] for an algorithm other than PGBJ and PBJ
-    /// (the paper's competitors run cold only) and
+    /// [`JoinError::InvalidConfig`] for an algorithm other than PGBJ (PBJ
+    /// would probe the same index; the competitors keep none: all run cold
+    /// only) and
     /// [`JoinError::DuplicateId`] when two `S` objects share an id.
     pub fn prepare(self, ctx: &ExecutionContext) -> Result<crate::PreparedJoin, JoinError> {
         let plan = self.plan()?;

@@ -1,7 +1,7 @@
 //! The mutable-corpus delta layer: the S-side memtable a
 //! [`crate::PreparedJoin`] accumulates inserts and deletes in.
 //!
-//! The prepared index (`prepare` builds it for PGBJ and PBJ only: the
+//! The prepared index (`prepare` builds it for PGBJ only: the
 //! Voronoi cells of `S` and their summaries) is batch-built and does not
 //! absorb a mutation in place.  Instead of rebuilding on every change, the
 //! prepared join follows the log-structured discipline of LSM stores:

@@ -91,13 +91,13 @@ impl FlatBlock {
         columns: Vec::new(),
     };
 
-    /// Lays `(id, coordinates)` rows out in order.
-    pub(crate) fn new<'p>(rows: impl IntoIterator<Item = (PointId, &'p [f64])>) -> Self {
-        let rows: Vec<(PointId, &[f64])> = rows.into_iter().collect();
-        let dims = rows.first().map_or(0, |(_, row)| row.len());
-        let ids = rows.iter().map(|(id, _)| *id).collect();
+    /// Lays `(id, coordinates)` rows out in order, reading `rows` once for
+    /// the ids and once per column.
+    pub(crate) fn new<'p>(rows: impl Iterator<Item = (PointId, &'p [f64])> + Clone) -> Self {
+        let dims = rows.clone().next().map_or(0, |(_, row)| row.len());
+        let ids = rows.clone().map(|(id, _)| id).collect();
         Self::by_columns(ids, dims, |d, out| {
-            out.extend(rows.iter().map(|(_, row)| row[d]))
+            out.extend(rows.clone().map(|(_, row)| row[d]))
         })
     }
 

@@ -41,8 +41,8 @@
 //! # Serving: the build/probe split
 //!
 //! [`JoinBuilder::run`] is the one-shot batch path.  For serving many `R`
-//! batches against one corpus, [`JoinBuilder::prepare`] builds the expensive
-//! S-side state once and returns a [`PreparedJoin`] whose
+//! batches against one corpus, [`JoinBuilder::prepare`] builds PGBJ's
+//! expensive S-side state once and returns a [`PreparedJoin`] whose
 //! [`query`](PreparedJoin::query) / [`query_one`](PreparedJoin::query_one)
 //! answer arbitrary batches without re-planning or rebuilding — across
 //! repeated queries the `index_builds` and `pivot_selections` counters stay

@@ -74,12 +74,6 @@ impl Algorithm {
         }
     }
 
-    /// Whether the algorithm consumes the Voronoi pivot machinery — and so
-    /// whether [`crate::JoinBuilder::prepare`] keeps a resident index for it.
-    pub fn uses_pivots(&self) -> bool {
-        matches!(self, Algorithm::Pgbj | Algorithm::Pbj)
-    }
-
     /// Whether the algorithm returns the exact kNN join.  Everything except
     /// [`Algorithm::Zknn`] does; H-zkNNJ trades recall for a much cheaper
     /// join, and its deviation from exact is measured by
@@ -265,9 +259,6 @@ mod tests {
         assert_eq!(Algorithm::NestedLoopJoin.name(), "NestedLoop");
         assert_eq!(Algorithm::default(), Algorithm::Pgbj);
         assert_eq!(format!("{}", Algorithm::Hbrj), "H-BRJ");
-        assert!(Algorithm::Pbj.uses_pivots());
-        assert!(!Algorithm::Hbrj.uses_pivots());
-        assert!(!Algorithm::Zknn.uses_pivots());
         assert_eq!(Algorithm::ALL.len(), 6);
         // Exactly one algorithm is approximate.
         let approx: Vec<Algorithm> = Algorithm::ALL

@@ -1,7 +1,7 @@
 //! The prepared (build/probe) serving surface: [`PreparedJoin`].
 //!
-//! PGBJ and PBJ share a two-phase shape: an expensive S-side *build* (pivot
-//! selection + Voronoi partitioning) followed by a *probe* over `R`.  The
+//! PGBJ has a two-phase shape: an expensive S-side *build* (pivot selection
+//! and Voronoi partitioning) followed by a *probe* over `R`.  The
 //! one-shot [`crate::JoinBuilder::run`] fuses the two, so every call rebuilds
 //! the S-side state from scratch — fine for the paper's batch experiments,
 //! wasteful for a serving system answering many `R` batches against one
@@ -15,8 +15,11 @@
 //! [`crate::JoinMetrics::pivot_selections`] counters stay at zero, and the
 //! outputs are bit-identical (in the repo's distance-exact sense, see
 //! [`crate::JoinResult::mismatch_against`]) to what the cold path produces,
-//! by the theorems' exactness.  The paper's competitors (H-BRJ, H-zkNNJ, the
-//! broadcast and nested-loop joins) run cold only: `prepare` refuses them.
+//! by the theorems' exactness.  `prepare` keeps one index, PGBJ's, and
+//! refuses every other algorithm, which runs cold only: PBJ differs from PGBJ
+//! only in how job 2 routes replicas to reducers, which a probe of a
+//! resident `S` never does, and the competitors (H-BRJ, H-zkNNJ, the
+//! broadcast and nested-loop joins) keep no Voronoi index.
 //!
 //! # The probe path
 //!
@@ -161,7 +164,7 @@ pub struct PreparedJoin {
 }
 
 impl PreparedJoin {
-    /// Builds the Voronoi state for the given validated PGBJ or PBJ plan.
+    /// Builds the Voronoi state for the given validated PGBJ plan.
     /// `calibration_r` is the builder's `R`: it seeds pivot selection exactly
     /// as the cold path would, so `query` over the same batch reproduces
     /// [`crate::JoinBuilder::run`] bit for bit; the built state remains valid
@@ -169,7 +172,8 @@ impl PreparedJoin {
     /// came from.
     ///
     /// # Errors
-    /// [`JoinError::InvalidConfig`] for any other algorithm, and
+    /// [`JoinError::InvalidConfig`] for any other algorithm, PBJ included
+    /// (it would probe the same index), and
     /// [`JoinError::DuplicateId`] when two `S` objects share an id.
     pub(crate) fn build(
         calibration_r: &PointSet,
@@ -178,9 +182,9 @@ impl PreparedJoin {
         ctx: &ExecutionContext,
     ) -> Result<Self, JoinError> {
         assert_none_held("PreparedJoin::build");
-        if !plan.algorithm.uses_pivots() {
+        if plan.algorithm != Algorithm::Pgbj {
             return Err(JoinError::InvalidConfig(format!(
-                "prepare builds the Voronoi index of PGBJ and PBJ only; {} runs cold",
+                "prepare builds PGBJ's Voronoi index only; {} runs cold",
                 plan.algorithm.name()
             )));
         }
@@ -225,11 +229,6 @@ impl PreparedJoin {
     /// The validated plan this join serves.
     pub fn plan(&self) -> &JoinPlan {
         &self.inner.plan
-    }
-
-    /// The algorithm behind the handle.
-    pub fn algorithm(&self) -> Algorithm {
-        self.inner.plan.algorithm
     }
 
     /// Neighbours returned per probe object.

@@ -58,7 +58,7 @@ fn main() {
         .expect("preparing the POI corpus should succeed");
     println!(
         "built {} serving state over {} POIs in {:.3} s (pivot selections: {})",
-        prepared.algorithm(),
+        prepared.plan().algorithm,
         prepared.s_len(),
         prepared.stats().build_time.as_secs_f64(),
         prepared.build_metrics().pivot_selections,

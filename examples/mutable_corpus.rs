@@ -52,7 +52,7 @@ fn main() {
         .expect("preparing the POI corpus should succeed");
     println!(
         "built {} serving state over {} POIs (epoch {})",
-        prepared.algorithm(),
+        prepared.plan().algorithm,
         prepared.s_len(),
         prepared.epoch(),
     );

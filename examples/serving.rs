@@ -49,7 +49,7 @@ fn main() {
         .expect("preparing the POI corpus should succeed");
     println!(
         "built {} serving state over {} POIs",
-        prepared.algorithm(),
+        prepared.plan().algorithm,
         prepared.s_len(),
     );
 

@@ -124,11 +124,11 @@ fn every_cold_join_makes_its_pinned_allocations() {
     let ctx = one_worker();
     for (algorithm, pin) in [
         (Algorithm::Pgbj, 1373),
-        (Algorithm::Pbj, 2214),
+        (Algorithm::Pbj, 2004),
         (Algorithm::Hbrj, 877),
-        (Algorithm::Zknn, 1448),
-        (Algorithm::BroadcastJoin, 664),
-        (Algorithm::NestedLoopJoin, 308),
+        (Algorithm::Zknn, 1444),
+        (Algorithm::BroadcastJoin, 660),
+        (Algorithm::NestedLoopJoin, 307),
     ] {
         assert_pinned(algorithm.name(), pin, || {
             builder(&data, &data, algorithm).run(&ctx).unwrap()

@@ -97,11 +97,11 @@ fn digests(r: &PointSet, s: &PointSet) -> Vec<(String, u64)> {
         let result = builder(r, s, algorithm, 4).run(&ctx).expect("cold join");
         out.push((format!("{algorithm} cold"), digest(&result)));
     }
-    for algorithm in [Algorithm::Pgbj, Algorithm::Pbj] {
-        let prepared = builder(r, s, algorithm, 4).prepare(&ctx).expect("prepare");
-        let result = prepared.query(r).expect("prepared query");
-        out.push((format!("{algorithm} prepared"), digest(&result)));
-    }
+    let prepared = builder(r, s, Algorithm::Pgbj, 4)
+        .prepare(&ctx)
+        .expect("prepare");
+    let result = prepared.query(r).expect("prepared query");
+    out.push(("PGBJ prepared".into(), digest(&result)));
     // A 3 x 3 grid of merge-job inputs over 3 map tasks, where one `r`'s
     // lists can share a split: the merge job's list order decides
     // equal-distance survivors.
@@ -134,7 +134,6 @@ fn forest_answers_are_pinned() {
         0x8f27_b5cf_36f1_0cad, // Broadcast cold
         0x8f27_b5cf_36f1_0cad, // NestedLoop cold
         0x60d4_87aa_39b9_e167, // PGBJ prepared
-        0x60d4_87aa_39b9_e167, // PBJ prepared
         0x8f27_b5cf_36f1_0cad, // H-BRJ reducers(9) map_tasks(3)
         0x8f27_b5cf_36f1_0cad, // PBJ reducers(9) map_tasks(3)
         0x5197_f0d7_f061_ef79, // H-zkNNJ reducers(9) map_tasks(3)
@@ -153,7 +152,6 @@ fn grid_answers_are_pinned() {
         0x3638_282c_c389_8592, // Broadcast cold
         0x3638_282c_c389_8592, // NestedLoop cold
         0xc0af_4bbc_9fb7_775b, // PGBJ prepared
-        0xc0af_4bbc_9fb7_775b, // PBJ prepared
         0xa61f_34a9_aff5_9426, // H-BRJ reducers(9) map_tasks(3)
         0xc84f_466d_c564_c105, // PBJ reducers(9) map_tasks(3)
         0xf831_a0ce_3731_cb6e, // H-zkNNJ reducers(9) map_tasks(3)

@@ -119,62 +119,52 @@ fn prepared_serving_honours_the_mode_across_mutations_and_compaction() {
     let s = forest(300, 6);
     let k = 6;
     let ctx = ExecutionContext::default();
-    for algorithm in [Algorithm::Pgbj, Algorithm::Pbj] {
-        let build = |mode: KernelMode| {
-            Join::new(&r, &s)
-                .k(k)
-                .algorithm(algorithm)
-                .pivot_count(20)
-                .reducers(4)
-                .kernel_mode(mode)
-                .prepare(&ctx)
-                .expect("prepare")
-        };
-        let exact = build(KernelMode::Exact);
-        let fast = build(KernelMode::Fast);
-        let victims: Vec<u64> = s.iter().take(3).map(|p| p.id).collect();
-        for prepared in [&exact, &fast] {
-            for i in 0..8u64 {
-                prepared
-                    .insert(Point::new(
-                        1_000_000 + i,
-                        (0..s.dims()).map(|d| (i + d as u64) as f64 * 3.5).collect(),
-                    ))
-                    .expect("insert");
-            }
-            for id in &victims {
-                assert!(prepared.delete(*id));
-            }
+    let build = |mode: KernelMode| {
+        Join::new(&r, &s)
+            .k(k)
+            .algorithm(Algorithm::Pgbj)
+            .pivot_count(20)
+            .reducers(4)
+            .kernel_mode(mode)
+            .prepare(&ctx)
+            .expect("prepare")
+    };
+    let exact = build(KernelMode::Exact);
+    let fast = build(KernelMode::Fast);
+    let victims: Vec<u64> = s.iter().take(3).map(|p| p.id).collect();
+    for prepared in [&exact, &fast] {
+        for i in 0..8u64 {
+            prepared
+                .insert(Point::new(
+                    1_000_000 + i,
+                    (0..s.dims()).map(|d| (i + d as u64) as f64 * 3.5).collect(),
+                ))
+                .expect("insert");
         }
-        let want = exact.query(&r).expect("exact overlay query");
-        let got = fast.query(&r).expect("fast overlay query");
-        assert!(
-            got.matches(&want, 0.0),
-            "{algorithm}: Fast overlay serving deviates: {:?}",
-            got.mismatch_against(&want, 0.0)
-        );
-        assert!(want.metrics.delta_probe_computations > 0 && want.metrics.tombstone_masked > 0);
-        assert_eq!(
-            counters(&got.metrics),
-            counters(&want.metrics),
-            "{algorithm}: overlay"
-        );
-        // Compaction folds the overlay while keeping the epoch's mode.
-        assert!(exact.compact(), "{algorithm}: exact compaction ran");
-        assert!(fast.compact(), "{algorithm}: fast compaction ran");
-        let want = exact.query(&r).expect("exact compacted query");
-        let got = fast.query(&r).expect("fast compacted query");
-        assert!(
-            got.matches(&want, 0.0),
-            "{algorithm}: Fast compacted serving deviates: {:?}",
-            got.mismatch_against(&want, 0.0)
-        );
-        assert_eq!(
-            counters(&got.metrics),
-            counters(&want.metrics),
-            "{algorithm}: compacted"
-        );
+        for id in &victims {
+            assert!(prepared.delete(*id));
+        }
     }
+    let want = exact.query(&r).expect("exact overlay query");
+    let got = fast.query(&r).expect("fast overlay query");
+    assert!(
+        got.matches(&want, 0.0),
+        "Fast overlay serving deviates: {:?}",
+        got.mismatch_against(&want, 0.0)
+    );
+    assert!(want.metrics.delta_probe_computations > 0 && want.metrics.tombstone_masked > 0);
+    assert_eq!(counters(&got.metrics), counters(&want.metrics), "overlay");
+    // Compaction folds the overlay while keeping the epoch's mode.
+    assert!(exact.compact(), "exact compaction ran");
+    assert!(fast.compact(), "fast compaction ran");
+    let want = exact.query(&r).expect("exact compacted query");
+    let got = fast.query(&r).expect("fast compacted query");
+    assert!(
+        got.matches(&want, 0.0),
+        "Fast compacted serving deviates: {:?}",
+        got.mismatch_against(&want, 0.0)
+    );
+    assert_eq!(counters(&got.metrics), counters(&want.metrics), "compacted");
 }
 
 proptest! {

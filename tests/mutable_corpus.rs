@@ -1,6 +1,6 @@
 //! Integration tests of the mutable-corpus delta layer: insert/delete
-//! semantics, the mutated-equals-cold guarantee for both prepared
-//! algorithms and every metric (DBSP-style, proptested over random interleavings), compaction
+//! semantics, the mutated-equals-cold guarantee for the prepared PGBJ
+//! index and every metric (DBSP-style, proptested over random interleavings), compaction
 //! boundaries, empty-overlay bit-identity, and snapshot consistency under
 //! concurrent mutation.
 
@@ -22,13 +22,12 @@ fn clustered(n: usize, dims: usize, seed: u64) -> PointSet {
     )
 }
 
-/// The algorithms `prepare` builds an index for: the Voronoi family.
-const PREPARED: [Algorithm; 2] = [Algorithm::Pgbj, Algorithm::Pbj];
-
-fn builder_for<'a>(r: &'a PointSet, s: &'a PointSet, algorithm: Algorithm, k: usize) -> Join<'a> {
+/// A PGBJ join over `r` and `s`: the one algorithm `prepare` builds an
+/// index for, and the cold join a mutated handle must equal.
+fn builder_for<'a>(r: &'a PointSet, s: &'a PointSet, k: usize) -> Join<'a> {
     Join::new(r, s)
         .k(k)
-        .algorithm(algorithm)
+        .algorithm(Algorithm::Pgbj)
         .pivot_count(8.min(r.len()).min(s.len()))
         .reducers(4)
         .seed(99)
@@ -46,87 +45,80 @@ fn insert_delete_and_upsert_semantics() {
     let r = clustered(40, 2, 1);
     let s = clustered(60, 2, 2);
     let ctx = ExecutionContext::default();
-    for algorithm in PREPARED {
-        let prepared = builder_for(&r, &s, algorithm, 3)
-            .prepare(&ctx)
-            .expect("prepare");
-        let pending = || {
-            let stats = prepared.delta_stats();
-            (stats.pending_adds, stats.pending_tombstones)
-        };
-        assert_eq!(prepared.epoch(), 0);
-        assert_eq!(prepared.s_len(), 60);
+    let prepared = builder_for(&r, &s, 3).prepare(&ctx).expect("prepare");
+    let pending = || {
+        let stats = prepared.delta_stats();
+        (stats.pending_adds, stats.pending_tombstones)
+    };
+    assert_eq!(prepared.epoch(), 0);
+    assert_eq!(prepared.s_len(), 60);
 
-        // Insert a fresh point: live count and epoch move, stats see the add.
-        prepared
-            .insert(Point::new(ADD_ID_BASE, vec![1.0, 2.0]))
-            .expect("insert");
-        assert_eq!(prepared.epoch(), 1);
-        assert_eq!(prepared.s_len(), 61);
-        assert_eq!(pending(), (1, 0));
+    // Insert a fresh point: live count and epoch move, stats see the add.
+    prepared
+        .insert(Point::new(ADD_ID_BASE, vec![1.0, 2.0]))
+        .expect("insert");
+    assert_eq!(prepared.epoch(), 1);
+    assert_eq!(prepared.s_len(), 61);
+    assert_eq!(pending(), (1, 0));
 
-        // Upsert over a frozen id: tombstone + add, live count unchanged.
-        let frozen_id = s.iter().next().expect("s nonempty").id;
-        prepared
-            .insert(Point::new(frozen_id, vec![3.0, 4.0]))
-            .expect("upsert");
-        assert_eq!(prepared.s_len(), 61);
-        assert_eq!(pending(), (2, 1));
+    // Upsert over a frozen id: tombstone + add, live count unchanged.
+    let frozen_id = s.iter().next().expect("s nonempty").id;
+    prepared
+        .insert(Point::new(frozen_id, vec![3.0, 4.0]))
+        .expect("upsert");
+    assert_eq!(prepared.s_len(), 61);
+    assert_eq!(pending(), (2, 1));
 
-        // Delete the added point; delete of a missing id is a published no-op.
-        assert!(prepared.delete(ADD_ID_BASE));
-        assert!(!prepared.delete(ADD_ID_BASE), "second delete is a no-op");
-        let epoch_after = prepared.epoch();
-        assert!(!prepared.delete(ADD_ID_BASE + 77), "unknown id is a no-op");
-        assert_eq!(prepared.epoch(), epoch_after, "no-op must not bump epoch");
-        assert_eq!(prepared.s_len(), 60);
+    // Delete the added point; delete of a missing id is a published no-op.
+    assert!(prepared.delete(ADD_ID_BASE));
+    assert!(!prepared.delete(ADD_ID_BASE), "second delete is a no-op");
+    let epoch_after = prepared.epoch();
+    assert!(!prepared.delete(ADD_ID_BASE + 77), "unknown id is a no-op");
+    assert_eq!(prepared.epoch(), epoch_after, "no-op must not bump epoch");
+    assert_eq!(prepared.s_len(), 60);
 
-        // Deleted ids never come back in results.
-        let deleted_frozen = s.iter().nth(1).expect("s has 2 points").id;
-        assert!(prepared.delete(deleted_frozen));
-        let result = prepared.query(&r).expect("query");
-        assert!(result
-            .rows
-            .iter()
-            .all(|row| row.neighbors.iter().all(|n| n.id != deleted_frozen)));
+    // Deleted ids never come back in results.
+    let deleted_frozen = s.iter().nth(1).expect("s has 2 points").id;
+    assert!(prepared.delete(deleted_frozen));
+    let result = prepared.query(&r).expect("query");
+    assert!(result
+        .rows
+        .iter()
+        .all(|row| row.neighbors.iter().all(|n| n.id != deleted_frozen)));
 
-        // Wrong-dimensionality inserts are rejected.
-        assert!(matches!(
-            prepared.insert(Point::new(ADD_ID_BASE + 1, vec![1.0, 2.0, 3.0])),
-            Err(JoinError::DimensionalityMismatch { .. })
-        ));
+    // Wrong-dimensionality inserts are rejected.
+    assert!(matches!(
+        prepared.insert(Point::new(ADD_ID_BASE + 1, vec![1.0, 2.0, 3.0])),
+        Err(JoinError::DimensionalityMismatch { .. })
+    ));
 
-        // Across a compaction the deleted id leaves the frozen side: deleting
-        // it again is a no-op, and re-inserting it is a plain add.
-        assert!(prepared.compact(), "{algorithm}");
-        let epoch_after = prepared.epoch();
-        assert!(!prepared.delete(deleted_frozen), "{algorithm}: dropped id");
-        assert_eq!(prepared.epoch(), epoch_after, "no-op must not bump epoch");
-        prepared
-            .insert(Point::new(deleted_frozen, vec![5.0, 6.0]))
-            .expect("re-insert");
-        assert_eq!(pending(), (1, 0), "{algorithm}: a plain add, no tombstone");
-        // Upserting a pending add replaces it in place.
-        prepared
-            .insert(Point::new(deleted_frozen, vec![7.0, 8.0]))
-            .expect("upsert of a pending add");
-        assert_eq!(pending(), (1, 0), "{algorithm}");
-        assert_eq!(prepared.s_len(), 60);
+    // Across a compaction the deleted id leaves the frozen side: deleting
+    // it again is a no-op, and re-inserting it is a plain add.
+    assert!(prepared.compact());
+    let epoch_after = prepared.epoch();
+    assert!(!prepared.delete(deleted_frozen), "dropped id");
+    assert_eq!(prepared.epoch(), epoch_after, "no-op must not bump epoch");
+    prepared
+        .insert(Point::new(deleted_frozen, vec![5.0, 6.0]))
+        .expect("re-insert");
+    assert_eq!(pending(), (1, 0), "a plain add, no tombstone");
+    // Upserting a pending add replaces it in place.
+    prepared
+        .insert(Point::new(deleted_frozen, vec![7.0, 8.0]))
+        .expect("upsert of a pending add");
+    assert_eq!(pending(), (1, 0));
+    assert_eq!(prepared.s_len(), 60);
 
-        // Every live id deleted: nothing left to compact over, and a query
-        // still answers every row, with no neighbours.
-        for p in prepared.materialized_corpus().iter() {
-            assert!(prepared.delete(p.id), "{algorithm}: {} is live", p.id);
-        }
-        assert_eq!(prepared.s_len(), 0);
-        assert!(!prepared.compact(), "{algorithm}: no live object");
-        let emptied = prepared.query(&r).expect("query over an emptied corpus");
-        assert_eq!(emptied.rows.len(), r.len());
-        assert!(
-            emptied.rows.iter().all(|row| row.neighbors.is_empty()),
-            "{algorithm}"
-        );
+    // Every live id deleted: nothing left to compact over, and a query
+    // still answers every row, with no neighbours.
+    for p in prepared.materialized_corpus().iter() {
+        assert!(prepared.delete(p.id), "{} is live", p.id);
     }
+    assert_eq!(prepared.s_len(), 0);
+    assert!(!prepared.compact(), "no live object");
+    let emptied = prepared.query(&r).expect("query over an emptied corpus");
+    assert_eq!(emptied.rows.len(), r.len());
+    assert!(emptied.rows.iter().all(|row| row.neighbors.is_empty()));
 }
 
 #[test]
@@ -139,60 +131,56 @@ fn forced_compaction_folds_the_overlay_and_preserves_answers() {
     }
     let s = PointSet::from_points(points);
     let ctx = ExecutionContext::default();
-    for algorithm in PREPARED {
-        let prepared = builder_for(&r, &s, algorithm, 4)
-            .prepare(&ctx)
-            .expect("prepare");
-        assert!(!prepared.compact(), "empty overlay: nothing to compact");
-        for i in 0..6 {
-            prepared
-                .insert(Point::new(ADD_ID_BASE + i, vec![i as f64 * 10.0, 50.0]))
-                .expect("insert");
-        }
-        let victim = s.points()[0].id;
-        assert!(prepared.delete(victim));
-        // An upsert of a frozen id: the frozen copy masked, the new one added.
-        let moved = s.points()[3].id;
+    let prepared = builder_for(&r, &s, 4).prepare(&ctx).expect("prepare");
+    assert!(!prepared.compact(), "empty overlay: nothing to compact");
+    for i in 0..6 {
         prepared
-            .insert(Point::new(moved, vec![120.0, 60.0]))
-            .expect("upsert");
-        let before = prepared.query(&r).expect("query with overlay");
-        assert!(
-            before.metrics.delta_probe_computations > 0,
-            "{algorithm}: overlay adds must be probed through the memtable"
-        );
-
-        assert!(prepared.compact(), "non-empty overlay must compact");
-        let stats = prepared.delta_stats();
-        assert_eq!((stats.pending_adds, stats.pending_tombstones), (0, 0));
-        assert_eq!(stats.compactions, 1);
-        assert!(stats.compacted_points > 0);
-
-        // Same corpus, now frozen: answers identical, delta counters silent.
-        let after = prepared.query(&r).expect("query after compaction");
-        assert!(
-            after.matches(&before, 1e-9),
-            "{algorithm} drifted across compaction: {:?}",
-            after.mismatch_against(&before, 1e-9)
-        );
-        assert_eq!(after.metrics.delta_probe_computations, 0);
-        assert_eq!(after.metrics.tombstone_masked, 0);
-
-        // And it is the state a fresh prepare over the live corpus, with the
-        // same calibration `R`, builds: same rows, same work.
-        let live = prepared.materialized_corpus();
-        let fresh = builder_for(&r, &live, algorithm, 4)
-            .prepare(&ctx)
-            .expect("fresh prepare")
-            .query(&r)
-            .expect("fresh query");
-        assert!(
-            after.matches(&fresh, 0.0),
-            "{algorithm} compacted vs fresh: {:?}",
-            after.mismatch_against(&fresh, 0.0)
-        );
-        assert_eq!(all_counters(&after), all_counters(&fresh), "{algorithm}");
+            .insert(Point::new(ADD_ID_BASE + i, vec![i as f64 * 10.0, 50.0]))
+            .expect("insert");
     }
+    let victim = s.points()[0].id;
+    assert!(prepared.delete(victim));
+    // An upsert of a frozen id: the frozen copy masked, the new one added.
+    let moved = s.points()[3].id;
+    prepared
+        .insert(Point::new(moved, vec![120.0, 60.0]))
+        .expect("upsert");
+    let before = prepared.query(&r).expect("query with overlay");
+    assert!(
+        before.metrics.delta_probe_computations > 0,
+        "overlay adds must be probed through the memtable"
+    );
+
+    assert!(prepared.compact(), "non-empty overlay must compact");
+    let stats = prepared.delta_stats();
+    assert_eq!((stats.pending_adds, stats.pending_tombstones), (0, 0));
+    assert_eq!(stats.compactions, 1);
+    assert!(stats.compacted_points > 0);
+
+    // Same corpus, now frozen: answers identical, delta counters silent.
+    let after = prepared.query(&r).expect("query after compaction");
+    assert!(
+        after.matches(&before, 1e-9),
+        "drifted across compaction: {:?}",
+        after.mismatch_against(&before, 1e-9)
+    );
+    assert_eq!(after.metrics.delta_probe_computations, 0);
+    assert_eq!(after.metrics.tombstone_masked, 0);
+
+    // And it is the state a fresh prepare over the live corpus, with the
+    // same calibration `R`, builds: same rows, same work.
+    let live = prepared.materialized_corpus();
+    let fresh = builder_for(&r, &live, 4)
+        .prepare(&ctx)
+        .expect("fresh prepare")
+        .query(&r)
+        .expect("fresh query");
+    assert!(
+        after.matches(&fresh, 0.0),
+        "compacted vs fresh: {:?}",
+        after.mismatch_against(&fresh, 0.0)
+    );
+    assert_eq!(all_counters(&after), all_counters(&fresh));
 }
 
 /// Every deterministic field of a query's [`JoinMetrics`], in declaration
@@ -229,33 +217,31 @@ fn empty_overlay_queries_are_bit_identical_to_the_frozen_path() {
     let r = clustered(60, 2, 5);
     let s = clustered(90, 2, 6);
     let ctx = ExecutionContext::default();
-    for algorithm in PREPARED {
-        for mode in [KernelMode::Exact, KernelMode::Fast] {
-            let prepared = builder_for(&r, &s, algorithm, 5)
-                .kernel_mode(mode)
-                .prepare(&ctx)
-                .expect("prepare");
-            let pristine = prepared.query(&r).expect("pristine query");
-            prepared
-                .insert(Point::new(ADD_ID_BASE, vec![0.0, 0.0]))
-                .expect("insert");
-            assert!(prepared.delete(ADD_ID_BASE));
-            assert!(prepared.delta_stats().pending_adds == 0);
-            let roundtrip = prepared.query(&r).expect("round-trip query");
-            assert!(roundtrip.matches(&pristine, 0.0), "{algorithm} {mode:?}");
-            assert_eq!(
-                all_counters(&roundtrip),
-                all_counters(&pristine),
-                "{algorithm} {mode:?}: an empty overlay must not perturb a counter"
-            );
-            assert_eq!(roundtrip.metrics.delta_probe_computations, 0);
-            assert_eq!(roundtrip.metrics.tombstone_masked, 0);
-        }
+    for mode in [KernelMode::Exact, KernelMode::Fast] {
+        let prepared = builder_for(&r, &s, 5)
+            .kernel_mode(mode)
+            .prepare(&ctx)
+            .expect("prepare");
+        let pristine = prepared.query(&r).expect("pristine query");
+        prepared
+            .insert(Point::new(ADD_ID_BASE, vec![0.0, 0.0]))
+            .expect("insert");
+        assert!(prepared.delete(ADD_ID_BASE));
+        assert!(prepared.delta_stats().pending_adds == 0);
+        let roundtrip = prepared.query(&r).expect("round-trip query");
+        assert!(roundtrip.matches(&pristine, 0.0), "{mode:?}");
+        assert_eq!(
+            all_counters(&roundtrip),
+            all_counters(&pristine),
+            "{mode:?}: an empty overlay must not perturb a counter"
+        );
+        assert_eq!(roundtrip.metrics.delta_probe_computations, 0);
+        assert_eq!(roundtrip.metrics.tombstone_masked, 0);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Mutated-equals-cold (DBSP-style): random interleavings, PGBJ and PBJ
+// Mutated-equals-cold (DBSP-style): random interleavings
 // ---------------------------------------------------------------------------
 
 /// The in-test model of the live corpus: id → coordinates.
@@ -300,9 +286,9 @@ fn apply_op(prepared: &PreparedJoin, model: &mut Model, op: &Op, op_index: usize
     }
 }
 
-/// The tentpole guarantee, checked at one instant: for each prepared
-/// algorithm and metric, a query against the mutated handle is distance-identical to a
-/// cold `run` over the materialized corpus, and no tombstoned id appears.
+/// The core guarantee, checked at one instant: for each metric, a query
+/// against the mutated handle is distance-identical to a cold PGBJ `run`
+/// over the materialized corpus, and no tombstoned id appears.
 fn assert_matches_cold(
     prepared: &PreparedJoin,
     r: &PointSet,
@@ -312,24 +298,23 @@ fn assert_matches_cold(
     metric: DistanceMetric,
     label: &str,
 ) {
-    let algorithm = prepared.algorithm();
     let materialized = prepared.materialized_corpus();
     assert_eq!(model_of(&materialized), *model, "{label}: model drift");
-    let cold = builder_for(r, &materialized, algorithm, k)
+    let cold = builder_for(r, &materialized, k)
         .metric(metric)
         .run(ctx)
         .expect("cold rebuild");
     let served = prepared.query(r).expect("mutated query");
     assert!(
         served.matches(&cold, 1e-9),
-        "{label} {algorithm} ({metric:?}) mutated vs cold: {:?}",
+        "{label} ({metric:?}) mutated vs cold: {:?}",
         served.mismatch_against(&cold, 1e-9)
     );
     for row in &served.rows {
         for n in &row.neighbors {
             assert!(
                 model.contains_key(&n.id),
-                "{label} {algorithm}: tombstoned/unknown id {} appeared",
+                "{label}: tombstoned/unknown id {} appeared",
                 n.id
             );
         }
@@ -362,7 +347,7 @@ proptest! {
 
     /// Random insert/delete/upsert interleavings: after every prefix the
     /// mutated handle answers exactly like a cold build over the
-    /// materialized corpus — for PGBJ and PBJ and both paper metrics,
+    /// materialized corpus — for both paper metrics,
     /// across auto-compaction boundaries (threshold 4 forces several).
     #[test]
     fn interleaved_mutations_match_cold_rebuild(
@@ -378,26 +363,24 @@ proptest! {
         let r = clustered(30, 2, 7);
         let ctx = ExecutionContext::default();
         for metric in [DistanceMetric::Euclidean, DistanceMetric::Manhattan] {
-            for algorithm in PREPARED {
-                let prepared = builder_for(&r, &s, algorithm, k)
-                    .metric(metric)
-                    .delta_threshold(4)
-                    .prepare(&ctx)
-                    .expect("prepare");
-                let mut model = model_of(&s);
-                let checkpoint = checkpoint.min(ops.len() - 1);
-                for (i, op) in ops.iter().enumerate() {
-                    apply_op(&prepared, &mut model, op, i);
-                    if i == checkpoint {
-                        assert_matches_cold(&prepared, &r, &model, &ctx, k, metric, "mid");
-                    }
+            let prepared = builder_for(&r, &s, k)
+                .metric(metric)
+                .delta_threshold(4)
+                .prepare(&ctx)
+                .expect("prepare");
+            let mut model = model_of(&s);
+            let checkpoint = checkpoint.min(ops.len() - 1);
+            for (i, op) in ops.iter().enumerate() {
+                apply_op(&prepared, &mut model, op, i);
+                if i == checkpoint {
+                    assert_matches_cold(&prepared, &r, &model, &ctx, k, metric, "mid");
                 }
-                assert_matches_cold(&prepared, &r, &model, &ctx, k, metric, "end");
-                // Force the remaining overlay down and re-check: crossing a
-                // compaction boundary must not change a single distance.
-                prepared.compact();
-                assert_matches_cold(&prepared, &r, &model, &ctx, k, metric, "post-compact");
             }
+            assert_matches_cold(&prepared, &r, &model, &ctx, k, metric, "end");
+            // Force the remaining overlay down and re-check: crossing a
+            // compaction boundary must not change a single distance.
+            prepared.compact();
+            assert_matches_cold(&prepared, &r, &model, &ctx, k, metric, "post-compact");
         }
     }
 }
@@ -417,9 +400,7 @@ fn queries_observe_a_consistent_snapshot_while_mutating() {
     let ctx = ExecutionContext::default();
     let extra = Point::new(ADD_ID_BASE, vec![0.0, 0.0]);
 
-    let prepared = builder_for(&r, &s, Algorithm::Pgbj, 4)
-        .prepare(&ctx)
-        .expect("prepare");
+    let prepared = builder_for(&r, &s, 4).prepare(&ctx).expect("prepare");
     let without = prepared.query(&r).expect("state A");
     prepared.insert(extra.clone()).expect("insert");
     let with = prepared.query(&r).expect("state B");

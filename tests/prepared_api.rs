@@ -1,6 +1,6 @@
 //! Integration tests of the prepared (build/probe) serving API:
-//! bit-identical agreement with the one-shot path for PGBJ and PBJ, the
-//! refusal of every other algorithm and of duplicate `S` ids, flat
+//! bit-identical agreement with the one-shot PGBJ path, the refusal of
+//! every other algorithm (PBJ included) and of duplicate `S` ids, flat
 //! `index_builds` / `pivot_selections` counters across repeated queries,
 //! correctness on batches the join was never prepared with, the cumulative
 //! metrics, and the epoch counter under concurrent writers.
@@ -23,9 +23,6 @@ fn clustered(n: usize, dims: usize, seed: u64) -> PointSet {
     )
 }
 
-/// The algorithms `prepare` builds an index for: the Voronoi family.
-const PREPARED: [Algorithm; 2] = [Algorithm::Pgbj, Algorithm::Pbj];
-
 fn builder_for<'a>(r: &'a PointSet, s: &'a PointSet, algorithm: Algorithm, k: usize) -> Join<'a> {
     Join::new(r, s)
         .k(k)
@@ -35,32 +32,25 @@ fn builder_for<'a>(r: &'a PointSet, s: &'a PointSet, algorithm: Algorithm, k: us
         .seed(99)
 }
 
-/// The tentpole guarantee: for both Voronoi algorithms and several metrics,
-/// `prepare().query(r)` equals `run()` on the same inputs — same rows, same
-/// neighbour counts, identical distances.
+/// The core guarantee: for several metrics, `prepare().query(r)` equals
+/// PGBJ's `run()` on the same inputs — same rows, same neighbour counts,
+/// identical distances.
 #[test]
 fn prepared_query_is_bit_identical_to_one_shot_run_across_metrics() {
     let r = clustered(180, 3, 1);
     let s = clustered(220, 3, 2);
     let ctx = ExecutionContext::default();
     for metric in [DistanceMetric::Euclidean, DistanceMetric::Manhattan] {
-        for algorithm in PREPARED {
-            let cold = builder_for(&r, &s, algorithm, 6)
-                .metric(metric)
-                .run(&ctx)
-                .expect("cold join");
-            let prepared = builder_for(&r, &s, algorithm, 6)
-                .metric(metric)
-                .prepare(&ctx)
-                .expect("prepare");
-            let served = prepared.query(&r).expect("prepared query");
-            assert!(served.rows.windows(2).all(|w| w[0].r_id < w[1].r_id));
-            assert!(
-                served.matches(&cold, 0.0),
-                "{algorithm} ({metric:?}) prepared vs cold: {:?}",
-                served.mismatch_against(&cold, 0.0)
-            );
-        }
+        let builder = || builder_for(&r, &s, Algorithm::Pgbj, 6).metric(metric);
+        let cold = builder().run(&ctx).expect("cold join");
+        let prepared = builder().prepare(&ctx).expect("prepare");
+        let served = prepared.query(&r).expect("prepared query");
+        assert!(served.rows.windows(2).all(|w| w[0].r_id < w[1].r_id));
+        assert!(
+            served.matches(&cold, 0.0),
+            "{metric:?} prepared vs cold: {:?}",
+            served.mismatch_against(&cold, 0.0)
+        );
     }
 }
 
@@ -72,53 +62,48 @@ fn repeated_queries_keep_index_builds_and_pivot_selections_flat() {
     let r = clustered(150, 2, 3);
     let s = clustered(200, 2, 4);
     let ctx = ExecutionContext::default();
-    for algorithm in PREPARED {
-        let prepared = builder_for(&r, &s, algorithm, 5)
-            .prepare(&ctx)
-            .expect("prepare");
-        let build = prepared.build_metrics();
-        assert_eq!(build.pivot_selections, 1, "{algorithm}");
-        // `prepare` assigns S the way a probe assigns R, and bills it: at
-        // least one pivot distance per object.
-        assert!(
-            build.pivot_assignment_computations >= s.len() as u64,
-            "{algorithm}: build billed {} assignment computations for {} objects",
-            build.pivot_assignment_computations,
-            s.len()
+    let prepared = builder_for(&r, &s, Algorithm::Pgbj, 5)
+        .prepare(&ctx)
+        .expect("prepare");
+    let build = prepared.build_metrics();
+    assert_eq!(build.pivot_selections, 1);
+    // `prepare` assigns S the way a probe assigns R, and bills it: at least
+    // one pivot distance per object.
+    assert!(
+        build.pivot_assignment_computations >= s.len() as u64,
+        "build billed {} assignment computations for {} objects",
+        build.pivot_assignment_computations,
+        s.len()
+    );
+    let mut first: Option<JoinResult> = None;
+    for round in 0..3 {
+        let result = prepared.query(&r).expect("query");
+        assert_eq!(
+            result.metrics.index_builds, 0,
+            "round {round}: per-query index builds"
         );
-        let mut first: Option<JoinResult> = None;
-        for round in 0..3 {
-            let result = prepared.query(&r).expect("query");
-            assert_eq!(
-                result.metrics.index_builds, 0,
-                "{algorithm} round {round}: per-query index builds"
-            );
-            assert_eq!(
-                result.metrics.pivot_selections, 0,
-                "{algorithm} round {round}: per-query pivot selections"
-            );
-            match &first {
-                None => first = Some(result),
-                Some(reference) => {
-                    assert!(
-                        result.matches(reference, 0.0),
-                        "{algorithm} round {round} drifted"
-                    );
-                    // The deterministic cost counters are stable per query.
-                    assert_eq!(
-                        result.metrics.distance_computations,
-                        reference.metrics.distance_computations
-                    );
-                }
+        assert_eq!(
+            result.metrics.pivot_selections, 0,
+            "round {round}: per-query pivot selections"
+        );
+        match &first {
+            None => first = Some(result),
+            Some(reference) => {
+                assert!(result.matches(reference, 0.0), "round {round} drifted");
+                // The deterministic cost counters are stable per query.
+                assert_eq!(
+                    result.metrics.distance_computations,
+                    reference.metrics.distance_computations
+                );
             }
         }
-        // The session-wide accumulation saw every query, and still no
-        // rebuild leaked into the query side.
-        let cumulative = prepared.cumulative_metrics();
-        assert_eq!(cumulative.index_builds, 0);
-        assert_eq!(cumulative.pivot_selections, 0);
-        assert_eq!(prepared.stats().queries, 3);
     }
+    // The session-wide accumulation saw every query, and still no rebuild
+    // leaked into the query side.
+    let cumulative = prepared.cumulative_metrics();
+    assert_eq!(cumulative.index_builds, 0);
+    assert_eq!(cumulative.pivot_selections, 0);
+    assert_eq!(prepared.stats().queries, 3);
 }
 
 /// The prepared state is R-independent: batches the join was never prepared
@@ -132,35 +117,33 @@ fn prepared_state_serves_unseen_batches() {
     let oracle = NestedLoopJoin
         .join(&unseen, &s, 4, DistanceMetric::Euclidean)
         .expect("oracle");
-    for algorithm in PREPARED {
-        let prepared = builder_for(&calibration, &s, algorithm, 4)
-            .prepare(&ctx)
-            .expect("prepare");
-        let served = prepared.query(&unseen).expect("query unseen batch");
-        assert!(
-            served.matches(&oracle, 1e-9),
-            "{algorithm} on an unseen batch: {:?}",
-            served.mismatch_against(&oracle, 1e-9)
-        );
-    }
+    let prepared = builder_for(&calibration, &s, Algorithm::Pgbj, 4)
+        .prepare(&ctx)
+        .expect("prepare");
+    let served = prepared.query(&unseen).expect("query unseen batch");
+    assert!(
+        served.matches(&oracle, 1e-9),
+        "on an unseen batch: {:?}",
+        served.mismatch_against(&oracle, 1e-9)
+    );
 }
 
-/// `prepare` builds the Voronoi index only: the paper's competitors are
-/// refused with a typed error naming them, after the input checks, while
-/// `run` on the same builder serves them cold.
+/// `prepare` builds PGBJ's Voronoi index only: every other algorithm, PBJ
+/// included (it would probe that same index), is refused with a typed error
+/// naming it and pointing at PGBJ, after the input checks, while `run` on
+/// the same builder serves it cold.
 #[test]
 fn prepare_refuses_the_competitors_and_run_still_serves_them() {
     let r = clustered(60, 2, 30);
     let s = clustered(90, 2, 31);
     let ctx = ExecutionContext::default();
-    for algorithm in Algorithm::ALL {
-        if PREPARED.contains(&algorithm) {
-            continue;
-        }
+    let refused = Algorithm::ALL.into_iter().filter(|&a| a != Algorithm::Pgbj);
+    assert_eq!(refused.clone().count(), 5);
+    for algorithm in refused {
         match builder_for(&r, &s, algorithm, 3).prepare(&ctx) {
             Err(JoinError::InvalidConfig(message)) => assert!(
-                message.contains(algorithm.name()),
-                "{algorithm}: the refusal does not name it: {message}"
+                message.contains(algorithm.name()) && message.contains("PGBJ"),
+                "{algorithm}: the refusal does not name it and PGBJ: {message}"
             ),
             other => panic!("{algorithm}: prepare returned {other:?}"),
         }
@@ -168,6 +151,10 @@ fn prepare_refuses_the_competitors_and_run_still_serves_them() {
             .run(&ctx)
             .expect("cold run");
         assert_eq!(cold.len(), r.len(), "{algorithm}");
+        assert!(
+            cold.rows.iter().all(|row| row.neighbors.len() == 3),
+            "{algorithm}: a cold row without its k neighbours"
+        );
         // Input errors still come first.
         assert_eq!(
             builder_for(&r, &s, algorithm, 0).prepare(&ctx).unwrap_err(),
@@ -188,16 +175,15 @@ fn prepare_refuses_duplicate_s_ids_with_a_typed_error() {
         s.points_mut()[at] = Point::new(5, coords);
     }
     let ctx = ExecutionContext::default();
-    for algorithm in PREPARED {
-        assert_eq!(
-            builder_for(&r, &s, algorithm, 3).prepare(&ctx).unwrap_err(),
-            JoinError::DuplicateId {
-                dataset: "S",
-                id: 5
-            },
-            "{algorithm}"
-        );
-    }
+    assert_eq!(
+        builder_for(&r, &s, Algorithm::Pgbj, 3)
+            .prepare(&ctx)
+            .unwrap_err(),
+        JoinError::DuplicateId {
+            dataset: "S",
+            id: 5
+        }
+    );
 }
 
 #[test]
@@ -256,7 +242,7 @@ fn prepared_clones_share_state_and_stats() {
     let r = clustered(80, 2, 15);
     let s = clustered(120, 2, 16);
     let ctx = ExecutionContext::default();
-    let prepared = builder_for(&r, &s, Algorithm::Pbj, 4)
+    let prepared = builder_for(&r, &s, Algorithm::Pgbj, 4)
         .prepare(&ctx)
         .expect("prepare");
     let clone = prepared.clone();
@@ -293,7 +279,7 @@ fn cumulative_metrics_sum_the_returned_query_metrics() {
     let r = clustered(60, 2, 20);
     let s = clustered(90, 2, 21);
     let ctx = ExecutionContext::default();
-    let prepared = builder_for(&r, &s, Algorithm::Pbj, 3)
+    let prepared = builder_for(&r, &s, Algorithm::Pgbj, 3)
         .prepare(&ctx)
         .expect("prepare");
     let mut expected = JoinMetrics::default();

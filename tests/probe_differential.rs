@@ -1,4 +1,4 @@
-//! Differential matrix for the direct prepared probe: {PGBJ, PBJ} ×
+//! Differential matrix for the direct prepared probe of PGBJ's index:
 //! {Exact, Fast} × {no overlay, adds, adds + tombstones} × batch size
 //! (either side of the serial/parallel cut) × workers.
 //!
@@ -42,8 +42,8 @@ fn counters(result: &JoinResult) -> Counters {
     ]
 }
 
-/// Counters of the one-point query (`SIZES[0]`) in every (algorithm, mode,
-/// overlay) cell, in loop order, recorded at the parent commit where the
+/// Counters of the one-point query (`SIZES[0]`) in every (mode, overlay)
+/// cell, in loop order, recorded at the parent commit where the
 /// probe still ran as a MapReduce job.  They were recorded again when the
 /// cells became sorted and the candidate walk window-first (their distance
 /// computations were 30 / 15 / 13 `Exact` and 199 / 167 / 137 `Fast`), and
@@ -53,12 +53,8 @@ fn counters(result: &JoinResult) -> Counters {
 /// did.  Since every probe runs under its epoch's overlay, the `none` rows
 /// are also the pin that an empty overlay changes no counter.
 #[rustfmt::skip]
-const SINGLETON_COUNTERS_AT_PARENT: [Counters; 12] = [
-    // Per algorithm: Exact {none, adds, adds + tombstones}, then Fast.
-    // PGBJ
-    [48, 8, 0, 0], [41, 8, 7, 0], [32, 8, 8, 1],
-    [48, 8, 0, 0], [41, 8, 7, 0], [32, 8, 8, 1],
-    // PBJ
+const SINGLETON_COUNTERS_AT_PARENT: [Counters; 6] = [
+    // Exact {none, adds, adds + tombstones}, then Fast.
     [48, 8, 0, 0], [41, 8, 7, 0], [32, 8, 8, 1],
     [48, 8, 0, 0], [41, 8, 7, 0], [32, 8, 8, 1],
 ];
@@ -89,10 +85,10 @@ fn corpus() -> PointSet {
     PointSet::from_points(points)
 }
 
-fn builder_for<'a>(r: &'a PointSet, s: &'a PointSet, algorithm: Algorithm) -> Join<'a> {
+fn builder_for<'a>(r: &'a PointSet, s: &'a PointSet) -> Join<'a> {
     Join::new(r, s)
         .k(K)
-        .algorithm(algorithm)
+        .algorithm(Algorithm::Pgbj)
         .pivot_count(8.min(r.len()))
         .reducers(4)
         .seed(99)
@@ -129,60 +125,58 @@ fn direct_probe_matches_cold_runs_and_parent_counters_across_the_matrix() {
     let pool = clustered(1_000, 22);
     let cold_ctx = ExecutionContext::default();
     let mut at_parent = SINGLETON_COUNTERS_AT_PARENT.iter();
-    for algorithm in [Algorithm::Pgbj, Algorithm::Pbj] {
-        for mode in MODES {
-            for overlay in OVERLAYS {
-                // One handle per worker count, mutated identically.
-                let handles = WORKERS.map(|workers| {
-                    let ctx = ExecutionContext::builder().workers(workers).build();
-                    let prepared = builder_for(&pool, &s, algorithm)
-                        .kernel_mode(mode)
-                        .delta_threshold(usize::MAX)
-                        .prepare(&ctx)
-                        .expect("prepare");
-                    mutate(&prepared, overlay, &s);
-                    prepared
-                });
-                let materialized = handles[0].materialized_corpus();
-                for n in SIZES {
-                    let cell = format!("{algorithm} {mode:?} {overlay:?} n={n}");
-                    let batch = PointSet::from_points(pool.points()[..n].to_vec());
-                    let served = handles
-                        .each_ref()
-                        .map(|prepared| prepared.query(&batch).expect("prepared query"));
-                    let cold = builder_for(&batch, &materialized, algorithm)
-                        .kernel_mode(mode)
-                        .run(&cold_ctx)
-                        .expect("cold run");
+    for mode in MODES {
+        for overlay in OVERLAYS {
+            // One handle per worker count, mutated identically.
+            let handles = WORKERS.map(|workers| {
+                let ctx = ExecutionContext::builder().workers(workers).build();
+                let prepared = builder_for(&pool, &s)
+                    .kernel_mode(mode)
+                    .delta_threshold(usize::MAX)
+                    .prepare(&ctx)
+                    .expect("prepare");
+                mutate(&prepared, overlay, &s);
+                prepared
+            });
+            let materialized = handles[0].materialized_corpus();
+            for n in SIZES {
+                let cell = format!("{mode:?} {overlay:?} n={n}");
+                let batch = PointSet::from_points(pool.points()[..n].to_vec());
+                let served = handles
+                    .each_ref()
+                    .map(|prepared| prepared.query(&batch).expect("prepared query"));
+                let cold = builder_for(&batch, &materialized)
+                    .kernel_mode(mode)
+                    .run(&cold_ctx)
+                    .expect("cold run");
+                assert!(
+                    served[0].matches(&cold, 1e-9),
+                    "{cell}: served vs cold: {:?}",
+                    served[0].mismatch_against(&cold, 1e-9)
+                );
+                for (result, workers) in served.iter().zip(WORKERS) {
                     assert!(
-                        served[0].matches(&cold, 1e-9),
-                        "{cell}: served vs cold: {:?}",
-                        served[0].mismatch_against(&cold, 1e-9)
+                        result.matches(&served[0], 0.0),
+                        "{cell}: rows differ at workers={workers}"
                     );
-                    for (result, workers) in served.iter().zip(WORKERS) {
-                        assert!(
-                            result.matches(&served[0], 0.0),
-                            "{cell}: rows differ at workers={workers}"
-                        );
-                        assert_eq!(
-                            counters(result),
-                            counters(&served[0]),
-                            "{cell}: counters differ at workers={workers}"
-                        );
-                        let m = &result.metrics;
-                        assert_eq!(
-                            (m.shuffle_bytes, m.shuffle_records, m.r_records_shuffled),
-                            (0, 0, 0),
-                            "{cell}: a prepared probe shuffles nothing"
-                        );
-                    }
-                    if n == 1 {
-                        assert_eq!(
-                            counters(&served[0]),
-                            *at_parent.next().expect("one recorded row per cell"),
-                            "{cell}: singleton counters moved from the parent commit's"
-                        );
-                    }
+                    assert_eq!(
+                        counters(result),
+                        counters(&served[0]),
+                        "{cell}: counters differ at workers={workers}"
+                    );
+                    let m = &result.metrics;
+                    assert_eq!(
+                        (m.shuffle_bytes, m.shuffle_records, m.r_records_shuffled),
+                        (0, 0, 0),
+                        "{cell}: a prepared probe shuffles nothing"
+                    );
+                }
+                if n == 1 {
+                    assert_eq!(
+                        counters(&served[0]),
+                        *at_parent.next().expect("one recorded row per cell"),
+                        "{cell}: singleton counters moved from the parent commit's"
+                    );
                 }
             }
         }

@@ -1,8 +1,7 @@
 //! Concurrency harness for the serving front-end and the prepared/delta
 //! stack: a multi-client stress test with oracle-verified responses, a
 //! mutate-under-load soak test (every answer consistent with *some* published
-//! epoch), coalescer batching/ordering/bit-identity coverage for every
-//! algorithm, admission (validation, backpressure) and drain behaviour, and
+//! epoch), coalescer batching/ordering/bit-identity coverage, admission (validation, backpressure) and drain behaviour, and
 //! histogram merge associativity.
 //!
 //! Everything is seeded and bounded so the harness is deterministic enough
@@ -30,10 +29,12 @@ fn clustered(n: usize, dims: usize, seed: u64) -> PointSet {
     )
 }
 
-fn builder_for<'a>(r: &'a PointSet, s: &'a PointSet, algorithm: Algorithm, k: usize) -> Join<'a> {
+/// A PGBJ join over `r` and `s`, the one algorithm `prepare` builds an
+/// index for.
+fn builder_for<'a>(r: &'a PointSet, s: &'a PointSet, k: usize) -> Join<'a> {
     Join::new(r, s)
         .k(k)
-        .algorithm(algorithm)
+        .algorithm(Algorithm::Pgbj)
         .pivot_count(8.min(r.len()).min(s.len()))
         .reducers(4)
         .seed(99)
@@ -79,7 +80,7 @@ fn stress_mixed_clients_all_responses_exact() {
     let corpus = clustered(400, 3, 50);
     let queries = clustered(60, 3, 51);
     let ctx = ExecutionContext::default();
-    let prepared = builder_for(&queries, &corpus, Algorithm::Pgbj, 5)
+    let prepared = builder_for(&queries, &corpus, 5)
         .prepare(&ctx)
         .expect("prepare");
 
@@ -169,7 +170,7 @@ fn soak_mutate_under_load_answers_match_some_epoch() {
     let corpus = clustered(150, 2, 60);
     let queries = clustered(24, 2, 61);
     let ctx = ExecutionContext::default();
-    let prepared = builder_for(&queries, &corpus, Algorithm::Pgbj, K)
+    let prepared = builder_for(&queries, &corpus, K)
         // Low threshold so the soak crosses compaction boundaries too.
         .delta_threshold(6)
         .prepare(&ctx)
@@ -247,8 +248,8 @@ fn soak_mutate_under_load_answers_match_some_epoch() {
 // Coalescer: bit-identity, ordering, flush triggers
 // ---------------------------------------------------------------------------
 
-/// For both prepared algorithms, rows answered through a coalesced probe
-/// batch are bit-identical to sequential uncoalesced `query_one` calls on the
+/// Rows answered through a coalesced probe batch of the prepared index are
+/// bit-identical to sequential uncoalesced `query_one` calls on the
 /// same prepared handle — coalescing is a pure batching optimisation,
 /// invisible in the results.
 #[test]
@@ -256,34 +257,32 @@ fn coalesced_rows_bit_identical_to_query_one_for_every_algorithm() {
     let corpus = clustered(220, 3, 70);
     let queries = clustered(12, 3, 71);
     let ctx = ExecutionContext::default();
-    for algorithm in [Algorithm::Pgbj, Algorithm::Pbj] {
-        let prepared = builder_for(&queries, &corpus, algorithm, 4)
-            .prepare(&ctx)
-            .expect("prepare");
-        let expected: Vec<JoinRow> = queries
-            .iter()
-            .map(|p| prepared.query_one(p).expect("uncoalesced query_one"))
-            .collect();
-        // Submit all, then wait: the first wait leads one round that takes
-        // all 12 queued singles (≤ 16 per round) as one coalesced batch.
-        let server = Server::start(prepared, ServerConfig::default().workers(2));
-        let tickets: Vec<_> = queries
-            .iter()
-            .map(|p| server.submit_one(p.clone()).expect("submit"))
-            .collect();
-        for (ticket, want) in tickets.into_iter().zip(&expected) {
-            let got = ticket.wait().expect("coalesced answer");
-            assert!(
-                rows_identical(&got, want),
-                "{algorithm}: coalesced row {} deviates from query_one",
-                want.r_id
-            );
-        }
-        let stats = server.shutdown();
-        assert_eq!(stats.coalesced_points, queries.len() as u64, "{algorithm}");
-        assert_eq!(stats.coalesced_batches, 1, "{algorithm}");
-        assert_eq!(stats.failed, 0, "{algorithm}");
+    let prepared = builder_for(&queries, &corpus, 4)
+        .prepare(&ctx)
+        .expect("prepare");
+    let expected: Vec<JoinRow> = queries
+        .iter()
+        .map(|p| prepared.query_one(p).expect("uncoalesced query_one"))
+        .collect();
+    // Submit all, then wait: the first wait leads one round that takes
+    // all 12 queued singles (≤ 16 per round) as one coalesced batch.
+    let server = Server::start(prepared, ServerConfig::default().workers(2));
+    let tickets: Vec<_> = queries
+        .iter()
+        .map(|p| server.submit_one(p.clone()).expect("submit"))
+        .collect();
+    for (ticket, want) in tickets.into_iter().zip(&expected) {
+        let got = ticket.wait().expect("coalesced answer");
+        assert!(
+            rows_identical(&got, want),
+            "coalesced row {} deviates from query_one",
+            want.r_id
+        );
     }
+    let stats = server.shutdown();
+    assert_eq!(stats.coalesced_points, queries.len() as u64);
+    assert_eq!(stats.coalesced_batches, 1);
+    assert_eq!(stats.failed, 0);
 }
 
 /// Two clients submitting points with the *same* id share a coalesced batch
@@ -294,7 +293,7 @@ fn coalescing_never_reorders_or_merges_same_id_requests() {
     let corpus = clustered(200, 2, 72);
     let queries = clustered(8, 2, 73);
     let ctx = ExecutionContext::default();
-    let prepared = builder_for(&queries, &corpus, Algorithm::Pgbj, 3)
+    let prepared = builder_for(&queries, &corpus, 3)
         .prepare(&ctx)
         .expect("prepare");
     let a = queries.iter().next().unwrap().clone();
@@ -338,7 +337,7 @@ fn idle_server_answers_a_lone_single_alone() {
     let corpus = clustered(200, 2, 74);
     let queries = clustered(6, 2, 75);
     let ctx = ExecutionContext::default();
-    let prepared = builder_for(&queries, &corpus, Algorithm::Pgbj, 3)
+    let prepared = builder_for(&queries, &corpus, 3)
         .prepare(&ctx)
         .expect("prepare");
     let server = Server::start(prepared.clone(), ServerConfig::default().workers(1));
@@ -363,7 +362,7 @@ fn non_finite_points_are_refused_at_admission_not_in_the_batch() {
     let corpus = clustered(200, 2, 78);
     let queries = clustered(5, 2, 79);
     let ctx = ExecutionContext::default();
-    let prepared = builder_for(&queries, &corpus, Algorithm::Pgbj, 3)
+    let prepared = builder_for(&queries, &corpus, 3)
         .prepare(&ctx)
         .expect("prepare");
     let server = Server::start(prepared.clone(), ServerConfig::default().workers(1));
@@ -413,7 +412,7 @@ fn coalescer_drain_trigger_answers_all_pending_on_shutdown() {
     let corpus = clustered(200, 2, 76);
     let queries = clustered(5, 2, 77);
     let ctx = ExecutionContext::default();
-    let prepared = builder_for(&queries, &corpus, Algorithm::Pgbj, 3)
+    let prepared = builder_for(&queries, &corpus, 3)
         .prepare(&ctx)
         .expect("prepare");
     let expected: Vec<JoinRow> = queries
@@ -447,7 +446,7 @@ fn concurrent_overload_rejects_typed_and_never_hangs() {
     let corpus = clustered(150, 2, 80);
     let queries = clustered(SUBMITTERS, 2, 81);
     let ctx = ExecutionContext::default();
-    let prepared = builder_for(&queries, &corpus, Algorithm::Pgbj, 2)
+    let prepared = builder_for(&queries, &corpus, 2)
         .prepare(&ctx)
         .expect("prepare");
     // Unwaited tickets run nothing, so the queue fills to `CAP`; the first
@@ -504,7 +503,7 @@ fn shutdown_drains_in_flight_and_is_idempotent() {
     let corpus = clustered(200, 2, 82);
     let queries = clustered(10, 2, 83);
     let ctx = ExecutionContext::default();
-    let prepared = builder_for(&queries, &corpus, Algorithm::Pgbj, 3)
+    let prepared = builder_for(&queries, &corpus, 3)
         .prepare(&ctx)
         .expect("prepare");
     let server = Server::start(prepared, ServerConfig::default().workers(2));
@@ -539,7 +538,7 @@ fn shutdown_under_load_answers_or_refuses_every_call() {
     let corpus = clustered(300, 2, 84);
     let queries = clustered(40, 2, 85);
     let ctx = ExecutionContext::default();
-    let prepared = builder_for(&queries, &corpus, Algorithm::Pgbj, 3)
+    let prepared = builder_for(&queries, &corpus, 3)
         .prepare(&ctx)
         .expect("prepare");
     let server = Server::start(prepared, ServerConfig::default().workers(2));

@@ -23,14 +23,12 @@
 //! reading into its rows: every field is exact for the seed.  Running times, latencies and throughput are measured with a
 //! spread by `benchmark/` and declared in `BENCHMARK.json`; the paper's
 //! figures still print their running-time panels, which no check reads.
-//! A `perf_baseline` check also fails when a `Fast` row of the run, cold
-//! or prepared, differs from its `Exact` twin on any field but its name
-//! (no scan reads the mode), when a cold
-//! PBJ row's pivot-assignment computations differ from its PGBJ twin's (they
-//! run one front half), or when a cold row's shuffle records are not the
-//! batches job 1's combiner lets through plus one per routed object and one
-//! per merge-job partial list (a cell slice is accounted as its rows, a
-//! partial list as one), whatever the reference says.
+//! A `perf_baseline` check also fails when the cold PBJ row's
+//! pivot-assignment computations differ from its PGBJ twin's (they run one
+//! front half), or when a cold row's shuffle records are not the batches
+//! job 1's combiner lets through plus one per routed object and one per
+//! merge-job partial list (a cell slice is accounted as its rows, a partial
+//! list as one), whatever the reference says.
 //! CI runs the three gates (`perf_baseline` quick and full,
 //! `mutable_corpus` quick) on every push, so an unexplained counter regression
 //! fails the build instead of silently shifting the baseline.
@@ -41,8 +39,8 @@
 #![deny(clippy::disallowed_types)]
 
 use bench::experiments::{
-    check_key, cold_rows_off_their_shuffle_identity, diff_rows, fast_rows_off_their_exact_twin,
-    pbj_rows_off_their_pgbj_twin, run_by_id, ExperimentOutput, ALL_EXPERIMENTS,
+    check_key, cold_rows_off_their_shuffle_identity, diff_rows, pbj_rows_off_their_pgbj_twin,
+    run_by_id, ExperimentOutput, ALL_EXPERIMENTS,
 };
 use bench::json::Value;
 use bench::ExperimentScale;
@@ -175,7 +173,6 @@ fn main() -> ExitCode {
             checked += 1;
             let mut drift = diff_rows(&output.json, reference, key_field);
             if output.id == "perf_baseline" {
-                drift.extend(fast_rows_off_their_exact_twin(&output.json));
                 drift.extend(pbj_rows_off_their_pgbj_twin(&output.json));
                 drift.extend(cold_rows_off_their_shuffle_identity(&output.json));
             }

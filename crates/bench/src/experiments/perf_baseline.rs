@@ -6,30 +6,25 @@
 //! records distance computations, pivot-assignment computations, index
 //! builds, shuffle volume, and — against the nested-loop oracle — the
 //! approximation quality (recall and distance ratio; exactly 1 for the exact
-//! algorithms, the interesting row is H-zkNNJ's).  A second row set
-//! (`"<name> (fast)"`) repeats each cold join with
-//! `kernel_mode = KernelMode::Fast`, which no scan reads: on every
-//! algorithm every deterministic field equals the `Exact` twin's (see
-//! [`fast_rows_off_their_exact_twin`]).  A third row, `"PGBJ (prepared)"`
-//! (PGBJ's is the one index `prepare` keeps), runs the serving path: one
-//! `JoinBuilder::prepare` build followed by [`PREPARED_QUERIES`] repeated
-//! `PreparedJoin::query` calls, reporting the per-query counters (which must
-//! show zero `index_builds` / `pivot_selections`); a fourth,
-//! `"PGBJ (prepared, fast)"`, repeats it with `kernel_mode = Fast`.  The
-//! JSON is written to `BENCH_baseline.json` (see the README) so the
-//! repository always carries a reference trajectory: every field is
-//! deterministic for the fixed seed and must not regress silently.  The rows
-//! hold no time: how long a cold join, a build or a prepared query takes is
-//! measured with a spread by `benchmark/` (`pgbj_join_s`, `prepared.build_s`,
-//! `prepared.query_batch128_ms`, ...).
+//! algorithms, the interesting row is H-zkNNJ's).  A last row,
+//! `"PGBJ (prepared)"` (PGBJ's is the one index `prepare` keeps), runs the
+//! serving path: one `JoinBuilder::prepare` build followed by
+//! [`PREPARED_QUERIES`] repeated `PreparedJoin::query` calls, reporting the
+//! per-query counters (which must show zero `index_builds` /
+//! `pivot_selections`).  The JSON is written to `BENCH_baseline.json` (see
+//! the README) so the repository always carries a reference trajectory:
+//! every field is deterministic for the fixed seed and must not regress
+//! silently.  The rows hold no time: how long a cold join, a build or a
+//! prepared query takes is measured with a spread by `benchmark/`
+//! (`pgbj_join_s`, `prepared.build_s`, `prepared.query_batch128_ms`, ...).
 
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
-use super::{field_drift, ExperimentOutput};
+use super::ExperimentOutput;
 use crate::json::Value;
 use crate::report::{fmt_f64, Table};
 use crate::workloads::{ExperimentScale, Workloads};
-use geom::{DistanceMetric, KernelMode};
+use geom::DistanceMetric;
 use knnjoin::{Algorithm, JoinBuilder, JoinResult};
 
 /// Repeated `PreparedJoin::query` calls per serving row.
@@ -112,7 +107,7 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
     let reducers = workloads.default_reducers();
     let pivots = workloads.default_pivots();
 
-    let run = |algorithm: Algorithm, mode: KernelMode| -> JoinResult {
+    let run = |algorithm: Algorithm| -> JoinResult {
         JoinBuilder::new(&data, &data)
             .k(k)
             .metric(DistanceMetric::Euclidean)
@@ -121,13 +116,12 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
             .reducers(reducers)
             .shift_copies(workloads.default_shift_copies())
             .z_window(workloads.default_z_window())
-            .kernel_mode(mode)
             .run(workloads.context())
             .expect("baseline join must succeed")
     };
 
     // The oracle anchors the quality columns for every algorithm.
-    let oracle = run(Algorithm::NestedLoopJoin, KernelMode::Exact);
+    let oracle = run(Algorithm::NestedLoopJoin);
 
     let algorithms = [
         Algorithm::Hbrj,
@@ -143,51 +137,36 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
             let result = if algorithm == Algorithm::NestedLoopJoin {
                 oracle.clone()
             } else {
-                run(algorithm, KernelMode::Exact)
+                run(algorithm)
             };
             BaselineRow::from_result(algorithm, "", &result, &oracle)
         })
         .collect();
 
-    // ---- Fast-mode cold rows: the same joins with `kernel_mode = Fast`,
-    // which no scan reads; every deterministic field must equal Exact's.
-    let fast_rows: Vec<BaselineRow> = algorithms
-        .iter()
-        .map(|&algorithm| {
-            let result = run(algorithm, KernelMode::Fast);
-            BaselineRow::from_result(algorithm, " (fast)", &result, &oracle)
-        })
-        .collect();
-    rows.extend(fast_rows);
-
-    // ---- Prepared serving rows: one PGBJ build, PREPARED_QUERIES queries,
-    // once per kernel mode (Exact first, so the committed row order is
-    // stable).
-    let modes = [
-        (KernelMode::Exact, " (prepared)"),
-        (KernelMode::Fast, " (prepared, fast)"),
-    ];
-    rows.extend(modes.map(|(mode, suffix)| {
-        let prepared = JoinBuilder::new(&data, &data)
-            .k(k)
-            .metric(DistanceMetric::Euclidean)
-            .algorithm(Algorithm::Pgbj)
-            .pivot_count(pivots)
-            .reducers(reducers)
-            .kernel_mode(mode)
-            .prepare(workloads.context())
-            .expect("baseline prepare must succeed");
-        let mut last = None;
-        for _ in 0..PREPARED_QUERIES {
-            last = Some(prepared.query(&data).expect("prepared query"));
-        }
-        let result = last.expect("at least one query ran");
-        BaselineRow::from_result(Algorithm::Pgbj, suffix, &result, &oracle)
-    }));
+    // ---- The prepared serving row: one PGBJ build, PREPARED_QUERIES
+    // queries.
+    let prepared = JoinBuilder::new(&data, &data)
+        .k(k)
+        .metric(DistanceMetric::Euclidean)
+        .algorithm(Algorithm::Pgbj)
+        .pivot_count(pivots)
+        .reducers(reducers)
+        .prepare(workloads.context())
+        .expect("baseline prepare must succeed");
+    let mut last = None;
+    for _ in 0..PREPARED_QUERIES {
+        last = Some(prepared.query(&data).expect("prepared query"));
+    }
+    let result = last.expect("at least one query ran");
+    rows.push(BaselineRow::from_result(
+        Algorithm::Pgbj,
+        " (prepared)",
+        &result,
+        &oracle,
+    ));
 
     let mut table = Table::new(
-        "Performance baseline (self-join on the default Forest-like workload; \
-         \"(fast)\" rows rerun the join with kernel_mode = Fast)",
+        "Performance baseline (self-join on the default Forest-like workload)",
         &[
             "algorithm",
             "distance comps",
@@ -265,76 +244,41 @@ pub fn perf_baseline(scale: ExperimentScale) -> ExperimentOutput {
     }
 }
 
-/// The `Fast` rows of a `perf_baseline` run that are off their `Exact`
-/// twin on any field but `algorithm`, each as a description: every
-/// algorithm's cold row, and PGBJ's prepared row.  No scan reads
-/// the kernel mode — every scan ranks its rows with the one exact column
-/// kernel, and the R-tree knows no mode — so a difference means the mode
-/// reached a scan again.
-pub fn fast_rows_off_their_exact_twin(rows: &Value) -> Vec<String> {
-    let mut problems = Vec::new();
-    for algorithm in Algorithm::ALL {
-        let name = algorithm.name();
-        let mut twins = vec![(name.to_string(), format!("{name} (fast)"))];
-        if algorithm == Algorithm::Pgbj {
-            twins.push((
-                format!("{name} (prepared)"),
-                format!("{name} (prepared, fast)"),
-            ));
-        }
-        for (exact, fast) in twins {
-            let (Some(exact_row), Some(fast_row)) = (row(rows, &exact), row(rows, &fast)) else {
-                problems.push(format!("{exact} / {fast}: row missing"));
-                continue;
-            };
-            let drift = field_drift(&fast, fast_row, exact_row, "algorithm");
-            problems.extend(
-                drift.into_iter().map(|problem| {
-                    format!("{problem} (reference: {exact}; no scan reads the mode)")
-                }),
-            );
-        }
-    }
-    problems
-}
-
-/// The cold PBJ rows of a `perf_baseline` run whose
-/// `pivot_assignment_computations` differ from their PGBJ twin's, each as a
+/// The cold PBJ row of a `perf_baseline` run if its
+/// `pivot_assignment_computations` differ from its PGBJ twin's, as a
 /// description.  The two algorithms run one front half
 /// (`voronoi::partition_job`) under one plan, so the number is the same by
 /// construction; a difference means a second way from points to cells is
 /// back.
 pub fn pbj_rows_off_their_pgbj_twin(rows: &Value) -> Vec<String> {
-    let twins = ["", " (fast)"].map(|suffix| (format!("PBJ{suffix}"), format!("PGBJ{suffix}")));
-    let problems = twins.iter().filter_map(|(pbj, pgbj)| {
-        twin_problem(
-            rows,
-            (pbj, pgbj),
-            "pivot_assignment_computations",
-            |pgbj, pbj| pbj == pgbj,
-            "not equal, though both run the same front half",
-        )
-    });
-    problems.collect()
+    let field = "pivot_assignment_computations";
+    match (
+        row_field(rows, "PGBJ", field),
+        row_field(rows, "PBJ", field),
+    ) {
+        (Some(pgbj), Some(pbj)) if pbj == pgbj => Vec::new(),
+        (Some(pgbj), Some(pbj)) => vec![format!(
+            "PBJ.{field}: {pbj} against PGBJ's {pgbj}: not equal, though both run the \
+             same front half"
+        )],
+        _ => vec!["PGBJ / PBJ: row missing".into()],
+    }
 }
 
-/// The cold rows of a `perf_baseline` run — all six algorithms and their
-/// `"(fast)"` twins — whose `shuffle_records` is not the batches job 1's
-/// combiner let through plus one record per routed object and one per
-/// merged partial list (`batches_plus_routed_records`), each as a
-/// description.  Every job is covered: PGBJ and PBJ job 1 ship combined
-/// batches, the join jobs charge one record per object they route (a PGBJ
-/// or PBJ cell slice is accounted as its rows), and the merge job of PBJ,
-/// H-BRJ and H-zkNNJ ships one partial list per routed `R` replica.  The
-/// identity holds by construction and breaks the moment a value standing
-/// for several objects or lists is charged as one record, or one is charged
-/// twice.
+/// The cold rows of a `perf_baseline` run — all six algorithms — whose
+/// `shuffle_records` is not the batches job 1's combiner let through plus one
+/// record per routed object and one per merged partial list
+/// (`batches_plus_routed_records`), each as a description.  Every job is
+/// covered: PGBJ and PBJ job 1 ship combined batches, the join jobs charge one
+/// record per object they route (a PGBJ or PBJ cell slice is accounted as its
+/// rows), and the merge job of PBJ, H-BRJ and H-zkNNJ ships one partial list
+/// per routed `R` replica.  The identity holds by construction and breaks the
+/// moment a value standing for several objects or lists is charged as one
+/// record, or one is charged twice.
 pub fn cold_rows_off_their_shuffle_identity(rows: &Value) -> Vec<String> {
-    let cold = Algorithm::ALL.into_iter().flat_map(|algorithm| {
-        ["", " (fast)"].map(|suffix| format!("{}{suffix}", algorithm.name()))
-    });
-    let problems = cold.filter_map(|row| {
-        let of = |field: &str| row_field(rows, &row, field);
+    let problems = Algorithm::ALL.into_iter().filter_map(|algorithm| {
+        let row = algorithm.name();
+        let of = |field: &str| row_field(rows, row, field);
         match (of("shuffle_records"), of("batches_plus_routed_records")) {
             (Some(shuffled), Some(accounted)) if shuffled == accounted => None,
             (Some(shuffled), Some(accounted)) => Some(format!(
@@ -361,23 +305,6 @@ fn row_field(rows: &Value, algorithm: &str, field: &str) -> Option<f64> {
     row(rows, algorithm).and_then(|r| r[field].as_f64())
 }
 
-/// Describes how the `row`'s `field` breaks `holds(twin's, row's)` — `rule`
-/// says what the two should have been — or that one of the rows is missing.
-fn twin_problem(
-    rows: &Value,
-    (row, twin): (&str, &str),
-    field: &str,
-    holds: impl Fn(f64, f64) -> bool,
-    rule: &str,
-) -> Option<String> {
-    let value_of = |algorithm: &str| row_field(rows, algorithm, field);
-    match (value_of(twin), value_of(row)) {
-        (Some(t), Some(r)) if holds(t, r) => None,
-        (Some(t), Some(r)) => Some(format!("{row}.{field}: {r} against {twin}'s {t}: {rule}")),
-        _ => Some(format!("{twin} / {row}: row missing")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,19 +321,24 @@ mod tests {
         let out = quick();
         assert_eq!(out.id, "perf_baseline");
         let rows = out.json.as_array().expect("array of rows");
-        // Six exact cold rows, six fast-mode cold rows, then the PGBJ
-        // prepared row in each mode.
-        assert_eq!(rows.len(), 14);
+        // Six cold rows, then the PGBJ prepared row.
+        assert_eq!(rows.len(), 7);
         let names: Vec<&str> = rows
             .iter()
             .map(|r| r["algorithm"].as_str().expect("name"))
             .collect();
         assert_eq!(
-            &names[..6],
-            &["H-BRJ", "PBJ", "PGBJ", "H-zkNNJ", "Broadcast", "NestedLoop"]
+            names,
+            [
+                "H-BRJ",
+                "PBJ",
+                "PGBJ",
+                "H-zkNNJ",
+                "Broadcast",
+                "NestedLoop",
+                "PGBJ (prepared)"
+            ]
         );
-        assert!(names[6..12].iter().all(|n| n.ends_with("(fast)")));
-        assert_eq!(&names[12..], &["PGBJ (prepared)", "PGBJ (prepared, fast)"]);
         for row in rows {
             assert!(row["distance_computations"].as_u64().expect("comps") > 0);
         }
@@ -443,54 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_rows_equal_their_exact_twins_and_the_gate_notices_when_not() {
-        let out = quick();
-        assert_eq!(fast_rows_off_their_exact_twin(&out.json), [""; 0]);
-        // A Fast row off its Exact twin on any deterministic field trips the
-        // gate, on every algorithm: one more evaluation, one more shuffled
-        // byte, one build less, a lower recall.
-        let altered = [
-            ("PGBJ (fast)", "distance_computations", 1.0),
-            ("PGBJ (prepared, fast)", "shuffle_bytes", 1.0),
-            ("H-BRJ (fast)", "index_builds", -1.0),
-            ("H-zkNNJ (fast)", "recall", -0.01),
-            ("Broadcast (fast)", "distance_computations", -1.0),
-            ("NestedLoop (fast)", "distance_ratio", 0.01),
-        ];
-        let rows = out.json.as_array().expect("rows").iter();
-        let drifted = Value::Array(
-            rows.map(|row| {
-                let name = row["algorithm"].as_str();
-                match (altered.iter().find(|a| Some(a.0) == name), row) {
-                    (Some(&(_, field, by)), Value::Object(fields)) => Value::Object(
-                        fields
-                            .iter()
-                            .map(|(name, value)| {
-                                let value = if name == field {
-                                    (value.as_f64().expect("field") + by).into()
-                                } else {
-                                    value.clone()
-                                };
-                                (name.clone(), value)
-                            })
-                            .collect(),
-                    ),
-                    _ => row.clone(),
-                }
-            })
-            .collect(),
-        );
-        let problems = fast_rows_off_their_exact_twin(&drifted);
-        assert_eq!(problems.len(), altered.len(), "{problems:?}");
-        for (problem, (row, field, _)) in problems.iter().zip(altered) {
-            assert!(
-                problem.starts_with(&format!("{row}.{field}")),
-                "{problems:?}"
-            );
-        }
-    }
-
-    #[test]
     fn pbj_rows_bill_the_front_half_like_pgbj_and_the_gate_notices_when_not() {
         let out = quick();
         assert_eq!(pbj_rows_off_their_pgbj_twin(&out.json), [""; 0]);
@@ -516,12 +400,12 @@ mod tests {
         let out = quick();
         assert_eq!(cold_rows_off_their_shuffle_identity(&out.json), [""; 0]);
         // A PGBJ row whose slices were counted as one record each, and an
-        // H-BRJ (fast) row whose merge job charged a cell's lists as one
-        // record, each trip it; the prepared rows are not its business.
+        // H-BRJ row whose merge job charged a cell's lists as one record,
+        // each trip it; the prepared row is not its business.
         let rows = out.json.as_array().expect("rows").iter();
         let undercharged = Value::Array(
             rows.map(|row| match row["algorithm"].as_str() {
-                Some(name @ ("PGBJ" | "H-BRJ (fast)" | "PGBJ (prepared)")) => Value::object(vec![
+                Some(name @ ("PGBJ" | "H-BRJ" | "PGBJ (prepared)")) => Value::object(vec![
                     ("algorithm", name.into()),
                     ("shuffle_records", 100.0.into()),
                     (
@@ -536,7 +420,7 @@ mod tests {
         let problems = cold_rows_off_their_shuffle_identity(&undercharged);
         assert_eq!(problems.len(), 2, "{problems:?}");
         assert!(problems[0].starts_with("PGBJ."), "{problems:?}");
-        assert!(problems[1].starts_with("H-BRJ (fast)."), "{problems:?}");
+        assert!(problems[1].starts_with("H-BRJ."), "{problems:?}");
         // A missing cold row is a problem of its own.
         let rows = out.json.as_array().expect("rows").iter();
         let without_zknn = Value::Array(

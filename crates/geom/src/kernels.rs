@@ -51,8 +51,8 @@ pub const PROBE_TILE: usize = 256;
 
 /// A join's kernel-mode knob.  No scan reads it: every scan ranks its rows
 /// with the bit-exact column kernels, so both modes run the same code and
-/// return the same bits.  It is kept for `benchmark/` and the `(fast)` gate
-/// rows, which still name both modes.
+/// return the same bits.  It is kept only for `benchmark/`, which still
+/// names both modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelMode {
     /// The default.
@@ -60,16 +60,6 @@ pub enum KernelMode {
     Exact,
     /// Runs the same scans as [`KernelMode::Exact`].
     Fast,
-}
-
-impl KernelMode {
-    /// Human-readable label used by the bench harness when naming rows.
-    pub fn name(&self) -> &'static str {
-        match self {
-            KernelMode::Exact => "exact",
-            KernelMode::Fast => "fast",
-        }
-    }
 }
 
 /// Squared Euclidean distance `Σ (aᵢ − bᵢ)²` — the L2 argmin workhorse.
@@ -587,13 +577,6 @@ mod tests {
         assert_eq!(euclidean(&a, &b), 5.0);
         assert_eq!(manhattan(&a, &b), 7.0);
         assert_eq!(chebyshev(&a, &b), 4.0);
-    }
-
-    #[test]
-    fn kernel_mode_labels_and_default() {
-        assert_eq!(KernelMode::default(), KernelMode::Exact);
-        assert_eq!(KernelMode::Exact.name(), "exact");
-        assert_eq!(KernelMode::Fast.name(), "fast");
     }
 
     /// `n` values of the uniform `seed` from `offset` on, turned adversarial

@@ -127,7 +127,7 @@ mod tests {
     use crate::algorithms::testing::{assert_matches_oracle, run};
     use crate::Algorithm::{BroadcastJoin, Pgbj};
     use datagen::uniform;
-    use geom::{DistanceMetric, KernelMode};
+    use geom::DistanceMetric;
     use proptest::prelude::*;
 
     const EUCLIDEAN: DistanceMetric = DistanceMetric::Euclidean;
@@ -137,31 +137,6 @@ mod tests {
         let r = uniform(150, 3, 50.0, 1);
         let s = uniform(200, 3, 50.0, 2);
         assert_matches_oracle(BroadcastJoin, &r, &s, 7, EUCLIDEAN, |b| b.reducers(5));
-    }
-
-    #[test]
-    fn fast_mode_matches_exact_mode() {
-        let r = uniform(120, 4, 40.0, 21);
-        let s = uniform(300, 4, 40.0, 22);
-        for metric in [
-            DistanceMetric::Euclidean,
-            DistanceMetric::Manhattan,
-            DistanceMetric::Chebyshev,
-        ] {
-            let exact = run(BroadcastJoin, &r, &s, 5, metric, |b| b);
-            let got = run(BroadcastJoin, &r, &s, 5, metric, |b| {
-                b.kernel_mode(KernelMode::Fast)
-            });
-            assert!(
-                got.matches(&exact, 0.0),
-                "{metric:?}: {:?}",
-                got.mismatch_against(&exact, 0.0)
-            );
-            assert_eq!(
-                got.metrics.distance_computations,
-                exact.metrics.distance_computations
-            );
-        }
     }
 
     #[test]

@@ -291,13 +291,13 @@ impl CellMap {
     }
 }
 
-/// Sorts the `S` cell ids `cells` by ascending pivot distance from one `R`
-/// partition's pivot, given that pivot's row of the pivot-distance matrix
-/// (Algorithm 3 line 14).
-fn order_by_pivot_distance(cells: impl Iterator<Item = usize>, row: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = cells.collect();
+/// Fills `order` with the present cells of `s_parts`, sorted by ascending
+/// pivot distance from one `R` partition's pivot, given that pivot's row of
+/// the pivot-distance matrix (Algorithm 3 line 14).
+fn order_by_pivot_distance(order: &mut Vec<usize>, s_parts: &CellMap, row: &[f64]) {
+    order.clear();
+    order.extend(s_parts.partitions());
     order.sort_by(|&a, &b| row[a].partial_cmp(&row[b]).unwrap_or(Ordering::Equal));
-    order
 }
 
 /// Rows per kernel call of the candidate walk.  Small on purpose: θ is
@@ -481,10 +481,10 @@ impl<'a> VoronoiScan<'a> {
 
     /// The body of a cold Algorithm 3 reducer (lines 12–25), PGBJ's and
     /// PBJ's alike: the received `S` slices *are* the [`CellMap`] (line 13),
-    /// the scan order is sorted per `R` cell (line 14) and every received
-    /// `R` row is scanned into one list, handed with the row's id to `emit`.
-    /// `theta_of` supplies `θ_i` for an `R` partition given the `S` subset
-    /// received.  Returns the distance computations spent.
+    /// the scan order is sorted per `R` cell (line 14) into one buffer, and
+    /// every received `R` row is scanned into one list, handed with its id to
+    /// `emit`.  `theta_of` supplies `θ_i` for an `R` partition given the `S`
+    /// subset received.  Returns the distance computations spent.
     pub(crate) fn join_cells(
         &mut self,
         values: &[ShuffledCell],
@@ -507,9 +507,9 @@ impl<'a> VoronoiScan<'a> {
         }
         let mut list = NeighborList::new(self.k);
         let mut r_coords = vec![0.0; self.tables.pivots.dims()];
+        let mut s_order = Vec::with_capacity(t);
         for (i, r_cell) in r_cells.iter() {
-            let s_order =
-                order_by_pivot_distance(s_parts.partitions(), self.tables.pivot_distances.row(i));
+            order_by_pivot_distance(&mut s_order, &s_parts, self.tables.pivot_distances.row(i));
             let theta_i = theta_of(i, &s_parts);
             let cell = &*r_cell.cell;
             for row in r_cell.first_row..cell.rows.len() {
@@ -1051,10 +1051,11 @@ fn assign(
 /// pivot distance, Algorithm 3 line 14), shared by the full build and the
 /// partial compaction.
 fn compute_s_orders(s_parts: &CellMap, pivot_distances: &PivotDistances) -> Vec<Vec<usize>> {
-    pivot_distances
-        .rows()
-        .map(|row| order_by_pivot_distance(s_parts.partitions(), row))
-        .collect()
+    let mut orders = vec![Vec::new(); s_parts.slots.len()];
+    for (order, row) in orders.iter_mut().zip(pivot_distances.rows()) {
+        order_by_pivot_distance(order, s_parts, row);
+    }
+    orders
 }
 
 /// The fault-injection hook of the serving tests, at the one place every
@@ -1190,11 +1191,10 @@ mod tests {
         /// Calls `each(scan order, r, r's pivot distance, r's partition)` for
         /// every object of `R`.
         fn for_each_r(&self, mut each: impl FnMut(&[usize], &Point, f64, usize)) {
+            let mut s_order = Vec::new();
             for (i, bucket) in self.partitioned_r.partitions.iter().enumerate() {
-                let s_order = order_by_pivot_distance(
-                    self.s_parts.partitions(),
-                    self.tables.pivot_distances.row(i),
-                );
+                let row = self.tables.pivot_distances.row(i);
+                order_by_pivot_distance(&mut s_order, &self.s_parts, row);
                 for (r_obj, r_pivot_dist) in bucket {
                     each(&s_order, r_obj, *r_pivot_dist, i);
                 }

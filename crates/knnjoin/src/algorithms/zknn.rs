@@ -414,7 +414,7 @@ mod tests {
     use crate::Algorithm::Zknn;
     use crate::JoinBuilder;
     use datagen::{gaussian_clusters, uniform, ClusterConfig};
-    use geom::{DistanceMetric, KernelMode};
+    use geom::DistanceMetric;
     use proptest::prelude::*;
 
     const EUCLIDEAN: DistanceMetric = DistanceMetric::Euclidean;
@@ -525,31 +525,6 @@ mod tests {
             .phase_times
             .iter()
             .any(|(n, _)| n == phases::RESULT_MERGING));
-    }
-
-    #[test]
-    fn fast_mode_matches_the_exact_mode_run() {
-        // No scan reads the mode: a Fast run reproduces the Exact-mode run's
-        // rows bit for bit, at the same evaluations.
-        let r = clustered(180, 3, 41);
-        let s = clustered(220, 3, 42);
-        for metric in [
-            DistanceMetric::Euclidean,
-            DistanceMetric::Manhattan,
-            DistanceMetric::Chebyshev,
-        ] {
-            let exact = run(Zknn, &r, &s, 6, metric, |b| b);
-            let got = run(Zknn, &r, &s, 6, metric, |b| b.kernel_mode(KernelMode::Fast));
-            assert!(
-                got.matches(&exact, 0.0),
-                "{metric:?}: {:?}",
-                got.mismatch_against(&exact, 0.0)
-            );
-            assert_eq!(
-                got.metrics.distance_computations,
-                exact.metrics.distance_computations
-            );
-        }
     }
 
     /// A z-window is offered exactly as a per-row loop of the scalar rank

@@ -169,9 +169,8 @@ impl<'a> JoinBuilder<'a> {
         self
     }
 
-    /// Accepts a [`KernelMode`] and changes nothing: no scan reads it, since
-    /// every scan ranks its rows with the bit-exact column kernels.  Kept
-    /// for `benchmark/` and the `(fast)` gate rows, which still name a mode.
+    /// Accepts a [`KernelMode`] and changes nothing (every scan ranks its
+    /// rows with the bit-exact column kernels); kept only for `benchmark/`.
     pub fn kernel_mode(self, _mode: KernelMode) -> Self {
         self
     }

@@ -70,7 +70,7 @@ pub mod prelude {
         expand_dataset, forest_like, gaussian_clusters, osm_like, uniform, ClusterConfig,
         ForestConfig, OsmConfig,
     };
-    pub use geom::{DistanceMetric, KernelMode, Neighbor, Point, PointSet};
+    pub use geom::{DistanceMetric, Neighbor, Point, PointSet};
     pub use knnjoin::{
         Algorithm, DeltaOverlay, DeltaStats, ExecutionContext, GroupingStrategy, JoinBuilder,
         JoinError, JoinErrorKind, JoinPlan, JoinResult, JoinRow, LatencyHistogram, NestedLoopJoin,

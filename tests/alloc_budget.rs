@@ -123,8 +123,8 @@ fn every_cold_join_makes_its_pinned_allocations() {
     let data = corpus();
     let ctx = one_worker();
     for (algorithm, pin) in [
-        (Algorithm::Pgbj, 1373),
-        (Algorithm::Pbj, 2004),
+        (Algorithm::Pgbj, 1341),
+        (Algorithm::Pbj, 1870),
         (Algorithm::Hbrj, 877),
         (Algorithm::Zknn, 1444),
         (Algorithm::BroadcastJoin, 660),

@@ -208,7 +208,7 @@ fn cut_layouts() -> Vec<CutLayout> {
 /// is weakest or tightest on, every path through the walk — cold PGBJ, cold
 /// PBJ, a prepared probe, a probe under an overlay with adds and tombstones
 /// (θ_i = ∞), a probe after compaction — still answers what brute force
-/// answers bit for bit, in either kernel mode, under every metric.
+/// answers bit for bit, under every metric.
 #[test]
 fn agreement_on_layouts_that_stress_the_pivot_order_cut() {
     let ctx = ExecutionContext::default();
@@ -221,48 +221,45 @@ fn agreement_on_layouts_that_stress_the_pivot_order_cut() {
         ] {
             let oracle_over = |s: &PointSet| NestedLoopJoin.join(r, s, *k, metric).expect("oracle");
             let oracle = oracle_over(s);
-            for mode in [KernelMode::Exact, KernelMode::Fast] {
-                let check = |what: &str, got: &JoinResult, want: &JoinResult| {
-                    assert!(
-                        got.matches(want, 0.0),
-                        "{name}, {metric:?}, {mode:?}, {what}: {:?}",
-                        got.mismatch_against(want, 0.0)
-                    );
-                };
-                let join = |r, algorithm| {
-                    Join::new(r, s)
-                        .k(*k)
-                        .metric(metric)
-                        .kernel_mode(mode)
-                        .algorithm(algorithm)
-                        .pivot_count(layout.pivot_count)
-                        .reducers(4)
-                        .seed(7)
-                };
-                for algorithm in [Algorithm::Pgbj, Algorithm::Pbj] {
-                    let cold = join(r, algorithm).run(&ctx).expect("cold join");
-                    check(&format!("cold {algorithm}"), &cold, &oracle);
-                }
-                let prepared = join(&layout.calibration, Algorithm::Pgbj)
-                    .delta_threshold(usize::MAX)
-                    .prepare(&ctx)
-                    .expect("prepare");
-                check("prepared", &prepared.query(r).expect("query"), &oracle);
-                // Adds beside the first probes, every fourth S object gone.
-                for (i, p) in r.iter().take(3).enumerate() {
-                    let beside: Vec<f64> = p.coords.iter().map(|c| c + 0.25).collect();
-                    prepared
-                        .insert(Point::new(50_000 + i as u64, beside))
-                        .expect("insert");
-                }
-                for victim in s.iter().step_by(4) {
-                    assert!(prepared.delete(victim.id), "frozen id is live");
-                }
-                let churned = oracle_over(&prepared.materialized_corpus());
-                check("overlay", &prepared.query(r).expect("query"), &churned);
-                assert!(prepared.compact());
-                check("compacted", &prepared.query(r).expect("query"), &churned);
+            let check = |what: &str, got: &JoinResult, want: &JoinResult| {
+                assert!(
+                    got.matches(want, 0.0),
+                    "{name}, {metric:?}, {what}: {:?}",
+                    got.mismatch_against(want, 0.0)
+                );
+            };
+            let join = |r, algorithm| {
+                Join::new(r, s)
+                    .k(*k)
+                    .metric(metric)
+                    .algorithm(algorithm)
+                    .pivot_count(layout.pivot_count)
+                    .reducers(4)
+                    .seed(7)
+            };
+            for algorithm in [Algorithm::Pgbj, Algorithm::Pbj] {
+                let cold = join(r, algorithm).run(&ctx).expect("cold join");
+                check(&format!("cold {algorithm}"), &cold, &oracle);
             }
+            let prepared = join(&layout.calibration, Algorithm::Pgbj)
+                .delta_threshold(usize::MAX)
+                .prepare(&ctx)
+                .expect("prepare");
+            check("prepared", &prepared.query(r).expect("query"), &oracle);
+            // Adds beside the first probes, every fourth S object gone.
+            for (i, p) in r.iter().take(3).enumerate() {
+                let beside: Vec<f64> = p.coords.iter().map(|c| c + 0.25).collect();
+                prepared
+                    .insert(Point::new(50_000 + i as u64, beside))
+                    .expect("insert");
+            }
+            for victim in s.iter().step_by(4) {
+                assert!(prepared.delete(victim.id), "frozen id is live");
+            }
+            let churned = oracle_over(&prepared.materialized_corpus());
+            check("overlay", &prepared.query(r).expect("query"), &churned);
+            assert!(prepared.compact());
+            check("compacted", &prepared.query(r).expect("query"), &churned);
         }
     }
 }

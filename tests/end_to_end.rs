@@ -4,6 +4,7 @@
 //! unified `Join` builder and a shared `ExecutionContext`.
 
 use pgbj::prelude::*;
+use proptest::prelude::*;
 
 fn forest(n: usize, seed: u64) -> PointSet {
     datagen::forest_like(
@@ -248,4 +249,65 @@ fn expanded_datasets_join_correctly() {
         metric,
     );
     assert!(pgbj.matches(&exact, 1e-9));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+    /// Cold PGBJ and PBJ equal the oracle bit for bit over data shape, `k`,
+    /// metric, pivot count and reducers, on uniform and clustered data off
+    /// the integer grid, where a reassociated kernel would show.
+    #[test]
+    fn voronoi_joins_equal_the_oracle_bit_for_bit(
+        n_r in 40usize..160,
+        n_s in 300usize..1500,
+        dims in 2usize..8,
+        clustered in 0usize..2,
+        k in 1usize..12,
+        pivot_count in 2usize..10,
+        reducers in 1usize..10,
+        which_metric in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let generate = |n: usize, seed: u64| {
+            if clustered == 1 {
+                gaussian_clusters(
+                    &ClusterConfig {
+                        n_points: n,
+                        dims,
+                        n_clusters: 4,
+                        std_dev: 6.0,
+                        extent: 120.0,
+                        skew: 0.6,
+                    },
+                    seed,
+                )
+            } else {
+                uniform(n, dims, 120.0, seed)
+            }
+        };
+        let (r, s) = (generate(n_r, seed), generate(n_s, seed ^ 0xF00D));
+        let metric = [
+            DistanceMetric::Euclidean,
+            DistanceMetric::Manhattan,
+            DistanceMetric::Chebyshev,
+        ][which_metric];
+        let ctx = ExecutionContext::default();
+        let oracle = NestedLoopJoin.join(&r, &s, k, metric).expect("oracle");
+        for algorithm in [Algorithm::Pgbj, Algorithm::Pbj] {
+            let got = Join::new(&r, &s)
+                .k(k)
+                .metric(metric)
+                .algorithm(algorithm)
+                .pivot_count(pivot_count)
+                .reducers(reducers)
+                .seed(seed)
+                .run(&ctx)
+                .expect("join");
+            prop_assert!(
+                got.matches(&oracle, 0.0),
+                "{algorithm}: {:?}",
+                got.mismatch_against(&oracle, 0.0)
+            );
+        }
+    }
 }

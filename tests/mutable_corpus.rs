@@ -208,7 +208,7 @@ fn all_counters(result: &JoinResult) -> [u64; 14] {
 /// An empty overlay is zero add rows and no mask, not a separate code path:
 /// after an insert is undone by its delete the overlay the probes run under
 /// is one that mutations emptied, and rows and every counter are
-/// bit-identical to a never-mutated handle's, in both kernel modes.  (That
+/// bit-identical to a never-mutated handle's.  (That
 /// the never-mutated handle itself answers as it did before every probe took
 /// an overlay is pinned by the `none` rows of `tests/probe_differential.rs`
 /// and by the drift gates' prepared rows.)
@@ -217,27 +217,22 @@ fn empty_overlay_queries_are_bit_identical_to_the_frozen_path() {
     let r = clustered(60, 2, 5);
     let s = clustered(90, 2, 6);
     let ctx = ExecutionContext::default();
-    for mode in [KernelMode::Exact, KernelMode::Fast] {
-        let prepared = builder_for(&r, &s, 5)
-            .kernel_mode(mode)
-            .prepare(&ctx)
-            .expect("prepare");
-        let pristine = prepared.query(&r).expect("pristine query");
-        prepared
-            .insert(Point::new(ADD_ID_BASE, vec![0.0, 0.0]))
-            .expect("insert");
-        assert!(prepared.delete(ADD_ID_BASE));
-        assert!(prepared.delta_stats().pending_adds == 0);
-        let roundtrip = prepared.query(&r).expect("round-trip query");
-        assert!(roundtrip.matches(&pristine, 0.0), "{mode:?}");
-        assert_eq!(
-            all_counters(&roundtrip),
-            all_counters(&pristine),
-            "{mode:?}: an empty overlay must not perturb a counter"
-        );
-        assert_eq!(roundtrip.metrics.delta_probe_computations, 0);
-        assert_eq!(roundtrip.metrics.tombstone_masked, 0);
-    }
+    let prepared = builder_for(&r, &s, 5).prepare(&ctx).expect("prepare");
+    let pristine = prepared.query(&r).expect("pristine query");
+    prepared
+        .insert(Point::new(ADD_ID_BASE, vec![0.0, 0.0]))
+        .expect("insert");
+    assert!(prepared.delete(ADD_ID_BASE));
+    assert!(prepared.delta_stats().pending_adds == 0);
+    let roundtrip = prepared.query(&r).expect("round-trip query");
+    assert!(roundtrip.matches(&pristine, 0.0));
+    assert_eq!(
+        all_counters(&roundtrip),
+        all_counters(&pristine),
+        "an empty overlay must not perturb a counter"
+    );
+    assert_eq!(roundtrip.metrics.delta_probe_computations, 0);
+    assert_eq!(roundtrip.metrics.tombstone_masked, 0);
 }
 
 // ---------------------------------------------------------------------------

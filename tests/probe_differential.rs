@@ -1,5 +1,5 @@
 //! Differential matrix for the direct prepared probe of PGBJ's index:
-//! {Exact, Fast} × {no overlay, adds, adds + tombstones} × batch size
+//! {no overlay, adds, adds + tombstones} × batch size
 //! (either side of the serial/parallel cut) × workers.
 //!
 //! Three claims, each checked in every cell:
@@ -18,7 +18,6 @@ use pgbj::prelude::*;
 const K: usize = 4;
 const WORKERS: [usize; 3] = [1, 2, 8];
 const SIZES: [usize; 6] = [1, 2, CUT - 1, CUT, CUT + 1, 1_000];
-const MODES: [KernelMode; 2] = [KernelMode::Exact, KernelMode::Fast];
 
 #[derive(Debug, Clone, Copy)]
 enum Overlay {
@@ -42,20 +41,16 @@ fn counters(result: &JoinResult) -> Counters {
     ]
 }
 
-/// Counters of the one-point query (`SIZES[0]`) in every (mode, overlay)
-/// cell, in loop order, recorded at the parent commit where the
-/// probe still ran as a MapReduce job.  They were recorded again when the
-/// cells became sorted and the candidate walk window-first (their distance
-/// computations were 30 / 15 / 13 `Exact` and 199 / 167 / 137 `Fast`), and
-/// the `Exact` rows once more when `Exact` took the 32-row tile walk `Fast`
-/// already had (15 / 11 / 10, no row masked): a cell of this 300-point
-/// corpus is smaller than a tile, so both modes now evaluate what `Fast`
-/// did.  Since every probe runs under its epoch's overlay, the `none` rows
-/// are also the pin that an empty overlay changes no counter.
+/// Counters of the one-point query (`SIZES[0]`) in every overlay cell, in
+/// loop order, recorded at the parent commit where the probe still ran as a
+/// MapReduce job.  They were recorded again when the cells became sorted
+/// and the candidate walk window-first (30 / 15 / 13 distance
+/// computations), and once more when the walk took 32-row tiles (15 / 11 /
+/// 10, no row masked).  Since every probe runs under its epoch's overlay,
+/// the `none` row is also the pin that an empty overlay changes no counter.
 #[rustfmt::skip]
-const SINGLETON_COUNTERS_AT_PARENT: [Counters; 6] = [
-    // Exact {none, adds, adds + tombstones}, then Fast.
-    [48, 8, 0, 0], [41, 8, 7, 0], [32, 8, 8, 1],
+const SINGLETON_COUNTERS_AT_PARENT: [Counters; 3] = [
+    // {none, adds, adds + tombstones}
     [48, 8, 0, 0], [41, 8, 7, 0], [32, 8, 8, 1],
 ];
 
@@ -125,59 +120,55 @@ fn direct_probe_matches_cold_runs_and_parent_counters_across_the_matrix() {
     let pool = clustered(1_000, 22);
     let cold_ctx = ExecutionContext::default();
     let mut at_parent = SINGLETON_COUNTERS_AT_PARENT.iter();
-    for mode in MODES {
-        for overlay in OVERLAYS {
-            // One handle per worker count, mutated identically.
-            let handles = WORKERS.map(|workers| {
-                let ctx = ExecutionContext::builder().workers(workers).build();
-                let prepared = builder_for(&pool, &s)
-                    .kernel_mode(mode)
-                    .delta_threshold(usize::MAX)
-                    .prepare(&ctx)
-                    .expect("prepare");
-                mutate(&prepared, overlay, &s);
-                prepared
-            });
-            let materialized = handles[0].materialized_corpus();
-            for n in SIZES {
-                let cell = format!("{mode:?} {overlay:?} n={n}");
-                let batch = PointSet::from_points(pool.points()[..n].to_vec());
-                let served = handles
-                    .each_ref()
-                    .map(|prepared| prepared.query(&batch).expect("prepared query"));
-                let cold = builder_for(&batch, &materialized)
-                    .kernel_mode(mode)
-                    .run(&cold_ctx)
-                    .expect("cold run");
+    for overlay in OVERLAYS {
+        // One handle per worker count, mutated identically.
+        let handles = WORKERS.map(|workers| {
+            let ctx = ExecutionContext::builder().workers(workers).build();
+            let prepared = builder_for(&pool, &s)
+                .delta_threshold(usize::MAX)
+                .prepare(&ctx)
+                .expect("prepare");
+            mutate(&prepared, overlay, &s);
+            prepared
+        });
+        let materialized = handles[0].materialized_corpus();
+        for n in SIZES {
+            let cell = format!("{overlay:?} n={n}");
+            let batch = PointSet::from_points(pool.points()[..n].to_vec());
+            let served = handles
+                .each_ref()
+                .map(|prepared| prepared.query(&batch).expect("prepared query"));
+            let cold = builder_for(&batch, &materialized)
+                .run(&cold_ctx)
+                .expect("cold run");
+            assert!(
+                served[0].matches(&cold, 1e-9),
+                "{cell}: served vs cold: {:?}",
+                served[0].mismatch_against(&cold, 1e-9)
+            );
+            for (result, workers) in served.iter().zip(WORKERS) {
                 assert!(
-                    served[0].matches(&cold, 1e-9),
-                    "{cell}: served vs cold: {:?}",
-                    served[0].mismatch_against(&cold, 1e-9)
+                    result.matches(&served[0], 0.0),
+                    "{cell}: rows differ at workers={workers}"
                 );
-                for (result, workers) in served.iter().zip(WORKERS) {
-                    assert!(
-                        result.matches(&served[0], 0.0),
-                        "{cell}: rows differ at workers={workers}"
-                    );
-                    assert_eq!(
-                        counters(result),
-                        counters(&served[0]),
-                        "{cell}: counters differ at workers={workers}"
-                    );
-                    let m = &result.metrics;
-                    assert_eq!(
-                        (m.shuffle_bytes, m.shuffle_records, m.r_records_shuffled),
-                        (0, 0, 0),
-                        "{cell}: a prepared probe shuffles nothing"
-                    );
-                }
-                if n == 1 {
-                    assert_eq!(
-                        counters(&served[0]),
-                        *at_parent.next().expect("one recorded row per cell"),
-                        "{cell}: singleton counters moved from the parent commit's"
-                    );
-                }
+                assert_eq!(
+                    counters(result),
+                    counters(&served[0]),
+                    "{cell}: counters differ at workers={workers}"
+                );
+                let m = &result.metrics;
+                assert_eq!(
+                    (m.shuffle_bytes, m.shuffle_records, m.r_records_shuffled),
+                    (0, 0, 0),
+                    "{cell}: a prepared probe shuffles nothing"
+                );
+            }
+            if n == 1 {
+                assert_eq!(
+                    counters(&served[0]),
+                    *at_parent.next().expect("one recorded row per cell"),
+                    "{cell}: singleton counters moved from the parent commit's"
+                );
             }
         }
     }

@@ -52,19 +52,6 @@ fn rows_identical(a: &JoinRow, b: &JoinRow) -> bool {
             .all(|(x, y)| x.distance == y.distance)
 }
 
-/// Brute-force kNN distances of one point against a corpus.
-fn brute_force_distances(
-    point: &Point,
-    corpus: &PointSet,
-    k: usize,
-    metric: DistanceMetric,
-) -> Vec<f64> {
-    let mut dists: Vec<f64> = corpus.iter().map(|s| metric.distance(point, s)).collect();
-    dists.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
-    dists.truncate(k);
-    dists
-}
-
 // ---------------------------------------------------------------------------
 // Stress harness: N clients × mixed singles/batches, oracle-verified
 // ---------------------------------------------------------------------------
@@ -158,7 +145,7 @@ fn stress_mixed_clients_all_responses_exact() {
 /// A writer thread inserts/deletes/compacts through the shared handle while
 /// reader threads query through the server.  The writer logs the
 /// materialized corpus after every mutation; afterwards every reader
-/// response must match the brute-force kNN of *some* logged epoch — i.e. no
+/// response must match the nested-loop kNN of *some* logged epoch — i.e. no
 /// answer ever mixes two corpus versions (extends the PR 6 snapshot proptest
 /// to the batched/coalesced serving path).
 #[test]
@@ -226,15 +213,29 @@ fn soak_mutate_under_load_answers_match_some_epoch() {
     });
     server.shutdown();
 
-    let epochs = epochs.into_inner().unwrap();
+    // One oracle join per logged epoch over every point the readers query.
+    let oracles: Vec<JoinResult> = epochs
+        .into_inner()
+        .unwrap()
+        .iter()
+        .map(|corpus| {
+            NestedLoopJoin
+                .join(&queries, corpus, K, DistanceMetric::Euclidean)
+                .expect("oracle")
+        })
+        .collect();
     let answers = answers.into_inner().unwrap();
     assert_eq!(answers.len(), READERS * QUERIES_PER_READER);
     for (point, row) in &answers {
         assert_eq!(row.r_id, point.id);
         let got: Vec<f64> = row.neighbors.iter().map(|n| n.distance).collect();
-        let consistent = epochs.iter().any(|corpus| {
-            let want = brute_force_distances(point, corpus, K, DistanceMetric::Euclidean);
-            want.len() == got.len() && want.iter().zip(&got).all(|(w, g)| (w - g).abs() <= 1e-9)
+        let consistent = oracles.iter().any(|oracle| {
+            let want = &oracle.row(point.id).expect("oracle row").neighbors;
+            want.len() == got.len()
+                && want
+                    .iter()
+                    .zip(&got)
+                    .all(|(w, g)| (w.distance - g).abs() <= 1e-9)
         });
         assert!(
             consistent,
